@@ -18,7 +18,7 @@ from datetime import date
 
 from .engine import Database
 from .errors import UpgradeConflict
-from .faults import ALL_FAULT_POINTS, FaultInjector
+from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .records import UserVisitsRecord
 
 DEFAULT_PROBE_KEY = "160.110.44.44"
@@ -46,7 +46,7 @@ class WorkloadSpec:
         if self.limit < 0 or self.repeat <= 0:
             raise ValueError("counts must be positive")
         if self.crash_point is not None and \
-                self.crash_point not in ALL_FAULT_POINTS:
+                self.crash_point not in SPDU_DFS_FAULT_POINTS:
             raise ValueError(f"unregistered fault point: {self.crash_point}")
 
 
@@ -128,6 +128,17 @@ def generate(db: Database, num_tuples: int, seed: int,
         raise
 
 
+def _insert_records(spec: WorkloadSpec) -> list[UserVisitsRecord]:
+    """The insert workload's rows, made before its timer starts."""
+    rng = random.Random(spec.seed)
+    day = date(2200, 1, 1).toordinal()
+    records = []
+    for _ in range(spec.repeat):
+        day += rng.random() < 0.01
+        records.append(make_record(rng, day, _rand_ip(rng, spec.key)))
+    return records
+
+
 def run_workload(db: Database, spec: WorkloadSpec,
                  faults: FaultInjector | None = None,
                  crash_action: str = "exit") -> MetricsReport:
@@ -140,6 +151,7 @@ def run_workload(db: Database, spec: WorkloadSpec,
     remakes0 = db.manager.remakes_total
     net0 = cluster.counters.bytes_read + cluster.counters.bytes_written
     session = db.session(f"bench-{spec.kind}")
+    records = _insert_records(spec) if spec.kind == "insert" else []
     start = time.perf_counter()
     returned = 0
     if spec.kind == "scan":
@@ -147,13 +159,9 @@ def run_workload(db: Database, spec: WorkloadSpec,
         returned = len(session.scan(spec.limit))
         session.commit()
     elif spec.kind == "insert":
-        rng = random.Random(spec.seed)
-        day = date(2200, 1, 1).toordinal()
         session.begin("write")
-        for _ in range(spec.repeat):
-            day += rng.random() < 0.01
-            session.insert_record(
-                make_record(rng, day, _rand_ip(rng, spec.key)))
+        for record in records:
+            session.insert_record(record)
             returned += 1
         session.commit()
     elif spec.kind == "select":

@@ -10,63 +10,37 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import bench
 from .dfs import DfsCluster
 from .engine import Database, EngineConfig
 from .errors import StorageError
-from .faults import ALL_FAULT_POINTS, FaultInjector
+from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .locks import LockService
 
 DB_NAME = "db"
 DBCONFIG_FILE = "db.json"
-
-CONFIG_KEYS = {
-    "page_size": int,
-    "block_size": int,
-    "replication": int,
-    "num_nodes": int,
-    "placement_seed": int,
-    "post_commit_threshold": int,
-    "deferred": bool,
-    "latency": float,
-    "total_pages": int,
-}
+TOTAL_PAGES = 8192
 
 
 def load_config(path: str | None) -> dict:
-    values = {
-        "page_size": 4096,
-        "block_size": 64 * 1024,
-        "replication": 3,
-        "num_nodes": 4,
-        "placement_seed": 0,
-        "post_commit_threshold": 64,
-        "deferred": True,
-        "latency": 0.0,
-        "total_pages": 8192,
-    }
+    """EngineConfig's fields plus total_pages, each value coerced to the
+    type of its default."""
+    values = {**asdict(EngineConfig()), "total_pages": TOTAL_PAGES}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             given = json.load(fh)
         for key, value in given.items():
-            if key not in CONFIG_KEYS:
+            if key not in values:
                 raise ValueError(f"unknown config key: {key}")
-            values[key] = CONFIG_KEYS[key](value)
+            values[key] = type(values[key])(value)
     return values
 
 
 def _engine_config(values: dict) -> EngineConfig:
-    return EngineConfig(
-        page_size=values["page_size"],
-        block_size=values["block_size"],
-        replication=values["replication"],
-        num_nodes=values["num_nodes"],
-        placement_seed=values["placement_seed"],
-        post_commit_threshold=values["post_commit_threshold"],
-        deferred=values["deferred"],
-        latency=values["latency"],
-    )
+    return EngineConfig(**{f.name: values[f.name]
+                           for f in fields(EngineConfig)})
 
 
 def _open_existing(root: str, faults: FaultInjector,
@@ -134,13 +108,14 @@ def cmd_run(args, faults: FaultInjector) -> int:
         reports.append(bench.run_workload(db, spec, faults).as_dict())
     for report in reports:
         emit(report, args.out)
+    if args.crash_point and not faults.hits[args.crash_point]:
+        print(f"error: crash point {args.crash_point} was never reached",
+              file=sys.stderr)
+        return 2
     return 0
 
 
 def cmd_recover(args, faults: FaultInjector) -> int:
-    cfg_path = os.path.join(args.root, DBCONFIG_FILE)
-    if not os.path.exists(cfg_path):
-        raise StorageError(f"no database at {args.root}")
     db, _ = _open_existing(args.root, faults, recover=False)
     path = db.recover()
     emit({"recovery": path}, args.out)
@@ -189,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--index", dest="index", action="store_true",
                        default=True)
     index.add_argument("--no-index", dest="index", action="store_false")
-    run.add_argument("--crash-point", choices=ALL_FAULT_POINTS)
+    run.add_argument("--crash-point", choices=SPDU_DFS_FAULT_POINTS)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--repeat-runs", type=int, default=1,
                      help="repeat the workload and report each run")

@@ -33,6 +33,7 @@ from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SlottedPage
 from .records import FIELD_LIMITS, UserVisitsRecord, pack_record, unpack_record
 from .spdu_dfs import (
+    DEFAULT_POST_COMMIT_THRESHOLD,
     DfsTransactionStore,
     create_data_meta,
     create_log_meta,
@@ -119,7 +120,7 @@ class EngineConfig:
     replication: int = 3
     num_nodes: int = 4
     placement_seed: int = 0
-    post_commit_threshold: int = 64
+    post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD
     deferred: bool = True
     latency: float = 0.0
 
@@ -127,16 +128,13 @@ class EngineConfig:
         return DfsConfig(self.block_size, self.replication,
                          self.placement_seed, self.latency)
 
-    def page_config(self) -> PageConfig:
-        return PageConfig(self.page_size, self.block_size)
-
 
 class Database:
     """Shared per-database state; make one Session per thread of control."""
 
     def __init__(self, manager: MetaDfsManager, name: str, total_pages: int,
-                 post_commit_threshold: int = 64, deferred: bool = True,
-                 locks: LockService | None = None,
+                 post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
+                 deferred: bool = True, locks: LockService | None = None,
                  faults: FaultInjector = NULL_INJECTOR):
         self.manager = manager
         self.name = name
@@ -155,7 +153,8 @@ class Database:
 
     @classmethod
     def create(cls, cluster: DfsCluster, name: str, total_pages: int,
-               page_size: int, post_commit_threshold: int = 64,
+               page_size: int,
+               post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                deferred: bool = True, locks: LockService | None = None,
                faults: FaultInjector = NULL_INJECTOR) -> "Database":
         manager = MetaDfsManager(
@@ -170,7 +169,8 @@ class Database:
 
     @classmethod
     def open(cls, cluster: DfsCluster, name: str, page_size: int,
-             post_commit_threshold: int = 64, deferred: bool = True,
+             post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
+             deferred: bool = True,
              locks: LockService | None = None,
              faults: FaultInjector = NULL_INJECTOR,
              recover: bool = True) -> "Database":
@@ -194,20 +194,13 @@ class Database:
     def needs_recovery(self) -> str | None:
         """"redo" if a batch was interrupted, "rollback" if the log has an
         uncommitted tail, else None."""
-        store = self._bootstrap_store()
-        if store._read_master():
-            return "redo"
-        blocks = self.log.block_count
-        if blocks > 1:
-            _, complete = store._read_footer(blocks - 1)
-            if not complete:
-                return "rollback"
-        return None
+        return self._bootstrap_store().recovery_state()
 
     def recover(self) -> str:
         """Run restart processing; returns "redo", "rollback" or "clean"."""
-        path = self.needs_recovery()
-        self._bootstrap_store().restart_system()
+        store = self._bootstrap_store()
+        path = store.recovery_state()
+        store.restart_system()
         return path or "clean"
 
     def session(self, owner: str | None = None) -> "Session":

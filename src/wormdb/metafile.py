@@ -82,10 +82,9 @@ class MetaDfsManager:
     deferred post-commit design is judged by.
     """
 
-    def __init__(self, cluster: DfsCluster, page_config: PageConfig | None = None):
+    def __init__(self, cluster: DfsCluster, page_config: PageConfig):
         self.cluster = cluster
-        if page_config is not None and \
-                page_config.block_size != cluster.config.block_size_bytes:
+        if page_config.block_size != cluster.config.block_size_bytes:
             raise ValueError("page config block size != DFS block size")
         self.page_config = page_config
         self._counter_lock = threading.Lock()
@@ -124,6 +123,14 @@ class MetaDfsManager:
                 f"{self.cluster.config.block_size_bytes} bytes, "
                 f"got {len(content)}")
 
+    def _constituent(self, file: MetaDfsFile, block_id: int) -> str:
+        """Name of an existing block's constituent DFS file."""
+        count = self.cluster.meta_block_count(file.name)
+        if not 0 <= block_id < count:
+            raise OutOfRange(
+                f"block {block_id} of {file.name} (has {count})")
+        return constituent_name(file.name, block_id)
+
     def append_block(self, file: MetaDfsFile, content: bytes) -> int:
         self._check_block(content)
         count = self.cluster.meta_block_count(file.name)
@@ -135,11 +142,7 @@ class MetaDfsManager:
                         content: bytes) -> None:
         """DFS file remake of one constituent; costs exactly one remake."""
         self._check_block(content)
-        count = self.cluster.meta_block_count(file.name)
-        if not 0 <= block_id < count:
-            raise OutOfRange(
-                f"block {block_id} of {file.name} (has {count})")
-        name = constituent_name(file.name, block_id)
+        name = self._constituent(file, block_id)
         self.cluster.delete_file(name)
         self.cluster.create_file(name, content)
         with self._counter_lock:
@@ -148,13 +151,9 @@ class MetaDfsManager:
                 self.remakes_by_file.get(file.name, 0) + 1
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
-        count = self.cluster.meta_block_count(file.name)
-        if not 0 <= block_id < count:
-            raise OutOfRange(
-                f"block {block_id} of {file.name} (has {count})")
-        name = constituent_name(file.name, block_id)
         return self.cluster.read_range(
-            name, 0, self.cluster.config.block_size_bytes)
+            self._constituent(file, block_id), 0,
+            self.cluster.config.block_size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         count = self.cluster.meta_block_count(file.name)
@@ -169,17 +168,12 @@ class MetaDfsManager:
     # Page addressing
     # ------------------------------------------------------------------
 
-    def _require_pages(self) -> PageConfig:
-        if self.page_config is None:
-            raise ValueError("manager built without a page config")
-        return self.page_config
-
     def page_address(self, pageid: int) -> PageAddress:
-        n = self._require_pages().pages_per_block
+        n = self.page_config.pages_per_block
         return PageAddress(pageid // n, pageid % n)
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
-        cfg = self._require_pages()
+        cfg = self.page_config
         addr = self.page_address(pageid)
         count = self.cluster.meta_block_count(file.name)
         if addr.block_id >= count:

@@ -97,6 +97,16 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
     return file
 
 
+def _page_index(footers) -> dict[int, tuple[int, int]]:
+    """pageid -> (block_id, slot) over (block_id, pageids) pairs given
+    oldest first, so the newest copy of a page wins."""
+    index: dict[int, tuple[int, int]] = {}
+    for block_id, pageids in footers:
+        for slot, pageid in enumerate(pageids):
+            index[pageid] = (block_id, slot)
+    return index
+
+
 class DfsTransactionStore:
     """Per-session page store with deferred post-commit over meta DFS files."""
 
@@ -106,8 +116,6 @@ class DfsTransactionStore:
                  deferred: bool = True,
                  faults: FaultInjector = NULL_INJECTOR):
         cfg = manager.page_config
-        if cfg is None:
-            raise ValueError("meta manager needs a page config")
         if cfg.pages_per_block - 1 > (cfg.page_size - FOOTER_FIXED_SIZE) // 8:
             raise ValueError(
                 f"footer cannot list {cfg.pages_per_block - 1} pageids "
@@ -125,9 +133,7 @@ class DfsTransactionStore:
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
         self._capacity = self.pages_per_block - 1
-        self._buffer = bytearray(cfg.block_size)
-        self._filled: list[int] = []
-        self._slots: dict[int, int] = {}
+        self._reset_buffer()
         self._ordinal = 0
 
     # ------------------------------------------------------------------
@@ -185,9 +191,7 @@ class DfsTransactionStore:
         self.faults.hit("dfs.flush.after_block_append")
         for slot, pageid in enumerate(self._filled):
             self.index[pageid] = (block_id, slot)
-        self._buffer = bytearray(len(self._buffer))
-        self._filled = []
-        self._slots = {}
+        self._reset_buffer()
         return block_id
 
     def log_data_blocks(self) -> int:
@@ -220,15 +224,7 @@ class DfsTransactionStore:
         self._write_master(True)
         self.faults.hit("dfs.batch.after_flag_set")
 
-        footers = self._scan_footers()
-        last_complete = 0
-        for block_id, (pageids, complete) in footers.items():
-            if complete:
-                last_complete = block_id
-        newest: dict[int, tuple[int, int]] = {}
-        for block_id in range(1, last_complete + 1):
-            for slot, pageid in enumerate(footers[block_id][0]):
-                newest[pageid] = (block_id, slot)
+        newest = _page_index(self.committed_footers().items())
 
         by_data_block: dict[int, list[int]] = {}
         for pageid in newest:
@@ -266,9 +262,7 @@ class DfsTransactionStore:
 
     def abort_transaction(self) -> None:
         """Drop the buffer and every uncommitted log block, newest first."""
-        self._buffer = bytearray(len(self._buffer))
-        self._filled = []
-        self._slots = {}
+        self._reset_buffer()
         self._ordinal = 0
         self.faults.hit("dfs.abort.before_truncate")
         self._truncate_uncommitted()
@@ -278,13 +272,11 @@ class DfsTransactionStore:
     def restart_system(self) -> str:
         """Recover after a crash; returns "redo" or "rollback"."""
         self.faults.hit("dfs.restart.begin")
-        self._buffer = bytearray(len(self._buffer))
-        self._filled = []
-        self._slots = {}
+        self._reset_buffer()
         self._ordinal = 0
         if self.log.block_count == 0:
             raise RecoveryError("log meta file has no master block")
-        if self._read_master():
+        if self.read_commit_flag():
             self.batch_post_commit()
             self.faults.hit("dfs.restart.after_redo")
             self.faults.hit("dfs.restart.done")
@@ -296,46 +288,71 @@ class DfsTransactionStore:
 
     def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
         """Rebuild the index by reading only the footer page of each block."""
-        index: dict[int, tuple[int, int]] = {}
-        for block_id in range(1, self.log.block_count):
-            pageids, _ = self._read_footer(block_id)
-            for slot, pageid in enumerate(pageids):
-                index[pageid] = (block_id, slot)
-        self.index = index
-        return dict(index)
+        self.index = _page_index(
+            (block_id, pageids)
+            for block_id, (pageids, _) in self.footers().items())
+        return dict(self.index)
 
     # ------------------------------------------------------------------
-    # Internals
+    # Recovery state (reads only)
     # ------------------------------------------------------------------
 
-    def _write_master(self, commit_flag: bool) -> None:
-        self.manager.overwrite_block(
-            self.log, 0,
-            _master_block(self.manager.page_config.block_size, commit_flag))
-
-    def _read_master(self) -> bool:
+    def read_commit_flag(self) -> bool:
+        """The master block's commit_flag: set while a batch is open."""
         page = self.manager.read_page(self.log, 0)
         magic, flag = _MASTER.unpack_from(page, 0)
         if magic != _MASTER_MAGIC:
             raise RecoveryError("log master block has bad magic")
         return bool(flag)
 
-    def _read_footer(self, block_id: int) -> tuple[list[int], bool]:
+    def read_footer(self, block_id: int) -> tuple[list[int], bool]:
+        """(pageids, commit_complete) from the footer page of a log block."""
         page = self.manager.read_page(
             self.log,
             block_id * self.pages_per_block + (self.pages_per_block - 1))
         return unpack_footer(page)
 
-    def _scan_footers(self) -> dict[int, tuple[list[int], bool]]:
-        return {block_id: self._read_footer(block_id)
+    def footers(self) -> dict[int, tuple[list[int], bool]]:
+        """The footer of every log data block, oldest first."""
+        return {block_id: self.read_footer(block_id)
                 for block_id in range(1, self.log.block_count)}
 
+    def committed_footers(self) -> dict[int, list[int]]:
+        """Pageids of each log block up to the newest commit_complete one:
+        the committed prefix of the log."""
+        footers = self.footers()
+        last_complete = max(
+            (block_id for block_id, (_, complete) in footers.items()
+             if complete), default=0)
+        return {block_id: footers[block_id][0]
+                for block_id in range(1, last_complete + 1)}
+
+    def recovery_state(self) -> str | None:
+        """"redo" if a batch post-commit was interrupted, "rollback" if the
+        log ends in an uncommitted block, else None."""
+        if self.read_commit_flag():
+            return "redo"
+        last = self.log.block_count - 1
+        if last > 0 and not self.read_footer(last)[1]:
+            return "rollback"
+        return None
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _reset_buffer(self) -> None:
+        self._buffer = bytearray(self.manager.page_config.block_size)
+        self._filled: list[int] = []
+        self._slots: dict[int, int] = {}
+
+    def _write_master(self, commit_flag: bool) -> None:
+        self.manager.overwrite_block(
+            self.log, 0,
+            _master_block(self.manager.page_config.block_size, commit_flag))
+
     def _truncate_uncommitted(self) -> None:
-        footers = self._scan_footers()
-        last_complete = 0
-        for block_id, (_, complete) in footers.items():
-            if complete:
-                last_complete = block_id
+        last_complete = max(self.committed_footers(), default=0)
         for block_id in range(self.log.block_count - 1, last_complete, -1):
             self.faults.hit("dfs.abort.truncate_step")
             self.manager.truncate_from(self.log, block_id)

@@ -127,10 +127,10 @@ def probe_marker_durable(store, blocks_before, remakes_before):
     if store.manager.remakes_of("db/data") > remakes_before:
         return True  # its batch already remade data blocks
     probe = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
-    if probe._read_master():
+    if probe.read_commit_flag():
         return True  # batch was bracketed open after the marker
     for block_id in range(blocks_before, store.log.block_count):
-        _, complete = probe._read_footer(block_id)
+        _, complete = probe.read_footer(block_id)
         if complete:
             return True
     return False

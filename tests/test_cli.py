@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import wormdb
-from wormdb.cli import main
+from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig
-from wormdb.engine import Database
+from wormdb.engine import Database, EngineConfig
 from wormdb.faults import FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
@@ -171,6 +172,49 @@ def test_crash_point_exit_code_and_recover(small_root):
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["records_returned"] == 660
+
+
+def test_unreached_crash_point_exits_2(small_root):
+    root, config = small_root
+    result = run_cli_subprocess(["gen", "--tuples", "500"], root, config)
+    assert result.returncode == 0, result.stderr
+    # a read-only scan never opens a batch post-commit
+    result = run_cli_subprocess(
+        ["run", "--workload", "scan", "--crash-point", "dfs.batch.begin"],
+        root)
+    assert result.returncode == 2, result.stderr
+    assert "dfs.batch.begin" in result.stderr
+    assert "never reached" in result.stderr
+    result = run_cli_subprocess(["recover"], root)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["recovery"] == "clean"
+
+
+def test_core_crash_point_rejected(small_root, capsys):
+    root, _ = small_root
+    # core.* points belong to the flat-file store, which `run` never runs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--workload", "select", "--crash-point",
+                 "core.commit.after_log_sync"], root)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        bench.WorkloadSpec(kind="select",
+                           crash_point="core.commit.after_log_sync")
+
+
+def test_load_config_keys_and_types(tmp_path):
+    assert load_config(None) == {**asdict(EngineConfig()),
+                                 "total_pages": 8192}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"latency": 1, "page_size": 512}))
+    values = load_config(str(path))
+    assert values["latency"] == 1.0
+    assert isinstance(values["latency"], float)
+    assert values["page_size"] == 512
+    path.write_text(json.dumps({"pages": 512}))
+    with pytest.raises(ValueError, match="unknown config key: pages"):
+        load_config(str(path))
 
 
 def test_csv_output(small_root, capsys):

@@ -99,7 +99,7 @@ def test_auto_flush_on_capacity():
     assert store.log.block_count == 2  # flushed automatically
     store.write_page(50, page_with(rng))  # starts a new buffer
     assert store._filled == [50]
-    pageids, complete = store._read_footer(1)
+    pageids, complete = store.read_footer(1)
     assert pageids == list(range(N - 1))
     assert complete is False
 
@@ -111,7 +111,7 @@ def test_flush_footer_lists_pages_in_arrival_order():
         store.write_page(pid, page_with(rng))
     block_id = store.flush_buffer(mark_commit=False)
     assert block_id == 1
-    pageids, complete = store._read_footer(1)
+    pageids, complete = store.read_footer(1)
     assert pageids == [5, 3, 9]
     assert complete is False
     assert store.index == {5: (1, 0), 3: (1, 1), 9: (1, 2)}
@@ -121,7 +121,7 @@ def test_commit_with_empty_buffer_appends_marker():
     store = make_store()
     store.commit_transaction()
     assert store.log.block_count == 2
-    pageids, complete = store._read_footer(1)
+    pageids, complete = store.read_footer(1)
     assert pageids == []
     assert complete is True
 
@@ -152,7 +152,7 @@ def test_commit_defers_post_commit():
     # two commits without reaching the threshold: zero data remakes
     assert store.manager.remakes_of("db/data") == 0
     assert store.log.block_count == 3
-    pageids, complete = store._read_footer(1)
+    pageids, complete = store.read_footer(1)
     assert (pageids, complete) == ([5, 3], True)
 
 
@@ -430,7 +430,7 @@ def test_footer_fidelity_matches_page_headers():
         store.write_page(pid, page_with(rng))
     store.flush_buffer(mark_commit=True)
     for block_id in range(1, store.log.block_count):
-        pageids, _ = store._read_footer(block_id)
+        pageids, _ = store.read_footer(block_id)
         block = store.manager.read_block(store.log, block_id)
         for slot, pid in enumerate(pageids):
             page = block[slot * PAGE:(slot + 1) * PAGE]
@@ -458,7 +458,7 @@ def test_committed_prefix_under_random_schedules():
             else:
                 store.abort_transaction()
                 txn_pages.clear()
-            footers = store._scan_footers()
+            footers = store.footers()
             last_true = max(
                 (b for b, (_, complete) in footers.items() if complete),
                 default=0)
