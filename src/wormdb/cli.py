@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 from . import bench
 from .dfs import DfsCluster
 from .engine import Database, EngineConfig
-from .errors import StorageError
+from .errors import ConfigError, StorageError
 from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .locks import LockService
 
@@ -25,17 +25,38 @@ TOTAL_PAGES = 8192
 
 
 def load_config(path: str | None) -> dict:
-    """EngineConfig's fields plus total_pages, each value coerced to the
-    type of its default."""
+    """EngineConfig's fields plus total_pages, each value of its default's
+    JSON type (a float field also takes an integer, stored as a float)."""
     values = {**asdict(EngineConfig()), "total_pages": TOTAL_PAGES}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            given = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(given, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         for key, value in given.items():
             if key not in values:
-                raise ValueError(f"unknown config key: {key}")
-            values[key] = type(values[key])(value)
+                raise ConfigError(f"unknown config key: {key}")
+            values[key] = _typed(key, value, type(values[key]))
     return values
+
+
+# a default's type -> (its JSON name, the Python types a JSON value of
+# that kind loads as)
+_JSON_TYPES = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
+               float: ("number", (int, float))}
+
+
+def _typed(key: str, value, kind: type):
+    name, accepted = _JSON_TYPES[kind]
+    # bool is an int in Python but not in JSON
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, accepted):
+        raise ConfigError(f"config key {key} needs a JSON {name}, "
+                          f"got {json.dumps(value)}")
+    return kind(value)
 
 
 def _engine_config(values: dict) -> EngineConfig:

@@ -3,7 +3,9 @@
 One NameNode (the metadata table plus the meta-file registry) and a set of
 DataNodes holding replicated fixed-size blocks. Files are immutable once
 created; overwrite is only possible as delete + create of the same name
-("file remake"), which the meta-file layer builds on.
+("file remake"), which the meta-file layer builds on. Every file gets a
+`file_id` the NameNode never hands out again, so a client that cached
+what a file holds can tell a remade file from the one it replaced.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -14,6 +16,7 @@ store.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -33,6 +36,12 @@ from .errors import (
 
 NAMENODE_TABLE = "namenode.tbl"
 METAFILE_TABLE = "metafiles.tbl"
+SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
+
+
+def constituent_name(meta_name: str, ordinal: int) -> str:
+    """The one-block DFS file holding block `ordinal` of a meta file."""
+    return f"{meta_name}/{ordinal:0{SUFFIX_WIDTH}d}"
 
 
 @dataclass
@@ -58,6 +67,9 @@ class DfsFileEntry:
     num_blocks: int
     # One tuple of DataNode ids per block, len == replication factor.
     block_locations: list[tuple[int, ...]]
+    # Never reused by this NameNode, so a file remade under the same name
+    # gets a new id. Kept in memory only: a reload hands out fresh ids.
+    file_id: int
 
 
 @dataclass
@@ -144,6 +156,7 @@ class DfsCluster:
         # Meta DFS file registry (name -> block count); lives at the
         # NameNode and is journaled together with the file table.
         self._meta_table: dict[str, int] = {}
+        self._file_ids = itertools.count(1)
         self.counters = DfsCounters()
         node_root = None
         self._nodes: dict[int, DataNode] = {}
@@ -174,7 +187,8 @@ class DfsCluster:
                             locations.append(
                                 tuple(int(n) for n in loc.split(",")))
                     entry = DfsFileEntry(unquote(name), int(size),
-                                         int(nblocks), locations)
+                                         int(nblocks), locations,
+                                         next(self._file_ids))
                     self._files[entry.name] = entry
         meta = os.path.join(self.root, METAFILE_TABLE)
         if os.path.exists(meta):
@@ -248,7 +262,8 @@ class DfsCluster:
                     self._nodes[node_id].put(name, ordinal, chunk)
                     self.counters.bytes_written += len(chunk)
                 locations.append(holders)
-            entry = DfsFileEntry(name, size, num_blocks, locations)
+            entry = DfsFileEntry(name, size, num_blocks, locations,
+                                 next(self._file_ids))
             self._files[name] = entry
             self.counters.files_created += 1
             self._save_tables()
@@ -312,9 +327,10 @@ class DfsCluster:
             if new in self._files:
                 raise AlreadyExists(f"DFS file exists: {new}")
             entry = self._files.pop(old)
-            # Metadata-only from the client's view; nodes re-key their
-            # stored blocks (dead nodes included: a revived node resyncs
-            # names from the NameNode).
+            # Metadata-only from the client's view: the entry, and so its
+            # file_id, moves to the new name. Every holder re-keys its
+            # stored blocks, dead nodes included, so a revived node serves
+            # them under the new name.
             for ordinal in range(entry.num_blocks):
                 for node_id in entry.block_locations[ordinal]:
                     self._nodes[node_id].move(old, new, ordinal)
@@ -344,7 +360,7 @@ class DfsCluster:
                 raise NotFound(f"no DFS file: {name}")
             return DfsFileEntry(entry.name, entry.size_bytes,
                                 entry.num_blocks,
-                                list(entry.block_locations))
+                                list(entry.block_locations), entry.file_id)
 
     def list_files(self, prefix: str = "") -> list[str]:
         with self._lock:
@@ -392,6 +408,18 @@ class DfsCluster:
             if count is None:
                 raise NotFound(f"no meta DFS file: {name}")
             return count
+
+    def meta_file_ids(self, name: str) -> list[int]:
+        """The file_id of each constituent of a meta file, block 0 first,
+        read under one lock."""
+        with self._lock:
+            ids = []
+            for ordinal in range(self.meta_block_count(name)):
+                file = constituent_name(name, ordinal)
+                if file not in self._files:
+                    raise NotFound(f"no DFS file: {file}")
+                ids.append(self._files[file].file_id)
+            return ids
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:

@@ -7,8 +7,9 @@ segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
 Sessions acquire the database lock, rebuild their log table index from log
-block footers, and then run tuple operations; all page mutations flow
-through the session's transaction store.
+block footers (reading only those the session has not seen), and then run
+tuple operations; all page mutations flow through the session's
+transaction store.
 """
 
 from __future__ import annotations

@@ -40,6 +40,11 @@ class RecoveryError(StorageError):
     """
 
 
+class ConfigError(StorageError, ValueError):
+    """A config file is unreadable, names an unknown key or gives a value
+    of the wrong type."""
+
+
 class RecordTooLarge(StorageError):
     pass
 

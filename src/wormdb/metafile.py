@@ -16,14 +16,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .dfs import DfsCluster, DfsFileEntry
+from .dfs import DfsCluster, DfsFileEntry, constituent_name
 from .errors import NotFound, OutOfRange, WrongBlockSize
-
-SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
-
-
-def constituent_name(meta_name: str, ordinal: int) -> str:
-    return f"{meta_name}/{ordinal:0{SUFFIX_WIDTH}d}"
 
 
 @dataclass(frozen=True)
@@ -149,6 +143,15 @@ class MetaDfsManager:
             self.remakes_total += 1
             self.remakes_by_file[file.name] = \
                 self.remakes_by_file.get(file.name, 0) + 1
+
+    def constituent_ids(self, file: MetaDfsFile) -> list[int]:
+        """The DFS file_id of each block's constituent, block 0 first.
+
+        A block's id changes exactly when its constituent is remade or
+        truncated and appended again, so an unchanged id means unchanged
+        content.
+        """
+        return self.cluster.meta_file_ids(file.name)
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         return self.cluster.read_range(

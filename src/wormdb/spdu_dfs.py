@@ -16,10 +16,17 @@ much larger than a page and files being write-once:
   remade exactly once, and the whole batch is made atomic/restartable by a
   commit_flag in the log's master block (block 0).
 * The log table index maps pageid -> (block_id, b_offset) and is rebuilt
-  per session from footer pages only, at every lock acquisition.
+  per session from footers only, at every lock acquisition. The session
+  keeps each footer it has seen with the DFS file_id of the block's
+  constituent, and reads the footer page again only for a block whose
+  id it has not seen. A constituent is write-once and the NameNode never
+  reuses an id, so a footer changes exactly when its block's id does:
+  when a batch truncates the log, or an abort drops its tail, and new
+  blocks are appended under the same block ids. A fresh store has seen
+  no footers and reads them all.
 
-One instance per session: the index and buffer are session-private; the
-underlying meta files are shared.
+One instance per session: the index, buffer and footer cache are
+session-private; the underlying meta files are shared.
 """
 
 from __future__ import annotations
@@ -132,6 +139,8 @@ class DfsTransactionStore:
         self.deferred = deferred
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
+        # block_id -> (constituent file_id, pageids, commit_complete)
+        self._footers: dict[int, tuple[int, list[int], bool]] = {}
         self._capacity = self.pages_per_block - 1
         self._reset_buffer()
         self._ordinal = 0
@@ -188,6 +197,9 @@ class DfsTransactionStore:
         self._buffer[start:start + self.page_size] = footer
         self.faults.hit("dfs.flush.before_block_append")
         block_id = self.manager.append_block(self.log, bytes(self._buffer))
+        self._footers[block_id] = (
+            self.manager.constituent_ids(self.log)[block_id],
+            self._filled, mark_commit)
         self.faults.hit("dfs.flush.after_block_append")
         for slot, pageid in enumerate(self._filled):
             self.index[pageid] = (block_id, slot)
@@ -287,7 +299,8 @@ class DfsTransactionStore:
         return "rollback"
 
     def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
-        """Rebuild the index by reading only the footer page of each block."""
+        """Rebuild the index from the log's footers; reads only the footer
+        pages this store has not seen (see `footers`)."""
         self.index = _page_index(
             (block_id, pageids)
             for block_id, (pageids, _) in self.footers().items())
@@ -313,9 +326,22 @@ class DfsTransactionStore:
         return unpack_footer(page)
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
-        """The footer of every log data block, oldest first."""
-        return {block_id: self.read_footer(block_id)
-                for block_id in range(1, self.log.block_count)}
+        """The footer of every log data block, oldest first.
+
+        Reads the footer page only of a block whose constituent file_id
+        differs from the one cached with its footer, or that has none
+        cached; the returned pageid lists are shared with the cache.
+        """
+        ids = self.manager.constituent_ids(self.log)
+        seen = self._footers
+        self._footers = {}
+        for block_id in range(1, len(ids)):
+            entry = seen.get(block_id)
+            if entry is None or entry[0] != ids[block_id]:
+                entry = (ids[block_id], *self.read_footer(block_id))
+            self._footers[block_id] = entry
+        return {block_id: (pageids, complete)
+                for block_id, (_, pageids, complete) in self._footers.items()}
 
     def committed_footers(self) -> dict[int, list[int]]:
         """Pageids of each log block up to the newest commit_complete one:

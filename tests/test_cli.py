@@ -10,6 +10,7 @@ import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database, EngineConfig
+from wormdb.errors import ConfigError
 from wormdb.faults import FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
@@ -215,6 +216,55 @@ def test_load_config_keys_and_types(tmp_path):
     path.write_text(json.dumps({"pages": 512}))
     with pytest.raises(ValueError, match="unknown config key: pages"):
         load_config(str(path))
+
+
+def test_load_config_bool_takes_only_a_json_boolean(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"deferred": False}))
+    assert load_config(str(path))["deferred"] is False
+    for value in ("false", 0, 1, None):
+        path.write_text(json.dumps({"deferred": value}))
+        with pytest.raises(ConfigError, match="deferred needs a JSON boolean"):
+            load_config(str(path))
+    path.write_text(json.dumps({"page_size": True}))
+    with pytest.raises(ConfigError, match="page_size needs a JSON integer"):
+        load_config(str(path))
+
+
+def test_gen_writes_deferred_false(small_root, capsys):
+    root, config = small_root
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({**SMALL_CONFIG, "deferred": False}, fh)
+    assert run_cli(["gen", "--tuples", "5", "--seed", "2"], root,
+                   config) == 0
+    with open(os.path.join(root, "db.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["deferred"] is False
+
+
+@pytest.mark.parametrize("given", [
+    {"pages": 1}, {"deferred": "false"}, {"page_size": "512"},
+    {"latency": [1]}, [1, 2]])
+def test_bad_config_is_one_error_line(small_root, capsys, given):
+    root, config = small_root
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(given, fh)
+    assert run_cli(["gen", "--tuples", "5"], root, config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not os.path.exists(os.path.join(root, "db.json"))
+
+
+def test_unreadable_config_is_one_error_line(small_root, capsys):
+    root, config = small_root
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write("{not json")
+    assert run_cli(["gen", "--tuples", "5"], root, config) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+    missing = os.path.join(os.path.dirname(config), "missing.json")
+    assert run_cli(["gen", "--tuples", "5"], root, missing) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
 def test_csv_output(small_root, capsys):

@@ -203,6 +203,55 @@ def test_persistent_mode_survives_restart(tmp_path):
     assert reopened.meta_block_count("m") == 3
 
 
+def test_file_ids_are_unique_and_never_reused():
+    cluster = make_cluster()
+    ids = [cluster.create_file(f"f{i}", b"x").file_id for i in range(5)]
+    assert len(set(ids)) == 5
+    cluster.delete_file("f2")
+    remade = cluster.create_file("f2", b"x").file_id
+    assert remade not in ids
+    assert cluster.file_entry("f2").file_id == remade
+    assert cluster.file_entry("f0").file_id == ids[0]
+
+
+def test_rename_keeps_the_file_id():
+    cluster = make_cluster()
+    file_id = cluster.create_file("a", b"x").file_id
+    cluster.rename_file("a", "b")
+    assert cluster.file_entry("b").file_id == file_id
+
+
+def test_meta_file_ids_follow_constituents():
+    cluster = make_cluster()
+    cluster.meta_register("m", 0)
+    assert cluster.meta_file_ids("m") == []
+    ids = []
+    for ordinal in range(3):
+        ids.append(cluster.create_file(f"m/{ordinal:08d}", b"x").file_id)
+        cluster.meta_set_block_count("m", ordinal + 1)
+    assert cluster.meta_file_ids("m") == ids
+    cluster.delete_file("m/00000001")
+    with pytest.raises(NotFound):
+        cluster.meta_file_ids("m")
+    remade = cluster.create_file("m/00000001", b"y").file_id
+    assert cluster.meta_file_ids("m") == [ids[0], remade, ids[2]]
+    with pytest.raises(NotFound):
+        cluster.meta_file_ids("nope")
+
+
+def test_reloaded_cluster_hands_out_distinct_ids(tmp_path):
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    for i in range(3):
+        cluster.create_file(f"f{i}", b"x")
+    reopened = make_cluster(root=root)
+    loaded = [reopened.file_entry(f"f{i}").file_id for i in range(3)]
+    created = reopened.create_file("g", b"x").file_id
+    reopened.delete_file("f1")
+    remade = reopened.create_file("f1", b"x").file_id
+    assert len(set(loaded + [created, remade])) == 5
+
+
 def test_counters_accumulate():
     cluster = make_cluster()
     cluster.create_file("f", bytes(10 * KB))

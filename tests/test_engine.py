@@ -485,6 +485,37 @@ def test_indexed_select_page_read_bound():
     assert probe_cost < scan_cost
 
 
+def test_repeat_read_transaction_reads_no_footer_page():
+    """With no writer in between, a session's next read transaction reads
+    from the DFS only the catalog and record pages it asks for: the log
+    footers it saw last time are not read again."""
+    db = make_db()
+    writer = db.session()
+    for txn in range(4):
+        writer.begin("write")
+        for i in range(40):
+            writer.insert_record(rec(100 * txn + i, key=f"9.9.9.{txn}"))
+        writer.commit()
+    assert db.log.block_count > 4  # deferred: the log holds the inserts
+    cluster = db.manager.cluster
+    s = db.session()
+    for txn in range(3):
+        before = cluster.counters.snapshot()
+        pages_before = s.page_reads
+        s.begin("read")
+        assert len(s.select_by_key("9.9.9.1", use_index=True)) == 40
+        s.commit()
+        pages = s.page_reads - pages_before
+        read_calls = cluster.counters.read_calls - before.read_calls
+        nbytes = cluster.counters.bytes_read - before.bytes_read
+        if txn == 0:
+            # the cold begin reads every footer page once
+            assert read_calls == pages + db.log.block_count - 1
+        else:
+            assert read_calls == pages
+            assert nbytes == pages * PAGE
+
+
 def test_persistent_crash_survives_process_restart(tmp_path):
     """Same crash/recover cycle, but state reloaded from disk into fresh
     cluster and database objects (models a process restart)."""

@@ -303,6 +303,136 @@ def test_reconstruction_last_wins_across_blocks():
     assert payload(fresh.read_page(5)) == payload(newer)
 
 
+def _peer(store, threshold=64):
+    """A second session's store over the same meta files."""
+    return DfsTransactionStore(store.manager, store.data, store.log, TOTAL,
+                               threshold)
+
+
+def _commit_blocks(store, rng, blocks):
+    """Commit `blocks` new log blocks: full auto-flushed ones, then the
+    commit-marked one."""
+    for _ in range(blocks - 1):
+        for pid in rng.sample(range(TOTAL), N - 1):
+            store.write_page(pid, page_with(rng))
+    store.write_page(rng.randrange(TOTAL), page_with(rng))
+    store.commit_transaction()
+
+
+def _reads_during(store, action):
+    cluster = store.manager.cluster
+    before = cluster.counters.snapshot()
+    result = action()
+    return (cluster.counters.read_calls - before.read_calls,
+            cluster.counters.bytes_read - before.bytes_read, result)
+
+
+def test_warm_reconstruction_reads_nothing_when_log_unchanged():
+    store = make_store()
+    rng = random.Random(20)
+    _commit_blocks(store, rng, 3)
+    # its own blocks were recorded at flush time
+    assert _reads_during(store, store.reconstruct_log_table_index)[:2] == \
+        (0, 0)
+    reader = _peer(store)
+    calls, nbytes, cold = _reads_during(
+        reader, reader.reconstruct_log_table_index)
+    assert (calls, nbytes) == (3, 3 * PAGE)
+    calls, nbytes, warm = _reads_during(
+        reader, reader.reconstruct_log_table_index)
+    assert (calls, nbytes) == (0, 0)
+    assert warm == cold
+
+
+def test_warm_reconstruction_reads_only_new_footers():
+    store = make_store()
+    rng = random.Random(21)
+    _commit_blocks(store, rng, 2)
+    reader = _peer(store)
+    reader.reconstruct_log_table_index()
+    for k in (1, 3):
+        _commit_blocks(store, rng, k)
+        calls, nbytes, index = _reads_during(
+            reader, reader.reconstruct_log_table_index)
+        assert (calls, nbytes) == (k, k * PAGE)
+        assert index == _peer(store).reconstruct_log_table_index()
+
+
+def test_warm_index_after_peer_batch_refills_same_block_ids():
+    """Stale-cache case: the batch truncates the log and new files reuse
+    the block ids the reader has cached."""
+    store = make_store()
+    rng = random.Random(22)
+    _commit_blocks(store, rng, 3)
+    reader = _peer(store)
+    reader.reconstruct_log_table_index()
+    old_footers = reader.footers()
+    store.batch_post_commit()
+    assert store.log.block_count == 1
+    _commit_blocks(store, rng, 4)
+    calls, _, index = _reads_during(
+        reader, reader.reconstruct_log_table_index)
+    assert calls == 4
+    assert reader.footers() != old_footers
+    assert index == _peer(store).reconstruct_log_table_index()
+    for pid in range(TOTAL):
+        assert reader.read_page(pid) == store.read_page(pid)
+
+
+def test_warm_index_after_peer_abort():
+    store = make_store()
+    rng = random.Random(23)
+    _commit_blocks(store, rng, 1)
+    for pid in rng.sample(range(TOTAL), 2 * (N - 1)):
+        store.write_page(pid, page_with(rng))  # two uncommitted blocks
+    readers = [_peer(store), _peer(store)]
+    for reader in readers:
+        reader.reconstruct_log_table_index()
+    assert store.log.block_count == 4
+    store.abort_transaction()
+    assert readers[0].reconstruct_log_table_index() == \
+        _peer(store).reconstruct_log_table_index()
+    # readers[1] does not look until blocks 2 and 3 are new files
+    _commit_blocks(store, rng, 3)
+    for reader in readers:
+        assert reader.reconstruct_log_table_index() == \
+            _peer(store).reconstruct_log_table_index()
+        for pid in range(TOTAL):
+            assert reader.read_page(pid) == store.read_page(pid)
+
+
+def test_warm_indexes_match_fresh_under_random_two_store_schedules():
+    """Two writing stores take turns; after every step one store, picked
+    at random, is checked, so a store may miss a truncate and refill of
+    the block ids it has cached."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        first = make_store(threshold=4)
+        stores = [first, _peer(first, threshold=4)]
+        writer = None
+        for step in range(300):
+            if writer is None:
+                writer = rng.choice(stores)
+            roll = rng.random()
+            if roll < 0.75:
+                writer.write_page(rng.randrange(TOTAL), page_with(rng))
+            elif roll < 0.87:
+                writer.commit_transaction()
+                writer = None
+            elif roll < 0.95:
+                writer.abort_transaction()
+                writer = None
+            else:
+                writer.commit_transaction()
+                writer.batch_post_commit()
+                writer = None
+            fresh = _peer(first)
+            store = rng.choice(stores)
+            assert store.reconstruct_log_table_index() == \
+                fresh.reconstruct_log_table_index(), (seed, step)
+            assert store.footers() == fresh.footers(), (seed, step)
+
+
 def test_restart_redo_completes_interrupted_batch():
     faults = FaultInjector()
     store = make_store(faults=faults)
