@@ -142,7 +142,9 @@ def _insert_records(spec: WorkloadSpec) -> list[UserVisitsRecord]:
 def run_workload(db: Database, spec: WorkloadSpec,
                  faults: FaultInjector | None = None,
                  crash_action: str = "exit") -> MetricsReport:
-    """Execute one workload in a fresh session with cold caches."""
+    """Execute one workload in a fresh session, whose page cache starts
+    cold; the database's meta-file page cache is shared, so a page read
+    before is not read from the DFS again and `network_bytes` falls."""
     if spec.crash_point:
         if faults is None:
             raise ValueError("crash_point set but no fault injector")

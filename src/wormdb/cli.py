@@ -18,6 +18,8 @@ from .engine import Database, EngineConfig
 from .errors import ConfigError, StorageError
 from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .locks import LockService
+from .metafile import PageConfig
+from .spdu_dfs import check_log_geometry
 
 DB_NAME = "db"
 DBCONFIG_FILE = "db.json"
@@ -64,6 +66,25 @@ def _engine_config(values: dict) -> EngineConfig:
                            for f in fields(EngineConfig)})
 
 
+def _checked_engine_config(values: dict) -> EngineConfig:
+    """The EngineConfig of `values`, with every check a new database's
+    geometry and placement must pass; raises ConfigError, so that `gen`
+    fails before it writes anything."""
+    cfg = _engine_config(values)
+    try:
+        cfg.dfs_config()
+        check_log_geometry(PageConfig(cfg.page_size, cfg.block_size))
+    except ValueError as exc:
+        raise ConfigError(f"bad config: {exc}") from None
+    if cfg.replication > cfg.num_nodes:
+        raise ConfigError(
+            f"bad config: replication {cfg.replication} exceeds "
+            f"num_nodes {cfg.num_nodes}")
+    if values["total_pages"] < 1:
+        raise ConfigError("bad config: total_pages must be at least 1")
+    return cfg
+
+
 def _open_existing(root: str, faults: FaultInjector,
                    recover: bool) -> tuple[Database, dict]:
     cfg_path = os.path.join(root, DBCONFIG_FILE)
@@ -90,11 +111,11 @@ def emit(report: dict, out: str) -> None:
 
 def cmd_gen(args, faults: FaultInjector) -> int:
     values = load_config(args.config)
+    cfg = _checked_engine_config(values)
     os.makedirs(args.root, exist_ok=True)
     cfg_path = os.path.join(args.root, DBCONFIG_FILE)
     if os.path.exists(cfg_path):
         raise StorageError(f"database already exists at {args.root}")
-    cfg = _engine_config(values)
     cluster = DfsCluster(cfg.dfs_config(), cfg.num_nodes, args.root)
     db = Database.create(cluster, DB_NAME, values["total_pages"],
                          cfg.page_size, cfg.post_commit_threshold,

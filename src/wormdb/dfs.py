@@ -5,7 +5,11 @@ DataNodes holding replicated fixed-size blocks. Files are immutable once
 created; overwrite is only possible as delete + create of the same name
 ("file remake"), which the meta-file layer builds on. Every file gets a
 `file_id` the NameNode never hands out again, so a client that cached
-what a file holds can tell a remade file from the one it replaced.
+what a file holds can tell a remade file from the one it replaced: as
+an HDFS client asks the NameNode where a block lives before it reads,
+a client asks `meta_file_id` for a block's current id (which also fails
+when no live DataNode holds the block) and serves its cached copy only
+if the id is the one it cached under.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -408,6 +412,25 @@ class DfsCluster:
             if count is None:
                 raise NotFound(f"no meta DFS file: {name}")
             return count
+
+    def meta_file_id(self, name: str, ordinal: int) -> int:
+        """The file_id of block `ordinal`'s constituent of a meta file,
+        read under one lock. Raises OutOfRange for a block past the end
+        and AllReplicasDead when no live DataNode holds the block, so a
+        client serving the block from its cache still learns of both."""
+        with self._lock:
+            count = self._meta_table.get(name)
+            if count is None:
+                raise NotFound(f"no meta DFS file: {name}")
+            if not 0 <= ordinal < count:
+                raise OutOfRange(f"block {ordinal} of {name} (has {count})")
+            file = constituent_name(name, ordinal)
+            entry = self._files.get(file)
+            if entry is None:
+                raise NotFound(f"no DFS file: {file}")
+            for block in range(entry.num_blocks):
+                self._pick_alive_holder(entry, block)
+            return entry.file_id
 
     def meta_file_ids(self, name: str) -> list[int]:
         """The file_id of each constituent of a meta file, block 0 first,

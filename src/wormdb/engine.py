@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .dfs import DfsCluster, DfsConfig
 from .errors import (
@@ -223,7 +224,13 @@ class Database:
 
 
 class Session:
-    """One transaction stream: private buffer, index, and page cache."""
+    """One transaction stream: private buffer, index, and page cache.
+
+    The page cache holds the immutable pages the DFS layers return, shared
+    with the database's meta-file page cache; a page is copied into a
+    `bytearray` only when the session mutates it (the heap's tail page on
+    insert, a record's page on update).
+    """
 
     def __init__(self, db: Database, owner: str):
         self.db = db
@@ -235,7 +242,7 @@ class Session:
         self.mode: str | None = None
         self.lockid: int | None = None
         self.catalog: Catalog | None = None
-        self._cache: dict[int, bytearray] = {}
+        self._cache: dict[int, bytes | bytearray] = {}
         self._dirty: set[int] = set()
         self._pending_index: list[tuple[bytes, int, int]] = []
         self.page_reads = 0
@@ -257,7 +264,7 @@ class Session:
         self._cache.clear()
         self._dirty.clear()
         self._pending_index.clear()
-        self.catalog = parse_catalog(bytes(self._get_page(0)))
+        self.catalog = parse_catalog(self._get_page(0))
 
     def commit(self) -> None:
         if self.mode is None:
@@ -306,12 +313,19 @@ class Session:
     # Page cache
     # ------------------------------------------------------------------
 
-    def _get_page(self, pageid: int) -> bytearray:
+    def _get_page(self, pageid: int) -> bytes | bytearray:
         page = self._cache.get(pageid)
         if page is None:
-            page = bytearray(self.store.read_page(pageid))
+            page = self.store.read_page(pageid)
             self._cache[pageid] = page
             self.page_reads += 1
+        return page
+
+    def _writable_page(self, pageid: int) -> bytearray:
+        """The session's own mutable copy of a page."""
+        page = self._get_page(pageid)
+        if type(page) is not bytearray:
+            page = self._cache[pageid] = bytearray(page)
         return page
 
     def _fresh_page(self, pageid: int) -> bytearray:
@@ -321,7 +335,7 @@ class Session:
         return page
 
     def _put_page(self, pageid: int, content: bytes) -> None:
-        self._cache[pageid] = bytearray(content)
+        self._cache[pageid] = content
         self._dirty.add(pageid)
 
     # ------------------------------------------------------------------
@@ -334,7 +348,10 @@ class Session:
         cat = self.catalog
         if cat.heap_used:
             tail = HEAP_START + cat.heap_used - 1
-            page = SlottedPage(self._get_page(tail))
+            buf = self._cache.get(tail)
+            if type(buf) is not bytearray:
+                buf = self._writable_page(tail)
+            page = SlottedPage(buf)
             slot = page.try_insert(raw)
             if slot is not None:
                 self._dirty.add(tail)
@@ -358,22 +375,17 @@ class Session:
         return (pageid, slot)
 
     def scan(self, limit: int) -> list[UserVisitsRecord]:
-        return [record for _, record in self._scan_entries(limit)]
-
-    def _scan_entries(self, limit: int | None = None
-                      ) -> list[tuple[tuple[int, int], UserVisitsRecord]]:
         self._require_lock()
-        out = []
-        for i in range(self.catalog.heap_used):
-            if limit is not None and len(out) >= limit:
-                break
-            pageid = HEAP_START + i
+        return [record for _, record in
+                islice(self._scan_entries(), max(limit, 0))]
+
+    def _scan_entries(self):
+        """Yield ((pageid, slot), record) in heap order, reading each page
+        only when the consumer reaches it. Callers check the lock."""
+        for pageid in range(HEAP_START, HEAP_START + self.catalog.heap_used):
             page = SlottedPage(self._get_page(pageid))
             for slot in range(page.count):
-                if limit is not None and len(out) >= limit:
-                    break
-                out.append(((pageid, slot), unpack_record(page.record(slot))))
-        return out
+                yield (pageid, slot), unpack_record(page.record(slot))
 
     def select_by_key(self, source_ip: str, use_index: bool
                       ) -> list[UserVisitsRecord]:
@@ -394,7 +406,7 @@ class Session:
             rids = [rid for rid, record in self._scan_entries()
                     if record.source_ip == source_ip]
         for pageid, slot in rids:
-            page = SlottedPage(self._get_page(pageid))
+            page = SlottedPage(self._writable_page(pageid))
             record = unpack_record(page.record(slot))
             record.country_code = new_country_code
             page.replace(slot, pack_record(record))

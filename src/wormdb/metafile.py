@@ -9,6 +9,21 @@ per block.
 
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
+
+Pages read through `read_page` are kept in a read-through cache that all
+sessions of a manager share, keyed by constituent name and tagged with
+the constituent's DFS `file_id`. A constituent is write-once and the
+NameNode never reuses an id, so a cached page is served only while its
+block's current id (one NameNode call per read) is the id it was read
+under; a remake by anyone, this manager or another over the same
+cluster, changes the id. That call also reports a block whose replicas
+are all dead, so replica loss surfaces on a cached page too. There is
+no eviction by size: a remake, truncate or delete through this manager
+drops the constituent's pages, so the cache never holds more than the
+pages of the live data and log blocks. The cache takes no lock: a reader
+racing a remake or another reader can only cache a page under an id
+that has died, which is never served, or drop an entry another reader
+made, which costs one more DFS read.
 """
 
 from __future__ import annotations
@@ -73,7 +88,7 @@ class MetaDfsManager:
 
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
-    deferred post-commit design is judged by.
+    deferred post-commit design is judged by, and so is the page cache.
     """
 
     def __init__(self, cluster: DfsCluster, page_config: PageConfig):
@@ -84,6 +99,8 @@ class MetaDfsManager:
         self._counter_lock = threading.Lock()
         self.remakes_total = 0
         self.remakes_by_file: dict[str, int] = {}
+        # constituent name -> (its file_id, {page offset: page})
+        self._pages: dict[str, tuple[int, dict[int, bytes]]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -103,7 +120,9 @@ class MetaDfsManager:
     def delete_meta(self, file: MetaDfsFile) -> None:
         count = self.cluster.meta_block_count(file.name)
         for ordinal in range(count - 1, -1, -1):
-            self.cluster.delete_file(constituent_name(file.name, ordinal))
+            name = constituent_name(file.name, ordinal)
+            self.cluster.delete_file(name)
+            self._pages.pop(name, None)
         self.cluster.meta_unregister(file.name)
 
     # ------------------------------------------------------------------
@@ -138,6 +157,7 @@ class MetaDfsManager:
         self._check_block(content)
         name = self._constituent(file, block_id)
         self.cluster.delete_file(name)
+        self._pages.pop(name, None)
         self.cluster.create_file(name, content)
         with self._counter_lock:
             self.remakes_total += 1
@@ -164,7 +184,9 @@ class MetaDfsManager:
             raise OutOfRange(
                 f"truncate at {block_id} of {file.name} (has {count})")
         for ordinal in range(count - 1, block_id - 1, -1):
-            self.cluster.delete_file(constituent_name(file.name, ordinal))
+            name = constituent_name(file.name, ordinal)
+            self.cluster.delete_file(name)
+            self._pages.pop(name, None)
             self.cluster.meta_set_block_count(file.name, ordinal)
 
     # ------------------------------------------------------------------
@@ -176,16 +198,26 @@ class MetaDfsManager:
         return PageAddress(pageid // n, pageid % n)
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
-        cfg = self.page_config
+        """One page, from the cache if it was read from the block's
+        current constituent, else from the DFS (and then cached)."""
+        size = self.page_config.page_size
         addr = self.page_address(pageid)
-        count = self.cluster.meta_block_count(file.name)
-        if addr.block_id >= count:
-            raise OutOfRange(
-                f"page {pageid} is in block {addr.block_id}, "
-                f"file has {count}")
+        file_id = self.cluster.meta_file_id(file.name, addr.block_id)
         name = constituent_name(file.name, addr.block_id)
-        return self.cluster.read_range(
-            name, addr.page_offset * cfg.page_size, cfg.page_size)
+        entry = self._pages.get(name)
+        if entry is None or entry[0] != file_id:
+            entry = self._pages[name] = (file_id, {})
+        page = entry[1].get(addr.page_offset)
+        if page is None:
+            page = entry[1][addr.page_offset] = self.cluster.read_range(
+                name, addr.page_offset * size, size)
+        return page
+
+    def cached_ids(self) -> dict[str, int]:
+        """Constituent name -> the file_id its cached pages were read
+        under (observability)."""
+        return {name: file_id
+                for name, (file_id, _) in list(self._pages.items())}
 
     # ------------------------------------------------------------------
     # Observability

@@ -36,7 +36,7 @@ import zlib
 
 from .errors import OutOfRange, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
-from .metafile import MetaDfsFile, MetaDfsManager
+from .metafile import MetaDfsFile, MetaDfsManager, PageConfig
 from .pagefmt import stamp_page
 
 _MASTER = struct.Struct("<IB")  # magic, commit_flag
@@ -104,6 +104,17 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
     return file
 
 
+def check_log_geometry(cfg: PageConfig) -> None:
+    """Raise ValueError unless a log block of this geometry holds at least
+    one page and a footer page that can list every other page."""
+    if cfg.pages_per_block - 1 > (cfg.page_size - FOOTER_FIXED_SIZE) // 8:
+        raise ValueError(
+            f"footer cannot list {cfg.pages_per_block - 1} pageids "
+            f"in a {cfg.page_size}-byte page")
+    if cfg.pages_per_block < 2:
+        raise ValueError("need at least two pages per block")
+
+
 def _page_index(footers) -> dict[int, tuple[int, int]]:
     """pageid -> (block_id, slot) over (block_id, pageids) pairs given
     oldest first, so the newest copy of a page wins."""
@@ -123,12 +134,7 @@ class DfsTransactionStore:
                  deferred: bool = True,
                  faults: FaultInjector = NULL_INJECTOR):
         cfg = manager.page_config
-        if cfg.pages_per_block - 1 > (cfg.page_size - FOOTER_FIXED_SIZE) // 8:
-            raise ValueError(
-                f"footer cannot list {cfg.pages_per_block - 1} pageids "
-                f"in a {cfg.page_size}-byte page")
-        if cfg.pages_per_block < 2:
-            raise ValueError("need at least two pages per block")
+        check_log_geometry(cfg)
         self.manager = manager
         self.data = data
         self.log = log

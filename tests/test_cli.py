@@ -256,6 +256,30 @@ def test_bad_config_is_one_error_line(small_root, capsys, given):
     assert not os.path.exists(os.path.join(root, "db.json"))
 
 
+@pytest.mark.parametrize("given", [
+    {"page_size": 3000}, {"page_size": 8192}, {"page_size": 0},
+    {"block_size": 0}, {"replication": 9}, {"replication": 0},
+    {"num_nodes": 0}, {"latency": -1.0}, {"total_pages": 0}])
+def test_invalid_config_writes_nothing_under_root(tmp_path, capsys, given):
+    """A config of the right types but impossible values fails before gen
+    creates anything: in a fresh root and in an existing one."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, **given}))
+    fresh = str(tmp_path / "fresh")
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "keep.txt").write_text("x")
+    for root in (fresh, str(existing)):
+        before = os.listdir(root) if os.path.exists(root) else None
+        assert run_cli(["gen", "--tuples", "5"], root, str(config)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad config")
+        after = os.listdir(root) if os.path.exists(root) else None
+        assert after == before
+
+
 def test_unreadable_config_is_one_error_line(small_root, capsys):
     root, config = small_root
     with open(config, "w", encoding="utf-8") as fh:

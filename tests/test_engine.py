@@ -1,5 +1,6 @@
 import random
 import threading
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database
 from wormdb.errors import (
+    AllReplicasDead,
     DatabaseFull,
     LockError,
     NotFound,
@@ -15,6 +17,7 @@ from wormdb.errors import (
 )
 from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.locks import LockService
+from wormdb.metafile import MetaDfsManager, constituent_name
 from wormdb.records import UserVisitsRecord
 
 PAGE = 512
@@ -487,8 +490,10 @@ def test_indexed_select_page_read_bound():
 
 def test_repeat_read_transaction_reads_no_footer_page():
     """With no writer in between, a session's next read transaction reads
-    from the DFS only the catalog and record pages it asks for: the log
-    footers it saw last time are not read again."""
+    nothing from the DFS: the log footers it saw last time are not read
+    again, and the catalog and record pages it asks for come from the
+    database's page cache, though the session still counts them as page
+    reads."""
     db = make_db()
     writer = db.session()
     for txn in range(4):
@@ -499,6 +504,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
     assert db.log.block_count > 4  # deferred: the log holds the inserts
     cluster = db.manager.cluster
     s = db.session()
+    cold_pages = None
     for txn in range(3):
         before = cluster.counters.snapshot()
         pages_before = s.page_reads
@@ -511,9 +517,157 @@ def test_repeat_read_transaction_reads_no_footer_page():
         if txn == 0:
             # the cold begin reads every footer page once
             assert read_calls == pages + db.log.block_count - 1
+            cold_pages = pages
         else:
-            assert read_calls == pages
-            assert nbytes == pages * PAGE
+            assert pages == cold_pages
+            assert read_calls == 0
+            assert nbytes == 0
+
+
+def read_all(session):
+    session.begin("read")
+    try:
+        return session.scan(10 ** 6)
+    finally:
+        session.commit()
+
+
+def test_warm_reader_sees_peer_batch_remake():
+    """A reader whose pages sit in the database's page cache gets the new
+    bytes after a peer session's batch post-commit remakes the block."""
+    db = make_db(threshold=10 ** 6)
+    writer, reader = db.session("W"), db.session("R")
+    writer.begin("write")
+    for i in range(30):
+        writer.insert_record(rec(i, key=f"8.8.8.{i % 3}"))
+    writer.commit()
+    db.run_maintenance()
+    assert [r.country_code for r in read_all(reader)] == ["KOR"] * 30
+    remakes = db.manager.remakes_of(db.data_name)
+    writer.begin("write")
+    assert writer.update_by_key("8.8.8.1", "USA", use_index=True) == 10
+    writer.commit()
+    assert db.run_maintenance() > 0  # a batch in the maintenance session
+    assert db.manager.remakes_of(db.data_name) > remakes
+    assert db.log.block_count == 1  # every read now comes from data blocks
+    rows = read_all(reader)
+    assert [r.country_code for r in rows] == \
+        ["USA" if i % 3 == 1 else "KOR" for i in range(30)]
+    assert rows == read_all(Database.open(
+        db.manager.cluster, "db", PAGE, recover=False).session())
+
+
+def test_dead_replicas_of_cached_pages_surface_in_a_session():
+    db = make_db(threshold=10 ** 6)
+    s = db.session()
+    s.begin("write")
+    for i in range(40):
+        s.insert_record(rec(i))
+    s.commit()
+    db.run_maintenance()
+    rows = read_all(s)
+    cluster = db.manager.cluster
+    holders = cluster.file_entry(
+        constituent_name(db.data_name, 0)).block_locations[0]
+    for node_id in holders:
+        cluster.set_node_alive(node_id, False)
+    with pytest.raises(AllReplicasDead):
+        s.begin("read")  # the catalog, page 0, is cached but unreachable
+    s.abort()
+    for node_id in holders:
+        cluster.set_node_alive(node_id, True)
+    before = cluster.counters.snapshot()
+    assert read_all(s) == rows
+    assert cluster.counters.read_calls == before.read_calls
+
+
+def test_two_databases_over_one_cluster_see_each_others_commits():
+    """Each Database has its own meta-file manager and so its own page
+    cache; a commit or a batch through one is read correctly by the
+    other."""
+    db1 = make_db(threshold=2)
+    db2 = Database.open(db1.manager.cluster, "db", PAGE, 2, True,
+                        db1.locks, FaultInjector(), recover=False)
+    assert db2.manager is not db1.manager
+    s1, s2 = db1.session("one"), db2.session("two")
+    expected = []
+    for round_ in range(6):
+        writer, reader = (s1, s2) if round_ % 2 == 0 else (s2, s1)
+        writer.begin("write")
+        for i in range(15):
+            r = rec(100 * round_ + i, key=f"6.6.6.{i % 4}")
+            writer.insert_record(r)
+            expected.append(r)
+        writer.update_by_key("6.6.6.2", f"C{round_}", use_index=True)
+        writer.commit()
+        expected = [replace(r, country_code=f"C{round_}")
+                    if r.source_ip == "6.6.6.2" else r for r in expected]
+        assert read_all(reader) == expected
+        assert read_all(writer) == expected
+    assert db1.manager.remakes_total + db2.manager.remakes_total > 0
+
+
+def test_cache_holds_no_truncated_log_block_or_dead_id():
+    db = make_db(threshold=10 ** 6)
+    writer, reader = db.session("W"), db.session("R")
+    for txn in range(4):
+        writer.begin("write")
+        for i in range(25):
+            writer.insert_record(rec(25 * txn + i))
+        writer.commit()
+        read_all(reader)
+    cluster = db.manager.cluster
+    log_blocks = db.log.block_count
+    cached_log = [name for name in db.manager.cached_ids()
+                  if name.startswith(db.log_name + "/")
+                  and name != constituent_name(db.log_name, 0)]
+    assert cached_log  # the reader read record pages from the log
+    db.run_maintenance()
+    assert db.log.block_count == 1 < log_blocks
+    cached = db.manager.cached_ids()
+    for ordinal in range(1, log_blocks):
+        assert constituent_name(db.log_name, ordinal) not in cached
+    for name, file_id in cached.items():
+        assert cluster.file_entry(name).file_id == file_id
+    assert len(read_all(reader)) == 100
+
+
+def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
+    """Two sessions run a seeded schedule of writes, aborts, updates and
+    maintenance. After each step every page of the data and log files
+    reads the same through the database's warm manager as through a fresh
+    one, and a session scan equals one through a fresh database."""
+    rng = random.Random(20)
+    db = make_db(threshold=4)
+    cluster = db.manager.cluster
+    sessions = [db.session("A"), db.session("B")]
+    pages_per_block = db.manager.page_config.pages_per_block
+    n = 0
+    for step in range(50):
+        session = rng.choice(sessions)
+        if rng.random() < 0.15:
+            db.run_maintenance()
+        else:
+            session.begin("write")
+            for _ in range(rng.randrange(1, 12)):
+                session.insert_record(rec(n, key=f"7.7.7.{n % 5}"))
+                n += 1
+            if rng.random() < 0.4:
+                session.update_by_key(f"7.7.7.{rng.randrange(5)}",
+                                      rng.choice(["USA", "DEU", "FRA"]),
+                                      use_index=rng.random() < 0.5)
+            if rng.random() < 0.25:
+                session.abort()
+            else:
+                session.commit()
+        fresh = MetaDfsManager(cluster, db.manager.page_config)
+        for file in (db.data, db.log):
+            for pageid in range(file.block_count * pages_per_block):
+                assert db.manager.read_page(file, pageid) == \
+                    fresh.read_page(file, pageid), (step, file, pageid)
+        rows = read_all(rng.choice(sessions))
+        assert rows == read_all(Database.open(
+            cluster, "db", PAGE, recover=False).session()), step
 
 
 def test_persistent_crash_survives_process_restart(tmp_path):

@@ -1,9 +1,18 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormdb.dfs import DfsCluster, DfsConfig
-from wormdb.errors import AlreadyExists, NotFound, OutOfRange, WrongBlockSize
+from wormdb.errors import (
+    AllReplicasDead,
+    AlreadyExists,
+    NotFound,
+    OutOfRange,
+    WrongBlockSize,
+)
 from wormdb.metafile import MetaDfsManager, PageConfig, constituent_name
 
 BLOCK = 16 * 1024
@@ -140,6 +149,144 @@ def test_append_after_overwrite_keeps_order(mgr):
     assert mgr.append_block(f, block_of(1)) == 1
     assert mgr.read_block(f, 0) == block_of(5)
     assert mgr.read_block(f, 1) == block_of(1)
+
+
+def dfs_reads(mgr, fn):
+    """(read_range calls, bytes read) while fn runs, and its result."""
+    before = mgr.cluster.counters.snapshot()
+    result = fn()
+    after = mgr.cluster.counters
+    return (after.read_calls - before.read_calls,
+            after.bytes_read - before.bytes_read, result)
+
+
+def test_repeat_page_read_is_served_from_cache(mgr):
+    f = mgr.create_meta("m")
+    content = b"".join(bytes([k]) * PAGE for k in range(N))
+    mgr.append_block(f, content)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
+        (1, PAGE, bytes([3]) * PAGE)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
+        (0, 0, bytes([3]) * PAGE)
+    # another page of the same block is its own DFS read
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 4))[:2] == (1, PAGE)
+    assert mgr.cached_ids() == {
+        constituent_name("m", 0):
+            mgr.cluster.file_entry(constituent_name("m", 0)).file_id}
+
+
+def test_remake_truncate_and_delete_drop_cached_pages(mgr):
+    f = mgr.create_meta("m")
+    for i in range(3):
+        mgr.append_block(f, block_of(i))
+    for i in range(3):
+        mgr.read_page(f, i * N)
+    assert len(mgr.cached_ids()) == 3
+    mgr.overwrite_block(f, 1, block_of(9))
+    assert constituent_name("m", 1) not in mgr.cached_ids()
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, N)) == \
+        (1, PAGE, bytes([9]) * PAGE)
+    mgr.truncate_from(f, 2)
+    assert constituent_name("m", 2) not in mgr.cached_ids()
+    with pytest.raises(OutOfRange):
+        mgr.read_page(f, 2 * N)
+    # an appended block under a truncated block's name is read afresh
+    mgr.append_block(f, block_of(5))
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 2 * N)) == \
+        (1, PAGE, bytes([5]) * PAGE)
+    mgr.delete_meta(f)
+    assert mgr.cached_ids() == {}
+
+
+def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
+    """A remake by another manager over the same cluster evicts nothing
+    here, but changes the block's file_id, so the stale page is not
+    served."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    assert mgr.read_page(f, 0) == bytes([1]) * PAGE
+    peer = MetaDfsManager(mgr.cluster, mgr.page_config)
+    peer.overwrite_block(peer.open_meta("m"), 0, block_of(2))
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
+        (1, PAGE, bytes([2]) * PAGE)
+    peer.truncate_from(peer.open_meta("m"), 0)
+    peer.append_block(peer.open_meta("m"), block_of(3))
+    assert mgr.read_page(f, 0) == bytes([3]) * PAGE
+
+
+def test_dead_replicas_of_a_cached_block_are_reported(mgr):
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(4))
+    page = mgr.read_page(f, 2)
+    holders = mgr.cluster.file_entry(constituent_name("m", 0)) \
+        .block_locations[0]
+    mgr.cluster.set_node_alive(holders[0], False)
+    # one live holder is enough, and the page still comes from the cache
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == (0, 0, page)
+    for node_id in holders:
+        mgr.cluster.set_node_alive(node_id, False)
+    with pytest.raises(AllReplicasDead):
+        mgr.read_page(f, 2)
+    with pytest.raises(AllReplicasDead):
+        mgr.read_page(f, 3)  # not cached: the same error
+    for node_id in holders:
+        mgr.cluster.set_node_alive(node_id, True)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == (0, 0, page)
+
+
+def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
+    """Readers on several threads race a thread that remakes two blocks.
+    A page read into the cache just as its block is remade must never be
+    served once the remakes stop."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(0))
+    mgr.append_block(f, block_of(0))
+    pageids = [0, 3, N, N + 5]
+    done = threading.Event()
+    errors = []
+
+    def reader():
+        while not done.is_set():
+            for pageid in pageids:
+                try:
+                    mgr.read_page(f, pageid)
+                except NotFound:
+                    pass  # a raw read between a remake's delete and create
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for t in readers:
+            t.start()
+        for version in range(1, 301):
+            mgr.overwrite_block(f, version % 2, block_of(version))
+        done.set()
+        for t in readers:
+            t.join(timeout=30)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    for pageid in pageids:
+        expected = 300 if pageid < N else 299
+        assert mgr.read_page(f, pageid) == bytes([expected % 256]) * PAGE
+
+
+def test_meta_file_id_checks(mgr):
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(0))
+    name = constituent_name("m", 0)
+    assert mgr.cluster.meta_file_id("m", 0) == \
+        mgr.cluster.file_entry(name).file_id
+    for ordinal in (1, -1):
+        with pytest.raises(OutOfRange):
+            mgr.cluster.meta_file_id("m", ordinal)
+    with pytest.raises(NotFound):
+        mgr.cluster.meta_file_id("absent", 0)
 
 
 @settings(max_examples=50, deadline=None)

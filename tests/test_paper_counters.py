@@ -1,0 +1,52 @@
+"""The paper's counters for a small seeded store, pinned.
+
+`page_reads`, `page_writes` and `dfs_remakes` are logical counts that
+caching below the session must not change; the pinned values were
+measured before the meta-file page cache existed. `network_bytes` is
+physical and may only fall (the cache serves repeated page reads without
+the DFS), so it is bounded by the values of that same commit.
+"""
+
+from wormdb import bench
+from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.engine import Database
+from wormdb.faults import FaultInjector
+from wormdb.locks import LockService
+
+KEY = "1.2.3.4"
+
+# name, WorkloadSpec arguments, (page_reads, page_writes, dfs_remakes,
+# records_returned), network_bytes before the page cache
+WORKLOADS = [
+    ("scan", dict(kind="scan", limit=10 ** 6), (751, 0, 0, 1500), 384512),
+    ("select with index", dict(kind="select", key=KEY, use_index=True),
+     (25, 0, 0, 9), 12800),
+    ("select without index", dict(kind="select", key=KEY, use_index=False),
+     (751, 0, 0, 9), 384512),
+    ("update with index", dict(kind="update", key=KEY, use_index=True,
+                               new_country_code="XYZ"),
+     (25, 10, 0, 9), 29184),
+    ("update without index", dict(kind="update", key=KEY, use_index=False,
+                                  new_country_code="QRS"),
+     (751, 10, 12, 9), 688128),
+    ("insert", dict(kind="insert", repeat=300, seed=5, key=KEY),
+     (2, 166, 16, 300), 672768),
+    ("scan after insert", dict(kind="scan", limit=10 ** 6),
+     (901, 0, 0, 1800), 461312),
+    ("select after insert", dict(kind="select", key=KEY, use_index=True),
+     (29, 0, 0, 9), 14848),
+]
+
+
+def test_paper_counters_are_pinned():
+    cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+    # threshold 1: most write transactions end in a batch post-commit
+    db = Database.create(cluster, "db", 2048, 512, 1, True, LockService(),
+                         FaultInjector())
+    bench.generate(db, 1500, seed=4, probe_key=KEY, probe_count=9,
+                   commit_every=500)
+    for name, spec, counts, network_bytes in WORKLOADS:
+        report = bench.run_workload(db, bench.WorkloadSpec(**spec))
+        assert (report.page_reads, report.page_writes, report.dfs_remakes,
+                report.records_returned) == counts, name
+        assert report.network_bytes <= network_bytes, name
