@@ -1,12 +1,12 @@
 """wormdb: a transactional page store on a write-once-read-many DFS.
 
 Layers, bottom up: an in-process DFS simulation (`dfs`), meta DFS files
-that make write-once storage overwritable in block units (`metafile`), a
-shadow-page deferred-update recovery method in a flat-file baseline
-(`spdu`) and a DFS-adapted form with block buffering and deferred batch
-post-commit (`spdu_dfs`), a lockid-ordered database-granularity lock
-queue (`locks`), and a record engine plus benchmark harness on top
-(`engine`, `bench`, `cli`).
+that make write-once storage overwritable in block units (`metafile`),
+shadow-page deferred-update recovery adapted to meta DFS files, with block
+buffering and deferred batch post-commit (`spdu_dfs`), a lockid-ordered
+database-granularity lock queue (`locks`), and a record engine plus
+benchmark harness on top (`engine`, `bench`, `cli`). The flat-file form of
+the recovery method is a test oracle and lives in `tests/oracles.py`.
 """
 
 from .dfs import DfsCluster, DfsConfig

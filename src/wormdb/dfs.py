@@ -454,7 +454,3 @@ class DfsCluster:
                 raise NotFound(f"no meta DFS file: {name}")
             del self._meta_table[name]
             self._save_tables()
-
-    def meta_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._meta_table)

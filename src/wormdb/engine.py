@@ -214,13 +214,19 @@ class Database:
 
         Takes the write lock first, so the log tail is fully committed by
         the time the batch runs. Returns the number of data-block remakes.
+        A failed batch only releases the lock: an abort over a half-done
+        batch can raise a second error that hides the first. The batch is
+        restartable, so restart processing or the next batch finishes it.
         """
         session = self.session("maintenance")
         session.begin(WRITE)
         try:
-            return session.store.batch_post_commit()
-        finally:
-            session.abort()
+            remakes = session.store.batch_post_commit()
+        except BaseException:
+            session._end()
+            raise
+        session.abort()
+        return remakes
 
 
 class Session:
@@ -260,11 +266,15 @@ class Session:
         self.lockid = self.db.locks.request_lock(
             self.db.data_name, mode, self.owner)
         self.mode = mode
-        self.store.reconstruct_log_table_index()
-        self._cache.clear()
-        self._dirty.clear()
-        self._pending_index.clear()
-        self.catalog = parse_catalog(self._get_page(0))
+        try:
+            self.store.reconstruct_log_table_index()
+            self._cache.clear()
+            self._dirty.clear()
+            self._pending_index.clear()
+            self.catalog = parse_catalog(self._get_page(0))
+        except BaseException:
+            self._end()
+            raise
 
     def commit(self) -> None:
         if self.mode is None:

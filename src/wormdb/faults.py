@@ -42,21 +42,6 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.restart.done",
 )
 
-# Points inside the baseline (flat-file) recovery method.
-SPDU_CORE_FAULT_POINTS = (
-    "core.commit.after_log_sync",
-    "core.commit.before_flag_set",
-    "core.commit.after_flag_set",
-    "core.post_commit.page_copied",
-    "core.commit.before_flag_clear",
-    "core.commit.after_flag_clear",
-    "core.commit.before_log_init",
-    "core.restart.begin",
-    "core.restart.after_redo",
-)
-
-ALL_FAULT_POINTS = SPDU_DFS_FAULT_POINTS + SPDU_CORE_FAULT_POINTS
-
 
 class CrashPoint(RuntimeError):
     """Raised when an armed fault point fires (simulated crash)."""
@@ -69,17 +54,20 @@ class CrashPoint(RuntimeError):
 class FaultInjector:
     """Registry of armed fault points plus a traversal counter.
 
-    ``hits`` records every traversal whether or not the point is armed, so
-    sweeps can verify a point was actually reachable in a given workload.
+    Only the given ``points`` can be armed; by default these are the
+    DFS-backed store's. ``hits`` records every traversal whether or not
+    the point is armed, so sweeps can verify a point was actually
+    reachable in a given workload.
     """
 
-    def __init__(self):
+    def __init__(self, points: tuple[str, ...] = SPDU_DFS_FAULT_POINTS):
+        self.points = frozenset(points)
         self._armed: dict[str, tuple[int, str]] = {}
         self.hits: Counter[str] = Counter()
 
     def arm(self, name: str, *, skip: int = 0, action: str = "raise") -> None:
         """Trigger `action` on the (skip+1)-th traversal of `name`."""
-        if name not in ALL_FAULT_POINTS:
+        if name not in self.points:
             raise ValueError(f"unregistered fault point: {name}")
         if action not in ("raise", "exit"):
             raise ValueError(f"unknown fault action: {action}")

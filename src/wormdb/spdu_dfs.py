@@ -1,7 +1,8 @@
 """Shadow-page deferred-update recovery adapted to meta DFS files.
 
-Differences from the flat-file baseline, all driven by the DFS block being
-much larger than a page and files being write-once:
+Differences from the flat-file method it adapts (kept as a test oracle in
+`tests/oracles.py`), all driven by the DFS block being much larger than a
+page and files being write-once:
 
 * Updated pages accumulate in a block update buffer sized like one DFS
   block; the buffer is appended to the log meta file when full or at

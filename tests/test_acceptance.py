@@ -11,7 +11,12 @@ import time
 import pytest
 
 from lock_harness import run_lock_soak
-from oracles import MapOracle, random_payload_page
+from oracles import (
+    MapOracle,
+    MemPageStore,
+    ShadowPagedStore,
+    random_payload_page,
+)
 from wormdb import bench
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database
@@ -19,7 +24,6 @@ from wormdb.errors import AllReplicasDead
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, PageConfig
-from wormdb.spdu import MemPageStore, ShadowPagedStore
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,

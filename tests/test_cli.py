@@ -193,7 +193,9 @@ def test_unreached_crash_point_exits_2(small_root):
 
 def test_core_crash_point_rejected(small_root, capsys):
     root, _ = small_root
-    # core.* points belong to the flat-file store, which `run` never runs
+    # core.* points belong to the flat-file oracle under tests/, which the
+    # package does not ship: the CLI, WorkloadSpec and the package's own
+    # injector all refuse them
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--workload", "select", "--crash-point",
                  "core.commit.after_log_sync"], root)
@@ -202,6 +204,8 @@ def test_core_crash_point_rejected(small_root, capsys):
     with pytest.raises(ValueError):
         bench.WorkloadSpec(kind="select",
                            crash_point="core.commit.after_log_sync")
+    with pytest.raises(ValueError):
+        FaultInjector().arm("core.commit.after_log_sync")
 
 
 def test_load_config_keys_and_types(tmp_path):

@@ -333,6 +333,37 @@ def test_maintenance_trigger_compacts_log():
     s.commit()
 
 
+def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
+    """A batch that fails while remaking the log master block leaves the
+    master deleted; the caller must see that failure, not a later one, and
+    the lock must be free."""
+
+    class RemakeFailed(RuntimeError):
+        pass
+
+    db = make_db(threshold=10 ** 6)
+    s = db.session()
+    s.begin("write")
+    for i in range(20):
+        s.insert_record(rec(i))
+    s.commit()
+    master = constituent_name(db.log_name, 0)
+    create_file = DfsCluster.create_file
+    failed = []
+
+    def fail_once(cluster, name, content):
+        if name == master and not failed:
+            failed.append(name)
+            raise RemakeFailed(name)
+        return create_file(cluster, name, content)
+
+    monkeypatch.setattr(DfsCluster, "create_file", fail_once)
+    with pytest.raises(RemakeFailed):
+        db.run_maintenance()
+    assert failed == [master]
+    assert db.locks.snapshot(db.data_name) == []
+
+
 def test_serializability_matches_grant_order_replay():
     """Interleaved writers are equivalent to the serial order of their
     write-lock grants: replay in grant order on a fresh database."""
@@ -573,12 +604,36 @@ def test_dead_replicas_of_cached_pages_surface_in_a_session():
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
         s.begin("read")  # the catalog, page 0, is cached but unreachable
-    s.abort()
+    assert s.mode is None  # the failed begin released its lock
     for node_id in holders:
         cluster.set_node_alive(node_id, True)
     before = cluster.counters.snapshot()
     assert read_all(s) == rows
     assert cluster.counters.read_calls == before.read_calls
+
+
+@pytest.mark.parametrize("mode", ["read", "write"])
+def test_failed_begin_releases_the_lock(mode):
+    db = make_db()
+    cluster = db.manager.cluster
+    holders = cluster.file_entry(
+        constituent_name(db.data_name, 0)).block_locations[0]
+    for node_id in holders:
+        cluster.set_node_alive(node_id, False)
+    s = db.session()
+    with pytest.raises(AllReplicasDead):
+        s.begin(mode)
+    assert db.locks.snapshot(db.data_name) == []
+    assert s.mode is None and s.lockid is None
+    for node_id in holders:
+        cluster.set_node_alive(node_id, True)
+    writer = db.session()
+    writer.begin("write")
+    writer.insert_record(rec(0))
+    writer.commit()
+    s.begin(mode)
+    assert len(s.scan(10)) == 1
+    s.commit()
 
 
 def test_two_databases_over_one_cluster_see_each_others_commits():

@@ -1,9 +1,14 @@
-"""Layers use each other's public API only.
+"""Layers use each other's public API only, and the package ships only
+what its entry points use.
 
 A module under src/wormdb/ may read ``obj._name`` only when it defines
 ``_name`` itself (as a function, class, method, attribute or variable).
 ``self`` and ``cls`` are the module's own objects; ``os._exit`` is the
 standard library's documented way to end a process at once.
+
+Every module under src/wormdb/ must be reachable by imports from
+``wormdb/__init__.py`` or ``wormdb/__main__.py``; a module only tests use
+(an oracle, a fault registry) belongs under tests/.
 """
 
 import ast
@@ -13,6 +18,7 @@ import wormdb
 
 PACKAGE = Path(wormdb.__file__).resolve().parent
 EXEMPT_OWNERS = {"self", "cls", "os"}
+ENTRY_POINTS = ("__init__", "__main__")
 
 
 def _private(name: str) -> bool:
@@ -72,3 +78,64 @@ def test_modules_use_only_public_api_of_other_modules():
         for line, expr in foreign_private_reads(path.read_text("utf-8")):
             offences.append(f"{path.name}:{line}: {expr}")
     assert offences == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names `source` imports from the wormdb package; names that
+    are not modules of the package are filtered out by the caller."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "wormdb" and module:
+                    names.add(module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and \
+                    (node.module or "").split(".")[0] == "wormdb":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreachable_modules(package: Path) -> list[str]:
+    """Modules of `package` that no chain of imports from an entry point
+    reaches."""
+    sources = {path.stem: path.read_text("utf-8")
+               for path in package.glob("*.py")}
+    seen = set()
+    todo = [name for name in ENTRY_POINTS if name in sources]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(imported_modules(sources[name]) & sources.keys())
+    return sorted(sources.keys() - seen)
+
+
+def test_detector_finds_modules_no_entry_point_imports(tmp_path):
+    files = {
+        "__init__.py": "from .a import A\n",
+        "__main__.py": "import wormdb.c\n",
+        "a.py": "from . import b\nfrom wormdb.d import D\nimport os\n",
+        "b.py": "from .errors import E\n",
+        "c.py": "from wormdb import e\n",
+        "d.py": "",
+        "e.py": "",
+        "errors.py": "",
+        "oracle.py": "from .a import A\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, "utf-8")
+    assert unreachable_modules(tmp_path) == ["oracle"]
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    assert unreachable_modules(PACKAGE) == []

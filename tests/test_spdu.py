@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from oracles import MapOracle, random_payload_page
+from oracles import (
+    SPDU_CORE_FAULT_POINTS,
+    FilePageStore,
+    MapOracle,
+    MemPageStore,
+    ShadowPagedStore,
+    random_payload_page,
+)
 from wormdb.errors import OutOfRange
-from wormdb.faults import SPDU_CORE_FAULT_POINTS, CrashPoint, FaultInjector
+from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, page_header, verify_page
-from wormdb.spdu import FilePageStore, MemPageStore, ShadowPagedStore
 
 PAGE = 256
 TOTAL = 32
@@ -15,8 +21,8 @@ TOTAL = 32
 def make_store(faults=None):
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
-    store = ShadowPagedStore.create(data, log, PAGE, TOTAL,
-                                    faults or FaultInjector())
+    faults = faults or FaultInjector(SPDU_CORE_FAULT_POINTS)
+    store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)
     return store
 
 
@@ -144,7 +150,7 @@ def run_with_crash(seed: int, point: str, skip: int = 0):
     Returns (store, oracle_pre, oracle_post) where the oracles are the
     committed map states before and after the interrupted commit.
     """
-    faults = FaultInjector()
+    faults = FaultInjector(SPDU_CORE_FAULT_POINTS)
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
     store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)
@@ -210,7 +216,7 @@ def test_crash_point_lands_on_pre_or_post_state(point):
 
 
 def test_double_crash_during_restart_still_recovers():
-    faults = FaultInjector()
+    faults = FaultInjector(SPDU_CORE_FAULT_POINTS)
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
     store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)
