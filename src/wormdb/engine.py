@@ -6,10 +6,10 @@ at commit. Page 0 of the data meta file is the catalog (heap extent, index
 segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
-Sessions acquire the database lock, rebuild their log table index from log
-block footers (reading only those the session has not seen), and then run
-tuple operations; all page mutations flow through the session's
-transaction store.
+Sessions acquire the database lock, rebuild their log table index from the
+footers of the log's committed prefix (reading only those the session has
+not seen), and then run tuple operations; all page mutations flow through
+the session's transaction store.
 """
 
 from __future__ import annotations
@@ -212,25 +212,26 @@ class Database:
     def run_maintenance(self) -> int:
         """Deferred post-commit outside any commit (the periodic trigger).
 
-        Takes the write lock first, so the log tail is fully committed by
-        the time the batch runs. Returns the number of data-block remakes.
-        A failed batch only releases the lock: an abort over a half-done
-        batch can raise a second error that hides the first. The batch is
+        Takes the write lock, whose begin drops any uncommitted log tail,
+        and returns the number of data-block remakes. Success or failure,
+        it then only releases the lock: an abort over a half-done batch can
+        raise a second error that hides the first. The batch is
         restartable, so restart processing or the next batch finishes it.
         """
         session = self.session("maintenance")
         session.begin(WRITE)
         try:
-            remakes = session.store.batch_post_commit()
-        except BaseException:
+            return session.store.batch_post_commit()
+        finally:
             session._end()
-            raise
-        session.abort()
-        return remakes
 
 
 class Session:
     """One transaction stream: private buffer, index, and page cache.
+
+    A failed commit or abort releases the lock and leaves its log blocks;
+    every `begin` starts from the log's committed prefix, so no later
+    transaction sees them, and a writer's `begin` deletes them.
 
     The page cache holds the immutable pages the DFS layers return, shared
     with the database's meta-file page cache; a page is copied into a
@@ -267,10 +268,7 @@ class Session:
             self.db.data_name, mode, self.owner)
         self.mode = mode
         try:
-            self.store.reconstruct_log_table_index()
-            self._cache.clear()
-            self._dirty.clear()
-            self._pending_index.clear()
+            self.store.begin_transaction(mode == WRITE)
             self.catalog = parse_catalog(self._get_page(0))
         except BaseException:
             self._end()
@@ -279,26 +277,26 @@ class Session:
     def commit(self) -> None:
         if self.mode is None:
             raise LockError("no transaction in progress")
-        if self.mode == READ:
-            self._end()
-            return
         try:
-            if self._pending_index:
-                self._flush_index_entries()
-            self._put_page(0, pack_catalog(self.catalog, self.page_size))
-            for pageid in sorted(self._dirty):
-                self.store.write_page(pageid, bytes(self._cache[pageid]))
-                self.page_writes += 1
-            self.store.commit_transaction()
+            if self.mode == WRITE:
+                if self._pending_index:
+                    self._flush_index_entries()
+                self._put_page(0, pack_catalog(self.catalog, self.page_size))
+                for pageid in sorted(self._dirty):
+                    self.store.write_page(pageid, bytes(self._cache[pageid]))
+                    self.page_writes += 1
+                self.store.commit_transaction()
         finally:
             self._end()
 
     def abort(self) -> None:
         if self.mode is None:
             raise LockError("no transaction in progress")
-        if self.mode == WRITE:
-            self.store.abort_transaction()
-        self._end()
+        try:
+            if self.mode == WRITE:
+                self.store.abort_transaction()
+        finally:
+            self._end()
 
     def _end(self) -> None:
         self.db.locks.release_lock(self.db.data_name, self.lockid)

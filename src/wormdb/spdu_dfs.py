@@ -16,8 +16,13 @@ page and files being write-once:
   sorted and grouped by target data block, each dirtied data block is
   remade exactly once, and the whole batch is made atomic/restartable by a
   commit_flag in the log's master block (block 0).
-* The log table index maps pageid -> (block_id, b_offset) and is rebuilt
-  per session from footers only, at every lock acquisition. The session
+* The log table index maps pageid -> (block_id, b_offset). Invariant: it
+  covers the log's committed prefix (up to the newest commit_complete
+  block) plus the blocks the store's own open transaction has flushed.
+  `begin_transaction`, the one boundary that abort and rollback restart
+  also run, restores it from footers only. Writers are serialised by the
+  database lock, so at a write begin any block past the committed prefix
+  is garbage a failed commit or abort left, and is deleted. The session
   keeps each footer it has seen with the DFS file_id of the block's
   constituent, and reads the footer page again only for a block whose
   id it has not seen. A constituent is write-once and the NameNode never
@@ -149,8 +154,7 @@ class DfsTransactionStore:
         # block_id -> (constituent file_id, pageids, commit_complete)
         self._footers: dict[int, tuple[int, list[int], bool]] = {}
         self._capacity = self.pages_per_block - 1
-        self._reset_buffer()
-        self._ordinal = 0
+        self._new_transaction()
 
     # ------------------------------------------------------------------
     # Page access
@@ -165,25 +169,18 @@ class DfsTransactionStore:
         self._check_pageid(pageid)
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
-        stamped = stamp_page(pageid, self._ordinal, page_data)
+        # a rewritten page keeps its place in the insertion-ordered buffer
+        self._pages[pageid] = stamp_page(pageid, self._ordinal, page_data)
         self._ordinal += 1
-        slot = self._slots.get(pageid)
-        if slot is None:
-            slot = len(self._filled)
-            self._filled.append(pageid)
-            self._slots[pageid] = slot
-        start = slot * self.page_size
-        self._buffer[start:start + self.page_size] = stamped
-        if len(self._filled) == self._capacity:
+        if len(self._pages) == self._capacity:
             self.faults.hit("dfs.write.before_auto_flush")
             self.flush_buffer(mark_commit=False)
 
     def read_page(self, pageid: int) -> bytes:
         self._check_pageid(pageid)
-        slot = self._slots.get(pageid)
-        if slot is not None:
-            start = slot * self.page_size
-            return bytes(self._buffer[start:start + self.page_size])
+        page = self._pages.get(pageid)
+        if page is not None:
+            return page
         pos = self.index.get(pageid)
         if pos is not None:
             block_id, b_offset = pos
@@ -196,21 +193,23 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
-        """Append the buffer as one log block; returns its block_id."""
-        if not self._filled and not mark_commit:
+        """Append the buffer as one log block: its pages in arrival order,
+        zero padding, the footer page. Returns the block_id."""
+        if not self._pages and not mark_commit:
             return None
-        footer = pack_footer(self._filled, mark_commit, self.page_size)
-        start = self._capacity * self.page_size
-        self._buffer[start:start + self.page_size] = footer
+        pageids = list(self._pages)
+        block = b"".join(self._pages.values()).ljust(
+            self._capacity * self.page_size, b"\0") + \
+            pack_footer(pageids, mark_commit, self.page_size)
         self.faults.hit("dfs.flush.before_block_append")
-        block_id = self.manager.append_block(self.log, bytes(self._buffer))
+        block_id = self.manager.append_block(self.log, block)
         self._footers[block_id] = (
             self.manager.constituent_ids(self.log)[block_id],
-            self._filled, mark_commit)
+            pageids, mark_commit)
         self.faults.hit("dfs.flush.after_block_append")
-        for slot, pageid in enumerate(self._filled):
+        for slot, pageid in enumerate(pageids):
             self.index[pageid] = (block_id, slot)
-        self._reset_buffer()
+        self._pages = {}
         return block_id
 
     def log_data_blocks(self) -> int:
@@ -220,13 +219,21 @@ class DfsTransactionStore:
     # Transaction boundaries
     # ------------------------------------------------------------------
 
+    def begin_transaction(self, write: bool) -> None:
+        """Empty the buffer, restart the write ordinal and index the log's
+        committed prefix; a writer also deletes every block past it."""
+        self._new_transaction()
+        self.reconstruct_log_table_index()
+        if write:
+            self._truncate_uncommitted()
+
     def commit_transaction(self) -> None:
         """Durable at the append of the commit-marked block; post-commit is
         deferred until the log outgrows the threshold."""
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
-        self._ordinal = 0
+        self._new_transaction()
         if not self.deferred or self.log_data_blocks() > self.post_commit_threshold:
             self.faults.hit("dfs.commit.before_threshold_batch")
             self.batch_post_commit()
@@ -281,36 +288,27 @@ class DfsTransactionStore:
 
     def abort_transaction(self) -> None:
         """Drop the buffer and every uncommitted log block, newest first."""
-        self._reset_buffer()
-        self._ordinal = 0
         self.faults.hit("dfs.abort.before_truncate")
-        self._truncate_uncommitted()
+        self.begin_transaction(write=True)
         self.faults.hit("dfs.abort.after_truncate")
-        self.reconstruct_log_table_index()
 
     def restart_system(self) -> str:
         """Recover after a crash; returns "redo" or "rollback"."""
         self.faults.hit("dfs.restart.begin")
-        self._reset_buffer()
-        self._ordinal = 0
         if self.log.block_count == 0:
             raise RecoveryError("log meta file has no master block")
-        if self.read_commit_flag():
+        redo = self.read_commit_flag()
+        if redo:
             self.batch_post_commit()
             self.faults.hit("dfs.restart.after_redo")
-            self.faults.hit("dfs.restart.done")
-            return "redo"
-        self._truncate_uncommitted()
-        self.reconstruct_log_table_index()
+        self.begin_transaction(write=True)
         self.faults.hit("dfs.restart.done")
-        return "rollback"
+        return "redo" if redo else "rollback"
 
     def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
-        """Rebuild the index from the log's footers; reads only the footer
-        pages this store has not seen (see `footers`)."""
-        self.index = _page_index(
-            (block_id, pageids)
-            for block_id, (pageids, _) in self.footers().items())
+        """Rebuild the index over the log's committed prefix; reads only the
+        footer pages this store has not seen (see `footers`)."""
+        self.index = _page_index(self.committed_footers().items())
         return dict(self.index)
 
     # ------------------------------------------------------------------
@@ -354,11 +352,8 @@ class DfsTransactionStore:
         """Pageids of each log block up to the newest commit_complete one:
         the committed prefix of the log."""
         footers = self.footers()
-        last_complete = max(
-            (block_id for block_id, (_, complete) in footers.items()
-             if complete), default=0)
         return {block_id: footers[block_id][0]
-                for block_id in range(1, last_complete + 1)}
+                for block_id in range(1, self._last_complete() + 1)}
 
     def recovery_state(self) -> str | None:
         """"redo" if a batch post-commit was interrupted, "rollback" if the
@@ -374,18 +369,24 @@ class DfsTransactionStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _reset_buffer(self) -> None:
-        self._buffer = bytearray(self.manager.page_config.block_size)
-        self._filled: list[int] = []
-        self._slots: dict[int, int] = {}
+    def _new_transaction(self) -> None:
+        # pageid -> stamped page, in arrival order
+        self._pages: dict[int, bytes] = {}
+        self._ordinal = 0
 
     def _write_master(self, commit_flag: bool) -> None:
         self.manager.overwrite_block(
             self.log, 0,
             _master_block(self.manager.page_config.block_size, commit_flag))
 
+    def _last_complete(self) -> int:
+        """The newest commit_complete block this store has seen; 0 if none."""
+        return max((block_id for block_id, (_, _, complete)
+                    in self._footers.items() if complete), default=0)
+
     def _truncate_uncommitted(self) -> None:
-        last_complete = max(self.committed_footers(), default=0)
-        for block_id in range(self.log.block_count - 1, last_complete, -1):
+        """Delete the blocks past the committed prefix as this store last
+        saw the log, newest first; no NameNode call when there are none."""
+        for block_id in range(len(self._footers), self._last_complete(), -1):
             self.faults.hit("dfs.abort.truncate_step")
             self.manager.truncate_from(self.log, block_id)

@@ -15,7 +15,7 @@ from wormdb.errors import (
     UpgradeConflict,
     ValueTooLong,
 )
-from wormdb.faults import CrashPoint, FaultInjector
+from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
 from wormdb.records import UserVisitsRecord
@@ -26,9 +26,9 @@ TOTAL = 512
 
 
 def make_db(total=TOTAL, threshold=64, deferred=True, faults=None,
-            root=None, nodes=4, replication=2):
-    cluster = DfsCluster(DfsConfig(BLOCK, replication, 0), nodes, root)
-    return Database.create(cluster, "db", total, PAGE, threshold, deferred,
+            root=None, nodes=4, replication=2, page=PAGE, block=BLOCK):
+    cluster = DfsCluster(DfsConfig(block, replication, 0), nodes, root)
+    return Database.create(cluster, "db", total, page, threshold, deferred,
                            LockService(), faults or FaultInjector())
 
 
@@ -769,3 +769,184 @@ def test_catalog_round_trip_through_recovery():
     s2.begin("read")
     assert s2.catalog == catalog
     s2.commit()
+
+
+def commit_rows(session, rows):
+    session.begin("write")
+    for i in rows:
+        session.insert_record(rec(i))
+    session.commit()
+
+
+class LogCreateFailed(RuntimeError):
+    pass
+
+
+def fail_log_creates(monkeypatch, fails):
+    """Make `DfsCluster.create_file` raise for the n-th log constituent
+    created from now on when `fails(n)`; returns the names refused."""
+    create_file = DfsCluster.create_file
+    seen, refused = [], []
+
+    def create(cluster, name, content):
+        if name.startswith("db/log/"):
+            seen.append(name)
+            if fails(len(seen)):
+                refused.append(name)
+                raise LogCreateFailed(name)
+        return create_file(cluster, name, content)
+
+    monkeypatch.setattr(DfsCluster, "create_file", create)
+    return refused
+
+
+def test_commit_failed_at_its_marker_hands_no_page_to_the_next(monkeypatch):
+    """The failed commit's pages sit in the store's buffer; the same
+    session's next commit must write only its own."""
+    db = make_db(page=4096, block=64 * 1024)
+    s = db.session()
+    commit_rows(s, range(10))
+    refused = fail_log_creates(monkeypatch, lambda n: True)
+    s.begin("write")
+    for i in range(10, 40):
+        s.insert_record(rec(i))
+    with pytest.raises(LogCreateFailed):
+        s.commit()
+    assert refused == [constituent_name(db.log_name, 2)]  # the marker
+    monkeypatch.undo()
+    commit_rows(s, [40])
+    assert read_all(db.session()) == [rec(i) for i in (*range(10), 40)]
+
+
+@pytest.mark.parametrize("committer", ["fresh", "same"])
+def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch,
+                                                          committer):
+    """Two auto-flushed blocks of a failed commit stay in the log; no
+    reader may index them and the next writer must drop them."""
+    db = make_db(page=1024, block=8192)
+    s = db.session()
+    commit_rows(s, range(10))
+    refused = fail_log_creates(monkeypatch, lambda n: n == 3)
+    s.begin("write")
+    for i in range(10, 200):
+        s.insert_record(rec(i))
+    with pytest.raises(LogCreateFailed):
+        s.commit()
+    assert refused == [constituent_name(db.log_name, 4)]
+    monkeypatch.undo()
+    assert db.locks.snapshot(db.data_name) == []
+    assert read_all(db.session()) == [rec(i) for i in range(10)]
+    commit_rows(db.session() if committer == "fresh" else s, [200])
+    assert read_all(db.session()) == [rec(i) for i in (*range(10), 200)]
+
+
+def test_failed_abort_releases_the_lock(monkeypatch):
+    class DeleteFailed(RuntimeError):
+        pass
+
+    db = make_db()
+    s = db.session()
+    commit_rows(s, range(10))
+    s.begin("write")
+    for pageid in range(1, 1 + 2 * (BLOCK // PAGE - 1)):
+        s.store.write_page(pageid, bytes(PAGE))  # two uncommitted blocks
+    assert db.log.block_count == 4
+
+    def refuse(cluster, name):
+        raise DeleteFailed(name)
+
+    monkeypatch.setattr(DfsCluster, "delete_file", refuse)
+    with pytest.raises(DeleteFailed):
+        s.abort()
+    assert db.locks.snapshot(db.data_name) == []
+    assert s.mode is None
+    monkeypatch.undo()
+    commit_rows(db.session(), [10])
+    assert read_all(db.session()) == [rec(i) for i in range(11)]
+
+
+def _sweep_workload():
+    """(run(db, session), table before -> table after) for each operation
+    of the failure sweep's script."""
+    keyed = [rec(i, key=f"9.9.9.{i % 4}") for i in range(3, 43)]
+
+    def insert(rows, abort=False):
+        def run(db, s):
+            s.begin("write")
+            for row in rows:
+                s.insert_record(row)
+            s.abort() if abort else s.commit()
+        return run, lambda table: table if abort else table + rows
+
+    def update(db, s):
+        s.begin("write")
+        s.update_by_key("9.9.9.1", "USA", use_index=True)
+        s.commit()
+
+    return [
+        insert([rec(i) for i in range(3)]),
+        insert(keyed),
+        (update, lambda table: [replace(r, country_code="USA")
+                                if r.source_ip == "9.9.9.1" else r
+                                for r in table]),
+        insert([rec(i) for i in range(43, 73)], abort=True),
+        insert([rec(i) for i in range(73, 193)]),
+        insert([rec(i) for i in range(193, 203)]),
+        (lambda db, s: db.run_maintenance(), lambda table: table),
+        insert([rec(i) for i in range(203, 208)]),
+    ]
+
+
+def _run_sweep_workload(point=None, skip=0):
+    """Run the script in one Database and session with `point`'s
+    (skip+1)-th traversal armed, treating its CrashPoint as an ordinary
+    error; returns, per operation, the traversals made before it and the
+    points it reached."""
+    faults = FaultInjector()
+    db = make_db(page=1024, block=8192, threshold=4, faults=faults)
+    s = db.session()
+    if point is not None:
+        faults.arm(point, skip=skip)
+    table, reached = [], []
+    for step, (run, apply) in enumerate(_sweep_workload()):
+        before = faults.hits.copy()
+        after = apply(table)
+        try:
+            run(db, s)
+            allowed = [after]
+        except CrashPoint as exc:
+            assert exc.name == point
+            allowed = [table, after]
+        reached.append((before, set(faults.hits - before)))
+        where = (point, skip, step)
+        assert db.locks.snapshot(db.data_name) == [], where
+        assert s.mode is None, where
+        table = read_all(db.session())
+        assert table in allowed, where
+    reader = db.session()
+    reader.begin("read")
+    for key in {r.source_ip for r in table}:
+        assert reader.select_by_key(key, use_index=True) == \
+            [r for r in table if r.source_ip == key], (point, skip, key)
+    reader.commit()
+    return reached
+
+
+def test_in_process_failure_at_every_reached_point():
+    """Each fault point the script reaches raises once, at its first
+    traversal in each operation, as an ordinary error: no reopen, no
+    recovery, the same Database and session go on, and each transaction's
+    pages become visible all together or never."""
+    reached = _run_sweep_workload()
+    families = ("dfs.write.", "dfs.flush.", "dfs.commit.", "dfs.batch.")
+    assert {p for p in SPDU_DFS_FAULT_POINTS if p.startswith(families)} \
+        <= set().union(*(points for _, points in reached))
+    runs = sorted({(p, before[p]) for before, points in reached
+                   for p in points})
+    failures = {}
+    for point, skip in runs:
+        try:
+            _run_sweep_workload(point, skip)
+        except AssertionError as exc:
+            failures[point, skip] = str(exc).splitlines()[0]
+    assert failures == {}

@@ -82,10 +82,14 @@ def test_buffer_write_and_read_paths():
 def test_write_same_page_twice_single_slot():
     store = make_store()
     rng = random.Random(1)
+    store.write_page(3, page_with(rng))
     store.write_page(5, page_with(rng))
     newer = page_with(rng)
     store.write_page(5, newer)
-    assert len(store._filled) == 1
+    assert payload(store.read_page(5)) == payload(newer)
+    block_id = store.flush_buffer(mark_commit=False)
+    assert store.read_footer(block_id) == ([3, 5], False)
+    assert store.index[5] == (block_id, 1)
     assert payload(store.read_page(5)) == payload(newer)
 
 
@@ -98,10 +102,13 @@ def test_auto_flush_on_capacity():
     store.write_page(N - 2, page_with(rng))  # the (N-1)-th distinct page
     assert store.log.block_count == 2  # flushed automatically
     store.write_page(50, page_with(rng))  # starts a new buffer
-    assert store._filled == [50]
     pageids, complete = store.read_footer(1)
     assert pageids == list(range(N - 1))
     assert complete is False
+    assert 50 not in store.index
+    assert store.flush_buffer(mark_commit=False) == 2
+    assert store.read_footer(2) == ([50], False)
+    assert store.index[50] == (2, 0)
 
 
 def test_flush_footer_lists_pages_in_arrival_order():
