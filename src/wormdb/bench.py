@@ -144,7 +144,8 @@ def run_workload(db: Database, spec: WorkloadSpec,
                  crash_action: str = "exit") -> MetricsReport:
     """Execute one workload in a fresh session, whose page cache starts
     cold; the database's meta-file page cache is shared, so a page read
-    before is not read from the DFS again and `network_bytes` falls."""
+    before is not read from the DFS again and `network_bytes` falls. A
+    workload that raises is aborted, so it leaves no lock behind."""
     if spec.crash_point:
         if faults is None:
             raise ValueError("crash_point set but no fault injector")
@@ -156,25 +157,24 @@ def run_workload(db: Database, spec: WorkloadSpec,
     records = _insert_records(spec) if spec.kind == "insert" else []
     start = time.perf_counter()
     returned = 0
-    if spec.kind == "scan":
-        session.begin("read")
-        returned = len(session.scan(spec.limit))
+    session.begin("read" if spec.kind in ("scan", "select") else "write")
+    try:
+        if spec.kind == "scan":
+            returned = len(session.scan(spec.limit))
+        elif spec.kind == "insert":
+            for record in records:
+                session.insert_record(record)
+                returned += 1
+        elif spec.kind == "select":
+            returned = len(session.select_by_key(spec.key, spec.use_index))
+        else:  # update
+            returned = session.update_by_key(
+                spec.key, spec.new_country_code, spec.use_index)
         session.commit()
-    elif spec.kind == "insert":
-        session.begin("write")
-        for record in records:
-            session.insert_record(record)
-            returned += 1
-        session.commit()
-    elif spec.kind == "select":
-        session.begin("read")
-        returned = len(session.select_by_key(spec.key, spec.use_index))
-        session.commit()
-    else:  # update
-        session.begin("write")
-        returned = session.update_by_key(spec.key, spec.new_country_code,
-                                         spec.use_index)
-        session.commit()
+    except BaseException:
+        if session.mode is not None:
+            session.abort()
+        raise
     elapsed = time.perf_counter() - start
     net1 = cluster.counters.bytes_read + cluster.counters.bytes_written
     return MetricsReport(

@@ -26,9 +26,11 @@ DBCONFIG_FILE = "db.json"
 TOTAL_PAGES = 8192
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, complete: bool = False) -> dict:
     """EngineConfig's fields plus total_pages, each value of its default's
-    JSON type (a float field also takes an integer, stored as a float)."""
+    JSON type (a float field also takes an integer, stored as a float):
+    the defaults, with the values the file at `path` gives in their
+    place; a `complete` file must give every value."""
     values = {**asdict(EngineConfig()), "total_pages": TOTAL_PAGES}
     if path:
         try:
@@ -42,6 +44,9 @@ def load_config(path: str | None) -> dict:
             if key not in values:
                 raise ConfigError(f"unknown config key: {key}")
             values[key] = _typed(key, value, type(values[key]))
+        missing = sorted(values.keys() - given.keys())
+        if complete and missing:
+            raise ConfigError(f"config {path} lacks {', '.join(missing)}")
     return values
 
 
@@ -61,16 +66,12 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
-def _engine_config(values: dict) -> EngineConfig:
-    return EngineConfig(**{f.name: values[f.name]
-                           for f in fields(EngineConfig)})
-
-
 def _checked_engine_config(values: dict) -> EngineConfig:
-    """The EngineConfig of `values`, with every check a new database's
+    """The EngineConfig of `values`, with every check a database's
     geometry and placement must pass; raises ConfigError, so that `gen`
     fails before it writes anything."""
-    cfg = _engine_config(values)
+    cfg = EngineConfig(**{f.name: values[f.name]
+                          for f in fields(EngineConfig)})
     try:
         cfg.dfs_config()
         check_log_geometry(PageConfig(cfg.page_size, cfg.block_size))
@@ -86,18 +87,15 @@ def _checked_engine_config(values: dict) -> EngineConfig:
 
 
 def _open_existing(root: str, faults: FaultInjector,
-                   recover: bool) -> tuple[Database, dict]:
+                   recover: bool) -> Database:
     cfg_path = os.path.join(root, DBCONFIG_FILE)
     if not os.path.exists(cfg_path):
         raise StorageError(f"no database at {root} (missing {DBCONFIG_FILE})")
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
-    cfg = _engine_config(values)
+    cfg = _checked_engine_config(load_config(cfg_path, complete=True))
     cluster = DfsCluster(cfg.dfs_config(), cfg.num_nodes, root)
-    db = Database.open(cluster, DB_NAME, cfg.page_size,
-                       cfg.post_commit_threshold, cfg.deferred,
-                       LockService(), faults, recover=recover)
-    return db, values
+    return Database.open(cluster, DB_NAME, cfg.page_size,
+                         cfg.post_commit_threshold, cfg.deferred,
+                         LockService(), faults, recover=recover)
 
 
 def emit(report: dict, out: str) -> None:
@@ -130,7 +128,7 @@ def cmd_gen(args, faults: FaultInjector) -> int:
 
 
 def cmd_run(args, faults: FaultInjector) -> int:
-    db, _ = _open_existing(args.root, faults, recover=False)
+    db = _open_existing(args.root, faults, recover=False)
     needed = db.needs_recovery()
     if needed:
         print(f"error: database needs recovery ({needed}); "
@@ -158,14 +156,14 @@ def cmd_run(args, faults: FaultInjector) -> int:
 
 
 def cmd_recover(args, faults: FaultInjector) -> int:
-    db, _ = _open_existing(args.root, faults, recover=False)
+    db = _open_existing(args.root, faults, recover=False)
     path = db.recover()
     emit({"recovery": path}, args.out)
     return 0
 
 
 def cmd_soak(args, faults: FaultInjector) -> int:
-    db, _ = _open_existing(args.root, faults, recover=True)
+    db = _open_existing(args.root, faults, recover=True)
     result = bench.soak(db, args.sessions, args.events, args.seed)
     emit({
         "events": result.events,

@@ -373,10 +373,6 @@ class DfsCluster:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def alive_nodes(self) -> list[int]:
-        with self._lock:
-            return self._alive_nodes()
-
     def replicas(self, name: str, ordinal: int) -> list[bytes]:
         """All stored replica contents of one block (for consistency checks)."""
         with self._lock:

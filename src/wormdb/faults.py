@@ -32,10 +32,8 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.batch.before_flag_clear",
     "dfs.batch.after_flag_clear",
     "dfs.batch.before_log_truncate",
-    "dfs.batch.truncate_step",
     "dfs.batch.after_log_truncate",
     "dfs.abort.before_truncate",
-    "dfs.abort.truncate_step",
     "dfs.abort.after_truncate",
     "dfs.restart.begin",
     "dfs.restart.after_redo",
@@ -72,9 +70,6 @@ class FaultInjector:
         if action not in ("raise", "exit"):
             raise ValueError(f"unknown fault action: {action}")
         self._armed[name] = (skip, action)
-
-    def disarm(self, name: str) -> None:
-        self._armed.pop(name, None)
 
     def reset(self) -> None:
         self._armed.clear()

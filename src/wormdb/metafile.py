@@ -7,6 +7,11 @@ next constituent. Page addressing is the static split
 ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N`` pages
 per block.
 
+The block count, one NameNode number, commits every change of length:
+an append creates the constituent and then counts it, a truncate sets
+the count and then deletes the constituents past it. A constituent past
+the count is garbage that no read reaches; an append replaces it.
+
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
 
@@ -32,7 +37,7 @@ import threading
 from dataclasses import dataclass
 
 from .dfs import DfsCluster, DfsFileEntry, constituent_name
-from .errors import NotFound, OutOfRange, WrongBlockSize
+from .errors import AlreadyExists, NotFound, OutOfRange, WrongBlockSize
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,7 @@ class MetaDfsManager:
         return self.cluster.meta_exists(name)
 
     def delete_meta(self, file: MetaDfsFile) -> None:
-        count = self.cluster.meta_block_count(file.name)
-        for ordinal in range(count - 1, -1, -1):
-            name = constituent_name(file.name, ordinal)
-            self.cluster.delete_file(name)
-            self._pages.pop(name, None)
+        self.truncate_from(file, 0)
         self.cluster.meta_unregister(file.name)
 
     # ------------------------------------------------------------------
@@ -147,7 +148,12 @@ class MetaDfsManager:
     def append_block(self, file: MetaDfsFile, content: bytes) -> int:
         self._check_block(content)
         count = self.cluster.meta_block_count(file.name)
-        self.cluster.create_file(constituent_name(file.name, count), content)
+        name = constituent_name(file.name, count)
+        try:
+            self.cluster.create_file(name, content)
+        except AlreadyExists:
+            self._delete_constituent(name)
+            self.cluster.create_file(name, content)
         self.cluster.meta_set_block_count(file.name, count + 1)
         return count
 
@@ -156,8 +162,7 @@ class MetaDfsManager:
         """DFS file remake of one constituent; costs exactly one remake."""
         self._check_block(content)
         name = self._constituent(file, block_id)
-        self.cluster.delete_file(name)
-        self._pages.pop(name, None)
+        self._delete_constituent(name)
         self.cluster.create_file(name, content)
         with self._counter_lock:
             self.remakes_total += 1
@@ -179,15 +184,20 @@ class MetaDfsManager:
             self.cluster.config.block_size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
+        """Shorten the file with one NameNode mutation (see above)."""
         count = self.cluster.meta_block_count(file.name)
         if not 0 <= block_id <= count:
             raise OutOfRange(
                 f"truncate at {block_id} of {file.name} (has {count})")
-        for ordinal in range(count - 1, block_id - 1, -1):
-            name = constituent_name(file.name, ordinal)
-            self.cluster.delete_file(name)
-            self._pages.pop(name, None)
-            self.cluster.meta_set_block_count(file.name, ordinal)
+        if block_id == count:
+            return
+        self.cluster.meta_set_block_count(file.name, block_id)
+        for ordinal in range(block_id, count):
+            self._delete_constituent(constituent_name(file.name, ordinal))
+
+    def _delete_constituent(self, name: str) -> None:
+        self.cluster.delete_file(name)
+        self._pages.pop(name, None)
 
     # ------------------------------------------------------------------
     # Page addressing

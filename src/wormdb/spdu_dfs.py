@@ -15,21 +15,24 @@ page and files being write-once:
 * Post-commit processing is batched: pages from committed log blocks are
   sorted and grouped by target data block, each dirtied data block is
   remade exactly once, and the whole batch is made atomic/restartable by a
-  commit_flag in the log's master block (block 0).
+  commit_flag in the log's master block (block 0). Once the flag clears,
+  one truncate drops every log data block: the log's block count changes
+  in one NameNode mutation, so a failure leaves either all the committed
+  blocks, whose newest copies the data blocks now hold, or none.
 * The log table index maps pageid -> (block_id, b_offset). Invariant: it
   covers the log's committed prefix (up to the newest commit_complete
   block) plus the blocks the store's own open transaction has flushed.
   `begin_transaction`, the one boundary that abort and rollback restart
   also run, restores it from footers only. Writers are serialised by the
   database lock, so at a write begin any block past the committed prefix
-  is garbage a failed commit or abort left, and is deleted. The session
-  keeps each footer it has seen with the DFS file_id of the block's
-  constituent, and reads the footer page again only for a block whose
-  id it has not seen. A constituent is write-once and the NameNode never
-  reuses an id, so a footer changes exactly when its block's id does:
-  when a batch truncates the log, or an abort drops its tail, and new
-  blocks are appended under the same block ids. A fresh store has seen
-  no footers and reads them all.
+  is garbage a failed commit or abort left, and one truncate drops it.
+  The session keeps each footer it has seen with the DFS file_id of the
+  block's constituent, and reads the footer page again only for a block
+  whose id it has not seen. A constituent is write-once and the NameNode
+  never reuses an id, so a footer changes exactly when its block's id
+  does: when a batch truncates the log, or an abort drops its tail, and
+  new blocks are appended under the same block ids. A fresh store has
+  seen no footers and reads them all.
 
 One instance per session: the index, buffer and footer cache are
 session-private; the underlying meta files are shared.
@@ -221,11 +224,13 @@ class DfsTransactionStore:
 
     def begin_transaction(self, write: bool) -> None:
         """Empty the buffer, restart the write ordinal and index the log's
-        committed prefix; a writer also deletes every block past it."""
+        committed prefix; a writer also truncates the log to it, which
+        makes no NameNode call when there is no tail."""
         self._new_transaction()
         self.reconstruct_log_table_index()
-        if write:
-            self._truncate_uncommitted()
+        last = self._last_complete()
+        if write and len(self._footers) > last:
+            self.manager.truncate_from(self.log, last + 1)
 
     def commit_transaction(self) -> None:
         """Durable at the append of the commit-marked block; post-commit is
@@ -279,15 +284,13 @@ class DfsTransactionStore:
         self.faults.hit("dfs.batch.after_flag_clear")
 
         self.faults.hit("dfs.batch.before_log_truncate")
-        for block_id in range(self.log.block_count - 1, 0, -1):
-            self.faults.hit("dfs.batch.truncate_step")
-            self.manager.truncate_from(self.log, block_id)
+        self.manager.truncate_from(self.log, 1)
         self.faults.hit("dfs.batch.after_log_truncate")
         self.index.clear()
         return len(by_data_block)
 
     def abort_transaction(self) -> None:
-        """Drop the buffer and every uncommitted log block, newest first."""
+        """Drop the buffer and every uncommitted log block."""
         self.faults.hit("dfs.abort.before_truncate")
         self.begin_transaction(write=True)
         self.faults.hit("dfs.abort.after_truncate")
@@ -383,10 +386,3 @@ class DfsTransactionStore:
         """The newest commit_complete block this store has seen; 0 if none."""
         return max((block_id for block_id, (_, _, complete)
                     in self._footers.items() if complete), default=0)
-
-    def _truncate_uncommitted(self) -> None:
-        """Delete the blocks past the committed prefix as this store last
-        saw the log, newest first; no NameNode call when there are none."""
-        for block_id in range(len(self._footers), self._last_complete(), -1):
-            self.faults.hit("dfs.abort.truncate_step")
-            self.manager.truncate_from(self.log, block_id)

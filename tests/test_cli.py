@@ -10,7 +10,7 @@ import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database, EngineConfig
-from wormdb.errors import ConfigError
+from wormdb.errors import ConfigError, DatabaseFull
 from wormdb.faults import FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
@@ -295,6 +295,29 @@ def test_unreadable_config_is_one_error_line(small_root, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2], lambda text: "{}",
+    lambda text: '{"page_size": "4096"}'])
+def test_bad_db_json_is_one_error_line(small_root, capsys, damage):
+    """Opening a database reads db.json with the config file's checks and
+    needs every key."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    path = os.path.join(root, "db.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(damage(text))
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_csv_output(small_root, capsys):
     root, config = small_root
     assert run_cli(["gen", "--tuples", "20", "--seed", "6"], root,
@@ -345,6 +368,19 @@ def test_counter_determinism_across_generations(tmp_path):
         report.pop("elapsed")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_failed_workload_releases_its_lock():
+    cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+    db = Database.create(cluster, "db", 64, 512, 16, True,
+                         LockService(), FaultInjector())
+    with pytest.raises(DatabaseFull):
+        bench.run_workload(db, bench.WorkloadSpec(kind="insert",
+                                                  repeat=5000))
+    assert db.locks.snapshot(db.data_name) == []
+    bench.run_workload(db, bench.WorkloadSpec(kind="insert", repeat=10))
+    scan = bench.run_workload(db, bench.WorkloadSpec(kind="scan"))
+    assert scan.records_returned == 10
 
 
 def test_generate_zero_tuples():

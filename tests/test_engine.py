@@ -12,6 +12,7 @@ from wormdb.errors import (
     DatabaseFull,
     LockError,
     NotFound,
+    StorageError,
     UpgradeConflict,
     ValueTooLong,
 )
@@ -897,56 +898,116 @@ def _sweep_workload():
     ]
 
 
-def _run_sweep_workload(point=None, skip=0):
+class MutationRefused(StorageError):
+    pass
+
+
+def _meta_mutations(mp, refuse=None):
+    """Record the create_file, delete_file and meta_set_block_count calls
+    that `MetaDfsManager.append_block` and `truncate_from` make from now
+    on; the `refuse`-th raises MutationRefused before it runs."""
+    calls = []
+    depth = [0]
+    for method in ("append_block", "truncate_from"):
+        def inside(*args, original=getattr(MetaDfsManager, method)):
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+        mp.setattr(MetaDfsManager, method, inside)
+    for method in ("create_file", "delete_file", "meta_set_block_count"):
+        def counted(cluster, name, *args, method=method,
+                    original=getattr(DfsCluster, method)):
+            if depth[0]:
+                calls.append((method, name))
+                if len(calls) == refuse:
+                    raise MutationRefused(f"{method} {name}")
+            return original(cluster, name, *args)
+        mp.setattr(DfsCluster, method, counted)
+    return calls
+
+
+def _run_sweep_workload(point=None, skip=0, refuse=None):
     """Run the script in one Database and session with `point`'s
     (skip+1)-th traversal armed, treating its CrashPoint as an ordinary
-    error; returns, per operation, the traversals made before it and the
-    points it reached."""
+    error, or with the `refuse`-th meta-file mutation refused; then open
+    the database again with recovery. Returns, per operation, the
+    traversals made before it and the points it reached, and the
+    meta-file mutations made."""
     faults = FaultInjector()
     db = make_db(page=1024, block=8192, threshold=4, faults=faults)
     s = db.session()
     if point is not None:
         faults.arm(point, skip=skip)
     table, reached = [], []
-    for step, (run, apply) in enumerate(_sweep_workload()):
-        before = faults.hits.copy()
-        after = apply(table)
-        try:
-            run(db, s)
-            allowed = [after]
-        except CrashPoint as exc:
-            assert exc.name == point
-            allowed = [table, after]
-        reached.append((before, set(faults.hits - before)))
-        where = (point, skip, step)
-        assert db.locks.snapshot(db.data_name) == [], where
-        assert s.mode is None, where
-        table = read_all(db.session())
-        assert table in allowed, where
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _meta_mutations(mp, refuse)
+        for step, (run, apply) in enumerate(_sweep_workload()):
+            before = faults.hits.copy()
+            after = apply(table)
+            try:
+                run(db, s)
+                allowed = [after]
+            except (CrashPoint, MutationRefused) as exc:
+                assert isinstance(exc, MutationRefused) or exc.name == point
+                allowed = [table, after]
+            reached.append((before, set(faults.hits - before)))
+            where = (point, skip, refuse, step)
+            assert db.locks.snapshot(db.data_name) == [], where
+            assert s.mode is None, where
+            table = read_all(db.session())
+            assert table in allowed, where
+    where = (point, skip, refuse)
     reader = db.session()
     reader.begin("read")
     for key in {r.source_ip for r in table}:
         assert reader.select_by_key(key, use_index=True) == \
-            [r for r in table if r.source_ip == key], (point, skip, key)
+            [r for r in table if r.source_ip == key], (*where, key)
     reader.commit()
-    return reached
+    reopened = Database.open(db.manager.cluster, "db", 1024, 4,
+                             recover=True)
+    assert read_all(reopened.session()) == table, where
+    commit_rows(reopened.session(), [208])
+    assert read_all(reopened.session()) == table + [rec(208)], where
+    return reached, calls
+
+
+def _failures(runs):
+    """First line of each failed run's assertion or error, by its
+    arguments to `_run_sweep_workload`."""
+    failures = {}
+    for args in runs:
+        try:
+            _run_sweep_workload(*args)
+        except (AssertionError, StorageError) as exc:
+            failures[args] = f"{type(exc).__name__}: " + \
+                str(exc).splitlines()[0]
+    return failures
 
 
 def test_in_process_failure_at_every_reached_point():
     """Each fault point the script reaches raises once, at its first
-    traversal in each operation, as an ordinary error: no reopen, no
-    recovery, the same Database and session go on, and each transaction's
-    pages become visible all together or never."""
-    reached = _run_sweep_workload()
+    traversal in each operation, as an ordinary error: the same Database
+    and session go on, each transaction's pages become visible all
+    together or never, and at the end the database opens again with
+    recovery, reads the same table and takes one more commit."""
+    reached, _ = _run_sweep_workload()
     families = ("dfs.write.", "dfs.flush.", "dfs.commit.", "dfs.batch.")
     assert {p for p in SPDU_DFS_FAULT_POINTS if p.startswith(families)} \
         <= set().union(*(points for _, points in reached))
     runs = sorted({(p, before[p]) for before, points in reached
                    for p in points})
-    failures = {}
-    for point, skip in runs:
-        try:
-            _run_sweep_workload(point, skip)
-        except AssertionError as exc:
-            failures[point, skip] = str(exc).splitlines()[0]
-    assert failures == {}
+    assert _failures(runs) == {}
+
+
+def test_in_process_failure_at_every_meta_file_mutation():
+    """Each DFS create, delete and block-count change that an append or a
+    truncate makes fails in turn, once the database exists, as an
+    ordinary StorageError raised before the call; the same checks hold as
+    for the fault points."""
+    _, calls = _run_sweep_workload()
+    assert {method for method, _ in calls} == \
+        {"create_file", "delete_file", "meta_set_block_count"}
+    runs = [(None, 0, n) for n in range(1, len(calls) + 1)]
+    assert _failures(runs) == {}

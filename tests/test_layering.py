@@ -9,12 +9,17 @@ standard library's documented way to end a process at once.
 Every module under src/wormdb/ must be reachable by imports from
 ``wormdb/__init__.py`` or ``wormdb/__main__.py``; a module only tests use
 (an oracle, a fault registry) belongs under tests/.
+
+The benchmark's tracer, perfbench/spans.py, patches package functions by
+name, so each of those names must exist in the package.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import wormdb
+from wormdb.dfs import DataNode, DfsCluster
 
 PACKAGE = Path(wormdb.__file__).resolve().parent
 EXEMPT_OWNERS = {"self", "cls", "os"}
@@ -139,3 +144,18 @@ def test_detector_finds_modules_no_entry_point_imports(tmp_path):
 
 def test_every_module_is_reachable_from_an_entry_point():
     assert unreachable_modules(PACKAGE) == []
+
+
+def test_every_name_the_tracer_patches_exists():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wanted = [(owner, attr) for owner, functions in spans.SPANNED.values()
+              for attr in functions]
+    wanted += [(DfsCluster, attr) for attr in
+               (*spans.NAMENODE_MUTATIONS, "meta_block_count")]
+    wanted += [(DataNode, "get"), (DataNode, "put")]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in wanted
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

@@ -11,6 +11,7 @@ from wormdb.errors import (
     AlreadyExists,
     NotFound,
     OutOfRange,
+    StorageError,
     WrongBlockSize,
 )
 from wormdb.metafile import MetaDfsManager, PageConfig, constituent_name
@@ -128,6 +129,56 @@ def test_truncate_from(mgr):
     assert f.block_count == 0
     with pytest.raises(OutOfRange):
         mgr.truncate_from(f, 5)
+
+
+def record_mutations(mgr, monkeypatch):
+    """The DFS deletes and meta-file count changes `mgr` makes from now
+    on, in order."""
+    calls = []
+    for method in ("delete_file", "meta_set_block_count"):
+        original = getattr(mgr.cluster, method)
+
+        def recorded(*args, method=method, original=original):
+            calls.append((method, *args))
+            return original(*args)
+
+        monkeypatch.setattr(mgr.cluster, method, recorded)
+    return calls
+
+
+def test_truncate_sets_the_count_once_before_any_delete(mgr, monkeypatch):
+    f = mgr.create_meta("m")
+    for i in range(4):
+        mgr.append_block(f, block_of(i))
+    calls = record_mutations(mgr, monkeypatch)
+    mgr.truncate_from(f, 1)
+    assert calls == [("meta_set_block_count", "m", 1),
+                     ("delete_file", constituent_name("m", 1)),
+                     ("delete_file", constituent_name("m", 2)),
+                     ("delete_file", constituent_name("m", 3))]
+    calls.clear()
+    mgr.truncate_from(f, 1)
+    assert calls == []
+
+
+def test_append_replaces_a_constituent_left_past_the_count(mgr, monkeypatch):
+    """A failed count change leaves the new constituent past the count;
+    the next append at that ordinal replaces it."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+
+    def refuse(name, count):
+        raise StorageError(f"count of {name} refused")
+
+    monkeypatch.setattr(mgr.cluster, "meta_set_block_count", refuse)
+    with pytest.raises(StorageError, match="refused"):
+        mgr.append_block(f, block_of(2))
+    monkeypatch.undo()
+    assert f.block_count == 1
+    assert mgr.append_block(f, block_of(3)) == 1
+    assert f.block_count == 2
+    assert mgr.read_block(f, 1) == block_of(3)
+    assert mgr.read_page(f, N) == block_of(3)[:PAGE]
 
 
 def test_delete_meta(mgr):

@@ -461,6 +461,51 @@ def test_restart_redo_completes_interrupted_batch():
     assert fresh.log.block_count == 1
 
 
+class LogMutationRefused(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("method, nth", [("delete_file", 2),
+                                         ("meta_set_block_count", 1)])
+def test_failed_log_truncate_keeps_the_newest_committed_copy(
+        monkeypatch, method, nth):
+    """Page 5 committed twice; the batch has remade its data block and
+    cleared the flag when the log truncate fails at the nth delete of a
+    log data block or change of the log's count. A restarted store must
+    read the newest copy, and later commits must go on."""
+    store = make_store()
+    rng = random.Random(8)
+    copies = [page_with(rng) for _ in range(4)]
+    for content in copies[:2]:
+        store.write_page(5, content)
+        store.commit_transaction()
+    original = getattr(DfsCluster, method)
+    seen = []
+
+    def refuse(cluster, name, *args):
+        if name.startswith("db/log") and name != "db/log/00000000":
+            seen.append(name)
+            if len(seen) == nth:
+                raise LogMutationRefused(name)
+        return original(cluster, name, *args)
+
+    monkeypatch.setattr(DfsCluster, method, refuse)
+    with pytest.raises(LogMutationRefused):
+        store.batch_post_commit()
+    monkeypatch.undo()
+    restarted = DfsTransactionStore(store.manager, store.data, store.log,
+                                    TOTAL)
+    restarted.restart_system()
+    assert payload(restarted.read_page(5)) == payload(copies[1])
+    for content in copies[2:]:
+        restarted.begin_transaction(write=True)
+        restarted.write_page(5, content)
+        restarted.commit_transaction()
+    reader = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    reader.begin_transaction(write=False)
+    assert payload(reader.read_page(5)) == payload(copies[3])
+
+
 def test_crash_storm_during_recovery_converges():
     """Crash the batch, then keep crashing recovery itself at random
     points; the final clean restart must still land on the committed
@@ -470,7 +515,7 @@ def test_crash_storm_during_recovery_converges():
                      "dfs.batch.before_block_remake",
                      "dfs.batch.after_block_remake",
                      "dfs.batch.before_flag_clear",
-                     "dfs.batch.truncate_step", "dfs.restart.begin")]
+                     "dfs.batch.before_log_truncate", "dfs.restart.begin")]
     for seed in range(5):
         faults = FaultInjector()
         store = make_store(threshold=2, faults=faults)
