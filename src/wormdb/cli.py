@@ -118,10 +118,12 @@ def cmd_gen(args, faults: FaultInjector) -> int:
     db = Database.create(cluster, DB_NAME, values["total_pages"],
                          cfg.page_size, cfg.post_commit_threshold,
                          cfg.deferred, LockService(), faults)
-    key_count = min(args.key_count, args.tuples)
-    bench.generate(db, args.tuples, args.seed, args.key, key_count)
+    # the database exists from here on: a failed load leaves a root that
+    # `recover` and `run` open and that a second `gen` refuses
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(values, fh, indent=2)
+    key_count = min(args.key_count, args.tuples)
+    bench.generate(db, args.tuples, args.seed, args.key, key_count)
     emit({"generated": args.tuples, "probe_key": args.key,
           "probe_count": key_count, "root": args.root}, args.out)
     return 0
@@ -178,6 +180,18 @@ def cmd_soak(args, faults: FaultInjector) -> int:
     return 0 if result.ok else 1
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wormdb",
@@ -189,16 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="create and populate a database")
-    gen.add_argument("--tuples", type=int, default=100_000)
+    gen.add_argument("--tuples", type=_at_least(0), default=100_000)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--key", default=bench.DEFAULT_PROBE_KEY)
-    gen.add_argument("--key-count", type=int, default=bench.DEFAULT_PROBE_COUNT)
+    gen.add_argument("--key-count", type=_at_least(0),
+                     default=bench.DEFAULT_PROBE_COUNT)
 
     run = sub.add_parser("run", help="run one workload")
     run.add_argument("--workload", required=True,
                      choices=("scan", "insert", "select", "update"))
-    run.add_argument("--limit", type=int, default=100_000)
-    run.add_argument("--repeat", type=int, default=10_000)
+    run.add_argument("--limit", type=_at_least(0), default=100_000)
+    run.add_argument("--repeat", type=_at_least(1), default=10_000)
     run.add_argument("--key", default=bench.DEFAULT_PROBE_KEY)
     index = run.add_mutually_exclusive_group()
     index.add_argument("--index", dest="index", action="store_true",
@@ -206,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--no-index", dest="index", action="store_false")
     run.add_argument("--crash-point", choices=SPDU_DFS_FAULT_POINTS)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--repeat-runs", type=int, default=1,
+    run.add_argument("--repeat-runs", type=_at_least(1), default=1,
                      help="repeat the workload and report each run")
 
     sub.add_parser("recover", help="run restart processing")
 
     soak_cmd = sub.add_parser("soak", help="concurrent-session property run")
-    soak_cmd.add_argument("--sessions", type=int, default=8)
+    soak_cmd.add_argument("--sessions", type=_at_least(1), default=8)
     soak_cmd.add_argument("--events", type=int, default=1000)
     soak_cmd.add_argument("--seed", type=int, default=0)
 

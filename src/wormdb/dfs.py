@@ -81,13 +81,10 @@ class DfsCounters:
     read_calls: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    files_created: int = 0
-    files_deleted: int = 0
 
     def snapshot(self) -> "DfsCounters":
         return DfsCounters(self.read_calls, self.bytes_read,
-                           self.bytes_written, self.files_created,
-                           self.files_deleted)
+                           self.bytes_written)
 
 
 class DataNode:
@@ -269,7 +266,6 @@ class DfsCluster:
             entry = DfsFileEntry(name, size, num_blocks, locations,
                                  next(self._file_ids))
             self._files[name] = entry
-            self.counters.files_created += 1
             self._save_tables()
             return entry
 
@@ -321,7 +317,6 @@ class DfsCluster:
                     node = self._nodes[node_id]
                     if node.alive:
                         node.drop(name, ordinal)
-            self.counters.files_deleted += 1
             self._save_tables()
 
     def rename_file(self, old: str, new: str) -> None:

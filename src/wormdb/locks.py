@@ -8,9 +8,16 @@ case). A blocked request watches the last earlier blocking node and
 re-evaluates on each wakeup, re-watching the new last blocker if still
 blocked.
 
-Two owners upgrading against each other deadlock under these rules; the
-service detects the cycle and fails the youngest write request in it with
-UpgradeConflict.
+Under these rules an owner can come to wait on itself: two owners that
+each hold a read and ask for a write, or an owner that holds a read and
+asks for a second one behind another owner's write that waits on the
+first. The deadlock rule: a request that would make its owner wait on
+itself, through the owners of waiting requests and their blockers,
+fails at once with UpgradeConflict; nothing else ever fails a waiting
+request. Checking when a request blocks is enough, because only a new
+request adds wait-for edges: it has the highest lockid, so it blocks no
+earlier request, and a grant or a release only removes edges. Any new
+cycle therefore runs through the new request's owner.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ class LockNode:
     owner: str
     state: str = WAITING
     watched: int | None = None
-    failed: bool = False
     event: threading.Event = field(default_factory=threading.Event, repr=False)
     watchers: list["LockNode"] = field(default_factory=list, repr=False)
 
@@ -97,70 +103,26 @@ class LockService:
             watcher.event.set()
         node.watchers.clear()
 
-    # ------------------------------------------------------------------
-    # Upgrade deadlock detection
-    # ------------------------------------------------------------------
-
-    def _detect_upgrade_deadlock(self, db_name: str) -> None:
-        """Fail the youngest write in any owner wait-for cycle.
-
-        Waits-for edges go from the owner of a blocked waiter to the owners
-        of its blockers; cycles only arise from read->write upgrades.
-        """
-        queue = self._queues[db_name]
-        while True:
-            edges: dict[str, set[str]] = {}
-            waiting_writes: dict[str, LockNode] = {}
-            for node in queue:
-                if node.state != WAITING or node.failed:
-                    continue
-                for blocker in self._blockers(node):
-                    if blocker.owner != node.owner:
-                        edges.setdefault(node.owner, set()).add(blocker.owner)
-                if node.lock_type == WRITE:
-                    prev = waiting_writes.get(node.owner)
-                    if prev is None or node.lockid > prev.lockid:
-                        waiting_writes[node.owner] = node
-            cycle = self._find_cycle(edges)
-            if not cycle:
-                return
-            victims = [waiting_writes[o] for o in cycle if o in waiting_writes]
-            if not victims:
-                return  # not an upgrade pattern; nothing safe to kill
-            victim = max(victims, key=lambda n: n.lockid)
-            victim.failed = True
-            self._record("conflict", victim)
-            self._remove(victim)
-            victim.event.set()
-
-    @staticmethod
-    def _find_cycle(edges: dict[str, set[str]]) -> list[str]:
-        visited: set[str] = set()
-        for start in edges:
-            if start in visited:
-                continue
-            stack: list[str] = []
-            on_stack: set[str] = set()
-
-            def visit(owner: str) -> list[str]:
-                visited.add(owner)
-                stack.append(owner)
-                on_stack.add(owner)
-                for nxt in edges.get(owner, ()):
-                    if nxt in on_stack:
-                        return stack[stack.index(nxt):]
-                    if nxt not in visited:
-                        found = visit(nxt)
-                        if found:
-                            return found
-                stack.pop()
-                on_stack.discard(owner)
-                return []
-
-            cycle = visit(start)
-            if cycle:
-                return cycle
-        return []
+    def _closes_cycle(self, node: LockNode) -> bool:
+        """Whether node's owner now waits on itself: wait-for edges go
+        from the owner of each waiting request to the other owners of
+        its blockers."""
+        edges: dict[str, set[str]] = {}
+        for waiter in self._queues[node.db_name]:
+            if waiter.state == WAITING:
+                edges.setdefault(waiter.owner, set()).update(
+                    b.owner for b in self._blockers(waiter)
+                    if b.owner != waiter.owner)
+        seen: set[str] = set()
+        frontier = list(edges.get(node.owner, ()))
+        while frontier:
+            owner = frontier.pop()
+            if owner == node.owner:
+                return True
+            if owner not in seen:
+                seen.add(owner)
+                frontier.extend(edges.get(owner, ()))
+        return False
 
     # ------------------------------------------------------------------
     # Public API
@@ -169,8 +131,8 @@ class LockService:
     def request_lock(self, db_name: str, lock_type: str, owner: str) -> int:
         """Enqueue a request and block until granted.
 
-        Raises UpgradeConflict if granting it can never happen without
-        breaking an upgrade cycle, ServiceShutdown on shutdown().
+        Raises UpgradeConflict at once if waiting would make the owner wait
+        on itself, ServiceShutdown on shutdown().
         """
         if lock_type not in (READ, WRITE):
             raise ValueError(f"bad lock type: {lock_type}")
@@ -184,33 +146,26 @@ class LockService:
             self._record("request", node)
             if self._try_grant(node):
                 return lockid
-            self._watch(node, self._blockers(node))
-            self._detect_upgrade_deadlock(db_name)
-            if node.failed:
+            # Only a new request adds wait-for edges, so a cycle that
+            # exists now runs through this request's owner, and no later
+            # grant or release can close one.
+            if self._closes_cycle(node):
+                self._record("conflict", node)
+                self._remove(node)
                 raise UpgradeConflict(
-                    f"write {lockid} on {db_name} would deadlock "
-                    f"with another upgrader")
+                    f"{lock_type} {lockid} on {db_name} would make "
+                    f"{owner} wait on itself")
+            self._watch(node, self._blockers(node))
         while True:
             node.event.wait()
             with self._mu:
                 node.event.clear()
-                if node.failed:
-                    raise UpgradeConflict(
-                        f"write {lockid} on {db_name} would deadlock "
-                        f"with another upgrader")
                 if self._shutdown:
-                    if node in self._queues.get(db_name, []):
-                        self._remove(node)
+                    self._remove(node)
                     raise ServiceShutdown("lock service is shut down")
-                if node.state == GRANTED:
+                if self._try_grant(node):
                     return lockid
-                blockers = self._blockers(node)
-                if not blockers:
-                    node.state = GRANTED
-                    node.watched = None
-                    self._record("grant", node)
-                    return lockid
-                self._watch(node, blockers)
+                self._watch(node, self._blockers(node))
 
     def release_lock(self, db_name: str, lockid: int) -> None:
         with self._mu:

@@ -69,7 +69,7 @@ def pack_footer(pageids: list[int], commit_complete: bool,
 def unpack_footer(page: bytes) -> tuple[list[int], bool]:
     count, complete, crc = _FOOTER_FIXED.unpack_from(page, 0)
     end = FOOTER_FIXED_SIZE + 8 * count
-    if count < 0 or end > len(page):
+    if end > len(page):
         raise RecoveryError("log block footer has impossible page count")
     body = page[FOOTER_FIXED_SIZE:end]
     actual = zlib.crc32(struct.pack("<IB", count, complete) + body)

@@ -13,13 +13,21 @@ def check_history(history):
     """Replay a recorded schedule and verify every grant was legal.
 
     Raises AssertionError on: two granted writes, read/write coexistence
-    across owners, or a grant that jumped the lockid order.
+    across owners, a grant that jumped the lockid order, or a conflict
+    that failed any request but the newest of its database (only the
+    request that blocks is ever failed).
     """
     live = {}  # lockid -> [type, owner, state]
-    for event, _, lockid, lock_type, owner in history:
+    newest = {}  # db name -> lockid of its latest request
+    for event, db_name, lockid, lock_type, owner in history:
         if event == "request":
             live[lockid] = [lock_type, owner, WAITING]
+            newest[db_name] = lockid
         elif event in ("release", "conflict"):
+            if event == "conflict" and lockid != newest[db_name]:
+                raise AssertionError(
+                    f"conflict failed {lockid}, not the newest request "
+                    f"{newest[db_name]}")
             del live[lockid]
         else:  # grant
             node = live[lockid]

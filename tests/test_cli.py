@@ -405,3 +405,58 @@ def test_generation_deterministic_data_bytes():
                   for b in range(db.data.block_count)]
         states.append(blocks)
     assert states[0] == states[1]
+
+
+def _tree(root):
+    """Each file under `root` with its size and mtime; None if no root."""
+    if not os.path.exists(root):
+        return None
+    return {os.path.join(d, f): (os.stat(os.path.join(d, f)).st_size,
+                                 os.stat(os.path.join(d, f)).st_mtime_ns)
+            for d, _, files in os.walk(root) for f in files}
+
+
+@pytest.mark.parametrize("argv", [
+    ["soak", "--sessions", "0"],
+    ["run", "--workload", "scan", "--repeat", "0"],
+    ["run", "--workload", "scan", "--limit", "-1"],
+    ["run", "--workload", "scan", "--repeat-runs", "0"],
+    ["gen", "--tuples", "-5"],
+    ["gen", "--key-count", "-1"]])
+def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
+    root, config = small_root
+    if argv[0] != "gen":
+        assert run_cli(["gen", "--tuples", "10", "--seed", "1"], root,
+                       config) == 0
+    before = _tree(root)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, root, config if argv[0] == "gen" else None)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: must be at least" in captured.err
+    assert _tree(root) == before
+
+
+def test_failed_gen_leaves_an_open_root(small_root, capsys):
+    """A load that fails with DatabaseFull after the database exists
+    leaves db.json: the root recovers, reads back what was committed (no
+    row: the load commits once, at its end) and takes new commits, and a
+    second gen refuses it."""
+    root, config = small_root
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({**SMALL_CONFIG, "total_pages": 64}, fh)
+    assert run_cli(["gen", "--tuples", "20000"], root, config) == 2
+    assert "collides with index space" in capsys.readouterr().err
+    assert run_cli(["recover"], root) == 0
+    assert json.loads(capsys.readouterr().out)["recovery"] == "clean"
+    assert run_cli(["run", "--workload", "scan"], root) == 0
+    assert json.loads(capsys.readouterr().out)["records_returned"] == 0
+    assert run_cli(["run", "--workload", "insert", "--repeat", "10"],
+                   root) == 0
+    assert run_cli(["run", "--workload", "scan"], root) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[-1])["records_returned"] == 10
+    assert run_cli(["gen", "--tuples", "10"], root, config) == 2
+    assert "database already exists" in capsys.readouterr().err

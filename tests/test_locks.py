@@ -7,6 +7,8 @@ import pytest
 from wormdb.errors import NotGranted, ServiceShutdown, UnknownLock, UpgradeConflict
 from wormdb.locks import GRANTED, READ, WAITING, WRITE, LockService
 
+from lock_harness import check_history
+
 DB = "db/data"
 
 
@@ -117,6 +119,28 @@ def test_colliding_upgraders_get_conflict():
     service.release_lock(DB, 2)
     t.join(timeout=5)
     assert results["wa"] == 3
+
+
+def test_read_behind_a_write_that_waits_on_its_owner_fails_at_once():
+    """a holds read 1 and b's write 2 waits on it: a's read 3 would wait
+    on write 2, so on a itself. Read 3 fails in its own call, and b's
+    write, which closes no cycle, keeps waiting and is granted later."""
+    service = LockService(record_history=True)
+    r1 = service.request_lock(DB, READ, "a")
+    results = {}
+    t = request_async(service, WRITE, "b", results, "w")
+    assert wait_for(lambda: len(service.snapshot(DB)) == 2)
+    with pytest.raises(UpgradeConflict, match="read 3"):
+        service.request_lock(DB, READ, "a")
+    assert [(n.lockid, n.state) for n in service.snapshot(DB)] == \
+        [(1, GRANTED), (2, WAITING)]
+    assert ("conflict", DB, 3, READ, "a") in service.history
+    assert "w" not in results
+    service.release_lock(DB, r1)
+    t.join(timeout=5)
+    assert results["w"] == 2
+    service.release_lock(DB, 2)
+    check_history(service.history)
 
 
 def test_release_errors():
