@@ -42,7 +42,11 @@ from .spdu_dfs import (
 )
 
 HEAP_START = 1  # page 0 is the catalog
-MAX_INDEX_SEGMENTS = 4
+MAX_INDEX_SEGMENTS = 4  # a lookup probes at most this many segments
+# A commit's flush folds in the newest remaining segment while it holds
+# fewer entries than this share of those merged so far, so equal-sized
+# commits stay apart until the segment cap forces a merge.
+FOLD_SHARE = 0.5
 KEY_WIDTH = 16
 
 _CATALOG = struct.Struct("<IHIIIQHH")
@@ -70,6 +74,27 @@ class Catalog:
     record_count: int = 0
     segments: list[IndexSegment] = field(default_factory=list)
     free_extents: list[tuple[int, int]] = field(default_factory=list)
+
+    def release(self, segments: list[IndexSegment]) -> None:
+        """Free the extents of segments no longer in the index.
+
+        Keeps the catalog page bounded: adjacent free extents merge, one
+        that starts at the index floor goes back to the heap, and past a
+        cap the smallest are leaked rather than tracked.
+        """
+        freed = [(seg.start, seg.pages) for seg in segments]
+        merged: list[tuple[int, int]] = []
+        for start, pages in sorted(self.free_extents + freed):
+            if merged and merged[-1][0] + merged[-1][1] == start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + pages)
+            else:
+                merged.append((start, pages))
+        if merged and merged[0][0] == self.index_floor:
+            self.index_floor += merged.pop(0)[1]
+        if len(merged) > 32:
+            merged = sorted(merged, key=lambda e: e[1], reverse=True)[:32]
+            merged.sort()
+        self.free_extents = merged
 
 
 def pack_catalog(catalog: Catalog, page_size: int) -> bytes:
@@ -459,36 +484,25 @@ class Session:
         return sorted(set(rids))
 
     def _flush_index_entries(self) -> None:
+        """Write the commit's entries as one new segment, merged with the
+        run of newest segments that is small beside it (size-tiered)."""
+        cat = self.catalog
         new_entries = sorted(self._pending_index)
-        cat = self.catalog
-        if len(cat.segments) + 1 > MAX_INDEX_SEGMENTS:
-            streams = [self._segment_entries(seg) for seg in cat.segments]
-            streams.append(iter(new_entries))
-            total = sum(seg.entries for seg in cat.segments) + len(new_entries)
-            merged = self._write_segment(heapq.merge(*streams), total)
-            for seg in cat.segments:
-                cat.free_extents.append((seg.start, seg.pages))
-            cat.segments = [merged]
-            self._coalesce_free_extents()
-        else:
-            cat.segments.append(
-                self._write_segment(iter(new_entries), len(new_entries)))
+        total = len(new_entries)
+        keep = len(cat.segments)
+        while keep and (keep + 1 > MAX_INDEX_SEGMENTS or
+                        cat.segments[keep - 1].entries < FOLD_SHARE * total):
+            keep -= 1
+            total += cat.segments[keep].entries
+        folded = cat.segments[keep:]
+        streams = [self._segment_entries(seg) for seg in folded]
+        streams.append(iter(new_entries))
+        # the new extent is allocated before the folded ones are freed,
+        # and heapq.merge reads the folded segments while it is written
+        merged = self._write_segment(heapq.merge(*streams), total)
+        cat.segments = cat.segments[:keep] + [merged]
+        cat.release(folded)
         self._pending_index = []
-
-    def _coalesce_free_extents(self) -> None:
-        # keeps the catalog page bounded: adjacent extents merge, and past
-        # a cap the smallest are leaked rather than tracked
-        cat = self.catalog
-        merged: list[tuple[int, int]] = []
-        for start, pages in sorted(cat.free_extents):
-            if merged and merged[-1][0] + merged[-1][1] == start:
-                merged[-1] = (merged[-1][0], merged[-1][1] + pages)
-            else:
-                merged.append((start, pages))
-        if len(merged) > 32:
-            merged = sorted(merged, key=lambda e: e[1], reverse=True)[:32]
-            merged.sort()
-        cat.free_extents = merged
 
     def _segment_entries(self, seg: IndexSegment):
         for i in range(seg.entries):

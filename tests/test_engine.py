@@ -6,7 +6,13 @@ from datetime import date
 import pytest
 
 from wormdb.dfs import DfsCluster, DfsConfig
-from wormdb.engine import Database
+from wormdb.engine import (
+    HEAP_START,
+    MAX_INDEX_SEGMENTS,
+    Catalog,
+    Database,
+    IndexSegment,
+)
 from wormdb.errors import (
     AllReplicasDead,
     DatabaseFull,
@@ -219,14 +225,52 @@ def test_update_by_key_commit_and_abort():
     s.commit()
 
 
-def test_index_table_coherence_after_commits():
-    db = make_db()
+def insert_commits(session, rng, sizes):
+    """One write transaction of random-keyed rows per size."""
+    for size in sizes:
+        commit_rows(session, [rng.randrange(10 ** 6) for _ in range(size)])
+
+
+def check_catalog(cat):
+    assert len(cat.segments) <= MAX_INDEX_SEGMENTS
+    assert sum(seg.entries for seg in cat.segments) == cat.record_count
+    index_space = [(seg.start, seg.pages) for seg in cat.segments]
+    index_space += cat.free_extents
+    assert HEAP_START + cat.heap_used <= cat.index_floor
+    assert all(start >= cat.index_floor for start, _ in index_space)
+    end = 0
+    for start, pages in sorted([(0, HEAP_START), (HEAP_START, cat.heap_used)]
+                               + index_space):
+        assert start >= end, "catalog extents overlap"
+        end = start + pages
+    assert end <= cat.total_pages
+
+
+def log_uniform_sizes(seed, count, largest):
+    rng = random.Random(seed)
+    return [int(largest ** rng.random()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("sizes,total", [
+    ([40] * 6, TOTAL),  # enough commits to force a segment merge
+    (log_uniform_sizes(7, 30, 2000), 4096),
+], ids=["equal", "seeded"])
+def test_index_table_coherence_after_commits(sizes, total):
+    db = make_db(total=total)
     s = db.session()
-    rng = random.Random(0)
-    for _ in range(6):  # enough commits to force a segment merge
+    rng, pick = random.Random(0), random.Random(1)
+    keys = []
+    for size in sizes:
         s.begin("write")
-        for _ in range(40):
-            s.insert_record(rec(rng.randrange(10 ** 6)))
+        for _ in range(size):
+            record = rec(rng.randrange(10 ** 6))
+            s.insert_record(record)
+            keys.append(record.source_ip)
+        s.commit()
+        s.begin("read")
+        check_catalog(s.catalog)
+        for key in pick.sample(keys, 2):
+            assert s.select_by_key(key, True) == s.select_by_key(key, False)
         s.commit()
     s.begin("read")
     scanned = {(r.source_ip, rid) for rid, r in s._scan_entries()}
@@ -235,8 +279,70 @@ def test_index_table_coherence_after_commits():
         for rid in s._index_lookup(record):
             from_index.add((record, rid))
     assert scanned == from_index
-    assert len(s.catalog.segments) <= 4
     s.commit()
+
+
+def test_equal_load_commits_write_no_more_index_pages():
+    # Equal commits stay separate segments until the cap forces a fold.
+    # Merging every segment whenever a fifth would be made writes 940.
+    db = make_db(total=4096)
+    s = db.session()
+    insert_commits(s, random.Random(0), [300] * 10)
+    assert s.page_writes <= 940
+
+
+def test_small_commits_leave_the_oldest_segment_alone():
+    db = make_db(total=4096)
+    s = db.session()
+    rng = random.Random(0)
+    insert_commits(s, rng, [300] * 10)
+    s.begin("read")
+    oldest = s.catalog.segments[0]
+    s.commit()
+    for _ in range(200):
+        before = s.page_writes
+        insert_commits(s, rng, [10])
+        # a rewrite of the whole index writes over 250 pages here
+        assert s.page_writes - before <= 80
+        s.begin("read")
+        assert s.catalog.segments[0] == oldest
+        s.commit()
+
+
+def test_small_commits_fill_no_less_of_the_store():
+    # A half-full store, then 10-row commits until the heap or an index
+    # extent finds no room. Merging every segment whenever a fifth would
+    # be made fits 440 more rows.
+    db = make_db(total=2048)
+    s = db.session()
+    rng = random.Random(0)
+    insert_commits(s, rng, [500] * 10)
+    inserted = 0
+    while True:
+        try:
+            insert_commits(s, rng, [10])
+        except DatabaseFull:
+            if s.mode is not None:
+                s.abort()
+            break
+        inserted += 10
+    assert inserted >= 440
+    s.begin("read")
+    check_catalog(s.catalog)
+    assert s.catalog.record_count == 5000 + inserted
+    s.commit()
+
+
+def test_release_returns_a_free_extent_at_the_floor_to_the_heap():
+    cat = Catalog(total_pages=100, heap_used=20, index_floor=50,
+                  segments=[IndexSegment(70, 10, 150)],
+                  free_extents=[(55, 5), (90, 10)])
+    cat.release([IndexSegment(50, 5, 80), IndexSegment(60, 10, 160)])
+    assert cat.index_floor == 70
+    assert cat.free_extents == [(90, 10)]
+    cat.release([IndexSegment(80, 10, 200)])
+    assert cat.index_floor == 70
+    assert cat.free_extents == [(80, 20)]
 
 
 def test_lock_required_for_operations():
