@@ -115,6 +115,9 @@ def cmd_gen(args, faults: FaultInjector) -> int:
     if os.path.exists(cfg_path):
         raise StorageError(f"database already exists at {args.root}")
     cluster = DfsCluster(cfg.dfs_config(), cfg.num_nodes, args.root)
+    # db.json is written right after the create, so a root without it holds
+    # at most what an unfinished create left
+    Database.discard(cluster, DB_NAME, cfg.page_size)
     db = Database.create(cluster, DB_NAME, values["total_pages"],
                          cfg.page_size, cfg.post_commit_threshold,
                          cfg.deferred, LockService(), faults)
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak_cmd = sub.add_parser("soak", help="concurrent-session property run")
     soak_cmd.add_argument("--sessions", type=_at_least(1), default=8)
-    soak_cmd.add_argument("--events", type=int, default=1000)
+    soak_cmd.add_argument("--events", type=_at_least(1), default=1000)
     soak_cmd.add_argument("--seed", type=int, default=0)
 
     return parser

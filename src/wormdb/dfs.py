@@ -1,15 +1,18 @@
 """In-process write-once-read-many distributed file system.
 
 One NameNode (the metadata table plus the meta-file registry) and a set of
-DataNodes holding replicated fixed-size blocks. Files are immutable once
-created; overwrite is only possible as delete + create of the same name
-("file remake"), which the meta-file layer builds on. Every file gets a
-`file_id` the NameNode never hands out again, so a client that cached
-what a file holds can tell a remade file from the one it replaced: as
-an HDFS client asks the NameNode where a block lives before it reads,
-a client asks `meta_file_id` for a block's current id (which also fails
-when no live DataNode holds the block) and serves its cached copy only
-if the id is the one it cached under.
+DataNodes holding replicated blocks. A DFS file is at most one block: the
+NameNode keeps one tuple of holders per file, and the file's size, not a
+block list, says where it ends. Larger data is a meta file, an ordered
+set of one-block files. Files are immutable once created; overwrite is
+only possible as delete + create of the same name ("file remake"), which
+the meta-file layer builds on. Every file gets a `file_id` the NameNode
+never hands out again, so a client that cached what a file holds can
+tell a remade file from the one it replaced: as an HDFS client asks the
+NameNode where a block lives before it reads, a client asks
+`meta_file_id` for a block's current id (which also fails when no live
+DataNode holds the block) and serves its cached copy only if the id is
+the one it cached under.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -25,7 +28,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from urllib.parse import quote, unquote
 
@@ -35,12 +38,17 @@ from .errors import (
     InsufficientReplicaNodes,
     NotFound,
     OutOfRange,
+    RecoveryError,
     UnknownNode,
+    WrongBlockSize,
 )
 
 NAMENODE_TABLE = "namenode.tbl"
 METAFILE_TABLE = "metafiles.tbl"
 SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
+# A DataNode keys what it stores by (file name, block ordinal); a DFS file
+# has one block, so the cluster always passes this ordinal.
+BLOCK_ORDINAL = 0
 
 
 def constituent_name(meta_name: str, ordinal: int) -> str:
@@ -53,7 +61,7 @@ class DfsConfig:
     block_size_bytes: int = 64 * 1024
     replication_factor: int = 3
     placement_seed: int = 0
-    network_latency: float = 0.0  # seconds per remote block read
+    network_latency: float = 0.0  # seconds per remote read
 
     def __post_init__(self):
         if self.block_size_bytes <= 0:
@@ -64,13 +72,12 @@ class DfsConfig:
             raise ValueError("network_latency must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DfsFileEntry:
     name: str
-    size_bytes: int
-    num_blocks: int
-    # One tuple of DataNode ids per block, len == replication factor.
-    block_locations: list[tuple[int, ...]]
+    size_bytes: int  # at most one block
+    # The DataNodes holding the file's one block, len == replication factor.
+    holders: tuple[int, ...]
     # Never reused by this NameNode, so a file remade under the same name
     # gets a new id. Kept in memory only: a reload hands out fresh ids.
     file_id: int
@@ -181,15 +188,16 @@ class DfsCluster:
                     line = line.rstrip("\n")
                     if not line:
                         continue
-                    name, size, nblocks, _repl, locs = line.split("\t")
-                    locations = []
-                    if locs:
-                        for loc in locs.split(";"):
-                            locations.append(
-                                tuple(int(n) for n in loc.split(",")))
-                    entry = DfsFileEntry(unquote(name), int(size),
-                                         int(nblocks), locations,
-                                         next(self._file_ids))
+                    try:
+                        name, size, holders = line.split("\t")
+                        entry = DfsFileEntry(
+                            unquote(name), int(size),
+                            tuple(int(n) for n in holders.split(",")),
+                            next(self._file_ids))
+                    except ValueError:
+                        raise RecoveryError(
+                            f"{table}: not a name, size, holders row: "
+                            f"{line!r}") from None
                     self._files[entry.name] = entry
         meta = os.path.join(self.root, METAFILE_TABLE)
         if os.path.exists(meta):
@@ -208,11 +216,9 @@ class DfsCluster:
         tmp = table + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for entry in self._files.values():
-                locs = ";".join(",".join(str(n) for n in loc)
-                                for loc in entry.block_locations)
+                holders = ",".join(str(n) for n in entry.holders)
                 fh.write(f"{quote(entry.name, safe='')}\t{entry.size_bytes}\t"
-                         f"{entry.num_blocks}\t"
-                         f"{self.config.replication_factor}\t{locs}\n")
+                         f"{holders}\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, table)
@@ -232,15 +238,15 @@ class DfsCluster:
     def _alive_nodes(self) -> list[int]:
         return sorted(n.node_id for n in self._nodes.values() if n.alive)
 
-    def _place_block(self, name: str, ordinal: int) -> tuple[int, ...]:
+    def _place(self, name: str) -> tuple[int, ...]:
         alive = self._alive_nodes()
         r = self.config.replication_factor
         if len(alive) < r:
             raise InsufficientReplicaNodes(
                 f"{len(alive)} alive nodes < replication factor {r}")
-        # Stable per-(seed, file, block) derivation; str hashing is salted
-        # per process so a crc is used instead.
-        key = f"{self.config.placement_seed}:{name}:{ordinal}".encode()
+        # Stable per-(seed, file) derivation; str hashing is salted per
+        # process so a crc is used instead.
+        key = f"{self.config.placement_seed}:{name}".encode()
         rng = Random(zlib.crc32(key))
         return tuple(rng.sample(alive, r))
 
@@ -248,33 +254,33 @@ class DfsCluster:
     # The four DFS client operations plus fault-injection control
     # ------------------------------------------------------------------
 
+    def _entry(self, name: str) -> DfsFileEntry:
+        entry = self._files.get(name)
+        if entry is None:
+            raise NotFound(f"no DFS file: {name}")
+        return entry
+
     def create_file(self, name: str, content: bytes) -> DfsFileEntry:
         with self._lock:
             if name in self._files:
                 raise AlreadyExists(f"DFS file exists: {name}")
-            block = self.config.block_size_bytes
-            size = len(content)
-            num_blocks = (size + block - 1) // block
-            locations = []
-            for ordinal in range(num_blocks):
-                holders = self._place_block(name, ordinal)
-                chunk = content[ordinal * block:(ordinal + 1) * block]
-                for node_id in holders:
-                    self._nodes[node_id].put(name, ordinal, chunk)
-                    self.counters.bytes_written += len(chunk)
-                locations.append(holders)
-            entry = DfsFileEntry(name, size, num_blocks, locations,
+            if len(content) > self.config.block_size_bytes:
+                raise WrongBlockSize(
+                    f"{name}: {len(content)} bytes exceed one block of "
+                    f"{self.config.block_size_bytes}")
+            holders = self._place(name)
+            for node_id in holders:
+                self._nodes[node_id].put(name, BLOCK_ORDINAL, content)
+                self.counters.bytes_written += len(content)
+            entry = DfsFileEntry(name, len(content), holders,
                                  next(self._file_ids))
             self._files[name] = entry
             self._save_tables()
             return entry
 
     def read_range(self, name: str, offset: int, length: int) -> bytes:
-        latency = 0.0
         with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                raise NotFound(f"no DFS file: {name}")
+            entry = self._entry(name)
             if offset < 0 or length < 0 or offset + length > entry.size_bytes:
                 raise OutOfRange(
                     f"read [{offset}, {offset + length}) beyond "
@@ -282,59 +288,42 @@ class DfsCluster:
             self.counters.read_calls += 1
             if length == 0:
                 return b""
-            block = self.config.block_size_bytes
-            first = offset // block
-            last = (offset + length - 1) // block
-            parts = []
-            for ordinal in range(first, last + 1):
-                node = self._pick_alive_holder(entry, ordinal)
-                data = node.get(name, ordinal)
-                lo = max(offset - ordinal * block, 0)
-                hi = min(offset + length - ordinal * block, len(data))
-                parts.append(data[lo:hi])
-                self.counters.bytes_read += hi - lo
-                latency += self.config.network_latency
-            result = b"".join(parts)
-        if latency:
-            time.sleep(latency)
-        return result
+            data = self._pick_alive_holder(entry).get(name, BLOCK_ORDINAL)
+            self.counters.bytes_read += length
+        if self.config.network_latency:
+            time.sleep(self.config.network_latency)
+        return data[offset:offset + length]
 
-    def _pick_alive_holder(self, entry: DfsFileEntry, ordinal: int) -> DataNode:
-        for node_id in entry.block_locations[ordinal]:
+    def _pick_alive_holder(self, entry: DfsFileEntry) -> DataNode:
+        for node_id in entry.holders:
             node = self._nodes[node_id]
             if node.alive:
                 return node
-        raise AllReplicasDead(
-            f"block {ordinal} of {entry.name}: all replicas dead")
+        raise AllReplicasDead(f"{entry.name}: all replicas dead")
 
     def delete_file(self, name: str) -> None:
         with self._lock:
-            entry = self._files.pop(name, None)
-            if entry is None:
-                raise NotFound(f"no DFS file: {name}")
-            for ordinal, holders in enumerate(entry.block_locations):
-                for node_id in holders:
-                    node = self._nodes[node_id]
-                    if node.alive:
-                        node.drop(name, ordinal)
+            entry = self._entry(name)
+            del self._files[name]
+            for node_id in entry.holders:
+                node = self._nodes[node_id]
+                if node.alive:
+                    node.drop(name, BLOCK_ORDINAL)
             self._save_tables()
 
     def rename_file(self, old: str, new: str) -> None:
         with self._lock:
-            if old not in self._files:
-                raise NotFound(f"no DFS file: {old}")
+            entry = self._entry(old)
             if new in self._files:
                 raise AlreadyExists(f"DFS file exists: {new}")
-            entry = self._files.pop(old)
             # Metadata-only from the client's view: the entry, and so its
             # file_id, moves to the new name. Every holder re-keys its
-            # stored blocks, dead nodes included, so a revived node serves
-            # them under the new name.
-            for ordinal in range(entry.num_blocks):
-                for node_id in entry.block_locations[ordinal]:
-                    self._nodes[node_id].move(old, new, ordinal)
-            entry.name = new
-            self._files[new] = entry
+            # stored block, dead nodes included, so a revived node serves
+            # it under the new name.
+            for node_id in entry.holders:
+                self._nodes[node_id].move(old, new, BLOCK_ORDINAL)
+            del self._files[old]
+            self._files[new] = replace(entry, name=new)
             self._save_tables()
 
     def set_node_alive(self, node_id: int, alive: bool) -> None:
@@ -354,12 +343,7 @@ class DfsCluster:
 
     def file_entry(self, name: str) -> DfsFileEntry:
         with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                raise NotFound(f"no DFS file: {name}")
-            return DfsFileEntry(entry.name, entry.size_bytes,
-                                entry.num_blocks,
-                                list(entry.block_locations), entry.file_id)
+            return self._entry(name)
 
     def list_files(self, prefix: str = "") -> list[str]:
         with self._lock:
@@ -368,16 +352,11 @@ class DfsCluster:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def replicas(self, name: str, ordinal: int) -> list[bytes]:
-        """All stored replica contents of one block (for consistency checks)."""
+    def replicas(self, name: str) -> list[bytes]:
+        """All stored replica contents of a file (for consistency checks)."""
         with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                raise NotFound(f"no DFS file: {name}")
-            if ordinal >= entry.num_blocks:
-                raise OutOfRange(f"block {ordinal} of {name}")
-            return [self._nodes[node_id].get(name, ordinal)
-                    for node_id in entry.block_locations[ordinal]]
+            return [self._nodes[node_id].get(name, BLOCK_ORDINAL)
+                    for node_id in self._entry(name).holders]
 
     # ------------------------------------------------------------------
     # Meta DFS file registry (maintained at the NameNode)
@@ -415,25 +394,16 @@ class DfsCluster:
                 raise NotFound(f"no meta DFS file: {name}")
             if not 0 <= ordinal < count:
                 raise OutOfRange(f"block {ordinal} of {name} (has {count})")
-            file = constituent_name(name, ordinal)
-            entry = self._files.get(file)
-            if entry is None:
-                raise NotFound(f"no DFS file: {file}")
-            for block in range(entry.num_blocks):
-                self._pick_alive_holder(entry, block)
+            entry = self._entry(constituent_name(name, ordinal))
+            self._pick_alive_holder(entry)
             return entry.file_id
 
     def meta_file_ids(self, name: str) -> list[int]:
         """The file_id of each constituent of a meta file, block 0 first,
         read under one lock."""
         with self._lock:
-            ids = []
-            for ordinal in range(self.meta_block_count(name)):
-                file = constituent_name(name, ordinal)
-                if file not in self._files:
-                    raise NotFound(f"no DFS file: {file}")
-                ids.append(self._files[file].file_id)
-            return ids
+            return [self._entry(constituent_name(name, ordinal)).file_id
+                    for ordinal in range(self.meta_block_count(name))]
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:

@@ -165,8 +165,7 @@ class Database:
                  faults: FaultInjector = NULL_INJECTOR):
         self.manager = manager
         self.name = name
-        self.data_name = f"{name}/data"
-        self.log_name = f"{name}/log"
+        self.data_name, self.log_name = self.meta_names(name)
         self.total_pages = total_pages
         self.post_commit_threshold = post_commit_threshold
         self.deferred = deferred
@@ -178,19 +177,39 @@ class Database:
 
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def meta_names(name: str) -> tuple[str, str]:
+        """The data and log meta files of database `name`."""
+        return f"{name}/data", f"{name}/log"
+
+    @staticmethod
+    def _manager(cluster: DfsCluster, page_size: int) -> MetaDfsManager:
+        return MetaDfsManager(
+            cluster, PageConfig(page_size, cluster.config.block_size_bytes))
+
+    @classmethod
+    def discard(cls, cluster: DfsCluster, name: str, page_size: int) -> None:
+        """Delete whichever meta files of database `name` exist: what a
+        `create` that failed or was killed left behind. The caller must
+        know that no create of `name` finished."""
+        manager = cls._manager(cluster, page_size)
+        for meta in cls.meta_names(name):
+            if manager.exists(meta):
+                manager.delete_meta(manager.open_meta(meta))
+
     @classmethod
     def create(cls, cluster: DfsCluster, name: str, total_pages: int,
                page_size: int,
                post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                deferred: bool = True, locks: LockService | None = None,
                faults: FaultInjector = NULL_INJECTOR) -> "Database":
-        manager = MetaDfsManager(
-            cluster, PageConfig(page_size, cluster.config.block_size_bytes))
+        manager = cls._manager(cluster, page_size)
         catalog = Catalog(total_pages=total_pages, heap_used=0,
                           index_floor=total_pages, record_count=0)
-        create_data_meta(manager, f"{name}/data", total_pages,
+        data_name, log_name = cls.meta_names(name)
+        create_data_meta(manager, data_name, total_pages,
                          {0: pack_catalog(catalog, page_size)})
-        create_log_meta(manager, f"{name}/log")
+        create_log_meta(manager, log_name)
         return cls(manager, name, total_pages, post_commit_threshold,
                    deferred, locks, faults)
 
@@ -201,11 +220,11 @@ class Database:
              locks: LockService | None = None,
              faults: FaultInjector = NULL_INJECTOR,
              recover: bool = True) -> "Database":
-        manager = MetaDfsManager(
-            cluster, PageConfig(page_size, cluster.config.block_size_bytes))
-        if not manager.exists(f"{name}/data"):
+        manager = cls._manager(cluster, page_size)
+        data_name, _ = cls.meta_names(name)
+        if not manager.exists(data_name):
             raise NotFound(f"no database: {name}")
-        data = manager.open_meta(f"{name}/data")
+        data = manager.open_meta(data_name)
         catalog = parse_catalog(manager.read_page(data, 0))
         db = cls(manager, name, catalog.total_pages, post_commit_threshold,
                  deferred, locks, faults)

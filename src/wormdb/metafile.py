@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .dfs import DfsCluster, DfsFileEntry, constituent_name
+from .dfs import DfsCluster, constituent_name
 from .errors import AlreadyExists, NotFound, OutOfRange, WrongBlockSize
 
 
@@ -62,15 +62,6 @@ class PageConfig:
     @property
     def pages_per_block(self) -> int:
         return self.block_size // self.page_size
-
-
-@dataclass
-class MetaDfsFileTableEntry:
-    dfs_file_name: str
-    file_size: int
-    num_blocks: int
-    num_replicas: int
-    block_positions: list[tuple[int, ...]]
 
 
 class MetaDfsFile:
@@ -232,22 +223,6 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-
-    def table_entries(self, file: MetaDfsFile) -> list[MetaDfsFileTableEntry]:
-        """Meta DFS File Table rows for every constituent DFS file."""
-        count = self.cluster.meta_block_count(file.name)
-        rows = []
-        for ordinal in range(count):
-            entry: DfsFileEntry = self.cluster.file_entry(
-                constituent_name(file.name, ordinal))
-            rows.append(MetaDfsFileTableEntry(
-                dfs_file_name=entry.name,
-                file_size=entry.size_bytes,
-                num_blocks=entry.num_blocks,
-                num_replicas=self.cluster.config.replication_factor,
-                block_positions=list(entry.block_locations),
-            ))
-        return rows
 
     def remakes_of(self, name: str) -> int:
         with self._counter_lock:

@@ -408,11 +408,11 @@ def test_criterion_8_fault_tolerance():
     reference = bench.run_workload(
         db, bench.WorkloadSpec(kind="scan", limit=10 ** 6))
     entry = cluster.file_entry(f"{db.data_name}/00000000")
-    for node_id in entry.block_locations[0]:
+    for node_id in entry.holders:
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
         bench.run_workload(db, bench.WorkloadSpec(kind="scan", limit=2000))
-    for node_id in entry.block_locations[0]:
+    for node_id in entry.holders:
         cluster.set_node_alive(node_id, True)
     again = bench.run_workload(
         db, bench.WorkloadSpec(kind="scan", limit=10 ** 6))

@@ -422,7 +422,8 @@ def _tree(root):
     ["run", "--workload", "scan", "--limit", "-1"],
     ["run", "--workload", "scan", "--repeat-runs", "0"],
     ["gen", "--tuples", "-5"],
-    ["gen", "--key-count", "-1"]])
+    ["gen", "--key-count", "-1"],
+    ["soak", "--events", "0"]])
 def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
     root, config = small_root
     if argv[0] != "gen":
@@ -437,6 +438,35 @@ def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
     assert captured.out == ""
     assert f"error: argument {argv[-2]}: must be at least" in captured.err
     assert _tree(root) == before
+
+
+@pytest.mark.parametrize("method,failing_call", [
+    ("create_file", 20),           # inside the data file's blocks
+    ("meta_register", 2),          # the log file, the data file done
+    ("meta_set_block_count", 65)])  # the log's master block, its count
+def test_gen_after_an_unfinished_create_loads_every_row(
+        small_root, capsys, monkeypatch, method, failing_call):
+    """A gen that fails inside Database.create leaves no db.json; the next
+    gen deletes what that create left and loads the database again."""
+    root, config = small_root
+    original = getattr(DfsCluster, method)
+    calls = []
+
+    def failing(self, *args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise RuntimeError(f"injected failure of {method}")
+        return original(self, *args)
+
+    monkeypatch.setattr(DfsCluster, method, failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_cli(["gen", "--tuples", "300"], root, config)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(root, "db.json"))
+    assert run_cli(["gen", "--tuples", "300"], root, config) == 0
+    capsys.readouterr()
+    assert run_cli(["run", "--workload", "scan"], root) == 0
+    assert json.loads(capsys.readouterr().out)["records_returned"] == 300
 
 
 def test_failed_gen_leaves_an_open_root(small_root, capsys):

@@ -1,4 +1,6 @@
+import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from wormdb.errors import (
     InsufficientReplicaNodes,
     NotFound,
     OutOfRange,
+    RecoveryError,
     UnknownNode,
+    WrongBlockSize,
 )
 
 KB = 1024
@@ -22,14 +26,39 @@ def make_cluster(block_size=64 * KB, replication=3, nodes=5, seed=7,
     return DfsCluster(DfsConfig(block_size, replication, seed), nodes, root)
 
 
-def test_create_splits_into_blocks():
-    cluster = make_cluster()
-    content = bytes(random.Random(0).randbytes(130 * KB))
-    entry = cluster.create_file("f", content)
-    assert entry.num_blocks == 3
-    assert entry.size_bytes == 130 * KB
-    assert len(cluster.replicas("f", 0)[0]) == 64 * KB
-    assert len(cluster.replicas("f", 2)[0]) == 2 * KB
+def _tree(root):
+    """Every file under `root` with its bytes."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                found[path] = fh.read()
+    return found
+
+
+def test_create_refuses_more_than_one_block(tmp_path):
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    entry = cluster.create_file("f", bytes(64 * KB))
+    assert entry.size_bytes == 64 * KB
+    assert [len(r) for r in cluster.replicas("f")] == [64 * KB] * 3
+    before, written = _tree(root), cluster.counters.bytes_written
+    with pytest.raises(WrongBlockSize):
+        cluster.create_file("g", bytes(64 * KB + 1))
+    assert not cluster.exists("g")
+    assert cluster.counters.bytes_written == written
+    assert _tree(root) == before
+
+
+def test_empty_file_round_trips(tmp_path):
+    root = str(tmp_path / "dfs")
+    entry = make_cluster(root=root).create_file("e", b"")
+    assert entry.size_bytes == 0
+    reopened = make_cluster(root=root)
+    assert reopened.file_entry("e").holders == entry.holders
+    assert reopened.read_range("e", 0, 0) == b""
+    assert reopened.replicas("e") == [b""] * 3
 
 
 def test_create_twice_is_write_once_violation():
@@ -51,11 +80,11 @@ def test_create_needs_enough_alive_nodes():
 
 def test_read_range_round_trip_and_offsets():
     cluster = make_cluster()
-    content = random.Random(1).randbytes(130 * KB)
+    content = random.Random(1).randbytes(64 * KB)
     cluster.create_file("f", content)
     assert cluster.read_range("f", 0, len(content)) == content
-    # 8 bytes from block 1 at intra-block offset 4
-    assert cluster.read_range("f", 65540, 8) == content[65540:65548]
+    assert cluster.read_range("f", 40004, 8) == content[40004:40012]
+    assert cluster.read_range("f", 64 * KB - 8, 8) == content[-8:]
     assert cluster.read_range("f", 0, 0) == b""
 
 
@@ -72,7 +101,7 @@ def test_read_survives_replica_deaths_until_last():
     cluster = make_cluster()
     content = random.Random(2).randbytes(64 * KB)
     entry = cluster.create_file("f", content)
-    holders = list(entry.block_locations[0])
+    holders = entry.holders
     cluster.set_node_alive(holders[0], False)
     cluster.set_node_alive(holders[1], False)
     assert cluster.read_range("f", 0, 100) == content[:100]
@@ -99,7 +128,7 @@ def test_delete_then_read_and_remake():
 
 def test_rename_semantics():
     cluster = make_cluster()
-    content = random.Random(3).randbytes(70 * KB)
+    content = random.Random(3).randbytes(60 * KB)
     cluster.create_file("a", content)
     cluster.create_file("b", b"other")
     with pytest.raises(AlreadyExists):
@@ -125,7 +154,7 @@ def test_placement_deterministic_for_seed():
         placements = []
         for i in range(20):
             entry = cluster.create_file(f"f{i}", ops.randbytes(10 * KB))
-            placements.append(entry.block_locations)
+            placements.append(entry.holders)
         seqs.append(placements)
     assert seqs[0] == seqs[1]
 
@@ -134,13 +163,12 @@ def test_replica_consistency_and_distinctness():
     cluster = make_cluster()
     rng = random.Random(4)
     for i in range(10):
-        cluster.create_file(f"f{i}", rng.randbytes(rng.randrange(1, 200 * KB)))
+        cluster.create_file(f"f{i}",
+                            rng.randbytes(rng.randrange(1, 64 * KB + 1)))
     for name in cluster.list_files():
-        entry = cluster.file_entry(name)
-        for ordinal, holders in enumerate(entry.block_locations):
-            assert len(set(holders)) == cluster.config.replication_factor
-            replicas = cluster.replicas(name, ordinal)
-            assert len(set(replicas)) == 1
+        holders = cluster.file_entry(name).holders
+        assert len(set(holders)) == cluster.config.replication_factor
+        assert len(set(cluster.replicas(name))) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,7 +189,8 @@ def test_write_once_property(data):
         name = data.draw(st.sampled_from(names))
         try:
             if op == "create":
-                content = rng.randbytes(rng.randrange(0, 4 * KB))
+                # one in five is longer than a block and refused
+                content = rng.randbytes(rng.randrange(0, KB + KB // 4))
                 cluster.create_file(name, content)
                 shadow[name] = content
             elif op == "delete":
@@ -180,7 +209,7 @@ def test_write_once_property(data):
             else:
                 cluster.set_node_alive(rng.randrange(4), True)
         except (AlreadyExists, NotFound, InsufficientReplicaNodes,
-                AllReplicasDead):
+                AllReplicasDead, WrongBlockSize):
             pass
         # every live file still holds its creation-time bytes
         for fname, expected in shadow.items():
@@ -193,14 +222,25 @@ def test_write_once_property(data):
 def test_persistent_mode_survives_restart(tmp_path):
     root = str(tmp_path / "dfs")
     cluster = make_cluster(root=root)
-    content = random.Random(5).randbytes(100 * KB)
-    cluster.create_file("dir/f", content)
+    content = random.Random(5).randbytes(50 * KB)
+    entry = cluster.create_file("dir/f", content)
     cluster.meta_register("m", 3)
 
     reopened = make_cluster(root=root)
     assert reopened.read_range("dir/f", 0, len(content)) == content
-    assert reopened.file_entry("dir/f").num_blocks == 2
+    assert reopened.file_entry("dir/f").size_bytes == 50 * KB
+    assert reopened.file_entry("dir/f").holders == entry.holders
     assert reopened.meta_block_count("m") == 3
+
+
+def test_reopen_refuses_a_multi_block_row(tmp_path):
+    """A row of the five-column table that listed a block count and the
+    locations of each block is refused, not read."""
+    root = tmp_path / "dfs"
+    root.mkdir()
+    (root / "namenode.tbl").write_text("f\t10\t1\t3\t0,1,2\n", "utf-8")
+    with pytest.raises(RecoveryError, match="not a name, size, holders row"):
+        make_cluster(root=str(root))
 
 
 def test_file_ids_are_unique_and_never_reused():
@@ -261,13 +301,15 @@ def test_counters_accumulate():
     assert cluster.counters.bytes_read == before.bytes_read + 5 * KB
 
 
-def test_simulated_latency_applies_per_block():
-    import time
+def test_simulated_latency_is_charged_once_per_read(monkeypatch):
     cluster = DfsCluster(DfsConfig(KB, 2, 0, network_latency=0.01), 3)
-    cluster.create_file("f", bytes(3 * KB))
-    start = time.perf_counter()
-    cluster.read_range("f", 0, 3 * KB)
-    assert time.perf_counter() - start >= 0.03
+    cluster.create_file("f", bytes(KB))
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    cluster.read_range("f", 0, KB)
+    cluster.read_range("f", 10, 20)
+    cluster.read_range("f", 0, 0)  # reads no DataNode
+    assert sleeps == [0.01, 0.01]
 
 
 def test_concurrent_clients_round_trip():
@@ -280,7 +322,7 @@ def test_concurrent_clients_round_trip():
         try:
             for i in range(30):
                 name = f"c{cid}/f{i}"
-                content = rng.randbytes(rng.randrange(1, 3 * KB))
+                content = rng.randbytes(rng.randrange(1, KB + 1))
                 cluster.create_file(name, content)
                 assert cluster.read_range(name, 0, len(content)) == content
                 if i % 3 == 0:

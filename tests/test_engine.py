@@ -706,7 +706,7 @@ def test_dead_replicas_of_cached_pages_surface_in_a_session():
     rows = read_all(s)
     cluster = db.manager.cluster
     holders = cluster.file_entry(
-        constituent_name(db.data_name, 0)).block_locations[0]
+        constituent_name(db.data_name, 0)).holders
     for node_id in holders:
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
@@ -724,7 +724,7 @@ def test_failed_begin_releases_the_lock(mode):
     db = make_db()
     cluster = db.manager.cluster
     holders = cluster.file_entry(
-        constituent_name(db.data_name, 0)).block_locations[0]
+        constituent_name(db.data_name, 0)).holders
     for node_id in holders:
         cluster.set_node_alive(node_id, False)
     s = db.session()

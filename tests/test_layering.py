@@ -11,15 +11,19 @@ Every module under src/wormdb/ must be reachable by imports from
 (an oracle, a fault registry) belongs under tests/.
 
 The benchmark's tracer, perfbench/spans.py, patches package functions by
-name, so each of those names must exist in the package.
+name, so each of those names must exist in the package, and each hook it
+calls before a function must take that function's arguments.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import wormdb
 from wormdb.dfs import DataNode, DfsCluster
+from wormdb.engine import Session
+from wormdb.spdu_dfs import DfsTransactionStore
 
 PACKAGE = Path(wormdb.__file__).resolve().parent
 EXEMPT_OWNERS = {"self", "cls", "os"}
@@ -146,11 +150,16 @@ def test_every_module_is_reachable_from_an_entry_point():
     assert unreachable_modules(PACKAGE) == []
 
 
-def test_every_name_the_tracer_patches_exists():
+def _tracer_module():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_name_the_tracer_patches_exists():
+    spans = _tracer_module()
     wanted = [(owner, attr) for owner, functions in spans.SPANNED.values()
               for attr in functions]
     wanted += [(DfsCluster, attr) for attr in
@@ -159,3 +168,26 @@ def test_every_name_the_tracer_patches_exists():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in wanted
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_every_tracer_before_hook_takes_its_functions_arguments():
+    """The tracer calls a before-hook with the positional arguments of the
+    call it wraps, self first; a hook that cannot bind them would fail
+    only in a traced run."""
+    tracer = _tracer_module().Tracer()
+    wrapped = {"_commit_before": Session.commit,
+               "_read_page_before": DfsTransactionStore.read_page,
+               "_put_before": DataNode.put}
+    assert {name for name in dir(tracer) if name.endswith("_before")} == \
+        wrapped.keys()
+    positional = (inspect.Parameter.POSITIONAL_ONLY,
+                  inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unbound = []
+    for hook, fn in wrapped.items():
+        count = sum(param.kind in positional for param
+                    in inspect.signature(fn).parameters.values())
+        try:
+            inspect.signature(getattr(tracer, hook)).bind(*range(count))
+        except TypeError:
+            unbound.append(f"{hook} for {fn.__qualname__}")
+    assert unbound == []

@@ -59,11 +59,10 @@ def test_every_constituent_is_one_dfs_block(mgr):
     f = mgr.create_meta("m")
     for i in range(3):
         mgr.append_block(f, block_of(i))
-    for row in mgr.table_entries(f):
-        assert row.num_blocks == 1
-        assert row.file_size == BLOCK
-        assert row.num_replicas == 2
-        assert len(row.block_positions) == 1
+    for i in range(3):
+        entry = mgr.cluster.file_entry(constituent_name("m", i))
+        assert entry.size_bytes == BLOCK
+        assert len(entry.holders) == 2
 
 
 def test_overwrite_block_locality_and_remake_count(mgr):
@@ -269,8 +268,7 @@ def test_dead_replicas_of_a_cached_block_are_reported(mgr):
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(4))
     page = mgr.read_page(f, 2)
-    holders = mgr.cluster.file_entry(constituent_name("m", 0)) \
-        .block_locations[0]
+    holders = mgr.cluster.file_entry(constituent_name("m", 0)).holders
     mgr.cluster.set_node_alive(holders[0], False)
     # one live holder is enough, and the page still comes from the cache
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == (0, 0, page)
