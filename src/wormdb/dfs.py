@@ -4,15 +4,18 @@ One NameNode (the metadata table plus the meta-file registry) and a set of
 DataNodes holding replicated blocks. A DFS file is at most one block: the
 NameNode keeps one tuple of holders per file, and the file's size, not a
 block list, says where it ends. Larger data is a meta file, an ordered
-set of one-block files. Files are immutable once created; overwrite is
-only possible as delete + create of the same name ("file remake"), which
-the meta-file layer builds on. Every file gets a `file_id` the NameNode
-never hands out again, so a client that cached what a file holds can
-tell a remade file from the one it replaced: as an HDFS client asks the
-NameNode where a block lives before it reads, a client asks
+set of one-block files. Files are immutable once created; a name gets
+new content only by a "file remake": the new content is created under a
+temporary name and `rename_file(..., overwrite=True)` puts it in place
+of the old file in one NameNode mutation, as HDFS's rename with
+`Rename.OVERWRITE` does. The meta-file layer builds on this. Every file
+gets a `file_id` the NameNode never hands out again, and a rename keeps
+the id of the file it moves, so a client that cached what a file holds
+can tell a remade file from the one it replaced: as an HDFS client asks
+the NameNode where a block lives before it reads, a client asks
 `meta_file_id` for a block's current id (which also fails when no live
-DataNode holds the block) and serves its cached copy only if the id is
-the one it cached under.
+DataNode holds the block, and is None when the block has no file) and
+serves its cached copy only if the id is the one it cached under.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -311,17 +314,28 @@ class DfsCluster:
                     node.drop(name, BLOCK_ORDINAL)
             self._save_tables()
 
-    def rename_file(self, old: str, new: str) -> None:
+    def rename_file(self, old: str, new: str,
+                    overwrite: bool = False) -> None:
+        """Move file `old` to name `new` in one NameNode mutation. With
+        `overwrite`, a file already named `new` is replaced and its
+        block dropped; without it, that file raises AlreadyExists."""
         with self._lock:
             entry = self._entry(old)
-            if new in self._files:
+            target = self._files.get(new)
+            if target is not None and not overwrite:
                 raise AlreadyExists(f"DFS file exists: {new}")
             # Metadata-only from the client's view: the entry, and so its
             # file_id, moves to the new name. Every holder re-keys its
             # stored block, dead nodes included, so a revived node serves
-            # it under the new name.
+            # it under the new name; the move replaces the target's block
+            # on a node that holds both.
             for node_id in entry.holders:
                 self._nodes[node_id].move(old, new, BLOCK_ORDINAL)
+            if target is not None:
+                for node_id in set(target.holders) - set(entry.holders):
+                    node = self._nodes[node_id]
+                    if node.alive:
+                        node.drop(new, BLOCK_ORDINAL)
             del self._files[old]
             self._files[new] = replace(entry, name=new)
             self._save_tables()
@@ -383,27 +397,32 @@ class DfsCluster:
                 raise NotFound(f"no meta DFS file: {name}")
             return count
 
-    def meta_file_id(self, name: str, ordinal: int) -> int:
+    def meta_file_id(self, name: str, ordinal: int) -> int | None:
         """The file_id of block `ordinal`'s constituent of a meta file,
-        read under one lock. Raises OutOfRange for a block past the end
-        and AllReplicasDead when no live DataNode holds the block, so a
-        client serving the block from its cache still learns of both."""
+        read under one lock; None if the block has no constituent. Raises
+        OutOfRange for a block past the end and AllReplicasDead when no
+        live DataNode holds the block, so a client serving the block from
+        its cache still learns of both."""
         with self._lock:
             count = self._meta_table.get(name)
             if count is None:
                 raise NotFound(f"no meta DFS file: {name}")
             if not 0 <= ordinal < count:
                 raise OutOfRange(f"block {ordinal} of {name} (has {count})")
-            entry = self._entry(constituent_name(name, ordinal))
+            entry = self._files.get(constituent_name(name, ordinal))
+            if entry is None:
+                return None
             self._pick_alive_holder(entry)
             return entry.file_id
 
-    def meta_file_ids(self, name: str) -> list[int]:
+    def meta_file_ids(self, name: str) -> list[int | None]:
         """The file_id of each constituent of a meta file, block 0 first,
-        read under one lock."""
+        None for a block with no constituent, read under one lock."""
         with self._lock:
-            return [self._entry(constituent_name(name, ordinal)).file_id
-                    for ordinal in range(self.meta_block_count(name))]
+            entries = (self._files.get(constituent_name(name, ordinal))
+                       for ordinal in range(self.meta_block_count(name)))
+            return [None if entry is None else entry.file_id
+                    for entry in entries]
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:

@@ -172,7 +172,7 @@ class Database:
         self.locks = locks if locks is not None else LockService()
         self.faults = faults
         self._session_seq = 0
-        self.data = manager.open_meta(self.data_name)
+        self.data = manager.open_meta(self.data_name, sparse=True)
         self.log = manager.open_meta(self.log_name)
 
     # ------------------------------------------------------------------
@@ -208,7 +208,7 @@ class Database:
                           index_floor=total_pages, record_count=0)
         data_name, log_name = cls.meta_names(name)
         create_data_meta(manager, data_name, total_pages,
-                         {0: pack_catalog(catalog, page_size)})
+                         pack_catalog(catalog, page_size))
         create_log_meta(manager, log_name)
         return cls(manager, name, total_pages, post_commit_threshold,
                    deferred, locks, faults)
@@ -224,7 +224,7 @@ class Database:
         data_name, _ = cls.meta_names(name)
         if not manager.exists(data_name):
             raise NotFound(f"no database: {name}")
-        data = manager.open_meta(data_name)
+        data = manager.open_meta(data_name, sparse=True)
         catalog = parse_catalog(manager.read_page(data, 0))
         db = cls(manager, name, catalog.total_pages, post_commit_threshold,
                  deferred, locks, faults)

@@ -2,15 +2,25 @@
 
 A meta DFS file of ``k`` blocks is the ordered set of one-block DFS files
 ``<name>/00000000`` .. ``<name>/0000000k-1``. Overwriting a block is a file
-remake (delete + create of the constituent file); appending creates the
-next constituent. Page addressing is the static split
-``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N`` pages
-per block.
+remake: the new content is created as ``<constituent>.new`` and renamed
+over the constituent, which replaces it in one NameNode mutation, so a
+failure at any step leaves the block whole, old or new. A ``.new`` file
+a failure left is garbage that the next remake of its block deletes.
+Appending creates the next constituent. Page addressing is the static
+split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
+pages per block.
+
+A sparse meta file (the engine's data file) is registered with its full
+block count but holds a constituent only for the blocks written so far:
+a block with no constituent reads as zeros without a DFS read, and its
+first remake is a plain create. In any other meta file (the log) a
+missing constituent is an error.
 
 The block count, one NameNode number, commits every change of length:
 an append creates the constituent and then counts it, a truncate sets
 the count and then deletes the constituents past it. A constituent past
-the count is garbage that no read reaches; an append replaces it.
+the count is garbage that no read reaches; an append replaces it, and a
+delete of the whole meta file deletes it.
 
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
@@ -65,11 +75,14 @@ class PageConfig:
 
 
 class MetaDfsFile:
-    """Handle to a meta DFS file; block count is read from the NameNode."""
+    """Handle to a meta DFS file; block count is read from the NameNode.
+    Whether the file is sparse is known to its handle, not the NameNode."""
 
-    def __init__(self, manager: "MetaDfsManager", name: str):
+    def __init__(self, manager: "MetaDfsManager", name: str,
+                 sparse: bool = False):
         self._manager = manager
         self.name = name
+        self.sparse = sparse
 
     @property
     def block_count(self) -> int:
@@ -97,6 +110,7 @@ class MetaDfsManager:
         self.remakes_by_file: dict[str, int] = {}
         # constituent name -> (its file_id, {page offset: page})
         self._pages: dict[str, tuple[int, dict[int, bytes]]] = {}
+        self._zero_page = bytes(page_config.page_size)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -106,15 +120,31 @@ class MetaDfsManager:
         self.cluster.meta_register(name, 0)
         return MetaDfsFile(self, name)
 
-    def open_meta(self, name: str) -> MetaDfsFile:
+    def create_sparse_meta(self, name: str, block_count: int,
+                           first_block: bytes) -> MetaDfsFile:
+        """A sparse meta file of `block_count` blocks whose only
+        constituent is block 0, holding `first_block`."""
+        self._check_block(first_block)
+        self.cluster.meta_register(name, block_count)
+        self._create_fresh(constituent_name(name, 0), first_block)
+        return MetaDfsFile(self, name, sparse=True)
+
+    def open_meta(self, name: str, sparse: bool = False) -> MetaDfsFile:
         self.cluster.meta_block_count(name)  # raises NotFound if absent
-        return MetaDfsFile(self, name)
+        return MetaDfsFile(self, name, sparse)
 
     def exists(self, name: str) -> bool:
         return self.cluster.meta_exists(name)
 
     def delete_meta(self, file: MetaDfsFile) -> None:
-        self.truncate_from(file, 0)
+        """Count the file empty, delete every DFS file under its name (its
+        constituents, and any an interrupted delete or remake left), then
+        unregister it: a meta file created under the name later, sparse
+        or not, holds none of them."""
+        if self.cluster.meta_block_count(file.name):
+            self.cluster.meta_set_block_count(file.name, 0)
+        for name in self.cluster.list_files(f"{file.name}/"):
+            self._delete_constituent(name)
         self.cluster.meta_unregister(file.name)
 
     # ------------------------------------------------------------------
@@ -136,15 +166,19 @@ class MetaDfsManager:
                 f"block {block_id} of {file.name} (has {count})")
         return constituent_name(file.name, block_id)
 
-    def append_block(self, file: MetaDfsFile, content: bytes) -> int:
-        self._check_block(content)
-        count = self.cluster.meta_block_count(file.name)
-        name = constituent_name(file.name, count)
+    def _create_fresh(self, name: str, content: bytes) -> None:
+        """Create DFS file `name`, first deleting a file of that name that
+        no read reaches (see above)."""
         try:
             self.cluster.create_file(name, content)
         except AlreadyExists:
             self._delete_constituent(name)
             self.cluster.create_file(name, content)
+
+    def append_block(self, file: MetaDfsFile, content: bytes) -> int:
+        self._check_block(content)
+        count = self.cluster.meta_block_count(file.name)
+        self._create_fresh(constituent_name(file.name, count), content)
         self.cluster.meta_set_block_count(file.name, count + 1)
         return count
 
@@ -153,26 +187,36 @@ class MetaDfsManager:
         """DFS file remake of one constituent; costs exactly one remake."""
         self._check_block(content)
         name = self._constituent(file, block_id)
-        self._delete_constituent(name)
-        self.cluster.create_file(name, content)
+        if file.sparse and not self.cluster.exists(name):
+            self.cluster.create_file(name, content)
+        else:
+            self._create_fresh(name + ".new", content)
+            self.cluster.rename_file(name + ".new", name, overwrite=True)
+        self._pages.pop(name, None)
         with self._counter_lock:
             self.remakes_total += 1
             self.remakes_by_file[file.name] = \
                 self.remakes_by_file.get(file.name, 0) + 1
 
-    def constituent_ids(self, file: MetaDfsFile) -> list[int]:
+    def constituent_ids(self, file: MetaDfsFile) -> list[int | None]:
         """The DFS file_id of each block's constituent, block 0 first.
 
         A block's id changes exactly when its constituent is remade or
         truncated and appended again, so an unchanged id means unchanged
-        content.
+        content. A block of a sparse file with no constituent has id None.
         """
-        return self.cluster.meta_file_ids(file.name)
+        ids = self.cluster.meta_file_ids(file.name)
+        if None in ids:
+            self._require_sparse(file, ids.index(None))
+        return ids
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
+        size = self.cluster.config.block_size_bytes
+        if self.cluster.meta_file_id(file.name, block_id) is None:
+            self._require_sparse(file, block_id)
+            return bytes(size)
         return self.cluster.read_range(
-            self._constituent(file, block_id), 0,
-            self.cluster.config.block_size_bytes)
+            constituent_name(file.name, block_id), 0, size)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Shorten the file with one NameNode mutation (see above)."""
@@ -204,6 +248,9 @@ class MetaDfsManager:
         size = self.page_config.page_size
         addr = self.page_address(pageid)
         file_id = self.cluster.meta_file_id(file.name, addr.block_id)
+        if file_id is None:
+            self._require_sparse(file, addr.block_id)
+            return self._zero_page
         name = constituent_name(file.name, addr.block_id)
         entry = self._pages.get(name)
         if entry is None or entry[0] != file_id:
@@ -213,6 +260,13 @@ class MetaDfsManager:
             page = entry[1][addr.page_offset] = self.cluster.read_range(
                 name, addr.page_offset * size, size)
         return page
+
+    def _require_sparse(self, file: MetaDfsFile, block_id: int) -> None:
+        """Raise NotFound for a block with no constituent unless the file
+        is sparse, where the block reads as zeros."""
+        if not file.sparse:
+            raise NotFound(
+                f"no DFS file: {constituent_name(file.name, block_id)}")
 
     def cached_ids(self) -> dict[str, int]:
         """Constituent name -> the file_id its cached pages were read

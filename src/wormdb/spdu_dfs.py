@@ -95,22 +95,14 @@ def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
 
 
 def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
-                     initial_pages: dict[int, bytes] | None = None
-                     ) -> MetaDfsFile:
-    """Create a pre-allocated, zero-filled data meta file."""
+                     first_page: bytes | None = None) -> MetaDfsFile:
+    """Create a sparse data meta file of `total_pages` pages: page 0 holds
+    `first_page` (zeros if None), and only its block is written; every
+    other block reads as zeros until its first remake."""
     cfg = manager.page_config
-    n = cfg.pages_per_block
-    file = manager.create_meta(name)
-    blocks = (total_pages + n - 1) // n
-    for block_id in range(blocks):
-        content = bytearray(cfg.block_size)
-        if initial_pages:
-            for pageid, page in initial_pages.items():
-                if pageid // n == block_id:
-                    off = (pageid % n) * cfg.page_size
-                    content[off:off + cfg.page_size] = page
-        manager.append_block(file, bytes(content))
-    return file
+    blocks = (total_pages + cfg.pages_per_block - 1) // cfg.pages_per_block
+    first_block = (first_page or b"").ljust(cfg.block_size, b"\0")
+    return manager.create_sparse_meta(name, blocks, first_block)
 
 
 def check_log_geometry(cfg: PageConfig) -> None:

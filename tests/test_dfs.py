@@ -17,6 +17,7 @@ from wormdb.errors import (
     UnknownNode,
     WrongBlockSize,
 )
+from wormdb.metafile import MetaDfsManager, PageConfig
 
 KB = 1024
 
@@ -119,7 +120,7 @@ def test_delete_then_read_and_remake():
     cluster.delete_file("f")
     with pytest.raises(NotFound):
         cluster.read_range("f", 0, 1)
-    # delete + create of the same name is the remake primitive
+    # a deleted name can be created again
     cluster.create_file("f", b"new")
     assert cluster.read_range("f", 0, 3) == b"new"
     with pytest.raises(NotFound):
@@ -138,6 +139,52 @@ def test_rename_semantics():
     cluster.rename_file("a", "c")
     assert cluster.read_range("c", 0, len(content)) == content
     assert not cluster.exists("a")
+
+
+def _stored_on(root, name):
+    """The nodes whose directory under `root` holds file `name`."""
+    return {os.path.basename(os.path.dirname(path))
+            for path in _tree(root) if os.path.basename(path) ==
+            f"{name}.blk0"}
+
+
+def test_rename_with_overwrite_replaces_the_target(tmp_path, monkeypatch):
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    content = random.Random(6).randbytes(60 * KB)
+    old = cluster.create_file("target", b"old")
+    new = cluster.create_file("target.new", content)
+    assert set(old.holders) != set(new.holders)
+    saves = []
+    save = cluster._save_tables
+    monkeypatch.setattr(cluster, "_save_tables",
+                        lambda: saves.append(1) or save())
+    cluster.rename_file("target.new", "target", overwrite=True)
+    assert saves == [1]
+    assert not cluster.exists("target.new")
+    entry = cluster.file_entry("target")
+    assert (entry.file_id, entry.holders) == (new.file_id, new.holders)
+    assert cluster.replicas("target") == [content] * 3
+    # the old block is gone from every holder, not only from the entry
+    assert _stored_on(root, "target") == \
+        {f"node_{n}" for n in new.holders}
+    assert _stored_on(root, "target.new") == set()
+    reopened = make_cluster(root=root)
+    assert reopened.read_range("target", 0, len(content)) == content
+    assert reopened.file_entry("target").holders == new.holders
+
+
+def test_rename_with_overwrite_of_no_target_is_a_rename():
+    cluster = make_cluster()
+    file_id = cluster.create_file("a", b"x").file_id
+    cluster.create_file("c", b"y")
+    cluster.rename_file("a", "b", overwrite=True)
+    assert cluster.file_entry("b").file_id == file_id
+    assert cluster.read_range("b", 0, 1) == b"x"
+    assert not cluster.exists("a")
+    with pytest.raises(AlreadyExists):
+        cluster.rename_file("b", "c")
+    assert cluster.read_range("c", 0, 1) == b"y"
 
 
 def test_set_node_alive_unknown():
@@ -185,7 +232,8 @@ def test_write_once_property(data):
     names = ["a", "b", "c", "d"]
     for _ in range(30):
         op = data.draw(st.sampled_from(
-            ["create", "delete", "rename", "read", "kill", "revive"]))
+            ["create", "delete", "rename", "replace", "read", "kill",
+             "revive"]))
         name = data.draw(st.sampled_from(names))
         try:
             if op == "create":
@@ -199,6 +247,10 @@ def test_write_once_property(data):
             elif op == "rename":
                 target = data.draw(st.sampled_from(names))
                 cluster.rename_file(name, target)
+                shadow[target] = shadow.pop(name)
+            elif op == "replace":
+                target = data.draw(st.sampled_from(names))
+                cluster.rename_file(name, target, overwrite=True)
                 shadow[target] = shadow.pop(name)
             elif op == "read":
                 if name in shadow:
@@ -262,6 +314,9 @@ def test_rename_keeps_the_file_id():
 
 
 def test_meta_file_ids_follow_constituents():
+    """The NameNode reports a block with no constituent as id None, for
+    every meta file; the meta-file layer reads such a block as zeros in a
+    sparse file and fails with NotFound in any other (the log)."""
     cluster = make_cluster()
     cluster.meta_register("m", 0)
     assert cluster.meta_file_ids("m") == []
@@ -271,12 +326,29 @@ def test_meta_file_ids_follow_constituents():
         cluster.meta_set_block_count("m", ordinal + 1)
     assert cluster.meta_file_ids("m") == ids
     cluster.delete_file("m/00000001")
-    with pytest.raises(NotFound):
-        cluster.meta_file_ids("m")
+    assert cluster.meta_file_ids("m") == [ids[0], None, ids[2]]
+    assert cluster.meta_file_id("m", 1) is None
     remade = cluster.create_file("m/00000001", b"y").file_id
     assert cluster.meta_file_ids("m") == [ids[0], remade, ids[2]]
     with pytest.raises(NotFound):
         cluster.meta_file_ids("nope")
+
+    block = 64 * KB
+    manager = MetaDfsManager(cluster, PageConfig(4 * KB, block))
+    data = manager.create_sparse_meta("data", 3, bytes([1]) * block)
+    log = manager.create_meta("log")
+    for tag in range(3):
+        manager.append_block(log, bytes([tag]) * block)
+    cluster.delete_file("log/00000001")
+    assert manager.constituent_ids(data)[1:] == [None, None]
+    assert manager.read_block(data, 2) == bytes(block)
+    assert manager.read_page(data, 16) == bytes(4 * KB)
+    with pytest.raises(NotFound, match="log/00000001"):
+        manager.constituent_ids(log)
+    with pytest.raises(NotFound, match="log/00000001"):
+        manager.read_block(log, 1)
+    with pytest.raises(NotFound, match="log/00000001"):
+        manager.read_page(log, 16)
 
 
 def test_reloaded_cluster_hands_out_distinct_ids(tmp_path):

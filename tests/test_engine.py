@@ -441,9 +441,9 @@ def test_maintenance_trigger_compacts_log():
 
 
 def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
-    """A batch that fails while remaking the log master block leaves the
-    master deleted; the caller must see that failure, not a later one, and
-    the lock must be free."""
+    """A batch that fails while creating the replacement of the log master
+    block leaves the old master in place; the caller must see that
+    failure, not a later one, and the lock must be free."""
 
     class RemakeFailed(RuntimeError):
         pass
@@ -455,11 +455,12 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
         s.insert_record(rec(i))
     s.commit()
     master = constituent_name(db.log_name, 0)
+    old_master = db.manager.read_block(db.log, 0)
     create_file = DfsCluster.create_file
     failed = []
 
     def fail_once(cluster, name, content):
-        if name == master and not failed:
+        if name.startswith(master) and not failed:
             failed.append(name)
             raise RemakeFailed(name)
         return create_file(cluster, name, content)
@@ -467,7 +468,9 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
     monkeypatch.setattr(DfsCluster, "create_file", fail_once)
     with pytest.raises(RemakeFailed):
         db.run_maintenance()
-    assert failed == [master]
+    assert failed == [f"{master}.new"]
+    assert db.manager.read_block(db.log, 0) == old_master
+    assert db.needs_recovery() is None
     assert db.locks.snapshot(db.data_name) == []
 
 
@@ -1009,12 +1012,13 @@ class MutationRefused(StorageError):
 
 
 def _meta_mutations(mp, refuse=None):
-    """Record the create_file, delete_file and meta_set_block_count calls
-    that `MetaDfsManager.append_block` and `truncate_from` make from now
-    on; the `refuse`-th raises MutationRefused before it runs."""
+    """Record the create_file, delete_file, rename_file and
+    meta_set_block_count calls that `MetaDfsManager.append_block`,
+    `overwrite_block` and `truncate_from` make from now on; the
+    `refuse`-th raises MutationRefused before it runs."""
     calls = []
     depth = [0]
-    for method in ("append_block", "truncate_from"):
+    for method in ("append_block", "overwrite_block", "truncate_from"):
         def inside(*args, original=getattr(MetaDfsManager, method)):
             depth[0] += 1
             try:
@@ -1022,14 +1026,15 @@ def _meta_mutations(mp, refuse=None):
             finally:
                 depth[0] -= 1
         mp.setattr(MetaDfsManager, method, inside)
-    for method in ("create_file", "delete_file", "meta_set_block_count"):
+    for method in ("create_file", "delete_file", "rename_file",
+                   "meta_set_block_count"):
         def counted(cluster, name, *args, method=method,
-                    original=getattr(DfsCluster, method)):
+                    original=getattr(DfsCluster, method), **kwargs):
             if depth[0]:
                 calls.append((method, name))
                 if len(calls) == refuse:
                     raise MutationRefused(f"{method} {name}")
-            return original(cluster, name, *args)
+            return original(cluster, name, *args, **kwargs)
         mp.setattr(DfsCluster, method, counted)
     return calls
 
@@ -1108,12 +1113,79 @@ def test_in_process_failure_at_every_reached_point():
 
 
 def test_in_process_failure_at_every_meta_file_mutation():
-    """Each DFS create, delete and block-count change that an append or a
-    truncate makes fails in turn, once the database exists, as an
-    ordinary StorageError raised before the call; the same checks hold as
-    for the fault points."""
+    """Each DFS create, delete, rename and block-count change that an
+    append, a remake or a truncate makes fails in turn, once the database
+    exists, as an ordinary StorageError raised before the call; the same
+    checks hold as for the fault points."""
     _, calls = _run_sweep_workload()
     assert {method for method, _ in calls} == \
-        {"create_file", "delete_file", "meta_set_block_count"}
+        {"create_file", "delete_file", "rename_file", "meta_set_block_count"}
     runs = [(None, 0, n) for n in range(1, len(calls) + 1)]
     assert _failures(runs) == {}
+
+
+class ProcessDied(BaseException):
+    """The death of the process. It is no Exception: the engine's
+    handlers only pass it on, and every NameNode mutation after it raises
+    too, so the store on disk stays as the death left it."""
+
+
+NAMENODE_MUTATIONS = ("create_file", "delete_file", "rename_file",
+                      "meta_register", "meta_set_block_count",
+                      "meta_unregister")
+
+
+def _run_until_death(root, death=None):
+    """Create a database on a persistent root and run the failure sweep's
+    script on it; the `death`-th NameNode mutation made after the create,
+    and every one after it, raises ProcessDied before it runs, and ends
+    the script. Returns the mutations called and the tables the database
+    may hold on disk: before and after the operation that died, or the
+    final one."""
+    db = make_db(page=1024, block=8192, threshold=4, root=root)
+    s = db.session()
+    table, calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for method in NAMENODE_MUTATIONS:
+            def mutation(cluster, name, *args, method=method,
+                         original=getattr(DfsCluster, method), **kwargs):
+                calls.append((method, name))
+                if death is not None and len(calls) >= death:
+                    raise ProcessDied(f"{method} {name}")
+                return original(cluster, name, *args, **kwargs)
+            mp.setattr(DfsCluster, method, mutation)
+        for run, apply in _sweep_workload():
+            after = apply(table)
+            try:
+                run(db, s)
+            except ProcessDied:
+                return calls, [table, after]
+            table = after
+    return calls, [table]
+
+
+def test_process_death_at_every_namenode_mutation(tmp_path):
+    """The process dies before each NameNode mutation of the script in
+    turn, a block remake's included. A fresh DfsCluster over the root
+    then opens the database with recovery: it must hold the table from
+    before or after the operation that died, and take one more commit.
+    This is the method of ALICE (Pillai et al., OSDI 2014)."""
+    calls, _ = _run_until_death(str(tmp_path / "whole"))
+    assert {"create_file", "delete_file", "rename_file",
+            "meta_set_block_count"} <= {method for method, _ in calls}
+    failures = {}
+    for death in range(1, len(calls) + 1):
+        root = str(tmp_path / f"death{death}")
+        _, allowed = _run_until_death(root, death)
+        cluster = DfsCluster(DfsConfig(8192, 2, 0), 4, root)
+        try:
+            db = Database.open(cluster, "db", 1024, 4, recover=True)
+            table = read_all(db.session())
+            assert table in allowed, "not the table before or after"
+            commit_rows(db.session(), [208])
+            assert read_all(db.session()) == table + [rec(208)], \
+                "the next commit"
+        except (AssertionError, StorageError) as exc:
+            failures[death, calls[death - 1]] = \
+                f"{type(exc).__name__}: " + str(exc).splitlines()[0]
+    assert failures == {}

@@ -10,6 +10,10 @@ Every module under src/wormdb/ must be reachable by imports from
 ``wormdb/__init__.py`` or ``wormdb/__main__.py``; a module only tests use
 (an oracle, a fault registry) belongs under tests/.
 
+Only the meta-file layer changes the NameNode: a module other than
+metafile.py calls none of the DfsCluster mutations, so "remake a block"
+and every other change of a meta file is written once.
+
 The benchmark's tracer, perfbench/spans.py, patches package functions by
 name, so each of those names must exist in the package, and each hook it
 calls before a function must take that function's arguments.
@@ -87,6 +91,45 @@ def test_modules_use_only_public_api_of_other_modules():
         for line, expr in foreign_private_reads(path.read_text("utf-8")):
             offences.append(f"{path.name}:{line}: {expr}")
     assert offences == []
+
+
+NAMENODE_MUTATIONS = ("create_file", "delete_file", "rename_file",
+                      "meta_register", "meta_set_block_count",
+                      "meta_unregister")
+MUTATING_MODULE = "metafile.py"
+
+
+def namenode_mutation_calls(source: str) -> list[tuple[int, str]]:
+    """(line, method) for each call of a DfsCluster mutation by name."""
+    return [(node.lineno, node.func.attr)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in NAMENODE_MUTATIONS]
+
+
+def test_detector_flags_namenode_mutation_calls():
+    source = (
+        "def f(manager, cluster):\n"
+        "    manager.cluster.create_file('a', b'')\n"
+        "    cluster.meta_file_id('m', 0)\n"
+        "    return cluster.rename_file\n"
+        "    cluster.rename_file('a', 'b', overwrite=True)\n"
+    )
+    assert namenode_mutation_calls(source) == [(2, "create_file"),
+                                                (5, "rename_file")]
+
+
+def test_only_the_meta_file_layer_mutates_the_namenode():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != MUTATING_MODULE:
+            for line, method in namenode_mutation_calls(
+                    path.read_text("utf-8")):
+                offences.append(f"{path.name}:{line}: {method}")
+    assert offences == []
+    assert namenode_mutation_calls(
+        (PACKAGE / MUTATING_MODULE).read_text("utf-8")) != []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -130,26 +130,30 @@ def test_truncate_from(mgr):
         mgr.truncate_from(f, 5)
 
 
-def record_mutations(mgr, monkeypatch):
-    """The DFS deletes and meta-file count changes `mgr` makes from now
-    on, in order."""
+def record_calls(mgr, monkeypatch, methods):
+    """The calls `mgr` makes to the named DfsCluster methods from now on,
+    in order, as (method, *args)."""
     calls = []
-    for method in ("delete_file", "meta_set_block_count"):
+    for method in methods:
         original = getattr(mgr.cluster, method)
 
-        def recorded(*args, method=method, original=original):
-            calls.append((method, *args))
-            return original(*args)
+        def recorded(*args, method=method, original=original, **kwargs):
+            calls.append((method, *args, *kwargs.values()))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(mgr.cluster, method, recorded)
     return calls
+
+
+MUTATIONS = ("create_file", "delete_file", "rename_file",
+             "meta_register", "meta_set_block_count", "meta_unregister")
 
 
 def test_truncate_sets_the_count_once_before_any_delete(mgr, monkeypatch):
     f = mgr.create_meta("m")
     for i in range(4):
         mgr.append_block(f, block_of(i))
-    calls = record_mutations(mgr, monkeypatch)
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
     mgr.truncate_from(f, 1)
     assert calls == [("meta_set_block_count", "m", 1),
                      ("delete_file", constituent_name("m", 1)),
@@ -299,10 +303,8 @@ def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
             for pageid in pageids:
                 try:
                     mgr.read_page(f, pageid)
-                except NotFound:
-                    pass  # a raw read between a remake's delete and create
                 except Exception as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
+                    errors.append(exc)  # a remake leaves no gap to see
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -323,6 +325,86 @@ def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
     for pageid in pageids:
         expected = 300 if pageid < N else 299
         assert mgr.read_page(f, pageid) == bytes([expected % 256]) * PAGE
+
+
+def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    name = constituent_name("m", 0)
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    mgr.overwrite_block(f, 0, block_of(2))
+    assert calls == [("create_file", f"{name}.new", block_of(2)),
+                     ("rename_file", f"{name}.new", name, True)]
+    assert mgr.cluster.list_files("m/") == [name]
+    assert mgr.read_block(f, 0) == block_of(2)
+    assert mgr.remakes_of("m") == 1
+
+
+def test_a_stale_replacement_is_deleted_by_the_next_remake(mgr, monkeypatch):
+    """A remake that failed after creating its replacement file leaves the
+    block whole and the file behind; the next remake deletes it."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    name = constituent_name("m", 0)
+
+    def refuse(old, new, overwrite=False):
+        raise StorageError(f"rename of {old} refused")
+
+    monkeypatch.setattr(mgr.cluster, "rename_file", refuse)
+    with pytest.raises(StorageError, match="refused"):
+        mgr.overwrite_block(f, 0, block_of(2))
+    monkeypatch.undo()
+    assert mgr.read_block(f, 0) == block_of(1)
+    assert mgr.cluster.list_files("m/") == [name, f"{name}.new"]
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    mgr.overwrite_block(f, 0, block_of(3))
+    assert [call[:2] for call in calls] == [
+        ("create_file", f"{name}.new"), ("delete_file", f"{name}.new"),
+        ("create_file", f"{name}.new"), ("rename_file", f"{name}.new")]
+    assert mgr.cluster.list_files("m/") == [name]
+    assert mgr.read_block(f, 0) == block_of(3)
+
+
+def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
+    f = mgr.create_sparse_meta("d", 4, block_of(1))
+    assert f.sparse and f.block_count == 4
+    assert mgr.cluster.list_files("d/") == [constituent_name("d", 0)]
+    before = mgr.cluster.counters.snapshot()
+    assert mgr.read_page(f, 2 * N + 3) == bytes(PAGE)
+    assert mgr.read_block(f, 3) == bytes(BLOCK)
+    assert mgr.cluster.counters.bytes_read == before.bytes_read
+    assert mgr.cluster.counters.read_calls == before.read_calls
+    with pytest.raises(OutOfRange):
+        mgr.read_page(f, 4 * N)
+    # the first remake of a block is a plain create, and one remake
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    mgr.overwrite_block(f, 2, block_of(5))
+    assert calls == [("create_file", constituent_name("d", 2), block_of(5))]
+    assert mgr.remakes_of("d") == 1
+    assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
+    assert mgr.open_meta("d", sparse=True).block_count == 4
+
+
+def test_delete_meta_deletes_what_a_failed_delete_left(mgr, monkeypatch):
+    """A delete that failed after counting the file empty leaves its
+    constituents; deleting it again removes them, so a sparse file created
+    under the name reads zeros, not the old blocks."""
+    f = mgr.create_meta("d")
+    for tag in range(3):
+        mgr.append_block(f, block_of(tag + 1))
+
+    def refuse(name):
+        raise StorageError(f"delete of {name} refused")
+
+    monkeypatch.setattr(mgr.cluster, "delete_file", refuse)
+    with pytest.raises(StorageError, match="refused"):
+        mgr.delete_meta(f)
+    monkeypatch.undo()
+    assert f.block_count == 0
+    mgr.delete_meta(f)
+    assert mgr.cluster.list_files("d/") == []
+    sparse = mgr.create_sparse_meta("d", 3, block_of(9))
+    assert mgr.read_block(sparse, 1) == bytes(BLOCK)
 
 
 def test_meta_file_id_checks(mgr):
