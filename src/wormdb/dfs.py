@@ -291,7 +291,7 @@ class DfsCluster:
             self.counters.read_calls += 1
             if length == 0:
                 return b""
-            data = self._pick_alive_holder(entry).get(name, BLOCK_ORDINAL)
+            data = self._block_of(self._pick_alive_holder(entry), name)
             self.counters.bytes_read += length
         if self.config.network_latency:
             time.sleep(self.config.network_latency)
@@ -303,6 +303,17 @@ class DfsCluster:
             if node.alive:
                 return node
         raise AllReplicasDead(f"{entry.name}: all replicas dead")
+
+    def _block_of(self, node: DataNode, name: str) -> bytes:
+        """The block `node` stores for file `name`; RecoveryError if the
+        node has no such block though the NameNode lists it as a
+        holder."""
+        try:
+            return node.get(name, BLOCK_ORDINAL)
+        except (FileNotFoundError, KeyError):
+            raise RecoveryError(
+                f"{name}: DataNode {node.node_id} holds no block for it, "
+                f"though the NameNode lists it as a holder") from None
 
     def delete_file(self, name: str) -> None:
         with self._lock:
@@ -369,7 +380,7 @@ class DfsCluster:
     def replicas(self, name: str) -> list[bytes]:
         """All stored replica contents of a file (for consistency checks)."""
         with self._lock:
-            return [self._nodes[node_id].get(name, BLOCK_ORDINAL)
+            return [self._block_of(self._nodes[node_id], name)
                     for node_id in self._entry(name).holders]
 
     # ------------------------------------------------------------------

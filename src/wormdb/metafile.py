@@ -25,20 +25,33 @@ delete of the whole meta file deletes it.
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
 
-Pages read through `read_page` are kept in a read-through cache that all
-sessions of a manager share, keyed by constituent name and tagged with
-the constituent's DFS `file_id`. A constituent is write-once and the
-NameNode never reuses an id, so a cached page is served only while its
-block's current id (one NameNode call per read) is the id it was read
-under; a remake by anyone, this manager or another over the same
-cluster, changes the id. That call also reports a block whose replicas
-are all dead, so replica loss surfaces on a cached page too. There is
-no eviction by size: a remake, truncate or delete through this manager
-drops the constituent's pages, so the cache never holds more than the
-pages of the live data and log blocks. The cache takes no lock: a reader
-racing a remake or another reader can only cache a page under an id
-that has died, which is never served, or drop an entry another reader
-made, which costs one more DFS read.
+Pages are kept in a cache that all sessions of a manager share, keyed
+by constituent name and tagged with the constituent's DFS `file_id`. It
+is read-through for `read_page`, and write-through for appends: an
+append caches every page of its block under the id `create_file`
+returned, so a reader, or the batch post-commit, gets the log blocks
+this manager wrote without a DFS read. `read_block` serves a block
+whose pages are all cached and otherwise reads the DFS without caching,
+so a remade data block is never cached whole. A constituent is
+write-once and the NameNode never reuses an id, so a cached page is
+served only while its block's current id (one NameNode call per read,
+made before the cache is looked at) is the id it was cached under; a
+remake by anyone, this manager or another over the same cluster, and a
+truncate and append by another manager, change the id. An append whose
+count change fails leaves its pages cached under a block past the
+count, which no read reaches; the next create of that name gets a new
+id. The id call also reports a block whose replicas are all dead, so
+replica loss surfaces on a cached page too. There is no eviction by
+size: a remake, truncate or delete through this manager drops the
+constituent's pages, so the cache never holds more than the pages read
+from the live data and log blocks and the pages of the log blocks
+appended since the log's last truncate. The engine's batch truncates
+the log once it holds more than `post_commit_threshold` data blocks, so
+that is at most `post_commit_threshold` + 1 blocks, plus the master
+block until its first remake. The cache takes no lock: a reader racing a remake or another reader can only
+cache a page under an id that has died, which is never served, or drop
+an entry another reader or an append made, which costs one more DFS
+read.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .dfs import DfsCluster, constituent_name
+from .dfs import DfsCluster, DfsFileEntry, constituent_name
 from .errors import AlreadyExists, NotFound, OutOfRange, WrongBlockSize
 
 
@@ -166,21 +179,29 @@ class MetaDfsManager:
                 f"block {block_id} of {file.name} (has {count})")
         return constituent_name(file.name, block_id)
 
-    def _create_fresh(self, name: str, content: bytes) -> None:
+    def _create_fresh(self, name: str, content: bytes) -> DfsFileEntry:
         """Create DFS file `name`, first deleting a file of that name that
         no read reaches (see above)."""
         try:
-            self.cluster.create_file(name, content)
+            return self.cluster.create_file(name, content)
         except AlreadyExists:
             self._delete_constituent(name)
-            self.cluster.create_file(name, content)
+            return self.cluster.create_file(name, content)
 
-    def append_block(self, file: MetaDfsFile, content: bytes) -> int:
+    def append_block(self, file: MetaDfsFile,
+                     content: bytes) -> tuple[int, int]:
+        """Append `content` as the next block and cache its pages (see
+        above). Returns the block_id and its constituent's file_id."""
         self._check_block(content)
         count = self.cluster.meta_block_count(file.name)
-        self._create_fresh(constituent_name(file.name, count), content)
+        name = constituent_name(file.name, count)
+        file_id = self._create_fresh(name, content).file_id
+        size = self.page_config.page_size
+        self._pages[name] = (file_id, {
+            offset: content[offset * size:(offset + 1) * size]
+            for offset in range(self.page_config.pages_per_block)})
         self.cluster.meta_set_block_count(file.name, count + 1)
-        return count
+        return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
                         content: bytes) -> None:
@@ -211,12 +232,19 @@ class MetaDfsManager:
         return ids
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
+        """The whole block: from the cache if every page of it is cached
+        under the block's current id, else from the DFS (not cached)."""
         size = self.cluster.config.block_size_bytes
-        if self.cluster.meta_file_id(file.name, block_id) is None:
+        file_id = self.cluster.meta_file_id(file.name, block_id)
+        if file_id is None:
             self._require_sparse(file, block_id)
             return bytes(size)
-        return self.cluster.read_range(
-            constituent_name(file.name, block_id), 0, size)
+        name = constituent_name(file.name, block_id)
+        entry = self._pages.get(name)
+        n = self.page_config.pages_per_block
+        if entry is not None and entry[0] == file_id and len(entry[1]) == n:
+            return b"".join(entry[1][offset] for offset in range(n))
+        return self.cluster.read_range(name, 0, size)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Shorten the file with one NameNode mutation (see above)."""

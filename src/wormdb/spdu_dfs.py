@@ -197,10 +197,8 @@ class DfsTransactionStore:
             self._capacity * self.page_size, b"\0") + \
             pack_footer(pageids, mark_commit, self.page_size)
         self.faults.hit("dfs.flush.before_block_append")
-        block_id = self.manager.append_block(self.log, block)
-        self._footers[block_id] = (
-            self.manager.constituent_ids(self.log)[block_id],
-            pageids, mark_commit)
+        block_id, file_id = self.manager.append_block(self.log, block)
+        self._footers[block_id] = (file_id, pageids, mark_commit)
         self.faults.hit("dfs.flush.after_block_append")
         for slot, pageid in enumerate(pageids):
             self.index[pageid] = (block_id, slot)

@@ -329,8 +329,12 @@ def test_criterion_6_visibility():
     store.write_page(3, p3)
     store.commit_transaction()
 
+    # the second process shares the cluster, not the writer's page cache
     cluster = store.manager.cluster
-    second = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    mgr = MetaDfsManager(cluster, store.manager.page_config)
+    second = DfsTransactionStore(
+        mgr, mgr.open_meta(store.data.name, sparse=True),
+        mgr.open_meta(store.log.name), TOTAL)
     before = cluster.counters.snapshot()
     index = second.reconstruct_log_table_index()
     after = cluster.counters

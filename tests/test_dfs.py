@@ -114,6 +114,27 @@ def test_read_survives_replica_deaths_until_last():
     assert cluster.read_range("f", 10, 10) == content[10:20]
 
 
+@pytest.mark.parametrize("persistent", [False, True])
+def test_a_missing_block_of_a_listed_holder_is_a_recovery_error(
+        tmp_path, persistent):
+    """A live holder that lacks the block the NameNode lists it for (a
+    crash inside a DFS call can leave this) fails the read with
+    RecoveryError naming the file and the node, not a raw OS or dict
+    error."""
+    root = str(tmp_path / "dfs") if persistent else None
+    cluster = make_cluster(root=root)
+    cluster.create_file("f", b"abc")
+    holder = cluster.file_entry("f").holders[0]
+    if persistent:
+        os.remove(os.path.join(root, f"node_{holder}", "f.blk0"))
+    else:
+        del cluster._nodes[holder]._mem[("f", 0)]
+    with pytest.raises(RecoveryError, match=f"f: DataNode {holder} "):
+        cluster.read_range("f", 0, 3)
+    with pytest.raises(RecoveryError, match=f"f: DataNode {holder} "):
+        cluster.replicas("f")
+
+
 def test_delete_then_read_and_remake():
     cluster = make_cluster()
     cluster.create_file("f", b"old")

@@ -634,7 +634,8 @@ def test_repeat_read_transaction_reads_no_footer_page():
     nothing from the DFS: the log footers it saw last time are not read
     again, and the catalog and record pages it asks for come from the
     database's page cache, though the session still counts them as page
-    reads."""
+    reads. The reader is another process: a database opened over the
+    same cluster, whose page cache holds none of the writer's appends."""
     db = make_db()
     writer = db.session()
     for txn in range(4):
@@ -644,7 +645,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         writer.commit()
     assert db.log.block_count > 4  # deferred: the log holds the inserts
     cluster = db.manager.cluster
-    s = db.session()
+    s = Database.open(cluster, "db", PAGE, recover=False).session()
     cold_pages = None
     for txn in range(3):
         before = cluster.counters.snapshot()

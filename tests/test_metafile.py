@@ -15,6 +15,11 @@ from wormdb.errors import (
     WrongBlockSize,
 )
 from wormdb.metafile import MetaDfsManager, PageConfig, constituent_name
+from wormdb.spdu_dfs import (
+    DfsTransactionStore,
+    create_data_meta,
+    create_log_meta,
+)
 
 BLOCK = 16 * 1024
 PAGE = 1024
@@ -43,7 +48,10 @@ def test_create_meta_empty(mgr):
 def test_append_naming_matches_ordinal_scheme(mgr):
     f = mgr.create_meta("path/data")
     for i in range(4):
-        assert mgr.append_block(f, block_of(i)) == i
+        block_id, file_id = mgr.append_block(f, block_of(i))
+        assert block_id == i
+        assert file_id == \
+            mgr.cluster.file_entry(constituent_name("path/data", i)).file_id
     names = mgr.cluster.list_files("path/data/")
     assert names == [f"path/data/{i:08d}" for i in range(4)]
     assert constituent_name("path/data", 3) == "path/data/00000003"
@@ -178,7 +186,7 @@ def test_append_replaces_a_constituent_left_past_the_count(mgr, monkeypatch):
         mgr.append_block(f, block_of(2))
     monkeypatch.undo()
     assert f.block_count == 1
-    assert mgr.append_block(f, block_of(3)) == 1
+    assert mgr.append_block(f, block_of(3))[0] == 1
     assert f.block_count == 2
     assert mgr.read_block(f, 1) == block_of(3)
     assert mgr.read_page(f, N) == block_of(3)[:PAGE]
@@ -200,7 +208,7 @@ def test_append_after_overwrite_keeps_order(mgr):
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(0))
     mgr.overwrite_block(f, 0, block_of(5))
-    assert mgr.append_block(f, block_of(1)) == 1
+    assert mgr.append_block(f, block_of(1))[0] == 1
     assert mgr.read_block(f, 0) == block_of(5)
     assert mgr.read_block(f, 1) == block_of(1)
 
@@ -214,17 +222,25 @@ def dfs_reads(mgr, fn):
             after.bytes_read - before.bytes_read, result)
 
 
+def peer_of(mgr):
+    """Another process's manager over the same cluster: its page cache
+    holds none of the pages `mgr` appended."""
+    return MetaDfsManager(mgr.cluster, mgr.page_config)
+
+
 def test_repeat_page_read_is_served_from_cache(mgr):
     f = mgr.create_meta("m")
     content = b"".join(bytes([k]) * PAGE for k in range(N))
     mgr.append_block(f, content)
-    assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
+    reader = peer_of(mgr)
+    g = reader.open_meta("m")
+    assert dfs_reads(reader, lambda: reader.read_page(g, 3)) == \
         (1, PAGE, bytes([3]) * PAGE)
-    assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
+    assert dfs_reads(reader, lambda: reader.read_page(g, 3)) == \
         (0, 0, bytes([3]) * PAGE)
     # another page of the same block is its own DFS read
-    assert dfs_reads(mgr, lambda: mgr.read_page(f, 4))[:2] == (1, PAGE)
-    assert mgr.cached_ids() == {
+    assert dfs_reads(reader, lambda: reader.read_page(g, 4))[:2] == (1, PAGE)
+    assert reader.cached_ids() == {
         constituent_name("m", 0):
             mgr.cluster.file_entry(constituent_name("m", 0)).file_id}
 
@@ -244,10 +260,12 @@ def test_remake_truncate_and_delete_drop_cached_pages(mgr):
     assert constituent_name("m", 2) not in mgr.cached_ids()
     with pytest.raises(OutOfRange):
         mgr.read_page(f, 2 * N)
-    # an appended block under a truncated block's name is read afresh
-    mgr.append_block(f, block_of(5))
+    # an appended block under a truncated block's name is served from
+    # its own pages, cached by the append under its new id
+    _, file_id = mgr.append_block(f, block_of(5))
+    assert mgr.cached_ids()[constituent_name("m", 2)] == file_id
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2 * N)) == \
-        (1, PAGE, bytes([5]) * PAGE)
+        (0, 0, bytes([5]) * PAGE)
     mgr.delete_meta(f)
     assert mgr.cached_ids() == {}
 
@@ -281,10 +299,106 @@ def test_dead_replicas_of_a_cached_block_are_reported(mgr):
     with pytest.raises(AllReplicasDead):
         mgr.read_page(f, 2)
     with pytest.raises(AllReplicasDead):
-        mgr.read_page(f, 3)  # not cached: the same error
+        mgr.read_page(f, 3)  # never read, only cached by the append
+    with pytest.raises(AllReplicasDead):
+        mgr.read_block(f, 0)  # every page cached by the append
     for node_id in holders:
         mgr.cluster.set_node_alive(node_id, True)
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == (0, 0, page)
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
+        (0, 0, block_of(4))
+
+
+def test_an_appended_block_is_read_from_the_cache(mgr):
+    f = mgr.create_meta("m")
+    content = b"".join(bytes([k]) * PAGE for k in range(N))
+    _, file_id = mgr.append_block(f, content)
+    assert mgr.cached_ids() == {constituent_name("m", 0): file_id}
+    for offset in (0, 3, N - 1):
+        assert dfs_reads(mgr, lambda: mgr.read_page(f, offset)) == \
+            (0, 0, bytes([offset]) * PAGE)
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == (0, 0, content)
+    # once another manager remakes the block, it is read from the DFS,
+    # and a whole-block read caches nothing
+    peer = peer_of(mgr)
+    peer.overwrite_block(peer.open_meta("m"), 0, block_of(7))
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
+        (1, BLOCK, block_of(7))
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0))[:2] == (1, BLOCK)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
+        (1, PAGE, bytes([7]) * PAGE)
+
+
+def test_a_peer_reappend_is_not_served_from_a_stale_seed(mgr):
+    """Another manager truncates the block this one appended and appends
+    new content under the same block id: this manager's cached pages of
+    the old block are never served."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    mgr.append_block(f, block_of(2))
+    peer = peer_of(mgr)
+    g = peer.open_meta("m")
+    peer.truncate_from(g, 1)
+    peer.append_block(g, block_of(3))
+    assert mgr.read_block(f, 1) == block_of(3)
+    assert mgr.read_page(f, N + 1) == block_of(3)[:PAGE]
+    peer.truncate_from(g, 0)
+    peer.append_block(g, block_of(4))
+    assert mgr.read_page(f, 2) == block_of(4)[:PAGE]
+    assert mgr.read_block(f, 0) == block_of(4)
+
+
+def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
+    """An append whose count change fails has cached the pages of a
+    constituent past the count: no read reaches them, and a block that
+    another manager appends there later is read from the DFS."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+
+    def refuse(name, count):
+        raise StorageError(f"count of {name} refused")
+
+    monkeypatch.setattr(mgr.cluster, "meta_set_block_count", refuse)
+    with pytest.raises(StorageError, match="refused"):
+        mgr.append_block(f, block_of(2))
+    monkeypatch.undo()
+    with pytest.raises(OutOfRange):
+        mgr.read_page(f, N)
+    with pytest.raises(OutOfRange):
+        mgr.read_block(f, 1)
+    peer_of(mgr).append_block(mgr.open_meta("m"), block_of(3))
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 1)) == \
+        (1, BLOCK, block_of(3))
+    assert mgr.read_page(f, N + 2) == block_of(3)[:PAGE]
+
+
+def test_a_batch_leaves_no_log_block_past_the_master_cached():
+    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    mgr = MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
+    data = create_data_meta(mgr, "db/data", 4 * N)
+    log = create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, log, 4 * N)
+    for pageid in (1, N + 1, 3 * N):
+        store.write_page(pageid, bytes([pageid % 256]) * PAGE)
+        store.commit_transaction()
+    assert log.block_count == 4
+    log_blocks = {constituent_name("db/log", b) for b in range(1, 4)}
+    assert log_blocks <= set(mgr.cached_ids())
+    # a log block with every replica dead fails the batch, though cached
+    dead = constituent_name("db/log", 1)
+    holders = cluster.file_entry(dead).holders
+    for node_id in holders:
+        cluster.set_node_alive(node_id, False)
+    with pytest.raises(AllReplicasDead, match=dead):
+        store.batch_post_commit()
+    for node_id in holders:
+        cluster.set_node_alive(node_id, True)
+    # the batch reads the log blocks from the cache, and only the data
+    # blocks that have a constituent (block 0) from the DFS
+    assert dfs_reads(mgr, store.batch_post_commit)[:2] == (1, BLOCK)
+    assert not log_blocks & set(mgr.cached_ids())
+    assert {name for name in mgr.cached_ids()
+            if name.startswith("db/log/")} <= {constituent_name("db/log", 0)}
 
 
 def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
@@ -325,6 +439,51 @@ def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
     for pageid in pageids:
         expected = 300 if pageid < N else 299
         assert mgr.read_page(f, pageid) == bytes([expected % 256]) * PAGE
+
+
+def test_concurrent_reads_and_reappends_leave_no_stale_page(mgr):
+    """Readers on several threads race a thread that truncates a block
+    and appends it again, as the log's batch and next commit do. A read
+    may find the block gone for a moment, but every page it returns is
+    whole, and once the appends stop only the last one is served."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(0))
+    mgr.append_block(f, block_of(0))
+    done = threading.Event()
+    errors = []
+
+    def reader():
+        while not done.is_set():
+            try:
+                page = mgr.read_page(f, N + 3)
+                block = mgr.read_block(f, 1)
+            except (OutOfRange, NotFound):
+                continue  # between a truncate and its append
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                continue
+            if len(set(page)) != 1 or len(set(block)) != 1:
+                errors.append(AssertionError("torn page or block"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for t in readers:
+            t.start()
+        for version in range(1, 301):
+            mgr.truncate_from(f, 1)
+            mgr.append_block(f, block_of(version))
+        done.set()
+        for t in readers:
+            t.join(timeout=30)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert mgr.read_page(f, N + 3) == bytes([300 % 256]) * PAGE
+    assert mgr.read_block(f, 1) == block_of(300)
 
 
 def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):

@@ -283,7 +283,7 @@ def test_reconstruction_reads_only_footer_pages():
     store.commit_transaction()
     cluster = store.manager.cluster
 
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    fresh = _peer(store)
     before = cluster.counters.snapshot()
     index = fresh.reconstruct_log_table_index()
     after = cluster.counters
@@ -311,9 +311,13 @@ def test_reconstruction_last_wins_across_blocks():
 
 
 def _peer(store, threshold=64):
-    """A second session's store over the same meta files."""
-    return DfsTransactionStore(store.manager, store.data, store.log, TOTAL,
-                               threshold)
+    """Another process's store over the same meta files: its own manager
+    over the same cluster, so none of the pages the writer appended are
+    in its page cache."""
+    mgr = MetaDfsManager(store.manager.cluster, store.manager.page_config)
+    return DfsTransactionStore(
+        mgr, mgr.open_meta(store.data.name, sparse=True),
+        mgr.open_meta(store.log.name), TOTAL, threshold)
 
 
 def _commit_blocks(store, rng, blocks):
