@@ -27,31 +27,29 @@ Mutating operations on one meta file require external mutual exclusion
 
 Pages are kept in a cache that all sessions of a manager share, keyed
 by constituent name and tagged with the constituent's DFS `file_id`. It
-is read-through for `read_page`, and write-through for appends: an
-append caches every page of its block under the id `create_file`
-returned, so a reader, or the batch post-commit, gets the log blocks
-this manager wrote without a DFS read. `read_block` serves a block
-whose pages are all cached and otherwise reads the DFS without caching,
-so a remade data block is never cached whole. A constituent is
-write-once and the NameNode never reuses an id, so a cached page is
-served only while its block's current id (one NameNode call per read,
-made before the cache is looked at) is the id it was cached under; a
-remake by anyone, this manager or another over the same cluster, and a
-truncate and append by another manager, change the id. An append whose
-count change fails leaves its pages cached under a block past the
-count, which no read reaches; the next create of that name gets a new
-id. The id call also reports a block whose replicas are all dead, so
-replica loss surfaces on a cached page too. There is no eviction by
+is read-through for `read_page`, and write-through for appends: once
+an append has counted its block, it caches every page of the block
+under the id `create_file` returned, so a reader, or the batch
+post-commit, gets the log blocks this manager wrote without a DFS read.
+`read_block` serves a block whose pages are all cached and otherwise
+reads the DFS without caching, so a remade data block is never cached
+whole. A constituent is write-once and the NameNode never reuses an id,
+so a cached page is served only while its block's current id (one
+NameNode call per read, made before the cache is looked at) is the id
+it was cached under; a remake by anyone, this manager or another over
+the same cluster, and a truncate and append by another manager, change
+the id. The id call also reports a block whose replicas are all dead,
+so replica loss surfaces on a cached page too. There is no eviction by
 size: a remake, truncate or delete through this manager drops the
 constituent's pages, so the cache never holds more than the pages read
 from the live data and log blocks and the pages of the log blocks
 appended since the log's last truncate. The engine's batch truncates
 the log once it holds more than `post_commit_threshold` data blocks, so
 that is at most `post_commit_threshold` + 1 blocks, plus the master
-block until its first remake. The cache takes no lock: a reader racing a remake or another reader can only
-cache a page under an id that has died, which is never served, or drop
-an entry another reader or an append made, which costs one more DFS
-read.
+block until its first remake. The cache takes no lock: a reader racing
+a remake or another reader can only cache a page under an id that has
+died, which is never served, or drop an entry another reader or an
+append made, which costs one more DFS read.
 """
 
 from __future__ import annotations
@@ -196,11 +194,11 @@ class MetaDfsManager:
         count = self.cluster.meta_block_count(file.name)
         name = constituent_name(file.name, count)
         file_id = self._create_fresh(name, content).file_id
+        self.cluster.meta_set_block_count(file.name, count + 1)
         size = self.page_config.page_size
         self._pages[name] = (file_id, {
             offset: content[offset * size:(offset + 1) * size]
             for offset in range(self.page_config.pages_per_block)})
-        self.cluster.meta_set_block_count(file.name, count + 1)
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
@@ -240,10 +238,10 @@ class MetaDfsManager:
             self._require_sparse(file, block_id)
             return bytes(size)
         name = constituent_name(file.name, block_id)
-        entry = self._pages.get(name)
+        pages = self._cached(name, file_id)
         n = self.page_config.pages_per_block
-        if entry is not None and entry[0] == file_id and len(entry[1]) == n:
-            return b"".join(entry[1][offset] for offset in range(n))
+        if pages is not None and len(pages) == n:
+            return b"".join(pages[offset] for offset in range(n))
         return self.cluster.read_range(name, 0, size)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
@@ -280,14 +278,23 @@ class MetaDfsManager:
             self._require_sparse(file, addr.block_id)
             return self._zero_page
         name = constituent_name(file.name, addr.block_id)
-        entry = self._pages.get(name)
-        if entry is None or entry[0] != file_id:
-            entry = self._pages[name] = (file_id, {})
-        page = entry[1].get(addr.page_offset)
+        pages = self._cached(name, file_id)
+        if pages is None:
+            pages = {}
+            self._pages[name] = (file_id, pages)
+        page = pages.get(addr.page_offset)
         if page is None:
-            page = entry[1][addr.page_offset] = self.cluster.read_range(
+            page = pages[addr.page_offset] = self.cluster.read_range(
                 name, addr.page_offset * size, size)
         return page
+
+    def _cached(self, name: str, file_id: int) -> dict[int, bytes] | None:
+        """The pages cached for constituent `name` if they were cached
+        under `file_id`, its current id; else None (see above)."""
+        entry = self._pages.get(name)
+        if entry is None or entry[0] != file_id:
+            return None
+        return entry[1]
 
     def _require_sparse(self, file: MetaDfsFile, block_id: int) -> None:
         """Raise NotFound for a block with no constituent unless the file

@@ -349,9 +349,8 @@ def test_a_peer_reappend_is_not_served_from_a_stale_seed(mgr):
 
 
 def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
-    """An append whose count change fails has cached the pages of a
-    constituent past the count: no read reaches them, and a block that
-    another manager appends there later is read from the DFS."""
+    """An append whose count change fails caches nothing, so a block
+    that another manager appends there later is read from the DFS."""
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(1))
 
@@ -362,6 +361,7 @@ def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
     with pytest.raises(StorageError, match="refused"):
         mgr.append_block(f, block_of(2))
     monkeypatch.undo()
+    assert constituent_name("m", 1) not in mgr.cached_ids()
     with pytest.raises(OutOfRange):
         mgr.read_page(f, N)
     with pytest.raises(OutOfRange):
