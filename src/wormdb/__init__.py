@@ -13,7 +13,7 @@ from .dfs import DfsCluster, DfsConfig
 from .engine import Database, EngineConfig, Session
 from .errors import StorageError
 from .locks import LockService
-from .metafile import MetaDfsManager, PageConfig
+from .metafile import MetaDfsManager
 from .records import UserVisitsRecord
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "EngineConfig",
     "LockService",
     "MetaDfsManager",
-    "PageConfig",
     "Session",
     "StorageError",
     "UserVisitsRecord",

@@ -18,7 +18,7 @@ from .engine import Database, EngineConfig
 from .errors import ConfigError, StorageError
 from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .locks import LockService
-from .metafile import PageConfig
+from .metafile import pages_per_block
 from .spdu_dfs import check_log_geometry
 
 DB_NAME = "db"
@@ -74,7 +74,8 @@ def _checked_engine_config(values: dict) -> EngineConfig:
                           for f in fields(EngineConfig)})
     try:
         cfg.dfs_config()
-        check_log_geometry(PageConfig(cfg.page_size, cfg.block_size))
+        check_log_geometry(cfg.page_size,
+                           pages_per_block(cfg.page_size, cfg.block_size))
     except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from None
     if cfg.replication > cfg.num_nodes:

@@ -374,9 +374,6 @@ class DfsCluster:
         with self._lock:
             return sorted(n for n in self._files if n.startswith(prefix))
 
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
     def replicas(self, name: str) -> list[bytes]:
         """All stored replica contents of a file (for consistency checks)."""
         with self._lock:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .faults import NULL_INJECTOR, FaultInjector
 from .locks import LockService, READ, WRITE
-from .metafile import MetaDfsManager, PageConfig
+from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SlottedPage
 from .records import FIELD_LIMITS, UserVisitsRecord, pack_record, unpack_record
@@ -167,8 +167,8 @@ class Database:
         self.name = name
         self.data_name, self.log_name = self.meta_names(name)
         self.total_pages = total_pages
-        self.post_commit_threshold = post_commit_threshold
-        self.deferred = deferred
+        # without deferral every commit runs the batch: threshold 0
+        self.post_commit_threshold = post_commit_threshold if deferred else 0
         self.locks = locks if locks is not None else LockService()
         self.faults = faults
         self._session_seq = 0
@@ -182,17 +182,12 @@ class Database:
         """The data and log meta files of database `name`."""
         return f"{name}/data", f"{name}/log"
 
-    @staticmethod
-    def _manager(cluster: DfsCluster, page_size: int) -> MetaDfsManager:
-        return MetaDfsManager(
-            cluster, PageConfig(page_size, cluster.config.block_size_bytes))
-
     @classmethod
     def discard(cls, cluster: DfsCluster, name: str, page_size: int) -> None:
         """Delete whichever meta files of database `name` exist: what a
         `create` that failed or was killed left behind. The caller must
         know that no create of `name` finished."""
-        manager = cls._manager(cluster, page_size)
+        manager = MetaDfsManager(cluster, page_size)
         for meta in cls.meta_names(name):
             if manager.exists(meta):
                 manager.delete_meta(manager.open_meta(meta))
@@ -203,7 +198,7 @@ class Database:
                post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                deferred: bool = True, locks: LockService | None = None,
                faults: FaultInjector = NULL_INJECTOR) -> "Database":
-        manager = cls._manager(cluster, page_size)
+        manager = MetaDfsManager(cluster, page_size)
         catalog = Catalog(total_pages=total_pages, heap_used=0,
                           index_floor=total_pages, record_count=0)
         data_name, log_name = cls.meta_names(name)
@@ -220,7 +215,7 @@ class Database:
              locks: LockService | None = None,
              faults: FaultInjector = NULL_INJECTOR,
              recover: bool = True) -> "Database":
-        manager = cls._manager(cluster, page_size)
+        manager = MetaDfsManager(cluster, page_size)
         data_name, _ = cls.meta_names(name)
         if not manager.exists(data_name):
             raise NotFound(f"no database: {name}")
@@ -235,7 +230,7 @@ class Database:
     def _bootstrap_store(self) -> DfsTransactionStore:
         return DfsTransactionStore(
             self.manager, self.data, self.log, self.total_pages,
-            self.post_commit_threshold, self.deferred, self.faults)
+            self.post_commit_threshold, self.faults)
 
     def needs_recovery(self) -> str | None:
         """"redo" if a batch was interrupted, "rollback" if the log has an
@@ -287,7 +282,7 @@ class Session:
         self.db = db
         self.owner = owner
         self.store = db._bootstrap_store()
-        self.page_size = db.manager.page_config.page_size
+        self.page_size = db.manager.page_size
         self._entries_per_page = \
             (self.page_size - PAGE_HEADER_SIZE) // ENTRY_SIZE
         self.mode: str | None = None

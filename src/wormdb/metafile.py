@@ -67,22 +67,17 @@ class PageAddress:
     page_offset: int
 
 
-@dataclass(frozen=True)
-class PageConfig:
-    page_size: int
-    block_size: int
-
-    def __post_init__(self):
-        if self.page_size <= 0:
-            raise ValueError("page_size must be positive")
-        if self.block_size % self.page_size != 0:
-            raise ValueError(
-                f"block size {self.block_size} is not a multiple of "
-                f"page size {self.page_size}")
-
-    @property
-    def pages_per_block(self) -> int:
-        return self.block_size // self.page_size
+def pages_per_block(page_size: int, block_size: int) -> int:
+    """The pages of `page_size` bytes in a block of `block_size` bytes;
+    raises ValueError unless the page size is positive and divides the
+    block size."""
+    if page_size <= 0:
+        raise ValueError("page_size must be positive")
+    if block_size % page_size != 0:
+        raise ValueError(
+            f"block size {block_size} is not a multiple of "
+            f"page size {page_size}")
+    return block_size // page_size
 
 
 class MetaDfsFile:
@@ -106,22 +101,25 @@ class MetaDfsFile:
 class MetaDfsManager:
     """Presents meta DFS files on top of a DfsCluster.
 
+    A block is one DFS block: its size is the cluster's, read here once,
+    and a page of `page_size` bytes must divide it.
+
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
     deferred post-commit design is judged by, and so is the page cache.
     """
 
-    def __init__(self, cluster: DfsCluster, page_config: PageConfig):
+    def __init__(self, cluster: DfsCluster, page_size: int):
         self.cluster = cluster
-        if page_config.block_size != cluster.config.block_size_bytes:
-            raise ValueError("page config block size != DFS block size")
-        self.page_config = page_config
+        self.page_size = page_size
+        self.block_size = cluster.config.block_size_bytes
+        self.pages_per_block = pages_per_block(page_size, self.block_size)
         self._counter_lock = threading.Lock()
         self.remakes_total = 0
         self.remakes_by_file: dict[str, int] = {}
         # constituent name -> (its file_id, {page offset: page})
         self._pages: dict[str, tuple[int, dict[int, bytes]]] = {}
-        self._zero_page = bytes(page_config.page_size)
+        self._zero_page = bytes(page_size)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -163,10 +161,9 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
 
     def _check_block(self, content: bytes) -> None:
-        if len(content) != self.cluster.config.block_size_bytes:
+        if len(content) != self.block_size:
             raise WrongBlockSize(
-                f"block must be exactly "
-                f"{self.cluster.config.block_size_bytes} bytes, "
+                f"block must be exactly {self.block_size} bytes, "
                 f"got {len(content)}")
 
     def _constituent(self, file: MetaDfsFile, block_id: int) -> str:
@@ -195,10 +192,10 @@ class MetaDfsManager:
         name = constituent_name(file.name, count)
         file_id = self._create_fresh(name, content).file_id
         self.cluster.meta_set_block_count(file.name, count + 1)
-        size = self.page_config.page_size
+        size = self.page_size
         self._pages[name] = (file_id, {
             offset: content[offset * size:(offset + 1) * size]
-            for offset in range(self.page_config.pages_per_block)})
+            for offset in range(self.pages_per_block)})
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
@@ -232,17 +229,16 @@ class MetaDfsManager:
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         """The whole block: from the cache if every page of it is cached
         under the block's current id, else from the DFS (not cached)."""
-        size = self.cluster.config.block_size_bytes
         file_id = self.cluster.meta_file_id(file.name, block_id)
         if file_id is None:
             self._require_sparse(file, block_id)
-            return bytes(size)
+            return bytes(self.block_size)
         name = constituent_name(file.name, block_id)
         pages = self._cached(name, file_id)
-        n = self.page_config.pages_per_block
+        n = self.pages_per_block
         if pages is not None and len(pages) == n:
             return b"".join(pages[offset] for offset in range(n))
-        return self.cluster.read_range(name, 0, size)
+        return self.cluster.read_range(name, 0, self.block_size)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Shorten the file with one NameNode mutation (see above)."""
@@ -265,13 +261,13 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
 
     def page_address(self, pageid: int) -> PageAddress:
-        n = self.page_config.pages_per_block
+        n = self.pages_per_block
         return PageAddress(pageid // n, pageid % n)
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
         """One page, from the cache if it was read from the block's
         current constituent, else from the DFS (and then cached)."""
-        size = self.page_config.page_size
+        size = self.page_size
         addr = self.page_address(pageid)
         file_id = self.cluster.meta_file_id(file.name, addr.block_id)
         if file_id is None:

@@ -6,8 +6,10 @@ its transaction, and a checksum of the payload. Application structures
 (slotted pages, catalog, index segments) live in the remaining bytes and
 must never touch the header area.
 
-The header is what lets restart rebuild a log table index from a durable
-log without any side metadata.
+The store stamps the header on every page it writes, and no package code
+reads it back: restart rebuilds the log table index from the footers of
+the log blocks. The flat-file oracle in `tests/oracles.py` rebuilds its
+index from page headers, and the tests check pages with `verify_page`.
 """
 
 from __future__ import annotations

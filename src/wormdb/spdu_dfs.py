@@ -45,7 +45,7 @@ import zlib
 
 from .errors import OutOfRange, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
-from .metafile import MetaDfsFile, MetaDfsManager, PageConfig
+from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
 
 _MASTER = struct.Struct("<IB")  # magic, commit_flag
@@ -89,8 +89,7 @@ def _master_block(block_size: int, commit_flag: bool) -> bytes:
 def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
     """Create a log meta file holding only the master block."""
     file = manager.create_meta(name)
-    manager.append_block(
-        file, _master_block(manager.cluster.config.block_size_bytes, False))
+    manager.append_block(file, _master_block(manager.block_size, False))
     return file
 
 
@@ -99,20 +98,20 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
     """Create a sparse data meta file of `total_pages` pages: page 0 holds
     `first_page` (zeros if None), and only its block is written; every
     other block reads as zeros until its first remake."""
-    cfg = manager.page_config
-    blocks = (total_pages + cfg.pages_per_block - 1) // cfg.pages_per_block
-    first_block = (first_page or b"").ljust(cfg.block_size, b"\0")
+    n = manager.pages_per_block
+    blocks = (total_pages + n - 1) // n
+    first_block = (first_page or b"").ljust(manager.block_size, b"\0")
     return manager.create_sparse_meta(name, blocks, first_block)
 
 
-def check_log_geometry(cfg: PageConfig) -> None:
+def check_log_geometry(page_size: int, pages_per_block: int) -> None:
     """Raise ValueError unless a log block of this geometry holds at least
     one page and a footer page that can list every other page."""
-    if cfg.pages_per_block - 1 > (cfg.page_size - FOOTER_FIXED_SIZE) // 8:
+    if pages_per_block - 1 > (page_size - FOOTER_FIXED_SIZE) // 8:
         raise ValueError(
-            f"footer cannot list {cfg.pages_per_block - 1} pageids "
-            f"in a {cfg.page_size}-byte page")
-    if cfg.pages_per_block < 2:
+            f"footer cannot list {pages_per_block - 1} pageids "
+            f"in a {page_size}-byte page")
+    if pages_per_block < 2:
         raise ValueError("need at least two pages per block")
 
 
@@ -132,18 +131,15 @@ class DfsTransactionStore:
     def __init__(self, manager: MetaDfsManager, data: MetaDfsFile,
                  log: MetaDfsFile, total_pages: int,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
-                 deferred: bool = True,
                  faults: FaultInjector = NULL_INJECTOR):
-        cfg = manager.page_config
-        check_log_geometry(cfg)
+        check_log_geometry(manager.page_size, manager.pages_per_block)
         self.manager = manager
         self.data = data
         self.log = log
-        self.page_size = cfg.page_size
-        self.pages_per_block = cfg.pages_per_block
+        self.page_size = manager.page_size
+        self.pages_per_block = manager.pages_per_block
         self.total_pages = total_pages
         self.post_commit_threshold = post_commit_threshold
-        self.deferred = deferred
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
         # block_id -> (constituent file_id, pageids, commit_complete)
@@ -218,18 +214,19 @@ class DfsTransactionStore:
         makes no NameNode call when there is no tail."""
         self._new_transaction()
         self.reconstruct_log_table_index()
-        last = self._last_complete()
-        if write and len(self._footers) > last:
-            self.manager.truncate_from(self.log, last + 1)
+        tail = self._uncommitted_tail()
+        if write and tail is not None:
+            self.manager.truncate_from(self.log, tail)
 
     def commit_transaction(self) -> None:
         """Durable at the append of the commit-marked block; post-commit is
-        deferred until the log outgrows the threshold."""
+        deferred until the log outgrows the threshold (at threshold 0 it
+        runs at every commit, since the marker is a log block)."""
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
         self._new_transaction()
-        if not self.deferred or self.log_data_blocks() > self.post_commit_threshold:
+        if self.log_data_blocks() > self.post_commit_threshold:
             self.faults.hit("dfs.commit.before_threshold_batch")
             self.batch_post_commit()
             self.faults.hit("dfs.commit.after_batch")
@@ -350,13 +347,12 @@ class DfsTransactionStore:
 
     def recovery_state(self) -> str | None:
         """"redo" if a batch post-commit was interrupted, "rollback" if the
-        log ends in an uncommitted block, else None."""
+        log has a block past its committed prefix (what a writer's begin
+        truncates), else None."""
         if self.read_commit_flag():
             return "redo"
-        last = self.log.block_count - 1
-        if last > 0 and not self.read_footer(last)[1]:
-            return "rollback"
-        return None
+        self.footers()
+        return None if self._uncommitted_tail() is None else "rollback"
 
     # ------------------------------------------------------------------
     # Internals
@@ -370,9 +366,15 @@ class DfsTransactionStore:
     def _write_master(self, commit_flag: bool) -> None:
         self.manager.overwrite_block(
             self.log, 0,
-            _master_block(self.manager.page_config.block_size, commit_flag))
+            _master_block(self.manager.block_size, commit_flag))
 
     def _last_complete(self) -> int:
         """The newest commit_complete block this store has seen; 0 if none."""
         return max((block_id for block_id, (_, _, complete)
                     in self._footers.items() if complete), default=0)
+
+    def _uncommitted_tail(self) -> int | None:
+        """The first block past the committed prefix of the footers this
+        store last read, or None if the log ends in a committed block."""
+        first = self._last_complete() + 1
+        return first if first <= len(self._footers) else None

@@ -23,7 +23,7 @@ from wormdb.engine import Database
 from wormdb.errors import AllReplicasDead
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
-from wormdb.metafile import MetaDfsManager, PageConfig
+from wormdb.metafile import MetaDfsManager
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,
@@ -62,10 +62,10 @@ TOTAL = 96
 
 def build_page_db(threshold=4, faults=None):
     cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
-    mgr = MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
+    mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", TOTAL)
     log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, TOTAL, threshold, True,
+    store = DfsTransactionStore(mgr, data, log, TOTAL, threshold,
                                 faults or FaultInjector())
     return store
 
@@ -175,7 +175,7 @@ def sweep_point(point, seed=1234):
         # crash a second time, inside restart processing itself
         faults.arm(point)
         mid = DfsTransactionStore(store.manager, store.data, store.log,
-                                  TOTAL, 4, True, faults)
+                                  TOTAL, 4, faults)
         with pytest.raises(CrashPoint):
             mid.restart_system()
 
@@ -207,7 +207,7 @@ def test_criterion_2_oracle_equivalence():
     small_total = 64
     for seed in range(100):
         cluster = DfsCluster(DfsConfig(4096, 2, 0), 4)
-        mgr = MetaDfsManager(cluster, PageConfig(256, 4096))
+        mgr = MetaDfsManager(cluster, 256)
         data = create_data_meta(mgr, "d", small_total)
         log = create_log_meta(mgr, "l")
         dfs_store = DfsTransactionStore(mgr, data, log, small_total, 8)
@@ -331,7 +331,7 @@ def test_criterion_6_visibility():
 
     # the second process shares the cluster, not the writer's page cache
     cluster = store.manager.cluster
-    mgr = MetaDfsManager(cluster, store.manager.page_config)
+    mgr = MetaDfsManager(cluster, store.manager.page_size)
     second = DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name, sparse=True),
         mgr.open_meta(store.log.name), TOTAL)
@@ -426,8 +426,8 @@ def test_criterion_8_fault_tolerance():
 @criterion(9, "page mapping exhaustive")
 def test_criterion_9_page_mapping():
     cluster = DfsCluster(DfsConfig(BLOCK, 1, 0), 1)
-    mgr = MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
-    n = mgr.page_config.pages_per_block
+    mgr = MetaDfsManager(cluster, PAGE)
+    n = mgr.pages_per_block
     assert n == N
     page_address = mgr.page_address
     for pageid in range(10 ** 6):

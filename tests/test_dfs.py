@@ -17,7 +17,7 @@ from wormdb.errors import (
     UnknownNode,
     WrongBlockSize,
 )
-from wormdb.metafile import MetaDfsManager, PageConfig
+from wormdb.metafile import MetaDfsManager
 
 KB = 1024
 
@@ -355,7 +355,7 @@ def test_meta_file_ids_follow_constituents():
         cluster.meta_file_ids("nope")
 
     block = 64 * KB
-    manager = MetaDfsManager(cluster, PageConfig(4 * KB, block))
+    manager = MetaDfsManager(cluster, 4 * KB)
     data = manager.create_sparse_meta("data", 3, bytes([1]) * block)
     log = manager.create_meta("log")
     for tag in range(3):

@@ -408,18 +408,42 @@ def test_threshold_commit_compacts_log():
     s.commit()
 
 
-def test_non_deferred_mode_runs_post_commit_every_commit():
-    db = make_db(deferred=False)
+def _remakes_per_commit(db) -> list[int]:
+    """remakes_total after each commit of a fixed script; every commit
+    leaves a one-block log (copied back and compacted immediately)."""
     s = db.session()
+    remakes = []
+    for count in (10, 200, 1):
+        s.begin("write")
+        for i in range(count):
+            s.insert_record(rec(len(remakes) * 1000 + i, key=f"9.9.9.{i % 3}"))
+        s.commit()
+        assert db.log.block_count == 1
+        assert db.manager.remakes_of(db.data_name) > 0
+        remakes.append(db.manager.remakes_total)
     s.begin("write")
-    for i in range(10):
-        s.insert_record(rec(i))
+    assert s.update_by_key("9.9.9.1", "DEU", use_index=True) == 70
     s.commit()
-    assert db.log.block_count == 1  # copied back and compacted immediately
-    assert db.manager.remakes_of(db.data_name) > 0
+    assert db.log.block_count == 1
+    remakes.append(db.manager.remakes_total)
     s.begin("read")
-    assert len(s.scan(100)) == 10
+    assert len(s.scan(10 ** 6)) == 211
     s.commit()
+    return remakes
+
+
+NON_DEFERRED_MODES = {"deferred_false": {"deferred": False},
+                      "threshold_0": {"threshold": 0}}
+
+
+@pytest.mark.parametrize("mode", NON_DEFERRED_MODES)
+def test_non_deferred_mode_runs_post_commit_every_commit(mode):
+    """deferred=False and post_commit_threshold=0 are the same store: the
+    commit marker is a log block, so threshold 0 batches every commit."""
+    remakes = _remakes_per_commit(make_db(**NON_DEFERRED_MODES[mode]))
+    other = next(kwargs for name, kwargs in NON_DEFERRED_MODES.items()
+                 if name != mode)
+    assert remakes == _remakes_per_commit(make_db(**other))
 
 
 def test_maintenance_trigger_compacts_log():
@@ -807,7 +831,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
     db = make_db(threshold=4)
     cluster = db.manager.cluster
     sessions = [db.session("A"), db.session("B")]
-    pages_per_block = db.manager.page_config.pages_per_block
+    pages_per_block = db.manager.pages_per_block
     n = 0
     for step in range(50):
         session = rng.choice(sessions)
@@ -826,7 +850,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
                 session.abort()
             else:
                 session.commit()
-        fresh = MetaDfsManager(cluster, db.manager.page_config)
+        fresh = MetaDfsManager(cluster, db.manager.page_size)
         for file in (db.data, db.log):
             for pageid in range(file.block_count * pages_per_block):
                 assert db.manager.read_page(file, pageid) == \

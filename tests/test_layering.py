@@ -14,6 +14,11 @@ Only the meta-file layer changes the NameNode: a module other than
 metafile.py calls none of the DfsCluster mutations, so "remake a block"
 and every other change of a meta file is written once.
 
+The DFS block size has one home: inside the package only dfs.py and
+``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
+reader takes the manager's ``block_size``/``pages_per_block``. No module
+names the deleted ``PageConfig``.
+
 The benchmark's tracer, perfbench/spans.py, patches package functions by
 name, so each of those names must exist in the package, and each hook it
 calls before a function must take that function's arguments.
@@ -130,6 +135,71 @@ def test_only_the_meta_file_layer_mutates_the_namenode():
     assert offences == []
     assert namenode_mutation_calls(
         (PACKAGE / MUTATING_MODULE).read_text("utf-8")) != []
+
+
+def mentions(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each place `source` uses identifier
+    `name`: as a variable, attribute, keyword, import or definition. The
+    scope is the dotted path of enclosing classes and functions, or
+    "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if node.name == name:
+                found.append((node.lineno, scope))
+            scope = node.name if scope == "<module>" \
+                else f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Name) and node.id == name) or \
+                (isinstance(node, ast.Attribute) and node.attr == name) or \
+                (isinstance(node, ast.keyword) and node.arg == name) or \
+                (isinstance(node, ast.alias) and name in
+                 (node.name.split(".")[-1], node.asname)):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_detector_finds_mentions_with_their_scope():
+    source = (
+        "from .metafile import PageConfig as P\n"
+        "class M:\n"
+        "    def __init__(self, cluster):\n"
+        "        self.b = cluster.config.block_size_bytes\n"
+        "    def check(self, n):\n"
+        "        return DfsConfig(block_size_bytes=n).block_size\n"
+        "block_size_bytes = 4\n"
+        "def f():\n"
+        "    def block_size_bytes(): pass\n"
+    )
+    assert mentions(source, "block_size_bytes") == [
+        (4, "M.__init__"), (6, "M.check"), (7, "<module>"), (9, "f")]
+    assert mentions(source, "PageConfig") == [(1, "<module>")]
+    assert mentions(source, "block_size") == [(6, "M.check")]
+
+
+# module -> the scopes that may mention block_size_bytes (None: any scope)
+BLOCK_SIZE_HOMES = {"dfs.py": None, "metafile.py": {"MetaDfsManager.__init__"}}
+
+
+def test_the_dfs_block_size_has_one_home():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text("utf-8")
+        allowed = BLOCK_SIZE_HOMES.get(path.name, set())
+        for line, scope in mentions(source, "block_size_bytes"):
+            if allowed is not None and scope not in allowed:
+                offences.append(f"{path.name}:{line}: {scope}")
+        for line, scope in mentions(source, "PageConfig"):
+            offences.append(f"{path.name}:{line}: PageConfig in {scope}")
+    assert offences == []
+    assert mentions((PACKAGE / "metafile.py").read_text("utf-8"),
+                    "block_size_bytes") != []
+    assert not hasattr(wormdb, "PageConfig")
 
 
 def imported_modules(source: str) -> set[str]:

@@ -14,7 +14,7 @@ from wormdb.errors import (
     StorageError,
     WrongBlockSize,
 )
-from wormdb.metafile import MetaDfsManager, PageConfig, constituent_name
+from wormdb.metafile import MetaDfsManager, constituent_name
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,
@@ -29,7 +29,7 @@ N = BLOCK // PAGE
 @pytest.fixture
 def mgr():
     cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
-    return MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
+    return MetaDfsManager(cluster, PAGE)
 
 
 def block_of(tag: int) -> bytes:
@@ -102,8 +102,7 @@ def test_page_address_examples(mgr):
     assert (addr.block_id, addr.page_offset) == (2, 3)  # 35 = 2*16 + 3
     # with the default 64MB/4KB geometry, page N lands at (1, 0)
     big = MetaDfsManager(
-        DfsCluster(DfsConfig(64 * 1024 * 1024, 1, 0), 1),
-        PageConfig(4096, 64 * 1024 * 1024))
+        DfsCluster(DfsConfig(64 * 1024 * 1024, 1, 0), 1), 4096)
     n = 64 * 1024 * 1024 // 4096
     assert n == 16384
     a = big.page_address(n)
@@ -225,7 +224,7 @@ def dfs_reads(mgr, fn):
 def peer_of(mgr):
     """Another process's manager over the same cluster: its page cache
     holds none of the pages `mgr` appended."""
-    return MetaDfsManager(mgr.cluster, mgr.page_config)
+    return MetaDfsManager(mgr.cluster, mgr.page_size)
 
 
 def test_repeat_page_read_is_served_from_cache(mgr):
@@ -277,7 +276,7 @@ def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(1))
     assert mgr.read_page(f, 0) == bytes([1]) * PAGE
-    peer = MetaDfsManager(mgr.cluster, mgr.page_config)
+    peer = MetaDfsManager(mgr.cluster, mgr.page_size)
     peer.overwrite_block(peer.open_meta("m"), 0, block_of(2))
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
         (1, PAGE, bytes([2]) * PAGE)
@@ -374,7 +373,7 @@ def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
 
 def test_a_batch_leaves_no_log_block_past_the_master_cached():
     cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
-    mgr = MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
+    mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", 4 * N)
     log = create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, log, 4 * N)
@@ -583,12 +582,12 @@ def test_meta_file_id_checks(mgr):
 @given(pageid=st.integers(0, 10 ** 9), n=st.integers(1, 1 << 16))
 def test_page_address_round_trip(pageid, n):
     cluster = DfsCluster(DfsConfig(n * 64, 1, 0), 1)
-    m = MetaDfsManager(cluster, PageConfig(64, n * 64))
+    m = MetaDfsManager(cluster, 64)
     addr = m.page_address(pageid)
     assert addr.block_id * n + addr.page_offset == pageid
     assert 0 <= addr.page_offset < n
 
 
-def test_page_config_rejects_remainder():
+def test_manager_rejects_remainder():
     with pytest.raises(ValueError):
-        PageConfig(1000, BLOCK)
+        MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2, 0), 4), 1000)

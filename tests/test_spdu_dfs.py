@@ -8,7 +8,7 @@ from oracles import MapOracle, random_payload_page
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import CrashPoint, FaultInjector
-from wormdb.metafile import MetaDfsManager, PageConfig
+from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import PAGE_HEADER_SIZE, page_header
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
@@ -24,12 +24,12 @@ N = BLOCK // PAGE  # 16
 TOTAL = 96  # six data blocks
 
 
-def make_store(threshold=64, deferred=True, faults=None, total=TOTAL):
+def make_store(threshold=64, faults=None, total=TOTAL):
     cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
-    mgr = MetaDfsManager(cluster, PageConfig(PAGE, BLOCK))
+    mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", total)
     log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, total, threshold, deferred,
+    store = DfsTransactionStore(mgr, data, log, total, threshold,
                                 faults or FaultInjector())
     return store
 
@@ -314,7 +314,7 @@ def _peer(store, threshold=64):
     """Another process's store over the same meta files: its own manager
     over the same cluster, so none of the pages the writer appended are
     in its page cache."""
-    mgr = MetaDfsManager(store.manager.cluster, store.manager.page_config)
+    mgr = MetaDfsManager(store.manager.cluster, store.manager.page_size)
     return DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name, sparse=True),
         mgr.open_meta(store.log.name), TOTAL, threshold)
@@ -552,7 +552,7 @@ def test_crash_storm_during_recovery_converges():
             if rng.random() < 0.7:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(3))
             attempt = DfsTransactionStore(store.manager, store.data,
-                                          store.log, TOTAL, 2, True, faults)
+                                          store.log, TOTAL, 2, faults)
             try:
                 attempt.restart_system()
                 break
@@ -579,6 +579,35 @@ def test_restart_rollback_drops_uncommitted_tail():
     assert fresh.restart_system() == "rollback"
     assert fresh.read_page(7) == bytes(PAGE)
     assert payload(fresh.read_page(3)) == payload(committed)
+
+
+@pytest.mark.parametrize("view", ["writer", "peer"])
+@pytest.mark.parametrize("tail", [0, 1, 2])
+def test_rollback_state_is_exactly_a_writers_truncate(tail, view):
+    """recovery_state() says "rollback" exactly when a writer's begin
+    truncates the log, seen through the writer's manager (whose page
+    cache holds every footer, so the state reads nothing from the DFS)
+    and through a peer's."""
+    store = make_store()
+    rng = random.Random(40 + tail)
+    _commit_blocks(store, rng, 2)
+    for _ in range(tail):
+        store.write_page(rng.randrange(TOTAL), page_with(rng))
+        store.flush_buffer(mark_commit=False)
+    if view == "writer":
+        probe = DfsTransactionStore(store.manager, store.data, store.log,
+                                    TOTAL)
+        reads, _, state = _reads_during(probe, probe.recovery_state)
+        assert reads == 0
+    else:
+        probe = _peer(store)
+        state = probe.recovery_state()
+    before = probe.log.block_count
+    probe.begin_transaction(write=True)
+    truncated = probe.log.block_count < before
+    assert (state == "rollback") == truncated == (tail > 0)
+    assert probe.log.block_count == 3
+    assert probe.recovery_state() is None
 
 
 def test_clean_restart_preserves_state():
