@@ -13,9 +13,10 @@ gets a `file_id` the NameNode never hands out again, and a rename keeps
 the id of the file it moves, so a client that cached what a file holds
 can tell a remade file from the one it replaced: as an HDFS client asks
 the NameNode where a block lives before it reads, a client asks
-`meta_file_id` for a block's current id (which also fails when no live
-DataNode holds the block, and is None when the block has no file) and
-serves its cached copy only if the id is the one it cached under.
+`meta_block_entry` for a block's current entry (which also fails when no
+live DataNode holds the block, and is None when the block has no file)
+and serves its cached copy only if the entry's id is the one it cached
+under. The entry's size also says where a short block ends.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -209,8 +210,13 @@ class DfsCluster:
                     line = line.rstrip("\n")
                     if not line:
                         continue
-                    name, count = line.split("\t")
-                    self._meta_table[unquote(name)] = int(count)
+                    try:
+                        name, count = line.split("\t")
+                        self._meta_table[unquote(name)] = int(count)
+                    except ValueError:
+                        raise RecoveryError(
+                            f"{meta}: not a name, block count row: "
+                            f"{line!r}") from None
 
     def _save_tables(self):
         if self.root is None:
@@ -405,12 +411,13 @@ class DfsCluster:
                 raise NotFound(f"no meta DFS file: {name}")
             return count
 
-    def meta_file_id(self, name: str, ordinal: int) -> int | None:
-        """The file_id of block `ordinal`'s constituent of a meta file,
-        read under one lock; None if the block has no constituent. Raises
-        OutOfRange for a block past the end and AllReplicasDead when no
-        live DataNode holds the block, so a client serving the block from
-        its cache still learns of both."""
+    def meta_block_entry(self, name: str,
+                         ordinal: int) -> DfsFileEntry | None:
+        """The entry (file_id and size) of block `ordinal`'s constituent
+        of a meta file, read under one lock; None if the block has no
+        constituent. Raises OutOfRange for a block past the end and
+        AllReplicasDead when no live DataNode holds the block, so a client
+        serving the block from its cache still learns of both."""
         with self._lock:
             count = self._meta_table.get(name)
             if count is None:
@@ -418,19 +425,16 @@ class DfsCluster:
             if not 0 <= ordinal < count:
                 raise OutOfRange(f"block {ordinal} of {name} (has {count})")
             entry = self._files.get(constituent_name(name, ordinal))
-            if entry is None:
-                return None
-            self._pick_alive_holder(entry)
-            return entry.file_id
+            if entry is not None:
+                self._pick_alive_holder(entry)
+            return entry
 
-    def meta_file_ids(self, name: str) -> list[int | None]:
-        """The file_id of each constituent of a meta file, block 0 first,
+    def meta_block_entries(self, name: str) -> list[DfsFileEntry | None]:
+        """The entry of each constituent of a meta file, block 0 first,
         None for a block with no constituent, read under one lock."""
         with self._lock:
-            entries = (self._files.get(constituent_name(name, ordinal))
-                       for ordinal in range(self.meta_block_count(name)))
-            return [None if entry is None else entry.file_id
-                    for entry in entries]
+            return [self._files.get(constituent_name(name, ordinal))
+                    for ordinal in range(self.meta_block_count(name))]
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:

@@ -10,6 +10,14 @@ Appending creates the next constituent. Page addressing is the static
 split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
 pages per block.
 
+A block is whole pages, at most one DFS block, and its constituent is
+only as long as what was written: a data block fills its DFS block, but
+a log block holds just its pages and footer, and the log's master block
+one page, as an HDFS file ends in a partial block. The NameNode entry
+that gives a block's file_id also gives its size, so a reader learns
+where a short block ends from the same call; a page past that end is
+OutOfRange.
+
 A sparse meta file (the engine's data file) is registered with its full
 block count but holds a constituent only for the blocks written so far:
 a block with no constituent reads as zeros without a DFS read, and its
@@ -101,8 +109,9 @@ class MetaDfsFile:
 class MetaDfsManager:
     """Presents meta DFS files on top of a DfsCluster.
 
-    A block is one DFS block: its size is the cluster's, read here once,
-    and a page of `page_size` bytes must divide it.
+    A block is at most one DFS block: `block_size` is the cluster's, read
+    here once, and a page of `page_size` bytes must divide it. A
+    constituent holds 1 to `pages_per_block` whole pages.
 
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
@@ -161,10 +170,11 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
 
     def _check_block(self, content: bytes) -> None:
-        if len(content) != self.block_size:
+        if len(content) % self.page_size or \
+                not 0 < len(content) <= self.block_size:
             raise WrongBlockSize(
-                f"block must be exactly {self.block_size} bytes, "
-                f"got {len(content)}")
+                f"block must be 1 to {self.pages_per_block} whole pages of "
+                f"{self.page_size} bytes, got {len(content)} bytes")
 
     def _constituent(self, file: MetaDfsFile, block_id: int) -> str:
         """Name of an existing block's constituent DFS file."""
@@ -195,7 +205,7 @@ class MetaDfsManager:
         size = self.page_size
         self._pages[name] = (file_id, {
             offset: content[offset * size:(offset + 1) * size]
-            for offset in range(self.pages_per_block)})
+            for offset in range(len(content) // size)})
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
@@ -214,31 +224,42 @@ class MetaDfsManager:
             self.remakes_by_file[file.name] = \
                 self.remakes_by_file.get(file.name, 0) + 1
 
-    def constituent_ids(self, file: MetaDfsFile) -> list[int | None]:
-        """The DFS file_id of each block's constituent, block 0 first.
+    def constituent_entry(self, file: MetaDfsFile,
+                          block_id: int) -> DfsFileEntry | None:
+        """The DFS entry of one block's constituent: its file_id, and its
+        size, which says where a short block ends. None for a block of a
+        sparse file with no constituent."""
+        entry = self.cluster.meta_block_entry(file.name, block_id)
+        if entry is None:
+            self._require_sparse(file, block_id)
+        return entry
 
-        A block's id changes exactly when its constituent is remade or
-        truncated and appended again, so an unchanged id means unchanged
-        content. A block of a sparse file with no constituent has id None.
+    def constituent_entries(self,
+                            file: MetaDfsFile) -> list[DfsFileEntry | None]:
+        """The DFS entry of each block's constituent, block 0 first.
+
+        A block's file_id changes exactly when its constituent is remade
+        or truncated and appended again, so an unchanged id means
+        unchanged content. A block of a sparse file with no constituent
+        is None.
         """
-        ids = self.cluster.meta_file_ids(file.name)
-        if None in ids:
-            self._require_sparse(file, ids.index(None))
-        return ids
+        entries = self.cluster.meta_block_entries(file.name)
+        if None in entries:
+            self._require_sparse(file, entries.index(None))
+        return entries
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
-        """The whole block: from the cache if every page of it is cached
-        under the block's current id, else from the DFS (not cached)."""
-        file_id = self.cluster.meta_file_id(file.name, block_id)
-        if file_id is None:
-            self._require_sparse(file, block_id)
+        """The whole block, as long as its constituent: from the cache if
+        every page of it is cached under the block's current id, else
+        from the DFS (not cached)."""
+        entry = self.constituent_entry(file, block_id)
+        if entry is None:
             return bytes(self.block_size)
-        name = constituent_name(file.name, block_id)
-        pages = self._cached(name, file_id)
-        n = self.pages_per_block
+        pages = self._cached(entry.name, entry.file_id)
+        n = entry.size_bytes // self.page_size
         if pages is not None and len(pages) == n:
             return b"".join(pages[offset] for offset in range(n))
-        return self.cluster.read_range(name, 0, self.block_size)
+        return self.cluster.read_range(entry.name, 0, entry.size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Shorten the file with one NameNode mutation (see above)."""
@@ -269,19 +290,18 @@ class MetaDfsManager:
         current constituent, else from the DFS (and then cached)."""
         size = self.page_size
         addr = self.page_address(pageid)
-        file_id = self.cluster.meta_file_id(file.name, addr.block_id)
-        if file_id is None:
-            self._require_sparse(file, addr.block_id)
+        entry = self.constituent_entry(file, addr.block_id)
+        if entry is None:
             return self._zero_page
-        name = constituent_name(file.name, addr.block_id)
-        pages = self._cached(name, file_id)
+        pages = self._cached(entry.name, entry.file_id)
         if pages is None:
             pages = {}
-            self._pages[name] = (file_id, pages)
+            self._pages[entry.name] = (entry.file_id, pages)
         page = pages.get(addr.page_offset)
         if page is None:
+            # past a short block's end, read_range raises OutOfRange
             page = pages[addr.page_offset] = self.cluster.read_range(
-                name, addr.page_offset * size, size)
+                entry.name, addr.page_offset * size, size)
         return page
 
     def _cached(self, name: str, file_id: int) -> dict[int, bytes] | None:

@@ -4,21 +4,27 @@ Differences from the flat-file method it adapts (kept as a test oracle in
 `tests/oracles.py`), all driven by the DFS block being much larger than a
 page and files being write-once:
 
-* Updated pages accumulate in a block update buffer sized like one DFS
-  block; the buffer is appended to the log meta file when full or at
-  commit. Old log copies of a page are superseded (never overwritten in
-  place) and last-wins resolution happens at post-commit time.
-* Each appended log block carries a footer page: the ordered list of
-  pageids in the block plus a commit_complete flag. A block with
-  commit_complete TRUE marks that it and every earlier block hold only
-  committed data (write transactions are serial).
+* Updated pages accumulate in a block update buffer of up to one DFS
+  block less a page; the buffer is appended to the log meta file when
+  full or at commit. Old log copies of a page are superseded (never
+  overwritten in place) and last-wins resolution happens at post-commit
+  time.
+* Each appended log block is short: its buffered pages in arrival order,
+  then a footer page, and nothing more, so a block of k pages is
+  (k + 1) pages long. The footer is the ordered list of pageids in the
+  block plus a commit_complete flag. A block with commit_complete TRUE
+  marks that it and every earlier block hold only committed data (write
+  transactions are serial). The footer is the block's last page, found
+  from the constituent's size; a footer whose page count disagrees with
+  that size (a torn block) fails like a checksum mismatch.
 * Post-commit processing is batched: pages from committed log blocks are
   sorted and grouped by target data block, each dirtied data block is
   remade exactly once, and the whole batch is made atomic/restartable by a
-  commit_flag in the log's master block (block 0). Once the flag clears,
-  one truncate drops every log data block: the log's block count changes
-  in one NameNode mutation, so a failure leaves either all the committed
-  blocks, whose newest copies the data blocks now hold, or none.
+  commit_flag in the log's master block (block 0, one page). Once the
+  flag clears, one truncate drops every log data block: the log's block
+  count changes in one NameNode mutation, so a failure leaves either all
+  the committed blocks, whose newest copies the data blocks now hold, or
+  none.
 * The log table index maps pageid -> (block_id, b_offset). Invariant: it
   covers the log's committed prefix (up to the newest commit_complete
   block) plus the blocks the store's own open transaction has flushed.
@@ -43,6 +49,7 @@ from __future__ import annotations
 import struct
 import zlib
 
+from .dfs import DfsFileEntry
 from .errors import OutOfRange, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
@@ -80,16 +87,16 @@ def unpack_footer(page: bytes) -> tuple[list[int], bool]:
     return list(struct.unpack(f"<{count}Q", body)), bool(complete)
 
 
-def _master_block(block_size: int, commit_flag: bool) -> bytes:
-    block = bytearray(block_size)
-    _MASTER.pack_into(block, 0, _MASTER_MAGIC, int(commit_flag))
-    return bytes(block)
+def _master_block(page_size: int, commit_flag: bool) -> bytes:
+    """The log's master block: one page holding the commit_flag."""
+    return _MASTER.pack(_MASTER_MAGIC, int(commit_flag)).ljust(
+        page_size, b"\0")
 
 
 def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
     """Create a log meta file holding only the master block."""
     file = manager.create_meta(name)
-    manager.append_block(file, _master_block(manager.block_size, False))
+    manager.append_block(file, _master_block(manager.page_size, False))
     return file
 
 
@@ -184,13 +191,12 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
-        """Append the buffer as one log block: its pages in arrival order,
-        zero padding, the footer page. Returns the block_id."""
+        """Append the buffer as one short log block: its pages in arrival
+        order, then the footer page. Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
         pageids = list(self._pages)
-        block = b"".join(self._pages.values()).ljust(
-            self._capacity * self.page_size, b"\0") + \
+        block = b"".join(self._pages.values()) + \
             pack_footer(pageids, mark_commit, self.page_size)
         self.faults.hit("dfs.flush.before_block_append")
         block_id, file_id = self.manager.append_block(self.log, block)
@@ -315,10 +321,26 @@ class DfsTransactionStore:
 
     def read_footer(self, block_id: int) -> tuple[list[int], bool]:
         """(pageids, commit_complete) from the footer page of a log block."""
-        page = self.manager.read_page(
+        return self._footer_of(
+            block_id, self.manager.constituent_entry(self.log, block_id))
+
+    def _footer_of(self, block_id: int,
+                   entry: DfsFileEntry) -> tuple[list[int], bool]:
+        """The footer of log block `block_id`, whose constituent is
+        `entry`: its last page. RecoveryError unless the block is exactly
+        its listed pages and the footer (a torn block)."""
+        size = entry.size_bytes
+        if size < self.page_size:
+            raise RecoveryError(
+                f"log block {block_id} is {size} bytes, no footer page")
+        pageids, complete = unpack_footer(self.manager.read_page(
             self.log,
-            block_id * self.pages_per_block + (self.pages_per_block - 1))
-        return unpack_footer(page)
+            block_id * self.pages_per_block + size // self.page_size - 1))
+        if size != (len(pageids) + 1) * self.page_size:
+            raise RecoveryError(
+                f"log block {block_id} is {size} bytes, but its footer "
+                f"lists {len(pageids)} pages of {self.page_size}")
+        return pageids, complete
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
         """The footer of every log data block, oldest first.
@@ -327,14 +349,16 @@ class DfsTransactionStore:
         differs from the one cached with its footer, or that has none
         cached; the returned pageid lists are shared with the cache.
         """
-        ids = self.manager.constituent_ids(self.log)
+        entries = self.manager.constituent_entries(self.log)
         seen = self._footers
         self._footers = {}
-        for block_id in range(1, len(ids)):
-            entry = seen.get(block_id)
-            if entry is None or entry[0] != ids[block_id]:
-                entry = (ids[block_id], *self.read_footer(block_id))
-            self._footers[block_id] = entry
+        for block_id in range(1, len(entries)):
+            file_id = entries[block_id].file_id
+            footer = seen.get(block_id)
+            if footer is None or footer[0] != file_id:
+                footer = (file_id,
+                          *self._footer_of(block_id, entries[block_id]))
+            self._footers[block_id] = footer
         return {block_id: (pageids, complete)
                 for block_id, (_, pageids, complete) in self._footers.items()}
 
@@ -365,8 +389,7 @@ class DfsTransactionStore:
 
     def _write_master(self, commit_flag: bool) -> None:
         self.manager.overwrite_block(
-            self.log, 0,
-            _master_block(self.manager.block_size, commit_flag))
+            self.log, 0, _master_block(self.page_size, commit_flag))
 
     def _last_complete(self) -> int:
         """The newest commit_complete block this store has seen; 0 if none."""

@@ -316,6 +316,19 @@ def test_reopen_refuses_a_multi_block_row(tmp_path):
         make_cluster(root=str(root))
 
 
+@pytest.mark.parametrize("row", ["broken-row", "m\tthree", "m\t1\t2"])
+def test_reopen_refuses_a_malformed_metafile_row(tmp_path, row):
+    """A metafiles.tbl row that is not a name and a block count fails the
+    reopen with RecoveryError, naming the row, not a raw ValueError."""
+    root = str(tmp_path / "dfs")
+    make_cluster(root=root).meta_register("m", 1)
+    with open(os.path.join(root, "metafiles.tbl"), "a",
+              encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(RecoveryError, match="not a name, block count row"):
+        make_cluster(root=root)
+
+
 def test_file_ids_are_unique_and_never_reused():
     cluster = make_cluster()
     ids = [cluster.create_file(f"f{i}", b"x").file_id for i in range(5)]
@@ -334,25 +347,26 @@ def test_rename_keeps_the_file_id():
     assert cluster.file_entry("b").file_id == file_id
 
 
-def test_meta_file_ids_follow_constituents():
-    """The NameNode reports a block with no constituent as id None, for
+def test_meta_block_entries_follow_constituents():
+    """The NameNode reports a block with no constituent as entry None, for
     every meta file; the meta-file layer reads such a block as zeros in a
     sparse file and fails with NotFound in any other (the log)."""
     cluster = make_cluster()
     cluster.meta_register("m", 0)
-    assert cluster.meta_file_ids("m") == []
-    ids = []
+    assert cluster.meta_block_entries("m") == []
+    entries = []
     for ordinal in range(3):
-        ids.append(cluster.create_file(f"m/{ordinal:08d}", b"x").file_id)
+        entries.append(cluster.create_file(f"m/{ordinal:08d}", b"x"))
         cluster.meta_set_block_count("m", ordinal + 1)
-    assert cluster.meta_file_ids("m") == ids
+    assert cluster.meta_block_entries("m") == entries
     cluster.delete_file("m/00000001")
-    assert cluster.meta_file_ids("m") == [ids[0], None, ids[2]]
-    assert cluster.meta_file_id("m", 1) is None
-    remade = cluster.create_file("m/00000001", b"y").file_id
-    assert cluster.meta_file_ids("m") == [ids[0], remade, ids[2]]
+    assert cluster.meta_block_entries("m") == [entries[0], None, entries[2]]
+    assert cluster.meta_block_entry("m", 1) is None
+    remade = cluster.create_file("m/00000001", b"yz")
+    assert cluster.meta_block_entries("m") == [entries[0], remade, entries[2]]
+    assert cluster.meta_block_entry("m", 1).size_bytes == 2
     with pytest.raises(NotFound):
-        cluster.meta_file_ids("nope")
+        cluster.meta_block_entries("nope")
 
     block = 64 * KB
     manager = MetaDfsManager(cluster, 4 * KB)
@@ -361,11 +375,11 @@ def test_meta_file_ids_follow_constituents():
     for tag in range(3):
         manager.append_block(log, bytes([tag]) * block)
     cluster.delete_file("log/00000001")
-    assert manager.constituent_ids(data)[1:] == [None, None]
+    assert manager.constituent_entries(data)[1:] == [None, None]
     assert manager.read_block(data, 2) == bytes(block)
     assert manager.read_page(data, 16) == bytes(4 * KB)
     with pytest.raises(NotFound, match="log/00000001"):
-        manager.constituent_ids(log)
+        manager.constituent_entries(log)
     with pytest.raises(NotFound, match="log/00000001"):
         manager.read_block(log, 1)
     with pytest.raises(NotFound, match="log/00000001"):

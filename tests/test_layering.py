@@ -117,7 +117,7 @@ def test_detector_flags_namenode_mutation_calls():
     source = (
         "def f(manager, cluster):\n"
         "    manager.cluster.create_file('a', b'')\n"
-        "    cluster.meta_file_id('m', 0)\n"
+        "    cluster.meta_block_entry('m', 0)\n"
         "    return cluster.rename_file\n"
         "    cluster.rename_file('a', 'b', overwrite=True)\n"
     )

@@ -59,8 +59,20 @@ def test_append_naming_matches_ordinal_scheme(mgr):
 
 def test_append_wrong_size(mgr):
     f = mgr.create_meta("m")
-    with pytest.raises(WrongBlockSize):
-        mgr.append_block(f, b"short")
+    for content in (b"short", b"", bytes(PAGE + 1), bytes(BLOCK + PAGE)):
+        with pytest.raises(WrongBlockSize):
+            mgr.append_block(f, content)
+    assert f.block_count == 0
+
+
+def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):
+    f = mgr.create_meta("m")
+    for pages in (1, 3, N):
+        mgr.append_block(f, bytes([pages]) * (pages * PAGE))
+    assert [mgr.cluster.file_entry(constituent_name("m", b)).size_bytes
+            for b in range(3)] == [PAGE, 3 * PAGE, BLOCK]
+    mgr.overwrite_block(f, 2, bytes([9]) * (2 * PAGE))
+    assert mgr.read_block(f, 2) == bytes([9]) * (2 * PAGE)
 
 
 def test_every_constituent_is_one_dfs_block(mgr):
@@ -328,6 +340,27 @@ def test_an_appended_block_is_read_from_the_cache(mgr):
         (1, PAGE, bytes([7]) * PAGE)
 
 
+def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
+    """An appended short block is served whole by read_block with no DFS
+    read; a page past its end is OutOfRange, cached or not."""
+    f = mgr.create_meta("m")
+    content = b"".join(bytes([k + 1]) * PAGE for k in range(3))
+    mgr.append_block(f, content)
+    mgr.append_block(f, block_of(5))
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == (0, 0, content)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == \
+        (0, 0, bytes([3]) * PAGE)
+    peer = peer_of(mgr)
+    g = peer.open_meta("m")
+    assert dfs_reads(peer, lambda: peer.read_block(g, 0)) == \
+        (1, 3 * PAGE, content)
+    for manager, file in ((mgr, f), (peer, g)):
+        for pageid in (3, N - 1):
+            with pytest.raises(OutOfRange):
+                manager.read_page(file, pageid)
+        assert manager.read_page(file, N) == bytes([5]) * PAGE
+
+
 def test_a_peer_reappend_is_not_served_from_a_stale_seed(mgr):
     """Another manager truncates the block this one appended and appends
     new content under the same block id: this manager's cached pages of
@@ -565,17 +598,17 @@ def test_delete_meta_deletes_what_a_failed_delete_left(mgr, monkeypatch):
     assert mgr.read_block(sparse, 1) == bytes(BLOCK)
 
 
-def test_meta_file_id_checks(mgr):
+def test_meta_block_entry_checks(mgr):
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(0))
     name = constituent_name("m", 0)
-    assert mgr.cluster.meta_file_id("m", 0) == \
-        mgr.cluster.file_entry(name).file_id
+    assert mgr.cluster.meta_block_entry("m", 0) == \
+        mgr.cluster.file_entry(name)
     for ordinal in (1, -1):
         with pytest.raises(OutOfRange):
-            mgr.cluster.meta_file_id("m", ordinal)
+            mgr.cluster.meta_block_entry("m", ordinal)
     with pytest.raises(NotFound):
-        mgr.cluster.meta_file_id("absent", 0)
+        mgr.cluster.meta_block_entry("absent", 0)
 
 
 @settings(max_examples=50, deadline=None)

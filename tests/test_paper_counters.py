@@ -7,13 +7,18 @@ physical and may only fall (the cache serves repeated page reads without
 the DFS), so it is bounded by the values of that same commit.
 """
 
+from collections import Counter
+
 from wormdb import bench
-from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
 
 KEY = "1.2.3.4"
+PAGE = 512
+BLOCK = 8192
+REPLICATION = 2
 
 # name, WorkloadSpec arguments, (page_reads, page_writes, dfs_remakes,
 # records_returned), network_bytes before the page cache
@@ -38,15 +43,59 @@ WORKLOADS = [
 ]
 
 
-def test_paper_counters_are_pinned():
-    cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+def make_loaded_db() -> Database:
+    cluster = DfsCluster(DfsConfig(BLOCK, REPLICATION, 0), 4)
     # threshold 1: most write transactions end in a batch post-commit
-    db = Database.create(cluster, "db", 2048, 512, 1, True, LockService(),
+    db = Database.create(cluster, "db", 2048, PAGE, 1, True, LockService(),
                          FaultInjector())
     bench.generate(db, 1500, seed=4, probe_key=KEY, probe_count=9,
                    commit_every=500)
+    return db
+
+
+def test_paper_counters_are_pinned():
+    db = make_loaded_db()
     for name, spec, counts, network_bytes in WORKLOADS:
         report = bench.run_workload(db, bench.WorkloadSpec(**spec))
         assert (report.page_reads, report.page_writes, report.dfs_remakes,
                 report.records_returned) == counts, name
         assert report.network_bytes <= network_bytes, name
+
+
+def test_log_and_master_write_pages_not_blocks(monkeypatch):
+    """The bytes each meta file writes while the write workloads run: a
+    log block is its pages plus one footer page, the master block one
+    page per commit_flag write, and a data block one whole DFS block per
+    remake. Zero padding of log or master blocks fails this."""
+    db = make_loaded_db()
+    cluster, manager = db.manager.cluster, db.manager
+    master = constituent_name(db.log_name, 0)  # and its ".new" remakes
+    written, created = Counter(), Counter()
+    create_file = DfsCluster.create_file
+
+    def tally(self, name, content):
+        entry = create_file(self, name, content)
+        kind = "master" if name.startswith(master) else name.split("/")[1]
+        written[kind] += REPLICATION * len(content)
+        created[kind] += 1
+        return entry
+
+    monkeypatch.setattr(DfsCluster, "create_file", tally)
+    bytes_before = cluster.counters.bytes_written
+    flags_before = manager.remakes_of(db.log_name)
+    remakes_before = manager.remakes_of(db.data_name)
+    page_writes = 0
+    for _, spec, _, _ in WORKLOADS:
+        if spec["kind"] in ("update", "insert"):
+            page_writes += bench.run_workload(
+                db, bench.WorkloadSpec(**spec)).page_writes
+    flag_writes = manager.remakes_of(db.log_name) - flags_before
+    remakes = manager.remakes_of(db.data_name) - remakes_before
+    assert (page_writes, created["log"], flag_writes, remakes) == \
+        (186, 14, 4, 24)
+    assert sum(written.values()) == \
+        cluster.counters.bytes_written - bytes_before
+    assert written["log"] == \
+        REPLICATION * PAGE * (page_writes + created["log"])
+    assert written["master"] == REPLICATION * PAGE * flag_writes
+    assert written["data"] == REPLICATION * BLOCK * remakes

@@ -705,3 +705,85 @@ def test_randomized_equivalence_with_map_oracle():
                 oracle.abort()
         for pid in range(TOTAL):
             assert store.read_page(pid) == oracle.read(pid), seed
+
+
+def _constituent_sizes(store, file):
+    return [entry.size_bytes
+            for entry in store.manager.constituent_entries(file)
+            if entry is not None]
+
+
+def test_a_commit_of_k_pages_appends_k_plus_one_pages():
+    """A log block is its pages and the footer, with no padding, and
+    every replica holds exactly that."""
+    store = make_store()
+    rng = random.Random(30)
+    for k in (0, 1, 4, N - 2):
+        for pid in rng.sample(range(TOTAL), k):
+            store.write_page(pid, page_with(rng))
+        store.commit_transaction()
+        block_id = store.log.block_count - 1
+        name = store.manager.constituent_entry(store.log, block_id).name
+        assert _constituent_sizes(store, store.log)[block_id] == \
+            (k + 1) * PAGE
+        replicas = store.manager.cluster.replicas(name)
+        assert len(replicas) == 2
+        assert all(r == replicas[0] for r in replicas)
+        assert len(replicas[0]) == (k + 1) * PAGE
+        pageids, complete = unpack_footer(replicas[0][-PAGE:])
+        assert (len(pageids), complete) == (k, True)
+    # a full buffer flushes a block of every page but one, plus the footer
+    for pid in range(N - 1):
+        store.write_page(pid, page_with(rng))
+    assert _constituent_sizes(store, store.log)[-1] == BLOCK
+
+
+def test_master_block_is_one_page_and_data_blocks_stay_whole():
+    store = make_store(threshold=1)
+    assert _constituent_sizes(store, store.log) == [PAGE]
+    rng = random.Random(31)
+    for commit in range(2):
+        for pid in (commit, N + commit, 3 * N + commit):
+            store.write_page(pid, page_with(rng))
+        store.commit_transaction()
+    # the second commit ran a batch: the flag was set and cleared
+    assert store.manager.remakes_of("db/log") == 2
+    assert _constituent_sizes(store, store.log) == [PAGE]
+    assert store.read_commit_flag() is False
+    assert _constituent_sizes(store, store.data) == [BLOCK] * 3
+    assert store.manager.cluster.replicas(
+        store.manager.constituent_entry(store.log, 0).name) == \
+        [store.manager.read_block(store.log, 0)] * 2
+
+
+@pytest.mark.parametrize("torn", ["footer missing", "footer misplaced",
+                                  "half a page"])
+def test_a_torn_short_block_is_never_committed(torn):
+    """A log constituent short of what its footer lists, created directly
+    through the cluster, fails read_footer with RecoveryError, and a
+    begin never indexes its pages as committed."""
+    store = make_store()
+    rng = random.Random(32)
+    store.write_page(1, page_with(rng))
+    store.commit_transaction()
+    pageids = [10, 11, 12]
+    pages = [page_with(rng) for _ in pageids]
+    footer = pack_footer(pageids, True, PAGE)
+    content = {
+        "footer missing": b"".join(pages),  # the footer page never landed
+        "footer misplaced": b"".join(pages[:-1]) + footer,
+        "half a page": footer[:PAGE // 2],
+    }[torn]
+    cluster = store.manager.cluster
+    cluster.create_file("db/log/00000002", content)
+    cluster.meta_set_block_count("db/log", 3)
+    with pytest.raises(RecoveryError):
+        store.read_footer(2)
+    fresh = _peer(store)
+    for action in (fresh.reconstruct_log_table_index,
+                   lambda: fresh.begin_transaction(write=False),
+                   fresh.recovery_state):
+        with pytest.raises(RecoveryError):
+            action()
+    assert not set(pageids) & set(fresh.index)
+    assert store.read_footer(1) == ([1], True)
