@@ -9,20 +9,30 @@ new content only by a "file remake": the new content is created under a
 temporary name and `rename_file(..., overwrite=True)` puts it in place
 of the old file in one NameNode mutation, as HDFS's rename with
 `Rename.OVERWRITE` does. The meta-file layer builds on this. Every file
-gets a `file_id` the NameNode never hands out again, and a rename keeps
-the id of the file it moves, so a client that cached what a file holds
-can tell a remade file from the one it replaced: as an HDFS client asks
-the NameNode where a block lives before it reads, a client asks
+gets a `file_id` that this cluster object never hands out again, and a
+rename keeps the id of the file it moves, so a client that cached what a
+file holds can tell a remade file from the one it replaced: as an HDFS
+client asks the NameNode where a block lives before it reads, a client asks
 `meta_block_entry` for a block's current entry (which also fails when no
 live DataNode holds the block, and is None when the block has no file)
 and serves its cached copy only if the entry's id is the one it cached
 under. The entry's size also says where a short block ends.
 
+A file's name lives only at the NameNode. A DataNode stores a block
+under its file's `file_id`, the block id, as an HDFS DataNode keeps
+`blk_<id>` files (Shvachko et al., MSST 2010), so a rename edits the
+NameNode table and no DataNode.
+
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
-its blocks in a directory and the NameNode table is rewritten atomically on
-every mutation, so a process crash between operations leaves a consistent
-store.
+its blocks in a directory and the NameNode table, ids included, is
+rewritten atomically on every mutation. Each mutation writes blocks
+before the save that names them and drops blocks only after the save
+that stops naming them, so a process crash at any point leaves the table
+from before or after the call, at worst beside blocks no entry names.
+Such a block is never read: a reload hands out ids above the highest
+saved one, so a create may reuse an unreferenced block's id, but it
+writes its own block on each of its holders before the table names it.
 """
 
 from __future__ import annotations
@@ -50,8 +60,10 @@ from .errors import (
 NAMENODE_TABLE = "namenode.tbl"
 METAFILE_TABLE = "metafiles.tbl"
 SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
-# A DataNode keys what it stores by (file name, block ordinal); a DFS file
-# has one block, so the cluster always passes this ordinal.
+# A DataNode keys what it stores by (block id, block ordinal); a DFS file
+# has one block, so the cluster always passes this ordinal. It stays in
+# DataNode's arguments only because the benchmark's tracer hooks
+# `DataNode.put` by its positional signature.
 BLOCK_ORDINAL = 0
 
 
@@ -82,8 +94,10 @@ class DfsFileEntry:
     size_bytes: int  # at most one block
     # The DataNodes holding the file's one block, len == replication factor.
     holders: tuple[int, ...]
-    # Never reused by this NameNode, so a file remade under the same name
-    # gets a new id. Kept in memory only: a reload hands out fresh ids.
+    # The block id the holders store the block under. Never reused by this
+    # cluster object, so a file remade under the same name gets a new id;
+    # saved in the table, and a reload hands out ids above the highest
+    # saved one.
     file_id: int
 
 
@@ -99,52 +113,43 @@ class DfsCounters:
 
 
 class DataNode:
-    """Block storage for one simulated node, in memory or in a directory."""
+    """Block storage for one simulated node, in memory or in a directory,
+    keyed by block id and ordinal."""
 
     def __init__(self, node_id: int, root: str | None = None):
         self.node_id = node_id
         self.alive = True
         self._root = root
-        self._mem: dict[tuple[str, int], bytes] | None = None
+        self._mem: dict[tuple[int, int], bytes] | None = None
         if root is None:
             self._mem = {}
         else:
             os.makedirs(root, exist_ok=True)
 
-    def _path(self, name: str, ordinal: int) -> str:
-        return os.path.join(self._root, f"{quote(name, safe='')}.blk{ordinal}")
+    def _path(self, block_id: int, ordinal: int) -> str:
+        return os.path.join(self._root, f"{block_id}.blk{ordinal}")
 
-    def put(self, name: str, ordinal: int, data: bytes) -> None:
+    def put(self, block_id: int, ordinal: int, data: bytes) -> None:
         if self._mem is not None:
-            self._mem[(name, ordinal)] = bytes(data)
+            self._mem[(block_id, ordinal)] = bytes(data)
             return
-        tmp = self._path(name, ordinal) + ".tmp"
+        tmp = self._path(block_id, ordinal) + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, self._path(name, ordinal))
+        os.replace(tmp, self._path(block_id, ordinal))
 
-    def get(self, name: str, ordinal: int) -> bytes:
+    def get(self, block_id: int, ordinal: int) -> bytes:
         if self._mem is not None:
-            return self._mem[(name, ordinal)]
-        with open(self._path(name, ordinal), "rb") as fh:
+            return self._mem[(block_id, ordinal)]
+        with open(self._path(block_id, ordinal), "rb") as fh:
             return fh.read()
 
-    def drop(self, name: str, ordinal: int) -> None:
+    def drop(self, block_id: int, ordinal: int) -> None:
         if self._mem is not None:
-            self._mem.pop((name, ordinal), None)
+            self._mem.pop((block_id, ordinal), None)
             return
         try:
-            os.remove(self._path(name, ordinal))
-        except FileNotFoundError:
-            pass
-
-    def move(self, old: str, new: str, ordinal: int) -> None:
-        if self._mem is not None:
-            if (old, ordinal) in self._mem:
-                self._mem[(new, ordinal)] = self._mem.pop((old, ordinal))
-            return
-        try:
-            os.replace(self._path(old, ordinal), self._path(new, ordinal))
+            os.remove(self._path(block_id, ordinal))
         except FileNotFoundError:
             pass
 
@@ -193,16 +198,18 @@ class DfsCluster:
                     if not line:
                         continue
                     try:
-                        name, size, holders = line.split("\t")
+                        name, size, holders, file_id = line.split("\t")
                         entry = DfsFileEntry(
                             unquote(name), int(size),
                             tuple(int(n) for n in holders.split(",")),
-                            next(self._file_ids))
+                            int(file_id))
                     except ValueError:
                         raise RecoveryError(
-                            f"{table}: not a name, size, holders row: "
-                            f"{line!r}") from None
+                            f"{table}: not a name, size, holders, file_id "
+                            f"row: {line!r}") from None
                     self._files[entry.name] = entry
+            self._file_ids = itertools.count(1 + max(
+                (entry.file_id for entry in self._files.values()), default=0))
         meta = os.path.join(self.root, METAFILE_TABLE)
         if os.path.exists(meta):
             with open(meta, "r", encoding="utf-8") as fh:
@@ -227,7 +234,7 @@ class DfsCluster:
             for entry in self._files.values():
                 holders = ",".join(str(n) for n in entry.holders)
                 fh.write(f"{quote(entry.name, safe='')}\t{entry.size_bytes}\t"
-                         f"{holders}\n")
+                         f"{holders}\t{entry.file_id}\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, table)
@@ -277,12 +284,12 @@ class DfsCluster:
                 raise WrongBlockSize(
                     f"{name}: {len(content)} bytes exceed one block of "
                     f"{self.config.block_size_bytes}")
-            holders = self._place(name)
-            for node_id in holders:
-                self._nodes[node_id].put(name, BLOCK_ORDINAL, content)
-                self.counters.bytes_written += len(content)
-            entry = DfsFileEntry(name, len(content), holders,
+            entry = DfsFileEntry(name, len(content), self._place(name),
                                  next(self._file_ids))
+            for node_id in entry.holders:
+                self._nodes[node_id].put(entry.file_id, BLOCK_ORDINAL,
+                                         content)
+                self.counters.bytes_written += len(content)
             self._files[name] = entry
             self._save_tables()
             return entry
@@ -297,7 +304,7 @@ class DfsCluster:
             self.counters.read_calls += 1
             if length == 0:
                 return b""
-            data = self._block_of(self._pick_alive_holder(entry), name)
+            data = self._block_of(self._pick_alive_holder(entry), entry)
             self.counters.bytes_read += length
         if self.config.network_latency:
             time.sleep(self.config.network_latency)
@@ -310,52 +317,48 @@ class DfsCluster:
                 return node
         raise AllReplicasDead(f"{entry.name}: all replicas dead")
 
-    def _block_of(self, node: DataNode, name: str) -> bytes:
-        """The block `node` stores for file `name`; RecoveryError if the
-        node has no such block though the NameNode lists it as a
-        holder."""
+    def _block_of(self, node: DataNode, entry: DfsFileEntry) -> bytes:
+        """The block `node` stores for `entry`; RecoveryError if the node
+        has no such block though the NameNode lists it as a holder."""
         try:
-            return node.get(name, BLOCK_ORDINAL)
+            return node.get(entry.file_id, BLOCK_ORDINAL)
         except (FileNotFoundError, KeyError):
             raise RecoveryError(
-                f"{name}: DataNode {node.node_id} holds no block for it, "
-                f"though the NameNode lists it as a holder") from None
+                f"{entry.name}: DataNode {node.node_id} holds no block for "
+                f"it, though the NameNode lists it as a holder") from None
+
+    def _drop_block(self, entry: DfsFileEntry) -> None:
+        """Drop the block of an entry the saved table no longer names from
+        its live holders; a dead holder keeps it, unreferenced."""
+        for node_id in entry.holders:
+            node = self._nodes[node_id]
+            if node.alive:
+                node.drop(entry.file_id, BLOCK_ORDINAL)
 
     def delete_file(self, name: str) -> None:
         with self._lock:
             entry = self._entry(name)
             del self._files[name]
-            for node_id in entry.holders:
-                node = self._nodes[node_id]
-                if node.alive:
-                    node.drop(name, BLOCK_ORDINAL)
             self._save_tables()
+            self._drop_block(entry)
 
     def rename_file(self, old: str, new: str,
                     overwrite: bool = False) -> None:
-        """Move file `old` to name `new` in one NameNode mutation. With
-        `overwrite`, a file already named `new` is replaced and its
-        block dropped; without it, that file raises AlreadyExists."""
+        """Move file `old` to name `new` in one NameNode mutation; the
+        entry keeps its file_id, so no DataNode is touched. With
+        `overwrite`, a file already named `new` is replaced, and its
+        block dropped once the table is saved; without it, that file
+        raises AlreadyExists."""
         with self._lock:
             entry = self._entry(old)
             target = self._files.get(new)
             if target is not None and not overwrite:
                 raise AlreadyExists(f"DFS file exists: {new}")
-            # Metadata-only from the client's view: the entry, and so its
-            # file_id, moves to the new name. Every holder re-keys its
-            # stored block, dead nodes included, so a revived node serves
-            # it under the new name; the move replaces the target's block
-            # on a node that holds both.
-            for node_id in entry.holders:
-                self._nodes[node_id].move(old, new, BLOCK_ORDINAL)
-            if target is not None:
-                for node_id in set(target.holders) - set(entry.holders):
-                    node = self._nodes[node_id]
-                    if node.alive:
-                        node.drop(new, BLOCK_ORDINAL)
             del self._files[old]
             self._files[new] = replace(entry, name=new)
             self._save_tables()
+            if target is not None and new != old:
+                self._drop_block(target)
 
     def set_node_alive(self, node_id: int, alive: bool) -> None:
         with self._lock:
@@ -383,8 +386,9 @@ class DfsCluster:
     def replicas(self, name: str) -> list[bytes]:
         """All stored replica contents of a file (for consistency checks)."""
         with self._lock:
-            return [self._block_of(self._nodes[node_id], name)
-                    for node_id in self._entry(name).holders]
+            entry = self._entry(name)
+            return [self._block_of(self._nodes[node_id], entry)
+                    for node_id in entry.holders]
 
     # ------------------------------------------------------------------
     # Meta DFS file registry (maintained at the NameNode)

@@ -8,16 +8,15 @@ must never touch the header area.
 
 The store stamps the header on every page it writes, and no package code
 reads it back: restart rebuilds the log table index from the footers of
-the log blocks. The flat-file oracle in `tests/oracles.py` rebuilds its
-index from page headers, and the tests check pages with `verify_page`.
+the log blocks. Only the tests read headers: `tests/oracles.py` holds
+`page_header` and `verify_page`, and its flat-file oracle rebuilds its
+index from them.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-
-from .errors import RecoveryError
 
 PAGE_HEADER_SIZE = 16
 _HEADER = struct.Struct("<IIQ")  # pageid, txn write ordinal, payload crc32
@@ -32,20 +31,3 @@ def stamp_page(pageid: int, ordinal: int, page: bytes | bytearray) -> bytes:
     out = bytearray(page)
     _HEADER.pack_into(out, 0, pageid, ordinal, payload_checksum(out))
     return bytes(out)
-
-
-def page_header(page: bytes | bytearray) -> tuple[int, int, int]:
-    return _HEADER.unpack_from(page, 0)
-
-
-def verify_page(expected_pageid: int, page: bytes | bytearray) -> None:
-    """Raise RecoveryError unless the header matches the payload."""
-    pageid, _, crc = page_header(page)
-    if pageid != expected_pageid:
-        raise RecoveryError(
-            f"page header pageid {pageid} != expected {expected_pageid}")
-    actual = payload_checksum(page)
-    if crc != actual:
-        raise RecoveryError(
-            f"page {expected_pageid} checksum mismatch: "
-            f"header {crc:#x}, payload {actual:#x}")

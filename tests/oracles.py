@@ -24,12 +24,28 @@ from dataclasses import dataclass
 
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import NULL_INJECTOR, FaultInjector
-from wormdb.pagefmt import (
-    PAGE_HEADER_SIZE,
-    page_header,
-    stamp_page,
-    verify_page,
-)
+from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
+
+# The recovery header `stamp_page` writes: pageid, the ordinal of the
+# write within its transaction, and the payload's crc32.
+_PAGE_HEADER = struct.Struct("<IIQ")
+
+
+def page_header(page: bytes | bytearray) -> tuple[int, int, int]:
+    return _PAGE_HEADER.unpack_from(page, 0)
+
+
+def verify_page(expected_pageid: int, page: bytes | bytearray) -> None:
+    """Raise RecoveryError unless the header matches the payload."""
+    pageid, _, crc = page_header(page)
+    if pageid != expected_pageid:
+        raise RecoveryError(
+            f"page header pageid {pageid} != expected {expected_pageid}")
+    actual = payload_checksum(page)
+    if crc != actual:
+        raise RecoveryError(
+            f"page {expected_pageid} checksum mismatch: "
+            f"header {crc:#x}, payload {actual:#x}")
 
 
 class MapOracle:

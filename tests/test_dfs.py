@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.dfs import DataNode, DfsCluster, DfsConfig
 from wormdb.errors import (
     AllReplicasDead,
     AlreadyExists,
@@ -36,6 +36,16 @@ def _tree(root):
             with open(path, "rb") as fh:
                 found[path] = fh.read()
     return found
+
+
+def _block_path(root, node_id, entry):
+    """Where DataNode `node_id` under `root` stores `entry`'s block."""
+    return os.path.join(root, f"node_{node_id}", f"{entry.file_id}.blk0")
+
+
+class Died(BaseException):
+    """The death of the process inside a DFS call; no Exception, so no
+    handler of the cluster's takes it for an ordinary error."""
 
 
 def test_create_refuses_more_than_one_block(tmp_path):
@@ -117,18 +127,18 @@ def test_read_survives_replica_deaths_until_last():
 @pytest.mark.parametrize("persistent", [False, True])
 def test_a_missing_block_of_a_listed_holder_is_a_recovery_error(
         tmp_path, persistent):
-    """A live holder that lacks the block the NameNode lists it for (a
-    crash inside a DFS call can leave this) fails the read with
+    """A live holder that lacks the block the NameNode lists it for (only
+    damage from outside the DFS leaves this now) fails the read with
     RecoveryError naming the file and the node, not a raw OS or dict
     error."""
     root = str(tmp_path / "dfs") if persistent else None
     cluster = make_cluster(root=root)
-    cluster.create_file("f", b"abc")
-    holder = cluster.file_entry("f").holders[0]
+    entry = cluster.create_file("f", b"abc")
+    holder = entry.holders[0]
     if persistent:
-        os.remove(os.path.join(root, f"node_{holder}", "f.blk0"))
+        os.remove(_block_path(root, holder, entry))
     else:
-        del cluster._nodes[holder]._mem[("f", 0)]
+        del cluster._nodes[holder]._mem[(entry.file_id, 0)]
     with pytest.raises(RecoveryError, match=f"f: DataNode {holder} "):
         cluster.read_range("f", 0, 3)
     with pytest.raises(RecoveryError, match=f"f: DataNode {holder} "):
@@ -162,11 +172,11 @@ def test_rename_semantics():
     assert not cluster.exists("a")
 
 
-def _stored_on(root, name):
-    """The nodes whose directory under `root` holds file `name`."""
+def _stored_on(root, entry):
+    """The nodes whose directory under `root` holds `entry`'s block."""
     return {os.path.basename(os.path.dirname(path))
             for path in _tree(root) if os.path.basename(path) ==
-            f"{name}.blk0"}
+            f"{entry.file_id}.blk0"}
 
 
 def test_rename_with_overwrite_replaces_the_target(tmp_path, monkeypatch):
@@ -187,9 +197,8 @@ def test_rename_with_overwrite_replaces_the_target(tmp_path, monkeypatch):
     assert (entry.file_id, entry.holders) == (new.file_id, new.holders)
     assert cluster.replicas("target") == [content] * 3
     # the old block is gone from every holder, not only from the entry
-    assert _stored_on(root, "target") == \
-        {f"node_{n}" for n in new.holders}
-    assert _stored_on(root, "target.new") == set()
+    assert _stored_on(root, new) == {f"node_{n}" for n in new.holders}
+    assert _stored_on(root, old) == set()
     reopened = make_cluster(root=root)
     assert reopened.read_range("target", 0, len(content)) == content
     assert reopened.file_entry("target").holders == new.holders
@@ -206,6 +215,38 @@ def test_rename_with_overwrite_of_no_target_is_a_rename():
     with pytest.raises(AlreadyExists):
         cluster.rename_file("b", "c")
     assert cluster.read_range("c", 0, 1) == b"y"
+
+
+def test_rename_touches_no_datanode(tmp_path):
+    """A rename is a NameNode edit: every file under every node directory
+    keeps its name and bytes, and the renamed file reads the same after
+    a reload."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    content = random.Random(8).randbytes(KB)
+    cluster.create_file("a", content)
+    cluster.create_file("b", b"other")
+    nodes = {path: data for path, data in _tree(root).items()
+             if os.path.basename(os.path.dirname(path)).startswith("node_")}
+    assert len(nodes) == 6
+    cluster.rename_file("a", "c")
+    cluster.rename_file("c", "d", overwrite=True)
+    after = _tree(root)
+    assert {path: after[path] for path in nodes} == nodes
+    assert after.keys() - nodes.keys() == \
+        {os.path.join(root, table) for table in ("namenode.tbl",
+                                                 "metafiles.tbl")}
+    assert make_cluster(root=root).read_range("d", 0, KB) == content
+
+
+def test_rename_onto_itself_keeps_the_file():
+    cluster = make_cluster()
+    entry = cluster.create_file("a", b"x")
+    cluster.rename_file("a", "a", overwrite=True)
+    assert cluster.file_entry("a") == entry
+    assert cluster.replicas("a") == [b"x"] * 3
+    with pytest.raises(AlreadyExists):
+        cluster.rename_file("a", "a")
 
 
 def test_set_node_alive_unknown():
@@ -306,14 +347,25 @@ def test_persistent_mode_survives_restart(tmp_path):
     assert reopened.meta_block_count("m") == 3
 
 
-def test_reopen_refuses_a_multi_block_row(tmp_path):
-    """A row of the five-column table that listed a block count and the
-    locations of each block is refused, not read."""
-    root = tmp_path / "dfs"
-    root.mkdir()
-    (root / "namenode.tbl").write_text("f\t10\t1\t3\t0,1,2\n", "utf-8")
-    with pytest.raises(RecoveryError, match="not a name, size, holders row"):
-        make_cluster(root=str(root))
+@pytest.mark.parametrize("row", [
+    "f\t10\t1\t3\t0,1,2",  # a block count and each block's holders
+    "f\t10\t0,1,2",  # no file_id: a root with name-keyed blocks
+    "f\t10\t0,1,2\tseven",
+    "f\t10\t0,1,2\t",
+], ids=["multi-block", "no-file-id", "word-file-id", "empty-file-id"])
+def test_reopen_refuses_a_malformed_namenode_row(tmp_path, row):
+    """A namenode.tbl row that is not a name, size, holders and file_id,
+    as written by older layouts, fails the reopen with RecoveryError
+    naming the row, not a raw ValueError."""
+    root = str(tmp_path / "dfs")
+    make_cluster(root=root).create_file("g", b"x")
+    with open(os.path.join(root, "namenode.tbl"), "a",
+              encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(RecoveryError) as caught:
+        make_cluster(root=root)
+    assert "not a name, size, holders, file_id row" in str(caught.value)
+    assert repr(row) in str(caught.value)
 
 
 @pytest.mark.parametrize("row", ["broken-row", "m\tthree", "m\t1\t2"])
@@ -391,12 +443,142 @@ def test_reloaded_cluster_hands_out_distinct_ids(tmp_path):
     cluster = make_cluster(root=root)
     for i in range(3):
         cluster.create_file(f"f{i}", b"x")
+    saved = [cluster.file_entry(f"f{i}").file_id for i in range(3)]
     reopened = make_cluster(root=root)
     loaded = [reopened.file_entry(f"f{i}").file_id for i in range(3)]
+    assert loaded == saved
     created = reopened.create_file("g", b"x").file_id
     reopened.delete_file("f1")
     remade = reopened.create_file("f1", b"x").file_id
     assert len(set(loaded + [created, remade])) == 5
+    assert make_cluster(root=root).file_entry("f1").file_id == remade
+
+
+def _crash_script():
+    """DFS calls as (call on a cluster, the table of name -> content after
+    it, given the table before). With make_cluster's placement, "c.new"
+    shares one holder with the "c" it replaces, "k.new" all three."""
+    def create(name, content):
+        return (lambda c: c.create_file(name, content),
+                lambda table: {**table, name: content})
+
+    def rename(old, new, overwrite=False):
+        return (lambda c: c.rename_file(old, new, overwrite),
+                lambda table: {**{n: v for n, v in table.items()
+                                  if n != old}, new: table[old]})
+
+    def delete(name):
+        return (lambda c: c.delete_file(name),
+                lambda table: {n: v for n, v in table.items() if n != name})
+
+    return [create("a", b"a1"), create("c", b"c1"), create("c.new", b"c2"),
+            create("k", b"k1"), create("k.new", b"k2"), rename("a", "b"),
+            rename("c.new", "c", overwrite=True),
+            rename("k.new", "k", overwrite=True),
+            rename("b", "d", overwrite=True), delete("c"), delete("k")]
+
+
+def _run_until_death(root, death=None):
+    """Run the crash script on a cluster over `root`; the `death`-th
+    DataNode put or drop or table save raises Died instead of running and
+    ends the script. Returns the points passed, and the tables the root
+    may hold: before and after the call that died, or the final one."""
+    points = []
+
+    def dying(original):
+        def point(*args):
+            points.append(original.__name__)
+            if len(points) == death:
+                raise Died(original.__name__)
+            return original(*args)
+        return point
+
+    table = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, attr in ((DataNode, "put"), (DataNode, "drop"),
+                            (DfsCluster, "_save_tables")):
+            mp.setattr(owner, attr, dying(getattr(owner, attr)))
+        cluster = make_cluster(root=root)
+        for run, apply in _crash_script():
+            after = apply(table)
+            try:
+                run(cluster)
+            except Died:
+                return points, [table, after]
+            table = after
+    return points, [table]
+
+
+def test_process_death_inside_every_dfs_call(tmp_path):
+    """The process dies at each DataNode put, each DataNode drop and each
+    NameNode table save of the script in turn. A fresh cluster over the
+    root then lists the files of the table from before or after the call
+    that died, and every listed holder stores each file's content."""
+    probe = make_cluster()
+    holders = {name: set(probe.create_file(name, b"").holders)
+               for name in ("c", "c.new", "k", "k.new")}
+    assert len(holders["c"] & holders["c.new"]) == 1
+    assert holders["k"] == holders["k.new"]
+    points, _ = _run_until_death(str(tmp_path / "whole"))
+    assert set(points) == {"put", "drop", "_save_tables"}
+    failures = {}
+    for death in range(1, len(points) + 1):
+        root = str(tmp_path / f"death{death}")
+        _, allowed = _run_until_death(root, death)
+        cluster = make_cluster(root=root)
+        try:
+            stored = {name: cluster.replicas(name)
+                      for name in cluster.list_files()}
+        except RecoveryError as exc:
+            stored = str(exc)
+        if stored not in [{name: [content] * 3
+                           for name, content in table.items()}
+                          for table in allowed]:
+            failures[death, points[death - 1]] = stored
+    assert failures == {}
+
+
+def test_an_unreferenced_block_is_never_served(tmp_path):
+    """A create that dies after its puts leaves blocks no entry names. A
+    reload hands out ids above the highest saved one, so a later create
+    may take the dead create's id: it reads its own content, and once its
+    holders die it is not served from a node that holds only the dead
+    create's block."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    kept = cluster.create_file("a", b"a")
+    deleted = cluster.create_file("b", b"b")
+    cluster.delete_file("b")
+
+    def die():
+        raise Died("inside the table save")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_save_tables", die)
+        with pytest.raises(Died):
+            cluster.create_file("o", b"orphan")
+    kept_paths = {_block_path(root, node, kept) for node in kept.holders}
+    orphan_paths = {path for path in _tree(root)
+                    if path.endswith(".blk0") and path not in kept_paths}
+    orphan_names = {os.path.basename(path) for path in orphan_paths}
+    assert len(orphan_paths) == 3 and len(orphan_names) == 1
+    orphan_id = int(orphan_names.pop().split(".")[0])
+    orphans = {int(os.path.basename(os.path.dirname(path))[len("node_"):])
+               for path in orphan_paths}
+
+    reopened = make_cluster(root=root)
+    assert reopened.list_files() == ["a"]
+    created = [reopened.create_file(name, name.encode())
+               for name in ("c", "d")]
+    entry = created[-1]
+    assert [e.file_id for e in created] == [deleted.file_id, orphan_id]
+    assert orphans - set(entry.holders)
+    assert reopened.read_range("d", 0, 1) == b"d"
+    assert reopened.replicas("d") == [b"d"] * 3
+    for node in entry.holders:
+        reopened.set_node_alive(node, False)
+    with pytest.raises(AllReplicasDead):
+        reopened.read_range("d", 0, 1)
 
 
 def test_counters_accumulate():

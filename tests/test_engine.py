@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 from dataclasses import replace
@@ -1172,25 +1173,38 @@ NAMENODE_MUTATIONS = ("create_file", "delete_file", "rename_file",
                       "meta_unregister")
 
 
-def _run_until_death(root, death=None):
+def _run_until_death(root, death=None, in_save=False):
     """Create a database on a persistent root and run the failure sweep's
-    script on it; the `death`-th NameNode mutation made after the create,
-    and every one after it, raises ProcessDied before it runs, and ends
-    the script. Returns the mutations called and the tables the database
-    may hold on disk: before and after the operation that died, or the
-    final one."""
+    script on it; the process dies at the `death`-th NameNode mutation
+    made after the create: before it runs, or with `in_save` inside its
+    table save, after the DataNode work that comes first (a create's
+    puts). Every mutation after the death raises ProcessDied before it
+    runs, and the death ends the script. Returns the mutations called and
+    the tables the database may hold on disk: before and after the
+    operation that died, or the final one."""
     db = make_db(page=1024, block=8192, threshold=4, root=root)
     s = db.session()
     table, calls = [], []
+
+    def dies_at(point_in_save):
+        return death is not None and (len(calls) > death or (
+            len(calls) == death and in_save == point_in_save))
+
     with pytest.MonkeyPatch.context() as mp:
         for method in NAMENODE_MUTATIONS:
             def mutation(cluster, name, *args, method=method,
                          original=getattr(DfsCluster, method), **kwargs):
                 calls.append((method, name))
-                if death is not None and len(calls) >= death:
+                if dies_at(False):
                     raise ProcessDied(f"{method} {name}")
                 return original(cluster, name, *args, **kwargs)
             mp.setattr(DfsCluster, method, mutation)
+
+        def save_tables(cluster, original=DfsCluster._save_tables):
+            if dies_at(True):
+                raise ProcessDied(f"table save of {calls[-1]}")
+            original(cluster)
+        mp.setattr(DfsCluster, "_save_tables", save_tables)
         for run, apply in _sweep_workload():
             after = apply(table)
             try:
@@ -1202,18 +1216,20 @@ def _run_until_death(root, death=None):
 
 
 def test_process_death_at_every_namenode_mutation(tmp_path):
-    """The process dies before each NameNode mutation of the script in
-    turn, a block remake's included. A fresh DfsCluster over the root
-    then opens the database with recovery: it must hold the table from
-    before or after the operation that died, and take one more commit.
-    This is the method of ALICE (Pillai et al., OSDI 2014)."""
+    """The process dies at each NameNode mutation of the script in turn,
+    a block remake's included: before it runs, or inside its table save.
+    A fresh DfsCluster over the root then opens the database with
+    recovery: it must hold the table from before or after the operation
+    that died, and take one more commit. This is the method of ALICE
+    (Pillai et al., OSDI 2014)."""
     calls, _ = _run_until_death(str(tmp_path / "whole"))
     assert {"create_file", "delete_file", "rename_file",
             "meta_set_block_count"} <= {method for method, _ in calls}
     failures = {}
-    for death in range(1, len(calls) + 1):
-        root = str(tmp_path / f"death{death}")
-        _, allowed = _run_until_death(root, death)
+    for death, in_save in itertools.product(range(1, len(calls) + 1),
+                                            (False, True)):
+        root = str(tmp_path / f"death{death}{'s' * in_save}")
+        _, allowed = _run_until_death(root, death, in_save)
         cluster = DfsCluster(DfsConfig(8192, 2, 0), 4, root)
         try:
             db = Database.open(cluster, "db", 1024, 4, recover=True)
@@ -1223,6 +1239,6 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
             assert read_all(db.session()) == table + [rec(208)], \
                 "the next commit"
         except (AssertionError, StorageError) as exc:
-            failures[death, calls[death - 1]] = \
+            failures[death, in_save, calls[death - 1]] = \
                 f"{type(exc).__name__}: " + str(exc).splitlines()[0]
     assert failures == {}

@@ -8,11 +8,13 @@ from oracles import (
     MapOracle,
     MemPageStore,
     ShadowPagedStore,
+    page_header,
     random_payload_page,
+    verify_page,
 )
 from wormdb.errors import OutOfRange
 from wormdb.faults import CrashPoint, FaultInjector
-from wormdb.pagefmt import PAGE_HEADER_SIZE, page_header, verify_page
+from wormdb.pagefmt import PAGE_HEADER_SIZE
 
 PAGE = 256
 TOTAL = 32

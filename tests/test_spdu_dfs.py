@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MapOracle, random_payload_page
+from oracles import MapOracle, page_header, random_payload_page
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
-from wormdb.pagefmt import PAGE_HEADER_SIZE, page_header
+from wormdb.pagefmt import PAGE_HEADER_SIZE
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,
