@@ -25,14 +25,19 @@ NameNode table and no DataNode.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
-its blocks in a directory and the NameNode table, ids included, is
-rewritten atomically on every mutation. Each mutation writes blocks
+its blocks in a directory, and the NameNode's state is one table,
+`namenode.tbl`: a row per DFS file (ids included) and a row per meta
+file (its block count), each starting with its kind. Every mutation
+rewrites it atomically, with one fsync. Each mutation writes blocks
 before the save that names them and drops blocks only after the save
 that stops naming them, so a process crash at any point leaves the table
 from before or after the call, at worst beside blocks no entry names.
 Such a block is never read: a reload hands out ids above the highest
 saved one, so a create may reuse an unreferenced block's id, but it
 writes its own block on each of its holders before the table names it.
+A save that fails with an OSError reads the table it did not replace
+back into memory, so the call raises and changes nothing but, at worst,
+such a block.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .errors import (
 )
 
 NAMENODE_TABLE = "namenode.tbl"
-METAFILE_TABLE = "metafiles.tbl"
 SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
 # A DataNode keys what it stores by (block id, block ordinal); a DFS file
 # has one block, so the cluster always passes this ordinal. It stays in
@@ -158,7 +162,7 @@ class DfsCluster:
     """NameNode plus DataNodes in one process.
 
     `root=None` keeps everything in memory; otherwise state is persisted
-    under `root` (one subdirectory per node, plus the NameNode tables) and
+    under `root` (one subdirectory per node, plus the NameNode table) and
     reloaded by constructing a cluster over the same root.
     """
 
@@ -169,11 +173,6 @@ class DfsCluster:
         self.config = config
         self.root = root
         self._lock = threading.RLock()
-        self._files: dict[str, DfsFileEntry] = {}
-        # Meta DFS file registry (name -> block count); lives at the
-        # NameNode and is journaled together with the file table.
-        self._meta_table: dict[str, int] = {}
-        self._file_ids = itertools.count(1)
         self.counters = DfsCounters()
         node_root = None
         self._nodes: dict[int, DataNode] = {}
@@ -181,71 +180,74 @@ class DfsCluster:
             if root is not None:
                 node_root = os.path.join(root, f"node_{node_id}")
             self._nodes[node_id] = DataNode(node_id, node_root)
-        if root is not None:
-            os.makedirs(root, exist_ok=True)
-            self._load_tables()
+        # The file table and the meta DFS file registry (name -> block
+        # count), both NameNode state, saved together in one table.
+        self._files, self._meta_table = \
+            ({}, {}) if root is None else self._read_table()
+        self._file_ids = itertools.count(1 + max(
+            (entry.file_id for entry in self._files.values()), default=0))
 
     # ------------------------------------------------------------------
     # Persistence of NameNode state
     # ------------------------------------------------------------------
 
-    def _load_tables(self):
+    def _read_table(self) -> tuple[dict[str, DfsFileEntry], dict[str, int]]:
+        """The file table and the meta-file registry that namenode.tbl
+        holds, both empty if there is none. Each row starts with its
+        kind: `file`, then the name, size, holders and file_id, or
+        `meta`, then the name and block count."""
+        files: dict[str, DfsFileEntry] = {}
+        metas: dict[str, int] = {}
         table = os.path.join(self.root, NAMENODE_TABLE)
-        if os.path.exists(table):
-            with open(table, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        name, size, holders, file_id = line.split("\t")
-                        entry = DfsFileEntry(
+        if not os.path.exists(table):
+            return files, metas
+        with open(table, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                kind, *row = line.split("\t")
+                try:
+                    if kind == "file":
+                        name, size, holders, file_id = row
+                        files[unquote(name)] = DfsFileEntry(
                             unquote(name), int(size),
                             tuple(int(n) for n in holders.split(",")),
                             int(file_id))
-                    except ValueError:
-                        raise RecoveryError(
-                            f"{table}: not a name, size, holders, file_id "
-                            f"row: {line!r}") from None
-                    self._files[entry.name] = entry
-            self._file_ids = itertools.count(1 + max(
-                (entry.file_id for entry in self._files.values()), default=0))
-        meta = os.path.join(self.root, METAFILE_TABLE)
-        if os.path.exists(meta):
-            with open(meta, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        name, count = line.split("\t")
-                        self._meta_table[unquote(name)] = int(count)
-                    except ValueError:
-                        raise RecoveryError(
-                            f"{meta}: not a name, block count row: "
-                            f"{line!r}") from None
+                    elif kind == "meta":
+                        name, count = row
+                        metas[unquote(name)] = int(count)
+                    else:
+                        raise ValueError(kind)
+                except ValueError:
+                    raise RecoveryError(
+                        f"{table}: not a file or meta row: {line!r}"
+                    ) from None
+        return files, metas
 
     def _save_tables(self):
+        """Write the file table and the meta-file registry to namenode.tbl
+        with one fsync and one os.replace. If either raises OSError, the
+        table from before the call is still on disk: it is read back into
+        memory before the error goes on, so a call whose save failed
+        changes nothing here (the file-id counter stays, so no id is
+        handed out twice)."""
         if self.root is None:
             return
         table = os.path.join(self.root, NAMENODE_TABLE)
-        tmp = table + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for entry in self._files.values():
-                holders = ",".join(str(n) for n in entry.holders)
-                fh.write(f"{quote(entry.name, safe='')}\t{entry.size_bytes}\t"
-                         f"{holders}\t{entry.file_id}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, table)
-        meta = os.path.join(self.root, METAFILE_TABLE)
-        tmp = meta + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for name, count in self._meta_table.items():
-                fh.write(f"{quote(name, safe='')}\t{count}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, meta)
+        try:
+            with open(table + ".tmp", "w", encoding="utf-8") as fh:
+                for entry in self._files.values():
+                    holders = ",".join(str(n) for n in entry.holders)
+                    fh.write(f"file\t{quote(entry.name, safe='')}\t"
+                             f"{entry.size_bytes}\t{holders}\t"
+                             f"{entry.file_id}\n")
+                for name, count in self._meta_table.items():
+                    fh.write(f"meta\t{quote(name, safe='')}\t{count}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(table + ".tmp", table)
+        except OSError:
+            self._files, self._meta_table = self._read_table()
+            raise
 
     # ------------------------------------------------------------------
     # Placement

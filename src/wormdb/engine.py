@@ -172,7 +172,7 @@ class Database:
         self.locks = locks if locks is not None else LockService()
         self.faults = faults
         self._session_seq = 0
-        self.data = manager.open_meta(self.data_name, sparse=True)
+        self.data = manager.open_meta(self.data_name)
         self.log = manager.open_meta(self.log_name)
 
     # ------------------------------------------------------------------
@@ -219,7 +219,7 @@ class Database:
         data_name, _ = cls.meta_names(name)
         if not manager.exists(data_name):
             raise NotFound(f"no database: {name}")
-        data = manager.open_meta(data_name, sparse=True)
+        data = manager.open_meta(data_name)
         catalog = parse_catalog(manager.read_page(data, 0))
         db = cls(manager, name, catalog.total_pages, post_commit_threshold,
                  deferred, locks, faults)
@@ -351,10 +351,6 @@ class Session:
             raise LockError("operation requires a lock")
         if write and self.mode != WRITE:
             raise LockError("operation requires the write lock")
-
-    def index_snapshot(self) -> dict[int, tuple[int, int]]:
-        """The session's reconstructed log table index (observability)."""
-        return dict(self.store.index)
 
     # ------------------------------------------------------------------
     # Page cache

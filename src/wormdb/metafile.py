@@ -18,11 +18,12 @@ that gives a block's file_id also gives its size, so a reader learns
 where a short block ends from the same call; a page past that end is
 OutOfRange.
 
-A sparse meta file (the engine's data file) is registered with its full
-block count but holds a constituent only for the blocks written so far:
-a block with no constituent reads as zeros without a DFS read, and its
-first remake is a plain create. In any other meta file (the log) a
-missing constituent is an error.
+A meta file may be registered with more blocks than it has
+constituents (the engine's data file holds only block 0 and the blocks
+written since): in every meta file a block with no constituent reads as
+zeros without a DFS read, and its first overwrite is a plain create.
+A layer that must not see such a hole checks for it itself: the store
+refuses a log block with no constituent.
 
 The block count, one NameNode number, commits every change of length:
 an append creates the constituent and then counts it, a truncate sets
@@ -66,7 +67,7 @@ import threading
 from dataclasses import dataclass
 
 from .dfs import DfsCluster, DfsFileEntry, constituent_name
-from .errors import AlreadyExists, NotFound, OutOfRange, WrongBlockSize
+from .errors import AlreadyExists, OutOfRange, WrongBlockSize
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,11 @@ def pages_per_block(page_size: int, block_size: int) -> int:
 
 
 class MetaDfsFile:
-    """Handle to a meta DFS file; block count is read from the NameNode.
-    Whether the file is sparse is known to its handle, not the NameNode."""
+    """Handle to a meta DFS file; block count is read from the NameNode."""
 
-    def __init__(self, manager: "MetaDfsManager", name: str,
-                 sparse: bool = False):
+    def __init__(self, manager: "MetaDfsManager", name: str):
         self._manager = manager
         self.name = name
-        self.sparse = sparse
 
     @property
     def block_count(self) -> int:
@@ -140,16 +138,16 @@ class MetaDfsManager:
 
     def create_sparse_meta(self, name: str, block_count: int,
                            first_block: bytes) -> MetaDfsFile:
-        """A sparse meta file of `block_count` blocks whose only
-        constituent is block 0, holding `first_block`."""
+        """A meta file of `block_count` blocks whose only constituent is
+        block 0, holding `first_block`; the others read as zeros."""
         self._check_block(first_block)
         self.cluster.meta_register(name, block_count)
         self._create_fresh(constituent_name(name, 0), first_block)
-        return MetaDfsFile(self, name, sparse=True)
+        return MetaDfsFile(self, name)
 
-    def open_meta(self, name: str, sparse: bool = False) -> MetaDfsFile:
+    def open_meta(self, name: str) -> MetaDfsFile:
         self.cluster.meta_block_count(name)  # raises NotFound if absent
-        return MetaDfsFile(self, name, sparse)
+        return MetaDfsFile(self, name)
 
     def exists(self, name: str) -> bool:
         return self.cluster.meta_exists(name)
@@ -157,8 +155,8 @@ class MetaDfsManager:
     def delete_meta(self, file: MetaDfsFile) -> None:
         """Count the file empty, delete every DFS file under its name (its
         constituents, and any an interrupted delete or remake left), then
-        unregister it: a meta file created under the name later, sparse
-        or not, holds none of them."""
+        unregister it: a meta file created under the name later holds
+        none of them."""
         if self.cluster.meta_block_count(file.name):
             self.cluster.meta_set_block_count(file.name, 0)
         for name in self.cluster.list_files(f"{file.name}/"):
@@ -210,10 +208,11 @@ class MetaDfsManager:
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
                         content: bytes) -> None:
-        """DFS file remake of one constituent; costs exactly one remake."""
+        """DFS file remake of one constituent, or a plain create of a
+        missing one; costs exactly one remake."""
         self._check_block(content)
         name = self._constituent(file, block_id)
-        if file.sparse and not self.cluster.exists(name):
+        if not self.cluster.exists(name):
             self.cluster.create_file(name, content)
         else:
             self._create_fresh(name + ".new", content)
@@ -227,12 +226,9 @@ class MetaDfsManager:
     def constituent_entry(self, file: MetaDfsFile,
                           block_id: int) -> DfsFileEntry | None:
         """The DFS entry of one block's constituent: its file_id, and its
-        size, which says where a short block ends. None for a block of a
-        sparse file with no constituent."""
-        entry = self.cluster.meta_block_entry(file.name, block_id)
-        if entry is None:
-            self._require_sparse(file, block_id)
-        return entry
+        size, which says where a short block ends. None for a block with
+        no constituent."""
+        return self.cluster.meta_block_entry(file.name, block_id)
 
     def constituent_entries(self,
                             file: MetaDfsFile) -> list[DfsFileEntry | None]:
@@ -240,13 +236,9 @@ class MetaDfsManager:
 
         A block's file_id changes exactly when its constituent is remade
         or truncated and appended again, so an unchanged id means
-        unchanged content. A block of a sparse file with no constituent
-        is None.
+        unchanged content. A block with no constituent is None.
         """
-        entries = self.cluster.meta_block_entries(file.name)
-        if None in entries:
-            self._require_sparse(file, entries.index(None))
-        return entries
+        return self.cluster.meta_block_entries(file.name)
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         """The whole block, as long as its constituent: from the cache if
@@ -311,13 +303,6 @@ class MetaDfsManager:
         if entry is None or entry[0] != file_id:
             return None
         return entry[1]
-
-    def _require_sparse(self, file: MetaDfsFile, block_id: int) -> None:
-        """Raise NotFound for a block with no constituent unless the file
-        is sparse, where the block reads as zeros."""
-        if not file.sparse:
-            raise NotFound(
-                f"no DFS file: {constituent_name(file.name, block_id)}")
 
     def cached_ids(self) -> dict[str, int]:
         """Constituent name -> the file_id its cached pages were read

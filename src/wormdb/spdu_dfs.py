@@ -16,7 +16,9 @@ page and files being write-once:
   marks that it and every earlier block hold only committed data (write
   transactions are serial). The footer is the block's last page, found
   from the constituent's size; a footer whose page count disagrees with
-  that size (a torn block) fails like a checksum mismatch.
+  that size (a torn block) fails like a checksum mismatch, and so does
+  a counted log block with no constituent, which a meta file would read
+  as zeros.
 * Post-commit processing is batched: pages from committed log blocks are
   sorted and grouped by target data block, each dirtied data block is
   remade exactly once, and the whole batch is made atomic/restartable by a
@@ -322,13 +324,17 @@ class DfsTransactionStore:
     def read_footer(self, block_id: int) -> tuple[list[int], bool]:
         """(pageids, commit_complete) from the footer page of a log block."""
         return self._footer_of(
-            block_id, self.manager.constituent_entry(self.log, block_id))
+            block_id, self.manager.constituent_entry(self.log, block_id))[1:]
 
-    def _footer_of(self, block_id: int,
-                   entry: DfsFileEntry) -> tuple[list[int], bool]:
-        """The footer of log block `block_id`, whose constituent is
-        `entry`: its last page. RecoveryError unless the block is exactly
+    def _footer_of(self, block_id: int, entry: DfsFileEntry | None
+                   ) -> tuple[int, list[int], bool]:
+        """(file_id, pageids, commit_complete) of log block `block_id`,
+        whose constituent is `entry`, from its last page. RecoveryError
+        for a block with no constituent (a hole, which reads as zeros in
+        a meta file but never in the log), or unless the block is exactly
         its listed pages and the footer (a torn block)."""
+        if entry is None:
+            raise RecoveryError(f"log block {block_id} has no constituent")
         size = entry.size_bytes
         if size < self.page_size:
             raise RecoveryError(
@@ -340,7 +346,7 @@ class DfsTransactionStore:
             raise RecoveryError(
                 f"log block {block_id} is {size} bytes, but its footer "
                 f"lists {len(pageids)} pages of {self.page_size}")
-        return pageids, complete
+        return entry.file_id, pageids, complete
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
         """The footer of every log data block, oldest first.
@@ -352,12 +358,10 @@ class DfsTransactionStore:
         entries = self.manager.constituent_entries(self.log)
         seen = self._footers
         self._footers = {}
-        for block_id in range(1, len(entries)):
-            file_id = entries[block_id].file_id
+        for block_id, entry in enumerate(entries[1:], 1):
             footer = seen.get(block_id)
-            if footer is None or footer[0] != file_id:
-                footer = (file_id,
-                          *self._footer_of(block_id, entries[block_id]))
+            if footer is None or entry is None or footer[0] != entry.file_id:
+                footer = self._footer_of(block_id, entry)
             self._footers[block_id] = footer
         return {block_id: (pageids, complete)
                 for block_id, (_, pageids, complete) in self._footers.items()}

@@ -333,7 +333,7 @@ def test_criterion_6_visibility():
     cluster = store.manager.cluster
     mgr = MetaDfsManager(cluster, store.manager.page_size)
     second = DfsTransactionStore(
-        mgr, mgr.open_meta(store.data.name, sparse=True),
+        mgr, mgr.open_meta(store.data.name),
         mgr.open_meta(store.log.name), TOTAL)
     before = cluster.counters.snapshot()
     index = second.reconstruct_log_table_index()

@@ -318,6 +318,34 @@ def test_bad_db_json_is_one_error_line(small_root, capsys, damage):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_a_root_of_the_two_table_layout_is_one_error_line(small_root,
+                                                          capsys):
+    """A root saved before the NameNode kept one table (rows without a
+    kind in namenode.tbl, the block counts in metafiles.tbl) is refused:
+    `recover` prints one error line naming the first row and exits 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    [table] = [os.path.join(folder, "namenode.tbl")
+               for folder, _, names in os.walk(root)
+               if "namenode.tbl" in names]
+    with open(table, encoding="utf-8") as fh:
+        rows = [line.split("\t", 1) for line in fh]
+    with open(table, "w", encoding="utf-8") as fh:
+        fh.writelines(row for kind, row in rows if kind == "file")
+    with open(os.path.join(os.path.dirname(table), "metafiles.tbl"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(row for kind, row in rows if kind == "meta")
+    assert run_cli(["recover"], root) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    first = next(row for kind, row in rows if kind == "file")
+    assert repr(first.rstrip("\n")) in lines[0]
+
+
 def test_csv_output(small_root, capsys):
     root, config = small_root
     assert run_cli(["gen", "--tuples", "20", "--seed", "6"], root,

@@ -233,9 +233,7 @@ def test_rename_touches_no_datanode(tmp_path):
     cluster.rename_file("c", "d", overwrite=True)
     after = _tree(root)
     assert {path: after[path] for path in nodes} == nodes
-    assert after.keys() - nodes.keys() == \
-        {os.path.join(root, table) for table in ("namenode.tbl",
-                                                 "metafiles.tbl")}
+    assert after.keys() - nodes.keys() == {os.path.join(root, "namenode.tbl")}
     assert make_cluster(root=root).read_range("d", 0, KB) == content
 
 
@@ -347,38 +345,148 @@ def test_persistent_mode_survives_restart(tmp_path):
     assert reopened.meta_block_count("m") == 3
 
 
-@pytest.mark.parametrize("row", [
-    "f\t10\t1\t3\t0,1,2",  # a block count and each block's holders
-    "f\t10\t0,1,2",  # no file_id: a root with name-keyed blocks
-    "f\t10\t0,1,2\tseven",
-    "f\t10\t0,1,2\t",
-], ids=["multi-block", "no-file-id", "word-file-id", "empty-file-id"])
-def test_reopen_refuses_a_malformed_namenode_row(tmp_path, row):
-    """A namenode.tbl row that is not a name, size, holders and file_id,
-    as written by older layouts, fails the reopen with RecoveryError
-    naming the row, not a raw ValueError."""
-    root = str(tmp_path / "dfs")
-    make_cluster(root=root).create_file("g", b"x")
+def _refused_row(root, row):
+    """Append `row` to the table under `root`; the reopen must fail with
+    RecoveryError naming the row, not a raw ValueError."""
     with open(os.path.join(root, "namenode.tbl"), "a",
               encoding="utf-8") as fh:
         fh.write(row + "\n")
     with pytest.raises(RecoveryError) as caught:
         make_cluster(root=root)
-    assert "not a name, size, holders, file_id row" in str(caught.value)
+    assert "namenode.tbl: not a file or meta row" in str(caught.value)
     assert repr(row) in str(caught.value)
 
 
-@pytest.mark.parametrize("row", ["broken-row", "m\tthree", "m\t1\t2"])
+@pytest.mark.parametrize("row", [
+    "file\tf\t10\t1\t3\t0,1,2",  # a block count and each block's holders
+    "file\tf\t10\t0,1,2",  # no file_id: a root with name-keyed blocks
+    "file\tf\t10\t0,1,2\tseven",
+    "file\tf\t10\t0,1,2\t",
+], ids=["multi-block", "no-file-id", "word-file-id", "empty-file-id"])
+def test_reopen_refuses_a_malformed_namenode_row(tmp_path, row):
+    """A file row that is not a name, size, holders and file_id, as
+    older layouts wrote them, fails the reopen."""
+    root = str(tmp_path / "dfs")
+    make_cluster(root=root).create_file("g", b"x")
+    _refused_row(root, row)
+
+
+@pytest.mark.parametrize("row", ["meta\tm", "meta\tm\tthree",
+                                 "meta\tm\t1\t2"],
+                         ids=["broken-row", "m\tthree", "m\t1\t2"])
 def test_reopen_refuses_a_malformed_metafile_row(tmp_path, row):
-    """A metafiles.tbl row that is not a name and a block count fails the
-    reopen with RecoveryError, naming the row, not a raw ValueError."""
+    """A meta row that is not a name and a block count fails the
+    reopen."""
     root = str(tmp_path / "dfs")
     make_cluster(root=root).meta_register("m", 1)
-    with open(os.path.join(root, "metafiles.tbl"), "a",
+    _refused_row(root, row)
+
+
+@pytest.mark.parametrize("row", ["dir\tf", "", "g\t1\t0,1,2\t1",
+                                 "meta\t1\t0,1,2\t1"],
+                         ids=["dir", "blank", "headless", "meta-like"])
+def test_reopen_refuses_a_row_of_unknown_kind(tmp_path, row):
+    """Every row starts with its kind, `file` or `meta`; a row of a
+    layout with no kind column fails even when its name is a kind."""
+    root = str(tmp_path / "dfs")
+    make_cluster(root=root).create_file("g", b"x")
+    _refused_row(root, row)
+
+
+def test_reopen_refuses_a_root_of_the_two_table_layout(tmp_path):
+    """A root whose namenode.tbl rows have no kind, beside a
+    metafiles.tbl, as saved before the NameNode kept one table, fails to
+    open with RecoveryError naming its first row."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    entry = cluster.create_file("f", b"x")
+    cluster.meta_register("m", 1)
+    holders = ",".join(str(n) for n in entry.holders)
+    first = f"f\t1\t{holders}\t{entry.file_id}"
+    with open(os.path.join(root, "namenode.tbl"), "w",
               encoding="utf-8") as fh:
-        fh.write(row + "\n")
-    with pytest.raises(RecoveryError, match="not a name, block count row"):
+        fh.write(first + "\n")
+    with open(os.path.join(root, "metafiles.tbl"), "w",
+              encoding="utf-8") as fh:
+        fh.write("m\t1\n")
+    with pytest.raises(RecoveryError) as caught:
         make_cluster(root=root)
+    assert repr(first) in str(caught.value)
+
+
+def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
+    """A persistent root keeps the NameNode's state in namenode.tbl
+    alone, and each mutation saves it with one fsync."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    cluster.meta_register("m", 0)
+    fsyncs = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or
+                        fsync(fd))
+    for call in (lambda: cluster.create_file("a", b"x"),
+                 lambda: cluster.rename_file("a", "b"),
+                 lambda: cluster.meta_set_block_count("m", 1)):
+        fsyncs.clear()
+        call()
+        assert len(fsyncs) == 1
+    assert sorted(name for name in os.listdir(root)
+                  if not name.startswith("node_")) == ["namenode.tbl"]
+    reopened = make_cluster(root=root)
+    assert reopened.list_files() == ["b"]
+    assert reopened.meta_block_count("m") == 1
+
+
+def _no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.create_file("n", b"new"),
+    lambda c: c.delete_file("a"),
+    lambda c: c.rename_file("a", "z"),
+    lambda c: c.rename_file("a", "b", overwrite=True),
+    lambda c: c.meta_register("m2", 1),
+    lambda c: c.meta_set_block_count("m", 5),
+    lambda c: c.meta_unregister("m"),
+], ids=["create", "delete", "rename", "rename-overwrite", "meta-register",
+        "meta-set-block-count", "meta-unregister"])
+@pytest.mark.parametrize("fails", ["fsync", "replace"])
+def test_a_failed_table_save_changes_nothing(tmp_path, call, fails):
+    """When the table save's fsync or os.replace fails with an ordinary
+    OSError, the call raises and the cluster holds what a fresh cluster
+    over the root reads, every block that table names still reads, and
+    the next create gets an id above every id handed out before, a
+    failed create's included (its blocks are on disk, unreferenced)."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    for name in ("a", "b"):
+        cluster.create_file(name, name.encode())
+    cluster.meta_register("m", 2)
+    replace = os.replace
+    with pytest.MonkeyPatch.context() as mp:
+        if fails == "fsync":
+            mp.setattr(os, "fsync", _no_space)
+        else:
+            mp.setattr(os, "replace", lambda src, dst: _no_space() if
+                       dst.endswith("namenode.tbl") else replace(src, dst))
+        with pytest.raises(OSError) as caught:
+            call(cluster)
+    assert caught.value.errno == 28
+    fresh = make_cluster(root=root)
+    assert cluster.list_files() == fresh.list_files() == ["a", "b"]
+    for name in fresh.list_files():
+        assert cluster.file_entry(name) == fresh.file_entry(name)
+        assert cluster.replicas(name) == [name.encode()] * 3
+    for meta in ("m", "m2"):
+        assert cluster.meta_exists(meta) == fresh.meta_exists(meta) == \
+            (meta == "m")
+    assert cluster.meta_block_count("m") == fresh.meta_block_count("m") == 2
+    handed_out = max(int(os.path.basename(path).split(".")[0])
+                     for path in _tree(root) if path.endswith(".blk0"))
+    entry = cluster.create_file("next", b"next")
+    assert entry.file_id > handed_out
+    assert make_cluster(root=root).read_range("next", 0, 4) == b"next"
 
 
 def test_file_ids_are_unique_and_never_reused():
@@ -401,8 +509,9 @@ def test_rename_keeps_the_file_id():
 
 def test_meta_block_entries_follow_constituents():
     """The NameNode reports a block with no constituent as entry None, for
-    every meta file; the meta-file layer reads such a block as zeros in a
-    sparse file and fails with NotFound in any other (the log)."""
+    every meta file, and the meta-file layer reads such a block as zeros
+    in every meta file, the one created sparse and one that lost a
+    constituent alike (the store refuses such a block in its log)."""
     cluster = make_cluster()
     cluster.meta_register("m", 0)
     assert cluster.meta_block_entries("m") == []
@@ -430,12 +539,13 @@ def test_meta_block_entries_follow_constituents():
     assert manager.constituent_entries(data)[1:] == [None, None]
     assert manager.read_block(data, 2) == bytes(block)
     assert manager.read_page(data, 16) == bytes(4 * KB)
-    with pytest.raises(NotFound, match="log/00000001"):
-        manager.constituent_entries(log)
-    with pytest.raises(NotFound, match="log/00000001"):
-        manager.read_block(log, 1)
-    with pytest.raises(NotFound, match="log/00000001"):
-        manager.read_page(log, 16)
+    assert manager.constituent_entries(log)[1] is None
+    assert manager.read_block(log, 1) == bytes(block)
+    assert manager.read_page(log, 16) == bytes(4 * KB)
+    manager.overwrite_block(log, 1, bytes([7]) * block)
+    assert cluster.exists("log/00000001")
+    assert not cluster.exists("log/00000001.new")
+    assert manager.read_page(log, 16) == bytes([7]) * 4 * KB
 
 
 def test_reloaded_cluster_hands_out_distinct_ids(tmp_path):

@@ -161,7 +161,7 @@ def test_two_session_visibility_after_commit():
     p1.commit()
     p2 = db.session("P2")
     p2.begin("read")
-    assert len(p2.index_snapshot()) >= 1  # log entries visible to P2
+    assert len(p2.store.index) >= 1  # log entries visible to P2
     assert len(p2.scan(10)) == 2
     p2.commit()
 

@@ -558,7 +558,7 @@ def test_a_stale_replacement_is_deleted_by_the_next_remake(mgr, monkeypatch):
 
 def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     f = mgr.create_sparse_meta("d", 4, block_of(1))
-    assert f.sparse and f.block_count == 4
+    assert f.block_count == 4
     assert mgr.cluster.list_files("d/") == [constituent_name("d", 0)]
     before = mgr.cluster.counters.snapshot()
     assert mgr.read_page(f, 2 * N + 3) == bytes(PAGE)
@@ -573,7 +573,7 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     assert calls == [("create_file", constituent_name("d", 2), block_of(5))]
     assert mgr.remakes_of("d") == 1
     assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
-    assert mgr.open_meta("d", sparse=True).block_count == 4
+    assert mgr.open_meta("d").block_count == 4
 
 
 def test_delete_meta_deletes_what_a_failed_delete_left(mgr, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import MapOracle, page_header, random_payload_page
 from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.engine import Database
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
@@ -316,7 +317,7 @@ def _peer(store, threshold=64):
     in its page cache."""
     mgr = MetaDfsManager(store.manager.cluster, store.manager.page_size)
     return DfsTransactionStore(
-        mgr, mgr.open_meta(store.data.name, sparse=True),
+        mgr, mgr.open_meta(store.data.name),
         mgr.open_meta(store.log.name), TOTAL, threshold)
 
 
@@ -787,3 +788,29 @@ def test_a_torn_short_block_is_never_committed(torn):
             action()
     assert not set(pageids) & set(fresh.index)
     assert store.read_footer(1) == ([1], True)
+
+
+def test_a_log_block_with_no_constituent_is_a_recovery_error():
+    """The meta-file layer reads a block with no constituent as zeros, but
+    the log has no holes: once a counted log block's constituent is gone,
+    a writer's begin, recovery_state and restart fail with RecoveryError
+    and truncate nothing."""
+    store = make_store()
+    rng = random.Random(33)
+    for _ in range(2):
+        store.write_page(rng.randrange(TOTAL), page_with(rng))
+        store.commit_transaction()
+    store.manager.cluster.delete_file("db/log/00000001")
+    assert store.manager.read_block(store.log, 1) == bytes(BLOCK)
+    hole = "log block 1 has no constituent"
+    with pytest.raises(RecoveryError, match=hole):
+        store.read_footer(1)
+    for writer in (store, _peer(store)):
+        with pytest.raises(RecoveryError, match=hole):
+            writer.begin_transaction(write=True)
+        with pytest.raises(RecoveryError, match=hole):
+            writer.recovery_state()
+    with pytest.raises(RecoveryError, match=hole):
+        Database(store.manager, "db", TOTAL).recover()
+    assert store.log.block_count == 3
+    assert store.read_footer(2)[1] is True
