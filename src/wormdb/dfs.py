@@ -25,16 +25,19 @@ NameNode table and no DataNode.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
-its blocks in a directory, and the NameNode's state is one table,
-`namenode.tbl`: a row per DFS file (ids included) and a row per meta
-file (its block count), each starting with its kind. Every mutation
-rewrites it atomically, with one fsync. Each mutation writes blocks
-before the save that names them and drops blocks only after the save
-that stops naming them, so a process crash at any point leaves the table
-from before or after the call, at worst beside blocks no entry names.
-Such a block is never read: a reload hands out ids above the highest
-saved one, so a create may reuse an unreferenced block's id, but it
-writes its own block on each of its holders before the table names it.
+its blocks in a directory, writing each block file with an fsync before
+renaming it into place, and the NameNode's state is one table,
+`namenode.tbl`: a row per DFS file (ids included) and a row per meta file
+(its block count), each starting with its kind. Every mutation rewrites
+it atomically, with one fsync. Each mutation writes blocks before the
+save that names them and drops blocks only after the save that stops
+naming them, so a process crash at any point leaves the table from
+before or after the call, at worst beside blocks no entry names, and a
+saved table never names a block whose bytes are still only in the OS's
+cache. Such an unnamed block is never read: a reload hands out ids above
+the highest saved one, so a create may reuse an unreferenced block's id,
+but it writes its own block on each of its holders before the table
+names it.
 A save that fails with an OSError reads the table it did not replace
 back into memory, so the call raises and changes nothing but, at worst,
 such a block.
@@ -137,9 +140,13 @@ class DataNode:
         if self._mem is not None:
             self._mem[(block_id, ordinal)] = bytes(data)
             return
+        # fsync before the rename, so the table save that follows cannot
+        # name a block whose bytes a machine crash would lose
         tmp = self._path(block_id, ordinal) + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self._path(block_id, ordinal))
 
     def get(self, block_id: int, ordinal: int) -> bytes:

@@ -272,10 +272,11 @@ class Session:
     every `begin` starts from the log's committed prefix, so no later
     transaction sees them, and a writer's `begin` deletes them.
 
-    The page cache holds the immutable pages the DFS layers return, shared
-    with the database's meta-file page cache; a page is copied into a
-    `bytearray` only when the session mutates it (the heap's tail page on
-    insert, a record's page on update).
+    The page cache holds the immutable pages the DFS layers return (a
+    page the database's meta-file cache read through, or a slice of a
+    block it wrote); a page is copied into a `bytearray` only when the
+    session mutates it (the heap's tail page on insert, a record's page
+    on update).
     """
 
     def __init__(self, db: Database, owner: str):

@@ -34,31 +34,35 @@ delete of the whole meta file deletes it.
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
 
-Pages are kept in a cache that all sessions of a manager share, keyed
-by constituent name and tagged with the constituent's DFS `file_id`. It
-is read-through for `read_page`, and write-through for appends: once
-an append has counted its block, it caches every page of the block
-under the id `create_file` returned, so a reader, or the batch
-post-commit, gets the log blocks this manager wrote without a DFS read.
-`read_block` serves a block whose pages are all cached and otherwise
-reads the DFS without caching, so a remade data block is never cached
-whole. A constituent is write-once and the NameNode never reuses an id,
-so a cached page is served only while its block's current id (one
-NameNode call per read, made before the cache is looked at) is the id
-it was cached under; a remake by anyone, this manager or another over
-the same cluster, and a truncate and append by another manager, change
-the id. The id call also reports a block whose replicas are all dead,
-so replica loss surfaces on a cached page too. There is no eviction by
-size: a remake, truncate or delete through this manager drops the
-constituent's pages, so the cache never holds more than the pages read
-from the live data and log blocks and the pages of the log blocks
-appended since the log's last truncate. The engine's batch truncates
-the log once it holds more than `post_commit_threshold` data blocks, so
-that is at most `post_commit_threshold` + 1 blocks, plus the master
-block until its first remake. The cache takes no lock: a reader racing
-a remake or another reader can only cache a page under an id that has
-died, which is never served, or drop an entry another reader or an
-append made, which costs one more DFS read.
+Blocks and pages are kept in a cache that all sessions of a manager
+share, keyed by constituent name and tagged with the constituent's DFS
+`file_id`. It is write-through: once an append has counted its block,
+or a remake has renamed its new block into place (or created a missing
+one), the block is cached whole, as the one `bytes` object handed to
+`create_file`, under the id that call returned (a rename keeps it). In
+memory mode the DataNodes keep that same object, so the cache holds no
+second copy; `read_block` returns it and `read_page` slices its page out
+of it. A block this manager did not write is read through page by page:
+`read_page` caches each page it reads from the DFS, and `read_block`
+reads the DFS without caching, so a cold read fetches only the pages
+asked for. A constituent is write-once and the NameNode never reuses an
+id, so a cached block or page is served only while its block's current
+id (one NameNode call per read, made before the cache is looked at) is
+the id it was cached under; a remake by anyone, this manager or another
+over the same cluster, and a truncate and append by another manager,
+change the id. A remake that fails before its rename leaves the old
+entry, which still holds the current content. The id call also reports
+a block whose replicas are all dead, so replica loss surfaces on a
+cached block too. There is no eviction by size: a remake replaces the
+constituent's entry, and a truncate or delete through this manager
+drops it, so the cache never holds more than the data blocks written or
+read and the live log. The engine's batch truncates the log once it
+holds more than `post_commit_threshold` data blocks, so the log is at
+most `post_commit_threshold` + 1 blocks plus the master block. The
+cache takes no lock: a reader racing a remake or another reader can
+only cache a page under an id that has died, which is never served, or
+replace an entry another reader, an append or a remake made, which
+costs one more DFS read.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ class MetaDfsManager:
         self._counter_lock = threading.Lock()
         self.remakes_total = 0
         self.remakes_by_file: dict[str, int] = {}
-        # constituent name -> (its file_id, {page offset: page})
-        self._pages: dict[str, tuple[int, dict[int, bytes]]] = {}
+        # constituent name -> (its file_id, the whole block if this
+        # manager wrote it, else {page offset: page} as read)
+        self._cache: dict[str, tuple[int, bytes | dict[int, bytes]]] = {}
         self._zero_page = bytes(page_size)
 
     # ------------------------------------------------------------------
@@ -193,31 +198,31 @@ class MetaDfsManager:
 
     def append_block(self, file: MetaDfsFile,
                      content: bytes) -> tuple[int, int]:
-        """Append `content` as the next block and cache its pages (see
-        above). Returns the block_id and its constituent's file_id."""
+        """Append `content` as the next block and cache it (see above).
+        Returns the block_id and its constituent's file_id."""
+        content = bytes(content)
         self._check_block(content)
         count = self.cluster.meta_block_count(file.name)
         name = constituent_name(file.name, count)
         file_id = self._create_fresh(name, content).file_id
         self.cluster.meta_set_block_count(file.name, count + 1)
-        size = self.page_size
-        self._pages[name] = (file_id, {
-            offset: content[offset * size:(offset + 1) * size]
-            for offset in range(len(content) // size)})
+        self._cache[name] = (file_id, content)
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
                         content: bytes) -> None:
         """DFS file remake of one constituent, or a plain create of a
-        missing one; costs exactly one remake."""
+        missing one, then cache it (see above); costs exactly one
+        remake."""
+        content = bytes(content)
         self._check_block(content)
         name = self._constituent(file, block_id)
         if not self.cluster.exists(name):
-            self.cluster.create_file(name, content)
+            file_id = self.cluster.create_file(name, content).file_id
         else:
-            self._create_fresh(name + ".new", content)
+            file_id = self._create_fresh(name + ".new", content).file_id
             self.cluster.rename_file(name + ".new", name, overwrite=True)
-        self._pages.pop(name, None)
+        self._cache[name] = (file_id, content)
         with self._counter_lock:
             self.remakes_total += 1
             self.remakes_by_file[file.name] = \
@@ -241,16 +246,15 @@ class MetaDfsManager:
         return self.cluster.meta_block_entries(file.name)
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
-        """The whole block, as long as its constituent: from the cache if
-        every page of it is cached under the block's current id, else
-        from the DFS (not cached)."""
+        """The whole block, as long as its constituent: the cached object
+        if this manager wrote the block under its current id, else from
+        the DFS (not cached)."""
         entry = self.constituent_entry(file, block_id)
         if entry is None:
             return bytes(self.block_size)
-        pages = self._cached(entry.name, entry.file_id)
-        n = entry.size_bytes // self.page_size
-        if pages is not None and len(pages) == n:
-            return b"".join(pages[offset] for offset in range(n))
+        cached = self._cached(entry.name, entry.file_id)
+        if isinstance(cached, bytes):
+            return cached
         return self.cluster.read_range(entry.name, 0, entry.size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
@@ -267,7 +271,7 @@ class MetaDfsManager:
 
     def _delete_constituent(self, name: str) -> None:
         self.cluster.delete_file(name)
-        self._pages.pop(name, None)
+        self._cache.pop(name, None)
 
     # ------------------------------------------------------------------
     # Page addressing
@@ -278,37 +282,48 @@ class MetaDfsManager:
         return PageAddress(pageid // n, pageid % n)
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
-        """One page, from the cache if it was read from the block's
-        current constituent, else from the DFS (and then cached)."""
+        """One page: a slice of the cached block if this manager wrote
+        the block under its current id, the cached page if it was read
+        from that constituent, else from the DFS (and then cached). A
+        page past a short block's end is OutOfRange."""
         size = self.page_size
         addr = self.page_address(pageid)
         entry = self.constituent_entry(file, addr.block_id)
         if entry is None:
             return self._zero_page
-        pages = self._cached(entry.name, entry.file_id)
-        if pages is None:
-            pages = {}
-            self._pages[entry.name] = (entry.file_id, pages)
-        page = pages.get(addr.page_offset)
+        start = addr.page_offset * size
+        if start >= entry.size_bytes:
+            raise OutOfRange(
+                f"page {pageid} of {file.name} is past the "
+                f"{entry.size_bytes} bytes of {entry.name}")
+        cached = self._cached(entry.name, entry.file_id)
+        if isinstance(cached, bytes):
+            return cached[start:start + size]
+        if cached is None:
+            cached = {}
+            self._cache[entry.name] = (entry.file_id, cached)
+        page = cached.get(addr.page_offset)
         if page is None:
-            # past a short block's end, read_range raises OutOfRange
-            page = pages[addr.page_offset] = self.cluster.read_range(
-                entry.name, addr.page_offset * size, size)
+            page = cached[addr.page_offset] = self.cluster.read_range(
+                entry.name, start, size)
         return page
 
-    def _cached(self, name: str, file_id: int) -> dict[int, bytes] | None:
-        """The pages cached for constituent `name` if they were cached
-        under `file_id`, its current id; else None (see above)."""
-        entry = self._pages.get(name)
+    def _cached(self, name: str,
+                file_id: int) -> bytes | dict[int, bytes] | None:
+        """What is cached for constituent `name`, the block or its pages,
+        if it was cached under `file_id`, its current id; else None (see
+        above)."""
+        entry = self._cache.get(name)
         if entry is None or entry[0] != file_id:
             return None
         return entry[1]
 
     def cached_ids(self) -> dict[str, int]:
-        """Constituent name -> the file_id its cached pages were read
-        under (observability)."""
+        """Constituent name -> the file_id its cached block or pages were
+        cached under: the id a write here returned, or the id the pages
+        were read under (observability)."""
         return {name: file_id
-                for name, (file_id, _) in list(self._pages.items())}
+                for name, (file_id, _) in list(self._cache.items())}
 
     # ------------------------------------------------------------------
     # Observability

@@ -416,7 +416,8 @@ def test_reopen_refuses_a_root_of_the_two_table_layout(tmp_path):
 
 def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
     """A persistent root keeps the NameNode's state in namenode.tbl
-    alone, and each mutation saves it with one fsync."""
+    alone, and each mutation saves it with one fsync; a create also
+    fsyncs the block file it writes on each holder."""
     root = str(tmp_path / "dfs")
     cluster = make_cluster(root=root)
     cluster.meta_register("m", 0)
@@ -424,12 +425,14 @@ def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
     fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or
                         fsync(fd))
-    for call in (lambda: cluster.create_file("a", b"x"),
-                 lambda: cluster.rename_file("a", "b"),
-                 lambda: cluster.meta_set_block_count("m", 1)):
+    holders = cluster.config.replication_factor
+    for call, count in ((lambda: cluster.create_file("a", b"x"),
+                         1 + holders),
+                        (lambda: cluster.rename_file("a", "b"), 1),
+                        (lambda: cluster.meta_set_block_count("m", 1), 1)):
         fsyncs.clear()
         call()
-        assert len(fsyncs) == 1
+        assert len(fsyncs) == count
     assert sorted(name for name in os.listdir(root)
                   if not name.startswith("node_")) == ["namenode.tbl"]
     reopened = make_cluster(root=root)

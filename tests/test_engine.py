@@ -725,6 +725,53 @@ def test_warm_reader_sees_peer_batch_remake():
         db.manager.cluster, "db", PAGE, recover=False).session())
 
 
+def test_blocks_a_batch_remade_are_read_from_the_cache():
+    """The data blocks a batch post-commit remade are cached as written:
+    a full scan, and a second batch that dirties the same blocks, read
+    nothing from the DFS. A database opened afresh over the cluster has
+    its own, empty cache, so it reads those blocks from the DFS, and it
+    sees what the batches wrote."""
+    db = make_db(threshold=2)
+    s = db.session()
+    for txn in range(4):
+        s.begin("write")
+        for i in range(40 * txn, 40 * (txn + 1)):
+            s.insert_record(rec(i, key=f"7.7.7.{i % 4}"))
+        s.commit()
+    db.run_maintenance()
+    remakes = db.manager.remakes_of(db.data_name)
+    assert remakes > 0 and db.log.block_count == 1
+    cluster = db.manager.cluster
+    before = cluster.counters.snapshot()
+    assert [r.duration for r in read_all(s)] == list(range(160))
+    s.begin("write")
+    assert s.update_by_key("7.7.7.1", "USA", use_index=True) == 40
+    s.commit()
+    db.run_maintenance()
+    assert db.manager.remakes_of(db.data_name) > remakes
+    assert db.log.block_count == 1
+    assert cluster.counters.read_calls == before.read_calls
+    expected = ["USA" if i % 4 == 1 else "KOR" for i in range(160)]
+    assert [r.country_code for r in read_all(s)] == expected
+    assert cluster.counters.read_calls == before.read_calls
+    fresh = Database.open(cluster, "db", PAGE)
+    assert fresh.manager is not db.manager
+    assert set(fresh.manager.cached_ids()) <= {
+        constituent_name(db.data_name, 0), constituent_name(db.log_name, 0)}
+    reader = fresh.session()
+    before = cluster.counters.snapshot()
+    assert [r.country_code for r in read_all(reader)] == expected
+    # one DFS read per heap page; the catalog page was read by the open
+    assert cluster.counters.read_calls - before.read_calls == \
+        reader.page_reads - 1
+    current = {entry.name: entry.file_id for entry in
+               fresh.manager.constituent_entries(fresh.data) if entry}
+    cached = {name: file_id
+              for name, file_id in fresh.manager.cached_ids().items()
+              if name.startswith(f"{db.data_name}/")}
+    assert cached and cached.items() <= current.items()
+
+
 def test_dead_replicas_of_cached_pages_surface_in_a_session():
     db = make_db(threshold=10 ** 6)
     s = db.session()

@@ -263,10 +263,14 @@ def test_remake_truncate_and_delete_drop_cached_pages(mgr):
     for i in range(3):
         mgr.read_page(f, i * N)
     assert len(mgr.cached_ids()) == 3
+    # a remade block replaces its cached entry, under the remake's new id
+    old_id = mgr.cached_ids()[constituent_name("m", 1)]
     mgr.overwrite_block(f, 1, block_of(9))
-    assert constituent_name("m", 1) not in mgr.cached_ids()
+    new_id = mgr.cluster.file_entry(constituent_name("m", 1)).file_id
+    assert new_id != old_id
+    assert mgr.cached_ids()[constituent_name("m", 1)] == new_id
     assert dfs_reads(mgr, lambda: mgr.read_page(f, N)) == \
-        (1, PAGE, bytes([9]) * PAGE)
+        (0, 0, bytes([9]) * PAGE)
     mgr.truncate_from(f, 2)
     assert constituent_name("m", 2) not in mgr.cached_ids()
     with pytest.raises(OutOfRange):
@@ -279,6 +283,72 @@ def test_remake_truncate_and_delete_drop_cached_pages(mgr):
         (0, 0, bytes([5]) * PAGE)
     mgr.delete_meta(f)
     assert mgr.cached_ids() == {}
+
+
+def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
+    """A remake whose rename fails leaves the block whole, and its cached
+    entry, which still holds the current content: this manager serves it
+    with no DFS read, and a peer reads the same content from the DFS."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    mgr.overwrite_block(f, 0, block_of(2))
+
+    def refuse(old, new, overwrite=False):
+        raise StorageError(f"rename of {old} refused")
+
+    monkeypatch.setattr(mgr.cluster, "rename_file", refuse)
+    with pytest.raises(StorageError, match="refused"):
+        mgr.overwrite_block(f, 0, block_of(3))
+    monkeypatch.undo()
+    name = constituent_name("m", 0)
+    assert mgr.cached_ids()[name] == mgr.cluster.file_entry(name).file_id
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
+        (0, 0, block_of(2))
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 1)) == \
+        (0, 0, bytes([2]) * PAGE)
+    peer = peer_of(mgr)
+    g = peer.open_meta("m")
+    assert dfs_reads(peer, lambda: peer.read_block(g, 0)) == \
+        (1, BLOCK, block_of(2))
+    assert peer.read_page(g, 1) == bytes([2]) * PAGE
+
+
+def test_a_written_block_is_cached_as_the_object_the_datanodes_keep(mgr):
+    """In memory mode a block this manager appended, remade or created in
+    a hole is cached as the very object its DataNodes store, so the cache
+    holds no copy of its own."""
+    f = mgr.create_meta("m")
+    mgr.append_block(f, block_of(1))
+    mgr.append_block(f, block_of(2))
+    mgr.overwrite_block(f, 1, block_of(3))
+    d = mgr.create_sparse_meta("d", 2, block_of(4))
+    mgr.overwrite_block(d, 1, block_of(5))
+    for file, block_id in ((f, 0), (f, 1), (d, 1)):
+        name = constituent_name(file.name, block_id)
+        *reads, block = dfs_reads(mgr, lambda: mgr.read_block(file, block_id))
+        assert reads == [0, 0]
+        replicas = mgr.cluster.replicas(name)
+        assert len(replicas) == 2
+        assert all(replica is block for replica in replicas)
+
+
+def test_a_written_buffer_is_cached_as_bytes(mgr):
+    """A block handed to an append or a remake as a bytearray is cached as
+    bytes: what the caller does to its buffer afterwards changes nothing
+    that is read."""
+    f = mgr.create_meta("m")
+    buffer = bytearray(block_of(1))
+    mgr.append_block(f, buffer)
+    buffer[:] = block_of(2)
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
+        (0, 0, block_of(1))
+    mgr.overwrite_block(f, 0, buffer)
+    buffer[:PAGE] = bytes([7]) * PAGE
+    block = mgr.read_block(f, 0)
+    assert type(block) is bytes and block == block_of(2)
+    assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
+        (0, 0, bytes([2]) * PAGE)
+    assert mgr.cluster.replicas(constituent_name("m", 0)) == [block_of(2)] * 2
 
 
 def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
