@@ -26,18 +26,19 @@ NameNode table and no DataNode.
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
 its blocks in a directory, writing each block file with an fsync before
-renaming it into place, and the NameNode's state is one table,
-`namenode.tbl`: a row per DFS file (ids included) and a row per meta file
-(its block count), each starting with its kind. Every mutation rewrites
-it atomically, with one fsync. Each mutation writes blocks before the
-save that names them and drops blocks only after the save that stops
-naming them, so a process crash at any point leaves the table from
-before or after the call, at worst beside blocks no entry names, and a
-saved table never names a block whose bytes are still only in the OS's
-cache. Such an unnamed block is never read: a reload hands out ids above
-the highest saved one, so a create may reuse an unreferenced block's id,
-but it writes its own block on each of its holders before the table
-names it.
+renaming it into place and fsyncing the directory after the rename, and
+the NameNode's state is one table, `namenode.tbl`: a row per DFS file
+(ids included) and a row per meta file (its block count), each starting
+with its kind. Every mutation rewrites it atomically, with one fsync of
+the table before its rename and one of the root directory after. Each
+mutation writes blocks before the save that names them and drops blocks
+only after the save that stops naming them, so a process crash at any
+point leaves the table from before or after the call, at worst beside
+blocks no entry names, and a saved table never names a block whose bytes
+or whose rename are still only in the OS's cache. Such an unnamed block
+is never read: a reload hands out ids above the highest saved one, so a
+create may reuse an unreferenced block's id, but it writes its own block
+on each of its holders before the table names it.
 A save that fails with an OSError reads the table it did not replace
 back into memory, so the call raises and changes nothing but, at worst,
 such a block.
@@ -119,6 +120,16 @@ class DfsCounters:
                            self.bytes_written)
 
 
+def _fsync_dir(path: str) -> None:
+    """fsync a directory, so the renames made in it survive a machine
+    crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class DataNode:
     """Block storage for one simulated node, in memory or in a directory,
     keyed by block id and ordinal."""
@@ -140,14 +151,16 @@ class DataNode:
         if self._mem is not None:
             self._mem[(block_id, ordinal)] = bytes(data)
             return
-        # fsync before the rename, so the table save that follows cannot
-        # name a block whose bytes a machine crash would lose
+        # fsync the file before the rename and the directory after it, so
+        # the table save that follows cannot name a block whose bytes or
+        # whose name a machine crash would lose
         tmp = self._path(block_id, ordinal) + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._path(block_id, ordinal))
+        _fsync_dir(self._root)
 
     def get(self, block_id: int, ordinal: int) -> bytes:
         if self._mem is not None:
@@ -159,6 +172,8 @@ class DataNode:
         if self._mem is not None:
             self._mem.pop((block_id, ordinal), None)
             return
+        # no directory fsync: a remove a crash loses leaves a block that
+        # no entry names
         try:
             os.remove(self._path(block_id, ordinal))
         except FileNotFoundError:
@@ -232,11 +247,13 @@ class DfsCluster:
 
     def _save_tables(self):
         """Write the file table and the meta-file registry to namenode.tbl
-        with one fsync and one os.replace. If either raises OSError, the
-        table from before the call is still on disk: it is read back into
-        memory before the error goes on, so a call whose save failed
-        changes nothing here (the file-id counter stays, so no id is
-        handed out twice)."""
+        with one fsync and one os.replace, then fsync the root directory.
+        If the fsync or the replace raises OSError, the table from before
+        the call is still on disk: it is read back into memory before the
+        error goes on, so a call whose save failed changes nothing here
+        (the file-id counter stays, so no id is handed out twice). Once
+        the table is replaced, memory and disk agree, so a failed fsync of
+        the directory raises and keeps the change."""
         if self.root is None:
             return
         table = os.path.join(self.root, NAMENODE_TABLE)
@@ -255,6 +272,7 @@ class DfsCluster:
         except OSError:
             self._files, self._meta_table = self._read_table()
             raise
+        _fsync_dir(self.root)
 
     # ------------------------------------------------------------------
     # Placement

@@ -29,7 +29,7 @@ from .errors import (
     ValueTooLong,
 )
 from .faults import NULL_INJECTOR, FaultInjector
-from .locks import LockService, READ, WRITE
+from .locks import LockService, WRITE
 from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SlottedPage
@@ -302,8 +302,6 @@ class Session:
     def begin(self, mode: str) -> None:
         if self.mode is not None:
             raise LockError(f"session {self.owner} already holds a lock")
-        if mode not in (READ, WRITE):
-            raise ValueError(f"bad mode: {mode}")
         self.lockid = self.db.locks.request_lock(
             self.db.data_name, mode, self.owner)
         self.mode = mode

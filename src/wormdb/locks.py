@@ -4,9 +4,12 @@ Lock requests get monotonically increasing lockids per database and are
 granted in lockid order: a read waits behind every earlier write (granted
 or waiting, which prevents writer starvation); a write waits behind every
 earlier lock except a read the same owner already holds (the upgrade
-case). A blocked request watches the last earlier blocking node and
-re-evaluates on each wakeup, re-watching the new last blocker if still
-blocked.
+case). The queues of every database are guarded by one condition: a
+blocked request waits on it and re-checks its blockers after each
+wakeup, and every grant and every removal of a node (a release, a
+conflict, a waiter leaving on shutdown) wakes all waiters. A wakeup is
+only a cue to re-check: a waiter on another database, or one still
+blocked, goes back to waiting.
 
 Under these rules an owner can come to wait on itself: two owners that
 each hold a read and ask for a write, or an owner that holds a read and
@@ -23,7 +26,7 @@ cycle therefore runs through the new request's owner.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import NotGranted, ServiceShutdown, UnknownLock, UpgradeConflict
 
@@ -41,20 +44,13 @@ class LockNode:
     lock_type: str
     owner: str
     state: str = WAITING
-    watched: int | None = None
-    event: threading.Event = field(default_factory=threading.Event, repr=False)
-    watchers: list["LockNode"] = field(default_factory=list, repr=False)
-
-    def public_copy(self) -> "LockNode":
-        return LockNode(self.db_name, self.lockid, self.lock_type,
-                        self.owner, self.state, self.watched)
 
 
 class LockService:
     """Thread-safe in-process lock manager, one queue per database name."""
 
     def __init__(self, record_history: bool = False):
-        self._mu = threading.Lock()
+        self._cond = threading.Condition()
         self._queues: dict[str, list[LockNode]] = {}
         self._next_id: dict[str, int] = {}
         self._shutdown = False
@@ -84,24 +80,9 @@ class LockService:
                 blockers.append(other)
         return blockers
 
-    def _try_grant(self, node: LockNode) -> bool:
-        if self._blockers(node):
-            return False
-        node.state = GRANTED
-        node.watched = None
-        self._record("grant", node)
-        return True
-
-    def _watch(self, node: LockNode, blockers: list[LockNode]) -> None:
-        target = blockers[-1]  # the blocker requested last
-        node.watched = target.lockid
-        target.watchers.append(node)
-
     def _remove(self, node: LockNode) -> None:
         self._queues[node.db_name].remove(node)
-        for watcher in node.watchers:
-            watcher.event.set()
-        node.watchers.clear()
+        self._cond.notify_all()
 
     def _closes_cycle(self, node: LockNode) -> bool:
         """Whether node's owner now waits on itself: wait-for edges go
@@ -131,12 +112,13 @@ class LockService:
     def request_lock(self, db_name: str, lock_type: str, owner: str) -> int:
         """Enqueue a request and block until granted.
 
-        Raises UpgradeConflict at once if waiting would make the owner wait
-        on itself, ServiceShutdown on shutdown().
+        Raises ValueError for a lock type other than READ or WRITE before
+        anything is queued, UpgradeConflict at once if waiting would make
+        the owner wait on itself, ServiceShutdown on shutdown().
         """
         if lock_type not in (READ, WRITE):
             raise ValueError(f"bad lock type: {lock_type}")
-        with self._mu:
+        with self._cond:
             if self._shutdown:
                 raise ServiceShutdown("lock service is shut down")
             lockid = self._next_id.get(db_name, 1)
@@ -144,31 +126,29 @@ class LockService:
             node = LockNode(db_name, lockid, lock_type, owner)
             self._queues.setdefault(db_name, []).append(node)
             self._record("request", node)
-            if self._try_grant(node):
-                return lockid
             # Only a new request adds wait-for edges, so a cycle that
             # exists now runs through this request's owner, and no later
             # grant or release can close one.
-            if self._closes_cycle(node):
+            if self._blockers(node) and self._closes_cycle(node):
                 self._record("conflict", node)
                 self._remove(node)
                 raise UpgradeConflict(
                     f"{lock_type} {lockid} on {db_name} would make "
                     f"{owner} wait on itself")
-            self._watch(node, self._blockers(node))
-        while True:
-            node.event.wait()
-            with self._mu:
-                node.event.clear()
+            while self._blockers(node):
+                self._cond.wait()
                 if self._shutdown:
                     self._remove(node)
                     raise ServiceShutdown("lock service is shut down")
-                if self._try_grant(node):
-                    return lockid
-                self._watch(node, self._blockers(node))
+            node.state = GRANTED
+            self._record("grant", node)
+            # a granted read may lift the upgrade exemption's block on a
+            # later write of the same owner
+            self._cond.notify_all()
+            return lockid
 
     def release_lock(self, db_name: str, lockid: int) -> None:
-        with self._mu:
+        with self._cond:
             queue = self._queues.get(db_name, [])
             node = next((n for n in queue if n.lockid == lockid), None)
             if node is None:
@@ -179,14 +159,10 @@ class LockService:
             self._remove(node)
 
     def snapshot(self, db_name: str) -> list[LockNode]:
-        with self._mu:
-            return [n.public_copy()
-                    for n in self._queues.get(db_name, [])]
+        with self._cond:
+            return [replace(n) for n in self._queues.get(db_name, [])]
 
     def shutdown(self) -> None:
-        with self._mu:
+        with self._cond:
             self._shutdown = True
-            for queue in self._queues.values():
-                for node in queue:
-                    if node.state == WAITING:
-                        node.event.set()
+            self._cond.notify_all()

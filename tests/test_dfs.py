@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 import time
 
 import pytest
@@ -416,8 +417,9 @@ def test_reopen_refuses_a_root_of_the_two_table_layout(tmp_path):
 
 def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
     """A persistent root keeps the NameNode's state in namenode.tbl
-    alone, and each mutation saves it with one fsync; a create also
-    fsyncs the block file it writes on each holder."""
+    alone, and each mutation saves it with one fsync of the table and one
+    of the root directory; a create also fsyncs the block file it writes
+    on each holder and that holder's directory."""
     root = str(tmp_path / "dfs")
     cluster = make_cluster(root=root)
     cluster.meta_register("m", 0)
@@ -427,9 +429,9 @@ def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
                         fsync(fd))
     holders = cluster.config.replication_factor
     for call, count in ((lambda: cluster.create_file("a", b"x"),
-                         1 + holders),
-                        (lambda: cluster.rename_file("a", "b"), 1),
-                        (lambda: cluster.meta_set_block_count("m", 1), 1)):
+                         2 + 2 * holders),
+                        (lambda: cluster.rename_file("a", "b"), 2),
+                        (lambda: cluster.meta_set_block_count("m", 1), 2)):
         fsyncs.clear()
         call()
         assert len(fsyncs) == count
@@ -442,6 +444,71 @@ def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
 
 def _no_space(*args):
     raise OSError(28, "No space left on device")
+
+
+def test_directories_are_fsynced_after_the_renames_they_hold(tmp_path,
+                                                             monkeypatch):
+    """A create fsyncs each holder's block file, then renames it, then
+    fsyncs that holder's directory, all before the table file's fsync;
+    the root directory is fsynced after the table's replace, last. Files
+    are told apart by inode, which a rename keeps."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    log = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        st = os.fstat(fd)
+        log.append(("dir" if stat.S_ISDIR(st.st_mode) else "file",
+                    st.st_ino))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        log.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    entry = cluster.create_file("a", b"x")
+    expected = []
+    for node_id in entry.holders:
+        node_dir = os.path.join(root, f"node_{node_id}")
+        block = os.stat(os.path.join(node_dir, f"{entry.file_id}.blk0"))
+        expected += [("file", block.st_ino), ("replace", block.st_ino),
+                     ("dir", os.stat(node_dir).st_ino)]
+    table = os.stat(os.path.join(root, "namenode.tbl"))
+    expected += [("file", table.st_ino), ("replace", table.st_ino),
+                 ("dir", os.stat(root).st_ino)]
+    assert log == expected
+
+
+def test_a_failed_fsync_of_the_root_keeps_the_change(tmp_path):
+    """Once namenode.tbl is replaced, memory and disk agree: a failed
+    fsync of the root directory raises and the cluster equals a fresh
+    cluster over the same root."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    cluster.create_file("a", b"a")
+    fsync = os.fsync
+
+    def fail_on_root(fd):
+        if os.path.samestat(os.fstat(fd), os.stat(root)):
+            _no_space()
+        fsync(fd)
+    for call in (lambda: cluster.create_file("n", b"new"),
+                 lambda: cluster.rename_file("a", "b"),
+                 lambda: cluster.meta_register("m", 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fsync", fail_on_root)
+            with pytest.raises(OSError):
+                call()
+        fresh = make_cluster(root=root)
+        assert cluster.list_files() == fresh.list_files()
+        for name in fresh.list_files():
+            assert cluster.file_entry(name) == fresh.file_entry(name)
+            assert cluster.replicas(name) == fresh.replicas(name)
+        assert cluster.meta_exists("m") == fresh.meta_exists("m")
+    assert cluster.list_files() == ["b", "n"]
+    assert cluster.meta_block_count("m") == 2
 
 
 @pytest.mark.parametrize("call", [

@@ -1289,3 +1289,12 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
             failures[death, in_save, calls[death - 1]] = \
                 f"{type(exc).__name__}: " + str(exc).splitlines()[0]
     assert failures == {}
+
+
+def test_begin_with_a_bad_mode_queues_nothing():
+    db = make_db()
+    s = db.session()
+    with pytest.raises(ValueError):
+        s.begin("bogus")
+    assert s.mode is None
+    assert db.locks.snapshot(db.data_name) == []

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 
@@ -210,3 +211,84 @@ def test_snapshot_never_shows_two_granted_writes():
     stop.set()
     sampler_thread.join(timeout=5)
     assert not violations
+
+
+def test_a_granted_read_wakes_its_owners_write():
+    """b holds a write; a asks for a read, then, from a second thread, for
+    a write. When b releases, a's read is granted, and that grant lifts
+    the only block on a's write (the upgrade exemption), so both are
+    granted while the read is still held."""
+    service = LockService()
+    w = service.request_lock(DB, WRITE, "b")
+    results = {}
+    try:
+        tr = request_async(service, READ, "a", results, "r")
+        assert wait_for(lambda: len(service.snapshot(DB)) == 2)
+        tw = request_async(service, WRITE, "a", results, "w")
+        assert wait_for(lambda: len(service.snapshot(DB)) == 3)
+        service.release_lock(DB, w)
+        tr.join(timeout=5)
+        tw.join(timeout=5)
+        assert (results.get("r"), results.get("w")) == (2, 3)
+        assert [(n.lockid, n.state) for n in service.snapshot(DB)] == \
+            [(2, GRANTED), (3, GRANTED)]
+    finally:
+        service.shutdown()
+
+
+def test_one_release_grants_every_read_behind_a_write():
+    service = LockService()
+    w = service.request_lock(DB, WRITE, "a")
+    results = {}
+    try:
+        threads = [request_async(service, READ, owner, results, owner)
+                   for owner in ("b", "c", "d")]
+        assert wait_for(lambda: len(service.snapshot(DB)) == 4)
+        service.release_lock(DB, w)
+        for t in threads:
+            t.join(timeout=5)
+        assert sorted(results.values()) == [2, 3, 4]
+        assert [n.state for n in service.snapshot(DB)] == [GRANTED] * 3
+    finally:
+        service.shutdown()
+
+
+def test_a_release_on_another_database_wakes_a_waiter_but_grants_nothing():
+    """Every database shares one condition, so a release anywhere wakes
+    every waiter; a waiter whose blocking write still holds re-checks and
+    goes back to waiting."""
+    service = LockService(record_history=True)
+    w = service.request_lock(DB, WRITE, "a")
+    waits = []
+    wait = service._cond.wait
+    service._cond.wait = lambda *args: waits.append(1) or wait(*args)
+    results = {}
+    try:
+        t = request_async(service, READ, "b", results, "r")
+        assert wait_for(lambda: len(waits) == 1)
+        other = service.request_lock("db/other", WRITE, "c")
+        service.release_lock("db/other", other)
+        assert wait_for(lambda: len(waits) == 2)
+        assert "r" not in results
+        assert [(n.lockid, n.state) for n in service.snapshot(DB)] == \
+            [(1, GRANTED), (2, WAITING)]
+        assert ("grant", DB, 2, READ, "b") not in service.history
+        service.release_lock(DB, w)
+        t.join(timeout=5)
+        assert results["r"] == 2
+        check_history([e for e in service.history if e[1] == DB])
+    finally:
+        service.shutdown()
+
+
+def test_soak_under_a_short_switch_interval():
+    """More threads than cores, switched often: every waiter is woken in
+    time (the soak fails a worker stuck past its join timeout) and every
+    grant is legal."""
+    from lock_harness import run_lock_soak
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_lock_soak(19, sessions=8, events=2000, join_timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
