@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import bench
 from .dfs import DfsCluster
@@ -23,15 +23,13 @@ from .spdu_dfs import check_log_geometry
 
 DB_NAME = "db"
 DBCONFIG_FILE = "db.json"
-TOTAL_PAGES = 8192
 
 
 def load_config(path: str | None, complete: bool = False) -> dict:
-    """EngineConfig's fields plus total_pages, each value of its default's
-    JSON type (a float field also takes an integer, stored as a float):
-    the defaults, with the values the file at `path` gives in their
-    place; a `complete` file must give every value."""
-    values = {**asdict(EngineConfig()), "total_pages": TOTAL_PAGES}
+    """EngineConfig's fields, each value of its default's JSON type: the
+    defaults, with the values the file at `path` gives in their place; a
+    `complete` file must give every value."""
+    values = asdict(EngineConfig())
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -50,28 +48,23 @@ def load_config(path: str | None, complete: bool = False) -> dict:
     return values
 
 
-# a default's type -> (its JSON name, the Python types a JSON value of
-# that kind loads as)
-_JSON_TYPES = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
-               float: ("number", (int, float))}
+# a default's type -> its JSON name; a JSON integer loads as an int and
+# a JSON boolean as a bool, so the exact type tells them apart
+_JSON_TYPES = {bool: "boolean", int: "integer"}
 
 
 def _typed(key: str, value, kind: type):
-    name, accepted = _JSON_TYPES[kind]
-    # bool is an int in Python but not in JSON
-    if isinstance(value, bool) != (kind is bool) or \
-            not isinstance(value, accepted):
-        raise ConfigError(f"config key {key} needs a JSON {name}, "
-                          f"got {json.dumps(value)}")
-    return kind(value)
+    if type(value) is not kind:
+        raise ConfigError(f"config key {key} needs a JSON "
+                          f"{_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
 
 
 def _checked_engine_config(values: dict) -> EngineConfig:
     """The EngineConfig of `values`, with every check a database's
     geometry and placement must pass; raises ConfigError, so that `gen`
     fails before it writes anything."""
-    cfg = EngineConfig(**{f.name: values[f.name]
-                          for f in fields(EngineConfig)})
+    cfg = EngineConfig(**values)
     try:
         cfg.dfs_config()
         check_log_geometry(cfg.page_size,
@@ -82,7 +75,7 @@ def _checked_engine_config(values: dict) -> EngineConfig:
         raise ConfigError(
             f"bad config: replication {cfg.replication} exceeds "
             f"num_nodes {cfg.num_nodes}")
-    if values["total_pages"] < 1:
+    if cfg.total_pages < 1:
         raise ConfigError("bad config: total_pages must be at least 1")
     return cfg
 
@@ -119,7 +112,7 @@ def cmd_gen(args, faults: FaultInjector) -> int:
     # db.json is written right after the create, so a root without it holds
     # at most what an unfinished create left
     Database.discard(cluster, DB_NAME, cfg.page_size)
-    db = Database.create(cluster, DB_NAME, values["total_pages"],
+    db = Database.create(cluster, DB_NAME, cfg.total_pages,
                          cfg.page_size, cfg.post_commit_threshold,
                          cfg.deferred, LockService(), faults)
     # the database exists from here on: a failed load leaves a root that

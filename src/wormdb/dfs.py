@@ -21,7 +21,9 @@ under. The entry's size also says where a short block ends.
 A file's name lives only at the NameNode. A DataNode stores a block
 under its file's `file_id`, the block id, as an HDFS DataNode keeps
 `blk_<id>` files (Shvachko et al., MSST 2010), so a rename edits the
-NameNode table and no DataNode.
+NameNode table and no DataNode. Which DataNodes hold a new file depends
+on its name and the set of live DataNodes alone, never on a setting; it
+decides where bytes go, not how many are written.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
@@ -49,7 +51,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 import zlib
 from dataclasses import dataclass, replace
 from random import Random
@@ -84,16 +85,12 @@ def constituent_name(meta_name: str, ordinal: int) -> str:
 class DfsConfig:
     block_size_bytes: int = 64 * 1024
     replication_factor: int = 3
-    placement_seed: int = 0
-    network_latency: float = 0.0  # seconds per remote read
 
     def __post_init__(self):
         if self.block_size_bytes <= 0:
             raise ValueError("block_size_bytes must be positive")
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if self.network_latency < 0:
-            raise ValueError("network_latency must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -287,10 +284,9 @@ class DfsCluster:
         if len(alive) < r:
             raise InsufficientReplicaNodes(
                 f"{len(alive)} alive nodes < replication factor {r}")
-        # Stable per-(seed, file) derivation; str hashing is salted per
-        # process so a crc is used instead.
-        key = f"{self.config.placement_seed}:{name}".encode()
-        rng = Random(zlib.crc32(key))
+        # A function of the name (and the live nodes) alone, stable across
+        # processes: str hashing is salted per process, so a crc is used.
+        rng = Random(zlib.crc32(name.encode()))
         return tuple(rng.sample(alive, r))
 
     # ------------------------------------------------------------------
@@ -333,9 +329,7 @@ class DfsCluster:
                 return b""
             data = self._block_of(self._pick_alive_holder(entry), entry)
             self.counters.bytes_read += length
-        if self.config.network_latency:
-            time.sleep(self.config.network_latency)
-        return data[offset:offset + length]
+            return data[offset:offset + length]
 
     def _pick_alive_holder(self, entry: DfsFileEntry) -> DataNode:
         for node_id in entry.holders:

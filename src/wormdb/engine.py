@@ -146,14 +146,12 @@ class EngineConfig:
     block_size: int = 64 * 1024
     replication: int = 3
     num_nodes: int = 4
-    placement_seed: int = 0
+    total_pages: int = 8192
     post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD
     deferred: bool = True
-    latency: float = 0.0
 
     def dfs_config(self) -> DfsConfig:
-        return DfsConfig(self.block_size, self.replication,
-                         self.placement_seed, self.latency)
+        return DfsConfig(self.block_size, self.replication)
 
 
 class Database:
@@ -239,10 +237,7 @@ class Database:
 
     def recover(self) -> str:
         """Run restart processing; returns "redo", "rollback" or "clean"."""
-        store = self._bootstrap_store()
-        path = store.recovery_state()
-        store.restart_system()
-        return path or "clean"
+        return self._bootstrap_store().restart_system()
 
     def session(self, owner: str | None = None) -> "Session":
         self._session_seq += 1

@@ -291,17 +291,19 @@ class DfsTransactionStore:
         self.faults.hit("dfs.abort.after_truncate")
 
     def restart_system(self) -> str:
-        """Recover after a crash; returns "redo" or "rollback"."""
+        """Recover after a crash; returns the path `recovery_state()`
+        chose: "redo", "rollback" or, when it found nothing to do,
+        "clean"."""
         self.faults.hit("dfs.restart.begin")
         if self.log.block_count == 0:
             raise RecoveryError("log meta file has no master block")
-        redo = self.read_commit_flag()
-        if redo:
+        path = self.recovery_state() or "clean"
+        if path == "redo":
             self.batch_post_commit()
             self.faults.hit("dfs.restart.after_redo")
         self.begin_transaction(write=True)
         self.faults.hit("dfs.restart.done")
-        return "redo" if redo else "rollback"
+        return path
 
     def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
         """Rebuild the index over the log's committed prefix; reads only the

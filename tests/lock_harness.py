@@ -12,26 +12,28 @@ from wormdb.locks import GRANTED, READ, WAITING, WRITE, LockService
 def check_history(history):
     """Replay a recorded schedule and verify every grant was legal.
 
-    Raises AssertionError on: two granted writes, read/write coexistence
-    across owners, a grant that jumped the lockid order, or a conflict
-    that failed any request but the newest of its database (only the
-    request that blocks is ever failed).
+    Lockids are per database, so each database's requests are replayed
+    on their own. Raises AssertionError on: two granted writes,
+    read/write coexistence across owners, a grant that jumped the lockid
+    order, or a conflict that failed any request but the newest of its
+    database (only the request that blocks is ever failed).
     """
-    live = {}  # lockid -> [type, owner, state]
+    live = {}  # db name -> {lockid -> [type, owner, state]}
     newest = {}  # db name -> lockid of its latest request
     for event, db_name, lockid, lock_type, owner in history:
+        queue = live.setdefault(db_name, {})
         if event == "request":
-            live[lockid] = [lock_type, owner, WAITING]
+            queue[lockid] = [lock_type, owner, WAITING]
             newest[db_name] = lockid
         elif event in ("release", "conflict"):
             if event == "conflict" and lockid != newest[db_name]:
                 raise AssertionError(
                     f"conflict failed {lockid}, not the newest request "
                     f"{newest[db_name]}")
-            del live[lockid]
+            del queue[lockid]
         else:  # grant
-            node = live[lockid]
-            for other_id, (otype, oowner, ostate) in live.items():
+            node = queue[lockid]
+            for other_id, (otype, oowner, ostate) in queue.items():
                 if other_id == lockid:
                     continue
                 if ostate == GRANTED:
@@ -99,9 +101,5 @@ def run_lock_soak(seed: int, sessions: int = 8, events: int = 10_000,
             raise AssertionError("soak worker stuck: liveness violation")
     if errors:
         raise AssertionError(f"soak worker errors: {errors}")
-    by_db: dict[str, list] = {}
-    for event in service.history:
-        by_db.setdefault(event[1], []).append(event)
-    for db_history in by_db.values():
-        check_history(db_history)
+    check_history(service.history)
     return service

@@ -61,7 +61,7 @@ TOTAL = 96
 
 
 def build_page_db(threshold=4, faults=None):
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", TOTAL)
     log = create_log_meta(mgr, "db/log")
@@ -206,7 +206,7 @@ def test_criterion_1_crash_consistency_sweep():
 def test_criterion_2_oracle_equivalence():
     small_total = 64
     for seed in range(100):
-        cluster = DfsCluster(DfsConfig(4096, 2, 0), 4)
+        cluster = DfsCluster(DfsConfig(4096, 2), 4)
         mgr = MetaDfsManager(cluster, 256)
         data = create_data_meta(mgr, "d", small_total)
         log = create_log_meta(mgr, "l")
@@ -301,7 +301,7 @@ def test_criterion_4_remake_economy():
 
     # sequential insert of 10,000 tuples: zero data remakes while the
     # threshold has not fired
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     db = Database.create(cluster, "db", 6144, PAGE,
                          post_commit_threshold=10 ** 9)
     bench.generate(db, 10_000, seed=1, probe_count=10)
@@ -349,7 +349,7 @@ def test_criterion_6_visibility():
 
 @pytest.fixture(scope="module")
 def big_db():
-    cluster = DfsCluster(DfsConfig(16 * 1024, 3, 0), 5)
+    cluster = DfsCluster(DfsConfig(16 * 1024, 3), 5)
     db = Database.create(cluster, "db", 28672, 1024, 64, True,
                          LockService(), FaultInjector())
     bench.generate(db, 100_000, seed=42)
@@ -389,7 +389,7 @@ def test_scan_workload_at_paper_scale(big_db):
 
 @criterion(8, "replica fault tolerance")
 def test_criterion_8_fault_tolerance():
-    cluster = DfsCluster(DfsConfig(BLOCK, 3, 0), 5)
+    cluster = DfsCluster(DfsConfig(BLOCK, 3), 5)
     db = Database.create(cluster, "db", 2048, PAGE, 16, True,
                          LockService(), FaultInjector())
     bench.generate(db, 2000, seed=8, probe_count=12)
@@ -425,7 +425,7 @@ def test_criterion_8_fault_tolerance():
 
 @criterion(9, "page mapping exhaustive")
 def test_criterion_9_page_mapping():
-    cluster = DfsCluster(DfsConfig(BLOCK, 1, 0), 1)
+    cluster = DfsCluster(DfsConfig(BLOCK, 1), 1)
     mgr = MetaDfsManager(cluster, PAGE)
     n = mgr.pages_per_block
     assert n == N

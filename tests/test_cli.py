@@ -209,14 +209,12 @@ def test_core_crash_point_rejected(small_root, capsys):
 
 
 def test_load_config_keys_and_types(tmp_path):
-    assert load_config(None) == {**asdict(EngineConfig()),
-                                 "total_pages": 8192}
+    assert load_config(None) == asdict(EngineConfig())
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"latency": 1, "page_size": 512}))
+    path.write_text(json.dumps({"total_pages": 64, "page_size": 512}))
     values = load_config(str(path))
-    assert values["latency"] == 1.0
-    assert isinstance(values["latency"], float)
-    assert values["page_size"] == 512
+    assert values == {**asdict(EngineConfig()), "total_pages": 64,
+                      "page_size": 512}
     path.write_text(json.dumps({"pages": 512}))
     with pytest.raises(ValueError, match="unknown config key: pages"):
         load_config(str(path))
@@ -247,7 +245,7 @@ def test_gen_writes_deferred_false(small_root, capsys):
 
 @pytest.mark.parametrize("given", [
     {"pages": 1}, {"deferred": "false"}, {"page_size": "512"},
-    {"latency": [1]}, [1, 2]])
+    {"post_commit_threshold": [1]}, [1, 2], {"page_size": 512.0}])
 def test_bad_config_is_one_error_line(small_root, capsys, given):
     root, config = small_root
     with open(config, "w", encoding="utf-8") as fh:
@@ -263,7 +261,7 @@ def test_bad_config_is_one_error_line(small_root, capsys, given):
 @pytest.mark.parametrize("given", [
     {"page_size": 3000}, {"page_size": 8192}, {"page_size": 0},
     {"block_size": 0}, {"replication": 9}, {"replication": 0},
-    {"num_nodes": 0}, {"latency": -1.0}, {"total_pages": 0}])
+    {"num_nodes": 0}, {"block_size": 65536}, {"total_pages": 0}])
 def test_invalid_config_writes_nothing_under_root(tmp_path, capsys, given):
     """A config of the right types but impossible values fails before gen
     creates anything: in a fresh root and in an existing one."""
@@ -316,6 +314,28 @@ def test_bad_db_json_is_one_error_line(small_root, capsys, damage):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("key", ["latency", "placement_seed"])
+def test_a_db_json_with_a_dropped_key_is_one_error_line(small_root, capsys,
+                                                        key):
+    """A db.json written while the config still had `latency` and
+    `placement_seed` (every key, each 0) is refused: `run` prints one
+    error line naming the key and exits 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    path = os.path.join(root, "db.json")
+    with open(path, encoding="utf-8") as fh:
+        values = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**values, key: 0}, fh)
+    assert run_cli(["run", "--workload", "scan"], root) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: unknown config key: {key}"]
 
 
 def test_a_root_of_the_two_table_layout_is_one_error_line(small_root,
@@ -387,7 +407,7 @@ def test_soak_command(small_root, capsys):
 def test_counter_determinism_across_generations(tmp_path):
     reports = []
     for run in range(2):
-        cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+        cluster = DfsCluster(DfsConfig(8192, 2), 4)
         db = Database.create(cluster, "db", 1024, 512, 16, True,
                              LockService(), FaultInjector())
         bench.generate(db, 300, seed=9, probe_count=3)
@@ -399,7 +419,7 @@ def test_counter_determinism_across_generations(tmp_path):
 
 
 def test_failed_workload_releases_its_lock():
-    cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(8192, 2), 4)
     db = Database.create(cluster, "db", 64, 512, 16, True,
                          LockService(), FaultInjector())
     with pytest.raises(DatabaseFull):
@@ -412,7 +432,7 @@ def test_failed_workload_releases_its_lock():
 
 
 def test_generate_zero_tuples():
-    cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(8192, 2), 4)
     db = Database.create(cluster, "db", 256, 512, 16, True,
                          LockService(), FaultInjector())
     bench.generate(db, 0, seed=1, probe_count=0)
@@ -425,7 +445,7 @@ def test_generate_zero_tuples():
 def test_generation_deterministic_data_bytes():
     states = []
     for run in range(2):
-        cluster = DfsCluster(DfsConfig(8192, 2, 0), 4)
+        cluster = DfsCluster(DfsConfig(8192, 2), 4)
         db = Database.create(cluster, "db", 1024, 512, 16, True,
                              LockService(), FaultInjector())
         bench.generate(db, 250, seed=11, probe_count=3)

@@ -36,7 +36,7 @@ TOTAL = 512
 
 def make_db(total=TOTAL, threshold=64, deferred=True, faults=None,
             root=None, nodes=4, replication=2, page=PAGE, block=BLOCK):
-    cluster = DfsCluster(DfsConfig(block, replication, 0), nodes, root)
+    cluster = DfsCluster(DfsConfig(block, replication), nodes, root)
     return Database.create(cluster, "db", total, page, threshold, deferred,
                            LockService(), faults or FaultInjector())
 
@@ -390,7 +390,7 @@ def test_database_full_surfaces():
 
 
 def test_open_missing_database():
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     with pytest.raises(NotFound):
         Database.open(cluster, "nope", PAGE)
 
@@ -504,7 +504,7 @@ def test_serializability_matches_grant_order_replay():
     """Interleaved writers are equivalent to the serial order of their
     write-lock grants: replay in grant order on a fresh database."""
     locks = LockService(record_history=True)
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     db = Database.create(cluster, "db", TOTAL, PAGE, 64, True, locks)
     rng = random.Random(1)
     ops_by_owner = {
@@ -940,7 +940,7 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     with pytest.raises(CrashPoint):
         s.commit()
 
-    fresh_cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4, root)
+    fresh_cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, root)
     reopened = Database.open(fresh_cluster, "db", PAGE)
     s2 = reopened.session()
     s2.begin("read")
@@ -1277,7 +1277,7 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
                                             (False, True)):
         root = str(tmp_path / f"death{death}{'s' * in_save}")
         _, allowed = _run_until_death(root, death, in_save)
-        cluster = DfsCluster(DfsConfig(8192, 2, 0), 4, root)
+        cluster = DfsCluster(DfsConfig(8192, 2), 4, root)
         try:
             db = Database.open(cluster, "db", 1024, 4, recover=True)
             table = read_all(db.session())

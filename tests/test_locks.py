@@ -276,9 +276,21 @@ def test_a_release_on_another_database_wakes_a_waiter_but_grants_nothing():
         service.release_lock(DB, w)
         t.join(timeout=5)
         assert results["r"] == 2
-        check_history([e for e in service.history if e[1] == DB])
+        check_history(service.history)
     finally:
         service.shutdown()
+
+
+def test_check_history_replays_each_database_on_its_own():
+    """Lockids are per database: lockid 1 of "x" and lockid 1 of "y" are
+    two requests, and a grant is checked against its own database."""
+    history = [("request", "x", 1, READ, "a"), ("request", "y", 1, WRITE, "b"),
+               ("grant", "x", 1, READ, "a"), ("grant", "y", 1, WRITE, "b")]
+    check_history(history + [("release", "x", 1, READ, "a"),
+                             ("release", "y", 1, WRITE, "b")])
+    with pytest.raises(AssertionError, match="two granted writes"):
+        check_history(history + [("request", "y", 2, WRITE, "c"),
+                                 ("grant", "y", 2, WRITE, "c")])
 
 
 def test_soak_under_a_short_switch_interval():

@@ -28,7 +28,7 @@ N = BLOCK // PAGE
 
 @pytest.fixture
 def mgr():
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     return MetaDfsManager(cluster, PAGE)
 
 
@@ -114,7 +114,7 @@ def test_page_address_examples(mgr):
     assert (addr.block_id, addr.page_offset) == (2, 3)  # 35 = 2*16 + 3
     # with the default 64MB/4KB geometry, page N lands at (1, 0)
     big = MetaDfsManager(
-        DfsCluster(DfsConfig(64 * 1024 * 1024, 1, 0), 1), 4096)
+        DfsCluster(DfsConfig(64 * 1024 * 1024, 1), 1), 4096)
     n = 64 * 1024 * 1024 // 4096
     assert n == 16384
     a = big.page_address(n)
@@ -475,7 +475,7 @@ def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
 
 
 def test_a_batch_leaves_no_log_block_past_the_master_cached():
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", 4 * N)
     log = create_log_meta(mgr, "db/log")
@@ -684,7 +684,7 @@ def test_meta_block_entry_checks(mgr):
 @settings(max_examples=50, deadline=None)
 @given(pageid=st.integers(0, 10 ** 9), n=st.integers(1, 1 << 16))
 def test_page_address_round_trip(pageid, n):
-    cluster = DfsCluster(DfsConfig(n * 64, 1, 0), 1)
+    cluster = DfsCluster(DfsConfig(n * 64, 1), 1)
     m = MetaDfsManager(cluster, 64)
     addr = m.page_address(pageid)
     assert addr.block_id * n + addr.page_offset == pageid
@@ -693,4 +693,4 @@ def test_page_address_round_trip(pageid, n):
 
 def test_manager_rejects_remainder():
     with pytest.raises(ValueError):
-        MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2, 0), 4), 1000)
+        MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4), 1000)

@@ -44,7 +44,7 @@ WORKLOADS = [
 
 
 def make_loaded_db() -> Database:
-    cluster = DfsCluster(DfsConfig(BLOCK, REPLICATION, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, REPLICATION), 4)
     # threshold 1: most write transactions end in a batch post-commit
     db = Database.create(cluster, "db", 2048, PAGE, 1, True, LockService(),
                          FaultInjector())

@@ -26,7 +26,7 @@ TOTAL = 96  # six data blocks
 
 
 def make_store(threshold=64, faults=None, total=TOTAL):
-    cluster = DfsCluster(DfsConfig(BLOCK, 2, 0), 4)
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", total)
     log = create_log_meta(mgr, "db/log")
@@ -618,8 +618,37 @@ def test_clean_restart_preserves_state():
     store.write_page(3, content)
     store.commit_transaction()
     fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
-    assert fresh.restart_system() == "rollback"
+    assert fresh.restart_system() == "clean"
     assert payload(fresh.read_page(3)) == payload(content)
+
+
+@pytest.mark.parametrize("via", ["store", "database"])
+@pytest.mark.parametrize("log", ["clean", "tail", "interrupted batch"])
+def test_restart_takes_the_path_recovery_state_reports(log, via):
+    """restart_system() and Database.recover return what recovery_state()
+    said before them, or "clean" when that was None, and leave nothing
+    to recover."""
+    faults = FaultInjector()
+    store = make_store(faults=faults)
+    rng = random.Random(41)
+    store.write_page(3, page_with(rng))
+    store.commit_transaction()
+    if log == "tail":
+        store.write_page(7, page_with(rng))
+        store.flush_buffer(mark_commit=False)
+    elif log == "interrupted batch":
+        faults.arm("dfs.batch.after_block_remake")
+        with pytest.raises(CrashPoint):
+            store.batch_post_commit()
+    state = _peer(store).recovery_state()
+    assert state == {"clean": None, "tail": "rollback",
+                     "interrupted batch": "redo"}[log]
+    if via == "store":
+        path = _peer(store).restart_system()
+    else:
+        path = Database(store.manager, "db", TOTAL).recover()
+    assert path == (state or "clean")
+    assert _peer(store).recovery_state() is None
 
 
 def test_two_process_visibility():
