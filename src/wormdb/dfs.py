@@ -25,15 +25,27 @@ NameNode table and no DataNode. Which DataNodes hold a new file depends
 on its name and the set of live DataNodes alone, never on a setting; it
 decides where bytes go, not how many are written.
 
+A meta file changes length in one NameNode mutation, as HDFS adds a
+block to a file in one edit (`addBlock`) and deletes a directory in one.
+An append is `create_file(..., meta=...)`: it creates block `count` and
+counts it. `meta_set_block_count` only lowers the count, and takes out
+with it every file under the meta file's name at or past the new count,
+a constituent or the `.new` a remake left. `meta_unregister` takes out
+the meta file and every file under its name. So no file lies past a
+meta file's count, except in a root where an older two-step append died
+before its count change: an append at that ordinal raises AlreadyExists,
+and the next truncate takes the file out.
+
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
 its blocks in a directory, writing each block file with an fsync before
 renaming it into place and fsyncing the directory after the rename, and
 the NameNode's state is one table, `namenode.tbl`: a row per DFS file
 (ids included) and a row per meta file (its block count), each starting
-with its kind. Every mutation rewrites it atomically, with one fsync of
-the table before its rename and one of the root directory after. Each
-mutation writes blocks before the save that names them and drops blocks
+with its kind. Every mutation, a meta file's append, truncate or delete
+included, rewrites it atomically once, with one fsync of the table
+before its rename and one of the root directory after. Each mutation
+writes blocks before the save that names them and drops blocks
 only after the save that stops naming them, so a process crash at any
 point leaves the table from before or after the call, at worst beside
 blocks no entry names, and a saved table never names a block whose bytes
@@ -290,7 +302,7 @@ class DfsCluster:
         return tuple(rng.sample(alive, r))
 
     # ------------------------------------------------------------------
-    # The four DFS client operations plus fault-injection control
+    # The DFS client operations plus fault-injection control
     # ------------------------------------------------------------------
 
     def _entry(self, name: str) -> DfsFileEntry:
@@ -299,7 +311,11 @@ class DfsCluster:
             raise NotFound(f"no DFS file: {name}")
         return entry
 
-    def create_file(self, name: str, content: bytes) -> DfsFileEntry:
+    def create_file(self, name: str, content: bytes,
+                    meta: str | None = None) -> DfsFileEntry:
+        """Create a one-block file. With `meta`, the file is the next block
+        of that meta file: `name` must be `constituent_name(meta, count)`,
+        and the table save that adds it also counts it."""
         with self._lock:
             if name in self._files:
                 raise AlreadyExists(f"DFS file exists: {name}")
@@ -307,6 +323,11 @@ class DfsCluster:
                 raise WrongBlockSize(
                     f"{name}: {len(content)} bytes exceed one block of "
                     f"{self.config.block_size_bytes}")
+            if meta is not None:
+                count = self._count(meta)
+                if name != constituent_name(meta, count):
+                    raise OutOfRange(
+                        f"{name} is not block {count} of {meta}, its next")
             entry = DfsFileEntry(name, len(content), self._place(name),
                                  next(self._file_ids))
             for node_id in entry.holders:
@@ -314,6 +335,8 @@ class DfsCluster:
                                          content)
                 self.counters.bytes_written += len(content)
             self._files[name] = entry
+            if meta is not None:
+                self._meta_table[meta] = count + 1
             self._save_tables()
             return entry
 
@@ -348,20 +371,21 @@ class DfsCluster:
                 f"{entry.name}: DataNode {node.node_id} holds no block for "
                 f"it, though the NameNode lists it as a holder") from None
 
-    def _drop_block(self, entry: DfsFileEntry) -> None:
-        """Drop the block of an entry the saved table no longer names from
-        its live holders; a dead holder keeps it, unreferenced."""
-        for node_id in entry.holders:
-            node = self._nodes[node_id]
-            if node.alive:
-                node.drop(entry.file_id, BLOCK_ORDINAL)
+    def _drop_blocks(self, entries: list[DfsFileEntry]) -> None:
+        """Drop the blocks of entries the saved table no longer names from
+        their live holders; a dead holder keeps its block, unreferenced."""
+        for entry in entries:
+            for node_id in entry.holders:
+                node = self._nodes[node_id]
+                if node.alive:
+                    node.drop(entry.file_id, BLOCK_ORDINAL)
 
     def delete_file(self, name: str) -> None:
         with self._lock:
             entry = self._entry(name)
             del self._files[name]
             self._save_tables()
-            self._drop_block(entry)
+            self._drop_blocks([entry])
 
     def rename_file(self, old: str, new: str,
                     overwrite: bool = False) -> None:
@@ -379,7 +403,7 @@ class DfsCluster:
             self._files[new] = replace(entry, name=new)
             self._save_tables()
             if target is not None and new != old:
-                self._drop_block(target)
+                self._drop_blocks([target])
 
     def set_node_alive(self, node_id: int, alive: bool) -> None:
         with self._lock:
@@ -415,6 +439,23 @@ class DfsCluster:
     # Meta DFS file registry (maintained at the NameNode)
     # ------------------------------------------------------------------
 
+    def _count(self, name: str) -> int:
+        count = self._meta_table.get(name)
+        if count is None:
+            raise NotFound(f"no meta DFS file: {name}")
+        return count
+
+    def _unlink_from(self, name: str, ordinal: int) -> list[DfsFileEntry]:
+        """Take every file under meta file `name` at or past block
+        `ordinal` out of the table, a constituent and the `.new` a remake
+        left alike, and return their entries, whose blocks the caller
+        drops once the table is saved. A constituent's name sorts as its
+        ordinal does, and its `.new` right after it."""
+        first = constituent_name(name, ordinal)
+        unlinked = [file for file in self._files
+                    if file.rpartition("/")[0] == name and file >= first]
+        return [self._files.pop(file) for file in unlinked]
+
     def meta_register(self, name: str, block_count: int) -> None:
         with self._lock:
             if name in self._meta_table:
@@ -423,18 +464,24 @@ class DfsCluster:
             self._save_tables()
 
     def meta_set_block_count(self, name: str, block_count: int) -> None:
+        """Truncate meta file `name` to `block_count` blocks in one table
+        save, which also removes every file under its name at or past
+        that block; their blocks are dropped after it. Only an append
+        (`create_file(..., meta=name)`) lengthens a meta file, so a count
+        above the current one is OutOfRange."""
         with self._lock:
-            if name not in self._meta_table:
-                raise NotFound(f"no meta DFS file: {name}")
+            count = self._count(name)
+            if not 0 <= block_count <= count:
+                raise OutOfRange(
+                    f"block count {block_count} of {name} (has {count})")
+            unlinked = self._unlink_from(name, block_count)
             self._meta_table[name] = block_count
             self._save_tables()
+            self._drop_blocks(unlinked)
 
     def meta_block_count(self, name: str) -> int:
         with self._lock:
-            count = self._meta_table.get(name)
-            if count is None:
-                raise NotFound(f"no meta DFS file: {name}")
-            return count
+            return self._count(name)
 
     def meta_block_entry(self, name: str,
                          ordinal: int) -> DfsFileEntry | None:
@@ -444,9 +491,7 @@ class DfsCluster:
         AllReplicasDead when no live DataNode holds the block, so a client
         serving the block from its cache still learns of both."""
         with self._lock:
-            count = self._meta_table.get(name)
-            if count is None:
-                raise NotFound(f"no meta DFS file: {name}")
+            count = self._count(name)
             if not 0 <= ordinal < count:
                 raise OutOfRange(f"block {ordinal} of {name} (has {count})")
             entry = self._files.get(constituent_name(name, ordinal))
@@ -459,15 +504,18 @@ class DfsCluster:
         None for a block with no constituent, read under one lock."""
         with self._lock:
             return [self._files.get(constituent_name(name, ordinal))
-                    for ordinal in range(self.meta_block_count(name))]
+                    for ordinal in range(self._count(name))]
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:
             return name in self._meta_table
 
     def meta_unregister(self, name: str) -> None:
+        """Remove meta file `name` and every file under its name in one
+        table save; their blocks are dropped after it."""
         with self._lock:
-            if name not in self._meta_table:
-                raise NotFound(f"no meta DFS file: {name}")
+            self._count(name)
+            unlinked = self._unlink_from(name, 0)
             del self._meta_table[name]
             self._save_tables()
+            self._drop_blocks(unlinked)

@@ -25,18 +25,20 @@ zeros without a DFS read, and its first overwrite is a plain create.
 A layer that must not see such a hole checks for it itself: the store
 refuses a log block with no constituent.
 
-The block count, one NameNode number, commits every change of length:
-an append creates the constituent and then counts it, a truncate sets
-the count and then deletes the constituents past it. A constituent past
-the count is garbage that no read reaches; an append replaces it, and a
-delete of the whole meta file deletes it.
+The block count, one NameNode number, changes together with the
+constituents in one NameNode mutation (see `wormdb.dfs`): an append
+creates the constituent at the count and counts it, a truncate lowers
+the count and removes every constituent at or past it, and a delete
+removes the meta file with every DFS file under its name. A failure
+therefore leaves the meta file as it was before or after the call, and
+no constituent past the count exists.
 
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
 
 Blocks and pages are kept in a cache that all sessions of a manager
 share, keyed by constituent name and tagged with the constituent's DFS
-`file_id`. It is write-through: once an append has counted its block,
+`file_id`. It is write-through: once an append has created its block,
 or a remake has renamed its new block into place (or created a missing
 one), the block is cached whole, as the one `bytes` object handed to
 `create_file`, under the id that call returned (a rename keeps it). In
@@ -147,7 +149,7 @@ class MetaDfsManager:
         block 0, holding `first_block`; the others read as zeros."""
         self._check_block(first_block)
         self.cluster.meta_register(name, block_count)
-        self._create_fresh(constituent_name(name, 0), first_block)
+        self.cluster.create_file(constituent_name(name, 0), first_block)
         return MetaDfsFile(self, name)
 
     def open_meta(self, name: str) -> MetaDfsFile:
@@ -158,15 +160,12 @@ class MetaDfsManager:
         return self.cluster.meta_exists(name)
 
     def delete_meta(self, file: MetaDfsFile) -> None:
-        """Count the file empty, delete every DFS file under its name (its
-        constituents, and any an interrupted delete or remake left), then
-        unregister it: a meta file created under the name later holds
-        none of them."""
-        if self.cluster.meta_block_count(file.name):
-            self.cluster.meta_set_block_count(file.name, 0)
-        for name in self.cluster.list_files(f"{file.name}/"):
-            self._delete_constituent(name)
+        """Unregister the file together with every DFS file under its name
+        in one NameNode mutation (see above), then uncache its blocks."""
         self.cluster.meta_unregister(file.name)
+        for name in list(self._cache):
+            if name.rpartition("/")[0] == file.name:
+                self._cache.pop(name, None)
 
     # ------------------------------------------------------------------
     # Block operations
@@ -187,25 +186,17 @@ class MetaDfsManager:
                 f"block {block_id} of {file.name} (has {count})")
         return constituent_name(file.name, block_id)
 
-    def _create_fresh(self, name: str, content: bytes) -> DfsFileEntry:
-        """Create DFS file `name`, first deleting a file of that name that
-        no read reaches (see above)."""
-        try:
-            return self.cluster.create_file(name, content)
-        except AlreadyExists:
-            self._delete_constituent(name)
-            return self.cluster.create_file(name, content)
-
     def append_block(self, file: MetaDfsFile,
                      content: bytes) -> tuple[int, int]:
-        """Append `content` as the next block and cache it (see above).
-        Returns the block_id and its constituent's file_id."""
+        """Append `content` as the next block with one NameNode mutation
+        and cache it (see above). Returns the block_id and its
+        constituent's file_id."""
         content = bytes(content)
         self._check_block(content)
         count = self.cluster.meta_block_count(file.name)
         name = constituent_name(file.name, count)
-        file_id = self._create_fresh(name, content).file_id
-        self.cluster.meta_set_block_count(file.name, count + 1)
+        file_id = self.cluster.create_file(name, content,
+                                           meta=file.name).file_id
         self._cache[name] = (file_id, content)
         return count, file_id
 
@@ -220,8 +211,13 @@ class MetaDfsManager:
         if not self.cluster.exists(name):
             file_id = self.cluster.create_file(name, content).file_id
         else:
-            file_id = self._create_fresh(name + ".new", content).file_id
-            self.cluster.rename_file(name + ".new", name, overwrite=True)
+            new = name + ".new"
+            try:
+                file_id = self.cluster.create_file(new, content).file_id
+            except AlreadyExists:  # left by a failed remake (see above)
+                self.cluster.delete_file(new)
+                file_id = self.cluster.create_file(new, content).file_id
+            self.cluster.rename_file(new, name, overwrite=True)
         self._cache[name] = (file_id, content)
         with self._counter_lock:
             self.remakes_total += 1
@@ -258,20 +254,14 @@ class MetaDfsManager:
         return self.cluster.read_range(entry.name, 0, entry.size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
-        """Shorten the file with one NameNode mutation (see above)."""
+        """Drop the blocks from `block_id` on with one NameNode mutation,
+        none if there are none (see above); OutOfRange past the end."""
         count = self.cluster.meta_block_count(file.name)
-        if not 0 <= block_id <= count:
-            raise OutOfRange(
-                f"truncate at {block_id} of {file.name} (has {count})")
         if block_id == count:
             return
         self.cluster.meta_set_block_count(file.name, block_id)
         for ordinal in range(block_id, count):
-            self._delete_constituent(constituent_name(file.name, ordinal))
-
-    def _delete_constituent(self, name: str) -> None:
-        self.cluster.delete_file(name)
-        self._cache.pop(name, None)
+            self._cache.pop(constituent_name(file.name, ordinal), None)
 
     # ------------------------------------------------------------------
     # Page addressing

@@ -13,6 +13,9 @@ log's master page makes that copy-back atomic and restartable. Its fault
 points (`SPDU_CORE_FAULT_POINTS`) are registered only with the injectors
 its tests build. Single writer at a time; readers may share the instance
 between write transactions.
+
+`meta_file_strays` checks a DFS cluster against the meta-file layout:
+every constituent sits inside a registered meta file's block count.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import random
 import struct
 from dataclasses import dataclass
 
+from wormdb.dfs import SUFFIX_WIDTH, DfsCluster
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import NULL_INJECTOR, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
@@ -46,6 +50,21 @@ def verify_page(expected_pageid: int, page: bytes | bytearray) -> None:
         raise RecoveryError(
             f"page {expected_pageid} checksum mismatch: "
             f"header {crc:#x}, payload {actual:#x}")
+
+
+def meta_file_strays(cluster: DfsCluster) -> list[str]:
+    """The DFS files under a meta file's name but outside the meta file:
+    at or past a registered meta file's block count, or under a name no
+    meta file has. A file whose name holds a "/" is taken for block
+    `<ordinal>` of meta file `<name>`, as a constituent `<name>/<ordinal>`
+    and its `<name>/<ordinal>.new` are."""
+    strays = []
+    for file in cluster.list_files():
+        meta, slash, rest = file.rpartition("/")
+        if slash and not (cluster.meta_exists(meta) and int(
+                rest[:SUFFIX_WIDTH]) < cluster.meta_block_count(meta)):
+            strays.append(file)
+    return strays
 
 
 class MapOracle:
@@ -315,7 +334,8 @@ class ShadowPagedStore:
         self._init_log()
 
     def restart_system(self) -> str:
-        """Recover after a crash; returns "redo" or "rollback"."""
+        """Recover after a crash; returns "redo", "rollback" when the log
+        holds a page past its master, or "clean"."""
         self.faults.hit("core.restart.begin")
         self._frames.clear()
         if self.log.count() == 0:
@@ -332,8 +352,9 @@ class ShadowPagedStore:
             self.log.sync()
             self._init_log()
             return "redo"
+        path = "rollback" if self.log.count() > 1 else "clean"
         self._init_log()
-        return "rollback"
+        return path
 
     # ------------------------------------------------------------------
 

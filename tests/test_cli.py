@@ -489,9 +489,9 @@ def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
 
 
 @pytest.mark.parametrize("method,failing_call", [
-    ("create_file", 1),           # the data file's catalog block
-    ("meta_register", 2),         # the log file, the data file done
-    ("meta_set_block_count", 1)])  # the log's master block, its count
+    ("create_file", 1),    # the data file's catalog block
+    ("meta_register", 2),  # the log file, the data file done
+    ("create_file", 2)])   # the log's master block, counted as it lands
 def test_gen_after_an_unfinished_create_loads_every_row(
         small_root, capsys, monkeypatch, method, failing_call):
     """A gen that fails inside Database.create leaves no db.json; the next
@@ -500,11 +500,11 @@ def test_gen_after_an_unfinished_create_loads_every_row(
     original = getattr(DfsCluster, method)
     calls = []
 
-    def failing(self, *args):
+    def failing(self, *args, **kwargs):
         calls.append(args)
         if len(calls) == failing_call:
             raise RuntimeError(f"injected failure of {method}")
-        return original(self, *args)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(DfsCluster, method, failing)
     with pytest.raises(RuntimeError, match="injected"):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wormdb.dfs import DataNode, DfsCluster, DfsConfig
+from oracles import meta_file_strays
+from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.errors import (
     AllReplicasDead,
     AlreadyExists,
@@ -282,22 +283,61 @@ def test_replica_consistency_and_distinctness():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_write_once_property(data):
-    """No public operation mutates the bytes of a live file.
+    """No public operation mutates the bytes of a live file, and the
+    meta-file calls leave no file outside meta file "m".
 
-    Walks random sequences over the whole public API, tracking expected
-    contents in a shadow dict.
+    Walks random sequences over the whole public API, appends to "m", the
+    `.new` a failed remake of its block leaves, truncates and deletes of
+    it included, tracking expected contents in a shadow dict and the
+    count of "m" beside it.
     """
     cluster = make_cluster(block_size=KB, nodes=4, replication=2)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     shadow: dict[str, bytes] = {}
     names = ["a", "b", "c", "d"]
+    cluster.meta_register("m", 0)
+    count = 0  # the block count of "m"; None while it is unregistered
+
+    def outside_m(files, ordinal):
+        return {name: content for name, content in files.items()
+                if name.rpartition("/")[0] != "m" or
+                int(name[2:10]) < ordinal}
+
     for _ in range(30):
         op = data.draw(st.sampled_from(
             ["create", "delete", "rename", "replace", "read", "kill",
-             "revive"]))
+             "revive", "register", "append", "stale", "truncate",
+             "unregister"]))
         name = data.draw(st.sampled_from(names))
         try:
-            if op == "create":
+            if op == "register":
+                cluster.meta_register("m", 0)
+                count = 0
+            elif op == "append":
+                # one in three names the block after the next, refused
+                ordinal = (count or 0) + data.draw(st.sampled_from([0, 0, 1]))
+                content = rng.randbytes(rng.randrange(0, KB + KB // 4))
+                block = constituent_name("m", ordinal)
+                cluster.create_file(block, content, meta="m")
+                shadow[block] = content
+                count += 1
+            elif op == "stale":
+                if count:
+                    block = constituent_name("m", rng.randrange(count))
+                    content = rng.randbytes(rng.randrange(0, KB))
+                    cluster.create_file(block + ".new", content)
+                    shadow[block + ".new"] = content
+            elif op == "truncate":
+                # one in (count + 2) is above the count and refused
+                ordinal = data.draw(st.integers(0, (count or 0) + 1))
+                cluster.meta_set_block_count("m", ordinal)
+                shadow = outside_m(shadow, ordinal)
+                count = ordinal
+            elif op == "unregister":
+                cluster.meta_unregister("m")
+                shadow = outside_m(shadow, 0)
+                count = None
+            elif op == "create":
                 # one in five is longer than a block and refused
                 content = rng.randbytes(rng.randrange(0, KB + KB // 4))
                 cluster.create_file(name, content)
@@ -322,8 +362,13 @@ def test_write_once_property(data):
             else:
                 cluster.set_node_alive(rng.randrange(4), True)
         except (AlreadyExists, NotFound, InsufficientReplicaNodes,
-                AllReplicasDead, WrongBlockSize):
+                AllReplicasDead, WrongBlockSize, OutOfRange):
             pass
+        assert cluster.list_files() == sorted(shadow)
+        assert meta_file_strays(cluster) == []
+        assert cluster.meta_exists("m") == (count is not None)
+        if count is not None:
+            assert cluster.meta_block_count("m") == count
         # every live file still holds its creation-time bytes
         for fname, expected in shadow.items():
             try:
@@ -428,17 +473,21 @@ def test_one_table_and_one_fsync_per_mutation(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or
                         fsync(fd))
     holders = cluster.config.replication_factor
-    for call, count in ((lambda: cluster.create_file("a", b"x"),
-                         2 + 2 * holders),
-                        (lambda: cluster.rename_file("a", "b"), 2),
-                        (lambda: cluster.meta_set_block_count("m", 1), 2)):
+    for call, count in (
+            (lambda: cluster.create_file("a", b"x"), 2 + 2 * holders),
+            (lambda: cluster.rename_file("a", "b"), 2),
+            (lambda: cluster.create_file("m/00000000", b"y", meta="m"),
+             2 + 2 * holders),
+            (lambda: cluster.create_file("m/00000001", b"z", meta="m"),
+             2 + 2 * holders),
+            (lambda: cluster.meta_set_block_count("m", 1), 2)):
         fsyncs.clear()
         call()
         assert len(fsyncs) == count
     assert sorted(name for name in os.listdir(root)
                   if not name.startswith("node_")) == ["namenode.tbl"]
     reopened = make_cluster(root=root)
-    assert reopened.list_files() == ["b"]
+    assert reopened.list_files() == ["b", "m/00000000"]
     assert reopened.meta_block_count("m") == 1
 
 
@@ -517,10 +566,11 @@ def test_a_failed_fsync_of_the_root_keeps_the_change(tmp_path):
     lambda c: c.rename_file("a", "z"),
     lambda c: c.rename_file("a", "b", overwrite=True),
     lambda c: c.meta_register("m2", 1),
-    lambda c: c.meta_set_block_count("m", 5),
+    lambda c: c.create_file("m/00000002", b"new", meta="m"),
+    lambda c: c.meta_set_block_count("m", 1),
     lambda c: c.meta_unregister("m"),
 ], ids=["create", "delete", "rename", "rename-overwrite", "meta-register",
-        "meta-set-block-count", "meta-unregister"])
+        "meta-append", "meta-set-block-count", "meta-unregister"])
 @pytest.mark.parametrize("fails", ["fsync", "replace"])
 def test_a_failed_table_save_changes_nothing(tmp_path, call, fails):
     """When the table save's fsync or os.replace fails with an ordinary
@@ -530,9 +580,11 @@ def test_a_failed_table_save_changes_nothing(tmp_path, call, fails):
     failed create's included (its blocks are on disk, unreferenced)."""
     root = str(tmp_path / "dfs")
     cluster = make_cluster(root=root)
-    for name in ("a", "b"):
-        cluster.create_file(name, name.encode())
-    cluster.meta_register("m", 2)
+    cluster.meta_register("m", 0)
+    names = ["a", "b", "m/00000000", "m/00000001"]
+    for name in names:
+        cluster.create_file(name, name.encode(),
+                            meta="m" if name.startswith("m/") else None)
     replace = os.replace
     with pytest.MonkeyPatch.context() as mp:
         if fails == "fsync":
@@ -544,7 +596,7 @@ def test_a_failed_table_save_changes_nothing(tmp_path, call, fails):
             call(cluster)
     assert caught.value.errno == 28
     fresh = make_cluster(root=root)
-    assert cluster.list_files() == fresh.list_files() == ["a", "b"]
+    assert cluster.list_files() == fresh.list_files() == names
     for name in fresh.list_files():
         assert cluster.file_entry(name) == fresh.file_entry(name)
         assert cluster.replicas(name) == [name.encode()] * 3
@@ -587,8 +639,8 @@ def test_meta_block_entries_follow_constituents():
     assert cluster.meta_block_entries("m") == []
     entries = []
     for ordinal in range(3):
-        entries.append(cluster.create_file(f"m/{ordinal:08d}", b"x"))
-        cluster.meta_set_block_count("m", ordinal + 1)
+        entries.append(cluster.create_file(f"m/{ordinal:08d}", b"x",
+                                           meta="m"))
     assert cluster.meta_block_entries("m") == entries
     cluster.delete_file("m/00000001")
     assert cluster.meta_block_entries("m") == [entries[0], None, entries[2]]
@@ -616,6 +668,88 @@ def test_meta_block_entries_follow_constituents():
     assert cluster.exists("log/00000001")
     assert not cluster.exists("log/00000001.new")
     assert manager.read_page(log, 16) == bytes([7]) * 4 * KB
+
+
+def test_a_meta_append_creates_and_counts_the_next_block_only():
+    """`create_file(..., meta=m)` creates block `count` of m and counts it;
+    any other name, a block past the end or an unregistered meta file
+    changes nothing."""
+    cluster = make_cluster()
+    with pytest.raises(NotFound):
+        cluster.create_file("m/00000000", b"x", meta="m")
+    cluster.meta_register("m", 0)
+    entry = cluster.create_file("m/00000000", b"x", meta="m")
+    assert cluster.meta_block_entries("m") == [entry]
+    for name in ("m/00000000.new", "m/00000002", "n/00000001", "m"):
+        with pytest.raises(OutOfRange):
+            cluster.create_file(name, b"y", meta="m")
+    with pytest.raises(AlreadyExists):
+        cluster.create_file("m/00000000", b"y", meta="m")
+    assert cluster.list_files() == ["m/00000000"]
+    assert cluster.meta_block_count("m") == 1
+
+
+def test_a_truncate_takes_out_every_file_past_the_count(tmp_path):
+    """Lowering the count removes the constituents at or past it and their
+    `.new` files with them, and drops their blocks; a file of another meta
+    file nested under the name stays. A count above the current one is
+    refused."""
+    root = str(tmp_path / "dfs")
+    cluster = make_cluster(root=root)
+    for meta in ("m", "m/x"):
+        cluster.meta_register(meta, 0)
+    kept = [cluster.create_file(f"m/{i:08d}", b"m", meta="m")
+            for i in range(4)]
+    kept.append(cluster.create_file("m/x/00000000", b"x", meta="m/x"))
+    kept.append(cluster.create_file("m/00000000.new", b"0"))
+    dropped = [cluster.create_file(f"m/{i:08d}.new", b"n") for i in (1, 3)]
+    dropped += kept[1:4]
+    del kept[1:4]
+    for count in (5, -1):
+        with pytest.raises(OutOfRange):
+            cluster.meta_set_block_count("m", count)
+    cluster.meta_set_block_count("m", 1)
+    assert cluster.list_files() == \
+        ["m/00000000", "m/00000000.new", "m/x/00000000"]
+    assert cluster.meta_block_count("m") == 1
+    blocks = {os.path.basename(path) for path in _tree(root)}
+    assert {f"{e.file_id}.blk0" for e in kept} <= blocks
+    assert not {f"{e.file_id}.blk0" for e in dropped} & blocks
+    assert make_cluster(root=root).list_files() == cluster.list_files()
+    with pytest.raises(NotFound):
+        cluster.meta_set_block_count("absent", 0)
+
+
+def test_unregister_takes_out_every_file_under_the_name():
+    cluster = make_cluster()
+    for meta in ("m", "m/x"):
+        cluster.meta_register(meta, 3)
+    for name in ("m/00000000", "m/00000002.new", "m/x/00000001", "mm"):
+        cluster.create_file(name, b"x")
+    cluster.meta_unregister("m")
+    assert cluster.list_files() == ["m/x/00000001", "mm"]
+    assert not cluster.meta_exists("m") and cluster.meta_exists("m/x")
+    with pytest.raises(NotFound):
+        cluster.meta_unregister("m")
+
+
+def test_a_constituent_left_past_the_count_refuses_the_append():
+    """A root in which an append of the older two-step protocol died
+    between its create and its count change holds a constituent past the
+    count: an append at its ordinal raises AlreadyExists, and the next
+    truncate, even one to the current count, takes it out."""
+    cluster = make_cluster()
+    cluster.meta_register("m", 1)
+    cluster.create_file("m/00000000", b"a")
+    cluster.create_file("m/00000001", b"left")
+    assert meta_file_strays(cluster) == ["m/00000001"]
+    with pytest.raises(AlreadyExists):
+        cluster.create_file("m/00000001", b"b", meta="m")
+    assert cluster.meta_block_count("m") == 1
+    cluster.meta_set_block_count("m", 1)
+    assert meta_file_strays(cluster) == []
+    cluster.create_file("m/00000001", b"b", meta="m")
+    assert cluster.read_range("m/00000001", 0, 1) == b"b"
 
 
 def test_reloaded_cluster_hands_out_distinct_ids(tmp_path):
@@ -652,11 +786,28 @@ def _crash_script():
         return (lambda c: c.delete_file(name),
                 lambda table: {n: v for n, v in table.items() if n != name})
 
+    def append(ordinal, content):
+        name = constituent_name("m", ordinal)
+        return (lambda c: c.create_file(name, content, meta="m"),
+                lambda table: {**table, name: content})
+
+    def truncate(count):
+        return (lambda c: c.meta_set_block_count("m", count),
+                lambda table: {n: v for n, v in table.items()
+                               if not n.startswith("m/") or
+                               n < constituent_name("m", count)})
+
     return [create("a", b"a1"), create("c", b"c1"), create("c.new", b"c2"),
             create("keep", b"k1"), create("keep.new", b"k2"),
             rename("a", "b"), rename("c.new", "c", overwrite=True),
             rename("keep.new", "keep", overwrite=True),
-            rename("b", "d", overwrite=True), delete("c"), delete("keep")]
+            rename("b", "d", overwrite=True), delete("c"), delete("keep"),
+            (lambda c: c.meta_register("m", 0), lambda table: table),
+            append(0, b"m0"), append(1, b"m1"), append(2, b"m2"),
+            create("m/00000001.new", b"m1'"), truncate(1),
+            (lambda c: c.meta_unregister("m"),
+             lambda table: {n: v for n, v in table.items()
+                            if not n.startswith("m/")})]
 
 
 def _run_until_death(root, death=None):
@@ -694,7 +845,8 @@ def test_process_death_inside_every_dfs_call(tmp_path):
     """The process dies at each DataNode put, each DataNode drop and each
     NameNode table save of the script in turn. A fresh cluster over the
     root then lists the files of the table from before or after the call
-    that died, and every listed holder stores each file's content."""
+    that died, every listed holder stores each file's content, and no
+    file lies past a meta file's count."""
     probe = make_cluster()
     holders = {name: set(probe.create_file(name, b"").holders)
                for name in ("c", "c.new", "keep", "keep.new")}
@@ -716,6 +868,8 @@ def test_process_death_inside_every_dfs_call(tmp_path):
                            for name, content in table.items()}
                           for table in allowed]:
             failures[death, points[death - 1]] = stored
+        elif meta_file_strays(cluster):
+            failures[death, points[death - 1]] = meta_file_strays(cluster)
     assert failures == {}
 
 

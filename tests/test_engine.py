@@ -6,6 +6,7 @@ from datetime import date
 
 import pytest
 
+from oracles import meta_file_strays
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
     HEAP_START,
@@ -983,13 +984,13 @@ def fail_log_creates(monkeypatch, fails):
     create_file = DfsCluster.create_file
     seen, refused = [], []
 
-    def create(cluster, name, content):
+    def create(cluster, name, content, **kwargs):
         if name.startswith("db/log/"):
             seen.append(name)
             if fails(len(seen)):
                 refused.append(name)
                 raise LogCreateFailed(name)
-        return create_file(cluster, name, content)
+        return create_file(cluster, name, content, **kwargs)
 
     monkeypatch.setattr(DfsCluster, "create_file", create)
     return refused
@@ -1036,7 +1037,7 @@ def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch,
 
 
 def test_failed_abort_releases_the_lock(monkeypatch):
-    class DeleteFailed(RuntimeError):
+    class TruncateFailed(RuntimeError):
         pass
 
     db = make_db()
@@ -1047,11 +1048,11 @@ def test_failed_abort_releases_the_lock(monkeypatch):
         s.store.write_page(pageid, bytes(PAGE))  # two uncommitted blocks
     assert db.log.block_count == 4
 
-    def refuse(cluster, name):
-        raise DeleteFailed(name)
+    def refuse(cluster, name, count):
+        raise TruncateFailed(name)
 
-    monkeypatch.setattr(DfsCluster, "delete_file", refuse)
-    with pytest.raises(DeleteFailed):
+    monkeypatch.setattr(DfsCluster, "meta_set_block_count", refuse)
+    with pytest.raises(TruncateFailed):
         s.abort()
     assert db.locks.snapshot(db.data_name) == []
     assert s.mode is None
@@ -1152,6 +1153,7 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
             where = (point, skip, refuse, step)
             assert db.locks.snapshot(db.data_name) == [], where
             assert s.mode is None, where
+            assert meta_file_strays(db.manager.cluster) == [], where
             table = read_all(db.session())
             assert table in allowed, where
     where = (point, skip, refuse)
@@ -1198,13 +1200,13 @@ def test_in_process_failure_at_every_reached_point():
 
 
 def test_in_process_failure_at_every_meta_file_mutation():
-    """Each DFS create, delete, rename and block-count change that an
-    append, a remake or a truncate makes fails in turn, once the database
-    exists, as an ordinary StorageError raised before the call; the same
-    checks hold as for the fault points."""
+    """Each DFS create, rename and block-count change that an append (a
+    create that counts its block), a remake or a truncate makes fails in
+    turn, once the database exists, as an ordinary StorageError raised
+    before the call; the same checks hold as for the fault points."""
     _, calls = _run_sweep_workload()
     assert {method for method, _ in calls} == \
-        {"create_file", "delete_file", "rename_file", "meta_set_block_count"}
+        {"create_file", "rename_file", "meta_set_block_count"}
     runs = [(None, 0, n) for n in range(1, len(calls) + 1)]
     assert _failures(runs) == {}
 
@@ -1266,12 +1268,13 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     """The process dies at each NameNode mutation of the script in turn,
     a block remake's included: before it runs, or inside its table save.
     A fresh DfsCluster over the root then opens the database with
-    recovery: it must hold the table from before or after the operation
-    that died, and take one more commit. This is the method of ALICE
-    (Pillai et al., OSDI 2014)."""
+    recovery: it must hold no DFS file outside its meta file before
+    recovery, hold the table from before or after the operation that
+    died, and take one more commit. This is the method of ALICE (Pillai
+    et al., OSDI 2014)."""
     calls, _ = _run_until_death(str(tmp_path / "whole"))
-    assert {"create_file", "delete_file", "rename_file",
-            "meta_set_block_count"} <= {method for method, _ in calls}
+    assert {"create_file", "rename_file", "meta_set_block_count"} <= \
+        {method for method, _ in calls}
     failures = {}
     for death, in_save in itertools.product(range(1, len(calls) + 1),
                                             (False, True)):
@@ -1279,6 +1282,7 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
         _, allowed = _run_until_death(root, death, in_save)
         cluster = DfsCluster(DfsConfig(8192, 2), 4, root)
         try:
+            assert meta_file_strays(cluster) == [], "a file outside its meta"
             db = Database.open(cluster, "db", 1024, 4, recover=True)
             table = read_all(db.session())
             assert table in allowed, "not the table before or after"

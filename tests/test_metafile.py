@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -168,35 +169,75 @@ MUTATIONS = ("create_file", "delete_file", "rename_file",
              "meta_register", "meta_set_block_count", "meta_unregister")
 
 
-def test_truncate_sets_the_count_once_before_any_delete(mgr, monkeypatch):
+@pytest.fixture
+def disk_mgr(tmp_path):
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, str(tmp_path / "dfs"))
+    return MetaDfsManager(cluster, PAGE)
+
+
+def table_and_cache(mgr, meta):
+    """Every DFS entry, the block count of `meta` (None if it is gone),
+    and the cached ids: all a failed call must leave as they were."""
+    cluster = mgr.cluster
+    count = cluster.meta_block_count(meta) if cluster.meta_exists(meta) \
+        else None
+    return ({name: cluster.file_entry(name) for name in cluster.list_files()},
+            count, mgr.cached_ids())
+
+
+def failed_save(mgr, monkeypatch, call):
+    """Run `call` with the replace of the NameNode table failing; it must
+    raise OSError and change neither the table, in memory or on disk, nor
+    the cache."""
+    before = table_and_cache(mgr, "m")
+    replace = os.replace
+
+    def no_space(src, dst):
+        if dst.endswith("namenode.tbl"):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space"):
+            call()
+    assert table_and_cache(mgr, "m") == before
+    reopened = MetaDfsManager(
+        DfsCluster(mgr.cluster.config, 4, mgr.cluster.root), PAGE)
+    assert table_and_cache(reopened, "m")[:2] == before[:2]
+
+
+def test_a_truncate_is_one_mutation_and_a_failed_one_changes_nothing(
+        disk_mgr, monkeypatch):
+    mgr = disk_mgr
     f = mgr.create_meta("m")
     for i in range(4):
         mgr.append_block(f, block_of(i))
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    failed_save(mgr, monkeypatch, lambda: mgr.truncate_from(f, 1))
+    assert mgr.read_block(f, 3) == block_of(3)
+    calls.clear()
     mgr.truncate_from(f, 1)
-    assert calls == [("meta_set_block_count", "m", 1),
-                     ("delete_file", constituent_name("m", 1)),
-                     ("delete_file", constituent_name("m", 2)),
-                     ("delete_file", constituent_name("m", 3))]
+    assert calls == [("meta_set_block_count", "m", 1)]
+    assert mgr.cluster.list_files("m/") == [constituent_name("m", 0)]
+    assert list(mgr.cached_ids()) == [constituent_name("m", 0)]
     calls.clear()
     mgr.truncate_from(f, 1)
     assert calls == []
 
 
-def test_append_replaces_a_constituent_left_past_the_count(mgr, monkeypatch):
-    """A failed count change leaves the new constituent past the count;
-    the next append at that ordinal replaces it."""
+def test_a_failed_append_changes_neither_table_nor_cache(disk_mgr,
+                                                         monkeypatch):
+    """An append is one create that counts its block: when its table save
+    fails, the block is neither listed nor counted nor cached, and the
+    next append takes its ordinal."""
+    mgr = disk_mgr
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(1))
-
-    def refuse(name, count):
-        raise StorageError(f"count of {name} refused")
-
-    monkeypatch.setattr(mgr.cluster, "meta_set_block_count", refuse)
-    with pytest.raises(StorageError, match="refused"):
-        mgr.append_block(f, block_of(2))
-    monkeypatch.undo()
-    assert f.block_count == 1
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
+    assert calls == [("create_file", constituent_name("m", 1), block_of(2),
+                      "m")]
     assert mgr.append_block(f, block_of(3))[0] == 1
     assert f.block_count == 2
     assert mgr.read_block(f, 1) == block_of(3)
@@ -450,19 +491,13 @@ def test_a_peer_reappend_is_not_served_from_a_stale_seed(mgr):
     assert mgr.read_block(f, 0) == block_of(4)
 
 
-def test_a_failed_count_leaves_no_servable_seed(mgr, monkeypatch):
-    """An append whose count change fails caches nothing, so a block
-    that another manager appends there later is read from the DFS."""
+def test_a_failed_append_leaves_no_servable_seed(disk_mgr, monkeypatch):
+    """An append whose table save fails caches nothing, so a block that
+    another manager appends there later is read from the DFS."""
+    mgr = disk_mgr
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(1))
-
-    def refuse(name, count):
-        raise StorageError(f"count of {name} refused")
-
-    monkeypatch.setattr(mgr.cluster, "meta_set_block_count", refuse)
-    with pytest.raises(StorageError, match="refused"):
-        mgr.append_block(f, block_of(2))
-    monkeypatch.undo()
+    failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
     assert constituent_name("m", 1) not in mgr.cached_ids()
     with pytest.raises(OutOfRange):
         mgr.read_page(f, N)
@@ -646,26 +681,45 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     assert mgr.open_meta("d").block_count == 4
 
 
-def test_delete_meta_deletes_what_a_failed_delete_left(mgr, monkeypatch):
-    """A delete that failed after counting the file empty leaves its
-    constituents; deleting it again removes them, so a sparse file created
-    under the name reads zeros, not the old blocks."""
-    f = mgr.create_meta("d")
+def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,
+                                                         monkeypatch):
+    """A delete is one NameNode mutation: when its table save fails, the
+    file keeps every constituent, the `.new` a failed remake left and its
+    cached blocks. The delete that follows removes them all, so a sparse
+    file created under the name reads zeros, not the old blocks."""
+    mgr = disk_mgr
+    f = mgr.create_meta("m")
     for tag in range(3):
         mgr.append_block(f, block_of(tag + 1))
-
-    def refuse(name):
-        raise StorageError(f"delete of {name} refused")
-
-    monkeypatch.setattr(mgr.cluster, "delete_file", refuse)
-    with pytest.raises(StorageError, match="refused"):
-        mgr.delete_meta(f)
-    monkeypatch.undo()
-    assert f.block_count == 0
+    mgr.cluster.create_file(constituent_name("m", 1) + ".new", block_of(7))
+    calls = record_calls(mgr, monkeypatch, MUTATIONS)
+    failed_save(mgr, monkeypatch, lambda: mgr.delete_meta(f))
+    assert mgr.read_block(f, 2) == block_of(3)
+    calls.clear()
     mgr.delete_meta(f)
-    assert mgr.cluster.list_files("d/") == []
-    sparse = mgr.create_sparse_meta("d", 3, block_of(9))
+    assert calls == [("meta_unregister", "m")]
+    assert mgr.cluster.list_files("m/") == []
+    assert mgr.cached_ids() == {}
+    sparse = mgr.create_sparse_meta("m", 3, block_of(9))
     assert mgr.read_block(sparse, 1) == bytes(BLOCK)
+
+
+@pytest.mark.parametrize("appends, dropped", [(1, 1), (5, 3)])
+def test_each_length_change_is_one_table_save(disk_mgr, monkeypatch,
+                                              appends, dropped):
+    """A create, each append, a truncate that drops several blocks and a
+    delete each save the NameNode table once."""
+    mgr = disk_mgr
+    saves = []
+    save = DfsCluster._save_tables
+    monkeypatch.setattr(DfsCluster, "_save_tables",
+                        lambda cluster: saves.append(1) or save(cluster))
+    f = mgr.create_meta("m")
+    for tag in range(appends):
+        mgr.append_block(f, block_of(tag))
+    mgr.truncate_from(f, appends - dropped)
+    mgr.delete_meta(f)
+    assert len(saves) == appends + 3
 
 
 def test_meta_block_entry_checks(mgr):

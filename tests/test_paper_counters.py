@@ -73,8 +73,8 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     written, created = Counter(), Counter()
     create_file = DfsCluster.create_file
 
-    def tally(self, name, content):
-        entry = create_file(self, name, content)
+    def tally(self, name, content, meta=None):
+        entry = create_file(self, name, content, meta)
         kind = "master" if name.startswith(master) else name.split("/")[1]
         written[kind] += REPLICATION * len(content)
         created[kind] += 1

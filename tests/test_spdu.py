@@ -131,8 +131,22 @@ def test_clean_restart_preserves_state():
     content = page_with(rng)
     store.write_page(1, content)
     store.commit_transaction()
-    assert store.restart_system() == "rollback"
+    assert store.restart_system() == "clean"
     assert store.read_page(1)[PAGE_HEADER_SIZE:] == content[PAGE_HEADER_SIZE:]
+
+
+def test_restart_over_an_uncommitted_page_rolls_back():
+    store = make_store()
+    rng = random.Random(6)
+    committed, uncommitted = page_with(rng), page_with(rng)
+    store.write_page(1, committed)
+    store.commit_transaction()
+    store.write_page(1, uncommitted)
+    assert store.restart_system() == "rollback"
+    assert store.log.count() == 1
+    assert store.read_page(1)[PAGE_HEADER_SIZE:] == \
+        committed[PAGE_HEADER_SIZE:]
+    assert store.restart_system() == "clean"
 
 
 def test_log_page_headers_support_rebuild():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import MapOracle, page_header, random_payload_page
-from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.dfs import DataNode, DfsCluster, DfsConfig
 from wormdb.engine import Database
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import CrashPoint, FaultInjector
@@ -470,31 +470,38 @@ class LogMutationRefused(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("method, nth", [("delete_file", 2),
-                                         ("meta_set_block_count", 1)])
+@pytest.mark.parametrize("owner, method, nth", [
+    (DataNode, "drop", 2), (DfsCluster, "meta_set_block_count", 1)],
+    ids=["drop-2", "meta_set_block_count-1"])
 def test_failed_log_truncate_keeps_the_newest_committed_copy(
-        monkeypatch, method, nth):
+        monkeypatch, owner, method, nth):
     """Page 5 committed twice; the batch has remade its data block and
-    cleared the flag when the log truncate fails at the nth delete of a
-    log data block or change of the log's count. A restarted store must
-    read the newest copy, and later commits must go on."""
+    cleared the flag when the log truncate fails: before its change of
+    the log's count, or after it, at the nth drop of a replica of a log
+    data block. A restarted store must read the newest copy, and later
+    commits must go on."""
     store = make_store()
     rng = random.Random(8)
     copies = [page_with(rng) for _ in range(4)]
     for content in copies[:2]:
         store.write_page(5, content)
         store.commit_transaction()
-    original = getattr(DfsCluster, method)
+    cluster = store.manager.cluster
+    log_data_blocks = {cluster.file_entry(name).file_id
+                       for name in cluster.list_files("db/log/")
+                       if name != "db/log/00000000"}
+    original = getattr(owner, method)
     seen = []
 
-    def refuse(cluster, name, *args):
-        if name.startswith("db/log") and name != "db/log/00000000":
-            seen.append(name)
+    def refuse(self, target, *args):
+        # a count change names the log, a drop a block by its id
+        if target == "db/log" or target in log_data_blocks:
+            seen.append(target)
             if len(seen) == nth:
-                raise LogMutationRefused(name)
-        return original(cluster, name, *args)
+                raise LogMutationRefused(target)
+        return original(self, target, *args)
 
-    monkeypatch.setattr(DfsCluster, method, refuse)
+    monkeypatch.setattr(owner, method, refuse)
     with pytest.raises(LogMutationRefused):
         store.batch_post_commit()
     monkeypatch.undo()
@@ -805,8 +812,7 @@ def test_a_torn_short_block_is_never_committed(torn):
         "half a page": footer[:PAGE // 2],
     }[torn]
     cluster = store.manager.cluster
-    cluster.create_file("db/log/00000002", content)
-    cluster.meta_set_block_count("db/log", 3)
+    cluster.create_file("db/log/00000002", content, meta="db/log")
     with pytest.raises(RecoveryError):
         store.read_footer(2)
     fresh = _peer(store)
