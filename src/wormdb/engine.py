@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 
 from .dfs import DfsCluster, DfsConfig
 from .errors import (
@@ -284,6 +284,9 @@ class Session:
         self.mode: str | None = None
         self.lockid: int | None = None
         self.catalog: Catalog | None = None
+        # the catalog as a write transaction began: what committed state
+        # references (see `_unreferenced`)
+        self._begun: Catalog | None = None
         self._cache: dict[int, bytes | bytearray] = {}
         self._dirty: set[int] = set()
         self._pending_index: list[tuple[bytes, int, int]] = []
@@ -303,11 +306,25 @@ class Session:
         try:
             self.store.begin_transaction(mode == WRITE)
             self.catalog = parse_catalog(self._get_page(0))
+            if mode == WRITE:
+                self._begun = parse_catalog(self._get_page(0))
         except BaseException:
             self._end()
             raise
 
     def commit(self) -> None:
+        """Hand the store every dirty page in pageid order, then commit.
+
+        A data block none of whose pages the catalog the transaction
+        began with references (past the heap's end and clear of every
+        index segment; a free extent counts as unreferenced) goes to the
+        store as one unlogged block, written in place before the commit
+        marker, unless the store holds a log copy of one of its pages.
+        Every other page, the catalog's included, is logged. A failure
+        before the marker leaves bytes only in pages no committed catalog
+        names, and a page this session makes is zeroed in memory, so
+        those bytes are never read.
+        """
         if self.mode is None:
             raise LockError("no transaction in progress")
         try:
@@ -315,12 +332,34 @@ class Session:
                 if self._pending_index:
                     self._flush_index_entries()
                 self._put_page(0, pack_catalog(self.catalog, self.page_size))
-                for pageid in sorted(self._dirty):
-                    self.store.write_page(pageid, bytes(self._cache[pageid]))
-                    self.page_writes += 1
+                self._write_dirty_pages()
                 self.store.commit_transaction()
         finally:
             self._end()
+
+    def _write_dirty_pages(self) -> None:
+        for block_id, pageids in groupby(
+                sorted(self._dirty),
+                key=lambda pageid: pageid // self.store.pages_per_block):
+            # the store stamps a copy of each page; it keeps none of these
+            pages = [(pageid, self._cache[pageid]) for pageid in pageids]
+            if self._unreferenced(block_id) and \
+                    not self.store.has_log_copy(block_id):
+                self.store.write_unlogged_block(block_id, pages)
+            else:
+                for pageid, page in pages:
+                    self.store.write_page(pageid, page)
+            self.page_writes += len(pages)
+
+    def _unreferenced(self, block_id: int) -> bool:
+        """Whether the catalog the transaction began with references no
+        page of data block `block_id`."""
+        cat = self._begun
+        first = block_id * self.store.pages_per_block
+        end = first + self.store.pages_per_block
+        return first >= HEAP_START + cat.heap_used and all(
+            seg.start + seg.pages <= first or seg.start >= end
+            for seg in cat.segments)
 
     def abort(self) -> None:
         if self.mode is None:
@@ -336,6 +375,7 @@ class Session:
         self.mode = None
         self.lockid = None
         self.catalog = None
+        self._begun = None
         self._cache.clear()
         self._dirty.clear()
         self._pending_index.clear()

@@ -20,6 +20,8 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.write.before_auto_flush",
     "dfs.flush.before_block_append",
     "dfs.flush.after_block_append",
+    "dfs.commit.before_direct_block",
+    "dfs.commit.after_direct_block",
     "dfs.commit.before_marker",
     "dfs.commit.after_marker",
     "dfs.commit.before_threshold_batch",

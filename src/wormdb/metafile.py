@@ -31,7 +31,8 @@ creates the constituent at the count and counts it, a truncate lowers
 the count and removes every constituent at or past it, and a delete
 removes the meta file with every DFS file under its name. A failure
 therefore leaves the meta file as it was before or after the call, and
-no constituent past the count exists.
+no constituent past the count exists. A root an older two-step append
+left with one is mended by `drop_past_end`, which restart runs.
 
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
@@ -119,7 +120,9 @@ class MetaDfsManager:
 
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
-    deferred post-commit design is judged by, and so is the page cache.
+    deferred post-commit design is judged by, beside `fills_total`, the
+    creates of blocks no committed state references (see
+    `overwrite_block`), and so is the page cache.
     """
 
     def __init__(self, cluster: DfsCluster, page_size: int):
@@ -130,6 +133,7 @@ class MetaDfsManager:
         self._counter_lock = threading.Lock()
         self.remakes_total = 0
         self.remakes_by_file: dict[str, int] = {}
+        self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
         # manager wrote it, else {page offset: page} as read)
         self._cache: dict[str, tuple[int, bytes | dict[int, bytes]]] = {}
@@ -201,14 +205,17 @@ class MetaDfsManager:
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
-                        content: bytes) -> None:
+                        content: bytes, fill: bool = False) -> None:
         """DFS file remake of one constituent, or a plain create of a
-        missing one, then cache it (see above); costs exactly one
-        remake."""
+        missing one, then cache it (see above); costs exactly one remake.
+        With `fill` the caller writes a block that no committed state
+        references, and a create is a fill, counted in `fills_total`
+        and not as a remake."""
         content = bytes(content)
         self._check_block(content)
         name = self._constituent(file, block_id)
-        if not self.cluster.exists(name):
+        created = not self.cluster.exists(name)
+        if created:
             file_id = self.cluster.create_file(name, content).file_id
         else:
             new = name + ".new"
@@ -220,6 +227,9 @@ class MetaDfsManager:
             self.cluster.rename_file(new, name, overwrite=True)
         self._cache[name] = (file_id, content)
         with self._counter_lock:
+            if fill and created:
+                self.fills_total += 1
+                return
             self.remakes_total += 1
             self.remakes_by_file[file.name] = \
                 self.remakes_by_file.get(file.name, 0) + 1
@@ -262,6 +272,18 @@ class MetaDfsManager:
         self.cluster.meta_set_block_count(file.name, block_id)
         for ordinal in range(block_id, count):
             self._cache.pop(constituent_name(file.name, ordinal), None)
+
+    def drop_past_end(self, file: MetaDfsFile) -> None:
+        """Remove every DFS file at or past the block count, with one
+        NameNode mutation, none if there is none. Only an append of the
+        older two-step protocol, dead between its create and its count
+        change, left such a file; the next append would collide with
+        it."""
+        count = self.cluster.meta_block_count(file.name)
+        first = constituent_name(file.name, count)
+        if any(name >= first
+               for name in self.cluster.list_files(file.name + "/")):
+            self.cluster.meta_set_block_count(file.name, count)
 
     # ------------------------------------------------------------------
     # Page addressing

@@ -41,6 +41,20 @@ page and files being write-once:
   does: when a batch truncates the log, or an abort drops its tail, and
   new blocks are appended under the same block ids. A fresh store has
   seen no footers and reads them all.
+* A data block that no committed state can reach is written in place at
+  commit, not logged: shadow paging protects only referenced pages
+  (Lorie, "Physical Integrity in a Large Segmented Database", TODS
+  1977), and the root that commits is the catalog page, which is always
+  logged. The caller vouches that no page of the block is referenced by
+  the state the transaction began from; the store refuses a block with
+  a page in the log table index, because a later batch would copy that
+  stale log copy over it (an index page freed and reused by the index or
+  the heap). The transaction's pages, stamped with the ordinals the log
+  would have given them, are put into the block as it stands (zeros for
+  a hole), and the block is written before the commit-marked block is
+  appended, so it holds the bytes a batch would have written. A failure
+  before the marker leaves bytes only in pages no committed state
+  names.
 
 One instance per session: the index, buffer and footer cache are
 session-private; the underlying meta files are shared.
@@ -170,17 +184,53 @@ class DfsTransactionStore:
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
         # a rewritten page keeps its place in the insertion-ordered buffer
-        self._pages[pageid] = stamp_page(pageid, self._ordinal, page_data)
-        self._ordinal += 1
+        self._pages[pageid] = self._stamped(pageid, page_data)
         if len(self._pages) == self._capacity:
             self.faults.hit("dfs.write.before_auto_flush")
             self.flush_buffer(mark_commit=False)
+
+    def write_unlogged_block(self, block_id: int,
+                             pages: list[tuple[int, bytes]]) -> None:
+        """Stamp `pages`, (pageid, page) pairs of data block `block_id`,
+        with the next write ordinals, as `write_page` would, put them into
+        the block as it stands, and hold the block for
+        `commit_transaction`, which writes it in place instead of logging
+        it (see above). The caller vouches that no committed state
+        references a page of the block; a block with a page in the log
+        table index or the buffer raises ValueError."""
+        if self.has_log_copy(block_id):
+            raise ValueError(
+                f"data block {block_id} has a page in the log; it must "
+                f"be logged")
+        for pageid, page_data in pages:
+            self._check_pageid(pageid)
+            if pageid // self.pages_per_block != block_id or \
+                    len(page_data) != self.page_size:
+                raise ValueError(
+                    f"page {pageid} is not a whole page of block {block_id}")
+        block = self._unlogged.get(block_id)
+        if block is None:
+            block = self.manager.read_block(self.data, block_id)
+        self._unlogged[block_id] = self._patched(block, [
+            (pageid, self._stamped(pageid, page_data))
+            for pageid, page_data in pages])
+
+    def has_log_copy(self, block_id: int) -> bool:
+        """Whether a page of data block `block_id` is in the log table
+        index or the buffer: such a block must be logged."""
+        first = block_id * self.pages_per_block
+        return any(pageid in self.index or pageid in self._pages
+                   for pageid in range(first, first + self.pages_per_block))
 
     def read_page(self, pageid: int) -> bytes:
         self._check_pageid(pageid)
         page = self._pages.get(pageid)
         if page is not None:
             return page
+        block = self._unlogged.get(pageid // self.pages_per_block)
+        if block is not None:
+            start = (pageid % self.pages_per_block) * self.page_size
+            return block[start:start + self.page_size]
         pos = self.index.get(pageid)
         if pos is not None:
             block_id, b_offset = pos
@@ -227,9 +277,16 @@ class DfsTransactionStore:
             self.manager.truncate_from(self.log, tail)
 
     def commit_transaction(self) -> None:
-        """Durable at the append of the commit-marked block; post-commit is
-        deferred until the log outgrows the threshold (at threshold 0 it
-        runs at every commit, since the marker is a log block)."""
+        """Write the unlogged blocks in place, then append the
+        commit-marked block, at which the transaction is durable;
+        post-commit is deferred until the log outgrows the threshold (at
+        threshold 0 it runs at every commit, since the marker is a log
+        block)."""
+        for block_id, block in sorted(self._unlogged.items()):
+            self.faults.hit("dfs.commit.before_direct_block")
+            self.manager.overwrite_block(self.data, block_id, block,
+                                         fill=True)
+            self.faults.hit("dfs.commit.after_direct_block")
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
@@ -258,20 +315,22 @@ class DfsTransactionStore:
                 pageid // self.pages_per_block, []).append(pageid)
 
         block_cache: dict[int, bytes] = {}
+
+        def log_copy(pageid: int) -> tuple[int, bytes]:
+            log_block, slot = newest[pageid]
+            cached = block_cache.get(log_block)
+            if cached is None:
+                cached = self.manager.read_block(self.log, log_block)
+                block_cache[log_block] = cached
+            src = slot * self.page_size
+            return pageid, cached[src:src + self.page_size]
+
         for data_block in sorted(by_data_block):
-            content = bytearray(self.manager.read_block(self.data, data_block))
-            for pageid in sorted(by_data_block[data_block]):
-                log_block, slot = newest[pageid]
-                cached = block_cache.get(log_block)
-                if cached is None:
-                    cached = self.manager.read_block(self.log, log_block)
-                    block_cache[log_block] = cached
-                src = slot * self.page_size
-                dst = (pageid % self.pages_per_block) * self.page_size
-                content[dst:dst + self.page_size] = \
-                    cached[src:src + self.page_size]
+            content = self._patched(
+                self.manager.read_block(self.data, data_block),
+                map(log_copy, sorted(by_data_block[data_block])))
             self.faults.hit("dfs.batch.before_block_remake")
-            self.manager.overwrite_block(self.data, data_block, bytes(content))
+            self.manager.overwrite_block(self.data, data_block, content)
             self.faults.hit("dfs.batch.after_block_remake")
 
         self.faults.hit("dfs.batch.before_flag_clear")
@@ -293,7 +352,8 @@ class DfsTransactionStore:
     def restart_system(self) -> str:
         """Recover after a crash; returns the path `recovery_state()`
         chose: "redo", "rollback" or, when it found nothing to do,
-        "clean"."""
+        "clean". It also removes any log file past the log's block count
+        (see `MetaDfsManager.drop_past_end`)."""
         self.faults.hit("dfs.restart.begin")
         if self.log.block_count == 0:
             raise RecoveryError("log meta file has no master block")
@@ -301,6 +361,7 @@ class DfsTransactionStore:
         if path == "redo":
             self.batch_post_commit()
             self.faults.hit("dfs.restart.after_redo")
+        self.manager.drop_past_end(self.log)
         self.begin_transaction(write=True)
         self.faults.hit("dfs.restart.done")
         return path
@@ -391,7 +452,24 @@ class DfsTransactionStore:
     def _new_transaction(self) -> None:
         # pageid -> stamped page, in arrival order
         self._pages: dict[int, bytes] = {}
+        # block_id -> data block to write in place at commit
+        self._unlogged: dict[int, bytes] = {}
         self._ordinal = 0
+
+    def _stamped(self, pageid: int, page_data: bytes) -> bytes:
+        """The page with its header, at the transaction's next ordinal."""
+        page = stamp_page(pageid, self._ordinal, page_data)
+        self._ordinal += 1
+        return page
+
+    def _patched(self, block: bytes, pages) -> bytes:
+        """Data block `block` with each (pageid, page) of `pages` put in
+        its place."""
+        content = bytearray(block)
+        for pageid, page in pages:
+            dst = (pageid % self.pages_per_block) * self.page_size
+            content[dst:dst + self.page_size] = page
+        return bytes(content)
 
     def _write_master(self, commit_flag: bool) -> None:
         self.manager.overwrite_block(

@@ -161,9 +161,12 @@ def test_crash_point_exit_code_and_recover(small_root):
     assert json.loads(result.stdout)["records_returned"] == 260
 
     # crash in the middle of batch post-commit: redo path on recover
-    # (400 inserts push the log past the 16-block threshold)
+    # (ten-row inserts land in the committed heap's tail block, which is
+    # logged, so each commit appends a log block; the 13th commit's batch
+    # is the first)
     result = run_cli_subprocess(
-        ["run", "--workload", "insert", "--repeat", "400",
+        ["run", "--workload", "insert", "--repeat", "10",
+         "--repeat-runs", "20",
          "--crash-point", "dfs.batch.after_flag_set"], root)
     assert result.returncode == 42, result.stderr
     result = run_cli_subprocess(["recover"], root)
@@ -172,7 +175,34 @@ def test_crash_point_exit_code_and_recover(small_root):
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["records_returned"] == 660
+    assert json.loads(result.stdout)["records_returned"] == 390
+
+
+@pytest.mark.parametrize("point", ["dfs.commit.before_direct_block",
+                                   "dfs.commit.after_direct_block"])
+def test_crash_at_an_unlogged_block_rolls_back(small_root, point):
+    """120 inserts fill heap blocks past the committed heap's end, which
+    the commit writes in place before its marker; a crash there loses the
+    whole insert, and the next insert writes over what it left."""
+    root, config = small_root
+    result = run_cli_subprocess(["gen", "--tuples", "200", "--seed", "5"],
+                                root, config)
+    assert result.returncode == 0, result.stderr
+    result = run_cli_subprocess(
+        ["run", "--workload", "insert", "--repeat", "120",
+         "--crash-point", point], root)
+    assert result.returncode == 42, result.stderr
+    result = run_cli_subprocess(["recover"], root)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["recovery"] == "rollback"
+    scan = ["run", "--workload", "scan", "--limit", "100000"]
+    result = run_cli_subprocess(scan, root)
+    assert json.loads(result.stdout)["records_returned"] == 200
+    result = run_cli_subprocess(
+        ["run", "--workload", "insert", "--repeat", "120"], root)
+    assert result.returncode == 0, result.stderr
+    result = run_cli_subprocess(scan, root)
+    assert json.loads(result.stdout)["records_returned"] == 320
 
 
 def test_unreached_crash_point_exits_2(small_root):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import threading
@@ -7,6 +8,7 @@ from datetime import date
 import pytest
 
 from oracles import meta_file_strays
+from wormdb import bench
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
     HEAP_START,
@@ -974,22 +976,23 @@ def commit_rows(session, rows):
     session.commit()
 
 
-class LogCreateFailed(RuntimeError):
+class CreateFailed(RuntimeError):
     pass
 
 
-def fail_log_creates(monkeypatch, fails):
-    """Make `DfsCluster.create_file` raise for the n-th log constituent
-    created from now on when `fails(n)`; returns the names refused."""
+def fail_creates(monkeypatch, fails, meta="db/log"):
+    """Make `DfsCluster.create_file` raise for the n-th constituent of
+    meta file `meta` created from now on when `fails(n)`; returns the
+    names refused."""
     create_file = DfsCluster.create_file
     seen, refused = [], []
 
     def create(cluster, name, content, **kwargs):
-        if name.startswith("db/log/"):
+        if name.startswith(meta + "/"):
             seen.append(name)
             if fails(len(seen)):
                 refused.append(name)
-                raise LogCreateFailed(name)
+                raise CreateFailed(name)
         return create_file(cluster, name, content, **kwargs)
 
     monkeypatch.setattr(DfsCluster, "create_file", create)
@@ -1002,11 +1005,11 @@ def test_commit_failed_at_its_marker_hands_no_page_to_the_next(monkeypatch):
     db = make_db(page=4096, block=64 * 1024)
     s = db.session()
     commit_rows(s, range(10))
-    refused = fail_log_creates(monkeypatch, lambda n: True)
+    refused = fail_creates(monkeypatch, lambda n: True)
     s.begin("write")
     for i in range(10, 40):
         s.insert_record(rec(i))
-    with pytest.raises(LogCreateFailed):
+    with pytest.raises(CreateFailed):
         s.commit()
     assert refused == [constituent_name(db.log_name, 2)]  # the marker
     monkeypatch.undo()
@@ -1014,26 +1017,39 @@ def test_commit_failed_at_its_marker_hands_no_page_to_the_next(monkeypatch):
     assert read_all(db.session()) == [rec(i) for i in (*range(10), 40)]
 
 
-@pytest.mark.parametrize("committer", ["fresh", "same"])
-def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch,
-                                                          committer):
-    """Two auto-flushed blocks of a failed commit stay in the log; no
-    reader may index them and the next writer must drop them."""
+@pytest.mark.parametrize("case", ["fresh", "same", "direct"])
+def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch, case):
+    """Two auto-flushed blocks of a failed commit stay in the log, and
+    with [direct] an in-place block past the heap's end too; no reader
+    may index them and the next writer must drop them. The update
+    rewrites every committed heap page, which is logged; the inserts
+    fill blocks no committed state references, which are not."""
     db = make_db(page=1024, block=8192)
     s = db.session()
-    commit_rows(s, range(10))
-    refused = fail_log_creates(monkeypatch, lambda n: n == 3)
+    keyed = [rec(i, key="9.9.9.9") for i in range(200)]
     s.begin("write")
-    for i in range(10, 200):
+    for row in keyed:
+        s.insert_record(row)
+    s.commit()
+    if case == "direct":
+        refused = fail_creates(monkeypatch, lambda n: n == 1,
+                               meta="db/data")
+    else:
+        refused = fail_creates(monkeypatch, lambda n: n == 3)
+    s.begin("write")
+    s.update_by_key("9.9.9.9", "USA", use_index=True)
+    for i in range(200, 300):
         s.insert_record(rec(i))
-    with pytest.raises(LogCreateFailed):
+    with pytest.raises(CreateFailed):
         s.commit()
-    assert refused == [constituent_name(db.log_name, 4)]
+    assert refused == [constituent_name(db.data_name, 3)
+                       if case == "direct" else
+                       constituent_name(db.log_name, 5)]
     monkeypatch.undo()
     assert db.locks.snapshot(db.data_name) == []
-    assert read_all(db.session()) == [rec(i) for i in range(10)]
-    commit_rows(db.session() if committer == "fresh" else s, [200])
-    assert read_all(db.session()) == [rec(i) for i in (*range(10), 200)]
+    assert read_all(db.session()) == keyed
+    commit_rows(db.session() if case == "fresh" else s, [300])
+    assert read_all(db.session()) == keyed + [rec(300)]
 
 
 def test_failed_abort_releases_the_lock(monkeypatch):
@@ -1105,10 +1121,11 @@ def _meta_mutations(mp, refuse=None):
     calls = []
     depth = [0]
     for method in ("append_block", "overwrite_block", "truncate_from"):
-        def inside(*args, original=getattr(MetaDfsManager, method)):
+        def inside(*args, original=getattr(MetaDfsManager, method),
+                   **kwargs):
             depth[0] += 1
             try:
-                return original(*args)
+                return original(*args, **kwargs)
             finally:
                 depth[0] -= 1
         mp.setattr(MetaDfsManager, method, inside)
@@ -1275,6 +1292,10 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     calls, _ = _run_until_death(str(tmp_path / "whole"))
     assert {"create_file", "rename_file", "meta_set_block_count"} <= \
         {method for method, _ in calls}
+    # a commit's in-place write of a block past the heap's end is a plain
+    # create of a data constituent, and the process dies before it too
+    assert any(method == "create_file" and name.startswith("db/data/")
+               and not name.endswith(".new") for method, name in calls)
     failures = {}
     for death, in_save in itertools.product(range(1, len(calls) + 1),
                                             (False, True)):
@@ -1302,3 +1323,90 @@ def test_begin_with_a_bad_mode_queues_nothing():
         s.begin("bogus")
     assert s.mode is None
     assert db.locks.snapshot(db.data_name) == []
+
+
+def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
+    """After a seeded load of several commits and a maintenance batch,
+    the data file is byte for byte what it was when every page went
+    through the log: the sha256 of its blocks in order is pinned from a
+    commit that logged every page."""
+    db = make_db(total=1024, threshold=16)
+    bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
+                   commit_every=250)
+    db.run_maintenance()
+    assert db.manager.fills_total > 0
+    digest = hashlib.sha256()
+    for block_id in range(db.data.block_count):
+        digest.update(db.manager.read_block(db.data, block_id))
+    assert digest.hexdigest() == \
+        "4050e32db8cbe4558b01ef0fd99b4439b173deaade5ba7a52d6a6b4a7178d102"
+
+
+def test_restart_removes_a_log_file_past_the_count(monkeypatch):
+    """An append of the older two-step protocol that died between its
+    create and its count change left a log constituent past the count,
+    where the next append must create its block. Restart removes it with
+    one block-count change at the current count, and commits go on."""
+    db = make_db()
+    commit_rows(db.session(), range(3))
+    cluster = db.manager.cluster
+    count = db.log.block_count
+    cluster.create_file(constituent_name(db.log_name, count), bytes(PAGE))
+    calls = []
+    set_count = DfsCluster.meta_set_block_count
+
+    def counted(cluster, name, block_count):
+        calls.append((name, block_count))
+        set_count(cluster, name, block_count)
+
+    monkeypatch.setattr(DfsCluster, "meta_set_block_count", counted)
+    reopened = Database.open(cluster, "db", PAGE, recover=True)
+    assert calls == [(db.log_name, count)]
+    assert meta_file_strays(cluster) == []
+    for i in range(3, 6):
+        commit_rows(reopened.session(), [i])
+    assert read_all(reopened.session()) == [rec(i) for i in range(6)]
+
+
+@pytest.mark.parametrize("reuse, total, sizes, page", [
+    ("index", 40, (1, 1, 10, 1), 38),
+    ("heap", 24, (1, 2, 3, 40, 1, 20, 1, 5, 2, 1, 10, 5), 16),
+])
+def test_a_freed_index_extent_with_a_log_copy_is_logged_when_reused(
+        reuse, total, sizes, page):
+    """The stale-copy hazard, with two pages a block and no batch until
+    the end. Commits of `sizes` rows each lead to this: the index segment
+    at `page` is logged, because its block holds another live segment,
+    and stays in the log; the next commit folds it and frees its block;
+    the last commit writes the page again, as a new index segment or,
+    once the extent has gone back to the heap, as a heap page. No
+    committed state references its block then, but the page has a log
+    copy, so the block must be logged: written in place, it would lose
+    to the stale copy at the batch, and a row would drop out of the
+    index or the heap."""
+    db = make_db(total=total, threshold=10 ** 6, block=1024)
+    s = db.session()
+    rows, catalogs = [], []
+    for size in sizes:
+        s.begin("write")
+        for i in range(len(rows), len(rows) + size):
+            rows.append(rec(i))
+            s.insert_record(rows[-1])
+        s.commit()
+        s.begin("read")
+        catalogs.append(s.catalog)
+        s.commit()
+    logged, freed, reused = catalogs[-3:]
+    assert page in [seg.start for seg in logged.segments]
+    assert page not in [seg.start for seg in freed.segments]
+    if reuse == "index":
+        assert page in [seg.start for seg in reused.segments]
+    else:
+        assert HEAP_START + freed.heap_used <= page < \
+            HEAP_START + reused.heap_used
+    db.run_maintenance()
+    assert read_all(db.session()) == rows
+    s.begin("read")
+    for row in rows:
+        assert s.select_by_key(row.source_ip, use_index=True) == [row]
+    s.commit()

@@ -5,6 +5,12 @@ caching below the session must not change; the pinned values were
 measured before the meta-file page cache existed. `network_bytes` is
 physical and may only fall (the cache serves repeated page reads without
 the DFS), so it is bounded by the values of that same commit.
+
+The insert's `dfs_remakes` (16 -> 0) and `network_bytes` bound
+(672,768 -> 188,416) were re-pinned when a commit began to write the
+data blocks past the heap's end in place instead of logging them: such
+a block's first write is a create, which is no remake, and its pages
+cross the network once, not twice.
 """
 
 from collections import Counter
@@ -14,6 +20,7 @@ from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
+from wormdb.spdu_dfs import DfsTransactionStore
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -35,7 +42,7 @@ WORKLOADS = [
                                   new_country_code="QRS"),
      (751, 10, 12, 9), 688128),
     ("insert", dict(kind="insert", repeat=300, seed=5, key=KEY),
-     (2, 166, 16, 300), 672768),
+     (2, 166, 0, 300), 188416),
     ("scan after insert", dict(kind="scan", limit=10 ** 6),
      (901, 0, 0, 1800), 461312),
     ("select after insert", dict(kind="select", key=KEY, use_index=True),
@@ -64,9 +71,10 @@ def test_paper_counters_are_pinned():
 
 def test_log_and_master_write_pages_not_blocks(monkeypatch):
     """The bytes each meta file writes while the write workloads run: a
-    log block is its pages plus one footer page, the master block one
-    page per commit_flag write, and a data block one whole DFS block per
-    remake. Zero padding of log or master blocks fails this."""
+    log block is its logged pages plus one footer page, the master block
+    one page per commit_flag write, and a data block one whole DFS block
+    per remake or fill. Zero padding of log or master blocks fails
+    this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     master = constituent_name(db.log_name, 0)  # and its ".new" remakes
@@ -81,9 +89,18 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
         return entry
 
     monkeypatch.setattr(DfsCluster, "create_file", tally)
+    logged = [0]
+    write_page = DfsTransactionStore.write_page
+
+    def log_page(self, pageid, page_data):
+        logged[0] += 1
+        write_page(self, pageid, page_data)
+
+    monkeypatch.setattr(DfsTransactionStore, "write_page", log_page)
     bytes_before = cluster.counters.bytes_written
     flags_before = manager.remakes_of(db.log_name)
     remakes_before = manager.remakes_of(db.data_name)
+    fills_before = manager.fills_total
     page_writes = 0
     for _, spec, _, _ in WORKLOADS:
         if spec["kind"] in ("update", "insert"):
@@ -91,11 +108,14 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
                 db, bench.WorkloadSpec(**spec)).page_writes
     flag_writes = manager.remakes_of(db.log_name) - flags_before
     remakes = manager.remakes_of(db.data_name) - remakes_before
+    fills = manager.fills_total - fills_before
     assert (page_writes, created["log"], flag_writes, remakes) == \
-        (186, 14, 4, 24)
+        (186, 3, 2, 10)
+    # the other 159 pages fill blocks past the heap's end in place
+    assert (logged[0], fills) == (27, 11)
     assert sum(written.values()) == \
         cluster.counters.bytes_written - bytes_before
     assert written["log"] == \
-        REPLICATION * PAGE * (page_writes + created["log"])
+        REPLICATION * PAGE * (logged[0] + created["log"])
     assert written["master"] == REPLICATION * PAGE * flag_writes
-    assert written["data"] == REPLICATION * BLOCK * remakes
+    assert written["data"] == REPLICATION * BLOCK * (remakes + fills)

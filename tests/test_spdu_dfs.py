@@ -849,3 +849,62 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
         Database(store.manager, "db", TOTAL).recover()
     assert store.log.block_count == 3
     assert store.read_footer(2)[1] is True
+
+
+def test_an_unlogged_block_is_written_in_place_before_the_marker():
+    """Its pages are stamped with the ordinals the log would have given
+    them and are read back from the data block after a restart; the
+    block's other pages are zeros, the log gets only the marker, and the
+    first write of the block is a fill, not a remake."""
+    rng = random.Random(3)
+    store = make_store()
+    logged = page_with(rng)
+    unlogged = [(3 * N, page_with(rng)), (3 * N + 5, page_with(rng))]
+    store.write_page(7, logged)
+    store.write_unlogged_block(3, unlogged)
+    assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
+    store.commit_transaction()
+    assert store.log.block_count == 2
+    assert (store.manager.fills_total,
+            store.manager.remakes_of("db/data")) == (1, 0)
+    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    fresh.restart_system()
+    for ordinal, (pageid, page) in enumerate(unlogged, 1):
+        got = fresh.read_page(pageid)
+        assert page_header(got)[:2] == (pageid, ordinal)
+        assert payload(got) == payload(page)
+    assert fresh.read_page(3 * N + 1) == bytes(PAGE)
+
+
+def test_an_unlogged_block_over_a_failed_commit_is_a_remake():
+    faults = FaultInjector()
+    store = make_store(faults=faults)
+    rng = random.Random(4)
+    store.write_unlogged_block(2, [(2 * N, page_with(rng))])
+    faults.arm("dfs.commit.after_direct_block")
+    with pytest.raises(CrashPoint):
+        store.commit_transaction()
+    store.begin_transaction(write=True)
+    page = page_with(rng)
+    store.write_unlogged_block(2, [(2 * N + 1, page)])
+    store.commit_transaction()
+    assert (store.manager.fills_total,
+            store.manager.remakes_of("db/data")) == (1, 1)
+    assert payload(store.read_page(2 * N + 1)) == payload(page)
+
+
+def test_a_block_with_a_log_copy_is_refused_unlogged():
+    """A later batch would copy the log copy over the block."""
+    rng = random.Random(5)
+    store = make_store()
+    store.write_page(4 * N + 2, page_with(rng))
+    with pytest.raises(ValueError):  # in the buffer
+        store.write_unlogged_block(4, [(4 * N, page_with(rng))])
+    store.commit_transaction()
+    store.begin_transaction(write=True)
+    with pytest.raises(ValueError):  # in the log table index
+        store.write_unlogged_block(4, [(4 * N, page_with(rng))])
+    with pytest.raises(ValueError):  # not a page of the block
+        store.write_unlogged_block(3, [(4 * N, page_with(rng))])
+    store.batch_post_commit()
+    store.write_unlogged_block(4, [(4 * N, page_with(rng))])
