@@ -33,7 +33,13 @@ from .locks import LockService, WRITE
 from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SlottedPage
-from .records import FIELD_LIMITS, UserVisitsRecord, pack_record, unpack_record
+from .records import (
+    FIELD_LIMITS,
+    UserVisitsRecord,
+    pack_record,
+    source_ip_prefix,
+    unpack_record,
+)
 from .spdu_dfs import (
     DEFAULT_POST_COMMIT_THRESHOLD,
     DfsTransactionStore,
@@ -271,7 +277,14 @@ class Session:
     page the database's meta-file cache read through, or a slice of a
     block it wrote); a page is copied into a `bytearray` only when the
     session mutates it (the heap's tail page on insert, a record's page
-    on update).
+    on update). A heap scan keeps no page it reads: a page the cache does
+    not hold is read from the store and dropped once the scan moves past
+    it, so a full scan holds one heap page at a time.
+
+    `page_reads` counts the distinct pages each transaction read from
+    the store, summed over transactions: a page read again (by a second
+    scan, or by an update after the scan that found its record) counts
+    once.
     """
 
     def __init__(self, db: Database, owner: str):
@@ -288,6 +301,7 @@ class Session:
         # references (see `_unreferenced`)
         self._begun: Catalog | None = None
         self._cache: dict[int, bytes | bytearray] = {}
+        self._read: set[int] = set()  # pageids this transaction has read
         self._dirty: set[int] = set()
         self._pending_index: list[tuple[bytes, int, int]] = []
         self.page_reads = 0
@@ -377,6 +391,7 @@ class Session:
         self.catalog = None
         self._begun = None
         self._cache.clear()
+        self._read.clear()
         self._dirty.clear()
         self._pending_index.clear()
 
@@ -393,10 +408,16 @@ class Session:
     def _get_page(self, pageid: int) -> bytes | bytearray:
         page = self._cache.get(pageid)
         if page is None:
-            page = self.store.read_page(pageid)
-            self._cache[pageid] = page
-            self.page_reads += 1
+            page = self._cache[pageid] = self._read_page(pageid)
         return page
+
+    def _read_page(self, pageid: int) -> bytes:
+        """A page from the store, not cached; counted once per
+        transaction."""
+        if pageid not in self._read:
+            self._read.add(pageid)
+            self.page_reads += 1
+        return self.store.read_page(pageid)
 
     def _writable_page(self, pageid: int) -> bytearray:
         """The session's own mutable copy of a page."""
@@ -453,23 +474,29 @@ class Session:
 
     def scan(self, limit: int) -> list[UserVisitsRecord]:
         self._require_lock()
-        return [record for _, record in
+        return [unpack_record(raw) for _, raw in
                 islice(self._scan_entries(), max(limit, 0))]
 
-    def _scan_entries(self):
-        """Yield ((pageid, slot), record) in heap order, reading each page
-        only when the consumer reaches it. Callers check the lock."""
+    def _scan_entries(self, prefix: bytes = b""):
+        """Yield ((pageid, slot), packed record) in heap order for each
+        record that begins with `prefix`, reading each page only when the
+        consumer reaches it and caching none (see the class docstring).
+        Callers check the lock."""
         for pageid in range(HEAP_START, HEAP_START + self.catalog.heap_used):
-            page = SlottedPage(self._get_page(pageid))
+            buf = self._cache.get(pageid)
+            page = SlottedPage(self._read_page(pageid) if buf is None
+                               else buf)
             for slot in range(page.count):
-                yield (pageid, slot), unpack_record(page.record(slot))
+                raw = page.record(slot)
+                if raw.startswith(prefix):
+                    yield (pageid, slot), raw
 
     def select_by_key(self, source_ip: str, use_index: bool
                       ) -> list[UserVisitsRecord]:
         self._require_lock()
         if not use_index:
-            return [record for _, record in self._scan_entries()
-                    if record.source_ip == source_ip]
+            return [unpack_record(raw) for _, raw in
+                    self._scan_entries(source_ip_prefix(source_ip))]
         return [self._fetch(rid) for rid in self._index_lookup(source_ip)]
 
     def update_by_key(self, source_ip: str, new_country_code: str,
@@ -480,8 +507,8 @@ class Session:
         if use_index:
             rids = self._index_lookup(source_ip)
         else:
-            rids = [rid for rid, record in self._scan_entries()
-                    if record.source_ip == source_ip]
+            rids = [rid for rid, _ in
+                    self._scan_entries(source_ip_prefix(source_ip))]
         for pageid, slot in rids:
             page = SlottedPage(self._writable_page(pageid))
             record = unpack_record(page.record(slot))

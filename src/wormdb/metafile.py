@@ -40,15 +40,15 @@ Mutating operations on one meta file require external mutual exclusion
 Blocks and pages are kept in a cache that all sessions of a manager
 share, keyed by constituent name and tagged with the constituent's DFS
 `file_id`. It is write-through: once an append has created its block,
-or a remake has renamed its new block into place (or created a missing
-one), the block is cached whole, as the one `bytes` object handed to
-`create_file`, under the id that call returned (a rename keeps it). In
-memory mode the DataNodes keep that same object, so the cache holds no
-second copy; `read_block` returns it and `read_page` slices its page out
-of it. A block this manager did not write is read through page by page:
-`read_page` caches each page it reads from the DFS, and `read_block`
-reads the DFS without caching, so a cold read fetches only the pages
-asked for. A constituent is write-once and the NameNode never reuses an
+a sparse create its block 0, or a remake has renamed its new block into
+place (or created a missing one), the block is cached whole, as the one
+`bytes` object handed to `create_file`, under the id that call returned
+(a rename keeps it). In memory mode the DataNodes keep that same
+object, so the cache holds no second copy; `read_block` returns it and
+`read_page` slices its page out of it. A block this manager did not
+write is read through page by page: `read_page` caches each page it
+reads from the DFS, and `read_block` reads the DFS without caching, so
+a cold read fetches only the pages asked for. A constituent is write-once and the NameNode never reuses an
 id, so a cached block or page is served only while its block's current
 id (one NameNode call per read, made before the cache is looked at) is
 the id it was cached under; a remake by anyone, this manager or another
@@ -150,10 +150,14 @@ class MetaDfsManager:
     def create_sparse_meta(self, name: str, block_count: int,
                            first_block: bytes) -> MetaDfsFile:
         """A meta file of `block_count` blocks whose only constituent is
-        block 0, holding `first_block`; the others read as zeros."""
+        block 0, holding `first_block` and cached (see above); the others
+        read as zeros."""
+        first_block = bytes(first_block)
         self._check_block(first_block)
         self.cluster.meta_register(name, block_count)
-        self.cluster.create_file(constituent_name(name, 0), first_block)
+        first = constituent_name(name, 0)
+        file_id = self.cluster.create_file(first, first_block).file_id
+        self._cache[first] = (file_id, first_block)
         return MetaDfsFile(self, name)
 
     def open_meta(self, name: str) -> MetaDfsFile:

@@ -2,6 +2,9 @@
 
 Serialization is fixed-order and length-prefixed with little-endian
 integers so that identical logical content is bit-identical across runs.
+Records are slotted, and decoding shares the few distinct country codes,
+language codes and visit dates between them, so that a scan's result
+list stays small.
 """
 
 from __future__ import annotations
@@ -9,12 +12,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 
 from .errors import ValueTooLong
 
 _U16 = struct.Struct("<H")
-_DATE = struct.Struct("<I")
-_F64 = struct.Struct("<d")
+_DATE_REVENUE = struct.Struct("<Id")  # visit_date ordinal, ad_revenue
 _I32 = struct.Struct("<i")
 
 FIELD_LIMITS = {
@@ -27,7 +30,15 @@ FIELD_LIMITS = {
 }
 
 
-@dataclass
+# Records decoded with an equal country code, language code or visit date
+# share one object: a bounded LRU cache, which stays coherent across
+# threads without a lock of ours.
+SHARED_VALUES = 4096
+_shared_text = lru_cache(maxsize=SHARED_VALUES)(bytes.decode)  # utf-8
+_shared_date = lru_cache(maxsize=SHARED_VALUES)(date.fromordinal)
+
+
+@dataclass(slots=True)
 class UserVisitsRecord:
     source_ip: str
     dest_url: str
@@ -52,28 +63,12 @@ def _pack_str(value: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, size: int) -> bytes:
-        chunk = self.raw[self.pos:self.pos + size]
-        self.pos += size
-        return chunk
-
-    def string(self) -> str:
-        (length,) = _U16.unpack(self.take(2))
-        return self.take(length).decode("utf-8")
-
-
 def pack_record(record: UserVisitsRecord) -> bytes:
     record.validate()
     return b"".join([
         _pack_str(record.source_ip),
         _pack_str(record.dest_url),
-        _DATE.pack(record.visit_date.toordinal()),
-        _F64.pack(record.ad_revenue),
+        _DATE_REVENUE.pack(record.visit_date.toordinal(), record.ad_revenue),
         _pack_str(record.user_agent),
         _pack_str(record.country_code),
         _pack_str(record.language_code),
@@ -82,17 +77,36 @@ def pack_record(record: UserVisitsRecord) -> bytes:
     ])
 
 
+def source_ip_prefix(source_ip: str) -> bytes:
+    """The bytes that every packed record with this source_ip, its first
+    field, begins with, and no other record does."""
+    return _pack_str(source_ip)
+
+
 def unpack_record(raw: bytes) -> UserVisitsRecord:
-    r = _Reader(raw)
-    source_ip = r.string()
-    dest_url = r.string()
-    visit_date = date.fromordinal(_DATE.unpack(r.take(4))[0])
-    ad_revenue = _F64.unpack(r.take(8))[0]
-    user_agent = r.string()
-    country_code = r.string()
-    language_code = r.string()
-    search_word = r.string()
-    duration = _I32.unpack(r.take(4))[0]
-    return UserVisitsRecord(source_ip, dest_url, visit_date, ad_revenue,
-                            user_agent, country_code, language_code,
-                            search_word, duration)
+    """Decode one record in a single pass; each string's u16 length sits
+    just before it. Equal country codes, language codes and visit dates
+    come back as one shared object (see `SHARED_VALUES`)."""
+    end = 2 + (raw[0] | raw[1] << 8)
+    source_ip = raw[2:end].decode()
+    pos = end + 2
+    end = pos + (raw[end] | raw[end + 1] << 8)
+    dest_url = raw[pos:end].decode()
+    ordinal, ad_revenue = _DATE_REVENUE.unpack_from(raw, end)
+    end += _DATE_REVENUE.size
+    pos = end + 2
+    end = pos + (raw[end] | raw[end + 1] << 8)
+    user_agent = raw[pos:end].decode()
+    pos = end + 2
+    end = pos + (raw[end] | raw[end + 1] << 8)
+    country_code = _shared_text(raw[pos:end])
+    pos = end + 2
+    end = pos + (raw[end] | raw[end + 1] << 8)
+    language_code = _shared_text(raw[pos:end])
+    pos = end + 2
+    end = pos + (raw[end] | raw[end + 1] << 8)
+    search_word = raw[pos:end].decode()
+    (duration,) = _I32.unpack_from(raw, end)
+    return UserVisitsRecord(source_ip, dest_url, _shared_date(ordinal),
+                            ad_revenue, user_agent, country_code,
+                            language_code, search_word, duration)

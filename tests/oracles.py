@@ -16,6 +16,9 @@ between write transactions.
 
 `meta_file_strays` checks a DFS cluster against the meta-file layout:
 every constituent sits inside a registered meta file's block count.
+
+`reference_unpack_record` is a plain field-by-field decoder of the
+UserVisits wire format, which the tests check `wormdb.records` against.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ import os
 import random
 import struct
 from dataclasses import dataclass
+from datetime import date
 
 from wormdb.dfs import SUFFIX_WIDTH, DfsCluster
 from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import NULL_INJECTOR, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
+from wormdb.records import UserVisitsRecord
 
 # The recovery header `stamp_page` writes: pageid, the ordinal of the
 # write within its transaction, and the payload's crc32.
@@ -65,6 +70,40 @@ def meta_file_strays(cluster: DfsCluster) -> list[str]:
                 rest[:SUFFIX_WIDTH]) < cluster.meta_block_count(meta)):
             strays.append(file)
     return strays
+
+
+class _Reader:
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        self.pos = 0
+
+    def take(self, size: int) -> bytes:
+        chunk = self.raw[self.pos:self.pos + size]
+        self.pos += size
+        return chunk
+
+    def string(self) -> str:
+        (length,) = struct.unpack("<H", self.take(2))
+        return self.take(length).decode("utf-8")
+
+
+def reference_unpack_record(raw: bytes) -> UserVisitsRecord:
+    """Decode a packed record one field at a time; every field is a fresh
+    object."""
+    r = _Reader(raw)
+    source_ip = r.string()
+    dest_url = r.string()
+    visit_date = date.fromordinal(struct.unpack("<I", r.take(4))[0])
+    (ad_revenue,) = struct.unpack("<d", r.take(8))
+    user_agent = r.string()
+    country_code = r.string()
+    language_code = r.string()
+    search_word = r.string()
+    (duration,) = struct.unpack("<i", r.take(4))
+    assert r.pos == len(raw), "trailing bytes after the record"
+    return UserVisitsRecord(source_ip, dest_url, visit_date, ad_revenue,
+                            user_agent, country_code, language_code,
+                            search_word, duration)
 
 
 class MapOracle:

@@ -30,7 +30,7 @@ from wormdb.errors import (
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
-from wormdb.records import UserVisitsRecord
+from wormdb.records import UserVisitsRecord, unpack_record
 
 PAGE = 512
 BLOCK = 8192
@@ -278,11 +278,12 @@ def test_index_table_coherence_after_commits(sizes, total):
             assert s.select_by_key(key, True) == s.select_by_key(key, False)
         s.commit()
     s.begin("read")
-    scanned = {(r.source_ip, rid) for rid, r in s._scan_entries()}
+    scanned = {(unpack_record(raw).source_ip, rid)
+               for rid, raw in s._scan_entries()}
     from_index = set()
-    for record in {r.source_ip for _, r in s._scan_entries()}:
-        for rid in s._index_lookup(record):
-            from_index.add((record, rid))
+    for key in {key for key, _ in scanned}:
+        for rid in s._index_lookup(key):
+            from_index.add((key, rid))
     assert scanned == from_index
     s.commit()
 
@@ -618,6 +619,52 @@ def test_scan_page_read_counter_exact():
     s.scan(1)
     assert s.page_reads - base == 1
     s.commit()
+
+
+def load_multi_block_table(db, rows=200, key="4.4.4.4", every=25):
+    """A table whose heap spans several data blocks, with the key `key`
+    on every `every`-th row; returns the heap's page count."""
+    s = db.session()
+    s.begin("write")
+    for i in range(rows):
+        s.insert_record(rec(i, key=key if i % every == 0 else None))
+    heap_pages = s.catalog.heap_used
+    s.commit()
+    assert heap_pages > 2 * db.manager.pages_per_block
+    return heap_pages
+
+
+def test_a_read_scan_holds_no_heap_page():
+    db = make_db()
+    load_multi_block_table(db)
+    s = db.session()
+    s.begin("read")
+    assert len(s.scan(10 ** 6)) == 200
+    assert len(s.select_by_key("4.4.4.4", use_index=False)) == 8
+    # only the catalog page, which begin read, stays in the session
+    assert set(s._cache) == {0}
+    s.commit()
+
+
+def test_pages_a_write_transaction_reads_again_count_once():
+    """An unindexed update reads every heap page during its scan and each
+    matching page again to change it; a second scan reads the unchanged
+    pages once more. Each still counts as one page read."""
+    db = make_db()
+    heap_pages = load_multi_block_table(db)
+    s = db.session()
+    base = s.page_reads
+    s.begin("write")
+    assert s.update_by_key("4.4.4.4", "USA", use_index=False) == 8
+    assert len(s.scan(10 ** 6)) == 200
+    assert [r.country_code for r in
+            s.select_by_key("4.4.4.4", use_index=False)] == ["USA"] * 8
+    assert s.page_reads - base == 1 + heap_pages
+    s.commit()
+    s.begin("read")
+    assert len(s.select_by_key("4.4.4.4", use_index=False)) == 8
+    s.commit()
+    assert s.page_reads - base == 2 * (1 + heap_pages)
 
 
 def test_indexed_select_page_read_bound():

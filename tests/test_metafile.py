@@ -530,9 +530,9 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
         store.batch_post_commit()
     for node_id in holders:
         cluster.set_node_alive(node_id, True)
-    # the batch reads the log blocks from the cache, and only the data
-    # blocks that have a constituent (block 0) from the DFS
-    assert dfs_reads(mgr, store.batch_post_commit)[:2] == (1, BLOCK)
+    # the batch reads the log blocks, and data block 0 that the create
+    # cached, from the cache: nothing from the DFS
+    assert dfs_reads(mgr, store.batch_post_commit)[:2] == (0, 0)
     assert not log_blocks & set(mgr.cached_ids())
     assert {name for name in mgr.cached_ids()
             if name.startswith("db/log/")} <= {constituent_name("db/log", 0)}
