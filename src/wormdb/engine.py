@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice
 
 from .dfs import DfsCluster, DfsConfig
 from .errors import (
@@ -269,9 +269,10 @@ class Database:
 class Session:
     """One transaction stream: private buffer, index, and page cache.
 
-    A failed commit or abort releases the lock and leaves its log blocks;
-    every `begin` starts from the log's committed prefix, so no later
-    transaction sees them, and a writer's `begin` deletes them.
+    A failed commit releases the lock and leaves its log blocks; every
+    `begin` starts from the log's committed prefix, so no later
+    transaction sees them, and a writer's `begin` deletes them. An abort
+    only releases the lock.
 
     The page cache holds the immutable pages the DFS layers return (a
     page the database's meta-file cache read through, or a slice of a
@@ -297,9 +298,6 @@ class Session:
         self.mode: str | None = None
         self.lockid: int | None = None
         self.catalog: Catalog | None = None
-        # the catalog as a write transaction began: what committed state
-        # references (see `_unreferenced`)
-        self._begun: Catalog | None = None
         self._cache: dict[int, bytes | bytearray] = {}
         self._read: set[int] = set()  # pageids this transaction has read
         self._dirty: set[int] = set()
@@ -320,8 +318,6 @@ class Session:
         try:
             self.store.begin_transaction(mode == WRITE)
             self.catalog = parse_catalog(self._get_page(0))
-            if mode == WRITE:
-                self._begun = parse_catalog(self._get_page(0))
         except BaseException:
             self._end()
             raise
@@ -329,15 +325,12 @@ class Session:
     def commit(self) -> None:
         """Hand the store every dirty page in pageid order, then commit.
 
-        A data block none of whose pages the catalog the transaction
-        began with references (past the heap's end and clear of every
-        index segment; a free extent counts as unreferenced) goes to the
-        store as one unlogged block, written in place before the commit
-        marker, unless the store holds a log copy of one of its pages.
-        Every other page, the catalog's included, is logged. A failure
-        before the marker leaves bytes only in pages no committed catalog
-        names, and a page this session makes is zeroed in memory, so
-        those bytes are never read.
+        The store decides where each data block goes: in place if no
+        committed transaction has written it, else to the log (see
+        `wormdb.spdu_dfs`); the catalog's block is always logged. A
+        failure before the commit marker leaves bytes only in blocks no
+        committed catalog names, and a page this session makes is zeroed
+        in memory, so those bytes are never read.
         """
         if self.mode is None:
             raise LockError("no transaction in progress")
@@ -346,50 +339,29 @@ class Session:
                 if self._pending_index:
                     self._flush_index_entries()
                 self._put_page(0, pack_catalog(self.catalog, self.page_size))
-                self._write_dirty_pages()
+                # the store stamps a copy of each page, so the session
+                # drops its own as it hands it over
+                for pageid in sorted(self._dirty):
+                    self.store.write_page(pageid, self._cache.pop(pageid))
+                self.page_writes += len(self._dirty)
                 self.store.commit_transaction()
         finally:
             self._end()
 
-    def _write_dirty_pages(self) -> None:
-        for block_id, pageids in groupby(
-                sorted(self._dirty),
-                key=lambda pageid: pageid // self.store.pages_per_block):
-            # the store stamps a copy of each page; it keeps none of these
-            pages = [(pageid, self._cache[pageid]) for pageid in pageids]
-            if self._unreferenced(block_id) and \
-                    not self.store.has_log_copy(block_id):
-                self.store.write_unlogged_block(block_id, pages)
-            else:
-                for pageid, page in pages:
-                    self.store.write_page(pageid, page)
-            self.page_writes += len(pages)
-
-    def _unreferenced(self, block_id: int) -> bool:
-        """Whether the catalog the transaction began with references no
-        page of data block `block_id`."""
-        cat = self._begun
-        first = block_id * self.store.pages_per_block
-        end = first + self.store.pages_per_block
-        return first >= HEAP_START + cat.heap_used and all(
-            seg.start + seg.pages <= first or seg.start >= end
-            for seg in cat.segments)
-
     def abort(self) -> None:
+        """End the transaction. Nothing of it has reached the store, which
+        sees a write transaction's pages only at commit, and the writer's
+        `begin` already dropped any uncommitted log tail, so this makes no
+        store call."""
         if self.mode is None:
             raise LockError("no transaction in progress")
-        try:
-            if self.mode == WRITE:
-                self.store.abort_transaction()
-        finally:
-            self._end()
+        self._end()
 
     def _end(self) -> None:
         self.db.locks.release_lock(self.db.data_name, self.lockid)
         self.mode = None
         self.lockid = None
         self.catalog = None
-        self._begun = None
         self._cache.clear()
         self._read.clear()
         self._dirty.clear()
@@ -481,15 +453,15 @@ class Session:
         """Yield ((pageid, slot), packed record) in heap order for each
         record that begins with `prefix`, reading each page only when the
         consumer reaches it and caching none (see the class docstring).
-        Callers check the lock."""
+        Only the matching records are copied out of their pages. Callers
+        check the lock."""
         for pageid in range(HEAP_START, HEAP_START + self.catalog.heap_used):
             buf = self._cache.get(pageid)
             page = SlottedPage(self._read_page(pageid) if buf is None
                                else buf)
-            for slot in range(page.count):
-                raw = page.record(slot)
-                if raw.startswith(prefix):
-                    yield (pageid, slot), raw
+            for slot in (page.slots_with_prefix(prefix) if prefix
+                         else range(page.count)):
+                yield (pageid, slot), page.record(slot)
 
     def select_by_key(self, source_ip: str, use_index: bool
                       ) -> list[UserVisitsRecord]:

@@ -121,8 +121,8 @@ class MetaDfsManager:
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
     deferred post-commit design is judged by, beside `fills_total`, the
-    creates of blocks no committed state references (see
-    `overwrite_block`), and so is the page cache.
+    creates of blocks that had no constituent (see `overwrite_block`),
+    and so is the page cache.
     """
 
     def __init__(self, cluster: DfsCluster, page_size: int):
@@ -209,12 +209,10 @@ class MetaDfsManager:
         return count, file_id
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
-                        content: bytes, fill: bool = False) -> None:
-        """DFS file remake of one constituent, or a plain create of a
-        missing one, then cache it (see above); costs exactly one remake.
-        With `fill` the caller writes a block that no committed state
-        references, and a create is a fill, counted in `fills_total`
-        and not as a remake."""
+                        content: bytes) -> None:
+        """DFS file remake of one constituent, counted as a remake, or a
+        plain create of a missing one, counted in `fills_total`; then
+        cache it (see above)."""
         content = bytes(content)
         self._check_block(content)
         name = self._constituent(file, block_id)
@@ -231,12 +229,17 @@ class MetaDfsManager:
             self.cluster.rename_file(new, name, overwrite=True)
         self._cache[name] = (file_id, content)
         with self._counter_lock:
-            if fill and created:
+            if created:
                 self.fills_total += 1
                 return
             self.remakes_total += 1
             self.remakes_by_file[file.name] = \
                 self.remakes_by_file.get(file.name, 0) + 1
+
+    def has_constituent(self, file: MetaDfsFile, block_id: int) -> bool:
+        """Whether a block has a constituent, a hole has none; unlike
+        `constituent_entry`, whatever the health of its replicas."""
+        return self.cluster.exists(self._constituent(file, block_id))
 
     def constituent_entry(self, file: MetaDfsFile,
                           block_id: int) -> DfsFileEntry | None:

@@ -58,6 +58,15 @@ class SlottedPage:
                                            _SLOTS_AT + _SLOT.size * slot)
         return bytes(self.buf[offset:offset + length])
 
+    def slots_with_prefix(self, prefix: bytes) -> list[int]:
+        """The slots whose record begins with `prefix`, tested in the page
+        buffer, so no record is copied."""
+        buf = self.buf
+        directory = buf[_SLOTS_AT:_SLOTS_AT + _SLOT.size * self.count]
+        return [slot for slot, (offset, length)
+                in enumerate(_SLOT.iter_unpack(directory))
+                if buf.startswith(prefix, offset, offset + length)]
+
     def records(self) -> list[bytes]:
         return [self.record(slot) for slot in range(self.count)]
 

@@ -41,20 +41,22 @@ page and files being write-once:
   does: when a batch truncates the log, or an abort drops its tail, and
   new blocks are appended under the same block ids. A fresh store has
   seen no footers and reads them all.
-* A data block that no committed state can reach is written in place at
-  commit, not logged: shadow paging protects only referenced pages
-  (Lorie, "Physical Integrity in a Large Segmented Database", TODS
-  1977), and the root that commits is the catalog page, which is always
-  logged. The caller vouches that no page of the block is referenced by
-  the state the transaction began from; the store refuses a block with
-  a page in the log table index, because a later batch would copy that
-  stale log copy over it (an index page freed and reused by the index or
-  the heap). The transaction's pages, stamped with the ordinals the log
-  would have given them, are put into the block as it stands (zeros for
-  a hole), and the block is written before the commit-marked block is
-  appended, so it holds the bytes a batch would have written. A failure
-  before the marker leaves bytes only in pages no committed state
-  names.
+* A data block that no committed transaction has written is written in
+  place at commit, not logged: shadow paging protects only the pages the
+  committed root can reach (Lorie, "Physical Integrity in a Large
+  Segmented Database", TODS 1977). Such a block has no constituent (a
+  hole in the sparse data meta file) and no page in the log table index,
+  so no committed state reaches it, and the store checks both itself.
+  The first page a transaction writes to a data block decides where the
+  whole block goes, and the decision holds for the rest of the
+  transaction: an in-place block starts from zeros, takes the
+  transaction's pages stamped with the ordinals the log would have given
+  them, and is created before the commit-marked block is appended, so it
+  holds the bytes a batch would have written. A failure before the
+  marker leaves bytes only in a block no committed state names; the
+  block now has a constituent, so later transactions log it. The hole
+  test does not look at replica health, so a block whose replicas are
+  all dead is logged, as any written block is.
 
 One instance per session: the index, buffer and footer cache are
 session-private; the underlying meta files are shared.
@@ -180,57 +182,45 @@ class DfsTransactionStore:
                 f"pageid {pageid} outside [0, {self.total_pages})")
 
     def write_page(self, pageid: int, page_data: bytes) -> None:
+        """Stamp the page with the transaction's next ordinal and hold it
+        for commit. The first page the transaction writes to a data block
+        decides where the whole block goes: in place if no committed
+        transaction has written it (see above), else to the log."""
         self._check_pageid(pageid)
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
+        page = self._stamped(pageid, page_data)
+        block_id = pageid // self.pages_per_block
+        in_place = self._in_place.get(block_id)
+        if in_place is None and self._unwritten(block_id):
+            in_place = self._in_place[block_id] = {}
+        if in_place is not None:
+            in_place[pageid] = page
+            return
         # a rewritten page keeps its place in the insertion-ordered buffer
-        self._pages[pageid] = self._stamped(pageid, page_data)
+        self._pages[pageid] = page
         if len(self._pages) == self._capacity:
             self.faults.hit("dfs.write.before_auto_flush")
             self.flush_buffer(mark_commit=False)
 
-    def write_unlogged_block(self, block_id: int,
-                             pages: list[tuple[int, bytes]]) -> None:
-        """Stamp `pages`, (pageid, page) pairs of data block `block_id`,
-        with the next write ordinals, as `write_page` would, put them into
-        the block as it stands, and hold the block for
-        `commit_transaction`, which writes it in place instead of logging
-        it (see above). The caller vouches that no committed state
-        references a page of the block; a block with a page in the log
-        table index or the buffer raises ValueError."""
-        if self.has_log_copy(block_id):
-            raise ValueError(
-                f"data block {block_id} has a page in the log; it must "
-                f"be logged")
-        for pageid, page_data in pages:
-            self._check_pageid(pageid)
-            if pageid // self.pages_per_block != block_id or \
-                    len(page_data) != self.page_size:
-                raise ValueError(
-                    f"page {pageid} is not a whole page of block {block_id}")
-        block = self._unlogged.get(block_id)
-        if block is None:
-            block = self.manager.read_block(self.data, block_id)
-        self._unlogged[block_id] = self._patched(block, [
-            (pageid, self._stamped(pageid, page_data))
-            for pageid, page_data in pages])
-
-    def has_log_copy(self, block_id: int) -> bool:
-        """Whether a page of data block `block_id` is in the log table
-        index or the buffer: such a block must be logged."""
+    def _unwritten(self, block_id: int) -> bool:
+        """Whether no committed transaction has written data block
+        `block_id`: it has no constituent, whatever its replicas' health,
+        and no page in the log table index or the buffer."""
         first = block_id * self.pages_per_block
-        return any(pageid in self.index or pageid in self._pages
-                   for pageid in range(first, first + self.pages_per_block))
+        return not any(
+            pageid in self.index or pageid in self._pages
+            for pageid in range(first, first + self.pages_per_block)
+        ) and not self.manager.has_constituent(self.data, block_id)
 
     def read_page(self, pageid: int) -> bytes:
         self._check_pageid(pageid)
         page = self._pages.get(pageid)
         if page is not None:
             return page
-        block = self._unlogged.get(pageid // self.pages_per_block)
-        if block is not None:
-            start = (pageid % self.pages_per_block) * self.page_size
-            return block[start:start + self.page_size]
+        in_place = self._in_place.get(pageid // self.pages_per_block)
+        if in_place is not None:
+            return in_place.get(pageid, bytes(self.page_size))
         pos = self.index.get(pageid)
         if pos is not None:
             block_id, b_offset = pos
@@ -277,15 +267,17 @@ class DfsTransactionStore:
             self.manager.truncate_from(self.log, tail)
 
     def commit_transaction(self) -> None:
-        """Write the unlogged blocks in place, then append the
-        commit-marked block, at which the transaction is durable;
-        post-commit is deferred until the log outgrows the threshold (at
-        threshold 0 it runs at every commit, since the marker is a log
-        block)."""
-        for block_id, block in sorted(self._unlogged.items()):
+        """Write the in-place blocks, then append the commit-marked
+        block, at which the transaction is durable; post-commit is
+        deferred until the log outgrows the threshold (at threshold 0 it
+        runs at every commit, since the marker is a log block)."""
+        for block_id in sorted(self._in_place):
+            # a block's pages are dropped as it is written, so that no
+            # block is held twice
+            pages = self._in_place.pop(block_id).items()
             self.faults.hit("dfs.commit.before_direct_block")
-            self.manager.overwrite_block(self.data, block_id, block,
-                                         fill=True)
+            self.manager.overwrite_block(self.data, block_id, self._patched(
+                bytes(self.manager.block_size), pages))
             self.faults.hit("dfs.commit.after_direct_block")
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
@@ -344,7 +336,9 @@ class DfsTransactionStore:
         return len(by_data_block)
 
     def abort_transaction(self) -> None:
-        """Drop the buffer and every uncommitted log block."""
+        """Drop the buffer, the in-place blocks and every uncommitted log
+        block. A session never calls it: its pages reach the store only
+        at commit."""
         self.faults.hit("dfs.abort.before_truncate")
         self.begin_transaction(write=True)
         self.faults.hit("dfs.abort.after_truncate")
@@ -452,8 +446,9 @@ class DfsTransactionStore:
     def _new_transaction(self) -> None:
         # pageid -> stamped page, in arrival order
         self._pages: dict[int, bytes] = {}
-        # block_id -> data block to write in place at commit
-        self._unlogged: dict[int, bytes] = {}
+        # block_id -> {pageid: stamped page} of each block to write in
+        # place at commit, over zeros
+        self._in_place: dict[int, dict[int, bytes]] = {}
         self._ordinal = 0
 
     def _stamped(self, pageid: int, page_data: bytes) -> bytes:

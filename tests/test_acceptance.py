@@ -58,8 +58,9 @@ PAGE = 512
 BLOCK = 8192
 N = BLOCK // PAGE
 TOTAL = 96
-# Blocks past TOTAL that only unlogged writes fill, each in one
-# transaction at most, as the engine fills blocks past the heap's end.
+# Blocks past TOTAL are holes that only direct writes fill, each in one
+# transaction at most, as the engine fills blocks past the heap's end;
+# every block below TOTAL is written, so its pages are logged.
 DIRECT_BLOCKS = 4
 STORE_PAGES = TOTAL + DIRECT_BLOCKS * N
 
@@ -68,6 +69,8 @@ def build_page_db(threshold=4, faults=None):
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", STORE_PAGES)
+    for block_id in range(1, TOTAL // N):
+        mgr.overwrite_block(data, block_id, bytes(BLOCK))
     log = create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, log, STORE_PAGES, threshold,
                                 faults or FaultInjector())
@@ -124,11 +127,9 @@ def run_workload_until_crash(store, oracle, ops, payload_rng):
                 store.write_page(op[1], content)
                 oracle.write(op[1], content)
             elif op[0] == "direct":
-                first = op[1] * N
-                pages = [(pid, random_payload_page(payload_rng, PAGE))
-                         for pid in range(first, first + 3)]
-                store.write_unlogged_block(op[1], pages)
-                for pid, content in pages:
+                for pid in range(op[1] * N, op[1] * N + 3):
+                    content = random_payload_page(payload_rng, PAGE)
+                    store.write_page(pid, content)
                     oracle.write(pid, content)
             elif op[0] == "commit":
                 post = {**oracle.committed, **oracle.pending}

@@ -30,6 +30,7 @@ from wormdb.errors import (
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
+from wormdb.pages import SlottedPage
 from wormdb.records import UserVisitsRecord, unpack_record
 
 PAGE = 512
@@ -646,6 +647,28 @@ def test_a_read_scan_holds_no_heap_page():
     s.commit()
 
 
+def test_an_unindexed_select_copies_only_the_matching_records(
+        monkeypatch):
+    """The key's prefix is tested in the page buffer, so a select by a
+    key 70 of 1,000 rows carry copies 70 records out of their pages, not
+    every record of the heap."""
+    db = make_db(total=1024)
+    bench.generate(db, 1000, seed=2, probe_key="7.7.7.7", probe_count=70)
+    copied = [0]
+    record = SlottedPage.record
+
+    def counted(page, slot):
+        copied[0] += 1
+        return record(page, slot)
+
+    monkeypatch.setattr(SlottedPage, "record", counted)
+    s = db.session()
+    s.begin("read")
+    assert len(s.select_by_key("7.7.7.7", use_index=False)) == 70
+    s.commit()
+    assert copied[0] == 70
+
+
 def test_pages_a_write_transaction_reads_again_count_once():
     """An unindexed update reads every heap page during its scan and each
     matching page again to change it; a second scan reads the unchanged
@@ -1099,28 +1122,44 @@ def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch, case):
     assert read_all(db.session()) == keyed + [rec(300)]
 
 
-def test_failed_abort_releases_the_lock(monkeypatch):
-    class TruncateFailed(RuntimeError):
-        pass
+def dfs_calls(monkeypatch):
+    """Record the name of every public DfsCluster method called from now
+    on."""
+    calls = []
+    for name, method in list(vars(DfsCluster).items()):
+        if callable(method) and not name.startswith("_"):
+            def recorded(cluster, *args, name=name, method=method,
+                         **kwargs):
+                calls.append(name)
+                return method(cluster, *args, **kwargs)
+            monkeypatch.setattr(DfsCluster, name, recorded)
+    return calls
 
+
+def test_a_write_abort_makes_no_dfs_call(monkeypatch):
+    """Nothing of a write transaction reaches the store before commit,
+    and the writer's begin already dropped any uncommitted log tail, so
+    its abort only releases the lock. A block put in the log by hand
+    before the abort stays there until the next writer's begin."""
     db = make_db()
     s = db.session()
     commit_rows(s, range(10))
     s.begin("write")
-    for pageid in range(1, 1 + 2 * (BLOCK // PAGE - 1)):
-        s.store.write_page(pageid, bytes(PAGE))  # two uncommitted blocks
-    assert db.log.block_count == 4
-
-    def refuse(cluster, name, count):
-        raise TruncateFailed(name)
-
-    monkeypatch.setattr(DfsCluster, "meta_set_block_count", refuse)
-    with pytest.raises(TruncateFailed):
-        s.abort()
+    for i in range(10, 200):
+        s.insert_record(rec(i))
+    s.update_by_key(rec(3).source_ip, "USA", use_index=True)
+    for pageid in range(1, BLOCK // PAGE):
+        s.store.write_page(pageid, bytes(PAGE))  # one uncommitted block
+    assert db.log.block_count == 3
+    calls = dfs_calls(monkeypatch)
+    s.abort()
+    assert calls == []
+    monkeypatch.undo()
     assert db.locks.snapshot(db.data_name) == []
     assert s.mode is None
-    monkeypatch.undo()
-    commit_rows(db.session(), [10])
+    assert db.log.block_count == 3
+    commit_rows(s, [10])
+    assert db.log.block_count == 3  # the tail dropped, the marker added
     assert read_all(db.session()) == [rec(i) for i in range(11)]
 
 
@@ -1427,10 +1466,10 @@ def test_a_freed_index_extent_with_a_log_copy_is_logged_when_reused(
     and stays in the log; the next commit folds it and frees its block;
     the last commit writes the page again, as a new index segment or,
     once the extent has gone back to the heap, as a heap page. No
-    committed state references its block then, but the page has a log
-    copy, so the block must be logged: written in place, it would lose
-    to the stale copy at the batch, and a row would drop out of the
-    index or the heap."""
+    committed catalog references its block then, but the page has a log
+    copy and the block a constituent, so the store logs it: written in
+    place, it would lose to the stale copy at the batch, and a row would
+    drop out of the index or the heap."""
     db = make_db(total=total, threshold=10 ** 6, block=1024)
     s = db.session()
     rows, catalogs = [], []

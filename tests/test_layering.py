@@ -12,7 +12,11 @@ Every module under src/wormdb/ must be reachable by imports from
 
 Only the meta-file layer changes the NameNode: a module other than
 metafile.py calls none of the DfsCluster mutations, so "remake a block"
-and every other change of a meta file is written once.
+and every other change of a meta file is written once. Only the
+transaction store changes a meta file: a module other than spdu_dfs.py
+and metafile.py calls none of `append_block`, `overwrite_block` and
+`truncate_from`, so which block is logged, written in place or remade is
+decided in one place.
 
 The DFS block size has one home: inside the package only dfs.py and
 ``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
@@ -104,13 +108,13 @@ NAMENODE_MUTATIONS = ("create_file", "delete_file", "rename_file",
 MUTATING_MODULE = "metafile.py"
 
 
-def namenode_mutation_calls(source: str) -> list[tuple[int, str]]:
-    """(line, method) for each call of a DfsCluster mutation by name."""
+def method_calls(source: str, methods) -> list[tuple[int, str]]:
+    """(line, method) for each call of one of `methods` by name."""
     return [(node.lineno, node.func.attr)
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in NAMENODE_MUTATIONS]
+            and node.func.attr in methods]
 
 
 def test_detector_flags_namenode_mutation_calls():
@@ -121,20 +125,37 @@ def test_detector_flags_namenode_mutation_calls():
         "    return cluster.rename_file\n"
         "    cluster.rename_file('a', 'b', overwrite=True)\n"
     )
-    assert namenode_mutation_calls(source) == [(2, "create_file"),
-                                                (5, "rename_file")]
+    assert method_calls(source, NAMENODE_MUTATIONS) == [
+        (2, "create_file"), (5, "rename_file")]
+
+
+def calls_outside(methods, homes) -> list[str]:
+    """"module:line: method" for each call of one of `methods` in a
+    package module not named in `homes`."""
+    return [f"{path.name}:{line}: {method}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name not in homes
+            for line, method in method_calls(path.read_text("utf-8"),
+                                             methods)]
 
 
 def test_only_the_meta_file_layer_mutates_the_namenode():
-    offences = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != MUTATING_MODULE:
-            for line, method in namenode_mutation_calls(
-                    path.read_text("utf-8")):
-                offences.append(f"{path.name}:{line}: {method}")
-    assert offences == []
-    assert namenode_mutation_calls(
-        (PACKAGE / MUTATING_MODULE).read_text("utf-8")) != []
+    assert calls_outside(NAMENODE_MUTATIONS, {MUTATING_MODULE}) == []
+    assert method_calls((PACKAGE / MUTATING_MODULE).read_text("utf-8"),
+                        NAMENODE_MUTATIONS) != []
+
+
+META_FILE_MUTATIONS = ("append_block", "overwrite_block", "truncate_from")
+STORE_MODULE = "spdu_dfs.py"
+
+
+def test_only_the_store_changes_a_meta_file():
+    """Where a page goes, to the log or in place, and when a block is
+    remade are the store's decisions alone."""
+    assert calls_outside(META_FILE_MUTATIONS,
+                         {STORE_MODULE, MUTATING_MODULE}) == []
+    assert {method for _, method in method_calls(
+        (PACKAGE / STORE_MODULE).read_text("utf-8"),
+        META_FILE_MUTATIONS)} == set(META_FILE_MUTATIONS)
 
 
 def mentions(source: str, name: str) -> list[tuple[int, str]]:

@@ -672,11 +672,11 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     assert mgr.cluster.counters.read_calls == before.read_calls
     with pytest.raises(OutOfRange):
         mgr.read_page(f, 4 * N)
-    # the first remake of a block is a plain create, and one remake
+    # the first write of a block is a plain create, a fill, not a remake
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
     mgr.overwrite_block(f, 2, block_of(5))
     assert calls == [("create_file", constituent_name("d", 2), block_of(5))]
-    assert mgr.remakes_of("d") == 1
+    assert (mgr.fills_total, mgr.remakes_of("d")) == (1, 0)
     assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
     assert mgr.open_meta("d").block_count == 4
 

@@ -15,12 +15,12 @@ cross the network once, not twice.
 
 from collections import Counter
 
-from wormdb import bench
+from wormdb import bench, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
-from wormdb.spdu_dfs import DfsTransactionStore
+from wormdb.spdu_dfs import pack_footer
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -90,13 +90,12 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
 
     monkeypatch.setattr(DfsCluster, "create_file", tally)
     logged = [0]
-    write_page = DfsTransactionStore.write_page
 
-    def log_page(self, pageid, page_data):
-        logged[0] += 1
-        write_page(self, pageid, page_data)
+    def footer(pageids, commit_complete, page_size):
+        logged[0] += len(pageids)
+        return pack_footer(pageids, commit_complete, page_size)
 
-    monkeypatch.setattr(DfsTransactionStore, "write_page", log_page)
+    monkeypatch.setattr(spdu_dfs, "pack_footer", footer)
     bytes_before = cluster.counters.bytes_written
     flags_before = manager.remakes_of(db.log_name)
     remakes_before = manager.remakes_of(db.data_name)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import MapOracle, page_header, random_payload_page
-from wormdb.dfs import DataNode, DfsCluster, DfsConfig
+from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
-from wormdb.errors import OutOfRange, RecoveryError
+from wormdb.errors import AllReplicasDead, OutOfRange, RecoveryError
 from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
-from wormdb.pagefmt import PAGE_HEADER_SIZE
+from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,
@@ -25,10 +25,20 @@ N = BLOCK // PAGE  # 16
 TOTAL = 96  # six data blocks
 
 
-def make_store(threshold=64, faults=None, total=TOTAL):
+def make_store(threshold=64, faults=None, total=TOTAL, holes=False):
+    """A store over a fresh log and a data meta file of `total` zero
+    pages. Every data block has a constituent, as if a committed
+    transaction had written it, so the store logs every page; with
+    `holes` only block 0 has one, and a transaction writes each other
+    block in place until it is written."""
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
-    data = create_data_meta(mgr, "db/data", total)
+    if holes:
+        data = create_data_meta(mgr, "db/data", total)
+    else:
+        data = mgr.create_meta("db/data")
+        for _ in range(-(-total // N)):
+            mgr.append_block(data, bytes(BLOCK))
     log = create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, log, total, threshold,
                                 faults or FaultInjector())
@@ -776,7 +786,7 @@ def test_a_commit_of_k_pages_appends_k_plus_one_pages():
 
 
 def test_master_block_is_one_page_and_data_blocks_stay_whole():
-    store = make_store(threshold=1)
+    store = make_store(threshold=1, holes=True)
     assert _constituent_sizes(store, store.log) == [PAGE]
     rng = random.Random(31)
     for commit in range(2):
@@ -852,19 +862,22 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
-    """Its pages are stamped with the ordinals the log would have given
-    them and are read back from the data block after a restart; the
-    block's other pages are zeros, the log gets only the marker, and the
-    first write of the block is a fill, not a remake."""
+    """A hole with no log copy: its pages are stamped with the ordinals
+    the log would have given them and are read back from the data block
+    after a restart; the block's other pages are zeros, the log gets only
+    the marker, and the first write of the block is a fill, not a
+    remake."""
     rng = random.Random(3)
-    store = make_store()
+    store = make_store(holes=True)
     logged = page_with(rng)
     unlogged = [(3 * N, page_with(rng)), (3 * N + 5, page_with(rng))]
     store.write_page(7, logged)
-    store.write_unlogged_block(3, unlogged)
+    for pageid, page in unlogged:
+        store.write_page(pageid, page)
     assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
     store.commit_transaction()
     assert store.log.block_count == 2
+    assert store.read_footer(1) == ([7], True)
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 0)
     fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
@@ -876,35 +889,73 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
     assert fresh.read_page(3 * N + 1) == bytes(PAGE)
 
 
-def test_an_unlogged_block_over_a_failed_commit_is_a_remake():
+def test_a_block_a_failed_commit_left_is_logged_then_remade():
+    """The block a failed commit created in place has a constituent that
+    no committed state references, so the next transaction logs it, and
+    the batch that copies the page home is a remake."""
     faults = FaultInjector()
-    store = make_store(faults=faults)
+    store = make_store(faults=faults, holes=True)
     rng = random.Random(4)
-    store.write_unlogged_block(2, [(2 * N, page_with(rng))])
+    store.write_page(2 * N, page_with(rng))
     faults.arm("dfs.commit.after_direct_block")
     with pytest.raises(CrashPoint):
         store.commit_transaction()
     store.begin_transaction(write=True)
     page = page_with(rng)
-    store.write_unlogged_block(2, [(2 * N + 1, page)])
+    store.write_page(2 * N + 1, page)
     store.commit_transaction()
+    assert store.read_footer(1) == ([2 * N + 1], True)
+    assert (store.manager.fills_total,
+            store.manager.remakes_of("db/data")) == (1, 0)
+    assert store.batch_post_commit() == 1
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 1)
     assert payload(store.read_page(2 * N + 1)) == payload(page)
 
 
-def test_a_block_with_a_log_copy_is_refused_unlogged():
-    """A later batch would copy the log copy over the block."""
+def test_a_hole_with_a_log_copy_is_logged():
+    """A hole whose page the committed log holds (as a log written when
+    every page was logged may) is logged with every page the transaction
+    writes to it: in place, a later batch would copy the stale log copy
+    over it. The batch then creates the block, which is a fill."""
     rng = random.Random(5)
-    store = make_store()
-    store.write_page(4 * N + 2, page_with(rng))
-    with pytest.raises(ValueError):  # in the buffer
-        store.write_unlogged_block(4, [(4 * N, page_with(rng))])
-    store.commit_transaction()
+    store = make_store(holes=True)
+    stale = stamp_page(4 * N + 2, 0, page_with(rng))
+    store.manager.append_block(
+        store.log, stale + pack_footer([4 * N + 2], True, PAGE))
     store.begin_transaction(write=True)
-    with pytest.raises(ValueError):  # in the log table index
-        store.write_unlogged_block(4, [(4 * N, page_with(rng))])
-    with pytest.raises(ValueError):  # not a page of the block
-        store.write_unlogged_block(3, [(4 * N, page_with(rng))])
+    assert store.index == {4 * N + 2: (1, 0)}
+    fresh = page_with(rng)
+    store.write_page(4 * N, page_with(rng))  # in the log table index
+    store.write_page(4 * N + 2, fresh)  # and now in the buffer
+    store.commit_transaction()
+    assert store.read_footer(2) == ([4 * N, 4 * N + 2], True)
+    assert store.manager.fills_total == 0
     store.batch_post_commit()
-    store.write_unlogged_block(4, [(4 * N, page_with(rng))])
+    assert store.manager.fills_total == 1
+    assert payload(store.read_page(4 * N + 2)) == payload(fresh)
+    store.write_page(4 * N + 3, page_with(rng))  # it has a constituent now
+    store.commit_transaction()
+    assert store.read_footer(1) == ([4 * N + 3], True)
+
+
+def test_a_block_whose_replicas_are_all_dead_is_logged():
+    """The hole test ignores replica health: a commit that dirties a
+    written block whose replicas are all dead logs its page and
+    succeeds, though `constituent_entry` refuses the block."""
+    rng = random.Random(6)
+    store = make_store(holes=True)
+    store.write_page(2 * N, page_with(rng))
+    store.commit_transaction()
+    cluster = store.manager.cluster
+    for node_id in cluster.file_entry(
+            constituent_name(store.data.name, 2)).holders:
+        cluster.set_node_alive(node_id, False)
+    with pytest.raises(AllReplicasDead):
+        store.manager.constituent_entry(store.data, 2)
+    page = page_with(rng)
+    store.write_page(2 * N + 1, page)
+    store.commit_transaction()
+    assert store.read_footer(2) == ([2 * N + 1], True)
+    assert store.manager.fills_total == 1
+    assert payload(store.read_page(2 * N + 1)) == payload(page)
