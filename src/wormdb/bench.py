@@ -18,7 +18,6 @@ from datetime import date
 
 from .engine import Database
 from .errors import UpgradeConflict
-from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from .records import UserVisitsRecord
 
 DEFAULT_PROBE_KEY = "160.110.44.44"
@@ -37,7 +36,6 @@ class WorkloadSpec:
     key: str = DEFAULT_PROBE_KEY    # select / update
     use_index: bool = True
     new_country_code: str = "ABC"
-    crash_point: str | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -45,9 +43,6 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind: {self.kind}")
         if self.limit < 0 or self.repeat <= 0:
             raise ValueError("counts must be positive")
-        if self.crash_point is not None and \
-                self.crash_point not in SPDU_DFS_FAULT_POINTS:
-            raise ValueError(f"unregistered fault point: {self.crash_point}")
 
 
 @dataclass
@@ -139,17 +134,11 @@ def _insert_records(spec: WorkloadSpec) -> list[UserVisitsRecord]:
     return records
 
 
-def run_workload(db: Database, spec: WorkloadSpec,
-                 faults: FaultInjector | None = None,
-                 crash_action: str = "exit") -> MetricsReport:
+def run_workload(db: Database, spec: WorkloadSpec) -> MetricsReport:
     """Execute one workload in a fresh session, whose page cache starts
     cold; the database's meta-file page cache is shared, so a page read
     before is not read from the DFS again and `network_bytes` falls. A
     workload that raises is aborted, so it leaves no lock behind."""
-    if spec.crash_point:
-        if faults is None:
-            raise ValueError("crash_point set but no fault injector")
-        faults.arm(spec.crash_point, action=crash_action)
     cluster = db.manager.cluster
     remakes0 = db.manager.remakes_total
     net0 = cluster.counters.bytes_read + cluster.counters.bytes_written

@@ -38,24 +38,26 @@ and the next truncate takes the file out.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps
-its blocks in a directory, writing each block file with an fsync before
-renaming it into place and fsyncing the directory after the rename, and
-the NameNode's state is one table, `namenode.tbl`: a row per DFS file
-(ids included) and a row per meta file (its block count), each starting
-with its kind. Every mutation, a meta file's append, truncate or delete
-included, rewrites it atomically once, with one fsync of the table
-before its rename and one of the root directory after. Each mutation
-writes blocks before the save that names them and drops blocks
-only after the save that stops naming them, so a process crash at any
-point leaves the table from before or after the call, at worst beside
-blocks no entry names, and a saved table never names a block whose bytes
-or whose rename are still only in the OS's cache. Such an unnamed block
+its blocks in a directory, and the NameNode's state is one table,
+`namenode.tbl`: a row per DFS file (ids included) and a row per meta
+file (its block count), each starting with its kind. One function,
+`durable_replace`, writes every file the cluster keeps: it fsyncs the
+new content before renaming it into place and the directory after the
+rename, and it is the only caller of `os.fsync` and `os.replace` in the
+package. A DataNode writes each block with it, and every mutation, a
+meta file's append, truncate or delete included, rewrites the table
+with it once. Each mutation writes blocks before the save that names
+them and drops blocks only after the save that stops naming them, so a
+process crash at any point leaves the table from before or after the
+call, at worst beside blocks no entry names, and a saved table never
+names a block whose bytes or whose rename are still only in the OS's
+cache. Such an unnamed block
 is never read: a reload hands out ids above the highest saved one, so a
 create may reuse an unreferenced block's id, but it writes its own block
 on each of its holders before the table names it.
-A save that fails with an OSError reads the table it did not replace
-back into memory, so the call raises and changes nothing but, at worst,
-such a block.
+A save that fails with an OSError reads the table on disk back into
+memory: if the save failed before its rename, the call raises and
+changes nothing but, at worst, such a block.
 """
 
 from __future__ import annotations
@@ -129,10 +131,19 @@ class DfsCounters:
                            self.bytes_written)
 
 
-def _fsync_dir(path: str) -> None:
-    """fsync a directory, so the renames made in it survive a machine
-    crash."""
-    fd = os.open(path, os.O_RDONLY)
+def durable_replace(path: str, data: bytes) -> None:
+    """Give file `path` the content `data` as one step a machine crash
+    cannot split: write `<path>.tmp`, fsync it, rename it over `path`,
+    then fsync the directory that holds the rename. Every durable write
+    of the cluster, a DataNode's block and the NameNode's table alike,
+    goes through here."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path), os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -160,16 +171,8 @@ class DataNode:
         if self._mem is not None:
             self._mem[(block_id, ordinal)] = bytes(data)
             return
-        # fsync the file before the rename and the directory after it, so
-        # the table save that follows cannot name a block whose bytes or
-        # whose name a machine crash would lose
-        tmp = self._path(block_id, ordinal) + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path(block_id, ordinal))
-        _fsync_dir(self._root)
+        # durable before the table save that follows can name the block
+        durable_replace(self._path(block_id, ordinal), data)
 
     def get(self, block_id: int, ordinal: int) -> bytes:
         if self._mem is not None:
@@ -256,32 +259,27 @@ class DfsCluster:
 
     def _save_tables(self):
         """Write the file table and the meta-file registry to namenode.tbl
-        with one fsync and one os.replace, then fsync the root directory.
-        If the fsync or the replace raises OSError, the table from before
-        the call is still on disk: it is read back into memory before the
-        error goes on, so a call whose save failed changes nothing here
-        (the file-id counter stays, so no id is handed out twice). Once
-        the table is replaced, memory and disk agree, so a failed fsync of
-        the directory raises and keeps the change."""
+        with `durable_replace`. If that raises OSError, the table on disk
+        is read back into memory before the error goes on. Before the
+        replace that is the table from before the call, so a call whose
+        save failed changes nothing here (the file-id counter stays, so
+        no id is handed out twice); after it, when the directory's fsync
+        fails, it is the new table, so the call raises and keeps the
+        change."""
         if self.root is None:
             return
-        table = os.path.join(self.root, NAMENODE_TABLE)
+        text = "".join([
+            *(f"file\t{quote(entry.name, safe='')}\t{entry.size_bytes}\t"
+              f"{','.join(map(str, entry.holders))}\t{entry.file_id}\n"
+              for entry in self._files.values()),
+            *(f"meta\t{quote(name, safe='')}\t{count}\n"
+              for name, count in self._meta_table.items())])
         try:
-            with open(table + ".tmp", "w", encoding="utf-8") as fh:
-                for entry in self._files.values():
-                    holders = ",".join(str(n) for n in entry.holders)
-                    fh.write(f"file\t{quote(entry.name, safe='')}\t"
-                             f"{entry.size_bytes}\t{holders}\t"
-                             f"{entry.file_id}\n")
-                for name, count in self._meta_table.items():
-                    fh.write(f"meta\t{quote(name, safe='')}\t{count}\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(table + ".tmp", table)
+            durable_replace(os.path.join(self.root, NAMENODE_TABLE),
+                            text.encode("utf-8"))
         except OSError:
             self._files, self._meta_table = self._read_table()
             raise
-        _fsync_dir(self.root)
 
     # ------------------------------------------------------------------
     # Placement

@@ -53,7 +53,7 @@ MAX_INDEX_SEGMENTS = 4  # a lookup probes at most this many segments
 # fewer entries than this share of those merged so far, so equal-sized
 # commits stay apart until the segment cap forces a merge.
 FOLD_SHARE = 0.5
-KEY_WIDTH = 16
+KEY_WIDTH = FIELD_LIMITS["source_ip"]  # an index entry holds a whole key
 
 _CATALOG = struct.Struct("<IHIIIQHH")
 # magic, version, total_pages, heap_used, index_floor, record_count,
@@ -61,7 +61,7 @@ _CATALOG = struct.Struct("<IHIIIQHH")
 _CATALOG_MAGIC = 0x31424457
 _SEGMENT = struct.Struct("<IIQ")   # start page, page count, entry count
 _EXTENT = struct.Struct("<II")     # start page, page count
-_ENTRY = struct.Struct("<16sIH2x")  # key, pageid, slot
+_ENTRY = struct.Struct(f"<{KEY_WIDTH}sIH2x")  # key, pageid, slot
 ENTRY_SIZE = _ENTRY.size
 
 

@@ -50,36 +50,36 @@ class UserVisitsRecord:
     search_word: str
     duration: int
 
-    def validate(self) -> None:
-        for name, limit in FIELD_LIMITS.items():
-            value = getattr(self, name)
-            if len(value.encode("utf-8")) > limit:
-                raise ValueTooLong(
-                    f"{name} longer than {limit} bytes: {value!r}")
 
-
-def _pack_str(value: str) -> bytes:
+def _pack_str(value: str, field: str | None = None) -> bytes:
+    """`value`'s UTF-8 bytes after their u16 length; ValueTooLong if they
+    pass the limit of record field `field`."""
     raw = value.encode("utf-8")
+    if field is not None and len(raw) > FIELD_LIMITS[field]:
+        raise ValueTooLong(
+            f"{field} longer than {FIELD_LIMITS[field]} bytes: {value!r}")
     return _U16.pack(len(raw)) + raw
 
 
 def pack_record(record: UserVisitsRecord) -> bytes:
-    record.validate()
+    """The record's wire format; ValueTooLong names the first string field,
+    in this order, that passes its limit in `FIELD_LIMITS`."""
     return b"".join([
-        _pack_str(record.source_ip),
-        _pack_str(record.dest_url),
+        _pack_str(record.source_ip, "source_ip"),
+        _pack_str(record.dest_url, "dest_url"),
         _DATE_REVENUE.pack(record.visit_date.toordinal(), record.ad_revenue),
-        _pack_str(record.user_agent),
-        _pack_str(record.country_code),
-        _pack_str(record.language_code),
-        _pack_str(record.search_word),
+        _pack_str(record.user_agent, "user_agent"),
+        _pack_str(record.country_code, "country_code"),
+        _pack_str(record.language_code, "language_code"),
+        _pack_str(record.search_word, "search_word"),
         _I32.pack(record.duration),
     ])
 
 
 def source_ip_prefix(source_ip: str) -> bytes:
     """The bytes that every packed record with this source_ip, its first
-    field, begins with, and no other record does."""
+    field, begins with, and no other record does. It checks no limit, so
+    a key too long for any record matches none."""
     return _pack_str(source_ip)
 
 

@@ -11,7 +11,7 @@ from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database, EngineConfig
 from wormdb.errors import ConfigError, DatabaseFull
-from wormdb.faults import FaultInjector
+from wormdb.faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
 
@@ -226,18 +226,35 @@ def test_unreached_crash_point_exits_2(small_root):
 def test_core_crash_point_rejected(small_root, capsys):
     root, _ = small_root
     # core.* points belong to the flat-file oracle under tests/, which the
-    # package does not ship: the CLI, WorkloadSpec and the package's own
-    # injector all refuse them
+    # package does not ship: the CLI and the package's own injector both
+    # refuse them
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--workload", "select", "--crash-point",
                  "core.commit.after_log_sync"], root)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
     with pytest.raises(ValueError):
-        bench.WorkloadSpec(kind="select",
-                           crash_point="core.commit.after_log_sync")
-    with pytest.raises(ValueError):
         FaultInjector().arm("core.commit.after_log_sync")
+
+
+def test_crash_points_a_run_cannot_reach_are_refused(small_root, capsys):
+    """`run` opens the root without recovery and no session calls the
+    store's abort, so argparse refuses the restart and abort points before
+    the root is opened, and the workload does not run."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "200"], root, config) == 0
+    unreachable = [point for point in SPDU_DFS_FAULT_POINTS
+                   if point.startswith(("dfs.restart.", "dfs.abort."))]
+    assert len(unreachable) == 5
+    for point in unreachable:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--workload", "insert", "--repeat", "10",
+                     "--crash-point", point], root)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(["run", "--workload", "scan"], root) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "records_returned"] == 200
 
 
 def test_load_config_keys_and_types(tmp_path):

@@ -18,6 +18,10 @@ and metafile.py calls none of `append_block`, `overwrite_block` and
 `truncate_from`, so which block is logged, written in place or remade is
 decided in one place.
 
+Durable writes have one home: inside the package only dfs.py's
+``durable_replace`` calls ``os.fsync`` or ``os.replace``. Crash points
+have one: only cli.py arms a fault point (faults.py defines ``arm``).
+
 The DFS block size has one home: inside the package only dfs.py and
 ``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
 reader takes the manager's ``block_size``/``pages_per_block``. No module
@@ -158,31 +162,34 @@ def test_only_the_store_changes_a_meta_file():
         META_FILE_MUTATIONS)} == set(META_FILE_MUTATIONS)
 
 
-def mentions(source: str, name: str) -> list[tuple[int, str]]:
-    """(line, enclosing scope) for each place `source` uses identifier
-    `name`: as a variable, attribute, keyword, import or definition. The
-    scope is the dotted path of enclosing classes and functions, or
-    "<module>"."""
-    found = []
-
+def scoped_nodes(source: str):
+    """(node, enclosing scope) for each node of `source`. The scope is the
+    dotted path of the classes and functions that enclose the node, or
+    "<module>"; a definition's own scope is the one it is defined in."""
     def visit(node, scope):
+        yield node, scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            if node.name == name:
-                found.append((node.lineno, scope))
             scope = node.name if scope == "<module>" \
                 else f"{scope}.{node.name}"
-        elif (isinstance(node, ast.Name) and node.id == name) or \
-                (isinstance(node, ast.Attribute) and node.attr == name) or \
-                (isinstance(node, ast.keyword) and node.arg == name) or \
-                (isinstance(node, ast.alias) and name in
-                 (node.name.split(".")[-1], node.asname)):
-            found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
+    yield from visit(ast.parse(source), "<module>")
+
+
+def mentions(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each place `source` uses identifier
+    `name`: as a variable, attribute, keyword, import or definition."""
+    return sorted(
+        (node.lineno, scope) for node, scope in scoped_nodes(source)
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) and node.name == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.keyword) and node.arg == name)
+        or (isinstance(node, ast.alias) and name in
+            (node.name.split(".")[-1], node.asname)))
 
 
 def test_detector_finds_mentions_with_their_scope():
@@ -221,6 +228,56 @@ def test_the_dfs_block_size_has_one_home():
     assert mentions((PACKAGE / "metafile.py").read_text("utf-8"),
                     "block_size_bytes") != []
     assert not hasattr(wormdb, "PageConfig")
+
+
+DURABLE_WRITES = ("fsync", "replace")
+
+
+def os_calls(source: str, functions) -> list[tuple[int, str, str]]:
+    """(line, enclosing scope, function) for each call of `os.<function>`
+    for one of `functions`."""
+    return [(node.lineno, scope, node.func.attr)
+            for node, scope in scoped_nodes(source)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os"
+            and node.func.attr in functions]
+
+
+def test_detector_finds_os_calls_with_their_scope():
+    source = (
+        "from dataclasses import replace\n"
+        "class N:\n"
+        "    def put(self, fh):\n"
+        "        os.fsync(fh.fileno())\n"
+        "        return replace(self, a=1), os.replace\n"
+        "def save(tmp, path):\n"
+        "    os.replace(tmp, path)\n"
+        "    os.path.replace(tmp)\n"
+    )
+    assert os_calls(source, DURABLE_WRITES) == [
+        (4, "N.put", "fsync"), (7, "save", "replace")]
+
+
+def test_one_function_makes_every_durable_write():
+    """Every fsync and every rename into place is made by dfs.py's
+    `durable_replace`, so a tool that must see each durable write of a
+    persistent cluster wraps that one function."""
+    calls = {(path.name, scope, function)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, scope, function in os_calls(path.read_text("utf-8"),
+                                                DURABLE_WRITES)}
+    assert calls == {("dfs.py", "durable_replace", "fsync"),
+                     ("dfs.py", "durable_replace", "replace")}
+
+
+def test_only_the_cli_arms_a_fault_point():
+    """Which crash point a run arms, and when, is the CLI's decision; the
+    rest of the package only passes fault points."""
+    assert calls_outside(("arm",), {"cli.py"}) == []
+    assert method_calls((PACKAGE / "cli.py").read_text("utf-8"),
+                        ("arm",)) != []
 
 
 def imported_modules(source: str) -> set[str]:

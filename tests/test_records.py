@@ -97,9 +97,17 @@ def test_round_trip_matches_the_reference_decoder(record):
 def test_at_limits_uses_each_bound_exactly():
     for name, limit in FIELD_LIMITS.items():
         assert len(getattr(AT_LIMITS, name).encode("utf-8")) == limit
-        with pytest.raises(ValueTooLong):
+        with pytest.raises(ValueTooLong, match=f"^{name} longer than "
+                           f"{limit} bytes"):
             pack_record(replace(AT_LIMITS,
                                 **{name: getattr(AT_LIMITS, name) + "a"}))
+    # with two fields too long, the first in pack order is reported
+    names = list(FIELD_LIMITS)
+    for first, second in zip(names, names[1:]):
+        too_long = {name: getattr(AT_LIMITS, name) + "a"
+                    for name in (first, second)}
+        with pytest.raises(ValueTooLong, match=f"^{first} longer"):
+            pack_record(replace(AT_LIMITS, **too_long))
 
 
 def test_extreme_revenue_and_duration_survive():
