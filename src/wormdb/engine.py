@@ -1,9 +1,12 @@
 """Record store tying the layers together.
 
 One table (UserVisits-shaped records) in a heap of slotted pages, plus a
-secondary index on source_ip kept as sorted immutable page segments merged
-at commit. Page 0 of the data meta file is the catalog (heap extent, index
-segment list, free extents), so every piece of engine state is crash
+secondary index on source_ip kept as sorted immutable page segments. A
+write commit writes its new entries as one segment, merged with the newest
+segments by a size-tiered rule (fan-out `FANOUT`), so each entry is
+rewritten a logarithmic number of times and a small commit writes about
+one index page. Page 0 of the data meta file is the catalog (heap extent,
+index segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
 Sessions acquire the database lock, rebuild their log table index from the
@@ -26,7 +29,6 @@ from .errors import (
     NotFound,
     RecordTooLarge,
     RecoveryError,
-    ValueTooLong,
 )
 from .faults import NULL_INJECTOR, FaultInjector
 from .locks import LockService, WRITE
@@ -36,6 +38,7 @@ from .pages import SlottedPage
 from .records import (
     FIELD_LIMITS,
     UserVisitsRecord,
+    check_field,
     pack_record,
     source_ip_prefix,
     unpack_record,
@@ -48,11 +51,13 @@ from .spdu_dfs import (
 )
 
 HEAP_START = 1  # page 0 is the catalog
-MAX_INDEX_SEGMENTS = 4  # a lookup probes at most this many segments
-# A commit's flush folds in the newest remaining segment while it holds
-# fewer entries than this share of those merged so far, so equal-sized
-# commits stay apart until the segment cap forces a merge.
-FOLD_SHARE = 0.5
+# An index segment of p pages is in tier floor(log_FANOUT(p)). A commit's
+# merged run absorbs the newest segments of a lower tier, and the newest
+# FANOUT - 1 when they all share its tier. So in an index this rule built,
+# tiers do not increase from oldest to newest and each tier holds at most
+# FANOUT - 1 segments; any segment list stays a valid index.
+FANOUT = 4
+MAX_FREE_EXTENTS = 32  # the catalog leaks the smallest free extents past this
 KEY_WIDTH = FIELD_LIMITS["source_ip"]  # an index entry holds a whole key
 
 _CATALOG = struct.Struct("<IHIIIQHH")
@@ -97,13 +102,24 @@ class Catalog:
                 merged.append((start, pages))
         if merged and merged[0][0] == self.index_floor:
             self.index_floor += merged.pop(0)[1]
-        if len(merged) > 32:
-            merged = sorted(merged, key=lambda e: e[1], reverse=True)[:32]
+        if len(merged) > MAX_FREE_EXTENTS:
+            merged = sorted(merged, key=lambda e: e[1],
+                            reverse=True)[:MAX_FREE_EXTENTS]
             merged.sort()
         self.free_extents = merged
 
 
 def pack_catalog(catalog: Catalog, page_size: int) -> bytes:
+    """The catalog page; DatabaseFull if its index segments and free
+    extents do not fit in one page."""
+    size = (PAGE_HEADER_SIZE + _CATALOG.size
+            + len(catalog.segments) * _SEGMENT.size
+            + len(catalog.free_extents) * _EXTENT.size)
+    if size > page_size:
+        raise DatabaseFull(
+            f"catalog of {len(catalog.segments)} index segments and "
+            f"{len(catalog.free_extents)} free extents overflows a "
+            f"{page_size}-byte page")
     page = bytearray(page_size)
     pos = PAGE_HEADER_SIZE
     _CATALOG.pack_into(page, pos, _CATALOG_MAGIC, 1, catalog.total_pages,
@@ -139,11 +155,20 @@ def parse_catalog(page: bytes) -> Catalog:
     return catalog
 
 
+def _tier(pages: int) -> int:
+    """floor(log_FANOUT(pages)) for an index segment of `pages` pages."""
+    tier = 0
+    while pages >= FANOUT:
+        pages //= FANOUT
+        tier += 1
+    return tier
+
+
 def _pad_key(key: str) -> bytes:
-    raw = key.encode("utf-8")
-    if len(raw) > KEY_WIDTH:
-        raise ValueTooLong(f"key longer than {KEY_WIDTH} bytes: {key!r}")
-    return raw.ljust(KEY_WIDTH, b"\0")
+    """`key` as an index entry holds it. A key longer than any record can
+    hold stays longer, so it equals no entry and a lookup finds no row,
+    as a scan does."""
+    return key.encode("utf-8").ljust(KEY_WIDTH, b"\0")
 
 
 @dataclass
@@ -474,8 +499,7 @@ class Session:
     def update_by_key(self, source_ip: str, new_country_code: str,
                       use_index: bool) -> int:
         self._require_lock(write=True)
-        if len(new_country_code.encode("utf-8")) > FIELD_LIMITS["country_code"]:
-            raise ValueTooLong(f"country code too long: {new_country_code!r}")
+        check_field(new_country_code, "country_code")
         if use_index:
             rids = self._index_lookup(source_ip)
         else:
@@ -528,15 +552,23 @@ class Session:
 
     def _flush_index_entries(self) -> None:
         """Write the commit's entries as one new segment, merged with the
-        run of newest segments that is small beside it (size-tiered)."""
+        newest segments by the size-tiered rule (see `FANOUT`)."""
         cat = self.catalog
         new_entries = sorted(self._pending_index)
         total = len(new_entries)
         keep = len(cat.segments)
-        while keep and (keep + 1 > MAX_INDEX_SEGMENTS or
-                        cat.segments[keep - 1].entries < FOLD_SHARE * total):
-            keep -= 1
-            total += cat.segments[keep].entries
+        while keep:
+            tier = _tier(self._segment_pages(total))
+            if _tier(cat.segments[keep - 1].pages) < tier:
+                fold = 1
+            elif keep >= FANOUT - 1 and all(
+                    _tier(seg.pages) == tier
+                    for seg in cat.segments[keep - FANOUT + 1:keep]):
+                fold = FANOUT - 1
+            else:
+                break
+            keep -= fold
+            total += sum(seg.entries for seg in cat.segments[keep:keep + fold])
         folded = cat.segments[keep:]
         streams = [self._segment_entries(seg) for seg in folded]
         streams.append(iter(new_entries))
@@ -547,12 +579,15 @@ class Session:
         cat.release(folded)
         self._pending_index = []
 
+    def _segment_pages(self, entries: int) -> int:
+        return max(1, -(-entries // self._entries_per_page))
+
     def _segment_entries(self, seg: IndexSegment):
         for i in range(seg.entries):
             yield self._entry_at(seg, i)
 
     def _write_segment(self, entries, count: int) -> IndexSegment:
-        pages = max(1, -(-count // self._entries_per_page))
+        pages = self._segment_pages(count)
         start = self._alloc_extent(pages)
         written = 0
         page = bytearray(self.page_size)

@@ -61,6 +61,12 @@ def _pack_str(value: str, field: str | None = None) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
+def check_field(value: str, field: str) -> None:
+    """Raise ValueTooLong, as `pack_record` would, if `value` passes the
+    limit of record field `field`."""
+    _pack_str(value, field)
+
+
 def pack_record(record: UserVisitsRecord) -> bytes:
     """The record's wire format; ValueTooLong names the first string field,
     in this order, that passes its limit in `FIELD_LIMITS`."""

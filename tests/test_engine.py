@@ -11,11 +11,14 @@ from oracles import meta_file_strays
 from wormdb import bench
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
+    FANOUT,
     HEAP_START,
-    MAX_INDEX_SEGMENTS,
+    MAX_FREE_EXTENTS,
     Catalog,
     Database,
     IndexSegment,
+    pack_catalog,
+    parse_catalog,
 )
 from wormdb.errors import (
     AllReplicasDead,
@@ -226,8 +229,25 @@ def test_update_by_key_commit_and_abort():
 
     s.begin("write")
     assert s.update_by_key("no.such.key", "ABC", True) == 0
-    with pytest.raises(ValueTooLong):
+    with pytest.raises(ValueTooLong,
+                       match="^country_code longer than 3 bytes: 'TOOLONG'$"):
         s.update_by_key("8.8.8.8", "TOOLONG", True)
+    s.commit()
+
+
+def test_a_key_no_record_can_hold_has_one_answer_on_both_paths():
+    db = make_db()
+    s = db.session()
+    key = "1" * 17  # one byte past the source_ip limit
+    s.begin("write")
+    for i in range(30):
+        s.insert_record(rec(i))
+    s.insert_record(rec(30, key=key[:16]))  # the key's 16-byte prefix
+    assert s.select_by_key(key, True) == s.select_by_key(key, False) == []
+    s.commit()
+    s.begin("write")
+    assert s.update_by_key(key, "ABC", True) == \
+        s.update_by_key(key, "ABC", False) == 0
     s.commit()
 
 
@@ -237,8 +257,16 @@ def insert_commits(session, rng, sizes):
         commit_rows(session, [rng.randrange(10 ** 6) for _ in range(size)])
 
 
+def tier(pages):
+    return max(t for t in range(64) if FANOUT ** t <= pages)
+
+
 def check_catalog(cat):
-    assert len(cat.segments) <= MAX_INDEX_SEGMENTS
+    # the size-tiered rule: tiers do not increase from oldest to newest,
+    # and each tier holds at most FANOUT - 1 segments
+    tiers = [tier(seg.pages) for seg in cat.segments]
+    assert tiers == sorted(tiers, reverse=True)
+    assert all(tiers.count(t) < FANOUT for t in tiers)
     assert sum(seg.entries for seg in cat.segments) == cat.record_count
     index_space = [(seg.start, seg.pages) for seg in cat.segments]
     index_space += cat.free_extents
@@ -299,6 +327,10 @@ def test_equal_load_commits_write_no_more_index_pages():
 
 
 def test_small_commits_leave_the_oldest_segment_alone():
+    # The load leaves segments of tiers 2, 2, 1 and 1. The small commits
+    # build a third tier-2 segment, and the next tier-2 run folds the
+    # index into one segment, once; no 10-row commit rewrites all of it
+    # again. Folding at a 4-segment cap wrote 4,156 pages here.
     db = make_db(total=4096)
     s = db.session()
     rng = random.Random(0)
@@ -306,14 +338,43 @@ def test_small_commits_leave_the_oldest_segment_alone():
     s.begin("read")
     oldest = s.catalog.segments[0]
     s.commit()
+    start, oldest_folds = s.page_writes, 0
     for _ in range(200):
         before = s.page_writes
         insert_commits(s, rng, [10])
         # a rewrite of the whole index writes over 250 pages here
-        assert s.page_writes - before <= 80
+        assert s.page_writes - before < 250
         s.begin("read")
-        assert s.catalog.segments[0] == oldest
+        if s.catalog.segments[0] != oldest:
+            oldest, oldest_folds = s.catalog.segments[0], oldest_folds + 1
         s.commit()
+    assert oldest_folds <= 1
+    assert s.page_writes - start <= 1400
+
+
+def test_index_pages_per_small_commit_stay_flat():
+    """After a load of 10 commits, the index pages each 10-row commit
+    writes do not grow with the index: the last quarter of 400 commits
+    writes at most 1.5 times the first. Folding at a 4-segment cap wrote
+    six times as many pages in the last quarter as in the first."""
+    db = make_db(total=4096)
+    s = db.session()
+    rng = random.Random(0)
+    insert_commits(s, rng, [300] * 10)
+    quarters = [0] * 4
+    s.begin("read")
+    before = s.catalog.segments
+    s.commit()
+    for i in range(400):
+        insert_commits(s, rng, [10])
+        s.begin("read")
+        after = s.catalog.segments
+        s.commit()
+        # every segment not in the catalog before is a fresh extent
+        quarters[i // 100] += sum(seg.pages for seg in after
+                                  if seg not in before)
+        before = after
+    assert quarters[-1] <= 1.5 * quarters[0]
 
 
 def test_small_commits_fill_no_less_of_the_store():
@@ -338,6 +399,49 @@ def test_small_commits_fill_no_less_of_the_store():
     check_catalog(s.catalog)
     assert s.catalog.record_count == 5000 + inserted
     s.commit()
+
+
+def worst_case_catalog(total_pages):
+    """The catalog of the most bytes a store of `total_pages` can need:
+    of each count of one-page free extents up to the cap, the one beside
+    the most index segments the tiered rule allows in the pages left,
+    which is FANOUT - 1 segments a tier, each of the fewest pages its
+    tier holds. Where the extents lie does not change the bytes."""
+    def catalog(free):
+        left = total_pages - HEAP_START - free
+        segments, pages = [], 1
+        while pages <= left:
+            for _ in range(FANOUT - 1):
+                if pages > left:
+                    break
+                left -= pages
+                segments.insert(0, IndexSegment(HEAP_START + free + left,
+                                                pages, pages))
+            pages *= FANOUT
+        return Catalog(total_pages, index_floor=HEAP_START,
+                       record_count=sum(seg.entries for seg in segments),
+                       segments=segments,
+                       free_extents=[(HEAP_START + i, 1)
+                                     for i in range(free)])
+    return max((catalog(free) for free in range(MAX_FREE_EXTENTS + 1)),
+               key=lambda c: 2 * len(c.segments) + len(c.free_extents))
+
+
+@pytest.mark.parametrize("page_size, total_pages",
+                         [(PAGE, TOTAL), (4096, 8192)])
+def test_the_worst_case_catalog_fits_its_page(page_size, total_pages):
+    cat = worst_case_catalog(total_pages)
+    check_catalog(cat)
+    assert len(cat.free_extents) == MAX_FREE_EXTENTS
+    assert parse_catalog(pack_catalog(cat, page_size)) == cat
+
+
+def test_a_catalog_past_its_page_is_database_full():
+    # 512-byte pages hold 17 segments beside 32 free extents in 4096 pages
+    cat = worst_case_catalog(4096)
+    assert len(cat.segments) == 17
+    with pytest.raises(DatabaseFull, match="overflows a 512-byte page"):
+        pack_catalog(cat, PAGE)
 
 
 def test_release_returns_a_free_extent_at_the_floor_to_the_heap():
@@ -1425,7 +1529,7 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     for block_id in range(db.data.block_count):
         digest.update(db.manager.read_block(db.data, block_id))
     assert digest.hexdigest() == \
-        "4050e32db8cbe4558b01ef0fd99b4439b173deaade5ba7a52d6a6b4a7178d102"
+        "20f9f6f4bf887b934e5419b0ea7a2f780f3d064baa07d83b4bb172978406fd8b"
 
 
 def test_restart_removes_a_log_file_past_the_count(monkeypatch):
@@ -1455,8 +1559,8 @@ def test_restart_removes_a_log_file_past_the_count(monkeypatch):
 
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [
-    ("index", 40, (1, 1, 10, 1), 38),
-    ("heap", 24, (1, 2, 3, 40, 1, 20, 1, 5, 2, 1, 10, 5), 16),
+    ("index", 40, (1, 1, 80, 1), 38),
+    ("heap", 24, (80, 1, 1, 1, 1, 1, 1, 1, 10), 16),
 ])
 def test_a_freed_index_extent_with_a_log_copy_is_logged_when_reused(
         reuse, total, sizes, page):
