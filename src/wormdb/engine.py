@@ -53,9 +53,10 @@ from .spdu_dfs import (
 HEAP_START = 1  # page 0 is the catalog
 # An index segment of p pages is in tier floor(log_FANOUT(p)). A commit's
 # merged run absorbs the newest segments of a lower tier, and the newest
-# FANOUT - 1 when they all share its tier. So in an index this rule built,
-# tiers do not increase from oldest to newest and each tier holds at most
-# FANOUT - 1 segments; any segment list stays a valid index.
+# FANOUT - 1 when they all share its tier, and the newest while the catalog
+# page would not hold one more segment (`catalog_room`). So in an index this
+# rule built, tiers do not increase from oldest to newest and each tier
+# holds at most FANOUT - 1 segments; any segment list stays a valid index.
 FANOUT = 4
 MAX_FREE_EXTENTS = 32  # the catalog leaks the smallest free extents past this
 KEY_WIDTH = FIELD_LIMITS["source_ip"]  # an index entry holds a whole key
@@ -109,9 +110,17 @@ class Catalog:
         self.free_extents = merged
 
 
+def catalog_room(page_size: int) -> int:
+    """The most index segments a catalog page holds beside the most free
+    extents it can list."""
+    return (page_size - PAGE_HEADER_SIZE - _CATALOG.size
+            - MAX_FREE_EXTENTS * _EXTENT.size) // _SEGMENT.size
+
+
 def pack_catalog(catalog: Catalog, page_size: int) -> bytes:
     """The catalog page; DatabaseFull if its index segments and free
-    extents do not fit in one page."""
+    extents do not fit in one page, which the engine's merge rule
+    prevents unless the page holds no segment beside the free extents."""
     size = (PAGE_HEADER_SIZE + _CATALOG.size
             + len(catalog.segments) * _SEGMENT.size
             + len(catalog.free_extents) * _EXTENT.size)
@@ -557,9 +566,10 @@ class Session:
         new_entries = sorted(self._pending_index)
         total = len(new_entries)
         keep = len(cat.segments)
+        room = catalog_room(self.page_size)
         while keep:
             tier = _tier(self._segment_pages(total))
-            if _tier(cat.segments[keep - 1].pages) < tier:
+            if keep >= room or _tier(cat.segments[keep - 1].pages) < tier:
                 fold = 1
             elif keep >= FANOUT - 1 and all(
                     _tier(seg.pages) == tier

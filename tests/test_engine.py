@@ -17,6 +17,7 @@ from wormdb.engine import (
     Catalog,
     Database,
     IndexSegment,
+    catalog_room,
     pack_catalog,
     parse_catalog,
 )
@@ -318,8 +319,8 @@ def test_index_table_coherence_after_commits(sizes, total):
 
 
 def test_equal_load_commits_write_no_more_index_pages():
-    # Equal commits stay separate segments until the cap forces a fold.
-    # Merging every segment whenever a fifth would be made writes 940.
+    # Equal commits stay apart until FANOUT of one tier merge. Merging
+    # every segment whenever a fifth would be made writes 940.
     db = make_db(total=4096)
     s = db.session()
     insert_commits(s, random.Random(0), [300] * 10)
@@ -327,28 +328,27 @@ def test_equal_load_commits_write_no_more_index_pages():
 
 
 def test_small_commits_leave_the_oldest_segment_alone():
-    # The load leaves segments of tiers 2, 2, 1 and 1. The small commits
-    # build a third tier-2 segment, and the next tier-2 run folds the
-    # index into one segment, once; no 10-row commit rewrites all of it
-    # again. Folding at a 4-segment cap wrote 4,156 pages here.
+    # The load leaves segments of tiers 3, 2, 2 and 1. The small commits
+    # build a third tier-2 segment, and the next tier-2 run folds in all
+    # three, making a second tier-3 segment; the oldest is not of a lower
+    # tier, so it stays. Folding at a 4-segment cap wrote 10,700 pages here.
     db = make_db(total=4096)
     s = db.session()
     rng = random.Random(0)
-    insert_commits(s, rng, [300] * 10)
+    insert_commits(s, rng, [1400] + [300] * 9)
     s.begin("read")
     oldest = s.catalog.segments[0]
     s.commit()
-    start, oldest_folds = s.page_writes, 0
+    start = s.page_writes
     for _ in range(200):
         before = s.page_writes
         insert_commits(s, rng, [10])
-        # a rewrite of the whole index writes over 250 pages here
-        assert s.page_writes - before < 250
         s.begin("read")
-        if s.catalog.segments[0] != oldest:
-            oldest, oldest_folds = s.catalog.segments[0], oldest_folds + 1
+        # no commit writes as many pages as a rewrite of the whole index
+        assert s.page_writes - before < \
+            sum(seg.pages for seg in s.catalog.segments)
+        assert s.catalog.segments[0] == oldest
         s.commit()
-    assert oldest_folds <= 1
     assert s.page_writes - start <= 1400
 
 
@@ -433,15 +433,46 @@ def test_the_worst_case_catalog_fits_its_page(page_size, total_pages):
     cat = worst_case_catalog(total_pages)
     check_catalog(cat)
     assert len(cat.free_extents) == MAX_FREE_EXTENTS
+    assert len(cat.segments) <= catalog_room(page_size)
     assert parse_catalog(pack_catalog(cat, page_size)) == cat
 
 
-def test_a_catalog_past_its_page_is_database_full():
-    # 512-byte pages hold 17 segments beside 32 free extents in 4096 pages
-    cat = worst_case_catalog(4096)
-    assert len(cat.segments) == 17
-    with pytest.raises(DatabaseFull, match="overflows a 512-byte page"):
-        pack_catalog(cat, PAGE)
+@pytest.mark.parametrize("page_size", [PAGE, 4096])
+def test_the_catalog_page_holds_its_room_and_no_more(page_size):
+    room = catalog_room(page_size)
+    cat = Catalog(1 << 20, index_floor=HEAP_START,
+                  segments=[IndexSegment(HEAP_START + MAX_FREE_EXTENTS + i,
+                                         1, 1) for i in range(room)],
+                  free_extents=[(HEAP_START + i, 1)
+                                for i in range(MAX_FREE_EXTENTS)])
+    assert parse_catalog(pack_catalog(cat, page_size)) == cat
+    cat.segments.append(IndexSegment(HEAP_START + MAX_FREE_EXTENTS + room,
+                                     1, 1))
+    with pytest.raises(DatabaseFull,
+                       match=f"overflows a {page_size}-byte page"):
+        pack_catalog(cat, page_size)
+
+
+def test_commits_fold_further_to_fit_the_catalog_page():
+    """A 368-byte catalog page holds 4 index segments beside 32 free
+    extents, fewer than the tiered rule alone would keep here, so a
+    commit's run also absorbs the newest segment while the catalog would
+    not hold one more."""
+    page = 368
+    assert catalog_room(page) == 4
+    db = make_db(total=2048, page=page, block=16 * page)
+    s = db.session()
+    rng = random.Random(0)
+    for size in log_uniform_sizes(7, 30, 300):
+        insert_commits(s, rng, [size])
+        s.begin("read")
+        check_catalog(s.catalog)
+        assert len(s.catalog.segments) <= 4
+        s.commit()
+    s.begin("read")
+    for rid, raw in s._scan_entries():
+        assert rid in s._index_lookup(unpack_record(raw).source_ip)
+    s.commit()
 
 
 def test_release_returns_a_free_extent_at_the_floor_to_the_heap():
