@@ -497,12 +497,14 @@ class DfsCluster:
                 self._pick_alive_holder(entry)
             return entry
 
-    def meta_block_entries(self, name: str) -> list[DfsFileEntry | None]:
-        """The entry of each constituent of a meta file, block 0 first,
-        None for a block with no constituent, read under one lock."""
+    def meta_block_entries(self, name: str,
+                           first: int = 0) -> list[DfsFileEntry | None]:
+        """The entry of each constituent of a meta file from block `first`
+        on (none if it is past the end), None for a block with no
+        constituent, read under one lock."""
         with self._lock:
             return [self._files.get(constituent_name(name, ordinal))
-                    for ordinal in range(self._count(name))]
+                    for ordinal in range(first, self._count(name))]
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:

@@ -361,10 +361,12 @@ class Session:
 
         The store decides where each data block goes: in place if no
         committed transaction has written it, else to the log (see
-        `wormdb.spdu_dfs`); the catalog's block is always logged. A
-        failure before the commit marker leaves bytes only in blocks no
-        committed catalog names, and a page this session makes is zeroed
-        in memory, so those bytes are never read.
+        `wormdb.spdu_dfs`). The catalog page goes only if it changed
+        since `begin` (an update in place leaves it as it was), and its
+        block is always logged. A failure before the commit marker
+        leaves bytes only in blocks no committed catalog names, and a
+        page this session makes is zeroed in memory, so those bytes are
+        never read.
         """
         if self.mode is None:
             raise LockError("no transaction in progress")
@@ -372,7 +374,11 @@ class Session:
             if self.mode == WRITE:
                 if self._pending_index:
                     self._flush_index_entries()
-                self._put_page(0, pack_catalog(self.catalog, self.page_size))
+                catalog = pack_catalog(self.catalog, self.page_size)
+                # page 0 as `begin` read it, from the session's cache
+                if catalog[PAGE_HEADER_SIZE:] != \
+                        self._get_page(0)[PAGE_HEADER_SIZE:]:
+                    self._put_page(0, catalog)
                 # the store stamps a copy of each page, so the session
                 # drops its own as it hands it over
                 for pageid in sorted(self._dirty):
@@ -503,7 +509,10 @@ class Session:
         if not use_index:
             return [unpack_record(raw) for _, raw in
                     self._scan_entries(source_ip_prefix(source_ip))]
-        return [self._fetch(rid) for rid in self._index_lookup(source_ip)]
+        # an index entry's key is NUL-padded, so a key that ends in NULs
+        # finds the rows of the key without them: each row is rechecked
+        records = map(self._fetch, self._index_lookup(source_ip))
+        return [record for record in records if record.source_ip == source_ip]
 
     def update_by_key(self, source_ip: str, new_country_code: str,
                       use_index: bool) -> int:
@@ -514,13 +523,17 @@ class Session:
         else:
             rids = [rid for rid, _ in
                     self._scan_entries(source_ip_prefix(source_ip))]
+        updated = 0
         for pageid, slot in rids:
-            page = SlottedPage(self._writable_page(pageid))
-            record = unpack_record(page.record(slot))
+            record = self._fetch((pageid, slot))
+            if record.source_ip != source_ip:
+                continue  # a padded index key (see `select_by_key`)
             record.country_code = new_country_code
-            page.replace(slot, pack_record(record))
+            SlottedPage(self._writable_page(pageid)).replace(
+                slot, pack_record(record))
             self._dirty.add(pageid)
-        return len(rids)
+            updated += 1
+        return updated
 
     def _fetch(self, rid: tuple[int, int]) -> UserVisitsRecord:
         pageid, slot = rid

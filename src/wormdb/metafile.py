@@ -59,13 +59,13 @@ a block whose replicas are all dead, so replica loss surfaces on a
 cached block too. There is no eviction by size: a remake replaces the
 constituent's entry, and a truncate or delete through this manager
 drops it, so the cache never holds more than the data blocks written or
-read and the live log. The engine's batch truncates the log once it
-holds more than `post_commit_threshold` data blocks, so the log is at
-most `post_commit_threshold` + 1 blocks plus the master block. The
-cache takes no lock: a reader racing a remake or another reader can
-only cache a page under an id that has died, which is never served, or
-replace an entry another reader, an append or a remake made, which
-costs one more DFS read.
+read and the live log. The engine's batch truncates the log once its
+data blocks hold more than `post_commit_threshold` blocks' worth of
+pages, so the log is at most that many blocks' worth of pages plus what
+one commit appends, and the master block. The cache takes no lock: a
+reader racing a remake or another reader can only cache a page under an
+id that has died, which is never served, or replace an entry another
+reader, an append or a remake made, which costs one more DFS read.
 """
 
 from __future__ import annotations
@@ -248,15 +248,15 @@ class MetaDfsManager:
         no constituent."""
         return self.cluster.meta_block_entry(file.name, block_id)
 
-    def constituent_entries(self,
-                            file: MetaDfsFile) -> list[DfsFileEntry | None]:
-        """The DFS entry of each block's constituent, block 0 first.
+    def constituent_entries(self, file: MetaDfsFile,
+                            first: int = 0) -> list[DfsFileEntry | None]:
+        """The DFS entry of each block's constituent from block `first` on.
 
         A block's file_id changes exactly when its constituent is remade
         or truncated and appended again, so an unchanged id means
         unchanged content. A block with no constituent is None.
         """
-        return self.cluster.meta_block_entries(file.name)
+        return self.cluster.meta_block_entries(file.name, first)
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         """The whole block, as long as its constituent: the cached object

@@ -71,8 +71,18 @@ class SlottedPage:
         return [self.record(slot) for slot in range(self.count)]
 
     def replace(self, slot: int, record: bytes) -> None:
-        """Rewrite one record, compacting the page. Raises RecordTooLarge
-        if the new version does not fit even after compaction."""
+        """Rewrite one record: over the old one if it has the same length,
+        else by compacting the page. Raises RecordTooLarge if the new
+        version does not fit even after compaction. A page built by
+        inserts comes out as inserts of its new records would build it,
+        either way."""
+        if not 0 <= slot < self.count:
+            raise IndexError(f"slot {slot} of {self.count}")
+        offset, length = _SLOT.unpack_from(self.buf,
+                                           _SLOTS_AT + _SLOT.size * slot)
+        if len(record) == length:
+            self.buf[offset:offset + length] = record
+            return
         contents = self.records()
         contents[slot] = record
         total = sum(len(r) for r in contents)

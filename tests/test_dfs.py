@@ -642,6 +642,8 @@ def test_meta_block_entries_follow_constituents():
         entries.append(cluster.create_file(f"m/{ordinal:08d}", b"x",
                                            meta="m"))
     assert cluster.meta_block_entries("m") == entries
+    for first in range(5):
+        assert cluster.meta_block_entries("m", first) == entries[first:]
     cluster.delete_file("m/00000001")
     assert cluster.meta_block_entries("m") == [entries[0], None, entries[2]]
     assert cluster.meta_block_entry("m", 1) is None

@@ -252,6 +252,44 @@ def test_a_key_no_record_can_hold_has_one_answer_on_both_paths():
     s.commit()
 
 
+def test_a_key_with_trailing_nuls_has_one_answer_on_both_paths():
+    """An index entry pads its key with NULs, so "1.2.3.4\0" and
+    "1.2.3.4" share entries; the index path rechecks each row's key, and
+    selects and updates by either key agree with the scan, whether the
+    rows are committed or the transaction's own."""
+    db = make_db()
+    s = db.session()
+    keys = ["1.2.3.4", "1.2.3.4\0", "1.2.3.4\0\0"]
+    s.begin("write")
+    for i in range(30):
+        s.insert_record(rec(i))
+    s.insert_record(rec(30, key=keys[0]))
+    s.insert_record(rec(31, key=keys[0]))
+    s.insert_record(rec(32, key=keys[1]))
+    for key, rows in zip(keys, (2, 1, 0)):
+        assert s.select_by_key(key, True) == s.select_by_key(key, False)
+        assert len(s.select_by_key(key, True)) == rows
+    s.commit()
+    for key, rows, code in zip(keys, (2, 1, 0), ("ABC", "DEF", "GHI")):
+        s.begin("write")
+        assert s.update_by_key(key, code, True) == rows
+        s.abort()
+        s.begin("write")
+        assert s.update_by_key(key, code, False) == rows
+        s.commit()
+        s.begin("read")
+        found = s.select_by_key(key, True)
+        assert found == s.select_by_key(key, False)
+        assert len(found) == rows
+        assert all(r.source_ip == key and r.country_code == code
+                   for r in found)
+        s.commit()
+    s.begin("read")
+    assert [r.country_code for r in s.scan(100)
+            if r.source_ip.startswith(keys[0])] == ["ABC", "ABC", "DEF"]
+    s.commit()
+
+
 def insert_commits(session, rng, sizes):
     """One write transaction of random-keyed rows per size."""
     for size in sizes:
@@ -1298,6 +1336,11 @@ def test_a_write_abort_makes_no_dfs_call(monkeypatch):
     assert read_all(db.session()) == [rec(i) for i in range(11)]
 
 
+# The failure sweeps' post_commit_threshold: 24 pages of 1 KB, which the
+# 120-row insert's commit passes, so that it runs the batch.
+SWEEP_THRESHOLD = 3
+
+
 def _sweep_workload():
     """(run(db, session), table before -> table after) for each operation
     of the failure sweep's script."""
@@ -1371,7 +1414,8 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
     traversals made before it and the points it reached, and the
     meta-file mutations made."""
     faults = FaultInjector()
-    db = make_db(page=1024, block=8192, threshold=4, faults=faults)
+    db = make_db(page=1024, block=8192, threshold=SWEEP_THRESHOLD,
+                 faults=faults)
     s = db.session()
     if point is not None:
         faults.arm(point, skip=skip)
@@ -1401,7 +1445,7 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
         assert reader.select_by_key(key, use_index=True) == \
             [r for r in table if r.source_ip == key], (*where, key)
     reader.commit()
-    reopened = Database.open(db.manager.cluster, "db", 1024, 4,
+    reopened = Database.open(db.manager.cluster, "db", 1024, SWEEP_THRESHOLD,
                              recover=True)
     assert read_all(reopened.session()) == table, where
     commit_rows(reopened.session(), [208])
@@ -1469,7 +1513,8 @@ def _run_until_death(root, death=None, in_save=False):
     runs, and the death ends the script. Returns the mutations called and
     the tables the database may hold on disk: before and after the
     operation that died, or the final one."""
-    db = make_db(page=1024, block=8192, threshold=4, root=root)
+    db = make_db(page=1024, block=8192, threshold=SWEEP_THRESHOLD,
+                 root=root)
     s = db.session()
     table, calls = [], []
 
@@ -1525,7 +1570,8 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
         cluster = DfsCluster(DfsConfig(8192, 2), 4, root)
         try:
             assert meta_file_strays(cluster) == [], "a file outside its meta"
-            db = Database.open(cluster, "db", 1024, 4, recover=True)
+            db = Database.open(cluster, "db", 1024, SWEEP_THRESHOLD,
+                               recover=True)
             table = read_all(db.session())
             assert table in allowed, "not the table before or after"
             commit_rows(db.session(), [208])

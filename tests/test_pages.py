@@ -138,3 +138,41 @@ def test_slots_with_prefix_match_the_copied_records(items, prefix):
     assert page.slots_with_prefix(prefix) == [
         slot for slot in range(page.count)
         if page.record(slot).startswith(prefix)]
+
+
+def _built_by_inserts(records):
+    page = SlottedPage(bytearray(PAGE))
+    for record in records:
+        assert page.try_insert(record) is not None
+    return page.buf
+
+
+@pytest.mark.parametrize("length", [64, 40, 80],
+                         ids=["same length", "shorter", "longer"])
+def test_replace_gives_the_bytes_inserts_would(monkeypatch, length):
+    """A replace of a record on a page built by inserts leaves the bytes
+    that inserts of the new records build. A record of the same length is
+    written over the old one, copying no other record; one of a new
+    length compacts the page, which copies every record."""
+    records = [bytes([i]) * 64 for i in range(4)]
+    page = SlottedPage(_built_by_inserts(records))
+    copies = []
+    record = SlottedPage.record
+
+    def counted(self, slot):
+        copies.append(slot)
+        return record(self, slot)
+
+    monkeypatch.setattr(SlottedPage, "record", counted)
+    page.replace(2, b"\xaa" * length)
+    records[2] = b"\xaa" * length
+    assert copies == ([] if length == 64 else [0, 1, 2, 3])
+    assert page.buf == _built_by_inserts(records)
+    assert SlottedPage(page.buf).records() == records
+
+
+def test_replace_refuses_a_slot_past_the_end():
+    page = SlottedPage(_built_by_inserts([b"a" * 8]))
+    for slot in (1, -1):
+        with pytest.raises(IndexError):
+            page.replace(slot, b"b" * 8)

@@ -11,6 +11,12 @@ The insert's `dfs_remakes` (16 -> 0) and `network_bytes` bound
 data blocks past the heap's end in place instead of logging them: such
 a block's first write is a create, which is no remake, and its pages
 cross the network once, not twice.
+
+The updates' `page_writes` (10 -> 9 each), the update without index's
+`dfs_remakes` (12 -> 11) and the logged pages of the write workloads
+(27 -> 25) were re-pinned when a commit began to log the catalog page
+only if it changed: an update of records in place leaves it as it was,
+so its data block is no longer remade for it.
 """
 
 from collections import Counter
@@ -37,10 +43,10 @@ WORKLOADS = [
      (751, 0, 0, 9), 384512),
     ("update with index", dict(kind="update", key=KEY, use_index=True,
                                new_country_code="XYZ"),
-     (25, 10, 0, 9), 29184),
+     (25, 9, 0, 9), 29184),
     ("update without index", dict(kind="update", key=KEY, use_index=False,
                                   new_country_code="QRS"),
-     (751, 10, 12, 9), 688128),
+     (751, 9, 11, 9), 688128),
     ("insert", dict(kind="insert", repeat=300, seed=5, key=KEY),
      (2, 166, 0, 300), 188416),
     ("scan after insert", dict(kind="scan", limit=10 ** 6),
@@ -109,9 +115,9 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     remakes = manager.remakes_of(db.data_name) - remakes_before
     fills = manager.fills_total - fills_before
     assert (page_writes, created["log"], flag_writes, remakes) == \
-        (186, 3, 2, 10)
+        (184, 3, 2, 9)
     # the other 159 pages fill blocks past the heap's end in place
-    assert (logged[0], fills) == (27, 11)
+    assert (logged[0], fills) == (25, 11)
     assert sum(written.values()) == \
         cluster.counters.bytes_written - bytes_before
     assert written["log"] == \

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import MapOracle, page_header, random_payload_page
+from wormdb import spdu_dfs
 from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.errors import AllReplicasDead, OutOfRange, RecoveryError
@@ -175,14 +176,39 @@ def test_commit_defers_post_commit():
 
 
 def test_commit_past_threshold_compacts_log():
+    """The batch waits for T blocks' worth of log pages, footers
+    included, not for T log blocks: at T=2 a one-page commit appends two
+    pages, so sixteen commits fill 2 * N = 32 pages in sixteen blocks and
+    the seventeenth runs the batch."""
     store = make_store(threshold=2)
     rng = random.Random(6)
-    for commit in range(3):
+    for commit in range(N):
         store.write_page(commit, page_with(rng))
         store.commit_transaction()
-    # third commit pushed the log past T=2 -> batch ran, master block only
+        assert store.log.block_count == commit + 2
+    store.write_page(0, page_with(rng))
+    store.commit_transaction()
+    # the log passed T=2 blocks' worth -> batch ran, master block only
     assert store.log.block_count == 1
-    assert store.manager.remakes_of("db/data") == 1  # pages 0..2 in block 0
+    assert store.manager.remakes_of("db/data") == 1  # pages 0..15 in block 0
+
+
+def test_batch_waits_for_more_than_threshold_blocks_of_pages():
+    """At T=1 the batch runs once the log's blocks hold more than N
+    pages, footers included: a commit of N - 3 pages and two empty
+    commits make N pages, and the next empty commit runs it."""
+    store = make_store(threshold=1)
+    rng = random.Random(25)
+    for pid in range(N - 3):
+        store.write_page(pid, page_with(rng))
+    store.commit_transaction()
+    for _ in range(2):
+        store.commit_transaction()
+    assert (store.log.block_count, store.manager.remakes_of("db/data")) \
+        == (4, 0)
+    store.commit_transaction()
+    assert (store.log.block_count, store.manager.remakes_of("db/data")) \
+        == (1, 1)
 
 
 def test_batch_remake_count_equals_distinct_data_blocks():
@@ -358,7 +384,7 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
         (0, 0)
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
-        reader, reader.reconstruct_log_table_index)
+        reader, lambda: dict(reader.reconstruct_log_table_index()))
     assert (calls, nbytes) == (3, 3 * PAGE)
     calls, nbytes, warm = _reads_during(
         reader, reader.reconstruct_log_table_index)
@@ -421,6 +447,70 @@ def test_warm_index_after_peer_abort():
             _peer(store).reconstruct_log_table_index()
         for pid in range(TOTAL):
             assert reader.read_page(pid) == store.read_page(pid)
+
+
+def _folds_during(action):
+    """The pageids `action` folds into a log table index, in order."""
+    folded = []
+    fold = spdu_dfs._fold
+
+    def counted(index, footers):
+        footers = list(footers)
+        folded.extend(pid for _, pageids in footers for pid in pageids)
+        fold(index, footers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spdu_dfs, "_fold", counted)
+        action()
+    return folded
+
+
+def _pageids_of_blocks(store, first):
+    footers = store.footers()
+    return [pid for block_id in range(first, store.log.block_count)
+            for pid in footers[block_id][0]]
+
+
+def test_begin_folds_only_the_new_committed_blocks():
+    """A begin folds into the index only the pageids of the committed
+    blocks appended since the store last looked, and a writer's begin
+    folds none of the blocks it appended itself; after another store's
+    batch and refill the reader rebuilds its index, and so does a writer
+    whose failed commit left an auto-flushed block in its index."""
+    faults = FaultInjector()
+    store = make_store(faults=faults)
+    rng = random.Random(24)
+    _commit_blocks(store, rng, 3)
+    reader = _peer(store)
+    assert _folds_during(reader.reconstruct_log_table_index) == \
+        _pageids_of_blocks(store, 1)
+    for k in (1, 2, 4):
+        first = store.log.block_count
+        _commit_blocks(store, rng, k)
+        assert _folds_during(
+            lambda: store.begin_transaction(write=True)) == []
+        assert _folds_during(
+            lambda: reader.begin_transaction(write=False)) == \
+            _pageids_of_blocks(store, first)
+        assert reader.index == _peer(store).reconstruct_log_table_index()
+    stale = reader.index
+    store.batch_post_commit()
+    _commit_blocks(store, rng, 2)
+    assert _folds_during(
+        lambda: reader.begin_transaction(write=False)) == \
+        _pageids_of_blocks(store, 1)
+    assert reader.index is not stale
+    assert reader.index == _peer(store).reconstruct_log_table_index()
+
+    for pid in rng.sample(range(TOTAL), N - 1):
+        store.write_page(pid, page_with(rng))  # auto-flushed, uncommitted
+    faults.arm("dfs.commit.before_marker")
+    with pytest.raises(CrashPoint):
+        store.commit_transaction()
+    committed = _pageids_of_blocks(store, 1)[:-(N - 1)]
+    assert _folds_during(
+        lambda: store.begin_transaction(write=True)) == committed
+    assert store.index == _peer(store).reconstruct_log_table_index()
 
 
 def test_warm_indexes_match_fresh_under_random_two_store_schedules():
@@ -556,7 +646,7 @@ def test_crash_storm_during_recovery_converges():
             except CrashPoint:
                 oracle.commit()
                 break
-            if store.log_data_blocks() > 2:
+            if store.log.block_count - 1 > 2:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(2))
         else:
             # no batch crashed during the commits; force one directly
@@ -789,11 +879,14 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
     store = make_store(threshold=1, holes=True)
     assert _constituent_sizes(store, store.log) == [PAGE]
     rng = random.Random(31)
-    for commit in range(2):
+    for commit in range(5):
         for pid in (commit, N + commit, 3 * N + commit):
             store.write_page(pid, page_with(rng))
         store.commit_transaction()
-    # the second commit ran a batch: the flag was set and cleared
+    # the first commit logged one page (the other two blocks were holes),
+    # each later one three, so the fifth took the log to 18 pages, past
+    # T=1 block's worth of N=16, and ran a batch: the flag was set and
+    # cleared
     assert store.manager.remakes_of("db/log") == 2
     assert _constituent_sizes(store, store.log) == [PAGE]
     assert store.read_commit_flag() is False
@@ -838,8 +931,11 @@ def test_a_torn_short_block_is_never_committed(torn):
 def test_a_log_block_with_no_constituent_is_a_recovery_error():
     """The meta-file layer reads a block with no constituent as zeros, but
     the log has no holes: once a counted log block's constituent is gone,
-    a writer's begin, recovery_state and restart fail with RecoveryError
-    and truncate nothing."""
+    a writer's begin that walks the block, recovery_state and restart fail
+    with RecoveryError and truncate nothing. The store that appended the
+    block walks only past block 2, whose id holds, so its begin truncates
+    nothing either, and its batch, which walks the whole log, fails
+    before it remakes a data block."""
     store = make_store()
     rng = random.Random(33)
     for _ in range(2):
@@ -850,13 +946,17 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
     hole = "log block 1 has no constituent"
     with pytest.raises(RecoveryError, match=hole):
         store.read_footer(1)
-    for writer in (store, _peer(store)):
-        with pytest.raises(RecoveryError, match=hole):
-            writer.begin_transaction(write=True)
-        with pytest.raises(RecoveryError, match=hole):
-            writer.recovery_state()
+    writer = _peer(store)
+    with pytest.raises(RecoveryError, match=hole):
+        writer.begin_transaction(write=True)
+    with pytest.raises(RecoveryError, match=hole):
+        writer.recovery_state()
     with pytest.raises(RecoveryError, match=hole):
         Database(store.manager, "db", TOTAL).recover()
+    store.begin_transaction(write=True)
+    with pytest.raises(RecoveryError, match=hole):
+        store.batch_post_commit()
+    assert store.manager.remakes_of("db/data") == 0
     assert store.log.block_count == 3
     assert store.read_footer(2)[1] is True
 
