@@ -218,6 +218,8 @@ class DfsCluster:
         # count), both NameNode state, saved together in one table.
         self._files, self._meta_table = \
             ({}, {}) if root is None else self._read_table()
+        # meta name -> NameNode mutations that touched it (see meta_version)
+        self._meta_versions: dict[str, int] = {}
         self._file_ids = itertools.count(1 + max(
             (entry.file_id for entry in self._files.values()), default=0))
 
@@ -335,6 +337,7 @@ class DfsCluster:
             self._files[name] = entry
             if meta is not None:
                 self._meta_table[meta] = count + 1
+            self._touch(name.rpartition("/")[0])
             self._save_tables()
             return entry
 
@@ -382,6 +385,7 @@ class DfsCluster:
         with self._lock:
             entry = self._entry(name)
             del self._files[name]
+            self._touch(name.rpartition("/")[0])
             self._save_tables()
             self._drop_blocks([entry])
 
@@ -399,6 +403,7 @@ class DfsCluster:
                 raise AlreadyExists(f"DFS file exists: {new}")
             del self._files[old]
             self._files[new] = replace(entry, name=new)
+            self._touch(*{old.rpartition("/")[0], new.rpartition("/")[0]})
             self._save_tables()
             if target is not None and new != old:
                 self._drop_blocks([target])
@@ -459,6 +464,7 @@ class DfsCluster:
             if name in self._meta_table:
                 raise AlreadyExists(f"meta DFS file exists: {name}")
             self._meta_table[name] = block_count
+            self._touch(name)
             self._save_tables()
 
     def meta_set_block_count(self, name: str, block_count: int) -> None:
@@ -474,6 +480,7 @@ class DfsCluster:
                     f"block count {block_count} of {name} (has {count})")
             unlinked = self._unlink_from(name, block_count)
             self._meta_table[name] = block_count
+            self._touch(name)
             self._save_tables()
             self._drop_blocks(unlinked)
 
@@ -497,14 +504,24 @@ class DfsCluster:
                 self._pick_alive_holder(entry)
             return entry
 
-    def meta_block_entries(self, name: str,
-                           first: int = 0) -> list[DfsFileEntry | None]:
-        """The entry of each constituent of a meta file from block `first`
-        on (none if it is past the end), None for a block with no
-        constituent, read under one lock."""
+    def meta_block_entries(self, name: str) -> list[DfsFileEntry | None]:
+        """The entry of each constituent of a meta file, block 0 first,
+        None for a block with no constituent, read under one lock."""
         with self._lock:
             return [self._files.get(constituent_name(name, ordinal))
-                    for ordinal in range(first, self._count(name))]
+                    for ordinal in range(self._count(name))]
+
+    def meta_version(self, name: str) -> int:
+        """How many NameNode mutations have touched meta file `name`: its
+        block count, or a file under its name. Equal versions at two
+        reads mean no constituent was added, removed or replaced in
+        between, and a caller's own mutation adds exactly one."""
+        with self._lock:
+            return self._meta_versions.get(name, 0)
+
+    def _touch(self, *names: str) -> None:
+        for name in names:
+            self._meta_versions[name] = self._meta_versions.get(name, 0) + 1
 
     def meta_exists(self, name: str) -> bool:
         with self._lock:
@@ -517,5 +534,6 @@ class DfsCluster:
             self._count(name)
             unlinked = self._unlink_from(name, 0)
             del self._meta_table[name]
+            self._touch(name)
             self._save_tables()
             self._drop_blocks(unlinked)

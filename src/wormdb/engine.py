@@ -9,10 +9,10 @@ one index page. Page 0 of the data meta file is the catalog (heap extent,
 index segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
-Sessions acquire the database lock, rebuild their log table index from the
-footers of the log's committed prefix (reading only those the session has
-not seen), and then run tuple operations; all page mutations flow through
-the session's transaction store.
+Sessions acquire the database lock, bring their log table index to the
+footers of the log's committed prefix (reading and folding only those the
+session has not seen), and then run tuple operations; all page mutations
+flow through the session's transaction store.
 """
 
 from __future__ import annotations

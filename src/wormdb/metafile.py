@@ -248,15 +248,20 @@ class MetaDfsManager:
         no constituent."""
         return self.cluster.meta_block_entry(file.name, block_id)
 
-    def constituent_entries(self, file: MetaDfsFile,
-                            first: int = 0) -> list[DfsFileEntry | None]:
-        """The DFS entry of each block's constituent from block `first` on.
+    def constituent_entries(self,
+                            file: MetaDfsFile) -> list[DfsFileEntry | None]:
+        """The DFS entry of each block's constituent, block 0 first.
 
         A block's file_id changes exactly when its constituent is remade
         or truncated and appended again, so an unchanged id means
         unchanged content. A block with no constituent is None.
         """
-        return self.cluster.meta_block_entries(file.name, first)
+        return self.cluster.meta_block_entries(file.name)
+
+    def version(self, file: MetaDfsFile) -> int:
+        """The NameNode's count of mutations that touched the meta file
+        (`DfsCluster.meta_version`): unchanged, so are its constituents."""
+        return self.cluster.meta_version(file.name)
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         """The whole block, as long as its constituent: the cached object

@@ -37,23 +37,28 @@ page and files being write-once:
   also run, restores it from footers only. Writers are serialised by the
   database lock, so at a write begin any block past the committed prefix
   is garbage a failed commit or abort left, and one truncate drops it.
-* A begin costs the log blocks appended since the store last looked, not
-  the whole log. Log blocks are only appended or truncated, a
-  constituent is write-once and the NameNode never reuses an id, so
-  while a block keeps the file_id it had, it and every block before it
-  are unchanged. The store keeps each footer it has seen with its
-  block's id, up to the newest block its last walk saw: the next walk
-  reads only the footers past that block (none of a block the store
-  appended itself), unless that block's id changed (a batch truncated
-  the log, or an abort its tail, and new blocks took the same ids); then
-  it walks the whole log again and reads only the footers whose id
-  changed. The index likewise remembers the newest committed block it
-  folded, with that block's id, and the blocks the store appended since:
-  while those ids hold and the appended blocks follow on and are
-  committed, a begin folds in only the later committed blocks. Otherwise
-  (a batch, another store's truncate and refill, or a failed commit that
-  left auto-flushed blocks in the index) it rebuilds the index from the
-  committed prefix. A fresh store has seen nothing and reads it all.
+  The session keeps each footer it has seen with the DFS file_id of the
+  block's constituent, and reads the footer page again only for a block
+  whose id it has not seen. A constituent is write-once and the NameNode
+  never reuses an id, so a footer changes exactly when its block's id
+  does: when a batch truncates the log, or an abort drops its tail, and
+  new blocks are appended under the same block ids. A fresh store has
+  seen no footers and reads them all. The walk looks at no entry while
+  the log's NameNode version (`MetaDfsManager.version`) is the one the
+  cache last matched, the store's own appends counted in; any other
+  change to the log, another store's append or a constituent deleted
+  out of band, makes it look up every block's entry again, so a counted
+  block with no constituent fails each begin, a warm one included.
+* A begin folds into the index only the committed blocks appended since
+  the store last looked, not the whole log. Log blocks are only appended
+  or truncated, so while every block the index folded keeps its file_id
+  it is the fold of the same blocks, and the later committed blocks
+  follow on. The store's own appends are folded as they are made. The
+  index is rebuilt from the committed prefix when a walk finds a folded
+  block changed or gone (a batch, another store's truncate and refill),
+  when it folded a block the log does not count as committed (a failed
+  commit left auto-flushed blocks in it), or when the store appended a
+  block past one the index lacks.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
   committed root can reach (Lorie, "Physical Integrity in a Large
@@ -179,21 +184,16 @@ class DfsTransactionStore:
         self.post_commit_threshold = post_commit_threshold
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
-        # The index folds log blocks 1.._folded. _fold_ids pairs blocks it
-        # folded with the file_ids they had then: the newest committed
-        # block a begin folded, then each block this store appended after
-        # it. None if the store appended a block past one the index lacks.
+        # the index is the fold of log blocks 1.._folded, unless _stale:
+        # the store appended a block past one the index lacks
         self._folded = 0
-        self._fold_ids: list[tuple[int, int]] | None = []
-        # _footers[b] is log block b's (constituent file_id, pageids,
-        # commit_complete) as the last walk found it, for each data block
-        # the log then had (entry 0 stands for the master block);
-        # _appended holds the footers of the blocks this store appended
-        # since that walk, by block_id.
-        self._footers: list[tuple[int, list[int], bool] | None] = [None]
-        self._appended: dict[int, tuple[int, list[int], bool]] = {}
-        self._log_pages = 0  # pages of the walked blocks, footers included
-        self._last_complete = 0  # the newest walked commit_complete block
+        self._stale = False
+        # block_id -> (constituent file_id, pageids, commit_complete)
+        self._footers: dict[int, tuple[int, list[int], bool]] = {}
+        self._log_pages = 0  # pages of the cached blocks, footers included
+        self._last_complete = 0  # the newest cached commit_complete block
+        # the log's NameNode version when _footers last matched it
+        self._seen_version = -1
         self._capacity = self.pages_per_block - 1
         self._new_transaction()
 
@@ -267,13 +267,15 @@ class DfsTransactionStore:
             pack_footer(pageids, mark_commit, self.page_size)
         self.faults.hit("dfs.flush.before_block_append")
         block_id, file_id = self.manager.append_block(self.log, block)
-        self._appended[block_id] = (file_id, pageids, mark_commit)
+        if self.manager.version(self.log) == self._seen_version + 1:
+            self._seen_version += 1  # the log changed by this append alone
+        self._footers[block_id] = (file_id, pageids, mark_commit)
+        self._log_pages += len(pageids) + 1
+        if mark_commit:
+            self._last_complete = block_id
         _fold(self.index, ((block_id, pageids),))
-        if self._fold_ids is not None and block_id == self._folded + 1:
-            self._folded = block_id
-            self._fold_ids.append((block_id, file_id))
-        else:
-            self._fold_ids = None
+        self._stale |= block_id != self._folded + 1
+        self._folded = block_id
         self.faults.hit("dfs.flush.after_block_append")
         self._pages = {}
         return block_id
@@ -291,15 +293,14 @@ class DfsTransactionStore:
         tail = self._uncommitted_tail()
         if write and tail is not None:
             self.manager.truncate_from(self.log, tail)
-            for _, pageids, _ in self._footers[tail:]:
-                self._log_pages -= len(pageids) + 1
-            del self._footers[tail:]
+            self._walk_footers()
 
     def commit_transaction(self) -> None:
         """Write the in-place blocks, then append the commit-marked
         block, at which the transaction is durable; post-commit is
         deferred until the log's data blocks hold more than
-        `post_commit_threshold` blocks' worth of pages (at threshold 0 it
+        `post_commit_threshold` blocks' worth of pages, as the store saw
+        the log at its begin and has appended since (at threshold 0 it
         runs at every commit, since the marker is a log page)."""
         for block_id in sorted(self._in_place):
             # a block's pages are dropped as it is written, so that no
@@ -313,7 +314,6 @@ class DfsTransactionStore:
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
         self._new_transaction()
-        self._walk_footers()
         if self._log_pages > self.post_commit_threshold * self.pages_per_block:
             self.faults.hit("dfs.commit.before_threshold_batch")
             self.batch_post_commit()
@@ -330,9 +330,7 @@ class DfsTransactionStore:
         self._write_master(True)
         self.faults.hit("dfs.batch.after_flag_set")
 
-        # the whole log is walked again, so that a block that lost its
-        # constituent fails here, not as a page of zeros copied home
-        self._walk_footers(whole=True)
+        self._walk_footers()
         newest: dict[int, tuple[int, int]] = {}
         _fold(newest, self._committed_after(0))
 
@@ -366,8 +364,8 @@ class DfsTransactionStore:
 
         self.faults.hit("dfs.batch.before_log_truncate")
         self.manager.truncate_from(self.log, 1)
-        self.index, self._folded, self._fold_ids = {}, 0, []
-        self._footers, self._appended = [None], {}
+        self.index, self._folded, self._stale = {}, 0, False
+        self._footers, self._seen_version = {}, -1
         self._log_pages = self._last_complete = 0
         self.faults.hit("dfs.batch.after_log_truncate")
         return len(by_data_block)
@@ -398,20 +396,18 @@ class DfsTransactionStore:
         return path
 
     def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
-        """Bring the index to the log's committed prefix and return it
-        (the store's own dict, which the caller must not change). Folds in
-        only the committed blocks past those it holds while they are
-        intact, else rebuilds it (see the module docstring)."""
-        self._walk_footers()
-        footers, last = self._footers, self._last_complete
-        if self._fold_ids is None or self._folded > last or any(
-                footers[block_id][0] != file_id
-                for block_id, file_id in self._fold_ids):
-            self.index, self._folded = {}, 0
+        """Bring the index to the log's committed prefix and return a
+        copy. Folds in only the committed blocks past those it holds
+        while they are intact, else rebuilds it (see the module
+        docstring); reads only the footer pages this store has not seen
+        (see `_walk_footers`)."""
+        changed = self._walk_footers()
+        if self._stale or changed <= self._folded \
+                or self._folded > self._last_complete:
+            self.index, self._folded, self._stale = {}, 0, False
         _fold(self.index, self._committed_after(self._folded))
-        self._folded = last
-        self._fold_ids = [(last, footers[last][0])] if last else []
-        return self.index
+        self._folded = self._last_complete
+        return dict(self.index)
 
     # ------------------------------------------------------------------
     # Recovery state (reads only)
@@ -452,44 +448,45 @@ class DfsTransactionStore:
                 f"lists {len(pageids)} pages of {self.page_size}")
         return entry.file_id, pageids, complete
 
-    def _walk_footers(self, whole: bool = False) -> None:
-        """Bring the footer cache to the log: take each block past the
-        newest walked one, reading its footer page unless this store
-        appended it. When that block's id changed, or with `whole`, walk
-        the whole log again, reading only the footers whose block's id
-        changed."""
-        walked = 0 if whole else len(self._footers) - 1
-        entries = self.manager.constituent_entries(self.log, walked)
-        if walked and (not entries or entries[0] is None
-                       or entries[0].file_id != self._footers[walked][0]):
-            walked = 0
-            entries = self.manager.constituent_entries(self.log)
-        seen = self._footers
-        if not walked:
-            self._footers = [None]
-            self._log_pages = self._last_complete = 0
-        for block_id, entry in enumerate(entries[1:], walked + 1):
-            footer = self._appended.get(block_id)
-            if footer is None and block_id < len(seen):
-                footer = seen[block_id]
+    def _walk_footers(self) -> int:
+        """Bring the footer cache, `_log_pages` and `_last_complete` to
+        the log, and return the first block whose footer changed (the
+        log's block count if none). Looks at nothing more while the log's
+        NameNode version is the one the cache last matched; else looks up
+        every block's constituent, and reads the footer page only of a
+        block whose file_id differs from the one cached with its footer,
+        or that has none cached."""
+        version = self.manager.version(self.log)
+        if version == self._seen_version:
+            return len(self._footers) + 1
+        entries = self.manager.constituent_entries(self.log)
+        seen, footers = self._footers, {}
+        changed, pages, last = len(entries), 0, 0
+        for block_id in range(1, len(entries)):
+            entry, footer = entries[block_id], seen.get(block_id)
             if footer is None or entry is None or footer[0] != entry.file_id:
                 footer = self._footer_of(block_id, entry)
-            self._footers.append(footer)
-            self._log_pages += len(footer[1]) + 1
+                changed = min(changed, block_id)
+            footers[block_id] = footer
+            pages += len(footer[1]) + 1
             if footer[2]:
-                self._last_complete = block_id
-        self._appended.clear()
+                last = block_id
+        self._footers, self._log_pages, self._last_complete = \
+            footers, pages, last
+        self._seen_version = version
+        return changed
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
         """The footer of every log data block, oldest first, read as a
         begin reads them (see `_walk_footers`); the returned pageid lists
-        are shared with the cache."""
+        are shared with the cache. No store path calls it: it shows the
+        cache, for comparing stores."""
         self._walk_footers()
-        return {block_id: (pageids, complete) for block_id, (_, pageids,
-                complete) in enumerate(self._footers[1:], 1)}
+        return {block_id: (pageids, complete)
+                for block_id, (_, pageids, complete) in self._footers.items()}
 
     def _committed_after(self, start: int):
-        """(block_id, pageids) of each walked block past `start` up to the
+        """(block_id, pageids) of each cached block past `start` up to the
         newest commit_complete one, which ends the log's committed
         prefix."""
         return ((block_id, self._footers[block_id][1])
@@ -537,6 +534,6 @@ class DfsTransactionStore:
 
     def _uncommitted_tail(self) -> int | None:
         """The first block past the committed prefix of the footers this
-        store last walked, or None if the log ends in a committed block."""
+        store last read, or None if the log ends in a committed block."""
         first = self._last_complete + 1
-        return first if first < len(self._footers) else None
+        return first if first <= len(self._footers) else None

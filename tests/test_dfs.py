@@ -642,8 +642,6 @@ def test_meta_block_entries_follow_constituents():
         entries.append(cluster.create_file(f"m/{ordinal:08d}", b"x",
                                            meta="m"))
     assert cluster.meta_block_entries("m") == entries
-    for first in range(5):
-        assert cluster.meta_block_entries("m", first) == entries[first:]
     cluster.delete_file("m/00000001")
     assert cluster.meta_block_entries("m") == [entries[0], None, entries[2]]
     assert cluster.meta_block_entry("m", 1) is None
@@ -670,6 +668,34 @@ def test_meta_block_entries_follow_constituents():
     assert cluster.exists("log/00000001")
     assert not cluster.exists("log/00000001.new")
     assert manager.read_page(log, 16) == bytes([7]) * 4 * KB
+
+
+def test_meta_version_counts_each_mutation_that_touches_a_meta_file():
+    """Every NameNode mutation of a meta file's block count or of a file
+    under its name adds one to its version, and no other mutation, a
+    failed one or one under another meta file, changes it."""
+    cluster = make_cluster()
+    assert cluster.meta_version("m") == 0
+    steps = [
+        lambda: cluster.meta_register("m", 0),
+        lambda: cluster.create_file("m/00000000", b"x", meta="m"),
+        lambda: cluster.create_file("m/00000000.new", b"y"),
+        lambda: cluster.rename_file("m/00000000.new", "m/00000000",
+                                    overwrite=True),
+        lambda: cluster.create_file("m/00000001", b"z", meta="m"),
+        lambda: cluster.delete_file("m/00000000"),
+        lambda: cluster.meta_set_block_count("m", 1),
+        lambda: cluster.meta_unregister("m"),
+    ]
+    cluster.meta_register("n", 0)
+    for version, step in enumerate(steps, 1):
+        step()
+        assert cluster.meta_version("m") == version
+        cluster.create_file(f"n/{version - 1:08d}", b"n", meta="n")
+        with pytest.raises(NotFound):
+            cluster.delete_file("m/nothing")
+        assert cluster.meta_version("m") == version
+    assert cluster.meta_version("n") == 1 + len(steps)
 
 
 def test_a_meta_append_creates_and_counts_the_next_block_only():

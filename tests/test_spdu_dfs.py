@@ -384,7 +384,7 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
         (0, 0)
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
-        reader, lambda: dict(reader.reconstruct_log_table_index()))
+        reader, reader.reconstruct_log_table_index)
     assert (calls, nbytes) == (3, 3 * PAGE)
     calls, nbytes, warm = _reads_during(
         reader, reader.reconstruct_log_table_index)
@@ -511,6 +511,37 @@ def test_begin_folds_only_the_new_committed_blocks():
     assert _folds_during(
         lambda: store.begin_transaction(write=True)) == committed
     assert store.index == _peer(store).reconstruct_log_table_index()
+
+
+def test_a_begin_looks_up_the_log_only_after_another_change():
+    """A begin looks up the log's constituents only when the log's
+    NameNode version moved past what the store last matched: its own
+    appends do not move it, another store's commit does."""
+    store = make_store()
+    rng = random.Random(26)
+    lookups = []
+    entries = store.manager.constituent_entries
+
+    def counted(file):
+        lookups.append(file.name)
+        return entries(file)
+
+    store.manager.constituent_entries = counted
+    _commit_blocks(store, rng, 2)
+    store.begin_transaction(write=True)
+    assert lookups == ["db/log"]
+    for k in (1, 3):
+        _commit_blocks(store, rng, k)
+        store.begin_transaction(write=True)
+        assert lookups == ["db/log"]
+    peer = _peer(store)
+    peer.begin_transaction(write=True)
+    _commit_blocks(peer, rng, 1)
+    store.begin_transaction(write=False)
+    assert lookups == ["db/log"] * 2
+    assert store.index == peer.reconstruct_log_table_index()
+    store.begin_transaction(write=False)
+    assert lookups == ["db/log"] * 2
 
 
 def test_warm_indexes_match_fresh_under_random_two_store_schedules():
@@ -931,32 +962,30 @@ def test_a_torn_short_block_is_never_committed(torn):
 def test_a_log_block_with_no_constituent_is_a_recovery_error():
     """The meta-file layer reads a block with no constituent as zeros, but
     the log has no holes: once a counted log block's constituent is gone,
-    a writer's begin that walks the block, recovery_state and restart fail
-    with RecoveryError and truncate nothing. The store that appended the
-    block walks only past block 2, whose id holds, so its begin truncates
-    nothing either, and its batch, which walks the whole log, fails
-    before it remakes a data block."""
+    a writer's begin, recovery_state and restart fail with RecoveryError
+    and truncate nothing, also in a store that had already read the
+    block's footer, and so does a warm reader's begin."""
     store = make_store()
     rng = random.Random(33)
     for _ in range(2):
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.commit_transaction()
+    warm = _peer(store)
+    warm.begin_transaction(write=False)
     store.manager.cluster.delete_file("db/log/00000001")
     assert store.manager.read_block(store.log, 1) == bytes(BLOCK)
     hole = "log block 1 has no constituent"
     with pytest.raises(RecoveryError, match=hole):
         store.read_footer(1)
-    writer = _peer(store)
+    for writer in (store, warm, _peer(store)):
+        with pytest.raises(RecoveryError, match=hole):
+            writer.begin_transaction(write=True)
+        with pytest.raises(RecoveryError, match=hole):
+            writer.recovery_state()
     with pytest.raises(RecoveryError, match=hole):
-        writer.begin_transaction(write=True)
-    with pytest.raises(RecoveryError, match=hole):
-        writer.recovery_state()
+        warm.begin_transaction(write=False)
     with pytest.raises(RecoveryError, match=hole):
         Database(store.manager, "db", TOTAL).recover()
-    store.begin_transaction(write=True)
-    with pytest.raises(RecoveryError, match=hole):
-        store.batch_post_commit()
-    assert store.manager.remakes_of("db/data") == 0
     assert store.log.block_count == 3
     assert store.read_footer(2)[1] is True
 
