@@ -23,12 +23,11 @@ from .spdu_dfs import check_log_geometry
 
 DB_NAME = "db"
 DBCONFIG_FILE = "db.json"
-# The points a `run` can reach: it opens the root without recovery, and
-# no session calls the store's abort, so the `dfs.restart.*` and
-# `dfs.abort.*` points are left out.
+# The points a `run` can reach: it opens the root without recovery, so
+# the `dfs.restart.*` points are left out.
 RUN_CRASH_POINTS = tuple(
     point for point in SPDU_DFS_FAULT_POINTS
-    if not point.startswith(("dfs.restart.", "dfs.abort.")))
+    if not point.startswith("dfs.restart."))
 
 
 def load_config(path: str | None, complete: bool = False) -> dict:

@@ -32,9 +32,7 @@ counts it. `meta_set_block_count` only lowers the count, and takes out
 with it every file under the meta file's name at or past the new count,
 a constituent or the `.new` a remake left. `meta_unregister` takes out
 the meta file and every file under its name. So no file lies past a
-meta file's count, except in a root where an older two-step append died
-before its count change: an append at that ordinal raises AlreadyExists,
-and the next truncate takes the file out.
+meta file's count.
 
 All public operations are serialized by one lock, making each call atomic
 with respect to the metadata table. In persistent mode every DataNode keeps

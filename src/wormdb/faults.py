@@ -35,8 +35,6 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.batch.after_flag_clear",
     "dfs.batch.before_log_truncate",
     "dfs.batch.after_log_truncate",
-    "dfs.abort.before_truncate",
-    "dfs.abort.after_truncate",
     "dfs.restart.begin",
     "dfs.restart.after_redo",
     "dfs.restart.done",

@@ -31,56 +31,49 @@ creates the constituent at the count and counts it, a truncate lowers
 the count and removes every constituent at or past it, and a delete
 removes the meta file with every DFS file under its name. A failure
 therefore leaves the meta file as it was before or after the call, and
-no constituent past the count exists. A root an older two-step append
-left with one is mended by `drop_past_end`, which restart runs.
+no constituent past the count exists.
 
 Mutating operations on one meta file require external mutual exclusion
 (the engine's database write lock); concurrent readers are safe.
 
 Blocks and pages are kept in a cache that all sessions of a manager
 share, keyed by constituent name and tagged with the constituent's DFS
-`file_id`. It is write-through: once an append has created its block,
-a sparse create its block 0, or a remake has renamed its new block into
+`file_id`. It is write-through: once an append has created its block, a
+sparse create its block 0, or a remake has renamed its new block into
 place (or created a missing one), the block is cached whole, as the one
 `bytes` object handed to `create_file`, under the id that call returned
-(a rename keeps it). In memory mode the DataNodes keep that same
-object, so the cache holds no second copy; `read_block` returns it and
+(a rename keeps it). In memory mode the DataNodes keep that same object,
+so the cache holds no second copy; `read_block` returns it and
 `read_page` slices its page out of it. A block this manager did not
 write is read through page by page: `read_page` caches each page it
-reads from the DFS, and `read_block` reads the DFS without caching, so
-a cold read fetches only the pages asked for. A constituent is write-once and the NameNode never reuses an
-id, so a cached block or page is served only while its block's current
-id (one NameNode call per read, made before the cache is looked at) is
-the id it was cached under; a remake by anyone, this manager or another
-over the same cluster, and a truncate and append by another manager,
-change the id. A remake that fails before its rename leaves the old
-entry, which still holds the current content. The id call also reports
-a block whose replicas are all dead, so replica loss surfaces on a
-cached block too. There is no eviction by size: a remake replaces the
-constituent's entry, and a truncate or delete through this manager
-drops it, so the cache never holds more than the data blocks written or
-read and the live log. The engine's batch truncates the log once its
-data blocks hold more than `post_commit_threshold` blocks' worth of
-pages, so the log is at most that many blocks' worth of pages plus what
-one commit appends, and the master block. The cache takes no lock: a
-reader racing a remake or another reader can only cache a page under an
-id that has died, which is never served, or replace an entry another
-reader, an append or a remake made, which costs one more DFS read.
+reads from the DFS, and `read_block` reads the DFS without caching, so a
+cold read fetches only the pages asked for. A constituent is write-once
+and the NameNode never reuses an id, so a cached block or page is served
+only while its block's current id (one NameNode call per read, made
+before the cache is looked at) is the id it was cached under; a remake
+by anyone, this manager or another over the same cluster, and a truncate
+and append by another manager, change the id. A remake that fails before
+its rename leaves the old entry, which still holds the current content.
+The id call also reports a block whose replicas are all dead, so replica
+loss surfaces on a cached block too. There is no eviction by size: a
+remake replaces the constituent's entry, and a truncate or delete
+through this manager drops it, so the cache never holds more than the
+data blocks written or read and the live log. The engine's batch
+truncates the log once its data blocks hold more than
+`post_commit_threshold` blocks' worth of pages, so the log is at most
+that many blocks' worth of pages plus what one commit appends, and the
+master block. The cache takes no lock: a reader racing a remake or
+another reader can only cache a page under an id that has died, which is
+never served, or replace an entry another reader, an append or a remake
+made, which costs one more DFS read.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from .dfs import DfsCluster, DfsFileEntry, constituent_name
 from .errors import AlreadyExists, OutOfRange, WrongBlockSize
-
-
-@dataclass(frozen=True)
-class PageAddress:
-    block_id: int
-    page_offset: int
 
 
 def pages_per_block(page_size: int, block_size: int) -> int:
@@ -285,25 +278,9 @@ class MetaDfsManager:
         for ordinal in range(block_id, count):
             self._cache.pop(constituent_name(file.name, ordinal), None)
 
-    def drop_past_end(self, file: MetaDfsFile) -> None:
-        """Remove every DFS file at or past the block count, with one
-        NameNode mutation, none if there is none. Only an append of the
-        older two-step protocol, dead between its create and its count
-        change, left such a file; the next append would collide with
-        it."""
-        count = self.cluster.meta_block_count(file.name)
-        first = constituent_name(file.name, count)
-        if any(name >= first
-               for name in self.cluster.list_files(file.name + "/")):
-            self.cluster.meta_set_block_count(file.name, count)
-
     # ------------------------------------------------------------------
     # Page addressing
     # ------------------------------------------------------------------
-
-    def page_address(self, pageid: int) -> PageAddress:
-        n = self.pages_per_block
-        return PageAddress(pageid // n, pageid % n)
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
         """One page: a slice of the cached block if this manager wrote
@@ -311,11 +288,11 @@ class MetaDfsManager:
         from that constituent, else from the DFS (and then cached). A
         page past a short block's end is OutOfRange."""
         size = self.page_size
-        addr = self.page_address(pageid)
-        entry = self.constituent_entry(file, addr.block_id)
+        block_id, offset = divmod(pageid, self.pages_per_block)
+        entry = self.constituent_entry(file, block_id)
         if entry is None:
             return self._zero_page
-        start = addr.page_offset * size
+        start = offset * size
         if start >= entry.size_bytes:
             raise OutOfRange(
                 f"page {pageid} of {file.name} is past the "
@@ -326,9 +303,9 @@ class MetaDfsManager:
         if cached is None:
             cached = {}
             self._cache[entry.name] = (entry.file_id, cached)
-        page = cached.get(addr.page_offset)
+        page = cached.get(offset)
         if page is None:
-            page = cached[addr.page_offset] = self.cluster.read_range(
+            page = cached[offset] = self.cluster.read_range(
                 entry.name, start, size)
         return page
 

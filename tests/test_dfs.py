@@ -762,9 +762,9 @@ def test_unregister_takes_out_every_file_under_the_name():
 
 
 def test_a_constituent_left_past_the_count_refuses_the_append():
-    """A root in which an append of the older two-step protocol died
-    between its create and its count change holds a constituent past the
-    count: an append at its ordinal raises AlreadyExists, and the next
+    """A file created at a meta file's next ordinal without `meta` lies
+    past the count, which no meta-file call leaves: an append at its
+    ordinal raises AlreadyExists rather than replace it, and the next
     truncate, even one to the current count, takes it out."""
     cluster = make_cluster()
     cluster.meta_register("m", 1)

@@ -1359,12 +1359,24 @@ def _sweep_workload():
         s.update_by_key("9.9.9.1", "USA", use_index=True)
         s.commit()
 
+    def leave_a_tail(db, s):
+        # the log block a commit that failed after its auto-flush leaves,
+        # put there by hand past committed blocks; the next writer's
+        # begin drops it
+        s.begin("write")
+        try:
+            for pageid in range(1, db.manager.pages_per_block):
+                s.store.write_page(pageid, bytes(db.manager.page_size))
+        finally:
+            s.abort()
+
     return [
         insert([rec(i) for i in range(3)]),
         insert(keyed),
         (update, lambda table: [replace(r, country_code="USA")
                                 if r.source_ip == "9.9.9.1" else r
                                 for r in table]),
+        (leave_a_tail, lambda table: table),
         insert([rec(i) for i in range(43, 73)], abort=True),
         insert([rec(i) for i in range(73, 193)]),
         insert([rec(i) for i in range(193, 203)]),
@@ -1375,6 +1387,21 @@ def _sweep_workload():
 
 class MutationRefused(StorageError):
     pass
+
+
+def _recorded(method, name, args):
+    """A DFS call as the sweeps record it: the method, the name and, for
+    a block-count change, the new count."""
+    count = args[0] if method == "meta_set_block_count" else None
+    return method, name, count
+
+
+def _drops_a_tail(calls):
+    """Whether the log's count was lowered to more than 1: a writer's
+    begin dropped a failed commit's tail past committed blocks (a batch
+    lowers it to 1)."""
+    return any(call[:2] == ("meta_set_block_count", "db/log") and call[2] > 1
+               for call in calls)
 
 
 def _meta_mutations(mp, refuse=None):
@@ -1398,7 +1425,7 @@ def _meta_mutations(mp, refuse=None):
         def counted(cluster, name, *args, method=method,
                     original=getattr(DfsCluster, method), **kwargs):
             if depth[0]:
-                calls.append((method, name))
+                calls.append(_recorded(method, name, args))
                 if len(calls) == refuse:
                     raise MutationRefused(f"{method} {name}")
             return original(cluster, name, *args, **kwargs)
@@ -1485,10 +1512,12 @@ def test_in_process_failure_at_every_meta_file_mutation():
     """Each DFS create, rename and block-count change that an append (a
     create that counts its block), a remake or a truncate makes fails in
     turn, once the database exists, as an ordinary StorageError raised
-    before the call; the same checks hold as for the fault points."""
+    before the call; the same checks hold as for the fault points. The
+    calls include a writer's begin dropping a failed commit's tail."""
     _, calls = _run_sweep_workload()
-    assert {method for method, _ in calls} == \
+    assert {method for method, *_ in calls} == \
         {"create_file", "rename_file", "meta_set_block_count"}
+    assert _drops_a_tail(calls)
     runs = [(None, 0, n) for n in range(1, len(calls) + 1)]
     assert _failures(runs) == {}
 
@@ -1526,7 +1555,7 @@ def _run_until_death(root, death=None, in_save=False):
         for method in NAMENODE_MUTATIONS:
             def mutation(cluster, name, *args, method=method,
                          original=getattr(DfsCluster, method), **kwargs):
-                calls.append((method, name))
+                calls.append(_recorded(method, name, args))
                 if dies_at(False):
                     raise ProcessDied(f"{method} {name}")
                 return original(cluster, name, *args, **kwargs)
@@ -1557,11 +1586,13 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     et al., OSDI 2014)."""
     calls, _ = _run_until_death(str(tmp_path / "whole"))
     assert {"create_file", "rename_file", "meta_set_block_count"} <= \
-        {method for method, _ in calls}
+        {method for method, *_ in calls}
+    # and before a writer's begin drops a failed commit's tail
+    assert _drops_a_tail(calls)
     # a commit's in-place write of a block past the heap's end is a plain
     # create of a data constituent, and the process dies before it too
     assert any(method == "create_file" and name.startswith("db/data/")
-               and not name.endswith(".new") for method, name in calls)
+               and not name.endswith(".new") for method, name, _ in calls)
     failures = {}
     for death, in_save in itertools.product(range(1, len(calls) + 1),
                                             (False, True)):
@@ -1607,32 +1638,6 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
         digest.update(db.manager.read_block(db.data, block_id))
     assert digest.hexdigest() == \
         "20f9f6f4bf887b934e5419b0ea7a2f780f3d064baa07d83b4bb172978406fd8b"
-
-
-def test_restart_removes_a_log_file_past_the_count(monkeypatch):
-    """An append of the older two-step protocol that died between its
-    create and its count change left a log constituent past the count,
-    where the next append must create its block. Restart removes it with
-    one block-count change at the current count, and commits go on."""
-    db = make_db()
-    commit_rows(db.session(), range(3))
-    cluster = db.manager.cluster
-    count = db.log.block_count
-    cluster.create_file(constituent_name(db.log_name, count), bytes(PAGE))
-    calls = []
-    set_count = DfsCluster.meta_set_block_count
-
-    def counted(cluster, name, block_count):
-        calls.append((name, block_count))
-        set_count(cluster, name, block_count)
-
-    monkeypatch.setattr(DfsCluster, "meta_set_block_count", counted)
-    reopened = Database.open(cluster, "db", PAGE, recover=True)
-    assert calls == [(db.log_name, count)]
-    assert meta_file_strays(cluster) == []
-    for i in range(3, 6):
-        commit_rows(reopened.session(), [i])
-    assert read_all(reopened.session()) == [rec(i) for i in range(6)]
 
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [

@@ -21,6 +21,10 @@ decided in one place.
 Durable writes have one home: inside the package only dfs.py's
 ``durable_replace`` calls ``os.fsync`` or ``os.replace``. Crash points
 have one: only cli.py arms a fault point (faults.py defines ``arm``).
+Every ``.hit(...)`` in the package names its point with a string literal,
+and the set of those names is ``SPDU_DFS_FAULT_POINTS``: ``hit`` takes
+any name, so a point missing from the registry could never be armed and
+the sweeps, which walk the registry, would skip it.
 
 The DFS block size has one home: inside the package only dfs.py and
 ``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
@@ -40,6 +44,7 @@ from pathlib import Path
 import wormdb
 from wormdb.dfs import DataNode, DfsCluster
 from wormdb.engine import Session
+from wormdb.faults import SPDU_DFS_FAULT_POINTS
 from wormdb.spdu_dfs import DfsTransactionStore
 
 PACKAGE = Path(wormdb.__file__).resolve().parent
@@ -278,6 +283,52 @@ def test_only_the_cli_arms_a_fault_point():
     assert calls_outside(("arm",), {"cli.py"}) == []
     assert method_calls((PACKAGE / "cli.py").read_text("utf-8"),
                         ("arm",)) != []
+
+
+def hit_points(source: str) -> tuple[set[str], list[int]]:
+    """The names that `.hit(...)` calls in `source` pass as one string
+    literal, and the line of each `.hit` call that passes anything
+    else."""
+    names, offences = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "hit"):
+            continue
+        arg = node.args[0] if len(node.args) == 1 and not node.keywords \
+            else None
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            names.add(arg.value)
+        else:
+            offences.append(node.lineno)
+    return names, offences
+
+
+def test_detector_finds_hit_points():
+    source = (
+        "def f(faults, name):\n"
+        "    faults.hit('a.b')\n"
+        "    self.faults.hit(\"c.d\")\n"
+        "    faults.hit(name)\n"
+        "    faults.hit(f'x.{name}')\n"
+        "    faults.hit(name='e.f')\n"
+        "    hit('g.h')\n"
+        "    return faults.hit\n"
+    )
+    assert hit_points(source) == ({"a.b", "c.d"}, [4, 5, 6])
+
+
+def test_every_hit_names_a_registered_fault_point():
+    """The package passes exactly the registered points to `hit`, each as
+    a literal, so every point can be armed and none is left out of the
+    sweeps."""
+    names, offences = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found, lines = hit_points(path.read_text("utf-8"))
+        names |= found
+        offences += [f"{path.name}:{line}" for line in lines]
+    assert offences == []
+    assert names == set(SPDU_DFS_FAULT_POINTS)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -3,8 +3,6 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.errors import (
@@ -107,19 +105,6 @@ def test_read_block_out_of_range(mgr):
     mgr.append_block(f, block_of(1))
     with pytest.raises(OutOfRange):
         mgr.read_block(f, 1)
-
-
-def test_page_address_examples(mgr):
-    assert mgr.page_address(0) == mgr.page_address(0).__class__(0, 0)
-    addr = mgr.page_address(35)
-    assert (addr.block_id, addr.page_offset) == (2, 3)  # 35 = 2*16 + 3
-    # with the default 64MB/4KB geometry, page N lands at (1, 0)
-    big = MetaDfsManager(
-        DfsCluster(DfsConfig(64 * 1024 * 1024, 1), 1), 4096)
-    n = 64 * 1024 * 1024 // 4096
-    assert n == 16384
-    a = big.page_address(n)
-    assert (a.block_id, a.page_offset) == (1, 0)
 
 
 def test_read_page_tags(mgr):
@@ -733,16 +718,6 @@ def test_meta_block_entry_checks(mgr):
             mgr.cluster.meta_block_entry("m", ordinal)
     with pytest.raises(NotFound):
         mgr.cluster.meta_block_entry("absent", 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(pageid=st.integers(0, 10 ** 9), n=st.integers(1, 1 << 16))
-def test_page_address_round_trip(pageid, n):
-    cluster = DfsCluster(DfsConfig(n * 64, 1), 1)
-    m = MetaDfsManager(cluster, 64)
-    addr = m.page_address(pageid)
-    assert addr.block_id * n + addr.page_offset == pageid
-    assert 0 <= addr.page_offset < n
 
 
 def test_manager_rejects_remainder():

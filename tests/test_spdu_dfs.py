@@ -100,7 +100,7 @@ def test_write_same_page_twice_single_slot():
     store.write_page(5, newer)
     assert payload(store.read_page(5)) == payload(newer)
     block_id = store.flush_buffer(mark_commit=False)
-    assert store.read_footer(block_id) == ([3, 5], False)
+    assert _footer(store, block_id) == ([3, 5], False)
     assert store.index[5] == (block_id, 1)
     assert payload(store.read_page(5)) == payload(newer)
 
@@ -114,12 +114,12 @@ def test_auto_flush_on_capacity():
     store.write_page(N - 2, page_with(rng))  # the (N-1)-th distinct page
     assert store.log.block_count == 2  # flushed automatically
     store.write_page(50, page_with(rng))  # starts a new buffer
-    pageids, complete = store.read_footer(1)
+    pageids, complete = _footer(store, 1)
     assert pageids == list(range(N - 1))
     assert complete is False
     assert 50 not in store.index
     assert store.flush_buffer(mark_commit=False) == 2
-    assert store.read_footer(2) == ([50], False)
+    assert _footer(store, 2) == ([50], False)
     assert store.index[50] == (2, 0)
 
 
@@ -130,7 +130,7 @@ def test_flush_footer_lists_pages_in_arrival_order():
         store.write_page(pid, page_with(rng))
     block_id = store.flush_buffer(mark_commit=False)
     assert block_id == 1
-    pageids, complete = store.read_footer(1)
+    pageids, complete = _footer(store, 1)
     assert pageids == [5, 3, 9]
     assert complete is False
     assert store.index == {5: (1, 0), 3: (1, 1), 9: (1, 2)}
@@ -140,7 +140,7 @@ def test_commit_with_empty_buffer_appends_marker():
     store = make_store()
     store.commit_transaction()
     assert store.log.block_count == 2
-    pageids, complete = store.read_footer(1)
+    pageids, complete = _footer(store, 1)
     assert pageids == []
     assert complete is True
 
@@ -171,7 +171,7 @@ def test_commit_defers_post_commit():
     # two commits without reaching the threshold: zero data remakes
     assert store.manager.remakes_of("db/data") == 0
     assert store.log.block_count == 3
-    pageids, complete = store.read_footer(1)
+    pageids, complete = _footer(store, 1)
     assert (pageids, complete) == ([5, 3], True)
 
 
@@ -263,6 +263,8 @@ def test_batch_idempotent():
 
 
 def test_abort_truncates_to_last_committed_block():
+    """A writer's begin aborts the open transaction: it drops the buffer
+    and truncates the log to its committed prefix."""
     store = make_store()
     rng = random.Random(10)
     # committed blocks [1, 2(marker TRUE)]
@@ -276,7 +278,7 @@ def test_abort_truncates_to_last_committed_block():
     store.write_page(60, page_with(rng))
     store.flush_buffer(mark_commit=False)           # block 4
     assert store.log.block_count == 5
-    store.abort_transaction()
+    store.begin_transaction(write=True)
     assert store.log.block_count == 3
     assert 60 not in store.index
     assert store.read_page(60) == bytes(PAGE)
@@ -287,7 +289,7 @@ def test_abort_with_only_buffered_writes():
     store = make_store()
     rng = random.Random(11)
     store.write_page(5, page_with(rng))
-    store.abort_transaction()
+    store.begin_transaction(write=True)
     assert store.log.block_count == 1
     assert store.read_page(5) == bytes(PAGE)
 
@@ -306,7 +308,7 @@ def test_abort_then_reads_match_pre_transaction_oracle():
     for _ in range(40):
         pid = rng.randrange(TOTAL)
         store.write_page(pid, page_with(rng))
-    store.abort_transaction()
+    store.begin_transaction(write=True)
     oracle.abort()
     for pid in range(TOTAL):
         assert store.read_page(pid) == oracle.read(pid)
@@ -322,12 +324,12 @@ def test_reconstruction_reads_only_footer_pages():
 
     fresh = _peer(store)
     before = cluster.counters.snapshot()
-    index = fresh.reconstruct_log_table_index()
+    fresh.reconstruct_log_table_index()
     after = cluster.counters
     data_blocks = store.log.block_count - 1
     assert after.read_calls - before.read_calls == data_blocks
     assert after.bytes_read - before.bytes_read == data_blocks * PAGE
-    assert set(index) == {5, 3}
+    assert set(fresh.index) == {5, 3}
     assert payload(fresh.read_page(5)) == payload(store.read_page(5))
 
 
@@ -342,8 +344,7 @@ def test_reconstruction_last_wins_across_blocks():
     store.write_page(5, newer)
     store.flush_buffer(mark_commit=True)    # block 3
     fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
-    index = fresh.reconstruct_log_table_index()
-    assert index[5][0] == 3
+    assert _index(fresh)[5][0] == 3
     assert payload(fresh.read_page(5)) == payload(newer)
 
 
@@ -355,6 +356,19 @@ def _peer(store, threshold=64):
     return DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name),
         mgr.open_meta(store.log.name), TOTAL, threshold)
+
+
+def _index(store):
+    """The store's log table index, brought to the log's committed
+    prefix."""
+    store.reconstruct_log_table_index()
+    return store.index
+
+
+def _footer(store, block_id):
+    """(pageids, commit_complete) of log block `block_id`, read from its
+    footer page by a store that has cached no footer."""
+    return _peer(store).footers()[block_id]
 
 
 def _commit_blocks(store, rng, blocks):
@@ -384,10 +398,9 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
         (0, 0)
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
-        reader, reader.reconstruct_log_table_index)
+        reader, lambda: dict(_index(reader)))
     assert (calls, nbytes) == (3, 3 * PAGE)
-    calls, nbytes, warm = _reads_during(
-        reader, reader.reconstruct_log_table_index)
+    calls, nbytes, warm = _reads_during(reader, lambda: _index(reader))
     assert (calls, nbytes) == (0, 0)
     assert warm == cold
 
@@ -400,10 +413,9 @@ def test_warm_reconstruction_reads_only_new_footers():
     reader.reconstruct_log_table_index()
     for k in (1, 3):
         _commit_blocks(store, rng, k)
-        calls, nbytes, index = _reads_during(
-            reader, reader.reconstruct_log_table_index)
+        calls, nbytes, index = _reads_during(reader, lambda: _index(reader))
         assert (calls, nbytes) == (k, k * PAGE)
-        assert index == _peer(store).reconstruct_log_table_index()
+        assert index == _index(_peer(store))
 
 
 def test_warm_index_after_peer_batch_refills_same_block_ids():
@@ -418,11 +430,10 @@ def test_warm_index_after_peer_batch_refills_same_block_ids():
     store.batch_post_commit()
     assert store.log.block_count == 1
     _commit_blocks(store, rng, 4)
-    calls, _, index = _reads_during(
-        reader, reader.reconstruct_log_table_index)
+    calls, _, index = _reads_during(reader, lambda: _index(reader))
     assert calls == 4
     assert reader.footers() != old_footers
-    assert index == _peer(store).reconstruct_log_table_index()
+    assert index == _index(_peer(store))
     for pid in range(TOTAL):
         assert reader.read_page(pid) == store.read_page(pid)
 
@@ -437,14 +448,12 @@ def test_warm_index_after_peer_abort():
     for reader in readers:
         reader.reconstruct_log_table_index()
     assert store.log.block_count == 4
-    store.abort_transaction()
-    assert readers[0].reconstruct_log_table_index() == \
-        _peer(store).reconstruct_log_table_index()
+    store.begin_transaction(write=True)
+    assert _index(readers[0]) == _index(_peer(store))
     # readers[1] does not look until blocks 2 and 3 are new files
     _commit_blocks(store, rng, 3)
     for reader in readers:
-        assert reader.reconstruct_log_table_index() == \
-            _peer(store).reconstruct_log_table_index()
+        assert _index(reader) == _index(_peer(store))
         for pid in range(TOTAL):
             assert reader.read_page(pid) == store.read_page(pid)
 
@@ -492,7 +501,7 @@ def test_begin_folds_only_the_new_committed_blocks():
         assert _folds_during(
             lambda: reader.begin_transaction(write=False)) == \
             _pageids_of_blocks(store, first)
-        assert reader.index == _peer(store).reconstruct_log_table_index()
+        assert reader.index == _index(_peer(store))
     stale = reader.index
     store.batch_post_commit()
     _commit_blocks(store, rng, 2)
@@ -500,7 +509,7 @@ def test_begin_folds_only_the_new_committed_blocks():
         lambda: reader.begin_transaction(write=False)) == \
         _pageids_of_blocks(store, 1)
     assert reader.index is not stale
-    assert reader.index == _peer(store).reconstruct_log_table_index()
+    assert reader.index == _index(_peer(store))
 
     for pid in rng.sample(range(TOTAL), N - 1):
         store.write_page(pid, page_with(rng))  # auto-flushed, uncommitted
@@ -510,7 +519,7 @@ def test_begin_folds_only_the_new_committed_blocks():
     committed = _pageids_of_blocks(store, 1)[:-(N - 1)]
     assert _folds_during(
         lambda: store.begin_transaction(write=True)) == committed
-    assert store.index == _peer(store).reconstruct_log_table_index()
+    assert store.index == _index(_peer(store))
 
 
 def test_a_begin_looks_up_the_log_only_after_another_change():
@@ -539,7 +548,7 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
     _commit_blocks(peer, rng, 1)
     store.begin_transaction(write=False)
     assert lookups == ["db/log"] * 2
-    assert store.index == peer.reconstruct_log_table_index()
+    assert store.index == _index(peer)
     store.begin_transaction(write=False)
     assert lookups == ["db/log"] * 2
 
@@ -563,7 +572,7 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
                 writer.commit_transaction()
                 writer = None
             elif roll < 0.95:
-                writer.abort_transaction()
+                writer.begin_transaction(write=True)
                 writer = None
             else:
                 writer.commit_transaction()
@@ -571,8 +580,7 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
                 writer = None
             fresh = _peer(first)
             store = rng.choice(stores)
-            assert store.reconstruct_log_table_index() == \
-                fresh.reconstruct_log_table_index(), (seed, step)
+            assert _index(store) == _index(fresh), (seed, step)
             assert store.footers() == fresh.footers(), (seed, step)
 
 
@@ -800,8 +808,7 @@ def test_two_process_visibility():
     store.commit_transaction()
 
     second = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
-    index = second.reconstruct_log_table_index()
-    assert set(index) == {5, 3}
+    assert set(_index(second)) == {5, 3}
     assert payload(second.read_page(5)) == payload(p5)
     assert payload(second.read_page(3)) == payload(p3)
 
@@ -812,8 +819,9 @@ def test_footer_fidelity_matches_page_headers():
     for pid in (4, 44, 4, 80):
         store.write_page(pid, page_with(rng))
     store.flush_buffer(mark_commit=True)
+    footers = _peer(store).footers()
     for block_id in range(1, store.log.block_count):
-        pageids, _ = store.read_footer(block_id)
+        pageids, _ = footers[block_id]
         block = store.manager.read_block(store.log, block_id)
         for slot, pid in enumerate(pageids):
             page = block[slot * PAGE:(slot + 1) * PAGE]
@@ -839,7 +847,7 @@ def test_committed_prefix_under_random_schedules():
                 committed_pages |= txn_pages
                 txn_pages.clear()
             else:
-                store.abort_transaction()
+                store.begin_transaction(write=True)
                 txn_pages.clear()
             footers = store.footers()
             last_true = max(
@@ -869,7 +877,7 @@ def test_randomized_equivalence_with_map_oracle():
                 store.commit_transaction()
                 oracle.commit()
             else:
-                store.abort_transaction()
+                store.begin_transaction(write=True)
                 oracle.abort()
         for pid in range(TOTAL):
             assert store.read_page(pid) == oracle.read(pid), seed
@@ -931,8 +939,9 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
                                   "half a page"])
 def test_a_torn_short_block_is_never_committed(torn):
     """A log constituent short of what its footer lists, created directly
-    through the cluster, fails read_footer with RecoveryError, and a
-    begin never indexes its pages as committed."""
+    through the cluster, fails a fresh store's footers() with
+    RecoveryError, and a begin never indexes its pages as committed;
+    the footer of the block before it still reads."""
     store = make_store()
     rng = random.Random(32)
     store.write_page(1, page_with(rng))
@@ -948,7 +957,7 @@ def test_a_torn_short_block_is_never_committed(torn):
     cluster = store.manager.cluster
     cluster.create_file("db/log/00000002", content, meta="db/log")
     with pytest.raises(RecoveryError):
-        store.read_footer(2)
+        _peer(store).footers()
     fresh = _peer(store)
     for action in (fresh.reconstruct_log_table_index,
                    lambda: fresh.begin_transaction(write=False),
@@ -956,7 +965,9 @@ def test_a_torn_short_block_is_never_committed(torn):
         with pytest.raises(RecoveryError):
             action()
     assert not set(pageids) & set(fresh.index)
-    assert store.read_footer(1) == ([1], True)
+    # block 1 is its page and its footer
+    assert unpack_footer(store.manager.read_page(store.log, N + 1)) == \
+        ([1], True)
 
 
 def test_a_log_block_with_no_constituent_is_a_recovery_error():
@@ -976,7 +987,7 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
     assert store.manager.read_block(store.log, 1) == bytes(BLOCK)
     hole = "log block 1 has no constituent"
     with pytest.raises(RecoveryError, match=hole):
-        store.read_footer(1)
+        store.footers()
     for writer in (store, warm, _peer(store)):
         with pytest.raises(RecoveryError, match=hole):
             writer.begin_transaction(write=True)
@@ -987,7 +998,9 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
     with pytest.raises(RecoveryError, match=hole):
         Database(store.manager, "db", TOTAL).recover()
     assert store.log.block_count == 3
-    assert store.read_footer(2)[1] is True
+    # block 2 is its page and its footer
+    assert unpack_footer(
+        store.manager.read_page(store.log, 2 * N + 1))[1] is True
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
@@ -1006,7 +1019,7 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
     assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
     store.commit_transaction()
     assert store.log.block_count == 2
-    assert store.read_footer(1) == ([7], True)
+    assert _footer(store, 1) == ([7], True)
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 0)
     fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
@@ -1033,7 +1046,7 @@ def test_a_block_a_failed_commit_left_is_logged_then_remade():
     page = page_with(rng)
     store.write_page(2 * N + 1, page)
     store.commit_transaction()
-    assert store.read_footer(1) == ([2 * N + 1], True)
+    assert _footer(store, 1) == ([2 * N + 1], True)
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 0)
     assert store.batch_post_commit() == 1
@@ -1058,14 +1071,14 @@ def test_a_hole_with_a_log_copy_is_logged():
     store.write_page(4 * N, page_with(rng))  # in the log table index
     store.write_page(4 * N + 2, fresh)  # and now in the buffer
     store.commit_transaction()
-    assert store.read_footer(2) == ([4 * N, 4 * N + 2], True)
+    assert _footer(store, 2) == ([4 * N, 4 * N + 2], True)
     assert store.manager.fills_total == 0
     store.batch_post_commit()
     assert store.manager.fills_total == 1
     assert payload(store.read_page(4 * N + 2)) == payload(fresh)
     store.write_page(4 * N + 3, page_with(rng))  # it has a constituent now
     store.commit_transaction()
-    assert store.read_footer(1) == ([4 * N + 3], True)
+    assert _footer(store, 1) == ([4 * N + 3], True)
 
 
 def test_a_block_whose_replicas_are_all_dead_is_logged():
@@ -1085,6 +1098,6 @@ def test_a_block_whose_replicas_are_all_dead_is_logged():
     page = page_with(rng)
     store.write_page(2 * N + 1, page)
     store.commit_transaction()
-    assert store.read_footer(2) == ([2 * N + 1], True)
+    assert _footer(store, 2) == ([2 * N + 1], True)
     assert store.manager.fills_total == 1
     assert payload(store.read_page(2 * N + 1)) == payload(page)
