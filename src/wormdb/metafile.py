@@ -10,13 +10,14 @@ Appending creates the next constituent. Page addressing is the static
 split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
 pages per block.
 
-A block is whole pages, at most one DFS block, and its constituent is
-only as long as what was written: a data block fills its DFS block, but
-a log block holds just its pages and footer, and the log's master block
-one page, as an HDFS file ends in a partial block. The NameNode entry
-that gives a block's file_id also gives its size, so a reader learns
-where a short block ends from the same call; a page past that end is
-OutOfRange.
+A block is at most one DFS block, and its constituent is only as long
+as what was written: a data block fills its DFS block and the log's
+master block is one page, both whole pages, but an appended block may
+be any length, and a log block holds just its pages and its footer
+bytes, as an HDFS file ends in a partial block. The NameNode entry that
+gives a block's file_id also gives its size, so a reader learns where a
+short block ends from the same call; a page that runs past that end is
+OutOfRange, and `read_bytes` reads the tail from a given offset to it.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -43,12 +44,13 @@ sparse create its block 0, or a remake has renamed its new block into
 place (or created a missing one), the block is cached whole, as the one
 `bytes` object handed to `create_file`, under the id that call returned
 (a rename keeps it). In memory mode the DataNodes keep that same object,
-so the cache holds no second copy; `read_block` returns it and
-`read_page` slices its page out of it. A block this manager did not
-write is read through page by page: `read_page` caches each page it
-reads from the DFS, and `read_block` reads the DFS without caching, so a
-cold read fetches only the pages asked for. A constituent is write-once
-and the NameNode never reuses an id, so a cached block or page is served
+so the cache holds no second copy; `read_block` returns it, and
+`read_page` and `read_bytes` slice their bytes out of it. A block this
+manager did not write is read through range by range: `read_page` and
+`read_bytes` cache each page or tail they read from the DFS, and
+`read_block` reads the DFS without caching, so a cold read fetches only
+the pages and tails asked for, once. A constituent is write-once
+and the NameNode never reuses an id, so a cached block or range is served
 only while its block's current id (one NameNode call per read, made
 before the cache is looked at) is the id it was cached under; a remake
 by anyone, this manager or another over the same cluster, and a truncate
@@ -60,12 +62,12 @@ remake replaces the constituent's entry, and a truncate or delete
 through this manager drops it, so the cache never holds more than the
 data blocks written or read and the live log. The engine's batch
 truncates the log once its data blocks hold more than
-`post_commit_threshold` blocks' worth of pages, so the log is at most
-that many blocks' worth of pages plus what one commit appends, and the
-master block. The cache takes no lock: a reader racing a remake or
-another reader can only cache a page under an id that has died, which is
-never served, or replace an entry another reader, an append or a remake
-made, which costs one more DFS read.
+`post_commit_threshold` blocks' worth of bytes, so the log is at most
+that many bytes plus what one commit appends, and the master block. The
+cache takes no lock: a reader racing a remake or another reader can only
+cache a range under an id that has died, which is never served, or
+replace an entry another reader, an append or a remake made, which costs
+one more DFS read.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ class MetaDfsManager:
     """Presents meta DFS files on top of a DfsCluster.
 
     A block is at most one DFS block: `block_size` is the cluster's, read
-    here once, and a page of `page_size` bytes must divide it. A
-    constituent holds 1 to `pages_per_block` whole pages.
+    here once, and a page of `page_size` bytes must divide it. An
+    appended constituent holds 1 to `block_size` bytes, an overwritten
+    one 1 to `pages_per_block` whole pages.
 
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
@@ -128,8 +131,9 @@ class MetaDfsManager:
         self.remakes_by_file: dict[str, int] = {}
         self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
-        # manager wrote it, else {page offset: page} as read)
-        self._cache: dict[str, tuple[int, bytes | dict[int, bytes]]] = {}
+        # manager wrote it, else {(start, end): bytes} of the ranges read)
+        self._cache: dict[
+            str, tuple[int, bytes | dict[tuple[int, int], bytes]]] = {}
         self._zero_page = bytes(page_size)
 
     # ------------------------------------------------------------------
@@ -172,9 +176,12 @@ class MetaDfsManager:
     # Block operations
     # ------------------------------------------------------------------
 
-    def _check_block(self, content: bytes) -> None:
-        if len(content) % self.page_size or \
-                not 0 < len(content) <= self.block_size:
+    def _check_block(self, content: bytes, whole_pages: bool = True) -> None:
+        if not 0 < len(content) <= self.block_size:
+            raise WrongBlockSize(
+                f"block must be 1 to {self.block_size} bytes, "
+                f"got {len(content)} bytes")
+        if whole_pages and len(content) % self.page_size:
             raise WrongBlockSize(
                 f"block must be 1 to {self.pages_per_block} whole pages of "
                 f"{self.page_size} bytes, got {len(content)} bytes")
@@ -189,11 +196,11 @@ class MetaDfsManager:
 
     def append_block(self, file: MetaDfsFile,
                      content: bytes) -> tuple[int, int]:
-        """Append `content` as the next block with one NameNode mutation
-        and cache it (see above). Returns the block_id and its
-        constituent's file_id."""
+        """Append `content`, 1 to `block_size` bytes, as the next block
+        with one NameNode mutation and cache it (see above). Returns the
+        block_id and its constituent's file_id."""
         content = bytes(content)
-        self._check_block(content)
+        self._check_block(content, whole_pages=False)
         count = self.cluster.meta_block_count(file.name)
         name = constituent_name(file.name, count)
         file_id = self.cluster.create_file(name, content,
@@ -268,6 +275,22 @@ class MetaDfsManager:
             return cached
         return self.cluster.read_range(entry.name, 0, entry.size_bytes)
 
+    def read_bytes(self, file: MetaDfsFile, block_id: int,
+                   start: int) -> bytes:
+        """The block's bytes from `start` to its constituent's end, served
+        as `read_page` serves a page, so a cold read fetches just those
+        bytes. A block with no constituent reads as zeros to
+        `block_size`; OutOfRange unless `start` is before the end."""
+        entry = self.constituent_entry(file, block_id)
+        size = self.block_size if entry is None else entry.size_bytes
+        if not 0 <= start < size:
+            raise OutOfRange(
+                f"byte {start} of block {block_id} of {file.name}, "
+                f"which is {size} bytes")
+        if entry is None:
+            return bytes(size - start)
+        return self._range(entry, start, size)
+
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Drop the blocks from `block_id` on with one NameNode mutation,
         none if there are none (see above); OutOfRange past the end."""
@@ -283,45 +306,50 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
-        """One page: a slice of the cached block if this manager wrote
-        the block under its current id, the cached page if it was read
-        from that constituent, else from the DFS (and then cached). A
-        page past a short block's end is OutOfRange."""
+        """One page (see `_range`); a page that runs past a short
+        block's end is OutOfRange."""
         size = self.page_size
         block_id, offset = divmod(pageid, self.pages_per_block)
         entry = self.constituent_entry(file, block_id)
         if entry is None:
             return self._zero_page
         start = offset * size
-        if start >= entry.size_bytes:
+        if start + size > entry.size_bytes:
             raise OutOfRange(
-                f"page {pageid} of {file.name} is past the "
+                f"page {pageid} of {file.name} runs past the "
                 f"{entry.size_bytes} bytes of {entry.name}")
+        return self._range(entry, start, start + size)
+
+    def _range(self, entry: DfsFileEntry, start: int, end: int) -> bytes:
+        """Bytes [start, end) of constituent `entry`: a slice of the
+        cached block if this manager wrote the block under its current
+        id, the cached range if it was read from that constituent, else
+        from the DFS (and then cached)."""
         cached = self._cached(entry.name, entry.file_id)
         if isinstance(cached, bytes):
-            return cached[start:start + size]
+            return cached[start:end]
         if cached is None:
             cached = {}
             self._cache[entry.name] = (entry.file_id, cached)
-        page = cached.get(offset)
-        if page is None:
-            page = cached[offset] = self.cluster.read_range(
-                entry.name, start, size)
-        return page
+        data = cached.get((start, end))
+        if data is None:
+            data = cached[start, end] = self.cluster.read_range(
+                entry.name, start, end - start)
+        return data
 
-    def _cached(self, name: str,
-                file_id: int) -> bytes | dict[int, bytes] | None:
-        """What is cached for constituent `name`, the block or its pages,
-        if it was cached under `file_id`, its current id; else None (see
-        above)."""
+    def _cached(self, name: str, file_id: int
+                ) -> bytes | dict[tuple[int, int], bytes] | None:
+        """What is cached for constituent `name`, the block or the ranges
+        read, if it was cached under `file_id`, its current id; else None
+        (see above)."""
         entry = self._cache.get(name)
         if entry is None or entry[0] != file_id:
             return None
         return entry[1]
 
     def cached_ids(self) -> dict[str, int]:
-        """Constituent name -> the file_id its cached block or pages were
-        cached under: the id a write here returned, or the id the pages
+        """Constituent name -> the file_id its cached block or ranges were
+        cached under: the id a write here returned, or the id the ranges
         were read under (observability)."""
         return {name: file_id
                 for name, (file_id, _) in list(self._cache.items())}

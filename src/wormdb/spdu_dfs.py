@@ -10,14 +10,16 @@ page and files being write-once:
   overwritten in place) and last-wins resolution happens at post-commit
   time.
 * Each appended log block is short: its buffered pages in arrival order,
-  then a footer page, and nothing more, so a block of k pages is
-  (k + 1) pages long. The footer is the ordered list of pageids in the
-  block plus a commit_complete flag. A block with commit_complete TRUE
-  marks that it and every earlier block hold only committed data (write
-  transactions are serial). The footer is the block's last page, found
-  from the constituent's size; a footer whose page count disagrees with
-  that size (a torn block) fails like a checksum mismatch, and so does
-  a counted log block with no constituent, which a meta file would read
+  then its footer, with no padding, so a block of k pages is
+  k * page_size + FOOTER_FIXED_SIZE + 8k bytes long. The footer is the
+  ordered list of pageids in the block plus a commit_complete flag and a
+  checksum. A block with commit_complete TRUE marks that it and every
+  earlier block hold only committed data (write transactions are
+  serial). The footer's place is found from the constituent's size,
+  which gives k; a size that fits no k (for an even page size, no
+  block of whole pages does), a footer whose page count disagrees with
+  it (a torn block) and a checksum mismatch fail alike, and so does a
+  counted log block with no constituent, which a meta file would read
   as zeros.
 * Post-commit processing is batched: pages from committed log blocks are
   sorted and grouped by target data block, each dirtied data block is
@@ -27,9 +29,9 @@ page and files being write-once:
   count changes in one NameNode mutation, so a failure leaves either all
   the committed blocks, whose newest copies the data blocks now hold, or
   none. A commit runs the batch once the log's data blocks hold more
-  than `post_commit_threshold` full blocks' worth of pages, footers
-  included: a batch pays per remade block, so it waits for pages, not
-  for log blocks, which are short.
+  than `post_commit_threshold` full blocks' worth of bytes, footers
+  included: a batch pays per remade block, so it waits for logged
+  bytes, not for log blocks, which are short.
 * The log table index maps pageid -> (block_id, b_offset). Invariant: it
   covers the log's committed prefix (up to the newest commit_complete
   block) plus the blocks the store's own open transaction has flushed.
@@ -38,7 +40,7 @@ page and files being write-once:
   write begin any block past the committed prefix is garbage a failed
   commit left, and one truncate drops it.
   The session keeps each footer it has seen with the DFS file_id of the
-  block's constituent, and reads the footer page again only for a block
+  block's constituent, and reads the footer again only for a block
   whose id it has not seen. A constituent is write-once and the NameNode
   never reuses an id, so a footer changes exactly when its block's id
   does: when a batch truncates the log, or a writer's begin drops a
@@ -99,23 +101,23 @@ FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
 DEFAULT_POST_COMMIT_THRESHOLD = 64
 
 
-def pack_footer(pageids: list[int], commit_complete: bool,
-                page_size: int) -> bytes:
+def pack_footer(pageids: list[int], commit_complete: bool) -> bytes:
+    """The footer of a log block: FOOTER_FIXED_SIZE + 8 bytes a page."""
     body = struct.pack(f"<{len(pageids)}Q", *pageids)
     crc = zlib.crc32(
         struct.pack("<IB", len(pageids), int(commit_complete)) + body)
-    footer = _FOOTER_FIXED.pack(len(pageids), int(commit_complete), crc) + body
-    if len(footer) > page_size:
-        raise ValueError("footer does not fit in one page")
-    return footer.ljust(page_size, b"\0")
+    return _FOOTER_FIXED.pack(len(pageids), int(commit_complete), crc) + body
 
 
-def unpack_footer(page: bytes) -> tuple[list[int], bool]:
-    count, complete, crc = _FOOTER_FIXED.unpack_from(page, 0)
-    end = FOOTER_FIXED_SIZE + 8 * count
-    if end > len(page):
-        raise RecoveryError("log block footer has impossible page count")
-    body = page[FOOTER_FIXED_SIZE:end]
+def unpack_footer(footer: bytes) -> tuple[list[int], bool]:
+    """(pageids, commit_complete) of a footer of at least
+    FOOTER_FIXED_SIZE bytes; RecoveryError unless it lists exactly the
+    pages its length holds and its checksum matches."""
+    count, complete, crc = _FOOTER_FIXED.unpack_from(footer, 0)
+    if FOOTER_FIXED_SIZE + 8 * count != len(footer):
+        raise RecoveryError(
+            f"log block footer lists {count} pages in {len(footer)} bytes")
+    body = footer[FOOTER_FIXED_SIZE:]
     actual = zlib.crc32(struct.pack("<IB", count, complete) + body)
     if actual != crc:
         raise RecoveryError(
@@ -150,10 +152,11 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
 
 def check_log_geometry(page_size: int, pages_per_block: int) -> None:
     """Raise ValueError unless a log block of this geometry holds at least
-    one page and a footer page that can list every other page."""
+    one page, and a full buffer, every page of a block but one, fits in
+    a block with its footer: the footer of N - 1 pages fits in a page."""
     if pages_per_block - 1 > (page_size - FOOTER_FIXED_SIZE) // 8:
         raise ValueError(
-            f"footer cannot list {pages_per_block - 1} pageids "
+            f"a footer of {pages_per_block - 1} pageids does not fit "
             f"in a {page_size}-byte page")
     if pages_per_block < 2:
         raise ValueError("need at least two pages per block")
@@ -191,7 +194,7 @@ class DfsTransactionStore:
         self._stale = False
         # block_id -> (constituent file_id, pageids, commit_complete)
         self._footers: dict[int, tuple[int, list[int], bool]] = {}
-        self._log_pages = 0  # pages of the cached blocks, footers included
+        self._log_bytes = 0  # bytes of the cached blocks, footers included
         self._last_complete = 0  # the newest cached commit_complete block
         # the log's NameNode version when _footers last matched it
         self._seen_version = -1
@@ -260,18 +263,18 @@ class DfsTransactionStore:
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
         """Append the buffer as one short log block: its pages in arrival
-        order, then the footer page. Returns the block_id."""
+        order, then the footer. Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
         pageids = list(self._pages)
         block = b"".join(self._pages.values()) + \
-            pack_footer(pageids, mark_commit, self.page_size)
+            pack_footer(pageids, mark_commit)
         self.faults.hit("dfs.flush.before_block_append")
         block_id, file_id = self.manager.append_block(self.log, block)
         if self.manager.version(self.log) == self._seen_version + 1:
             self._seen_version += 1  # the log changed by this append alone
         self._footers[block_id] = (file_id, pageids, mark_commit)
-        self._log_pages += len(pageids) + 1
+        self._log_bytes += len(block)
         if mark_commit:
             self._last_complete = block_id
         _fold(self.index, ((block_id, pageids),))
@@ -300,9 +303,9 @@ class DfsTransactionStore:
         """Write the in-place blocks, then append the commit-marked
         block, at which the transaction is durable; post-commit is
         deferred until the log's data blocks hold more than
-        `post_commit_threshold` blocks' worth of pages, as the store saw
+        `post_commit_threshold` blocks' worth of bytes, as the store saw
         the log at its begin and has appended since (at threshold 0 it
-        runs at every commit, since the marker is a log page)."""
+        runs at every commit, since the marker is a footer)."""
         for block_id in sorted(self._in_place):
             # a block's pages are dropped as it is written, so that no
             # block is held twice
@@ -315,7 +318,8 @@ class DfsTransactionStore:
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
         self._new_transaction()
-        if self._log_pages > self.post_commit_threshold * self.pages_per_block:
+        if self._log_bytes > \
+                self.post_commit_threshold * self.manager.block_size:
             self.faults.hit("dfs.commit.before_threshold_batch")
             self.batch_post_commit()
             self.faults.hit("dfs.commit.after_batch")
@@ -367,7 +371,7 @@ class DfsTransactionStore:
         self.manager.truncate_from(self.log, 1)
         self.index, self._folded, self._stale = {}, 0, False
         self._footers, self._seen_version = {}, -1
-        self._log_pages = self._last_complete = 0
+        self._log_bytes = self._last_complete = 0
         self.faults.hit("dfs.batch.after_log_truncate")
         return len(by_data_block)
 
@@ -390,7 +394,7 @@ class DfsTransactionStore:
         """Bring the index to the log's committed prefix. Folds in only
         the committed blocks past those it holds while they are intact,
         else rebuilds it (see the module docstring); reads only the
-        footer pages this store has not seen (see `_walk_footers`)."""
+        footers this store has not seen (see `_walk_footers`)."""
         changed = self._walk_footers()
         if self._stale or changed <= self._folded \
                 or self._folded > self._last_complete:
@@ -413,31 +417,29 @@ class DfsTransactionStore:
     def _footer_of(self, block_id: int, entry: DfsFileEntry | None
                    ) -> tuple[int, list[int], bool]:
         """(file_id, pageids, commit_complete) of log block `block_id`,
-        whose constituent is `entry`, from its last page. RecoveryError
-        for a block with no constituent (a hole, which reads as zeros in
-        a meta file but never in the log), or unless the block is exactly
-        its listed pages and the footer (a torn block)."""
+        whose constituent is `entry`, from the footer past its pages.
+        RecoveryError for a block with no constituent (a hole, which
+        reads as zeros in a meta file but never in the log), or unless
+        the block is exactly its listed pages and the footer (a torn
+        block)."""
         if entry is None:
             raise RecoveryError(f"log block {block_id} has no constituent")
         size = entry.size_bytes
-        if size < self.page_size:
+        pages, rest = divmod(size - FOOTER_FIXED_SIZE, self.page_size + 8)
+        if pages < 0 or rest:
             raise RecoveryError(
-                f"log block {block_id} is {size} bytes, no footer page")
-        pageids, complete = unpack_footer(self.manager.read_page(
-            self.log,
-            block_id * self.pages_per_block + size // self.page_size - 1))
-        if size != (len(pageids) + 1) * self.page_size:
-            raise RecoveryError(
-                f"log block {block_id} is {size} bytes, but its footer "
-                f"lists {len(pageids)} pages of {self.page_size}")
+                f"log block {block_id} is {size} bytes, which is no count "
+                f"of {self.page_size}-byte pages and their footer")
+        pageids, complete = unpack_footer(self.manager.read_bytes(
+            self.log, block_id, pages * self.page_size))
         return entry.file_id, pageids, complete
 
     def _walk_footers(self) -> int:
-        """Bring the footer cache, `_log_pages` and `_last_complete` to
+        """Bring the footer cache, `_log_bytes` and `_last_complete` to
         the log, and return the first block whose footer changed (the
         log's block count if none). Looks at nothing more while the log's
         NameNode version is the one the cache last matched; else looks up
-        every block's constituent, and reads the footer page only of a
+        every block's constituent, and reads the footer only of a
         block whose file_id differs from the one cached with its footer,
         or that has none cached."""
         version = self.manager.version(self.log)
@@ -445,18 +447,18 @@ class DfsTransactionStore:
             return len(self._footers) + 1
         entries = self.manager.constituent_entries(self.log)
         seen, footers = self._footers, {}
-        changed, pages, last = len(entries), 0, 0
+        changed, nbytes, last = len(entries), 0, 0
         for block_id in range(1, len(entries)):
             entry, footer = entries[block_id], seen.get(block_id)
             if footer is None or entry is None or footer[0] != entry.file_id:
                 footer = self._footer_of(block_id, entry)
                 changed = min(changed, block_id)
             footers[block_id] = footer
-            pages += len(footer[1]) + 1
+            nbytes += entry.size_bytes
             if footer[2]:
                 last = block_id
-        self._footers, self._log_pages, self._last_complete = \
-            footers, pages, last
+        self._footers, self._log_bytes, self._last_complete = \
+            footers, nbytes, last
         self._seen_version = version
         return changed
 

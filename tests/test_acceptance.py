@@ -25,6 +25,7 @@ from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.spdu_dfs import (
+    FOOTER_FIXED_SIZE,
     DfsTransactionStore,
     create_data_meta,
     create_log_meta,
@@ -387,9 +388,13 @@ def test_criterion_6_visibility():
     second.reconstruct_log_table_index()
     index = second.index
     after = cluster.counters
-    footer_pages = store.log.block_count - 1
-    assert after.read_calls - before.read_calls == footer_pages
-    assert after.bytes_read - before.bytes_read == footer_pages * PAGE
+    # one read of just the footer's bytes per log block
+    footers = second.footers()
+    assert after.read_calls - before.read_calls == len(footers) == \
+        store.log.block_count - 1
+    assert after.bytes_read - before.bytes_read == \
+        sum(FOOTER_FIXED_SIZE + 8 * len(pageids)
+            for pageids, _ in footers.values())
     assert set(index) == {5, 3}
     assert index[5] == (1, 0) and index[3] == (1, 1)
     assert second.read_page(5) == store.read_page(5)

@@ -162,11 +162,11 @@ def test_crash_point_exit_code_and_recover(small_root):
 
     # crash in the middle of batch post-commit: redo path on recover
     # (ten-row inserts land in the committed heap's tail block, which is
-    # logged, so each commit appends a short log block; the 26th commit's
-    # batch is the first, when the log passes 16 blocks' worth of pages)
+    # logged, so each commit appends a short log block; the 30th commit's
+    # batch is the first, when the log passes 16 blocks' worth of bytes)
     result = run_cli_subprocess(
         ["run", "--workload", "insert", "--repeat", "10",
-         "--repeat-runs", "30",
+         "--repeat-runs", "40",
          "--crash-point", "dfs.batch.after_flag_set"], root)
     assert result.returncode == 42, result.stderr
     result = run_cli_subprocess(["recover"], root)
@@ -175,7 +175,7 @@ def test_crash_point_exit_code_and_recover(small_root):
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["records_returned"] == 520
+    assert json.loads(result.stdout)["records_returned"] == 560
 
 
 @pytest.mark.parametrize("point", ["dfs.commit.before_direct_block",

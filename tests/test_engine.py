@@ -929,7 +929,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         read_calls = cluster.counters.read_calls - before.read_calls
         nbytes = cluster.counters.bytes_read - before.bytes_read
         if txn == 0:
-            # the cold begin reads every footer page once
+            # the cold begin reads every footer once
             assert read_calls == pages + db.log.block_count - 1
             cold_pages = pages
         else:

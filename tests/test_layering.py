@@ -235,6 +235,22 @@ def test_the_dfs_block_size_has_one_home():
     assert not hasattr(wormdb, "PageConfig")
 
 
+FOOTER_FORMAT = ("pack_footer", "unpack_footer", "FOOTER_FIXED_SIZE")
+
+
+def test_the_log_footer_format_has_one_home():
+    """Only the store packs, parses or sizes a log block's footer; the
+    meta-file layer hands its bytes over unread."""
+    offences = [f"{path.name}:{line}: {name} in {scope}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != STORE_MODULE
+                for name in FOOTER_FORMAT
+                for line, scope in mentions(path.read_text("utf-8"), name)]
+    assert offences == []
+    store = (PACKAGE / STORE_MODULE).read_text("utf-8")
+    assert all(mentions(store, name) for name in FOOTER_FORMAT)
+
+
 DURABLE_WRITES = ("fsync", "replace")
 
 

@@ -57,11 +57,47 @@ def test_append_naming_matches_ordinal_scheme(mgr):
 
 
 def test_append_wrong_size(mgr):
+    """An append takes 1 to BLOCK bytes; an overwrite whole pages only."""
     f = mgr.create_meta("m")
-    for content in (b"short", b"", bytes(PAGE + 1), bytes(BLOCK + PAGE)):
+    for content in (b"", bytes(BLOCK + 1), bytes(BLOCK + PAGE)):
         with pytest.raises(WrongBlockSize):
             mgr.append_block(f, content)
     assert f.block_count == 0
+    mgr.append_block(f, block_of(1))
+    for content in (b"short", b"", bytes(PAGE + 1), bytes(BLOCK + PAGE)):
+        with pytest.raises(WrongBlockSize):
+            mgr.overwrite_block(f, 0, content)
+    assert mgr.read_block(f, 0) == block_of(1)
+
+
+def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(mgr):
+    """A log block of one page ends in its footer, short of a second
+    page: reading that page slot is OutOfRange, cached or not, and
+    `read_bytes` returns the footer, from the cache of the manager that
+    appended it, or with one DFS read of just its bytes, which another
+    manager then serves from its cache."""
+    data = create_data_meta(mgr, "db/data", 4 * N)
+    log = create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, log, 4 * N)
+    store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
+    store.commit_transaction()
+    size = PAGE + 13 + 8
+    assert mgr.constituent_entry(log, 1).size_bytes == size
+    peer = peer_of(mgr)
+    for manager, reads in ((mgr, (0, 0)), (peer, (1, size - PAGE))):
+        file = manager.open_meta("db/log")
+        with pytest.raises(OutOfRange):
+            manager.read_page(file, N + 1)
+        got = dfs_reads(manager, lambda: manager.read_bytes(file, 1, PAGE))
+        assert got == (*reads, mgr.read_block(log, 1)[PAGE:])
+        assert len(got[2]) == size - PAGE
+        assert dfs_reads(manager, lambda: manager.read_bytes(file, 1, PAGE)) \
+            == (0, 0, got[2])
+        for start in (-1, size):
+            with pytest.raises(OutOfRange):
+                manager.read_bytes(file, 1, start)
+    # a hole reads as zeros to the block's end
+    assert mgr.read_bytes(data, 2, BLOCK - 3) == bytes(3)
 
 
 def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):

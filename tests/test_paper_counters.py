@@ -26,7 +26,7 @@ from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
-from wormdb.spdu_dfs import pack_footer
+from wormdb.spdu_dfs import FOOTER_FIXED_SIZE, pack_footer
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -77,10 +77,10 @@ def test_paper_counters_are_pinned():
 
 def test_log_and_master_write_pages_not_blocks(monkeypatch):
     """The bytes each meta file writes while the write workloads run: a
-    log block is its logged pages plus one footer page, the master block
-    one page per commit_flag write, and a data block one whole DFS block
-    per remake or fill. Zero padding of log or master blocks fails
-    this."""
+    log block is its logged pages plus a footer of 13 bytes and 8 a
+    page, the master block one page per commit_flag write, and a data
+    block one whole DFS block per remake or fill. Zero padding of log or
+    master blocks fails this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     master = constituent_name(db.log_name, 0)  # and its ".new" remakes
@@ -97,9 +97,9 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     monkeypatch.setattr(DfsCluster, "create_file", tally)
     logged = [0]
 
-    def footer(pageids, commit_complete, page_size):
+    def footer(pageids, commit_complete):
         logged[0] += len(pageids)
-        return pack_footer(pageids, commit_complete, page_size)
+        return pack_footer(pageids, commit_complete)
 
     monkeypatch.setattr(spdu_dfs, "pack_footer", footer)
     bytes_before = cluster.counters.bytes_written
@@ -120,7 +120,7 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     assert (logged[0], fills) == (25, 11)
     assert sum(written.values()) == \
         cluster.counters.bytes_written - bytes_before
-    assert written["log"] == \
-        REPLICATION * PAGE * (logged[0] + created["log"])
+    assert written["log"] == REPLICATION * (
+        PAGE * logged[0] + FOOTER_FIXED_SIZE * created["log"] + 8 * logged[0])
     assert written["master"] == REPLICATION * PAGE * flag_writes
     assert written["data"] == REPLICATION * BLOCK * (remakes + fills)

@@ -13,6 +13,7 @@ from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
 from wormdb.spdu_dfs import (
+    FOOTER_FIXED_SIZE,
     DfsTransactionStore,
     create_data_meta,
     create_log_meta,
@@ -55,8 +56,8 @@ def payload(page):
 
 
 def test_footer_pack_round_trip():
-    footer = pack_footer([5, 3, 900], True, PAGE)
-    assert len(footer) == PAGE
+    footer = pack_footer([5, 3, 900], True)
+    assert len(footer) == FOOTER_FIXED_SIZE + 3 * 8 == 37
     pageids, complete = unpack_footer(footer)
     assert pageids == [5, 3, 900]
     assert complete is True
@@ -66,12 +67,12 @@ def test_footer_pack_round_trip():
 @given(st.lists(st.integers(0, 2 ** 63 - 1), max_size=15),
        st.booleans())
 def test_footer_round_trip_property(pageids, complete):
-    footer = pack_footer(pageids, complete, PAGE)
+    footer = pack_footer(pageids, complete)
     assert unpack_footer(footer) == (pageids, complete)
 
 
 def test_footer_checksum_detected():
-    footer = bytearray(pack_footer([1, 2], False, PAGE))
+    footer = bytearray(pack_footer([1, 2], False))
     footer[20] ^= 0xFF
     with pytest.raises(RecoveryError):
         unpack_footer(bytes(footer))
@@ -176,14 +177,17 @@ def test_commit_defers_post_commit():
 
 
 def test_commit_past_threshold_compacts_log():
-    """The batch waits for T blocks' worth of log pages, footers
-    included, not for T log blocks: at T=2 a one-page commit appends two
-    pages, so sixteen commits fill 2 * N = 32 pages in sixteen blocks and
-    the seventeenth runs the batch."""
+    """The batch waits for T blocks' worth of log bytes, footers
+    included, not for T log blocks: at T=2 a one-page commit appends
+    PAGE + 21 = 533 bytes, so thirty commits fill 15,990 of the
+    2 * BLOCK = 16,384 bytes in thirty blocks and the thirty-first runs
+    the batch."""
+    one_page_block = PAGE + FOOTER_FIXED_SIZE + 8
+    assert 30 * one_page_block <= 2 * BLOCK < 31 * one_page_block
     store = make_store(threshold=2)
     rng = random.Random(6)
-    for commit in range(N):
-        store.write_page(commit, page_with(rng))
+    for commit in range(30):
+        store.write_page(commit % N, page_with(rng))
         store.commit_transaction()
         assert store.log.block_count == commit + 2
     store.write_page(0, page_with(rng))
@@ -194,18 +198,21 @@ def test_commit_past_threshold_compacts_log():
 
 
 def test_batch_waits_for_more_than_threshold_blocks_of_pages():
-    """At T=1 the batch runs once the log's blocks hold more than N
-    pages, footers included: a commit of N - 3 pages and two empty
-    commits make N pages, and the next empty commit runs it."""
+    """At T=1 the batch runs once the log's blocks hold more than BLOCK
+    bytes, footers included: a commit of N - 3 pages (6,773 bytes) and
+    109 empty commits (13 bytes each) make 8,190 bytes, and the next
+    empty commit, at 8,203, runs it."""
+    first = (N - 3) * (PAGE + 8) + FOOTER_FIXED_SIZE
+    assert first + 109 * FOOTER_FIXED_SIZE == 8190 <= BLOCK < 8203
     store = make_store(threshold=1)
     rng = random.Random(25)
     for pid in range(N - 3):
         store.write_page(pid, page_with(rng))
     store.commit_transaction()
-    for _ in range(2):
+    for _ in range(109):
         store.commit_transaction()
     assert (store.log.block_count, store.manager.remakes_of("db/data")) \
-        == (4, 0)
+        == (111, 0)
     store.commit_transaction()
     assert (store.log.block_count, store.manager.remakes_of("db/data")) \
         == (1, 1)
@@ -315,6 +322,8 @@ def test_abort_then_reads_match_pre_transaction_oracle():
 
 
 def test_reconstruction_reads_only_footer_pages():
+    """A fresh store reads each log block's footer, one read of just its
+    bytes, and no page."""
     store = make_store()
     rng = random.Random(13)
     for pid in (5, 3):
@@ -327,8 +336,9 @@ def test_reconstruction_reads_only_footer_pages():
     fresh.reconstruct_log_table_index()
     after = cluster.counters
     data_blocks = store.log.block_count - 1
-    assert after.read_calls - before.read_calls == data_blocks
-    assert after.bytes_read - before.bytes_read == data_blocks * PAGE
+    assert after.read_calls - before.read_calls == data_blocks == 1
+    assert after.bytes_read - before.bytes_read == \
+        _footer_bytes(fresh, 1) == FOOTER_FIXED_SIZE + 2 * 8
     assert set(fresh.index) == {5, 3}
     assert payload(fresh.read_page(5)) == payload(store.read_page(5))
 
@@ -371,6 +381,14 @@ def _footer(store, block_id):
     return _peer(store).footers()[block_id]
 
 
+def _footer_bytes(store, first):
+    """The bytes of the footers of log blocks `first` on, as `store` has
+    read them."""
+    return sum(FOOTER_FIXED_SIZE + 8 * len(pageids)
+               for block_id, (pageids, _) in store.footers().items()
+               if block_id >= first)
+
+
 def _commit_blocks(store, rng, blocks):
     """Commit `blocks` new log blocks: full auto-flushed ones, then the
     commit-marked one."""
@@ -399,7 +417,9 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
         reader, lambda: dict(_index(reader)))
-    assert (calls, nbytes) == (3, 3 * PAGE)
+    # two footers of N - 1 pageids and one of one pageid
+    assert (calls, nbytes) == (3, _footer_bytes(reader, 1)) == \
+        (3, 3 * FOOTER_FIXED_SIZE + 8 * (2 * (N - 1) + 1))
     calls, nbytes, warm = _reads_during(reader, lambda: _index(reader))
     assert (calls, nbytes) == (0, 0)
     assert warm == cold
@@ -412,9 +432,11 @@ def test_warm_reconstruction_reads_only_new_footers():
     reader = _peer(store)
     reader.reconstruct_log_table_index()
     for k in (1, 3):
+        first = store.log.block_count
         _commit_blocks(store, rng, k)
         calls, nbytes, index = _reads_during(reader, lambda: _index(reader))
-        assert (calls, nbytes) == (k, k * PAGE)
+        assert (calls, nbytes) == (k, _footer_bytes(reader, first)) == \
+            (k, k * FOOTER_FIXED_SIZE + 8 * ((k - 1) * (N - 1) + 1))
         assert index == _index(_peer(store))
 
 
@@ -889,9 +911,9 @@ def _constituent_sizes(store, file):
             if entry is not None]
 
 
-def test_a_commit_of_k_pages_appends_k_plus_one_pages():
+def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
     """A log block is its pages and the footer, with no padding, and
-    every replica holds exactly that."""
+    every replica holds exactly that: k * PAGE + 13 + 8k bytes."""
     store = make_store()
     rng = random.Random(30)
     for k in (0, 1, 4, N - 2):
@@ -900,32 +922,33 @@ def test_a_commit_of_k_pages_appends_k_plus_one_pages():
         store.commit_transaction()
         block_id = store.log.block_count - 1
         name = store.manager.constituent_entry(store.log, block_id).name
-        assert _constituent_sizes(store, store.log)[block_id] == \
-            (k + 1) * PAGE
+        size = k * PAGE + 13 + 8 * k
+        assert _constituent_sizes(store, store.log)[block_id] == size
         replicas = store.manager.cluster.replicas(name)
         assert len(replicas) == 2
         assert all(r == replicas[0] for r in replicas)
-        assert len(replicas[0]) == (k + 1) * PAGE
-        pageids, complete = unpack_footer(replicas[0][-PAGE:])
+        assert len(replicas[0]) == size
+        pageids, complete = unpack_footer(replicas[0][k * PAGE:])
         assert (len(pageids), complete) == (k, True)
     # a full buffer flushes a block of every page but one, plus the footer
     for pid in range(N - 1):
         store.write_page(pid, page_with(rng))
-    assert _constituent_sizes(store, store.log)[-1] == BLOCK
+    assert _constituent_sizes(store, store.log)[-1] == \
+        (N - 1) * (PAGE + 8) + 13 == 7813
 
 
 def test_master_block_is_one_page_and_data_blocks_stay_whole():
     store = make_store(threshold=1, holes=True)
     assert _constituent_sizes(store, store.log) == [PAGE]
     rng = random.Random(31)
-    for commit in range(5):
+    for commit in range(6):
         for pid in (commit, N + commit, 3 * N + commit):
             store.write_page(pid, page_with(rng))
         store.commit_transaction()
     # the first commit logged one page (the other two blocks were holes),
-    # each later one three, so the fifth took the log to 18 pages, past
-    # T=1 block's worth of N=16, and ran a batch: the flag was set and
-    # cleared
+    # 533 bytes, each later one three, 1,573 bytes, so the sixth took the
+    # log to 8,398 bytes, past T=1 block's worth of 8,192, and ran a
+    # batch: the flag was set and cleared
     assert store.manager.remakes_of("db/log") == 2
     assert _constituent_sizes(store, store.log) == [PAGE]
     assert store.read_commit_flag() is False
@@ -935,25 +958,42 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
         [store.manager.read_block(store.log, 0)] * 2
 
 
-@pytest.mark.parametrize("torn", ["footer missing", "footer misplaced",
-                                  "half a page"])
+@pytest.mark.parametrize("torn", [
+    "footer missing", "footer misplaced", "half a page",
+    "last byte missing", "stray byte", "count disagrees", "bad checksum",
+    *(f"{j} whole pages" for j in range(1, N + 1))])
 def test_a_torn_short_block_is_never_committed(torn):
-    """A log constituent short of what its footer lists, created directly
-    through the cluster, fails a fresh store's footers() with
-    RecoveryError, and a begin never indexes its pages as committed;
-    the footer of the block before it still reads."""
+    """A log constituent that is not exactly the pages its footer lists
+    and the footer, created directly through the cluster, fails a fresh
+    store's footers() with RecoveryError, and a begin never indexes its
+    pages as committed; the footer of the block before it still reads.
+    No size of whole pages is a log block, the old padded one (4 pages
+    here) included: k * PAGE + 13 + 8k is odd."""
     store = make_store()
     rng = random.Random(32)
     store.write_page(1, page_with(rng))
     store.commit_transaction()
     pageids = [10, 11, 12]
     pages = [page_with(rng) for _ in pageids]
-    footer = pack_footer(pageids, True, PAGE)
-    content = {
-        "footer missing": b"".join(pages),  # the footer page never landed
-        "footer misplaced": b"".join(pages[:-1]) + footer,
-        "half a page": footer[:PAGE // 2],
-    }[torn]
+    footer = pack_footer(pageids, True)
+    block = b"".join(pages) + footer
+    if torn.endswith("whole pages"):
+        size = int(torn.split()[0]) * PAGE
+        content = block.ljust(size, b"\0")[:size]
+    else:
+        checksum_flipped = bytearray(block)
+        checksum_flipped[3 * PAGE + 5] ^= 0xFF
+        content = {
+            "footer missing": b"".join(pages),  # the footer never landed
+            "footer misplaced": b"".join(pages[:-1]) + footer,
+            "half a page": footer.ljust(PAGE, b"\0")[:PAGE // 2],
+            "last byte missing": block[:-1],
+            "stray byte": block + b"\0",
+            # a size that fits three pages, whose footer lists two
+            "count disagrees":
+                b"".join(pages) + pack_footer(pageids[:2], True) + bytes(8),
+            "bad checksum": bytes(checksum_flipped),
+        }[torn]
     cluster = store.manager.cluster
     cluster.create_file("db/log/00000002", content, meta="db/log")
     with pytest.raises(RecoveryError):
@@ -966,7 +1006,7 @@ def test_a_torn_short_block_is_never_committed(torn):
             action()
     assert not set(pageids) & set(fresh.index)
     # block 1 is its page and its footer
-    assert unpack_footer(store.manager.read_page(store.log, N + 1)) == \
+    assert unpack_footer(store.manager.read_bytes(store.log, 1, PAGE)) == \
         ([1], True)
 
 
@@ -1000,7 +1040,7 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
     assert store.log.block_count == 3
     # block 2 is its page and its footer
     assert unpack_footer(
-        store.manager.read_page(store.log, 2 * N + 1))[1] is True
+        store.manager.read_bytes(store.log, 2, PAGE))[1] is True
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
@@ -1064,7 +1104,7 @@ def test_a_hole_with_a_log_copy_is_logged():
     store = make_store(holes=True)
     stale = stamp_page(4 * N + 2, 0, page_with(rng))
     store.manager.append_block(
-        store.log, stale + pack_footer([4 * N + 2], True, PAGE))
+        store.log, stale + pack_footer([4 * N + 2], True))
     store.begin_transaction(write=True)
     assert store.index == {4 * N + 2: (1, 0)}
     fresh = page_with(rng)
