@@ -194,11 +194,10 @@ class MetaDfsManager:
                 f"block {block_id} of {file.name} (has {count})")
         return constituent_name(file.name, block_id)
 
-    def append_block(self, file: MetaDfsFile,
-                     content: bytes) -> tuple[int, int]:
+    def append_block(self, file: MetaDfsFile, content: bytes) -> int:
         """Append `content`, 1 to `block_size` bytes, as the next block
         with one NameNode mutation and cache it (see above). Returns the
-        block_id and its constituent's file_id."""
+        block_id."""
         content = bytes(content)
         self._check_block(content, whole_pages=False)
         count = self.cluster.meta_block_count(file.name)
@@ -206,7 +205,7 @@ class MetaDfsManager:
         file_id = self.cluster.create_file(name, content,
                                            meta=file.name).file_id
         self._cache[name] = (file_id, content)
-        return count, file_id
+        return count
 
     def overwrite_block(self, file: MetaDfsFile, block_id: int,
                         content: bytes) -> None:

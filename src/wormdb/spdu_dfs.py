@@ -39,29 +39,20 @@ page and files being write-once:
   footers only. Writers are serialised by the database lock, so at a
   write begin any block past the committed prefix is garbage a failed
   commit left, and one truncate drops it.
-  The session keeps each footer it has seen with the DFS file_id of the
-  block's constituent, and reads the footer again only for a block
-  whose id it has not seen. A constituent is write-once and the NameNode
-  never reuses an id, so a footer changes exactly when its block's id
-  does: when a batch truncates the log, or a writer's begin drops a
-  failed commit's tail, and new blocks are appended under the same block
-  ids. A fresh store has seen no footers and reads them all. The walk
-  looks at no entry while the log's NameNode version
-  (`MetaDfsManager.version`) is the one the cache last matched, the
-  store's own appends counted in; any other change to the log, another
-  store's append or a constituent deleted out of band, makes it look up
-  every block's entry again, so a counted block with no constituent
-  fails each begin, a warm one included.
-* A begin folds into the index only the committed blocks appended since
-  the store last looked, not the whole log. Log blocks are only appended
-  or truncated, so while every block the index folded keeps its file_id
-  it is the fold of the same blocks, and the later committed blocks
-  follow on. The store's own appends are folded as they are made. The
-  index is rebuilt from the committed prefix when a walk finds a folded
-  block changed or gone (a batch, another store's truncate and refill),
-  when it folded a block the log does not count as committed (a failed
-  commit left auto-flushed blocks in it), or when the store appended a
-  block past one the index lacks.
+  A begin keeps the index while the log's NameNode version
+  (`MetaDfsManager.version`) is the one the index last matched and the
+  index has folded no block past the committed prefix. Otherwise it
+  looks up every block's constituent, reads every footer and folds the
+  committed prefix into a fresh index, which it keeps only once every
+  footer has read, so a counted block with no constituent fails each
+  begin, a warm one included. The footers are read through the
+  manager's cache, which serves a block's bytes while its constituent's
+  file_id is unchanged, so a rebuild reads from the DFS only the
+  footers of blocks new to the manager. The store's own append, and a
+  writer's truncate of the tail, keep the index matched when the
+  version moved by that call alone and the index had folded every block
+  before it, so a lone session rebuilds only after its own batch, from
+  the emptied log.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
   committed root can reach (Lorie, "Physical Integrity in a Large
@@ -79,8 +70,9 @@ page and files being write-once:
   test does not look at replica health, so a block whose replicas are
   all dead is logged, as any written block is.
 
-One instance per session: the index, buffer and footer cache are
-session-private; the underlying meta files are shared.
+One instance per session: the index and buffer are session-private; the
+underlying meta files, and the manager's cache of their blocks, are
+shared.
 """
 
 from __future__ import annotations
@@ -188,15 +180,13 @@ class DfsTransactionStore:
         self.post_commit_threshold = post_commit_threshold
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
-        # the index is the fold of log blocks 1.._folded, unless _stale:
-        # the store appended a block past one the index lacks
-        self._folded = 0
-        self._stale = False
-        # block_id -> (constituent file_id, pageids, commit_complete)
-        self._footers: dict[int, tuple[int, list[int], bool]] = {}
-        self._log_bytes = 0  # bytes of the cached blocks, footers included
-        self._last_complete = 0  # the newest cached commit_complete block
-        # the log's NameNode version when _footers last matched it
+        self._folded = 0  # the newest log block folded into the index
+        self._blocks = 0  # the log's data blocks, as the store last saw it
+        # bytes of the committed prefix and of the blocks appended since,
+        # footers included
+        self._log_bytes = 0
+        self._last_complete = 0  # the newest commit_complete block
+        # the log's NameNode version when the index last matched it
         self._seen_version = -1
         self._capacity = self.pages_per_block - 1
         self._new_transaction()
@@ -250,12 +240,15 @@ class DfsTransactionStore:
         in_place = self._in_place.get(pageid // self.pages_per_block)
         if in_place is not None:
             return in_place.get(pageid, bytes(self.page_size))
-        pos = self.index.get(pageid)
-        if pos is not None:
-            block_id, b_offset = pos
-            return self.manager.read_page(
-                self.log, block_id * self.pages_per_block + b_offset)
+        if pageid in self.index:
+            return self._log_copy(pageid)
         return self.manager.read_page(self.data, pageid)
+
+    def _log_copy(self, pageid: int) -> bytes:
+        """The log copy of a page the index holds."""
+        block_id, b_offset = self.index[pageid]
+        return self.manager.read_page(
+            self.log, block_id * self.pages_per_block + b_offset)
 
     # ------------------------------------------------------------------
     # Log maintenance
@@ -270,16 +263,13 @@ class DfsTransactionStore:
         block = b"".join(self._pages.values()) + \
             pack_footer(pageids, mark_commit)
         self.faults.hit("dfs.flush.before_block_append")
-        block_id, file_id = self.manager.append_block(self.log, block)
-        if self.manager.version(self.log) == self._seen_version + 1:
-            self._seen_version += 1  # the log changed by this append alone
-        self._footers[block_id] = (file_id, pageids, mark_commit)
+        block_id = self.manager.append_block(self.log, block)
+        self._changed_alone(block_id)
         self._log_bytes += len(block)
         if mark_commit:
             self._last_complete = block_id
         _fold(self.index, ((block_id, pageids),))
-        self._stale |= block_id != self._folded + 1
-        self._folded = block_id
+        self._folded = self._blocks = block_id
         self.faults.hit("dfs.flush.after_block_append")
         self._pages = {}
         return block_id
@@ -297,7 +287,8 @@ class DfsTransactionStore:
         tail = self._uncommitted_tail()
         if write and tail is not None:
             self.manager.truncate_from(self.log, tail)
-            self._walk_footers()
+            self._changed_alone(tail)
+            self._blocks = self._last_complete
 
     def commit_transaction(self) -> None:
         """Write the in-place blocks, then append the commit-marked
@@ -329,36 +320,26 @@ class DfsTransactionStore:
 
         Returns the number of data blocks remade. Restartable: the master
         commit_flag brackets the whole batch and every step is idempotent.
+        The index, brought to the committed prefix before the flag is set,
+        names the newest copy of each page, so a log it cannot read leaves
+        the flag clear.
         """
         self.faults.hit("dfs.batch.begin")
+        self.reconstruct_log_table_index()
         self.faults.hit("dfs.batch.before_flag_set")
         self._write_master(True)
         self.faults.hit("dfs.batch.after_flag_set")
 
-        self._walk_footers()
-        newest: dict[int, tuple[int, int]] = {}
-        _fold(newest, self._committed_after(0))
-
         by_data_block: dict[int, list[int]] = {}
-        for pageid in newest:
+        for pageid in self.index:
             by_data_block.setdefault(
                 pageid // self.pages_per_block, []).append(pageid)
-
-        block_cache: dict[int, bytes] = {}
-
-        def log_copy(pageid: int) -> tuple[int, bytes]:
-            log_block, slot = newest[pageid]
-            cached = block_cache.get(log_block)
-            if cached is None:
-                cached = self.manager.read_block(self.log, log_block)
-                block_cache[log_block] = cached
-            src = slot * self.page_size
-            return pageid, cached[src:src + self.page_size]
 
         for data_block in sorted(by_data_block):
             content = self._patched(
                 self.manager.read_block(self.data, data_block),
-                map(log_copy, sorted(by_data_block[data_block])))
+                ((pageid, self._log_copy(pageid))
+                 for pageid in sorted(by_data_block[data_block])))
             self.faults.hit("dfs.batch.before_block_remake")
             self.manager.overwrite_block(self.data, data_block, content)
             self.faults.hit("dfs.batch.after_block_remake")
@@ -369,9 +350,9 @@ class DfsTransactionStore:
 
         self.faults.hit("dfs.batch.before_log_truncate")
         self.manager.truncate_from(self.log, 1)
-        self.index, self._folded, self._stale = {}, 0, False
-        self._footers, self._seen_version = {}, -1
-        self._log_bytes = self._last_complete = 0
+        self.index, self._seen_version = {}, -1
+        self._folded = self._blocks = self._log_bytes = \
+            self._last_complete = 0
         self.faults.hit("dfs.batch.after_log_truncate")
         return len(by_data_block)
 
@@ -391,16 +372,37 @@ class DfsTransactionStore:
         return path
 
     def reconstruct_log_table_index(self) -> None:
-        """Bring the index to the log's committed prefix. Folds in only
-        the committed blocks past those it holds while they are intact,
-        else rebuilds it (see the module docstring); reads only the
-        footers this store has not seen (see `_walk_footers`)."""
-        changed = self._walk_footers()
-        if self._stale or changed <= self._folded \
-                or self._folded > self._last_complete:
-            self.index, self._folded, self._stale = {}, 0, False
-        _fold(self.index, self._committed_after(self._folded))
-        self._folded = self._last_complete
+        """Bring the index to the log's committed prefix: keep it while
+        the log's version is the one it last matched and it has folded no
+        block past the committed prefix, else rebuild it from every
+        footer (see the module docstring). A rebuild that fails leaves
+        the store unmatched, so the next one tries again."""
+        version = self.manager.version(self.log)
+        if version == self._seen_version and \
+                self._folded <= self._last_complete:
+            return
+        footers = self.footers()
+        last = max((block_id for block_id, (_, complete) in footers.items()
+                    if complete), default=0)
+        committed = [(block_id, footers[block_id][0])
+                     for block_id in range(1, last + 1)]
+        index: dict[int, tuple[int, int]] = {}
+        _fold(index, committed)
+        pages = sum(len(pageids) for _, pageids in committed)
+        self.index, self._blocks = index, len(footers)
+        self._folded = self._last_complete = last
+        self._log_bytes = pages * (self.page_size + 8) + \
+            last * FOOTER_FIXED_SIZE
+        self._seen_version = version
+
+    def _changed_alone(self, block_id: int) -> None:
+        """After the store's own append at, or truncate from, log block
+        `block_id`: the index still matches the log if the log's version
+        moved by that call alone and the index had folded every block
+        before `block_id`."""
+        if self._folded == block_id - 1 and \
+                self.manager.version(self.log) == self._seen_version + 1:
+            self._seen_version += 1
 
     # ------------------------------------------------------------------
     # Recovery state (reads only)
@@ -415,9 +417,9 @@ class DfsTransactionStore:
         return bool(flag)
 
     def _footer_of(self, block_id: int, entry: DfsFileEntry | None
-                   ) -> tuple[int, list[int], bool]:
-        """(file_id, pageids, commit_complete) of log block `block_id`,
-        whose constituent is `entry`, from the footer past its pages.
+                   ) -> tuple[list[int], bool]:
+        """(pageids, commit_complete) of log block `block_id`, whose
+        constituent is `entry`, from the footer past its pages.
         RecoveryError for a block with no constituent (a hole, which
         reads as zeros in a meta file but never in the log), or unless
         the block is exactly its listed pages and the footer (a torn
@@ -430,53 +432,15 @@ class DfsTransactionStore:
             raise RecoveryError(
                 f"log block {block_id} is {size} bytes, which is no count "
                 f"of {self.page_size}-byte pages and their footer")
-        pageids, complete = unpack_footer(self.manager.read_bytes(
+        return unpack_footer(self.manager.read_bytes(
             self.log, block_id, pages * self.page_size))
-        return entry.file_id, pageids, complete
-
-    def _walk_footers(self) -> int:
-        """Bring the footer cache, `_log_bytes` and `_last_complete` to
-        the log, and return the first block whose footer changed (the
-        log's block count if none). Looks at nothing more while the log's
-        NameNode version is the one the cache last matched; else looks up
-        every block's constituent, and reads the footer only of a
-        block whose file_id differs from the one cached with its footer,
-        or that has none cached."""
-        version = self.manager.version(self.log)
-        if version == self._seen_version:
-            return len(self._footers) + 1
-        entries = self.manager.constituent_entries(self.log)
-        seen, footers = self._footers, {}
-        changed, nbytes, last = len(entries), 0, 0
-        for block_id in range(1, len(entries)):
-            entry, footer = entries[block_id], seen.get(block_id)
-            if footer is None or entry is None or footer[0] != entry.file_id:
-                footer = self._footer_of(block_id, entry)
-                changed = min(changed, block_id)
-            footers[block_id] = footer
-            nbytes += entry.size_bytes
-            if footer[2]:
-                last = block_id
-        self._footers, self._log_bytes, self._last_complete = \
-            footers, nbytes, last
-        self._seen_version = version
-        return changed
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
-        """The footer of every log data block, oldest first, read as a
-        begin reads them (see `_walk_footers`); the returned pageid lists
-        are shared with the cache. No store path calls it: it shows the
-        cache, for comparing stores."""
-        self._walk_footers()
-        return {block_id: (pageids, complete)
-                for block_id, (_, pageids, complete) in self._footers.items()}
-
-    def _committed_after(self, start: int):
-        """(block_id, pageids) of each cached block past `start` up to the
-        newest commit_complete one, which ends the log's committed
-        prefix."""
-        return ((block_id, self._footers[block_id][1])
-                for block_id in range(start + 1, self._last_complete + 1))
+        """The footer of every log data block, oldest first, read through
+        the manager's cache as a rebuild reads them."""
+        entries = self.manager.constituent_entries(self.log)
+        return {block_id: self._footer_of(block_id, entries[block_id])
+                for block_id in range(1, len(entries))}
 
     def recovery_state(self) -> str | None:
         """"redo" if a batch post-commit was interrupted, "rollback" if the
@@ -484,7 +448,7 @@ class DfsTransactionStore:
         truncates), else None."""
         if self.read_commit_flag():
             return "redo"
-        self._walk_footers()
+        self.reconstruct_log_table_index()
         return None if self._uncommitted_tail() is None else "rollback"
 
     # ------------------------------------------------------------------
@@ -519,7 +483,7 @@ class DfsTransactionStore:
             self.log, 0, _master_block(self.page_size, commit_flag))
 
     def _uncommitted_tail(self) -> int | None:
-        """The first block past the committed prefix of the footers this
-        store last read, or None if the log ends in a committed block."""
+        """The first block past the committed prefix of the log as the
+        store last saw it, or None if the log ends in a committed block."""
         first = self._last_complete + 1
-        return first if first <= len(self._footers) else None
+        return first if first <= self._blocks else None

@@ -47,10 +47,9 @@ def test_create_meta_empty(mgr):
 def test_append_naming_matches_ordinal_scheme(mgr):
     f = mgr.create_meta("path/data")
     for i in range(4):
-        block_id, file_id = mgr.append_block(f, block_of(i))
-        assert block_id == i
-        assert file_id == \
-            mgr.cluster.file_entry(constituent_name("path/data", i)).file_id
+        assert mgr.append_block(f, block_of(i)) == i
+        name = constituent_name("path/data", i)
+        assert mgr.cached_ids()[name] == mgr.cluster.file_entry(name).file_id
     names = mgr.cluster.list_files("path/data/")
     assert names == [f"path/data/{i:08d}" for i in range(4)]
     assert constituent_name("path/data", 3) == "path/data/00000003"
@@ -259,7 +258,7 @@ def test_a_failed_append_changes_neither_table_nor_cache(disk_mgr,
     failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
     assert calls == [("create_file", constituent_name("m", 1), block_of(2),
                       "m")]
-    assert mgr.append_block(f, block_of(3))[0] == 1
+    assert mgr.append_block(f, block_of(3)) == 1
     assert f.block_count == 2
     assert mgr.read_block(f, 1) == block_of(3)
     assert mgr.read_page(f, N) == block_of(3)[:PAGE]
@@ -281,7 +280,7 @@ def test_append_after_overwrite_keeps_order(mgr):
     f = mgr.create_meta("m")
     mgr.append_block(f, block_of(0))
     mgr.overwrite_block(f, 0, block_of(5))
-    assert mgr.append_block(f, block_of(1))[0] == 1
+    assert mgr.append_block(f, block_of(1)) == 1
     assert mgr.read_block(f, 0) == block_of(5)
     assert mgr.read_block(f, 1) == block_of(1)
 
@@ -339,7 +338,8 @@ def test_remake_truncate_and_delete_drop_cached_pages(mgr):
         mgr.read_page(f, 2 * N)
     # an appended block under a truncated block's name is served from
     # its own pages, cached by the append under its new id
-    _, file_id = mgr.append_block(f, block_of(5))
+    mgr.append_block(f, block_of(5))
+    file_id = mgr.cluster.file_entry(constituent_name("m", 2)).file_id
     assert mgr.cached_ids()[constituent_name("m", 2)] == file_id
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2 * N)) == \
         (0, 0, bytes([5]) * PAGE)
@@ -455,7 +455,8 @@ def test_dead_replicas_of_a_cached_block_are_reported(mgr):
 def test_an_appended_block_is_read_from_the_cache(mgr):
     f = mgr.create_meta("m")
     content = b"".join(bytes([k]) * PAGE for k in range(N))
-    _, file_id = mgr.append_block(f, content)
+    mgr.append_block(f, content)
+    file_id = mgr.cluster.file_entry(constituent_name("m", 0)).file_id
     assert mgr.cached_ids() == {constituent_name("m", 0): file_id}
     for offset in (0, 3, N - 1):
         assert dfs_reads(mgr, lambda: mgr.read_page(f, offset)) == \

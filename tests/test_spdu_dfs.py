@@ -377,13 +377,13 @@ def _index(store):
 
 def _footer(store, block_id):
     """(pageids, commit_complete) of log block `block_id`, read from its
-    footer page by a store that has cached no footer."""
+    footer by a peer, whose manager has cached none of the log."""
     return _peer(store).footers()[block_id]
 
 
 def _footer_bytes(store, first):
-    """The bytes of the footers of log blocks `first` on, as `store` has
-    read them."""
+    """The bytes of the footers of log blocks `first` on, read as
+    `store` reads them."""
     return sum(FOOTER_FIXED_SIZE + 8 * len(pageids)
                for block_id, (pageids, _) in store.footers().items()
                if block_id >= first)
@@ -502,30 +502,37 @@ def _pageids_of_blocks(store, first):
             for pid in footers[block_id][0]]
 
 
-def test_begin_folds_only_the_new_committed_blocks():
-    """A begin folds into the index only the pageids of the committed
-    blocks appended since the store last looked, and a writer's begin
-    folds none of the blocks it appended itself; after another store's
-    batch and refill the reader rebuilds its index, and so does a writer
-    whose failed commit left an auto-flushed block in its index."""
+def test_a_begin_rebuilds_the_index_only_after_another_change():
+    """A writer that begins before it appends, as the engine's does, keeps
+    its index matched through its own appends, so its begins fold
+    nothing. A reader's begin after the writer's commits folds the whole
+    committed prefix but reads from the DFS only the new footers; after
+    another store's batch and refill the reader rebuilds, and a writer
+    whose failed commit left an auto-flushed block folds the committed
+    prefix exactly once."""
     faults = FaultInjector()
     store = make_store(faults=faults)
     rng = random.Random(24)
+    store.begin_transaction(write=True)
     _commit_blocks(store, rng, 3)
     reader = _peer(store)
     assert _folds_during(reader.reconstruct_log_table_index) == \
         _pageids_of_blocks(store, 1)
     for k in (1, 2, 4):
         first = store.log.block_count
+        assert _folds_during(
+            lambda: store.begin_transaction(write=True)) == []
         _commit_blocks(store, rng, k)
         assert _folds_during(
             lambda: store.begin_transaction(write=True)) == []
-        assert _folds_during(
-            lambda: reader.begin_transaction(write=False)) == \
-            _pageids_of_blocks(store, first)
+        calls, nbytes, folded = _reads_during(reader, lambda: _folds_during(
+            lambda: reader.begin_transaction(write=False)))
+        assert folded == _pageids_of_blocks(store, 1)
+        assert (calls, nbytes) == (k, _footer_bytes(reader, first))
         assert reader.index == _index(_peer(store))
     stale = reader.index
     store.batch_post_commit()
+    store.begin_transaction(write=True)
     _commit_blocks(store, rng, 2)
     assert _folds_during(
         lambda: reader.begin_transaction(write=False)) == \
@@ -533,6 +540,7 @@ def test_begin_folds_only_the_new_committed_blocks():
     assert reader.index is not stale
     assert reader.index == _index(_peer(store))
 
+    store.begin_transaction(write=True)
     for pid in rng.sample(range(TOTAL), N - 1):
         store.write_page(pid, page_with(rng))  # auto-flushed, uncommitted
     faults.arm("dfs.commit.before_marker")
@@ -1008,6 +1016,52 @@ def test_a_torn_short_block_is_never_committed(torn):
     # block 1 is its page and its footer
     assert unpack_footer(store.manager.read_bytes(store.log, 1, PAGE)) == \
         ([1], True)
+
+
+def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
+    """A batch reads every footer before it sets the commit flag, so a
+    fresh store's batch over a log whose committed block 2 is torn raises
+    RecoveryError with the flag clear: recovery_state() then refuses the
+    log instead of answering "redo" for a redo that can never finish."""
+    store = make_store()
+    rng = random.Random(34)
+    store.write_page(1, page_with(rng))
+    store.commit_transaction()
+    block = page_with(rng) + pack_footer([10], True)
+    store.manager.cluster.create_file(
+        "db/log/00000002", block[:-1], meta="db/log")
+    fresh = _peer(store)
+    with pytest.raises(RecoveryError):
+        fresh.batch_post_commit()
+    assert fresh.read_commit_flag() is False
+    with pytest.raises(RecoveryError):
+        fresh.recovery_state()
+
+
+def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
+    """The commit that runs a threshold batch leaves the index matched,
+    so the batch neither looks up the log's constituents nor reads a
+    footer."""
+    store = make_store(threshold=1)
+    rng = random.Random(35)
+    store.begin_transaction(write=True)
+    calls = []
+
+    def counted(method):
+        original = getattr(store.manager, method)
+
+        def call(*args):
+            calls.append(method)
+            return original(*args)
+        return call
+
+    for method in ("constituent_entries", "read_bytes"):
+        monkeypatch.setattr(store.manager, method, counted(method))
+    while not store.manager.remakes_of("db/data"):
+        store.write_page(rng.randrange(TOTAL), page_with(rng))
+        store.commit_transaction()
+    assert store.log.block_count == 1
+    assert calls == []
 
 
 def test_a_log_block_with_no_constituent_is_a_recovery_error():
