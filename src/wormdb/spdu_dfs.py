@@ -399,7 +399,8 @@ class DfsTransactionStore:
         """After the store's own append at, or truncate from, log block
         `block_id`: the index still matches the log if the log's version
         moved by that call alone and the index had folded every block
-        before `block_id`."""
+        before `block_id`. The version is read, not assumed to have moved
+        by one: a truncate that found no tail leaves it as it was."""
         if self._folded == block_id - 1 and \
                 self.manager.version(self.log) == self._seen_version + 1:
             self._seen_version += 1
