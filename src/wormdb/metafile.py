@@ -13,11 +13,12 @@ pages per block.
 A block is at most one DFS block, and its constituent is only as long
 as what was written: a data block fills its DFS block and the log's
 master block is one page, both whole pages, but an appended block may
-be any length, and a log block holds just its pages and its footer
-bytes, as an HDFS file ends in a partial block. The NameNode entry that
+be any length, and a log block holds just its compressed pages and its
+footer bytes, as an HDFS file ends in a partial block. The NameNode entry that
 gives a block's file_id also gives its size, so a reader learns where a
 short block ends from the same call; a page that runs past that end is
-OutOfRange, and `read_bytes` reads the tail from a given offset to it.
+OutOfRange, and `read_bytes` reads from a given offset to it, given an
+entry the caller already holds.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -47,7 +48,7 @@ place (or created a missing one), the block is cached whole, as the one
 so the cache holds no second copy; `read_block` returns it, and
 `read_page` and `read_bytes` slice their bytes out of it. A block this
 manager did not write is read through range by range: `read_page` and
-`read_bytes` cache each page or tail they read from the DFS, and
+`read_bytes` cache each page or range they read from the DFS, and
 `read_block` reads the DFS without caching, so a cold read fetches only
 the pages and tails asked for, once. A constituent is write-once
 and the NameNode never reuses an id, so a cached block or range is served
@@ -274,21 +275,16 @@ class MetaDfsManager:
             return cached
         return self.cluster.read_range(entry.name, 0, entry.size_bytes)
 
-    def read_bytes(self, file: MetaDfsFile, block_id: int,
-                   start: int) -> bytes:
-        """The block's bytes from `start` to its constituent's end, served
-        as `read_page` serves a page, so a cold read fetches just those
-        bytes. A block with no constituent reads as zeros to
-        `block_size`; OutOfRange unless `start` is before the end."""
-        entry = self.constituent_entry(file, block_id)
-        size = self.block_size if entry is None else entry.size_bytes
-        if not 0 <= start < size:
+    def read_bytes(self, entry: DfsFileEntry, start: int) -> bytes:
+        """The bytes of constituent `entry`, an entry the caller already
+        holds, from `start` to its end, served as `read_page` serves a
+        page, so a cold read fetches just those bytes, and with no
+        NameNode call. OutOfRange unless `start` is before the end."""
+        if not 0 <= start < entry.size_bytes:
             raise OutOfRange(
-                f"byte {start} of block {block_id} of {file.name}, "
-                f"which is {size} bytes")
-        if entry is None:
-            return bytes(size - start)
-        return self._range(entry, start, size)
+                f"byte {start} of {entry.name}, which is "
+                f"{entry.size_bytes} bytes")
+        return self._range(entry, start, entry.size_bytes)
 
     def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
         """Drop the blocks from `block_id` on with one NameNode mutation,

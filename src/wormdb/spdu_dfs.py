@@ -9,32 +9,44 @@ page and files being write-once:
   full or at commit. Old log copies of a page are superseded (never
   overwritten in place) and last-wins resolution happens at post-commit
   time.
-* Each appended log block is short: its buffered pages in arrival order,
-  then its footer, with no padding, so a block of k pages is
-  k * page_size + FOOTER_FIXED_SIZE + 8k bytes long. The footer is the
-  ordered list of pageids in the block plus a commit_complete flag and a
-  checksum. A block with commit_complete TRUE marks that it and every
-  earlier block hold only committed data (write transactions are
-  serial). The footer's place is found from the constituent's size,
-  which gives k; a size that fits no k (for an even page size, no
-  block of whole pages does), a footer whose page count disagrees with
-  it (a torn block) and a checksum mismatch fail alike, and so does a
-  counted log block with no constituent, which a meta file would read
-  as zeros.
+* Each appended log block is short: a body, its buffered pages in
+  arrival order compressed as one zlib stream, then its footer, raw,
+  with no padding. The footer is the ordered list of pageids in the
+  block, then a fixed part, FOOTER_FIXED_SIZE bytes that end the block:
+  the page count, a commit_complete flag and a checksum. A block with
+  commit_complete TRUE marks that it and every earlier block hold only
+  committed data (write transactions are serial). A reader finds the
+  footer from the block's end: the last FOOTER_FIXED_SIZE + 8(N - 1)
+  bytes, or the whole block if it is shorter, hold any footer, so one
+  read of them gives it. A fixed part that lists more pages than those
+  bytes hold, a checksum mismatch and a counted log block with no
+  constituent, which a meta file would read as zeros, fail alike.
+  Data blocks and the master block stay raw and page-addressable.
+* A log copy of a page is a slice of its block's decoded body. Each
+  store keeps bodies keyed by the constituent's file_id, which the
+  NameNode never reuses, and drops them whenever its index is replaced,
+  so they are at most the raw log: the pages of each block it appends,
+  and the decoded body of any other block when a page of it is first
+  read. A body that fails zlib's check or decodes to other than its
+  listed pages is a torn block too.
 * Post-commit processing is batched: pages from committed log blocks are
   sorted and grouped by target data block, each dirtied data block is
   remade exactly once, and the whole batch is made atomic/restartable by a
-  commit_flag in the log's master block (block 0, one page). Once the
-  flag clears, one truncate drops every log data block: the log's block
-  count changes in one NameNode mutation, so a failure leaves either all
-  the committed blocks, whose newest copies the data blocks now hold, or
-  none. A commit runs the batch once the log's data blocks hold more
-  than `post_commit_threshold` full blocks' worth of bytes, footers
-  included: a batch pays per remade block, so it waits for logged
-  bytes, not for log blocks, which are short.
-* The log table index maps pageid -> (block_id, b_offset). Invariant: it
-  covers the log's committed prefix (up to the newest commit_complete
-  block) plus the blocks the store's own open transaction has flushed.
+  commit_flag in the log's master block (block 0, one page). The batch
+  decodes every body its index names before it sets the flag, so a log
+  it cannot read leaves the flag clear. Once the flag clears, one
+  truncate drops every log data block: the log's block count changes in
+  one NameNode mutation, so a failure leaves either all the committed
+  blocks, whose newest copies the data blocks now hold, or none. A
+  commit runs the batch once the log's data blocks hold more than
+  `post_commit_threshold` full blocks' worth of bytes, counted raw:
+  page_size + 8 a logged page and FOOTER_FIXED_SIZE a block, however
+  the block encodes. A batch pays per page it copies home, so it waits
+  for logged pages, not for log blocks, which are short.
+* The log table index maps pageid -> (block_id, slot), the page's
+  place in its block's body. Invariant: it covers the log's committed
+  prefix (up to the newest commit_complete block) plus the blocks the
+  store's own open transaction has flushed.
   `begin_transaction`, which restart also runs, restores it from
   footers only. Writers are serialised by the database lock, so at a
   write begin any block past the committed prefix is garbage a failed
@@ -90,32 +102,59 @@ _MASTER = struct.Struct("<IB")  # magic, commit_flag
 _MASTER_MAGIC = 0x4C4F4730
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
+_ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
 DEFAULT_POST_COMMIT_THRESHOLD = 64
 
 
+def _footer_size(pages: int) -> int:
+    return FOOTER_FIXED_SIZE + 8 * pages
+
+
 def pack_footer(pageids: list[int], commit_complete: bool) -> bytes:
-    """The footer of a log block: FOOTER_FIXED_SIZE + 8 bytes a page."""
+    """The footer of a log block: 8 bytes a page, then the
+    FOOTER_FIXED_SIZE bytes that end the block."""
     body = struct.pack(f"<{len(pageids)}Q", *pageids)
     crc = zlib.crc32(
         struct.pack("<IB", len(pageids), int(commit_complete)) + body)
-    return _FOOTER_FIXED.pack(len(pageids), int(commit_complete), crc) + body
+    return body + _FOOTER_FIXED.pack(len(pageids), int(commit_complete), crc)
 
 
-def unpack_footer(footer: bytes) -> tuple[list[int], bool]:
-    """(pageids, commit_complete) of a footer of at least
-    FOOTER_FIXED_SIZE bytes; RecoveryError unless it lists exactly the
-    pages its length holds and its checksum matches."""
-    count, complete, crc = _FOOTER_FIXED.unpack_from(footer, 0)
-    if FOOTER_FIXED_SIZE + 8 * count != len(footer):
+def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
+    """(pageids, commit_complete) of the footer that ends `tail`;
+    RecoveryError unless `tail` holds the pages it lists and its checksum
+    matches."""
+    if len(tail) < FOOTER_FIXED_SIZE:
+        raise RecoveryError(f"{len(tail)} bytes hold no log block footer")
+    count, complete, crc = _FOOTER_FIXED.unpack_from(
+        tail, len(tail) - FOOTER_FIXED_SIZE)
+    if _footer_size(count) > len(tail):
         raise RecoveryError(
-            f"log block footer lists {count} pages in {len(footer)} bytes")
-    body = footer[FOOTER_FIXED_SIZE:]
+            f"log block footer lists {count} pages in {len(tail)} bytes")
+    body = tail[len(tail) - _footer_size(count):-FOOTER_FIXED_SIZE]
     actual = zlib.crc32(struct.pack("<IB", count, complete) + body)
     if actual != crc:
         raise RecoveryError(
             f"log block footer checksum mismatch: "
             f"stored {crc:#x}, computed {actual:#x}")
     return list(struct.unpack(f"<{count}Q", body)), bool(complete)
+
+
+def unpack_body(block: bytes, page_size: int) -> bytes:
+    """The pages of log block `block`, decoded, in its footer's order;
+    RecoveryError unless the bytes before the footer pass zlib's own
+    check and decode to exactly the pages the footer lists."""
+    pageids, _ = unpack_footer(block)
+    end = len(block) - _footer_size(len(pageids))
+    try:
+        pages = zlib.decompress(memoryview(block)[:end])
+    except zlib.error as exc:
+        raise RecoveryError(f"log block body does not decode: {exc}") \
+            from None
+    if len(pages) != len(pageids) * page_size:
+        raise RecoveryError(
+            f"log block body decodes to {len(pages)} bytes, not the "
+            f"{len(pageids)} pages of {page_size} bytes its footer lists")
+    return pages
 
 
 def _master_block(page_size: int, commit_flag: bool) -> bytes:
@@ -142,16 +181,24 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
     return manager.create_sparse_meta(name, blocks, first_block)
 
 
+def _compress_bound(size: int) -> int:
+    """The most bytes zlib takes for `size` input bytes at any level
+    (zlib's compressBound)."""
+    return size + (size >> 12) + (size >> 14) + (size >> 25) + 13
+
+
 def check_log_geometry(page_size: int, pages_per_block: int) -> None:
     """Raise ValueError unless a log block of this geometry holds at least
     one page, and a full buffer, every page of a block but one, fits in
-    a block with its footer: the footer of N - 1 pages fits in a page."""
-    if pages_per_block - 1 > (page_size - FOOTER_FIXED_SIZE) // 8:
-        raise ValueError(
-            f"a footer of {pages_per_block - 1} pageids does not fit "
-            f"in a {page_size}-byte page")
+    a block with its footer even when its pages do not compress."""
     if pages_per_block < 2:
         raise ValueError("need at least two pages per block")
+    pages = pages_per_block - 1
+    if _compress_bound(pages * page_size) + _footer_size(pages) > \
+            pages_per_block * page_size:
+        raise ValueError(
+            f"{pages} incompressible pages of {page_size} bytes and their "
+            f"footer do not fit in a block of {pages_per_block} pages")
 
 
 def _fold(index: dict[int, tuple[int, int]], footers) -> None:
@@ -182,13 +229,15 @@ class DfsTransactionStore:
         self.index: dict[int, tuple[int, int]] = {}
         self._folded = 0  # the newest log block folded into the index
         self._blocks = 0  # the log's data blocks, as the store last saw it
-        # bytes of the committed prefix and of the blocks appended since,
-        # footers included
+        # raw bytes (see `_raw_bytes`) of the committed prefix and of the
+        # blocks appended since
         self._log_bytes = 0
         self._last_complete = 0  # the newest commit_complete block
         # the log's NameNode version when the index last matched it
         self._seen_version = -1
         self._capacity = self.pages_per_block - 1
+        # constituent file_id -> the decoded body of a log block
+        self._bodies: dict[int, bytes] = {}
         self._new_transaction()
 
     # ------------------------------------------------------------------
@@ -245,10 +294,22 @@ class DfsTransactionStore:
         return self.manager.read_page(self.data, pageid)
 
     def _log_copy(self, pageid: int) -> bytes:
-        """The log copy of a page the index holds."""
-        block_id, b_offset = self.index[pageid]
-        return self.manager.read_page(
-            self.log, block_id * self.pages_per_block + b_offset)
+        """The log copy of a page the index holds: a slice of its block's
+        decoded body."""
+        block_id, slot = self.index[pageid]
+        start = slot * self.page_size
+        return self._body(block_id)[start:start + self.page_size]
+
+    def _body(self, block_id: int) -> bytes:
+        """The decoded body of log block `block_id`: the pages the store
+        appended, or decoded once per constituent (see above)."""
+        entry = self._log_entry(
+            block_id, self.manager.constituent_entry(self.log, block_id))
+        body = self._bodies.get(entry.file_id)
+        if body is None:
+            body = self._bodies[entry.file_id] = unpack_body(
+                self.manager.read_bytes(entry, 0), self.page_size)
+        return body
 
     # ------------------------------------------------------------------
     # Log maintenance
@@ -256,16 +317,19 @@ class DfsTransactionStore:
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
         """Append the buffer as one short log block: its pages in arrival
-        order, then the footer. Returns the block_id."""
+        order, compressed, then the footer. Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
         pageids = list(self._pages)
-        block = b"".join(self._pages.values()) + \
+        pages = b"".join(self._pages.values())
+        block = zlib.compress(pages, _ZLIB_LEVEL) + \
             pack_footer(pageids, mark_commit)
         self.faults.hit("dfs.flush.before_block_append")
         block_id = self.manager.append_block(self.log, block)
         self._changed_alone(block_id)
-        self._log_bytes += len(block)
+        self._bodies[self.manager.constituent_entry(
+            self.log, block_id).file_id] = pages
+        self._log_bytes += self._raw_bytes(len(pageids), 1)
         if mark_commit:
             self._last_complete = block_id
         _fold(self.index, ((block_id, pageids),))
@@ -321,11 +385,14 @@ class DfsTransactionStore:
         Returns the number of data blocks remade. Restartable: the master
         commit_flag brackets the whole batch and every step is idempotent.
         The index, brought to the committed prefix before the flag is set,
-        names the newest copy of each page, so a log it cannot read leaves
-        the flag clear.
+        names the newest copy of each page, and every body it names is
+        decoded then too, so a log it cannot read leaves the flag clear.
         """
         self.faults.hit("dfs.batch.begin")
         self.reconstruct_log_table_index()
+        for block_id in sorted({block_id for block_id, _ in
+                                self.index.values()}):
+            self._body(block_id)
         self.faults.hit("dfs.batch.before_flag_set")
         self._write_master(True)
         self.faults.hit("dfs.batch.after_flag_set")
@@ -350,7 +417,7 @@ class DfsTransactionStore:
 
         self.faults.hit("dfs.batch.before_log_truncate")
         self.manager.truncate_from(self.log, 1)
-        self.index, self._seen_version = {}, -1
+        self.index, self._bodies, self._seen_version = {}, {}, -1
         self._folded = self._blocks = self._log_bytes = \
             self._last_complete = 0
         self.faults.hit("dfs.batch.after_log_truncate")
@@ -389,11 +456,16 @@ class DfsTransactionStore:
         index: dict[int, tuple[int, int]] = {}
         _fold(index, committed)
         pages = sum(len(pageids) for _, pageids in committed)
-        self.index, self._blocks = index, len(footers)
+        self.index, self._bodies, self._blocks = index, {}, len(footers)
         self._folded = self._last_complete = last
-        self._log_bytes = pages * (self.page_size + 8) + \
-            last * FOOTER_FIXED_SIZE
+        self._log_bytes = self._raw_bytes(pages, last)
         self._seen_version = version
+
+    def _raw_bytes(self, pages: int, blocks: int) -> int:
+        """What `blocks` log blocks of `pages` pages in all count toward
+        the batch trigger: their pages and footers as if unencoded."""
+        return pages * self.page_size + blocks * FOOTER_FIXED_SIZE + \
+            8 * pages
 
     def _changed_alone(self, block_id: int) -> None:
         """After the store's own append at, or truncate from, log block
@@ -417,24 +489,29 @@ class DfsTransactionStore:
             raise RecoveryError("log master block has bad magic")
         return bool(flag)
 
+    def _log_entry(self, block_id: int,
+                   entry: DfsFileEntry | None) -> DfsFileEntry:
+        """`entry`, the constituent of log block `block_id`; RecoveryError
+        for a block with no constituent (a hole, which reads as zeros in a
+        meta file but never in the log) or one too short for a footer."""
+        if entry is None:
+            raise RecoveryError(f"log block {block_id} has no constituent")
+        if entry.size_bytes < FOOTER_FIXED_SIZE:
+            raise RecoveryError(
+                f"log block {block_id} is {entry.size_bytes} bytes, "
+                f"too short for a footer")
+        return entry
+
     def _footer_of(self, block_id: int, entry: DfsFileEntry | None
                    ) -> tuple[list[int], bool]:
         """(pageids, commit_complete) of log block `block_id`, whose
-        constituent is `entry`, from the footer past its pages.
-        RecoveryError for a block with no constituent (a hole, which
-        reads as zeros in a meta file but never in the log), or unless
-        the block is exactly its listed pages and the footer (a torn
-        block)."""
-        if entry is None:
-            raise RecoveryError(f"log block {block_id} has no constituent")
-        size = entry.size_bytes
-        pages, rest = divmod(size - FOOTER_FIXED_SIZE, self.page_size + 8)
-        if pages < 0 or rest:
-            raise RecoveryError(
-                f"log block {block_id} is {size} bytes, which is no count "
-                f"of {self.page_size}-byte pages and their footer")
-        return unpack_footer(self.manager.read_bytes(
-            self.log, block_id, pages * self.page_size))
+        constituent is `entry`, from one read of its last bytes, as many
+        as the largest footer takes. RecoveryError for a hole, a block too
+        short for a footer, or a footer that does not read whole with its
+        checksum (a torn block)."""
+        entry = self._log_entry(block_id, entry)
+        start = max(0, entry.size_bytes - _footer_size(self._capacity))
+        return unpack_footer(self.manager.read_bytes(entry, start))
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
         """The footer of every log data block, oldest first, read through

@@ -1,19 +1,22 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import asdict
 
 import pytest
 
 import wormdb
 from wormdb.cli import load_config, main
-from wormdb.dfs import DfsCluster, DfsConfig
+from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database, EngineConfig
 from wormdb.errors import ConfigError, DatabaseFull
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
+from wormdb.pagefmt import stamp_page
 
 SMALL_CONFIG = {
     "page_size": 512,
@@ -411,6 +414,34 @@ def test_a_root_of_the_two_table_layout_is_one_error_line(small_root,
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     first = next(row for kind, row in rows if kind == "file")
     assert repr(first.rstrip("\n")) in lines[0]
+
+
+def test_a_root_with_an_uncompressed_log_block_is_one_error_line(
+        small_root, capsys):
+    """A root whose log holds a block of the layout used before log
+    blocks were compressed (its pages raw, then a footer whose fixed
+    part, count, flag and checksum, comes first) is refused: `recover`
+    and `run` print one error line and exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    log = "db/log"
+    pageids = struct.pack("<Q", 5)
+    crc = zlib.crc32(struct.pack("<IB", 1, 1) + pageids)
+    old_block = stamp_page(5, 0, bytes(SMALL_CONFIG["page_size"])) + \
+        struct.pack("<IBQ", 1, 1, crc) + pageids
+    cluster.create_file(constituent_name(log, cluster.meta_block_count(log)),
+                        old_block, meta=log)
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_csv_output(small_root, capsys):

@@ -213,6 +213,14 @@ def test_detector_finds_mentions_with_their_scope():
         (4, "M.__init__"), (6, "M.check"), (7, "<module>"), (9, "f")]
     assert mentions(source, "PageConfig") == [(1, "<module>")]
     assert mentions(source, "block_size") == [(6, "M.check")]
+    codec = (
+        "import zlib\n"
+        "from zlib import decompress as inflate\n"
+        "def pack(pages):\n"
+        "    return zlib.compress(pages, 1), zlib.crc32(pages)\n"
+    )
+    assert mentions(codec, "compress") == [(4, "pack")]
+    assert mentions(codec, "decompress") == [(2, "<module>")]
 
 
 # module -> the scopes that may mention block_size_bytes (None: any scope)
@@ -235,12 +243,15 @@ def test_the_dfs_block_size_has_one_home():
     assert not hasattr(wormdb, "PageConfig")
 
 
-FOOTER_FORMAT = ("pack_footer", "unpack_footer", "FOOTER_FIXED_SIZE")
+# a log block's footer and the codec of its body
+FOOTER_FORMAT = ("pack_footer", "unpack_footer", "unpack_body",
+                 "FOOTER_FIXED_SIZE", "compress", "decompress")
 
 
 def test_the_log_footer_format_has_one_home():
-    """Only the store packs, parses or sizes a log block's footer; the
-    meta-file layer hands its bytes over unread."""
+    """Only the store packs, parses or sizes a log block's footer, and
+    only it compresses or decompresses a block's body; the meta-file
+    layer hands its bytes over unread."""
     offences = [f"{path.name}:{line}: {name} in {scope}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 if path.name != STORE_MODULE

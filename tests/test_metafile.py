@@ -69,34 +69,43 @@ def test_append_wrong_size(mgr):
     assert mgr.read_block(f, 0) == block_of(1)
 
 
-def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(mgr):
-    """A log block of one page ends in its footer, short of a second
-    page: reading that page slot is OutOfRange, cached or not, and
-    `read_bytes` returns the footer, from the cache of the manager that
-    appended it, or with one DFS read of just its bytes, which another
-    manager then serves from its cache."""
+def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
+        mgr, monkeypatch):
+    """A log block of one page is its compressed page and its footer,
+    shorter here than one page: reading that page slot is OutOfRange,
+    cached or not. `read_bytes`, given the block's entry, returns the
+    footer, from the cache of the manager that appended it, or with one
+    DFS read of just its bytes, which another manager then serves from
+    its cache, and it makes no NameNode call."""
     data = create_data_meta(mgr, "db/data", 4 * N)
     log = create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, log, 4 * N)
     store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
     store.commit_transaction()
-    size = PAGE + 13 + 8
-    assert mgr.constituent_entry(log, 1).size_bytes == size
+    size = mgr.constituent_entry(log, 1).size_bytes
+    footer = 13 + 8
+    assert footer < size < PAGE
+    tail = mgr.read_block(log, 1)[size - footer:]
     peer = peer_of(mgr)
-    for manager, reads in ((mgr, (0, 0)), (peer, (1, size - PAGE))):
+    for manager, reads in ((mgr, (0, 0)), (peer, (1, footer))):
         file = manager.open_meta("db/log")
         with pytest.raises(OutOfRange):
-            manager.read_page(file, N + 1)
-        got = dfs_reads(manager, lambda: manager.read_bytes(file, 1, PAGE))
-        assert got == (*reads, mgr.read_block(log, 1)[PAGE:])
-        assert len(got[2]) == size - PAGE
-        assert dfs_reads(manager, lambda: manager.read_bytes(file, 1, PAGE)) \
-            == (0, 0, got[2])
-        for start in (-1, size):
-            with pytest.raises(OutOfRange):
-                manager.read_bytes(file, 1, start)
-    # a hole reads as zeros to the block's end
-    assert mgr.read_bytes(data, 2, BLOCK - 3) == bytes(3)
+            manager.read_page(file, N)
+        entry = manager.constituent_entry(file, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(manager.cluster, "meta_block_entry", None)
+            got = dfs_reads(manager,
+                            lambda: manager.read_bytes(entry, size - footer))
+            assert got == (*reads, tail)
+            assert dfs_reads(
+                manager, lambda: manager.read_bytes(entry, size - footer)) \
+                == (0, 0, tail)
+            for start in (-1, size):
+                with pytest.raises(OutOfRange):
+                    manager.read_bytes(entry, start)
+    # a hole has no entry to read bytes from; it reads as a zero block
+    assert mgr.constituent_entry(data, 2) is None
+    assert mgr.read_block(data, 2) == bytes(BLOCK)
 
 
 def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):

@@ -19,6 +19,7 @@ only if it changed: an update of records in place leaves it as it was,
 so its data block is no longer remade for it.
 """
 
+import zlib
 from collections import Counter
 
 from wormdb import bench, spdu_dfs
@@ -26,7 +27,12 @@ from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
-from wormdb.spdu_dfs import FOOTER_FIXED_SIZE, pack_footer
+from wormdb.spdu_dfs import (
+    FOOTER_FIXED_SIZE,
+    pack_footer,
+    unpack_body,
+    unpack_footer,
+)
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -77,14 +83,15 @@ def test_paper_counters_are_pinned():
 
 def test_log_and_master_write_pages_not_blocks(monkeypatch):
     """The bytes each meta file writes while the write workloads run: a
-    log block is its logged pages plus a footer of 13 bytes and 8 a
-    page, the master block one page per commit_flag write, and a data
+    log block is its logged pages compressed at zlib level 1 plus a
+    footer of 13 bytes and 8 a page, fewer bytes than the raw pages and
+    footers, the master block one page per commit_flag write, and a data
     block one whole DFS block per remake or fill. Zero padding of log or
     master blocks fails this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     master = constituent_name(db.log_name, 0)  # and its ".new" remakes
-    written, created = Counter(), Counter()
+    written, created, encoded = Counter(), Counter(), Counter()
     create_file = DfsCluster.create_file
 
     def tally(self, name, content, meta=None):
@@ -92,6 +99,12 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
         kind = "master" if name.startswith(master) else name.split("/")[1]
         written[kind] += REPLICATION * len(content)
         created[kind] += 1
+        if kind == "log":
+            pageids, _ = unpack_footer(content)
+            pages = unpack_body(content, PAGE)
+            encoded["pages"] += len(pageids)
+            encoded["bytes"] += len(zlib.compress(pages, 1)) + \
+                FOOTER_FIXED_SIZE + 8 * len(pageids)
         return entry
 
     monkeypatch.setattr(DfsCluster, "create_file", tally)
@@ -120,7 +133,8 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     assert (logged[0], fills) == (25, 11)
     assert sum(written.values()) == \
         cluster.counters.bytes_written - bytes_before
-    assert written["log"] == REPLICATION * (
+    assert encoded["pages"] == logged[0]
+    assert written["log"] == REPLICATION * encoded["bytes"] < REPLICATION * (
         PAGE * logged[0] + FOOTER_FIXED_SIZE * created["log"] + 8 * logged[0])
     assert written["master"] == REPLICATION * PAGE * flag_writes
     assert written["data"] == REPLICATION * BLOCK * (remakes + fills)

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
 from wormdb.spdu_dfs import (
     FOOTER_FIXED_SIZE,
     DfsTransactionStore,
+    check_log_geometry,
     create_data_meta,
     create_log_meta,
     pack_footer,
+    unpack_body,
     unpack_footer,
 )
 
@@ -322,8 +325,9 @@ def test_abort_then_reads_match_pre_transaction_oracle():
 
 
 def test_reconstruction_reads_only_footer_pages():
-    """A fresh store reads each log block's footer, one read of just its
-    bytes, and no page."""
+    """A fresh store reads each log block's footer, one read of the
+    block's last bytes, as many as the largest footer takes, and no
+    page."""
     store = make_store()
     rng = random.Random(13)
     for pid in (5, 3):
@@ -338,7 +342,7 @@ def test_reconstruction_reads_only_footer_pages():
     data_blocks = store.log.block_count - 1
     assert after.read_calls - before.read_calls == data_blocks == 1
     assert after.bytes_read - before.bytes_read == \
-        _footer_bytes(fresh, 1) == FOOTER_FIXED_SIZE + 2 * 8
+        _footer_bytes(fresh, 1) == FOOTER_FIXED_SIZE + 8 * (N - 1)
     assert set(fresh.index) == {5, 3}
     assert payload(fresh.read_page(5)) == payload(store.read_page(5))
 
@@ -382,11 +386,11 @@ def _footer(store, block_id):
 
 
 def _footer_bytes(store, first):
-    """The bytes of the footers of log blocks `first` on, read as
-    `store` reads them."""
-    return sum(FOOTER_FIXED_SIZE + 8 * len(pageids)
-               for block_id, (pageids, _) in store.footers().items()
-               if block_id >= first)
+    """The bytes a rebuild reads for the footers of log blocks `first`
+    on: the last FOOTER_FIXED_SIZE + 8(N - 1) bytes of each block, which
+    hold any footer, or all of a shorter block."""
+    return sum(min(size, FOOTER_FIXED_SIZE + 8 * (N - 1))
+               for size in _constituent_sizes(store, store.log)[first:])
 
 
 def _commit_blocks(store, rng, blocks):
@@ -417,9 +421,9 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
         reader, lambda: dict(_index(reader)))
-    # two footers of N - 1 pageids and one of one pageid
+    # three blocks, each longer than the largest footer
     assert (calls, nbytes) == (3, _footer_bytes(reader, 1)) == \
-        (3, 3 * FOOTER_FIXED_SIZE + 8 * (2 * (N - 1) + 1))
+        (3, 3 * (FOOTER_FIXED_SIZE + 8 * (N - 1)))
     calls, nbytes, warm = _reads_during(reader, lambda: _index(reader))
     assert (calls, nbytes) == (0, 0)
     assert warm == cold
@@ -436,7 +440,7 @@ def test_warm_reconstruction_reads_only_new_footers():
         _commit_blocks(store, rng, k)
         calls, nbytes, index = _reads_during(reader, lambda: _index(reader))
         assert (calls, nbytes) == (k, _footer_bytes(reader, first)) == \
-            (k, k * FOOTER_FIXED_SIZE + 8 * ((k - 1) * (N - 1) + 1))
+            (k, k * (FOOTER_FIXED_SIZE + 8 * (N - 1)))
         assert index == _index(_peer(store))
 
 
@@ -581,6 +585,29 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
     assert store.index == _index(peer)
     store.begin_transaction(write=False)
     assert lookups == ["db/log"] * 2
+
+
+def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
+    """A rebuild over k log blocks takes every block's entry from one
+    meta_block_entries call and reads each footer with the entry it
+    holds: no meta_block_entry call, cold or warm."""
+    store = make_store()
+    rng = random.Random(27)
+    _commit_blocks(store, rng, 3)
+    cluster = store.manager.cluster
+    calls = []
+    for method in ("meta_block_entries", "meta_block_entry"):
+        def counted(*args, method=method, original=getattr(cluster, method)):
+            calls.append(method)
+            return original(*args)
+        monkeypatch.setattr(cluster, method, counted)
+    reader = _peer(store)
+    for k in (3, 5):
+        calls.clear()
+        reader.reconstruct_log_table_index()
+        assert store.log.block_count - 1 == k
+        assert calls == ["meta_block_entries"]
+        _commit_blocks(store, rng, 2)
 
 
 def test_warm_indexes_match_fresh_under_random_two_store_schedules():
@@ -852,7 +879,8 @@ def test_footer_fidelity_matches_page_headers():
     footers = _peer(store).footers()
     for block_id in range(1, store.log.block_count):
         pageids, _ = footers[block_id]
-        block = store.manager.read_block(store.log, block_id)
+        block = unpack_body(
+            store.manager.read_block(store.log, block_id), PAGE)
         for slot, pid in enumerate(pageids):
             page = block[slot * PAGE:(slot + 1) * PAGE]
             assert page_header(page)[0] == pid
@@ -920,29 +948,78 @@ def _constituent_sizes(store, file):
 
 
 def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
-    """A log block is its pages and the footer, with no padding, and
-    every replica holds exactly that: k * PAGE + 13 + 8k bytes."""
+    """A log block is its pages, compressed as one zlib stream at level
+    1, and the footer, with no padding, and every replica holds exactly
+    that: its body decodes to the k stamped pages and its footer reads
+    back."""
     store = make_store()
     rng = random.Random(30)
-    for k in (0, 1, 4, N - 2):
-        for pid in rng.sample(range(TOTAL), k):
-            store.write_page(pid, page_with(rng))
-        store.commit_transaction()
+
+    def check_last_block(pageids, contents, commit_complete):
         block_id = store.log.block_count - 1
         name = store.manager.constituent_entry(store.log, block_id).name
-        size = k * PAGE + 13 + 8 * k
+        pages = b"".join(stamp_page(pid, ordinal, content) for ordinal,
+                         (pid, content) in enumerate(zip(pageids, contents)))
+        size = len(zlib.compress(pages, 1)) + 13 + 8 * len(pageids)
         assert _constituent_sizes(store, store.log)[block_id] == size
         replicas = store.manager.cluster.replicas(name)
         assert len(replicas) == 2
         assert all(r == replicas[0] for r in replicas)
         assert len(replicas[0]) == size
-        pageids, complete = unpack_footer(replicas[0][k * PAGE:])
-        assert (len(pageids), complete) == (k, True)
-    # a full buffer flushes a block of every page but one, plus the footer
-    for pid in range(N - 1):
-        store.write_page(pid, page_with(rng))
-    assert _constituent_sizes(store, store.log)[-1] == \
-        (N - 1) * (PAGE + 8) + 13 == 7813
+        assert unpack_body(replicas[0], PAGE) == pages
+        assert unpack_footer(replicas[0]) == (pageids, commit_complete)
+        return size
+
+    for k in (0, 1, 4, N - 2):
+        pageids = rng.sample(range(TOTAL), k)
+        contents = [page_with(rng) for _ in pageids]
+        for pid, content in zip(pageids, contents):
+            store.write_page(pid, content)
+        store.commit_transaction()
+        check_last_block(pageids, contents, True)
+    # a full buffer flushes a block of every page but one, plus the
+    # footer; random payloads barely compress, and the block fits
+    contents = [page_with(rng) for _ in range(N - 1)]
+    for pid, content in enumerate(contents):
+        store.write_page(pid, content)
+    assert check_last_block(list(range(N - 1)), contents, False) <= BLOCK
+
+
+def test_the_smallest_geometry_fits_an_incompressible_page():
+    """At two pages a block, the smallest count the store accepts, a page
+    size of 34 bytes is the smallest whose one incompressible page fits
+    a block with its footer; a random page commits there and a fresh
+    store reads it back."""
+    check_log_geometry(34, 2)
+    for page_size, pages_per_block in ((33, 2), (34, 1)):
+        with pytest.raises(ValueError):
+            check_log_geometry(page_size, pages_per_block)
+    cluster = DfsCluster(DfsConfig(68, 2), 4)
+    mgr = MetaDfsManager(cluster, 34)
+    data = mgr.create_meta("db/data")
+    for _ in range(2):
+        mgr.append_block(data, bytes(68))
+    log = create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, log, 4)
+    rng = random.Random(37)
+    pages = {pid: rng.randbytes(34) for pid in (1, 2)}
+    for pid, content in pages.items():
+        store.write_page(pid, content)  # the second auto-flushes the first
+    store.commit_transaction()
+    # the master page, two one-page blocks whose bodies came out longer
+    # than their pages, and the commit-marked empty block
+    master, *logged, marker = [
+        entry.size_bytes for entry in mgr.constituent_entries(log)]
+    assert (master, len(logged), marker) == (34, 2, 8 + 13)
+    assert all(34 + 13 + 8 < size <= 68 for size in logged)
+    fresh_mgr = MetaDfsManager(cluster, 34)
+    fresh = DfsTransactionStore(fresh_mgr, fresh_mgr.open_meta("db/data"),
+                                fresh_mgr.open_meta("db/log"), 4)
+    fresh.begin_transaction(write=False)
+    for pid, content in pages.items():
+        got = fresh.read_page(pid)
+        assert got == store.read_page(pid)
+        assert got[PAGE_HEADER_SIZE:] == content[PAGE_HEADER_SIZE:]
 
 
 def test_master_block_is_one_page_and_data_blocks_stay_whole():
@@ -966,56 +1043,116 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
         [store.manager.read_block(store.log, 0)] * 2
 
 
-@pytest.mark.parametrize("torn", [
+# the block's footer does not read
+TORN_FOOTERS = [
     "footer missing", "footer misplaced", "half a page",
-    "last byte missing", "stray byte", "count disagrees", "bad checksum",
-    *(f"{j} whole pages" for j in range(1, N + 1))])
+    "last byte missing", "stray byte", "bad checksum",
+    *(f"{j} whole pages" for j in range(1, N + 1))]
+# the block's footer reads, but its body does not decode to its pages
+TORN_BODIES = [
+    "count disagrees", "truncated body", "flipped body byte",
+    "body decodes short"]
+
+
+def _torn_block(torn, pages, pageids):
+    """Log block content of the named kind of damage, for `pages` listed
+    as `pageids`."""
+    body = zlib.compress(b"".join(pages), 1)
+    footer = pack_footer(pageids, True)
+    block = body + footer
+    if torn.endswith("whole pages"):
+        size = int(torn.split()[0]) * PAGE
+        return block.ljust(size, b"\0")[:size]
+    checksum_flipped = bytearray(block)
+    checksum_flipped[len(body) + 5] ^= 0xFF
+    body_flipped = bytearray(body)
+    body_flipped[len(body) // 2] ^= 0xFF
+    return {
+        "footer missing": body,  # the footer never landed
+        "footer misplaced": footer + body,
+        "half a page": footer.ljust(PAGE, b"\0")[:PAGE // 2],
+        "last byte missing": block[:-1],
+        "stray byte": block + b"\0",
+        "bad checksum": bytes(checksum_flipped),
+        # a body of all three pages, whose footer lists two
+        "count disagrees": body + pack_footer(pageids[:2], True),
+        "truncated body": body[:-1] + footer,
+        "flipped body byte": bytes(body_flipped) + footer,
+        "body decodes short":
+            zlib.compress(b"".join(pages[:2]), 1) + footer,
+    }[torn]
+
+
+@pytest.mark.parametrize("torn", TORN_FOOTERS + TORN_BODIES)
 def test_a_torn_short_block_is_never_committed(torn):
-    """A log constituent that is not exactly the pages its footer lists
-    and the footer, created directly through the cluster, fails a fresh
-    store's footers() with RecoveryError, and a begin never indexes its
-    pages as committed; the footer of the block before it still reads.
-    No size of whole pages is a log block, the old padded one (4 pages
-    here) included: k * PAGE + 13 + 8k is odd."""
+    """A log constituent created directly through the cluster that is not
+    one zlib stream of the pages its footer lists followed by that
+    footer is never served. A torn footer fails a fresh store's
+    footers() with RecoveryError, and a begin never indexes its pages as
+    committed. A footer that reads over a torn body is indexed, since a
+    rebuild reads only footers, but every read of a page it lists and a
+    batch raise RecoveryError, and the batch leaves the commit flag
+    clear. Either way the block before it still reads."""
     store = make_store()
     rng = random.Random(32)
-    store.write_page(1, page_with(rng))
+    first = page_with(rng)
+    store.write_page(1, first)
     store.commit_transaction()
     pageids = [10, 11, 12]
     pages = [page_with(rng) for _ in pageids]
-    footer = pack_footer(pageids, True)
-    block = b"".join(pages) + footer
-    if torn.endswith("whole pages"):
-        size = int(torn.split()[0]) * PAGE
-        content = block.ljust(size, b"\0")[:size]
-    else:
-        checksum_flipped = bytearray(block)
-        checksum_flipped[3 * PAGE + 5] ^= 0xFF
-        content = {
-            "footer missing": b"".join(pages),  # the footer never landed
-            "footer misplaced": b"".join(pages[:-1]) + footer,
-            "half a page": footer.ljust(PAGE, b"\0")[:PAGE // 2],
-            "last byte missing": block[:-1],
-            "stray byte": block + b"\0",
-            # a size that fits three pages, whose footer lists two
-            "count disagrees":
-                b"".join(pages) + pack_footer(pageids[:2], True) + bytes(8),
-            "bad checksum": bytes(checksum_flipped),
-        }[torn]
     cluster = store.manager.cluster
-    cluster.create_file("db/log/00000002", content, meta="db/log")
-    with pytest.raises(RecoveryError):
-        _peer(store).footers()
+    cluster.create_file("db/log/00000002", _torn_block(torn, pages, pageids),
+                        meta="db/log")
     fresh = _peer(store)
-    for action in (fresh.reconstruct_log_table_index,
-                   lambda: fresh.begin_transaction(write=False),
-                   fresh.recovery_state):
+    if torn in TORN_FOOTERS:
         with pytest.raises(RecoveryError):
-            action()
-    assert not set(pageids) & set(fresh.index)
+            _peer(store).footers()
+        for action in (fresh.reconstruct_log_table_index,
+                       lambda: fresh.begin_transaction(write=False),
+                       fresh.recovery_state):
+            with pytest.raises(RecoveryError):
+                action()
+        assert not set(pageids) & set(fresh.index)
+    else:
+        listed, _ = fresh.footers()[2]
+        fresh.begin_transaction(write=False)
+        assert set(listed) <= set(fresh.index)
+        for pid in listed:
+            with pytest.raises(RecoveryError):
+                fresh.read_page(pid)
+        with pytest.raises(RecoveryError):
+            fresh.batch_post_commit()
+        assert fresh.read_commit_flag() is False
     # block 1 is its page and its footer
-    assert unpack_footer(store.manager.read_bytes(store.log, 1, PAGE)) == \
+    assert unpack_footer(store.manager.read_block(store.log, 1)) == \
         ([1], True)
+    assert payload(store.read_page(1)) == payload(first)
+
+
+def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
+    """One flipped byte in the body of a committed log block, which no
+    page checksum would catch, makes a read of its page and a batch raise
+    RecoveryError, not zlib.error, and the batch leaves the commit flag
+    clear."""
+    store = make_store()
+    rng = random.Random(36)
+    store.write_page(1, page_with(rng))
+    store.commit_transaction()
+    page = stamp_page(10, 0, page_with(rng))
+    body = bytearray(zlib.compress(page, 1))
+    body[len(body) // 2] ^= 0x01
+    store.manager.cluster.create_file(
+        "db/log/00000002", bytes(body) + pack_footer([10], True),
+        meta="db/log")
+    fresh = _peer(store)
+    fresh.begin_transaction(write=False)
+    assert fresh.index[10] == (2, 0)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        fresh.read_page(10)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        fresh.batch_post_commit()
+    assert fresh.read_commit_flag() is False
+    assert store.manager.remakes_of("db/data") == 0
 
 
 def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
@@ -1027,7 +1164,7 @@ def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
     rng = random.Random(34)
     store.write_page(1, page_with(rng))
     store.commit_transaction()
-    block = page_with(rng) + pack_footer([10], True)
+    block = zlib.compress(page_with(rng), 1) + pack_footer([10], True)
     store.manager.cluster.create_file(
         "db/log/00000002", block[:-1], meta="db/log")
     fresh = _peer(store)
@@ -1041,7 +1178,8 @@ def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
 def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
     """The commit that runs a threshold batch leaves the index matched,
     so the batch neither looks up the log's constituents nor reads a
-    footer."""
+    footer, and the store kept the pages of each block it appended, so
+    the batch decodes no body."""
     store = make_store(threshold=1)
     rng = random.Random(35)
     store.begin_transaction(write=True)
@@ -1093,8 +1231,7 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
         Database(store.manager, "db", TOTAL).recover()
     assert store.log.block_count == 3
     # block 2 is its page and its footer
-    assert unpack_footer(
-        store.manager.read_bytes(store.log, 2, PAGE))[1] is True
+    assert unpack_footer(store.manager.read_block(store.log, 2))[1] is True
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
