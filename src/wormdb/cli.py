@@ -133,7 +133,7 @@ def cmd_gen(args, faults: FaultInjector) -> int:
 
 def cmd_run(args, faults: FaultInjector) -> int:
     db = _open_existing(args.root, faults, recover=False)
-    needed = db.needs_recovery()
+    needed = db.store.recovery_state()
     if needed:
         print(f"error: database needs recovery ({needed}); "
               f"run `wormdb recover` first", file=sys.stderr)

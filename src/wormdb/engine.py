@@ -9,10 +9,11 @@ one index page. Page 0 of the data meta file is the catalog (heap extent,
 index segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
-Sessions acquire the database lock, bring their log table index to the
-footers of the log's committed prefix (reading and folding only those the
-session has not seen), and then run tuple operations; all page mutations
-flow through the session's transaction store.
+Sessions acquire the database lock, bring the database's one log table
+index to the log's committed prefix (rebuilding it from the footers only
+after a failed commit or another process's change to the log), and then
+run tuple operations; all page mutations flow through the database's one
+transaction store.
 """
 
 from __future__ import annotations
@@ -204,14 +205,15 @@ class Database:
         self.manager = manager
         self.name = name
         self.data_name, self.log_name = self.meta_names(name)
-        self.total_pages = total_pages
-        # without deferral every commit runs the batch: threshold 0
-        self.post_commit_threshold = post_commit_threshold if deferred else 0
         self.locks = locks if locks is not None else LockService()
-        self.faults = faults
         self._session_seq = 0
         self.data = manager.open_meta(self.data_name)
         self.log = manager.open_meta(self.log_name)
+        # the sessions, recovery and maintenance share one store, so one
+        # log table index; without deferral every commit runs the batch
+        self.store = DfsTransactionStore(
+            manager, self.data, self.log, total_pages,
+            post_commit_threshold if deferred else 0, faults)
 
     # ------------------------------------------------------------------
 
@@ -265,19 +267,9 @@ class Database:
             db.recover()
         return db
 
-    def _bootstrap_store(self) -> DfsTransactionStore:
-        return DfsTransactionStore(
-            self.manager, self.data, self.log, self.total_pages,
-            self.post_commit_threshold, self.faults)
-
-    def needs_recovery(self) -> str | None:
-        """"redo" if a batch was interrupted, "rollback" if the log has an
-        uncommitted tail, else None."""
-        return self._bootstrap_store().recovery_state()
-
     def recover(self) -> str:
         """Run restart processing; returns "redo", "rollback" or "clean"."""
-        return self._bootstrap_store().restart_system()
+        return self.store.restart_system()
 
     def session(self, owner: str | None = None) -> "Session":
         self._session_seq += 1
@@ -288,20 +280,21 @@ class Database:
 
         Takes the write lock, whose begin drops any uncommitted log tail,
         and returns the number of data-block remakes. Success or failure,
-        it then only releases the lock: an abort over a half-done batch can
-        raise a second error that hides the first. The batch is
-        restartable, so restart processing or the next batch finishes it.
+        it then only ends the session, which makes no DFS call, so no
+        second error hides the first. The batch is restartable, so restart
+        processing or the next batch finishes it.
         """
         session = self.session("maintenance")
         session.begin(WRITE)
         try:
-            return session.store.batch_post_commit()
+            return self.store.batch_post_commit()
         finally:
             session._end()
 
 
 class Session:
-    """One transaction stream: private buffer, index, and page cache.
+    """One transaction stream: a private page cache over the database's
+    transaction store, whose write state belongs to the open writer.
 
     A failed commit releases the lock and leaves its log blocks; every
     `begin` starts from the log's committed prefix, so no later
@@ -325,7 +318,6 @@ class Session:
     def __init__(self, db: Database, owner: str):
         self.db = db
         self.owner = owner
-        self.store = db._bootstrap_store()
         self.page_size = db.manager.page_size
         self._entries_per_page = \
             (self.page_size - PAGE_HEADER_SIZE) // ENTRY_SIZE
@@ -350,7 +342,7 @@ class Session:
             self.db.data_name, mode, self.owner)
         self.mode = mode
         try:
-            self.store.begin_transaction(mode == WRITE)
+            self.db.store.begin_transaction(mode == WRITE)
             self.catalog = parse_catalog(self._get_page(0))
         except BaseException:
             self._end()
@@ -382,22 +374,26 @@ class Session:
                 # the store stamps a copy of each page, so the session
                 # drops its own as it hands it over
                 for pageid in sorted(self._dirty):
-                    self.store.write_page(pageid, self._cache.pop(pageid))
+                    self.db.store.write_page(pageid, self._cache.pop(pageid))
                 self.page_writes += len(self._dirty)
-                self.store.commit_transaction()
+                self.db.store.commit_transaction()
         finally:
             self._end()
 
     def abort(self) -> None:
-        """End the transaction. Nothing of it has reached the store, which
-        sees a write transaction's pages only at commit, and the writer's
-        `begin` already dropped any uncommitted log tail, so this makes no
-        store call."""
+        """End the transaction. Nothing of it has reached the DFS, since
+        the store sees a write transaction's pages only at commit, and the
+        writer's `begin` already dropped any uncommitted log tail, so this
+        makes no DFS call."""
         if self.mode is None:
             raise LockError("no transaction in progress")
         self._end()
 
     def _end(self) -> None:
+        # a writer's commit, failed or not, or abort leaves the store no
+        # buffer for a later transaction to read
+        if self.mode == WRITE:
+            self.db.store.end_transaction()
         self.db.locks.release_lock(self.db.data_name, self.lockid)
         self.mode = None
         self.lockid = None
@@ -429,7 +425,7 @@ class Session:
         if pageid not in self._read:
             self._read.add(pageid)
             self.page_reads += 1
-        return self.store.read_page(pageid)
+        return self.db.store.read_page(pageid)
 
     def _writable_page(self, pageid: int) -> bytearray:
         """The session's own mutable copy of a page."""

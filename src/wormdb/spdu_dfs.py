@@ -63,8 +63,10 @@ page and files being write-once:
   footers of blocks new to the manager. The store's own append, and a
   writer's truncate of the tail, keep the index matched when the
   version moved by that call alone and the index had folded every block
-  before it, so a lone session rebuilds only after its own batch, from
-  the emptied log.
+  before it, and a batch's truncate leaves the empty index matched to
+  the emptied log by the same rule, so a database's store rebuilds only
+  at its first begin, after a failed commit, or after another process
+  changed the log.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
   committed root can reach (Lorie, "Physical Integrity in a Large
@@ -82,14 +84,22 @@ page and files being write-once:
   test does not look at replica health, so a block whose replicas are
   all dead is logged, as any written block is.
 
-One instance per session: the index and buffer are session-private; the
-underlying meta files, and the manager's cache of their blocks, are
-shared.
+One instance per database, shared by its sessions as the manager's
+cache is: the index and the decoded bodies are the database's. The
+write state (the buffer, the in-place blocks and the ordinal) is the
+open writer's: a writer's begin, its commit and the end of its session
+run `end_transaction`, and a reader's begin leaves it. Reads and writes
+of a database exclude each other except where an owner upgrades its own
+read, so an owner's read may see that owner's own open write, and no
+other owner's read overlaps a write. Readers that begin at once rebuild
+the index once, under one lock. The body memo takes no lock: a race
+costs one more decode.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 
 from .dfs import DfsFileEntry
@@ -211,7 +221,8 @@ def _fold(index: dict[int, tuple[int, int]], footers) -> None:
 
 
 class DfsTransactionStore:
-    """Per-session page store with deferred post-commit over meta DFS files."""
+    """A database's page store with deferred post-commit over meta DFS
+    files, shared by its sessions (see above)."""
 
     def __init__(self, manager: MetaDfsManager, data: MetaDfsFile,
                  log: MetaDfsFile, total_pages: int,
@@ -238,7 +249,8 @@ class DfsTransactionStore:
         self._capacity = self.pages_per_block - 1
         # constituent file_id -> the decoded body of a log block
         self._bodies: dict[int, bytes] = {}
-        self._new_transaction()
+        self._rebuild_lock = threading.Lock()
+        self.end_transaction()
 
     # ------------------------------------------------------------------
     # Page access
@@ -343,16 +355,29 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
 
     def begin_transaction(self, write: bool) -> None:
-        """Empty the buffer, restart the write ordinal and index the log's
-        committed prefix; a writer also truncates the log to it, which
-        makes no NameNode call when there is no tail."""
-        self._new_transaction()
-        self.reconstruct_log_table_index()
-        tail = self._uncommitted_tail()
-        if write and tail is not None:
-            self.manager.truncate_from(self.log, tail)
-            self._changed_alone(tail)
-            self._blocks = self._last_complete
+        """Index the log's committed prefix. A writer also ends the
+        transaction the store held and truncates the log to the prefix,
+        which makes no NameNode call when there is no tail; a reader
+        leaves the write state (see above)."""
+        with self._rebuild_lock:
+            self.reconstruct_log_table_index()
+        if write:
+            self.end_transaction()
+            # drop the blocks a failed commit left past the prefix
+            if self._blocks > self._last_complete:
+                self.manager.truncate_from(self.log, self._last_complete + 1)
+                self._changed_alone(self._last_complete + 1)
+                self._blocks = self._last_complete
+
+    def end_transaction(self) -> None:
+        """Drop the write state: the buffer, the in-place blocks and the
+        ordinal. Makes no DFS call."""
+        # pageid -> stamped page, in arrival order
+        self._pages: dict[int, bytes] = {}
+        # block_id -> {pageid: stamped page} of each block to write in
+        # place at commit, over zeros
+        self._in_place: dict[int, dict[int, bytes]] = {}
+        self._ordinal = 0
 
     def commit_transaction(self) -> None:
         """Write the in-place blocks, then append the commit-marked
@@ -372,7 +397,7 @@ class DfsTransactionStore:
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
-        self._new_transaction()
+        self.end_transaction()
         if self._log_bytes > \
                 self.post_commit_threshold * self.manager.block_size:
             self.faults.hit("dfs.commit.before_threshold_batch")
@@ -416,10 +441,13 @@ class DfsTransactionStore:
         self.faults.hit("dfs.batch.after_flag_clear")
 
         self.faults.hit("dfs.batch.before_log_truncate")
+        version = self.manager.version(self.log)
         self.manager.truncate_from(self.log, 1)
-        self.index, self._bodies, self._seen_version = {}, {}, -1
+        # the emptied log holds no page, so an empty index matches it
+        self.index, self._bodies, self._seen_version = {}, {}, version
         self._folded = self._blocks = self._log_bytes = \
             self._last_complete = 0
+        self._changed_alone(1)
         self.faults.hit("dfs.batch.after_log_truncate")
         return len(by_data_block)
 
@@ -527,19 +555,11 @@ class DfsTransactionStore:
         if self.read_commit_flag():
             return "redo"
         self.reconstruct_log_table_index()
-        return None if self._uncommitted_tail() is None else "rollback"
+        return "rollback" if self._blocks > self._last_complete else None
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _new_transaction(self) -> None:
-        # pageid -> stamped page, in arrival order
-        self._pages: dict[int, bytes] = {}
-        # block_id -> {pageid: stamped page} of each block to write in
-        # place at commit, over zeros
-        self._in_place: dict[int, dict[int, bytes]] = {}
-        self._ordinal = 0
 
     def _stamped(self, pageid: int, page_data: bytes) -> bytes:
         """The page with its header, at the transaction's next ordinal."""
@@ -559,9 +579,3 @@ class DfsTransactionStore:
     def _write_master(self, commit_flag: bool) -> None:
         self.manager.overwrite_block(
             self.log, 0, _master_block(self.page_size, commit_flag))
-
-    def _uncommitted_tail(self) -> int | None:
-        """The first block past the committed prefix of the log as the
-        store last saw it, or None if the log ends in a committed block."""
-        first = self._last_complete + 1
-        return first if first <= self._blocks else None

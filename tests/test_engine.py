@@ -1,14 +1,17 @@
 import hashlib
 import itertools
 import random
+import sys
 import threading
+import time
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
 from oracles import meta_file_strays
-from wormdb import bench
+from wormdb import bench, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
     FANOUT,
@@ -34,8 +37,10 @@ from wormdb.errors import (
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
+from wormdb.pagefmt import PAGE_HEADER_SIZE
 from wormdb.pages import SlottedPage
 from wormdb.records import UserVisitsRecord, unpack_record
+from wormdb.spdu_dfs import DfsTransactionStore
 
 PAGE = 512
 BLOCK = 8192
@@ -169,7 +174,7 @@ def test_two_session_visibility_after_commit():
     p1.commit()
     p2 = db.session("P2")
     p2.begin("read")
-    assert len(p2.store.index) >= 1  # log entries visible to P2
+    assert len(db.store.index) >= 1  # log entries visible to P2
     assert len(p2.scan(10)) == 2
     p2.commit()
 
@@ -674,7 +679,7 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
         db.run_maintenance()
     assert failed == [f"{master}.new"]
     assert db.manager.read_block(db.log, 0) == old_master
-    assert db.needs_recovery() is None
+    assert db.store.recovery_state() is None
     assert db.locks.snapshot(db.data_name) == []
 
 
@@ -1187,8 +1192,7 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     for i in range(20, 40):
         s.insert_record(rec(i))
     faults.arm("dfs.batch.before_flag_clear")
-    db.post_commit_threshold = 0  # force the batch at this commit
-    s.store.post_commit_threshold = 0
+    db.store.post_commit_threshold = 0  # force the batch at this commit
     with pytest.raises(CrashPoint):
         s.commit()
 
@@ -1328,7 +1332,7 @@ def test_a_write_abort_makes_no_dfs_call(monkeypatch):
         s.insert_record(rec(i))
     s.update_by_key(rec(3).source_ip, "USA", use_index=True)
     for pageid in range(1, BLOCK // PAGE):
-        s.store.write_page(pageid, bytes(PAGE))  # one uncommitted block
+        db.store.write_page(pageid, bytes(PAGE))  # one uncommitted block
     assert db.log.block_count == 3
     calls = dfs_calls(monkeypatch)
     s.abort()
@@ -1340,6 +1344,149 @@ def test_a_write_abort_makes_no_dfs_call(monkeypatch):
     commit_rows(s, [10])
     assert db.log.block_count == 3  # the tail dropped, the marker added
     assert read_all(db.session()) == [rec(i) for i in range(11)]
+
+
+def store_calls(monkeypatch):
+    """Count, from now on, each rebuild of the log table index (a
+    `DfsTransactionStore.footers` call) and each body decode (an
+    `unpack_body` call)."""
+    counts = Counter()
+    for owner, name in ((DfsTransactionStore, "footers"),
+                        (spdu_dfs, "unpack_body")):
+        def counted(*args, name=name, method=getattr(owner, name)):
+            counts[name] += 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_sessions_that_take_turns_writing_share_one_index(monkeypatch):
+    """A database's sessions share one log table index and its decoded
+    bodies: after the first begin, a commit keeps the index matched for
+    the other session's begin, which reads no footer, and every log page
+    is served from the pages the writer appended."""
+    db = make_db(threshold=10 ** 6)
+    sessions = [db.session("A"), db.session("B")]
+    commit_rows(sessions[0], [0])
+    counts = store_calls(monkeypatch)
+    for i in range(1, 40):
+        commit_rows(sessions[i % 2], [i])
+    assert read_all(sessions[0]) == [rec(i) for i in range(40)]
+    assert db.log.block_count > 40  # every commit is still in the log
+    assert counts == {}
+
+
+def test_a_batch_leaves_the_index_matched_to_the_emptied_log(monkeypatch):
+    """A batch's truncate keeps the index matched to the emptied log, so
+    a begin after a commit that ran the batch reads no footer."""
+    db = make_db(deferred=False)
+    sessions = [db.session("A"), db.session("B")]
+    commit_rows(sessions[0], [0])
+    counts = store_calls(monkeypatch)
+    for i in range(1, 6):
+        commit_rows(sessions[i % 2], [i])
+    assert db.log.block_count == 1  # every commit ran the batch
+    assert read_all(sessions[0]) == [rec(i) for i in range(6)]
+    assert counts == {}
+
+
+def test_readers_that_begin_at_once_rebuild_the_index_once(monkeypatch):
+    """A flushed block no commit marked makes the next begin rebuild the
+    index. Eight readers that begin at once rebuild it once, under the
+    store's lock, and each reads only the committed rows."""
+    db = make_db()
+    commit_rows(db.session(), range(30))
+    s = db.session()
+    s.begin("write")
+    try:
+        for pageid in range(1, db.manager.pages_per_block):
+            db.store.write_page(pageid, bytes(PAGE))
+    finally:
+        s.abort()
+    assert db.log.block_count == 3  # the flushed block stays
+    footers = DfsTransactionStore.footers
+
+    def slow(store):
+        time.sleep(0.05)  # so that unserialised rebuilds would overlap
+        return footers(store)
+
+    monkeypatch.setattr(DfsTransactionStore, "footers", slow)
+    counts = store_calls(monkeypatch)
+    start = threading.Barrier(8, timeout=30)
+    tables = [None] * 8
+
+    def read(i):
+        reader = db.session(f"R{i}")
+        start.wait()
+        tables[i] = read_all(reader)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert tables == [[rec(i) for i in range(30)]] * 8
+    assert counts["footers"] == 1
+
+
+def test_a_readers_begin_leaves_the_writers_buffer():
+    """The store's write state is the open writer's: a reader's begin,
+    which the upgrade exemption can grant beside its owner's write, does
+    not empty the buffer."""
+    db = make_db()
+    commit_rows(db.session(), range(5))
+    s = db.session("A")
+    s.begin("write")
+    page = bytes(range(256)) * (PAGE // 256)
+    db.store.write_page(1, page)
+    written = db.store.read_page(1)
+    assert written[PAGE_HEADER_SIZE:] == page[PAGE_HEADER_SIZE:]
+    db.store.begin_transaction(write=False)
+    assert db.store.read_page(1) == written
+    s.abort()
+
+
+def test_a_commit_that_fails_before_its_marker_leaves_no_page(monkeypatch):
+    """A commit that fails before its marker leaves nothing for a later
+    transaction to read: a new reader reads the committed bytes of every
+    page that commit had buffered."""
+    faults = FaultInjector()
+    db = make_db(faults=faults)
+    commit_rows(db.session(), range(40))
+    reader = db.session("R")
+    reader.begin("read")
+    block0 = {pageid: reader._read_page(pageid)
+              for pageid in range(db.manager.pages_per_block)}
+    reader.commit()
+    buffered = []
+    write_page = DfsTransactionStore.write_page
+
+    def recorded(store, pageid, page):
+        buffered.append(pageid)
+        return write_page(store, pageid, page)
+
+    monkeypatch.setattr(DfsTransactionStore, "write_page", recorded)
+    s = db.session("W")
+    s.begin("write")
+    for i in range(40):
+        s.update_by_key(rec(i).source_ip, "USA", use_index=False)
+    faults.arm("dfs.commit.before_marker")
+    with pytest.raises(CrashPoint):
+        s.commit()
+    # the updated heap pages, all in block 0, which the log holds
+    assert len(buffered) > 1 and set(buffered) <= block0.keys()
+    reader = db.session("R2")
+    reader.begin("read")
+    assert {pageid: reader._read_page(pageid) for pageid in buffered} == \
+        {pageid: block0[pageid] for pageid in buffered}
+    reader.commit()
+    assert read_all(reader) == [rec(i) for i in range(40)]
 
 
 # The failure sweeps' post_commit_threshold: 24 pages of 1 KB, which the
@@ -1372,7 +1519,7 @@ def _sweep_workload():
         s.begin("write")
         try:
             for pageid in range(1, db.manager.pages_per_block):
-                s.store.write_page(pageid, bytes(db.manager.page_size))
+                db.store.write_page(pageid, bytes(db.manager.page_size))
         finally:
             s.abort()
 

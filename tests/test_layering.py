@@ -26,6 +26,11 @@ and the set of those names is ``SPDU_DFS_FAULT_POINTS``: ``hit`` takes
 any name, so a point missing from the registry could never be armed and
 the sweeps, which walk the registry, would skip it.
 
+A database has one transaction store, so one log table index: inside
+the package only ``Database.__init__`` constructs a
+``DfsTransactionStore``, and its sessions, recovery and maintenance use
+that one.
+
 The DFS block size has one home: inside the package only dfs.py and
 ``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
 reader takes the manager's ``block_size``/``pages_per_block``. No module
@@ -221,6 +226,40 @@ def test_detector_finds_mentions_with_their_scope():
     )
     assert mentions(codec, "compress") == [(4, "pack")]
     assert mentions(codec, "decompress") == [(2, "<module>")]
+
+
+def constructions(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each call of `name`, by itself or as
+    an attribute."""
+    return [(node.lineno, scope) for node, scope in scoped_nodes(source)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_detector_finds_constructions_with_their_scope():
+    source = (
+        "from . import spdu_dfs\n"
+        "class Database:\n"
+        "    def __init__(self, manager):\n"
+        "        self.store = DfsTransactionStore(manager)\n"
+        "    def fresh(self):\n"
+        "        return spdu_dfs.DfsTransactionStore(self.manager)\n"
+        "def f(store):\n"
+        "    return DfsTransactionStore, store.DfsTransactionStore.x()\n"
+    )
+    assert constructions(source, "DfsTransactionStore") == [
+        (4, "Database.__init__"), (6, "Database.fresh")]
+
+
+def test_a_database_constructs_the_only_store():
+    """Each session, `recover` and `run_maintenance` of a database use
+    the store its `__init__` makes, so they share one log table index
+    and its decoded bodies."""
+    assert [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+            for _, scope in constructions(path.read_text("utf-8"),
+                                          "DfsTransactionStore")] == \
+        [("engine.py", "Database.__init__")]
 
 
 # module -> the scopes that may mention block_size_bytes (None: any scope)
