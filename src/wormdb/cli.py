@@ -1,5 +1,9 @@
 """Command-line harness: gen | run | recover | soak.
 
+`recover` prints the path restart took and what it chose it from, as
+the log stood before: the master block's commit_flag, the live log
+generation, and that generation's blocks past its committed prefix.
+
 Exit codes: 0 success, 2 precondition/storage violation, 42 injected
 crash (the armed fault point kills the process; run `recover` next).
 """
@@ -162,8 +166,9 @@ def cmd_run(args, faults: FaultInjector) -> int:
 
 def cmd_recover(args, faults: FaultInjector) -> int:
     db = _open_existing(args.root, faults, recover=False)
-    path = db.recover()
-    emit({"recovery": path}, args.out)
+    # what the path was chosen from: the state before recovery changes it
+    state = db.store.log_state()
+    emit({"recovery": db.recover(), **state}, args.out)
     return 0
 
 

@@ -49,6 +49,7 @@ from .spdu_dfs import (
     DfsTransactionStore,
     create_data_meta,
     create_log_meta,
+    discard_metas,
 )
 
 HEAP_START = 1  # page 0 is the catalog
@@ -208,29 +209,29 @@ class Database:
         self.locks = locks if locks is not None else LockService()
         self._session_seq = 0
         self.data = manager.open_meta(self.data_name)
-        self.log = manager.open_meta(self.log_name)
+        self.master = manager.open_meta(self.log_name)
         # the sessions, recovery and maintenance share one store, so one
         # log table index; without deferral every commit runs the batch
         self.store = DfsTransactionStore(
-            manager, self.data, self.log, total_pages,
+            manager, self.data, self.master, total_pages,
             post_commit_threshold if deferred else 0, faults)
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def meta_names(name: str) -> tuple[str, str]:
-        """The data and log meta files of database `name`."""
+        """The data meta file of database `name` and its log's master
+        meta file, which names the log's live generation."""
         return f"{name}/data", f"{name}/log"
 
     @classmethod
     def discard(cls, cluster: DfsCluster, name: str, page_size: int) -> None:
-        """Delete whichever meta files of database `name` exist: what a
-        `create` that failed or was killed left behind. The caller must
-        know that no create of `name` finished."""
-        manager = MetaDfsManager(cluster, page_size)
-        for meta in cls.meta_names(name):
-            if manager.exists(meta):
-                manager.delete_meta(manager.open_meta(meta))
+        """Delete whichever meta files of database `name` exist, every
+        log generation included: what a `create` that failed or was
+        killed left behind. The caller must know that no create of
+        `name` finished."""
+        discard_metas(MetaDfsManager(cluster, page_size),
+                      *cls.meta_names(name))
 
     @classmethod
     def create(cls, cluster: DfsCluster, name: str, total_pages: int,

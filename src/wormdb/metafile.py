@@ -61,10 +61,12 @@ The id call also reports a block whose replicas are all dead, so replica
 loss surfaces on a cached block too. There is no eviction by size: a
 remake replaces the constituent's entry, and a truncate or delete
 through this manager drops it, so the cache never holds more than the
-data blocks written or read and the live log. The engine's batch
-truncates the log once its data blocks hold more than
-`post_commit_threshold` blocks' worth of bytes, so the log is at most
-that many bytes plus what one commit appends, and the master block. The
+data blocks written or read and the live log. The engine's log is a
+master block and a live generation, a meta file the batch replaces and
+deletes once it holds more than `post_commit_threshold` blocks' worth of
+raw bytes; the generation that replaces it holds at most half that, so
+the live log is at most that many bytes plus what one commit appends,
+and the master block. The
 cache takes no lock: a reader racing a remake or another reader can only
 cache a range under an id that has died, which is never served, or
 replace an entry another reader, an append or a remake made, which costs

@@ -5,8 +5,8 @@ Differences from the flat-file method it adapts (kept as a test oracle in
 page and files being write-once:
 
 * Updated pages accumulate in a block update buffer of up to one DFS
-  block less a page; the buffer is appended to the log meta file when
-  full or at commit. Old log copies of a page are superseded (never
+  block less a page; the buffer is appended to the live log generation
+  when full or at commit. Old log copies of a page are superseded (never
   overwritten in place) and last-wins resolution happens at post-commit
   time.
 * Each appended log block is short: a body, its buffered pages in
@@ -29,43 +29,68 @@ page and files being write-once:
   and the decoded body of any other block when a page of it is first
   read. A body that fails zlib's check or decodes to other than its
   listed pages is a torn block too.
+* The log is a sequence of generations. Its master meta file is one
+  block, one page: the master block, which holds the commit_flag and
+  names the live generation g. A generation is a meta file of its own,
+  `generation_name(log, g)`, whose blocks 0, 1, ... are log blocks.
 * Post-commit processing is batched: pages from committed log blocks are
-  sorted and grouped by target data block, each dirtied data block is
-  remade exactly once, and the whole batch is made atomic/restartable by a
-  commit_flag in the log's master block (block 0, one page). The batch
-  decodes every body its index names before it sets the flag, so a log
-  it cannot read leaves the flag clear. Once the flag clears, one
-  truncate drops every log data block: the log's block count changes in
-  one NameNode mutation, so a failure leaves either all the committed
-  blocks, whose newest copies the data blocks now hold, or none. A
-  commit runs the batch once the log's data blocks hold more than
-  `post_commit_threshold` full blocks' worth of bytes, counted raw:
-  page_size + 8 a logged page and FOOTER_FIXED_SIZE a block, however
-  the block encodes. A batch pays per page it copies home, so it waits
-  for logged pages, not for log blocks, which are short.
+  grouped by target data block, and the whole batch is made
+  atomic/restartable by the commit_flag. The batch decodes every body
+  its index names before it sets the flag, so a log it cannot read
+  leaves the flag clear. With the flag set it registers generation g+1,
+  appends to it the pages of the data blocks it carries (below), all
+  commit-marked, and remakes every other dirtied data block exactly
+  once. One overwrite of the master block then names g+1 and clears the
+  flag, and one `delete_meta` drops g. A failure before that overwrite
+  leaves g, which still holds the newest copy of every page, under a set
+  flag; a failure after it leaves g+1, which holds the newest copy of
+  every page no remade block holds. Restart drops any generation the
+  master block does not name, g-1 or g+1, and then redoes the batch if
+  the flag is set. A commit runs the batch once the live generation
+  holds more than `post_commit_threshold` full blocks' worth of bytes,
+  counted raw: page_size + 8 a logged page and FOOTER_FIXED_SIZE a
+  block, however the block encodes.
+* Which data blocks a batch carries is a rent-or-buy choice counted in
+  raw pages (Karlin et al., "Competitive Snoopy Caching", Algorithmica
+  1988), the cost-benefit cleaning of a log-structured file system
+  (Rosenblum & Ousterhout, TOCS 1992). Carrying a block's n logged
+  pages costs n pages; remaking it costs a whole block of
+  `pages_per_block`. The store keeps a credit per data block, the page
+  copies of that block it has carried so far, in memory. A block rides
+  into g+1 while credit + n < pages_per_block; otherwise it is remade
+  and its credit dropped. Blocks with the fewest pages are carried
+  first, and the carried pages stay within half the trigger's raw bytes,
+  so each batch frees room for new commits, a batch at threshold 0
+  carries nothing, and the live generation never holds more than the
+  trigger plus what one commit appends. A restart forgets the credits,
+  which can only delay a remake.
 * The log table index maps pageid -> (block_id, slot), the page's
-  place in its block's body. Invariant: it covers the log's committed
-  prefix (up to the newest commit_complete block) plus the blocks the
-  store's own open transaction has flushed.
+  place in its block's body in the live generation. Invariant: it
+  covers the generation's committed prefix (up to the newest
+  commit_complete block) plus the blocks the store's own open
+  transaction has flushed.
   `begin_transaction`, which restart also runs, restores it from
   footers only. Writers are serialised by the database lock, so at a
   write begin any block past the committed prefix is garbage a failed
   commit left, and one truncate drops it.
-  A begin keeps the index while the log's NameNode version
-  (`MetaDfsManager.version`) is the one the index last matched and the
-  index has folded no block past the committed prefix. Otherwise it
-  looks up every block's constituent, reads every footer and folds the
-  committed prefix into a fresh index, which it keeps only once every
-  footer has read, so a counted block with no constituent fails each
-  begin, a warm one included. The footers are read through the
-  manager's cache, which serves a block's bytes while its constituent's
-  file_id is unchanged, so a rebuild reads from the DFS only the
-  footers of blocks new to the manager. The store's own append, and a
-  writer's truncate of the tail, keep the index matched when the
-  version moved by that call alone and the index had folded every block
-  before it, and a batch's truncate leaves the empty index matched to
-  the emptied log by the same rule, so a database's store rebuilds only
-  at its first begin, after a failed commit, or after another process
+  A begin first reads the master block if the master's NameNode version
+  (`MetaDfsManager.version`) moved since the store last read it, and
+  follows it to the generation it names. It keeps the index while the
+  generation is the one it read and that generation's version is the
+  one the index last matched, and the index has folded no block past
+  the committed prefix. Otherwise it looks up every block's
+  constituent, reads every footer and folds the committed prefix into a
+  fresh index, which it keeps only once every footer has read, so a
+  counted block with no constituent fails each begin, a warm one
+  included. The footers are read through the manager's cache, which
+  serves a block's bytes while its constituent's file_id is unchanged,
+  so a rebuild reads from the DFS only the footers of blocks new to the
+  manager. The store's own append, and a writer's truncate of the tail,
+  keep the index matched when the version moved by that call alone and
+  the index had folded every block before it, and a batch leaves the
+  index of the carried pages matched to g+1, which no other store reads
+  before the master names it, so a database's store rebuilds only at
+  its first begin, after a failed commit, or after another process
   changed the log.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
@@ -108,12 +133,13 @@ from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
 
-_MASTER = struct.Struct("<IB")  # magic, commit_flag
-_MASTER_MAGIC = 0x4C4F4730
+_MASTER = struct.Struct("<IBQ")  # magic, commit_flag, live generation
+_MASTER_MAGIC = 0x4C4F4731
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
 _ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
 DEFAULT_POST_COMMIT_THRESHOLD = 64
+_FIRST_GENERATION = 1
 
 
 def _footer_size(pages: int) -> int:
@@ -167,17 +193,50 @@ def unpack_body(block: bytes, page_size: int) -> bytes:
     return pages
 
 
-def _master_block(page_size: int, commit_flag: bool) -> bytes:
-    """The log's master block: one page holding the commit_flag."""
-    return _MASTER.pack(_MASTER_MAGIC, int(commit_flag)).ljust(
+def _log_block(pageids: list[int], pages: bytes,
+               commit_complete: bool) -> bytes:
+    """A log block: `pages` compressed, then the footer."""
+    return zlib.compress(pages, _ZLIB_LEVEL) + \
+        pack_footer(pageids, commit_complete)
+
+
+def generation_name(log_name: str, generation: int) -> str:
+    """The meta file of generation `generation` of log `log_name`."""
+    return f"{log_name}/gen{generation}"
+
+
+def _master_block(page_size: int, commit_flag: bool,
+                  generation: int) -> bytes:
+    """The log's master block: one page holding the commit_flag and the
+    live generation."""
+    return _MASTER.pack(_MASTER_MAGIC, int(commit_flag), generation).ljust(
         page_size, b"\0")
 
 
+def _read_master(manager: MetaDfsManager,
+                 master: MetaDfsFile) -> tuple[bool, int]:
+    """(commit_flag, live generation) of the log's master block;
+    RecoveryError if there is none or its magic is wrong."""
+    try:
+        page = manager.read_page(master, 0)
+    except OutOfRange:
+        raise RecoveryError(f"log {master.name} has no master block") \
+            from None
+    magic, flag, generation = _MASTER.unpack_from(page, 0)
+    if magic != _MASTER_MAGIC:
+        raise RecoveryError("log master block has bad magic")
+    return bool(flag), generation
+
+
 def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
-    """Create a log meta file holding only the master block."""
-    file = manager.create_meta(name)
-    manager.append_block(file, _master_block(manager.page_size, False))
-    return file
+    """Create a log: its first generation, empty, then its master meta
+    file, whose one block names that generation with the flag clear.
+    Returns the master meta file."""
+    manager.create_meta(generation_name(name, _FIRST_GENERATION))
+    master = manager.create_meta(name)
+    manager.append_block(
+        master, _master_block(manager.page_size, False, _FIRST_GENERATION))
+    return master
 
 
 def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
@@ -189,6 +248,32 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
     blocks = (total_pages + n - 1) // n
     first_block = (first_page or b"").ljust(manager.block_size, b"\0")
     return manager.create_sparse_meta(name, blocks, first_block)
+
+
+def _delete_if_exists(manager: MetaDfsManager, name: str) -> None:
+    if manager.exists(name):
+        manager.delete_meta(manager.open_meta(name))
+
+
+def discard_metas(manager: MetaDfsManager, data_name: str,
+                  log_name: str) -> None:
+    """Delete whichever meta files of a database exist: its data file,
+    every generation of its log and then the log's master. A create
+    makes the first generation before the master, and a batch makes
+    g+1 and drops g-1 (see above), so the first generation and those
+    next to the one a master block names are every generation there
+    can be; the master goes last, so that a discard that fails can run
+    again."""
+    _delete_if_exists(manager, data_name)
+    generations = {_FIRST_GENERATION}
+    if manager.exists(log_name):
+        master = manager.open_meta(log_name)
+        if master.block_count:
+            _, live = _read_master(manager, master)
+            generations |= {live - 1, live, live + 1}
+    for generation in sorted(generations):
+        _delete_if_exists(manager, generation_name(log_name, generation))
+    _delete_if_exists(manager, log_name)
 
 
 def _compress_bound(size: int) -> int:
@@ -225,31 +310,37 @@ class DfsTransactionStore:
     files, shared by its sessions (see above)."""
 
     def __init__(self, manager: MetaDfsManager, data: MetaDfsFile,
-                 log: MetaDfsFile, total_pages: int,
+                 master: MetaDfsFile, total_pages: int,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                  faults: FaultInjector = NULL_INJECTOR):
         check_log_geometry(manager.page_size, manager.pages_per_block)
         self.manager = manager
         self.data = data
-        self.log = log
+        self.master = master
         self.page_size = manager.page_size
         self.pages_per_block = manager.pages_per_block
         self.total_pages = total_pages
         self.post_commit_threshold = post_commit_threshold
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
-        self._folded = 0  # the newest log block folded into the index
-        self._blocks = 0  # the log's data blocks, as the store last saw it
+        self._folded = 0  # the log blocks folded into the index
+        self._blocks = 0  # the live generation's blocks, as last seen
         # raw bytes (see `_raw_bytes`) of the committed prefix and of the
         # blocks appended since
         self._log_bytes = 0
-        self._last_complete = 0  # the newest commit_complete block
-        # the log's NameNode version when the index last matched it
+        self._committed = 0  # the blocks up to the newest commit_complete
+        # the live generation's NameNode version when the index last
+        # matched it, and the master's when the store last read it
         self._seen_version = -1
+        self._master_version = -1
         self._capacity = self.pages_per_block - 1
         # constituent file_id -> the decoded body of a log block
         self._bodies: dict[int, bytes] = {}
+        # data block -> the page copies of it the batches have carried
+        self._credits: dict[int, int] = {}
         self._rebuild_lock = threading.Lock()
+        self.generation = 0  # none: the master block names the first
+        self._follow_master()  # opens the live generation as `self.log`
         self.end_transaction()
 
     # ------------------------------------------------------------------
@@ -334,8 +425,7 @@ class DfsTransactionStore:
             return None
         pageids = list(self._pages)
         pages = b"".join(self._pages.values())
-        block = zlib.compress(pages, _ZLIB_LEVEL) + \
-            pack_footer(pageids, mark_commit)
+        block = _log_block(pageids, pages, mark_commit)
         self.faults.hit("dfs.flush.before_block_append")
         block_id = self.manager.append_block(self.log, block)
         self._changed_alone(block_id)
@@ -343,9 +433,9 @@ class DfsTransactionStore:
             self.log, block_id).file_id] = pages
         self._log_bytes += self._raw_bytes(len(pageids), 1)
         if mark_commit:
-            self._last_complete = block_id
+            self._committed = block_id + 1
         _fold(self.index, ((block_id, pageids),))
-        self._folded = self._blocks = block_id
+        self._folded = self._blocks = block_id + 1
         self.faults.hit("dfs.flush.after_block_append")
         self._pages = {}
         return block_id
@@ -355,19 +445,19 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
 
     def begin_transaction(self, write: bool) -> None:
-        """Index the log's committed prefix. A writer also ends the
-        transaction the store held and truncates the log to the prefix,
-        which makes no NameNode call when there is no tail; a reader
-        leaves the write state (see above)."""
+        """Index the live generation's committed prefix. A writer also
+        ends the transaction the store held and truncates the generation
+        to the prefix, which makes no NameNode call when there is no
+        tail; a reader leaves the write state (see above)."""
         with self._rebuild_lock:
             self.reconstruct_log_table_index()
         if write:
             self.end_transaction()
             # drop the blocks a failed commit left past the prefix
-            if self._blocks > self._last_complete:
-                self.manager.truncate_from(self.log, self._last_complete + 1)
-                self._changed_alone(self._last_complete + 1)
-                self._blocks = self._last_complete
+            if self._blocks > self._committed:
+                self.manager.truncate_from(self.log, self._committed)
+                self._changed_alone(self._committed)
+                self._blocks = self._committed
 
     def end_transaction(self) -> None:
         """Drop the write state: the buffer, the in-place blocks and the
@@ -382,10 +472,10 @@ class DfsTransactionStore:
     def commit_transaction(self) -> None:
         """Write the in-place blocks, then append the commit-marked
         block, at which the transaction is durable; post-commit is
-        deferred until the log's data blocks hold more than
+        deferred until the live generation holds more than
         `post_commit_threshold` blocks' worth of bytes, as the store saw
-        the log at its begin and has appended since (at threshold 0 it
-        runs at every commit, since the marker is a footer)."""
+        it at its begin and has appended since (at threshold 0 it runs
+        at every commit, since the marker is a footer)."""
         for block_id in sorted(self._in_place):
             # a block's pages are dropped as it is written, so that no
             # block is held twice
@@ -398,14 +488,15 @@ class DfsTransactionStore:
         self.flush_buffer(mark_commit=True)
         self.faults.hit("dfs.commit.after_marker")
         self.end_transaction()
-        if self._log_bytes > \
-                self.post_commit_threshold * self.manager.block_size:
+        if self._log_bytes > self._trigger_bytes():
             self.faults.hit("dfs.commit.before_threshold_batch")
             self.batch_post_commit()
             self.faults.hit("dfs.commit.after_batch")
 
     def batch_post_commit(self) -> int:
-        """Copy committed log pages home, one remake per dirtied data block.
+        """Copy committed log pages home, one remake per data block the
+        policy does not carry, and carry the others' pages into the next
+        generation (see above).
 
         Returns the number of data blocks remade. Restartable: the master
         commit_flag brackets the whole batch and every step is idempotent.
@@ -418,46 +509,110 @@ class DfsTransactionStore:
         for block_id in sorted({block_id for block_id, _ in
                                 self.index.values()}):
             self._body(block_id)
-        self.faults.hit("dfs.batch.before_flag_set")
-        self._write_master(True)
-        self.faults.hit("dfs.batch.after_flag_set")
-
         by_data_block: dict[int, list[int]] = {}
-        for pageid in self.index:
+        for pageid in sorted(self.index):
             by_data_block.setdefault(
                 pageid // self.pages_per_block, []).append(pageid)
+        carried = self._carried(by_data_block)
+        self.faults.hit("dfs.batch.before_flag_set")
+        self._write_master(True, self.generation)
+        self.faults.hit("dfs.batch.after_flag_set")
 
-        for data_block in sorted(by_data_block):
+        self._drop_other_generations()
+        successor = self.manager.create_meta(
+            generation_name(self.master.name, self.generation + 1))
+        pageids = [pageid for data_block in sorted(carried)
+                   for pageid in by_data_block[data_block]]
+        index, bodies = self._carry(successor, pageids)
+
+        remade = sorted(by_data_block.keys() - carried)
+        for data_block in remade:
             content = self._patched(
                 self.manager.read_block(self.data, data_block),
                 ((pageid, self._log_copy(pageid))
-                 for pageid in sorted(by_data_block[data_block])))
+                 for pageid in by_data_block[data_block]))
             self.faults.hit("dfs.batch.before_block_remake")
             self.manager.overwrite_block(self.data, data_block, content)
             self.faults.hit("dfs.batch.after_block_remake")
 
         self.faults.hit("dfs.batch.before_flag_clear")
-        self._write_master(False)
+        self._write_master(False, self.generation + 1)
         self.faults.hit("dfs.batch.after_flag_clear")
+        # no other store reads the successor before the master names it,
+        # so its version is the one the carried pages' index matches
+        previous, self.log = self.log, successor
+        self.generation += 1
+        self.index, self._bodies = index, bodies
+        blocks = len(bodies)
+        self._folded = self._blocks = self._committed = blocks
+        self._log_bytes = self._raw_bytes(len(pageids), blocks)
+        self._seen_version = self.manager.version(successor)
+        for data_block, logged in by_data_block.items():
+            if data_block in carried:
+                self._credits[data_block] = \
+                    self._credits.get(data_block, 0) + len(logged)
+            else:
+                self._credits.pop(data_block, None)
 
-        self.faults.hit("dfs.batch.before_log_truncate")
-        version = self.manager.version(self.log)
-        self.manager.truncate_from(self.log, 1)
-        # the emptied log holds no page, so an empty index matches it
-        self.index, self._bodies, self._seen_version = {}, {}, version
-        self._folded = self._blocks = self._log_bytes = \
-            self._last_complete = 0
-        self._changed_alone(1)
-        self.faults.hit("dfs.batch.after_log_truncate")
-        return len(by_data_block)
+        self.faults.hit("dfs.batch.before_generation_drop")
+        self.manager.delete_meta(previous)
+        self.faults.hit("dfs.batch.after_generation_drop")
+        return len(remade)
+
+    def _carry(self, successor: MetaDfsFile, pageids: list[int]
+               ) -> tuple[dict[int, tuple[int, int]], dict[int, bytes]]:
+        """Append the log copies of `pageids` to generation `successor` in
+        commit-marked blocks of up to a buffer's pages; returns their
+        index and their bodies by constituent file_id."""
+        index: dict[int, tuple[int, int]] = {}
+        bodies: dict[int, bytes] = {}
+        for first in range(0, len(pageids), self._capacity):
+            chunk = pageids[first:first + self._capacity]
+            pages = b"".join(self._log_copy(pageid) for pageid in chunk)
+            self.faults.hit("dfs.batch.before_carry_append")
+            block_id = self.manager.append_block(
+                successor, _log_block(chunk, pages, True))
+            bodies[self.manager.constituent_entry(
+                successor, block_id).file_id] = pages
+            _fold(index, ((block_id, chunk),))
+            self.faults.hit("dfs.batch.after_carry_append")
+        return index, bodies
+
+    def _carried(self, by_data_block: dict[int, list[int]]) -> set[int]:
+        """The data blocks whose logged pages ride into the next
+        generation: those whose credit plus logged pages stay below a
+        block's pages, fewest pages first, while the carried pages take
+        at most half the trigger's raw bytes (see above)."""
+        budget = self._trigger_bytes() // 2
+        carried: set[int] = set()
+        pages = 0
+        for data_block, logged in sorted(
+                by_data_block.items(), key=lambda item: len(item[1])):
+            if self._credits.get(data_block, 0) + len(logged) >= \
+                    self.pages_per_block:
+                continue
+            total = pages + len(logged)
+            if self._raw_bytes(total, -(-total // self._capacity)) > budget:
+                break
+            carried.add(data_block)
+            pages = total
+        return carried
+
+    def _drop_other_generations(self) -> None:
+        """Drop generations g-1 and g+1 of the live g, whichever exist:
+        what a batch that failed before it named g+1, or after it named
+        g, left (see above)."""
+        for generation in (self.generation - 1, self.generation + 1):
+            _delete_if_exists(
+                self.manager, generation_name(self.master.name, generation))
 
     def restart_system(self) -> str:
         """Recover after a crash; returns the path `recovery_state()`
         chose: "redo", "rollback" or, when it found nothing to do,
-        "clean"."""
+        "clean". First drops any generation the master does not name."""
         self.faults.hit("dfs.restart.begin")
-        if self.log.block_count == 0:
-            raise RecoveryError("log meta file has no master block")
+        self._follow_master()
+        self._drop_other_generations()
         path = self.recovery_state() or "clean"
         if path == "redo":
             self.batch_post_commit()
@@ -467,27 +622,48 @@ class DfsTransactionStore:
         return path
 
     def reconstruct_log_table_index(self) -> None:
-        """Bring the index to the log's committed prefix: keep it while
-        the log's version is the one it last matched and it has folded no
-        block past the committed prefix, else rebuild it from every
-        footer (see the module docstring). A rebuild that fails leaves
-        the store unmatched, so the next one tries again."""
+        """Bring the index to the live generation's committed prefix:
+        keep it while that generation's version is the one it last
+        matched and it has folded no block past the committed prefix,
+        else rebuild it from every footer (see the module docstring). A
+        rebuild that fails leaves the store unmatched, so the next one
+        tries again."""
+        self._follow_master()
         version = self.manager.version(self.log)
         if version == self._seen_version and \
-                self._folded <= self._last_complete:
+                self._folded <= self._committed:
             return
         footers = self.footers()
-        last = max((block_id for block_id, (_, complete) in footers.items()
-                    if complete), default=0)
-        committed = [(block_id, footers[block_id][0])
-                     for block_id in range(1, last + 1)]
+        committed = max((block_id + 1 for block_id, (_, complete)
+                         in footers.items() if complete), default=0)
+        prefix = [(block_id, footers[block_id][0])
+                  for block_id in range(committed)]
         index: dict[int, tuple[int, int]] = {}
-        _fold(index, committed)
-        pages = sum(len(pageids) for _, pageids in committed)
+        _fold(index, prefix)
+        pages = sum(len(pageids) for _, pageids in prefix)
         self.index, self._bodies, self._blocks = index, {}, len(footers)
-        self._folded = self._last_complete = last
-        self._log_bytes = self._raw_bytes(pages, last)
+        self._folded = self._committed = committed
+        self._log_bytes = self._raw_bytes(pages, committed)
         self._seen_version = version
+
+    def _follow_master(self) -> None:
+        """Read the master block if its version moved since the store
+        last read it, and open the generation it names if that is not
+        the one the store reads, which leaves the index unmatched."""
+        version = self.manager.version(self.master)
+        if version == self._master_version:
+            return
+        _, generation = _read_master(self.manager, self.master)
+        if generation != self.generation:
+            self.log = self.manager.open_meta(
+                generation_name(self.master.name, generation))
+            self.generation = generation
+            self._seen_version = -1
+        self._master_version = version
+
+    def _trigger_bytes(self) -> int:
+        """The raw bytes past which a commit runs the batch."""
+        return self.post_commit_threshold * self.manager.block_size
 
     def _raw_bytes(self, pages: int, blocks: int) -> int:
         """What `blocks` log blocks of `pages` pages in all count toward
@@ -501,7 +677,7 @@ class DfsTransactionStore:
         moved by that call alone and the index had folded every block
         before `block_id`. The version is read, not assumed to have moved
         by one: a truncate that found no tail leaves it as it was."""
-        if self._folded == block_id - 1 and \
+        if self._folded == block_id and \
                 self.manager.version(self.log) == self._seen_version + 1:
             self._seen_version += 1
 
@@ -511,11 +687,7 @@ class DfsTransactionStore:
 
     def read_commit_flag(self) -> bool:
         """The master block's commit_flag: set while a batch is open."""
-        page = self.manager.read_page(self.log, 0)
-        magic, flag = _MASTER.unpack_from(page, 0)
-        if magic != _MASTER_MAGIC:
-            raise RecoveryError("log master block has bad magic")
-        return bool(flag)
+        return _read_master(self.manager, self.master)[0]
 
     def _log_entry(self, block_id: int,
                    entry: DfsFileEntry | None) -> DfsFileEntry:
@@ -542,20 +714,30 @@ class DfsTransactionStore:
         return unpack_footer(self.manager.read_bytes(entry, start))
 
     def footers(self) -> dict[int, tuple[list[int], bool]]:
-        """The footer of every log data block, oldest first, read through
-        the manager's cache as a rebuild reads them."""
+        """The footer of every block of the live generation, oldest
+        first, read through the manager's cache as a rebuild reads
+        them."""
         entries = self.manager.constituent_entries(self.log)
-        return {block_id: self._footer_of(block_id, entries[block_id])
-                for block_id in range(1, len(entries))}
+        return {block_id: self._footer_of(block_id, entry)
+                for block_id, entry in enumerate(entries)}
 
     def recovery_state(self) -> str | None:
         """"redo" if a batch post-commit was interrupted, "rollback" if the
-        log has a block past its committed prefix (what a writer's begin
-        truncates), else None."""
-        if self.read_commit_flag():
+        live generation has a block past its committed prefix (what a
+        writer's begin truncates), else None; decided from `log_state()`."""
+        state = self.log_state()
+        if state["commit_flag"]:
             return "redo"
+        return "rollback" if state["uncommitted_blocks"] else None
+
+    def log_state(self) -> dict[str, bool | int]:
+        """What `recovery_state()` decides from: the master's commit_flag,
+        the live generation, and the generation's blocks past its
+        committed prefix."""
+        commit_flag = self.read_commit_flag()
         self.reconstruct_log_table_index()
-        return "rollback" if self._blocks > self._last_complete else None
+        return {"commit_flag": commit_flag, "generation": self.generation,
+                "uncommitted_blocks": self._blocks - self._committed}
 
     # ------------------------------------------------------------------
     # Internals
@@ -576,6 +758,7 @@ class DfsTransactionStore:
             content[dst:dst + self.page_size] = page
         return bytes(content)
 
-    def _write_master(self, commit_flag: bool) -> None:
+    def _write_master(self, commit_flag: bool, generation: int) -> None:
         self.manager.overwrite_block(
-            self.log, 0, _master_block(self.page_size, commit_flag))
+            self.master, 0,
+            _master_block(self.page_size, commit_flag, generation))

@@ -151,7 +151,7 @@ def probe_marker_durable(store, blocks_before, remakes_before):
     transaction's commit marker durable?"""
     if store.manager.remakes_of("db/data") > remakes_before:
         return True  # its batch already remade data blocks
-    probe = DfsTransactionStore(store.manager, store.data, store.log,
+    probe = DfsTransactionStore(store.manager, store.data, store.master,
                                 STORE_PAGES)
     if probe.read_commit_flag():
         return True  # batch was bracketed open after the marker
@@ -164,7 +164,7 @@ def probe_marker_durable(store, blocks_before, remakes_before):
 
 
 def recover_and_state(store, pageids):
-    fresh = DfsTransactionStore(store.manager, store.data, store.log,
+    fresh = DfsTransactionStore(store.manager, store.data, store.master,
                                 STORE_PAGES)
     fresh.restart_system()
     return {pid: fresh.read_page(pid) for pid in pageids}
@@ -198,7 +198,7 @@ def sweep_point(point, seed=1234):
     if stage:
         # crash a second time, inside restart processing itself
         faults.arm(point)
-        mid = DfsTransactionStore(store.manager, store.data, store.log,
+        mid = DfsTransactionStore(store.manager, store.data, store.master,
                                   STORE_PAGES, 4, faults)
         with pytest.raises(CrashPoint):
             mid.restart_system()
@@ -269,9 +269,30 @@ def test_criterion_2_oracle_equivalence():
             assert got == core_store.read_page(pid) == oracle.read(pid), seed
 
 
+def record_remakes(monkeypatch, store):
+    """The data blocks the store overwrites from now on, in order."""
+    remade = []
+    overwrite = store.manager.overwrite_block
+
+    def recorded(file, block_id, content):
+        if file is store.data:
+            remade.append(block_id)
+        return overwrite(file, block_id, content)
+
+    monkeypatch.setattr(store.manager, "overwrite_block", recorded)
+    return remade
+
+
+def read_through(store):
+    return [store.read_page(pid) for pid in range(STORE_PAGES)]
+
+
 @criterion(3, "post-commit idempotence")
-def test_criterion_3_idempotence():
-    # DFS-adapted batch: k = 1..5 runs leave identical data meta bytes
+def test_criterion_3_idempotence(monkeypatch):
+    # DFS-adapted batch: k = 1..5 runs each remake a data block at most
+    # once and leave every page reading as its newest committed copy;
+    # once a batch carries nothing (threshold 0), k = 1..5 runs leave
+    # identical data meta bytes
     store = build_page_db(threshold=10 ** 6)
     rng = random.Random(7)
     for _ in range(3):
@@ -279,11 +300,25 @@ def test_criterion_3_idempotence():
             store.write_page(rng.randrange(TOTAL),
                              random_payload_page(rng, PAGE))
         store.commit_transaction()
+    committed = read_through(store)
+    remade = record_remakes(monkeypatch, store)
+    remakes = []
+    for _ in range(5):
+        remade.clear()
+        remakes.append(store.batch_post_commit())
+        assert remakes[-1] == len(remade) == len(set(remade))
+        assert read_through(store) == committed
+    # the first batch carries every block; later ones remake those whose
+    # credit runs out
+    assert remakes[0] == 0 < sum(remakes)
+    store.post_commit_threshold = 0
     states = []
     for _ in range(5):
         store.batch_post_commit()
         states.append([store.manager.read_block(store.data, b)
                        for b in range(store.data.block_count)])
+        assert store.index == {}
+        assert read_through(store) == committed
     assert all(state == states[0] for state in states[1:])
 
     # flat-file baseline post_commit is repeatable the same way
@@ -300,19 +335,30 @@ def test_criterion_3_idempotence():
 
 
 @criterion(4, "remake economy")
-def test_criterion_4_remake_economy():
-    # the four-page workload: all in data block 0 -> exactly one remake
+def test_criterion_4_remake_economy(monkeypatch):
+    # the four-page workload: all in data block 0, whose pages ride into
+    # the next generation with no remake; a batch that carries nothing
+    # then remakes it exactly once
     store = build_page_db(threshold=10 ** 6)
     rng = random.Random(4)
     for pid in (3, 7, 1, 9):
         store.write_page(pid, random_payload_page(rng, PAGE))
     store.commit_transaction()
+    committed = read_through(store)
     before = store.manager.remakes_of("db/data")
+    assert store.batch_post_commit() == 0
+    assert sorted(store.index) == [1, 3, 7, 9]
+    assert read_through(store) == committed
+    store.post_commit_threshold = 0
     assert store.batch_post_commit() == 1
     assert store.manager.remakes_of("db/data") == before + 1
+    assert read_through(store) == committed
 
-    # in general: remakes == distinct dirtied data blocks
+    # in general: a batch remakes each dirtied data block at most once
+    # and carries the others, and a batch that carries nothing remakes
+    # those
     store2 = build_page_db(threshold=10 ** 6)
+    remade = record_remakes(monkeypatch, store2)
     committed_pages = set()
     rng = random.Random(5)
     for _ in range(4):
@@ -322,10 +368,21 @@ def test_criterion_4_remake_economy():
             store2.write_page(pid, random_payload_page(rng, PAGE))
         store2.commit_transaction()
     expected_blocks = {pid // N for pid in committed_pages}
+    committed = read_through(store2)
     before = store2.manager.remakes_of("db/data")
-    assert store2.batch_post_commit() == len(expected_blocks)
-    assert store2.manager.remakes_of("db/data") - before == \
-        len(expected_blocks)
+    for threshold in (10 ** 6, 0):
+        store2.post_commit_threshold = threshold
+        remade.clear()
+        assert store2.batch_post_commit() == len(remade) == \
+            len(set(remade)) == \
+            store2.manager.remakes_of("db/data") - before
+        before += len(remade)
+        carried = {pid // N for pid in store2.index}
+        assert set(remade) | carried == expected_blocks
+        assert not set(remade) & carried
+        assert read_through(store2) == committed
+        expected_blocks = carried
+    assert store2.index == {} and expected_blocks == set()
 
     # sequential insert of 10,000 tuples: zero data remakes while the
     # threshold has not fired
@@ -334,7 +391,7 @@ def test_criterion_4_remake_economy():
                          post_commit_threshold=10 ** 9)
     bench.generate(db, 10_000, seed=1, probe_count=10)
     assert db.manager.remakes_of(db.data_name) == 0
-    assert db.log.block_count > 1  # updates deferred in the log
+    assert db.store.log.block_count > 0  # updates deferred in the log
     s = db.session()
     s.begin("read")
     assert len(s.scan(20_000)) == 10_000
@@ -383,7 +440,7 @@ def test_criterion_6_visibility():
     mgr = MetaDfsManager(cluster, store.manager.page_size)
     second = DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name),
-        mgr.open_meta(store.log.name), TOTAL)
+        mgr.open_meta(store.master.name), TOTAL)
     before = cluster.counters.snapshot()
     second.reconstruct_log_table_index()
     index = second.index
@@ -392,13 +449,13 @@ def test_criterion_6_visibility():
     # footer takes, or all of a shorter block
     footers = second.footers()
     assert after.read_calls - before.read_calls == len(footers) == \
-        store.log.block_count - 1
+        store.log.block_count
     largest = FOOTER_FIXED_SIZE + 8 * (store.pages_per_block - 1)
     assert after.bytes_read - before.bytes_read == \
         sum(min(entry.size_bytes, largest)
-            for entry in mgr.constituent_entries(second.log)[1:])
+            for entry in mgr.constituent_entries(second.log))
     assert set(index) == {5, 3}
-    assert index[5] == (1, 0) and index[3] == (1, 1)
+    assert index[5] == (0, 0) and index[3] == (0, 1)
     assert second.read_page(5) == store.read_page(5)
     assert second.read_page(3) == store.read_page(3)
 

@@ -13,10 +13,12 @@ from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database, EngineConfig
 from wormdb.errors import ConfigError, DatabaseFull
-from wormdb.faults import SPDU_DFS_FAULT_POINTS, FaultInjector
+from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
+from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import stamp_page
+from wormdb.spdu_dfs import generation_name
 
 SMALL_CONFIG = {
     "page_size": 512,
@@ -121,6 +123,57 @@ def test_recover_on_clean_db(small_root, capsys):
     assert run_cli(["recover"], root) == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["recovery"] == "clean"
+
+
+def _open_root(root, faults):
+    """The database of a root `gen` made with SMALL_CONFIG, opened in
+    this process without recovery."""
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    return Database.open(cluster, "db", SMALL_CONFIG["page_size"],
+                         SMALL_CONFIG["post_commit_threshold"],
+                         faults=faults, recover=False)
+
+
+@pytest.mark.parametrize("path", ["clean", "rollback", "redo"])
+def test_recover_says_why_it_chose_its_path(small_root, capsys, path):
+    """Beside the path it took, `recover` reports what it chose it from,
+    as the log stood before: the master block's commit_flag, the live log
+    generation, and that generation's blocks past its committed prefix.
+    A set flag is a redo, else a block past the prefix is a rollback,
+    else the log is clean; a second `recover` then finds it clean, at
+    the next generation after a redo."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "50", "--seed", "4"], root,
+                   config) == 0
+    capsys.readouterr()
+    faults = FaultInjector()
+    db = _open_root(root, faults)
+    generation = db.store.generation
+    if path == "rollback":
+        # the block a commit that failed after its auto-flush leaves
+        s = db.session()
+        s.begin("write")
+        for pageid in range(1, db.manager.pages_per_block):
+            db.store.write_page(pageid, bytes(db.manager.page_size))
+        s.abort()
+    elif path == "redo":
+        faults.arm("dfs.batch.after_flag_set")
+        with pytest.raises(CrashPoint):
+            db.run_maintenance()
+    assert run_cli(["recover"], root) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "recovery": path, "commit_flag": path == "redo",
+        "generation": generation,
+        "uncommitted_blocks": int(path == "rollback")}
+    assert run_cli(["recover"], root) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "recovery": "clean", "commit_flag": False,
+        "generation": generation + (path == "redo"),
+        "uncommitted_blocks": 0}
+    assert run_cli(["run", "--workload", "scan"], root) == 0
+    assert json.loads(capsys.readouterr().out)["records_returned"] == 50
 
 
 def test_crash_point_exit_code_and_recover(small_root):
@@ -429,7 +482,7 @@ def test_a_root_with_an_uncompressed_log_block_is_one_error_line(
     cluster = DfsCluster(
         DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
         SMALL_CONFIG["num_nodes"], root)
-    log = "db/log"
+    log = generation_name("db/log", 1)  # no batch has run
     pageids = struct.pack("<Q", 5)
     crc = zlib.crc32(struct.pack("<IB", 1, 1) + pageids)
     old_block = stamp_page(5, 0, bytes(SMALL_CONFIG["page_size"])) + \
@@ -442,6 +495,31 @@ def test_a_root_with_an_uncompressed_log_block_is_one_error_line(
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_a_root_of_the_master_format_before_generations_is_one_error_line(
+        small_root, capsys):
+    """A root whose log master block names no generation, as the master
+    block of a root written before log generations (its magic, then the
+    flag) does, is refused: `recover` and `run` print one error line and
+    exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
+    manager.overwrite_block(
+        manager.open_meta("db/log"), 0, struct.pack("<IB", 0x4C4F4730, 0)
+        .ljust(SMALL_CONFIG["page_size"], b"\0"))
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: log master block has bad magic"]
 
 
 def test_csv_output(small_root, capsys):
@@ -568,7 +646,7 @@ def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
 
 @pytest.mark.parametrize("method,failing_call", [
     ("create_file", 1),    # the data file's catalog block
-    ("meta_register", 2),  # the log file, the data file done
+    ("meta_register", 2),  # the log's first generation, the data done
     ("create_file", 2)])   # the log's master block, counted as it lands
 def test_gen_after_an_unfinished_create_loads_every_row(
         small_root, capsys, monkeypatch, method, failing_call):

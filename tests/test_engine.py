@@ -54,6 +54,21 @@ def make_db(total=TOTAL, threshold=64, deferred=True, faults=None,
                            LockService(), faults or FaultInjector())
 
 
+GEN1 = spdu_dfs.generation_name("db/log", 1)  # a new log's generation
+
+
+def drain(db):
+    """`run_maintenance` with a batch that carries no page, as at
+    threshold 0, so that every committed log page goes home; returns its
+    remakes."""
+    threshold = db.store.post_commit_threshold
+    db.store.post_commit_threshold = 0
+    try:
+        return db.run_maintenance()
+    finally:
+        db.store.post_commit_threshold = threshold
+
+
 def rec(i, key=None, day=None):
     return UserVisitsRecord(
         source_ip=key or f"10.1.{(i >> 8) & 255}.{i & 255}",
@@ -586,7 +601,9 @@ def test_threshold_commit_compacts_log():
         for i in range(60):
             s.insert_record(rec(batch * 60 + i))
         s.commit()
-    assert db.log.block_count == 1  # compacted at the last commit
+    # the last commit ran a batch: it remade blocks and carried the other
+    # logged pages into generation 2, in one block
+    assert (db.store.generation, db.store.log.block_count) == (2, 1)
     assert db.manager.remakes_of(db.data_name) > 0
     s.begin("read")
     assert len(s.scan(10 ** 6)) == 180
@@ -595,7 +612,7 @@ def test_threshold_commit_compacts_log():
 
 def _remakes_per_commit(db) -> list[int]:
     """remakes_total after each commit of a fixed script; every commit
-    leaves a one-block log (copied back and compacted immediately)."""
+    leaves an empty log (copied back and compacted immediately)."""
     s = db.session()
     remakes = []
     for count in (10, 200, 1):
@@ -603,13 +620,13 @@ def _remakes_per_commit(db) -> list[int]:
         for i in range(count):
             s.insert_record(rec(len(remakes) * 1000 + i, key=f"9.9.9.{i % 3}"))
         s.commit()
-        assert db.log.block_count == 1
+        assert db.store.log.block_count == 0
         assert db.manager.remakes_of(db.data_name) > 0
         remakes.append(db.manager.remakes_total)
     s.begin("write")
     assert s.update_by_key("9.9.9.1", "DEU", use_index=True) == 70
     s.commit()
-    assert db.log.block_count == 1
+    assert db.store.log.block_count == 0
     remakes.append(db.manager.remakes_total)
     s.begin("read")
     assert len(s.scan(10 ** 6)) == 211
@@ -639,11 +656,16 @@ def test_maintenance_trigger_compacts_log():
         for i in range(20):
             s.insert_record(rec(batch * 20 + i))
         s.commit()
-    assert db.log.block_count > 1
-    remade = db.run_maintenance()
-    assert remade > 0
-    assert db.log.block_count == 1
+    assert db.store.log.block_count == 2
+    # the logged pages, of data block 0 and of one index block, ride into
+    # generation 2 in one block; a batch that carries nothing then
+    # remakes both blocks
+    assert db.run_maintenance() == 0
+    assert (db.store.generation, db.store.log.block_count) == (2, 1)
     assert db.locks.snapshot(db.data_name) == []  # lock released
+    assert drain(db) == 2
+    assert db.store.log.block_count == 0
+    assert db.locks.snapshot(db.data_name) == []
     s.begin("read")
     assert len(s.scan(100)) == 40
     s.commit()
@@ -664,7 +686,7 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
         s.insert_record(rec(i))
     s.commit()
     master = constituent_name(db.log_name, 0)
-    old_master = db.manager.read_block(db.log, 0)
+    old_master = db.manager.read_block(db.master, 0)
     create_file = DfsCluster.create_file
     failed = []
 
@@ -678,7 +700,7 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
     with pytest.raises(RemakeFailed):
         db.run_maintenance()
     assert failed == [f"{master}.new"]
-    assert db.manager.read_block(db.log, 0) == old_master
+    assert db.manager.read_block(db.master, 0) == old_master
     assert db.store.recovery_state() is None
     assert db.locks.snapshot(db.data_name) == []
 
@@ -923,7 +945,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         for i in range(40):
             writer.insert_record(rec(100 * txn + i, key=f"9.9.9.{txn}"))
         writer.commit()
-    assert db.log.block_count > 4  # deferred: the log holds the inserts
+    assert db.store.log.block_count > 3  # deferred: the log holds them
     cluster = db.manager.cluster
     s = Database.open(cluster, "db", PAGE, recover=False).session()
     cold_pages = None
@@ -940,7 +962,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         if txn == 0:
             # the cold begin reads every footer once, then the catalog
             # page, with one read of the body or data page that holds it
-            assert begin_reads == db.log.block_count - 1 + 1
+            assert begin_reads == db.store.log.block_count + 1
             assert 0 < read_calls - begin_reads < pages
             cold_pages = pages
         else:
@@ -972,9 +994,9 @@ def test_warm_reader_sees_peer_batch_remake():
     writer.begin("write")
     assert writer.update_by_key("8.8.8.1", "USA", use_index=True) == 10
     writer.commit()
-    assert db.run_maintenance() > 0  # a batch in the maintenance session
+    assert drain(db) > 0  # a batch in the maintenance session
     assert db.manager.remakes_of(db.data_name) > remakes
-    assert db.log.block_count == 1  # every read now comes from data blocks
+    assert db.store.log.block_count == 0  # every read from data blocks
     rows = read_all(reader)
     assert [r.country_code for r in rows] == \
         ["USA" if i % 3 == 1 else "KOR" for i in range(30)]
@@ -995,18 +1017,18 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
         for i in range(40 * txn, 40 * (txn + 1)):
             s.insert_record(rec(i, key=f"7.7.7.{i % 4}"))
         s.commit()
-    db.run_maintenance()
+    drain(db)
     remakes = db.manager.remakes_of(db.data_name)
-    assert remakes > 0 and db.log.block_count == 1
+    assert remakes > 0 and db.store.log.block_count == 0
     cluster = db.manager.cluster
     before = cluster.counters.snapshot()
     assert [r.duration for r in read_all(s)] == list(range(160))
     s.begin("write")
     assert s.update_by_key("7.7.7.1", "USA", use_index=True) == 40
     s.commit()
-    db.run_maintenance()
+    drain(db)
     assert db.manager.remakes_of(db.data_name) > remakes
-    assert db.log.block_count == 1
+    assert db.store.log.block_count == 0
     assert cluster.counters.read_calls == before.read_calls
     expected = ["USA" if i % 4 == 1 else "KOR" for i in range(160)]
     assert [r.country_code for r in read_all(s)] == expected
@@ -1036,7 +1058,7 @@ def test_dead_replicas_of_cached_pages_surface_in_a_session():
     for i in range(40):
         s.insert_record(rec(i))
     s.commit()
-    db.run_maintenance()
+    drain(db)  # the catalog goes home to data block 0
     rows = read_all(s)
     cluster = db.manager.cluster
     holders = cluster.file_entry(
@@ -1113,16 +1135,14 @@ def test_cache_holds_no_truncated_log_block_or_dead_id():
         writer.commit()
         read_all(reader)
     cluster = db.manager.cluster
-    log_blocks = db.log.block_count
+    log = db.store.log
     cached_log = [name for name in db.manager.cached_ids()
-                  if name.startswith(db.log_name + "/")
-                  and name != constituent_name(db.log_name, 0)]
+                  if name.startswith(log.name + "/")]
     assert cached_log  # the reader read record pages from the log
     db.run_maintenance()
-    assert db.log.block_count == 1 < log_blocks
+    assert db.store.log is not log and not cluster.meta_exists(log.name)
     cached = db.manager.cached_ids()
-    for ordinal in range(1, log_blocks):
-        assert constituent_name(db.log_name, ordinal) not in cached
+    assert not any(name.startswith(log.name + "/") for name in cached)
     for name, file_id in cached.items():
         assert cluster.file_entry(name).file_id == file_id
     assert len(read_all(reader)) == 100
@@ -1157,7 +1177,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
             else:
                 session.commit()
         fresh = MetaDfsManager(cluster, db.manager.page_size)
-        for file in (db.data, db.log):
+        for file in (db.data, db.master, db.store.log):
             entries = db.manager.constituent_entries(file)
             for block_id, entry in enumerate(entries):
                 # a data block with no constituent reads as a whole block
@@ -1233,7 +1253,7 @@ class CreateFailed(RuntimeError):
     pass
 
 
-def fail_creates(monkeypatch, fails, meta="db/log"):
+def fail_creates(monkeypatch, fails, meta=GEN1):
     """Make `DfsCluster.create_file` raise for the n-th constituent of
     meta file `meta` created from now on when `fails(n)`; returns the
     names refused."""
@@ -1264,7 +1284,7 @@ def test_commit_failed_at_its_marker_hands_no_page_to_the_next(monkeypatch):
         s.insert_record(rec(i))
     with pytest.raises(CreateFailed):
         s.commit()
-    assert refused == [constituent_name(db.log_name, 2)]  # the marker
+    assert refused == [constituent_name(GEN1, 1)]  # the marker
     monkeypatch.undo()
     commit_rows(s, [40])
     assert read_all(db.session()) == [rec(i) for i in (*range(10), 40)]
@@ -1297,7 +1317,7 @@ def test_commit_failed_after_auto_flushes_stays_invisible(monkeypatch, case):
         s.commit()
     assert refused == [constituent_name(db.data_name, 3)
                        if case == "direct" else
-                       constituent_name(db.log_name, 5)]
+                       constituent_name(GEN1, 4)]
     monkeypatch.undo()
     assert db.locks.snapshot(db.data_name) == []
     assert read_all(db.session()) == keyed
@@ -1333,16 +1353,16 @@ def test_a_write_abort_makes_no_dfs_call(monkeypatch):
     s.update_by_key(rec(3).source_ip, "USA", use_index=True)
     for pageid in range(1, BLOCK // PAGE):
         db.store.write_page(pageid, bytes(PAGE))  # one uncommitted block
-    assert db.log.block_count == 3
+    assert db.store.log.block_count == 2
     calls = dfs_calls(monkeypatch)
     s.abort()
     assert calls == []
     monkeypatch.undo()
     assert db.locks.snapshot(db.data_name) == []
     assert s.mode is None
-    assert db.log.block_count == 3
+    assert db.store.log.block_count == 2
     commit_rows(s, [10])
-    assert db.log.block_count == 3  # the tail dropped, the marker added
+    assert db.store.log.block_count == 2  # the tail dropped, a marker added
     assert read_all(db.session()) == [rec(i) for i in range(11)]
 
 
@@ -1372,20 +1392,21 @@ def test_sessions_that_take_turns_writing_share_one_index(monkeypatch):
     for i in range(1, 40):
         commit_rows(sessions[i % 2], [i])
     assert read_all(sessions[0]) == [rec(i) for i in range(40)]
-    assert db.log.block_count > 40  # every commit is still in the log
+    assert db.store.log.block_count >= 40  # every commit is in the log
     assert counts == {}
 
 
 def test_a_batch_leaves_the_index_matched_to_the_emptied_log(monkeypatch):
-    """A batch's truncate keeps the index matched to the emptied log, so
-    a begin after a commit that ran the batch reads no footer."""
+    """A batch leaves the index matched to the new, empty generation
+    (threshold 0 carries nothing), so a begin after a commit that ran the
+    batch reads no footer."""
     db = make_db(deferred=False)
     sessions = [db.session("A"), db.session("B")]
     commit_rows(sessions[0], [0])
     counts = store_calls(monkeypatch)
     for i in range(1, 6):
         commit_rows(sessions[i % 2], [i])
-    assert db.log.block_count == 1  # every commit ran the batch
+    assert db.store.log.block_count == 0  # every commit ran the batch
     assert read_all(sessions[0]) == [rec(i) for i in range(6)]
     assert counts == {}
 
@@ -1403,7 +1424,7 @@ def test_readers_that_begin_at_once_rebuild_the_index_once(monkeypatch):
             db.store.write_page(pageid, bytes(PAGE))
     finally:
         s.abort()
-    assert db.log.block_count == 3  # the flushed block stays
+    assert db.store.log.block_count == 2  # the flushed block stays
     footers = DfsTransactionStore.footers
 
     def slow(store):
@@ -1550,21 +1571,23 @@ def _recorded(method, name, args):
 
 
 def _drops_a_tail(calls):
-    """Whether the log's count was lowered to more than 1: a writer's
-    begin dropped a failed commit's tail past committed blocks (a batch
-    lowers it to 1)."""
-    return any(call[:2] == ("meta_set_block_count", "db/log") and call[2] > 1
-               for call in calls)
+    """Whether a log generation's count was lowered to more than 0: a
+    writer's begin dropped a failed commit's tail past committed blocks
+    (a batch lowers no count: it drops the whole generation)."""
+    return any(method == "meta_set_block_count" and
+               name.startswith("db/log/") and count > 0
+               for method, name, count in calls)
 
 
 def _meta_mutations(mp, refuse=None):
-    """Record the create_file, delete_file, rename_file and
-    meta_set_block_count calls that `MetaDfsManager.append_block`,
-    `overwrite_block` and `truncate_from` make from now on; the
-    `refuse`-th raises MutationRefused before it runs."""
+    """Record the NameNode mutations that `MetaDfsManager.append_block`,
+    `overwrite_block`, `truncate_from`, `create_meta` and `delete_meta`
+    make from now on; the `refuse`-th raises MutationRefused before it
+    runs."""
     calls = []
     depth = [0]
-    for method in ("append_block", "overwrite_block", "truncate_from"):
+    for method in ("append_block", "overwrite_block", "truncate_from",
+                   "create_meta", "delete_meta"):
         def inside(*args, original=getattr(MetaDfsManager, method),
                    **kwargs):
             depth[0] += 1
@@ -1574,7 +1597,8 @@ def _meta_mutations(mp, refuse=None):
                 depth[0] -= 1
         mp.setattr(MetaDfsManager, method, inside)
     for method in ("create_file", "delete_file", "rename_file",
-                   "meta_set_block_count"):
+                   "meta_set_block_count", "meta_register",
+                   "meta_unregister"):
         def counted(cluster, name, *args, method=method,
                     original=getattr(DfsCluster, method), **kwargs):
             if depth[0]:
@@ -1663,13 +1687,15 @@ def test_in_process_failure_at_every_reached_point():
 
 def test_in_process_failure_at_every_meta_file_mutation():
     """Each DFS create, rename and block-count change that an append (a
-    create that counts its block), a remake or a truncate makes fails in
-    turn, once the database exists, as an ordinary StorageError raised
-    before the call; the same checks hold as for the fault points. The
-    calls include a writer's begin dropping a failed commit's tail."""
+    create that counts its block), a remake or a truncate makes, and each
+    register and unregister of a log generation, fails in turn, once the
+    database exists, as an ordinary StorageError raised before the call;
+    the same checks hold as for the fault points. The calls include a
+    writer's begin dropping a failed commit's tail."""
     _, calls = _run_sweep_workload()
     assert {method for method, *_ in calls} == \
-        {"create_file", "rename_file", "meta_set_block_count"}
+        {"create_file", "rename_file", "meta_set_block_count",
+         "meta_register", "meta_unregister"}
     assert _drops_a_tail(calls)
     runs = [(None, 0, n) for n in range(1, len(calls) + 1)]
     assert _failures(runs) == {}
@@ -1740,6 +1766,16 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     calls, _ = _run_until_death(str(tmp_path / "whole"))
     assert {"create_file", "rename_file", "meta_set_block_count"} <= \
         {method for method, *_ in calls}
+    # a batch that carries: it registers the next log generation, appends
+    # the carried pages to it first, and unregisters the old generation
+    registers = [i for i, (method, name, _) in enumerate(calls)
+                 if method == "meta_register"
+                 and name.startswith("db/log/gen")]
+    assert any(calls[i + 1][:2] == ("create_file",
+                                    constituent_name(calls[i][1], 0))
+               for i in registers)
+    assert any(method == "meta_unregister" and name.startswith("db/log/gen")
+               for method, name, _ in calls)
     # and before a writer's begin drops a failed commit's tail
     assert _drops_a_tail(calls)
     # a commit's in-place write of a block past the heap's end is a plain
@@ -1767,6 +1803,101 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     assert failures == {}
 
 
+def test_a_persistent_root_whose_pages_rode_two_batches_reopens(tmp_path):
+    """Two maintenance batches carry the logged pages, so the committed
+    table's newest copies of them live only in the log's third
+    generation; a fresh cluster over the root opens the database with
+    recovery to that table."""
+    root = str(tmp_path / "root")
+    db = make_db(threshold=10 ** 6, root=root)
+    commit_rows(db.session(), range(30))
+    s = db.session()
+    s.begin("write")
+    assert s.update_by_key(rec(7).source_ip, "USA", use_index=True) == 1
+    s.commit()
+    logged = set(db.store.index)
+    assert db.run_maintenance() == db.run_maintenance() == 0
+    assert db.store.generation == 3 and set(db.store.index) == logged
+    table = read_all(db.session())
+    assert table[7].country_code == "USA"
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, root)
+    assert meta_file_strays(cluster) == []
+    reopened = Database.open(cluster, "db", PAGE, recover=True)
+    assert reopened.store.generation == 3
+    assert read_all(reopened.session()) == table
+
+
+def test_discard_after_a_create_killed_past_its_first_generation(
+        monkeypatch):
+    """A create that dies right after it registers the log's first
+    generation leaves that generation and the data file. Discard deletes
+    both, and a create under the same name then works; no DFS file lies
+    outside its meta file afterwards."""
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
+    register = DfsCluster.meta_register
+
+    def dies_after_gen1(self, name, block_count):
+        register(self, name, block_count)
+        if name == GEN1:
+            raise ProcessDied(f"after registering {name}")
+
+    monkeypatch.setattr(DfsCluster, "meta_register", dies_after_gen1)
+    with pytest.raises(ProcessDied):
+        Database.create(cluster, "db", TOTAL, PAGE)
+    monkeypatch.undo()
+    assert [cluster.meta_exists(name) for name in ("db/data", GEN1, "db/log")] \
+        == [True, True, False]
+    Database.discard(cluster, "db", PAGE)
+    assert not any(cluster.meta_exists(name)
+                   for name in ("db/data", GEN1, "db/log"))
+    assert meta_file_strays(cluster) == [] and cluster.list_files() == []
+    db = Database.create(cluster, "db", TOTAL, PAGE)
+    commit_rows(db.session(), range(5))
+    assert read_all(db.session()) == [rec(i) for i in range(5)]
+    assert meta_file_strays(cluster) == []
+
+
+def test_discard_deletes_every_log_generation():
+    """Discard of a database whose batch died after it registered the
+    next generation deletes the live generation, that one and the rest:
+    the cluster holds no meta file and no DFS file afterwards."""
+    faults = FaultInjector()
+    db = make_db(threshold=10 ** 6, faults=faults)
+    commit_rows(db.session(), range(20))
+    db.run_maintenance()
+    commit_rows(db.session(), range(20, 25))
+    faults.arm("dfs.batch.before_carry_append")
+    with pytest.raises(CrashPoint):
+        db.run_maintenance()
+    cluster = db.manager.cluster
+    names = ["db/data", "db/log", *(spdu_dfs.generation_name("db/log", g)
+                                    for g in (2, 3))]
+    assert [cluster.meta_exists(name) for name in names] == [True] * 4
+    assert not cluster.meta_exists(GEN1)
+    Database.discard(cluster, "db", PAGE)
+    assert not any(cluster.meta_exists(name) for name in names)
+    assert cluster.list_files() == []
+
+
+def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
+    """At threshold 0 a batch carries nothing, so a seeded load, an
+    update and inserts, each commit running a batch, write exactly the
+    DFS bytes they wrote when a batch ended in a truncate of one log: a
+    generation's register and unregister write no block."""
+    db = make_db(total=1024, threshold=0)
+    bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
+                   commit_every=250)
+    for spec in (dict(kind="update", key="1.2.3.4", use_index=False,
+                      new_country_code="QRS"),
+                 dict(kind="insert", repeat=300, seed=5, key="1.2.3.4")):
+        bench.run_workload(db, bench.WorkloadSpec(**spec))
+    db.run_maintenance()
+    assert db.store.log.block_count == 0
+    assert (db.manager.cluster.counters.bytes_written,
+            db.manager.remakes_total, db.manager.fills_total) == \
+        (1_622_578, 48, 63)
+
+
 def test_begin_with_a_bad_mode_queues_nothing():
     db = make_db()
     s = db.session()
@@ -1778,14 +1909,22 @@ def test_begin_with_a_bad_mode_queues_nothing():
 
 def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     """After a seeded load of several commits and a maintenance batch,
-    the data file is byte for byte what it was when every page went
-    through the log: the sha256 of its blocks in order is pinned from a
-    commit that logged every page."""
+    every page reads through the store as its newest committed copy,
+    some of them from the log, where the batch carried them. A batch
+    that carries nothing then copies those home, and the data file is
+    byte for byte what it was when every page went through the log and
+    every batch drained it: the sha256 of its blocks in order is pinned
+    from a commit that logged every page."""
     db = make_db(total=1024, threshold=16)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
                    commit_every=250)
     db.run_maintenance()
     assert db.manager.fills_total > 0
+    assert db.store.index  # the maintenance batch carried pages
+    newest = [db.store.read_page(pageid) for pageid in range(1024)]
+    drain(db)
+    assert [db.manager.read_page(db.data, pageid)
+            for pageid in range(1024)] == newest
     digest = hashlib.sha256()
     for block_id in range(db.data.block_count):
         digest.update(db.manager.read_block(db.data, block_id))

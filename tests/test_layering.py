@@ -10,6 +10,11 @@ Every module under src/wormdb/ must be reachable by imports from
 ``wormdb/__init__.py`` or ``wormdb/__main__.py``; a module only tests use
 (an oracle, a fault registry) belongs under tests/.
 
+Only the transaction store names, registers or drops a log generation:
+no module other than spdu_dfs.py mentions `generation_name` or calls
+`create_meta`, `create_sparse_meta` or `delete_meta`, so a database's
+meta files come and go through the store's functions.
+
 Only the meta-file layer changes the NameNode: a module other than
 metafile.py calls none of the DfsCluster mutations, so "remake a block"
 and every other change of a meta file is written once. Only the
@@ -260,6 +265,51 @@ def test_a_database_constructs_the_only_store():
             for _, scope in constructions(path.read_text("utf-8"),
                                           "DfsTransactionStore")] == \
         [("engine.py", "Database.__init__")]
+
+
+# what registers or drops a meta file, and what names a log generation
+META_FILE_LIFECYCLE = ("create_meta", "create_sparse_meta", "delete_meta")
+GENERATION_NAMING = "generation_name"
+
+
+def generation_handling(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each call that registers or drops a meta file and
+    each mention of the function that names a log generation."""
+    return sorted(method_calls(source, META_FILE_LIFECYCLE) +
+                  [(line, GENERATION_NAMING)
+                   for line, _ in mentions(source, GENERATION_NAMING)])
+
+
+def test_detector_flags_naming_registering_and_dropping_a_meta_file():
+    source = (
+        "from .spdu_dfs import generation_name\n"
+        "def discard(manager, name):\n"
+        "    gen = manager.open_meta(generation_name(name, 2))\n"
+        "    manager.delete_meta(gen)\n"
+        "    return manager.create_meta(name), manager.exists(name)\n"
+    )
+    assert generation_handling(source) == [
+        (1, "generation_name"), (3, "generation_name"), (4, "delete_meta"),
+        (5, "create_meta")]
+
+
+def test_only_the_store_names_registers_or_drops_a_log_generation():
+    """A log generation is named, registered and dropped by the store
+    alone, which the master block makes atomic: no other module mentions
+    `generation_name` or registers or drops a meta file, so
+    `Database.create` and `discard` go through the store's functions, and
+    the meta-file layer only defines the calls."""
+    offences = [f"{path.name}:{line}: {name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name not in {STORE_MODULE, MUTATING_MODULE}
+                for line, name in generation_handling(
+                    path.read_text("utf-8"))]
+    assert offences == []
+    store = {name for _, name in generation_handling(
+        (PACKAGE / STORE_MODULE).read_text("utf-8"))}
+    assert store == {GENERATION_NAMING, *META_FILE_LIFECYCLE}
+    assert method_calls((PACKAGE / MUTATING_MODULE).read_text("utf-8"),
+                        META_FILE_LIFECYCLE) == []
 
 
 # module -> the scopes that may mention block_size_bytes (None: any scope)

@@ -82,16 +82,16 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     store = DfsTransactionStore(mgr, data, log, 4 * N)
     store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
     store.commit_transaction()
-    size = mgr.constituent_entry(log, 1).size_bytes
+    size = mgr.constituent_entry(store.log, 0).size_bytes
     footer = 13 + 8
     assert footer < size < PAGE
-    tail = mgr.read_block(log, 1)[size - footer:]
+    tail = mgr.read_block(store.log, 0)[size - footer:]
     peer = peer_of(mgr)
     for manager, reads in ((mgr, (0, 0)), (peer, (1, footer))):
-        file = manager.open_meta("db/log")
+        file = manager.open_meta(store.log.name)
         with pytest.raises(OutOfRange):
-            manager.read_page(file, N)
-        entry = manager.constituent_entry(file, 1)
+            manager.read_page(file, 0)
+        entry = manager.constituent_entry(file, 0)
         with monkeypatch.context() as patch:
             patch.setattr(manager.cluster, "meta_block_entry", None)
             got = dfs_reads(manager,
@@ -549,11 +549,11 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     for pageid in (1, N + 1, 3 * N):
         store.write_page(pageid, bytes([pageid % 256]) * PAGE)
         store.commit_transaction()
-    assert log.block_count == 4
-    log_blocks = {constituent_name("db/log", b) for b in range(1, 4)}
+    assert store.log.block_count == 3
+    log_blocks = {constituent_name(store.log.name, b) for b in range(3)}
     assert log_blocks <= set(mgr.cached_ids())
     # a log block with every replica dead fails the batch, though cached
-    dead = constituent_name("db/log", 1)
+    dead = constituent_name(store.log.name, 0)
     holders = cluster.file_entry(dead).holders
     for node_id in holders:
         cluster.set_node_alive(node_id, False)
@@ -565,8 +565,13 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     # cached, from the cache: nothing from the DFS
     assert dfs_reads(mgr, store.batch_post_commit)[:2] == (0, 0)
     assert not log_blocks & set(mgr.cached_ids())
+    # the master block and the new generation, which holds the pages the
+    # batch carried
     assert {name for name in mgr.cached_ids()
-            if name.startswith("db/log/")} <= {constituent_name("db/log", 0)}
+            if name.startswith("db/log/")} <= {
+        constituent_name("db/log", 0),
+        *(constituent_name(store.log.name, b)
+          for b in range(store.log.block_count))}
 
 
 def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):

@@ -28,6 +28,7 @@ PAGE = 512
 BLOCK = 8192
 N = BLOCK // PAGE  # 16
 TOTAL = 96  # six data blocks
+GEN1 = spdu_dfs.generation_name("db/log", 1)  # a new log's generation
 
 
 def make_store(threshold=64, faults=None, total=TOTAL, holes=False):
@@ -52,6 +53,17 @@ def make_store(threshold=64, faults=None, total=TOTAL, holes=False):
 
 def page_with(rng):
     return random_payload_page(rng, PAGE)
+
+
+def _drain(store):
+    """Run a batch that carries no page, as a batch at threshold 0
+    does, so that it copies every committed log page home; returns its
+    remakes."""
+    threshold, store.post_commit_threshold = store.post_commit_threshold, 0
+    try:
+        return store.batch_post_commit()
+    finally:
+        store.post_commit_threshold = threshold
 
 
 def payload(page):
@@ -88,7 +100,7 @@ def test_buffer_write_and_read_paths():
     store.write_page(5, content)
     # page only in buffer
     assert payload(store.read_page(5)) == payload(content)
-    assert store.log.block_count == 1  # nothing flushed yet
+    assert store.log.block_count == 0  # nothing flushed yet
     # untouched page comes from the data meta file
     assert store.read_page(9) == bytes(PAGE)
     with pytest.raises(OutOfRange):
@@ -114,17 +126,17 @@ def test_auto_flush_on_capacity():
     rng = random.Random(2)
     for pid in range(N - 2):
         store.write_page(pid, page_with(rng))
-    assert store.log.block_count == 1
+    assert store.log.block_count == 0
     store.write_page(N - 2, page_with(rng))  # the (N-1)-th distinct page
-    assert store.log.block_count == 2  # flushed automatically
+    assert store.log.block_count == 1  # flushed automatically
     store.write_page(50, page_with(rng))  # starts a new buffer
-    pageids, complete = _footer(store, 1)
+    pageids, complete = _footer(store, 0)
     assert pageids == list(range(N - 1))
     assert complete is False
     assert 50 not in store.index
-    assert store.flush_buffer(mark_commit=False) == 2
-    assert _footer(store, 2) == ([50], False)
-    assert store.index[50] == (2, 0)
+    assert store.flush_buffer(mark_commit=False) == 1
+    assert _footer(store, 1) == ([50], False)
+    assert store.index[50] == (1, 0)
 
 
 def test_flush_footer_lists_pages_in_arrival_order():
@@ -133,18 +145,18 @@ def test_flush_footer_lists_pages_in_arrival_order():
     for pid in (5, 3, 9):
         store.write_page(pid, page_with(rng))
     block_id = store.flush_buffer(mark_commit=False)
-    assert block_id == 1
-    pageids, complete = _footer(store, 1)
+    assert block_id == 0
+    pageids, complete = _footer(store, 0)
     assert pageids == [5, 3, 9]
     assert complete is False
-    assert store.index == {5: (1, 0), 3: (1, 1), 9: (1, 2)}
+    assert store.index == {5: (0, 0), 3: (0, 1), 9: (0, 2)}
 
 
 def test_commit_with_empty_buffer_appends_marker():
     store = make_store()
     store.commit_transaction()
-    assert store.log.block_count == 2
-    pageids, complete = _footer(store, 1)
+    assert store.log.block_count == 1
+    pageids, complete = _footer(store, 0)
     assert pageids == []
     assert complete is True
 
@@ -160,7 +172,7 @@ def test_flushed_then_rewritten_page_resolved_to_newest():
     assert payload(store.read_page(5)) == payload(newer)
     store.flush_buffer(mark_commit=True)
     # two log copies exist; the index points into the newer block
-    assert store.index[5][0] == 2
+    assert store.index[5][0] == 1
     assert payload(store.read_page(5)) == payload(newer)
 
 
@@ -174,8 +186,8 @@ def test_commit_defers_post_commit():
     store.commit_transaction()
     # two commits without reaching the threshold: zero data remakes
     assert store.manager.remakes_of("db/data") == 0
-    assert store.log.block_count == 3
-    pageids, complete = _footer(store, 1)
+    assert store.log.block_count == 2
+    pageids, complete = _footer(store, 0)
     assert (pageids, complete) == ([5, 3], True)
 
 
@@ -192,12 +204,13 @@ def test_commit_past_threshold_compacts_log():
     for commit in range(30):
         store.write_page(commit % N, page_with(rng))
         store.commit_transaction()
-        assert store.log.block_count == commit + 2
+        assert store.log.block_count == commit + 1
     store.write_page(0, page_with(rng))
     store.commit_transaction()
-    # the log passed T=2 blocks' worth -> batch ran, master block only
-    assert store.log.block_count == 1
-    assert store.manager.remakes_of("db/data") == 1  # pages 0..15 in block 0
+    # the log passed T=2 blocks' worth -> batch ran; pages 0..15 fill
+    # block 0, which it remakes, so no page is carried
+    assert store.log.block_count == 0
+    assert store.manager.remakes_of("db/data") == 1
 
 
 def test_batch_waits_for_more_than_threshold_blocks_of_pages():
@@ -215,33 +228,114 @@ def test_batch_waits_for_more_than_threshold_blocks_of_pages():
     for _ in range(109):
         store.commit_transaction()
     assert (store.log.block_count, store.manager.remakes_of("db/data")) \
-        == (111, 0)
+        == (110, 0)
     store.commit_transaction()
+    # block 0's N - 3 pages take more than half the trigger, so none
+    # rides into the next generation and the block is remade
     assert (store.log.block_count, store.manager.remakes_of("db/data")) \
-        == (1, 1)
+        == (0, 1)
 
 
-def test_batch_remake_count_equals_distinct_data_blocks():
+def test_batch_remake_count_equals_distinct_data_blocks(monkeypatch):
+    """A batch remakes each dirtied data block at most once and carries
+    the pages of the others into the next generation; after each batch
+    every page reads as its newest committed copy. Small blocks ride
+    while their credit lasts, and a batch that carries nothing remakes
+    every dirtied block once."""
     store = make_store()
     rng = random.Random(7)
-    # the classic four-page workload: all land in data block 0 with N=16
+    remade = []
+    overwrite = store.manager.overwrite_block
+
+    def recorded(file, block_id, content):
+        if file is store.data:
+            remade.append(block_id)
+        return overwrite(file, block_id, content)
+
+    monkeypatch.setattr(store.manager, "overwrite_block", recorded)
     contents = {}
-    for pid in (3, 7, 1, 9):
-        contents[pid] = page_with(rng)
-        store.write_page(pid, contents[pid])
-    store.commit_transaction()
-    before = store.manager.remakes_of("db/data")
-    remade = store.batch_post_commit()
-    assert remade == 1
-    assert store.manager.remakes_of("db/data") == before + 1
+    # the classic four-page workload: all land in data block 0 with N=16,
+    # which rides; then pages in three data blocks, which all ride
+    for pageids, carried in (((3, 7, 1, 9), {0}), ((2, 17, 40), {0, 1, 2})):
+        for pid in pageids:
+            contents[pid] = page_with(rng)
+            store.write_page(pid, contents[pid])
+        store.commit_transaction()
+        assert store.batch_post_commit() == 0
+        assert remade == [] and store.manager.remakes_of("db/data") == 0
+        assert {pid // N for pid in store.index} == carried
+        for pid, content in contents.items():
+            assert payload(store.read_page(pid)) == payload(content)
+            assert page_header(store.read_page(pid))[0] == pid
+    assert _drain(store) == 3
+    assert remade == [0, 1, 2] and store.manager.remakes_of("db/data") == 3
+    assert store.index == {}
     for pid, content in contents.items():
         assert payload(store.read_page(pid)) == payload(content)
-        assert page_header(store.read_page(pid))[0] == pid
-    # spread pages across three data blocks -> three remakes
-    for pid in (2, 17, 40):
-        store.write_page(pid, page_with(rng))
-    store.commit_transaction()
-    assert store.batch_post_commit() == 3
+        assert payload(store.manager.read_page(store.data, pid)) == \
+            payload(content)
+
+
+def test_a_lone_hot_page_rides_until_its_credit_runs_out():
+    """A page whose data block has no other logged page rides each batch
+    into the next generation while the copies of its block carried so
+    far, plus its one page, stay below the block's N pages: N - 1 batches
+    carry it, the N-th remakes the block and drops its credit, and the
+    next batch carries it again. The log is the one carried block, or
+    empty after the remake, and the page reads as its newest copy."""
+    store = make_store()
+    rng = random.Random(50)
+    remakes = []
+    for batch in range(N + 1):
+        content = page_with(rng)
+        store.write_page(5, content)
+        store.commit_transaction()
+        remakes.append(store.batch_post_commit())
+        assert store.generation == batch + 2
+        assert store.log.block_count == 1 - remakes[-1]
+        assert payload(store.read_page(5)) == payload(content)
+    assert remakes == [0] * (N - 1) + [1, 0]
+    assert store.manager.remakes_of("db/data") == 1
+
+
+def test_the_carried_pages_never_exceed_half_the_trigger(monkeypatch):
+    """Over a skewed random schedule at threshold 2, after every batch
+    the live generation holds only commit-marked blocks of carried pages,
+    whose raw bytes (PAGE + 8 a page, FOOTER_FIXED_SIZE a block) stay
+    within half the trigger's 2 * BLOCK; batches both carry and remake,
+    and every page reads as the oracle's committed copy."""
+    store = make_store(threshold=2)
+    oracle = MapOracle(PAGE, TOTAL)
+    rng = random.Random(51)
+    batch = store.batch_post_commit
+    outcomes = []
+
+    def checked():
+        remade = batch()
+        footers = store.footers()
+        pages = sum(len(pageids) for pageids, _ in footers.values())
+        assert all(complete for _, complete in footers.values())
+        assert pages * (PAGE + 8) + len(footers) * FOOTER_FIXED_SIZE <= \
+            2 * BLOCK // 2
+        outcomes.append((pages, remade))
+        return remade
+
+    monkeypatch.setattr(store, "batch_post_commit", checked)
+    for _ in range(400):
+        for _ in range(rng.randrange(1, 6)):
+            # half the writes go to four hot pages in four data blocks
+            pid = rng.choice((3, 20, 41, 70)) if rng.random() < 0.5 \
+                else rng.randrange(TOTAL)
+            content = page_with(rng)
+            store.write_page(pid, content)
+            oracle.write(pid, content)
+        store.commit_transaction()
+        oracle.commit()
+    assert len(outcomes) > 10
+    assert any(pages for pages, _ in outcomes)
+    assert any(remade for _, remade in outcomes)
+    for pid in range(TOTAL):
+        assert store.read_page(pid) == oracle.read(pid)
 
 
 def test_batch_applies_last_update_only():
@@ -252,7 +346,7 @@ def test_batch_applies_last_update_only():
     final = page_with(rng)
     store.write_page(5, final)
     store.commit_transaction()
-    store.batch_post_commit()
+    _drain(store)
     assert payload(store.read_page(5)) == payload(final)
     assert payload(store.manager.read_page(store.data, 5)) == payload(final)
 
@@ -277,19 +371,19 @@ def test_abort_truncates_to_last_committed_block():
     and truncates the log to its committed prefix."""
     store = make_store()
     rng = random.Random(10)
-    # committed blocks [1, 2(marker TRUE)]
+    # committed blocks [0, 1(marker TRUE)]
     for pid in range(N - 1):
-        store.write_page(pid, page_with(rng))  # auto-flush -> block 1
-    store.commit_transaction()                 # marker -> block 2
-    assert store.log.block_count == 3
-    # uncommitted blocks [3, 4]
+        store.write_page(pid, page_with(rng))  # auto-flush -> block 0
+    store.commit_transaction()                 # marker -> block 1
+    assert store.log.block_count == 2
+    # uncommitted blocks [2, 3]
     for pid in range(N - 1):
-        store.write_page(32 + pid, page_with(rng))  # block 3
+        store.write_page(32 + pid, page_with(rng))  # block 2
     store.write_page(60, page_with(rng))
-    store.flush_buffer(mark_commit=False)           # block 4
-    assert store.log.block_count == 5
+    store.flush_buffer(mark_commit=False)           # block 3
+    assert store.log.block_count == 4
     store.begin_transaction(write=True)
-    assert store.log.block_count == 3
+    assert store.log.block_count == 2
     assert 60 not in store.index
     assert store.read_page(60) == bytes(PAGE)
     assert 0 in store.index  # committed updates survive the abort
@@ -300,7 +394,7 @@ def test_abort_with_only_buffered_writes():
     rng = random.Random(11)
     store.write_page(5, page_with(rng))
     store.begin_transaction(write=True)
-    assert store.log.block_count == 1
+    assert store.log.block_count == 0
     assert store.read_page(5) == bytes(PAGE)
 
 
@@ -339,10 +433,10 @@ def test_reconstruction_reads_only_footer_pages():
     before = cluster.counters.snapshot()
     fresh.reconstruct_log_table_index()
     after = cluster.counters
-    data_blocks = store.log.block_count - 1
+    data_blocks = store.log.block_count
     assert after.read_calls - before.read_calls == data_blocks == 1
     assert after.bytes_read - before.bytes_read == \
-        _footer_bytes(fresh, 1) == FOOTER_FIXED_SIZE + 8 * (N - 1)
+        _footer_bytes(fresh, 0) == FOOTER_FIXED_SIZE + 8 * (N - 1)
     assert set(fresh.index) == {5, 3}
     assert payload(fresh.read_page(5)) == payload(store.read_page(5))
 
@@ -357,8 +451,8 @@ def test_reconstruction_last_wins_across_blocks():
     newer = page_with(rng)
     store.write_page(5, newer)
     store.flush_buffer(mark_commit=True)    # block 3
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
-    assert _index(fresh)[5][0] == 3
+    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    assert _index(fresh)[5][0] == 2
     assert payload(fresh.read_page(5)) == payload(newer)
 
 
@@ -369,7 +463,7 @@ def _peer(store, threshold=64):
     mgr = MetaDfsManager(store.manager.cluster, store.manager.page_size)
     return DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name),
-        mgr.open_meta(store.log.name), TOTAL, threshold)
+        mgr.open_meta(store.master.name), TOTAL, threshold)
 
 
 def _index(store):
@@ -422,7 +516,7 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
     calls, nbytes, cold = _reads_during(
         reader, lambda: dict(_index(reader)))
     # three blocks, each longer than the largest footer
-    assert (calls, nbytes) == (3, _footer_bytes(reader, 1)) == \
+    assert (calls, nbytes) == (3, _footer_bytes(reader, 0)) == \
         (3, 3 * (FOOTER_FIXED_SIZE + 8 * (N - 1)))
     calls, nbytes, warm = _reads_during(reader, lambda: _index(reader))
     assert (calls, nbytes) == (0, 0)
@@ -445,19 +539,19 @@ def test_warm_reconstruction_reads_only_new_footers():
 
 
 def test_warm_index_after_peer_batch_refills_same_block_ids():
-    """Stale-cache case: the batch truncates the log and new files reuse
-    the block ids the reader has cached."""
+    """Stale-cache case: the batch moves the log to a new generation and
+    new files take the block ids the reader has cached in the old one."""
     store = make_store()
     rng = random.Random(22)
     _commit_blocks(store, rng, 3)
     reader = _peer(store)
     reader.reconstruct_log_table_index()
     old_footers = reader.footers()
-    store.batch_post_commit()
-    assert store.log.block_count == 1
+    _drain(store)
+    assert store.log.block_count == 0
     _commit_blocks(store, rng, 4)
     calls, _, index = _reads_during(reader, lambda: _index(reader))
-    assert calls == 4
+    assert calls == 1 + 4  # the master block, which names gen 2, and footers
     assert reader.footers() != old_footers
     assert index == _index(_peer(store))
     for pid in range(TOTAL):
@@ -473,10 +567,10 @@ def test_warm_index_after_peer_abort():
     readers = [_peer(store), _peer(store)]
     for reader in readers:
         reader.reconstruct_log_table_index()
-    assert store.log.block_count == 4
+    assert store.log.block_count == 3
     store.begin_transaction(write=True)
     assert _index(readers[0]) == _index(_peer(store))
-    # readers[1] does not look until blocks 2 and 3 are new files
+    # readers[1] does not look until blocks 1 and 2 are new files
     _commit_blocks(store, rng, 3)
     for reader in readers:
         assert _index(reader) == _index(_peer(store))
@@ -521,7 +615,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
     _commit_blocks(store, rng, 3)
     reader = _peer(store)
     assert _folds_during(reader.reconstruct_log_table_index) == \
-        _pageids_of_blocks(store, 1)
+        _pageids_of_blocks(store, 0)
     for k in (1, 2, 4):
         first = store.log.block_count
         assert _folds_during(
@@ -531,7 +625,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
             lambda: store.begin_transaction(write=True)) == []
         calls, nbytes, folded = _reads_during(reader, lambda: _folds_during(
             lambda: reader.begin_transaction(write=False)))
-        assert folded == _pageids_of_blocks(store, 1)
+        assert folded == _pageids_of_blocks(store, 0)
         assert (calls, nbytes) == (k, _footer_bytes(reader, first))
         assert reader.index == _index(_peer(store))
     stale = reader.index
@@ -540,7 +634,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
     _commit_blocks(store, rng, 2)
     assert _folds_during(
         lambda: reader.begin_transaction(write=False)) == \
-        _pageids_of_blocks(store, 1)
+        _pageids_of_blocks(store, 0)
     assert reader.index is not stale
     assert reader.index == _index(_peer(store))
 
@@ -550,7 +644,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
     faults.arm("dfs.commit.before_marker")
     with pytest.raises(CrashPoint):
         store.commit_transaction()
-    committed = _pageids_of_blocks(store, 1)[:-(N - 1)]
+    committed = _pageids_of_blocks(store, 0)[:-(N - 1)]
     assert _folds_during(
         lambda: store.begin_transaction(write=True)) == committed
     assert store.index == _index(_peer(store))
@@ -572,19 +666,19 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
     store.manager.constituent_entries = counted
     _commit_blocks(store, rng, 2)
     store.begin_transaction(write=True)
-    assert lookups == ["db/log"]
+    assert lookups == [GEN1]
     for k in (1, 3):
         _commit_blocks(store, rng, k)
         store.begin_transaction(write=True)
-        assert lookups == ["db/log"]
+        assert lookups == [GEN1]
     peer = _peer(store)
     peer.begin_transaction(write=True)
     _commit_blocks(peer, rng, 1)
     store.begin_transaction(write=False)
-    assert lookups == ["db/log"] * 2
+    assert lookups == [GEN1] * 2
     assert store.index == _index(peer)
     store.begin_transaction(write=False)
-    assert lookups == ["db/log"] * 2
+    assert lookups == [GEN1] * 2
 
 
 def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
@@ -605,15 +699,15 @@ def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
     for k in (3, 5):
         calls.clear()
         reader.reconstruct_log_table_index()
-        assert store.log.block_count - 1 == k
+        assert store.log.block_count == k
         assert calls == ["meta_block_entries"]
         _commit_blocks(store, rng, 2)
 
 
 def test_warm_indexes_match_fresh_under_random_two_store_schedules():
     """Two writing stores take turns; after every step one store, picked
-    at random, is checked, so a store may miss a truncate and refill of
-    the block ids it has cached."""
+    at random, is checked, so a store may miss a generation switch, or a
+    truncate and refill of the block ids it has cached."""
     for seed in range(5):
         rng = random.Random(seed)
         first = make_store(threshold=4)
@@ -621,7 +715,11 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
         writer = None
         for step in range(300):
             if writer is None:
+                # a writer begins, as the engine's do: without a begin it
+                # would append to the generation it last read, which the
+                # other store's batch may have dropped
                 writer = rng.choice(stores)
+                writer.begin_transaction(write=True)
             roll = rng.random()
             if roll < 0.75:
                 writer.write_page(rng.randrange(TOTAL), page_with(rng))
@@ -654,12 +752,13 @@ def test_restart_redo_completes_interrupted_batch():
     oracle.commit()
     faults.arm("dfs.batch.after_block_remake", skip=1)
     with pytest.raises(CrashPoint):
-        store.batch_post_commit()
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+        _drain(store)
+    fresh = DfsTransactionStore(store.manager, store.data, store.master,
+                                TOTAL, 0)
     assert fresh.restart_system() == "redo"
     for pid in range(TOTAL):
         assert fresh.read_page(pid) == oracle.read(pid)
-    assert fresh.log.block_count == 1
+    assert fresh.log.block_count == 0
 
 
 class LogMutationRefused(RuntimeError):
@@ -667,15 +766,15 @@ class LogMutationRefused(RuntimeError):
 
 
 @pytest.mark.parametrize("owner, method, nth", [
-    (DataNode, "drop", 2), (DfsCluster, "meta_set_block_count", 1)],
-    ids=["drop-2", "meta_set_block_count-1"])
-def test_failed_log_truncate_keeps_the_newest_committed_copy(
+    (DataNode, "drop", 2), (DfsCluster, "meta_unregister", 1)],
+    ids=["drop-2", "meta_unregister-1"])
+def test_failed_generation_drop_keeps_the_newest_committed_copy(
         monkeypatch, owner, method, nth):
-    """Page 5 committed twice; the batch has remade its data block and
-    cleared the flag when the log truncate fails: before its change of
-    the log's count, or after it, at the nth drop of a replica of a log
-    data block. A restarted store must read the newest copy, and later
-    commits must go on."""
+    """Page 5 committed twice; the batch has carried its newest copy into
+    generation 2 and named it in the master block when the drop of
+    generation 1 fails: before its unregister, or after it, at the nth
+    drop of a replica of one of its log blocks. A restarted store must
+    drop generation 1, read the newest copy, and go on committing."""
     store = make_store()
     rng = random.Random(8)
     copies = [page_with(rng) for _ in range(4)]
@@ -684,14 +783,13 @@ def test_failed_log_truncate_keeps_the_newest_committed_copy(
         store.commit_transaction()
     cluster = store.manager.cluster
     log_data_blocks = {cluster.file_entry(name).file_id
-                       for name in cluster.list_files("db/log/")
-                       if name != "db/log/00000000"}
+                       for name in cluster.list_files(GEN1 + "/")}
     original = getattr(owner, method)
     seen = []
 
     def refuse(self, target, *args):
-        # a count change names the log, a drop a block by its id
-        if target == "db/log" or target in log_data_blocks:
+        # an unregister names the generation, a drop a block by its id
+        if target == GEN1 or target in log_data_blocks:
             seen.append(target)
             if len(seen) == nth:
                 raise LogMutationRefused(target)
@@ -701,15 +799,18 @@ def test_failed_log_truncate_keeps_the_newest_committed_copy(
     with pytest.raises(LogMutationRefused):
         store.batch_post_commit()
     monkeypatch.undo()
-    restarted = DfsTransactionStore(store.manager, store.data, store.log,
+    assert store.manager.remakes_of("db/data") == 0
+    restarted = DfsTransactionStore(store.manager, store.data, store.master,
                                     TOTAL)
+    assert restarted.generation == 2
     restarted.restart_system()
+    assert not cluster.meta_exists(GEN1)
     assert payload(restarted.read_page(5)) == payload(copies[1])
     for content in copies[2:]:
         restarted.begin_transaction(write=True)
         restarted.write_page(5, content)
         restarted.commit_transaction()
-    reader = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    reader = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
     reader.begin_transaction(write=False)
     assert payload(reader.read_page(5)) == payload(copies[3])
 
@@ -720,10 +821,13 @@ def test_crash_storm_during_recovery_converges():
     state."""
     batch_points = [p for p in
                     ("dfs.batch.before_flag_set", "dfs.batch.after_flag_set",
+                     "dfs.batch.before_carry_append",
+                     "dfs.batch.after_carry_append",
                      "dfs.batch.before_block_remake",
                      "dfs.batch.after_block_remake",
                      "dfs.batch.before_flag_clear",
-                     "dfs.batch.before_log_truncate", "dfs.restart.begin")]
+                     "dfs.batch.before_generation_drop",
+                     "dfs.restart.begin")]
     for seed in range(5):
         faults = FaultInjector()
         store = make_store(threshold=2, faults=faults)
@@ -742,7 +846,7 @@ def test_crash_storm_during_recovery_converges():
             except CrashPoint:
                 oracle.commit()
                 break
-            if store.log.block_count - 1 > 2:
+            if store.log.block_count > 2:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(2))
         else:
             # no batch crashed during the commits; force one directly
@@ -756,14 +860,14 @@ def test_crash_storm_during_recovery_converges():
             if rng.random() < 0.7:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(3))
             attempt = DfsTransactionStore(store.manager, store.data,
-                                          store.log, TOTAL, 2, faults)
+                                          store.master, TOTAL, 2, faults)
             try:
                 attempt.restart_system()
                 break
             except CrashPoint:
                 continue
         faults.reset()
-        final = DfsTransactionStore(store.manager, store.data, store.log,
+        final = DfsTransactionStore(store.manager, store.data, store.master,
                                     TOTAL)
         final.restart_system()
         for pid in range(TOTAL):
@@ -779,7 +883,7 @@ def test_restart_rollback_drops_uncommitted_tail():
     store.commit_transaction()
     store.write_page(7, page_with(rng))
     store.flush_buffer(mark_commit=False)  # uncommitted durable block
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
     assert fresh.restart_system() == "rollback"
     assert fresh.read_page(7) == bytes(PAGE)
     assert payload(fresh.read_page(3)) == payload(committed)
@@ -799,7 +903,7 @@ def test_rollback_state_is_exactly_a_writers_truncate(tail, view):
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.flush_buffer(mark_commit=False)
     if view == "writer":
-        probe = DfsTransactionStore(store.manager, store.data, store.log,
+        probe = DfsTransactionStore(store.manager, store.data, store.master,
                                     TOTAL)
         reads, _, state = _reads_during(probe, probe.recovery_state)
         assert reads == 0
@@ -810,7 +914,7 @@ def test_rollback_state_is_exactly_a_writers_truncate(tail, view):
     probe.begin_transaction(write=True)
     truncated = probe.log.block_count < before
     assert (state == "rollback") == truncated == (tail > 0)
-    assert probe.log.block_count == 3
+    assert probe.log.block_count == 2
     assert probe.recovery_state() is None
 
 
@@ -820,7 +924,7 @@ def test_clean_restart_preserves_state():
     content = page_with(rng)
     store.write_page(3, content)
     store.commit_transaction()
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
     assert fresh.restart_system() == "clean"
     assert payload(fresh.read_page(3)) == payload(content)
 
@@ -842,7 +946,7 @@ def test_restart_takes_the_path_recovery_state_reports(log, via):
     elif log == "interrupted batch":
         faults.arm("dfs.batch.after_block_remake")
         with pytest.raises(CrashPoint):
-            store.batch_post_commit()
+            _drain(store)
     state = _peer(store).recovery_state()
     assert state == {"clean": None, "tail": "rollback",
                      "interrupted batch": "redo"}[log]
@@ -864,7 +968,7 @@ def test_two_process_visibility():
     store.write_page(3, p3)
     store.commit_transaction()
 
-    second = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    second = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
     assert set(_index(second)) == {5, 3}
     assert payload(second.read_page(5)) == payload(p5)
     assert payload(second.read_page(3)) == payload(p3)
@@ -1008,8 +1112,9 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
     store.commit_transaction()
     # the master page, two one-page blocks whose bodies came out longer
     # than their pages, and the commit-marked empty block
-    master, *logged, marker = [
-        entry.size_bytes for entry in mgr.constituent_entries(log)]
+    (master,) = [entry.size_bytes for entry in mgr.constituent_entries(log)]
+    *logged, marker = [
+        entry.size_bytes for entry in mgr.constituent_entries(store.log)]
     assert (master, len(logged), marker) == (34, 2, 8 + 13)
     assert all(34 + 13 + 8 < size <= 68 for size in logged)
     fresh_mgr = MetaDfsManager(cluster, 34)
@@ -1024,7 +1129,7 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
 
 def test_master_block_is_one_page_and_data_blocks_stay_whole():
     store = make_store(threshold=1, holes=True)
-    assert _constituent_sizes(store, store.log) == [PAGE]
+    assert _constituent_sizes(store, store.master) == [PAGE]
     rng = random.Random(31)
     for commit in range(6):
         for pid in (commit, N + commit, 3 * N + commit):
@@ -1035,12 +1140,12 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
     # log to 8,398 bytes, past T=1 block's worth of 8,192, and ran a
     # batch: the flag was set and cleared
     assert store.manager.remakes_of("db/log") == 2
-    assert _constituent_sizes(store, store.log) == [PAGE]
+    assert _constituent_sizes(store, store.master) == [PAGE]
     assert store.read_commit_flag() is False
     assert _constituent_sizes(store, store.data) == [BLOCK] * 3
     assert store.manager.cluster.replicas(
-        store.manager.constituent_entry(store.log, 0).name) == \
-        [store.manager.read_block(store.log, 0)] * 2
+        store.manager.constituent_entry(store.master, 0).name) == \
+        [store.manager.read_block(store.master, 0)] * 2
 
 
 # the block's footer does not read
@@ -1101,8 +1206,8 @@ def test_a_torn_short_block_is_never_committed(torn):
     pageids = [10, 11, 12]
     pages = [page_with(rng) for _ in pageids]
     cluster = store.manager.cluster
-    cluster.create_file("db/log/00000002", _torn_block(torn, pages, pageids),
-                        meta="db/log")
+    cluster.create_file(f"{GEN1}/00000001",
+                        _torn_block(torn, pages, pageids), meta=GEN1)
     fresh = _peer(store)
     if torn in TORN_FOOTERS:
         with pytest.raises(RecoveryError):
@@ -1114,7 +1219,7 @@ def test_a_torn_short_block_is_never_committed(torn):
                 action()
         assert not set(pageids) & set(fresh.index)
     else:
-        listed, _ = fresh.footers()[2]
+        listed, _ = fresh.footers()[1]
         fresh.begin_transaction(write=False)
         assert set(listed) <= set(fresh.index)
         for pid in listed:
@@ -1123,8 +1228,8 @@ def test_a_torn_short_block_is_never_committed(torn):
         with pytest.raises(RecoveryError):
             fresh.batch_post_commit()
         assert fresh.read_commit_flag() is False
-    # block 1 is its page and its footer
-    assert unpack_footer(store.manager.read_block(store.log, 1)) == \
+    # block 0 is its page and its footer
+    assert unpack_footer(store.manager.read_block(store.log, 0)) == \
         ([1], True)
     assert payload(store.read_page(1)) == payload(first)
 
@@ -1142,11 +1247,11 @@ def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     body = bytearray(zlib.compress(page, 1))
     body[len(body) // 2] ^= 0x01
     store.manager.cluster.create_file(
-        "db/log/00000002", bytes(body) + pack_footer([10], True),
-        meta="db/log")
+        f"{GEN1}/00000001", bytes(body) + pack_footer([10], True),
+        meta=GEN1)
     fresh = _peer(store)
     fresh.begin_transaction(write=False)
-    assert fresh.index[10] == (2, 0)
+    assert fresh.index[10] == (1, 0)
     with pytest.raises(RecoveryError, match="does not decode"):
         fresh.read_page(10)
     with pytest.raises(RecoveryError, match="does not decode"):
@@ -1166,7 +1271,7 @@ def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
     store.commit_transaction()
     block = zlib.compress(page_with(rng), 1) + pack_footer([10], True)
     store.manager.cluster.create_file(
-        "db/log/00000002", block[:-1], meta="db/log")
+        f"{GEN1}/00000001", block[:-1], meta=GEN1)
     fresh = _peer(store)
     with pytest.raises(RecoveryError):
         fresh.batch_post_commit()
@@ -1198,7 +1303,7 @@ def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
     while not store.manager.remakes_of("db/data"):
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.commit_transaction()
-    assert store.log.block_count == 1
+    assert store.log.block_count == 1  # the pages the batch carried
     assert calls == []
 
 
@@ -1215,9 +1320,9 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
         store.commit_transaction()
     warm = _peer(store)
     warm.begin_transaction(write=False)
-    store.manager.cluster.delete_file("db/log/00000001")
-    assert store.manager.read_block(store.log, 1) == bytes(BLOCK)
-    hole = "log block 1 has no constituent"
+    store.manager.cluster.delete_file(f"{GEN1}/00000000")
+    assert store.manager.read_block(store.log, 0) == bytes(BLOCK)
+    hole = "log block 0 has no constituent"
     with pytest.raises(RecoveryError, match=hole):
         store.footers()
     for writer in (store, warm, _peer(store)):
@@ -1229,9 +1334,9 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
         warm.begin_transaction(write=False)
     with pytest.raises(RecoveryError, match=hole):
         Database(store.manager, "db", TOTAL).recover()
-    assert store.log.block_count == 3
-    # block 2 is its page and its footer
-    assert unpack_footer(store.manager.read_block(store.log, 2))[1] is True
+    assert store.log.block_count == 2
+    # block 1 is its page and its footer
+    assert unpack_footer(store.manager.read_block(store.log, 1))[1] is True
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
@@ -1249,11 +1354,11 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
         store.write_page(pageid, page)
     assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
     store.commit_transaction()
-    assert store.log.block_count == 2
-    assert _footer(store, 1) == ([7], True)
+    assert store.log.block_count == 1
+    assert _footer(store, 0) == ([7], True)
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 0)
-    fresh = DfsTransactionStore(store.manager, store.data, store.log, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
     fresh.restart_system()
     for ordinal, (pageid, page) in enumerate(unlogged, 1):
         got = fresh.read_page(pageid)
@@ -1277,10 +1382,10 @@ def test_a_block_a_failed_commit_left_is_logged_then_remade():
     page = page_with(rng)
     store.write_page(2 * N + 1, page)
     store.commit_transaction()
-    assert _footer(store, 1) == ([2 * N + 1], True)
+    assert _footer(store, 0) == ([2 * N + 1], True)
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 0)
-    assert store.batch_post_commit() == 1
+    assert _drain(store) == 1
     assert (store.manager.fills_total,
             store.manager.remakes_of("db/data")) == (1, 1)
     assert payload(store.read_page(2 * N + 1)) == payload(page)
@@ -1297,19 +1402,19 @@ def test_a_hole_with_a_log_copy_is_logged():
     store.manager.append_block(
         store.log, stale + pack_footer([4 * N + 2], True))
     store.begin_transaction(write=True)
-    assert store.index == {4 * N + 2: (1, 0)}
+    assert store.index == {4 * N + 2: (0, 0)}
     fresh = page_with(rng)
     store.write_page(4 * N, page_with(rng))  # in the log table index
     store.write_page(4 * N + 2, fresh)  # and now in the buffer
     store.commit_transaction()
-    assert _footer(store, 2) == ([4 * N, 4 * N + 2], True)
+    assert _footer(store, 1) == ([4 * N, 4 * N + 2], True)
     assert store.manager.fills_total == 0
-    store.batch_post_commit()
+    _drain(store)
     assert store.manager.fills_total == 1
     assert payload(store.read_page(4 * N + 2)) == payload(fresh)
     store.write_page(4 * N + 3, page_with(rng))  # it has a constituent now
     store.commit_transaction()
-    assert _footer(store, 1) == ([4 * N + 3], True)
+    assert _footer(store, 0) == ([4 * N + 3], True)
 
 
 def test_a_block_whose_replicas_are_all_dead_is_logged():
@@ -1329,6 +1434,8 @@ def test_a_block_whose_replicas_are_all_dead_is_logged():
     page = page_with(rng)
     store.write_page(2 * N + 1, page)
     store.commit_transaction()
-    assert _footer(store, 2) == ([2 * N + 1], True)
+    # read by the writer: a peer would first read the master block, whose
+    # replicas died with the data block's
+    assert store.footers()[1] == ([2 * N + 1], True)
     assert store.manager.fills_total == 1
     assert payload(store.read_page(2 * N + 1)) == payload(page)
