@@ -40,6 +40,11 @@ class RecoveryError(StorageError):
     """
 
 
+class LogMoved(StorageError):
+    """Another store's batch named a new log generation while a
+    transaction held pages it had appended to the old one."""
+
+
 class ConfigError(StorageError, ValueError):
     """A config file is unreadable, names an unknown key or gives a value
     of the wrong type."""

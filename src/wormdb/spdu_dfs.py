@@ -82,7 +82,11 @@ page and files being write-once:
   constituent, reads every footer and folds the committed prefix into a
   fresh index, which it keeps only once every footer has read, so a
   counted block with no constituent fails each begin, a warm one
-  included. The footers are read through the manager's cache, which
+  included. Each append follows the master block too, so a store that
+  writes with no begin appends to the live generation, never to one a
+  batch dropped or left for restart to drop, and a transaction that
+  appended to a generation another store's batch has since replaced
+  fails with LogMoved. The footers are read through the manager's cache, which
   serves a block's bytes while its constituent's file_id is unchanged,
   so a rebuild reads from the DFS only the footers of blocks new to the
   manager. The store's own append, and a writer's truncate of the tail,
@@ -128,7 +132,7 @@ import threading
 import zlib
 
 from .dfs import DfsFileEntry
-from .errors import OutOfRange, RecoveryError
+from .errors import LogMoved, OutOfRange, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
@@ -420,9 +424,12 @@ class DfsTransactionStore:
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
         """Append the buffer as one short log block: its pages in arrival
-        order, compressed, then the footer. Returns the block_id."""
+        order, compressed, then the footer, to the generation the master
+        block names now (see `_follow_for_append`). Returns the
+        block_id."""
         if not self._pages and not mark_commit:
             return None
+        self._follow_for_append()
         pageids = list(self._pages)
         pages = b"".join(self._pages.values())
         block = _log_block(pageids, pages, mark_commit)
@@ -436,9 +443,28 @@ class DfsTransactionStore:
             self._committed = block_id + 1
         _fold(self.index, ((block_id, pageids),))
         self._folded = self._blocks = block_id + 1
+        self._flushed = True
         self.faults.hit("dfs.flush.after_block_append")
         self._pages = {}
         return block_id
+
+    def _follow_for_append(self) -> None:
+        """Follow the master block before an append, so that a store that
+        writes with no begin after another store's batch appends to the
+        generation that batch named, never to the one it dropped or, had
+        it failed before the drop, left for restart to drop; the store
+        then rebuilds its index from that generation. LogMoved if the
+        open transaction already appended to the old generation: those
+        pages cannot follow it. One NameNode version call."""
+        generation = self.generation
+        self._follow_master()
+        if self.generation == generation:
+            return
+        if self._flushed:
+            raise LogMoved(
+                f"log generation {generation} was replaced by "
+                f"{self.generation} under an open transaction")
+        self.reconstruct_log_table_index()
 
     # ------------------------------------------------------------------
     # Transaction boundaries
@@ -468,6 +494,7 @@ class DfsTransactionStore:
         # place at commit, over zeros
         self._in_place: dict[int, dict[int, bytes]] = {}
         self._ordinal = 0
+        self._flushed = False  # whether the transaction appended a block
 
     def commit_transaction(self) -> None:
         """Write the in-place blocks, then append the commit-marked

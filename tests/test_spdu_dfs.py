@@ -9,7 +9,12 @@ from oracles import MapOracle, page_header, random_payload_page
 from wormdb import spdu_dfs
 from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
-from wormdb.errors import AllReplicasDead, OutOfRange, RecoveryError
+from wormdb.errors import (
+    AllReplicasDead,
+    LogMoved,
+    OutOfRange,
+    RecoveryError,
+)
 from wormdb.faults import CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
@@ -715,11 +720,7 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
         writer = None
         for step in range(300):
             if writer is None:
-                # a writer begins, as the engine's do: without a begin it
-                # would append to the generation it last read, which the
-                # other store's batch may have dropped
                 writer = rng.choice(stores)
-                writer.begin_transaction(write=True)
             roll = rng.random()
             if roll < 0.75:
                 writer.write_page(rng.randrange(TOTAL), page_with(rng))
@@ -737,6 +738,84 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
             store = rng.choice(stores)
             assert _index(store) == _index(fresh), (seed, step)
             assert store.footers() == fresh.footers(), (seed, step)
+
+
+GEN2 = spdu_dfs.generation_name("db/log", 2)
+
+
+@pytest.mark.parametrize("drop_fails", [False, True],
+                         ids=["dropped", "left"])
+def test_a_write_with_no_begin_after_a_peers_batch_lands_in_the_live_generation(
+        drop_fails):
+    """Store A last read generation 1 when B's batch names generation 2
+    and drops 1, or fails before the drop and leaves 1 for restart to
+    drop. A then commits with no begin: the commit lands in generation
+    2, never in 1, and a restarted store reads it."""
+    rng = random.Random(21)
+    a = make_store()
+    b = _peer(a)
+    cluster = a.manager.cluster
+    copies = {pid: page_with(rng) for pid in (5, 20, 40)}
+    a.write_page(5, copies[5])
+    a.commit_transaction()
+    b.begin_transaction(write=True)
+    b.write_page(20, copies[20])
+    b.commit_transaction()
+    if drop_fails:
+        b.faults = FaultInjector()
+        b.faults.arm("dfs.batch.before_generation_drop")
+        with pytest.raises(CrashPoint):
+            b.batch_post_commit()
+    else:
+        b.batch_post_commit()
+    gen1_blocks = cluster.meta_block_count(GEN1) if drop_fails else None
+    gen2_blocks = cluster.meta_block_count(GEN2)
+    a.write_page(40, copies[40])
+    a.commit_transaction()
+    assert a.generation == 2
+    assert cluster.meta_block_count(GEN2) == gen2_blocks + 1
+    if drop_fails:
+        assert cluster.meta_block_count(GEN1) == gen1_blocks
+    else:
+        assert not cluster.meta_exists(GEN1)
+    restarted = _peer(a)
+    restarted.restart_system()
+    assert not cluster.meta_exists(GEN1)
+    for pid, content in copies.items():
+        assert payload(restarted.read_page(pid)) == payload(content)
+
+
+def test_a_transaction_that_appended_to_a_replaced_generation_raises():
+    """A's open transaction has appended a full buffer to generation 1
+    when B's batch names generation 2 and drops 1, with that buffer: A's
+    commit raises LogMoved and appends to neither generation, and A
+    commits again after a begin."""
+    rng = random.Random(22)
+    a = make_store()
+    b = _peer(a)
+    cluster = a.manager.cluster
+    committed = page_with(rng)
+    a.write_page(5, committed)
+    a.commit_transaction()
+    for pid in range(16, 16 + N - 1):  # the buffer fills and is appended
+        a.write_page(pid, page_with(rng))
+    assert cluster.meta_block_count(GEN1) == 2
+    b.batch_post_commit()
+    gen2_blocks = cluster.meta_block_count(GEN2)
+    a.write_page(40, page_with(rng))
+    with pytest.raises(LogMoved):
+        a.commit_transaction()
+    assert not cluster.meta_exists(GEN1)
+    assert cluster.meta_block_count(GEN2) == gen2_blocks
+    a.begin_transaction(write=True)
+    later = page_with(rng)
+    a.write_page(40, later)
+    a.commit_transaction()
+    reader = _peer(a)
+    reader.begin_transaction(write=False)
+    assert payload(reader.read_page(5)) == payload(committed)
+    assert payload(reader.read_page(40)) == payload(later)
+    assert reader.read_page(16) == bytes(PAGE)
 
 
 def test_restart_redo_completes_interrupted_batch():
