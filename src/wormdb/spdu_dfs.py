@@ -86,10 +86,10 @@ page and files being write-once:
   writes with no begin appends to the live generation, never to one a
   batch dropped or left for restart to drop, and a transaction that
   appended to a generation another store's batch has since replaced
-  fails with LogMoved. The footers are read through the manager's cache, which
-  serves a block's bytes while its constituent's file_id is unchanged,
-  so a rebuild reads from the DFS only the footers of blocks new to the
-  manager. The store's own append, and a writer's truncate of the tail,
+  fails with LogMoved. The footers are read through the manager's
+  cache, which serves a block's bytes while its constituent's file_id
+  is unchanged, so a rebuild reads from the DFS only the footers of
+  blocks new to the manager. The store's own append, and a writer's truncate of the tail,
   keep the index matched when the version moved by that call alone and
   the index had folded every block before it, and a batch leaves the
   index of the carried pages matched to g+1, which no other store reads
