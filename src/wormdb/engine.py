@@ -269,7 +269,9 @@ class Database:
         return db
 
     def recover(self) -> str:
-        """Run restart processing; returns "redo", "rollback" or "clean"."""
+        """Run restart processing; returns "rollback" or "clean". Restart
+        drops the log generations the master block does not name and
+        truncates the live one's uncommitted tail: it writes no page."""
         return self.store.restart_system()
 
     def session(self, owner: str | None = None) -> "Session":
@@ -281,16 +283,16 @@ class Database:
 
         Takes the write lock, whose begin drops any uncommitted log tail,
         and returns the number of data-block remakes. Success or failure,
-        it then only ends the session, which makes no DFS call, so no
-        second error hides the first. The batch is restartable, so restart
-        processing or the next batch finishes it.
+        it then aborts the session, which makes no DFS call, so no second
+        error hides the first. A batch that fails before its master
+        switch is abandoned, and the next batch does its work.
         """
         session = self.session("maintenance")
         session.begin(WRITE)
         try:
             return self.store.batch_post_commit()
         finally:
-            session._end()
+            session.abort()
 
 
 class Session:

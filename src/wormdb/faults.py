@@ -27,18 +27,15 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.commit.before_threshold_batch",
     "dfs.commit.after_batch",
     "dfs.batch.begin",
-    "dfs.batch.before_flag_set",
-    "dfs.batch.after_flag_set",
     "dfs.batch.before_carry_append",
     "dfs.batch.after_carry_append",
     "dfs.batch.before_block_remake",
     "dfs.batch.after_block_remake",
-    "dfs.batch.before_flag_clear",
-    "dfs.batch.after_flag_clear",
+    "dfs.batch.before_master_switch",
+    "dfs.batch.after_master_switch",
     "dfs.batch.before_generation_drop",
     "dfs.batch.after_generation_drop",
     "dfs.restart.begin",
-    "dfs.restart.after_redo",
     "dfs.restart.done",
 )
 

@@ -30,26 +30,28 @@ page and files being write-once:
   read. A body that fails zlib's check or decodes to other than its
   listed pages is a torn block too.
 * The log is a sequence of generations. Its master meta file is one
-  block, one page: the master block, which holds the commit_flag and
-  names the live generation g. A generation is a meta file of its own,
-  `generation_name(log, g)`, whose blocks 0, 1, ... are log blocks.
+  block, one page: the master block, which names the live generation g.
+  A generation is a meta file of its own, `generation_name(log, g)`,
+  whose blocks 0, 1, ... are log blocks.
 * Post-commit processing is batched: pages from committed log blocks are
-  grouped by target data block, and the whole batch is made
-  atomic/restartable by the commit_flag. The batch decodes every body
-  its index names before it sets the flag, so a log it cannot read
-  leaves the flag clear. With the flag set it registers generation g+1,
+  grouped by target data block. A batch registers generation g+1,
   appends to it the pages of the data blocks it carries (below), all
   commit-marked, and remakes every other dirtied data block exactly
-  once. One overwrite of the master block then names g+1 and clears the
-  flag, and one `delete_meta` drops g. A failure before that overwrite
-  leaves g, which still holds the newest copy of every page, under a set
-  flag; a failure after it leaves g+1, which holds the newest copy of
-  every page no remade block holds. Restart drops any generation the
-  master block does not name, g-1 or g+1, and then redoes the batch if
-  the flag is set. A commit runs the batch once the live generation
-  holds more than `post_commit_threshold` full blocks' worth of bytes,
-  counted raw: page_size + 8 a logged page and FOOTER_FIXED_SIZE a
-  block, however the block encodes.
+  once. One overwrite of the master block then names g+1: that switch
+  is the batch's one commit point, as an atomic root switch is in
+  shadow paging (Lorie, TODS 1977) and a checkpoint-region write is
+  for LFS cleaning (Rosenblum & Ousterhout, TOCS 1992). One
+  `delete_meta` then drops g. Until the switch g holds the newest copy
+  of every page and a remade block only pages' newest copies, so
+  a batch that stops before it is abandoned, and the next batch, which
+  the same log bytes trigger, does its work; after it g+1 holds the
+  newest copy of every page no remade block holds. Restart drops any
+  generation the master block does not name, g-1 or g+1, and truncates
+  the live generation's uncommitted tail: it writes no page. A commit
+  runs the batch once the live generation holds more than
+  `post_commit_threshold` full blocks' worth of bytes, counted raw:
+  page_size + 8 a logged page and FOOTER_FIXED_SIZE a block, however
+  the block encodes.
 * Which data blocks a batch carries is a rent-or-buy choice counted in
   raw pages (Karlin et al., "Competitive Snoopy Caching", Algorithmica
   1988), the cost-benefit cleaning of a log-structured file system
@@ -137,8 +139,8 @@ from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
 
-_MASTER = struct.Struct("<IBQ")  # magic, commit_flag, live generation
-_MASTER_MAGIC = 0x4C4F4731
+_MASTER = struct.Struct("<IQ")  # magic, live generation
+_MASTER_MAGIC = 0x4C4F4732
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
 _ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
@@ -209,37 +211,33 @@ def generation_name(log_name: str, generation: int) -> str:
     return f"{log_name}/gen{generation}"
 
 
-def _master_block(page_size: int, commit_flag: bool,
-                  generation: int) -> bytes:
-    """The log's master block: one page holding the commit_flag and the
-    live generation."""
-    return _MASTER.pack(_MASTER_MAGIC, int(commit_flag), generation).ljust(
-        page_size, b"\0")
+def _master_block(page_size: int, generation: int) -> bytes:
+    """The log's master block: one page naming the live generation."""
+    return _MASTER.pack(_MASTER_MAGIC, generation).ljust(page_size, b"\0")
 
 
-def _read_master(manager: MetaDfsManager,
-                 master: MetaDfsFile) -> tuple[bool, int]:
-    """(commit_flag, live generation) of the log's master block;
-    RecoveryError if there is none or its magic is wrong."""
+def _read_master(manager: MetaDfsManager, master: MetaDfsFile) -> int:
+    """The live generation the log's master block names; RecoveryError
+    if there is none or its magic is wrong."""
     try:
         page = manager.read_page(master, 0)
     except OutOfRange:
         raise RecoveryError(f"log {master.name} has no master block") \
             from None
-    magic, flag, generation = _MASTER.unpack_from(page, 0)
+    magic, generation = _MASTER.unpack_from(page, 0)
     if magic != _MASTER_MAGIC:
         raise RecoveryError("log master block has bad magic")
-    return bool(flag), generation
+    return generation
 
 
 def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
     """Create a log: its first generation, empty, then its master meta
-    file, whose one block names that generation with the flag clear.
-    Returns the master meta file."""
+    file, whose one block names that generation. Returns the master meta
+    file."""
     manager.create_meta(generation_name(name, _FIRST_GENERATION))
     master = manager.create_meta(name)
     manager.append_block(
-        master, _master_block(manager.page_size, False, _FIRST_GENERATION))
+        master, _master_block(manager.page_size, _FIRST_GENERATION))
     return master
 
 
@@ -273,7 +271,7 @@ def discard_metas(manager: MetaDfsManager, data_name: str,
     if manager.exists(log_name):
         master = manager.open_meta(log_name)
         if master.block_count:
-            _, live = _read_master(manager, master)
+            live = _read_master(manager, master)
             generations |= {live - 1, live, live + 1}
     for generation in sorted(generations):
         _delete_if_exists(manager, generation_name(log_name, generation))
@@ -525,26 +523,19 @@ class DfsTransactionStore:
         policy does not carry, and carry the others' pages into the next
         generation (see above).
 
-        Returns the number of data blocks remade. Restartable: the master
-        commit_flag brackets the whole batch and every step is idempotent.
-        The index, brought to the committed prefix before the flag is set,
-        names the newest copy of each page, and every body it names is
-        decoded then too, so a log it cannot read leaves the flag clear.
+        Returns the number of data blocks remade. The master switch to
+        g+1 is the batch's one commit point. The index, brought to the
+        committed prefix first, names the newest copy of each page in g,
+        which a batch that stops before the switch leaves live: that
+        batch is abandoned, and the next one does its work.
         """
         self.faults.hit("dfs.batch.begin")
         self.reconstruct_log_table_index()
-        for block_id in sorted({block_id for block_id, _ in
-                                self.index.values()}):
-            self._body(block_id)
         by_data_block: dict[int, list[int]] = {}
         for pageid in sorted(self.index):
             by_data_block.setdefault(
                 pageid // self.pages_per_block, []).append(pageid)
         carried = self._carried(by_data_block)
-        self.faults.hit("dfs.batch.before_flag_set")
-        self._write_master(True, self.generation)
-        self.faults.hit("dfs.batch.after_flag_set")
-
         self._drop_other_generations()
         successor = self.manager.create_meta(
             generation_name(self.master.name, self.generation + 1))
@@ -562,9 +553,9 @@ class DfsTransactionStore:
             self.manager.overwrite_block(self.data, data_block, content)
             self.faults.hit("dfs.batch.after_block_remake")
 
-        self.faults.hit("dfs.batch.before_flag_clear")
-        self._write_master(False, self.generation + 1)
-        self.faults.hit("dfs.batch.after_flag_clear")
+        self.faults.hit("dfs.batch.before_master_switch")
+        self._write_master(self.generation + 1)
+        self.faults.hit("dfs.batch.after_master_switch")
         # no other store reads the successor before the master names it,
         # so its version is the one the carried pages' index matches
         previous, self.log = self.log, successor
@@ -635,15 +626,14 @@ class DfsTransactionStore:
 
     def restart_system(self) -> str:
         """Recover after a crash; returns the path `recovery_state()`
-        chose: "redo", "rollback" or, when it found nothing to do,
-        "clean". First drops any generation the master does not name."""
+        chose: "rollback" or, when it found nothing to do, "clean". Drops
+        any generation the master does not name, then truncates the live
+        generation's uncommitted tail, as a writer's begin does; it
+        writes no page."""
         self.faults.hit("dfs.restart.begin")
         self._follow_master()
         self._drop_other_generations()
         path = self.recovery_state() or "clean"
-        if path == "redo":
-            self.batch_post_commit()
-            self.faults.hit("dfs.restart.after_redo")
         self.begin_transaction(write=True)
         self.faults.hit("dfs.restart.done")
         return path
@@ -680,7 +670,7 @@ class DfsTransactionStore:
         version = self.manager.version(self.master)
         if version == self._master_version:
             return
-        _, generation = _read_master(self.manager, self.master)
+        generation = _read_master(self.manager, self.master)
         if generation != self.generation:
             self.log = self.manager.open_meta(
                 generation_name(self.master.name, generation))
@@ -711,10 +701,6 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
     # Recovery state (reads only)
     # ------------------------------------------------------------------
-
-    def read_commit_flag(self) -> bool:
-        """The master block's commit_flag: set while a batch is open."""
-        return _read_master(self.manager, self.master)[0]
 
     def _log_entry(self, block_id: int,
                    entry: DfsFileEntry | None) -> DfsFileEntry:
@@ -749,21 +735,16 @@ class DfsTransactionStore:
                 for block_id, entry in enumerate(entries)}
 
     def recovery_state(self) -> str | None:
-        """"redo" if a batch post-commit was interrupted, "rollback" if the
-        live generation has a block past its committed prefix (what a
-        writer's begin truncates), else None; decided from `log_state()`."""
-        state = self.log_state()
-        if state["commit_flag"]:
-            return "redo"
-        return "rollback" if state["uncommitted_blocks"] else None
+        """"rollback" if the live generation has a block past its
+        committed prefix (what a writer's begin truncates), else None;
+        decided from `log_state()`."""
+        return "rollback" if self.log_state()["uncommitted_blocks"] else None
 
-    def log_state(self) -> dict[str, bool | int]:
-        """What `recovery_state()` decides from: the master's commit_flag,
-        the live generation, and the generation's blocks past its
-        committed prefix."""
-        commit_flag = self.read_commit_flag()
+    def log_state(self) -> dict[str, int]:
+        """What `recovery_state()` decides from: the live generation and
+        its blocks past its committed prefix."""
         self.reconstruct_log_table_index()
-        return {"commit_flag": commit_flag, "generation": self.generation,
+        return {"generation": self.generation,
                 "uncommitted_blocks": self._blocks - self._committed}
 
     # ------------------------------------------------------------------
@@ -785,7 +766,6 @@ class DfsTransactionStore:
             content[dst:dst + self.page_size] = page
         return bytes(content)
 
-    def _write_master(self, commit_flag: bool, generation: int) -> None:
+    def _write_master(self, generation: int) -> None:
         self.manager.overwrite_block(
-            self.master, 0,
-            _master_block(self.page_size, commit_flag, generation))
+            self.master, 0, _master_block(self.page_size, generation))

@@ -153,8 +153,6 @@ def probe_marker_durable(store, blocks_before, remakes_before):
         return True  # its batch already remade data blocks
     probe = DfsTransactionStore(store.manager, store.data, store.master,
                                 STORE_PAGES)
-    if probe.read_commit_flag():
-        return True  # batch was bracketed open after the marker
     footers = probe.footers()
     for block_id in range(blocks_before, store.log.block_count):
         _, complete = footers[block_id]
@@ -176,8 +174,7 @@ def full_state(committed, pageids):
 
 RESTART_POINTS = {
     "dfs.restart.begin": "dfs.commit.before_marker",
-    "dfs.restart.done": "dfs.commit.before_marker",
-    "dfs.restart.after_redo": "dfs.batch.after_flag_set",
+    "dfs.restart.done": "dfs.batch.before_master_switch",
 }
 
 

@@ -136,14 +136,15 @@ def _open_root(root, faults):
                          faults=faults, recover=False)
 
 
-@pytest.mark.parametrize("path", ["clean", "rollback", "redo"])
-def test_recover_says_why_it_chose_its_path(small_root, capsys, path):
+@pytest.mark.parametrize("log", ["clean", "rollback", "abandoned batch"])
+def test_recover_says_why_it_chose_its_path(small_root, capsys, log):
     """Beside the path it took, `recover` reports what it chose it from,
-    as the log stood before: the master block's commit_flag, the live log
-    generation, and that generation's blocks past its committed prefix.
-    A set flag is a redo, else a block past the prefix is a rollback,
-    else the log is clean; a second `recover` then finds it clean, at
-    the next generation after a redo."""
+    as the log stood before: the live log generation the master block
+    names, and that generation's blocks past its committed prefix. A
+    block past the prefix is a rollback, else the log is clean; a batch
+    that crashed before its master switch is abandoned, so its log is
+    clean at the same generation. A second `recover` then finds it
+    clean."""
     root, config = small_root
     assert run_cli(["gen", "--tuples", "50", "--seed", "4"], root,
                    config) == 0
@@ -151,26 +152,25 @@ def test_recover_says_why_it_chose_its_path(small_root, capsys, path):
     faults = FaultInjector()
     db = _open_root(root, faults)
     generation = db.store.generation
-    if path == "rollback":
+    if log == "rollback":
         # the block a commit that failed after its auto-flush leaves
         s = db.session()
         s.begin("write")
         for pageid in range(1, db.manager.pages_per_block):
             db.store.write_page(pageid, bytes(db.manager.page_size))
         s.abort()
-    elif path == "redo":
-        faults.arm("dfs.batch.after_flag_set")
+    elif log == "abandoned batch":
+        faults.arm("dfs.batch.before_master_switch")
         with pytest.raises(CrashPoint):
             db.run_maintenance()
     assert run_cli(["recover"], root) == 0
+    rollback = log == "rollback"
     assert json.loads(capsys.readouterr().out) == {
-        "recovery": path, "commit_flag": path == "redo",
-        "generation": generation,
-        "uncommitted_blocks": int(path == "rollback")}
+        "recovery": "rollback" if rollback else "clean",
+        "generation": generation, "uncommitted_blocks": int(rollback)}
     assert run_cli(["recover"], root) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "recovery": "clean", "commit_flag": False,
-        "generation": generation + (path == "redo"),
+        "recovery": "clean", "generation": generation,
         "uncommitted_blocks": 0}
     assert run_cli(["run", "--workload", "scan"], root) == 0
     assert json.loads(capsys.readouterr().out)["records_returned"] == 50
@@ -208,26 +208,29 @@ def test_crash_point_exit_code_and_recover(small_root):
     assert result.returncode == 42, result.stderr
     result = run_cli_subprocess(["recover"], root)
     assert result.returncode == 0, result.stderr
-    # with the batch not yet started, the committed marker leaves nothing
-    # to redo; the log already holds only committed data
+    # the committed marker leaves nothing to recover: the log already
+    # holds only committed data
     assert json.loads(result.stdout)["recovery"] == "clean"
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["records_returned"] == 260
 
-    # crash in the middle of batch post-commit: redo path on recover
-    # (ten-row inserts land in the committed heap's tail block, which is
-    # logged, so each commit appends a short log block; the 30th commit's
-    # batch is the first, when the log passes 16 blocks' worth of bytes)
+    # crash in the middle of batch post-commit, before its master switch:
+    # the batch is abandoned, and recover finds the log clean at the same
+    # generation (ten-row inserts land in the committed heap's tail
+    # block, which is logged, so each commit appends a short log block;
+    # the 30th commit's batch is the first, when the log passes 16
+    # blocks' worth of bytes)
     result = run_cli_subprocess(
         ["run", "--workload", "insert", "--repeat", "10",
          "--repeat-runs", "40",
-         "--crash-point", "dfs.batch.after_flag_set"], root)
+         "--crash-point", "dfs.batch.before_master_switch"], root)
     assert result.returncode == 42, result.stderr
     result = run_cli_subprocess(["recover"], root)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["recovery"] == "redo"
+    assert json.loads(result.stdout) == {
+        "recovery": "clean", "generation": 1, "uncommitted_blocks": 0}
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
@@ -299,7 +302,7 @@ def test_crash_points_a_run_cannot_reach_are_refused(small_root, capsys):
     assert run_cli(["gen", "--tuples", "200"], root, config) == 0
     unreachable = [point for point in SPDU_DFS_FAULT_POINTS
                    if point.startswith("dfs.restart.")]
-    assert len(unreachable) == 3
+    assert len(unreachable) == 2
     for point in unreachable:
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--workload", "insert", "--repeat", "10",
@@ -513,6 +516,31 @@ def test_a_root_of_the_master_format_before_generations_is_one_error_line(
     manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
     manager.overwrite_block(
         manager.open_meta("db/log"), 0, struct.pack("<IB", 0x4C4F4730, 0)
+        .ljust(SMALL_CONFIG["page_size"], b"\0"))
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: log master block has bad magic"]
+
+
+def test_a_root_of_the_master_format_with_a_commit_flag_is_one_error_line(
+        small_root, capsys):
+    """A root whose log master block holds a batch commit_flag before
+    the live generation, as the master block of a root written while a
+    batch still set and cleared that flag does, is refused: `recover`
+    and `run` print one error line and exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
+    manager.overwrite_block(
+        manager.open_meta("db/log"), 0, struct.pack("<IBQ", 0x4C4F4731, 0, 1)
         .ljust(SMALL_CONFIG["page_size"], b"\0"))
     for command in (["recover"], ["run", "--workload", "scan"]):
         assert run_cli(command, root) == 2

@@ -672,9 +672,10 @@ def test_maintenance_trigger_compacts_log():
 
 
 def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
-    """A batch that fails while creating the replacement of the log master
-    block leaves the old master in place; the caller must see that
-    failure, not a later one, and the lock must be free."""
+    """A batch that fails at its master switch, while creating the
+    replacement of the log master block that names generation 2, leaves
+    the old master naming generation 1 in place; the caller must see
+    that failure, not a later one, and the lock must be free."""
 
     class RemakeFailed(RuntimeError):
         pass
@@ -690,18 +691,18 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
     create_file = DfsCluster.create_file
     failed = []
 
-    def fail_once(cluster, name, content):
-        if name.startswith(master) and not failed:
+    def fail_once(cluster, name, content, meta=None):
+        if name == f"{master}.new" and not failed:
             failed.append(name)
             raise RemakeFailed(name)
-        return create_file(cluster, name, content)
+        return create_file(cluster, name, content, meta)
 
     monkeypatch.setattr(DfsCluster, "create_file", fail_once)
     with pytest.raises(RemakeFailed):
         db.run_maintenance()
     assert failed == [f"{master}.new"]
     assert db.manager.read_block(db.master, 0) == old_master
-    assert db.store.recovery_state() is None
+    assert db.store.log_state() == {"generation": 1, "uncommitted_blocks": 0}
     assert db.locks.snapshot(db.data_name) == []
 
 
@@ -1211,7 +1212,7 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     s.begin("write")
     for i in range(20, 40):
         s.insert_record(rec(i))
-    faults.arm("dfs.batch.before_flag_clear")
+    faults.arm("dfs.batch.before_master_switch")
     db.store.post_commit_threshold = 0  # force the batch at this commit
     with pytest.raises(CrashPoint):
         s.commit()
@@ -1220,7 +1221,10 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     reopened = Database.open(fresh_cluster, "db", PAGE)
     s2 = reopened.session()
     s2.begin("read")
-    assert len(s2.scan(100)) == 40  # marker was durable -> redo path
+    # the marker was durable; the batch was abandoned with generation 1
+    # live, and it holds the newest copy of every logged page
+    assert len(s2.scan(100)) == 40
+    assert reopened.store.generation == 1
     s2.commit()
 
 
@@ -1883,8 +1887,12 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     """At threshold 0 a batch carries nothing, so a seeded load, an
     update and inserts, each commit running a batch, write exactly the
     DFS bytes they wrote when a batch ended in a truncate of one log: a
-    generation's register and unregister write no block."""
-    db = make_db(total=1024, threshold=0)
+    generation's register and unregister write no block. The pins were
+    measured when each batch also set a commit_flag in the master block
+    before it began: one more master page, a remake of the log's master
+    meta file, per batch, which the pins take off."""
+    faults = FaultInjector()
+    db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
                    commit_every=250)
     for spec in (dict(kind="update", key="1.2.3.4", use_index=False,
@@ -1893,9 +1901,15 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
         bench.run_workload(db, bench.WorkloadSpec(**spec))
     db.run_maintenance()
     assert db.store.log.block_count == 0
+    # the load's 1500 / 250 commits, the update's, the inserts' and the
+    # maintenance batch
+    batches = faults.hits["dfs.batch.begin"]
+    assert batches == 1500 // 250 + 3
+    assert db.manager.remakes_of(db.log_name) == batches  # master switches
+    replication = db.manager.cluster.config.replication_factor
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
-        (1_622_578, 48, 63)
+        (1_622_578 - batches * PAGE * replication, 48 - batches, 63)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():

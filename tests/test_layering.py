@@ -31,6 +31,14 @@ and the set of those names is ``SPDU_DFS_FAULT_POINTS``: ``hit`` takes
 any name, so a point missing from the registry could never be armed and
 the sweeps, which walk the registry, would skip it.
 
+The log's master block has one writer per purpose: only
+``create_log_meta``, which writes a new log's first master block, and
+``DfsTransactionStore._write_master`` pass the master meta file to a
+meta-file mutation, and only ``batch_post_commit`` calls
+``_write_master``, whose switch to the next generation is the batch's one
+commit point. ``restart_system`` calls neither ``batch_post_commit`` nor
+``_write_master``, so restart never writes a page.
+
 A database has one transaction store, so one log table index: inside
 the package only ``Database.__init__`` constructs a
 ``DfsTransactionStore``, and its sessions, recovery and maintenance use
@@ -310,6 +318,52 @@ def test_only_the_store_names_registers_or_drops_a_log_generation():
     assert store == {GENERATION_NAMING, *META_FILE_LIFECYCLE}
     assert method_calls((PACKAGE / MUTATING_MODULE).read_text("utf-8"),
                         META_FILE_LIFECYCLE) == []
+
+
+def master_writes(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each meta-file mutation whose first
+    argument is the log's master meta file: a name or attribute
+    `master`."""
+    return [(node.lineno, scope) for node, scope in scoped_nodes(source)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in META_FILE_MUTATIONS and node.args
+            and "master" in (getattr(node.args[0], "id", None),
+                             getattr(node.args[0], "attr", None))]
+
+
+def test_detector_finds_master_writes_with_their_scope():
+    source = (
+        "def create(manager):\n"
+        "    master = manager.create_meta('log')\n"
+        "    manager.append_block(master, b'')\n"
+        "class S:\n"
+        "    def switch(self):\n"
+        "        self.manager.overwrite_block(self.master, 0, b'')\n"
+        "        self.manager.overwrite_block(self.data, 0, b'')\n"
+        "        self.manager.read_block(self.master, 0)\n"
+        "        return master_block(self.master)\n"
+    )
+    assert master_writes(source) == [(3, "create"), (6, "S.switch")]
+
+
+def test_the_master_block_has_one_writer():
+    """A new log's master block is written by `create_log_meta`, and every
+    later one by a batch's master switch, through `_write_master`; restart
+    calls neither `batch_post_commit` nor `_write_master`, so it never
+    commits or writes a page."""
+    writers = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+               for _, scope in master_writes(path.read_text("utf-8"))]
+    assert sorted(writers) == [
+        (STORE_MODULE, "DfsTransactionStore._write_master"),
+        (STORE_MODULE, "create_log_meta")]
+    store = (PACKAGE / STORE_MODULE).read_text("utf-8")
+    callers = {name: [scope for _, scope in constructions(store, name)]
+               for name in ("batch_post_commit", "_write_master")}
+    assert callers["_write_master"] == \
+        ["DfsTransactionStore.batch_post_commit"]
+    assert "DfsTransactionStore.restart_system" not in \
+        callers["batch_post_commit"] + callers["_write_master"]
 
 
 # module -> the scopes that may mention block_size_bytes (None: any scope)

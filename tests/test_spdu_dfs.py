@@ -15,7 +15,7 @@ from wormdb.errors import (
     OutOfRange,
     RecoveryError,
 )
-from wormdb.faults import CrashPoint, FaultInjector
+from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
 from wormdb.spdu_dfs import (
@@ -818,7 +818,11 @@ def test_a_transaction_that_appended_to_a_replaced_generation_raises():
     assert reader.read_page(16) == bytes(PAGE)
 
 
-def test_restart_redo_completes_interrupted_batch():
+def test_restart_abandons_an_interrupted_batch():
+    """A batch that crashed after its second remake, before its master
+    switch, is abandoned: restart answers "clean", drops generation 2
+    and leaves generation 1 live, where every page reads as its newest
+    committed copy; the next batch copies them home."""
     faults = FaultInjector()
     store = make_store(faults=faults)
     oracle = MapOracle(PAGE, TOTAL)
@@ -834,10 +838,79 @@ def test_restart_redo_completes_interrupted_batch():
         _drain(store)
     fresh = DfsTransactionStore(store.manager, store.data, store.master,
                                 TOTAL, 0)
-    assert fresh.restart_system() == "redo"
+    assert fresh.restart_system() == "clean"
+    assert fresh.generation == 1 and fresh.log.block_count == 1
+    assert not store.manager.cluster.meta_exists(GEN2)
     for pid in range(TOTAL):
         assert fresh.read_page(pid) == oracle.read(pid)
-    assert fresh.log.block_count == 0
+    assert _drain(fresh) == 4
+    assert fresh.generation == 2 and fresh.log.block_count == 0
+    for pid in range(TOTAL):
+        assert fresh.manager.read_page(fresh.data, pid) == oracle.read(pid)
+
+
+# what changes a meta file or registers or drops one
+META_FILE_CALLS = ("append_block", "overwrite_block", "truncate_from",
+                   "create_meta", "create_sparse_meta", "delete_meta")
+
+
+@pytest.mark.parametrize("point", [p for p in SPDU_DFS_FAULT_POINTS
+                                   if p.startswith("dfs.batch.")])
+def test_restart_writes_no_page(monkeypatch, point):
+    """A threshold-4 store crashes at `point` in the first batch its
+    commits run, with one uncommitted block appended after. A fresh
+    store's restart then makes no append, remake, fill or register and
+    writes no DFS byte: it only drops generations and truncates the
+    tail. Later commits and a threshold-0 batch leave every page of the
+    data file as the oracle's committed state."""
+    faults = FaultInjector()
+    store = make_store(threshold=4, faults=faults)
+    oracle = MapOracle(PAGE, TOTAL)
+    rng = random.Random(50)
+
+    def write_pages(target):
+        for _ in range(12):
+            pid, content = rng.randrange(TOTAL), page_with(rng)
+            target.write_page(pid, content)
+            oracle.write(pid, content)
+
+    faults.arm(point)
+    with pytest.raises(CrashPoint):
+        for _ in range(20):
+            write_pages(store)
+            try:
+                store.commit_transaction()
+            finally:
+                oracle.commit()  # the batch runs after the marker
+    store.begin_transaction(write=True)
+    store.write_page(0, page_with(rng))
+    store.flush_buffer(mark_commit=False)
+
+    cluster = store.manager.cluster
+    fresh = DfsTransactionStore(store.manager, store.data, store.master,
+                                TOTAL, 0)
+    calls = []
+    for method in META_FILE_CALLS:
+        def recorded(*args, method=method,
+                     original=getattr(MetaDfsManager, method)):
+            calls.append(method)
+            return original(*args)
+        monkeypatch.setattr(MetaDfsManager, method, recorded)
+    bytes_before = cluster.counters.bytes_written
+    assert fresh.restart_system() == "rollback"
+    monkeypatch.undo()
+    assert cluster.counters.bytes_written == bytes_before
+    assert "truncate_from" in calls
+    assert set(calls) <= {"delete_meta", "truncate_from"}
+    assert not cluster.meta_exists(spdu_dfs.generation_name(
+        "db/log", fresh.generation + 1))
+
+    write_pages(fresh)
+    fresh.commit_transaction()
+    oracle.commit()
+    _drain(fresh)
+    for pid in range(TOTAL):
+        assert fresh.manager.read_page(fresh.data, pid) == oracle.read(pid)
 
 
 class LogMutationRefused(RuntimeError):
@@ -899,12 +972,12 @@ def test_crash_storm_during_recovery_converges():
     points; the final clean restart must still land on the committed
     state."""
     batch_points = [p for p in
-                    ("dfs.batch.before_flag_set", "dfs.batch.after_flag_set",
+                    ("dfs.batch.begin",
                      "dfs.batch.before_carry_append",
                      "dfs.batch.after_carry_append",
                      "dfs.batch.before_block_remake",
                      "dfs.batch.after_block_remake",
-                     "dfs.batch.before_flag_clear",
+                     "dfs.batch.before_master_switch",
                      "dfs.batch.before_generation_drop",
                      "dfs.restart.begin")]
     for seed in range(5):
@@ -930,7 +1003,7 @@ def test_crash_storm_during_recovery_converges():
         else:
             # no batch crashed during the commits; force one directly
             post = oracle.committed_state()
-            faults.arm("dfs.batch.after_flag_set")
+            faults.arm("dfs.batch.before_master_switch")
             with pytest.raises(CrashPoint):
                 store.batch_post_commit()
 
@@ -1013,7 +1086,8 @@ def test_clean_restart_preserves_state():
 def test_restart_takes_the_path_recovery_state_reports(log, via):
     """restart_system() and Database.recover return what recovery_state()
     said before them, or "clean" when that was None, and leave nothing
-    to recover."""
+    to recover. A batch that crashed before its master switch leaves
+    nothing to recover: restart leaves generation 1 live."""
     faults = FaultInjector()
     store = make_store(faults=faults)
     rng = random.Random(41)
@@ -1027,14 +1101,14 @@ def test_restart_takes_the_path_recovery_state_reports(log, via):
         with pytest.raises(CrashPoint):
             _drain(store)
     state = _peer(store).recovery_state()
-    assert state == {"clean": None, "tail": "rollback",
-                     "interrupted batch": "redo"}[log]
+    assert state == ("rollback" if log == "tail" else None)
     if via == "store":
         path = _peer(store).restart_system()
     else:
         path = Database(store.manager, "db", TOTAL).recover()
     assert path == (state or "clean")
     assert _peer(store).recovery_state() is None
+    assert _peer(store).generation == 1
 
 
 def test_two_process_visibility():
@@ -1217,10 +1291,10 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
     # the first commit logged one page (the other two blocks were holes),
     # 533 bytes, each later one three, 1,573 bytes, so the sixth took the
     # log to 8,398 bytes, past T=1 block's worth of 8,192, and ran a
-    # batch: the flag was set and cleared
-    assert store.manager.remakes_of("db/log") == 2
+    # batch: its one master write switched the log to generation 2
+    assert store.manager.remakes_of("db/log") == 1
     assert _constituent_sizes(store, store.master) == [PAGE]
-    assert store.read_commit_flag() is False
+    assert _peer(store).generation == 2
     assert _constituent_sizes(store, store.data) == [BLOCK] * 3
     assert store.manager.cluster.replicas(
         store.manager.constituent_entry(store.master, 0).name) == \
@@ -1275,8 +1349,9 @@ def test_a_torn_short_block_is_never_committed(torn):
     footers() with RecoveryError, and a begin never indexes its pages as
     committed. A footer that reads over a torn body is indexed, since a
     rebuild reads only footers, but every read of a page it lists and a
-    batch raise RecoveryError, and the batch leaves the commit flag
-    clear. Either way the block before it still reads."""
+    batch raise RecoveryError, and the batch stops before its master
+    switch, so the master still names generation 1. Either way the block
+    before it still reads."""
     store = make_store()
     rng = random.Random(32)
     first = page_with(rng)
@@ -1306,7 +1381,7 @@ def test_a_torn_short_block_is_never_committed(torn):
                 fresh.read_page(pid)
         with pytest.raises(RecoveryError):
             fresh.batch_post_commit()
-        assert fresh.read_commit_flag() is False
+        assert _peer(store).generation == 1
     # block 0 is its page and its footer
     assert unpack_footer(store.manager.read_block(store.log, 0)) == \
         ([1], True)
@@ -1316,11 +1391,13 @@ def test_a_torn_short_block_is_never_committed(torn):
 def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     """One flipped byte in the body of a committed log block, which no
     page checksum would catch, makes a read of its page and a batch raise
-    RecoveryError, not zlib.error, and the batch leaves the commit flag
-    clear."""
+    RecoveryError, not zlib.error; the batch stops before its master
+    switch, so the master still names generation 1, and block 0's page
+    still reads."""
     store = make_store()
     rng = random.Random(36)
-    store.write_page(1, page_with(rng))
+    first = page_with(rng)
+    store.write_page(1, first)
     store.commit_transaction()
     page = stamp_page(10, 0, page_with(rng))
     body = bytearray(zlib.compress(page, 1))
@@ -1335,18 +1412,23 @@ def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
         fresh.read_page(10)
     with pytest.raises(RecoveryError, match="does not decode"):
         fresh.batch_post_commit()
-    assert fresh.read_commit_flag() is False
+    reader = _peer(store)
+    reader.begin_transaction(write=False)
+    assert reader.generation == 1
+    assert payload(reader.read_page(1)) == payload(first)
     assert store.manager.remakes_of("db/data") == 0
 
 
-def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
-    """A batch reads every footer before it sets the commit flag, so a
-    fresh store's batch over a log whose committed block 2 is torn raises
-    RecoveryError with the flag clear: recovery_state() then refuses the
-    log instead of answering "redo" for a redo that can never finish."""
+def test_a_batch_over_a_torn_log_leaves_generation_1_live():
+    """A batch reads every footer before it registers the next
+    generation, so a fresh store's batch over a log whose committed
+    block 1 is torn raises RecoveryError with the master still naming
+    generation 1 and no generation 2: recovery_state() then refuses the
+    log, and block 0's page still reads through the writer."""
     store = make_store()
     rng = random.Random(34)
-    store.write_page(1, page_with(rng))
+    first = page_with(rng)
+    store.write_page(1, first)
     store.commit_transaction()
     block = zlib.compress(page_with(rng), 1) + pack_footer([10], True)
     store.manager.cluster.create_file(
@@ -1354,9 +1436,11 @@ def test_a_batch_over_a_torn_log_leaves_the_flag_clear():
     fresh = _peer(store)
     with pytest.raises(RecoveryError):
         fresh.batch_post_commit()
-    assert fresh.read_commit_flag() is False
+    assert _peer(store).generation == 1
+    assert not store.manager.cluster.meta_exists(GEN2)
     with pytest.raises(RecoveryError):
         fresh.recovery_state()
+    assert payload(store.read_page(1)) == payload(first)
 
 
 def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
