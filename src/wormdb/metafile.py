@@ -13,12 +13,13 @@ pages per block.
 A block is at most one DFS block, and its constituent is only as long
 as what was written: a data block fills its DFS block and the log's
 master block is one page, both whole pages, but an appended block may
-be any length, and a log block holds just its compressed pages and its
+be any length, and a log block holds just its compressed body and its
 footer bytes, as an HDFS file ends in a partial block. The NameNode entry that
 gives a block's file_id also gives its size, so a reader learns where a
 short block ends from the same call; a page that runs past that end is
-OutOfRange, and `read_bytes` reads from a given offset to it, given an
-entry the caller already holds.
+OutOfRange. Given an entry the caller already holds, `read_page_of`
+reads one page of it and `read_bytes` reads from a given offset to its
+end.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -46,9 +47,9 @@ place (or created a missing one), the block is cached whole, as the one
 `bytes` object handed to `create_file`, under the id that call returned
 (a rename keeps it). In memory mode the DataNodes keep that same object,
 so the cache holds no second copy; `read_block` returns it, and
-`read_page` and `read_bytes` slice their bytes out of it. A block this
-manager did not write is read through range by range: `read_page` and
-`read_bytes` cache each page or range they read from the DFS, and
+the page and byte reads slice their bytes out of it. A block this
+manager did not write is read through range by range: the page and
+byte reads cache each page or range they read from the DFS, and
 `read_block` reads the DFS without caching, so a cold read fetches only
 the pages and tails asked for, once. A constituent is write-once
 and the NameNode never reuses an id, so a cached block or range is served
@@ -303,18 +304,25 @@ class MetaDfsManager:
     # ------------------------------------------------------------------
 
     def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
-        """One page (see `_range`); a page that runs past a short
-        block's end is OutOfRange."""
-        size = self.page_size
+        """One page (see `read_page_of`)."""
         block_id, offset = divmod(pageid, self.pages_per_block)
-        entry = self.constituent_entry(file, block_id)
+        return self.read_page_of(self.constituent_entry(file, block_id),
+                                 offset)
+
+    def read_page_of(self, entry: DfsFileEntry | None, offset: int) -> bytes:
+        """Page `offset` of the block whose constituent is `entry`, an
+        entry the caller already holds, so with no NameNode call: zeros
+        for a block with no constituent (None), else served as `_range`
+        serves it. A page that runs past a short block's end is
+        OutOfRange."""
         if entry is None:
             return self._zero_page
+        size = self.page_size
         start = offset * size
         if start + size > entry.size_bytes:
             raise OutOfRange(
-                f"page {pageid} of {file.name} runs past the "
-                f"{entry.size_bytes} bytes of {entry.name}")
+                f"page {offset} of {entry.name} runs past its "
+                f"{entry.size_bytes} bytes")
         return self._range(entry, start, start + size)
 
     def _range(self, entry: DfsFileEntry, start: int, end: int) -> bytes:

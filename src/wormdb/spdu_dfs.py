@@ -10,25 +10,48 @@ page and files being write-once:
   overwritten in place) and last-wins resolution happens at post-commit
   time.
 * Each appended log block is short: a body, its buffered pages in
-  arrival order compressed as one zlib stream, then its footer, raw,
-  with no padding. The footer is the ordered list of pageids in the
-  block, then a fixed part, FOOTER_FIXED_SIZE bytes that end the block:
-  the page count, a commit_complete flag and a checksum. A block with
-  commit_complete TRUE marks that it and every earlier block hold only
-  committed data (write transactions are serial). A reader finds the
+  arrival order encoded as below and compressed as one zlib stream,
+  then its footer, raw, with no padding. The footer is the ordered list
+  of pageids in the block, then a fixed part, FOOTER_FIXED_SIZE bytes
+  that end the block: the page count, a commit_complete flag and a
+  checksum. A block with commit_complete TRUE marks that it and every
+  earlier block hold only committed data (write transactions are
+  serial). A reader finds the
   footer from the block's end: the last FOOTER_FIXED_SIZE + 8(N - 1)
   bytes, or the whole block if it is shorter, hold any footer, so one
   read of them gives it. A fixed part that lists more pages than those
   bytes hold, a checksum mismatch and a counted log block with no
   constituent, which a meta file would read as zeros, fail alike.
   Data blocks and the master block stay raw and page-addressable.
-* A log copy of a page is a slice of its block's decoded body. Each
-  store keeps bodies keyed by the constituent's file_id, which the
-  NameNode never reuses, and drops them whenever its index is replaced,
-  so they are at most the raw log: the pages of each block it appends,
-  and the decoded body of any other block when a page of it is first
-  read. A body that fails zlib's check or decodes to other than its
-  listed pages is a torn block too.
+* A log block's body holds, in its footer's order, each page as
+  logged, then the base of each page, 8 bytes a page: 0 for a page
+  logged raw, else the file_id of its home, the constituent of its data
+  block, which the page was XORed with, as LLAMA logs page deltas
+  (Levandoski, Lomet & Sengupta, VLDB 2013). A page is XORed when that
+  leaves at most half its nonzero bytes, as an update in place does; a
+  page unlike its home, a fresh index segment over a freed extent, is
+  raw. So is a page whose home is a hole or has every replica dead, so a
+  commit does not fail for a dead home. Homes are read through the
+  manager's cache, each home's entry once per log block encoded or
+  decoded. A base that is home's current file_id decodes by XOR with
+  home. Any other nonzero base names a home that a batch remade before
+  it stopped short of its master switch (a successful batch leaves no
+  page of a block it remade in the log). That batch wrote home the
+  newest committed copy of each page it found logged, and every copy
+  logged since names the new id, so home holds the very copy the index
+  names, and the reader reads home. A base is never handed out again
+  while its delta is in the table: the log block that holds the delta
+  was created after its base, so its id is larger, and a DfsCluster,
+  one reopened over a root too, hands out ids above every id in its
+  table. Reading a delta needs its home: AllReplicasDead while every
+  replica of home is dead.
+* A log copy of a page is a slice of its block's decoded body, the
+  pages themselves. Each store keeps bodies keyed by the constituent's
+  file_id, which the NameNode never reuses, and drops them whenever its
+  index is replaced, so they are at most the raw log: the pages of each
+  block it appends, and the decoded body of any other block when a page
+  of it is first read. A body that fails zlib's check or decodes to
+  other than its listed pages and their bases is a torn block too.
 * The log is a sequence of generations. Its master meta file is one
   block, one page: the master block, which names the live generation g.
   A generation is a meta file of its own, `generation_name(log, g)`,
@@ -113,7 +136,7 @@ page and files being write-once:
   marker leaves bytes only in a block no committed state names; the
   block now has a constituent, so later transactions log it. The hole
   test does not look at replica health, so a block whose replicas are
-  all dead is logged, as any written block is.
+  all dead is logged, raw, as any written block is.
 
 One instance per database, shared by its sessions as the manager's
 cache is: the index and the decoded bodies are the database's. The
@@ -134,7 +157,7 @@ import threading
 import zlib
 
 from .dfs import DfsFileEntry
-from .errors import LogMoved, OutOfRange, RecoveryError
+from .errors import AllReplicasDead, LogMoved, OutOfRange, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
@@ -182,28 +205,36 @@ def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
 
 
 def unpack_body(block: bytes, page_size: int) -> bytes:
-    """The pages of log block `block`, decoded, in its footer's order;
-    RecoveryError unless the bytes before the footer pass zlib's own
-    check and decode to exactly the pages the footer lists."""
+    """The body of log block `block`, decompressed: its pages as logged,
+    in its footer's order, then their bases (see above); RecoveryError
+    unless the bytes before the footer pass zlib's own check and
+    decompress to exactly the pages and bases the footer lists."""
     pageids, _ = unpack_footer(block)
     end = len(block) - _footer_size(len(pageids))
     try:
-        pages = zlib.decompress(memoryview(block)[:end])
+        body = zlib.decompress(memoryview(block)[:end])
     except zlib.error as exc:
         raise RecoveryError(f"log block body does not decode: {exc}") \
             from None
-    if len(pages) != len(pageids) * page_size:
+    if len(body) != len(pageids) * (page_size + 8):
         raise RecoveryError(
-            f"log block body decodes to {len(pages)} bytes, not the "
-            f"{len(pageids)} pages of {page_size} bytes its footer lists")
-    return pages
+            f"log block body decodes to {len(body)} bytes, not the "
+            f"{len(pageids)} pages of {page_size} bytes and their bases "
+            f"its footer lists")
+    return body
 
 
-def _log_block(pageids: list[int], pages: bytes,
+def _log_block(pageids: list[int], body: bytes,
                commit_complete: bool) -> bytes:
-    """A log block: `pages` compressed, then the footer."""
-    return zlib.compress(pages, _ZLIB_LEVEL) + \
+    """A log block: `body` compressed, then the footer."""
+    return zlib.compress(body, _ZLIB_LEVEL) + \
         pack_footer(pageids, commit_complete)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """`a` XOR `b`, two strings of one length."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            ).to_bytes(len(a), "little")
 
 
 def generation_name(log_name: str, generation: int) -> str:
@@ -287,15 +318,17 @@ def _compress_bound(size: int) -> int:
 def check_log_geometry(page_size: int, pages_per_block: int) -> None:
     """Raise ValueError unless a log block of this geometry holds at least
     one page, and a full buffer, every page of a block but one, fits in
-    a block with its footer even when its pages do not compress."""
+    a block with its bases and footer even when its pages do not
+    compress."""
     if pages_per_block < 2:
         raise ValueError("need at least two pages per block")
     pages = pages_per_block - 1
-    if _compress_bound(pages * page_size) + _footer_size(pages) > \
+    if _compress_bound(pages * (page_size + 8)) + _footer_size(pages) > \
             pages_per_block * page_size:
         raise ValueError(
-            f"{pages} incompressible pages of {page_size} bytes and their "
-            f"footer do not fit in a block of {pages_per_block} pages")
+            f"{pages} incompressible pages of {page_size} bytes, their "
+            f"bases and their footer do not fit in a block of "
+            f"{pages_per_block} pages")
 
 
 def _fold(index: dict[int, tuple[int, int]], footers) -> None:
@@ -412,9 +445,57 @@ class DfsTransactionStore:
             block_id, self.manager.constituent_entry(self.log, block_id))
         body = self._bodies.get(entry.file_id)
         if body is None:
-            body = self._bodies[entry.file_id] = unpack_body(
-                self.manager.read_bytes(entry, 0), self.page_size)
+            block = self.manager.read_bytes(entry, 0)
+            body = self._bodies[entry.file_id] = self._decoded(
+                unpack_footer(block)[0], unpack_body(block, self.page_size))
         return body
+
+    def _decoded(self, pageids: list[int], body: bytes) -> bytes:
+        """The pages of a log block's decompressed `body`, listed as
+        `pageids`, each decoded by its base (see above)."""
+        size = self.page_size
+        bases = struct.unpack_from(
+            f"<{len(pageids)}Q", body, len(pageids) * size)
+        homes: dict[int, DfsFileEntry | None] = {}
+        pages = []
+        for slot, (pageid, base) in enumerate(zip(pageids, bases)):
+            page = body[slot * size:(slot + 1) * size]
+            if base:
+                block_id, offset = divmod(pageid, self.pages_per_block)
+                if block_id not in homes:
+                    homes[block_id] = self.manager.constituent_entry(
+                        self.data, block_id)
+                home = homes[block_id]
+                home_page = self.manager.read_page_of(home, offset)
+                page = _xor(page, home_page) \
+                    if home is not None and base == home.file_id \
+                    else home_page
+            pages.append(page)
+        return b"".join(pages)
+
+    def _encoded(self, pageids: list[int], pages: list[bytes]) -> bytes:
+        """The body of a log block of `pages`, listed as `pageids`: each
+        page raw or XORed with its home page, then the bases (see
+        above)."""
+        homes: dict[int, DfsFileEntry | None] = {}
+        logged, bases = [], []
+        for pageid, page in zip(pageids, pages):
+            block_id, offset = divmod(pageid, self.pages_per_block)
+            if block_id not in homes:
+                try:
+                    homes[block_id] = self.manager.constituent_entry(
+                        self.data, block_id)
+                except AllReplicasDead:
+                    homes[block_id] = None
+            home, base = homes[block_id], 0
+            if home is not None:
+                delta = _xor(page, self.manager.read_page_of(home, offset))
+                if 2 * (len(delta) - delta.count(0)) <= \
+                        len(page) - page.count(0):
+                    page, base = delta, home.file_id
+            logged.append(page)
+            bases.append(base)
+        return b"".join(logged) + struct.pack(f"<{len(bases)}Q", *bases)
 
     # ------------------------------------------------------------------
     # Log maintenance
@@ -422,15 +503,16 @@ class DfsTransactionStore:
 
     def flush_buffer(self, mark_commit: bool) -> int | None:
         """Append the buffer as one short log block: its pages in arrival
-        order, compressed, then the footer, to the generation the master
-        block names now (see `_follow_for_append`). Returns the
-        block_id."""
+        order, each whole or XORed with its home, compressed, then the
+        footer, to the generation the master block names now (see
+        `_follow_for_append`). Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
         self._follow_for_append()
         pageids = list(self._pages)
+        block = _log_block(pageids, self._encoded(
+            pageids, list(self._pages.values())), mark_commit)
         pages = b"".join(self._pages.values())
-        block = _log_block(pageids, pages, mark_commit)
         self.faults.hit("dfs.flush.before_block_append")
         block_id = self.manager.append_block(self.log, block)
         self._changed_alone(block_id)
@@ -586,10 +668,11 @@ class DfsTransactionStore:
         bodies: dict[int, bytes] = {}
         for first in range(0, len(pageids), self._capacity):
             chunk = pageids[first:first + self._capacity]
-            pages = b"".join(self._log_copy(pageid) for pageid in chunk)
+            copies = [self._log_copy(pageid) for pageid in chunk]
+            block = _log_block(chunk, self._encoded(chunk, copies), True)
+            pages = b"".join(copies)
             self.faults.hit("dfs.batch.before_carry_append")
-            block_id = self.manager.append_block(
-                successor, _log_block(chunk, pages, True))
+            block_id = self.manager.append_block(successor, block)
             bodies[self.manager.constituent_entry(
                 successor, block_id).file_id] = pages
             _fold(index, ((block_id, chunk),))

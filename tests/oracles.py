@@ -16,6 +16,7 @@ between write transactions.
 
 `meta_file_strays` checks a DFS cluster against the meta-file layout:
 every constituent sits inside a registered meta file's block count.
+`log_bases` reads back how a store's log block holds each page.
 
 `reference_unpack_record` is a plain field-by-field decoder of the
 UserVisits wire format, which the tests check `wormdb.records` against.
@@ -34,6 +35,7 @@ from wormdb.errors import OutOfRange, RecoveryError
 from wormdb.faults import NULL_INJECTOR, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
 from wormdb.records import UserVisitsRecord
+from wormdb.spdu_dfs import unpack_body, unpack_footer
 
 # The recovery header `stamp_page` writes: pageid, the ordinal of the
 # write within its transaction, and the payload's crc32.
@@ -70,6 +72,19 @@ def meta_file_strays(cluster: DfsCluster) -> list[str]:
                 rest[:SUFFIX_WIDTH]) < cluster.meta_block_count(meta)):
             strays.append(file)
     return strays
+
+
+def log_bases(store, block_id: int) -> list[int]:
+    """The base of each page of block `block_id` of `store`'s live log
+    generation, in its footer's order: 0 for a page logged whole, else
+    the file_id of the home it was XORed with. Read through the
+    constituent's entry, so with no check of its replicas' health."""
+    entry = store.manager.constituent_entries(store.log)[block_id]
+    block = store.manager.read_bytes(entry, 0)
+    count = len(unpack_footer(block)[0])
+    return list(struct.unpack_from(
+        f"<{count}Q", unpack_body(block, store.page_size),
+        count * store.page_size))
 
 
 class _Reader:

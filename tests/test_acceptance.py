@@ -231,21 +231,21 @@ def test_criterion_1_crash_consistency_sweep():
 def test_criterion_2_oracle_equivalence():
     small_total = 64
     for seed in range(100):
-        cluster = DfsCluster(DfsConfig(4096, 2), 4)
-        mgr = MetaDfsManager(cluster, 256)
+        cluster = DfsCluster(DfsConfig(8192, 2), 4)
+        mgr = MetaDfsManager(cluster, 512)
         data = create_data_meta(mgr, "d", small_total)
         log = create_log_meta(mgr, "l")
         dfs_store = DfsTransactionStore(mgr, data, log, small_total, 8)
         core_store = ShadowPagedStore.create(
-            MemPageStore(256, small_total), MemPageStore(256), 256,
+            MemPageStore(512, small_total), MemPageStore(512), 512,
             small_total)
-        oracle = MapOracle(256, small_total)
+        oracle = MapOracle(512, small_total)
         rng = random.Random(seed)
         for _ in range(1000):
             roll = rng.random()
             if roll < 0.55:
                 pid = rng.randrange(small_total)
-                content = random_payload_page(rng, 256)
+                content = random_payload_page(rng, 512)
                 dfs_store.write_page(pid, content)
                 core_store.write_page(pid, content)
                 oracle.write(pid, content)

@@ -10,7 +10,7 @@ from datetime import date
 
 import pytest
 
-from oracles import meta_file_strays
+from oracles import log_bases, meta_file_strays
 from wormdb import bench, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
@@ -1514,9 +1514,18 @@ def test_a_commit_that_fails_before_its_marker_leaves_no_page(monkeypatch):
     assert read_all(reader) == [rec(i) for i in range(40)]
 
 
-# The failure sweeps' post_commit_threshold: 24 pages of 1 KB, which the
-# 120-row insert's commit passes, so that it runs the batch.
-SWEEP_THRESHOLD = 3
+# The failure sweeps' post_commit_threshold: 16 pages of 1 KB, which the
+# 10-row insert's commit passes, so that it runs the batch while the log
+# holds the indexed update's deltas.
+SWEEP_THRESHOLD = 2
+
+
+def _logged_kinds(store):
+    """How the live log generation holds its pages: "raw" if it holds a
+    page whole, "delta" if it holds one XORed with its home."""
+    return {"delta" if base else "raw"
+            for block_id in range(store.log.block_count)
+            for base in log_bases(store, block_id)}
 
 
 def _sweep_workload():
@@ -1548,14 +1557,19 @@ def _sweep_workload():
         finally:
             s.abort()
 
+    # the drain copies the keyed rows home, so that the indexed update
+    # logs its heap pages as deltas; an index segment, over zeros or,
+    # after the maintenance, over an extent an older segment freed, is
+    # logged whole
     return [
         insert([rec(i) for i in range(3)]),
         insert(keyed),
+        (leave_a_tail, lambda table: table),
+        insert([rec(i) for i in range(43, 73)], abort=True),
+        (lambda db, s: drain(db), lambda table: table),
         (update, lambda table: [replace(r, country_code="USA")
                                 if r.source_ip == "9.9.9.1" else r
                                 for r in table]),
-        (leave_a_tail, lambda table: table),
-        insert([rec(i) for i in range(43, 73)], abort=True),
         insert([rec(i) for i in range(73, 193)]),
         insert([rec(i) for i in range(193, 203)]),
         (lambda db, s: db.run_maintenance(), lambda table: table),
@@ -1619,15 +1633,16 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
     (skip+1)-th traversal armed, treating its CrashPoint as an ordinary
     error, or with the `refuse`-th meta-file mutation refused; then open
     the database again with recovery. Returns, per operation, the
-    traversals made before it and the points it reached, and the
-    meta-file mutations made."""
+    traversals made before it and the points it reached, the meta-file
+    mutations made, and, per operation, how the live log generation
+    held its pages after it (see `_logged_kinds`)."""
     faults = FaultInjector()
     db = make_db(page=1024, block=8192, threshold=SWEEP_THRESHOLD,
                  faults=faults)
     s = db.session()
     if point is not None:
         faults.arm(point, skip=skip)
-    table, reached = [], []
+    table, reached, logged = [], [], []
     with pytest.MonkeyPatch.context() as mp:
         calls = _meta_mutations(mp, refuse)
         for step, (run, apply) in enumerate(_sweep_workload()):
@@ -1646,6 +1661,7 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
             assert meta_file_strays(db.manager.cluster) == [], where
             table = read_all(db.session())
             assert table in allowed, where
+            logged.append(_logged_kinds(db.store))
     where = (point, skip, refuse)
     reader = db.session()
     reader.begin("read")
@@ -1658,7 +1674,7 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
     assert read_all(reopened.session()) == table, where
     commit_rows(reopened.session(), [208])
     assert read_all(reopened.session()) == table + [rec(208)], where
-    return reached, calls
+    return reached, calls, logged
 
 
 def _failures(runs):
@@ -1679,8 +1695,10 @@ def test_in_process_failure_at_every_reached_point():
     traversal in each operation, as an ordinary error: the same Database
     and session go on, each transaction's pages become visible all
     together or never, and at the end the database opens again with
-    recovery, reads the same table and takes one more commit."""
-    reached, _ = _run_sweep_workload()
+    recovery, reads the same table and takes one more commit. The log
+    holds deltas and whole pages together when the batch runs."""
+    reached, _, logged = _run_sweep_workload()
+    assert {"raw", "delta"} in logged
     families = ("dfs.write.", "dfs.flush.", "dfs.commit.", "dfs.batch.")
     assert {p for p in SPDU_DFS_FAULT_POINTS if p.startswith(families)} \
         <= set().union(*(points for _, points in reached))
@@ -1696,7 +1714,7 @@ def test_in_process_failure_at_every_meta_file_mutation():
     database exists, as an ordinary StorageError raised before the call;
     the same checks hold as for the fault points. The calls include a
     writer's begin dropping a failed commit's tail."""
-    _, calls = _run_sweep_workload()
+    _, calls, _ = _run_sweep_workload()
     assert {method for method, *_ in calls} == \
         {"create_file", "rename_file", "meta_set_block_count",
          "meta_register", "meta_unregister"}
@@ -1722,13 +1740,15 @@ def _run_until_death(root, death=None, in_save=False):
     made after the create: before it runs, or with `in_save` inside its
     table save, after the DataNode work that comes first (a create's
     puts). Every mutation after the death raises ProcessDied before it
-    runs, and the death ends the script. Returns the mutations called and
+    runs, and the death ends the script. Returns the mutations called,
     the tables the database may hold on disk: before and after the
-    operation that died, or the final one."""
+    operation that died, or the final one, and, per operation that did
+    not die, how the live log generation held its pages after it (see
+    `_logged_kinds`)."""
     db = make_db(page=1024, block=8192, threshold=SWEEP_THRESHOLD,
                  root=root)
     s = db.session()
-    table, calls = [], []
+    table, calls, logged = [], [], []
 
     def dies_at(point_in_save):
         return death is not None and (len(calls) > death or (
@@ -1754,9 +1774,10 @@ def _run_until_death(root, death=None, in_save=False):
             try:
                 run(db, s)
             except ProcessDied:
-                return calls, [table, after]
+                return calls, [table, after], logged
             table = after
-    return calls, [table]
+            logged.append(_logged_kinds(db.store))
+    return calls, [table], logged
 
 
 def test_process_death_at_every_namenode_mutation(tmp_path):
@@ -1766,8 +1787,10 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     recovery: it must hold no DFS file outside its meta file before
     recovery, hold the table from before or after the operation that
     died, and take one more commit. This is the method of ALICE (Pillai
-    et al., OSDI 2014)."""
-    calls, _ = _run_until_death(str(tmp_path / "whole"))
+    et al., OSDI 2014). The log holds deltas and whole pages together
+    when the batch runs."""
+    calls, _, logged = _run_until_death(str(tmp_path / "whole"))
+    assert {"raw", "delta"} in logged
     assert {"create_file", "rename_file", "meta_set_block_count"} <= \
         {method for method, *_ in calls}
     # a batch that carries: it registers the next log generation, appends
@@ -1790,7 +1813,7 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     for death, in_save in itertools.product(range(1, len(calls) + 1),
                                             (False, True)):
         root = str(tmp_path / f"death{death}{'s' * in_save}")
-        _, allowed = _run_until_death(root, death, in_save)
+        _, allowed, _ = _run_until_death(root, death, in_save)
         cluster = DfsCluster(DfsConfig(8192, 2), 4, root)
         try:
             assert meta_file_strays(cluster) == [], "a file outside its meta"
@@ -1885,12 +1908,14 @@ def test_discard_deletes_every_log_generation():
 
 def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     """At threshold 0 a batch carries nothing, so a seeded load, an
-    update and inserts, each commit running a batch, write exactly the
-    DFS bytes they wrote when a batch ended in a truncate of one log: a
-    generation's register and unregister write no block. The pins were
-    measured when each batch also set a commit_flag in the master block
-    before it began: one more master page, a remake of the log's master
-    meta file, per batch, which the pins take off."""
+    update and inserts, each commit running a batch, make the batches,
+    remakes and fills they made when a batch ended in a truncate of one
+    log: a generation's register and unregister write no block. The
+    byte pins were measured when each batch also set a commit_flag in
+    the master block before it began: one more master page, a remake of
+    the log's master meta file, per batch, which the pins take off. They
+    were also measured when the log held every page whole: the pages
+    logged as their XOR with home take 4,550 bytes off."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -1909,7 +1934,7 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     replication = db.manager.cluster.config.replication_factor
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
-        (1_622_578 - batches * PAGE * replication, 48 - batches, 63)
+        (1_622_578 - 4_550 - batches * PAGE * replication, 48 - batches, 63)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():

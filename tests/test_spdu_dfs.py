@@ -1,11 +1,12 @@
 import random
+import struct
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MapOracle, page_header, random_payload_page
+from oracles import MapOracle, log_bases, page_header, random_payload_page
 from wormdb import spdu_dfs
 from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
@@ -36,13 +37,15 @@ TOTAL = 96  # six data blocks
 GEN1 = spdu_dfs.generation_name("db/log", 1)  # a new log's generation
 
 
-def make_store(threshold=64, faults=None, total=TOTAL, holes=False):
+def make_store(threshold=64, faults=None, total=TOTAL, holes=False,
+               root=None):
     """A store over a fresh log and a data meta file of `total` zero
-    pages. Every data block has a constituent, as if a committed
-    transaction had written it, so the store logs every page; with
-    `holes` only block 0 has one, and a transaction writes each other
-    block in place until it is written."""
-    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
+    pages, on a cluster persisted under `root` if one is given. Every
+    data block has a constituent, as if a committed transaction had
+    written it, so the store logs every page; with `holes` only block 0
+    has one, and a transaction writes each other block in place until
+    it is written."""
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, root)
     mgr = MetaDfsManager(cluster, PAGE)
     if holes:
         data = create_data_meta(mgr, "db/data", total)
@@ -849,6 +852,47 @@ def test_restart_abandons_an_interrupted_batch():
         assert fresh.manager.read_page(fresh.data, pid) == oracle.read(pid)
 
 
+@pytest.mark.parametrize("death", ["in process", "of the process"])
+def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
+        tmp_path, death):
+    """A page logged one byte off its home, as a delta, whose home a
+    batch then remade before it stopped short of its master switch: the
+    live generation still holds the delta, whose base is no longer
+    home's file_id, and home holds the page. A restarted store, in the
+    same process or, after a death of the process, over a fresh cluster
+    on the persistent root, reads the page from home, and its next batch
+    copies it home again."""
+    root = None if death == "in process" else str(tmp_path / "root")
+    faults = FaultInjector()
+    store = make_store(faults=faults, root=root)
+    rng = random.Random(38)
+    store.write_page(2 * N + 1, page_with(rng))
+    store.commit_transaction()
+    _drain(store)
+    page = bytearray(store.read_page(2 * N + 1))
+    page[PAGE_HEADER_SIZE] ^= 1
+    store.write_page(2 * N + 1, bytes(page))
+    store.commit_transaction()
+    changed = store.read_page(2 * N + 1)
+    home = store.manager.constituent_entry(store.data, 2).file_id
+    assert log_bases(store, 0) == [home]
+    faults.arm("dfs.batch.before_master_switch")
+    with pytest.raises(CrashPoint):
+        _drain(store)
+    assert store.manager.constituent_entry(store.data, 2).file_id != home
+    if root is None:
+        fresh = _peer(store)
+    else:
+        mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
+        fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
+                                    mgr.open_meta("db/log"), TOTAL)
+    assert fresh.restart_system() == "clean"
+    assert fresh.generation == 2 and log_bases(fresh, 0) == [home]
+    assert fresh.read_page(2 * N + 1) == changed
+    assert _drain(fresh) == 1
+    assert fresh.manager.read_page(fresh.data, 2 * N + 1) == changed
+
+
 # what changes a meta file or registers or drops one
 META_FILE_CALLS = ("append_block", "overwrite_block", "truncate_from",
                    "create_meta", "create_sparse_meta", "delete_meta")
@@ -1204,62 +1248,108 @@ def _constituent_sizes(store, file):
             if entry is not None]
 
 
+def _logged_body(store, pageids, pages):
+    """What a log block's body holds for `pages`, listed as `pageids`,
+    worked out byte by byte: each page XORed with its home page if that
+    leaves at most half its nonzero bytes, else whole, then each page's
+    base, 8 bytes: its home's file_id, or 0 for a whole page."""
+    logged, bases = [], []
+    for pid, page in zip(pageids, pages):
+        home = store.manager.read_page(store.data, pid)
+        delta = bytes(a ^ b for a, b in zip(page, home))
+        if 2 * sum(map(bool, delta)) <= sum(map(bool, page)):
+            logged.append(delta)
+            bases.append(
+                store.manager.constituent_entry(store.data, pid // N).file_id)
+        else:
+            logged.append(page)
+            bases.append(0)
+    return b"".join(logged) + struct.pack(f"<{len(bases)}Q", *bases)
+
+
 def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
-    """A log block is its pages, compressed as one zlib stream at level
-    1, and the footer, with no padding, and every replica holds exactly
-    that: its body decodes to the k stamped pages and its footer reads
-    back."""
+    """A log block is its body, each page whole or XORed with its home
+    and then the base of each, compressed as one zlib stream at level 1,
+    and the footer, with no padding, and every replica holds exactly
+    that: its body is the k stamped pages so encoded, its footer reads
+    back, and a fresh store decodes the pages."""
     store = make_store()
     rng = random.Random(30)
+    # every page home, so that a page one byte off its home is a delta
+    for pid in range(TOTAL):
+        store.write_page(pid, page_with(rng))
+    store.commit_transaction()
+    _drain(store)
+    bases = set()
 
-    def check_last_block(pageids, contents, commit_complete):
+    def near_home(pid):
+        page = bytearray(store.manager.read_page(store.data, pid))
+        page[PAGE_HEADER_SIZE + rng.randrange(PAGE - PAGE_HEADER_SIZE)] ^= 1
+        return bytes(page)
+
+    def write(pageids):
+        """Write each other page one byte off its home, the rest random;
+        returns the stamped pages."""
+        contents = [near_home(pid) if i % 2 else page_with(rng)
+                    for i, pid in enumerate(pageids)]
+        for pid, content in zip(pageids, contents):
+            store.write_page(pid, content)
+        return [stamp_page(pid, ordinal, content) for ordinal,
+                (pid, content) in enumerate(zip(pageids, contents))]
+
+    def check_last_block(pageids, pages, commit_complete):
         block_id = store.log.block_count - 1
         name = store.manager.constituent_entry(store.log, block_id).name
-        pages = b"".join(stamp_page(pid, ordinal, content) for ordinal,
-                         (pid, content) in enumerate(zip(pageids, contents)))
-        size = len(zlib.compress(pages, 1)) + 13 + 8 * len(pageids)
+        body = _logged_body(store, pageids, pages)
+        size = len(zlib.compress(body, 1)) + 13 + 8 * len(pageids)
         assert _constituent_sizes(store, store.log)[block_id] == size
         replicas = store.manager.cluster.replicas(name)
         assert len(replicas) == 2
         assert all(r == replicas[0] for r in replicas)
         assert len(replicas[0]) == size
-        assert unpack_body(replicas[0], PAGE) == pages
+        assert unpack_body(replicas[0], PAGE) == body
         assert unpack_footer(replicas[0]) == (pageids, commit_complete)
+        bases.update(log_bases(store, block_id))
         return size
+
+    def check_decoded(pageids, pages):
+        peer = _peer(store)
+        peer.begin_transaction(write=False)
+        assert [peer.read_page(pid) for pid in pageids] == pages
 
     for k in (0, 1, 4, N - 2):
         pageids = rng.sample(range(TOTAL), k)
-        contents = [page_with(rng) for _ in pageids]
-        for pid, content in zip(pageids, contents):
-            store.write_page(pid, content)
+        pages = write(pageids)
         store.commit_transaction()
-        check_last_block(pageids, contents, True)
+        check_last_block(pageids, pages, True)
+        check_decoded(pageids, pages)
     # a full buffer flushes a block of every page but one, plus the
     # footer; random payloads barely compress, and the block fits
-    contents = [page_with(rng) for _ in range(N - 1)]
-    for pid, content in enumerate(contents):
-        store.write_page(pid, content)
-    assert check_last_block(list(range(N - 1)), contents, False) <= BLOCK
+    pages = write(list(range(N - 1)))
+    assert check_last_block(list(range(N - 1)), pages, False) <= BLOCK
+    store.commit_transaction()
+    check_decoded(list(range(N - 1)), pages)
+    assert 0 in bases and len(bases) > 1
 
 
 def test_the_smallest_geometry_fits_an_incompressible_page():
     """At two pages a block, the smallest count the store accepts, a page
-    size of 34 bytes is the smallest whose one incompressible page fits
-    a block with its footer; a random page commits there and a fresh
-    store reads it back."""
-    check_log_geometry(34, 2)
-    for page_size, pages_per_block in ((33, 2), (34, 1)):
+    size of 42 bytes is the smallest whose one incompressible page fits
+    a block with its base and footer; a random page commits there and a
+    fresh store reads it back."""
+    check_log_geometry(42, 2)
+    for page_size, pages_per_block in ((41, 2), (42, 1)):
         with pytest.raises(ValueError):
             check_log_geometry(page_size, pages_per_block)
-    cluster = DfsCluster(DfsConfig(68, 2), 4)
-    mgr = MetaDfsManager(cluster, 34)
+    cluster = DfsCluster(DfsConfig(84, 2), 4)
+    mgr = MetaDfsManager(cluster, 42)
     data = mgr.create_meta("db/data")
     for _ in range(2):
-        mgr.append_block(data, bytes(68))
+        mgr.append_block(data, bytes(84))
     log = create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, log, 4)
     rng = random.Random(37)
-    pages = {pid: rng.randbytes(34) for pid in (1, 2)}
+    pages = {pid: rng.randbytes(42) for pid in (1, 2)}
     for pid, content in pages.items():
         store.write_page(pid, content)  # the second auto-flushes the first
     store.commit_transaction()
@@ -1268,9 +1358,9 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
     (master,) = [entry.size_bytes for entry in mgr.constituent_entries(log)]
     *logged, marker = [
         entry.size_bytes for entry in mgr.constituent_entries(store.log)]
-    assert (master, len(logged), marker) == (34, 2, 8 + 13)
-    assert all(34 + 13 + 8 < size <= 68 for size in logged)
-    fresh_mgr = MetaDfsManager(cluster, 34)
+    assert (master, len(logged), marker) == (42, 2, 8 + 13)
+    assert all(42 + 13 + 8 < size <= 84 for size in logged)
+    fresh_mgr = MetaDfsManager(cluster, 42)
     fresh = DfsTransactionStore(fresh_mgr, fresh_mgr.open_meta("db/data"),
                                 fresh_mgr.open_meta("db/log"), 4)
     fresh.begin_transaction(write=False)
@@ -1278,6 +1368,24 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
         got = fresh.read_page(pid)
         assert got == store.read_page(pid)
         assert got[PAGE_HEADER_SIZE:] == content[PAGE_HEADER_SIZE:]
+
+
+@pytest.mark.parametrize("page_size, pages_per_block", [
+    (512, 32), (64, 4), (128, 8), (256, 16), (1024, 64)])
+def test_a_geometry_whose_full_buffer_fits_only_without_bases_is_refused(
+        page_size, pages_per_block):
+    """A full buffer of incompressible pages, every page of a block but
+    one, fits a block of these geometries with its footer, but not with
+    the 8-byte base of each page as well: the store refuses them."""
+    pages = pages_per_block - 1
+    rng = random.Random(40)
+    body = rng.randbytes(pages * page_size)
+    footer = pack_footer(list(range(pages)), False)
+    assert len(zlib.compress(body, 1)) + len(footer) <= \
+        pages_per_block * page_size < \
+        len(zlib.compress(body + rng.randbytes(8 * pages), 1)) + len(footer)
+    with pytest.raises(ValueError, match="bases"):
+        check_log_geometry(page_size, pages_per_block)
 
 
 def test_master_block_is_one_page_and_data_blocks_stay_whole():
@@ -1583,22 +1691,70 @@ def test_a_hole_with_a_log_copy_is_logged():
 def test_a_block_whose_replicas_are_all_dead_is_logged():
     """The hole test ignores replica health: a commit that dirties a
     written block whose replicas are all dead logs its page and
-    succeeds, though `constituent_entry` refuses the block."""
+    succeeds, though `constituent_entry` refuses the block. The page is
+    logged whole, though it is one byte off its home: the home cannot
+    be read."""
     rng = random.Random(6)
     store = make_store(holes=True)
     store.write_page(2 * N, page_with(rng))
+    store.write_page(2 * N + 1, page_with(rng))
     store.commit_transaction()
+    page = bytearray(store.read_page(2 * N + 1))
+    page[PAGE_HEADER_SIZE] ^= 1
     cluster = store.manager.cluster
     for node_id in cluster.file_entry(
             constituent_name(store.data.name, 2)).holders:
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
         store.manager.constituent_entry(store.data, 2)
-    page = page_with(rng)
-    store.write_page(2 * N + 1, page)
+    store.write_page(2 * N + 1, bytes(page))
     store.commit_transaction()
     # read by the writer: a peer would first read the master block, whose
     # replicas died with the data block's
     assert store.footers()[1] == ([2 * N + 1], True)
+    assert log_bases(store, 1) == [0]
     assert store.manager.fills_total == 1
     assert payload(store.read_page(2 * N + 1)) == payload(page)
+
+
+def test_a_delta_reads_only_while_its_home_is_readable():
+    """A page logged as a delta needs its home: a fresh store's read of
+    it raises AllReplicasDead while every replica of its home is dead,
+    though the log block and the master block read, and returns the page
+    once the home's nodes are revived. The writer keeps the pages it
+    appended and serves them all along."""
+    store = make_store()
+    rng = random.Random(39)
+    blocks = range(1, TOTAL // N)
+    for block in blocks:
+        store.write_page(block * N, page_with(rng))
+    store.commit_transaction()
+    _drain(store)
+    for block in blocks:
+        page = bytearray(store.read_page(block * N))
+        page[PAGE_HEADER_SIZE] ^= 1
+        store.write_page(block * N, bytes(page))
+    store.commit_transaction()
+    assert all(log_bases(store, 0))
+    logged = {block: store.read_page(block * N) for block in blocks}
+    cluster = store.manager.cluster
+
+    def holders(file, block_id):
+        return set(cluster.file_entry(
+            constituent_name(file.name, block_id)).holders)
+
+    readable = (holders(store.log, 0), holders(store.master, 0))
+    block = next(block for block in blocks
+                 if not any(h <= holders(store.data, block)
+                            for h in readable))
+    dead = holders(store.data, block)
+    for node_id in dead:
+        cluster.set_node_alive(node_id, False)
+    peer = _peer(store)
+    peer.begin_transaction(write=False)
+    with pytest.raises(AllReplicasDead):
+        peer.read_page(block * N)
+    assert store.read_page(block * N) == logged[block]
+    for node_id in dead:
+        cluster.set_node_alive(node_id, True)
+    assert {b: peer.read_page(b * N) for b in blocks} == logged
