@@ -11,15 +11,19 @@ split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
 pages per block.
 
 A block is at most one DFS block, and its constituent is only as long
-as what was written: a data block fills its DFS block and the log's
-master block is one page, both whole pages, but an appended block may
-be any length, and a log block holds just its compressed body and its
-footer bytes, as an HDFS file ends in a partial block. The NameNode entry that
-gives a block's file_id also gives its size, so a reader learns where a
-short block ends from the same call; a page that runs past that end is
-OutOfRange. Given an entry the caller already holds, `read_page_of`
-reads one page of it and `read_bytes` reads from a given offset to its
-end.
+as what was written, as an HDFS file ends in a partial block and a GFS
+chunk replica grows only as needed. An overwritten block, and block 0
+of a sparse create, is whole pages stored up to its last nonzero page,
+at least one: a data block ends at the last page written to it, the
+log's master block is one page. An appended block may be any length: a
+log block holds just its compressed body and its footer bytes. The
+NameNode entry that gives a block's file_id also gives its size, so a
+reader learns where a short block ends from the same call: a page
+wholly past that end reads as zeros without a DFS read, as a hole's
+pages do (below), and a page that starts before the end and runs past
+it is OutOfRange. Given an entry the caller already holds,
+`read_page_of` reads one page of it and `read_bytes` reads from a given
+offset to its end.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -115,8 +119,9 @@ class MetaDfsManager:
 
     A block is at most one DFS block: `block_size` is the cluster's, read
     here once, and a page of `page_size` bytes must divide it. An
-    appended constituent holds 1 to `block_size` bytes, an overwritten
-    one 1 to `pages_per_block` whole pages.
+    appended constituent holds 1 to `block_size` bytes; an overwritten
+    one is given 1 to `pages_per_block` whole pages and holds them up to
+    the last nonzero one (see above).
 
     One manager is shared by all sessions of an engine; remake counters are
     kept here (per meta file and total) for the cost accounting the
@@ -151,10 +156,9 @@ class MetaDfsManager:
     def create_sparse_meta(self, name: str, block_count: int,
                            first_block: bytes) -> MetaDfsFile:
         """A meta file of `block_count` blocks whose only constituent is
-        block 0, holding `first_block` and cached (see above); the others
-        read as zeros."""
-        first_block = bytes(first_block)
-        self._check_block(first_block)
+        block 0, holding `first_block` up to its last nonzero page and
+        cached (see above); the others read as zeros."""
+        first_block = self._trimmed(first_block)
         self.cluster.meta_register(name, block_count)
         first = constituent_name(name, 0)
         file_id = self.cluster.create_file(first, first_block).file_id
@@ -190,6 +194,17 @@ class MetaDfsManager:
                 f"block must be 1 to {self.pages_per_block} whole pages of "
                 f"{self.page_size} bytes, got {len(content)} bytes")
 
+    def _trimmed(self, content: bytes) -> bytes:
+        """`content`, 1 to `pages_per_block` whole pages, up to its last
+        nonzero page and at least one page: what an overwritten block
+        stores (see above)."""
+        content = bytes(content)
+        self._check_block(content)
+        size, end = self.page_size, len(content)
+        while end > size and content.count(0, end - size, end) == size:
+            end -= size
+        return content if end == len(content) else content[:end]
+
     def _constituent(self, file: MetaDfsFile, block_id: int) -> str:
         """Name of an existing block's constituent DFS file."""
         count = self.cluster.meta_block_count(file.name)
@@ -215,9 +230,9 @@ class MetaDfsManager:
                         content: bytes) -> None:
         """DFS file remake of one constituent, counted as a remake, or a
         plain create of a missing one, counted in `fills_total`; then
-        cache it (see above)."""
-        content = bytes(content)
-        self._check_block(content)
+        cache it (see above). The constituent holds `content` up to its
+        last nonzero page."""
+        content = self._trimmed(content)
         name = self._constituent(file, block_id)
         created = not self.cluster.exists(name)
         if created:
@@ -312,13 +327,14 @@ class MetaDfsManager:
     def read_page_of(self, entry: DfsFileEntry | None, offset: int) -> bytes:
         """Page `offset` of the block whose constituent is `entry`, an
         entry the caller already holds, so with no NameNode call: zeros
-        for a block with no constituent (None), else served as `_range`
-        serves it. A page that runs past a short block's end is
+        for a block with no constituent (None) and for a page wholly
+        past the constituent's end, else served as `_range` serves it. A
+        page that starts inside a short block and runs past its end is
         OutOfRange."""
-        if entry is None:
-            return self._zero_page
         size = self.page_size
         start = offset * size
+        if entry is None or start >= entry.size_bytes:
+            return self._zero_page
         if start + size > entry.size_bytes:
             raise OutOfRange(
                 f"page {offset} of {entry.name} runs past its "

@@ -70,8 +70,11 @@ page and files being write-once:
   the same log bytes trigger, does its work; after it g+1 holds the
   newest copy of every page no remade block holds. Restart drops any
   generation the master block does not name, g-1 or g+1, and truncates
-  the live generation's uncommitted tail: it writes no page. A commit
-  runs the batch once the live generation holds more than
+  the live generation's uncommitted tail: it writes no page. It then
+  checks that the body of each committed block unpacks (`unpack_body`),
+  so it never finds clean a log whose pages cannot be read; it decodes
+  no delta, so a home whose replicas are all dead does not fail it. A
+  commit runs the batch once the live generation holds more than
   `post_commit_threshold` full blocks' worth of bytes, counted raw:
   page_size + 8 a logged page and FOOTER_FIXED_SIZE a block, however
   the block encodes.
@@ -129,11 +132,16 @@ page and files being write-once:
   so no committed state reaches it, and the store checks both itself.
   The first page a transaction writes to a data block decides where the
   whole block goes, and the decision holds for the rest of the
-  transaction: an in-place block starts from zeros, takes the
-  transaction's pages stamped with the ordinals the log would have given
-  them, and is created before the commit-marked block is appended, so it
-  holds the bytes a batch would have written. A failure before the
-  marker leaves bytes only in a block no committed state names; the
+  transaction: an in-place block starts empty, takes the transaction's
+  pages stamped with the ordinals the log would have given them, zeros
+  between them, and is created before the commit-marked block is
+  appended, up to its last page (see `wormdb.metafile`), so it reads as
+  the bytes a batch would have written. A stamped page is never all
+  zeros (its header holds its payload's crc32, which is not 0 for a zero
+  payload), so a data block's constituent ends at the last page a
+  transaction wrote to it, and a page past that end, like a page of a
+  hole, is logged whole against the zeros it reads as. A failure before
+  the marker leaves bytes only in a block no committed state names; the
   block now has a constituent, so later transactions log it. The hole
   test does not look at replica health, so a block whose replicas are
   all dead is logged, raw, as any written block is.
@@ -275,12 +283,12 @@ def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
 def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
                      first_page: bytes | None = None) -> MetaDfsFile:
     """Create a sparse data meta file of `total_pages` pages: page 0 holds
-    `first_page` (zeros if None), and only its block is written; every
-    other block reads as zeros until its first remake."""
+    `first_page` (zeros if None), and only its block is written, as that
+    one page; every other page reads as zeros until it is written."""
     n = manager.pages_per_block
     blocks = (total_pages + n - 1) // n
-    first_block = (first_page or b"").ljust(manager.block_size, b"\0")
-    return manager.create_sparse_meta(name, blocks, first_block)
+    return manager.create_sparse_meta(
+        name, blocks, first_page or bytes(manager.page_size))
 
 
 def _delete_if_exists(manager: MetaDfsManager, name: str) -> None:
@@ -588,8 +596,8 @@ class DfsTransactionStore:
             # block is held twice
             pages = self._in_place.pop(block_id).items()
             self.faults.hit("dfs.commit.before_direct_block")
-            self.manager.overwrite_block(self.data, block_id, self._patched(
-                bytes(self.manager.block_size), pages))
+            self.manager.overwrite_block(
+                self.data, block_id, self._patched(b"", pages))
             self.faults.hit("dfs.commit.after_direct_block")
         self.faults.hit("dfs.commit.before_marker")
         self.flush_buffer(mark_commit=True)
@@ -712,12 +720,19 @@ class DfsTransactionStore:
         chose: "rollback" or, when it found nothing to do, "clean". Drops
         any generation the master does not name, then truncates the live
         generation's uncommitted tail, as a writer's begin does; it
-        writes no page."""
+        writes no page. RecoveryError if a committed block's body does
+        not unpack (see `unpack_body`): each is read and checked, not
+        decoded, so no home is read and nothing is kept."""
         self.faults.hit("dfs.restart.begin")
         self._follow_master()
         self._drop_other_generations()
         path = self.recovery_state() or "clean"
         self.begin_transaction(write=True)
+        entries = self.manager.constituent_entries(self.log)
+        for block_id in range(self._committed):
+            unpack_body(self.manager.read_bytes(
+                self._log_entry(block_id, entries[block_id]), 0),
+                self.page_size)
         self.faults.hit("dfs.restart.done")
         return path
 
@@ -841,11 +856,14 @@ class DfsTransactionStore:
         return page
 
     def _patched(self, block: bytes, pages) -> bytes:
-        """Data block `block` with each (pageid, page) of `pages` put in
-        its place."""
+        """Data block `block`, which may end before its last page (see
+        `wormdb.metafile`), with each (pageid, page) of `pages` put in its
+        place, padded with zeros up to the page if it ends before it."""
         content = bytearray(block)
         for pageid, page in pages:
             dst = (pageid % self.pages_per_block) * self.page_size
+            if dst > len(content):
+                content.extend(bytes(dst - len(content)))
             content[dst:dst + self.page_size] = page
         return bytes(content)
 

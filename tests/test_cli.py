@@ -12,13 +12,13 @@ import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database, EngineConfig
-from wormdb.errors import ConfigError, DatabaseFull
+from wormdb.errors import ConfigError, DatabaseFull, RecoveryError
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb import bench
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import stamp_page
-from wormdb.spdu_dfs import generation_name
+from wormdb.spdu_dfs import generation_name, unpack_body, unpack_footer
 
 SMALL_CONFIG = {
     "page_size": 512,
@@ -498,6 +498,45 @@ def test_a_root_with_an_uncompressed_log_block_is_one_error_line(
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_a_root_whose_committed_log_body_does_not_decode_is_refused(
+        small_root, capsys):
+    """A committed log block with one byte of its compressed body flipped
+    on every replica, its footer intact, is refused at restart, which
+    would otherwise find the log clean: a recovering open raises
+    RecoveryError, and `recover` prints one error line and exits 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "50", "--seed", "4"], root,
+                   config) == 0
+    capsys.readouterr()
+    db = _open_root(root, FaultInjector())
+    # the newest commit-marked block
+    block_id = max(block_id for block_id, (_, complete)
+                   in db.store.footers().items() if complete)
+    entry = db.manager.constituent_entry(db.store.log, block_id)
+    block = db.manager.read_block(db.store.log, block_id)
+    pageids, _ = unpack_footer(block)
+    flip = (len(block) - 13 - 8 * len(pageids)) // 2
+    damaged = bytearray(block)
+    damaged[flip] ^= 0xFF
+    assert unpack_footer(bytes(damaged)) == unpack_footer(block)
+    with pytest.raises(RecoveryError):
+        unpack_body(bytes(damaged), SMALL_CONFIG["page_size"])
+    for holder in entry.holders:
+        path = os.path.join(root, f"node_{holder}", f"{entry.file_id}.blk0")
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    with pytest.raises(RecoveryError):
+        Database.open(cluster, "db", SMALL_CONFIG["page_size"], recover=True)
+    assert run_cli(["recover"], root) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_a_root_of_the_master_format_before_generations_is_one_error_line(

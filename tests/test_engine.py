@@ -1153,12 +1153,16 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
     """Two sessions run a seeded schedule of writes, aborts, updates and
     maintenance. After each step every page of the data and log files
     reads the same through the database's warm manager as through a fresh
-    one, and a session scan equals one through a fresh database."""
+    one: the pages a constituent holds alike, a page wholly past its end
+    (a data block ends at its last nonzero page) as zeros, and a page that
+    runs past a short log block's end as OutOfRange. A session scan
+    equals one through a fresh database."""
     rng = random.Random(20)
     db = make_db(threshold=4)
     cluster = db.manager.cluster
     sessions = [db.session("A"), db.session("B")]
     pages_per_block = db.manager.pages_per_block
+    page = db.manager.page_size
     n = 0
     for step in range(50):
         session = rng.choice(sessions)
@@ -1182,17 +1186,27 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
             entries = db.manager.constituent_entries(file)
             for block_id, entry in enumerate(entries):
                 # a data block with no constituent reads as a whole block
-                # of zeros; a short log block holds only its own pages
-                held = pages_per_block if entry is None else \
-                    entry.size_bytes // db.manager.page_size
+                # of zeros
+                size = pages_per_block * page if entry is None else \
+                    entry.size_bytes
                 first = block_id * pages_per_block
-                for pageid in range(first, first + held):
-                    assert db.manager.read_page(file, pageid) == \
-                        fresh.read_page(file, pageid), (step, file, pageid)
-                if held < pages_per_block:
-                    for manager in (db.manager, fresh):
-                        with pytest.raises(OutOfRange):
-                            manager.read_page(file, first + held)
+                if file is db.data and entry is not None:
+                    assert db.manager.read_page(
+                        file, first + size // page - 1) != bytes(page)
+                for offset in range(pages_per_block):
+                    pageid = first + offset
+                    if (offset + 1) * page <= size:
+                        assert db.manager.read_page(file, pageid) == \
+                            fresh.read_page(file, pageid), \
+                            (step, file, pageid)
+                    elif offset * page >= size:
+                        for manager in (db.manager, fresh):
+                            assert manager.read_page(file, pageid) == \
+                                bytes(page), (step, file, pageid)
+                    else:
+                        for manager in (db.manager, fresh):
+                            with pytest.raises(OutOfRange):
+                                manager.read_page(file, pageid)
         rows = read_all(rng.choice(sessions))
         assert rows == read_all(Database.open(
             cluster, "db", PAGE, recover=False).session()), step
@@ -1915,7 +1929,9 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     the master block before it began: one more master page, a remake of
     the log's master meta file, per batch, which the pins take off. They
     were also measured when the log held every page whole: the pages
-    logged as their XOR with home take 4,550 bytes off."""
+    logged as their XOR with home take 4,550 bytes off, and when a data
+    block was stored whole: ending each at its last written page takes
+    69,632 bytes off."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -1934,7 +1950,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     replication = db.manager.cluster.config.replication_factor
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
-        (1_622_578 - 4_550 - batches * PAGE * replication, 48 - batches, 63)
+        (1_622_578 - 4_550 - 69_632 - batches * PAGE * replication,
+         48 - batches, 63)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():
@@ -1952,8 +1969,9 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     some of them from the log, where the batch carried them. A batch
     that carries nothing then copies those home, and the data file is
     byte for byte what it was when every page went through the log and
-    every batch drained it: the sha256 of its blocks in order is pinned
-    from a commit that logged every page."""
+    every batch drained it: the sha256 of its blocks in order, each
+    padded with the zeros past its constituent's end to a whole block, is
+    pinned from a commit that logged every page into whole blocks."""
     db = make_db(total=1024, threshold=16)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
                    commit_every=250)
@@ -1966,7 +1984,8 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
             for pageid in range(1024)] == newest
     digest = hashlib.sha256()
     for block_id in range(db.data.block_count):
-        digest.update(db.manager.read_block(db.data, block_id))
+        digest.update(db.manager.read_block(db.data, block_id)
+                      .ljust(db.manager.block_size, b"\0"))
     assert digest.hexdigest() == \
         "20f9f6f4bf887b934e5419b0ea7a2f780f3d064baa07d83b4bb172978406fd8b"
 

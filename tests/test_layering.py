@@ -49,6 +49,11 @@ The DFS block size has one home: inside the package only dfs.py and
 reader takes the manager's ``block_size``/``pages_per_block``. No module
 names the deleted ``PageConfig``.
 
+A data block's stored length has one home: the meta-file layer stores a
+block up to its last nonzero page and reads the rest as zeros, so no
+module other than metafile.py makes zeros of, or pads bytes to, a length
+that names ``block_size``.
+
 The benchmark's tracer, perfbench/spans.py, patches package functions by
 name, so each of those names must exist in the package, and each hook it
 calls before a function must take that function's arguments.
@@ -384,6 +389,63 @@ def test_the_dfs_block_size_has_one_home():
     assert mentions((PACKAGE / "metafile.py").read_text("utf-8"),
                     "block_size_bytes") != []
     assert not hasattr(wormdb, "PageConfig")
+
+
+# calls that make zeros of, or pad bytes to, the length they are given
+PAD_CALLS = ("bytes", "bytearray", "ljust", "rjust")
+BLOCK_SIZES = {"block_size", "block_size_bytes"}
+
+
+def block_pads(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each place `source` makes zeros of, or
+    pads bytes to, a length that names a block size: a call of one of
+    PAD_CALLS, or a bytes literal times that length."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id",
+                             getattr(node.func, "attr", None))
+            if called not in PAD_CALLS:
+                continue
+            lengths = [*node.args, *(kw.value for kw in node.keywords)]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and any(isinstance(side, ast.Constant)
+                        and isinstance(side.value, bytes)
+                        for side in (node.left, node.right)):
+            lengths = [node.left, node.right]
+        else:
+            continue
+        if any(getattr(sub, "id", getattr(sub, "attr", None)) in BLOCK_SIZES
+               for length in lengths for sub in ast.walk(length)):
+            found.append((node.lineno, scope))
+    return found
+
+
+def test_detector_finds_block_pads_with_their_scope():
+    source = (
+        "def fill(manager):\n"
+        "    return bytes(manager.block_size)\n"
+        "class S:\n"
+        "    def pad(self, block):\n"
+        "        return block.ljust(self.manager.block_size, b'\\0')\n"
+        "    def zeros(self, block_size):\n"
+        "        return b'\\0' * block_size, bytearray(block_size // 2)\n"
+        "    def trigger(self):\n"
+        "        return self.threshold * self.manager.block_size\n"
+        "    def page(self):\n"
+        "        return bytes(self.page_size), b'x'.ljust(4), [0] * 3\n"
+    )
+    assert block_pads(source) == [
+        (2, "fill"), (5, "S.pad"), (7, "S.zeros"), (7, "S.zeros")]
+
+
+def test_a_data_blocks_stored_length_has_one_home():
+    offences = [f"{path.name}:{line}: {scope}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "metafile.py"
+                for line, scope in block_pads(path.read_text("utf-8"))]
+    assert offences == []
+    assert block_pads((PACKAGE / "metafile.py").read_text("utf-8")) != []
 
 
 # a log block's footer and the codec of its body

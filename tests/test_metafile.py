@@ -484,11 +484,13 @@ def test_an_appended_block_is_read_from_the_cache(mgr):
 
 def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
     """An appended short block is served whole by read_block with no DFS
-    read; a page past its end is OutOfRange, cached or not."""
+    read; a page wholly past its end reads as zeros with no DFS read, and
+    a page that runs past its end is OutOfRange, cached or not."""
     f = mgr.create_meta("m")
     content = b"".join(bytes([k + 1]) * PAGE for k in range(3))
     mgr.append_block(f, content)
     mgr.append_block(f, block_of(5))
+    mgr.append_block(f, content[:PAGE + PAGE // 2])
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == (0, 0, content)
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == \
         (0, 0, bytes([3]) * PAGE)
@@ -497,9 +499,11 @@ def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
     assert dfs_reads(peer, lambda: peer.read_block(g, 0)) == \
         (1, 3 * PAGE, content)
     for manager, file in ((mgr, f), (peer, g)):
-        for pageid in (3, N - 1):
-            with pytest.raises(OutOfRange):
-                manager.read_page(file, pageid)
+        for pageid in (3, N - 1, 2 * N + 2):
+            assert dfs_reads(manager, lambda: manager.read_page(
+                file, pageid)) == (0, 0, bytes(PAGE))
+        with pytest.raises(OutOfRange):
+            manager.read_page(file, 2 * N + 1)
         assert manager.read_page(file, N) == bytes([5]) * PAGE
 
 
@@ -715,6 +719,47 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     assert (mgr.fills_total, mgr.remakes_of("d")) == (1, 0)
     assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
     assert mgr.open_meta("d").block_count == 4
+
+
+def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
+    """A sparse create and an overwrite store their block up to its last
+    nonzero page, keeping one page of an all-zero block. Each block reads
+    back whole, page by page, through the writing manager, a fresh
+    manager and a manager over a fresh DfsCluster of the same root, with
+    no DFS read for a page past its constituent's end."""
+    mgr = disk_mgr
+
+    def pages(*tags):
+        return b"".join(bytes([tag]) * PAGE for tag in tags)
+
+    f = mgr.create_sparse_meta("d", 5, pages(1, 0, 2).ljust(BLOCK, b"\0"))
+    assert mgr.read_block(f, 0) == pages(1, 0, 2)
+    mgr.overwrite_block(f, 2, pages(0, 0, 0, 0, 3, 0))  # a fill
+    mgr.overwrite_block(f, 3, block_of(4))  # a fill of the whole block
+    mgr.overwrite_block(f, 4, bytes(BLOCK))  # an all-zero fill
+    mgr.overwrite_block(f, 0, pages(5, 0, 0, 0, 0, 6, 0, 0))  # a remake
+    assert (mgr.fills_total, mgr.remakes_of("d")) == (3, 1)
+    stored = {0: pages(5, 0, 0, 0, 0, 6), 1: None, 2: pages(0, 0, 0, 0, 3),
+              3: block_of(4), 4: bytes(PAGE)}
+    assert [None if entry is None else entry.size_bytes
+            for entry in mgr.constituent_entries(f)] == \
+        [None if block is None else len(block) for block in stored.values()]
+    reopened = MetaDfsManager(
+        DfsCluster(DfsConfig(BLOCK, 2), 4, mgr.cluster.root), PAGE)
+    for reader in (mgr, peer_of(mgr), reopened):
+        file = reader.open_meta("d")
+        for block_id, block in stored.items():
+            whole = (block or b"").ljust(BLOCK, b"\0")
+            for offset in range(N):
+                pageid = block_id * N + offset
+                page = whole[offset * PAGE:(offset + 1) * PAGE]
+                if block is None or offset * PAGE >= len(block):
+                    assert dfs_reads(reader, lambda: reader.read_page(
+                        file, pageid)) == (0, 0, page)
+                else:
+                    assert reader.read_page(file, pageid) == page
+            if block is not None:
+                assert reader.read_block(file, block_id) == block
 
 
 def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,

@@ -34,6 +34,11 @@ when a batch stopped setting a commit_flag in the master block before
 it began: its one batch now writes the master block once, at the
 switch that names the next log generation, so each pin lost one remake
 of the log's master meta file.
+
+The data bytes of the write workloads (one whole block per remake or
+fill -> the bytes each write was handed up to their last nonzero page)
+were re-pinned when a data block's constituent began to end at its last
+nonzero page; the counts stayed as they were.
 """
 
 import zlib
@@ -137,8 +142,9 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     footer of 13 bytes and 8 a page, fewer bytes than the raw pages and
     footers, the master block one page per batch, at its switch to the
     next log generation, and a data
-    block one whole DFS block per remake or fill. Zero padding of log or
-    master blocks fails this."""
+    block, per remake or fill, the bytes its write was handed up to their
+    last nonzero page. Zero padding of log, master or data blocks fails
+    this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     master = constituent_name(db.log_name, 0)  # and its ".new" remakes
@@ -159,6 +165,15 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
         return entry
 
     monkeypatch.setattr(DfsCluster, "create_file", tally)
+    overwrite_block = MetaDfsManager.overwrite_block
+    data_writes = []
+
+    def handed(self, file, block_id, content):
+        if file.name == db.data_name:
+            data_writes.append(bytes(content))
+        return overwrite_block(self, file, block_id, content)
+
+    monkeypatch.setattr(MetaDfsManager, "overwrite_block", handed)
     logged = [0]
 
     def footer(pageids, commit_complete):
@@ -190,4 +205,9 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     assert written["log"] == REPLICATION * encoded["bytes"] < REPLICATION * (
         PAGE * logged[0] + FOOTER_FIXED_SIZE * created["log"] + 8 * logged[0])
     assert written["master"] == REPLICATION * PAGE * master_writes
-    assert written["data"] == REPLICATION * BLOCK * (remakes + fills)
+    assert len(data_writes) == remakes + fills
+    ends = [max((k + 1 for k in range(len(content) // PAGE)
+                 if any(content[k * PAGE:(k + 1) * PAGE])), default=1)
+            for content in data_writes]
+    assert written["data"] == REPLICATION * PAGE * sum(ends) < \
+        REPLICATION * BLOCK * (remakes + fills)

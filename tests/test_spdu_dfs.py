@@ -893,6 +893,63 @@ def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
     assert fresh.manager.read_page(fresh.data, 2 * N + 1) == changed
 
 
+def test_an_all_zero_fill_keeps_one_page_and_its_block_is_logged_next():
+    """A fill of an all-zero block stores one page, so the block has a
+    constituent: the next transaction that writes it logs its pages,
+    which read back, and a batch copies them home."""
+    store = make_store(holes=True)
+    store.manager.overwrite_block(store.data, 2, bytes(BLOCK))
+    assert store.manager.fills_total == 1
+    assert _constituent_sizes(store, store.data) == [PAGE, PAGE]
+    page = page_with(random.Random(42))
+    store.write_page(2 * N + 3, page)
+    store.commit_transaction()
+    assert store.manager.fills_total == 1 and 2 * N + 3 in _index(store)
+    assert log_bases(store, 0) == [0]
+    stamped = store.read_page(2 * N + 3)
+    assert stamped[PAGE_HEADER_SIZE:] == page[PAGE_HEADER_SIZE:]
+    assert _drain(store) == 1
+    assert _constituent_sizes(store, store.data) == [PAGE, 4 * PAGE]
+    assert store.manager.read_page(store.data, 2 * N + 3) == stamped
+
+
+@pytest.mark.parametrize("death", ["in process", "of the process"])
+def test_a_page_past_its_homes_end_is_logged_whole(tmp_path, death):
+    """A page whose home page lies past the end of its data block's
+    constituent reads its home as zeros, so it is logged whole, base 0,
+    beside a page of that block logged as a delta. Both read back
+    through the writer and, in the same process or after a death of the
+    process, through a restarted store, whose batch copies them home:
+    the block then ends at the page that lay past its end."""
+    root = None if death == "in process" else str(tmp_path / "root")
+    store = make_store(holes=True, root=root)
+    rng = random.Random(41)
+    store.write_page(2 * N + 1, page_with(rng))
+    store.commit_transaction()  # the fill writes pages 0 and 1 of block 2
+    assert _constituent_sizes(store, store.data) == [PAGE, 2 * PAGE]
+    near = bytearray(store.read_page(2 * N + 1))
+    near[PAGE_HEADER_SIZE] ^= 1
+    store.write_page(2 * N + 7, page_with(rng))
+    store.write_page(2 * N + 1, bytes(near))
+    store.commit_transaction()
+    home = store.manager.constituent_entry(store.data, 2).file_id
+    # log block 0 is the first commit's marker, with no page
+    assert log_bases(store, 1) == [0, home]
+    newest = {pid: store.read_page(pid) for pid in range(2 * N, 3 * N)}
+    if root is None:
+        fresh = _peer(store)
+    else:
+        mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
+        fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
+                                    mgr.open_meta("db/log"), TOTAL)
+    assert fresh.restart_system() == "clean"
+    assert {pid: fresh.read_page(pid) for pid in newest} == newest
+    assert _drain(fresh) == 1
+    assert _constituent_sizes(fresh, fresh.data) == [PAGE, 8 * PAGE]
+    assert {pid: fresh.manager.read_page(fresh.data, pid)
+            for pid in newest} == newest
+
+
 # what changes a meta file or registers or drops one
 META_FILE_CALLS = ("append_block", "overwrite_block", "truncate_from",
                    "create_meta", "create_sparse_meta", "delete_meta")
@@ -1388,8 +1445,11 @@ def test_a_geometry_whose_full_buffer_fits_only_without_bases_is_refused(
         check_log_geometry(page_size, pages_per_block)
 
 
-def test_master_block_is_one_page_and_data_blocks_stay_whole():
+def test_master_block_is_one_page_and_data_blocks_end_at_their_last_page():
+    """The master block is one page, and a data block's constituent ends
+    at the last page written to it, the pages past it reading as zeros."""
     store = make_store(threshold=1, holes=True)
+    assert _constituent_sizes(store, store.data) == [PAGE]
     assert _constituent_sizes(store, store.master) == [PAGE]
     rng = random.Random(31)
     for commit in range(6):
@@ -1403,7 +1463,13 @@ def test_master_block_is_one_page_and_data_blocks_stay_whole():
     assert store.manager.remakes_of("db/log") == 1
     assert _constituent_sizes(store, store.master) == [PAGE]
     assert _peer(store).generation == 2
-    assert _constituent_sizes(store, store.data) == [BLOCK] * 3
+    # the batch remade blocks 0 and 3, whose pages 0 to 5 the commits
+    # wrote, and carried block 1's pages 1 to 5, so block 1 still ends at
+    # the page the first commit wrote in place
+    assert sorted(store.index) == list(range(N + 1, N + 6))
+    assert _constituent_sizes(store, store.data) == [6 * PAGE, PAGE, 6 * PAGE]
+    for pid in (6, N - 1, N + 6, 3 * N + 6, 4 * N - 1):
+        assert store.read_page(pid) == bytes(PAGE)
     assert store.manager.cluster.replicas(
         store.manager.constituent_entry(store.master, 0).name) == \
         [store.manager.read_block(store.master, 0)] * 2
@@ -1722,7 +1788,9 @@ def test_a_delta_reads_only_while_its_home_is_readable():
     it raises AllReplicasDead while every replica of its home is dead,
     though the log block and the master block read, and returns the page
     once the home's nodes are revived. The writer keeps the pages it
-    appended and serves them all along."""
+    appended and serves them all along. A fresh store's restart checks
+    the log block's body without decoding it, so it reads no home and
+    finds the log clean, and it keeps no decoded page."""
     store = make_store()
     rng = random.Random(39)
     blocks = range(1, TOTAL // N)
@@ -1754,6 +1822,10 @@ def test_a_delta_reads_only_while_its_home_is_readable():
     peer.begin_transaction(write=False)
     with pytest.raises(AllReplicasDead):
         peer.read_page(block * N)
+    restarted = _peer(store)
+    assert restarted.restart_system() == "clean"
+    with pytest.raises(AllReplicasDead):
+        restarted.read_page(block * N)
     assert store.read_page(block * N) == logged[block]
     for node_id in dead:
         cluster.set_node_alive(node_id, True)
