@@ -1,11 +1,14 @@
 """Record store tying the layers together.
 
 One table (UserVisits-shaped records) in a heap of slotted pages, plus a
-secondary index on source_ip kept as sorted immutable page segments. A
-write commit writes its new entries as one segment, merged with the newest
-segments by a size-tiered rule (fan-out `FANOUT`), so each entry is
-rewritten a logarithmic number of times and a small commit writes about
-one index page. Page 0 of the data meta file is the catalog (heap extent,
+secondary index on source_ip kept as sorted immutable page segments. An
+index entry is 10 bytes, the crc32 of the key, then the row's pageid and
+slot, so a 4 KB page holds 408; keys that share a hash share entries, and
+a lookup rechecks the key of each row it fetches. A write commit writes
+its new entries as one segment, merged with the newest segments by a
+size-tiered rule (fan-out `FANOUT`), so each entry is rewritten a
+logarithmic number of times and a small commit writes about one index
+page. Page 0 of the data meta file is the catalog (heap extent,
 index segment list, free extents), so every piece of engine state is crash
 consistent through the same recovery path.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+import zlib
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -37,7 +41,6 @@ from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SlottedPage
 from .records import (
-    FIELD_LIMITS,
     UserVisitsRecord,
     check_field,
     pack_record,
@@ -61,15 +64,15 @@ HEAP_START = 1  # page 0 is the catalog
 # holds at most FANOUT - 1 segments; any segment list stays a valid index.
 FANOUT = 4
 MAX_FREE_EXTENTS = 32  # the catalog leaks the smallest free extents past this
-KEY_WIDTH = FIELD_LIMITS["source_ip"]  # an index entry holds a whole key
 
 _CATALOG = struct.Struct("<IHIIIQHH")
 # magic, version, total_pages, heap_used, index_floor, record_count,
 # segment count, free extent count
 _CATALOG_MAGIC = 0x31424457
+_CATALOG_VERSION = 2  # 1 held each index entry's whole key
 _SEGMENT = struct.Struct("<IIQ")   # start page, page count, entry count
 _EXTENT = struct.Struct("<II")     # start page, page count
-_ENTRY = struct.Struct(f"<{KEY_WIDTH}sIH2x")  # key, pageid, slot
+_ENTRY = struct.Struct("<IIH")  # key hash (`_key_hash`), pageid, slot
 ENTRY_SIZE = _ENTRY.size
 
 
@@ -133,10 +136,10 @@ def pack_catalog(catalog: Catalog, page_size: int) -> bytes:
             f"{page_size}-byte page")
     page = bytearray(page_size)
     pos = PAGE_HEADER_SIZE
-    _CATALOG.pack_into(page, pos, _CATALOG_MAGIC, 1, catalog.total_pages,
-                       catalog.heap_used, catalog.index_floor,
-                       catalog.record_count, len(catalog.segments),
-                       len(catalog.free_extents))
+    _CATALOG.pack_into(page, pos, _CATALOG_MAGIC, _CATALOG_VERSION,
+                       catalog.total_pages, catalog.heap_used,
+                       catalog.index_floor, catalog.record_count,
+                       len(catalog.segments), len(catalog.free_extents))
     pos += _CATALOG.size
     for seg in catalog.segments:
         _SEGMENT.pack_into(page, pos, seg.start, seg.pages, seg.entries)
@@ -153,7 +156,7 @@ def parse_catalog(page: bytes) -> Catalog:
      seg_count, free_count) = _CATALOG.unpack_from(page, pos)
     if magic != _CATALOG_MAGIC:
         raise RecoveryError("catalog page has bad magic")
-    if version != 1:
+    if version != _CATALOG_VERSION:
         raise RecoveryError(f"catalog version {version} not supported")
     pos += _CATALOG.size
     catalog = Catalog(total_pages, heap_used, index_floor, record_count)
@@ -175,11 +178,11 @@ def _tier(pages: int) -> int:
     return tier
 
 
-def _pad_key(key: str) -> bytes:
-    """`key` as an index entry holds it. A key longer than any record can
-    hold stays longer, so it equals no entry and a lookup finds no row,
-    as a scan does."""
-    return key.encode("utf-8").ljust(KEY_WIDTH, b"\0")
+def _key_hash(key: str) -> int:
+    """`key` as an index entry holds it: the crc32 of its UTF-8 bytes.
+    Keys that share a hash share entries, so a lookup rechecks each row
+    it fetches."""
+    return zlib.crc32(key.encode("utf-8"))
 
 
 @dataclass
@@ -330,7 +333,7 @@ class Session:
         self._cache: dict[int, bytes | bytearray] = {}
         self._read: set[int] = set()  # pageids this transaction has read
         self._dirty: set[int] = set()
-        self._pending_index: list[tuple[bytes, int, int]] = []
+        self._pending_index: list[tuple[int, int, int]] = []
         self.page_reads = 0
         self.page_writes = 0
 
@@ -479,7 +482,8 @@ class Session:
 
     def _register_insert(self, record: UserVisitsRecord, pageid: int,
                          slot: int) -> tuple[int, int]:
-        self._pending_index.append((_pad_key(record.source_ip), pageid, slot))
+        self._pending_index.append(
+            (_key_hash(record.source_ip), pageid, slot))
         self.catalog.record_count += 1
         return (pageid, slot)
 
@@ -508,8 +512,8 @@ class Session:
         if not use_index:
             return [unpack_record(raw) for _, raw in
                     self._scan_entries(source_ip_prefix(source_ip))]
-        # an index entry's key is NUL-padded, so a key that ends in NULs
-        # finds the rows of the key without them: each row is rechecked
+        # an index entry holds the key's hash, so a lookup finds the rows
+        # of every key that shares it: each row is rechecked
         records = map(self._fetch, self._index_lookup(source_ip))
         return [record for record in records if record.source_ip == source_ip]
 
@@ -526,7 +530,7 @@ class Session:
         for pageid, slot in rids:
             record = self._fetch((pageid, slot))
             if record.source_ip != source_ip:
-                continue  # a padded index key (see `select_by_key`)
+                continue  # a key that shares the hash (see `select_by_key`)
             record.country_code = new_country_code
             SlottedPage(self._writable_page(pageid)).replace(
                 slot, pack_record(record))
@@ -542,14 +546,13 @@ class Session:
     # Secondary index
     # ------------------------------------------------------------------
 
-    def _entry_at(self, seg: IndexSegment, i: int) -> tuple[bytes, int, int]:
+    def _entry_at(self, seg: IndexSegment, i: int) -> tuple[int, int, int]:
         page = self._get_page(seg.start + i // self._entries_per_page)
         offset = PAGE_HEADER_SIZE + (i % self._entries_per_page) * ENTRY_SIZE
-        key, pageid, slot = _ENTRY.unpack_from(page, offset)
-        return key, pageid, slot
+        return _ENTRY.unpack_from(page, offset)
 
     def _index_lookup(self, source_ip: str) -> list[tuple[int, int]]:
-        key = _pad_key(source_ip)
+        key = _key_hash(source_ip)
         rids = []
         for seg in self.catalog.segments:
             lo, hi = 0, seg.entries

@@ -55,7 +55,9 @@ the page and byte reads slice their bytes out of it. A block this
 manager did not write is read through range by range: the page and
 byte reads cache each page or range they read from the DFS, and
 `read_block` reads the DFS without caching, so a cold read fetches only
-the pages and tails asked for, once. A constituent is write-once
+the pages and tails asked for, once. A page or byte read of a whole
+constituent caches it as a write does, in place of the ranges it
+covers, so no byte of it is held twice. A constituent is write-once
 and the NameNode never reuses an id, so a cached block or range is served
 only while its block's current id (one NameNode call per read, made
 before the cache is looked at) is the id it was cached under; a remake
@@ -140,7 +142,8 @@ class MetaDfsManager:
         self.remakes_by_file: dict[str, int] = {}
         self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
-        # manager wrote it, else {(start, end): bytes} of the ranges read)
+        # manager wrote it or read it whole, else {(start, end): bytes} of
+        # the ranges read)
         self._cache: dict[
             str, tuple[int, bytes | dict[tuple[int, int], bytes]]] = {}
         self._zero_page = bytes(page_size)
@@ -283,8 +286,8 @@ class MetaDfsManager:
 
     def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
         """The whole block, as long as its constituent: the cached object
-        if this manager wrote the block under its current id, else from
-        the DFS (not cached)."""
+        if this manager wrote or read the whole block under its current
+        id, else from the DFS (not cached)."""
         entry = self.constituent_entry(file, block_id)
         if entry is None:
             return bytes(self.block_size)
@@ -343,9 +346,10 @@ class MetaDfsManager:
 
     def _range(self, entry: DfsFileEntry, start: int, end: int) -> bytes:
         """Bytes [start, end) of constituent `entry`: a slice of the
-        cached block if this manager wrote the block under its current
-        id, the cached range if it was read from that constituent, else
-        from the DFS (and then cached)."""
+        cached block if this manager wrote or read the whole block under
+        its current id, the cached range if it was read from that
+        constituent, else from the DFS, and then cached: as the block if
+        the range is the whole constituent (see above)."""
         cached = self._cached(entry.name, entry.file_id)
         if isinstance(cached, bytes):
             return cached[start:end]
@@ -354,8 +358,11 @@ class MetaDfsManager:
             self._cache[entry.name] = (entry.file_id, cached)
         data = cached.get((start, end))
         if data is None:
-            data = cached[start, end] = self.cluster.read_range(
-                entry.name, start, end - start)
+            data = self.cluster.read_range(entry.name, start, end - start)
+            if end - start == entry.size_bytes:
+                self._cache[entry.name] = (entry.file_id, data)
+            else:
+                cached[start, end] = data
         return data
 
     def _cached(self, name: str, file_id: int

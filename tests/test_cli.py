@@ -14,7 +14,7 @@ from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database, EngineConfig
 from wormdb.errors import ConfigError, DatabaseFull, RecoveryError
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
-from wormdb import bench
+from wormdb import bench, engine
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import stamp_page
@@ -220,8 +220,9 @@ def test_crash_point_exit_code_and_recover(small_root):
     # the batch is abandoned, and recover finds the log clean at the same
     # generation (ten-row inserts land in the committed heap's tail
     # block, which is logged, so each commit appends a short log block;
-    # the 30th commit's batch is the first, when the log passes 16
-    # blocks' worth of bytes)
+    # the 31st commit's batch is the first, when the log passes 16
+    # blocks' worth of bytes, 131,072; with 10-byte index entries the
+    # log holds 128,895 before it)
     result = run_cli_subprocess(
         ["run", "--workload", "insert", "--repeat", "10",
          "--repeat-runs", "40",
@@ -234,7 +235,7 @@ def test_crash_point_exit_code_and_recover(small_root):
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["records_returned"] == 560
+    assert json.loads(result.stdout)["records_returned"] == 570
 
 
 @pytest.mark.parametrize("point", ["dfs.commit.before_direct_block",
@@ -587,6 +588,31 @@ def test_a_root_of_the_master_format_with_a_commit_flag_is_one_error_line(
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: log master block has bad magic"]
+
+
+def test_a_root_of_catalog_version_1_is_one_error_line(small_root, capsys,
+                                                      monkeypatch):
+    """A root whose catalog is version 1, as the catalog of a root whose
+    index entries held their whole key is, is refused: a recovering open
+    raises RecoveryError, and `recover` and `run` print one error line
+    and exit 2."""
+    root, config = small_root
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_CATALOG_VERSION", 1)
+        assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                       config) == 0
+    capsys.readouterr()
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    with pytest.raises(RecoveryError):
+        Database.open(cluster, "db", SMALL_CONFIG["page_size"], recover=True)
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: catalog version 1 not supported"]
 
 
 def test_csv_output(small_root, capsys):

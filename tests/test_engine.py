@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+import zlib
 from collections import Counter
 from dataclasses import replace
 from datetime import date
@@ -273,10 +274,10 @@ def test_a_key_no_record_can_hold_has_one_answer_on_both_paths():
 
 
 def test_a_key_with_trailing_nuls_has_one_answer_on_both_paths():
-    """An index entry pads its key with NULs, so "1.2.3.4\0" and
-    "1.2.3.4" share entries; the index path rechecks each row's key, and
-    selects and updates by either key agree with the scan, whether the
-    rows are committed or the transaction's own."""
+    """Keys that differ only in trailing NULs, which an index of
+    NUL-padded keys would give the same entries, select and update the
+    same rows on the index path as on the scan, whether the rows are
+    committed or the transaction's own."""
     db = make_db()
     s = db.session()
     keys = ["1.2.3.4", "1.2.3.4\0", "1.2.3.4\0\0"]
@@ -308,6 +309,58 @@ def test_a_key_with_trailing_nuls_has_one_answer_on_both_paths():
     assert [r.country_code for r in s.scan(100)
             if r.source_ip.startswith(keys[0])] == ["ABC", "ABC", "DEF"]
     s.commit()
+
+
+def test_keys_that_share_a_hash_have_one_answer_on_both_paths(tmp_path):
+    """Two keys with one crc32 share index entries: selects and updates
+    by either key find the same rows on the index path as on the scan,
+    with the rows the transaction's own, in one segment, after a larger
+    commit's run folds that segment, and after a fresh cluster reopens
+    the persistent root."""
+    keys = ("6.210.89.7", "10.4.1.1")
+    assert len({zlib.crc32(key.encode()) for key in keys}) == 1
+    rows = dict(zip(keys, (3, 2)))
+
+    def select(s):
+        for key in keys:
+            found = s.select_by_key(key, True)
+            assert found == s.select_by_key(key, False)
+            assert [r.source_ip for r in found] == [key] * rows[key]
+        return {key: s.select_by_key(key, True) for key in keys}
+
+    db = make_db(root=str(tmp_path))
+    commit_rows(db.session(), range(30))
+    s = db.session()
+    s.begin("write")
+    for i in range(5):
+        s.insert_record(rec(100 + i, key=keys[i % 2]))
+    select(s)
+    s.commit()
+
+    def check(db, segments, stage):
+        s = db.session()
+        s.begin("read")
+        assert [seg.entries for seg in s.catalog.segments] == segments
+        s.commit()
+        for n, (key, use_index) in enumerate(
+                itertools.product(keys, (True, False))):
+            code = f"{stage}{n}"
+            s.begin("write")
+            assert s.update_by_key(key, code, use_index) == rows[key]
+            s.commit()
+            s.begin("read")
+            for other, found in select(s).items():
+                assert all((r.country_code == code) == (other == key)
+                           for r in found)
+            s.commit()
+
+    check(db, [30, 5], "A")
+    commit_rows(db.session(), range(200, 400))
+    check(db, [235], "B")
+    reopened = Database.open(DfsCluster(DfsConfig(BLOCK, 2), 4,
+                                        str(tmp_path)),
+                             "db", PAGE, recover=True)
+    check(reopened, [235], "C")
 
 
 def insert_commits(session, rng, sizes):
@@ -389,11 +442,12 @@ def test_small_commits_leave_the_oldest_segment_alone():
     # The load leaves segments of tiers 3, 2, 2 and 1. The small commits
     # build a third tier-2 segment, and the next tier-2 run folds in all
     # three, making a second tier-3 segment; the oldest is not of a lower
-    # tier, so it stays. Folding at a 4-segment cap wrote 10,700 pages here.
+    # tier, so it stays. Folding at a 4-segment cap wrote 10,700 pages
+    # here when 24-byte entries gave those tiers to a 1400 + 9 * 300 load.
     db = make_db(total=4096)
     s = db.session()
     rng = random.Random(0)
-    insert_commits(s, rng, [1400] + [300] * 9)
+    insert_commits(s, rng, [3430] + [735] * 9)
     s.begin("read")
     oldest = s.catalog.segments[0]
     s.commit()
@@ -1149,6 +1203,25 @@ def test_cache_holds_no_truncated_log_block_or_dead_id():
     assert len(read_all(reader)) == 100
 
 
+def test_restart_caches_each_log_block_once():
+    """Restart reads each committed log block's footer, then the whole
+    block to check its body; the whole read is cached as the block, in
+    place of the footer's range, so after it the cache holds each log
+    constituent's bytes once."""
+    db = make_db()
+    for start in range(0, 600, 36):
+        commit_rows(db.session(), range(start, min(start + 36, 600)))
+    reopened = Database.open(db.manager.cluster, "db", PAGE, recover=True)
+    manager = reopened.manager
+    entries = manager.constituent_entries(reopened.store.log)
+    assert len(entries) == 17
+    for block_id, entry in enumerate(entries):
+        file_id, cached = manager._cache[entry.name]
+        assert file_id == entry.file_id
+        assert len(cached) == entry.size_bytes, entry.name
+        assert manager.read_block(reopened.store.log, block_id) is cached
+
+
 def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
     """Two sessions run a seeded schedule of writes, aborts, updates and
     maintenance. After each step every page of the data and log files
@@ -1585,9 +1658,9 @@ def _sweep_workload():
                                 if r.source_ip == "9.9.9.1" else r
                                 for r in table]),
         insert([rec(i) for i in range(73, 193)]),
-        insert([rec(i) for i in range(193, 203)]),
+        insert([rec(i) for i in range(193, 223)]),
         (lambda db, s: db.run_maintenance(), lambda table: table),
-        insert([rec(i) for i in range(203, 208)]),
+        insert([rec(i) for i in range(223, 228)]),
     ]
 
 
@@ -1686,8 +1759,8 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
     reopened = Database.open(db.manager.cluster, "db", 1024, SWEEP_THRESHOLD,
                              recover=True)
     assert read_all(reopened.session()) == table, where
-    commit_rows(reopened.session(), [208])
-    assert read_all(reopened.session()) == table + [rec(208)], where
+    commit_rows(reopened.session(), [228])
+    assert read_all(reopened.session()) == table + [rec(228)], where
     return reached, calls, logged
 
 
@@ -1835,8 +1908,8 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
                                recover=True)
             table = read_all(db.session())
             assert table in allowed, "not the table before or after"
-            commit_rows(db.session(), [208])
-            assert read_all(db.session()) == table + [rec(208)], \
+            commit_rows(db.session(), [228])
+            assert read_all(db.session()) == table + [rec(228)], \
                 "the next commit"
         except (AssertionError, StorageError) as exc:
             failures[death, in_save, calls[death - 1]] = \
@@ -1929,9 +2002,11 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     the master block before it began: one more master page, a remake of
     the log's master meta file, per batch, which the pins take off. They
     were also measured when the log held every page whole: the pages
-    logged as their XOR with home take 4,550 bytes off, and when a data
+    logged as their XOR with home take 4,550 bytes off, when a data
     block was stored whole: ending each at its last written page takes
-    69,632 bytes off."""
+    69,632 bytes off, and when an index entry held its whole key padded
+    to 16 bytes: an entry of the key's crc32 takes 77,160 bytes, one
+    remake and four fills off."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -1950,8 +2025,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     replication = db.manager.cluster.config.replication_factor
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
-        (1_622_578 - 4_550 - 69_632 - batches * PAGE * replication,
-         48 - batches, 63)
+        (1_622_578 - 4_550 - 69_632 - 77_160 - batches * PAGE * replication,
+         47 - batches, 59)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():
@@ -1971,7 +2046,9 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     byte for byte what it was when every page went through the log and
     every batch drained it: the sha256 of its blocks in order, each
     padded with the zeros past its constituent's end to a whole block, is
-    pinned from a commit that logged every page into whole blocks."""
+    pinned from a commit that logged every page into whole blocks, and
+    re-pinned when an index entry came to hold its key's hash; the
+    sha256 of the heap's pages is pinned on its own, from before that."""
     db = make_db(total=1024, threshold=16)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
                    commit_every=250)
@@ -1982,17 +2059,23 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     drain(db)
     assert [db.manager.read_page(db.data, pageid)
             for pageid in range(1024)] == newest
+    heap = hashlib.sha256()
+    for pageid in range(HEAP_START, HEAP_START + parse_catalog(
+            newest[0]).heap_used):
+        heap.update(newest[pageid])
+    assert heap.hexdigest() == \
+        "b3ae304320c1b7f2948552265f0f3b6a882a95b057c181c9bd58324f6eb8e245"
     digest = hashlib.sha256()
     for block_id in range(db.data.block_count):
         digest.update(db.manager.read_block(db.data, block_id)
                       .ljust(db.manager.block_size, b"\0"))
     assert digest.hexdigest() == \
-        "20f9f6f4bf887b934e5419b0ea7a2f780f3d064baa07d83b4bb172978406fd8b"
+        "38a16500a6a34bf5ee54b33a5b33ca9491e7c09fc001ef27cd6a9dd9a0d8cafa"
 
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [
-    ("index", 40, (1, 1, 80, 1), 38),
-    ("heap", 24, (80, 1, 1, 1, 1, 1, 1, 1, 10), 16),
+    ("index", 40, (1, 1, 150, 1), 38),
+    ("heap", 44, (196, 1, 1, 1, 1, 1, 1, 1, 10), 36),
 ])
 def test_a_freed_index_extent_with_a_log_copy_is_logged_when_reused(
         reuse, total, sizes, page):
