@@ -25,7 +25,7 @@ import heapq
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 
 from .dfs import DfsCluster, DfsConfig
 from .errors import (
@@ -39,7 +39,7 @@ from .faults import NULL_INJECTOR, FaultInjector
 from .locks import LockService, WRITE
 from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
-from .pages import SlottedPage
+from .pages import SLOT_SIZE, SlottedPage
 from .records import (
     UserVisitsRecord,
     check_field,
@@ -315,6 +315,15 @@ class Session:
     not hold is read from the store and dropped once the scan moves past
     it, so a full scan holds one heap page at a time.
 
+    Inserts go to the heap's open tail: the packed records not yet on
+    their page, with that page's id, their next slot and the page's free
+    bytes after them, so `insert_record` returns its row id at once. The
+    page takes the records in one `SlottedPage.extend` when the next
+    record does not fit, before anything reads the page (a scan, a
+    fetch, an update) and at commit; each of these closes the tail, and
+    the next insert reopens it from the page as it then stands. The
+    pages come out as inserts of one record at a time would build them.
+
     `page_reads` counts the distinct pages each transaction read from
     the store, summed over transactions: a page read again (by a second
     scan, or by an update after the scan that found its record) counts
@@ -334,6 +343,11 @@ class Session:
         self._read: set[int] = set()  # pageids this transaction has read
         self._dirty: set[int] = set()
         self._pending_index: list[tuple[int, int, int]] = []
+        # the open tail (see above); none while `_tail_page` is None
+        self._tail: list[bytes] = []
+        self._tail_page: int | None = None
+        self._tail_slot = 0
+        self._tail_free = 0
         self.page_reads = 0
         self.page_writes = 0
 
@@ -370,6 +384,7 @@ class Session:
             raise LockError("no transaction in progress")
         try:
             if self.mode == WRITE:
+                self._close_tail()
                 if self._pending_index:
                     self._flush_index_entries()
                 catalog = pack_catalog(self.catalog, self.page_size)
@@ -408,6 +423,9 @@ class Session:
         self._read.clear()
         self._dirty.clear()
         self._pending_index.clear()
+        self._tail = []
+        self._tail_page = None
+        self._tail_free = 0
 
     def _require_lock(self, write: bool = False) -> None:
         if self.mode is None:
@@ -420,6 +438,8 @@ class Session:
     # ------------------------------------------------------------------
 
     def _get_page(self, pageid: int) -> bytes | bytearray:
+        if pageid == self._tail_page:
+            self._close_tail()
         page = self._cache.get(pageid)
         if page is None:
             page = self._cache[pageid] = self._read_page(pageid)
@@ -457,35 +477,53 @@ class Session:
     def insert_record(self, record: UserVisitsRecord) -> tuple[int, int]:
         self._require_lock(write=True)
         raw = pack_record(record)
+        need = len(raw) + SLOT_SIZE
+        if need > self._tail_free:
+            self._open_tail(need)
+        self._tail.append(raw)
+        self._tail_free -= need
+        rid = (self._tail_page, self._tail_slot)
+        self._tail_slot += 1
+        self._pending_index.append((_key_hash(record.source_ip), *rid))
+        self.catalog.record_count += 1
+        return rid
+
+    def _open_tail(self, need: int) -> None:
+        """Close the open tail, and open one with `need` free bytes: the
+        last heap page if it has them, else a fresh page after it."""
+        self._close_tail()
         cat = self.catalog
         if cat.heap_used:
-            tail = HEAP_START + cat.heap_used - 1
-            buf = self._cache.get(tail)
-            if type(buf) is not bytearray:
-                buf = self._writable_page(tail)
-            page = SlottedPage(buf)
-            slot = page.try_insert(raw)
-            if slot is not None:
-                self._dirty.add(tail)
-                return self._register_insert(record, tail, slot)
+            pageid = HEAP_START + cat.heap_used - 1
+            page = SlottedPage(self._writable_page(pageid))
+            if need <= page.free_space():
+                self._dirty.add(pageid)
+                self._set_tail(pageid, page)
+                return
         pageid = HEAP_START + cat.heap_used
         if pageid >= cat.index_floor or pageid >= cat.total_pages:
             raise DatabaseFull(
                 f"heap page {pageid} collides with index space")
         page = SlottedPage(self._fresh_page(pageid))
-        slot = page.try_insert(raw)
-        if slot is None:
+        if need > page.free_space():
             raise RecordTooLarge(
-                f"{len(raw)}-byte record exceeds empty page capacity")
+                f"{need - SLOT_SIZE}-byte record exceeds empty page "
+                f"capacity")
         cat.heap_used += 1
-        return self._register_insert(record, pageid, slot)
+        self._set_tail(pageid, page)
 
-    def _register_insert(self, record: UserVisitsRecord, pageid: int,
-                         slot: int) -> tuple[int, int]:
-        self._pending_index.append(
-            (_key_hash(record.source_ip), pageid, slot))
-        self.catalog.record_count += 1
-        return (pageid, slot)
+    def _set_tail(self, pageid: int, page: SlottedPage) -> None:
+        self._tail_page = pageid
+        self._tail_slot = page.count
+        self._tail_free = page.free_space()
+
+    def _close_tail(self) -> None:
+        """Put the open tail's records on their page, and close it."""
+        if self._tail:
+            SlottedPage(self._cache[self._tail_page]).extend(self._tail)
+            self._tail = []
+        self._tail_page = None
+        self._tail_free = 0
 
     def scan(self, limit: int) -> list[UserVisitsRecord]:
         self._require_lock()
@@ -499,6 +537,8 @@ class Session:
         Only the matching records are copied out of their pages. Callers
         check the lock."""
         for pageid in range(HEAP_START, HEAP_START + self.catalog.heap_used):
+            if pageid == self._tail_page:
+                self._close_tail()
             buf = self._cache.get(pageid)
             page = SlottedPage(self._read_page(pageid) if buf is None
                                else buf)
@@ -598,7 +638,8 @@ class Session:
         streams = [self._segment_entries(seg) for seg in folded]
         streams.append(iter(new_entries))
         # the new extent is allocated before the folded ones are freed,
-        # and heapq.merge reads the folded segments while it is written
+        # and heapq.merge reads the folded segments while it is written,
+        # none of them before the allocation, which may raise DatabaseFull
         merged = self._write_segment(heapq.merge(*streams), total)
         cat.segments = cat.segments[:keep] + [merged]
         cat.release(folded)
@@ -608,27 +649,29 @@ class Session:
         return max(1, -(-entries // self._entries_per_page))
 
     def _segment_entries(self, seg: IndexSegment):
-        for i in range(seg.entries):
-            yield self._entry_at(seg, i)
+        """Yield `seg`'s entries in order, each page decoded whole when
+        the consumer reaches its first entry."""
+        per_page = self._entries_per_page
+        for first in range(0, seg.entries, per_page):
+            page = self._get_page(seg.start + first // per_page)
+            used = min(per_page, seg.entries - first) * ENTRY_SIZE
+            yield from _ENTRY.iter_unpack(
+                page[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + used])
 
     def _write_segment(self, entries, count: int) -> IndexSegment:
+        """Write the `count` sorted `entries` of an iterator as a new
+        segment, a page at a time; its extent is allocated before the
+        first entry is drawn."""
         pages = self._segment_pages(count)
         start = self._alloc_extent(pages)
         written = 0
-        page = bytearray(self.page_size)
-        pageid = start
-        for key, rid_page, rid_slot in entries:
-            offset = PAGE_HEADER_SIZE + \
-                (written % self._entries_per_page) * ENTRY_SIZE
-            _ENTRY.pack_into(page, offset, key, rid_page, rid_slot)
-            written += 1
-            if written % self._entries_per_page == 0:
-                self._put_page(pageid, bytes(page))
-                page = bytearray(self.page_size)
-                pageid += 1
-        if written % self._entries_per_page or written == 0:
-            self._put_page(pageid, bytes(page))
-        assert written == count
+        for pageid in range(start, start + pages):
+            body = b"".join(starmap(
+                _ENTRY.pack, islice(entries, self._entries_per_page)))
+            written += len(body)
+            self._put_page(pageid, (bytes(PAGE_HEADER_SIZE) + body).ljust(
+                self.page_size, b"\0"))
+        assert written == count * ENTRY_SIZE
         return IndexSegment(start, pages, count)
 
     def _alloc_extent(self, pages: int) -> int:

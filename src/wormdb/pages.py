@@ -4,11 +4,19 @@ A slotted page lives in the application area of a page (after the 16-byte
 recovery header): a 4-byte page header (slot count, data start), a slot
 directory growing upward, and record payloads packed downward from the
 page end. An all-zero page reads as an empty page.
+
+`extend` adds a run of records with one copy of their payloads, one
+pack of their slots and one header store, and builds the very bytes that
+`try_insert` of each in turn would. The engine keeps the heap's open tail
+as records not yet on their page, and extends the page with them when it
+fills, before anything reads it, and at commit.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, chain
+from operator import sub
 
 from .errors import RecordTooLarge
 from .pagefmt import PAGE_HEADER_SIZE
@@ -17,6 +25,7 @@ _PAGE_HDR = struct.Struct("<HH")  # slot count, data region start
 _SLOT = struct.Struct("<HH")      # record offset, record length
 _HDR_AT = PAGE_HEADER_SIZE
 _SLOTS_AT = PAGE_HEADER_SIZE + _PAGE_HDR.size
+SLOT_SIZE = _SLOT.size  # the page bytes a record takes beyond its own
 
 
 class SlottedPage:
@@ -38,18 +47,33 @@ class SlottedPage:
 
     def try_insert(self, record: bytes) -> int | None:
         """Add a record; returns its slot, or None if it does not fit."""
-        need = len(record) + _SLOT.size
-        if need > self.free_space():
+        if len(record) + SLOT_SIZE > self.free_space():
             return None
-        offset = self.data_start - len(record)
-        self.buf[offset:offset + len(record)] = record
-        _SLOT.pack_into(self.buf, _SLOTS_AT + _SLOT.size * self.count,
-                        offset, len(record))
-        slot = self.count
-        self.count += 1
-        self.data_start = offset
+        self.extend([record])
+        return self.count - 1
+
+    def extend(self, records: list[bytes]) -> None:
+        """Add `records` in order, to the slots and bytes successive
+        `try_insert` calls would give them; RecordTooLarge, with the page
+        unchanged, if they do not all fit."""
+        if not records:
+            return
+        lengths = [len(record) for record in records]
+        data = b"".join(reversed(records))
+        if len(data) + SLOT_SIZE * len(records) > self.free_space():
+            raise RecordTooLarge(
+                f"{len(records)} records of {len(data)} bytes do not fit "
+                f"in the page's {self.free_space()} free bytes")
+        offsets = accumulate(lengths, sub, initial=self.data_start)
+        next(offsets)
+        start = _SLOTS_AT + SLOT_SIZE * self.count
+        directory = struct.pack(f"<{2 * len(records)}H",
+                                *chain.from_iterable(zip(offsets, lengths)))
+        self.buf[start:start + len(directory)] = directory
+        self.data_start -= len(data)
+        self.buf[self.data_start:self.data_start + len(data)] = data
+        self.count += len(records)
         self._store_header()
-        return slot
 
     def record(self, slot: int) -> bytes:
         if not 0 <= slot < self.count:
@@ -93,6 +117,4 @@ class SlottedPage:
         self.buf[_HDR_AT:] = bytes(len(self.buf) - _HDR_AT)
         self.count = 0
         self.data_start = len(self.buf)
-        self._store_header()
-        for item in contents:
-            self.try_insert(item)
+        self.extend(contents)

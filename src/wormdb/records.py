@@ -51,42 +51,64 @@ class UserVisitsRecord:
     duration: int
 
 
-def _pack_str(value: str, field: str | None = None) -> bytes:
-    """`value`'s UTF-8 bytes after their u16 length; ValueTooLong if they
-    pass the limit of record field `field`."""
-    raw = value.encode("utf-8")
-    if field is not None and len(raw) > FIELD_LIMITS[field]:
-        raise ValueTooLong(
-            f"{field} longer than {FIELD_LIMITS[field]} bytes: {value!r}")
-    return _U16.pack(len(raw)) + raw
+# Each limit bound once, for `pack_record`'s one test of all six fields.
+_SOURCE_IP_MAX = FIELD_LIMITS["source_ip"]
+_DEST_URL_MAX = FIELD_LIMITS["dest_url"]
+_USER_AGENT_MAX = FIELD_LIMITS["user_agent"]
+_COUNTRY_CODE_MAX = FIELD_LIMITS["country_code"]
+_LANGUAGE_CODE_MAX = FIELD_LIMITS["language_code"]
+_SEARCH_WORD_MAX = FIELD_LIMITS["search_word"]
+# the u16 length prefix of every string length a record field may hold
+_LENGTH_PREFIX = [_U16.pack(n)
+                  for n in range(max(FIELD_LIMITS.values()) + 1)]
 
 
 def check_field(value: str, field: str) -> None:
-    """Raise ValueTooLong, as `pack_record` would, if `value` passes the
-    limit of record field `field`."""
-    _pack_str(value, field)
+    """Raise ValueTooLong, as `pack_record` would, if `value`'s UTF-8
+    bytes pass the limit of record field `field`."""
+    if len(value.encode("utf-8")) > FIELD_LIMITS[field]:
+        raise ValueTooLong(
+            f"{field} longer than {FIELD_LIMITS[field]} bytes: {value!r}")
 
 
 def pack_record(record: UserVisitsRecord) -> bytes:
     """The record's wire format; ValueTooLong names the first string field,
-    in this order, that passes its limit in `FIELD_LIMITS`."""
-    return b"".join([
-        _pack_str(record.source_ip, "source_ip"),
-        _pack_str(record.dest_url, "dest_url"),
+    in this order, that passes its limit in `FIELD_LIMITS`.
+
+    Each string is encoded once and the six lengths are tested together;
+    only a record that fails the test is checked field by field."""
+    source_ip = record.source_ip.encode("utf-8")
+    dest_url = record.dest_url.encode("utf-8")
+    user_agent = record.user_agent.encode("utf-8")
+    country_code = record.country_code.encode("utf-8")
+    language_code = record.language_code.encode("utf-8")
+    search_word = record.search_word.encode("utf-8")
+    if (len(source_ip) > _SOURCE_IP_MAX or len(dest_url) > _DEST_URL_MAX
+            or len(user_agent) > _USER_AGENT_MAX
+            or len(country_code) > _COUNTRY_CODE_MAX
+            or len(language_code) > _LANGUAGE_CODE_MAX
+            or len(search_word) > _SEARCH_WORD_MAX):
+        for field in FIELD_LIMITS:
+            check_field(getattr(record, field), field)
+    prefix = _LENGTH_PREFIX
+    return b"".join((
+        prefix[len(source_ip)], source_ip,
+        prefix[len(dest_url)], dest_url,
         _DATE_REVENUE.pack(record.visit_date.toordinal(), record.ad_revenue),
-        _pack_str(record.user_agent, "user_agent"),
-        _pack_str(record.country_code, "country_code"),
-        _pack_str(record.language_code, "language_code"),
-        _pack_str(record.search_word, "search_word"),
+        prefix[len(user_agent)], user_agent,
+        prefix[len(country_code)], country_code,
+        prefix[len(language_code)], language_code,
+        prefix[len(search_word)], search_word,
         _I32.pack(record.duration),
-    ])
+    ))
 
 
 def source_ip_prefix(source_ip: str) -> bytes:
     """The bytes that every packed record with this source_ip, its first
     field, begins with, and no other record does. It checks no limit, so
     a key too long for any record matches none."""
-    return _pack_str(source_ip)
+    raw = source_ip.encode("utf-8")
+    return _U16.pack(len(raw)) + raw
 
 
 def unpack_record(raw: bytes) -> UserVisitsRecord:

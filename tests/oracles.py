@@ -18,8 +18,12 @@ between write transactions.
 every constituent sits inside a registered meta file's block count.
 `log_bases` reads back how a store's log block holds each page.
 
-`reference_unpack_record` is a plain field-by-field decoder of the
-UserVisits wire format, which the tests check `wormdb.records` against.
+`reference_unpack_record` and `reference_pack_record` are a plain
+field-by-field decoder and encoder of the UserVisits wire format, which
+the tests check `wormdb.records` against. `reference_insert` adds one
+record to a slotted page and `reference_index_pages` packs an index
+segment one entry at a time: the builders the page-at-a-time
+`SlottedPage.extend` and the engine's index writer are checked against.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import dataclass
 from datetime import date
 
 from wormdb.dfs import SUFFIX_WIDTH, DfsCluster
-from wormdb.errors import OutOfRange, RecoveryError
+from wormdb.errors import OutOfRange, RecoveryError, ValueTooLong
 from wormdb.faults import NULL_INJECTOR, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
-from wormdb.records import UserVisitsRecord
+from wormdb.records import FIELD_LIMITS, UserVisitsRecord
 from wormdb.spdu_dfs import unpack_body, unpack_footer
 
 # The recovery header `stamp_page` writes: pageid, the ordinal of the
@@ -119,6 +123,72 @@ def reference_unpack_record(raw: bytes) -> UserVisitsRecord:
     return UserVisitsRecord(source_ip, dest_url, visit_date, ad_revenue,
                             user_agent, country_code, language_code,
                             search_word, duration)
+
+
+def _reference_str(value: str, field: str) -> bytes:
+    raw = value.encode("utf-8")
+    if len(raw) > FIELD_LIMITS[field]:
+        raise ValueTooLong(
+            f"{field} longer than {FIELD_LIMITS[field]} bytes: {value!r}")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def reference_pack_record(record: UserVisitsRecord) -> bytes:
+    """Encode a record one field at a time, each string checked against
+    its limit as it is encoded, so ValueTooLong names the first field
+    that passes its limit."""
+    return b"".join([
+        _reference_str(record.source_ip, "source_ip"),
+        _reference_str(record.dest_url, "dest_url"),
+        struct.pack("<Id", record.visit_date.toordinal(), record.ad_revenue),
+        _reference_str(record.user_agent, "user_agent"),
+        _reference_str(record.country_code, "country_code"),
+        _reference_str(record.language_code, "language_code"),
+        _reference_str(record.search_word, "search_word"),
+        struct.pack("<i", record.duration),
+    ])
+
+
+# A slotted page after the recovery header: slot count and data start,
+# then a directory of (offset, length) slots; an all-zero page is empty.
+_SLOTTED_HEADER = struct.Struct("<HH")
+_SLOT = struct.Struct("<HH")
+
+
+def reference_insert(buf: bytearray, record: bytes) -> int | None:
+    """Add `record` to the slotted page in `buf`, below the records it
+    holds, with its slot after theirs; its slot, or None if it does not
+    fit, with `buf` unchanged."""
+    count, data_start = _SLOTTED_HEADER.unpack_from(buf, PAGE_HEADER_SIZE)
+    if count == 0 and data_start == 0:
+        data_start = len(buf)
+    slot_at = PAGE_HEADER_SIZE + _SLOTTED_HEADER.size + _SLOT.size * count
+    if slot_at + _SLOT.size + len(record) > data_start:
+        return None
+    offset = data_start - len(record)
+    buf[offset:data_start] = record
+    _SLOT.pack_into(buf, slot_at, offset, len(record))
+    _SLOTTED_HEADER.pack_into(buf, PAGE_HEADER_SIZE, count + 1, offset)
+    return count
+
+
+_INDEX_ENTRY = struct.Struct("<IIH")  # key hash, pageid, slot
+
+
+def reference_index_pages(entries: list[tuple[int, int, int]],
+                          page_size: int) -> list[bytes]:
+    """The pages of an index segment of `entries`, each packed at its
+    place after the recovery header of its page; a segment of no entries
+    is one zero page."""
+    per_page = (page_size - PAGE_HEADER_SIZE) // _INDEX_ENTRY.size
+    pages = []
+    for first in range(0, max(len(entries), 1), per_page):
+        page = bytearray(page_size)
+        for i, entry in enumerate(entries[first:first + per_page]):
+            _INDEX_ENTRY.pack_into(
+                page, PAGE_HEADER_SIZE + i * _INDEX_ENTRY.size, *entry)
+        pages.append(bytes(page))
+    return pages
 
 
 class MapOracle:

@@ -11,7 +11,12 @@ from datetime import date
 
 import pytest
 
-from oracles import log_bases, meta_file_strays
+from oracles import (
+    log_bases,
+    meta_file_strays,
+    reference_index_pages,
+    reference_insert,
+)
 from wormdb import bench, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
@@ -20,6 +25,7 @@ from wormdb.engine import (
     MAX_FREE_EXTENTS,
     Catalog,
     Database,
+    EngineConfig,
     IndexSegment,
     catalog_room,
     pack_catalog,
@@ -220,6 +226,59 @@ def test_select_sees_own_uncommitted_inserts_via_index():
     s.begin("write")
     s.insert_record(rec(1, key="5.5.5.5"))
     assert len(s.select_by_key("5.5.5.5", use_index=True)) == 1
+    s.commit()
+
+
+@pytest.mark.parametrize("end", ["abort", "commit"])
+def test_reads_inside_a_write_transaction_see_the_open_tail(end):
+    """From a committed, partly filled tail page, one write transaction
+    inserts rows across page boundaries, and after each insert reads them
+    back, each kind of read coming first in turn: a scan, indexed and
+    unindexed selects, and updates of rows it inserted, shorter, so that
+    the tail page is compacted under the open tail. An abort leaves the
+    committed table as it was; a commit leaves every heap page as
+    inserting its records one at a time builds it."""
+    db = make_db()
+    s = db.session()
+    committed = [rec(i) for i in range(2)]
+    s.begin("write")
+    for row in committed:
+        s.insert_record(row)
+    s.commit()
+    rows = list(committed)
+
+    def select(use_index):
+        assert s.select_by_key(rows[-1].source_ip, use_index) == [rows[-1]]
+
+    def update(use_index):
+        for j, code in ((-1, "AB"), (-3, "XY")):
+            assert s.update_by_key(rows[j].source_ip, code, use_index) == 1
+            rows[j] = replace(rows[j], country_code=code)
+
+    reads = [lambda: select(True), lambda: select(False),
+             lambda: update(True), lambda: update(False),
+             lambda: None]
+    pages = []
+    s.begin("write")
+    for i in range(2, 22):
+        rows.append(rec(i))
+        pages.append(s.insert_record(rows[-1])[0])
+        reads[i % len(reads)]()
+        assert s.scan(10 ** 6) == rows
+    assert pages[0] == HEAP_START and len(set(pages)) >= 3
+    assert pages == sorted(pages)
+    getattr(s, end)()
+    expected = committed if end == "abort" else rows
+    assert read_all(s) == expected
+    s.begin("read")
+    for row in expected:
+        assert s.select_by_key(row.source_ip, use_index=True) == [row]
+    for pageid in range(HEAP_START, HEAP_START + s.catalog.heap_used):
+        page = s._get_page(pageid)
+        built = bytearray(len(page))
+        for record in SlottedPage(page).records():
+            assert reference_insert(built, record) is not None
+        assert page[PAGE_HEADER_SIZE:] == built[PAGE_HEADER_SIZE:]
     s.commit()
 
 
@@ -599,6 +658,26 @@ def test_release_returns_a_free_extent_at_the_floor_to_the_heap():
     assert cat.free_extents == [(80, 20)]
 
 
+@pytest.mark.parametrize("count", [0, 1, 408, 409, 816])
+def test_index_segments_hold_the_bytes_one_entry_at_a_time_packs(count):
+    """A 4 KB page holds 408 index entries. A segment of each count
+    around that is written as the entries packed one at a time in their
+    pages, and read back whole and in order."""
+    db = make_db(total=16, page=4096)
+    s = db.session()
+    s.begin("write")
+    rng = random.Random(count)
+    entries = sorted((rng.getrandbits(32), rng.getrandbits(32),
+                      rng.getrandbits(16)) for _ in range(count))
+    seg = s._write_segment(iter(entries), count)
+    assert (seg.entries, seg.pages) == (count, max(1, -(-count // 408)))
+    assert [s._get_page(pageid) for pageid in
+            range(seg.start, seg.start + seg.pages)] == \
+        reference_index_pages(entries, 4096)
+    assert list(s._segment_entries(seg)) == entries
+    s.abort()
+
+
 def test_lock_required_for_operations():
     db = make_db()
     s = db.session()
@@ -639,6 +718,35 @@ def test_database_full_surfaces():
         for i in range(10 ** 4):
             s.insert_record(rec(i))
     s.abort()
+
+
+def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
+    """Commits of ten seeded rows fill a 256-page store until the index
+    extent of a commit's merged segment collides with the heap. The
+    counts were measured when each record went onto its page and each
+    index entry into its segment one at a time; the failing commit reads
+    no folded segment, since its merge reads them only after the extent
+    is allocated."""
+    config = EngineConfig(total_pages=256)
+    cluster = DfsCluster(config.dfs_config(), config.num_nodes)
+    db = Database.create(cluster, "db", config.total_pages, config.page_size,
+                         config.post_commit_threshold, config.deferred)
+    s = db.session()
+    rng = random.Random(1)
+    rows = []
+    with pytest.raises(DatabaseFull) as full:
+        while True:
+            s.begin("write")
+            for _ in range(10):
+                n = len(rows)
+                rows.append(bench.make_record(
+                    rng, 730000, f"1.2.{n >> 8 & 255}.{n & 255}"))
+                s.insert_record(rows[-1])
+            s.commit()
+    assert str(full.value) == "index extent of 3 pages collides with heap"
+    assert (len(rows), s.page_writes, s.page_reads,
+            cluster.counters.bytes_written) == (4810, 1813, 1587, 8_523_351)
+    assert read_all(s) == rows[:-10]
 
 
 def test_open_missing_database():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_insert
 from wormdb.errors import RecordTooLarge, ValueTooLong
 from wormdb.pagefmt import PAGE_HEADER_SIZE
 from wormdb.pages import SlottedPage
@@ -141,10 +142,44 @@ def test_slots_with_prefix_match_the_copied_records(items, prefix):
 
 
 def _built_by_inserts(records):
-    page = SlottedPage(bytearray(PAGE))
+    buf = bytearray(PAGE)
     for record in records:
-        assert page.try_insert(record) is not None
-    return page.buf
+        assert reference_insert(buf, record) is not None
+    return buf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=120), max_size=12),
+       st.lists(st.binary(max_size=120), max_size=20))
+def test_extend_builds_the_page_one_insert_at_a_time_would(held, added):
+    """On a zero page and on one that already holds records, `extend`
+    with the records that fit leaves the bytes that inserting them one at
+    a time does, and so does `try_insert`; with one more that does not
+    fit, it refuses them all and leaves the page as it was."""
+    base = bytearray(PAGE)
+    held = [record for record in held
+            if reference_insert(base, record) is not None]
+    reference = bytearray(base)
+    fitting = []
+    for record in added:
+        if reference_insert(reference, record) is None:
+            break
+        fitting.append(record)
+    page = SlottedPage(bytearray(base))
+    page.extend(fitting)
+    assert page.buf == reference
+    assert (page.count, page.records()) == \
+        (len(held) + len(fitting), held + fitting)
+    assert SlottedPage(page.buf).free_space() == page.free_space()
+    one_at_a_time = SlottedPage(bytearray(base))
+    assert [one_at_a_time.try_insert(record) for record in fitting] == \
+        list(range(len(held), len(held) + len(fitting)))
+    assert one_at_a_time.buf == reference
+    if len(fitting) < len(added):
+        refused = SlottedPage(bytearray(base))
+        with pytest.raises(RecordTooLarge):
+            refused.extend(added[:len(fitting) + 1])
+        assert (refused.buf, refused.count) == (base, len(held))
 
 
 @pytest.mark.parametrize("length", [64, 40, 80],

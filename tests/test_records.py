@@ -1,4 +1,5 @@
-"""The record codec against the reference decoder in `oracles`."""
+"""The record codec against the reference decoder and encoder in
+`oracles`."""
 
 import math
 import struct
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_unpack_record
+from oracles import reference_pack_record, reference_unpack_record
 from wormdb import records
 from wormdb.errors import ValueTooLong
 from wormdb.records import (
@@ -92,6 +93,43 @@ def test_round_trip_matches_the_reference_decoder(record):
     assert decoded == reference_unpack_record(raw)
     # bit for bit, so -0.0 keeps its sign
     assert pack_record(decoded) == raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS)
+@example(EMPTY)
+@example(AT_LIMITS)
+def test_pack_record_matches_the_reference_encoder(record):
+    assert pack_record(record) == reference_pack_record(record)
+
+
+def too_long(value: str, field: str, extra: str) -> str:
+    """`value` with `extra` repeated until it passes `field`'s limit."""
+    while len(value.encode("utf-8")) <= FIELD_LIMITS[field]:
+        value += extra
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECORDS, st.sets(st.sampled_from(list(FIELD_LIMITS)), min_size=1),
+       st.characters(codec="utf-8"))
+@example(EMPTY, set(FIELD_LIMITS), "a")
+@example(AT_LIMITS, {"search_word"}, "é")
+def test_over_limit_fields_are_refused_as_the_reference_refuses_them(
+        record, fields, extra):
+    """With any set of fields past their limits, the encoder names the
+    first of them in field order, as the field-by-field reference does,
+    in the same words."""
+    record = replace(record, **{field: too_long(getattr(record, field),
+                                                field, extra)
+                                for field in fields})
+    with pytest.raises(ValueTooLong) as packed:
+        pack_record(record)
+    with pytest.raises(ValueTooLong) as reference:
+        reference_pack_record(record)
+    first = next(field for field in FIELD_LIMITS if field in fields)
+    assert str(packed.value) == str(reference.value)
+    assert str(packed.value).startswith(f"{first} longer than ")
 
 
 def test_at_limits_uses_each_bound_exactly():
