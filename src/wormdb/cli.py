@@ -1,10 +1,11 @@
 """Command-line harness: gen | run | recover | soak.
 
 `recover` prints the path restart took, "rollback" or "clean", and what
-it chose it from, as the log stood before: the live log generation the
-master block names, and that generation's blocks past its committed
-prefix. A batch post-commit commits at its master switch, so one that
-crashed before it is abandoned, not finished: recovery writes no page.
+it chose it from, as the log stood before: the live log generation, the
+lowest one the NameNode registers, and that generation's blocks past its
+committed prefix. A batch post-commit commits when it drops the live
+generation, so one that crashed before it is abandoned, not finished:
+recovery writes no page.
 
 Exit codes: 0 success, 2 precondition/storage violation, 42 injected
 crash (the armed fault point kills the process; run `recover` next).

@@ -525,6 +525,12 @@ class DfsCluster:
         with self._lock:
             return name in self._meta_table
 
+    def meta_names(self, prefix: str = "") -> list[str]:
+        """The registered meta files whose names start with `prefix`,
+        sorted, read under one lock."""
+        with self._lock:
+            return sorted(n for n in self._meta_table if n.startswith(prefix))
+
     def meta_unregister(self, name: str) -> None:
         """Remove meta file `name` and every file under its name in one
         table save; their blocks are dropped after it."""

@@ -212,19 +212,19 @@ class Database:
         self.locks = locks if locks is not None else LockService()
         self._session_seq = 0
         self.data = manager.open_meta(self.data_name)
-        self.master = manager.open_meta(self.log_name)
         # the sessions, recovery and maintenance share one store, so one
         # log table index; without deferral every commit runs the batch
         self.store = DfsTransactionStore(
-            manager, self.data, self.master, total_pages,
+            manager, self.data, self.log_name, total_pages,
             post_commit_threshold if deferred else 0, faults)
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def meta_names(name: str) -> tuple[str, str]:
-        """The data meta file of database `name` and its log's master
-        meta file, which names the log's live generation."""
+        """The data meta file of database `name` and the name of its log,
+        whose generations are meta files under it; the lowest registered
+        one is live (see `wormdb.spdu_dfs`)."""
         return f"{name}/data", f"{name}/log"
 
     @classmethod
@@ -273,8 +273,8 @@ class Database:
 
     def recover(self) -> str:
         """Run restart processing; returns "rollback" or "clean". Restart
-        drops the log generations the master block does not name and
-        truncates the live one's uncommitted tail: it writes no page."""
+        drops every log generation but the lowest, the live one, and
+        truncates its uncommitted tail: it writes no page."""
         return self.store.restart_system()
 
     def session(self, owner: str | None = None) -> "Session":
@@ -287,8 +287,9 @@ class Database:
         Takes the write lock, whose begin drops any uncommitted log tail,
         and returns the number of data-block remakes. Success or failure,
         it then aborts the session, which makes no DFS call, so no second
-        error hides the first. A batch that fails before its master
-        switch is abandoned, and the next batch does its work.
+        error hides the first. A batch that fails before it drops the
+        live generation, its commit point, is abandoned, and the next
+        batch does its work.
         """
         session = self.session("maintenance")
         session.begin(WRITE)
@@ -504,11 +505,13 @@ class Session:
         if pageid >= cat.index_floor or pageid >= cat.total_pages:
             raise DatabaseFull(
                 f"heap page {pageid} collides with index space")
-        page = SlottedPage(self._fresh_page(pageid))
-        if need > page.free_space():
+        # tested on a page of its own, so a refused record leaves no
+        # fresh page dirty
+        if need > SlottedPage(bytearray(self.page_size)).free_space():
             raise RecordTooLarge(
                 f"{need - SLOT_SIZE}-byte record exceeds empty page "
                 f"capacity")
+        page = SlottedPage(self._fresh_page(pageid))
         cat.heap_used += 1
         self._set_tail(pageid, page)
 

@@ -31,8 +31,6 @@ SPDU_DFS_FAULT_POINTS = (
     "dfs.batch.after_carry_append",
     "dfs.batch.before_block_remake",
     "dfs.batch.after_block_remake",
-    "dfs.batch.before_master_switch",
-    "dfs.batch.after_master_switch",
     "dfs.batch.before_generation_drop",
     "dfs.batch.after_generation_drop",
     "dfs.restart.begin",

@@ -14,16 +14,15 @@ A block is at most one DFS block, and its constituent is only as long
 as what was written, as an HDFS file ends in a partial block and a GFS
 chunk replica grows only as needed. An overwritten block, and block 0
 of a sparse create, is whole pages stored up to its last nonzero page,
-at least one: a data block ends at the last page written to it, the
-log's master block is one page. An appended block may be any length: a
-log block holds just its compressed body and its footer bytes. The
-NameNode entry that gives a block's file_id also gives its size, so a
-reader learns where a short block ends from the same call: a page
-wholly past that end reads as zeros without a DFS read, as a hole's
-pages do (below), and a page that starts before the end and runs past
-it is OutOfRange. Given an entry the caller already holds,
-`read_page_of` reads one page of it and `read_bytes` reads from a given
-offset to its end.
+at least one: a data block ends at the last page written to it. An
+appended block may be any length: a log block holds just its
+compressed body and its footer bytes. The NameNode entry that gives a
+block's file_id also gives its size, so a reader learns where a short
+block ends from the same call: a page wholly past that end reads as
+zeros without a DFS read, as a hole's pages do (below), and a page that
+starts before the end and runs past it is OutOfRange. Given an entry
+the caller already holds, `read_page_of` reads one page of it and
+`read_bytes` reads from a given offset to its end.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -68,16 +67,15 @@ The id call also reports a block whose replicas are all dead, so replica
 loss surfaces on a cached block too. There is no eviction by size: a
 remake replaces the constituent's entry, and a truncate or delete
 through this manager drops it, so the cache never holds more than the
-data blocks written or read and the live log. The engine's log is a
-master block and a live generation, a meta file the batch replaces and
-deletes once it holds more than `post_commit_threshold` blocks' worth of
-raw bytes; the generation that replaces it holds at most half that, so
-the live log is at most that many bytes plus what one commit appends,
-and the master block. The
-cache takes no lock: a reader racing a remake or another reader can only
-cache a range under an id that has died, which is never served, or
-replace an entry another reader, an append or a remake made, which costs
-one more DFS read.
+data blocks written or read and the live log. The engine's log is its
+live generation, a meta file the batch replaces and deletes once it
+holds more than `post_commit_threshold` blocks' worth of raw bytes; the
+generation that replaces it holds at most half that, so the live log is
+at most that many bytes plus what one commit appends. The cache takes
+no lock: a reader racing a remake or another reader can only cache a
+range under an id that has died, which is never served, or replace an
+entry another reader, an append or a remake made, which costs one more
+DFS read.
 """
 
 from __future__ import annotations
@@ -125,11 +123,10 @@ class MetaDfsManager:
     one is given 1 to `pages_per_block` whole pages and holds them up to
     the last nonzero one (see above).
 
-    One manager is shared by all sessions of an engine; remake counters are
-    kept here (per meta file and total) for the cost accounting the
-    deferred post-commit design is judged by, beside `fills_total`, the
-    creates of blocks that had no constituent (see `overwrite_block`),
-    and so is the page cache.
+    One manager is shared by all sessions of an engine; `remakes_total`
+    is kept here for the cost accounting the deferred post-commit design
+    is judged by, beside `fills_total`, the creates of blocks that had no
+    constituent (see `overwrite_block`), and so is the page cache.
     """
 
     def __init__(self, cluster: DfsCluster, page_size: int):
@@ -139,7 +136,6 @@ class MetaDfsManager:
         self.pages_per_block = pages_per_block(page_size, self.block_size)
         self._counter_lock = threading.Lock()
         self.remakes_total = 0
-        self.remakes_by_file: dict[str, int] = {}
         self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
         # manager wrote it or read it whole, else {(start, end): bytes} of
@@ -174,6 +170,11 @@ class MetaDfsManager:
 
     def exists(self, name: str) -> bool:
         return self.cluster.meta_exists(name)
+
+    def meta_names(self, prefix: str) -> list[str]:
+        """The registered meta files whose names start with `prefix`,
+        sorted (`DfsCluster.meta_names`)."""
+        return self.cluster.meta_names(prefix)
 
     def delete_meta(self, file: MetaDfsFile) -> None:
         """Unregister the file together with every DFS file under its name
@@ -254,8 +255,6 @@ class MetaDfsManager:
                 self.fills_total += 1
                 return
             self.remakes_total += 1
-            self.remakes_by_file[file.name] = \
-                self.remakes_by_file.get(file.name, 0) + 1
 
     def has_constituent(self, file: MetaDfsFile, block_id: int) -> bool:
         """Whether a block has a constituent, a hole has none; unlike
@@ -381,11 +380,3 @@ class MetaDfsManager:
         were read under (observability)."""
         return {name: file_id
                 for name, (file_id, _) in list(self._cache.items())}
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def remakes_of(self, name: str) -> int:
-        with self._counter_lock:
-            return self.remakes_by_file.get(name, 0)

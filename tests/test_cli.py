@@ -139,12 +139,12 @@ def _open_root(root, faults):
 @pytest.mark.parametrize("log", ["clean", "rollback", "abandoned batch"])
 def test_recover_says_why_it_chose_its_path(small_root, capsys, log):
     """Beside the path it took, `recover` reports what it chose it from,
-    as the log stood before: the live log generation the master block
-    names, and that generation's blocks past its committed prefix. A
-    block past the prefix is a rollback, else the log is clean; a batch
-    that crashed before its master switch is abandoned, so its log is
-    clean at the same generation. A second `recover` then finds it
-    clean."""
+    as the log stood before: the live log generation, the lowest
+    registered, and that generation's blocks past its committed prefix.
+    A block past the prefix is a rollback, else the log is clean; a
+    batch that crashed before it dropped the live generation is
+    abandoned, so its log is clean at the same generation. A second
+    `recover` then finds it clean."""
     root, config = small_root
     assert run_cli(["gen", "--tuples", "50", "--seed", "4"], root,
                    config) == 0
@@ -160,7 +160,7 @@ def test_recover_says_why_it_chose_its_path(small_root, capsys, log):
             db.store.write_page(pageid, bytes(db.manager.page_size))
         s.abort()
     elif log == "abandoned batch":
-        faults.arm("dfs.batch.before_master_switch")
+        faults.arm("dfs.batch.before_generation_drop")
         with pytest.raises(CrashPoint):
             db.run_maintenance()
     assert run_cli(["recover"], root) == 0
@@ -216,17 +216,17 @@ def test_crash_point_exit_code_and_recover(small_root):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["records_returned"] == 260
 
-    # crash in the middle of batch post-commit, before its master switch:
-    # the batch is abandoned, and recover finds the log clean at the same
-    # generation (ten-row inserts land in the committed heap's tail
-    # block, which is logged, so each commit appends a short log block;
-    # the 31st commit's batch is the first, when the log passes 16
-    # blocks' worth of bytes, 131,072; with 10-byte index entries the
-    # log holds 128,895 before it)
+    # crash in the middle of batch post-commit, before it drops
+    # generation 1, its commit point: the batch is abandoned, and recover
+    # finds the log clean at the same generation (ten-row inserts land
+    # in the committed heap's tail block, which is logged, so each commit
+    # appends a short log block; the 31st commit's batch is the first,
+    # when the log passes 16 blocks' worth of bytes, 131,072; with
+    # 10-byte index entries the log holds 128,895 before it)
     result = run_cli_subprocess(
         ["run", "--workload", "insert", "--repeat", "10",
          "--repeat-runs", "40",
-         "--crash-point", "dfs.batch.before_master_switch"], root)
+         "--crash-point", "dfs.batch.before_generation_drop"], root)
     assert result.returncode == 42, result.stderr
     result = run_cli_subprocess(["recover"], root)
     assert result.returncode == 0, result.stderr
@@ -540,54 +540,92 @@ def test_a_root_whose_committed_log_body_does_not_decode_is_refused(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def test_a_root_of_the_master_format_before_generations_is_one_error_line(
-        small_root, capsys):
-    """A root whose log master block names no generation, as the master
-    block of a root written before log generations (its magic, then the
-    flag) does, is refused: `recover` and `run` print one error line and
-    exit 2."""
-    root, config = small_root
-    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
-                   config) == 0
-    capsys.readouterr()
+def _rewrite_log_as_a_master_file(root, master_page, generations):
+    """Rewrite the log of the database at `root`, on which no batch has
+    run, as a root written with a log master meta file holds it: the
+    master meta file `db/log`, whose block 0 is `master_page`, and the
+    log blocks in generation `db/log/gen1` or, without `generations`,
+    after the master page in `db/log` itself. The database then has no
+    log generation this package reads."""
     cluster = DfsCluster(
         DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
         SMALL_CONFIG["num_nodes"], root)
     manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
-    manager.overwrite_block(
-        manager.open_meta("db/log"), 0, struct.pack("<IB", 0x4C4F4730, 0)
-        .ljust(SMALL_CONFIG["page_size"], b"\0"))
+    live = manager.open_meta(generation_name("db/log", 1))
+    blocks = [manager.read_block(live, block_id)
+              for block_id in range(live.block_count)]
+    master = manager.create_meta("db/log")
+    manager.append_block(
+        master, master_page.ljust(SMALL_CONFIG["page_size"], b"\0"))
+    target = manager.create_meta("db/log/gen1") if generations else master
+    for block in blocks:
+        manager.append_block(target, block)
+    manager.delete_meta(live)
+    assert cluster.meta_names("db/log") == (
+        ["db/log", "db/log/gen1"] if generations else ["db/log"])
+
+
+def _refused_with_one_error_line(root, capsys):
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    with pytest.raises(RecoveryError, match="^log db/log has no generation$"):
+        Database.open(cluster, "db", SMALL_CONFIG["page_size"])
     for command in (["recover"], ["run", "--workload", "scan"]):
         assert run_cli(command, root) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: log master block has bad magic"]
+            "error: log db/log has no generation"]
+
+
+def test_a_root_of_the_master_format_before_generations_is_one_error_line(
+        small_root, capsys):
+    """A root whose log is one master meta file, its master block (its
+    magic, then the flag) and then the log blocks, as a root written
+    before log generations holds it, is refused: it has no generation,
+    so an open raises RecoveryError, and `recover` and `run` print one
+    error line and exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    _rewrite_log_as_a_master_file(
+        root, struct.pack("<IB", 0x4C4F4730, 0), generations=False)
+    _refused_with_one_error_line(root, capsys)
 
 
 def test_a_root_of_the_master_format_with_a_commit_flag_is_one_error_line(
         small_root, capsys):
     """A root whose log master block holds a batch commit_flag before
     the live generation, as the master block of a root written while a
-    batch still set and cleared that flag does, is refused: `recover`
-    and `run` print one error line and exit 2."""
+    batch still set and cleared that flag does, beside generation
+    `gen1`, is refused: an open raises RecoveryError, and `recover` and
+    `run` print one error line and exit 2."""
     root, config = small_root
     assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
                    config) == 0
     capsys.readouterr()
-    cluster = DfsCluster(
-        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
-        SMALL_CONFIG["num_nodes"], root)
-    manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
-    manager.overwrite_block(
-        manager.open_meta("db/log"), 0, struct.pack("<IBQ", 0x4C4F4731, 0, 1)
-        .ljust(SMALL_CONFIG["page_size"], b"\0"))
-    for command in (["recover"], ["run", "--workload", "scan"]):
-        assert run_cli(command, root) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: log master block has bad magic"]
+    _rewrite_log_as_a_master_file(
+        root, struct.pack("<IBQ", 0x4C4F4731, 0, 1), generations=True)
+    _refused_with_one_error_line(root, capsys)
+
+
+def test_a_root_with_a_log_master_block_is_one_error_line(
+        small_root, capsys):
+    """A root whose log master block names the live generation, `gen1`,
+    as a root written while the master block was the batch's commit
+    point holds it, is refused, though generation `gen1` is registered:
+    no log generation is read from a name older roots used, so an open
+    raises RecoveryError, and `recover` and `run` print one error line
+    and exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    _rewrite_log_as_a_master_file(
+        root, struct.pack("<IQ", 0x4C4F4732, 1), generations=True)
+    _refused_with_one_error_line(root, capsys)
 
 
 def test_a_root_of_catalog_version_1_is_one_error_line(small_root, capsys,
@@ -738,9 +776,9 @@ def test_out_of_range_number_fails_at_parse_time(small_root, capsys, argv):
 
 
 @pytest.mark.parametrize("method,failing_call", [
+    ("meta_register", 1),  # the data file, the first NameNode mutation
     ("create_file", 1),    # the data file's catalog block
-    ("meta_register", 2),  # the log's first generation, the data done
-    ("create_file", 2)])   # the log's master block, counted as it lands
+    ("meta_register", 2)])  # the log's first generation, the data done
 def test_gen_after_an_unfinished_create_loads_every_row(
         small_root, capsys, monkeypatch, method, failing_call):
     """A gen that fails inside Database.create leaves no db.json; the next

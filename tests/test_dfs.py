@@ -670,6 +670,32 @@ def test_meta_block_entries_follow_constituents():
     assert manager.read_page(log, 16) == bytes([7]) * 4 * KB
 
 
+def test_meta_names_lists_registered_meta_files_by_prefix(tmp_path):
+    """`meta_names` lists the registered meta files whose names start
+    with a prefix, sorted, and a reload over the root lists the same;
+    a DFS file is not listed, and the call changes no meta file's
+    version and saves no table."""
+    root = str(tmp_path / "root")
+    cluster = make_cluster(root=root)
+    for name in ("log/g10", "log/g2", "log", "data", "log/g2x/data"):
+        cluster.meta_register(name, 0)
+    cluster.create_file("log/g3", b"x")
+    table = os.path.join(root, "namenode.tbl")
+    saved = os.stat(table).st_mtime_ns
+    versions = [cluster.meta_version(name) for name in ("log", "log/g2")]
+    assert cluster.meta_names("log/g") == ["log/g10", "log/g2",
+                                           "log/g2x/data"]
+    assert cluster.meta_names("") == cluster.meta_names() == [
+        "data", "log", "log/g10", "log/g2", "log/g2x/data"]
+    assert cluster.meta_names("none") == []
+    assert [cluster.meta_version(name) for name in ("log", "log/g2")] == \
+        versions
+    assert os.stat(table).st_mtime_ns == saved
+    cluster.meta_unregister("log/g10")
+    assert make_cluster(root=root).meta_names("log/") == \
+        ["log/g2", "log/g2x/data"]
+
+
 def test_meta_version_counts_each_mutation_that_touches_a_meta_file():
     """Every NameNode mutation of a meta file's block count or of a file
     under its name adds one to its version, and no other mutation, a

@@ -37,6 +37,7 @@ from wormdb.errors import (
     LockError,
     NotFound,
     OutOfRange,
+    RecordTooLarge,
     StorageError,
     UpgradeConflict,
     ValueTooLong,
@@ -46,7 +47,7 @@ from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
 from wormdb.pagefmt import PAGE_HEADER_SIZE
 from wormdb.pages import SlottedPage
-from wormdb.records import UserVisitsRecord, unpack_record
+from wormdb.records import UserVisitsRecord, pack_record, unpack_record
 from wormdb.spdu_dfs import DfsTransactionStore
 
 PAGE = 512
@@ -720,13 +721,41 @@ def test_database_full_surfaces():
     s.abort()
 
 
+def test_a_refused_record_leaves_no_fresh_page_dirty():
+    """A record too large for an empty page is refused before a fresh
+    heap page is made: a caller that catches RecordTooLarge and commits
+    writes only the page its small insert filled, and the heap stays one
+    page long."""
+    db = make_db(total=64, page=256, block=2048)
+    s = db.session()
+    s.begin("write")
+    s.insert_record(rec(1))
+    big = replace(rec(2), dest_url="x" * 100, user_agent="y" * 64,
+                  search_word="")
+    big = replace(big, search_word="z" * (236 - len(pack_record(big))))
+    assert len(pack_record(big)) == 236
+    with pytest.raises(RecordTooLarge):
+        s.insert_record(big)
+    assert sorted(s._dirty) == [1] and s.catalog.heap_used == 1
+    s.commit()
+    assert read_all(db.session()) == [rec(1)]
+    s.begin("read")
+    assert s.catalog.heap_used == 1
+    s.commit()
+
+
 def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     """Commits of ten seeded rows fill a 256-page store until the index
     extent of a commit's merged segment collides with the heap. The
     counts were measured when each record went onto its page and each
     index entry into its segment one at a time; the failing commit reads
     no folded segment, since its merge reads them only after the extent
-    is allocated."""
+    is allocated. The DFS bytes were re-pinned (8,523,351 -> 8,498,754)
+    when the log's master block went: the create's master page and the
+    one batch's, 12,288 bytes each with three replicas, came off, and
+    the log blocks take 21 bytes fewer, since the bases they hold are
+    file ids, which the master's remakes no longer draw from the
+    cluster's one counter."""
     config = EngineConfig(total_pages=256)
     cluster = DfsCluster(config.dfs_config(), config.num_nodes)
     db = Database.create(cluster, "db", config.total_pages, config.page_size,
@@ -745,7 +774,7 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
             s.commit()
     assert str(full.value) == "index extent of 3 pages collides with heap"
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4810, 1813, 1587, 8_523_351)
+            cluster.counters.bytes_written) == (4810, 1813, 1587, 8_498_754)
     assert read_all(s) == rows[:-10]
 
 
@@ -766,7 +795,7 @@ def test_threshold_commit_compacts_log():
     # the last commit ran a batch: it remade blocks and carried the other
     # logged pages into generation 2, in one block
     assert (db.store.generation, db.store.log.block_count) == (2, 1)
-    assert db.manager.remakes_of(db.data_name) > 0
+    assert db.manager.remakes_total > 0
     s.begin("read")
     assert len(s.scan(10 ** 6)) == 180
     s.commit()
@@ -783,7 +812,7 @@ def _remakes_per_commit(db) -> list[int]:
             s.insert_record(rec(len(remakes) * 1000 + i, key=f"9.9.9.{i % 3}"))
         s.commit()
         assert db.store.log.block_count == 0
-        assert db.manager.remakes_of(db.data_name) > 0
+        assert db.manager.remakes_total > 0
         remakes.append(db.manager.remakes_total)
     s.begin("write")
     assert s.update_by_key("9.9.9.1", "DEU", use_index=True) == 70
@@ -834,12 +863,11 @@ def test_maintenance_trigger_compacts_log():
 
 
 def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
-    """A batch that fails at its master switch, while creating the
-    replacement of the log master block that names generation 2, leaves
-    the old master naming generation 1 in place; the caller must see
-    that failure, not a later one, and the lock must be free."""
+    """A batch that fails at its commit point, the drop of generation 1,
+    leaves generation 1 live beside the generation 2 it made; the caller
+    must see that failure, not a later one, and the lock must be free."""
 
-    class RemakeFailed(RuntimeError):
+    class DropFailed(RuntimeError):
         pass
 
     db = make_db(threshold=10 ** 6)
@@ -848,22 +876,20 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
     for i in range(20):
         s.insert_record(rec(i))
     s.commit()
-    master = constituent_name(db.log_name, 0)
-    old_master = db.manager.read_block(db.master, 0)
-    create_file = DfsCluster.create_file
+    meta_unregister = DfsCluster.meta_unregister
     failed = []
 
-    def fail_once(cluster, name, content, meta=None):
-        if name == f"{master}.new" and not failed:
+    def fail_once(cluster, name):
+        if name == GEN1 and not failed:
             failed.append(name)
-            raise RemakeFailed(name)
-        return create_file(cluster, name, content, meta)
+            raise DropFailed(name)
+        return meta_unregister(cluster, name)
 
-    monkeypatch.setattr(DfsCluster, "create_file", fail_once)
-    with pytest.raises(RemakeFailed):
+    monkeypatch.setattr(DfsCluster, "meta_unregister", fail_once)
+    with pytest.raises(DropFailed):
         db.run_maintenance()
-    assert failed == [f"{master}.new"]
-    assert db.manager.read_block(db.master, 0) == old_master
+    assert failed == [GEN1]
+    assert spdu_dfs.log_generations(db.manager, db.log_name) == [1, 2]
     assert db.store.log_state() == {"generation": 1, "uncommitted_blocks": 0}
     assert db.locks.snapshot(db.data_name) == []
 
@@ -1153,12 +1179,12 @@ def test_warm_reader_sees_peer_batch_remake():
     writer.commit()
     db.run_maintenance()
     assert [r.country_code for r in read_all(reader)] == ["KOR"] * 30
-    remakes = db.manager.remakes_of(db.data_name)
+    remakes = db.manager.remakes_total
     writer.begin("write")
     assert writer.update_by_key("8.8.8.1", "USA", use_index=True) == 10
     writer.commit()
     assert drain(db) > 0  # a batch in the maintenance session
-    assert db.manager.remakes_of(db.data_name) > remakes
+    assert db.manager.remakes_total > remakes
     assert db.store.log.block_count == 0  # every read from data blocks
     rows = read_all(reader)
     assert [r.country_code for r in rows] == \
@@ -1181,7 +1207,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
             s.insert_record(rec(i, key=f"7.7.7.{i % 4}"))
         s.commit()
     drain(db)
-    remakes = db.manager.remakes_of(db.data_name)
+    remakes = db.manager.remakes_total
     assert remakes > 0 and db.store.log.block_count == 0
     cluster = db.manager.cluster
     before = cluster.counters.snapshot()
@@ -1190,7 +1216,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     assert s.update_by_key("7.7.7.1", "USA", use_index=True) == 40
     s.commit()
     drain(db)
-    assert db.manager.remakes_of(db.data_name) > remakes
+    assert db.manager.remakes_total > remakes
     assert db.store.log.block_count == 0
     assert cluster.counters.read_calls == before.read_calls
     expected = ["USA" if i % 4 == 1 else "KOR" for i in range(160)]
@@ -1363,7 +1389,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
             else:
                 session.commit()
         fresh = MetaDfsManager(cluster, db.manager.page_size)
-        for file in (db.data, db.master, db.store.log):
+        for file in (db.data, db.store.log):
             entries = db.manager.constituent_entries(file)
             for block_id, entry in enumerate(entries):
                 # a data block with no constituent reads as a whole block
@@ -1407,7 +1433,7 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     s.begin("write")
     for i in range(20, 40):
         s.insert_record(rec(i))
-    faults.arm("dfs.batch.before_master_switch")
+    faults.arm("dfs.batch.before_generation_drop")
     db.store.post_commit_threshold = 0  # force the batch at this commit
     with pytest.raises(CrashPoint):
         s.commit()
@@ -1421,6 +1447,61 @@ def test_persistent_crash_survives_process_restart(tmp_path):
     assert len(s2.scan(100)) == 40
     assert reopened.store.generation == 1
     s2.commit()
+
+
+BATCH_POINTS = [point for point in SPDU_DFS_FAULT_POINTS
+                if point.startswith("dfs.batch.")]
+
+
+@pytest.mark.parametrize("death", ["in process", "of the process"])
+@pytest.mark.parametrize("point", BATCH_POINTS)
+def test_a_batch_dying_at_any_point_leaves_its_generation_or_the_next(
+        tmp_path, point, death):
+    """A batch that both carries pages into generation g+1 and remakes a
+    data block dies at `point`: the registered generations are then g,
+    or g and g+1, or g+1 once g's drop, the commit point, is done.
+    Restart, in the same process or over a fresh cluster on the
+    persistent root after the process died, leaves only the lowest, and
+    the committed rows read back as the row model holds them, and take
+    one more commit."""
+    root = None if death == "in process" else str(tmp_path / "root")
+    faults = FaultInjector()
+    db = make_db(threshold=10 ** 6, faults=faults, root=root)
+    commit_rows(db.session(), range(120))
+    drain(db)
+    s = db.session()
+    s.begin("write")
+    for i in range(120):
+        assert s.update_by_key(rec(i).source_ip, "USA", use_index=True) == 1
+    s.commit()
+    commit_rows(db.session(), range(120, 123))
+    rows = [replace(rec(i), country_code="USA") for i in range(120)] + \
+        [rec(i) for i in range(120, 123)]
+    assert read_all(db.session()) == rows
+    g = db.store.generation
+    # every page of data block 0 is logged, so the batch remakes it, and
+    # it carries the pages of the others
+    logged = Counter(pageid // db.manager.pages_per_block
+                     for pageid in db.store.index)
+    assert logged[0] == db.manager.pages_per_block and len(logged) > 1
+    faults.arm(point)
+    with pytest.raises(CrashPoint):
+        db.run_maintenance()
+    assert spdu_dfs.log_generations(db.manager, db.log_name) == {
+        "dfs.batch.begin": [g],
+        "dfs.batch.after_generation_drop": [g + 1]}.get(point, [g, g + 1])
+    if root is None:
+        reopened = db
+        reopened.recover()
+    else:
+        cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, root)
+        reopened = Database.open(cluster, "db", PAGE, recover=True)
+    live = g + (point == "dfs.batch.after_generation_drop")
+    assert spdu_dfs.log_generations(reopened.manager, "db/log") == [live]
+    assert reopened.store.generation == live
+    assert read_all(reopened.session()) == rows
+    commit_rows(reopened.session(), [123])
+    assert read_all(reopened.session()) == rows + [rec(123)]
 
 
 def test_catalog_round_trip_through_recovery():
@@ -1653,6 +1734,27 @@ def test_readers_that_begin_at_once_rebuild_the_index_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert tables == [[rec(i) for i in range(30)]] * 8
     assert counts["footers"] == 1
+
+
+def test_a_warm_read_begin_makes_one_version_call(monkeypatch):
+    """A read session's begin over a log no one changed since the last
+    begin makes one `meta_version` call, of the live generation, and
+    neither checks nor lists the generations."""
+    db = make_db()
+    commit_rows(db.session(), range(20))
+    s = db.session()
+    s.begin("read")
+    s.commit()
+    calls = Counter()
+    for method in ("meta_version", "meta_exists", "meta_names"):
+        def counted(cluster, *args, method=method,
+                    original=getattr(DfsCluster, method)):
+            calls[method] += 1
+            return original(cluster, *args)
+        monkeypatch.setattr(DfsCluster, method, counted)
+    s.begin("read")
+    assert calls == Counter(meta_version=1)
+    s.commit()
 
 
 def test_a_readers_begin_leaves_the_writers_buffer():
@@ -1992,11 +2094,11 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
     # the carried pages to it first, and unregisters the old generation
     registers = [i for i, (method, name, _) in enumerate(calls)
                  if method == "meta_register"
-                 and name.startswith("db/log/gen")]
+                 and name.startswith("db/log/g")]
     assert any(calls[i + 1][:2] == ("create_file",
                                     constituent_name(calls[i][1], 0))
                for i in registers)
-    assert any(method == "meta_unregister" and name.startswith("db/log/gen")
+    assert any(method == "meta_unregister" and name.startswith("db/log/g")
                for method, name, _ in calls)
     # and before a writer's begin drops a failed commit's tail
     assert _drops_a_tail(calls)
@@ -2081,8 +2183,8 @@ def test_discard_after_a_create_killed_past_its_first_generation(
 
 def test_discard_deletes_every_log_generation():
     """Discard of a database whose batch died after it registered the
-    next generation deletes the live generation, that one and the rest:
-    the cluster holds no meta file and no DFS file afterwards."""
+    next generation deletes the data file, the live generation and that
+    one: the cluster holds no meta file and no DFS file afterwards."""
     faults = FaultInjector()
     db = make_db(threshold=10 ** 6, faults=faults)
     commit_rows(db.session(), range(20))
@@ -2092,13 +2194,36 @@ def test_discard_deletes_every_log_generation():
     with pytest.raises(CrashPoint):
         db.run_maintenance()
     cluster = db.manager.cluster
-    names = ["db/data", "db/log", *(spdu_dfs.generation_name("db/log", g)
-                                    for g in (2, 3))]
-    assert [cluster.meta_exists(name) for name in names] == [True] * 4
-    assert not cluster.meta_exists(GEN1)
+    names = ["db/data", *(spdu_dfs.generation_name("db/log", g)
+                          for g in (2, 3))]
+    assert cluster.meta_names("") == names
     Database.discard(cluster, "db", PAGE)
-    assert not any(cluster.meta_exists(name) for name in names)
+    assert cluster.meta_names("") == []
     assert cluster.list_files() == []
+
+
+def test_a_database_named_under_a_logs_prefix_is_no_generation():
+    """Database `db/log/g7` keeps its meta files under `db/log/g7/`, a
+    name that starts as the generations of database `db` do. None of its
+    names ends in digits alone after that prefix, so `db` never reads
+    one as a generation: `db`'s batch, restart and discard leave the
+    other database's meta files and rows as they were."""
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
+    db = Database.create(cluster, "db", TOTAL, PAGE, 10 ** 6)
+    other = Database.create(cluster, "db/log/g7", TOTAL, PAGE, 10 ** 6)
+    commit_rows(db.session(), range(10))
+    commit_rows(other.session(), range(10, 15))
+    theirs = cluster.meta_names("db/log/g7/")
+    assert theirs == ["db/log/g7/data", "db/log/g7/log/g1"]
+    db.run_maintenance()
+    assert Database.open(cluster, "db", PAGE).store.generation == 2
+    assert spdu_dfs.log_generations(db.manager, "db/log") == [2]
+    assert read_all(db.session()) == [rec(i) for i in range(10)]
+    Database.discard(cluster, "db", PAGE)
+    assert cluster.meta_names("") == theirs
+    reopened = Database.open(cluster, "db/log/g7", PAGE)
+    assert reopened.store.generation == 1
+    assert read_all(reopened.session()) == [rec(i) for i in range(10, 15)]
 
 
 def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
@@ -2106,10 +2231,14 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     update and inserts, each commit running a batch, make the batches,
     remakes and fills they made when a batch ended in a truncate of one
     log: a generation's register and unregister write no block. The
-    byte pins were measured when each batch also set a commit_flag in
-    the master block before it began: one more master page, a remake of
-    the log's master meta file, per batch, which the pins take off. They
-    were also measured when the log held every page whole: the pages
+    byte pins were measured when a create wrote the log's master block
+    and each batch wrote it twice, to set a commit_flag before it began
+    and at its switch to the next generation: one master page, and two
+    per batch, each batch's two remakes of the log's master meta file,
+    which the pins take off; the log blocks then took 4 bytes more,
+    since the bases they hold are file ids, which the master's writes no
+    longer draw from the cluster's one counter. They were also
+    measured when the log held every page whole: the pages
     logged as their XOR with home take 4,550 bytes off, when a data
     block was stored whole: ending each at its last written page takes
     69,632 bytes off, and when an index entry held its whole key padded
@@ -2129,12 +2258,11 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     # maintenance batch
     batches = faults.hits["dfs.batch.begin"]
     assert batches == 1500 // 250 + 3
-    assert db.manager.remakes_of(db.log_name) == batches  # master switches
     replication = db.manager.cluster.config.replication_factor
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
-        (1_622_578 - 4_550 - 69_632 - 77_160 - batches * PAGE * replication,
-         47 - batches, 59)
+        (1_622_578 - 4_550 - 69_632 - 77_160
+         - (1 + 2 * batches) * PAGE * replication + 4, 47 - 2 * batches, 59)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():

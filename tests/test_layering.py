@@ -31,13 +31,11 @@ and the set of those names is ``SPDU_DFS_FAULT_POINTS``: ``hit`` takes
 any name, so a point missing from the registry could never be armed and
 the sweeps, which walk the registry, would skip it.
 
-The log's master block has one writer per purpose: only
-``create_log_meta``, which writes a new log's first master block, and
-``DfsTransactionStore._write_master`` pass the master meta file to a
-meta-file mutation, and only ``batch_post_commit`` calls
-``_write_master``, whose switch to the next generation is the batch's one
-commit point. ``restart_system`` calls neither ``batch_post_commit`` nor
-``_write_master``, so restart never writes a page.
+A batch's one commit point, the drop of the live log generation, has
+one home: only ``batch_post_commit`` passes the live generation
+(``self.log``) to ``delete_meta``. ``restart_system`` does not call
+``batch_post_commit``, so restart drops only the generations above the
+live one and never commits a batch or writes a page.
 
 A database has one transaction store, so one log table index: inside
 the package only ``Database.__init__`` constructs a
@@ -308,10 +306,10 @@ def test_detector_flags_naming_registering_and_dropping_a_meta_file():
 
 def test_only_the_store_names_registers_or_drops_a_log_generation():
     """A log generation is named, registered and dropped by the store
-    alone, which the master block makes atomic: no other module mentions
-    `generation_name` or registers or drops a meta file, so
-    `Database.create` and `discard` go through the store's functions, and
-    the meta-file layer only defines the calls."""
+    alone, whose drop of the live one commits a batch: no other module
+    mentions `generation_name` or registers or drops a meta file, so
+    `Database.create` and `discard` go through the store's functions,
+    and the meta-file layer only defines the calls."""
     offences = [f"{path.name}:{line}: {name}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 if path.name not in {STORE_MODULE, MUTATING_MODULE}
@@ -325,50 +323,42 @@ def test_only_the_store_names_registers_or_drops_a_log_generation():
                         META_FILE_LIFECYCLE) == []
 
 
-def master_writes(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing scope) for each meta-file mutation whose first
-    argument is the log's master meta file: a name or attribute
-    `master`."""
+def live_generation_drops(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing scope) for each `delete_meta` call whose first
+    argument is the live log generation: a name or attribute `log`."""
     return [(node.lineno, scope) for node, scope in scoped_nodes(source)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in META_FILE_MUTATIONS and node.args
-            and "master" in (getattr(node.args[0], "id", None),
-                             getattr(node.args[0], "attr", None))]
+            and node.func.attr == "delete_meta" and node.args
+            and "log" in (getattr(node.args[0], "id", None),
+                          getattr(node.args[0], "attr", None))]
 
 
-def test_detector_finds_master_writes_with_their_scope():
+def test_detector_finds_live_generation_drops_with_their_scope():
     source = (
-        "def create(manager):\n"
-        "    master = manager.create_meta('log')\n"
-        "    manager.append_block(master, b'')\n"
+        "def discard(manager, log):\n"
+        "    manager.delete_meta(log)\n"
         "class S:\n"
-        "    def switch(self):\n"
-        "        self.manager.overwrite_block(self.master, 0, b'')\n"
-        "        self.manager.overwrite_block(self.data, 0, b'')\n"
-        "        self.manager.read_block(self.master, 0)\n"
-        "        return master_block(self.master)\n"
+        "    def batch(self):\n"
+        "        self.manager.delete_meta(self.log)\n"
+        "        self.manager.delete_meta(self.data)\n"
+        "        self.manager.truncate_from(self.log, 0)\n"
+        "        return self.manager.version(self.log)\n"
     )
-    assert master_writes(source) == [(3, "create"), (6, "S.switch")]
+    assert live_generation_drops(source) == [(2, "discard"), (5, "S.batch")]
 
 
-def test_the_master_block_has_one_writer():
-    """A new log's master block is written by `create_log_meta`, and every
-    later one by a batch's master switch, through `_write_master`; restart
-    calls neither `batch_post_commit` nor `_write_master`, so it never
-    commits or writes a page."""
-    writers = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
-               for _, scope in master_writes(path.read_text("utf-8"))]
-    assert sorted(writers) == [
-        (STORE_MODULE, "DfsTransactionStore._write_master"),
-        (STORE_MODULE, "create_log_meta")]
+def test_only_a_batch_drops_the_live_generation():
+    """Dropping the live log generation commits a batch, so only
+    `batch_post_commit` drops it; restart does not call
+    `batch_post_commit`, so it never commits a batch or writes a
+    page."""
+    drops = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for _, scope in live_generation_drops(path.read_text("utf-8"))]
+    assert drops == [(STORE_MODULE, "DfsTransactionStore.batch_post_commit")]
     store = (PACKAGE / STORE_MODULE).read_text("utf-8")
-    callers = {name: [scope for _, scope in constructions(store, name)]
-               for name in ("batch_post_commit", "_write_master")}
-    assert callers["_write_master"] == \
-        ["DfsTransactionStore.batch_post_commit"]
     assert "DfsTransactionStore.restart_system" not in \
-        callers["batch_post_commit"] + callers["_write_master"]
+        [scope for _, scope in constructions(store, "batch_post_commit")]
 
 
 # module -> the scopes that may mention block_size_bytes (None: any scope)

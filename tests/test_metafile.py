@@ -78,8 +78,8 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     DFS read of just its bytes, which another manager then serves from
     its cache, and it makes no NameNode call."""
     data = create_data_meta(mgr, "db/data", 4 * N)
-    log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, 4 * N)
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, "db/log", 4 * N)
     store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
     store.commit_transaction()
     size = mgr.constituent_entry(store.log, 0).size_bytes
@@ -133,9 +133,9 @@ def test_overwrite_block_locality_and_remake_count(mgr):
     for i in range(4):
         mgr.append_block(f, block_of(i))
     before = [mgr.read_block(f, i) for i in range(4)]
-    assert mgr.remakes_of("m") == 0
+    assert mgr.remakes_total == 0
     mgr.overwrite_block(f, 2, block_of(99))
-    assert mgr.remakes_of("m") == 1
+    assert mgr.remakes_total == 1
     assert mgr.remakes_total == 1
     assert mgr.read_block(f, 2) == block_of(99)
     for i in (0, 1, 3):
@@ -545,11 +545,13 @@ def test_a_failed_append_leaves_no_servable_seed(disk_mgr, monkeypatch):
 
 
 def test_a_batch_leaves_no_log_block_past_the_master_cached():
+    """A batch uncaches the blocks of the generation it drops, so the
+    cache holds no log block but the new generation's."""
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
     data = create_data_meta(mgr, "db/data", 4 * N)
-    log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, 4 * N)
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, "db/log", 4 * N)
     for pageid in (1, N + 1, 3 * N):
         store.write_page(pageid, bytes([pageid % 256]) * PAGE)
         store.commit_transaction()
@@ -569,13 +571,11 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     # cached, from the cache: nothing from the DFS
     assert dfs_reads(mgr, store.batch_post_commit)[:2] == (0, 0)
     assert not log_blocks & set(mgr.cached_ids())
-    # the master block and the new generation, which holds the pages the
-    # batch carried
+    # only the new generation, which holds the pages the batch carried
     assert {name for name in mgr.cached_ids()
             if name.startswith("db/log/")} <= {
-        constituent_name("db/log", 0),
-        *(constituent_name(store.log.name, b)
-          for b in range(store.log.block_count))}
+        constituent_name(store.log.name, b)
+        for b in range(store.log.block_count)}
 
 
 def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
@@ -673,7 +673,7 @@ def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):
                      ("rename_file", f"{name}.new", name, True)]
     assert mgr.cluster.list_files("m/") == [name]
     assert mgr.read_block(f, 0) == block_of(2)
-    assert mgr.remakes_of("m") == 1
+    assert mgr.remakes_total == 1
 
 
 def test_a_stale_replacement_is_deleted_by_the_next_remake(mgr, monkeypatch):
@@ -716,7 +716,7 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
     mgr.overwrite_block(f, 2, block_of(5))
     assert calls == [("create_file", constituent_name("d", 2), block_of(5))]
-    assert (mgr.fills_total, mgr.remakes_of("d")) == (1, 0)
+    assert (mgr.fills_total, mgr.remakes_total) == (1, 0)
     assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
     assert mgr.open_meta("d").block_count == 4
 
@@ -738,7 +738,7 @@ def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
     mgr.overwrite_block(f, 3, block_of(4))  # a fill of the whole block
     mgr.overwrite_block(f, 4, bytes(BLOCK))  # an all-zero fill
     mgr.overwrite_block(f, 0, pages(5, 0, 0, 0, 0, 6, 0, 0))  # a remake
-    assert (mgr.fills_total, mgr.remakes_of("d")) == (3, 1)
+    assert (mgr.fills_total, mgr.remakes_total) == (3, 1)
     stored = {0: pages(5, 0, 0, 0, 0, 6), 1: None, 2: pages(0, 0, 0, 0, 3),
               3: block_of(4), 4: bytes(PAGE)}
     assert [None if entry is None else entry.size_bytes

@@ -52,13 +52,18 @@ reads fewer pages, and the load's three 500-row segments, 11 pages each,
 now share a tier with the insert's 300-row segment, which folds them all:
 it reads their 33 pages, writes a 37-page segment, and logs 17 pages,
 enough for a batch at threshold 1.
+
+The update without index's `dfs_remakes` (3 + 1 -> 3) and the insert's
+(2 + 1 -> 2) were re-pinned when the log's master block went: a batch
+now commits by dropping the live log generation, one NameNode mutation
+that remakes no block, so each pin lost its batch's master switch.
 """
 
 import zlib
 from collections import Counter
 
 from wormdb import bench, spdu_dfs
-from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
+from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
 from wormdb.locks import LockService
@@ -89,11 +94,11 @@ WORKLOADS = [
      (19, 9, 0, 9), 29184),
     ("update without index", dict(kind="update", key=KEY, use_index=False,
                                   new_country_code="QRS"),
-     # its batch's 3 data remakes and its master switch
-     (751, 9, 3 + 1, 9), 688128),
+     # its batch's 3 data remakes
+     (751, 9, 3, 9), 688128),
     ("insert", dict(kind="insert", repeat=300, seed=5, key=KEY),
-     # its batch's 2 data remakes and its master switch
-     (35, 188, 2 + 1, 300), 231454),
+     # its batch's 2 data remakes
+     (35, 188, 2, 300), 231454),
     ("scan after insert", dict(kind="scan", limit=10 ** 6),
      (901, 0, 0, 1800), 461312),
     ("select after insert", dict(kind="select", key=KEY, use_index=True),
@@ -150,24 +155,22 @@ def test_paper_counters_are_pinned(monkeypatch):
         newest
 
 
-def test_log_and_master_write_pages_not_blocks(monkeypatch):
+def test_log_and_data_write_pages_not_blocks(monkeypatch):
     """The bytes each meta file writes while the write workloads run: a
     log block is its logged pages compressed at zlib level 1 plus a
     footer of 13 bytes and 8 a page, fewer bytes than the raw pages and
-    footers, the master block one page per batch, at its switch to the
-    next log generation, and a data
-    block, per remake or fill, the bytes its write was handed up to their
-    last nonzero page. Zero padding of log, master or data blocks fails
-    this."""
+    footers, and a data block, per remake or fill, the bytes its write
+    was handed up to their last nonzero page. No other file is written:
+    a batch commits by dropping a log generation, which writes no byte.
+    Zero padding of log or data blocks fails this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
-    master = constituent_name(db.log_name, 0)  # and its ".new" remakes
     written, created, encoded = Counter(), Counter(), Counter()
     create_file = DfsCluster.create_file
 
     def tally(self, name, content, meta=None):
         entry = create_file(self, name, content, meta)
-        kind = "master" if name.startswith(master) else name.split("/")[1]
+        kind = name.split("/")[1]
         written[kind] += REPLICATION * len(content)
         created[kind] += 1
         if kind == "log":
@@ -196,19 +199,18 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
 
     monkeypatch.setattr(spdu_dfs, "pack_footer", footer)
     bytes_before = cluster.counters.bytes_written
-    masters_before = manager.remakes_of(db.log_name)
-    remakes_before = manager.remakes_of(db.data_name)
+    generation_before = db.store.generation
+    remakes_before = manager.remakes_total
     fills_before = manager.fills_total
     page_writes = 0
     for _, spec, _, _ in WORKLOADS:
         if spec["kind"] in ("update", "insert"):
             page_writes += bench.run_workload(
                 db, bench.WorkloadSpec(**spec)).page_writes
-    master_writes = manager.remakes_of(db.log_name) - masters_before
-    remakes = manager.remakes_of(db.data_name) - remakes_before
+    batches = db.store.generation - generation_before
+    remakes = manager.remakes_total - remakes_before
     fills = manager.fills_total - fills_before
-    # two batches, so two master switches
-    assert (page_writes, created["log"], master_writes, remakes) == \
+    assert (page_writes, created["log"], batches, remakes) == \
         (206, 6, 2, 5)
     # 35 pages the commits logged and 14 copies the batches carried; the
     # other 171 pages fill blocks past the heap's end in place
@@ -218,7 +220,7 @@ def test_log_and_master_write_pages_not_blocks(monkeypatch):
     assert encoded["pages"] == logged[0]
     assert written["log"] == REPLICATION * encoded["bytes"] < REPLICATION * (
         PAGE * logged[0] + FOOTER_FIXED_SIZE * created["log"] + 8 * logged[0])
-    assert written["master"] == REPLICATION * PAGE * master_writes
+    assert set(written) == {"log", "data"}
     assert len(data_writes) == remakes + fills
     ends = [max((k + 1 for k in range(len(content) // PAGE)
                  if any(content[k * PAGE:(k + 1) * PAGE])), default=1)

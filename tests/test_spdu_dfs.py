@@ -53,8 +53,8 @@ def make_store(threshold=64, faults=None, total=TOTAL, holes=False,
         data = mgr.create_meta("db/data")
         for _ in range(-(-total // N)):
             mgr.append_block(data, bytes(BLOCK))
-    log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, total, threshold,
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, "db/log", total, threshold,
                                 faults or FaultInjector())
     return store
 
@@ -193,7 +193,7 @@ def test_commit_defers_post_commit():
     store.write_page(7, page_with(rng))
     store.commit_transaction()
     # two commits without reaching the threshold: zero data remakes
-    assert store.manager.remakes_of("db/data") == 0
+    assert store.manager.remakes_total == 0
     assert store.log.block_count == 2
     pageids, complete = _footer(store, 0)
     assert (pageids, complete) == ([5, 3], True)
@@ -218,7 +218,7 @@ def test_commit_past_threshold_compacts_log():
     # the log passed T=2 blocks' worth -> batch ran; pages 0..15 fill
     # block 0, which it remakes, so no page is carried
     assert store.log.block_count == 0
-    assert store.manager.remakes_of("db/data") == 1
+    assert store.manager.remakes_total == 1
 
 
 def test_batch_waits_for_more_than_threshold_blocks_of_pages():
@@ -235,12 +235,12 @@ def test_batch_waits_for_more_than_threshold_blocks_of_pages():
     store.commit_transaction()
     for _ in range(109):
         store.commit_transaction()
-    assert (store.log.block_count, store.manager.remakes_of("db/data")) \
+    assert (store.log.block_count, store.manager.remakes_total) \
         == (110, 0)
     store.commit_transaction()
     # block 0's N - 3 pages take more than half the trigger, so none
     # rides into the next generation and the block is remade
-    assert (store.log.block_count, store.manager.remakes_of("db/data")) \
+    assert (store.log.block_count, store.manager.remakes_total) \
         == (0, 1)
 
 
@@ -270,13 +270,13 @@ def test_batch_remake_count_equals_distinct_data_blocks(monkeypatch):
             store.write_page(pid, contents[pid])
         store.commit_transaction()
         assert store.batch_post_commit() == 0
-        assert remade == [] and store.manager.remakes_of("db/data") == 0
+        assert remade == [] and store.manager.remakes_total == 0
         assert {pid // N for pid in store.index} == carried
         for pid, content in contents.items():
             assert payload(store.read_page(pid)) == payload(content)
             assert page_header(store.read_page(pid))[0] == pid
     assert _drain(store) == 3
-    assert remade == [0, 1, 2] and store.manager.remakes_of("db/data") == 3
+    assert remade == [0, 1, 2] and store.manager.remakes_total == 3
     assert store.index == {}
     for pid, content in contents.items():
         assert payload(store.read_page(pid)) == payload(content)
@@ -303,7 +303,7 @@ def test_a_lone_hot_page_rides_until_its_credit_runs_out():
         assert store.log.block_count == 1 - remakes[-1]
         assert payload(store.read_page(5)) == payload(content)
     assert remakes == [0] * (N - 1) + [1, 0]
-    assert store.manager.remakes_of("db/data") == 1
+    assert store.manager.remakes_total == 1
 
 
 def test_the_carried_pages_never_exceed_half_the_trigger(monkeypatch):
@@ -459,7 +459,8 @@ def test_reconstruction_last_wins_across_blocks():
     newer = page_with(rng)
     store.write_page(5, newer)
     store.flush_buffer(mark_commit=True)    # block 3
-    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data,
+                                store.log_name, TOTAL)
     assert _index(fresh)[5][0] == 2
     assert payload(fresh.read_page(5)) == payload(newer)
 
@@ -471,7 +472,7 @@ def _peer(store, threshold=64):
     mgr = MetaDfsManager(store.manager.cluster, store.manager.page_size)
     return DfsTransactionStore(
         mgr, mgr.open_meta(store.data.name),
-        mgr.open_meta(store.master.name), TOTAL, threshold)
+        store.log_name, TOTAL, threshold)
 
 
 def _index(store):
@@ -559,7 +560,7 @@ def test_warm_index_after_peer_batch_refills_same_block_ids():
     assert store.log.block_count == 0
     _commit_blocks(store, rng, 4)
     calls, _, index = _reads_during(reader, lambda: _index(reader))
-    assert calls == 1 + 4  # the master block, which names gen 2, and footers
+    assert calls == 4  # the footers of generation 2, now the lowest
     assert reader.footers() != old_footers
     assert index == _index(_peer(store))
     for pid in range(TOTAL):
@@ -689,6 +690,40 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
     assert lookups == [GEN1] * 2
 
 
+def test_a_begin_lists_the_generations_only_after_a_drop(monkeypatch):
+    """A reader's begin over an unchanged log asks the NameNode's
+    registry one thing, the live generation's version. Another store's
+    commit moves that version, so the next begin also checks that the
+    generation is still registered; only after another store's batch
+    dropped it does a begin list the generations, once, and open the
+    lowest."""
+    store = make_store()
+    rng = random.Random(28)
+    _commit_blocks(store, rng, 2)
+    reader = _peer(store)
+    reader.begin_transaction(write=False)
+    cluster = store.manager.cluster
+    calls = []
+    for method in ("meta_version", "meta_exists", "meta_names"):
+        def counted(*args, method=method, original=getattr(cluster, method)):
+            calls.append(method)
+            return original(*args)
+        monkeypatch.setattr(cluster, method, counted)
+    reader.begin_transaction(write=False)
+    assert calls == ["meta_version"]
+    _commit_blocks(store, rng, 1)
+    calls.clear()
+    reader.begin_transaction(write=False)
+    assert calls == ["meta_version", "meta_exists"]
+    store.batch_post_commit()
+    calls.clear()
+    reader.begin_transaction(write=False)
+    assert calls == ["meta_version", "meta_exists", "meta_names",
+                     "meta_version"]
+    assert reader.generation == store.generation == 2
+    assert reader.index == _index(_peer(store))
+
+
 def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
     """A rebuild over k log blocks takes every block's entry from one
     meta_block_entries call and reads each footer with the entry it
@@ -743,6 +778,22 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
             assert store.footers() == fresh.footers(), (seed, step)
 
 
+def test_log_generations_are_the_all_digit_names_lowest_first():
+    """A log's generations are the registered meta files named
+    `generation_name(log, g)` for an all-digit g, lowest first: a name
+    that goes on past the digits, has other characters or other digits
+    after the log's prefix, or was a generation's name under an older
+    prefix, is none."""
+    mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4), PAGE)
+    for name in ("db/log/g12", "db/log/g3", "db/log/g3/data", "db/log/gx",
+                 "db/log/g\u00b2", "db/log/g", "db/log/gen1", "db/log",
+                 "db/logs/g1"):
+        mgr.create_meta(name)
+    assert spdu_dfs.log_generations(mgr, "db/log") == [3, 12]
+    assert spdu_dfs.generation_name("db/log", 3) == "db/log/g3"
+    assert spdu_dfs.log_generations(mgr, "other/log") == []
+
+
 GEN2 = spdu_dfs.generation_name("db/log", 2)
 
 
@@ -750,10 +801,11 @@ GEN2 = spdu_dfs.generation_name("db/log", 2)
                          ids=["dropped", "left"])
 def test_a_write_with_no_begin_after_a_peers_batch_lands_in_the_live_generation(
         drop_fails):
-    """Store A last read generation 1 when B's batch names generation 2
-    and drops 1, or fails before the drop and leaves 1 for restart to
-    drop. A then commits with no begin: the commit lands in generation
-    2, never in 1, and a restarted store reads it."""
+    """Store A last read generation 1 when B's batch drops it, which
+    makes generation 2 live, or fails before the drop, which leaves 1
+    live and 2 for restart to drop. A then commits with no begin: the
+    commit lands in the live generation, never in the other, and a
+    restarted store, which drops the other, reads it."""
     rng = random.Random(21)
     a = make_store()
     b = _peer(a)
@@ -771,19 +823,21 @@ def test_a_write_with_no_begin_after_a_peers_batch_lands_in_the_live_generation(
             b.batch_post_commit()
     else:
         b.batch_post_commit()
-    gen1_blocks = cluster.meta_block_count(GEN1) if drop_fails else None
+    live = GEN1 if drop_fails else GEN2
+    live_blocks = cluster.meta_block_count(live)
     gen2_blocks = cluster.meta_block_count(GEN2)
     a.write_page(40, copies[40])
     a.commit_transaction()
-    assert a.generation == 2
-    assert cluster.meta_block_count(GEN2) == gen2_blocks + 1
+    assert a.generation == (1 if drop_fails else 2)
+    assert cluster.meta_block_count(live) == live_blocks + 1
     if drop_fails:
-        assert cluster.meta_block_count(GEN1) == gen1_blocks
+        assert cluster.meta_block_count(GEN2) == gen2_blocks
     else:
         assert not cluster.meta_exists(GEN1)
     restarted = _peer(a)
     restarted.restart_system()
-    assert not cluster.meta_exists(GEN1)
+    assert restarted.generation == a.generation
+    assert not cluster.meta_exists(GEN2 if drop_fails else GEN1)
     for pid, content in copies.items():
         assert payload(restarted.read_page(pid)) == payload(content)
 
@@ -822,8 +876,8 @@ def test_a_transaction_that_appended_to_a_replaced_generation_raises():
 
 
 def test_restart_abandons_an_interrupted_batch():
-    """A batch that crashed after its second remake, before its master
-    switch, is abandoned: restart answers "clean", drops generation 2
+    """A batch that crashed after its second remake, before it dropped
+    generation 1, is abandoned: restart answers "clean", drops generation 2
     and leaves generation 1 live, where every page reads as its newest
     committed copy; the next batch copies them home."""
     faults = FaultInjector()
@@ -839,7 +893,7 @@ def test_restart_abandons_an_interrupted_batch():
     faults.arm("dfs.batch.after_block_remake", skip=1)
     with pytest.raises(CrashPoint):
         _drain(store)
-    fresh = DfsTransactionStore(store.manager, store.data, store.master,
+    fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
                                 TOTAL, 0)
     assert fresh.restart_system() == "clean"
     assert fresh.generation == 1 and fresh.log.block_count == 1
@@ -856,7 +910,7 @@ def test_restart_abandons_an_interrupted_batch():
 def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
         tmp_path, death):
     """A page logged one byte off its home, as a delta, whose home a
-    batch then remade before it stopped short of its master switch: the
+    batch then remade before it stopped short of its commit: the
     live generation still holds the delta, whose base is no longer
     home's file_id, and home holds the page. A restarted store, in the
     same process or, after a death of the process, over a fresh cluster
@@ -876,7 +930,7 @@ def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
     changed = store.read_page(2 * N + 1)
     home = store.manager.constituent_entry(store.data, 2).file_id
     assert log_bases(store, 0) == [home]
-    faults.arm("dfs.batch.before_master_switch")
+    faults.arm("dfs.batch.before_generation_drop")
     with pytest.raises(CrashPoint):
         _drain(store)
     assert store.manager.constituent_entry(store.data, 2).file_id != home
@@ -885,7 +939,7 @@ def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
     else:
         mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
         fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
-                                    mgr.open_meta("db/log"), TOTAL)
+                                    "db/log", TOTAL)
     assert fresh.restart_system() == "clean"
     assert fresh.generation == 2 and log_bases(fresh, 0) == [home]
     assert fresh.read_page(2 * N + 1) == changed
@@ -941,7 +995,7 @@ def test_a_page_past_its_homes_end_is_logged_whole(tmp_path, death):
     else:
         mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
         fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
-                                    mgr.open_meta("db/log"), TOTAL)
+                                    "db/log", TOTAL)
     assert fresh.restart_system() == "clean"
     assert {pid: fresh.read_page(pid) for pid in newest} == newest
     assert _drain(fresh) == 1
@@ -988,7 +1042,7 @@ def test_restart_writes_no_page(monkeypatch, point):
     store.flush_buffer(mark_commit=False)
 
     cluster = store.manager.cluster
-    fresh = DfsTransactionStore(store.manager, store.data, store.master,
+    fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
                                 TOTAL, 0)
     calls = []
     for method in META_FILE_CALLS:
@@ -1024,10 +1078,11 @@ class LogMutationRefused(RuntimeError):
 def test_failed_generation_drop_keeps_the_newest_committed_copy(
         monkeypatch, owner, method, nth):
     """Page 5 committed twice; the batch has carried its newest copy into
-    generation 2 and named it in the master block when the drop of
-    generation 1 fails: before its unregister, or after it, at the nth
-    drop of a replica of one of its log blocks. A restarted store must
-    drop generation 1, read the newest copy, and go on committing."""
+    generation 2 when the drop of generation 1, its commit point, fails:
+    before its unregister, which leaves generation 1 live, or after it,
+    at the nth drop of a replica of one of its log blocks, which leaves
+    generation 2 live. A restarted store must open the live generation,
+    drop the other, read the newest copy, and go on committing."""
     store = make_store()
     rng = random.Random(8)
     copies = [page_with(rng) for _ in range(4)]
@@ -1052,18 +1107,20 @@ def test_failed_generation_drop_keeps_the_newest_committed_copy(
     with pytest.raises(LogMutationRefused):
         store.batch_post_commit()
     monkeypatch.undo()
-    assert store.manager.remakes_of("db/data") == 0
-    restarted = DfsTransactionStore(store.manager, store.data, store.master,
-                                    TOTAL)
-    assert restarted.generation == 2
+    assert store.manager.remakes_total == 0
+    committed = owner is DataNode  # the unregister was saved
+    restarted = DfsTransactionStore(store.manager, store.data,
+                                    store.log_name, TOTAL)
+    assert restarted.generation == (2 if committed else 1)
     restarted.restart_system()
-    assert not cluster.meta_exists(GEN1)
+    assert not cluster.meta_exists(GEN1 if committed else GEN2)
     assert payload(restarted.read_page(5)) == payload(copies[1])
     for content in copies[2:]:
         restarted.begin_transaction(write=True)
         restarted.write_page(5, content)
         restarted.commit_transaction()
-    reader = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    reader = DfsTransactionStore(store.manager, store.data,
+                                 store.log_name, TOTAL)
     reader.begin_transaction(write=False)
     assert payload(reader.read_page(5)) == payload(copies[3])
 
@@ -1078,7 +1135,6 @@ def test_crash_storm_during_recovery_converges():
                      "dfs.batch.after_carry_append",
                      "dfs.batch.before_block_remake",
                      "dfs.batch.after_block_remake",
-                     "dfs.batch.before_master_switch",
                      "dfs.batch.before_generation_drop",
                      "dfs.restart.begin")]
     for seed in range(5):
@@ -1104,7 +1160,7 @@ def test_crash_storm_during_recovery_converges():
         else:
             # no batch crashed during the commits; force one directly
             post = oracle.committed_state()
-            faults.arm("dfs.batch.before_master_switch")
+            faults.arm("dfs.batch.before_generation_drop")
             with pytest.raises(CrashPoint):
                 store.batch_post_commit()
 
@@ -1113,14 +1169,14 @@ def test_crash_storm_during_recovery_converges():
             if rng.random() < 0.7:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(3))
             attempt = DfsTransactionStore(store.manager, store.data,
-                                          store.master, TOTAL, 2, faults)
+                                          store.log_name, TOTAL, 2, faults)
             try:
                 attempt.restart_system()
                 break
             except CrashPoint:
                 continue
         faults.reset()
-        final = DfsTransactionStore(store.manager, store.data, store.master,
+        final = DfsTransactionStore(store.manager, store.data, store.log_name,
                                     TOTAL)
         final.restart_system()
         for pid in range(TOTAL):
@@ -1136,7 +1192,8 @@ def test_restart_rollback_drops_uncommitted_tail():
     store.commit_transaction()
     store.write_page(7, page_with(rng))
     store.flush_buffer(mark_commit=False)  # uncommitted durable block
-    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data,
+                                store.log_name, TOTAL)
     assert fresh.restart_system() == "rollback"
     assert fresh.read_page(7) == bytes(PAGE)
     assert payload(fresh.read_page(3)) == payload(committed)
@@ -1156,7 +1213,7 @@ def test_rollback_state_is_exactly_a_writers_truncate(tail, view):
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.flush_buffer(mark_commit=False)
     if view == "writer":
-        probe = DfsTransactionStore(store.manager, store.data, store.master,
+        probe = DfsTransactionStore(store.manager, store.data, store.log_name,
                                     TOTAL)
         reads, _, state = _reads_during(probe, probe.recovery_state)
         assert reads == 0
@@ -1177,7 +1234,8 @@ def test_clean_restart_preserves_state():
     content = page_with(rng)
     store.write_page(3, content)
     store.commit_transaction()
-    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data,
+                                store.log_name, TOTAL)
     assert fresh.restart_system() == "clean"
     assert payload(fresh.read_page(3)) == payload(content)
 
@@ -1187,8 +1245,8 @@ def test_clean_restart_preserves_state():
 def test_restart_takes_the_path_recovery_state_reports(log, via):
     """restart_system() and Database.recover return what recovery_state()
     said before them, or "clean" when that was None, and leave nothing
-    to recover. A batch that crashed before its master switch leaves
-    nothing to recover: restart leaves generation 1 live."""
+    to recover. A batch that crashed before it dropped generation 1
+    leaves nothing to recover: restart leaves generation 1 live."""
     faults = FaultInjector()
     store = make_store(faults=faults)
     rng = random.Random(41)
@@ -1222,7 +1280,8 @@ def test_two_process_visibility():
     store.write_page(3, p3)
     store.commit_transaction()
 
-    second = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+    second = DfsTransactionStore(store.manager, store.data,
+                                 store.log_name, TOTAL)
     assert set(_index(second)) == {5, 3}
     assert payload(second.read_page(5)) == payload(p5)
     assert payload(second.read_page(3)) == payload(p3)
@@ -1403,23 +1462,22 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
     data = mgr.create_meta("db/data")
     for _ in range(2):
         mgr.append_block(data, bytes(84))
-    log = create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, log, 4)
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, data, "db/log", 4)
     rng = random.Random(37)
     pages = {pid: rng.randbytes(42) for pid in (1, 2)}
     for pid, content in pages.items():
         store.write_page(pid, content)  # the second auto-flushes the first
     store.commit_transaction()
-    # the master page, two one-page blocks whose bodies came out longer
-    # than their pages, and the commit-marked empty block
-    (master,) = [entry.size_bytes for entry in mgr.constituent_entries(log)]
+    # two one-page blocks whose bodies came out longer than their pages,
+    # and the commit-marked empty block
     *logged, marker = [
         entry.size_bytes for entry in mgr.constituent_entries(store.log)]
-    assert (master, len(logged), marker) == (42, 2, 8 + 13)
+    assert (len(logged), marker) == (2, 8 + 13)
     assert all(42 + 13 + 8 < size <= 84 for size in logged)
     fresh_mgr = MetaDfsManager(cluster, 42)
     fresh = DfsTransactionStore(fresh_mgr, fresh_mgr.open_meta("db/data"),
-                                fresh_mgr.open_meta("db/log"), 4)
+                                "db/log", 4)
     fresh.begin_transaction(write=False)
     for pid, content in pages.items():
         got = fresh.read_page(pid)
@@ -1445,12 +1503,11 @@ def test_a_geometry_whose_full_buffer_fits_only_without_bases_is_refused(
         check_log_geometry(page_size, pages_per_block)
 
 
-def test_master_block_is_one_page_and_data_blocks_end_at_their_last_page():
-    """The master block is one page, and a data block's constituent ends
-    at the last page written to it, the pages past it reading as zeros."""
+def test_data_blocks_end_at_their_last_page():
+    """A data block's constituent ends at the last page written to it,
+    the pages past it reading as zeros."""
     store = make_store(threshold=1, holes=True)
     assert _constituent_sizes(store, store.data) == [PAGE]
-    assert _constituent_sizes(store, store.master) == [PAGE]
     rng = random.Random(31)
     for commit in range(6):
         for pid in (commit, N + commit, 3 * N + commit):
@@ -1459,9 +1516,7 @@ def test_master_block_is_one_page_and_data_blocks_end_at_their_last_page():
     # the first commit logged one page (the other two blocks were holes),
     # 533 bytes, each later one three, 1,573 bytes, so the sixth took the
     # log to 8,398 bytes, past T=1 block's worth of 8,192, and ran a
-    # batch: its one master write switched the log to generation 2
-    assert store.manager.remakes_of("db/log") == 1
-    assert _constituent_sizes(store, store.master) == [PAGE]
+    # batch, whose drop of generation 1 made generation 2 live
     assert _peer(store).generation == 2
     # the batch remade blocks 0 and 3, whose pages 0 to 5 the commits
     # wrote, and carried block 1's pages 1 to 5, so block 1 still ends at
@@ -1470,9 +1525,10 @@ def test_master_block_is_one_page_and_data_blocks_end_at_their_last_page():
     assert _constituent_sizes(store, store.data) == [6 * PAGE, PAGE, 6 * PAGE]
     for pid in (6, N - 1, N + 6, 3 * N + 6, 4 * N - 1):
         assert store.read_page(pid) == bytes(PAGE)
+    assert store.manager.remakes_total == 2
     assert store.manager.cluster.replicas(
-        store.manager.constituent_entry(store.master, 0).name) == \
-        [store.manager.read_block(store.master, 0)] * 2
+        store.manager.constituent_entry(store.data, 3).name) == \
+        [store.manager.read_block(store.data, 3)] * 2
 
 
 # the block's footer does not read
@@ -1523,9 +1579,9 @@ def test_a_torn_short_block_is_never_committed(torn):
     footers() with RecoveryError, and a begin never indexes its pages as
     committed. A footer that reads over a torn body is indexed, since a
     rebuild reads only footers, but every read of a page it lists and a
-    batch raise RecoveryError, and the batch stops before its master
-    switch, so the master still names generation 1. Either way the block
-    before it still reads."""
+    batch raise RecoveryError, and the batch stops before it drops
+    generation 1, which stays live. Either way the block before it still
+    reads."""
     store = make_store()
     rng = random.Random(32)
     first = page_with(rng)
@@ -1565,9 +1621,8 @@ def test_a_torn_short_block_is_never_committed(torn):
 def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     """One flipped byte in the body of a committed log block, which no
     page checksum would catch, makes a read of its page and a batch raise
-    RecoveryError, not zlib.error; the batch stops before its master
-    switch, so the master still names generation 1, and block 0's page
-    still reads."""
+    RecoveryError, not zlib.error; the batch stops before it drops
+    generation 1, which stays live, and block 0's page still reads."""
     store = make_store()
     rng = random.Random(36)
     first = page_with(rng)
@@ -1590,14 +1645,14 @@ def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     reader.begin_transaction(write=False)
     assert reader.generation == 1
     assert payload(reader.read_page(1)) == payload(first)
-    assert store.manager.remakes_of("db/data") == 0
+    assert store.manager.remakes_total == 0
 
 
 def test_a_batch_over_a_torn_log_leaves_generation_1_live():
     """A batch reads every footer before it registers the next
     generation, so a fresh store's batch over a log whose committed
-    block 1 is torn raises RecoveryError with the master still naming
-    generation 1 and no generation 2: recovery_state() then refuses the
+    block 1 is torn raises RecoveryError with generation 1 still live
+    and no generation 2: recovery_state() then refuses the
     log, and block 0's page still reads through the writer."""
     store = make_store()
     rng = random.Random(34)
@@ -1637,7 +1692,7 @@ def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
 
     for method in ("constituent_entries", "read_bytes"):
         monkeypatch.setattr(store.manager, method, counted(method))
-    while not store.manager.remakes_of("db/data"):
+    while not store.manager.remakes_total:
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.commit_transaction()
     assert store.log.block_count == 1  # the pages the batch carried
@@ -1694,8 +1749,9 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
     assert store.log.block_count == 1
     assert _footer(store, 0) == ([7], True)
     assert (store.manager.fills_total,
-            store.manager.remakes_of("db/data")) == (1, 0)
-    fresh = DfsTransactionStore(store.manager, store.data, store.master, TOTAL)
+            store.manager.remakes_total) == (1, 0)
+    fresh = DfsTransactionStore(store.manager, store.data,
+                                store.log_name, TOTAL)
     fresh.restart_system()
     for ordinal, (pageid, page) in enumerate(unlogged, 1):
         got = fresh.read_page(pageid)
@@ -1721,10 +1777,10 @@ def test_a_block_a_failed_commit_left_is_logged_then_remade():
     store.commit_transaction()
     assert _footer(store, 0) == ([2 * N + 1], True)
     assert (store.manager.fills_total,
-            store.manager.remakes_of("db/data")) == (1, 0)
+            store.manager.remakes_total) == (1, 0)
     assert _drain(store) == 1
     assert (store.manager.fills_total,
-            store.manager.remakes_of("db/data")) == (1, 1)
+            store.manager.remakes_total) == (1, 1)
     assert payload(store.read_page(2 * N + 1)) == payload(page)
 
 
@@ -1775,8 +1831,8 @@ def test_a_block_whose_replicas_are_all_dead_is_logged():
         store.manager.constituent_entry(store.data, 2)
     store.write_page(2 * N + 1, bytes(page))
     store.commit_transaction()
-    # read by the writer: a peer would first read the master block, whose
-    # replicas died with the data block's
+    # read by the writer: a peer would first read the footers, whose
+    # replicas may have died with the data block's
     assert store.footers()[1] == ([2 * N + 1], True)
     assert log_bases(store, 1) == [0]
     assert store.manager.fills_total == 1
@@ -1786,7 +1842,7 @@ def test_a_block_whose_replicas_are_all_dead_is_logged():
 def test_a_delta_reads_only_while_its_home_is_readable():
     """A page logged as a delta needs its home: a fresh store's read of
     it raises AllReplicasDead while every replica of its home is dead,
-    though the log block and the master block read, and returns the page
+    though the log block reads, and returns the page
     once the home's nodes are revived. The writer keeps the pages it
     appended and serves them all along. A fresh store's restart checks
     the log block's body without decoding it, so it reads no home and
@@ -1811,7 +1867,7 @@ def test_a_delta_reads_only_while_its_home_is_readable():
         return set(cluster.file_entry(
             constituent_name(file.name, block_id)).holders)
 
-    readable = (holders(store.log, 0), holders(store.master, 0))
+    readable = (holders(store.log, 0),)
     block = next(block for block in blocks
                  if not any(h <= holders(store.data, block)
                             for h in readable))
