@@ -10,7 +10,11 @@ size-tiered rule (fan-out `FANOUT`), so each entry is rewritten a
 logarithmic number of times and a small commit writes about one index
 page. Page 0 of the data meta file is the catalog (heap extent,
 index segment list, free extents), so every piece of engine state is crash
-consistent through the same recovery path.
+consistent through the same recovery path. The catalog's `total_pages`
+bounds the heap and the index extents (`_open_tail`, `_alloc_extent`);
+below the engine the data file's block count, which `create` sizes from
+it, is the store's own bound, so the engine never addresses a page
+the store would refuse.
 
 Sessions acquire the database lock, bring the database's one log table
 index to the log's committed prefix (rebuilding it from the footers only
@@ -202,7 +206,7 @@ class EngineConfig:
 class Database:
     """Shared per-database state; make one Session per thread of control."""
 
-    def __init__(self, manager: MetaDfsManager, name: str, total_pages: int,
+    def __init__(self, manager: MetaDfsManager, name: str,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                  deferred: bool = True, locks: LockService | None = None,
                  faults: FaultInjector = NULL_INJECTOR):
@@ -211,11 +215,10 @@ class Database:
         self.data_name, self.log_name = self.meta_names(name)
         self.locks = locks if locks is not None else LockService()
         self._session_seq = 0
-        self.data = manager.open_meta(self.data_name)
         # the sessions, recovery and maintenance share one store, so one
         # log table index; without deferral every commit runs the batch
         self.store = DfsTransactionStore(
-            manager, self.data, self.log_name, total_pages,
+            manager, self.data_name, self.log_name,
             post_commit_threshold if deferred else 0, faults)
 
     # ------------------------------------------------------------------
@@ -249,8 +252,8 @@ class Database:
         create_data_meta(manager, data_name, total_pages,
                          pack_catalog(catalog, page_size))
         create_log_meta(manager, log_name)
-        return cls(manager, name, total_pages, post_commit_threshold,
-                   deferred, locks, faults)
+        return cls(manager, name, post_commit_threshold, deferred, locks,
+                   faults)
 
     @classmethod
     def open(cls, cluster: DfsCluster, name: str, page_size: int,
@@ -263,10 +266,10 @@ class Database:
         data_name, _ = cls.meta_names(name)
         if not manager.exists(data_name):
             raise NotFound(f"no database: {name}")
-        data = manager.open_meta(data_name)
-        catalog = parse_catalog(manager.read_page(data, 0))
-        db = cls(manager, name, catalog.total_pages, post_commit_threshold,
-                 deferred, locks, faults)
+        # parsed only so that a catalog of another version fails here
+        parse_catalog(manager.read_page(data_name, 0))
+        db = cls(manager, name, post_commit_threshold, deferred, locks,
+                 faults)
         if recover:
             db.recover()
         return db

@@ -49,28 +49,22 @@ class CrashPoint(RuntimeError):
 class FaultInjector:
     """Registry of armed fault points plus a traversal counter.
 
-    Only the given ``points`` can be armed; by default these are the
-    DFS-backed store's. ``hits`` records every traversal whether or not
-    the point is armed, so sweeps can verify a point was actually
-    reachable in a given workload.
+    Only the points of ``SPDU_DFS_FAULT_POINTS`` can be armed. ``hits``
+    records every traversal whether or not the point is armed, so sweeps
+    can verify a point was actually reachable in a given workload.
     """
 
-    def __init__(self, points: tuple[str, ...] = SPDU_DFS_FAULT_POINTS):
-        self.points = frozenset(points)
+    def __init__(self):
         self._armed: dict[str, tuple[int, str]] = {}
         self.hits: Counter[str] = Counter()
 
     def arm(self, name: str, *, skip: int = 0, action: str = "raise") -> None:
         """Trigger `action` on the (skip+1)-th traversal of `name`."""
-        if name not in self.points:
+        if name not in SPDU_DFS_FAULT_POINTS:
             raise ValueError(f"unregistered fault point: {name}")
         if action not in ("raise", "exit"):
             raise ValueError(f"unknown fault action: {action}")
         self._armed[name] = (skip, action)
-
-    def reset(self) -> None:
-        self._armed.clear()
-        self.hits.clear()
 
     def hit(self, name: str) -> None:
         self.hits[name] += 1

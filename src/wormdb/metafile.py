@@ -10,6 +10,12 @@ Appending creates the next constituent. Page addressing is the static
 split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
 pages per block.
 
+A meta file is named, not held: every `MetaDfsManager` method takes the
+meta file's name, and its block count lives only in the NameNode's
+registry, as an HDFS client names a file by its path and leaves its
+blocks to the NameNode (Shvachko et al., MSST 2010). A block or page
+operation on a block below 0 or at or past the count is OutOfRange.
+
 A block is at most one DFS block, and its constituent is only as long
 as what was written, as an HDFS file ends in a partial block and a GFS
 chunk replica grows only as needed. An overwritten block, and block 0
@@ -99,21 +105,6 @@ def pages_per_block(page_size: int, block_size: int) -> int:
     return block_size // page_size
 
 
-class MetaDfsFile:
-    """Handle to a meta DFS file; block count is read from the NameNode."""
-
-    def __init__(self, manager: "MetaDfsManager", name: str):
-        self._manager = manager
-        self.name = name
-
-    @property
-    def block_count(self) -> int:
-        return self._manager.cluster.meta_block_count(self.name)
-
-    def __repr__(self):
-        return f"MetaDfsFile({self.name!r})"
-
-
 class MetaDfsManager:
     """Presents meta DFS files on top of a DfsCluster.
 
@@ -148,25 +139,20 @@ class MetaDfsManager:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def create_meta(self, name: str) -> MetaDfsFile:
+    def create_meta(self, name: str) -> None:
+        """Create meta file `name` with no block."""
         self.cluster.meta_register(name, 0)
-        return MetaDfsFile(self, name)
 
     def create_sparse_meta(self, name: str, block_count: int,
-                           first_block: bytes) -> MetaDfsFile:
-        """A meta file of `block_count` blocks whose only constituent is
-        block 0, holding `first_block` up to its last nonzero page and
-        cached (see above); the others read as zeros."""
+                           first_block: bytes) -> None:
+        """Create meta file `name` of `block_count` blocks whose only
+        constituent is block 0, holding `first_block` up to its last
+        nonzero page and cached (see above); the others read as zeros."""
         first_block = self._trimmed(first_block)
         self.cluster.meta_register(name, block_count)
         first = constituent_name(name, 0)
         file_id = self.cluster.create_file(first, first_block).file_id
         self._cache[first] = (file_id, first_block)
-        return MetaDfsFile(self, name)
-
-    def open_meta(self, name: str) -> MetaDfsFile:
-        self.cluster.meta_block_count(name)  # raises NotFound if absent
-        return MetaDfsFile(self, name)
 
     def exists(self, name: str) -> bool:
         return self.cluster.meta_exists(name)
@@ -176,12 +162,13 @@ class MetaDfsManager:
         sorted (`DfsCluster.meta_names`)."""
         return self.cluster.meta_names(prefix)
 
-    def delete_meta(self, file: MetaDfsFile) -> None:
-        """Unregister the file together with every DFS file under its name
-        in one NameNode mutation (see above), then uncache its blocks."""
-        self.cluster.meta_unregister(file.name)
+    def delete_meta(self, file: str) -> None:
+        """Unregister meta file `file` together with every DFS file under
+        its name in one NameNode mutation (see above), then uncache its
+        blocks; NotFound if it is not registered."""
+        self.cluster.meta_unregister(file)
         for name in list(self._cache):
-            if name.rpartition("/")[0] == file.name:
+            if name.rpartition("/")[0] == file:
                 self._cache.pop(name, None)
 
     # ------------------------------------------------------------------
@@ -209,28 +196,28 @@ class MetaDfsManager:
             end -= size
         return content if end == len(content) else content[:end]
 
-    def _constituent(self, file: MetaDfsFile, block_id: int) -> str:
+    def _constituent(self, file: str, block_id: int) -> str:
         """Name of an existing block's constituent DFS file."""
-        count = self.cluster.meta_block_count(file.name)
+        count = self.cluster.meta_block_count(file)
         if not 0 <= block_id < count:
             raise OutOfRange(
-                f"block {block_id} of {file.name} (has {count})")
-        return constituent_name(file.name, block_id)
+                f"block {block_id} of {file} (has {count})")
+        return constituent_name(file, block_id)
 
-    def append_block(self, file: MetaDfsFile, content: bytes) -> int:
+    def append_block(self, file: str, content: bytes) -> int:
         """Append `content`, 1 to `block_size` bytes, as the next block
         with one NameNode mutation and cache it (see above). Returns the
         block_id."""
         content = bytes(content)
         self._check_block(content, whole_pages=False)
-        count = self.cluster.meta_block_count(file.name)
-        name = constituent_name(file.name, count)
+        count = self.cluster.meta_block_count(file)
+        name = constituent_name(file, count)
         file_id = self.cluster.create_file(name, content,
-                                           meta=file.name).file_id
+                                           meta=file).file_id
         self._cache[name] = (file_id, content)
         return count
 
-    def overwrite_block(self, file: MetaDfsFile, block_id: int,
+    def overwrite_block(self, file: str, block_id: int,
                         content: bytes) -> None:
         """DFS file remake of one constituent, counted as a remake, or a
         plain create of a missing one, counted in `fills_total`; then
@@ -256,34 +243,33 @@ class MetaDfsManager:
                 return
             self.remakes_total += 1
 
-    def has_constituent(self, file: MetaDfsFile, block_id: int) -> bool:
+    def has_constituent(self, file: str, block_id: int) -> bool:
         """Whether a block has a constituent, a hole has none; unlike
         `constituent_entry`, whatever the health of its replicas."""
         return self.cluster.exists(self._constituent(file, block_id))
 
-    def constituent_entry(self, file: MetaDfsFile,
+    def constituent_entry(self, file: str,
                           block_id: int) -> DfsFileEntry | None:
         """The DFS entry of one block's constituent: its file_id, and its
         size, which says where a short block ends. None for a block with
         no constituent."""
-        return self.cluster.meta_block_entry(file.name, block_id)
+        return self.cluster.meta_block_entry(file, block_id)
 
-    def constituent_entries(self,
-                            file: MetaDfsFile) -> list[DfsFileEntry | None]:
+    def constituent_entries(self, file: str) -> list[DfsFileEntry | None]:
         """The DFS entry of each block's constituent, block 0 first.
 
         A block's file_id changes exactly when its constituent is remade
         or truncated and appended again, so an unchanged id means
         unchanged content. A block with no constituent is None.
         """
-        return self.cluster.meta_block_entries(file.name)
+        return self.cluster.meta_block_entries(file)
 
-    def version(self, file: MetaDfsFile) -> int:
+    def version(self, file: str) -> int:
         """The NameNode's count of mutations that touched the meta file
         (`DfsCluster.meta_version`): unchanged, so are its constituents."""
-        return self.cluster.meta_version(file.name)
+        return self.cluster.meta_version(file)
 
-    def read_block(self, file: MetaDfsFile, block_id: int) -> bytes:
+    def read_block(self, file: str, block_id: int) -> bytes:
         """The whole block, as long as its constituent: the cached object
         if this manager wrote or read the whole block under its current
         id, else from the DFS (not cached)."""
@@ -306,21 +292,21 @@ class MetaDfsManager:
                 f"{entry.size_bytes} bytes")
         return self._range(entry, start, entry.size_bytes)
 
-    def truncate_from(self, file: MetaDfsFile, block_id: int) -> None:
+    def truncate_from(self, file: str, block_id: int) -> None:
         """Drop the blocks from `block_id` on with one NameNode mutation,
         none if there are none (see above); OutOfRange past the end."""
-        count = self.cluster.meta_block_count(file.name)
+        count = self.cluster.meta_block_count(file)
         if block_id == count:
             return
-        self.cluster.meta_set_block_count(file.name, block_id)
+        self.cluster.meta_set_block_count(file, block_id)
         for ordinal in range(block_id, count):
-            self._cache.pop(constituent_name(file.name, ordinal), None)
+            self._cache.pop(constituent_name(file, ordinal), None)
 
     # ------------------------------------------------------------------
     # Page addressing
     # ------------------------------------------------------------------
 
-    def read_page(self, file: MetaDfsFile, pageid: int) -> bytes:
+    def read_page(self, file: str, pageid: int) -> bytes:
         """One page (see `read_page_of`)."""
         block_id, offset = divmod(pageid, self.pages_per_block)
         return self.read_page_of(self.constituent_entry(file, block_id),

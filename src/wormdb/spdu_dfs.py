@@ -157,6 +157,13 @@ page and files being write-once:
   test does not look at replica health, so a block whose replicas are
   all dead is logged, raw, as any written block is.
 
+The store holds its data file and its log by name, and the data file's
+registered block count, which `create_data_meta` sets from the
+engine's page count, is its only page-id bound: the meta-file layer
+finds a page below 0 or past the last block OutOfRange, and a write
+looks its block up before it takes an ordinal, so a refused page takes
+none.
+
 One instance per database, shared by its sessions as the manager's
 cache is: the index and the decoded bodies are the database's. The
 write state (the buffer, the in-place blocks and the ordinal) is the
@@ -176,9 +183,9 @@ import threading
 import zlib
 
 from .dfs import DfsFileEntry
-from .errors import AllReplicasDead, LogMoved, OutOfRange, RecoveryError
+from .errors import AllReplicasDead, LogMoved, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
-from .metafile import MetaDfsFile, MetaDfsManager
+from .metafile import MetaDfsManager
 from .pagefmt import stamp_page
 
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
@@ -273,28 +280,26 @@ def log_generations(manager: MetaDfsManager, log_name: str) -> list[int]:
                   if suffix.isascii() and suffix.isdigit())
 
 
-def create_log_meta(manager: MetaDfsManager, name: str) -> MetaDfsFile:
+def create_log_meta(manager: MetaDfsManager, name: str) -> None:
     """Create log `name`: register its first generation, empty, which is
-    then its live generation. Returns that generation's meta file."""
-    return manager.create_meta(generation_name(name, _FIRST_GENERATION))
+    then its live generation."""
+    manager.create_meta(generation_name(name, _FIRST_GENERATION))
 
 
 def create_data_meta(manager: MetaDfsManager, name: str, total_pages: int,
-                     first_page: bytes | None = None) -> MetaDfsFile:
-    """Create a sparse data meta file of `total_pages` pages: page 0 holds
-    `first_page` (zeros if None), and only its block is written, as that
-    one page; every other page reads as zeros until it is written."""
+                     first_page: bytes) -> None:
+    """Create a sparse data meta file of the blocks that hold
+    `total_pages` pages: page 0 holds `first_page`, and only its block is
+    written, as that one page; every other page reads as zeros until it
+    is written. The file's block count is the store's page-id bound."""
     n = manager.pages_per_block
-    blocks = (total_pages + n - 1) // n
-    return manager.create_sparse_meta(
-        name, blocks, first_page or bytes(manager.page_size))
+    manager.create_sparse_meta(name, (total_pages + n - 1) // n, first_page)
 
 
 def _drop_generations(manager: MetaDfsManager, log_name: str,
                       generations: list[int]) -> None:
     for generation in generations:
-        manager.delete_meta(
-            manager.open_meta(generation_name(log_name, generation)))
+        manager.delete_meta(generation_name(log_name, generation))
 
 
 def discard_metas(manager: MetaDfsManager, data_name: str,
@@ -303,7 +308,7 @@ def discard_metas(manager: MetaDfsManager, data_name: str,
     every registered generation of its log, each in one NameNode
     mutation, so that a discard that fails can run again."""
     if manager.exists(data_name):
-        manager.delete_meta(manager.open_meta(data_name))
+        manager.delete_meta(data_name)
     _drop_generations(manager, log_name,
                       log_generations(manager, log_name))
 
@@ -343,8 +348,7 @@ class DfsTransactionStore:
     """A database's page store with deferred post-commit over meta DFS
     files, shared by its sessions (see above)."""
 
-    def __init__(self, manager: MetaDfsManager, data: MetaDfsFile,
-                 log_name: str, total_pages: int,
+    def __init__(self, manager: MetaDfsManager, data: str, log_name: str,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                  faults: FaultInjector = NULL_INJECTOR):
         check_log_geometry(manager.page_size, manager.pages_per_block)
@@ -353,7 +357,6 @@ class DfsTransactionStore:
         self.log_name = log_name
         self.page_size = manager.page_size
         self.pages_per_block = manager.pages_per_block
-        self.total_pages = total_pages
         self.post_commit_threshold = post_commit_threshold
         self.faults = faults
         self.index: dict[int, tuple[int, int]] = {}
@@ -379,24 +382,20 @@ class DfsTransactionStore:
     # Page access
     # ------------------------------------------------------------------
 
-    def _check_pageid(self, pageid: int) -> None:
-        if not 0 <= pageid < self.total_pages:
-            raise OutOfRange(
-                f"pageid {pageid} outside [0, {self.total_pages})")
-
     def write_page(self, pageid: int, page_data: bytes) -> None:
         """Stamp the page with the transaction's next ordinal and hold it
         for commit. The first page the transaction writes to a data block
         decides where the whole block goes: in place if no committed
-        transaction has written it (see above), else to the log."""
-        self._check_pageid(pageid)
+        transaction has written it (see above), else to the log. That
+        lookup comes first, so a page outside the data file's blocks is
+        OutOfRange before it takes an ordinal."""
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
-        page = self._stamped(pageid, page_data)
         block_id = pageid // self.pages_per_block
         in_place = self._in_place.get(block_id)
         if in_place is None and self._unwritten(block_id):
             in_place = self._in_place[block_id] = {}
+        page = self._stamped(pageid, page_data)
         if in_place is not None:
             in_place[pageid] = page
             return
@@ -417,7 +416,8 @@ class DfsTransactionStore:
         ) and not self.manager.has_constituent(self.data, block_id)
 
     def read_page(self, pageid: int) -> bytes:
-        self._check_pageid(pageid)
+        """The page as the open transaction sees it; OutOfRange outside
+        the data file's blocks."""
         page = self._pages.get(pageid)
         if page is not None:
             return page
@@ -617,8 +617,8 @@ class DfsTransactionStore:
                 pageid // self.pages_per_block, []).append(pageid)
         carried = self._carried(by_data_block)
         self._drop_newer_generations()
-        successor = self.manager.create_meta(
-            generation_name(self.log_name, self.generation + 1))
+        successor = generation_name(self.log_name, self.generation + 1)
+        self.manager.create_meta(successor)
         pageids = [pageid for data_block in sorted(carried)
                    for pageid in by_data_block[data_block]]
         index, bodies = self._carry(successor, pageids)
@@ -654,7 +654,7 @@ class DfsTransactionStore:
                 self._credits.pop(data_block, None)
         return len(remade)
 
-    def _carry(self, successor: MetaDfsFile, pageids: list[int]
+    def _carry(self, successor: str, pageids: list[int]
                ) -> tuple[dict[int, tuple[int, int]], dict[int, bytes]]:
         """Append the log copies of `pageids` to generation `successor` in
         commit-marked blocks of up to a buffer's pages; returns their
@@ -752,7 +752,7 @@ class DfsTransactionStore:
         registered: a peer's batch dropped it (see above)."""
         version = self.manager.version(self.log)
         if version == self._seen_version or \
-                self.manager.exists(self.log.name):
+                self.manager.exists(self.log):
             return version
         self._open_lowest()
         return self.manager.version(self.log)
@@ -765,8 +765,7 @@ class DfsTransactionStore:
         if not generations:
             raise RecoveryError(f"log {self.log_name} has no generation")
         self.generation = generations[0]
-        self.log = self.manager.open_meta(
-            generation_name(self.log_name, self.generation))
+        self.log = generation_name(self.log_name, self.generation)
         self._seen_version = -1
 
     def _trigger_bytes(self) -> int:

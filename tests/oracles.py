@@ -10,13 +10,15 @@ stores. Updated pages go to a log file and are redirected through an
 in-memory log table index (pageid -> log offset). Commit copies every
 logged page back to its home slot in the data file; a commit_flag in the
 log's master page makes that copy-back atomic and restartable. Its fault
-points (`SPDU_CORE_FAULT_POINTS`) are registered only with the injectors
-its tests build. Single writer at a time; readers may share the instance
-between write transactions.
+points (`SPDU_CORE_FAULT_POINTS`) are armed only through
+`CoreFaultInjector`, which its tests build. Single writer at a time;
+readers may share the instance between write transactions.
 
 `meta_file_strays` checks a DFS cluster against the meta-file layout:
 every constituent sits inside a registered meta file's block count.
-`log_bases` reads back how a store's log block holds each page.
+`data_blocks` reads a store's data file block by block, `log_blocks`
+counts its live log blocks and `log_bases` reads back how its log block
+holds each page.
 
 `reference_unpack_record` and `reference_pack_record` are a plain
 field-by-field decoder and encoder of the UserVisits wire format, which
@@ -76,6 +78,19 @@ def meta_file_strays(cluster: DfsCluster) -> list[str]:
                 rest[:SUFFIX_WIDTH]) < cluster.meta_block_count(meta)):
             strays.append(file)
     return strays
+
+
+def log_blocks(store) -> int:
+    """The block count the NameNode registers for `store`'s live log
+    generation."""
+    return store.manager.cluster.meta_block_count(store.log)
+
+
+def data_blocks(store) -> list[bytes]:
+    """Every block of `store`'s data file, read whole, block 0 first."""
+    count = store.manager.cluster.meta_block_count(store.data)
+    return [store.manager.read_block(store.data, block_id)
+            for block_id in range(count)]
 
 
 def log_bases(store, block_id: int) -> list[int]:
@@ -246,6 +261,17 @@ SPDU_CORE_FAULT_POINTS = (
     "core.restart.begin",
     "core.restart.after_redo",
 )
+
+
+class CoreFaultInjector(FaultInjector):
+    """A FaultInjector that arms the flat-file oracle's points instead of
+    the DFS-backed store's."""
+
+    def arm(self, name: str, *, skip: int = 0) -> None:
+        if name not in SPDU_CORE_FAULT_POINTS:
+            raise ValueError(f"unregistered fault point: {name}")
+        self._armed[name] = (skip, "raise")
+
 
 MASTER_MAGIC = 0x53504455
 _MASTER = struct.Struct("<IBI")  # magic, commit_flag, log_page_count

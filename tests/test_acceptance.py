@@ -15,6 +15,8 @@ from oracles import (
     MapOracle,
     MemPageStore,
     ShadowPagedStore,
+    data_blocks,
+    log_blocks,
     random_payload_page,
 )
 from wormdb import bench
@@ -69,11 +71,12 @@ STORE_PAGES = TOTAL + DIRECT_BLOCKS * N
 def build_page_db(threshold=4, faults=None):
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
-    data = create_data_meta(mgr, "db/data", STORE_PAGES)
+    data = "db/data"
+    create_data_meta(mgr, data, STORE_PAGES, bytes(PAGE))
     for block_id in range(1, TOTAL // N):
         mgr.overwrite_block(data, block_id, bytes(BLOCK))
     create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, "db/log", STORE_PAGES, threshold,
+    store = DfsTransactionStore(mgr, data, "db/log", threshold,
                                 faults or FaultInjector())
     return store
 
@@ -118,7 +121,7 @@ def run_workload_until_crash(store, oracle, ops, payload_rng):
     """
     mgr = store.manager
     for op in ops:
-        blocks_before = store.log.block_count
+        blocks_before = log_blocks(store)
         remakes_before = mgr.remakes_total
         pre = oracle.committed_state()
         post = pre
@@ -151,10 +154,9 @@ def probe_marker_durable(store, blocks_before, remakes_before):
     transaction's commit marker durable?"""
     if store.manager.remakes_total > remakes_before:
         return True  # its batch already remade data blocks
-    probe = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                STORE_PAGES)
+    probe = DfsTransactionStore(store.manager, store.data, store.log_name)
     footers = probe.footers()
-    for block_id in range(blocks_before, store.log.block_count):
+    for block_id in range(blocks_before, log_blocks(store)):
         _, complete = footers[block_id]
         if complete:
             return True
@@ -162,8 +164,7 @@ def probe_marker_durable(store, blocks_before, remakes_before):
 
 
 def recover_and_state(store, pageids):
-    fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                STORE_PAGES)
+    fresh = DfsTransactionStore(store.manager, store.data, store.log_name)
     fresh.restart_system()
     return {pid: fresh.read_page(pid) for pid in pageids}
 
@@ -196,7 +197,7 @@ def sweep_point(point, seed=1234):
         # crash a second time, inside restart processing itself
         faults.arm(point)
         mid = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                  STORE_PAGES, 4, faults)
+                                  4, faults)
         with pytest.raises(CrashPoint):
             mid.restart_system()
 
@@ -233,9 +234,10 @@ def test_criterion_2_oracle_equivalence():
     for seed in range(100):
         cluster = DfsCluster(DfsConfig(8192, 2), 4)
         mgr = MetaDfsManager(cluster, 512)
-        data = create_data_meta(mgr, "d", small_total)
+        data = "d"
+        create_data_meta(mgr, data, small_total, bytes(PAGE))
         create_log_meta(mgr, "l")
-        dfs_store = DfsTransactionStore(mgr, data, "l", small_total, 8)
+        dfs_store = DfsTransactionStore(mgr, data, "l", 8)
         core_store = ShadowPagedStore.create(
             MemPageStore(512, small_total), MemPageStore(512), 512,
             small_total)
@@ -272,7 +274,7 @@ def record_remakes(monkeypatch, store):
     overwrite = store.manager.overwrite_block
 
     def recorded(file, block_id, content):
-        if file is store.data:
+        if file == store.data:
             remade.append(block_id)
         return overwrite(file, block_id, content)
 
@@ -312,8 +314,7 @@ def test_criterion_3_idempotence(monkeypatch):
     states = []
     for _ in range(5):
         store.batch_post_commit()
-        states.append([store.manager.read_block(store.data, b)
-                       for b in range(store.data.block_count)])
+        states.append(data_blocks(store))
         assert store.index == {}
         assert read_through(store) == committed
     assert all(state == states[0] for state in states[1:])
@@ -388,7 +389,7 @@ def test_criterion_4_remake_economy(monkeypatch):
                          post_commit_threshold=10 ** 9)
     bench.generate(db, 10_000, seed=1, probe_count=10)
     assert db.manager.remakes_total == 0
-    assert db.store.log.block_count > 0  # updates deferred in the log
+    assert log_blocks(db.store) > 0  # updates deferred in the log
     s = db.session()
     s.begin("read")
     assert len(s.scan(20_000)) == 10_000
@@ -435,9 +436,7 @@ def test_criterion_6_visibility():
     # the second process shares the cluster, not the writer's page cache
     cluster = store.manager.cluster
     mgr = MetaDfsManager(cluster, store.manager.page_size)
-    second = DfsTransactionStore(
-        mgr, mgr.open_meta(store.data.name),
-        store.log_name, TOTAL)
+    second = DfsTransactionStore(mgr, store.data, store.log_name)
     before = cluster.counters.snapshot()
     second.reconstruct_log_table_index()
     index = second.index
@@ -446,7 +445,7 @@ def test_criterion_6_visibility():
     # footer takes, or all of a shorter block
     footers = second.footers()
     assert after.read_calls - before.read_calls == len(footers) == \
-        store.log.block_count
+        log_blocks(store)
     largest = FOOTER_FIXED_SIZE + 8 * (store.pages_per_block - 1)
     assert after.bytes_read - before.bytes_read == \
         sum(min(entry.size_bytes, largest)
@@ -544,7 +543,8 @@ def test_criterion_9_page_mapping():
         assert block_id * n + page_offset == pageid
         assert 0 <= page_offset < n
     # the manager reads page p at block p // N, offset p % N
-    file = mgr.create_meta("m")
+    file = "m"
+    mgr.create_meta(file)
     for block_id in range(3):
         mgr.append_block(file, b"".join(
             (block_id * n + offset).to_bytes(PAGE, "little")

@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
+from oracles import data_blocks
 import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
@@ -551,13 +552,16 @@ def _rewrite_log_as_a_master_file(root, master_page, generations):
         DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
         SMALL_CONFIG["num_nodes"], root)
     manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
-    live = manager.open_meta(generation_name("db/log", 1))
+    live = generation_name("db/log", 1)
     blocks = [manager.read_block(live, block_id)
-              for block_id in range(live.block_count)]
-    master = manager.create_meta("db/log")
+              for block_id in range(cluster.meta_block_count(live))]
+    master = "db/log"
+    manager.create_meta(master)
     manager.append_block(
         master, master_page.ljust(SMALL_CONFIG["page_size"], b"\0"))
-    target = manager.create_meta("db/log/gen1") if generations else master
+    target = "db/log/gen1" if generations else master
+    if generations:
+        manager.create_meta(target)
     for block in blocks:
         manager.append_block(target, block)
     manager.delete_meta(live)
@@ -736,9 +740,7 @@ def test_generation_deterministic_data_bytes():
         db = Database.create(cluster, "db", 1024, 512, 16, True,
                              LockService(), FaultInjector())
         bench.generate(db, 250, seed=11, probe_count=3)
-        blocks = [db.manager.read_block(db.data, b)
-                  for b in range(db.data.block_count)]
-        states.append(blocks)
+        states.append(data_blocks(db.store))
     assert states[0] == states[1]
 
 

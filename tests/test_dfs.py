@@ -653,8 +653,10 @@ def test_meta_block_entries_follow_constituents():
 
     block = 64 * KB
     manager = MetaDfsManager(cluster, 4 * KB)
-    data = manager.create_sparse_meta("data", 3, bytes([1]) * block)
-    log = manager.create_meta("log")
+    data = "data"
+    manager.create_sparse_meta(data, 3, bytes([1]) * block)
+    log = "log"
+    manager.create_meta(log)
     for tag in range(3):
         manager.append_block(log, bytes([tag]) * block)
     cluster.delete_file("log/00000001")

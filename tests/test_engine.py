@@ -12,7 +12,9 @@ from datetime import date
 import pytest
 
 from oracles import (
+    data_blocks,
     log_bases,
+    log_blocks,
     meta_file_strays,
     reference_index_pages,
     reference_insert,
@@ -794,7 +796,7 @@ def test_threshold_commit_compacts_log():
         s.commit()
     # the last commit ran a batch: it remade blocks and carried the other
     # logged pages into generation 2, in one block
-    assert (db.store.generation, db.store.log.block_count) == (2, 1)
+    assert (db.store.generation, log_blocks(db.store)) == (2, 1)
     assert db.manager.remakes_total > 0
     s.begin("read")
     assert len(s.scan(10 ** 6)) == 180
@@ -811,13 +813,13 @@ def _remakes_per_commit(db) -> list[int]:
         for i in range(count):
             s.insert_record(rec(len(remakes) * 1000 + i, key=f"9.9.9.{i % 3}"))
         s.commit()
-        assert db.store.log.block_count == 0
+        assert log_blocks(db.store) == 0
         assert db.manager.remakes_total > 0
         remakes.append(db.manager.remakes_total)
     s.begin("write")
     assert s.update_by_key("9.9.9.1", "DEU", use_index=True) == 70
     s.commit()
-    assert db.store.log.block_count == 0
+    assert log_blocks(db.store) == 0
     remakes.append(db.manager.remakes_total)
     s.begin("read")
     assert len(s.scan(10 ** 6)) == 211
@@ -847,15 +849,15 @@ def test_maintenance_trigger_compacts_log():
         for i in range(20):
             s.insert_record(rec(batch * 20 + i))
         s.commit()
-    assert db.store.log.block_count == 2
+    assert log_blocks(db.store) == 2
     # the logged pages, of data block 0 and of one index block, ride into
     # generation 2 in one block; a batch that carries nothing then
     # remakes both blocks
     assert db.run_maintenance() == 0
-    assert (db.store.generation, db.store.log.block_count) == (2, 1)
+    assert (db.store.generation, log_blocks(db.store)) == (2, 1)
     assert db.locks.snapshot(db.data_name) == []  # lock released
     assert drain(db) == 2
-    assert db.store.log.block_count == 0
+    assert log_blocks(db.store) == 0
     assert db.locks.snapshot(db.data_name) == []
     s.begin("read")
     assert len(s.scan(100)) == 40
@@ -1134,7 +1136,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         for i in range(40):
             writer.insert_record(rec(100 * txn + i, key=f"9.9.9.{txn}"))
         writer.commit()
-    assert db.store.log.block_count > 3  # deferred: the log holds them
+    assert log_blocks(db.store) > 3  # deferred: the log holds them
     cluster = db.manager.cluster
     s = Database.open(cluster, "db", PAGE, recover=False).session()
     cold_pages = None
@@ -1151,7 +1153,7 @@ def test_repeat_read_transaction_reads_no_footer_page():
         if txn == 0:
             # the cold begin reads every footer once, then the catalog
             # page, with one read of the body or data page that holds it
-            assert begin_reads == db.store.log.block_count + 1
+            assert begin_reads == log_blocks(db.store) + 1
             assert 0 < read_calls - begin_reads < pages
             cold_pages = pages
         else:
@@ -1185,7 +1187,7 @@ def test_warm_reader_sees_peer_batch_remake():
     writer.commit()
     assert drain(db) > 0  # a batch in the maintenance session
     assert db.manager.remakes_total > remakes
-    assert db.store.log.block_count == 0  # every read from data blocks
+    assert log_blocks(db.store) == 0  # every read from data blocks
     rows = read_all(reader)
     assert [r.country_code for r in rows] == \
         ["USA" if i % 3 == 1 else "KOR" for i in range(30)]
@@ -1208,7 +1210,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
         s.commit()
     drain(db)
     remakes = db.manager.remakes_total
-    assert remakes > 0 and db.store.log.block_count == 0
+    assert remakes > 0 and log_blocks(db.store) == 0
     cluster = db.manager.cluster
     before = cluster.counters.snapshot()
     assert [r.duration for r in read_all(s)] == list(range(160))
@@ -1217,7 +1219,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     s.commit()
     drain(db)
     assert db.manager.remakes_total > remakes
-    assert db.store.log.block_count == 0
+    assert log_blocks(db.store) == 0
     assert cluster.counters.read_calls == before.read_calls
     expected = ["USA" if i % 4 == 1 else "KOR" for i in range(160)]
     assert [r.country_code for r in read_all(s)] == expected
@@ -1233,7 +1235,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     assert cluster.counters.read_calls - before.read_calls == \
         reader.page_reads - 1
     current = {entry.name: entry.file_id for entry in
-               fresh.manager.constituent_entries(fresh.data) if entry}
+               fresh.manager.constituent_entries(fresh.data_name) if entry}
     cached = {name: file_id
               for name, file_id in fresh.manager.cached_ids().items()
               if name.startswith(f"{db.data_name}/")}
@@ -1326,12 +1328,12 @@ def test_cache_holds_no_truncated_log_block_or_dead_id():
     cluster = db.manager.cluster
     log = db.store.log
     cached_log = [name for name in db.manager.cached_ids()
-                  if name.startswith(log.name + "/")]
+                  if name.startswith(log + "/")]
     assert cached_log  # the reader read record pages from the log
     db.run_maintenance()
-    assert db.store.log is not log and not cluster.meta_exists(log.name)
+    assert db.store.log != log and not cluster.meta_exists(log)
     cached = db.manager.cached_ids()
-    assert not any(name.startswith(log.name + "/") for name in cached)
+    assert not any(name.startswith(log + "/") for name in cached)
     for name, file_id in cached.items():
         assert cluster.file_entry(name).file_id == file_id
     assert len(read_all(reader)) == 100
@@ -1389,7 +1391,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
             else:
                 session.commit()
         fresh = MetaDfsManager(cluster, db.manager.page_size)
-        for file in (db.data, db.store.log):
+        for file in (db.data_name, db.store.log):
             entries = db.manager.constituent_entries(file)
             for block_id, entry in enumerate(entries):
                 # a data block with no constituent reads as a whole block
@@ -1397,7 +1399,7 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
                 size = pages_per_block * page if entry is None else \
                     entry.size_bytes
                 first = block_id * pages_per_block
-                if file is db.data and entry is not None:
+                if file == db.data_name and entry is not None:
                     assert db.manager.read_page(
                         file, first + size // page - 1) != bytes(page)
                 for offset in range(pages_per_block):
@@ -1633,16 +1635,16 @@ def test_a_write_abort_makes_no_dfs_call(monkeypatch):
     s.update_by_key(rec(3).source_ip, "USA", use_index=True)
     for pageid in range(1, BLOCK // PAGE):
         db.store.write_page(pageid, bytes(PAGE))  # one uncommitted block
-    assert db.store.log.block_count == 2
+    assert log_blocks(db.store) == 2
     calls = dfs_calls(monkeypatch)
     s.abort()
     assert calls == []
     monkeypatch.undo()
     assert db.locks.snapshot(db.data_name) == []
     assert s.mode is None
-    assert db.store.log.block_count == 2
+    assert log_blocks(db.store) == 2
     commit_rows(s, [10])
-    assert db.store.log.block_count == 2  # the tail dropped, a marker added
+    assert log_blocks(db.store) == 2  # the tail dropped, a marker added
     assert read_all(db.session()) == [rec(i) for i in range(11)]
 
 
@@ -1672,7 +1674,7 @@ def test_sessions_that_take_turns_writing_share_one_index(monkeypatch):
     for i in range(1, 40):
         commit_rows(sessions[i % 2], [i])
     assert read_all(sessions[0]) == [rec(i) for i in range(40)]
-    assert db.store.log.block_count >= 40  # every commit is in the log
+    assert log_blocks(db.store) >= 40  # every commit is in the log
     assert counts == {}
 
 
@@ -1686,7 +1688,7 @@ def test_a_batch_leaves_the_index_matched_to_the_emptied_log(monkeypatch):
     counts = store_calls(monkeypatch)
     for i in range(1, 6):
         commit_rows(sessions[i % 2], [i])
-    assert db.store.log.block_count == 0  # every commit ran the batch
+    assert log_blocks(db.store) == 0  # every commit ran the batch
     assert read_all(sessions[0]) == [rec(i) for i in range(6)]
     assert counts == {}
 
@@ -1704,7 +1706,7 @@ def test_readers_that_begin_at_once_rebuild_the_index_once(monkeypatch):
             db.store.write_page(pageid, bytes(PAGE))
     finally:
         s.abort()
-    assert db.store.log.block_count == 2  # the flushed block stays
+    assert log_blocks(db.store) == 2  # the flushed block stays
     footers = DfsTransactionStore.footers
 
     def slow(store):
@@ -1821,7 +1823,7 @@ def _logged_kinds(store):
     """How the live log generation holds its pages: "raw" if it holds a
     page whole, "delta" if it holds one XORed with its home."""
     return {"delta" if base else "raw"
-            for block_id in range(store.log.block_count)
+            for block_id in range(log_blocks(store))
             for base in log_bases(store, block_id)}
 
 
@@ -2253,7 +2255,7 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
                  dict(kind="insert", repeat=300, seed=5, key="1.2.3.4")):
         bench.run_workload(db, bench.WorkloadSpec(**spec))
     db.run_maintenance()
-    assert db.store.log.block_count == 0
+    assert log_blocks(db.store) == 0
     # the load's 1500 / 250 commits, the update's, the inserts' and the
     # maintenance batch
     batches = faults.hits["dfs.batch.begin"]
@@ -2293,7 +2295,7 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     assert db.store.index  # the maintenance batch carried pages
     newest = [db.store.read_page(pageid) for pageid in range(1024)]
     drain(db)
-    assert [db.manager.read_page(db.data, pageid)
+    assert [db.manager.read_page(db.data_name, pageid)
             for pageid in range(1024)] == newest
     heap = hashlib.sha256()
     for pageid in range(HEAP_START, HEAP_START + parse_catalog(
@@ -2302,9 +2304,8 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
     assert heap.hexdigest() == \
         "b3ae304320c1b7f2948552265f0f3b6a882a95b057c181c9bd58324f6eb8e245"
     digest = hashlib.sha256()
-    for block_id in range(db.data.block_count):
-        digest.update(db.manager.read_block(db.data, block_id)
-                      .ljust(db.manager.block_size, b"\0"))
+    for block in data_blocks(db.store):
+        digest.update(block.ljust(db.manager.block_size, b"\0"))
     assert digest.hexdigest() == \
         "38a16500a6a34bf5ee54b33a5b33ca9491e7c09fc001ef27cd6a9dd9a0d8cafa"
 

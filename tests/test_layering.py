@@ -47,6 +47,10 @@ The DFS block size has one home: inside the package only dfs.py and
 reader takes the manager's ``block_size``/``pages_per_block``. No module
 names the deleted ``PageConfig``.
 
+The store's page-id bound is the data file's registered block count:
+``total_pages`` appears in spdu_dfs.py only inside ``create_data_meta``,
+which sizes the data file, and not at all in metafile.py or dfs.py.
+
 A data block's stored length has one home: the meta-file layer stores a
 block up to its last nonzero page and reads the rest as zeros, so no
 module other than metafile.py makes zeros of, or pads bytes to, a length
@@ -206,12 +210,14 @@ def scoped_nodes(source: str):
 
 def mentions(source: str, name: str) -> list[tuple[int, str]]:
     """(line, enclosing scope) for each place `source` uses identifier
-    `name`: as a variable, attribute, keyword, import or definition."""
+    `name`: as a variable, parameter, attribute, keyword, import or
+    definition."""
     return sorted(
         (node.lineno, scope) for node, scope in scoped_nodes(source)
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)) and node.name == name)
         or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.arg) and node.arg == name)
         or (isinstance(node, ast.Attribute) and node.attr == name)
         or (isinstance(node, ast.keyword) and node.arg == name)
         or (isinstance(node, ast.alias) and name in
@@ -229,9 +235,11 @@ def test_detector_finds_mentions_with_their_scope():
         "block_size_bytes = 4\n"
         "def f():\n"
         "    def block_size_bytes(): pass\n"
+        "def g(block_size_bytes=1): pass\n"
     )
     assert mentions(source, "block_size_bytes") == [
-        (4, "M.__init__"), (6, "M.check"), (7, "<module>"), (9, "f")]
+        (4, "M.__init__"), (6, "M.check"), (7, "<module>"), (9, "f"),
+        (10, "g")]
     assert mentions(source, "PageConfig") == [(1, "<module>")]
     assert mentions(source, "block_size") == [(6, "M.check")]
     codec = (
@@ -295,7 +303,7 @@ def test_detector_flags_naming_registering_and_dropping_a_meta_file():
     source = (
         "from .spdu_dfs import generation_name\n"
         "def discard(manager, name):\n"
-        "    gen = manager.open_meta(generation_name(name, 2))\n"
+        "    gen = generation_name(name, 2)\n"
         "    manager.delete_meta(gen)\n"
         "    return manager.create_meta(name), manager.exists(name)\n"
     )
@@ -379,6 +387,52 @@ def test_the_dfs_block_size_has_one_home():
     assert mentions((PACKAGE / "metafile.py").read_text("utf-8"),
                     "block_size_bytes") != []
     assert not hasattr(wormdb, "PageConfig")
+
+
+# module -> the scopes that may mention total_pages
+TOTAL_PAGES_HOMES = {"dfs.py": set(), "metafile.py": set(),
+                     STORE_MODULE: {"create_data_meta"}}
+
+
+def total_pages_offences(module: str, source: str) -> list[str]:
+    """"module:line: scope" for each mention of `total_pages` in `source`,
+    as module `module`, outside the scopes TOTAL_PAGES_HOMES allows."""
+    return [f"{module}:{line}: {scope}"
+            for line, scope in mentions(source, "total_pages")
+            if scope not in TOTAL_PAGES_HOMES[module]]
+
+
+def test_detector_flags_total_pages_outside_its_homes():
+    source = (
+        "def create_data_meta(manager, name, total_pages, first_page):\n"
+        "    return total_pages // manager.pages_per_block\n"
+        "class DfsTransactionStore:\n"
+        "    def __init__(self, manager, total_pages=8):\n"
+        "        self.total_pages = total_pages\n"
+        "    def read_page(self, pageid):\n"
+        "        return pageid < self.total_pages\n"
+    )
+    store = "DfsTransactionStore"
+    assert total_pages_offences(STORE_MODULE, source) == [
+        f"{STORE_MODULE}:4: {store}.__init__",
+        f"{STORE_MODULE}:5: {store}.__init__",
+        f"{STORE_MODULE}:5: {store}.__init__",
+        f"{STORE_MODULE}:7: {store}.read_page"]
+    assert [offence.split(":")[1] for offence in
+            total_pages_offences("metafile.py", source)] == \
+        ["1", "2", "4", "5", "5", "7"]
+
+
+def test_the_data_files_blocks_are_the_stores_page_bound():
+    """Below the engine the data file's registered block count is the
+    only page-id bound: `total_pages` sizes the data file at its create
+    and is not held by the store, the meta-file layer or the DFS."""
+    offences = [offence for module in sorted(TOTAL_PAGES_HOMES)
+                for offence in total_pages_offences(
+                    module, (PACKAGE / module).read_text("utf-8"))]
+    assert offences == []
+    assert mentions((PACKAGE / STORE_MODULE).read_text("utf-8"),
+                    "total_pages") != []
 
 
 # calls that make zeros of, or pad bytes to, the length they are given

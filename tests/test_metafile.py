@@ -36,8 +36,9 @@ def block_of(tag: int) -> bytes:
 
 
 def test_create_meta_empty(mgr):
-    f = mgr.create_meta("db/data")
-    assert f.block_count == 0
+    f = "db/data"
+    mgr.create_meta(f)
+    assert mgr.cluster.meta_block_count(f) == 0
     with pytest.raises(AlreadyExists):
         mgr.create_meta("db/data")
     with pytest.raises(OutOfRange):
@@ -45,7 +46,8 @@ def test_create_meta_empty(mgr):
 
 
 def test_append_naming_matches_ordinal_scheme(mgr):
-    f = mgr.create_meta("path/data")
+    f = "path/data"
+    mgr.create_meta(f)
     for i in range(4):
         assert mgr.append_block(f, block_of(i)) == i
         name = constituent_name("path/data", i)
@@ -57,11 +59,12 @@ def test_append_naming_matches_ordinal_scheme(mgr):
 
 def test_append_wrong_size(mgr):
     """An append takes 1 to BLOCK bytes; an overwrite whole pages only."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for content in (b"", bytes(BLOCK + 1), bytes(BLOCK + PAGE)):
         with pytest.raises(WrongBlockSize):
             mgr.append_block(f, content)
-    assert f.block_count == 0
+    assert mgr.cluster.meta_block_count(f) == 0
     mgr.append_block(f, block_of(1))
     for content in (b"short", b"", bytes(PAGE + 1), bytes(BLOCK + PAGE)):
         with pytest.raises(WrongBlockSize):
@@ -77,9 +80,10 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     footer, from the cache of the manager that appended it, or with one
     DFS read of just its bytes, which another manager then serves from
     its cache, and it makes no NameNode call."""
-    data = create_data_meta(mgr, "db/data", 4 * N)
+    data = "db/data"
+    create_data_meta(mgr, data, 4 * N, bytes(PAGE))
     create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, "db/log", 4 * N)
+    store = DfsTransactionStore(mgr, data, "db/log")
     store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
     store.commit_transaction()
     size = mgr.constituent_entry(store.log, 0).size_bytes
@@ -88,7 +92,7 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     tail = mgr.read_block(store.log, 0)[size - footer:]
     peer = peer_of(mgr)
     for manager, reads in ((mgr, (0, 0)), (peer, (1, footer))):
-        file = manager.open_meta(store.log.name)
+        file = store.log
         with pytest.raises(OutOfRange):
             manager.read_page(file, 0)
         entry = manager.constituent_entry(file, 0)
@@ -109,7 +113,8 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
 
 
 def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for pages in (1, 3, N):
         mgr.append_block(f, bytes([pages]) * (pages * PAGE))
     assert [mgr.cluster.file_entry(constituent_name("m", b)).size_bytes
@@ -119,7 +124,8 @@ def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):
 
 
 def test_every_constituent_is_one_dfs_block(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for i in range(3):
         mgr.append_block(f, block_of(i))
     for i in range(3):
@@ -129,7 +135,8 @@ def test_every_constituent_is_one_dfs_block(mgr):
 
 
 def test_overwrite_block_locality_and_remake_count(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for i in range(4):
         mgr.append_block(f, block_of(i))
     before = [mgr.read_block(f, i) for i in range(4)]
@@ -145,14 +152,16 @@ def test_overwrite_block_locality_and_remake_count(mgr):
 
 
 def test_read_block_out_of_range(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     with pytest.raises(OutOfRange):
         mgr.read_block(f, 1)
 
 
 def test_read_page_tags(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     content = b"".join(bytes([k]) * PAGE for k in range(N))
     mgr.append_block(f, content)
     for k in range(N):
@@ -164,17 +173,18 @@ def test_read_page_tags(mgr):
 
 
 def test_truncate_from(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for i in range(4):
         mgr.append_block(f, block_of(i))
     mgr.truncate_from(f, 2)
-    assert f.block_count == 2
+    assert mgr.cluster.meta_block_count(f) == 2
     assert mgr.cluster.list_files("m/") == [
         constituent_name("m", 0), constituent_name("m", 1)]
     mgr.truncate_from(f, 2)  # no-op at block_count
-    assert f.block_count == 2
+    assert mgr.cluster.meta_block_count(f) == 2
     mgr.truncate_from(f, 0)
-    assert f.block_count == 0
+    assert mgr.cluster.meta_block_count(f) == 0
     with pytest.raises(OutOfRange):
         mgr.truncate_from(f, 5)
 
@@ -239,7 +249,8 @@ def failed_save(mgr, monkeypatch, call):
 def test_a_truncate_is_one_mutation_and_a_failed_one_changes_nothing(
         disk_mgr, monkeypatch):
     mgr = disk_mgr
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for i in range(4):
         mgr.append_block(f, block_of(i))
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
@@ -261,32 +272,35 @@ def test_a_failed_append_changes_neither_table_nor_cache(disk_mgr,
     fails, the block is neither listed nor counted nor cached, and the
     next append takes its ordinal."""
     mgr = disk_mgr
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
     failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
     assert calls == [("create_file", constituent_name("m", 1), block_of(2),
                       "m")]
     assert mgr.append_block(f, block_of(3)) == 1
-    assert f.block_count == 2
+    assert mgr.cluster.meta_block_count(f) == 2
     assert mgr.read_block(f, 1) == block_of(3)
     assert mgr.read_page(f, N) == block_of(3)[:PAGE]
 
 
 def test_delete_meta(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     mgr.delete_meta(f)
     assert mgr.cluster.list_files("m/") == []
     assert not mgr.exists("m")
     with pytest.raises(NotFound):
         mgr.delete_meta(f)
-    f2 = mgr.create_meta("m")
-    assert f2.block_count == 0
+    mgr.create_meta(f)
+    assert mgr.cluster.meta_block_count(f) == 0
 
 
 def test_append_after_overwrite_keeps_order(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     mgr.overwrite_block(f, 0, block_of(5))
     assert mgr.append_block(f, block_of(1)) == 1
@@ -310,24 +324,25 @@ def peer_of(mgr):
 
 
 def test_repeat_page_read_is_served_from_cache(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     content = b"".join(bytes([k]) * PAGE for k in range(N))
     mgr.append_block(f, content)
     reader = peer_of(mgr)
-    g = reader.open_meta("m")
-    assert dfs_reads(reader, lambda: reader.read_page(g, 3)) == \
+    assert dfs_reads(reader, lambda: reader.read_page(f, 3)) == \
         (1, PAGE, bytes([3]) * PAGE)
-    assert dfs_reads(reader, lambda: reader.read_page(g, 3)) == \
+    assert dfs_reads(reader, lambda: reader.read_page(f, 3)) == \
         (0, 0, bytes([3]) * PAGE)
     # another page of the same block is its own DFS read
-    assert dfs_reads(reader, lambda: reader.read_page(g, 4))[:2] == (1, PAGE)
+    assert dfs_reads(reader, lambda: reader.read_page(f, 4))[:2] == (1, PAGE)
     assert reader.cached_ids() == {
         constituent_name("m", 0):
             mgr.cluster.file_entry(constituent_name("m", 0)).file_id}
 
 
 def test_remake_truncate_and_delete_drop_cached_pages(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for i in range(3):
         mgr.append_block(f, block_of(i))
     for i in range(3):
@@ -360,7 +375,8 @@ def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
     """A remake whose rename fails leaves the block whole, and its cached
     entry, which still holds the current content: this manager serves it
     with no DFS read, and a peer reads the same content from the DFS."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     mgr.overwrite_block(f, 0, block_of(2))
 
@@ -378,24 +394,25 @@ def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 1)) == \
         (0, 0, bytes([2]) * PAGE)
     peer = peer_of(mgr)
-    g = peer.open_meta("m")
-    assert dfs_reads(peer, lambda: peer.read_block(g, 0)) == \
+    assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == \
         (1, BLOCK, block_of(2))
-    assert peer.read_page(g, 1) == bytes([2]) * PAGE
+    assert peer.read_page(f, 1) == bytes([2]) * PAGE
 
 
 def test_a_written_block_is_cached_as_the_object_the_datanodes_keep(mgr):
     """In memory mode a block this manager appended, remade or created in
     a hole is cached as the very object its DataNodes store, so the cache
     holds no copy of its own."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     mgr.append_block(f, block_of(2))
     mgr.overwrite_block(f, 1, block_of(3))
-    d = mgr.create_sparse_meta("d", 2, block_of(4))
+    d = "d"
+    mgr.create_sparse_meta(d, 2, block_of(4))
     mgr.overwrite_block(d, 1, block_of(5))
     for file, block_id in ((f, 0), (f, 1), (d, 1)):
-        name = constituent_name(file.name, block_id)
+        name = constituent_name(file, block_id)
         *reads, block = dfs_reads(mgr, lambda: mgr.read_block(file, block_id))
         assert reads == [0, 0]
         replicas = mgr.cluster.replicas(name)
@@ -407,7 +424,8 @@ def test_a_written_buffer_is_cached_as_bytes(mgr):
     """A block handed to an append or a remake as a bytearray is cached as
     bytes: what the caller does to its buffer afterwards changes nothing
     that is read."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     buffer = bytearray(block_of(1))
     mgr.append_block(f, buffer)
     buffer[:] = block_of(2)
@@ -426,20 +444,22 @@ def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
     """A remake by another manager over the same cluster evicts nothing
     here, but changes the block's file_id, so the stale page is not
     served."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     assert mgr.read_page(f, 0) == bytes([1]) * PAGE
     peer = MetaDfsManager(mgr.cluster, mgr.page_size)
-    peer.overwrite_block(peer.open_meta("m"), 0, block_of(2))
+    peer.overwrite_block("m", 0, block_of(2))
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
         (1, PAGE, bytes([2]) * PAGE)
-    peer.truncate_from(peer.open_meta("m"), 0)
-    peer.append_block(peer.open_meta("m"), block_of(3))
+    peer.truncate_from("m", 0)
+    peer.append_block("m", block_of(3))
     assert mgr.read_page(f, 0) == bytes([3]) * PAGE
 
 
 def test_dead_replicas_of_a_cached_block_are_reported(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(4))
     page = mgr.read_page(f, 2)
     holders = mgr.cluster.file_entry(constituent_name("m", 0)).holders
@@ -462,7 +482,8 @@ def test_dead_replicas_of_a_cached_block_are_reported(mgr):
 
 
 def test_an_appended_block_is_read_from_the_cache(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     content = b"".join(bytes([k]) * PAGE for k in range(N))
     mgr.append_block(f, content)
     file_id = mgr.cluster.file_entry(constituent_name("m", 0)).file_id
@@ -474,7 +495,7 @@ def test_an_appended_block_is_read_from_the_cache(mgr):
     # once another manager remakes the block, it is read from the DFS,
     # and a whole-block read caches nothing
     peer = peer_of(mgr)
-    peer.overwrite_block(peer.open_meta("m"), 0, block_of(7))
+    peer.overwrite_block("m", 0, block_of(7))
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
         (1, BLOCK, block_of(7))
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0))[:2] == (1, BLOCK)
@@ -486,7 +507,8 @@ def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
     """An appended short block is served whole by read_block with no DFS
     read; a page wholly past its end reads as zeros with no DFS read, and
     a page that runs past its end is OutOfRange, cached or not."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     content = b"".join(bytes([k + 1]) * PAGE for k in range(3))
     mgr.append_block(f, content)
     mgr.append_block(f, block_of(5))
@@ -495,10 +517,9 @@ def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2)) == \
         (0, 0, bytes([3]) * PAGE)
     peer = peer_of(mgr)
-    g = peer.open_meta("m")
-    assert dfs_reads(peer, lambda: peer.read_block(g, 0)) == \
+    assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == \
         (1, 3 * PAGE, content)
-    for manager, file in ((mgr, f), (peer, g)):
+    for manager, file in ((mgr, f), (peer, f)):
         for pageid in (3, N - 1, 2 * N + 2):
             assert dfs_reads(manager, lambda: manager.read_page(
                 file, pageid)) == (0, 0, bytes(PAGE))
@@ -511,17 +532,17 @@ def test_a_peer_reappend_is_not_served_from_a_stale_seed(mgr):
     """Another manager truncates the block this one appended and appends
     new content under the same block id: this manager's cached pages of
     the old block are never served."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     mgr.append_block(f, block_of(2))
     peer = peer_of(mgr)
-    g = peer.open_meta("m")
-    peer.truncate_from(g, 1)
-    peer.append_block(g, block_of(3))
+    peer.truncate_from(f, 1)
+    peer.append_block(f, block_of(3))
     assert mgr.read_block(f, 1) == block_of(3)
     assert mgr.read_page(f, N + 1) == block_of(3)[:PAGE]
-    peer.truncate_from(g, 0)
-    peer.append_block(g, block_of(4))
+    peer.truncate_from(f, 0)
+    peer.append_block(f, block_of(4))
     assert mgr.read_page(f, 2) == block_of(4)[:PAGE]
     assert mgr.read_block(f, 0) == block_of(4)
 
@@ -530,7 +551,8 @@ def test_a_failed_append_leaves_no_servable_seed(disk_mgr, monkeypatch):
     """An append whose table save fails caches nothing, so a block that
     another manager appends there later is read from the DFS."""
     mgr = disk_mgr
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
     assert constituent_name("m", 1) not in mgr.cached_ids()
@@ -538,7 +560,7 @@ def test_a_failed_append_leaves_no_servable_seed(disk_mgr, monkeypatch):
         mgr.read_page(f, N)
     with pytest.raises(OutOfRange):
         mgr.read_block(f, 1)
-    peer_of(mgr).append_block(mgr.open_meta("m"), block_of(3))
+    peer_of(mgr).append_block("m", block_of(3))
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 1)) == \
         (1, BLOCK, block_of(3))
     assert mgr.read_page(f, N + 2) == block_of(3)[:PAGE]
@@ -549,17 +571,18 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     cache holds no log block but the new generation's."""
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     mgr = MetaDfsManager(cluster, PAGE)
-    data = create_data_meta(mgr, "db/data", 4 * N)
+    data = "db/data"
+    create_data_meta(mgr, data, 4 * N, bytes(PAGE))
     create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, "db/log", 4 * N)
+    store = DfsTransactionStore(mgr, data, "db/log")
     for pageid in (1, N + 1, 3 * N):
         store.write_page(pageid, bytes([pageid % 256]) * PAGE)
         store.commit_transaction()
-    assert store.log.block_count == 3
-    log_blocks = {constituent_name(store.log.name, b) for b in range(3)}
+    assert mgr.cluster.meta_block_count(store.log) == 3
+    log_blocks = {constituent_name(store.log, b) for b in range(3)}
     assert log_blocks <= set(mgr.cached_ids())
     # a log block with every replica dead fails the batch, though cached
-    dead = constituent_name(store.log.name, 0)
+    dead = constituent_name(store.log, 0)
     holders = cluster.file_entry(dead).holders
     for node_id in holders:
         cluster.set_node_alive(node_id, False)
@@ -574,15 +597,16 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     # only the new generation, which holds the pages the batch carried
     assert {name for name in mgr.cached_ids()
             if name.startswith("db/log/")} <= {
-        constituent_name(store.log.name, b)
-        for b in range(store.log.block_count)}
+        constituent_name(store.log, b)
+        for b in range(mgr.cluster.meta_block_count(store.log))}
 
 
 def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
     """Readers on several threads race a thread that remakes two blocks.
     A page read into the cache just as its block is remade must never be
     served once the remakes stop."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     mgr.append_block(f, block_of(0))
     pageids = [0, 3, N, N + 5]
@@ -623,7 +647,8 @@ def test_concurrent_reads_and_reappends_leave_no_stale_page(mgr):
     and appends it again, as the log's batch and next commit do. A read
     may find the block gone for a moment, but every page it returns is
     whole, and once the appends stop only the last one is served."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     mgr.append_block(f, block_of(0))
     done = threading.Event()
@@ -664,7 +689,8 @@ def test_concurrent_reads_and_reappends_leave_no_stale_page(mgr):
 
 
 def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     name = constituent_name("m", 0)
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
@@ -679,7 +705,8 @@ def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):
 def test_a_stale_replacement_is_deleted_by_the_next_remake(mgr, monkeypatch):
     """A remake that failed after creating its replacement file leaves the
     block whole and the file behind; the next remake deletes it."""
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     name = constituent_name("m", 0)
 
@@ -702,8 +729,9 @@ def test_a_stale_replacement_is_deleted_by_the_next_remake(mgr, monkeypatch):
 
 
 def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
-    f = mgr.create_sparse_meta("d", 4, block_of(1))
-    assert f.block_count == 4
+    f = "d"
+    mgr.create_sparse_meta(f, 4, block_of(1))
+    assert mgr.cluster.meta_block_count(f) == 4
     assert mgr.cluster.list_files("d/") == [constituent_name("d", 0)]
     before = mgr.cluster.counters.snapshot()
     assert mgr.read_page(f, 2 * N + 3) == bytes(PAGE)
@@ -718,7 +746,7 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
     assert calls == [("create_file", constituent_name("d", 2), block_of(5))]
     assert (mgr.fills_total, mgr.remakes_total) == (1, 0)
     assert mgr.read_page(f, 2 * N + 3) == bytes([5]) * PAGE
-    assert mgr.open_meta("d").block_count == 4
+    assert mgr.cluster.meta_block_count("d") == 4
 
 
 def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
@@ -732,7 +760,9 @@ def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
     def pages(*tags):
         return b"".join(bytes([tag]) * PAGE for tag in tags)
 
-    f = mgr.create_sparse_meta("d", 5, pages(1, 0, 2).ljust(BLOCK, b"\0"))
+    f = "d"
+
+    mgr.create_sparse_meta(f, 5, pages(1, 0, 2).ljust(BLOCK, b"\0"))
     assert mgr.read_block(f, 0) == pages(1, 0, 2)
     mgr.overwrite_block(f, 2, pages(0, 0, 0, 0, 3, 0))  # a fill
     mgr.overwrite_block(f, 3, block_of(4))  # a fill of the whole block
@@ -747,7 +777,7 @@ def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
     reopened = MetaDfsManager(
         DfsCluster(DfsConfig(BLOCK, 2), 4, mgr.cluster.root), PAGE)
     for reader in (mgr, peer_of(mgr), reopened):
-        file = reader.open_meta("d")
+        file = "d"
         for block_id, block in stored.items():
             whole = (block or b"").ljust(BLOCK, b"\0")
             for offset in range(N):
@@ -769,7 +799,8 @@ def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,
     cached blocks. The delete that follows removes them all, so a sparse
     file created under the name reads zeros, not the old blocks."""
     mgr = disk_mgr
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for tag in range(3):
         mgr.append_block(f, block_of(tag + 1))
     mgr.cluster.create_file(constituent_name("m", 1) + ".new", block_of(7))
@@ -781,7 +812,8 @@ def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,
     assert calls == [("meta_unregister", "m")]
     assert mgr.cluster.list_files("m/") == []
     assert mgr.cached_ids() == {}
-    sparse = mgr.create_sparse_meta("m", 3, block_of(9))
+    sparse = "m"
+    mgr.create_sparse_meta(sparse, 3, block_of(9))
     assert mgr.read_block(sparse, 1) == bytes(BLOCK)
 
 
@@ -795,7 +827,8 @@ def test_each_length_change_is_one_table_save(disk_mgr, monkeypatch,
     save = DfsCluster._save_tables
     monkeypatch.setattr(DfsCluster, "_save_tables",
                         lambda cluster: saves.append(1) or save(cluster))
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     for tag in range(appends):
         mgr.append_block(f, block_of(tag))
     mgr.truncate_from(f, appends - dropped)
@@ -804,7 +837,8 @@ def test_each_length_change_is_one_table_save(disk_mgr, monkeypatch,
 
 
 def test_meta_block_entry_checks(mgr):
-    f = mgr.create_meta("m")
+    f = "m"
+    mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     name = constituent_name("m", 0)
     assert mgr.cluster.meta_block_entry("m", 0) == \

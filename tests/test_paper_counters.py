@@ -80,6 +80,7 @@ KEY = "1.2.3.4"
 PAGE = 512
 BLOCK = 8192
 REPLICATION = 2
+TOTAL_PAGES = 2048
 
 # name, WorkloadSpec arguments, (page_reads, page_writes, dfs_remakes,
 # records_returned), network_bytes before the page cache
@@ -109,8 +110,8 @@ WORKLOADS = [
 def make_loaded_db() -> Database:
     cluster = DfsCluster(DfsConfig(BLOCK, REPLICATION), 4)
     # threshold 1: most write transactions end in a batch post-commit
-    db = Database.create(cluster, "db", 2048, PAGE, 1, True, LockService(),
-                         FaultInjector())
+    db = Database.create(cluster, "db", TOTAL_PAGES, PAGE, 1, True,
+                         LockService(), FaultInjector())
     bench.generate(db, 1500, seed=4, probe_key=KEY, probe_count=9,
                    commit_every=500)
     return db
@@ -132,7 +133,7 @@ def test_paper_counters_are_pinned(monkeypatch):
             inside.pop()
 
     def overwrite(manager, file, block_id, content):
-        if inside and file.name == db.data_name:
+        if inside and file == db.data_name:
             batches[-1].append(block_id)
         return overwrite_block(manager, file, block_id, content)
 
@@ -147,12 +148,12 @@ def test_paper_counters_are_pinned(monkeypatch):
                            for remade in batches)
     # every page reads as its newest committed copy, which a batch that
     # carries nothing copies home
-    pages = range(db.store.total_pages)
+    pages = range(TOTAL_PAGES)
     newest = [db.store.read_page(pageid) for pageid in pages]
     db.store.post_commit_threshold = 0
     db.run_maintenance()
-    assert [db.manager.read_page(db.data, pageid) for pageid in pages] == \
-        newest
+    assert [db.manager.read_page(db.data_name, pageid)
+            for pageid in pages] == newest
 
 
 def test_log_and_data_write_pages_not_blocks(monkeypatch):
@@ -186,7 +187,7 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
     data_writes = []
 
     def handed(self, file, block_id, content):
-        if file.name == db.data_name:
+        if file == db.data_name:
             data_writes.append(bytes(content))
         return overwrite_block(self, file, block_id, content)
 

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     SPDU_CORE_FAULT_POINTS,
+    CoreFaultInjector,
     FilePageStore,
     MapOracle,
     MemPageStore,
@@ -13,7 +14,7 @@ from oracles import (
     verify_page,
 )
 from wormdb.errors import OutOfRange
-from wormdb.faults import CrashPoint, FaultInjector
+from wormdb.faults import CrashPoint
 from wormdb.pagefmt import PAGE_HEADER_SIZE
 
 PAGE = 256
@@ -23,7 +24,7 @@ TOTAL = 32
 def make_store(faults=None):
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
-    faults = faults or FaultInjector(SPDU_CORE_FAULT_POINTS)
+    faults = faults or CoreFaultInjector()
     store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)
     return store
 
@@ -166,7 +167,7 @@ def run_with_crash(seed: int, point: str, skip: int = 0):
     Returns (store, oracle_pre, oracle_post) where the oracles are the
     committed map states before and after the interrupted commit.
     """
-    faults = FaultInjector(SPDU_CORE_FAULT_POINTS)
+    faults = CoreFaultInjector()
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
     store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)
@@ -232,7 +233,7 @@ def test_crash_point_lands_on_pre_or_post_state(point):
 
 
 def test_double_crash_during_restart_still_recovers():
-    faults = FaultInjector(SPDU_CORE_FAULT_POINTS)
+    faults = CoreFaultInjector()
     data = MemPageStore(PAGE, pages=TOTAL)
     log = MemPageStore(PAGE)
     store = ShadowPagedStore.create(data, log, PAGE, TOTAL, faults)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MapOracle, log_bases, page_header, random_payload_page
+from oracles import (
+    MapOracle,
+    data_blocks,
+    log_bases,
+    log_blocks,
+    page_header,
+    random_payload_page,
+)
 from wormdb import spdu_dfs
 from wormdb.dfs import DataNode, DfsCluster, DfsConfig, constituent_name
 from wormdb.engine import Database
@@ -47,14 +54,15 @@ def make_store(threshold=64, faults=None, total=TOTAL, holes=False,
     it is written."""
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4, root)
     mgr = MetaDfsManager(cluster, PAGE)
+    data = "db/data"
     if holes:
-        data = create_data_meta(mgr, "db/data", total)
+        create_data_meta(mgr, data, total, bytes(PAGE))
     else:
-        data = mgr.create_meta("db/data")
+        mgr.create_meta(data)
         for _ in range(-(-total // N)):
             mgr.append_block(data, bytes(BLOCK))
     create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, "db/log", total, threshold,
+    store = DfsTransactionStore(mgr, data, "db/log", threshold,
                                 faults or FaultInjector())
     return store
 
@@ -108,11 +116,29 @@ def test_buffer_write_and_read_paths():
     store.write_page(5, content)
     # page only in buffer
     assert payload(store.read_page(5)) == payload(content)
-    assert store.log.block_count == 0  # nothing flushed yet
+    assert log_blocks(store) == 0  # nothing flushed yet
     # untouched page comes from the data meta file
     assert store.read_page(9) == bytes(PAGE)
     with pytest.raises(OutOfRange):
         store.read_page(TOTAL)
+
+
+@pytest.mark.parametrize("holes", [False, True])
+@pytest.mark.parametrize("pageid", [-1, TOTAL])
+def test_the_data_files_blocks_bound_the_page_ids(pageid, holes):
+    """The data file's registered blocks are the store's only page-id
+    bound: a read or write below page 0 or at the first page past its
+    last block is OutOfRange, and a refused write takes no ordinal. A
+    file of TOTAL - 3 pages has the blocks of TOTAL pages, so its last
+    page is TOTAL - 1."""
+    store = make_store(total=TOTAL - 3, holes=holes)
+    rng = random.Random(44)
+    with pytest.raises(OutOfRange):
+        store.read_page(pageid)
+    with pytest.raises(OutOfRange):
+        store.write_page(pageid, page_with(rng))
+    store.write_page(TOTAL - 1, page_with(rng))
+    assert page_header(store.read_page(TOTAL - 1))[:2] == (TOTAL - 1, 0)
 
 
 def test_write_same_page_twice_single_slot():
@@ -134,9 +160,9 @@ def test_auto_flush_on_capacity():
     rng = random.Random(2)
     for pid in range(N - 2):
         store.write_page(pid, page_with(rng))
-    assert store.log.block_count == 0
+    assert log_blocks(store) == 0
     store.write_page(N - 2, page_with(rng))  # the (N-1)-th distinct page
-    assert store.log.block_count == 1  # flushed automatically
+    assert log_blocks(store) == 1  # flushed automatically
     store.write_page(50, page_with(rng))  # starts a new buffer
     pageids, complete = _footer(store, 0)
     assert pageids == list(range(N - 1))
@@ -163,7 +189,7 @@ def test_flush_footer_lists_pages_in_arrival_order():
 def test_commit_with_empty_buffer_appends_marker():
     store = make_store()
     store.commit_transaction()
-    assert store.log.block_count == 1
+    assert log_blocks(store) == 1
     pageids, complete = _footer(store, 0)
     assert pageids == []
     assert complete is True
@@ -194,7 +220,7 @@ def test_commit_defers_post_commit():
     store.commit_transaction()
     # two commits without reaching the threshold: zero data remakes
     assert store.manager.remakes_total == 0
-    assert store.log.block_count == 2
+    assert log_blocks(store) == 2
     pageids, complete = _footer(store, 0)
     assert (pageids, complete) == ([5, 3], True)
 
@@ -212,12 +238,12 @@ def test_commit_past_threshold_compacts_log():
     for commit in range(30):
         store.write_page(commit % N, page_with(rng))
         store.commit_transaction()
-        assert store.log.block_count == commit + 1
+        assert log_blocks(store) == commit + 1
     store.write_page(0, page_with(rng))
     store.commit_transaction()
     # the log passed T=2 blocks' worth -> batch ran; pages 0..15 fill
     # block 0, which it remakes, so no page is carried
-    assert store.log.block_count == 0
+    assert log_blocks(store) == 0
     assert store.manager.remakes_total == 1
 
 
@@ -235,12 +261,12 @@ def test_batch_waits_for_more_than_threshold_blocks_of_pages():
     store.commit_transaction()
     for _ in range(109):
         store.commit_transaction()
-    assert (store.log.block_count, store.manager.remakes_total) \
+    assert (log_blocks(store), store.manager.remakes_total) \
         == (110, 0)
     store.commit_transaction()
     # block 0's N - 3 pages take more than half the trigger, so none
     # rides into the next generation and the block is remade
-    assert (store.log.block_count, store.manager.remakes_total) \
+    assert (log_blocks(store), store.manager.remakes_total) \
         == (0, 1)
 
 
@@ -256,7 +282,7 @@ def test_batch_remake_count_equals_distinct_data_blocks(monkeypatch):
     overwrite = store.manager.overwrite_block
 
     def recorded(file, block_id, content):
-        if file is store.data:
+        if file == store.data:
             remade.append(block_id)
         return overwrite(file, block_id, content)
 
@@ -300,7 +326,7 @@ def test_a_lone_hot_page_rides_until_its_credit_runs_out():
         store.commit_transaction()
         remakes.append(store.batch_post_commit())
         assert store.generation == batch + 2
-        assert store.log.block_count == 1 - remakes[-1]
+        assert log_blocks(store) == 1 - remakes[-1]
         assert payload(store.read_page(5)) == payload(content)
     assert remakes == [0] * (N - 1) + [1, 0]
     assert store.manager.remakes_total == 1
@@ -366,12 +392,10 @@ def test_batch_idempotent():
         store.write_page(pid, page_with(rng))
     store.commit_transaction()
     store.batch_post_commit()
-    state = [store.manager.read_block(store.data, b)
-             for b in range(store.data.block_count)]
+    state = data_blocks(store)
     for _ in range(4):
         store.batch_post_commit()
-        assert [store.manager.read_block(store.data, b)
-                for b in range(store.data.block_count)] == state
+        assert data_blocks(store) == state
 
 
 def test_abort_truncates_to_last_committed_block():
@@ -383,15 +407,15 @@ def test_abort_truncates_to_last_committed_block():
     for pid in range(N - 1):
         store.write_page(pid, page_with(rng))  # auto-flush -> block 0
     store.commit_transaction()                 # marker -> block 1
-    assert store.log.block_count == 2
+    assert log_blocks(store) == 2
     # uncommitted blocks [2, 3]
     for pid in range(N - 1):
         store.write_page(32 + pid, page_with(rng))  # block 2
     store.write_page(60, page_with(rng))
     store.flush_buffer(mark_commit=False)           # block 3
-    assert store.log.block_count == 4
+    assert log_blocks(store) == 4
     store.begin_transaction(write=True)
-    assert store.log.block_count == 2
+    assert log_blocks(store) == 2
     assert 60 not in store.index
     assert store.read_page(60) == bytes(PAGE)
     assert 0 in store.index  # committed updates survive the abort
@@ -402,7 +426,7 @@ def test_abort_with_only_buffered_writes():
     rng = random.Random(11)
     store.write_page(5, page_with(rng))
     store.begin_transaction(write=True)
-    assert store.log.block_count == 0
+    assert log_blocks(store) == 0
     assert store.read_page(5) == bytes(PAGE)
 
 
@@ -441,7 +465,7 @@ def test_reconstruction_reads_only_footer_pages():
     before = cluster.counters.snapshot()
     fresh.reconstruct_log_table_index()
     after = cluster.counters
-    data_blocks = store.log.block_count
+    data_blocks = log_blocks(store)
     assert after.read_calls - before.read_calls == data_blocks == 1
     assert after.bytes_read - before.bytes_read == \
         _footer_bytes(fresh, 0) == FOOTER_FIXED_SIZE + 8 * (N - 1)
@@ -459,8 +483,7 @@ def test_reconstruction_last_wins_across_blocks():
     newer = page_with(rng)
     store.write_page(5, newer)
     store.flush_buffer(mark_commit=True)    # block 3
-    fresh = DfsTransactionStore(store.manager, store.data,
-                                store.log_name, TOTAL)
+    fresh = DfsTransactionStore(store.manager, store.data, store.log_name)
     assert _index(fresh)[5][0] == 2
     assert payload(fresh.read_page(5)) == payload(newer)
 
@@ -470,9 +493,7 @@ def _peer(store, threshold=64):
     over the same cluster, so none of the pages the writer appended are
     in its page cache."""
     mgr = MetaDfsManager(store.manager.cluster, store.manager.page_size)
-    return DfsTransactionStore(
-        mgr, mgr.open_meta(store.data.name),
-        store.log_name, TOTAL, threshold)
+    return DfsTransactionStore(mgr, store.data, store.log_name, threshold)
 
 
 def _index(store):
@@ -539,7 +560,7 @@ def test_warm_reconstruction_reads_only_new_footers():
     reader = _peer(store)
     reader.reconstruct_log_table_index()
     for k in (1, 3):
-        first = store.log.block_count
+        first = log_blocks(store)
         _commit_blocks(store, rng, k)
         calls, nbytes, index = _reads_during(reader, lambda: _index(reader))
         assert (calls, nbytes) == (k, _footer_bytes(reader, first)) == \
@@ -557,7 +578,7 @@ def test_warm_index_after_peer_batch_refills_same_block_ids():
     reader.reconstruct_log_table_index()
     old_footers = reader.footers()
     _drain(store)
-    assert store.log.block_count == 0
+    assert log_blocks(store) == 0
     _commit_blocks(store, rng, 4)
     calls, _, index = _reads_during(reader, lambda: _index(reader))
     assert calls == 4  # the footers of generation 2, now the lowest
@@ -576,7 +597,7 @@ def test_warm_index_after_peer_abort():
     readers = [_peer(store), _peer(store)]
     for reader in readers:
         reader.reconstruct_log_table_index()
-    assert store.log.block_count == 3
+    assert log_blocks(store) == 3
     store.begin_transaction(write=True)
     assert _index(readers[0]) == _index(_peer(store))
     # readers[1] does not look until blocks 1 and 2 are new files
@@ -605,7 +626,7 @@ def _folds_during(action):
 
 def _pageids_of_blocks(store, first):
     footers = store.footers()
-    return [pid for block_id in range(first, store.log.block_count)
+    return [pid for block_id in range(first, log_blocks(store))
             for pid in footers[block_id][0]]
 
 
@@ -626,7 +647,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
     assert _folds_during(reader.reconstruct_log_table_index) == \
         _pageids_of_blocks(store, 0)
     for k in (1, 2, 4):
-        first = store.log.block_count
+        first = log_blocks(store)
         assert _folds_during(
             lambda: store.begin_transaction(write=True)) == []
         _commit_blocks(store, rng, k)
@@ -669,7 +690,7 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
     entries = store.manager.constituent_entries
 
     def counted(file):
-        lookups.append(file.name)
+        lookups.append(file)
         return entries(file)
 
     store.manager.constituent_entries = counted
@@ -742,7 +763,7 @@ def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
     for k in (3, 5):
         calls.clear()
         reader.reconstruct_log_table_index()
-        assert store.log.block_count == k
+        assert log_blocks(store) == k
         assert calls == ["meta_block_entries"]
         _commit_blocks(store, rng, 2)
 
@@ -894,14 +915,14 @@ def test_restart_abandons_an_interrupted_batch():
     with pytest.raises(CrashPoint):
         _drain(store)
     fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                TOTAL, 0)
+                                0)
     assert fresh.restart_system() == "clean"
-    assert fresh.generation == 1 and fresh.log.block_count == 1
+    assert fresh.generation == 1 and log_blocks(fresh) == 1
     assert not store.manager.cluster.meta_exists(GEN2)
     for pid in range(TOTAL):
         assert fresh.read_page(pid) == oracle.read(pid)
     assert _drain(fresh) == 4
-    assert fresh.generation == 2 and fresh.log.block_count == 0
+    assert fresh.generation == 2 and log_blocks(fresh) == 0
     for pid in range(TOTAL):
         assert fresh.manager.read_page(fresh.data, pid) == oracle.read(pid)
 
@@ -938,8 +959,7 @@ def test_a_delta_whose_home_an_abandoned_batch_remade_reads_home(
         fresh = _peer(store)
     else:
         mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
-        fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
-                                    "db/log", TOTAL)
+        fresh = DfsTransactionStore(mgr, "db/data", "db/log")
     assert fresh.restart_system() == "clean"
     assert fresh.generation == 2 and log_bases(fresh, 0) == [home]
     assert fresh.read_page(2 * N + 1) == changed
@@ -994,8 +1014,7 @@ def test_a_page_past_its_homes_end_is_logged_whole(tmp_path, death):
         fresh = _peer(store)
     else:
         mgr = MetaDfsManager(DfsCluster(DfsConfig(BLOCK, 2), 4, root), PAGE)
-        fresh = DfsTransactionStore(mgr, mgr.open_meta("db/data"),
-                                    "db/log", TOTAL)
+        fresh = DfsTransactionStore(mgr, "db/data", "db/log")
     assert fresh.restart_system() == "clean"
     assert {pid: fresh.read_page(pid) for pid in newest} == newest
     assert _drain(fresh) == 1
@@ -1043,7 +1062,7 @@ def test_restart_writes_no_page(monkeypatch, point):
 
     cluster = store.manager.cluster
     fresh = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                TOTAL, 0)
+                                0)
     calls = []
     for method in META_FILE_CALLS:
         def recorded(*args, method=method,
@@ -1110,7 +1129,7 @@ def test_failed_generation_drop_keeps_the_newest_committed_copy(
     assert store.manager.remakes_total == 0
     committed = owner is DataNode  # the unregister was saved
     restarted = DfsTransactionStore(store.manager, store.data,
-                                    store.log_name, TOTAL)
+                                    store.log_name)
     assert restarted.generation == (2 if committed else 1)
     restarted.restart_system()
     assert not cluster.meta_exists(GEN1 if committed else GEN2)
@@ -1120,7 +1139,7 @@ def test_failed_generation_drop_keeps_the_newest_committed_copy(
         restarted.write_page(5, content)
         restarted.commit_transaction()
     reader = DfsTransactionStore(store.manager, store.data,
-                                 store.log_name, TOTAL)
+                                 store.log_name)
     reader.begin_transaction(write=False)
     assert payload(reader.read_page(5)) == payload(copies[3])
 
@@ -1155,7 +1174,7 @@ def test_crash_storm_during_recovery_converges():
             except CrashPoint:
                 oracle.commit()
                 break
-            if store.log.block_count > 2:
+            if log_blocks(store) > 2:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(2))
         else:
             # no batch crashed during the commits; force one directly
@@ -1165,19 +1184,17 @@ def test_crash_storm_during_recovery_converges():
                 store.batch_post_commit()
 
         for _ in range(10):
-            faults.reset()
+            faults = FaultInjector()
             if rng.random() < 0.7:
                 faults.arm(rng.choice(batch_points), skip=rng.randrange(3))
             attempt = DfsTransactionStore(store.manager, store.data,
-                                          store.log_name, TOTAL, 2, faults)
+                                          store.log_name, 2, faults)
             try:
                 attempt.restart_system()
                 break
             except CrashPoint:
                 continue
-        faults.reset()
-        final = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                    TOTAL)
+        final = DfsTransactionStore(store.manager, store.data, store.log_name)
         final.restart_system()
         for pid in range(TOTAL):
             expected = post.get(pid, bytes(PAGE))
@@ -1193,7 +1210,7 @@ def test_restart_rollback_drops_uncommitted_tail():
     store.write_page(7, page_with(rng))
     store.flush_buffer(mark_commit=False)  # uncommitted durable block
     fresh = DfsTransactionStore(store.manager, store.data,
-                                store.log_name, TOTAL)
+                                store.log_name)
     assert fresh.restart_system() == "rollback"
     assert fresh.read_page(7) == bytes(PAGE)
     assert payload(fresh.read_page(3)) == payload(committed)
@@ -1213,18 +1230,17 @@ def test_rollback_state_is_exactly_a_writers_truncate(tail, view):
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.flush_buffer(mark_commit=False)
     if view == "writer":
-        probe = DfsTransactionStore(store.manager, store.data, store.log_name,
-                                    TOTAL)
+        probe = DfsTransactionStore(store.manager, store.data, store.log_name)
         reads, _, state = _reads_during(probe, probe.recovery_state)
         assert reads == 0
     else:
         probe = _peer(store)
         state = probe.recovery_state()
-    before = probe.log.block_count
+    before = log_blocks(probe)
     probe.begin_transaction(write=True)
-    truncated = probe.log.block_count < before
+    truncated = log_blocks(probe) < before
     assert (state == "rollback") == truncated == (tail > 0)
-    assert probe.log.block_count == 2
+    assert log_blocks(probe) == 2
     assert probe.recovery_state() is None
 
 
@@ -1235,7 +1251,7 @@ def test_clean_restart_preserves_state():
     store.write_page(3, content)
     store.commit_transaction()
     fresh = DfsTransactionStore(store.manager, store.data,
-                                store.log_name, TOTAL)
+                                store.log_name)
     assert fresh.restart_system() == "clean"
     assert payload(fresh.read_page(3)) == payload(content)
 
@@ -1264,7 +1280,7 @@ def test_restart_takes_the_path_recovery_state_reports(log, via):
     if via == "store":
         path = _peer(store).restart_system()
     else:
-        path = Database(store.manager, "db", TOTAL).recover()
+        path = Database(store.manager, "db").recover()
     assert path == (state or "clean")
     assert _peer(store).recovery_state() is None
     assert _peer(store).generation == 1
@@ -1281,7 +1297,7 @@ def test_two_process_visibility():
     store.commit_transaction()
 
     second = DfsTransactionStore(store.manager, store.data,
-                                 store.log_name, TOTAL)
+                                 store.log_name)
     assert set(_index(second)) == {5, 3}
     assert payload(second.read_page(5)) == payload(p5)
     assert payload(second.read_page(3)) == payload(p3)
@@ -1294,7 +1310,7 @@ def test_footer_fidelity_matches_page_headers():
         store.write_page(pid, page_with(rng))
     store.flush_buffer(mark_commit=True)
     footers = _peer(store).footers()
-    for block_id in range(1, store.log.block_count):
+    for block_id in range(1, log_blocks(store)):
         pageids, _ = footers[block_id]
         block = unpack_body(
             store.manager.read_block(store.log, block_id), PAGE)
@@ -1414,7 +1430,7 @@ def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
                 (pid, content) in enumerate(zip(pageids, contents))]
 
     def check_last_block(pageids, pages, commit_complete):
-        block_id = store.log.block_count - 1
+        block_id = log_blocks(store) - 1
         name = store.manager.constituent_entry(store.log, block_id).name
         body = _logged_body(store, pageids, pages)
         size = len(zlib.compress(body, 1)) + 13 + 8 * len(pageids)
@@ -1459,11 +1475,12 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
             check_log_geometry(page_size, pages_per_block)
     cluster = DfsCluster(DfsConfig(84, 2), 4)
     mgr = MetaDfsManager(cluster, 42)
-    data = mgr.create_meta("db/data")
+    data = "db/data"
+    mgr.create_meta(data)
     for _ in range(2):
         mgr.append_block(data, bytes(84))
     create_log_meta(mgr, "db/log")
-    store = DfsTransactionStore(mgr, data, "db/log", 4)
+    store = DfsTransactionStore(mgr, data, "db/log")
     rng = random.Random(37)
     pages = {pid: rng.randbytes(42) for pid in (1, 2)}
     for pid, content in pages.items():
@@ -1476,8 +1493,7 @@ def test_the_smallest_geometry_fits_an_incompressible_page():
     assert (len(logged), marker) == (2, 8 + 13)
     assert all(42 + 13 + 8 < size <= 84 for size in logged)
     fresh_mgr = MetaDfsManager(cluster, 42)
-    fresh = DfsTransactionStore(fresh_mgr, fresh_mgr.open_meta("db/data"),
-                                "db/log", 4)
+    fresh = DfsTransactionStore(fresh_mgr, "db/data", "db/log")
     fresh.begin_transaction(write=False)
     for pid, content in pages.items():
         got = fresh.read_page(pid)
@@ -1695,7 +1711,7 @@ def test_a_threshold_batch_looks_up_and_reads_no_footer(monkeypatch):
     while not store.manager.remakes_total:
         store.write_page(rng.randrange(TOTAL), page_with(rng))
         store.commit_transaction()
-    assert store.log.block_count == 1  # the pages the batch carried
+    assert log_blocks(store) == 1  # the pages the batch carried
     assert calls == []
 
 
@@ -1725,8 +1741,8 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
     with pytest.raises(RecoveryError, match=hole):
         warm.begin_transaction(write=False)
     with pytest.raises(RecoveryError, match=hole):
-        Database(store.manager, "db", TOTAL).recover()
-    assert store.log.block_count == 2
+        Database(store.manager, "db").recover()
+    assert log_blocks(store) == 2
     # block 1 is its page and its footer
     assert unpack_footer(store.manager.read_block(store.log, 1))[1] is True
 
@@ -1746,12 +1762,12 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
         store.write_page(pageid, page)
     assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
     store.commit_transaction()
-    assert store.log.block_count == 1
+    assert log_blocks(store) == 1
     assert _footer(store, 0) == ([7], True)
     assert (store.manager.fills_total,
             store.manager.remakes_total) == (1, 0)
     fresh = DfsTransactionStore(store.manager, store.data,
-                                store.log_name, TOTAL)
+                                store.log_name)
     fresh.restart_system()
     for ordinal, (pageid, page) in enumerate(unlogged, 1):
         got = fresh.read_page(pageid)
@@ -1825,7 +1841,7 @@ def test_a_block_whose_replicas_are_all_dead_is_logged():
     page[PAGE_HEADER_SIZE] ^= 1
     cluster = store.manager.cluster
     for node_id in cluster.file_entry(
-            constituent_name(store.data.name, 2)).holders:
+            constituent_name(store.data, 2)).holders:
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
         store.manager.constituent_entry(store.data, 2)
@@ -1865,7 +1881,7 @@ def test_a_delta_reads_only_while_its_home_is_readable():
 
     def holders(file, block_id):
         return set(cluster.file_entry(
-            constituent_name(file.name, block_id)).holders)
+            constituent_name(file, block_id)).holders)
 
     readable = (holders(store.log, 0),)
     block = next(block for block in blocks
