@@ -6,15 +6,18 @@ index entry is 10 bytes, the crc32 of the key, then the row's pageid and
 slot, so a 4 KB page holds 408; keys that share a hash share entries, and
 a lookup rechecks the key of each row it fetches. A write commit writes
 its new entries as one segment, merged with the newest segments by a
-size-tiered rule (fan-out `FANOUT`), so each entry is rewritten a
-logarithmic number of times and a small commit writes about one index
-page. Page 0 of the data meta file is the catalog (heap extent,
-index segment list, free extents), so every piece of engine state is crash
-consistent through the same recovery path. The catalog's `total_pages`
-bounds the heap and the index extents (`_open_tail`, `_alloc_extent`);
-below the engine the data file's block count, which `create` sizes from
-it, is the store's own bound, so the engine never addresses a page
-the store would refuse.
+size-tiered rule (fan-out `FANOUT`) whose tiers count fractional pages,
+so each entry is rewritten a logarithmic number of times and a small
+commit writes about one index page, merging only with segments of its own
+size. A lookup starts each segment's search at the page where the key's
+hash, a crc32 and so near uniform, puts it, so it reads about one page a
+segment (`Session._lower_bound`). Page 0 of the data meta file is the
+catalog (heap extent, index segment list, free extents), so every piece
+of engine state is crash consistent through the same recovery path. The
+catalog's `total_pages` bounds the heap and the index extents
+(`_open_tail`, `_alloc_extent`); below the engine the data file's block
+count, which `create` sizes from it, is the store's own bound, so the
+engine never addresses a page the store would refuse.
 
 Sessions acquire the database lock, bring the database's one log table
 index to the log's committed prefix (rebuilding it from the footers only
@@ -28,6 +31,7 @@ from __future__ import annotations
 import heapq
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice, starmap
 
@@ -43,7 +47,7 @@ from .faults import NULL_INJECTOR, FaultInjector
 from .locks import LockService, WRITE
 from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
-from .pages import SLOT_SIZE, SlottedPage
+from .pages import SLOT_SIZE, SlottedPage, empty_free_space
 from .records import (
     UserVisitsRecord,
     check_field,
@@ -60,12 +64,16 @@ from .spdu_dfs import (
 )
 
 HEAP_START = 1  # page 0 is the catalog
-# An index segment of p pages is in tier floor(log_FANOUT(p)). A commit's
-# merged run absorbs the newest segments of a lower tier, and the newest
-# FANOUT - 1 when they all share its tier, and the newest while the catalog
-# page would not hold one more segment (`catalog_room`). So in an index this
-# rule built, tiers do not increase from oldest to newest and each tier
-# holds at most FANOUT - 1 segments; any segment list stays a valid index.
+# An index segment of e entries, n to a page, is in tier
+# floor(log_FANOUT(e / n)) (`_tier`): above a page that is floor(log_FANOUT)
+# of its pages, near enough, and below a page it is negative, so a ten-row
+# commit's segment does not share a tier with one of a thousand entries and
+# is not rewritten into it. A commit's merged run absorbs the newest
+# segments of a lower tier, and the newest FANOUT - 1 when they all share
+# its tier, and the newest while the catalog page would not hold one more
+# segment (`catalog_room`). So in an index this rule built, tiers do not
+# increase from oldest to newest and each tier holds at most FANOUT - 1
+# segments; any segment list stays a valid index.
 FANOUT = 4
 MAX_FREE_EXTENTS = 32  # the catalog leaks the smallest free extents past this
 
@@ -78,6 +86,7 @@ _SEGMENT = struct.Struct("<IIQ")   # start page, page count, entry count
 _EXTENT = struct.Struct("<II")     # start page, page count
 _ENTRY = struct.Struct("<IIH")  # key hash (`_key_hash`), pageid, slot
 ENTRY_SIZE = _ENTRY.size
+_HASH = struct.Struct("<I")  # the key hash an entry starts with
 
 
 @dataclass
@@ -173,12 +182,17 @@ def parse_catalog(page: bytes) -> Catalog:
     return catalog
 
 
-def _tier(pages: int) -> int:
-    """floor(log_FANOUT(pages)) for an index segment of `pages` pages."""
+def _tier(entries: int, per_page: int) -> int:
+    """floor(log_FANOUT(entries / per_page)) for an index segment of
+    `entries` entries (at least one), `per_page` to a page: negative
+    below a page, so a segment merges only with those of its own size."""
     tier = 0
-    while pages >= FANOUT:
-        pages //= FANOUT
+    while entries >= per_page * FANOUT:
+        per_page *= FANOUT
         tier += 1
+    while entries < per_page:
+        entries *= FANOUT
+        tier -= 1
     return tier
 
 
@@ -508,9 +522,9 @@ class Session:
         if pageid >= cat.index_floor or pageid >= cat.total_pages:
             raise DatabaseFull(
                 f"heap page {pageid} collides with index space")
-        # tested on a page of its own, so a refused record leaves no
-        # fresh page dirty
-        if need > SlottedPage(bytearray(self.page_size)).free_space():
+        # tested before the fresh page is made, so a refused record
+        # leaves no fresh page dirty
+        if need > empty_free_space(self.page_size):
             raise RecordTooLarge(
                 f"{need - SLOT_SIZE}-byte record exceeds empty page "
                 f"capacity")
@@ -601,14 +615,7 @@ class Session:
         key = _key_hash(source_ip)
         rids = []
         for seg in self.catalog.segments:
-            lo, hi = 0, seg.entries
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._entry_at(seg, mid)[0] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            i = lo
+            i = self._lower_bound(seg, key)
             while i < seg.entries:
                 entry_key, pageid, slot = self._entry_at(seg, i)
                 if entry_key != key:
@@ -620,6 +627,48 @@ class Session:
                 rids.append((pageid, slot))
         return sorted(set(rids))
 
+    def _lower_bound(self, seg: IndexSegment, key: int) -> int:
+        """The index of `seg`'s first entry whose hash is not below `key`.
+
+        The search starts at the key's interpolated page: hashes are
+        crc32s, so about `entries * key / 2**32` entries lie below `key`.
+        From there it gallops over the pages' first entries, in steps
+        that double, to the last page whose first entry is below `key`,
+        then bisects that page. So a near-uniform hash reads a page or two
+        of a segment, and a skewed one O(log pages), never O(pages)."""
+        per_page = self._entries_per_page
+
+        def below(page: int) -> bool:
+            return _HASH.unpack_from(self._get_page(seg.start + page),
+                                     PAGE_HEADER_SIZE)[0] < key
+
+        # lo is -1 or a page that starts below `key`; hi is seg.pages or
+        # a page that does not
+        page, step = (seg.entries * key >> 32) // per_page, 1
+        if below(page):
+            lo = page
+            while lo + step < seg.pages and below(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, seg.pages)
+        else:
+            hi = page
+            while hi - step >= 0 and not below(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, -1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        if lo < 0:
+            return 0
+        buf = self._get_page(seg.start + lo)
+        return lo * per_page + bisect_left(
+            range(min(per_page, seg.entries - lo * per_page)), key,
+            key=lambda i: _HASH.unpack_from(
+                buf, PAGE_HEADER_SIZE + i * ENTRY_SIZE)[0])
+
     def _flush_index_entries(self) -> None:
         """Write the commit's entries as one new segment, merged with the
         newest segments by the size-tiered rule (see `FANOUT`)."""
@@ -628,12 +677,14 @@ class Session:
         total = len(new_entries)
         keep = len(cat.segments)
         room = catalog_room(self.page_size)
+        per_page = self._entries_per_page
         while keep:
-            tier = _tier(self._segment_pages(total))
-            if keep >= room or _tier(cat.segments[keep - 1].pages) < tier:
+            tier = _tier(total, per_page)
+            if keep >= room or \
+                    _tier(cat.segments[keep - 1].entries, per_page) < tier:
                 fold = 1
             elif keep >= FANOUT - 1 and all(
-                    _tier(seg.pages) == tier
+                    _tier(seg.entries, per_page) == tier
                     for seg in cat.segments[keep - FANOUT + 1:keep]):
                 fold = FANOUT - 1
             else:

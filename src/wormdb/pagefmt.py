@@ -27,7 +27,7 @@ def payload_checksum(page: bytes | bytearray | memoryview) -> int:
 
 
 def stamp_page(pageid: int, ordinal: int, page: bytes | bytearray) -> bytes:
-    """Return `page` with its recovery header filled in."""
-    out = bytearray(page)
-    _HEADER.pack_into(out, 0, pageid, ordinal, payload_checksum(out))
-    return bytes(out)
+    """Return `page` with its recovery header filled in, made with one
+    copy of its payload."""
+    header = _HEADER.pack(pageid, ordinal, payload_checksum(page))
+    return b"".join((header, memoryview(page)[PAGE_HEADER_SIZE:]))

@@ -28,6 +28,12 @@ _SLOTS_AT = PAGE_HEADER_SIZE + _PAGE_HDR.size
 SLOT_SIZE = _SLOT.size  # the page bytes a record takes beyond its own
 
 
+def empty_free_space(page_size: int) -> int:
+    """The free bytes of an empty page of `page_size` bytes, as
+    `SlottedPage.free_space` reads them."""
+    return page_size - _SLOTS_AT
+
+
 class SlottedPage:
     """View over one page buffer; mutations write through to the buffer."""
 

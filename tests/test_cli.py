@@ -221,9 +221,10 @@ def test_crash_point_exit_code_and_recover(small_root):
     # generation 1, its commit point: the batch is abandoned, and recover
     # finds the log clean at the same generation (ten-row inserts land
     # in the committed heap's tail block, which is logged, so each commit
-    # appends a short log block; the 31st commit's batch is the first,
+    # appends a short log block; the 33rd commit's batch is the first,
     # when the log passes 16 blocks' worth of bytes, 131,072; with
-    # 10-byte index entries the log holds 128,895 before it)
+    # 10-byte index entries and sub-page index tiers the log holds
+    # 131,001 before it)
     result = run_cli_subprocess(
         ["run", "--workload", "insert", "--repeat", "10",
          "--repeat-runs", "40",
@@ -236,7 +237,7 @@ def test_crash_point_exit_code_and_recover(small_root):
     result = run_cli_subprocess(
         ["run", "--workload", "scan", "--limit", "100000"], root)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["records_returned"] == 570
+    assert json.loads(result.stdout)["records_returned"] == 590
 
 
 @pytest.mark.parametrize("point", ["dfs.commit.before_direct_block",

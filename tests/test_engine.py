@@ -1,13 +1,15 @@
 import hashlib
 import itertools
+import math
 import random
 import sys
 import threading
 import time
 import zlib
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from datetime import date
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +21,10 @@ from oracles import (
     reference_index_pages,
     reference_insert,
 )
-from wormdb import bench, spdu_dfs
+from wormdb import bench, engine, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import (
+    ENTRY_SIZE,
     FANOUT,
     HEAP_START,
     MAX_FREE_EXTENTS,
@@ -431,14 +434,22 @@ def insert_commits(session, rng, sizes):
         commit_rows(session, [rng.randrange(10 ** 6) for _ in range(size)])
 
 
-def tier(pages):
-    return max(t for t in range(64) if FANOUT ** t <= pages)
+def entries_per_page(page_size):
+    return (page_size - PAGE_HEADER_SIZE) // ENTRY_SIZE
 
 
-def check_catalog(cat):
+def tier(entries, page_size):
+    """floor(log_FANOUT(entries / entries_per_page)), negative below a
+    page."""
+    per_page = entries_per_page(page_size)
+    return max(t for t in range(-64, 64)
+               if Fraction(FANOUT) ** t * per_page <= entries)
+
+
+def check_catalog(cat, page_size):
     # the size-tiered rule: tiers do not increase from oldest to newest,
     # and each tier holds at most FANOUT - 1 segments
-    tiers = [tier(seg.pages) for seg in cat.segments]
+    tiers = [tier(seg.entries, page_size) for seg in cat.segments]
     assert tiers == sorted(tiers, reverse=True)
     assert all(tiers.count(t) < FANOUT for t in tiers)
     assert sum(seg.entries for seg in cat.segments) == cat.record_count
@@ -459,6 +470,81 @@ def log_uniform_sizes(seed, count, largest):
     return [int(largest ** rng.random()) for _ in range(count)]
 
 
+def crc32_hash(key):
+    return zlib.crc32(key.encode())
+
+
+@pytest.mark.parametrize("key_hash", [
+    crc32_hash,
+    lambda key: 0x9E3779B9,
+    lambda key: 0x80000000 + crc32_hash(key) % 4096,
+], ids=["crc32", "constant", "band"])
+def test_index_lookups_equal_a_filter_of_every_entry(monkeypatch, key_hash):
+    """A lookup in a 41-page segment and in a 1-page one finds the rows of
+    every entry of its key's hash: for a key whose 51 entries straddle
+    pages, keys below a segment's first entry and above its last, and
+    absent keys. The search starts at the key's interpolated page, so a
+    hash that is constant or squeezed into a narrow band puts every key's
+    start at one page; the answers stay the same, and a segment's pages
+    read beyond those holding its key's entries stay within
+    2 * log2(pages) + 2."""
+    monkeypatch.setattr(engine, "_key_hash", key_hash)
+    db = make_db(total=4096)
+    s = db.session()
+    dup = "7.7.7.7"
+    s.begin("write")
+    for i in range(2000):
+        s.insert_record(rec(i, key=dup if i % 40 == 3 else None))
+    s.commit()
+    s.begin("write")
+    for i in range(2000, 2010):
+        s.insert_record(rec(i, key=dup if i == 2005 else None))
+    s.commit()
+    s.begin("read")
+    segments = s.catalog.segments
+    assert [seg.pages for seg in segments] == [41, 1]
+    entries = {seg.start: list(s._segment_entries(seg)) for seg in segments}
+    s.commit()
+    # per segment, the rows and the pages of each hash's entries
+    per_page = entries_per_page(PAGE)
+    rows, holding = defaultdict(set), defaultdict(set)
+    for seg in segments:
+        for i, (h, pageid, slot) in enumerate(entries[seg.start]):
+            rows[h].add((pageid, slot))
+            holding[seg.start, h].add(i // per_page)
+    assert len(holding[segments[0].start, key_hash(dup)]) > 1
+    keys = [dup] + [rec(i).source_ip for i in range(0, 2010, 23)]
+    # a key below each segment's first entry and one above its last,
+    # unless every key shares one hash
+    candidates = (f"8.8.{i >> 8}.{i & 255}" for i in range(1 << 16))
+    outside = []
+    for seg in segments:
+        first, last = entries[seg.start][0][0], entries[seg.start][-1][0]
+        for beyond in (lambda h: h < first, lambda h: h > last):
+            outside += itertools.islice((key for key in candidates
+                                         if beyond(key_hash(key))), 1)
+    assert len(outside) == (0 if key_hash("a") == key_hash("b") else 4)
+    keys += outside + [f"9.9.{i}.9" for i in range(10)]
+    read = []
+    get_page = s._get_page
+
+    def counted(pageid):
+        read.append(pageid)
+        return get_page(pageid)
+
+    s._get_page = counted
+    for key in keys:
+        s.begin("read")
+        read.clear()
+        assert s._index_lookup(key) == sorted(rows[key_hash(key)]), key
+        for seg in segments:
+            pages = {pageid - seg.start for pageid in read
+                     if seg.start <= pageid < seg.start + seg.pages}
+            assert len(pages - holding[seg.start, key_hash(key)]) <= \
+                2 * math.log2(seg.pages) + 2, (key, seg)
+        s.commit()
+
+
 @pytest.mark.parametrize("sizes,total", [
     ([40] * 6, TOTAL),  # enough commits to force a segment merge
     (log_uniform_sizes(7, 30, 2000), 4096),
@@ -476,7 +562,7 @@ def test_index_table_coherence_after_commits(sizes, total):
             keys.append(record.source_ip)
         s.commit()
         s.begin("read")
-        check_catalog(s.catalog)
+        check_catalog(s.catalog, PAGE)
         for key in pick.sample(keys, 2):
             assert s.select_by_key(key, True) == s.select_by_key(key, False)
         s.commit()
@@ -528,27 +614,30 @@ def test_small_commits_leave_the_oldest_segment_alone():
 
 def test_index_pages_per_small_commit_stay_flat():
     """After a load of 10 commits, the index pages each 10-row commit
-    writes do not grow with the index: the last quarter of 400 commits
-    writes at most 1.5 times the first. Folding at a 4-segment cap wrote
-    six times as many pages in the last quarter as in the first."""
-    db = make_db(total=4096)
+    writes do not grow with the index: the second half of 1,000 commits
+    writes at most 1.5 times the first (812 and 751 pages), and all of
+    them no more than the 1,891 that tiers counted in whole pages wrote.
+    Folding at a 4-segment cap wrote six times as many pages in the last
+    quarter of 400 commits as in the first."""
+    db = make_db(total=8192)
     s = db.session()
     rng = random.Random(0)
     insert_commits(s, rng, [300] * 10)
-    quarters = [0] * 4
+    halves = [0] * 2
     s.begin("read")
     before = s.catalog.segments
     s.commit()
-    for i in range(400):
+    for i in range(1000):
         insert_commits(s, rng, [10])
         s.begin("read")
         after = s.catalog.segments
         s.commit()
         # every segment not in the catalog before is a fresh extent
-        quarters[i // 100] += sum(seg.pages for seg in after
-                                  if seg not in before)
+        halves[i // 500] += sum(seg.pages for seg in after
+                                if seg not in before)
         before = after
-    assert quarters[-1] <= 1.5 * quarters[0]
+    assert halves[1] <= 1.5 * halves[0]
+    assert sum(halves) <= 1891
 
 
 def test_small_commits_fill_no_less_of_the_store():
@@ -570,28 +659,35 @@ def test_small_commits_fill_no_less_of_the_store():
         inserted += 10
     assert inserted >= 440
     s.begin("read")
-    check_catalog(s.catalog)
+    check_catalog(s.catalog, PAGE)
     assert s.catalog.record_count == 5000 + inserted
     s.commit()
 
 
-def worst_case_catalog(total_pages):
+def worst_case_catalog(total_pages, page_size):
     """The catalog of the most bytes a store of `total_pages` can need:
     of each count of one-page free extents up to the cap, the one beside
     the most index segments the tiered rule allows in the pages left,
-    which is FANOUT - 1 segments a tier, each of the fewest pages its
-    tier holds. Where the extents lie does not change the bytes."""
+    which is FANOUT - 1 segments a tier, from the tier of one entry up,
+    each of the fewest entries, and so pages, its tier holds. Where the
+    extents lie does not change the bytes."""
+    per_page = entries_per_page(page_size)
+
     def catalog(free):
         left = total_pages - HEAP_START - free
-        segments, pages = [], 1
-        while pages <= left:
+        segments, t = [], tier(1, page_size)
+        while True:
+            entries = max(1, math.ceil(Fraction(FANOUT) ** t * per_page))
+            pages = -(-entries // per_page)
+            if pages > left:
+                break
             for _ in range(FANOUT - 1):
                 if pages > left:
                     break
                 left -= pages
                 segments.insert(0, IndexSegment(HEAP_START + free + left,
-                                                pages, pages))
-            pages *= FANOUT
+                                                pages, entries))
+            t += 1
         return Catalog(total_pages, index_floor=HEAP_START,
                        record_count=sum(seg.entries for seg in segments),
                        segments=segments,
@@ -601,11 +697,14 @@ def worst_case_catalog(total_pages):
                key=lambda c: 2 * len(c.segments) + len(c.free_extents))
 
 
+# At PAGE bytes the sub-page tiers allow 21 segments beside the free
+# extents where the page holds 13: there the fold to `catalog_room`
+# bounds the catalog (`test_commits_fold_further_to_fit_the_catalog_page`)
 @pytest.mark.parametrize("page_size, total_pages",
-                         [(PAGE, TOTAL), (4096, 8192)])
+                         [(2 * PAGE, TOTAL), (4096, 8192)])
 def test_the_worst_case_catalog_fits_its_page(page_size, total_pages):
-    cat = worst_case_catalog(total_pages)
-    check_catalog(cat)
+    cat = worst_case_catalog(total_pages, page_size)
+    check_catalog(cat, page_size)
     assert len(cat.free_extents) == MAX_FREE_EXTENTS
     assert len(cat.segments) <= catalog_room(page_size)
     assert parse_catalog(pack_catalog(cat, page_size)) == cat
@@ -640,7 +739,7 @@ def test_commits_fold_further_to_fit_the_catalog_page():
     for size in log_uniform_sizes(7, 30, 300):
         insert_commits(s, rng, [size])
         s.begin("read")
-        check_catalog(s.catalog)
+        check_catalog(s.catalog, page)
         assert len(s.catalog.segments) <= 4
         s.commit()
     s.begin("read")
@@ -747,17 +846,21 @@ def test_a_refused_record_leaves_no_fresh_page_dirty():
 
 
 def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
-    """Commits of ten seeded rows fill a 256-page store until the index
-    extent of a commit's merged segment collides with the heap. The
-    counts were measured when each record went onto its page and each
-    index entry into its segment one at a time; the failing commit reads
-    no folded segment, since its merge reads them only after the extent
-    is allocated. The DFS bytes were re-pinned (8,523,351 -> 8,498,754)
+    """Commits of ten seeded rows fill a 256-page store until the heap's
+    next page collides with the index. The counts were measured when
+    each record went onto its page and each index entry into its segment
+    one at a time. The DFS bytes were re-pinned (8,523,351 -> 8,498,754)
     when the log's master block went: the create's master page and the
     one batch's, 12,288 bytes each with three replicas, came off, and
     the log blocks take 21 bytes fewer, since the bases they hold are
     file ids, which the master's remakes no longer draw from the
-    cluster's one counter."""
+    cluster's one counter. All four were re-pinned when index tiers went
+    below a page (4810 rows, 1813 writes, 1587 reads, 8,498,754 bytes):
+    a ten-row segment no longer folds into a segment of up to three
+    pages, so the store once ended when a merged segment's extent
+    collided with the heap, in the commit of rows 4801 to 4810, and now
+    ends at the insert of row 4811, with the same 4810 rows
+    committed."""
     config = EngineConfig(total_pages=256)
     cluster = DfsCluster(config.dfs_config(), config.num_nodes)
     db = Database.create(cluster, "db", config.total_pages, config.page_size,
@@ -774,10 +877,11 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
                     rng, 730000, f"1.2.{n >> 8 & 255}.{n & 255}"))
                 s.insert_record(rows[-1])
             s.commit()
-    assert str(full.value) == "index extent of 3 pages collides with heap"
+    assert str(full.value) == "heap page 234 collides with index space"
+    s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4810, 1813, 1587, 8_498_754)
-    assert read_all(s) == rows[:-10]
+            cluster.counters.bytes_written) == (4811, 1665, 1440, 6_713_301)
+    assert read_all(s) == rows[:4810]
 
 
 def test_open_missing_database():
@@ -1873,6 +1977,8 @@ def _sweep_workload():
         insert([rec(i) for i in range(193, 223)]),
         (lambda db, s: db.run_maintenance(), lambda table: table),
         insert([rec(i) for i in range(223, 228)]),
+        # enough log bytes since the last batch to run the threshold batch
+        insert([rec(i) for i in range(228, 288)]),
     ]
 
 
@@ -1971,8 +2077,8 @@ def _run_sweep_workload(point=None, skip=0, refuse=None):
     reopened = Database.open(db.manager.cluster, "db", 1024, SWEEP_THRESHOLD,
                              recover=True)
     assert read_all(reopened.session()) == table, where
-    commit_rows(reopened.session(), [228])
-    assert read_all(reopened.session()) == table + [rec(228)], where
+    commit_rows(reopened.session(), [288])
+    assert read_all(reopened.session()) == table + [rec(288)], where
     return reached, calls, logged
 
 
@@ -2120,8 +2226,8 @@ def test_process_death_at_every_namenode_mutation(tmp_path):
                                recover=True)
             table = read_all(db.session())
             assert table in allowed, "not the table before or after"
-            commit_rows(db.session(), [228])
-            assert read_all(db.session()) == table + [rec(228)], \
+            commit_rows(db.session(), [288])
+            assert read_all(db.session()) == table + [rec(288)], \
                 "the next commit"
         except (AssertionError, StorageError) as exc:
             failures[death, in_save, calls[death - 1]] = \
@@ -2312,7 +2418,7 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [
     ("index", 40, (1, 1, 150, 1), 38),
-    ("heap", 44, (196, 1, 1, 1, 1, 1, 1, 1, 10), 36),
+    ("heap", 44, (191, 1, 1, 1, 1, 13, 5), 36),
 ])
 def test_a_freed_index_extent_with_a_log_copy_is_logged_when_reused(
         reuse, total, sizes, page):

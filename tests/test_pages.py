@@ -1,14 +1,16 @@
 import random
+import struct
+import zlib
 from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_insert
+from oracles import page_header, reference_insert, verify_page
 from wormdb.errors import RecordTooLarge, ValueTooLong
-from wormdb.pagefmt import PAGE_HEADER_SIZE
-from wormdb.pages import SlottedPage
+from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
+from wormdb.pages import SlottedPage, empty_free_space
 from wormdb.records import UserVisitsRecord, pack_record, unpack_record
 
 PAGE = 1024
@@ -82,6 +84,30 @@ def test_slotted_page_fills_up():
         count += 1
     assert count == (PAGE - PAGE_HEADER_SIZE - 4) // (100 + 4)
     assert page.free_space() < 104
+
+
+@pytest.mark.parametrize("page_size", [368, 512, 4096])
+def test_empty_free_space_is_a_fresh_pages(page_size):
+    assert empty_free_space(page_size) == \
+        SlottedPage(bytearray(page_size)).free_space()
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_stamp_page_fills_in_the_header_and_leaves_the_payload(kind):
+    """The stamped page is the recovery header (pageid, ordinal, the
+    payload's crc32) and the payload as it was; the page handed in is
+    left as it was, and a bytearray can still be resized."""
+    rng = random.Random(5)
+    page = kind(rng.randbytes(PAGE))
+    stamped = stamp_page(9, 3, page)
+    assert type(stamped) is bytes
+    assert stamped == struct.pack(
+        "<IIQ", 9, 3, zlib.crc32(page[PAGE_HEADER_SIZE:])) + \
+        bytes(page[PAGE_HEADER_SIZE:])
+    verify_page(9, stamped)
+    assert page_header(stamped)[:2] == (9, 3)
+    if kind is bytearray:
+        page.append(0)
 
 
 def test_slotted_page_never_touches_recovery_header():

@@ -57,6 +57,12 @@ The update without index's `dfs_remakes` (3 + 1 -> 3) and the insert's
 (2 + 1 -> 2) were re-pinned when the log's master block went: a batch
 now commits by dropping the live log generation, one NameNode mutation
 that remakes no block, so each pin lost its batch's master switch.
+
+The indexed workloads' `page_reads` (19 -> 16 with the index, 15 -> 14
+after the insert) were re-pinned when a lookup began to start each
+segment's search at the key's interpolated page and gallop from there
+over the pages' first entries, instead of bisecting the segment entry
+by entry. The load's segments keep their tiers, so no other count moved.
 """
 
 import zlib
@@ -87,12 +93,12 @@ TOTAL_PAGES = 2048
 WORKLOADS = [
     ("scan", dict(kind="scan", limit=10 ** 6), (751, 0, 0, 1500), 384512),
     ("select with index", dict(kind="select", key=KEY, use_index=True),
-     (19, 0, 0, 9), 12800),
+     (16, 0, 0, 9), 12800),
     ("select without index", dict(kind="select", key=KEY, use_index=False),
      (751, 0, 0, 9), 384512),
     ("update with index", dict(kind="update", key=KEY, use_index=True,
                                new_country_code="XYZ"),
-     (19, 9, 0, 9), 29184),
+     (16, 9, 0, 9), 29184),
     ("update without index", dict(kind="update", key=KEY, use_index=False,
                                   new_country_code="QRS"),
      # its batch's 3 data remakes
@@ -103,7 +109,7 @@ WORKLOADS = [
     ("scan after insert", dict(kind="scan", limit=10 ** 6),
      (901, 0, 0, 1800), 461312),
     ("select after insert", dict(kind="select", key=KEY, use_index=True),
-     (15, 0, 0, 9), 14848),
+     (14, 0, 0, 9), 14848),
 ]
 
 
