@@ -655,12 +655,8 @@ class Session:
             while hi - step >= 0 and not below(hi - step):
                 hi, step = hi - step, 2 * step
             lo = max(hi - step, -1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
+        lo += bisect_left(range(lo + 1, hi), True,
+                          key=lambda page: not below(page))
         if lo < 0:
             return 0
         buf = self._get_page(seg.start + lo)

@@ -697,16 +697,23 @@ def worst_case_catalog(total_pages, page_size):
                key=lambda c: 2 * len(c.segments) + len(c.free_extents))
 
 
-# At PAGE bytes the sub-page tiers allow 21 segments beside the free
-# extents where the page holds 13: there the fold to `catalog_room`
-# bounds the catalog (`test_commits_fold_further_to_fit_the_catalog_page`)
 @pytest.mark.parametrize("page_size, total_pages",
-                         [(2 * PAGE, TOTAL), (4096, 8192)])
+                         [(PAGE, TOTAL), (2 * PAGE, TOTAL), (4096, 8192)])
 def test_the_worst_case_catalog_fits_its_page(page_size, total_pages):
+    """The tiered rule alone keeps the worst case in its page from 1 KB
+    up. At PAGE bytes its sub-page tiers allow 21 segments where the page
+    holds 13 beside the free extents, so there the fold to `catalog_room`
+    bounds the catalog (`test_commits_fold_further_to_fit_the_catalog_page`):
+    the oldest `catalog_room` segments, beside the most free extents,
+    still fit."""
     cat = worst_case_catalog(total_pages, page_size)
     check_catalog(cat, page_size)
     assert len(cat.free_extents) == MAX_FREE_EXTENTS
-    assert len(cat.segments) <= catalog_room(page_size)
+    room = catalog_room(page_size)
+    assert (len(cat.segments) > room) == (page_size == PAGE)
+    del cat.segments[room:]
+    cat.record_count = sum(seg.entries for seg in cat.segments)
+    check_catalog(cat, page_size)
     assert parse_catalog(pack_catalog(cat, page_size)) == cat
 
 
@@ -845,6 +852,35 @@ def test_a_refused_record_leaves_no_fresh_page_dirty():
     s.commit()
 
 
+def fill_ten_rows_a_commit(total_pages):
+    """Commit ten seeded rows at a time to a new store of `total_pages`
+    4 KB pages until it is full. Return the session, the cluster, the
+    rows made, the DatabaseFull's message, and the pages of the index
+    segments committed before the failing transaction that it read."""
+    config = EngineConfig(total_pages=total_pages)
+    cluster = DfsCluster(config.dfs_config(), config.num_nodes)
+    db = Database.create(cluster, "db", config.total_pages, config.page_size,
+                         config.post_commit_threshold, config.deferred)
+    s = db.session()
+    get_page, read = s._get_page, set()
+    s._get_page = lambda pageid: read.add(pageid) or get_page(pageid)
+    rng = random.Random(1)
+    rows = []
+    with pytest.raises(DatabaseFull) as full:
+        while True:
+            s.begin("write")
+            index = {pageid for seg in s.catalog.segments
+                     for pageid in range(seg.start, seg.start + seg.pages)}
+            read.clear()
+            for _ in range(10):
+                n = len(rows)
+                rows.append(bench.make_record(
+                    rng, 730000, f"1.2.{n >> 8 & 255}.{n & 255}"))
+                s.insert_record(rows[-1])
+            s.commit()
+    return s, cluster, rows, str(full.value), read & index
+
+
 def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     """Commits of ten seeded rows fill a 256-page store until the heap's
     next page collides with the index. The counts were measured when
@@ -859,29 +895,30 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     a ten-row segment no longer folds into a segment of up to three
     pages, so the store once ended when a merged segment's extent
     collided with the heap, in the commit of rows 4801 to 4810, and now
-    ends at the insert of row 4811, with the same 4810 rows
-    committed."""
-    config = EngineConfig(total_pages=256)
-    cluster = DfsCluster(config.dfs_config(), config.num_nodes)
-    db = Database.create(cluster, "db", config.total_pages, config.page_size,
-                         config.post_commit_threshold, config.deferred)
-    s = db.session()
-    rng = random.Random(1)
-    rows = []
-    with pytest.raises(DatabaseFull) as full:
-        while True:
-            s.begin("write")
-            for _ in range(10):
-                n = len(rows)
-                rows.append(bench.make_record(
-                    rng, 730000, f"1.2.{n >> 8 & 255}.{n & 255}"))
-                s.insert_record(rows[-1])
-            s.commit()
-    assert str(full.value) == "heap page 234 collides with index space"
+    ends at the insert of row 4811, with the same 4810 rows committed.
+    `test_a_272_page_store_ends_at_a_merged_segments_extent` ends at
+    the extent."""
+    s, cluster, rows, full, index_read = fill_ten_rows_a_commit(256)
+    assert full == "heap page 234 collides with index space"
+    assert not index_read
     s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
             cluster.counters.bytes_written) == (4811, 1665, 1440, 6_713_301)
     assert read_all(s) == rows[:4810]
+
+
+def test_a_272_page_store_ends_at_a_merged_segments_extent():
+    """Ten-row commits fill a 272-page store until a commit's run of
+    twelve segments, 2,550 entries, and its own ten merge into a
+    7-page segment whose extent collides with the heap. The failing
+    commit reads no page of a folded segment: the merge reads them only
+    after the extent is allocated."""
+    s, cluster, rows, full, index_read = fill_ten_rows_a_commit(272)
+    assert full == "index extent of 7 pages collides with heap"
+    assert not index_read
+    assert (len(rows), s.page_writes, s.page_reads,
+            cluster.counters.bytes_written) == (5120, 1769, 1524, 6_964_689)
+    assert read_all(s) == rows[:-10]
 
 
 def test_open_missing_database():

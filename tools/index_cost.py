@@ -1,22 +1,21 @@
 """Print what the secondary index costs while small commits follow a load.
 
-    python tools/index_cost.py [--seed N] [--page-size BYTES]
-        [--total-pages N] [--load COMMITS ROWS] [--commits N]
-        [--window N] [--lookups N]
+    python tools/index_cost.py [--page-size BYTES] [--load COMMITS ROWS]
+        [--window N]
 
-A seeded in-memory store of `--total-pages` pages of `--page-size` bytes
-(8192 of 4 KB), 16 pages a block, takes a load of COMMITS commits of ROWS
-rows (10 of 10,000), then `--commits` commits of ten rows (1,000). After
-each window of `--window` ten-row commits (100) it prints one line:
+A store of 8,192 pages of `--page-size` bytes (4 KB), 16 pages a block,
+seeded with 0, takes a load of COMMITS commits of ROWS rows (10 of
+10,000), then 1,000 commits of ten rows. After each window of `--window`
+ten-row commits (100) it prints one line:
 
 - `index_pages`: the raw index pages the window's commits wrote, that is
   the pages of each segment new in the catalog after a commit, as the
   engine hands them to the store, before it logs or compresses them;
 - `pages_per_lookup`: the mean index pages read by an indexed select of
-  a key already inserted, over `--lookups` selects (100), each in a read
-  transaction of its own;
-- `segments`: the index segments, oldest first, as pages/tier, where a
-  segment's tier is floor(log_FANOUT(entries / entries per page)).
+  a key already inserted, over 100 selects, each in a read transaction
+  of its own;
+- `segments`: the index segments, oldest first, as pages/tier, with the
+  tier the engine's merge rule gives each.
 
 The index pages depend only on the rows each commit adds, so
 `--page-size 512 --load 10 300 --window 500` prints the two halves of
@@ -30,27 +29,19 @@ import argparse
 import random
 import sys
 from datetime import date
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wormdb.bench import make_record  # noqa: E402
 from wormdb.dfs import DfsCluster  # noqa: E402
-from wormdb.engine import (  # noqa: E402
-    ENTRY_SIZE,
-    FANOUT,
-    Database,
-    EngineConfig,
-)
-from wormdb.pagefmt import PAGE_HEADER_SIZE  # noqa: E402
+from wormdb.engine import Database, EngineConfig, _tier  # noqa: E402
 
 DAY = date(2000, 1, 1).toordinal()
-
-
-def tier(entries: int, per_page: int) -> int:
-    return max(t for t in range(-64, 64)
-               if Fraction(FANOUT) ** t * per_page <= entries)
+SEED = 0
+TOTAL_PAGES = 8192
+COMMITS = 1000
+LOOKUPS = 100
 
 
 def segments(db: Database):
@@ -60,6 +51,12 @@ def segments(db: Database):
         return session.catalog.segments
     finally:
         session.commit()
+
+
+def tiers(db: Database) -> str:
+    per_page = db.session()._entries_per_page
+    return " ".join(f"{seg.pages}/{_tier(seg.entries, per_page)}"
+                    for seg in segments(db))
 
 
 def commit(db: Database, rng: random.Random, keys: list[str],
@@ -72,8 +69,8 @@ def commit(db: Database, rng: random.Random, keys: list[str],
     session.commit()
 
 
-def pages_per_lookup(db: Database, rng: random.Random, keys: list[str],
-                     lookups: int) -> float:
+def pages_per_lookup(db: Database, rng: random.Random,
+                     keys: list[str]) -> float:
     """Mean index pages an indexed select reads, counted at the store."""
     index = [range(seg.start, seg.start + seg.pages)
              for seg in segments(db)]
@@ -87,7 +84,7 @@ def pages_per_lookup(db: Database, rng: random.Random, keys: list[str],
     db.store.read_page = counted
     total = 0
     try:
-        for key in rng.sample(keys, lookups):
+        for key in rng.sample(keys, LOOKUPS):
             read.clear()
             session = db.session()
             session.begin("read")
@@ -97,51 +94,41 @@ def pages_per_lookup(db: Database, rng: random.Random, keys: list[str],
                          for extent in index)
     finally:
         del db.store.read_page
-    return total / lookups
+    return total / LOOKUPS
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--page-size", type=int, default=4096)
-    parser.add_argument("--total-pages", type=int, default=8192)
     parser.add_argument("--load", type=int, nargs=2, default=(10, 10_000),
                         metavar=("COMMITS", "ROWS"))
-    parser.add_argument("--commits", type=int, default=1000)
     parser.add_argument("--window", type=int, default=100)
-    parser.add_argument("--lookups", type=int, default=100)
     args = parser.parse_args(argv)
 
     # the default's 16 pages a block, at any page size
     config = EngineConfig(page_size=args.page_size,
                           block_size=16 * args.page_size,
-                          total_pages=args.total_pages)
+                          total_pages=TOTAL_PAGES)
     db = Database.create(DfsCluster(config.dfs_config(), config.num_nodes),
                          "db", config.total_pages, config.page_size,
                          config.post_commit_threshold)
-    per_page = (args.page_size - PAGE_HEADER_SIZE) // ENTRY_SIZE
-    rng, pick = random.Random(args.seed), random.Random(args.seed + 1)
+    rng, pick = random.Random(SEED), random.Random(SEED + 1)
     keys: list[str] = []
     for _ in range(args.load[0]):
         commit(db, rng, keys, args.load[1])
-    print(f"after the load of {len(keys)} rows: segments "
-          + " ".join(f"{seg.pages}/{tier(seg.entries, per_page)}"
-                     for seg in segments(db)))
+    print(f"after the load of {len(keys)} rows: segments {tiers(db)}")
     written = 0
     before = segments(db)
-    for i in range(1, args.commits + 1):
+    for i in range(1, COMMITS + 1):
         commit(db, rng, keys, 10)
         after = segments(db)
         written += sum(seg.pages for seg in after if seg not in before)
         before = after
-        if i % args.window == 0 or i == args.commits:
+        if i % args.window == 0 or i == COMMITS:
             print(f"commits {i - (i - 1) % args.window:>5}-{i:<5} "
                   f"index_pages {written:>6} "
-                  f"pages_per_lookup "
-                  f"{pages_per_lookup(db, pick, keys, args.lookups):6.2f} "
-                  f"segments "
-                  + " ".join(f"{seg.pages}/{tier(seg.entries, per_page)}"
-                             for seg in after))
+                  f"pages_per_lookup {pages_per_lookup(db, pick, keys):6.2f} "
+                  f"segments {tiers(db)}")
             written = 0
 
 
