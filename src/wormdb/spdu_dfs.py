@@ -10,8 +10,9 @@ page and files being write-once:
   overwritten in place) and last-wins resolution happens at post-commit
   time.
 * Each appended log block is short: a body, its buffered pages in
-  arrival order encoded as below and compressed as one zlib stream,
-  then its footer, raw, with no padding. The footer is the ordered list
+  arrival order encoded as below and compressed as one zlib stream
+  with its window as the preset dictionary (below), then its footer,
+  raw, with no padding. The footer is the ordered list
   of pageids in the block, then a fixed part, FOOTER_FIXED_SIZE bytes
   that end the block: the page count, a commit_complete flag and a
   checksum. A block with commit_complete TRUE marks that it and every
@@ -45,13 +46,34 @@ page and files being write-once:
   one reopened over a root too, hands out ids above every id in its
   table. Reading a delta needs its home: AllReplicasDead while every
   replica of home is dead.
+* A generation is one deflate context. A block's window is the last
+  32 KB, deflate's whole window, of the bodies of the blocks before it
+  in its generation, oldest first, each as `unpack_body` returns it,
+  the pages as logged and their bases; block 0, the g+1 a batch starts
+  included, has none (`unpack_log`). A body is compressed with its
+  window as its zlib preset dictionary (RFC 1950), or with none while
+  the window is empty, so a commit that logs a page again, a heap's tail page or the
+  catalog, refers back to its previous copy. The zlib header says
+  whether a stream takes a dictionary (FDICT) and names it (DICTID, its
+  adler32), so the format has no field of its own: a block written
+  before blocks took one decodes alone whatever its window, and a block
+  given a wrong window fails zlib's check. The writer keeps the window
+  that follows the last block it appended, valid while the generation's
+  NameNode version is the one its append left, so a commit reads
+  nothing for it. After a rebuild, a truncate, a peer's append or a
+  restart the window is replayed: the blocks before it are read and
+  decompressed in order, from block 0 or from the newest block the
+  store's window follows. A replay XOR-decodes nothing, so it reads no
+  home, and the store keeps only its last window, 32 KB.
 * A log copy of a page is a slice of its block's decoded body, the
   pages themselves. Each store keeps bodies keyed by the constituent's
   file_id, which the NameNode never reuses, and drops them whenever its
   index is replaced, so they are at most the raw log: the pages of each
   block it appends, and the decoded body of any other block when a page
-  of it is first read. A body that fails zlib's check or decodes to
-  other than its listed pages and their bases is a torn block too.
+  of it is first read, which replays the block's window first. A body
+  that fails zlib's check with its window or decodes to other than its
+  listed pages and their bases is a torn block too, and so fails every
+  block after it in its generation.
 * The log is a sequence of generations, each a meta file of its own,
   `generation_name(log, g)`, whose blocks 0, 1, ... are log blocks. The
   NameNode's registry is the one record of which generations exist,
@@ -79,10 +101,11 @@ page and files being write-once:
   live and holds the newest copy of every page no remade block holds.
   Restart drops every generation but the lowest, the g+1 an abandoned
   batch left, and truncates the live generation's uncommitted tail: it
-  writes no page. It then checks that the body of each committed block
-  unpacks (`unpack_body`), so it never finds clean a log whose pages
-  cannot be read; it decodes no delta, so a home whose replicas are all
-  dead does not fail it. A commit runs the batch once the live
+  writes no page. It then replays the committed blocks' windows from
+  block 0, which checks that the body of each unpacks with its window
+  (`unpack_body`), so it never finds clean a log whose pages cannot be
+  read; it decodes no delta, so a home whose replicas are all dead does
+  not fail it. A commit runs the batch once the live
   generation holds more than `post_commit_threshold` full blocks' worth
   of bytes, counted raw: page_size + 8 a logged page and
   FOOTER_FIXED_SIZE a block, however the block encodes.
@@ -165,15 +188,16 @@ looks its block up before it takes an ordinal, so a refused page takes
 none.
 
 One instance per database, shared by its sessions as the manager's
-cache is: the index and the decoded bodies are the database's. The
-write state (the buffer, the in-place blocks and the ordinal) is the
-open writer's: a writer's begin, its commit and the end of its session
+cache is: the index, the decoded bodies and the window are the
+database's. The write state (the buffer, the in-place blocks and the
+ordinal) is the open writer's: a writer's begin, its commit and the end of its session
 run `end_transaction`, and a reader's begin leaves it. Reads and writes
 of a database exclude each other except where an owner upgrades its own
 read, so an owner's read may see that owner's own open write, and no
 other owner's read overlaps a write. Readers that begin at once rebuild
-the index once, under one lock. The body memo takes no lock: a race
-costs one more decode.
+the index once, under one lock. The body memo and the window take no
+lock: a race costs one more decode or replay, since the window is
+replaced whole, with the block it follows.
 """
 
 from __future__ import annotations
@@ -191,7 +215,9 @@ from .pagefmt import stamp_page
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
 _ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
+_WINDOW = 32 * 1024  # deflate's window, the most of a dictionary it reads
 DEFAULT_POST_COMMIT_THRESHOLD = 64
+_NO_WINDOW = (0, b"", None)  # a store's window before it follows a block
 _FIRST_GENERATION = 1
 
 
@@ -228,18 +254,24 @@ def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
     return list(struct.unpack(f"<{count}Q", body)), bool(complete)
 
 
-def unpack_body(block: bytes, page_size: int) -> bytes:
+def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
     """The body of log block `block`, decompressed: its pages as logged,
     in its footer's order, then their bases (see above); RecoveryError
-    unless the bytes before the footer pass zlib's own check and
-    decompress to exactly the pages and bases the footer lists."""
+    unless the bytes before the footer pass zlib's own check, in which a
+    stream that names a dictionary must name `window`, the block's
+    window (`unpack_log`), and decompress to exactly the pages and bases
+    the footer lists. A stream that names none ignores `window`."""
     pageids, _ = unpack_footer(block)
     end = len(block) - _footer_size(len(pageids))
+    codec = zlib.decompressobj(zdict=window)
     try:
-        body = zlib.decompress(memoryview(block)[:end])
+        body = codec.decompress(memoryview(block)[:end])
     except zlib.error as exc:
         raise RecoveryError(f"log block body does not decode: {exc}") \
             from None
+    if not codec.eof:
+        raise RecoveryError(
+            "log block body does not decode: incomplete or truncated stream")
     if len(body) != len(pageids) * (page_size + 8):
         raise RecoveryError(
             f"log block body decodes to {len(body)} bytes, not the "
@@ -248,11 +280,34 @@ def unpack_body(block: bytes, page_size: int) -> bytes:
     return body
 
 
-def _log_block(pageids: list[int], body: bytes,
+def _next_window(window: bytes, body: bytes) -> bytes:
+    """The window that follows a log block whose body is `body` and
+    whose window was `window`: the last _WINDOW bytes of the two."""
+    return (window + body[-_WINDOW:])[-_WINDOW:]
+
+
+def unpack_log(blocks, page_size: int, window: bytes = b""):
+    """Yield (body, window) for each of `blocks`, consecutive log blocks
+    of one generation given oldest first: its body, unpacked
+    (`unpack_body`) with the window that precedes it, `window` for the
+    first, which is b"" for block 0; and the window that follows it,
+    the next block's zlib dictionary (see above)."""
+    for block in blocks:
+        body = unpack_body(block, page_size, window)
+        window = _next_window(window, body)
+        yield body, window
+
+
+def _log_block(pageids: list[int], body: bytes, window: bytes,
                commit_complete: bool) -> bytes:
-    """A log block: `body` compressed, then the footer."""
-    return zlib.compress(body, _ZLIB_LEVEL) + \
-        pack_footer(pageids, commit_complete)
+    """A log block: `body` compressed with `window` as its zlib
+    dictionary, or with none if it is empty, then the footer."""
+    if window:
+        codec = zlib.compressobj(_ZLIB_LEVEL, zdict=window)
+        packed = codec.compress(body) + codec.flush()
+    else:
+        packed = zlib.compress(body, _ZLIB_LEVEL)
+    return packed + pack_footer(pageids, commit_complete)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -315,15 +370,16 @@ def discard_metas(manager: MetaDfsManager, data_name: str,
 
 def _compress_bound(size: int) -> int:
     """The most bytes zlib takes for `size` input bytes at any level
-    (zlib's compressBound)."""
-    return size + (size >> 12) + (size >> 14) + (size >> 25) + 13
+    with a dictionary: zlib's compressBound and the 4-byte DICTID that
+    names the dictionary in the stream's header (zlib's deflateBound)."""
+    return size + (size >> 12) + (size >> 14) + (size >> 25) + 13 + 4
 
 
 def check_log_geometry(page_size: int, pages_per_block: int) -> None:
     """Raise ValueError unless a log block of this geometry holds at least
     one page, and a full buffer, every page of a block but one, fits in
     a block with its bases and footer even when its pages do not
-    compress."""
+    compress, with a dictionary or without."""
     if pages_per_block < 2:
         raise ValueError("need at least two pages per block")
     pages = pages_per_block - 1
@@ -372,6 +428,11 @@ class DfsTransactionStore:
         self._capacity = self.pages_per_block - 1
         # constituent file_id -> the decoded body of a log block
         self._bodies: dict[int, bytes] = {}
+        # (file_id, window, at): the window that follows the log block
+        # whose constituent is file_id (0 for none), and the live
+        # generation's (name, version) while that block is its last
+        self._window: tuple[int, bytes, tuple[str, int] | None] = \
+            _NO_WINDOW
         # data block -> the page copies of it the batches have carried
         self._credits: dict[int, int] = {}
         self._rebuild_lock = threading.Lock()
@@ -442,10 +503,39 @@ class DfsTransactionStore:
             block_id, self.manager.constituent_entry(self.log, block_id))
         body = self._bodies.get(entry.file_id)
         if body is None:
+            window = self._window_of(
+                self.manager.constituent_entries(self.log), block_id) \
+                if block_id else b""
             block = self.manager.read_bytes(entry, 0)
+            encoded = unpack_body(block, self.page_size, window)
+            self._window = (
+                entry.file_id, _next_window(window, encoded), None)
             body = self._bodies[entry.file_id] = self._decoded(
-                unpack_footer(block)[0], unpack_body(block, self.page_size))
+                unpack_footer(block)[0], encoded)
         return body
+
+    def _window_of(self, entries: list[DfsFileEntry | None],
+                   block_id: int) -> bytes:
+        """The window that precedes log block `block_id` of the live
+        generation, whose constituents are `entries`: the store's own if
+        it follows block `block_id - 1`, else replayed, decompressed
+        only, from the block after the newest earlier block it follows,
+        or from block 0 (see above); the store's window then follows
+        block `block_id - 1`."""
+        after, window, _ = self._window
+        start = block_id
+        while start and (entries[start - 1] is None or
+                         entries[start - 1].file_id != after):
+            start -= 1
+        if start == block_id:
+            return window if block_id else b""
+        blocks = (self.manager.read_bytes(self._log_entry(k, entries[k]), 0)
+                  for k in range(start, block_id))
+        for _, window in unpack_log(blocks, self.page_size,
+                                    window if start else b""):
+            pass
+        self._window = (entries[block_id - 1].file_id, window, None)
+        return window
 
     def _decoded(self, pageids: list[int], body: bytes) -> bytes:
         """The pages of a log block's decompressed `body`, listed as
@@ -505,16 +595,20 @@ class DfsTransactionStore:
         `_follow_for_append`). Returns the block_id."""
         if not self._pages and not mark_commit:
             return None
-        self._follow_for_append()
+        version = self._follow_for_append()
+        window = self._append_window(version)
         pageids = list(self._pages)
-        block = _log_block(pageids, self._encoded(
-            pageids, list(self._pages.values())), mark_commit)
+        encoded = self._encoded(pageids, list(self._pages.values()))
+        block = _log_block(pageids, encoded, window, mark_commit)
         pages = b"".join(self._pages.values())
         self.faults.hit("dfs.flush.before_block_append")
         block_id = self.manager.append_block(self.log, block)
         self._changed_alone(block_id)
-        self._bodies[self.manager.constituent_entry(
-            self.log, block_id).file_id] = pages
+        file_id = self.manager.constituent_entry(self.log, block_id).file_id
+        self._bodies[file_id] = pages
+        # an append is one NameNode mutation of the generation
+        self._window = (file_id, _next_window(window, encoded),
+                        (self.log, version + 1))
         self._log_bytes += self._raw_bytes(len(pageids), 1)
         if mark_commit:
             self._committed = block_id + 1
@@ -525,23 +619,39 @@ class DfsTransactionStore:
         self._pages = {}
         return block_id
 
-    def _follow_for_append(self) -> None:
+    def _append_window(self, version: int) -> bytes:
+        """The window that precedes the next block appended to the live
+        generation, whose version is `version`: with no NameNode call if
+        the store's own append left the generation at that version, or
+        the index matches the generation and it is empty; else replayed
+        (`_window_of`)."""
+        _, window, at = self._window
+        if at == (self.log, version):
+            return window
+        if version == self._seen_version and not self._blocks:
+            return b""
+        entries = self.manager.constituent_entries(self.log)
+        return self._window_of(entries, len(entries))
+
+    def _follow_for_append(self) -> int:
         """Follow the live generation before an append, so that a store
         that writes with no begin after another store's batch appends to
         the generation that batch made live, never to the one it
         dropped; the store then rebuilds its index from that generation.
         LogMoved if the open transaction already appended to the old
-        generation: those pages cannot follow it. One NameNode version
-        call while the index matches the log."""
+        generation: those pages cannot follow it. Returns the live
+        generation's version: one NameNode version call while the index
+        matches the log."""
         generation = self.generation
-        self._follow()
+        version = self._follow()
         if self.generation == generation:
-            return
+            return version
         if self._flushed:
             raise LogMoved(
                 f"log generation {generation} was replaced by "
                 f"{self.generation} under an open transaction")
         self.reconstruct_log_table_index()
+        return self._seen_version
 
     # ------------------------------------------------------------------
     # Transaction boundaries
@@ -621,7 +731,7 @@ class DfsTransactionStore:
         self.manager.create_meta(successor)
         pageids = [pageid for data_block in sorted(carried)
                    for pageid in by_data_block[data_block]]
-        index, bodies = self._carry(successor, pageids)
+        index, bodies, window = self._carry(successor, pageids)
 
         remade = sorted(by_data_block.keys() - carried)
         for data_block in remade:
@@ -646,6 +756,7 @@ class DfsTransactionStore:
         self._folded = self._blocks = self._committed = blocks
         self._log_bytes = self._raw_bytes(len(pageids), blocks)
         self._seen_version = self.manager.version(successor)
+        self._window = (*window, (successor, self._seen_version))
         for data_block, logged in by_data_block.items():
             if data_block in carried:
                 self._credits[data_block] = \
@@ -655,24 +766,30 @@ class DfsTransactionStore:
         return len(remade)
 
     def _carry(self, successor: str, pageids: list[int]
-               ) -> tuple[dict[int, tuple[int, int]], dict[int, bytes]]:
+               ) -> tuple[dict[int, tuple[int, int]], dict[int, bytes],
+                          tuple[int, bytes]]:
         """Append the log copies of `pageids` to generation `successor` in
         commit-marked blocks of up to a buffer's pages; returns their
-        index and their bodies by constituent file_id."""
+        index, their bodies by constituent file_id, and the file_id of
+        the last with the window that follows it."""
         index: dict[int, tuple[int, int]] = {}
         bodies: dict[int, bytes] = {}
+        file_id, window = 0, b""
         for first in range(0, len(pageids), self._capacity):
             chunk = pageids[first:first + self._capacity]
             copies = [self._log_copy(pageid) for pageid in chunk]
-            block = _log_block(chunk, self._encoded(chunk, copies), True)
+            encoded = self._encoded(chunk, copies)
+            block = _log_block(chunk, encoded, window, True)
             pages = b"".join(copies)
             self.faults.hit("dfs.batch.before_carry_append")
             block_id = self.manager.append_block(successor, block)
-            bodies[self.manager.constituent_entry(
-                successor, block_id).file_id] = pages
+            file_id = self.manager.constituent_entry(
+                successor, block_id).file_id
+            bodies[file_id] = pages
+            window = _next_window(window, encoded)
             _fold(index, ((block_id, chunk),))
             self.faults.hit("dfs.batch.after_carry_append")
-        return index, bodies
+        return index, bodies, (file_id, window)
 
     def _carried(self, by_data_block: dict[int, list[int]]) -> set[int]:
         """The data blocks whose logged pages ride into the next
@@ -706,18 +823,17 @@ class DfsTransactionStore:
         chose: "rollback" or, when it found nothing to do, "clean". Drops
         every generation but the live one, the lowest, then truncates its
         uncommitted tail, as a writer's begin does; it writes no page.
-        RecoveryError if a committed block's body does not unpack (see
-        `unpack_body`): each is read and checked, not decoded, so no home
-        is read and nothing is kept."""
+        RecoveryError if a committed block's body does not unpack with
+        its window (see `unpack_body`): each is replayed from block 0,
+        decompressed, not decoded, so no home is read and of them only
+        the window that follows the last is kept."""
         self.faults.hit("dfs.restart.begin")
         self._drop_newer_generations()
         path = self.recovery_state() or "clean"
         self.begin_transaction(write=True)
-        entries = self.manager.constituent_entries(self.log)
-        for block_id in range(self._committed):
-            unpack_body(self.manager.read_bytes(
-                self._log_entry(block_id, entries[block_id]), 0),
-                self.page_size)
+        self._window = _NO_WINDOW
+        self._window_of(self.manager.constituent_entries(self.log),
+                        self._committed)
         self.faults.hit("dfs.restart.done")
         return path
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import random
 import struct
+import zlib
 from dataclasses import dataclass
 from datetime import date
 
@@ -41,7 +42,7 @@ from wormdb.errors import OutOfRange, RecoveryError, ValueTooLong
 from wormdb.faults import NULL_INJECTOR, FaultInjector
 from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
 from wormdb.records import FIELD_LIMITS, UserVisitsRecord
-from wormdb.spdu_dfs import unpack_body, unpack_footer
+from wormdb.spdu_dfs import unpack_log
 
 # The recovery header `stamp_page` writes: pageid, the ordinal of the
 # write within its transaction, and the payload's crc32.
@@ -93,17 +94,46 @@ def data_blocks(store) -> list[bytes]:
             for block_id in range(count)]
 
 
+def log_bodies(store, end: int | None = None) -> list[tuple[bytes, bytes]]:
+    """(body, window) of each block of `store`'s live log generation
+    before block `end`, all by default, oldest first, as `unpack_log`
+    replays them: its body, the pages as logged and their bases, and
+    the window that follows it. Read through the constituents' entries,
+    so with no check of their replicas' health."""
+    entries = store.manager.constituent_entries(store.log)[:end]
+    return list(unpack_log(
+        (store.manager.read_bytes(entry, 0) for entry in entries),
+        store.page_size))
+
+
+def log_windows(store) -> list[bytes]:
+    """The zlib dictionary of each block of `store`'s live log
+    generation: the window that precedes it (`log_bodies`)."""
+    return [b""] + [window for _, window in log_bodies(store)[:-1]]
+
+
+def names_a_dictionary(block: bytes) -> bool:
+    """Whether a log block's zlib stream takes a preset dictionary: the
+    FDICT bit of its header (RFC 1950)."""
+    return bool(block[1] & 0x20)
+
+
+def deflated(body: bytes, window: bytes) -> bytes:
+    """`body` as a log block stores it: one zlib stream at level 1 that
+    takes `window` as its preset dictionary, none if it is empty."""
+    codec = zlib.compressobj(1, zdict=window) if window else \
+        zlib.compressobj(1)
+    return codec.compress(body) + codec.flush()
+
+
 def log_bases(store, block_id: int) -> list[int]:
     """The base of each page of block `block_id` of `store`'s live log
     generation, in its footer's order: 0 for a page logged whole, else
-    the file_id of the home it was XORed with. Read through the
-    constituent's entry, so with no check of its replicas' health."""
-    entry = store.manager.constituent_entries(store.log)[block_id]
-    block = store.manager.read_bytes(entry, 0)
-    count = len(unpack_footer(block)[0])
+    the file_id of the home it was XORed with (`log_bodies`)."""
+    body, _ = log_bodies(store, block_id + 1)[block_id]
+    count = len(body) // (store.page_size + 8)
     return list(struct.unpack_from(
-        f"<{count}Q", unpack_body(block, store.page_size),
-        count * store.page_size))
+        f"<{count}Q", body, count * store.page_size))
 
 
 class _Reader:

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import data_blocks
+from oracles import data_blocks, log_windows
 import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
@@ -19,7 +19,12 @@ from wormdb import bench, engine
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import stamp_page
-from wormdb.spdu_dfs import generation_name, unpack_body, unpack_footer
+from wormdb.spdu_dfs import (
+    generation_name,
+    pack_footer,
+    unpack_body,
+    unpack_footer,
+)
 
 SMALL_CONFIG = {
     "page_size": 512,
@@ -524,8 +529,10 @@ def test_a_root_whose_committed_log_body_does_not_decode_is_refused(
     damaged = bytearray(block)
     damaged[flip] ^= 0xFF
     assert unpack_footer(bytes(damaged)) == unpack_footer(block)
+    window = log_windows(db.store)[block_id]
+    unpack_body(block, SMALL_CONFIG["page_size"], window)
     with pytest.raises(RecoveryError):
-        unpack_body(bytes(damaged), SMALL_CONFIG["page_size"])
+        unpack_body(bytes(damaged), SMALL_CONFIG["page_size"], window)
     for holder in entry.holders:
         path = os.path.join(root, f"node_{holder}", f"{entry.file_id}.blk0")
         with open(path, "wb") as fh:
@@ -535,6 +542,48 @@ def test_a_root_whose_committed_log_body_does_not_decode_is_refused(
         SMALL_CONFIG["num_nodes"], root)
     with pytest.raises(RecoveryError):
         Database.open(cluster, "db", SMALL_CONFIG["page_size"], recover=True)
+    assert run_cli(["recover"], root) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_a_root_whose_earlier_log_block_was_replaced_is_refused(
+        small_root, capsys):
+    """Block 0 of the live generation, replaced on every replica by
+    another zlib stream of as many pages and bases, still decodes alone,
+    but the committed blocks after it then take a wrong window: their
+    streams name the dictionary they were written with, which zlib
+    checks, so a recovering open raises RecoveryError and `recover`
+    prints one error line and exits 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "50", "--seed", "4"], root,
+                   config) == 0
+    for _ in range(2):
+        assert run_cli(["run", "--workload", "insert", "--repeat", "5"],
+                       root) == 0
+    capsys.readouterr()
+
+    def cluster():
+        return DfsCluster(
+            DfsConfig(SMALL_CONFIG["block_size"],
+                      SMALL_CONFIG["replication"]),
+            SMALL_CONFIG["num_nodes"], root)
+
+    live = generation_name("db/log", 1)  # no batch has run
+    dfs = cluster()
+    assert dfs.meta_block_count(live) >= 3
+    manager = MetaDfsManager(dfs, SMALL_CONFIG["page_size"])
+    pageids, complete = unpack_footer(manager.read_block(live, 0))
+    other = bytes(len(pageids) * (SMALL_CONFIG["page_size"] + 8))
+    replaced = zlib.compress(other, 1) + pack_footer(pageids, complete)
+    assert unpack_body(replaced, SMALL_CONFIG["page_size"]) == other
+    dfs.delete_file(constituent_name(live, 0))
+    dfs.create_file(constituent_name(live, 0), replaced)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        Database.open(cluster(), "db", SMALL_CONFIG["page_size"],
+                      recover=True)
     assert run_cli(["recover"], root) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

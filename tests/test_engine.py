@@ -18,6 +18,7 @@ from oracles import (
     log_bases,
     log_blocks,
     meta_file_strays,
+    names_a_dictionary,
     reference_index_pages,
     reference_insert,
 )
@@ -897,13 +898,17 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     collided with the heap, in the commit of rows 4801 to 4810, and now
     ends at the insert of row 4811, with the same 4810 rows committed.
     `test_a_272_page_store_ends_at_a_merged_segments_extent` ends at
-    the extent."""
+    the extent. The DFS bytes were re-pinned (6,713,301 -> 5,035,335)
+    when a log block's body began to take the window of its generation's
+    earlier bodies as its zlib dictionary: each commit logs the heap's
+    tail page and the catalog again, and their previous copies sit in
+    that window."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(256)
     assert full == "heap page 234 collides with index space"
     assert not index_read
     s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4811, 1665, 1440, 6_713_301)
+            cluster.counters.bytes_written) == (4811, 1665, 1440, 5_035_335)
     assert read_all(s) == rows[:4810]
 
 
@@ -912,12 +917,15 @@ def test_a_272_page_store_ends_at_a_merged_segments_extent():
     twelve segments, 2,550 entries, and its own ten merge into a
     7-page segment whose extent collides with the heap. The failing
     commit reads no page of a folded segment: the merge reads them only
-    after the extent is allocated."""
+    after the extent is allocated. The DFS bytes were re-pinned
+    (6,964,689 -> 5,197,857) as the 256-page store's were, when a log
+    block's body began to take its generation's window as its
+    dictionary."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(272)
     assert full == "index extent of 7 pages collides with heap"
     assert not index_read
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (5120, 1769, 1524, 6_964_689)
+            cluster.counters.bytes_written) == (5120, 1769, 1524, 5_197_857)
     assert read_all(s) == rows[:-10]
 
 
@@ -1269,7 +1277,9 @@ def test_repeat_read_transaction_reads_no_footer_page():
     same cluster, whose page cache holds none of the writer's appends.
     Its cold begin reads every footer once; then each page it reads
     costs at most one DFS read, and the log pages of one block share the
-    read of its body."""
+    read of its body, except that the first page it reads from a log
+    block also reads the bodies before it in the generation, which give
+    that block's window."""
     db = make_db()
     writer = db.session()
     for txn in range(4):
@@ -1293,9 +1303,11 @@ def test_repeat_read_transaction_reads_no_footer_page():
         nbytes = cluster.counters.bytes_read - before.bytes_read
         if txn == 0:
             # the cold begin reads every footer once, then the catalog
-            # page, with one read of the body or data page that holds it
-            assert begin_reads == log_blocks(db.store) + 1
-            assert 0 < read_calls - begin_reads < pages
+            # page from the last block, one commit's, with one read of
+            # its body and of each body before it, its window; every
+            # page the select reads lies in those bodies
+            assert begin_reads == 2 * log_blocks(db.store)
+            assert read_calls == begin_reads
             cold_pages = pages
         else:
             assert pages == cold_pages
@@ -1478,6 +1490,56 @@ def test_cache_holds_no_truncated_log_block_or_dead_id():
     for name, file_id in cached.items():
         assert cluster.file_entry(name).file_id == file_id
     assert len(read_all(reader)) == 100
+
+
+def test_a_root_whose_log_blocks_take_no_dictionary_opens_and_goes_on(
+        tmp_path, monkeypatch):
+    """A root written before a log block's body took its generation's
+    window as its zlib dictionary holds blocks compressed alone. It opens
+    and recovers clean, answers indexed and unindexed reads, and takes
+    commits, whose blocks, appended after the old ones, take their
+    window from the old bodies: another process reads them, with a
+    restart and without. A batch then drains the log."""
+    root = str(tmp_path / "root")
+    log_block = spdu_dfs._log_block
+    monkeypatch.setattr(
+        spdu_dfs, "_log_block",
+        lambda pageids, body, window, complete:
+        log_block(pageids, body, b"", complete))
+    session = make_db(root=root).session()
+    for start in range(0, 60, 10):
+        commit_rows(session, range(start, start + 10))
+    monkeypatch.undo()
+
+    def reopen():
+        return Database.open(DfsCluster(DfsConfig(BLOCK, 2), 4, root), "db",
+                             PAGE, recover=False)
+
+    db = reopen()
+    old = log_blocks(db.store)
+    assert old > 3 and not any(
+        names_a_dictionary(db.manager.read_block(GEN1, block_id))
+        for block_id in range(old))
+    assert db.recover() == "clean"
+    s = db.session()
+    s.begin("read")
+    for use_index in (True, False):
+        assert s.select_by_key(rec(35).source_ip, use_index) == [rec(35)]
+    s.commit()
+    for start in (60, 70):
+        commit_rows(s, range(start, start + 10))
+    new = log_blocks(db.store) - old
+    assert new >= 2 and [
+        names_a_dictionary(db.manager.read_block(GEN1, block_id))
+        for block_id in range(old + new)] == [False] * old + [True] * new
+    rows = [rec(i) for i in range(80)]
+    assert read_all(reopen().session()) == rows
+    restarted = reopen()
+    assert restarted.recover() == "clean"
+    assert read_all(restarted.session()) == rows
+    db.run_maintenance()
+    assert db.store.generation == 2
+    assert read_all(s) == rows == read_all(reopen().session())
 
 
 def test_restart_caches_each_log_block_once():
@@ -2388,7 +2450,11 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     block was stored whole: ending each at its last written page takes
     69,632 bytes off, and when an index entry held its whole key padded
     to 16 bytes: an entry of the key's crc32 takes 77,160 bytes, one
-    remake and four fills off."""
+    remake and four fills off, and when each log block was compressed
+    alone: a generation's blocks after its first take the window of the
+    bodies before them as their dictionary, which puts 178 bytes on,
+    since each generation holds one commit's blocks of fresh pages, which
+    share little with the window but take its 4-byte DICTID."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -2407,7 +2473,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
         (1_622_578 - 4_550 - 69_632 - 77_160
-         - (1 + 2 * batches) * PAGE * replication + 4, 47 - 2 * batches, 59)
+         - (1 + 2 * batches) * PAGE * replication + 4 + 178,
+         47 - 2 * batches, 59)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():

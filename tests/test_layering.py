@@ -494,13 +494,15 @@ def test_a_data_blocks_stored_length_has_one_home():
 
 # a log block's footer and the codec of its body
 FOOTER_FORMAT = ("pack_footer", "unpack_footer", "unpack_body",
-                 "FOOTER_FIXED_SIZE", "compress", "decompress")
+                 "unpack_log", "FOOTER_FIXED_SIZE", "compress",
+                 "decompress", "compressobj", "decompressobj", "zdict")
 
 
 def test_the_log_footer_format_has_one_home():
     """Only the store packs, parses or sizes a log block's footer, and
-    only it compresses or decompresses a block's body; the meta-file
-    layer hands its bytes over unread."""
+    only it compresses or decompresses a block's body, with or without
+    its window as the zlib dictionary; the meta-file layer hands its
+    bytes over unread."""
     offences = [f"{path.name}:{line}: {name} in {scope}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 if path.name != STORE_MODULE

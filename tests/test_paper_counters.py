@@ -65,7 +65,6 @@ over the pages' first entries, instead of bisecting the segment entry
 by entry. The load's segments keep their tiers, so no other count moved.
 """
 
-import zlib
 from collections import Counter
 
 from wormdb import bench, spdu_dfs
@@ -78,9 +77,11 @@ from wormdb.spdu_dfs import (
     FOOTER_FIXED_SIZE,
     DfsTransactionStore,
     pack_footer,
-    unpack_body,
     unpack_footer,
+    unpack_log,
 )
+
+from oracles import deflated, log_blocks
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -164,7 +165,8 @@ def test_paper_counters_are_pinned(monkeypatch):
 
 def test_log_and_data_write_pages_not_blocks(monkeypatch):
     """The bytes each meta file writes while the write workloads run: a
-    log block is its logged pages compressed at zlib level 1 plus a
+    log block is its logged pages compressed at zlib level 1, with the
+    window of its generation's earlier bodies as the dictionary, plus a
     footer of 13 bytes and 8 a page, fewer bytes than the raw pages and
     footers, and a data block, per remake or fill, the bytes its write
     was handed up to their last nonzero page. No other file is written:
@@ -173,6 +175,10 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     written, created, encoded = Counter(), Counter(), Counter()
+    # the blocks of each generation, from those the load left
+    generations = {db.store.log: [
+        manager.read_block(db.store.log, block_id)
+        for block_id in range(log_blocks(db.store))]}
     create_file = DfsCluster.create_file
 
     def tally(self, name, content, meta=None):
@@ -182,9 +188,12 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
         created[kind] += 1
         if kind == "log":
             pageids, _ = unpack_footer(content)
-            pages = unpack_body(content, PAGE)
+            blocks = generations.setdefault(meta, [])
+            blocks.append(content)
+            *earlier, (body, _) = unpack_log(blocks, PAGE)
+            window = earlier[-1][1] if earlier else b""
             encoded["pages"] += len(pageids)
-            encoded["bytes"] += len(zlib.compress(pages, 1)) + \
+            encoded["bytes"] += len(deflated(body, window)) + \
                 FOOTER_FIXED_SIZE + 8 * len(pageids)
         return entry
 

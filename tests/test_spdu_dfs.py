@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from oracles import (
     MapOracle,
     data_blocks,
+    deflated,
     log_bases,
     log_blocks,
+    log_bodies,
+    log_windows,
+    names_a_dictionary,
     page_header,
     random_payload_page,
 )
@@ -683,7 +687,9 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
 def test_a_begin_looks_up_the_log_only_after_another_change():
     """A begin looks up the log's constituents only when the log's
     NameNode version moved past what the store last matched: its own
-    appends do not move it, another store's commit does."""
+    appends do not move it, another store's commit does. A store that
+    appends with no begin looks them up once, at its first append, for
+    the window that precedes it."""
     store = make_store()
     rng = random.Random(26)
     lookups = []
@@ -695,20 +701,21 @@ def test_a_begin_looks_up_the_log_only_after_another_change():
 
     store.manager.constituent_entries = counted
     _commit_blocks(store, rng, 2)
-    store.begin_transaction(write=True)
     assert lookups == [GEN1]
+    store.begin_transaction(write=True)
+    assert lookups == [GEN1] * 2
     for k in (1, 3):
         _commit_blocks(store, rng, k)
         store.begin_transaction(write=True)
-        assert lookups == [GEN1]
+        assert lookups == [GEN1] * 2
     peer = _peer(store)
     peer.begin_transaction(write=True)
     _commit_blocks(peer, rng, 1)
     store.begin_transaction(write=False)
-    assert lookups == [GEN1] * 2
+    assert lookups == [GEN1] * 3
     assert store.index == _index(peer)
     store.begin_transaction(write=False)
-    assert lookups == [GEN1] * 2
+    assert lookups == [GEN1] * 3
 
 
 def test_a_begin_lists_the_generations_only_after_a_drop(monkeypatch):
@@ -771,7 +778,9 @@ def test_a_rebuild_looks_up_each_log_block_once(monkeypatch):
 def test_warm_indexes_match_fresh_under_random_two_store_schedules():
     """Two writing stores take turns; after every step one store, picked
     at random, is checked, so a store may miss a generation switch, or a
-    truncate and refill of the block ids it has cached."""
+    truncate and refill of the block ids it has cached. Between
+    transactions it reads each logged page as a fresh store does, which
+    replays each block's window from the log, across batches too."""
     for seed in range(5):
         rng = random.Random(seed)
         first = make_store(threshold=4)
@@ -797,6 +806,10 @@ def test_warm_indexes_match_fresh_under_random_two_store_schedules():
             store = rng.choice(stores)
             assert _index(store) == _index(fresh), (seed, step)
             assert store.footers() == fresh.footers(), (seed, step)
+            if writer is None:  # no store holds an open write
+                assert [store.read_page(pid) for pid in fresh.index] == \
+                    [fresh.read_page(pid) for pid in fresh.index], \
+                    (seed, step)
 
 
 def test_log_generations_are_the_all_digit_names_lowest_first():
@@ -1310,12 +1323,10 @@ def test_footer_fidelity_matches_page_headers():
         store.write_page(pid, page_with(rng))
     store.flush_buffer(mark_commit=True)
     footers = _peer(store).footers()
-    for block_id in range(1, log_blocks(store)):
+    for block_id, (body, _) in enumerate(log_bodies(store)):
         pageids, _ = footers[block_id]
-        block = unpack_body(
-            store.manager.read_block(store.log, block_id), PAGE)
         for slot, pid in enumerate(pageids):
-            page = block[slot * PAGE:(slot + 1) * PAGE]
+            page = body[slot * PAGE:(slot + 1) * PAGE]
             assert page_header(page)[0] == pid
 
 
@@ -1401,10 +1412,11 @@ def _logged_body(store, pageids, pages):
 
 def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
     """A log block is its body, each page whole or XORed with its home
-    and then the base of each, compressed as one zlib stream at level 1,
-    and the footer, with no padding, and every replica holds exactly
-    that: its body is the k stamped pages so encoded, its footer reads
-    back, and a fresh store decodes the pages."""
+    and then the base of each, compressed as one zlib stream at level 1
+    with the window of the generation's earlier bodies as its
+    dictionary, and the footer, with no padding, and every replica holds
+    exactly that: its body is the k stamped pages so encoded, its footer
+    reads back, and a fresh store decodes the pages."""
     store = make_store()
     rng = random.Random(30)
     # every page home, so that a page one byte off its home is a delta
@@ -1433,13 +1445,14 @@ def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
         block_id = log_blocks(store) - 1
         name = store.manager.constituent_entry(store.log, block_id).name
         body = _logged_body(store, pageids, pages)
-        size = len(zlib.compress(body, 1)) + 13 + 8 * len(pageids)
+        window = log_windows(store)[block_id]
+        size = len(deflated(body, window)) + 13 + 8 * len(pageids)
         assert _constituent_sizes(store, store.log)[block_id] == size
         replicas = store.manager.cluster.replicas(name)
         assert len(replicas) == 2
         assert all(r == replicas[0] for r in replicas)
         assert len(replicas[0]) == size
-        assert unpack_body(replicas[0], PAGE) == body
+        assert unpack_body(replicas[0], PAGE, window) == body
         assert unpack_footer(replicas[0]) == (pageids, commit_complete)
         bases.update(log_bases(store, block_id))
         return size
@@ -1466,39 +1479,87 @@ def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
 
 def test_the_smallest_geometry_fits_an_incompressible_page():
     """At two pages a block, the smallest count the store accepts, a page
-    size of 42 bytes is the smallest whose one incompressible page fits
-    a block with its base and footer; a random page commits there and a
-    fresh store reads it back."""
-    check_log_geometry(42, 2)
-    for page_size, pages_per_block in ((41, 2), (42, 1)):
+    size of 46 bytes is the smallest whose one incompressible page fits
+    a block with its base and footer, and the 4-byte DICTID of a stream
+    with a dictionary; a random page commits there and a fresh store
+    reads it back."""
+    check_log_geometry(46, 2)
+    for page_size, pages_per_block in ((45, 2), (46, 1)):
         with pytest.raises(ValueError):
             check_log_geometry(page_size, pages_per_block)
-    cluster = DfsCluster(DfsConfig(84, 2), 4)
-    mgr = MetaDfsManager(cluster, 42)
+    cluster = DfsCluster(DfsConfig(92, 2), 4)
+    mgr = MetaDfsManager(cluster, 46)
     data = "db/data"
     mgr.create_meta(data)
     for _ in range(2):
-        mgr.append_block(data, bytes(84))
+        mgr.append_block(data, bytes(92))
     create_log_meta(mgr, "db/log")
     store = DfsTransactionStore(mgr, data, "db/log")
     rng = random.Random(37)
-    pages = {pid: rng.randbytes(42) for pid in (1, 2)}
+    pages = {pid: rng.randbytes(46) for pid in (1, 2)}
     for pid, content in pages.items():
         store.write_page(pid, content)  # the second auto-flushes the first
     store.commit_transaction()
     # two one-page blocks whose bodies came out longer than their pages,
-    # and the commit-marked empty block
+    # the second with the first's body as its dictionary, and the
+    # commit-marked empty block
     *logged, marker = [
         entry.size_bytes for entry in mgr.constituent_entries(store.log)]
-    assert (len(logged), marker) == (2, 8 + 13)
-    assert all(42 + 13 + 8 < size <= 84 for size in logged)
-    fresh_mgr = MetaDfsManager(cluster, 42)
+    assert (len(logged), marker) == (2, 12 + 13)
+    assert all(46 + 13 + 8 < size <= 92 for size in logged)
+    assert [bool(window) for window in log_windows(store)] == \
+        [False, True, True]
+    fresh_mgr = MetaDfsManager(cluster, 46)
     fresh = DfsTransactionStore(fresh_mgr, "db/data", "db/log")
     fresh.begin_transaction(write=False)
     for pid, content in pages.items():
         got = fresh.read_page(pid)
         assert got == store.read_page(pid)
         assert got[PAGE_HEADER_SIZE:] == content[PAGE_HEADER_SIZE:]
+
+
+def test_a_full_buffer_with_a_full_window_fits_the_edge_geometry():
+    """At 16 pages a block, 271 bytes is the smallest page size whose
+    full buffer of incompressible pages fits a block with its bases, its
+    footer and the 4-byte DICTID of a stream with a dictionary; 270 fit
+    before log blocks took one. There, full buffers of random pages fill
+    the generation's window, 32 KB; the next full buffer, compressed with
+    it, fits its block, decodes only with that window, and a fresh store
+    reads every page back."""
+    page, n = 271, 16
+    check_log_geometry(page, n)
+    with pytest.raises(ValueError, match="bases"):
+        check_log_geometry(page - 1, n)
+    cluster = DfsCluster(DfsConfig(page * n, 2), 4)
+    mgr = MetaDfsManager(cluster, page)
+    mgr.create_meta("db/data")
+    mgr.append_block("db/data", bytes(page * n))
+    create_log_meta(mgr, "db/log")
+    store = DfsTransactionStore(mgr, "db/data", "db/log")
+    store.begin_transaction(write=True)
+    rng = random.Random(41)
+    full = -(-32 * 1024 // ((n - 1) * (page + 8)))  # buffers to a window
+    for _ in range(full + 1):
+        pages = {pid: rng.randbytes(page) for pid in range(1, n)}
+        for pid, content in pages.items():
+            store.write_page(pid, content)  # the last auto-flushes
+    store.commit_transaction()
+    windows = log_windows(store)
+    assert [len(window) for window in windows[full - 1:full + 1]] == \
+        [(full - 1) * (n - 1) * (page + 8), 32 * 1024]
+    block = mgr.read_block(store.log, full)
+    assert names_a_dictionary(block) and len(block) <= page * n
+    assert len(unpack_body(block, page, windows[full])) == \
+        (n - 1) * (page + 8)
+    for window in (b"", windows[full - 1], windows[full][1:] + b"\0"):
+        with pytest.raises(RecoveryError, match="does not decode"):
+            unpack_body(block, page, window)
+    fresh = DfsTransactionStore(MetaDfsManager(cluster, page), "db/data",
+                                "db/log")
+    fresh.begin_transaction(write=False)
+    for pid, content in pages.items():
+        assert fresh.read_page(pid)[PAGE_HEADER_SIZE:] == \
+            content[PAGE_HEADER_SIZE:]
 
 
 @pytest.mark.parametrize("page_size, pages_per_block", [
@@ -1664,6 +1725,83 @@ def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     assert store.manager.remakes_total == 0
 
 
+def _replace_log_block(store, block_id, content):
+    """Replace the constituent of block `block_id` of generation 1 with
+    `content` on every replica, under a new file_id, so that no page
+    cache serves the old bytes."""
+    cluster = store.manager.cluster
+    name = constituent_name(GEN1, block_id)
+    cluster.delete_file(name)
+    cluster.create_file(name, content)
+
+
+@pytest.mark.parametrize("damage", ["flipped body byte", "another body"])
+def test_a_damaged_earlier_block_fails_every_block_after_it(damage):
+    """Block 0 of a generation of three committed blocks is damaged on
+    every replica: one byte of its body flipped, which its own zlib check
+    catches, or its body replaced by another stream of as many pages and
+    bases, which decodes. Either way each block after it, whose window
+    it begins, fails: a fresh store's read of any page those blocks hold
+    and a restart raise RecoveryError, so no read returns pages decoded
+    with a wrong window."""
+    store = make_store()
+    rng = random.Random(38)
+    store.begin_transaction(write=True)
+    _commit_blocks(store, rng, 3)
+    block = store.manager.read_block(GEN1, 0)
+    pageids, complete = unpack_footer(block)
+    if damage == "flipped body byte":
+        damaged = bytearray(block)
+        damaged[(len(block) - 13 - 8 * len(pageids)) // 2] ^= 0xFF
+        with pytest.raises(RecoveryError, match="does not decode"):
+            unpack_body(bytes(damaged), PAGE)
+    else:
+        other = rng.randbytes(len(pageids) * PAGE) + bytes(8 * len(pageids))
+        damaged = zlib.compress(other, 1) + pack_footer(pageids, complete)
+        assert unpack_body(damaged, PAGE) == other
+    _replace_log_block(store, 0, bytes(damaged))
+    fresh = _peer(store)
+    fresh.begin_transaction(write=False)
+    later = [pid for pid, (block_id, _) in fresh.index.items() if block_id]
+    assert later
+    for pid in later:
+        with pytest.raises(RecoveryError, match="does not decode"):
+            fresh.read_page(pid)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        _peer(store).restart_system()
+
+
+def test_a_truncated_tail_leaves_the_window_of_the_next_commit():
+    """A failed commit's auto-flushed block, which the writer's window
+    took in, is truncated at the writer's next begin. The next commit's
+    blocks take the window of the committed prefix alone: they decode in
+    a fresh store, and after a restart."""
+    faults = FaultInjector()
+    store = make_store(faults=faults)
+    rng = random.Random(39)
+    store.begin_transaction(write=True)
+    _commit_blocks(store, rng, 2)
+    for pid in rng.sample(range(TOTAL), N - 1):
+        store.write_page(pid, page_with(rng))  # auto-flushed, uncommitted
+    faults.arm("dfs.commit.before_marker")
+    with pytest.raises(CrashPoint):
+        store.commit_transaction()
+    assert log_blocks(store) == 3
+    store.begin_transaction(write=True)
+    assert log_blocks(store) == 2
+    pages = {pid: page_with(rng) for pid in rng.sample(range(TOTAL), N + 3)}
+    for pid, content in pages.items():
+        store.write_page(pid, content)
+    store.commit_transaction()
+    assert log_blocks(store) == 4
+    restarted = _peer(store)
+    assert restarted.restart_system() == "clean"
+    for reader in (_peer(store), restarted):
+        reader.begin_transaction(write=False)
+        for pid, content in pages.items():
+            assert payload(reader.read_page(pid)) == payload(content)
+
+
 def test_a_batch_over_a_torn_log_leaves_generation_1_live():
     """A batch reads every footer before it registers the next
     generation, so a fresh store's batch over a log whose committed
@@ -1809,7 +1947,8 @@ def test_a_hole_with_a_log_copy_is_logged():
     store = make_store(holes=True)
     stale = stamp_page(4 * N + 2, 0, page_with(rng))
     store.manager.append_block(
-        store.log, stale + pack_footer([4 * N + 2], True))
+        store.log, zlib.compress(stale + bytes(8), 1) +
+        pack_footer([4 * N + 2], True))
     store.begin_transaction(write=True)
     assert store.index == {4 * N + 2: (0, 0)}
     fresh = page_with(rng)
