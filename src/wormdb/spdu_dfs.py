@@ -51,17 +51,17 @@ page and files being write-once:
   in its generation, oldest first, each as `unpack_body` returns it,
   the pages as logged and their bases; block 0, the g+1 a batch starts
   included, has none (`unpack_log`). A body is compressed with its
-  window as its zlib preset dictionary (RFC 1950), or with none while
-  the window is empty, so a commit that logs a page again, a heap's tail page or the
-  catalog, refers back to its previous copy. The zlib header says
-  whether a stream takes a dictionary (FDICT) and names it (DICTID, its
-  adler32), so the format has no field of its own: a block written
-  before blocks took one decodes alone whatever its window, and a block
-  given a wrong window fails zlib's check. The writer keeps the window
-  that follows the last block it appended, valid while the generation's
-  NameNode version is the one its append left, so a commit reads
-  nothing for it. After a rebuild, a truncate, a peer's append or a
-  restart the window is replayed: the blocks before it are read and
+  window as its zlib preset dictionary (RFC 1950), so a commit that
+  logs a page again, a heap's tail page or the catalog, refers back to
+  its previous copy; an empty window, block 0's, names none. The zlib
+  header says whether a stream takes a dictionary (FDICT) and names it
+  (DICTID, its adler32), so the format has no field of its own: a block
+  written before blocks took one decodes alone whatever its window, and
+  a block given a wrong window fails zlib's check. The writer keeps the
+  window that follows the last block it appended, valid while the
+  generation's NameNode version is the one its append left, so a commit
+  reads nothing for it. After a rebuild, a truncate, a peer's append or
+  a restart the window is replayed: the blocks before it are read and
   decompressed in order, from block 0 or from the newest block the
   store's window follows. A replay XOR-decodes nothing, so it reads no
   home, and the store keeps only its last window, 32 KB.
@@ -167,14 +167,15 @@ page and files being write-once:
   The first page a transaction writes to a data block decides where the
   whole block goes, and the decision holds for the rest of the
   transaction: an in-place block starts empty, takes the transaction's
-  pages stamped with the ordinals the log would have given them, zeros
-  between them, and is created before the commit-marked block is
-  appended, up to its last page (see `wormdb.metafile`), so it reads as
-  the bytes a batch would have written. A stamped page is never all
-  zeros (its header holds its payload's crc32, which is not 0 for a zero
-  payload), so a data block's constituent ends at the last page a
-  transaction wrote to it, and a page past that end, like a page of a
-  hole, is logged whole against the zeros it reads as. A failure before
+  stamped pages, zeros between them, and is created before the
+  commit-marked block is appended, up to its last page (see
+  `wormdb.metafile`). A stamped page depends only on its pageid and
+  payload, so the block reads as the bytes a batch would have written.
+  A stamped page is never all zeros (its header holds its payload's
+  crc32, which is not 0 for a zero payload), so a data block's
+  constituent ends at the last page a transaction wrote to it, and a
+  page past that end, like a page of a hole, is logged whole against
+  the zeros it reads as. A failure before
   the marker leaves bytes only in a block no committed state names; the
   block now has a constituent, so later transactions log it. The hole
   test does not look at replica health, so a block whose replicas are
@@ -184,17 +185,16 @@ The store holds its data file and its log by name, and the data file's
 registered block count, which `create_data_meta` sets from the
 engine's page count, is its only page-id bound: the meta-file layer
 finds a page below 0 or past the last block OutOfRange, and a write
-looks its block up before it takes an ordinal, so a refused page takes
-none.
+looks its block up before it stamps the page.
 
 One instance per database, shared by its sessions as the manager's
 cache is: the index, the decoded bodies and the window are the
-database's. The write state (the buffer, the in-place blocks and the
-ordinal) is the open writer's: a writer's begin, its commit and the end of its session
-run `end_transaction`, and a reader's begin leaves it. Reads and writes
-of a database exclude each other except where an owner upgrades its own
-read, so an owner's read may see that owner's own open write, and no
-other owner's read overlaps a write. Readers that begin at once rebuild
+database's. The write state (the buffer and the in-place blocks) is
+the open writer's: a writer's begin, its commit and the end of its
+session run `end_transaction`, and a reader's begin leaves it. Reads
+and writes of a database exclude each other except where an owner
+upgrades its own read, so an owner's read may see that owner's own open
+write, and no other owner's read overlaps a write. Readers that begin at once rebuild
 the index once, under one lock. The body memo and the window take no
 lock: a race costs one more decode or replay, since the window is
 replaced whole, with the block it follows.
@@ -257,7 +257,8 @@ def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
 def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
     """The body of log block `block`, decompressed: its pages as logged,
     in its footer's order, then their bases (see above); RecoveryError
-    unless the bytes before the footer pass zlib's own check, in which a
+    unless the bytes before the footer are one zlib stream, ending
+    where the footer starts, that passes zlib's own check, in which a
     stream that names a dictionary must name `window`, the block's
     window (`unpack_log`), and decompress to exactly the pages and bases
     the footer lists. A stream that names none ignores `window`."""
@@ -269,9 +270,10 @@ def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
     except zlib.error as exc:
         raise RecoveryError(f"log block body does not decode: {exc}") \
             from None
-    if not codec.eof:
+    if not codec.eof or codec.unused_data:
         raise RecoveryError(
-            "log block body does not decode: incomplete or truncated stream")
+            "log block body does not decode: its stream does not end "
+            "where its footer starts")
     if len(body) != len(pageids) * (page_size + 8):
         raise RecoveryError(
             f"log block body decodes to {len(body)} bytes, not the "
@@ -301,13 +303,11 @@ def unpack_log(blocks, page_size: int, window: bytes = b""):
 def _log_block(pageids: list[int], body: bytes, window: bytes,
                commit_complete: bool) -> bytes:
     """A log block: `body` compressed with `window` as its zlib
-    dictionary, or with none if it is empty, then the footer."""
-    if window:
-        codec = zlib.compressobj(_ZLIB_LEVEL, zdict=window)
-        packed = codec.compress(body) + codec.flush()
-    else:
-        packed = zlib.compress(body, _ZLIB_LEVEL)
-    return packed + pack_footer(pageids, commit_complete)
+    dictionary, then the footer. An empty `window` names no dictionary,
+    so the stream is the one `zlib.compress` writes."""
+    codec = zlib.compressobj(_ZLIB_LEVEL, zdict=window)
+    return codec.compress(body) + codec.flush() + \
+        pack_footer(pageids, commit_complete)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -444,19 +444,19 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
 
     def write_page(self, pageid: int, page_data: bytes) -> None:
-        """Stamp the page with the transaction's next ordinal and hold it
-        for commit. The first page the transaction writes to a data block
-        decides where the whole block goes: in place if no committed
-        transaction has written it (see above), else to the log. That
-        lookup comes first, so a page outside the data file's blocks is
-        OutOfRange before it takes an ordinal."""
+        """Stamp the page and hold it for commit. The first page the
+        transaction writes to a data block decides where the whole block
+        goes: in place if no committed transaction has written it (see
+        above), else to the log. That lookup comes first, so a page
+        outside the data file's blocks is OutOfRange before it is
+        stamped."""
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
         block_id = pageid // self.pages_per_block
         in_place = self._in_place.get(block_id)
         if in_place is None and self._unwritten(block_id):
             in_place = self._in_place[block_id] = {}
-        page = self._stamped(pageid, page_data)
+        page = stamp_page(pageid, page_data)
         if in_place is not None:
             in_place[pageid] = page
             return
@@ -597,18 +597,14 @@ class DfsTransactionStore:
             return None
         version = self._follow_for_append()
         window = self._append_window(version)
-        pageids = list(self._pages)
-        encoded = self._encoded(pageids, list(self._pages.values()))
-        block = _log_block(pageids, encoded, window, mark_commit)
-        pages = b"".join(self._pages.values())
+        pageids, pages = list(self._pages), list(self._pages.values())
         self.faults.hit("dfs.flush.before_block_append")
-        block_id = self.manager.append_block(self.log, block)
+        block_id, file_id, window = self._append(
+            self.log, pageids, pages, window, mark_commit)
         self._changed_alone(block_id)
-        file_id = self.manager.constituent_entry(self.log, block_id).file_id
-        self._bodies[file_id] = pages
+        self._bodies[file_id] = b"".join(pages)
         # an append is one NameNode mutation of the generation
-        self._window = (file_id, _next_window(window, encoded),
-                        (self.log, version + 1))
+        self._window = (file_id, window, (self.log, version + 1))
         self._log_bytes += self._raw_bytes(len(pageids), 1)
         if mark_commit:
             self._committed = block_id + 1
@@ -618,6 +614,20 @@ class DfsTransactionStore:
         self.faults.hit("dfs.flush.after_block_append")
         self._pages = {}
         return block_id
+
+    def _append(self, log: str, pageids: list[int], pages: list[bytes],
+                window: bytes, commit_complete: bool
+                ) -> tuple[int, int, bytes]:
+        """Append a log block of `pages`, listed as `pageids`, to
+        generation `log`, whose last block `window` follows: each page
+        whole or XORed with its home, compressed with `window`, then the
+        footer. Returns the block_id, the file_id of its constituent and
+        the window that follows it."""
+        encoded = self._encoded(pageids, pages)
+        block_id = self.manager.append_block(
+            log, _log_block(pageids, encoded, window, commit_complete))
+        file_id = self.manager.constituent_entry(log, block_id).file_id
+        return block_id, file_id, _next_window(window, encoded)
 
     def _append_window(self, version: int) -> bytes:
         """The window that precedes the next block appended to the live
@@ -673,14 +683,13 @@ class DfsTransactionStore:
                 self._blocks = self._committed
 
     def end_transaction(self) -> None:
-        """Drop the write state: the buffer, the in-place blocks and the
-        ordinal. Makes no DFS call."""
+        """Drop the write state: the buffer and the in-place blocks.
+        Makes no DFS call."""
         # pageid -> stamped page, in arrival order
         self._pages: dict[int, bytes] = {}
         # block_id -> {pageid: stamped page} of each block to write in
         # place at commit, over zeros
         self._in_place: dict[int, dict[int, bytes]] = {}
-        self._ordinal = 0
         self._flushed = False  # whether the transaction appended a block
 
     def commit_transaction(self) -> None:
@@ -778,15 +787,10 @@ class DfsTransactionStore:
         for first in range(0, len(pageids), self._capacity):
             chunk = pageids[first:first + self._capacity]
             copies = [self._log_copy(pageid) for pageid in chunk]
-            encoded = self._encoded(chunk, copies)
-            block = _log_block(chunk, encoded, window, True)
-            pages = b"".join(copies)
             self.faults.hit("dfs.batch.before_carry_append")
-            block_id = self.manager.append_block(successor, block)
-            file_id = self.manager.constituent_entry(
-                successor, block_id).file_id
-            bodies[file_id] = pages
-            window = _next_window(window, encoded)
+            block_id, file_id, window = self._append(
+                successor, chunk, copies, window, True)
+            bodies[file_id] = b"".join(copies)
             _fold(index, ((block_id, chunk),))
             self.faults.hit("dfs.batch.after_carry_append")
         return index, bodies, (file_id, window)
@@ -956,12 +960,6 @@ class DfsTransactionStore:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _stamped(self, pageid: int, page_data: bytes) -> bytes:
-        """The page with its header, at the transaction's next ordinal."""
-        page = stamp_page(pageid, self._ordinal, page_data)
-        self._ordinal += 1
-        return page
 
     def _patched(self, block: bytes, pages) -> bytes:
         """Data block `block`, which may end before its last page (see

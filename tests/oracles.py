@@ -1,8 +1,8 @@
 """Independent oracles the tests check the real stores against.
 
 The map oracle models transactional page semantics with plain dicts and
-applies the same deterministic header stamping as the stores, so reads can
-be compared byte for byte, headers included.
+stamps each page as the stores do, by its pageid and payload alone, so
+reads can be compared byte for byte, headers included.
 
 The flat-file oracle is the baseline recovery method the DFS-adapted store
 (`wormdb.spdu_dfs`) adapts: shadow-page deferred update over flat page
@@ -44,18 +44,20 @@ from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
 from wormdb.records import FIELD_LIMITS, UserVisitsRecord
 from wormdb.spdu_dfs import unpack_log
 
-# The recovery header `stamp_page` writes: pageid, the ordinal of the
-# write within its transaction, and the payload's crc32.
-_PAGE_HEADER = struct.Struct("<IIQ")
+# The recovery header `stamp_page` writes: pageid, 4 zero bytes, and the
+# payload's crc32. Pages written before those bytes were zeroed hold the
+# write's ordinal within its transaction there, which nothing reads.
+_PAGE_HEADER = struct.Struct("<I4xQ")
 
 
-def page_header(page: bytes | bytearray) -> tuple[int, int, int]:
+def page_header(page: bytes | bytearray) -> tuple[int, int]:
+    """(pageid, payload crc32) of a page's recovery header."""
     return _PAGE_HEADER.unpack_from(page, 0)
 
 
 def verify_page(expected_pageid: int, page: bytes | bytearray) -> None:
     """Raise RecoveryError unless the header matches the payload."""
-    pageid, _, crc = page_header(page)
+    pageid, crc = page_header(page)
     if pageid != expected_pageid:
         raise RecoveryError(
             f"page header pageid {pageid} != expected {expected_pageid}")
@@ -244,12 +246,10 @@ class MapOracle:
         self.total_pages = total_pages
         self.committed: dict[int, bytes] = {}
         self.pending: dict[int, bytes] = {}
-        self._ordinal = 0
 
     def write(self, pageid: int, data: bytes) -> None:
         assert 0 <= pageid < self.total_pages
-        self.pending[pageid] = stamp_page(pageid, self._ordinal, data)
-        self._ordinal += 1
+        self.pending[pageid] = stamp_page(pageid, data)
 
     def read(self, pageid: int) -> bytes:
         if pageid in self.pending:
@@ -261,11 +261,9 @@ class MapOracle:
     def commit(self) -> None:
         self.committed.update(self.pending)
         self.pending.clear()
-        self._ordinal = 0
 
     def abort(self) -> None:
         self.pending.clear()
-        self._ordinal = 0
 
     def committed_state(self) -> dict[int, bytes]:
         return dict(self.committed)
@@ -435,7 +433,6 @@ class ShadowPagedStore:
         self.faults = faults
         self.index: dict[int, int] = {}
         self._frames: dict[int, BufferFrame] = {}
-        self._ordinal = 0
 
     @classmethod
     def create(cls, data_store, log_store, page_size: int, total_pages: int,
@@ -456,8 +453,7 @@ class ShadowPagedStore:
         self._check_pageid(pageid)
         if len(page_data) != self.page_size:
             raise ValueError("page must be exactly page_size bytes")
-        stamped = stamp_page(pageid, self._ordinal, page_data)
-        self._ordinal += 1
+        stamped = stamp_page(pageid, page_data)
         offset = self.index.get(pageid)
         if offset is not None:
             self.log.write(offset + 1, stamped)
@@ -542,7 +538,7 @@ class ShadowPagedStore:
         self.index.clear()
         for offset in range(log_page_count):
             page = self.log.read(offset + 1)
-            pageid, _, _ = page_header(page)
+            pageid, _ = page_header(page)
             verify_page(pageid, page)
             self.index[pageid] = offset
 
@@ -552,7 +548,6 @@ class ShadowPagedStore:
         self.log.sync()
         self.index.clear()
         self._frames.clear()
-        self._ordinal = 0
 
     # Observability for tests.
     def log_offsets(self) -> dict[int, int]:

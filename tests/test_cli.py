@@ -496,7 +496,7 @@ def test_a_root_with_an_uncompressed_log_block_is_one_error_line(
     log = generation_name("db/log", 1)  # no batch has run
     pageids = struct.pack("<Q", 5)
     crc = zlib.crc32(struct.pack("<IB", 1, 1) + pageids)
-    old_block = stamp_page(5, 0, bytes(SMALL_CONFIG["page_size"])) + \
+    old_block = stamp_page(5, bytes(SMALL_CONFIG["page_size"])) + \
         struct.pack("<IBQ", 1, 1, crc) + pageids
     cluster.create_file(constituent_name(log, cluster.meta_block_count(log)),
                         old_block, meta=log)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 import sys
 import threading
 import time
@@ -51,7 +52,7 @@ from wormdb.errors import (
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
-from wormdb.pagefmt import PAGE_HEADER_SIZE
+from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum
 from wormdb.pages import SlottedPage
 from wormdb.records import UserVisitsRecord, pack_record, unpack_record
 from wormdb.spdu_dfs import DfsTransactionStore
@@ -902,13 +903,15 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     when a log block's body began to take the window of its generation's
     earlier bodies as its zlib dictionary: each commit logs the heap's
     tail page and the catalog again, and their previous copies sit in
-    that window."""
+    that window. They were re-pinned (5,035,335 -> 5,029,629) when a
+    page's header stopped holding its write ordinal, whose difference
+    from its home's the XOR deltas of updated pages held."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(256)
     assert full == "heap page 234 collides with index space"
     assert not index_read
     s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4811, 1665, 1440, 5_035_335)
+            cluster.counters.bytes_written) == (4811, 1665, 1440, 5_029_629)
     assert read_all(s) == rows[:4810]
 
 
@@ -920,12 +923,13 @@ def test_a_272_page_store_ends_at_a_merged_segments_extent():
     after the extent is allocated. The DFS bytes were re-pinned
     (6,964,689 -> 5,197,857) as the 256-page store's were, when a log
     block's body began to take its generation's window as its
-    dictionary."""
+    dictionary, and again (5,197,857 -> 5,192,535) when a page's header
+    stopped holding its write ordinal."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(272)
     assert full == "index extent of 7 pages collides with heap"
     assert not index_read
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (5120, 1769, 1524, 5_197_857)
+            cluster.counters.bytes_written) == (5120, 1769, 1524, 5_192_535)
     assert read_all(s) == rows[:-10]
 
 
@@ -1540,6 +1544,70 @@ def test_a_root_whose_log_blocks_take_no_dictionary_opens_and_goes_on(
     db.run_maintenance()
     assert db.store.generation == 2
     assert read_all(s) == rows == read_all(reopen().session())
+
+
+def test_a_root_whose_page_headers_hold_write_ordinals_opens_and_goes_on(
+        tmp_path, monkeypatch):
+    """A root written while a page's header held a write ordinal in
+    bytes 4-7, where a header now holds zeros, has pages of that layout
+    at home and in the log. Nothing reads those bytes: the root opens
+    and recovers clean, answers indexed and unindexed reads, and takes
+    commits, which log updated pages as XORs with homes that hold
+    ordinals, and a batch. Another process reads it all back, with a
+    restart and without."""
+    root = str(tmp_path / "root")
+    ordinals = itertools.count(1)  # none 0, so every old header shows
+
+    def stamp_with_ordinal(pageid, page):
+        return struct.pack("<IIQ", pageid, next(ordinals),
+                           payload_checksum(page)) + \
+            bytes(page[PAGE_HEADER_SIZE:])
+
+    monkeypatch.setattr(spdu_dfs, "stamp_page", stamp_with_ordinal)
+    old = make_db(root=root)
+    for start in range(0, 60, 10):
+        commit_rows(old.session(), range(start, start + 10))
+    drain(old)  # every page home
+    for start in (60, 70):
+        commit_rows(old.session(), range(start, start + 10))
+    monkeypatch.undo()
+
+    def reopen():
+        return Database.open(DfsCluster(DfsConfig(BLOCK, 2), 4, root), "db",
+                             PAGE, recover=False)
+
+    db = reopen()
+    assert db.recover() == "clean"
+    homes = [page for page in (db.manager.read_page(db.data_name, pageid)
+                               for pageid in range(TOTAL)) if any(page)]
+    logged = [db.store.read_page(pageid) for pageid in db.store.index]
+    assert len(homes) > 10 and logged
+    assert all(page[4:8] != bytes(4) for page in homes + logged)
+    s = db.session()
+    s.begin("read")
+    for use_index in (True, False):
+        assert s.select_by_key(rec(35).source_ip, use_index) == [rec(35)]
+    s.commit()
+    s.begin("write")
+    s.update_by_key(rec(5).source_ip, "QRS", use_index=True)
+    s.commit()
+    assert any(log_bases(db.store, log_blocks(db.store) - 1))
+    commit_rows(s, range(80, 90))
+    rows = [replace(rec(i), country_code="QRS") if i == 5 else rec(i)
+            for i in range(90)]
+    assert read_all(reopen().session()) == rows
+    db.run_maintenance()
+    assert db.store.generation == 3
+    restarted = reopen()
+    assert restarted.recover() == "clean"
+    for each in (db, restarted):
+        s = each.session()
+        assert read_all(s) == rows
+        s.begin("read")
+        for use_index in (True, False):
+            assert s.select_by_key(rec(5).source_ip, use_index) == \
+                [rows[5]]
+        s.commit()
 
 
 def test_restart_caches_each_log_block_once():
@@ -2454,7 +2522,11 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     alone: a generation's blocks after its first take the window of the
     bodies before them as their dictionary, which puts 178 bytes on,
     since each generation holds one commit's blocks of fresh pages, which
-    share little with the window but take its 4-byte DICTID."""
+    share little with the window but take its 4-byte DICTID, and when
+    a page's header held its write ordinal: a header of its pageid, 4
+    zero bytes and its payload's crc32 takes 360 bytes off, since an
+    updated page's XOR with its home no longer holds the difference of
+    two ordinals."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -2473,7 +2545,7 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
         (1_622_578 - 4_550 - 69_632 - 77_160
-         - (1 + 2 * batches) * PAGE * replication + 4 + 178,
+         - (1 + 2 * batches) * PAGE * replication + 4 + 178 - 360,
          47 - 2 * batches, 59)
 
 
@@ -2486,38 +2558,46 @@ def test_begin_with_a_bad_mode_queues_nothing():
     assert db.locks.snapshot(db.data_name) == []
 
 
-def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written():
-    """After a seeded load of several commits and a maintenance batch,
-    every page reads through the store as its newest committed copy,
-    some of them from the log, where the batch carried them. A batch
-    that carries nothing then copies those home, and the data file is
-    byte for byte what it was when every page went through the log and
-    every batch drained it: the sha256 of its blocks in order, each
-    padded with the zeros past its constituent's end to a whole block, is
-    pinned from a commit that logged every page into whole blocks, and
-    re-pinned when an index entry came to hold its key's hash; the
-    sha256 of the heap's pages is pinned on its own, from before that."""
-    db = make_db(total=1024, threshold=16)
-    bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
-                   commit_every=250)
-    db.run_maintenance()
+def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written(
+        monkeypatch):
+    """A stamped page depends only on its pageid and payload, so a page
+    written in place and the same page logged, carried and remade are
+    the same bytes. The same seeded load of several commits and a
+    maintenance batch runs on two databases: one writes each block no
+    committed transaction has written in place, the other logs every
+    page. Every page reads the same through both stores, some of them
+    from the log, where the batch carried them. A batch that carries
+    nothing then copies those home, and the two data files read the
+    same page by page. The sha256 of the first's blocks in order, each
+    padded with the zeros past its constituent's end to a whole block,
+    and the sha256 of the heap's pages are pinned."""
+    db, logged = (make_db(total=1024, threshold=16) for _ in range(2))
+    monkeypatch.setattr(logged.store, "_unwritten", lambda block_id: False)
+    newest = []
+    for each in (db, logged):
+        bench.generate(each, 1500, seed=4, probe_key="1.2.3.4",
+                       probe_count=9, commit_every=250)
+        each.run_maintenance()
+        assert each.store.index  # the maintenance batch carried pages
+        newest.append([each.store.read_page(pageid)
+                       for pageid in range(1024)])
     assert db.manager.fills_total > 0
-    assert db.store.index  # the maintenance batch carried pages
-    newest = [db.store.read_page(pageid) for pageid in range(1024)]
-    drain(db)
-    assert [db.manager.read_page(db.data_name, pageid)
-            for pageid in range(1024)] == newest
+    assert newest[0] == newest[1]
+    for each in (db, logged):
+        drain(each)
+        assert [each.manager.read_page(each.data_name, pageid)
+                for pageid in range(1024)] == newest[0]
     heap = hashlib.sha256()
     for pageid in range(HEAP_START, HEAP_START + parse_catalog(
-            newest[0]).heap_used):
-        heap.update(newest[pageid])
+            newest[0][0]).heap_used):
+        heap.update(newest[0][pageid])
     assert heap.hexdigest() == \
-        "b3ae304320c1b7f2948552265f0f3b6a882a95b057c181c9bd58324f6eb8e245"
+        "b07204120a21d027cd1a9ec9b11a4553dba3d832be09ecb58d62f4c8c895f5c7"
     digest = hashlib.sha256()
     for block in data_blocks(db.store):
         digest.update(block.ljust(db.manager.block_size, b"\0"))
     assert digest.hexdigest() == \
-        "38a16500a6a34bf5ee54b33a5b33ca9491e7c09fc001ef27cd6a9dd9a0d8cafa"
+        "1c6aaf7df6346d3d58b4d1f533289057813ca977d4a0f97653aa566964915c23"
 
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [

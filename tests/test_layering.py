@@ -15,6 +15,10 @@ no module other than spdu_dfs.py mentions `generation_name` or calls
 `create_meta`, `create_sparse_meta` or `delete_meta`, so a database's
 meta files come and go through the store's functions.
 
+A page's recovery header has one writer: inside the package only the
+store's ``write_page`` calls ``stamp_page``, and only pagefmt.py, which
+defines it, and the store name it.
+
 Only the meta-file layer changes the NameNode: a module other than
 metafile.py calls none of the DfsCluster mutations, so "remake a block"
 and every other change of a meta file is written once. Only the
@@ -284,6 +288,21 @@ def test_a_database_constructs_the_only_store():
             for _, scope in constructions(path.read_text("utf-8"),
                                           "DfsTransactionStore")] == \
         [("engine.py", "Database.__init__")]
+
+
+def test_only_the_store_stamps_a_page():
+    """A page's recovery header has one writer: inside the package only
+    the store's `write_page` calls `stamp_page`, and no module but
+    pagefmt.py, which defines it, and the store names it, so no layer
+    stamps a page under another name."""
+    assert [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+            for _, scope in constructions(path.read_text("utf-8"),
+                                          "stamp_page")] == \
+        [(STORE_MODULE, "DfsTransactionStore.write_page")]
+    assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in {STORE_MODULE, "pagefmt.py"}
+            for line, _ in mentions(path.read_text("utf-8"),
+                                    "stamp_page")] == []
 
 
 # what registers or drops a meta file, and what names a log generation

@@ -94,18 +94,20 @@ def test_empty_free_space_is_a_fresh_pages(page_size):
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
 def test_stamp_page_fills_in_the_header_and_leaves_the_payload(kind):
-    """The stamped page is the recovery header (pageid, ordinal, the
-    payload's crc32) and the payload as it was; the page handed in is
-    left as it was, and a bytearray can still be resized."""
+    """The stamped page is the recovery header (pageid, 4 zero bytes,
+    the payload's crc32) and the payload as it was, whatever bytes 4-7
+    of the page handed in hold; that page is left as it was, and a
+    bytearray can still be resized."""
     rng = random.Random(5)
     page = kind(rng.randbytes(PAGE))
-    stamped = stamp_page(9, 3, page)
+    stamped = stamp_page(9, page)
     assert type(stamped) is bytes
     assert stamped == struct.pack(
-        "<IIQ", 9, 3, zlib.crc32(page[PAGE_HEADER_SIZE:])) + \
+        "<I4xQ", 9, zlib.crc32(page[PAGE_HEADER_SIZE:])) + \
         bytes(page[PAGE_HEADER_SIZE:])
+    assert stamped[4:8] == bytes(4)
     verify_page(9, stamped)
-    assert page_header(stamped)[:2] == (9, 3)
+    assert page_header(stamped) == (9, zlib.crc32(page[PAGE_HEADER_SIZE:]))
     if kind is bytearray:
         page.append(0)
 

@@ -132,17 +132,17 @@ def test_buffer_write_and_read_paths():
 def test_the_data_files_blocks_bound_the_page_ids(pageid, holes):
     """The data file's registered blocks are the store's only page-id
     bound: a read or write below page 0 or at the first page past its
-    last block is OutOfRange, and a refused write takes no ordinal. A
-    file of TOTAL - 3 pages has the blocks of TOTAL pages, so its last
-    page is TOTAL - 1."""
+    last block is OutOfRange. A file of TOTAL - 3 pages has the blocks
+    of TOTAL pages, so its last page is TOTAL - 1."""
     store = make_store(total=TOTAL - 3, holes=holes)
     rng = random.Random(44)
     with pytest.raises(OutOfRange):
         store.read_page(pageid)
     with pytest.raises(OutOfRange):
         store.write_page(pageid, page_with(rng))
-    store.write_page(TOTAL - 1, page_with(rng))
-    assert page_header(store.read_page(TOTAL - 1))[:2] == (TOTAL - 1, 0)
+    page = page_with(rng)
+    store.write_page(TOTAL - 1, page)
+    assert store.read_page(TOTAL - 1) == stamp_page(TOTAL - 1, page)
 
 
 def test_write_same_page_twice_single_slot():
@@ -1438,8 +1438,8 @@ def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
                     for i, pid in enumerate(pageids)]
         for pid, content in zip(pageids, contents):
             store.write_page(pid, content)
-        return [stamp_page(pid, ordinal, content) for ordinal,
-                (pid, content) in enumerate(zip(pageids, contents))]
+        return [stamp_page(pid, content)
+                for pid, content in zip(pageids, contents)]
 
     def check_last_block(pageids, pages, commit_complete):
         block_id = log_blocks(store) - 1
@@ -1705,7 +1705,7 @@ def test_a_flipped_body_byte_is_a_recovery_error_not_wrong_bytes():
     first = page_with(rng)
     store.write_page(1, first)
     store.commit_transaction()
-    page = stamp_page(10, 0, page_with(rng))
+    page = stamp_page(10, page_with(rng))
     body = bytearray(zlib.compress(page, 1))
     body[len(body) // 2] ^= 0x01
     store.manager.cluster.create_file(
@@ -1733,6 +1733,32 @@ def _replace_log_block(store, block_id, content):
     name = constituent_name(GEN1, block_id)
     cluster.delete_file(name)
     cluster.create_file(name, content)
+
+
+def test_bytes_between_a_body_and_its_footer_are_a_torn_block():
+    """A committed log block whose body, a whole zlib stream, is followed
+    by other bytes before its footer is torn, though its stream and its
+    footer each pass their own checks: every byte before the footer is
+    the stream's. A fresh store's read of its page and a restart raise
+    RecoveryError."""
+    store = make_store()
+    rng = random.Random(45)
+    store.write_page(10, page_with(rng))
+    store.commit_transaction()
+    block = store.manager.read_block(GEN1, 0)
+    end = len(block) - FOOTER_FIXED_SIZE - 8
+    torn = block[:end] + b"JUNKJUNK" + block[end:]
+    assert unpack_footer(torn) == unpack_footer(block)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        unpack_body(torn, PAGE)
+    _replace_log_block(store, 0, torn)
+    fresh = _peer(store)
+    fresh.begin_transaction(write=False)
+    assert fresh.index == {10: (0, 0)}
+    with pytest.raises(RecoveryError, match="does not decode"):
+        fresh.read_page(10)
+    with pytest.raises(RecoveryError, match="does not decode"):
+        _peer(store).restart_system()
 
 
 @pytest.mark.parametrize("damage", ["flipped body byte", "another body"])
@@ -1886,20 +1912,24 @@ def test_a_log_block_with_no_constituent_is_a_recovery_error():
 
 
 def test_an_unlogged_block_is_written_in_place_before_the_marker():
-    """A hole with no log copy: its pages are stamped with the ordinals
-    the log would have given them and are read back from the data block
-    after a restart; the block's other pages are zeros, the log gets only
-    the marker, and the first write of the block is a fill, not a
-    remake."""
+    """A hole with no log copy: its pages are written in place and read
+    back from the data block after a restart; the block's other pages
+    are zeros, the log gets only the marker, and the first write of the
+    block is a fill, not a remake. A stamped page depends only on its
+    pageid and payload, so each reads as the same bytes as the same page
+    written to a store that logs it: as its log copy, carried into the
+    next generation, and remade home."""
     rng = random.Random(3)
-    store = make_store(holes=True)
+    store, all_logged = make_store(holes=True), make_store()
     logged = page_with(rng)
     unlogged = [(3 * N, page_with(rng)), (3 * N + 5, page_with(rng))]
-    store.write_page(7, logged)
-    for pageid, page in unlogged:
-        store.write_page(pageid, page)
+    for each in (store, all_logged):
+        each.write_page(7, logged)
+        for pageid, page in unlogged:
+            each.write_page(pageid, page)
     assert payload(store.read_page(3 * N + 5)) == payload(unlogged[1][1])
-    store.commit_transaction()
+    for each in (store, all_logged):
+        each.commit_transaction()
     assert log_blocks(store) == 1
     assert _footer(store, 0) == ([7], True)
     assert (store.manager.fills_total,
@@ -1907,11 +1937,22 @@ def test_an_unlogged_block_is_written_in_place_before_the_marker():
     fresh = DfsTransactionStore(store.manager, store.data,
                                 store.log_name)
     fresh.restart_system()
-    for ordinal, (pageid, page) in enumerate(unlogged, 1):
-        got = fresh.read_page(pageid)
-        assert page_header(got)[:2] == (pageid, ordinal)
-        assert payload(got) == payload(page)
+    stamped = {pageid: stamp_page(pageid, page) for pageid, page in unlogged}
+    assert {pageid: fresh.read_page(pageid) for pageid in stamped} == \
+        {pageid: store.manager.read_page(store.data, pageid)
+         for pageid in stamped} == stamped
     assert fresh.read_page(3 * N + 1) == bytes(PAGE)
+    assert _footer(all_logged, 0) == ([7, 3 * N, 3 * N + 5], True)
+    assert {pageid: all_logged.read_page(pageid) for pageid in stamped} == \
+        stamped
+    assert all_logged.batch_post_commit() == 0
+    assert set(all_logged.index) == {7, *stamped}  # carried into g2
+    peer = _peer(all_logged)
+    peer.begin_transaction(write=False)
+    assert {pageid: peer.read_page(pageid) for pageid in stamped} == stamped
+    assert _drain(all_logged) == 2
+    assert {pageid: all_logged.manager.read_page(all_logged.data, pageid)
+            for pageid in stamped} == stamped
 
 
 def test_a_block_a_failed_commit_left_is_logged_then_remade():
@@ -1945,7 +1986,7 @@ def test_a_hole_with_a_log_copy_is_logged():
     over it. The batch then creates the block, which is a fill."""
     rng = random.Random(5)
     store = make_store(holes=True)
-    stale = stamp_page(4 * N + 2, 0, page_with(rng))
+    stale = stamp_page(4 * N + 2, page_with(rng))
     store.manager.append_block(
         store.log, zlib.compress(stale + bytes(8), 1) +
         pack_footer([4 * N + 2], True))

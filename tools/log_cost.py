@@ -65,10 +65,9 @@ class Tally:
 
 def stream_costs(pieces: list[bytes], window: bytes) -> list[int]:
     """What each of `pieces` adds to one zlib stream of them all at the
-    store's level with `window` as its dictionary (none if empty), then
-    the stream's length with no piece: the framing."""
-    codec = zlib.compressobj(spdu_dfs._ZLIB_LEVEL, zdict=window) \
-        if window else zlib.compressobj(spdu_dfs._ZLIB_LEVEL)
+    store's level with `window` as its dictionary (an empty one names
+    none), then the stream's length with no piece: the framing."""
+    codec = zlib.compressobj(spdu_dfs._ZLIB_LEVEL, zdict=window)
     lengths = [len(codec.copy().flush())]
     out = 0
     for piece in pieces:
