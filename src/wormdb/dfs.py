@@ -339,9 +339,16 @@ class DfsCluster:
             self._save_tables()
             return entry
 
-    def read_range(self, name: str, offset: int, length: int) -> bytes:
+    def read_range(self, name: str, offset: int, length: int,
+                   file_id: int | None = None) -> bytes:
+        """Bytes [offset, offset + length) of file `name`; with `file_id`,
+        NotFound unless the file is still the one with that id, so a
+        client that looked the file up before it was remade never reads
+        the new file's bytes for the old one's."""
         with self._lock:
             entry = self._entry(name)
+            if file_id is not None and entry.file_id != file_id:
+                raise NotFound(f"{name} is no longer file {file_id}")
             if offset < 0 or length < 0 or offset + length > entry.size_bytes:
                 raise OutOfRange(
                     f"read [{offset}, {offset + length}) beyond "

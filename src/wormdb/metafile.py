@@ -19,16 +19,32 @@ operation on a block below 0 or at or past the count is OutOfRange.
 A block is at most one DFS block, and its constituent is only as long
 as what was written, as an HDFS file ends in a partial block and a GFS
 chunk replica grows only as needed. An overwritten block, and block 0
-of a sparse create, is whole pages stored up to its last nonzero page,
-at least one: a data block ends at the last page written to it. An
-appended block may be any length: a log block holds just its
-compressed body and its footer bytes. The NameNode entry that gives a
-block's file_id also gives its size, so a reader learns where a short
-block ends from the same call: a page wholly past that end reads as
-zeros without a DFS read, as a hole's pages do (below), and a page that
-starts before the end and runs past it is OutOfRange. Given an entry
-the caller already holds, `read_page_of` reads one page of it and
-`read_bytes` reads from a given offset to its end.
+of a sparse create, is whole pages up to its last nonzero page, at
+least one: a data block ends at the last page written to it. A create,
+a sparse create's block 0 or the fill of a block with no constituent,
+stores those pages. A remake stores them as one zlib stream at
+`_ZLIB_LEVEL` where that is shorter and not a whole number of pages,
+else the pages too, as Bigtable compresses the SSTable blocks a
+compaction writes (Chang et al., OSDI 2006): a remake is a batch's,
+off the commit path, while compressing the fills that a load writes
+would take as long again as the load. The constituent's length says
+which it holds, whole pages or a stream, so no table or format keeps a
+flag. An appended block may be any length: a log block holds just its
+compressed body and its footer bytes, and is read by `read_bytes`
+alone, which returns a constituent's bytes as stored and never
+decompresses. The NameNode entry that gives a block's file_id also
+gives its size, so a reader learns where a block ends, and how it is
+stored, from the same call. A page past a block's last page reads as
+zeros, with no DFS read if the constituent holds whole pages, as a
+hole's pages do (below). The first page read of a stream reads the
+whole constituent with one DFS read, unpacks it and caches its pages
+(below); a stream that fails zlib's check, does not end where the
+constituent does or does not decode to 1 to `pages_per_block` whole
+pages fails every page read of it with RecoveryError naming the
+constituent, as a page read of an appended block that is not whole
+pages does. Given an entry the caller already holds, `read_page_of`
+reads one page of it and `read_bytes` reads from a given offset to its
+end.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -54,15 +70,22 @@ share, keyed by constituent name and tagged with the constituent's DFS
 sparse create its block 0, or a remake has renamed its new block into
 place (or created a missing one), the block is cached whole, as the one
 `bytes` object handed to `create_file`, under the id that call returned
-(a rename keeps it). In memory mode the DataNodes keep that same object,
-so the cache holds no second copy; `read_block` returns it, and
-the page and byte reads slice their bytes out of it. A block this
-manager did not write is read through range by range: the page and
-byte reads cache each page or range they read from the DFS, and
-`read_block` reads the DFS without caching, so a cold read fetches only
-the pages and tails asked for, once. A page or byte read of a whole
+(a rename keeps it), or, for a remake stored as a stream, as its pages.
+In memory mode the DataNodes keep that same object, so the cache holds
+no second copy, but of a stream it holds the pages beside the stream
+the DataNodes keep; `read_block` returns it, and the page and byte
+reads slice their bytes out of it. A block this manager did not write
+is read through range by range: the page and byte reads cache each page
+or range they read from the DFS, and `read_block` of a constituent of
+pages reads the DFS without caching, so a cold read fetches only the
+pages and tails asked for, once. A page or byte read of a whole
 constituent caches it as a write does, in place of the ranges it
-covers, so no byte of it is held twice. A constituent is write-once
+covers, so no byte of it is held twice. A stream is read whole at its
+first page read, or `read_block`, and its pages cached in its place. A
+cached block as long as its constituent is the constituent's bytes; one
+of another length is a stream's pages, which the page reads and
+`read_block` serve and a byte read passes by for the stream's own bytes,
+read from the DFS and not cached. A constituent is write-once
 and the NameNode never reuses an id, so a cached block or range is served
 only while its block's current id (one NameNode call per read, made
 before the cache is looked at) is the id it was cached under; a remake
@@ -81,15 +104,29 @@ at most that many bytes plus what one commit appends. The cache takes
 no lock: a reader racing a remake or another reader can only cache a
 range under an id that has died, which is never served, or replace an
 entry another reader, an append or a remake made, which costs one more
-DFS read.
+DFS read. Every DFS read names the id its entry gave, so a reader that
+looked a block up just before a remake, or a truncate and append, never
+takes the new constituent's bytes for the old one's, which matters
+since a remake may store a stream where there were pages: the read
+raises NotFound, on which `read_page` and `read_block` look the block
+up again and read the new constituent.
 """
 
 from __future__ import annotations
 
 import threading
+import zlib
 
 from .dfs import DfsCluster, DfsFileEntry, constituent_name
-from .errors import AlreadyExists, OutOfRange, WrongBlockSize
+from .errors import (
+    AlreadyExists,
+    NotFound,
+    OutOfRange,
+    RecoveryError,
+    WrongBlockSize,
+)
+
+_ZLIB_LEVEL = 1  # zlib's fastest level: a remade block, a log block's body
 
 
 def pages_per_block(page_size: int, block_size: int) -> int:
@@ -112,7 +149,8 @@ class MetaDfsManager:
     here once, and a page of `page_size` bytes must divide it. An
     appended constituent holds 1 to `block_size` bytes; an overwritten
     one is given 1 to `pages_per_block` whole pages and holds them up to
-    the last nonzero one (see above).
+    the last nonzero one, as a remake's stream if that is shorter (see
+    above).
 
     One manager is shared by all sessions of an engine; `remakes_total`
     is kept here for the cost accounting the deferred post-commit design
@@ -129,8 +167,8 @@ class MetaDfsManager:
         self.remakes_total = 0
         self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
-        # manager wrote it or read it whole, else {(start, end): bytes} of
-        # the ranges read)
+        # manager wrote it or read it whole, its pages for a stream, else
+        # {(start, end): bytes} of the ranges read)
         self._cache: dict[
             str, tuple[int, bytes | dict[tuple[int, int], bytes]]] = {}
         self._zero_page = bytes(page_size)
@@ -221,20 +259,22 @@ class MetaDfsManager:
                         content: bytes) -> None:
         """DFS file remake of one constituent, counted as a remake, or a
         plain create of a missing one, counted in `fills_total`; then
-        cache it (see above). The constituent holds `content` up to its
-        last nonzero page."""
+        cache it (see above). The block is `content` up to its last
+        nonzero page: a create stores those pages, a remake stores them
+        as `_pack_block` packs them, one zlib stream if that is shorter."""
         content = self._trimmed(content)
         name = self._constituent(file, block_id)
         created = not self.cluster.exists(name)
         if created:
             file_id = self.cluster.create_file(name, content).file_id
         else:
+            stored = self._pack_block(content)
             new = name + ".new"
             try:
-                file_id = self.cluster.create_file(new, content).file_id
+                file_id = self.cluster.create_file(new, stored).file_id
             except AlreadyExists:  # left by a failed remake (see above)
                 self.cluster.delete_file(new)
-                file_id = self.cluster.create_file(new, content).file_id
+                file_id = self.cluster.create_file(new, stored).file_id
             self.cluster.rename_file(new, name, overwrite=True)
         self._cache[name] = (file_id, content)
         with self._counter_lock:
@@ -242,6 +282,53 @@ class MetaDfsManager:
                 self.fills_total += 1
                 return
             self.remakes_total += 1
+
+    def _pack_block(self, block: bytes) -> bytes:
+        """What a remake stores for `block`, whole pages: one zlib stream
+        of them at `_ZLIB_LEVEL` if that is shorter and not a whole number
+        of pages, else the pages themselves (see above)."""
+        stream = zlib.compress(block, _ZLIB_LEVEL)
+        if len(stream) < len(block) and len(stream) % self.page_size:
+            return stream
+        return block
+
+    def _unpack_block(self, entry: DfsFileEntry, stream: bytes) -> bytes:
+        """The pages constituent `entry` stores as `stream` (see
+        `_pack_block`); RecoveryError naming the constituent unless it is
+        one zlib stream, ending where the constituent does, that passes
+        zlib's own check and decodes to 1 to `pages_per_block` whole
+        pages."""
+        codec = zlib.decompressobj()
+        try:
+            block = codec.decompress(stream, self.block_size + 1)
+        except zlib.error as exc:
+            raise RecoveryError(
+                f"{entry.name}: stored block does not decode: {exc}") \
+                from None
+        if not codec.eof or codec.unused_data:
+            raise RecoveryError(
+                f"{entry.name}: stored block's stream does not end where "
+                f"its {entry.size_bytes} bytes do")
+        if not 0 < len(block) <= self.block_size or \
+                len(block) % self.page_size:
+            raise RecoveryError(
+                f"{entry.name}: stored block decodes to {len(block)} "
+                f"bytes, not 1 to {self.pages_per_block} pages of "
+                f"{self.page_size} bytes")
+        return block
+
+    def _unpacked(self, entry: DfsFileEntry) -> bytes:
+        """The pages of constituent `entry`, stored as a stream: cached
+        under its current id, else its stream, read as `_range` reads it,
+        so whole with at most one DFS read, unpacked and cached in its
+        place (see above)."""
+        cached = self._cached(entry.name, entry.file_id)
+        if isinstance(cached, bytes) and len(cached) != entry.size_bytes:
+            return cached
+        block = self._unpack_block(
+            entry, self._range(entry, 0, entry.size_bytes))
+        self._cache[entry.name] = (entry.file_id, block)
+        return block
 
     def has_constituent(self, file: str, block_id: int) -> bool:
         """Whether a block has a constituent, a hole has none; unlike
@@ -270,22 +357,31 @@ class MetaDfsManager:
         return self.cluster.meta_version(file)
 
     def read_block(self, file: str, block_id: int) -> bytes:
-        """The whole block, as long as its constituent: the cached object
-        if this manager wrote or read the whole block under its current
-        id, else from the DFS (not cached)."""
-        entry = self.constituent_entry(file, block_id)
+        """The whole block up to its constituent's last page: the cached
+        object if this manager wrote or read the whole block under its
+        current id, else from the DFS, not cached unless the constituent
+        is a stream, which is unpacked and cached (see above)."""
+        return self._of_current(file, block_id, self._read_block_of)
+
+    def _read_block_of(self, entry: DfsFileEntry | None) -> bytes:
+        """The block whose constituent is `entry` (see `read_block`)."""
         if entry is None:
             return bytes(self.block_size)
+        if entry.size_bytes % self.page_size:
+            return self._unpacked(entry)
         cached = self._cached(entry.name, entry.file_id)
         if isinstance(cached, bytes):
             return cached
-        return self.cluster.read_range(entry.name, 0, entry.size_bytes)
+        return self.cluster.read_range(entry.name, 0, entry.size_bytes,
+                                       entry.file_id)
 
     def read_bytes(self, entry: DfsFileEntry, start: int) -> bytes:
         """The bytes of constituent `entry`, an entry the caller already
-        holds, from `start` to its end, served as `read_page` serves a
-        page, so a cold read fetches just those bytes, and with no
-        NameNode call. OutOfRange unless `start` is before the end."""
+        holds, from `start` to its end, as stored, never unpacked: how an
+        appended block is read. Served as `_range` serves them, so a cold
+        read fetches just those bytes, and with no NameNode call.
+        OutOfRange unless `start` is before the end; NotFound if a DFS
+        read finds the constituent replaced since `entry` (see above)."""
         if not 0 <= start < entry.size_bytes:
             raise OutOfRange(
                 f"byte {start} of {entry.name}, which is "
@@ -309,24 +405,42 @@ class MetaDfsManager:
     def read_page(self, file: str, pageid: int) -> bytes:
         """One page (see `read_page_of`)."""
         block_id, offset = divmod(pageid, self.pages_per_block)
-        return self.read_page_of(self.constituent_entry(file, block_id),
-                                 offset)
+        return self._of_current(
+            file, block_id, lambda entry: self.read_page_of(entry, offset))
+
+    def _of_current(self, file: str, block_id: int, read):
+        """`read` of the entry of block `block_id`'s constituent, looked
+        up again for as long as a DFS read finds the constituent replaced
+        since (NotFound), so a read racing a remake or a truncate and
+        append gets the old block or the new one, never the new one's
+        bytes taken for the old one's, which may be a stream where the
+        old one held pages."""
+        entry = self.constituent_entry(file, block_id)
+        while True:
+            try:
+                return read(entry)
+            except NotFound:
+                current = self.constituent_entry(file, block_id)
+                if current == entry:
+                    raise
+                entry = current
 
     def read_page_of(self, entry: DfsFileEntry | None, offset: int) -> bytes:
         """Page `offset` of the block whose constituent is `entry`, an
         entry the caller already holds, so with no NameNode call: zeros
-        for a block with no constituent (None) and for a page wholly
-        past the constituent's end, else served as `_range` serves it. A
-        page that starts inside a short block and runs past its end is
-        OutOfRange."""
+        for a block with no constituent (None) and for a page past the
+        block's last; of a constituent of whole pages, served as `_range`
+        serves it, else of the stream's pages (`_unpacked`). NotFound if
+        a DFS read finds the constituent replaced since `entry`."""
         size = self.page_size
         start = offset * size
-        if entry is None or start >= entry.size_bytes:
+        if entry is None:
             return self._zero_page
-        if start + size > entry.size_bytes:
-            raise OutOfRange(
-                f"page {offset} of {entry.name} runs past its "
-                f"{entry.size_bytes} bytes")
+        if entry.size_bytes % size:
+            return self._unpacked(entry)[start:start + size] or \
+                self._zero_page
+        if start >= entry.size_bytes:
+            return self._zero_page
         return self._range(entry, start, start + size)
 
     def _range(self, entry: DfsFileEntry, start: int, end: int) -> bytes:
@@ -337,13 +451,18 @@ class MetaDfsManager:
         the range is the whole constituent (see above)."""
         cached = self._cached(entry.name, entry.file_id)
         if isinstance(cached, bytes):
-            return cached[start:end]
+            if len(cached) == entry.size_bytes:
+                return cached[start:end]
+            # a stream's pages: its own bytes are read, not cached
+            return self.cluster.read_range(entry.name, start, end - start,
+                                           entry.file_id)
         if cached is None:
             cached = {}
             self._cache[entry.name] = (entry.file_id, cached)
         data = cached.get((start, end))
         if data is None:
-            data = self.cluster.read_range(entry.name, start, end - start)
+            data = self.cluster.read_range(entry.name, start, end - start,
+                                           entry.file_id)
             if end - start == entry.size_bytes:
                 self._cache[entry.name] = (entry.file_id, data)
             else:

@@ -23,7 +23,10 @@ page and files being write-once:
   read of them gives it. A fixed part that lists more pages than those
   bytes hold, a checksum mismatch and a counted log block with no
   constituent, which a meta file would read as zeros, fail alike.
-  Data blocks stay raw and page-addressable.
+  Data blocks stay page-addressable: the meta-file layer stores the
+  blocks a batch remakes as zlib streams at the log's level where that
+  is shorter, and serves their pages as it serves any other
+  (`wormdb.metafile`), so the store reads and XORs raw pages alike.
 * A log block's body holds, in its footer's order, each page as
   logged, then the base of each page, 8 bytes a page: 0 for a page
   logged raw, else the file_id of its home, the constituent of its data
@@ -114,7 +117,10 @@ page and files being write-once:
   1988), the cost-benefit cleaning of a log-structured file system
   (Rosenblum & Ousterhout, TOCS 1992). Carrying a block's n logged
   pages costs n pages; remaking it costs a whole block of
-  `pages_per_block`. The store keeps a credit per data block, the page
+  `pages_per_block`. Both are counted raw, though a carried page is
+  compressed with its log block and a remake stores its block as a
+  zlib stream where that is shorter, so the choice prices neither as
+  stored. The store keeps a credit per data block, the page
   copies of that block it has carried so far, in memory. A block rides
   into g+1 while credit + n < pages_per_block; otherwise it is remade
   and its credit dropped. Blocks with the fewest pages are carried
@@ -209,12 +215,11 @@ import zlib
 from .dfs import DfsFileEntry
 from .errors import AllReplicasDead, LogMoved, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
-from .metafile import MetaDfsManager
+from .metafile import _ZLIB_LEVEL, MetaDfsManager
 from .pagefmt import stamp_page
 
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
-_ZLIB_LEVEL = 1  # a log block's body: zlib's fastest level
 _WINDOW = 32 * 1024  # deflate's window, the most of a dictionary it reads
 DEFAULT_POST_COMMIT_THRESHOLD = 64
 _NO_WINDOW = (0, b"", None)  # a store's window before it follows a block

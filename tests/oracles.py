@@ -16,9 +16,11 @@ readers may share the instance between write transactions.
 
 `meta_file_strays` checks a DFS cluster against the meta-file layout:
 every constituent sits inside a registered meta file's block count.
-`data_blocks` reads a store's data file block by block, `log_blocks`
-counts its live log blocks and `log_bases` reads back how its log block
-holds each page.
+`stored_block` reads the bytes a constituent stores, as appended or as
+packed, and `packed` works out what a remake stores. `data_blocks`
+reads a store's data file block by block, `log_blocks` counts its live
+log blocks and `log_bases` reads back how its log block holds each
+page.
 
 `reference_unpack_record` and `reference_pack_record` are a plain
 field-by-field decoder and encoder of the UserVisits wire format, which
@@ -96,6 +98,13 @@ def data_blocks(store) -> list[bytes]:
             for block_id in range(count)]
 
 
+def stored_block(manager, file: str, block_id: int) -> bytes:
+    """The bytes block `block_id` of meta file `file` stores, as
+    `read_bytes` reads them, never unpacked: a log block as appended, a
+    remade data block as its remake packed it."""
+    return manager.read_bytes(manager.constituent_entry(file, block_id), 0)
+
+
 def log_bodies(store, end: int | None = None) -> list[tuple[bytes, bytes]]:
     """(body, window) of each block of `store`'s live log generation
     before block `end`, all by default, oldest first, as `unpack_log`
@@ -126,6 +135,15 @@ def deflated(body: bytes, window: bytes) -> bytes:
     codec = zlib.compressobj(1, zdict=window) if window else \
         zlib.compressobj(1)
     return codec.compress(body) + codec.flush()
+
+
+def packed(pages: bytes, page_size: int) -> bytes:
+    """What a remake stores for `pages`, whole pages up to the last
+    nonzero one: one zlib stream of them at level 1 where that is
+    shorter and not whole pages, else the pages."""
+    stream = zlib.compress(pages, 1)
+    return stream if len(stream) < len(pages) and len(stream) % page_size \
+        else pages
 
 
 def log_bases(store, block_id: int) -> list[int]:

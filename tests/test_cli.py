@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import data_blocks, log_windows
+from oracles import data_blocks, log_windows, stored_block
 import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
@@ -523,7 +523,7 @@ def test_a_root_whose_committed_log_body_does_not_decode_is_refused(
     block_id = max(block_id for block_id, (_, complete)
                    in db.store.footers().items() if complete)
     entry = db.manager.constituent_entry(db.store.log, block_id)
-    block = db.manager.read_block(db.store.log, block_id)
+    block = stored_block(db.manager, db.store.log, block_id)
     pageids, _ = unpack_footer(block)
     flip = (len(block) - 13 - 8 * len(pageids)) // 2
     damaged = bytearray(block)
@@ -575,7 +575,7 @@ def test_a_root_whose_earlier_log_block_was_replaced_is_refused(
     dfs = cluster()
     assert dfs.meta_block_count(live) >= 3
     manager = MetaDfsManager(dfs, SMALL_CONFIG["page_size"])
-    pageids, complete = unpack_footer(manager.read_block(live, 0))
+    pageids, complete = unpack_footer(stored_block(manager, live, 0))
     other = bytes(len(pageids) * (SMALL_CONFIG["page_size"] + 8))
     replaced = zlib.compress(other, 1) + pack_footer(pageids, complete)
     assert unpack_body(replaced, SMALL_CONFIG["page_size"]) == other
@@ -603,7 +603,7 @@ def _rewrite_log_as_a_master_file(root, master_page, generations):
         SMALL_CONFIG["num_nodes"], root)
     manager = MetaDfsManager(cluster, SMALL_CONFIG["page_size"])
     live = generation_name("db/log", 1)
-    blocks = [manager.read_block(live, block_id)
+    blocks = [stored_block(manager, live, block_id)
               for block_id in range(cluster.meta_block_count(live))]
     master = "db/log"
     manager.create_meta(master)

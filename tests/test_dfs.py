@@ -108,6 +108,22 @@ def test_read_range_errors():
         cluster.read_range("f", 8, 4)
 
 
+def test_a_read_given_a_file_id_refuses_a_file_remade_since():
+    """A read given the file_id its caller looked up reads that file, and
+    raises NotFound once a remake has put another file under the name,
+    whose bytes it never returns."""
+    cluster = make_cluster()
+    old = cluster.create_file("f", b"old")
+    assert cluster.read_range("f", 0, 3, old.file_id) == b"old"
+    cluster.create_file("f.new", b"new")
+    cluster.rename_file("f.new", "f", overwrite=True)
+    with pytest.raises(NotFound, match="no longer"):
+        cluster.read_range("f", 0, 3, old.file_id)
+    new = cluster.file_entry("f")
+    assert cluster.read_range("f", 0, 3, new.file_id) == \
+        cluster.read_range("f", 0, 3) == b"new"
+
+
 def test_read_survives_replica_deaths_until_last():
     cluster = make_cluster()
     content = random.Random(2).randbytes(64 * KB)

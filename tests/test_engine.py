@@ -22,6 +22,7 @@ from oracles import (
     names_a_dictionary,
     reference_index_pages,
     reference_insert,
+    stored_block,
 )
 from wormdb import bench, engine, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
@@ -43,7 +44,6 @@ from wormdb.errors import (
     DatabaseFull,
     LockError,
     NotFound,
-    OutOfRange,
     RecordTooLarge,
     StorageError,
     UpgradeConflict,
@@ -905,13 +905,15 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     tail page and the catalog again, and their previous copies sit in
     that window. They were re-pinned (5,035,335 -> 5,029,629) when a
     page's header stopped holding its write ordinal, whose difference
-    from its home's the XOR deltas of updated pages held."""
+    from its home's the XOR deltas of updated pages held, and again
+    (5,029,629 -> 4,135,014) when a remake began to store its block's
+    pages as one zlib stream where that is shorter."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(256)
     assert full == "heap page 234 collides with index space"
     assert not index_read
     s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4811, 1665, 1440, 5_029_629)
+            cluster.counters.bytes_written) == (4811, 1665, 1440, 4_135_014)
     assert read_all(s) == rows[:4810]
 
 
@@ -923,13 +925,14 @@ def test_a_272_page_store_ends_at_a_merged_segments_extent():
     after the extent is allocated. The DFS bytes were re-pinned
     (6,964,689 -> 5,197,857) as the 256-page store's were, when a log
     block's body began to take its generation's window as its
-    dictionary, and again (5,197,857 -> 5,192,535) when a page's header
-    stopped holding its write ordinal."""
+    dictionary, again (5,197,857 -> 5,192,535) when a page's header
+    stopped holding its write ordinal, and again (5,192,535 -> 4,297,956)
+    when a remake began to store its pages as one shorter zlib stream."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(272)
     assert full == "index extent of 7 pages collides with heap"
     assert not index_read
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (5120, 1769, 1524, 5_192_535)
+            cluster.counters.bytes_written) == (5120, 1769, 1524, 4_297_956)
     assert read_all(s) == rows[:-10]
 
 
@@ -1356,8 +1359,9 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     """The data blocks a batch post-commit remade are cached as written:
     a full scan, and a second batch that dirties the same blocks, read
     nothing from the DFS. A database opened afresh over the cluster has
-    its own, empty cache, so it reads those blocks from the DFS, and it
-    sees what the batches wrote."""
+    its own, empty cache, so it reads those blocks from the DFS, each
+    stored as a stream, read whole once, and it sees what the batches
+    wrote."""
     db = make_db(threshold=2)
     s = db.session()
     for txn in range(4):
@@ -1387,10 +1391,16 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
         constituent_name(db.data_name, 0), constituent_name(db.log_name, 0)}
     reader = fresh.session()
     before = cluster.counters.snapshot()
+    opened = set(fresh.manager.cached_ids())
     assert [r.country_code for r in read_all(reader)] == expected
-    # one DFS read per heap page; the catalog page was read by the open
+    # one DFS read per data block the scan reads past block 0, whose
+    # stream the open read whole for the catalog page
+    scanned = {name for name in fresh.manager.cached_ids()
+               if name.startswith(f"{db.data_name}/")} - opened
     assert cluster.counters.read_calls - before.read_calls == \
-        reader.page_reads - 1
+        len(scanned) == 1
+    assert all(fresh.manager.cluster.file_entry(name).size_bytes % PAGE
+               for name in scanned | opened)
     current = {entry.name: entry.file_id for entry in
                fresh.manager.constituent_entries(fresh.data_name) if entry}
     cached = {name: file_id
@@ -1522,7 +1532,7 @@ def test_a_root_whose_log_blocks_take_no_dictionary_opens_and_goes_on(
     db = reopen()
     old = log_blocks(db.store)
     assert old > 3 and not any(
-        names_a_dictionary(db.manager.read_block(GEN1, block_id))
+        names_a_dictionary(stored_block(db.manager, GEN1, block_id))
         for block_id in range(old))
     assert db.recover() == "clean"
     s = db.session()
@@ -1534,7 +1544,7 @@ def test_a_root_whose_log_blocks_take_no_dictionary_opens_and_goes_on(
         commit_rows(s, range(start, start + 10))
     new = log_blocks(db.store) - old
     assert new >= 2 and [
-        names_a_dictionary(db.manager.read_block(GEN1, block_id))
+        names_a_dictionary(stored_block(db.manager, GEN1, block_id))
         for block_id in range(old + new)] == [False] * old + [True] * new
     rows = [rec(i) for i in range(80)]
     assert read_all(reopen().session()) == rows
@@ -1626,17 +1636,18 @@ def test_restart_caches_each_log_block_once():
         file_id, cached = manager._cache[entry.name]
         assert file_id == entry.file_id
         assert len(cached) == entry.size_bytes, entry.name
-        assert manager.read_block(reopened.store.log, block_id) is cached
+        assert manager.read_bytes(entry, 0) is cached
 
 
 def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
     """Two sessions run a seeded schedule of writes, aborts, updates and
-    maintenance. After each step every page of the data and log files
-    reads the same through the database's warm manager as through a fresh
-    one: the pages a constituent holds alike, a page wholly past its end
-    (a data block ends at its last nonzero page) as zeros, and a page that
-    runs past a short log block's end as OutOfRange. A session scan
-    equals one through a fresh database."""
+    maintenance. After each step every page of the data file reads the
+    same through the database's warm manager as through a fresh one: the
+    pages its block holds, stored whole or as a stream, alike, and a page
+    past the block's last (a data block ends at its last nonzero page) as
+    zeros. Every log block reads the same through both as the store
+    reads it, its bytes from `read_bytes`. A session scan equals one
+    through a fresh database."""
     rng = random.Random(20)
     db = make_db(threshold=4)
     cluster = db.manager.cluster
@@ -1662,31 +1673,25 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
             else:
                 session.commit()
         fresh = MetaDfsManager(cluster, db.manager.page_size)
-        for file in (db.data_name, db.store.log):
-            entries = db.manager.constituent_entries(file)
-            for block_id, entry in enumerate(entries):
-                # a data block with no constituent reads as a whole block
-                # of zeros
-                size = pages_per_block * page if entry is None else \
-                    entry.size_bytes
-                first = block_id * pages_per_block
-                if file == db.data_name and entry is not None:
-                    assert db.manager.read_page(
-                        file, first + size // page - 1) != bytes(page)
-                for offset in range(pages_per_block):
-                    pageid = first + offset
-                    if (offset + 1) * page <= size:
-                        assert db.manager.read_page(file, pageid) == \
-                            fresh.read_page(file, pageid), \
-                            (step, file, pageid)
-                    elif offset * page >= size:
-                        for manager in (db.manager, fresh):
-                            assert manager.read_page(file, pageid) == \
-                                bytes(page), (step, file, pageid)
-                    else:
-                        for manager in (db.manager, fresh):
-                            with pytest.raises(OutOfRange):
-                                manager.read_page(file, pageid)
+        file = db.data_name
+        for block_id, entry in enumerate(
+                db.manager.constituent_entries(file)):
+            # a data block with no constituent reads as a whole block of
+            # zeros
+            block = db.manager.read_block(file, block_id)
+            if entry is not None:
+                assert block[-page:] != bytes(page), (step, block_id)
+            for offset in range(pages_per_block):
+                pageid = block_id * pages_per_block + offset
+                expected = block[offset * page:(offset + 1) * page] or \
+                    bytes(page)
+                for manager in (db.manager, fresh):
+                    assert manager.read_page(file, pageid) == expected, \
+                        (step, pageid)
+            assert fresh.read_block(file, block_id) == block
+        for entry in db.manager.constituent_entries(db.store.log):
+            assert db.manager.read_bytes(entry, 0) == \
+                fresh.read_bytes(entry, 0), (step, entry.name)
         rows = read_all(rng.choice(sessions))
         assert rows == read_all(Database.open(
             cluster, "db", PAGE, recover=False).session()), step
@@ -2526,7 +2531,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     a page's header held its write ordinal: a header of its pageid, 4
     zero bytes and its payload's crc32 takes 360 bytes off, since an
     updated page's XOR with its home no longer holds the difference of
-    two ordinals."""
+    two ordinals, and when a remake stored its pages whole: storing them
+    as one zlib stream where that is shorter takes 219,248 bytes off."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -2545,7 +2551,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     assert (db.manager.cluster.counters.bytes_written,
             db.manager.remakes_total, db.manager.fills_total) == \
         (1_622_578 - 4_550 - 69_632 - 77_160
-         - (1 + 2 * batches) * PAGE * replication + 4 + 178 - 360,
+         - (1 + 2 * batches) * PAGE * replication + 4 + 178 - 360
+         - 219_248,
          47 - 2 * batches, 59)
 
 

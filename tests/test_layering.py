@@ -60,6 +60,11 @@ block up to its last nonzero page and reads the rest as zeros, so no
 module other than metafile.py makes zeros of, or pads bytes to, a length
 that names ``block_size``.
 
+Each stored format has one home. Only spdu_dfs.py packs or parses a log
+block's footer and compresses or decompresses its body; metafile.py
+compresses a remade data block and decompresses it only in
+``MetaDfsManager._pack_block`` and ``_unpack_block``.
+
 The benchmark's tracer, perfbench/spans.py, patches package functions by
 name, so each of those names must exist in the package, and each hook it
 calls before a function must take that function's arguments.
@@ -511,25 +516,39 @@ def test_a_data_blocks_stored_length_has_one_home():
     assert block_pads((PACKAGE / "metafile.py").read_text("utf-8")) != []
 
 
-# a log block's footer and the codec of its body
+# a log block's footer and the window of its body
 FOOTER_FORMAT = ("pack_footer", "unpack_footer", "unpack_body",
-                 "unpack_log", "FOOTER_FIXED_SIZE", "compress",
-                 "decompress", "compressobj", "decompressobj", "zdict")
+                 "unpack_log", "FOOTER_FIXED_SIZE", "zdict")
+# zlib's codec, of a log block's body and of a remade data block
+ZLIB_CODEC = ("compress", "decompress", "compressobj", "decompressobj")
+# where the meta-file layer packs and unpacks a remade data block
+BLOCK_CODEC_SCOPES = {"MetaDfsManager._pack_block",
+                      "MetaDfsManager._unpack_block"}
 
 
 def test_the_log_footer_format_has_one_home():
-    """Only the store packs, parses or sizes a log block's footer, and
-    only it compresses or decompresses a block's body, with or without
-    its window as the zlib dictionary; the meta-file layer hands its
-    bytes over unread."""
+    """Only the store packs, parses or sizes a log block's footer or
+    hands a block's window to zlib as its dictionary, and only it and
+    the meta-file layer call zlib's codec; the meta-file layer hands a
+    log block's bytes over unread."""
     offences = [f"{path.name}:{line}: {name} in {scope}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 if path.name != STORE_MODULE
-                for name in FOOTER_FORMAT
+                for name in FOOTER_FORMAT + (
+                    () if path.name == MUTATING_MODULE else ZLIB_CODEC)
                 for line, scope in mentions(path.read_text("utf-8"), name)]
     assert offences == []
     store = (PACKAGE / STORE_MODULE).read_text("utf-8")
-    assert all(mentions(store, name) for name in FOOTER_FORMAT)
+    assert all(mentions(store, name) for name in FOOTER_FORMAT + ZLIB_CODEC)
+
+
+def test_the_page_block_codec_has_one_home():
+    """The meta-file layer compresses a remade block's pages and
+    decompresses a stored stream only in its pack and unpack helpers, so
+    which bytes a constituent of pages stores is decided in one place."""
+    metafile = (PACKAGE / MUTATING_MODULE).read_text("utf-8")
+    assert {scope for name in ZLIB_CODEC
+            for _, scope in mentions(metafile, name)} == BLOCK_CODEC_SCOPES
 
 
 DURABLE_WRITES = ("fsync", "replace")

@@ -1,8 +1,11 @@
 import os
+import random
 import sys
 import threading
+import zlib
 
 import pytest
+from oracles import stored_block
 
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.errors import (
@@ -10,6 +13,7 @@ from wormdb.errors import (
     AlreadyExists,
     NotFound,
     OutOfRange,
+    RecoveryError,
     StorageError,
     WrongBlockSize,
 )
@@ -75,11 +79,13 @@ def test_append_wrong_size(mgr):
 def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
         mgr, monkeypatch):
     """A log block of one page is its compressed page and its footer,
-    shorter here than one page: reading that page slot is OutOfRange,
-    cached or not. `read_bytes`, given the block's entry, returns the
-    footer, from the cache of the manager that appended it, or with one
-    DFS read of just its bytes, which another manager then serves from
-    its cache, and it makes no NameNode call."""
+    shorter here than one page. `read_bytes`, given the block's entry,
+    returns the footer, from the cache of the manager that appended it,
+    or with one DFS read of just its bytes, which another manager then
+    serves from its cache, and it makes no NameNode call. A page read
+    takes a constituent that is not whole pages for a stream of pages,
+    which a log block is not: it fails with RecoveryError naming the
+    constituent, cached or not."""
     data = "db/data"
     create_data_meta(mgr, data, 4 * N, bytes(PAGE))
     create_log_meta(mgr, "db/log")
@@ -89,12 +95,10 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     size = mgr.constituent_entry(store.log, 0).size_bytes
     footer = 13 + 8
     assert footer < size < PAGE
-    tail = mgr.read_block(store.log, 0)[size - footer:]
+    tail = stored_block(mgr, store.log, 0)[size - footer:]
     peer = peer_of(mgr)
     for manager, reads in ((mgr, (0, 0)), (peer, (1, footer))):
         file = store.log
-        with pytest.raises(OutOfRange):
-            manager.read_page(file, 0)
         entry = manager.constituent_entry(file, 0)
         with monkeypatch.context() as patch:
             patch.setattr(manager.cluster, "meta_block_entry", None)
@@ -107,6 +111,8 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
             for start in (-1, size):
                 with pytest.raises(OutOfRange):
                     manager.read_bytes(entry, start)
+        with pytest.raises(RecoveryError, match=entry.name):
+            manager.read_page(file, 0)
     # a hole has no entry to read bytes from; it reads as a zero block
     assert mgr.constituent_entry(data, 2) is None
     assert mgr.read_block(data, 2) == bytes(BLOCK)
@@ -394,15 +400,18 @@ def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 1)) == \
         (0, 0, bytes([2]) * PAGE)
     peer = peer_of(mgr)
+    stored = mgr.constituent_entry(f, 0).size_bytes
+    assert stored < BLOCK
     assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == \
-        (1, BLOCK, block_of(2))
+        (1, stored, block_of(2))
     assert peer.read_page(f, 1) == bytes([2]) * PAGE
 
 
 def test_a_written_block_is_cached_as_the_object_the_datanodes_keep(mgr):
-    """In memory mode a block this manager appended, remade or created in
-    a hole is cached as the very object its DataNodes store, so the cache
-    holds no copy of its own."""
+    """In memory mode a block this manager appended or created in a hole
+    is cached as the very object its DataNodes store, so the cache holds
+    no copy of its own. A remade block is cached as its pages, beside the
+    stream its DataNodes store."""
     f = "m"
     mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
@@ -411,13 +420,17 @@ def test_a_written_block_is_cached_as_the_object_the_datanodes_keep(mgr):
     d = "d"
     mgr.create_sparse_meta(d, 2, block_of(4))
     mgr.overwrite_block(d, 1, block_of(5))
-    for file, block_id in ((f, 0), (f, 1), (d, 1)):
+    for file, block_id in ((f, 0), (d, 0), (d, 1)):
         name = constituent_name(file, block_id)
         *reads, block = dfs_reads(mgr, lambda: mgr.read_block(file, block_id))
         assert reads == [0, 0]
         replicas = mgr.cluster.replicas(name)
         assert len(replicas) == 2
         assert all(replica is block for replica in replicas)
+    *reads, block = dfs_reads(mgr, lambda: mgr.read_block(f, 1))
+    assert reads == [0, 0] and block == block_of(3)
+    assert mgr.cluster.replicas(constituent_name(f, 1)) == \
+        [zlib.compress(block_of(3), 1)] * 2
 
 
 def test_a_written_buffer_is_cached_as_bytes(mgr):
@@ -437,7 +450,8 @@ def test_a_written_buffer_is_cached_as_bytes(mgr):
     assert type(block) is bytes and block == block_of(2)
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
         (0, 0, bytes([2]) * PAGE)
-    assert mgr.cluster.replicas(constituent_name("m", 0)) == [block_of(2)] * 2
+    assert [zlib.decompress(replica) for replica in mgr.cluster.replicas(
+        constituent_name("m", 0))] == [block_of(2)] * 2
 
 
 def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
@@ -451,7 +465,7 @@ def test_peer_manager_remake_is_seen_through_the_file_id(mgr):
     peer = MetaDfsManager(mgr.cluster, mgr.page_size)
     peer.overwrite_block("m", 0, block_of(2))
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 0)) == \
-        (1, PAGE, bytes([2]) * PAGE)
+        (1, mgr.constituent_entry(f, 0).size_bytes, bytes([2]) * PAGE)
     peer.truncate_from("m", 0)
     peer.append_block("m", block_of(3))
     assert mgr.read_page(f, 0) == bytes([3]) * PAGE
@@ -492,21 +506,25 @@ def test_an_appended_block_is_read_from_the_cache(mgr):
         assert dfs_reads(mgr, lambda: mgr.read_page(f, offset)) == \
             (0, 0, bytes([offset]) * PAGE)
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == (0, 0, content)
-    # once another manager remakes the block, it is read from the DFS,
-    # and a whole-block read caches nothing
+    # once another manager remakes the block, its stream is read from
+    # the DFS, whole, once, and its pages then served from the cache
     peer = peer_of(mgr)
     peer.overwrite_block("m", 0, block_of(7))
+    stored = mgr.constituent_entry(f, 0).size_bytes
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
-        (1, BLOCK, block_of(7))
-    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0))[:2] == (1, BLOCK)
+        (1, stored, block_of(7))
+    assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
+        (0, 0, block_of(7))
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 3)) == \
-        (1, PAGE, bytes([7]) * PAGE)
+        (0, 0, bytes([7]) * PAGE)
 
 
 def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
-    """An appended short block is served whole by read_block with no DFS
-    read; a page wholly past its end reads as zeros with no DFS read, and
-    a page that runs past its end is OutOfRange, cached or not."""
+    """An appended short block of whole pages is served whole by
+    read_block with no DFS read, and a page past its end reads as zeros
+    with no DFS read, cached or not. An appended block that is not whole
+    pages is read by read_bytes alone: a page read takes it for a stream
+    of pages and fails with RecoveryError."""
     f = "m"
     mgr.create_meta(f)
     content = b"".join(bytes([k + 1]) * PAGE for k in range(3))
@@ -520,11 +538,13 @@ def test_a_short_block_is_read_from_the_cache_and_ends_at_its_size(mgr):
     assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == \
         (1, 3 * PAGE, content)
     for manager, file in ((mgr, f), (peer, f)):
-        for pageid in (3, N - 1, 2 * N + 2):
+        for pageid in (3, N - 1):
             assert dfs_reads(manager, lambda: manager.read_page(
                 file, pageid)) == (0, 0, bytes(PAGE))
-        with pytest.raises(OutOfRange):
-            manager.read_page(file, 2 * N + 1)
+        for pageid in (2 * N + 1, 2 * N + 2):
+            with pytest.raises(RecoveryError):
+                manager.read_page(file, pageid)
+        assert stored_block(manager, file, 2) == content[:PAGE + PAGE // 2]
         assert manager.read_page(file, N) == bytes([5]) * PAGE
 
 
@@ -602,33 +622,47 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
 
 
 def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
-    """Readers on several threads race a thread that remakes two blocks.
-    A page read into the cache just as its block is remade must never be
-    served once the remakes stop."""
+    """Readers on several threads, of the remaking manager and of a peer,
+    race a thread that remakes two blocks, each remake stored as a stream
+    or, for random bytes, as pages. Every page a reader gets is that page
+    of one of the versions, never a stream's bytes taken for pages, and a
+    page read into the cache just as its block is remade is never served
+    once the remakes stop."""
+    def version(v):
+        return random.Random(v).randbytes(BLOCK) if v % 3 == 0 \
+            else block_of(v)
+
     f = "m"
     mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     mgr.append_block(f, block_of(0))
     pageids = [0, 3, N, N + 5]
+    pages = {pageid: {version(v)[pageid % N * PAGE:][:PAGE]
+                      for v in range(301)} for pageid in pageids}
+    peer = peer_of(mgr)
     done = threading.Event()
     errors = []
 
-    def reader():
+    def reader(manager):
         while not done.is_set():
             for pageid in pageids:
                 try:
-                    mgr.read_page(f, pageid)
+                    page = manager.read_page(f, pageid)
                 except Exception as exc:  # noqa: BLE001 - reported below
                     errors.append(exc)  # a remake leaves no gap to see
+                    continue
+                if page not in pages[pageid]:
+                    errors.append(AssertionError(f"page {pageid} torn"))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        readers = [threading.Thread(target=reader) for _ in range(4)]
+        readers = [threading.Thread(target=reader, args=(manager,))
+                   for manager in (mgr, mgr, peer, peer)]
         for t in readers:
             t.start()
-        for version in range(1, 301):
-            mgr.overwrite_block(f, version % 2, block_of(version))
+        for v in range(1, 301):
+            mgr.overwrite_block(f, v % 2, version(v))
         done.set()
         for t in readers:
             t.join(timeout=30)
@@ -638,8 +672,10 @@ def test_concurrent_reads_and_remakes_leave_no_stale_page(mgr):
     assert not any(t.is_alive() for t in readers)
     assert errors == []
     for pageid in pageids:
-        expected = 300 if pageid < N else 299
-        assert mgr.read_page(f, pageid) == bytes([expected % 256]) * PAGE
+        expected = version(300 if pageid < N else 299)
+        for manager in (mgr, peer):
+            assert manager.read_page(f, pageid) == \
+                expected[pageid % N * PAGE:][:PAGE]
 
 
 def test_concurrent_reads_and_reappends_leave_no_stale_page(mgr):
@@ -695,8 +731,9 @@ def test_overwrite_replaces_the_constituent_in_one_rename(mgr, monkeypatch):
     name = constituent_name("m", 0)
     calls = record_calls(mgr, monkeypatch, MUTATIONS)
     mgr.overwrite_block(f, 0, block_of(2))
-    assert calls == [("create_file", f"{name}.new", block_of(2)),
-                     ("rename_file", f"{name}.new", name, True)]
+    assert calls == [
+        ("create_file", f"{name}.new", zlib.compress(block_of(2), 1)),
+        ("rename_file", f"{name}.new", name, True)]
     assert mgr.cluster.list_files("m/") == [name]
     assert mgr.read_block(f, 0) == block_of(2)
     assert mgr.remakes_total == 1
@@ -750,11 +787,12 @@ def test_a_never_written_sparse_block_reads_as_zeros(mgr, monkeypatch):
 
 
 def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
-    """A sparse create and an overwrite store their block up to its last
-    nonzero page, keeping one page of an all-zero block. Each block reads
-    back whole, page by page, through the writing manager, a fresh
+    """A sparse create and an overwrite keep their block up to its last
+    nonzero page, keeping one page of an all-zero block: a create stores
+    those pages, a remake one zlib stream of them, shorter. Each block
+    reads back whole, page by page, through the writing manager, a fresh
     manager and a manager over a fresh DfsCluster of the same root, with
-    no DFS read for a page past its constituent's end."""
+    no DFS read for a page past its block's last."""
     mgr = disk_mgr
 
     def pages(*tags):
@@ -771,9 +809,12 @@ def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
     assert (mgr.fills_total, mgr.remakes_total) == (3, 1)
     stored = {0: pages(5, 0, 0, 0, 0, 6), 1: None, 2: pages(0, 0, 0, 0, 3),
               3: block_of(4), 4: bytes(PAGE)}
+    remade, *created = mgr.constituent_entries(f)
     assert [None if entry is None else entry.size_bytes
-            for entry in mgr.constituent_entries(f)] == \
-        [None if block is None else len(block) for block in stored.values()]
+            for entry in created] == \
+        [None if block is None else len(block)
+         for block in list(stored.values())[1:]]
+    assert remade.size_bytes < len(stored[0])
     reopened = MetaDfsManager(
         DfsCluster(DfsConfig(BLOCK, 2), 4, mgr.cluster.root), PAGE)
     for reader in (mgr, peer_of(mgr), reopened):
@@ -790,6 +831,145 @@ def test_an_overwritten_block_ends_at_its_last_nonzero_page(disk_mgr):
                     assert reader.read_page(file, pageid) == page
             if block is not None:
                 assert reader.read_block(file, block_id) == block
+
+
+def compressible(pages: int) -> bytes:
+    """`pages` pages of repeated text, each page its own."""
+    return b"".join((b"page %d " % k * PAGE)[:PAGE] for k in range(pages))
+
+
+def test_a_remake_stores_its_pages_as_one_shorter_stream(disk_mgr):
+    """A remake stores its block as one zlib stream at level 1, shorter
+    than its pages and not whole pages. Its pages read back equal through
+    the writer, a peer manager and a manager over a restarted cluster;
+    `read_bytes` reads the stream itself, never unpacked, also where the
+    block's pages are cached."""
+    mgr = disk_mgr
+    f = "d"
+    mgr.create_sparse_meta(f, 2, block_of(1))
+    block = compressible(N - 2)
+    mgr.overwrite_block(f, 0, block)
+    assert mgr.remakes_total == 1
+    entry = mgr.constituent_entry(f, 0)
+    stream = zlib.compress(block, 1)
+    assert mgr.cluster.replicas(entry.name) == [stream] * 2
+    assert entry.size_bytes == len(stream) < len(block)
+    assert entry.size_bytes % PAGE
+    pages = [block[k * PAGE:(k + 1) * PAGE] for k in range(N - 2)] + \
+        [bytes(PAGE)] * 2
+    reopened = MetaDfsManager(
+        DfsCluster(DfsConfig(BLOCK, 2), 4, mgr.cluster.root), PAGE)
+    for reader in (mgr, peer_of(mgr), reopened):
+        assert [reader.read_page(f, k) for k in range(N)] == pages
+        assert reader.read_block(f, 0) == block
+        assert stored_block(reader, f, 0) == stream
+
+
+def test_a_fill_and_an_incompressible_remake_store_their_pages(
+        mgr, monkeypatch):
+    """A create, a sparse one or a fill, stores its pages however well
+    they compress. A remake stores its pages where their stream would not
+    be shorter, as for random bytes, or would be whole pages, which a
+    reader would take for pages."""
+    f = "d"
+    block = compressible(N)
+    mgr.create_sparse_meta(f, 3, block)
+    mgr.overwrite_block(f, 1, block)
+    noise = random.Random(7).randbytes(BLOCK)
+    mgr.overwrite_block(f, 2, block_of(1))
+    mgr.overwrite_block(f, 2, noise)
+    assert (mgr.fills_total, mgr.remakes_total) == (2, 1)
+    monkeypatch.setattr(zlib, "compress", lambda data, level: bytes(PAGE))
+    mgr.overwrite_block(f, 0, block_of(3))
+    monkeypatch.undo()
+    peer = peer_of(mgr)
+    for block_id, pages in ((0, block_of(3)), (1, block), (2, noise)):
+        name = constituent_name(f, block_id)
+        assert mgr.cluster.replicas(name) == [pages] * 2
+        assert mgr.constituent_entry(f, block_id).size_bytes == BLOCK
+        assert dfs_reads(peer, lambda: peer.read_page(f, block_id * N + 1)) \
+            == (1, PAGE, pages[PAGE:2 * PAGE])
+
+
+def test_a_cold_page_read_of_a_stream_reads_it_whole_once(mgr):
+    """A manager that did not write a stored stream reads it with one DFS
+    read of the whole constituent at its first page read, then serves
+    every page of the block, and the block, from its cache."""
+    f = "m"
+    mgr.create_meta(f)
+    mgr.append_block(f, block_of(0))
+    block = compressible(N)
+    mgr.overwrite_block(f, 0, block)
+    entry = mgr.constituent_entry(f, 0)
+    peer = peer_of(mgr)
+    assert dfs_reads(peer, lambda: peer.read_page_of(entry, 3)) == \
+        (1, entry.size_bytes, block[3 * PAGE:4 * PAGE])
+    for k in range(N):
+        assert dfs_reads(peer, lambda: peer.read_page(f, k)) == \
+            (0, 0, block[k * PAGE:(k + 1) * PAGE])
+    assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == (0, 0, block)
+    assert peer.cached_ids() == {entry.name: entry.file_id}
+
+
+def damaged(stream: bytes, how: str) -> bytes:
+    """`stream`, a remake's stored stream of `compressible(N // 2)`,
+    damaged as `how` says, or another stream in its place."""
+    if how == "flipped byte":
+        flipped = bytearray(stream)
+        flipped[len(stream) // 2] ^= 0xFF
+        return bytes(flipped)
+    return {"truncated": stream[:-1],
+            "trailing byte": stream + b"\0",
+            "no stream": b"\1" * (len(stream) | 1),
+            "half a page": zlib.compress(compressible(N // 2) + b"x", 1),
+            "no page": zlib.compress(b"", 1),
+            "past the block": zlib.compress(bytes(BLOCK + PAGE), 1)}[how]
+
+
+@pytest.mark.parametrize("on_disk", [False, True],
+                         ids=["in memory", "on disk"])
+@pytest.mark.parametrize("how", [
+    "flipped byte", "truncated", "trailing byte", "no stream",
+    "half a page", "no page", "past the block"])
+def test_a_damaged_stream_is_a_recovery_error_naming_its_constituent(
+        tmp_path, on_disk, how):
+    """A stored stream that fails zlib's check, does not end where its
+    constituent does, runs past it or does not decode to 1 to N whole
+    pages fails every page read, of this manager, a peer and, on disk, a
+    manager over a restarted cluster, with RecoveryError naming the
+    constituent, never a zlib error or wrong bytes. A flipped byte is
+    written over every replica in place; any other damage is a
+    constituent that stores it. `read_bytes` still reads the stored
+    bytes."""
+    cluster = DfsCluster(DfsConfig(BLOCK, 2), 4,
+                         str(tmp_path / "dfs") if on_disk else None)
+    mgr = MetaDfsManager(cluster, PAGE)
+    f = "m"
+    mgr.create_meta(f)
+    mgr.append_block(f, block_of(0))
+    mgr.overwrite_block(f, 0, compressible(N // 2))
+    entry = mgr.constituent_entry(f, 0)
+    stored = damaged(cluster.replicas(entry.name)[0], how)
+    assert len(stored) % PAGE
+    if how == "flipped byte":
+        for holder in entry.holders:
+            cluster._nodes[holder].put(entry.file_id, 0, stored)
+        readers = [peer_of(mgr)]
+    else:
+        cluster.create_file(entry.name + ".new", stored)
+        cluster.rename_file(entry.name + ".new", entry.name, overwrite=True)
+        readers = [mgr, peer_of(mgr)]
+    if on_disk:
+        readers.append(MetaDfsManager(
+            DfsCluster(DfsConfig(BLOCK, 2), 4, cluster.root), PAGE))
+    for reader in readers:
+        entry = reader.constituent_entry(f, 0)
+        for read in (lambda: reader.read_page(f, 1),
+                     lambda: reader.read_page_of(entry, N - 1),
+                     lambda: reader.read_block(f, 0)):
+            with pytest.raises(RecoveryError, match=entry.name):
+                read()
+        assert reader.read_bytes(entry, 0) == stored
 
 
 def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,

@@ -81,7 +81,7 @@ from wormdb.spdu_dfs import (
     unpack_log,
 )
 
-from oracles import deflated, log_blocks
+from oracles import deflated, log_blocks, packed, stored_block
 
 KEY = "1.2.3.4"
 PAGE = 512
@@ -168,16 +168,18 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
     log block is its logged pages compressed at zlib level 1, with the
     window of its generation's earlier bodies as the dictionary, plus a
     footer of 13 bytes and 8 a page, fewer bytes than the raw pages and
-    footers, and a data block, per remake or fill, the bytes its write
-    was handed up to their last nonzero page. No other file is written:
-    a batch commits by dropping a log generation, which writes no byte.
-    Zero padding of log or data blocks fails this."""
+    footers, and a data block, per fill, the bytes its write was handed
+    up to their last nonzero page, and per remake those pages as one zlib
+    stream at level 1 where that is shorter, fewer bytes than the pages.
+    No other file is written: a batch commits by dropping a log
+    generation, which writes no byte. Zero padding of log or data blocks
+    fails this."""
     db = make_loaded_db()
     cluster, manager = db.manager.cluster, db.manager
     written, created, encoded = Counter(), Counter(), Counter()
     # the blocks of each generation, from those the load left
     generations = {db.store.log: [
-        manager.read_block(db.store.log, block_id)
+        stored_block(manager, db.store.log, block_id)
         for block_id in range(log_blocks(db.store))]}
     create_file = DfsCluster.create_file
 
@@ -203,7 +205,8 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
 
     def handed(self, file, block_id, content):
         if file == db.data_name:
-            data_writes.append(bytes(content))
+            data_writes.append((bytes(content),
+                                self.has_constituent(file, block_id)))
         return overwrite_block(self, file, block_id, content)
 
     monkeypatch.setattr(MetaDfsManager, "overwrite_block", handed)
@@ -238,8 +241,13 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
         PAGE * logged[0] + FOOTER_FIXED_SIZE * created["log"] + 8 * logged[0])
     assert set(written) == {"log", "data"}
     assert len(data_writes) == remakes + fills
-    ends = [max((k + 1 for k in range(len(content) // PAGE)
-                 if any(content[k * PAGE:(k + 1) * PAGE])), default=1)
-            for content in data_writes]
-    assert written["data"] == REPLICATION * PAGE * sum(ends) < \
+    pages = [content[:PAGE * max(
+        (k + 1 for k in range(len(content) // PAGE)
+         if any(content[k * PAGE:(k + 1) * PAGE])), default=1)]
+        for content, _ in data_writes]
+    stored = [packed(block, PAGE) if remade else block
+              for block, (_, remade) in zip(pages, data_writes)]
+    assert sum(remade for _, remade in data_writes) == remakes
+    assert written["data"] == REPLICATION * sum(map(len, stored)) < \
+        REPLICATION * sum(map(len, pages)) < \
         REPLICATION * BLOCK * (remakes + fills)

@@ -14,8 +14,10 @@ bytes written, every replica counted:
   footers, and `framing`, the rest of each stream (its header and
   checksum);
 - `log by path`: the log blocks of commit flushes and of batch carries;
-- `data`: the blocks the batches remade and those first written, in
-  place or by a batch (`fills`; the load's include the create's block 0);
+- `data`: the blocks the batches remade, as stored, a zlib stream of
+  their pages where that is shorter, and as those raw pages, and the
+  blocks first written, in place or by a batch, which are stored raw
+  (`fills`; the load's include the create's block 0);
 - `write_amp`: the bytes of the load and the phase together over the
   record bytes loaded, inserted and updated, as the benchmark reports it.
 
@@ -39,7 +41,7 @@ sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
 from client import Client, Model, load  # noqa: E402
 from inputs import make_rows, oltp_ops  # noqa: E402
-from wormdb import spdu_dfs  # noqa: E402
+from wormdb import metafile, spdu_dfs  # noqa: E402
 from wormdb.dfs import DfsCluster  # noqa: E402
 from wormdb.engine import EngineConfig, parse_catalog  # noqa: E402
 from wormdb.spdu_dfs import DfsTransactionStore  # noqa: E402
@@ -67,7 +69,7 @@ def stream_costs(pieces: list[bytes], window: bytes) -> list[int]:
     """What each of `pieces` adds to one zlib stream of them all at the
     store's level with `window` as its dictionary (an empty one names
     none), then the stream's length with no piece: the framing."""
-    codec = zlib.compressobj(spdu_dfs._ZLIB_LEVEL, zdict=window)
+    codec = zlib.compressobj(metafile._ZLIB_LEVEL, zdict=window)
     lengths = [len(codec.copy().flush())]
     out = 0
     for piece in pieces:
@@ -111,13 +113,18 @@ def instrument(tally: Tally, replication: int) -> None:
         return wrapped
 
     create_file = DfsCluster.create_file
+    page_size = EngineConfig().page_size
 
     def created(cluster, name, content, meta=None):
         entry = create_file(cluster, name, content, meta)
         tally.add("all", replication * len(content))
         if name.startswith("db/data/"):
             kind = "remakes" if name.endswith(".new") else "fills"
+            # a constituent that is not whole pages is a remake's stream
+            raw = len(zlib.decompress(content)) \
+                if len(content) % page_size else len(content)
             tally.add(kind, replication * len(content))
+            tally.add(f"{kind} raw", replication * raw)
             tally.add(f"{kind} blocks", 1)
         return entry
 
@@ -134,9 +141,10 @@ def report(name: str, counts: Counter) -> None:
         f"{kind} {counts[kind]:,}" for kind in KINDS))
     print(f"  log by path  flush {counts['flush']:,}  "
           f"carry {counts['carry']:,}")
-    print(f"  data         remakes {counts['remakes']:,} "
-          f"({counts['remakes blocks']} blocks)  fills "
-          f"{counts['fills']:,} ({counts['fills blocks']} blocks)")
+    print(f"  data         remakes {counts['remakes']:,} stored "
+          f"{counts['remakes raw']:,} raw ({counts['remakes blocks']} "
+          f"blocks)  fills {counts['fills']:,} "
+          f"({counts['fills blocks']} blocks)")
 
 
 def main(argv: list[str] | None = None) -> None:
