@@ -183,7 +183,6 @@ def cmd_soak(args, faults: FaultInjector) -> int:
         "baseline": result.baseline,
         "committed_inserts": result.committed_inserts,
         "aborted": result.aborted,
-        "upgrade_conflicts": result.upgrade_conflicts,
         "final_count": result.final_count,
         "ok": result.ok,
         "errors": len(result.errors),

@@ -58,6 +58,7 @@ from .records import (
 from .spdu_dfs import (
     DEFAULT_POST_COMMIT_THRESHOLD,
     DfsTransactionStore,
+    check_log_geometry,
     create_data_meta,
     create_log_meta,
     discard_metas,
@@ -259,7 +260,11 @@ class Database:
                post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
                deferred: bool = True, locks: LockService | None = None,
                faults: FaultInjector = NULL_INJECTOR) -> "Database":
+        """Create database `name` and open it. A page size or block size
+        the store cannot log (`check_log_geometry`) raises ValueError
+        before any DFS or NameNode call."""
         manager = MetaDfsManager(cluster, page_size)
+        check_log_geometry(page_size, manager.pages_per_block)
         catalog = Catalog(total_pages=total_pages, heap_used=0,
                           index_floor=total_pages, record_count=0)
         data_name, log_name = cls.meta_names(name)

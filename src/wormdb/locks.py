@@ -49,20 +49,18 @@ class LockNode:
 class LockService:
     """Thread-safe in-process lock manager, one queue per database name."""
 
-    def __init__(self, record_history: bool = False):
+    def __init__(self):
         self._cond = threading.Condition()
         self._queues: dict[str, list[LockNode]] = {}
         self._next_id: dict[str, int] = {}
         self._shutdown = False
-        self.history: list[tuple[str, str, int, str, str]] | None = \
-            [] if record_history else None
 
     # ------------------------------------------------------------------
 
     def _record(self, event: str, node: LockNode) -> None:
-        if self.history is not None:
-            self.history.append((event, node.db_name, node.lockid,
-                                 node.lock_type, node.owner))
+        """Called under the condition at each request, conflict, grant and
+        release: a hook for a schedule recorder, which does nothing
+        here."""
 
     def _blockers(self, node: LockNode) -> list[LockNode]:
         queue = self._queues[node.db_name]

@@ -22,8 +22,9 @@ chunk replica grows only as needed. An overwritten block, and block 0
 of a sparse create, is whole pages up to its last nonzero page, at
 least one: a data block ends at the last page written to it. A create,
 a sparse create's block 0 or the fill of a block with no constituent,
-stores those pages. A remake stores them as one zlib stream at
-`_ZLIB_LEVEL` where that is shorter and not a whole number of pages,
+stores those pages. A remake stores them as one zlib stream, written
+and read by the package's one codec (`wormdb.pagefmt.deflate` and
+`inflate`), where that is shorter and not a whole number of pages,
 else the pages too, as Bigtable compresses the SSTable blocks a
 compaction writes (Chang et al., OSDI 2006): a remake is a batch's,
 off the commit path, while compressing the fills that a load writes
@@ -115,7 +116,6 @@ up again and read the new constituent.
 from __future__ import annotations
 
 import threading
-import zlib
 
 from .dfs import DfsCluster, DfsFileEntry, constituent_name
 from .errors import (
@@ -125,8 +125,7 @@ from .errors import (
     RecoveryError,
     WrongBlockSize,
 )
-
-_ZLIB_LEVEL = 1  # zlib's fastest level: a remade block, a log block's body
+from .pagefmt import deflate, inflate
 
 
 def pages_per_block(page_size: int, block_size: int) -> int:
@@ -285,32 +284,21 @@ class MetaDfsManager:
 
     def _pack_block(self, block: bytes) -> bytes:
         """What a remake stores for `block`, whole pages: one zlib stream
-        of them at `_ZLIB_LEVEL` if that is shorter and not a whole number
-        of pages, else the pages themselves (see above)."""
-        stream = zlib.compress(block, _ZLIB_LEVEL)
+        of them (`deflate`) if that is shorter and not a whole number of
+        pages, else the pages themselves (see above)."""
+        stream = deflate(block)
         if len(stream) < len(block) and len(stream) % self.page_size:
             return stream
         return block
 
     def _unpack_block(self, entry: DfsFileEntry, stream: bytes) -> bytes:
         """The pages constituent `entry` stores as `stream` (see
-        `_pack_block`); RecoveryError naming the constituent unless it is
-        one zlib stream, ending where the constituent does, that passes
-        zlib's own check and decodes to 1 to `pages_per_block` whole
-        pages."""
-        codec = zlib.decompressobj()
-        try:
-            block = codec.decompress(stream, self.block_size + 1)
-        except zlib.error as exc:
-            raise RecoveryError(
-                f"{entry.name}: stored block does not decode: {exc}") \
-                from None
-        if not codec.eof or codec.unused_data:
-            raise RecoveryError(
-                f"{entry.name}: stored block's stream does not end where "
-                f"its {entry.size_bytes} bytes do")
-        if not 0 < len(block) <= self.block_size or \
-                len(block) % self.page_size:
+        `_pack_block`); RecoveryError naming the constituent unless
+        `inflate` reads the stream, whole and at most a block, and it
+        decodes to 1 to `pages_per_block` whole pages."""
+        block = inflate(stream, self.block_size,
+                        f"{entry.name}: stored block")
+        if not block or len(block) % self.page_size:
             raise RecoveryError(
                 f"{entry.name}: stored block decodes to {len(block)} "
                 f"bytes, not 1 to {self.pages_per_block} pages of "

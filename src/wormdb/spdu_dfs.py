@@ -24,8 +24,8 @@ page and files being write-once:
   bytes hold, a checksum mismatch and a counted log block with no
   constituent, which a meta file would read as zeros, fail alike.
   Data blocks stay page-addressable: the meta-file layer stores the
-  blocks a batch remakes as zlib streams at the log's level where that
-  is shorter, and serves their pages as it serves any other
+  blocks a batch remakes as zlib streams where that is shorter, and
+  serves their pages as it serves any other
   (`wormdb.metafile`), so the store reads and XORs raw pages alike.
 * A log block's body holds, in its footer's order, each page as
   logged, then the base of each page, 8 bytes a page: 0 for a page
@@ -54,7 +54,8 @@ page and files being write-once:
   in its generation, oldest first, each as `unpack_body` returns it,
   the pages as logged and their bases; block 0, the g+1 a batch starts
   included, has none (`unpack_log`). A body is compressed with its
-  window as its zlib preset dictionary (RFC 1950), so a commit that
+  window as its zlib preset dictionary (RFC 1950), by the package's one
+  codec (`wormdb.pagefmt.deflate` and `inflate`), so a commit that
   logs a page again, a heap's tail page or the catalog, refers back to
   its previous copy; an empty window, block 0's, names none. The zlib
   header says whether a stream takes a dictionary (FDICT) and names it
@@ -215,8 +216,8 @@ import zlib
 from .dfs import DfsFileEntry
 from .errors import AllReplicasDead, LogMoved, RecoveryError
 from .faults import NULL_INJECTOR, FaultInjector
-from .metafile import _ZLIB_LEVEL, MetaDfsManager
-from .pagefmt import stamp_page
+from .metafile import MetaDfsManager
+from .pagefmt import deflate, inflate, stamp_page
 
 _FOOTER_FIXED = struct.Struct("<IBQ")  # page_count, commit_complete, checksum
 FOOTER_FIXED_SIZE = _FOOTER_FIXED.size  # 13 bytes
@@ -263,23 +264,16 @@ def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
     """The body of log block `block`, decompressed: its pages as logged,
     in its footer's order, then their bases (see above); RecoveryError
     unless the bytes before the footer are one zlib stream, ending
-    where the footer starts, that passes zlib's own check, in which a
+    where the footer starts, that passes zlib's own check (`inflate`,
+    which decodes no more than the footer lists), in which a
     stream that names a dictionary must name `window`, the block's
     window (`unpack_log`), and decompress to exactly the pages and bases
     the footer lists. A stream that names none ignores `window`."""
     pageids, _ = unpack_footer(block)
     end = len(block) - _footer_size(len(pageids))
-    codec = zlib.decompressobj(zdict=window)
-    try:
-        body = codec.decompress(memoryview(block)[:end])
-    except zlib.error as exc:
-        raise RecoveryError(f"log block body does not decode: {exc}") \
-            from None
-    if not codec.eof or codec.unused_data:
-        raise RecoveryError(
-            "log block body does not decode: its stream does not end "
-            "where its footer starts")
-    if len(body) != len(pageids) * (page_size + 8):
+    size = len(pageids) * (page_size + 8)
+    body = inflate(memoryview(block)[:end], size, "log block body", window)
+    if len(body) != size:
         raise RecoveryError(
             f"log block body decodes to {len(body)} bytes, not the "
             f"{len(pageids)} pages of {page_size} bytes and their bases "
@@ -308,11 +302,8 @@ def unpack_log(blocks, page_size: int, window: bytes = b""):
 def _log_block(pageids: list[int], body: bytes, window: bytes,
                commit_complete: bool) -> bytes:
     """A log block: `body` compressed with `window` as its zlib
-    dictionary, then the footer. An empty `window` names no dictionary,
-    so the stream is the one `zlib.compress` writes."""
-    codec = zlib.compressobj(_ZLIB_LEVEL, zdict=window)
-    return codec.compress(body) + codec.flush() + \
-        pack_footer(pageids, commit_complete)
+    dictionary (`deflate`), then the footer."""
+    return deflate(body, window) + pack_footer(pageids, commit_complete)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -593,13 +584,11 @@ class DfsTransactionStore:
     # Log maintenance
     # ------------------------------------------------------------------
 
-    def flush_buffer(self, mark_commit: bool) -> int | None:
+    def flush_buffer(self, mark_commit: bool) -> int:
         """Append the buffer as one short log block: its pages in arrival
         order, each whole or XORed with its home, compressed, then the
         footer, to the generation that is live now (see
         `_follow_for_append`). Returns the block_id."""
-        if not self._pages and not mark_commit:
-            return None
         version = self._follow_for_append()
         window = self._append_window(version)
         pageids, pages = list(self._pages), list(self._pages.values())

@@ -9,6 +9,20 @@ from wormdb.errors import UpgradeConflict
 from wormdb.locks import GRANTED, READ, WAITING, WRITE, LockService
 
 
+class RecordingLockService(LockService):
+    """A LockService that records each request, conflict, grant and
+    release, in order, as (event, db_name, lockid, lock_type, owner) in
+    `history`, for `check_history` to replay."""
+
+    def __init__(self):
+        super().__init__()
+        self.history: list[tuple[str, str, int, str, str]] = []
+
+    def _record(self, event, node):
+        self.history.append((event, node.db_name, node.lockid,
+                             node.lock_type, node.owner))
+
+
 def check_history(history):
     """Replay a recorded schedule and verify every grant was legal.
 
@@ -56,13 +70,13 @@ def check_history(history):
 
 
 def run_lock_soak(seed: int, sessions: int = 8, events: int = 10_000,
-                  join_timeout: float = 120.0) -> LockService:
+                  join_timeout: float = 120.0) -> RecordingLockService:
     """Randomized multi-threaded soak; validates the schedule afterwards.
 
     An "event" is one request or one release. Returns the service so
     callers can inspect the history further.
     """
-    service = LockService(record_history=True)
+    service = RecordingLockService()
     dbs = ["dbA", "dbB"]
     pairs_per_session = max(1, events // (2 * sessions))
     errors: list[str] = []

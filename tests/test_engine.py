@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from lock_harness import RecordingLockService
 from oracles import (
     data_blocks,
     log_bases,
@@ -45,6 +46,7 @@ from wormdb.errors import (
     LockError,
     NotFound,
     RecordTooLarge,
+    RecoveryError,
     StorageError,
     UpgradeConflict,
     ValueTooLong,
@@ -769,6 +771,39 @@ def test_release_returns_a_free_extent_at_the_floor_to_the_heap():
     assert cat.free_extents == [(80, 20)]
 
 
+def test_release_past_the_cap_keeps_the_largest_free_extents_in_order():
+    """Past MAX_FREE_EXTENTS free extents the catalog keeps the largest,
+    listed by start page, and leaks the smallest."""
+    sizes = list(range(1, MAX_FREE_EXTENTS + 9))
+    random.Random(5).shuffle(sizes)
+    freed = [IndexSegment(1000 + 100 * i, size, 1)
+             for i, size in enumerate(sizes)]
+    cat = Catalog(total_pages=10_000, index_floor=500)
+    cat.release(freed)
+    assert cat.index_floor == 500
+    assert cat.free_extents == [(seg.start, seg.pages) for seg in freed
+                                if seg.pages > 8]
+
+
+def test_a_catalog_page_with_a_wrong_magic_is_a_recovery_error():
+    page = bytearray(pack_catalog(Catalog(total_pages=100), PAGE))
+    page[PAGE_HEADER_SIZE] ^= 0xFF
+    with pytest.raises(RecoveryError, match="bad magic"):
+        parse_catalog(bytes(page))
+
+
+def test_a_create_whose_log_cannot_hold_a_page_writes_nothing():
+    """A page as large as a block leaves the log no room for a page and
+    its footer: `create` refuses it before it registers or writes
+    anything, so a retry with a page the log can hold succeeds."""
+    cluster = DfsCluster(DfsConfig(65536, 3), 4)
+    with pytest.raises(ValueError, match="two pages per block"):
+        Database.create(cluster, "db", 64, 65536)
+    assert cluster.meta_names("") == []
+    assert cluster.list_files() == []
+    Database.create(cluster, "db", 64, 4096)
+
+
 @pytest.mark.parametrize("count", [0, 1, 408, 409, 816])
 def test_index_segments_hold_the_bytes_one_entry_at_a_time_packs(count):
     """A 4 KB page holds 408 index entries. A segment of each count
@@ -1055,7 +1090,7 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
 def test_serializability_matches_grant_order_replay():
     """Interleaved writers are equivalent to the serial order of their
     write-lock grants: replay in grant order on a fresh database."""
-    locks = LockService(record_history=True)
+    locks = RecordingLockService()
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
     db = Database.create(cluster, "db", TOTAL, PAGE, 64, True, locks)
     rng = random.Random(1)

@@ -2,9 +2,11 @@
 what its entry points use.
 
 A module under src/wormdb/ may read ``obj._name`` only when it defines
-``_name`` itself (as a function, class, method, attribute or variable).
-``self`` and ``cls`` are the module's own objects; ``os._exit`` is the
-standard library's documented way to end a process at once.
+``_name`` itself (as a function, class, method, attribute or variable),
+and imports no private name from another module of the package
+(``from .x import _name`` or ``from wormdb.x import _name``). ``self``
+and ``cls`` are the module's own objects; ``os._exit`` is the standard
+library's documented way to end a process at once.
 
 Every module under src/wormdb/ must be reachable by imports from
 ``wormdb/__init__.py`` or ``wormdb/__main__.py``; a module only tests use
@@ -61,9 +63,13 @@ module other than metafile.py makes zeros of, or pads bytes to, a length
 that names ``block_size``.
 
 Each stored format has one home. Only spdu_dfs.py packs or parses a log
-block's footer and compresses or decompresses its body; metafile.py
-compresses a remade data block and decompresses it only in
-``MetaDfsManager._pack_block`` and ``_unpack_block``.
+block's footer. The zlib codec has one home, pagefmt.py: inside the
+package only its ``deflate`` and ``inflate`` call zlib's ``compress``,
+``decompress``, ``compressobj`` or ``decompressobj`` or pass ``zdict``,
+and only the store's ``_log_block`` and ``unpack_body`` and the
+meta-file layer's ``MetaDfsManager._pack_block`` and ``_unpack_block``
+call them, so a log block's body and a remade data block are each
+written and read in one place.
 
 The benchmark's tracer, perfbench/spans.py, patches package functions by
 name, so each of those names must exist in the package, and each hook it
@@ -106,13 +112,26 @@ def _defined(tree: ast.Module) -> set[str]:
     return {name for name in names if _private(name)}
 
 
+def _package_import(node: ast.AST) -> bool:
+    """Whether `node` imports names from a module of the package."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").split(".")[0] == "wormdb")
+
+
 def foreign_private_reads(source: str) -> list[tuple[int, str]]:
     """(line, "owner._name") for each read of a private name the module
-    does not define."""
+    does not define, and (line, "from module import _name") for each
+    private name it imports from another module of the package, sorted
+    by line."""
     tree = ast.parse(source)
     own = _defined(tree)
     found = []
     for node in ast.walk(tree):
+        if _package_import(node):
+            module = "." * node.level + (node.module or "")
+            found += [(node.lineno, f"from {module} import {alias.name}")
+                      for alias in node.names if _private(alias.name)]
+            continue
         if not (isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Load)
                 and _private(node.attr) and node.attr not in own):
@@ -121,7 +140,7 @@ def foreign_private_reads(source: str) -> list[tuple[int, str]]:
         if isinstance(owner, ast.Name) and owner.id in EXEMPT_OWNERS:
             continue
         found.append((node.lineno, f"{ast.unparse(owner)}.{node.attr}"))
-    return found
+    return sorted(found)
 
 
 def test_detector_flags_foreign_private_reads():
@@ -133,8 +152,14 @@ def test_detector_flags_foreign_private_reads():
         "        return self._other + os._exit\n"
         "def g(a):\n"
         "    return a._mine()\n"
+        "from .metafile import _ZLIB_LEVEL, MetaDfsManager\n"
+        "from wormdb.engine import _tier as tier\n"
+        "from . import _oracle\n"
+        "from collections import _chain, __all__\n"
     )
-    assert foreign_private_reads(source) == [(2, "store._read_master")]
+    assert foreign_private_reads(source) == [
+        (2, "store._read_master"), (8, "from .metafile import _ZLIB_LEVEL"),
+        (9, "from wormdb.engine import _tier"), (10, "from . import _oracle")]
 
 
 def test_modules_use_only_public_api_of_other_modules():
@@ -516,39 +541,49 @@ def test_a_data_blocks_stored_length_has_one_home():
     assert block_pads((PACKAGE / "metafile.py").read_text("utf-8")) != []
 
 
-# a log block's footer and the window of its body
+# a log block's footer and its body
 FOOTER_FORMAT = ("pack_footer", "unpack_footer", "unpack_body",
-                 "unpack_log", "FOOTER_FIXED_SIZE", "zdict")
-# zlib's codec, of a log block's body and of a remade data block
-ZLIB_CODEC = ("compress", "decompress", "compressobj", "decompressobj")
-# where the meta-file layer packs and unpacks a remade data block
-BLOCK_CODEC_SCOPES = {"MetaDfsManager._pack_block",
-                      "MetaDfsManager._unpack_block"}
+                 "unpack_log", "FOOTER_FIXED_SIZE")
+# zlib's codec and its preset dictionary
+ZLIB_CODEC = ("compress", "decompress", "compressobj", "decompressobj",
+              "zdict")
+# the package's one codec, and the scopes that write or read a stream
+CODEC = ("deflate", "inflate")
+CODEC_CALLERS = {(STORE_MODULE, "_log_block"), (STORE_MODULE, "unpack_body"),
+                 (MUTATING_MODULE, "MetaDfsManager._pack_block"),
+                 (MUTATING_MODULE, "MetaDfsManager._unpack_block")}
 
 
 def test_the_log_footer_format_has_one_home():
     """Only the store packs, parses or sizes a log block's footer or
-    hands a block's window to zlib as its dictionary, and only it and
-    the meta-file layer call zlib's codec; the meta-file layer hands a
-    log block's bytes over unread."""
+    unpacks its body; the meta-file layer hands a log block's bytes over
+    unread."""
     offences = [f"{path.name}:{line}: {name} in {scope}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 if path.name != STORE_MODULE
-                for name in FOOTER_FORMAT + (
-                    () if path.name == MUTATING_MODULE else ZLIB_CODEC)
+                for name in FOOTER_FORMAT
                 for line, scope in mentions(path.read_text("utf-8"), name)]
     assert offences == []
     store = (PACKAGE / STORE_MODULE).read_text("utf-8")
-    assert all(mentions(store, name) for name in FOOTER_FORMAT + ZLIB_CODEC)
+    assert all(mentions(store, name) for name in FOOTER_FORMAT)
 
 
-def test_the_page_block_codec_has_one_home():
-    """The meta-file layer compresses a remade block's pages and
-    decompresses a stored stream only in its pack and unpack helpers, so
-    which bytes a constituent of pages stores is decided in one place."""
-    metafile = (PACKAGE / MUTATING_MODULE).read_text("utf-8")
-    assert {scope for name in ZLIB_CODEC
-            for _, scope in mentions(metafile, name)} == BLOCK_CODEC_SCOPES
+def test_the_zlib_codec_has_one_home():
+    """Only pagefmt.py's `deflate` and `inflate` call zlib's codec or pass
+    it a dictionary, so every stored stream is written at one level and
+    read under one check; and only the store's log block writer and
+    reader and the meta-file layer's pack and unpack helpers call them,
+    so which bytes a log block or a remade data block stores is decided
+    in one place."""
+    sources = {path.name: path.read_text("utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {(module, scope) for module, source in sources.items()
+            for name in ZLIB_CODEC
+            for _, scope in mentions(source, name)} == \
+        {("pagefmt.py", "deflate"), ("pagefmt.py", "inflate")}
+    assert {(module, scope) for module, source in sources.items()
+            for name in CODEC
+            for _, scope in constructions(source, name)} == CODEC_CALLERS
 
 
 DURABLE_WRITES = ("fsync", "replace")

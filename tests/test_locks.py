@@ -8,7 +8,7 @@ import pytest
 from wormdb.errors import NotGranted, ServiceShutdown, UnknownLock, UpgradeConflict
 from wormdb.locks import GRANTED, READ, WAITING, WRITE, LockService
 
-from lock_harness import check_history
+from lock_harness import RecordingLockService, check_history
 
 DB = "db/data"
 
@@ -126,7 +126,7 @@ def test_read_behind_a_write_that_waits_on_its_owner_fails_at_once():
     """a holds read 1 and b's write 2 waits on it: a's read 3 would wait
     on write 2, so on a itself. Read 3 fails in its own call, and b's
     write, which closes no cycle, keeps waiting and is granted later."""
-    service = LockService(record_history=True)
+    service = RecordingLockService()
     r1 = service.request_lock(DB, READ, "a")
     results = {}
     t = request_async(service, WRITE, "b", results, "w")
@@ -257,7 +257,7 @@ def test_a_release_on_another_database_wakes_a_waiter_but_grants_nothing():
     """Every database shares one condition, so a release anywhere wakes
     every waiter; a waiter whose blocking write still holds re-checks and
     goes back to waiting."""
-    service = LockService(record_history=True)
+    service = RecordingLockService()
     w = service.request_lock(DB, WRITE, "a")
     waits = []
     wait = service._cond.wait

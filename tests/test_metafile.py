@@ -7,6 +7,7 @@ import zlib
 import pytest
 from oracles import stored_block
 
+from wormdb import metafile
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.errors import (
     AllReplicasDead,
@@ -879,7 +880,7 @@ def test_a_fill_and_an_incompressible_remake_store_their_pages(
     mgr.overwrite_block(f, 2, block_of(1))
     mgr.overwrite_block(f, 2, noise)
     assert (mgr.fills_total, mgr.remakes_total) == (2, 1)
-    monkeypatch.setattr(zlib, "compress", lambda data, level: bytes(PAGE))
+    monkeypatch.setattr(metafile, "deflate", lambda data: bytes(PAGE))
     mgr.overwrite_block(f, 0, block_of(3))
     monkeypatch.undo()
     peer = peer_of(mgr)

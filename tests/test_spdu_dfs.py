@@ -112,6 +112,8 @@ def test_footer_checksum_detected():
     footer[20] ^= 0xFF
     with pytest.raises(RecoveryError):
         unpack_footer(bytes(footer))
+    with pytest.raises(RecoveryError, match="hold no log block footer"):
+        unpack_footer(bytes(footer[-(FOOTER_FIXED_SIZE - 1):]))
 
 
 def test_buffer_write_and_read_paths():
@@ -1625,6 +1627,7 @@ def test_data_blocks_end_at_their_last_page():
 TORN_FOOTERS = [
     "footer missing", "footer misplaced", "half a page",
     "last byte missing", "stray byte", "bad checksum",
+    "shorter than a fixed footer",
     *(f"{j} whole pages" for j in range(1, N + 1))]
 # the block's footer reads, but its body does not decode to its pages
 TORN_BODIES = [
@@ -1652,6 +1655,7 @@ def _torn_block(torn, pages, pageids):
         "last byte missing": block[:-1],
         "stray byte": block + b"\0",
         "bad checksum": bytes(checksum_flipped),
+        "shorter than a fixed footer": footer[-(FOOTER_FIXED_SIZE - 1):],
         # a body of all three pages, whose footer lists two
         "count disagrees": body + pack_footer(pageids[:2], True),
         "truncated body": body[:-1] + footer,

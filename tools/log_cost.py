@@ -41,9 +41,10 @@ sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
 from client import Client, Model, load  # noqa: E402
 from inputs import make_rows, oltp_ops  # noqa: E402
-from wormdb import metafile, spdu_dfs  # noqa: E402
+from wormdb import spdu_dfs  # noqa: E402
 from wormdb.dfs import DfsCluster  # noqa: E402
 from wormdb.engine import EngineConfig, parse_catalog  # noqa: E402
+from wormdb.pagefmt import ZLIB_LEVEL, inflate  # noqa: E402
 from wormdb.spdu_dfs import DfsTransactionStore  # noqa: E402
 
 ROWS = 100_000
@@ -67,9 +68,11 @@ class Tally:
 
 def stream_costs(pieces: list[bytes], window: bytes) -> list[int]:
     """What each of `pieces` adds to one zlib stream of them all at the
-    store's level with `window` as its dictionary (an empty one names
-    none), then the stream's length with no piece: the framing."""
-    codec = zlib.compressobj(metafile._ZLIB_LEVEL, zdict=window)
+    package codec's level with `window` as its dictionary (an empty one
+    names none), then the stream's length with no piece: the framing.
+    It compresses piece by piece, so it drives zlib itself; `logged`
+    checks that the costs add up to the block the store wrote."""
+    codec = zlib.compressobj(ZLIB_LEVEL, zdict=window)
     lengths = [len(codec.copy().flush())]
     out = 0
     for piece in pieces:
@@ -113,7 +116,7 @@ def instrument(tally: Tally, replication: int) -> None:
         return wrapped
 
     create_file = DfsCluster.create_file
-    page_size = EngineConfig().page_size
+    config = EngineConfig()
 
     def created(cluster, name, content, meta=None):
         entry = create_file(cluster, name, content, meta)
@@ -121,8 +124,8 @@ def instrument(tally: Tally, replication: int) -> None:
         if name.startswith("db/data/"):
             kind = "remakes" if name.endswith(".new") else "fills"
             # a constituent that is not whole pages is a remake's stream
-            raw = len(zlib.decompress(content)) \
-                if len(content) % page_size else len(content)
+            raw = len(inflate(content, config.block_size, name)) \
+                if len(content) % config.page_size else len(content)
             tally.add(kind, replication * len(content))
             tally.add(f"{kind} raw", replication * raw)
             tally.add(f"{kind} blocks", 1)
