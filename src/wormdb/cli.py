@@ -7,8 +7,9 @@ committed prefix. A batch post-commit commits when it drops the live
 generation, so one that crashed before it is abandoned, not finished:
 recovery writes no page.
 
-Exit codes: 0 success, 2 precondition/storage violation, 42 injected
-crash (the armed fault point kills the process; run `recover` next).
+Exit codes: 0 success, 1 a `soak` whose property check failed, 2
+precondition/storage violation, 42 injected crash (the armed fault point
+kills the process; run `recover` next).
 """
 
 from __future__ import annotations

@@ -44,8 +44,7 @@ constituent does or does not decode to 1 to `pages_per_block` whole
 pages fails every page read of it with RecoveryError naming the
 constituent, as a page read of an appended block that is not whole
 pages does. Given an entry the caller already holds, `read_page_of`
-reads one page of it and `read_bytes` reads from a given offset to its
-end.
+reads one page of it and `read_bytes` all of it, as stored.
 
 A meta file may be registered with more blocks than it has
 constituents (the engine's data file holds only block 0 and the blocks
@@ -76,41 +75,44 @@ In memory mode the DataNodes keep that same object, so the cache holds
 no second copy, but of a stream it holds the pages beside the stream
 the DataNodes keep; `read_block` returns it, and the page and byte
 reads slice their bytes out of it. A block this manager did not write
-is read through range by range: the page and byte reads cache each page
-or range they read from the DFS, and `read_block` of a constituent of
-pages reads the DFS without caching, so a cold read fetches only the
-pages and tails asked for, once. A page or byte read of a whole
-constituent caches it as a write does, in place of the ranges it
-covers, so no byte of it is held twice. A stream is read whole at its
+is read through as it is asked for: a page read of a constituent of
+pages caches the page it read from the DFS, so a cold page read fetches
+only the page asked for, once, and `read_block` and `read_bytes` read
+the whole constituent with one DFS read and cache it as a write does, in
+place of the pages read before, so no byte of it is held twice. A log
+block is only ever read whole: its body is one zlib stream, which
+decodes only whole, as Bigtable reads and caches a compressed SSTable
+block whole (Chang et al., OSDI 2006). A stream is read whole at its
 first page read, or `read_block`, and its pages cached in its place. A
 cached block as long as its constituent is the constituent's bytes; one
 of another length is a stream's pages, which the page reads and
 `read_block` serve and a byte read passes by for the stream's own bytes,
-read from the DFS and not cached. A constituent is write-once
-and the NameNode never reuses an id, so a cached block or range is served
-only while its block's current id (one NameNode call per read, made
-before the cache is looked at) is the id it was cached under; a remake
-by anyone, this manager or another over the same cluster, and a truncate
-and append by another manager, change the id. A remake that fails before
-its rename leaves the old entry, which still holds the current content.
-The id call also reports a block whose replicas are all dead, so replica
-loss surfaces on a cached block too. There is no eviction by size: a
-remake replaces the constituent's entry, and a truncate or delete
-through this manager drops it, so the cache never holds more than the
-data blocks written or read and the live log. The engine's log is its
-live generation, a meta file the batch replaces and deletes once it
-holds more than `post_commit_threshold` blocks' worth of raw bytes; the
-generation that replaces it holds at most half that, so the live log is
-at most that many bytes plus what one commit appends. The cache takes
-no lock: a reader racing a remake or another reader can only cache a
-range under an id that has died, which is never served, or replace an
-entry another reader, an append or a remake made, which costs one more
-DFS read. Every DFS read names the id its entry gave, so a reader that
-looked a block up just before a remake, or a truncate and append, never
-takes the new constituent's bytes for the old one's, which matters
-since a remake may store a stream where there were pages: the read
-raises NotFound, on which `read_page` and `read_block` look the block
-up again and read the new constituent.
+read from the DFS and not cached. Every DFS read, of a page, a block
+or a stream, is made by `_range`, the package's one fetch path. A
+constituent is write-once and the NameNode never reuses an id, so a
+cached block or page is served only while its block's current id (one
+NameNode call per read, made before the cache is looked at) is the id
+it was cached under; a remake by anyone, this manager or another over
+the same cluster, and a truncate and append by another manager, change
+the id. A remake that fails before its rename leaves the old entry,
+which still holds the current content. The id call also reports a block
+whose replicas are all dead, so replica loss surfaces on a cached block
+too. There is no eviction by size: a remake replaces the constituent's
+entry, and a truncate or delete through this manager drops it, so the
+cache never holds more than the data blocks written or read and the live
+log. The engine's log is its live generation, a meta file the batch
+replaces and deletes once it holds more than `post_commit_threshold`
+blocks' worth of raw bytes; the generation that replaces it holds at
+most half that, so the live log is at most that many bytes plus what one
+commit appends. The cache takes no lock: a reader racing a remake or
+another reader can only cache a page or block under an id that has died,
+which is never served, or replace an entry another reader, an append or
+a remake made, which costs one more DFS read. Every DFS read names the
+id its entry gave, so a reader that looked a block up just before a
+remake, or a truncate and append, never takes the new constituent's
+bytes for the old one's, which matters since a remake may store a stream
+where there were pages: the read raises NotFound, on which `read_page`
+and `read_block` look the block up again and read the new constituent.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class MetaDfsManager:
         self.fills_total = 0
         # constituent name -> (its file_id, the whole block if this
         # manager wrote it or read it whole, its pages for a stream, else
-        # {(start, end): bytes} of the ranges read)
+        # {(start, end): bytes} of the pages read)
         self._cache: dict[
             str, tuple[int, bytes | dict[tuple[int, int], bytes]]] = {}
         self._zero_page = bytes(page_size)
@@ -347,8 +349,8 @@ class MetaDfsManager:
     def read_block(self, file: str, block_id: int) -> bytes:
         """The whole block up to its constituent's last page: the cached
         object if this manager wrote or read the whole block under its
-        current id, else from the DFS, not cached unless the constituent
-        is a stream, which is unpacked and cached (see above)."""
+        current id, else read whole with one DFS read and cached, and
+        unpacked first if the constituent is a stream (see above)."""
         return self._of_current(file, block_id, self._read_block_of)
 
     def _read_block_of(self, entry: DfsFileEntry | None) -> bytes:
@@ -357,24 +359,15 @@ class MetaDfsManager:
             return bytes(self.block_size)
         if entry.size_bytes % self.page_size:
             return self._unpacked(entry)
-        cached = self._cached(entry.name, entry.file_id)
-        if isinstance(cached, bytes):
-            return cached
-        return self.cluster.read_range(entry.name, 0, entry.size_bytes,
-                                       entry.file_id)
+        return self._range(entry, 0, entry.size_bytes)
 
-    def read_bytes(self, entry: DfsFileEntry, start: int) -> bytes:
+    def read_bytes(self, entry: DfsFileEntry) -> bytes:
         """The bytes of constituent `entry`, an entry the caller already
-        holds, from `start` to its end, as stored, never unpacked: how an
-        appended block is read. Served as `_range` serves them, so a cold
-        read fetches just those bytes, and with no NameNode call.
-        OutOfRange unless `start` is before the end; NotFound if a DFS
-        read finds the constituent replaced since `entry` (see above)."""
-        if not 0 <= start < entry.size_bytes:
-            raise OutOfRange(
-                f"byte {start} of {entry.name}, which is "
-                f"{entry.size_bytes} bytes")
-        return self._range(entry, start, entry.size_bytes)
+        holds, whole and as stored, never unpacked: how an appended block
+        is read. Served as `_range` serves them, so with at most one DFS
+        read, cached, and no NameNode call; NotFound if a DFS read finds
+        the constituent replaced since `entry` (see above)."""
+        return self._range(entry, 0, entry.size_bytes)
 
     def truncate_from(self, file: str, block_id: int) -> None:
         """Drop the blocks from `block_id` on with one NameNode mutation,
@@ -434,7 +427,7 @@ class MetaDfsManager:
     def _range(self, entry: DfsFileEntry, start: int, end: int) -> bytes:
         """Bytes [start, end) of constituent `entry`: a slice of the
         cached block if this manager wrote or read the whole block under
-        its current id, the cached range if it was read from that
+        its current id, the cached page if it was read from that
         constituent, else from the DFS, and then cached: as the block if
         the range is the whole constituent (see above)."""
         cached = self._cached(entry.name, entry.file_id)
@@ -459,17 +452,10 @@ class MetaDfsManager:
 
     def _cached(self, name: str, file_id: int
                 ) -> bytes | dict[tuple[int, int], bytes] | None:
-        """What is cached for constituent `name`, the block or the ranges
+        """What is cached for constituent `name`, the block or the pages
         read, if it was cached under `file_id`, its current id; else None
         (see above)."""
         entry = self._cache.get(name)
         if entry is None or entry[0] != file_id:
             return None
         return entry[1]
-
-    def cached_ids(self) -> dict[str, int]:
-        """Constituent name -> the file_id its cached block or ranges were
-        cached under: the id a write here returned, or the id the ranges
-        were read under (observability)."""
-        return {name: file_id
-                for name, (file_id, _) in list(self._cache.items())}

@@ -17,12 +17,11 @@ page and files being write-once:
   that end the block: the page count, a commit_complete flag and a
   checksum. A block with commit_complete TRUE marks that it and every
   earlier block hold only committed data (write transactions are
-  serial). A reader finds the
-  footer from the block's end: the last FOOTER_FIXED_SIZE + 8(N - 1)
-  bytes, or the whole block if it is shorter, hold any footer, so one
-  read of them gives it. A fixed part that lists more pages than those
-  bytes hold, a checksum mismatch and a counted log block with no
-  constituent, which a meta file would read as zeros, fail alike.
+  serial). A reader reads a log block whole, with one DFS read, and
+  finds the footer from its end. A block shorter than the fixed part,
+  a fixed part that lists more pages than the block holds, a checksum
+  mismatch and a counted log block with no constituent, which a meta
+  file would read as zeros, fail alike.
   Data blocks stay page-addressable: the meta-file layer stores the
   blocks a batch remakes as zlib streams where that is shorter, and
   serves their pages as it serves any other
@@ -51,7 +50,7 @@ page and files being write-once:
   replica of home is dead.
 * A generation is one deflate context. A block's window is the last
   32 KB, deflate's whole window, of the bodies of the blocks before it
-  in its generation, oldest first, each as `unpack_body` returns it,
+  in its generation, oldest first, each as `unpack_body` decodes it,
   the pages as logged and their bases; block 0, the g+1 a batch starts
   included, has none (`unpack_log`). A body is compressed with its
   window as its zlib preset dictionary (RFC 1950), by the package's one
@@ -155,16 +154,18 @@ page and files being write-once:
   and a transaction that appended to a generation another store's
   batch has since dropped fails with LogMoved. A batch's g+1 is never
   the lowest while g is registered, so no store follows into it before
-  the batch commits. The footers are read through the manager's cache,
-  which serves a block's bytes while its constituent's file_id is
-  unchanged, so a rebuild reads from the DFS only the footers of blocks
-  new to the manager. The store's own append, and a writer's truncate
-  of the tail, keep the index matched when the version moved by that
-  call alone and the index had folded every block before it, and a
-  batch leaves the index of the carried pages matched to g+1, which no
-  other store reads before the drop of g, so a database's store
-  rebuilds only at its first begin, after a failed commit, or after
-  another process changed the log.
+  the batch commits. A rebuild reads each block whole through the
+  manager's cache, which serves a block's bytes while its constituent's
+  file_id is unchanged, so it reads from the DFS only the blocks new to
+  the manager, each once, and parses their footers alone; the first log
+  page read after it, which replays the window from every earlier block
+  of the generation, finds them cached. The store's own append, and a
+  writer's truncate of the tail, keep the index matched when the
+  version moved by that call alone and the index had folded every
+  block before it, and a batch leaves the index of the carried pages
+  matched to g+1, which no other store reads before the drop of g, so
+  a database's store rebuilds only at its first begin, after a failed
+  commit, or after another process changed the log.
 * A data block that no committed transaction has written is written in
   place at commit, not logged: shadow paging protects only the pages the
   committed root can reach (Lorie, "Physical Integrity in a Large
@@ -240,18 +241,18 @@ def pack_footer(pageids: list[int], commit_complete: bool) -> bytes:
     return body + _FOOTER_FIXED.pack(len(pageids), int(commit_complete), crc)
 
 
-def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
-    """(pageids, commit_complete) of the footer that ends `tail`;
-    RecoveryError unless `tail` holds the pages it lists and its checksum
-    matches."""
-    if len(tail) < FOOTER_FIXED_SIZE:
-        raise RecoveryError(f"{len(tail)} bytes hold no log block footer")
+def unpack_footer(block: bytes) -> tuple[list[int], bool]:
+    """(pageids, commit_complete) of the footer that ends log block
+    `block`; RecoveryError unless `block` holds the pages it lists and
+    its checksum matches."""
+    if len(block) < FOOTER_FIXED_SIZE:
+        raise RecoveryError(f"{len(block)} bytes hold no log block footer")
     count, complete, crc = _FOOTER_FIXED.unpack_from(
-        tail, len(tail) - FOOTER_FIXED_SIZE)
-    if _footer_size(count) > len(tail):
+        block, len(block) - FOOTER_FIXED_SIZE)
+    if _footer_size(count) > len(block):
         raise RecoveryError(
-            f"log block footer lists {count} pages in {len(tail)} bytes")
-    body = tail[len(tail) - _footer_size(count):-FOOTER_FIXED_SIZE]
+            f"log block footer lists {count} pages in {len(block)} bytes")
+    body = block[len(block) - _footer_size(count):-FOOTER_FIXED_SIZE]
     actual = zlib.crc32(struct.pack("<IB", count, complete) + body)
     if actual != crc:
         raise RecoveryError(
@@ -260,9 +261,11 @@ def unpack_footer(tail: bytes) -> tuple[list[int], bool]:
     return list(struct.unpack(f"<{count}Q", body)), bool(complete)
 
 
-def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
-    """The body of log block `block`, decompressed: its pages as logged,
-    in its footer's order, then their bases (see above); RecoveryError
+def unpack_body(block: bytes, page_size: int,
+                window: bytes = b"") -> tuple[list[int], bytes]:
+    """(pageids, body) of log block `block`: the pageids its footer
+    lists, and its body, decompressed, its pages as logged, in the
+    footer's order, then their bases (see above); RecoveryError
     unless the bytes before the footer are one zlib stream, ending
     where the footer starts, that passes zlib's own check (`inflate`,
     which decodes no more than the footer lists), in which a
@@ -278,7 +281,7 @@ def unpack_body(block: bytes, page_size: int, window: bytes = b"") -> bytes:
             f"log block body decodes to {len(body)} bytes, not the "
             f"{len(pageids)} pages of {page_size} bytes and their bases "
             f"its footer lists")
-    return body
+    return pageids, body
 
 
 def _next_window(window: bytes, body: bytes) -> bytes:
@@ -294,7 +297,7 @@ def unpack_log(blocks, page_size: int, window: bytes = b""):
     first, which is b"" for block 0; and the window that follows it,
     the next block's zlib dictionary (see above)."""
     for block in blocks:
-        body = unpack_body(block, page_size, window)
+        _, body = unpack_body(block, page_size, window)
         window = _next_window(window, body)
         yield body, window
 
@@ -502,12 +505,12 @@ class DfsTransactionStore:
             window = self._window_of(
                 self.manager.constituent_entries(self.log), block_id) \
                 if block_id else b""
-            block = self.manager.read_bytes(entry, 0)
-            encoded = unpack_body(block, self.page_size, window)
+            pageids, encoded = unpack_body(
+                self.manager.read_bytes(entry), self.page_size, window)
             self._window = (
                 entry.file_id, _next_window(window, encoded), None)
             body = self._bodies[entry.file_id] = self._decoded(
-                unpack_footer(block)[0], encoded)
+                pageids, encoded)
         return body
 
     def _window_of(self, entries: list[DfsFileEntry | None],
@@ -525,7 +528,7 @@ class DfsTransactionStore:
             start -= 1
         if start == block_id:
             return window if block_id else b""
-        blocks = (self.manager.read_bytes(self._log_entry(k, entries[k]), 0)
+        blocks = (self.manager.read_bytes(self._log_entry(k, entries[k]))
                   for k in range(start, block_id))
         for _, window in unpack_log(blocks, self.page_size,
                                     window if start else b""):
@@ -910,32 +913,20 @@ class DfsTransactionStore:
                    entry: DfsFileEntry | None) -> DfsFileEntry:
         """`entry`, the constituent of log block `block_id`; RecoveryError
         for a block with no constituent (a hole, which reads as zeros in a
-        meta file but never in the log) or one too short for a footer."""
+        meta file but never in the log)."""
         if entry is None:
             raise RecoveryError(f"log block {block_id} has no constituent")
-        if entry.size_bytes < FOOTER_FIXED_SIZE:
-            raise RecoveryError(
-                f"log block {block_id} is {entry.size_bytes} bytes, "
-                f"too short for a footer")
         return entry
 
-    def _footer_of(self, block_id: int, entry: DfsFileEntry | None
-                   ) -> tuple[list[int], bool]:
-        """(pageids, commit_complete) of log block `block_id`, whose
-        constituent is `entry`, from one read of its last bytes, as many
-        as the largest footer takes. RecoveryError for a hole, a block too
-        short for a footer, or a footer that does not read whole with its
-        checksum (a torn block)."""
-        entry = self._log_entry(block_id, entry)
-        start = max(0, entry.size_bytes - _footer_size(self._capacity))
-        return unpack_footer(self.manager.read_bytes(entry, start))
-
     def footers(self) -> dict[int, tuple[list[int], bool]]:
-        """The footer of every block of the live generation, oldest
-        first, read through the manager's cache as a rebuild reads
-        them."""
+        """(pageids, commit_complete) of every block of the live
+        generation, oldest first, each parsed from the whole block, read
+        through the manager's cache as a rebuild reads them.
+        RecoveryError for a hole or a footer that does not read whole
+        with its checksum (a torn block)."""
         entries = self.manager.constituent_entries(self.log)
-        return {block_id: self._footer_of(block_id, entry)
+        return {block_id: unpack_footer(self.manager.read_bytes(
+                    self._log_entry(block_id, entry)))
                 for block_id, entry in enumerate(entries)}
 
     def recovery_state(self) -> str | None:

@@ -16,7 +16,8 @@ readers may share the instance between write transactions.
 
 `meta_file_strays` checks a DFS cluster against the meta-file layout:
 every constituent sits inside a registered meta file's block count.
-`stored_block` reads the bytes a constituent stores, as appended or as
+`cached_ids` names what a manager's page cache holds and under which
+id. `stored_block` reads the bytes a constituent stores, as appended or as
 packed, and `packed` works out what a remake stores. `data_blocks`
 reads a store's data file block by block, `log_blocks` counts its live
 log blocks and `log_bases` reads back how its log block holds each
@@ -98,11 +99,19 @@ def data_blocks(store) -> list[bytes]:
             for block_id in range(count)]
 
 
+def cached_ids(manager) -> dict[str, int]:
+    """Constituent name -> the file_id under which `manager` cached its
+    block, pages or ranges: the id a write there returned, or the id
+    they were read under."""
+    return {name: file_id
+            for name, (file_id, _) in list(manager._cache.items())}
+
+
 def stored_block(manager, file: str, block_id: int) -> bytes:
     """The bytes block `block_id` of meta file `file` stores, as
     `read_bytes` reads them, never unpacked: a log block as appended, a
     remade data block as its remake packed it."""
-    return manager.read_bytes(manager.constituent_entry(file, block_id), 0)
+    return manager.read_bytes(manager.constituent_entry(file, block_id))
 
 
 def log_bodies(store, end: int | None = None) -> list[tuple[bytes, bytes]]:
@@ -113,7 +122,7 @@ def log_bodies(store, end: int | None = None) -> list[tuple[bytes, bytes]]:
     so with no check of their replicas' health."""
     entries = store.manager.constituent_entries(store.log)[:end]
     return list(unpack_log(
-        (store.manager.read_bytes(entry, 0) for entry in entries),
+        (store.manager.read_bytes(entry) for entry in entries),
         store.page_size))
 
 

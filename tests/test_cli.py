@@ -578,7 +578,8 @@ def test_a_root_whose_earlier_log_block_was_replaced_is_refused(
     pageids, complete = unpack_footer(stored_block(manager, live, 0))
     other = bytes(len(pageids) * (SMALL_CONFIG["page_size"] + 8))
     replaced = zlib.compress(other, 1) + pack_footer(pageids, complete)
-    assert unpack_body(replaced, SMALL_CONFIG["page_size"]) == other
+    assert unpack_body(replaced, SMALL_CONFIG["page_size"]) == \
+        (pageids, other)
     dfs.delete_file(constituent_name(live, 0))
     dfs.create_file(constituent_name(live, 0), replaced)
     with pytest.raises(RecoveryError, match="does not decode"):

@@ -16,6 +16,7 @@ import pytest
 
 from lock_harness import RecordingLockService
 from oracles import (
+    cached_ids,
     data_blocks,
     log_bases,
     log_blocks,
@@ -1317,11 +1318,9 @@ def test_repeat_read_transaction_reads_no_footer_page():
     database's page cache, though the session still counts them as page
     reads. The reader is another process: a database opened over the
     same cluster, whose page cache holds none of the writer's appends.
-    Its cold begin reads every footer once; then each page it reads
-    costs at most one DFS read, and the log pages of one block share the
-    read of its body, except that the first page it reads from a log
-    block also reads the bodies before it in the generation, which give
-    that block's window."""
+    Its cold begin reads every log block once, whole, for its footer;
+    the log pages it then reads, and the bodies before their blocks that
+    give their windows, come from those reads."""
     db = make_db()
     writer = db.session()
     for txn in range(4):
@@ -1344,11 +1343,11 @@ def test_repeat_read_transaction_reads_no_footer_page():
         read_calls = cluster.counters.read_calls - before.read_calls
         nbytes = cluster.counters.bytes_read - before.bytes_read
         if txn == 0:
-            # the cold begin reads every footer once, then the catalog
-            # page from the last block, one commit's, with one read of
-            # its body and of each body before it, its window; every
-            # page the select reads lies in those bodies
-            assert begin_reads == 2 * log_blocks(db.store)
+            # the cold begin reads every log block once, whole; the
+            # catalog page from the last block, one commit's, its window
+            # from the bodies before it and every page the select reads
+            # lie in those blocks
+            assert begin_reads == log_blocks(db.store)
             assert read_calls == begin_reads
             cold_pages = pages
         else:
@@ -1422,15 +1421,15 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     assert cluster.counters.read_calls == before.read_calls
     fresh = Database.open(cluster, "db", PAGE)
     assert fresh.manager is not db.manager
-    assert set(fresh.manager.cached_ids()) <= {
+    assert set(cached_ids(fresh.manager)) <= {
         constituent_name(db.data_name, 0), constituent_name(db.log_name, 0)}
     reader = fresh.session()
     before = cluster.counters.snapshot()
-    opened = set(fresh.manager.cached_ids())
+    opened = set(cached_ids(fresh.manager))
     assert [r.country_code for r in read_all(reader)] == expected
     # one DFS read per data block the scan reads past block 0, whose
     # stream the open read whole for the catalog page
-    scanned = {name for name in fresh.manager.cached_ids()
+    scanned = {name for name in cached_ids(fresh.manager)
                if name.startswith(f"{db.data_name}/")} - opened
     assert cluster.counters.read_calls - before.read_calls == \
         len(scanned) == 1
@@ -1439,7 +1438,7 @@ def test_blocks_a_batch_remade_are_read_from_the_cache():
     current = {entry.name: entry.file_id for entry in
                fresh.manager.constituent_entries(fresh.data_name) if entry}
     cached = {name: file_id
-              for name, file_id in fresh.manager.cached_ids().items()
+              for name, file_id in cached_ids(fresh.manager).items()
               if name.startswith(f"{db.data_name}/")}
     assert cached and cached.items() <= current.items()
 
@@ -1529,12 +1528,12 @@ def test_cache_holds_no_truncated_log_block_or_dead_id():
         read_all(reader)
     cluster = db.manager.cluster
     log = db.store.log
-    cached_log = [name for name in db.manager.cached_ids()
+    cached_log = [name for name in cached_ids(db.manager)
                   if name.startswith(log + "/")]
     assert cached_log  # the reader read record pages from the log
     db.run_maintenance()
     assert db.store.log != log and not cluster.meta_exists(log)
-    cached = db.manager.cached_ids()
+    cached = cached_ids(db.manager)
     assert not any(name.startswith(log + "/") for name in cached)
     for name, file_id in cached.items():
         assert cluster.file_entry(name).file_id == file_id
@@ -1671,7 +1670,7 @@ def test_restart_caches_each_log_block_once():
         file_id, cached = manager._cache[entry.name]
         assert file_id == entry.file_id
         assert len(cached) == entry.size_bytes, entry.name
-        assert manager.read_bytes(entry, 0) is cached
+        assert manager.read_bytes(entry) is cached
 
 
 def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
@@ -1725,8 +1724,8 @@ def test_cached_reads_equal_fresh_manager_reads_over_a_schedule():
                         (step, pageid)
             assert fresh.read_block(file, block_id) == block
         for entry in db.manager.constituent_entries(db.store.log):
-            assert db.manager.read_bytes(entry, 0) == \
-                fresh.read_bytes(entry, 0), (step, entry.name)
+            assert db.manager.read_bytes(entry) == \
+                fresh.read_bytes(entry), (step, entry.name)
         rows = read_all(rng.choice(sessions))
         assert rows == read_all(Database.open(
             cluster, "db", PAGE, recover=False).session()), step

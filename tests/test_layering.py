@@ -21,6 +21,12 @@ A page's recovery header has one writer: inside the package only the
 store's ``write_page`` calls ``stamp_page``, and only pagefmt.py, which
 defines it, and the store name it.
 
+Every DFS read has one home: inside the package only
+``MetaDfsManager._range`` names ``DfsCluster.read_range``, so a page, a
+block, a stream and a log block are all fetched through the one path
+that a check of what a replica returns, and failover to the next one,
+would wrap.
+
 Only the meta-file layer changes the NameNode: a module other than
 metafile.py calls none of the DfsCluster mutations, so "remake a block"
 and every other change of a meta file is written once. Only the
@@ -284,6 +290,16 @@ def test_detector_finds_mentions_with_their_scope():
     )
     assert mentions(codec, "compress") == [(4, "pack")]
     assert mentions(codec, "decompress") == [(2, "<module>")]
+
+
+def test_one_method_makes_every_dfs_read():
+    """Only the meta-file layer's `_range` names `read_range`, where
+    dfs.py defines it: every fetch from the DataNodes, whole or partial,
+    cached or not, goes through that one method."""
+    assert {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+            for _, scope in mentions(path.read_text("utf-8"),
+                                     "read_range")} == \
+        {("dfs.py", "DfsCluster"), (MUTATING_MODULE, "MetaDfsManager._range")}
 
 
 def constructions(source: str, name: str) -> list[tuple[int, str]]:

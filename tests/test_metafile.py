@@ -5,7 +5,7 @@ import threading
 import zlib
 
 import pytest
-from oracles import stored_block
+from oracles import cached_ids, stored_block
 
 from wormdb import metafile
 from wormdb.dfs import DfsCluster, DfsConfig
@@ -56,7 +56,7 @@ def test_append_naming_matches_ordinal_scheme(mgr):
     for i in range(4):
         assert mgr.append_block(f, block_of(i)) == i
         name = constituent_name("path/data", i)
-        assert mgr.cached_ids()[name] == mgr.cluster.file_entry(name).file_id
+        assert cached_ids(mgr)[name] == mgr.cluster.file_entry(name).file_id
     names = mgr.cluster.list_files("path/data/")
     assert names == [f"path/data/{i:08d}" for i in range(4)]
     assert constituent_name("path/data", 3) == "path/data/00000003"
@@ -77,13 +77,13 @@ def test_append_wrong_size(mgr):
     assert mgr.read_block(f, 0) == block_of(1)
 
 
-def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
+def test_a_log_block_is_read_whole_as_stored_not_as_a_page(
         mgr, monkeypatch):
     """A log block of one page is its compressed page and its footer,
     shorter here than one page. `read_bytes`, given the block's entry,
-    returns the footer, from the cache of the manager that appended it,
-    or with one DFS read of just its bytes, which another manager then
-    serves from its cache, and it makes no NameNode call. A page read
+    returns the whole block as stored, from the cache of the manager
+    that appended it, or with one DFS read of it, which another manager
+    then serves from its cache, and it makes no NameNode call. A page read
     takes a constituent that is not whole pages for a stream of pages,
     which a log block is not: it fails with RecoveryError naming the
     constituent, cached or not."""
@@ -94,29 +94,43 @@ def test_a_log_blocks_footer_is_read_as_its_tail_not_as_a_page(
     store.write_page(3, bytes([7]) * PAGE)  # block 0 is written: logged
     store.commit_transaction()
     size = mgr.constituent_entry(store.log, 0).size_bytes
-    footer = 13 + 8
-    assert footer < size < PAGE
-    tail = stored_block(mgr, store.log, 0)[size - footer:]
+    assert 13 + 8 < size < PAGE
+    block = stored_block(mgr, store.log, 0)
+    assert len(block) == size
     peer = peer_of(mgr)
-    for manager, reads in ((mgr, (0, 0)), (peer, (1, footer))):
+    for manager, reads in ((mgr, (0, 0)), (peer, (1, size))):
         file = store.log
         entry = manager.constituent_entry(file, 0)
         with monkeypatch.context() as patch:
             patch.setattr(manager.cluster, "meta_block_entry", None)
-            got = dfs_reads(manager,
-                            lambda: manager.read_bytes(entry, size - footer))
-            assert got == (*reads, tail)
-            assert dfs_reads(
-                manager, lambda: manager.read_bytes(entry, size - footer)) \
-                == (0, 0, tail)
-            for start in (-1, size):
-                with pytest.raises(OutOfRange):
-                    manager.read_bytes(entry, start)
+            for calls in (reads, (0, 0)):
+                assert dfs_reads(manager, lambda: manager.read_bytes(entry)) \
+                    == (*calls, block)
         with pytest.raises(RecoveryError, match=entry.name):
             manager.read_page(file, 0)
     # a hole has no entry to read bytes from; it reads as a zero block
     assert mgr.constituent_entry(data, 2) is None
     assert mgr.read_block(data, 2) == bytes(BLOCK)
+
+
+def test_a_block_read_whole_is_cached_in_place_of_its_pages(mgr):
+    """A block of whole pages that another manager wrote is read by page
+    as asked for, then whole by `read_block` with one DFS read, and
+    cached in place of the page read before it: a second `read_block`
+    and a page read of it make no DFS read."""
+    f = "m"
+    mgr.create_meta(f)
+    block = bytes(range(256)) * (BLOCK // 256)
+    mgr.append_block(f, block)
+    peer = peer_of(mgr)
+    page = block[PAGE:2 * PAGE]
+    assert dfs_reads(peer, lambda: peer.read_page(f, 1)) == (1, PAGE, page)
+    assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == \
+        (1, BLOCK, block)
+    assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == (0, 0, block)
+    for pageid in (1, N - 1):
+        assert dfs_reads(peer, lambda: peer.read_page(f, pageid)) == \
+            (0, 0, block[pageid * PAGE:(pageid + 1) * PAGE])
 
 
 def test_a_block_is_whole_pages_up_to_one_dfs_block(mgr):
@@ -228,7 +242,7 @@ def table_and_cache(mgr, meta):
     count = cluster.meta_block_count(meta) if cluster.meta_exists(meta) \
         else None
     return ({name: cluster.file_entry(name) for name in cluster.list_files()},
-            count, mgr.cached_ids())
+            count, cached_ids(mgr))
 
 
 def failed_save(mgr, monkeypatch, call):
@@ -267,7 +281,7 @@ def test_a_truncate_is_one_mutation_and_a_failed_one_changes_nothing(
     mgr.truncate_from(f, 1)
     assert calls == [("meta_set_block_count", "m", 1)]
     assert mgr.cluster.list_files("m/") == [constituent_name("m", 0)]
-    assert list(mgr.cached_ids()) == [constituent_name("m", 0)]
+    assert list(cached_ids(mgr)) == [constituent_name("m", 0)]
     calls.clear()
     mgr.truncate_from(f, 1)
     assert calls == []
@@ -342,7 +356,7 @@ def test_repeat_page_read_is_served_from_cache(mgr):
         (0, 0, bytes([3]) * PAGE)
     # another page of the same block is its own DFS read
     assert dfs_reads(reader, lambda: reader.read_page(f, 4))[:2] == (1, PAGE)
-    assert reader.cached_ids() == {
+    assert cached_ids(reader) == {
         constituent_name("m", 0):
             mgr.cluster.file_entry(constituent_name("m", 0)).file_id}
 
@@ -354,28 +368,28 @@ def test_remake_truncate_and_delete_drop_cached_pages(mgr):
         mgr.append_block(f, block_of(i))
     for i in range(3):
         mgr.read_page(f, i * N)
-    assert len(mgr.cached_ids()) == 3
+    assert len(cached_ids(mgr)) == 3
     # a remade block replaces its cached entry, under the remake's new id
-    old_id = mgr.cached_ids()[constituent_name("m", 1)]
+    old_id = cached_ids(mgr)[constituent_name("m", 1)]
     mgr.overwrite_block(f, 1, block_of(9))
     new_id = mgr.cluster.file_entry(constituent_name("m", 1)).file_id
     assert new_id != old_id
-    assert mgr.cached_ids()[constituent_name("m", 1)] == new_id
+    assert cached_ids(mgr)[constituent_name("m", 1)] == new_id
     assert dfs_reads(mgr, lambda: mgr.read_page(f, N)) == \
         (0, 0, bytes([9]) * PAGE)
     mgr.truncate_from(f, 2)
-    assert constituent_name("m", 2) not in mgr.cached_ids()
+    assert constituent_name("m", 2) not in cached_ids(mgr)
     with pytest.raises(OutOfRange):
         mgr.read_page(f, 2 * N)
     # an appended block under a truncated block's name is served from
     # its own pages, cached by the append under its new id
     mgr.append_block(f, block_of(5))
     file_id = mgr.cluster.file_entry(constituent_name("m", 2)).file_id
-    assert mgr.cached_ids()[constituent_name("m", 2)] == file_id
+    assert cached_ids(mgr)[constituent_name("m", 2)] == file_id
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 2 * N)) == \
         (0, 0, bytes([5]) * PAGE)
     mgr.delete_meta(f)
-    assert mgr.cached_ids() == {}
+    assert cached_ids(mgr) == {}
 
 
 def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
@@ -395,7 +409,7 @@ def test_a_failed_remake_leaves_the_old_block_served(mgr, monkeypatch):
         mgr.overwrite_block(f, 0, block_of(3))
     monkeypatch.undo()
     name = constituent_name("m", 0)
-    assert mgr.cached_ids()[name] == mgr.cluster.file_entry(name).file_id
+    assert cached_ids(mgr)[name] == mgr.cluster.file_entry(name).file_id
     assert dfs_reads(mgr, lambda: mgr.read_block(f, 0)) == \
         (0, 0, block_of(2))
     assert dfs_reads(mgr, lambda: mgr.read_page(f, 1)) == \
@@ -502,7 +516,7 @@ def test_an_appended_block_is_read_from_the_cache(mgr):
     content = b"".join(bytes([k]) * PAGE for k in range(N))
     mgr.append_block(f, content)
     file_id = mgr.cluster.file_entry(constituent_name("m", 0)).file_id
-    assert mgr.cached_ids() == {constituent_name("m", 0): file_id}
+    assert cached_ids(mgr) == {constituent_name("m", 0): file_id}
     for offset in (0, 3, N - 1):
         assert dfs_reads(mgr, lambda: mgr.read_page(f, offset)) == \
             (0, 0, bytes([offset]) * PAGE)
@@ -576,7 +590,7 @@ def test_a_failed_append_leaves_no_servable_seed(disk_mgr, monkeypatch):
     mgr.create_meta(f)
     mgr.append_block(f, block_of(1))
     failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
-    assert constituent_name("m", 1) not in mgr.cached_ids()
+    assert constituent_name("m", 1) not in cached_ids(mgr)
     with pytest.raises(OutOfRange):
         mgr.read_page(f, N)
     with pytest.raises(OutOfRange):
@@ -601,7 +615,7 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
         store.commit_transaction()
     assert mgr.cluster.meta_block_count(store.log) == 3
     log_blocks = {constituent_name(store.log, b) for b in range(3)}
-    assert log_blocks <= set(mgr.cached_ids())
+    assert log_blocks <= set(cached_ids(mgr))
     # a log block with every replica dead fails the batch, though cached
     dead = constituent_name(store.log, 0)
     holders = cluster.file_entry(dead).holders
@@ -614,9 +628,9 @@ def test_a_batch_leaves_no_log_block_past_the_master_cached():
     # the batch reads the log blocks, and data block 0 that the create
     # cached, from the cache: nothing from the DFS
     assert dfs_reads(mgr, store.batch_post_commit)[:2] == (0, 0)
-    assert not log_blocks & set(mgr.cached_ids())
+    assert not log_blocks & set(cached_ids(mgr))
     # only the new generation, which holds the pages the batch carried
-    assert {name for name in mgr.cached_ids()
+    assert {name for name in cached_ids(mgr)
             if name.startswith("db/log/")} <= {
         constituent_name(store.log, b)
         for b in range(mgr.cluster.meta_block_count(store.log))}
@@ -909,7 +923,7 @@ def test_a_cold_page_read_of_a_stream_reads_it_whole_once(mgr):
         assert dfs_reads(peer, lambda: peer.read_page(f, k)) == \
             (0, 0, block[k * PAGE:(k + 1) * PAGE])
     assert dfs_reads(peer, lambda: peer.read_block(f, 0)) == (0, 0, block)
-    assert peer.cached_ids() == {entry.name: entry.file_id}
+    assert cached_ids(peer) == {entry.name: entry.file_id}
 
 
 def damaged(stream: bytes, how: str) -> bytes:
@@ -970,7 +984,7 @@ def test_a_damaged_stream_is_a_recovery_error_naming_its_constituent(
                      lambda: reader.read_block(f, 0)):
             with pytest.raises(RecoveryError, match=entry.name):
                 read()
-        assert reader.read_bytes(entry, 0) == stored
+        assert reader.read_bytes(entry) == stored
 
 
 def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,
@@ -992,7 +1006,7 @@ def test_a_failed_delete_changes_neither_table_nor_cache(disk_mgr,
     mgr.delete_meta(f)
     assert calls == [("meta_unregister", "m")]
     assert mgr.cluster.list_files("m/") == []
-    assert mgr.cached_ids() == {}
+    assert cached_ids(mgr) == {}
     sparse = "m"
     mgr.create_sparse_meta(sparse, 3, block_of(9))
     assert mgr.read_block(sparse, 1) == bytes(BLOCK)

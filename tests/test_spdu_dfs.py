@@ -457,10 +457,9 @@ def test_abort_then_reads_match_pre_transaction_oracle():
         assert store.read_page(pid) == oracle.read(pid)
 
 
-def test_reconstruction_reads_only_footer_pages():
-    """A fresh store reads each log block's footer, one read of the
-    block's last bytes, as many as the largest footer takes, and no
-    page."""
+def test_reconstruction_reads_each_log_block_once_and_no_data_page():
+    """A fresh store reads each log block once, whole, for its footer,
+    and no data page."""
     store = make_store()
     rng = random.Random(13)
     for pid in (5, 3):
@@ -474,8 +473,7 @@ def test_reconstruction_reads_only_footer_pages():
     after = cluster.counters
     data_blocks = log_blocks(store)
     assert after.read_calls - before.read_calls == data_blocks == 1
-    assert after.bytes_read - before.bytes_read == \
-        _footer_bytes(fresh, 0) == FOOTER_FIXED_SIZE + 8 * (N - 1)
+    assert after.bytes_read - before.bytes_read == _stored_bytes(fresh, 0)
     assert set(fresh.index) == {5, 3}
     assert payload(fresh.read_page(5)) == payload(store.read_page(5))
 
@@ -516,12 +514,10 @@ def _footer(store, block_id):
     return _peer(store).footers()[block_id]
 
 
-def _footer_bytes(store, first):
+def _stored_bytes(store, first):
     """The bytes a rebuild reads for the footers of log blocks `first`
-    on: the last FOOTER_FIXED_SIZE + 8(N - 1) bytes of each block, which
-    hold any footer, or all of a shorter block."""
-    return sum(min(size, FOOTER_FIXED_SIZE + 8 * (N - 1))
-               for size in _constituent_sizes(store, store.log)[first:])
+    on: each block whole."""
+    return sum(_constituent_sizes(store, store.log)[first:])
 
 
 def _commit_blocks(store, rng, blocks):
@@ -552,9 +548,7 @@ def test_warm_reconstruction_reads_nothing_when_log_unchanged():
     reader = _peer(store)
     calls, nbytes, cold = _reads_during(
         reader, lambda: dict(_index(reader)))
-    # three blocks, each longer than the largest footer
-    assert (calls, nbytes) == (3, _footer_bytes(reader, 0)) == \
-        (3, 3 * (FOOTER_FIXED_SIZE + 8 * (N - 1)))
+    assert (calls, nbytes) == (3, _stored_bytes(reader, 0))
     calls, nbytes, warm = _reads_during(reader, lambda: _index(reader))
     assert (calls, nbytes) == (0, 0)
     assert warm == cold
@@ -570,8 +564,7 @@ def test_warm_reconstruction_reads_only_new_footers():
         first = log_blocks(store)
         _commit_blocks(store, rng, k)
         calls, nbytes, index = _reads_during(reader, lambda: _index(reader))
-        assert (calls, nbytes) == (k, _footer_bytes(reader, first)) == \
-            (k, k * (FOOTER_FIXED_SIZE + 8 * (N - 1)))
+        assert (calls, nbytes) == (k, _stored_bytes(reader, first))
         assert index == _index(_peer(store))
 
 
@@ -641,7 +634,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
     """A writer that begins before it appends, as the engine's does, keeps
     its index matched through its own appends, so its begins fold
     nothing. A reader's begin after the writer's commits folds the whole
-    committed prefix but reads from the DFS only the new footers; after
+    committed prefix but reads from the DFS only the new blocks; after
     another store's batch and refill the reader rebuilds, and a writer
     whose failed commit left an auto-flushed block folds the committed
     prefix exactly once."""
@@ -663,7 +656,7 @@ def test_a_begin_rebuilds_the_index_only_after_another_change():
         calls, nbytes, folded = _reads_during(reader, lambda: _folds_during(
             lambda: reader.begin_transaction(write=False)))
         assert folded == _pageids_of_blocks(store, 0)
-        assert (calls, nbytes) == (k, _footer_bytes(reader, first))
+        assert (calls, nbytes) == (k, _stored_bytes(reader, first))
         assert reader.index == _index(_peer(store))
     stale = reader.index
     store.batch_post_commit()
@@ -1467,7 +1460,7 @@ def test_a_commit_of_k_pages_appends_its_pages_and_footer_bytes():
         assert len(replicas) == 2
         assert all(r == replicas[0] for r in replicas)
         assert len(replicas[0]) == size
-        assert unpack_body(replicas[0], PAGE, window) == body
+        assert unpack_body(replicas[0], PAGE, window) == (pageids, body)
         assert unpack_footer(replicas[0]) == (pageids, commit_complete)
         bases.update(log_bases(store, block_id))
         return size
@@ -1564,7 +1557,7 @@ def test_a_full_buffer_with_a_full_window_fits_the_edge_geometry():
         [(full - 1) * (n - 1) * (page + 8), 32 * 1024]
     block = stored_block(mgr, store.log, full)
     assert names_a_dictionary(block) and len(block) <= page * n
-    assert len(unpack_body(block, page, windows[full])) == \
+    assert len(unpack_body(block, page, windows[full])[1]) == \
         (n - 1) * (page + 8)
     for window in (b"", windows[full - 1], windows[full][1:] + b"\0"):
         with pytest.raises(RecoveryError, match="does not decode"):
@@ -1801,7 +1794,7 @@ def test_a_damaged_earlier_block_fails_every_block_after_it(damage):
     else:
         other = rng.randbytes(len(pageids) * PAGE) + bytes(8 * len(pageids))
         damaged = zlib.compress(other, 1) + pack_footer(pageids, complete)
-        assert unpack_body(damaged, PAGE) == other
+        assert unpack_body(damaged, PAGE) == (pageids, other)
     _replace_log_block(store, 0, bytes(damaged))
     fresh = _peer(store)
     fresh.begin_transaction(write=False)
