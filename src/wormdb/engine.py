@@ -3,8 +3,9 @@
 One table (UserVisits-shaped records) in a heap of slotted pages, plus a
 secondary index on source_ip kept as sorted immutable page segments. An
 index entry is 10 bytes, the crc32 of the key, then the row's pageid and
-slot, so a 4 KB page holds 408; keys that share a hash share entries, and
-a lookup rechecks the key of each row it fetches. A write commit writes
+slot, so a 4 KB page holds 408 after its 8-byte header; keys that share
+a hash share entries, and a lookup rechecks the key of each row it
+fetches. A write commit writes
 its new entries as one segment, merged with the newest segments by a
 size-tiered rule (fan-out `FANOUT`) whose tiers count fractional pages,
 so each entry is rewritten a logarithmic number of times and a small
@@ -82,7 +83,9 @@ _CATALOG = struct.Struct("<IHIIIQHH")
 # magic, version, total_pages, heap_used, index_floor, record_count,
 # segment count, free extent count
 _CATALOG_MAGIC = 0x31424457
-_CATALOG_VERSION = 2  # 1 held each index entry's whole key
+# 2 lay after a 16-byte page header, among pages whose slots held record
+# lengths; 1 held each index entry's whole key
+_CATALOG_VERSION = 3
 _SEGMENT = struct.Struct("<IIQ")   # start page, page count, entry count
 _EXTENT = struct.Struct("<II")     # start page, page count
 _ENTRY = struct.Struct("<IIH")  # key hash (`_key_hash`), pageid, slot
@@ -559,17 +562,18 @@ class Session:
         """Yield ((pageid, slot), packed record) in heap order for each
         record that begins with `prefix`, reading each page only when the
         consumer reaches it and caching none (see the class docstring).
-        Only the matching records are copied out of their pages. Callers
+        Only the matching records are copied out of their pages, each
+        page's slots read in one unpack (`SlottedPage.spans`). Callers
         check the lock."""
         for pageid in range(HEAP_START, HEAP_START + self.catalog.heap_used):
             if pageid == self._tail_page:
                 self._close_tail()
             buf = self._cache.get(pageid)
-            page = SlottedPage(self._read_page(pageid) if buf is None
-                               else buf)
-            for slot in (page.slots_with_prefix(prefix) if prefix
-                         else range(page.count)):
-                yield (pageid, slot), page.record(slot)
+            if buf is None:
+                buf = self._read_page(pageid)
+            for slot, (start, end) in enumerate(SlottedPage(buf).spans()):
+                if not prefix or buf.startswith(prefix, start, end):
+                    yield (pageid, slot), bytes(buf[start:end])
 
     def select_by_key(self, source_ip: str, use_index: bool
                       ) -> list[UserVisitsRecord]:

@@ -1,17 +1,18 @@
 """On-page format and stream codec shared by the recovery layers.
 
-Every page in the system is ``page_size`` bytes. The first 16 bytes are a
-recovery header owned by the store: pageid, 4 zero bytes, and a checksum
-of the payload. Application structures (slotted pages, catalog, index
-segments) live in the remaining bytes and must never touch the header
-area. A stamped page depends only on its pageid and payload.
+Every page in the system is ``page_size`` bytes. The first 8 bytes are a
+recovery header owned by the store: the pageid and a crc32 of the
+payload. Application structures (slotted pages, catalog, index segments)
+live in the remaining bytes and must never touch the header area. A
+stamped page depends only on its pageid and payload.
 
 The store stamps the header on every page it writes, and no package code
 reads it back: restart rebuilds the log table index from the footers of
-the log blocks. So bytes 4-7, which held a write ordinal in pages written
-before they were zeroed, are never read, and such pages still read. Only
-the tests read headers: `tests/oracles.py` holds `page_header` and
-`verify_page`, and its flat-file oracle rebuilds its index from them.
+the log blocks. Only the tests read headers: `tests/oracles.py` holds
+`page_header` and `verify_page`, and its flat-file oracle rebuilds its
+index from them. A root written with the earlier 16-byte header is
+refused at open: the catalog `wormdb.engine` reads 8 bytes in starts
+with that header's checksum, not the catalog's magic.
 
 The package's stored zlib streams (RFC 1950), a log block's body
 (`wormdb.spdu_dfs`) and a remade data block (`wormdb.metafile`), have
@@ -28,8 +29,8 @@ import zlib
 
 from .errors import RecoveryError
 
-PAGE_HEADER_SIZE = 16
-_HEADER = struct.Struct("<I4xQ")  # pageid, 4 zero bytes, payload crc32
+PAGE_HEADER_SIZE = 8
+_HEADER = struct.Struct("<II")  # pageid, payload crc32
 
 
 def payload_checksum(page: bytes | bytearray | memoryview) -> int:

@@ -1,9 +1,17 @@
 """Slotted heap pages.
 
-A slotted page lives in the application area of a page (after the 16-byte
+A slotted page lives in the application area of a page (after the 8-byte
 recovery header): a 4-byte page header (slot count, data start), a slot
 directory growing upward, and record payloads packed downward from the
 page end. An all-zero page reads as an empty page.
+
+A slot is its record's 2-byte offset alone. Records lie contiguously
+below the page end in slot order, so a record ends where the record of
+the slot before it starts, and slot 0's at the page end. `extend` keeps
+them so, and `replace` either writes a record of the same length over
+the old one or rebuilds the page through `extend`. `spans` reads every
+record's bounds from one unpack of the directory, which is how scans
+walk a page.
 
 `extend` adds a run of records with one copy of their payloads, one
 pack of their slots and one header store, and builds the very bytes that
@@ -15,14 +23,16 @@ fills, before anything reads it, and at commit.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate, chain
+from collections.abc import Iterator
+from itertools import accumulate
 from operator import sub
 
 from .errors import RecordTooLarge
 from .pagefmt import PAGE_HEADER_SIZE
 
 _PAGE_HDR = struct.Struct("<HH")  # slot count, data region start
-_SLOT = struct.Struct("<HH")      # record offset, record length
+_SLOT = struct.Struct("<H")       # record offset
+_SLOT_PAIR = struct.Struct("<HH")  # the slot before a slot, then the slot
 _HDR_AT = PAGE_HEADER_SIZE
 _SLOTS_AT = PAGE_HEADER_SIZE + _PAGE_HDR.size
 SLOT_SIZE = _SLOT.size  # the page bytes a record takes beyond its own
@@ -49,7 +59,7 @@ class SlottedPage:
         _PAGE_HDR.pack_into(self.buf, _HDR_AT, self.count, self.data_start)
 
     def free_space(self) -> int:
-        return self.data_start - (_SLOTS_AT + _SLOT.size * self.count)
+        return self.data_start - (_SLOTS_AT + SLOT_SIZE * self.count)
 
     def try_insert(self, record: bytes) -> int | None:
         """Add a record; returns its slot, or None if it does not fit."""
@@ -73,29 +83,39 @@ class SlottedPage:
         offsets = accumulate(lengths, sub, initial=self.data_start)
         next(offsets)
         start = _SLOTS_AT + SLOT_SIZE * self.count
-        directory = struct.pack(f"<{2 * len(records)}H",
-                                *chain.from_iterable(zip(offsets, lengths)))
+        directory = struct.pack(f"<{len(records)}H", *offsets)
         self.buf[start:start + len(directory)] = directory
         self.data_start -= len(data)
         self.buf[self.data_start:self.data_start + len(data)] = data
         self.count += len(records)
         self._store_header()
 
-    def record(self, slot: int) -> bytes:
+    def _span(self, slot: int) -> tuple[int, int]:
+        """(start, end) of the record in `slot`."""
         if not 0 <= slot < self.count:
             raise IndexError(f"slot {slot} of {self.count}")
-        offset, length = _SLOT.unpack_from(self.buf,
-                                           _SLOTS_AT + _SLOT.size * slot)
-        return bytes(self.buf[offset:offset + length])
+        at = _SLOTS_AT + SLOT_SIZE * slot
+        if slot:
+            end, start = _SLOT_PAIR.unpack_from(self.buf, at - SLOT_SIZE)
+            return start, end
+        return _SLOT.unpack_from(self.buf, at)[0], len(self.buf)
+
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """(start, end) of each record, in slot order, from one unpack of
+        the slot directory."""
+        offsets = struct.unpack_from(f"<{self.count}H", self.buf, _SLOTS_AT)
+        return zip(offsets, (len(self.buf),) + offsets)
+
+    def record(self, slot: int) -> bytes:
+        start, end = self._span(slot)
+        return bytes(self.buf[start:end])
 
     def slots_with_prefix(self, prefix: bytes) -> list[int]:
         """The slots whose record begins with `prefix`, tested in the page
         buffer, so no record is copied."""
         buf = self.buf
-        directory = buf[_SLOTS_AT:_SLOTS_AT + _SLOT.size * self.count]
-        return [slot for slot, (offset, length)
-                in enumerate(_SLOT.iter_unpack(directory))
-                if buf.startswith(prefix, offset, offset + length)]
+        return [slot for slot, (start, end) in enumerate(self.spans())
+                if buf.startswith(prefix, start, end)]
 
     def records(self) -> list[bytes]:
         return [self.record(slot) for slot in range(self.count)]
@@ -106,17 +126,14 @@ class SlottedPage:
         version does not fit even after compaction. A page built by
         inserts comes out as inserts of its new records would build it,
         either way."""
-        if not 0 <= slot < self.count:
-            raise IndexError(f"slot {slot} of {self.count}")
-        offset, length = _SLOT.unpack_from(self.buf,
-                                           _SLOTS_AT + _SLOT.size * slot)
-        if len(record) == length:
-            self.buf[offset:offset + length] = record
+        start, end = self._span(slot)
+        if len(record) == end - start:
+            self.buf[start:end] = record
             return
         contents = self.records()
         contents[slot] = record
         total = sum(len(r) for r in contents)
-        used = _SLOTS_AT + _SLOT.size * len(contents) + total
+        used = _SLOTS_AT + SLOT_SIZE * len(contents) + total
         if used > len(self.buf):
             raise RecordTooLarge(
                 f"record of {len(record)} bytes does not fit in page")

@@ -47,10 +47,9 @@ from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum, stamp_page
 from wormdb.records import FIELD_LIMITS, UserVisitsRecord
 from wormdb.spdu_dfs import unpack_log
 
-# The recovery header `stamp_page` writes: pageid, 4 zero bytes, and the
-# payload's crc32. Pages written before those bytes were zeroed hold the
-# write's ordinal within its transaction there, which nothing reads.
-_PAGE_HEADER = struct.Struct("<I4xQ")
+# The recovery header `stamp_page` writes: the pageid and the payload's
+# crc32.
+_PAGE_HEADER = struct.Struct("<II")
 
 
 def page_header(page: bytes | bytearray) -> tuple[int, int]:
@@ -224,9 +223,10 @@ def reference_pack_record(record: UserVisitsRecord) -> bytes:
 
 
 # A slotted page after the recovery header: slot count and data start,
-# then a directory of (offset, length) slots; an all-zero page is empty.
+# then a directory of slots, each its record's offset alone (a record ends
+# where the one in the slot before starts); an all-zero page is empty.
 _SLOTTED_HEADER = struct.Struct("<HH")
-_SLOT = struct.Struct("<HH")
+_SLOT = struct.Struct("<H")
 
 
 def reference_insert(buf: bytearray, record: bytes) -> int | None:
@@ -241,7 +241,7 @@ def reference_insert(buf: bytearray, record: bytes) -> int | None:
         return None
     offset = data_start - len(record)
     buf[offset:data_start] = record
-    _SLOT.pack_into(buf, slot_at, offset, len(record))
+    _SLOT.pack_into(buf, slot_at, offset)
     _SLOTTED_HEADER.pack_into(buf, PAGE_HEADER_SIZE, count + 1, offset)
     return count
 

@@ -12,13 +12,14 @@ from oracles import data_blocks, log_windows, stored_block
 import wormdb
 from wormdb.cli import load_config, main
 from wormdb.dfs import DfsCluster, DfsConfig, constituent_name
-from wormdb.engine import Database, EngineConfig
+from wormdb.engine import HEAP_START, Database, EngineConfig, parse_catalog
 from wormdb.errors import ConfigError, DatabaseFull, RecoveryError
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb import bench, engine
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
-from wormdb.pagefmt import stamp_page
+from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
+from wormdb.pages import SlottedPage
 from wormdb.spdu_dfs import (
     generation_name,
     pack_footer,
@@ -706,6 +707,84 @@ def test_a_root_of_catalog_version_1_is_one_error_line(small_root, capsys,
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: catalog version 1 not supported"]
+
+
+def _in_the_earlier_layout(pageid, page, heap):
+    """`page` as a root written with 16-byte page headers and 4-byte
+    slots holds it: the header is the pageid, 4 zero bytes and the
+    payload's crc32 as a u64; the catalog (page 0, version 2) and index
+    entries lie 8 bytes further in, and a heap page (`heap` holds its
+    pageids) keeps its records where they are and gives each slot its
+    record's offset and length."""
+    size = len(page)
+    if pageid in heap:
+        spans = list(SlottedPage(bytearray(page)).spans())
+        data_start = spans[-1][0]
+        assert 20 + 4 * len(spans) <= data_start
+        earlier = bytearray(size)
+        earlier[data_start:] = page[data_start:]
+        struct.pack_into("<HH", earlier, 16, len(spans), data_start)
+        for slot, (start, end) in enumerate(spans):
+            struct.pack_into("<HH", earlier, 20 + 4 * slot, start,
+                             end - start)
+        payload = bytes(earlier[16:])
+    else:
+        app = bytearray(page[PAGE_HEADER_SIZE:])
+        if pageid == 0:
+            struct.pack_into("<H", app, 4, 2)  # the catalog's version
+        assert not any(app[size - 16:])
+        payload = bytes(app[:size - 16])
+    return struct.pack("<I4xQ", pageid, zlib.crc32(payload)) + payload
+
+
+def test_a_root_in_the_earlier_page_layout_is_one_error_line(
+        small_root, capsys):
+    """A root whose pages are in the layout written before a slot became
+    its record's offset alone and the page header 8 bytes (a 16-byte
+    header, a version 2 catalog, 4-byte slots) is refused, never misread:
+    an open raises RecoveryError, and `recover` and `run` print one
+    error line and exit 2."""
+    root, config = small_root
+    assert run_cli(["gen", "--tuples", "5", "--seed", "3"], root,
+                   config) == 0
+    capsys.readouterr()
+    cluster = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    db = Database.open(cluster, "db", SMALL_CONFIG["page_size"],
+                       post_commit_threshold=0)
+    db.run_maintenance()  # every page home, the log empty
+    catalog = parse_catalog(db.manager.read_page(db.data_name, 0))
+    heap = range(HEAP_START, HEAP_START + catalog.heap_used)
+    size = db.manager.page_size
+    rewritten = 0
+    for block_id in range(cluster.meta_block_count(db.data_name)):
+        if not db.manager.has_constituent(db.data_name, block_id):
+            continue
+        block = db.manager.read_block(db.data_name, block_id)
+        first = block_id * db.manager.pages_per_block
+        pages = [block[k:k + size] for k in range(0, len(block), size)]
+        rewritten += sum(map(any, pages))
+        db.manager.overwrite_block(db.data_name, block_id, b"".join(
+            _in_the_earlier_layout(first + k, page, heap) if any(page)
+            else page for k, page in enumerate(pages)))
+    assert catalog.heap_used >= 2 and catalog.segments and \
+        rewritten == 1 + catalog.heap_used + sum(
+            seg.pages for seg in catalog.segments)
+    reopened = DfsCluster(
+        DfsConfig(SMALL_CONFIG["block_size"], SMALL_CONFIG["replication"]),
+        SMALL_CONFIG["num_nodes"], root)
+    for recover in (True, False):
+        with pytest.raises(RecoveryError,
+                           match="^catalog page has bad magic$"):
+            Database.open(reopened, "db", SMALL_CONFIG["page_size"],
+                          recover=recover)
+    for command in (["recover"], ["run", "--workload", "scan"]):
+        assert run_cli(command, root) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: catalog page has bad magic"]
 
 
 def test_csv_output(small_root, capsys):

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-import struct
 import sys
 import threading
 import time
@@ -55,8 +54,8 @@ from wormdb.errors import (
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
-from wormdb.pagefmt import PAGE_HEADER_SIZE, payload_checksum
-from wormdb.pages import SlottedPage
+from wormdb.pagefmt import PAGE_HEADER_SIZE
+from wormdb.pages import SlottedPage, empty_free_space
 from wormdb.records import UserVisitsRecord, pack_record, unpack_record
 from wormdb.spdu_dfs import DfsTransactionStore
 
@@ -485,7 +484,7 @@ def crc32_hash(key):
     lambda key: 0x80000000 + crc32_hash(key) % 4096,
 ], ids=["crc32", "constant", "band"])
 def test_index_lookups_equal_a_filter_of_every_entry(monkeypatch, key_hash):
-    """A lookup in a 41-page segment and in a 1-page one finds the rows of
+    """A lookup in a 40-page segment and in a 1-page one finds the rows of
     every entry of its key's hash: for a key whose 51 entries straddle
     pages, keys below a segment's first entry and above its last, and
     absent keys. The search starts at the key's interpolated page, so a
@@ -507,7 +506,7 @@ def test_index_lookups_equal_a_filter_of_every_entry(monkeypatch, key_hash):
     s.commit()
     s.begin("read")
     segments = s.catalog.segments
-    assert [seg.pages for seg in segments] == [41, 1]
+    assert [seg.pages for seg in segments] == [40, 1]
     entries = {seg.start: list(s._segment_entries(seg)) for seg in segments}
     s.commit()
     # per segment, the rows and the pages of each hash's entries
@@ -876,10 +875,11 @@ def test_a_refused_record_leaves_no_fresh_page_dirty():
     s = db.session()
     s.begin("write")
     s.insert_record(rec(1))
-    big = replace(rec(2), dest_url="x" * 100, user_agent="y" * 64,
+    big = replace(rec(2, key="10.100.200.255"), dest_url="x" * 100,
+                  user_agent="y" * 64, language_code="l" * 6,
                   search_word="")
-    big = replace(big, search_word="z" * (236 - len(pack_record(big))))
-    assert len(pack_record(big)) == 236
+    big = replace(big, search_word="z" * (244 - len(pack_record(big))))
+    assert len(pack_record(big)) == 244 == empty_free_space(256)
     with pytest.raises(RecordTooLarge):
         s.insert_record(big)
     assert sorted(s._dirty) == [1] and s.catalog.heap_used == 1
@@ -943,14 +943,19 @@ def test_a_256_page_store_filled_ten_rows_a_commit_is_pinned():
     page's header stopped holding its write ordinal, whose difference
     from its home's the XOR deltas of updated pages held, and again
     (5,029,629 -> 4,135,014) when a remake began to store its block's
-    pages as one zlib stream where that is shorter."""
+    pages as one zlib stream where that is shorter. All four were
+    re-pinned (4811 rows, 1665 writes, 1440 reads, 4,135,014 bytes) when
+    a slot became its record's 2-byte offset alone and the page header 8
+    bytes, not 16: a heap page holds more rows, so 4870 rows are
+    committed and the store ends at the insert of row 4872, the second
+    of the commit after them."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(256)
     assert full == "heap page 234 collides with index space"
     assert not index_read
     s.abort()
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (4811, 1665, 1440, 4_135_014)
-    assert read_all(s) == rows[:4810]
+            cluster.counters.bytes_written) == (4872, 1684, 1455, 4_103_343)
+    assert read_all(s) == rows[:4870]
 
 
 def test_a_272_page_store_ends_at_a_merged_segments_extent():
@@ -962,13 +967,16 @@ def test_a_272_page_store_ends_at_a_merged_segments_extent():
     (6,964,689 -> 5,197,857) as the 256-page store's were, when a log
     block's body began to take its generation's window as its
     dictionary, again (5,197,857 -> 5,192,535) when a page's header
-    stopped holding its write ordinal, and again (5,192,535 -> 4,297,956)
-    when a remake began to store its pages as one shorter zlib stream."""
+    stopped holding its write ordinal, again (5,192,535 -> 4,297,956)
+    when a remake began to store its pages as one shorter zlib stream,
+    and again (4,297,956 -> 4,235,454), with its page writes (1769 ->
+    1767), when a slot became a 2-byte offset and the page header 8
+    bytes."""
     s, cluster, rows, full, index_read = fill_ten_rows_a_commit(272)
     assert full == "index extent of 7 pages collides with heap"
     assert not index_read
     assert (len(rows), s.page_writes, s.page_reads,
-            cluster.counters.bytes_written) == (5120, 1769, 1524, 4_297_956)
+            cluster.counters.bytes_written) == (5120, 1767, 1524, 4_235_454)
     assert read_all(s) == rows[:-10]
 
 
@@ -1234,17 +1242,20 @@ def test_an_unindexed_select_copies_only_the_matching_records(
         monkeypatch):
     """The key's prefix is tested in the page buffer, so a select by a
     key 70 of 1,000 rows carry copies 70 records out of their pages, not
-    every record of the heap."""
+    every record of the heap: the pages the session reads are counted
+    as they are sliced."""
     db = make_db(total=1024)
     bench.generate(db, 1000, seed=2, probe_key="7.7.7.7", probe_count=70)
     copied = [0]
-    record = SlottedPage.record
 
-    def counted(page, slot):
-        copied[0] += 1
-        return record(page, slot)
+    class Counted(bytes):
+        def __getitem__(self, index):
+            copied[0] += isinstance(index, slice)
+            return super().__getitem__(index)
 
-    monkeypatch.setattr(SlottedPage, "record", counted)
+    read_page = db.store.read_page
+    monkeypatch.setattr(db.store, "read_page",
+                        lambda pageid: Counted(read_page(pageid)))
     s = db.session()
     s.begin("read")
     assert len(s.select_by_key("7.7.7.7", use_index=False)) == 70
@@ -1318,9 +1329,11 @@ def test_repeat_read_transaction_reads_no_footer_page():
     database's page cache, though the session still counts them as page
     reads. The reader is another process: a database opened over the
     same cluster, whose page cache holds none of the writer's appends.
-    Its cold begin reads every log block once, whole, for its footer;
-    the log pages it then reads, and the bodies before their blocks that
-    give their windows, come from those reads."""
+    Its cold begin reads every log block once, whole, for its footer,
+    and, to decode the block that holds the catalog, the home of each of
+    its pages logged as a XOR with its home; the log pages it then
+    reads, and the bodies before their blocks that give their windows,
+    come from those reads."""
     db = make_db()
     writer = db.session()
     for txn in range(4):
@@ -1343,11 +1356,14 @@ def test_repeat_read_transaction_reads_no_footer_page():
         read_calls = cluster.counters.read_calls - before.read_calls
         nbytes = cluster.counters.bytes_read - before.bytes_read
         if txn == 0:
-            # the cold begin reads every log block once, whole; the
-            # catalog page from the last block, one commit's, its window
-            # from the bodies before it and every page the select reads
-            # lie in those blocks
-            assert begin_reads == log_blocks(db.store)
+            # the cold begin reads every log block once, whole, and the
+            # homes its catalog's block, one commit's, XORed pages with;
+            # its window comes from the bodies before it, and every page
+            # the select reads lies in those blocks
+            catalog_block = db.store.index[0][0]
+            homes = sum(map(bool, log_bases(db.store, catalog_block)))
+            assert homes == 1
+            assert begin_reads == log_blocks(db.store) + homes
             assert read_calls == begin_reads
             cold_pages = pages
         else:
@@ -1588,70 +1604,6 @@ def test_a_root_whose_log_blocks_take_no_dictionary_opens_and_goes_on(
     db.run_maintenance()
     assert db.store.generation == 2
     assert read_all(s) == rows == read_all(reopen().session())
-
-
-def test_a_root_whose_page_headers_hold_write_ordinals_opens_and_goes_on(
-        tmp_path, monkeypatch):
-    """A root written while a page's header held a write ordinal in
-    bytes 4-7, where a header now holds zeros, has pages of that layout
-    at home and in the log. Nothing reads those bytes: the root opens
-    and recovers clean, answers indexed and unindexed reads, and takes
-    commits, which log updated pages as XORs with homes that hold
-    ordinals, and a batch. Another process reads it all back, with a
-    restart and without."""
-    root = str(tmp_path / "root")
-    ordinals = itertools.count(1)  # none 0, so every old header shows
-
-    def stamp_with_ordinal(pageid, page):
-        return struct.pack("<IIQ", pageid, next(ordinals),
-                           payload_checksum(page)) + \
-            bytes(page[PAGE_HEADER_SIZE:])
-
-    monkeypatch.setattr(spdu_dfs, "stamp_page", stamp_with_ordinal)
-    old = make_db(root=root)
-    for start in range(0, 60, 10):
-        commit_rows(old.session(), range(start, start + 10))
-    drain(old)  # every page home
-    for start in (60, 70):
-        commit_rows(old.session(), range(start, start + 10))
-    monkeypatch.undo()
-
-    def reopen():
-        return Database.open(DfsCluster(DfsConfig(BLOCK, 2), 4, root), "db",
-                             PAGE, recover=False)
-
-    db = reopen()
-    assert db.recover() == "clean"
-    homes = [page for page in (db.manager.read_page(db.data_name, pageid)
-                               for pageid in range(TOTAL)) if any(page)]
-    logged = [db.store.read_page(pageid) for pageid in db.store.index]
-    assert len(homes) > 10 and logged
-    assert all(page[4:8] != bytes(4) for page in homes + logged)
-    s = db.session()
-    s.begin("read")
-    for use_index in (True, False):
-        assert s.select_by_key(rec(35).source_ip, use_index) == [rec(35)]
-    s.commit()
-    s.begin("write")
-    s.update_by_key(rec(5).source_ip, "QRS", use_index=True)
-    s.commit()
-    assert any(log_bases(db.store, log_blocks(db.store) - 1))
-    commit_rows(s, range(80, 90))
-    rows = [replace(rec(i), country_code="QRS") if i == 5 else rec(i)
-            for i in range(90)]
-    assert read_all(reopen().session()) == rows
-    db.run_maintenance()
-    assert db.store.generation == 3
-    restarted = reopen()
-    assert restarted.recover() == "clean"
-    for each in (db, restarted):
-        s = each.session()
-        assert read_all(s) == rows
-        s.begin("read")
-        for use_index in (True, False):
-            assert s.select_by_key(rec(5).source_ip, use_index) == \
-                [rows[5]]
-        s.commit()
 
 
 def test_restart_caches_each_log_block_once():
@@ -2566,7 +2518,10 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
     zero bytes and its payload's crc32 takes 360 bytes off, since an
     updated page's XOR with its home no longer holds the difference of
     two ordinals, and when a remake stored its pages whole: storing them
-    as one zlib stream where that is shorter takes 219,248 bytes off."""
+    as one zlib stream where that is shorter takes 219,248 bytes off,
+    and when a slot held its record's length beside its offset and a
+    page header was 16 bytes: 2-byte slots and an 8-byte header take
+    20,904 bytes and one remake off."""
     faults = FaultInjector()
     db = make_db(total=1024, threshold=0, faults=faults)
     bench.generate(db, 1500, seed=4, probe_key="1.2.3.4", probe_count=9,
@@ -2586,8 +2541,8 @@ def test_threshold_0_dfs_bytes_are_pinned_from_before_log_generations():
             db.manager.remakes_total, db.manager.fills_total) == \
         (1_622_578 - 4_550 - 69_632 - 77_160
          - (1 + 2 * batches) * PAGE * replication + 4 + 178 - 360
-         - 219_248,
-         47 - 2 * batches, 59)
+         - 219_248 - 20_904,
+         47 - 2 * batches - 1, 59)
 
 
 def test_begin_with_a_bad_mode_queues_nothing():
@@ -2611,7 +2566,9 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written(
     nothing then copies those home, and the two data files read the
     same page by page. The sha256 of the first's blocks in order, each
     padded with the zeros past its constituent's end to a whole block,
-    and the sha256 of the heap's pages are pinned."""
+    and the sha256 of the heap's pages are pinned; both were re-pinned
+    when a slot became its record's 2-byte offset alone and the page
+    header 8 bytes."""
     db, logged = (make_db(total=1024, threshold=16) for _ in range(2))
     monkeypatch.setattr(logged.store, "_unwritten", lambda block_id: False)
     newest = []
@@ -2633,12 +2590,12 @@ def test_unlogged_blocks_hold_the_bytes_the_log_would_have_written(
             newest[0][0]).heap_used):
         heap.update(newest[0][pageid])
     assert heap.hexdigest() == \
-        "b07204120a21d027cd1a9ec9b11a4553dba3d832be09ecb58d62f4c8c895f5c7"
+        "4ded29e7fa4a388bc217e2e78487627faf66e34b3746f6cd085ef78d67985ac8"
     digest = hashlib.sha256()
     for block in data_blocks(db.store):
         digest.update(block.ljust(db.manager.block_size, b"\0"))
     assert digest.hexdigest() == \
-        "1c6aaf7df6346d3d58b4d1f533289057813ca977d4a0f97653aa566964915c23"
+        "d2f7b09ea54ecccd0f0690aab187f969bdbd0dc3e5ef61ac235476185477d649"
 
 
 @pytest.mark.parametrize("reuse, total, sizes, page", [

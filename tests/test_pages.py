@@ -94,18 +94,18 @@ def test_empty_free_space_is_a_fresh_pages(page_size):
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
 def test_stamp_page_fills_in_the_header_and_leaves_the_payload(kind):
-    """The stamped page is the recovery header (pageid, 4 zero bytes,
-    the payload's crc32) and the payload as it was, whatever bytes 4-7
-    of the page handed in hold; that page is left as it was, and a
+    """The stamped page is the 8-byte recovery header (pageid, then the
+    payload's crc32) and the payload as it was, whatever the header area
+    of the page handed in holds; that page is left as it was, and a
     bytearray can still be resized."""
     rng = random.Random(5)
     page = kind(rng.randbytes(PAGE))
     stamped = stamp_page(9, page)
     assert type(stamped) is bytes
+    assert PAGE_HEADER_SIZE == 8
     assert stamped == struct.pack(
-        "<I4xQ", 9, zlib.crc32(page[PAGE_HEADER_SIZE:])) + \
+        "<II", 9, zlib.crc32(page[PAGE_HEADER_SIZE:])) + \
         bytes(page[PAGE_HEADER_SIZE:])
-    assert stamped[4:8] == bytes(4)
     verify_page(9, stamped)
     assert page_header(stamped) == (9, zlib.crc32(page[PAGE_HEADER_SIZE:]))
     if kind is bytearray:
@@ -239,3 +239,54 @@ def test_replace_refuses_a_slot_past_the_end():
     for slot in (1, -1):
         with pytest.raises(IndexError):
             page.replace(slot, b"b" * 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([512, 4096]), st.data())
+def test_derived_lengths_hold_under_any_mix_of_extends_and_replaces(
+        page_size, data):
+    """A slot holds only its record's offset, so a record's length is
+    read from its neighbour's offset. Under any mix of `extend` and
+    `replace` (of the same, a shorter and a longer length), every slot
+    reads back its record, `free_space` is the page less its headers,
+    2 bytes a slot and the payloads, and each `extend` builds the bytes
+    that `try_insert` of its records in turn builds. A call that does
+    not fit raises RecordTooLarge and leaves the page as it was."""
+    largest = page_size // 6
+    record = st.binary(max_size=largest)
+    page = SlottedPage(bytearray(page_size))
+    model: list[bytes] = []
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        before = bytes(page.buf)
+        if not model or data.draw(st.booleans(), label="extend"):
+            records = data.draw(st.lists(record, max_size=8), label="run")
+            inserted = SlottedPage(bytearray(before))
+            slots = [inserted.try_insert(r) for r in records]
+            if None in slots:
+                with pytest.raises(RecordTooLarge):
+                    page.extend(records)
+                assert page.buf == before
+            else:
+                page.extend(records)
+                assert page.buf == inserted.buf
+                assert slots == list(range(len(model),
+                                           len(model) + len(records)))
+                model += records
+        else:
+            slot = data.draw(st.integers(0, len(model) - 1), label="slot")
+            length = len(model[slot]) + data.draw(st.sampled_from(
+                [0, -min(len(model[slot]), 7), 9]), label="change")
+            new = data.draw(st.binary(min_size=length, max_size=length),
+                            label="record")
+            try:
+                page.replace(slot, new)
+            except RecordTooLarge:
+                assert length > len(model[slot]) and page.buf == before
+            else:
+                model[slot] = new
+        reloaded = SlottedPage(page.buf)
+        assert [reloaded.record(slot) for slot in range(len(model))] == \
+            [bytes(page.buf[start:end]) for start, end in page.spans()] == \
+            model
+        assert page.free_space() == reloaded.free_space() == page_size - \
+            PAGE_HEADER_SIZE - 4 - 2 * len(model) - sum(map(len, model))

@@ -16,7 +16,8 @@ CHECKOUT = Path(__file__).resolve().parents[1]
     ("code_lines.py", [], "total"),
     ("index_cost.py", ["--page-size", "512", "--load", "10", "300",
                        "--window", "500"], "commits   501-1000"),
-    ("log_cost.py", ["--seed", "3"], "write_amp "),
+    ("log_cost.py", ["--seed", "3", "--rows", "5000", "--txns", "1000"],
+     "write_amp "),
 ], ids=["code_lines", "index_cost", "log_cost"])
 def test_a_tool_runs_to_its_end(script, args, last_line):
     result = subprocess.run(

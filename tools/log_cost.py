@@ -1,12 +1,13 @@
 """Print where the DFS bytes of the benchmark's oltp run go.
 
-    python tools/log_cost.py [--seed N]
+    python tools/log_cost.py [--seed N] [--rows N] [--txns N]
 
 It loads the benchmark's 100,000 seeded rows in 10,000-row commits and
 then runs its oltp mix of 2,500 transactions, the run of
 `python3 perfbench/run.py --workload oltp --seconds 25` at the same seed
-(3 by default). For the load and for the oltp phase it prints the DFS
-bytes written, every replica counted:
+(3 by default); `--rows` and `--txns` set a smaller load and phase for
+a quick run. For the load and for the oltp phase it prints the DFS bytes
+written, every replica counted:
 
 - `log by kind`: what each catalog, heap and index page adds to its log
   block's compressed body, that is the stream's length with the page
@@ -153,10 +154,12 @@ def report(name: str, counts: Counter) -> None:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--rows", type=int, default=ROWS)
+    parser.add_argument("--txns", type=int, default=TXNS)
     args = parser.parse_args(argv)
 
-    table = make_rows(args.seed, ROWS)
-    ops = oltp_ops(args.seed, table, TXNS)
+    table = make_rows(args.seed, args.rows)
+    ops = oltp_ops(args.seed, table, args.txns)
     tally = Tally()
     instrument(tally, EngineConfig().replication)  # the benchmark's config
     _, cluster, db = load(table, None)
@@ -165,8 +168,9 @@ def main(argv: list[str] | None = None) -> None:
     tally.phase = "phase"
     phase = Client(cluster, db, model).run(ops)
     assert not phase.failed, phase.errors[:3]
-    report(f"load of {ROWS:,} rows, seed {args.seed}", tally.bytes["load"])
-    report(f"oltp phase of {TXNS:,} transactions", tally.bytes["phase"])
+    report(f"load of {args.rows:,} rows, seed {args.seed}",
+           tally.bytes["load"])
+    report(f"oltp phase of {args.txns:,} transactions", tally.bytes["phase"])
     written = tally.bytes["load"]["all"] + tally.bytes["phase"]["all"]
     print(f"write_amp {written / (loaded + phase.written_bytes):.6f}")
 
