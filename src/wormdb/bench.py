@@ -13,7 +13,6 @@ import random
 import string
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import date
 
 from .engine import Database
@@ -27,43 +26,8 @@ _COUNTRY = ["USA", "KOR", "DEU", "FRA", "JPN", "BRA", "IND", "GBR"]
 _LANG = ["en", "ko", "de", "fr", "ja", "pt", "hi", "en-GB"]
 
 
-@dataclass
-class WorkloadSpec:
-    kind: str                       # scan | insert | select | update
-    limit: int = 100_000            # scan
-    repeat: int = 10_000            # insert
-    key: str = DEFAULT_PROBE_KEY    # select / update
-    use_index: bool = True
-    new_country_code: str = "ABC"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("scan", "insert", "select", "update"):
-            raise ValueError(f"unknown workload kind: {self.kind}")
-        if self.limit < 0 or self.repeat <= 0:
-            raise ValueError("counts must be positive")
-
-
-@dataclass
-class MetricsReport:
-    workload: str
-    elapsed: float
-    page_reads: int
-    page_writes: int
-    dfs_remakes: int
-    network_bytes: int
-    records_returned: int
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "elapsed": round(self.elapsed, 6),
-            "page_reads": self.page_reads,
-            "page_writes": self.page_writes,
-            "dfs_remakes": self.dfs_remakes,
-            "network_bytes": self.network_bytes,
-            "records_returned": self.records_returned,
-        }
+# the kinds `run_workload` runs, and the CLI's `run --workload` choices
+WORKLOADS = ("scan", "insert", "select", "update")
 
 
 def _rand_ip(rng: random.Random, exclude: str) -> str:
@@ -122,42 +86,50 @@ def generate(db: Database, num_tuples: int, seed: int,
         raise
 
 
-def _insert_records(spec: WorkloadSpec) -> list[UserVisitsRecord]:
+def _insert_records(count: int, key: str,
+                    seed: int) -> list[UserVisitsRecord]:
     """The insert workload's rows, made before its timer starts."""
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     day = date(2200, 1, 1).toordinal()
     records = []
-    for _ in range(spec.repeat):
+    for _ in range(count):
         day += rng.random() < 0.01
-        records.append(make_record(rng, day, _rand_ip(rng, spec.key)))
+        records.append(make_record(rng, day, _rand_ip(rng, key)))
     return records
 
 
-def run_workload(db: Database, spec: WorkloadSpec) -> MetricsReport:
-    """Execute one workload in a fresh session, whose page cache starts
-    cold; the database's meta-file page cache is shared, so a page read
-    before is not read from the DFS again and `network_bytes` falls. A
-    workload that raises is aborted, so it leaves no lock behind."""
+def run_workload(db: Database, kind: str, *, limit: int = 100_000,
+                 repeat: int = 10_000, key: str = DEFAULT_PROBE_KEY,
+                 use_index: bool = True, new_country_code: str = "ABC",
+                 seed: int = 0) -> dict:
+    """Execute one workload of WORKLOADS in a fresh session, whose page
+    cache starts cold, and return its counters: a scan reads up to
+    `limit` rows, an insert adds `repeat` seeded rows, and a select or
+    update finds the rows of `key`. The database's meta-file page cache
+    is shared, so a page read before is not read from the DFS again and
+    `network_bytes` falls. A workload that raises is aborted, so it
+    leaves no lock behind."""
+    if kind not in WORKLOADS:
+        raise ValueError(f"unknown workload kind: {kind}")
     cluster = db.manager.cluster
     remakes0 = db.manager.remakes_total
     net0 = cluster.counters.bytes_read + cluster.counters.bytes_written
-    session = db.session(f"bench-{spec.kind}")
-    records = _insert_records(spec) if spec.kind == "insert" else []
+    session = db.session(f"bench-{kind}")
+    records = _insert_records(repeat, key, seed) if kind == "insert" else []
     start = time.perf_counter()
-    returned = 0
-    session.begin("read" if spec.kind in ("scan", "select") else "write")
+    session.begin("read" if kind in ("scan", "select") else "write")
     try:
-        if spec.kind == "scan":
-            returned = len(session.scan(spec.limit))
-        elif spec.kind == "insert":
+        if kind == "scan":
+            returned = len(session.scan(limit))
+        elif kind == "insert":
             for record in records:
                 session.insert_record(record)
-                returned += 1
-        elif spec.kind == "select":
-            returned = len(session.select_by_key(spec.key, spec.use_index))
+            returned = len(records)
+        elif kind == "select":
+            returned = len(session.select_by_key(key, use_index))
         else:  # update
-            returned = session.update_by_key(
-                spec.key, spec.new_country_code, spec.use_index)
+            returned = session.update_by_key(key, new_country_code,
+                                             use_index)
         session.commit()
     except BaseException:
         if session.mode is not None:
@@ -165,52 +137,45 @@ def run_workload(db: Database, spec: WorkloadSpec) -> MetricsReport:
         raise
     elapsed = time.perf_counter() - start
     net1 = cluster.counters.bytes_read + cluster.counters.bytes_written
-    return MetricsReport(
-        workload=spec.kind,
-        elapsed=elapsed,
-        page_reads=session.page_reads,
-        page_writes=session.page_writes,
-        dfs_remakes=db.manager.remakes_total - remakes0,
-        network_bytes=net1 - net0,
-        records_returned=returned,
-    )
+    return {
+        "workload": kind,
+        "elapsed": round(elapsed, 6),
+        "page_reads": session.page_reads,
+        "page_writes": session.page_writes,
+        "dfs_remakes": db.manager.remakes_total - remakes0,
+        "network_bytes": net1 - net0,
+        "records_returned": returned,
+    }
 
 
-@dataclass
-class SoakResult:
-    events: int
-    baseline: int
-    committed_inserts: int
-    aborted: int
-    final_count: int
-    monotonic_reads_ok: bool
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors and self.monotonic_reads_ok
+def _row_count(db: Database, name: str) -> int:
+    """The table's rows, counted by a read transaction of session
+    `name`."""
+    session = db.session(name)
+    session.begin("read")
+    count = len(session.scan(10 ** 9))
+    session.commit()
+    return count
 
 
-def soak(db: Database, sessions: int, events: int, seed: int) -> SoakResult:
+def soak(db: Database, sessions: int, events: int, seed: int) -> dict:
     """Concurrent sessions doing small insert and scan transactions.
 
     Checks the visibility contract: a reader that acquires the lock after
     a commit sees at least everything committed before its grant, and the
-    final table size equals the number of committed inserts.
+    final table size equals the number of committed inserts. Returns the
+    counts, `ok`, and `errors`, a message for each check that failed and
+    each exception a worker caught; `ok` is whether there is none.
     """
     rng = random.Random(seed)
     counts_lock = threading.Lock()
-    baseline_session = db.session("soak-baseline")
-    baseline_session.begin("read")
-    baseline = len(baseline_session.scan(10 ** 9))
-    baseline_session.commit()
-    committed = [0]
-    aborted = [0]
+    baseline = _row_count(db, "soak-baseline")
+    committed = aborted = 0
     errors: list[str] = []
-    monotonic_ok = [True]
     per_thread = max(1, events // (2 * sessions))  # begin+end pairs
 
     def worker(worker_seed: int, name: str):
+        nonlocal committed, aborted
         wrng = random.Random(worker_seed)
         session = db.session(name)
         day = date(2300, 1, 1).toordinal()
@@ -226,19 +191,22 @@ def soak(db: Database, sessions: int, events: int, seed: int) -> SoakResult:
                     if wrng.random() < 0.25:
                         session.abort()
                         with counts_lock:
-                            aborted[0] += 1
+                            aborted += 1
                     else:
                         with counts_lock:
                             # The count is published before release; any
                             # later reader must see at least this many.
-                            committed[0] += 1
+                            committed += 1
                         session.commit()
                 else:
                     with counts_lock:
-                        floor = committed[0] - 1  # one commit may be in flight
+                        # one commit may be in flight
+                        floor = max(0, committed - 1)
                     seen = len(session.scan(10 ** 9))
-                    if seen < baseline + max(0, floor):
-                        monotonic_ok[0] = False
+                    if seen < baseline + floor:
+                        errors.append(f"{name}: read {seen} rows, fewer "
+                                      f"than baseline {baseline} + "
+                                      f"committed {floor}")
                     session.commit()
             except Exception as exc:  # noqa: BLE001 - soak reports, not raises
                 errors.append(f"{name}: {exc!r}")
@@ -254,19 +222,16 @@ def soak(db: Database, sessions: int, events: int, seed: int) -> SoakResult:
     for t in threads:
         t.join()
 
-    check = db.session("soak-check")
-    check.begin("read")
-    final = len(check.scan(10 ** 9))
-    check.commit()
-    if final != baseline + committed[0]:
+    final = _row_count(db, "soak-check")
+    if final != baseline + committed:
         errors.append(f"final count {final} != baseline {baseline} "
-                      f"+ committed {committed[0]}")
-    return SoakResult(
-        events=per_thread * 2 * sessions,
-        baseline=baseline,
-        committed_inserts=committed[0],
-        aborted=aborted[0],
-        final_count=final,
-        monotonic_reads_ok=monotonic_ok[0],
-        errors=errors,
-    )
+                      f"+ committed {committed}")
+    return {
+        "events": per_thread * 2 * sessions,
+        "baseline": baseline,
+        "committed_inserts": committed,
+        "aborted": aborted,
+        "final_count": final,
+        "ok": not errors,
+        "errors": errors,
+    }

@@ -146,18 +146,12 @@ def cmd_run(args, faults: FaultInjector) -> int:
         print(f"error: database needs recovery ({needed}); "
               f"run `wormdb recover` first", file=sys.stderr)
         return 2
-    spec = bench.WorkloadSpec(
-        kind=args.workload,
-        limit=args.limit,
-        repeat=args.repeat,
-        key=args.key,
-        use_index=args.index,
-        seed=args.seed,
-    )
     if args.crash_point:
         # armed once: the first traversal in any run kills the process
         faults.arm(args.crash_point, action="exit")
-    reports = [bench.run_workload(db, spec).as_dict()
+    reports = [bench.run_workload(db, args.workload, limit=args.limit,
+                                  repeat=args.repeat, key=args.key,
+                                  use_index=args.index, seed=args.seed)
                for _ in range(args.repeat_runs)]
     for report in reports:
         emit(report, args.out)
@@ -179,16 +173,8 @@ def cmd_recover(args, faults: FaultInjector) -> int:
 def cmd_soak(args, faults: FaultInjector) -> int:
     db = _open_existing(args.root, faults, recover=True)
     result = bench.soak(db, args.sessions, args.events, args.seed)
-    emit({
-        "events": result.events,
-        "baseline": result.baseline,
-        "committed_inserts": result.committed_inserts,
-        "aborted": result.aborted,
-        "final_count": result.final_count,
-        "ok": result.ok,
-        "errors": len(result.errors),
-    }, args.out)
-    return 0 if result.ok else 1
+    emit({**result, "errors": len(result["errors"])}, args.out)
+    return 0 if result["ok"] else 1
 
 
 def _at_least(minimum: int):
@@ -221,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=bench.DEFAULT_PROBE_COUNT)
 
     run = sub.add_parser("run", help="run one workload")
-    run.add_argument("--workload", required=True,
-                     choices=("scan", "insert", "select", "update"))
+    run.add_argument("--workload", required=True, choices=bench.WORKLOADS)
     run.add_argument("--limit", type=_at_least(0), default=100_000)
     run.add_argument("--repeat", type=_at_least(1), default=10_000)
     run.add_argument("--key", default=bench.DEFAULT_PROBE_KEY)

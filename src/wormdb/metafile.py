@@ -6,9 +6,11 @@ remake: the new content is created as ``<constituent>.new`` and renamed
 over the constituent, which replaces it in one NameNode mutation, so a
 failure at any step leaves the block whole, old or new. A ``.new`` file
 a failure left is garbage that the next remake of its block deletes.
-Appending creates the next constituent. Page addressing is the static
-split ``block_id = pageid // N``, ``page_offset = pageid % N`` for ``N``
-pages per block.
+Appending creates the next constituent and returns its block_id and
+the file_id `create_file` gave it, the id its cache entry is tagged
+with, so a writer learns it with no NameNode call. Page addressing is
+the static split ``block_id = pageid // N``, ``page_offset = pageid % N``
+for ``N`` pages per block.
 
 A meta file is named, not held: every `MetaDfsManager` method takes the
 meta file's name, and its block count lives only in the NameNode's
@@ -243,10 +245,11 @@ class MetaDfsManager:
                 f"block {block_id} of {file} (has {count})")
         return constituent_name(file, block_id)
 
-    def append_block(self, file: str, content: bytes) -> int:
+    def append_block(self, file: str, content: bytes) -> tuple[int, int]:
         """Append `content`, 1 to `block_size` bytes, as the next block
         with one NameNode mutation and cache it (see above). Returns the
-        block_id."""
+        block_id and the file_id of its constituent, so the caller needs
+        no NameNode call to learn it."""
         content = bytes(content)
         self._check_block(content, whole_pages=False)
         count = self.cluster.meta_block_count(file)
@@ -254,7 +257,7 @@ class MetaDfsManager:
         file_id = self.cluster.create_file(name, content,
                                            meta=file).file_id
         self._cache[name] = (file_id, content)
-        return count
+        return count, file_id
 
     def overwrite_block(self, file: str, block_id: int,
                         content: bytes) -> None:

@@ -110,13 +110,6 @@ class SlottedPage:
         start, end = self._span(slot)
         return bytes(self.buf[start:end])
 
-    def slots_with_prefix(self, prefix: bytes) -> list[int]:
-        """The slots whose record begins with `prefix`, tested in the page
-        buffer, so no record is copied."""
-        buf = self.buf
-        return [slot for slot, (start, end) in enumerate(self.spans())
-                if buf.startswith(prefix, start, end)]
-
     def records(self) -> list[bytes]:
         return [self.record(slot) for slot in range(self.count)]
 

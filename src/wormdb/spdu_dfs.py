@@ -35,14 +35,15 @@ page and files being write-once:
   page unlike its home, a fresh index segment over a freed extent, is
   raw. So is a page whose home is a hole or has every replica dead, so a
   commit does not fail for a dead home. Homes are read through the
-  manager's cache, each home's entry once per log block encoded or
-  decoded. A base that is home's current file_id decodes by XOR with
-  home. Any other nonzero base names a home that a batch remade before
-  it stopped short of its commit (a successful batch leaves no page of
-  a block it remade in the log). That batch wrote home the
-  newest committed copy of each page it found logged, and every copy
-  logged since names the new id, so home holds the very copy the index
-  names, and the reader reads home. A base is never handed out again
+  manager's cache: an encode looks each home's entry up once per log
+  block, and a decode looks up the entry of one page's home, when that
+  page is first read. A base that is home's current file_id decodes by
+  XOR with home. Any other nonzero base names a home that a batch
+  remade before it stopped short of its commit (a successful batch
+  leaves no page of a block it remade in the log). That batch wrote
+  home the newest committed copy of each page it found logged, and
+  every copy logged since names the new id, so home holds the very copy
+  the index names, and the reader reads home. A base is never handed out again
   while its delta is in the table: the log block that holds the delta
   was created after its base, so its id is larger, and a DfsCluster,
   one reopened over a root too, hands out ids above every id in its
@@ -68,12 +69,17 @@ page and files being write-once:
   decompressed in order, from block 0 or from the newest block the
   store's window follows. A replay XOR-decodes nothing, so it reads no
   home, and the store keeps only its last window, 32 KB.
-* A log copy of a page is a slice of its block's decoded body, the
-  pages themselves. Each store keeps bodies keyed by the constituent's
-  file_id, which the NameNode never reuses, and drops them whenever its
-  index is replaced, so they are at most the raw log: the pages of each
-  block it appends, and the decoded body of any other block when a page
-  of it is first read, which replays the block's window first. A body
+* A log copy of a page is a page of its block's body, kept as a list of
+  pages. Each store keeps bodies keyed by the constituent's file_id,
+  which the NameNode never reuses, and drops them whenever its index is
+  replaced, so they are at most the raw log: the pages of each block it
+  appends, the very objects it stamped or, for a block a batch carries,
+  the log copies it carried, and the body of any other block when a
+  page of it is first read, which replays the block's window first and
+  unpacks the block whole. Such a block's raw pages are kept as they
+  are, and each delta with its base until its page is first read, when
+  it is decoded by that base (above) and kept decoded in its place, so
+  a reader reads the homes only of the deltas it reads. A body
   that fails zlib's check with its window or decodes to other than its
   listed pages and their bases is a torn block too, and so fails every
   block after it in its generation.
@@ -196,7 +202,7 @@ finds a page below 0 or past the last block OutOfRange, and a write
 looks its block up before it stamps the page.
 
 One instance per database, shared by its sessions as the manager's
-cache is: the index, the decoded bodies and the window are the
+cache is: the index, the bodies and the window are the
 database's. The write state (the buffer and the in-place blocks) is
 the open writer's: a writer's begin, its commit and the end of its
 session run `end_transaction`, and a reader's begin leaves it. Reads
@@ -205,7 +211,8 @@ upgrades its own read, so an owner's read may see that owner's own open
 write, and no other owner's read overlaps a write. Readers that begin at once rebuild
 the index once, under one lock. The body memo and the window take no
 lock: a race costs one more decode or replay, since the window is
-replaced whole, with the block it follows.
+replaced whole, with the block it follows, and a page decoded twice is
+the same page, stored in one list item.
 """
 
 from __future__ import annotations
@@ -425,8 +432,9 @@ class DfsTransactionStore:
         # matched it
         self._seen_version = -1
         self._capacity = self.pages_per_block - 1
-        # constituent file_id -> the decoded body of a log block
-        self._bodies: dict[int, bytes] = {}
+        # constituent file_id -> the pages of a log block, a logged
+        # delta as (delta, base) until its first read
+        self._bodies: dict[int, list[bytes | tuple[bytes, int]]] = {}
         # (file_id, window, at): the window that follows the log block
         # whose constituent is file_id (0 for none), and the live
         # generation's (name, version) while that block is its last
@@ -489,19 +497,24 @@ class DfsTransactionStore:
         return self.manager.read_page(self.data, pageid)
 
     def _log_copy(self, pageid: int) -> bytes:
-        """The log copy of a page the index holds: a slice of its block's
-        decoded body."""
+        """The log copy of a page the index holds: its page in its
+        block's body, decoded by its base at its first read (see
+        above)."""
         block_id, slot = self.index[pageid]
-        start = slot * self.page_size
-        return self._body(block_id)[start:start + self.page_size]
+        pages = self._body(block_id)
+        page = pages[slot]
+        if isinstance(page, tuple):
+            page = pages[slot] = self._decoded(pageid, *page)
+        return page
 
-    def _body(self, block_id: int) -> bytes:
-        """The decoded body of log block `block_id`: the pages the store
-        appended, or decoded once per constituent (see above)."""
+    def _body(self, block_id: int) -> list[bytes | tuple[bytes, int]]:
+        """The pages of log block `block_id`: those the store appended,
+        or unpacked once per constituent, each a page, or a (delta,
+        base) pair until its first read (see above)."""
         entry = self._log_entry(
             block_id, self.manager.constituent_entry(self.log, block_id))
-        body = self._bodies.get(entry.file_id)
-        if body is None:
+        pages = self._bodies.get(entry.file_id)
+        if pages is None:
             window = self._window_of(
                 self.manager.constituent_entries(self.log), block_id) \
                 if block_id else b""
@@ -509,9 +522,14 @@ class DfsTransactionStore:
                 self.manager.read_bytes(entry), self.page_size, window)
             self._window = (
                 entry.file_id, _next_window(window, encoded), None)
-            body = self._bodies[entry.file_id] = self._decoded(
-                pageids, encoded)
-        return body
+            size = self.page_size
+            bases = struct.unpack_from(
+                f"<{len(pageids)}Q", encoded, len(pageids) * size)
+            pages = self._bodies[entry.file_id] = []
+            for slot, base in enumerate(bases):
+                page = encoded[slot * size:(slot + 1) * size]
+                pages.append((page, base) if base else page)
+        return pages
 
     def _window_of(self, entries: list[DfsFileEntry | None],
                    block_id: int) -> bytes:
@@ -536,28 +554,16 @@ class DfsTransactionStore:
         self._window = (entries[block_id - 1].file_id, window, None)
         return window
 
-    def _decoded(self, pageids: list[int], body: bytes) -> bytes:
-        """The pages of a log block's decompressed `body`, listed as
-        `pageids`, each decoded by its base (see above)."""
-        size = self.page_size
-        bases = struct.unpack_from(
-            f"<{len(pageids)}Q", body, len(pageids) * size)
-        homes: dict[int, DfsFileEntry | None] = {}
-        pages = []
-        for slot, (pageid, base) in enumerate(zip(pageids, bases)):
-            page = body[slot * size:(slot + 1) * size]
-            if base:
-                block_id, offset = divmod(pageid, self.pages_per_block)
-                if block_id not in homes:
-                    homes[block_id] = self.manager.constituent_entry(
-                        self.data, block_id)
-                home = homes[block_id]
-                home_page = self.manager.read_page_of(home, offset)
-                page = _xor(page, home_page) \
-                    if home is not None and base == home.file_id \
-                    else home_page
-            pages.append(page)
-        return b"".join(pages)
+    def _decoded(self, pageid: int, delta: bytes, base: int) -> bytes:
+        """Page `pageid`, logged as `delta` with nonzero base `base`:
+        `delta` XOR home if `base` is home's current file_id, else home
+        (see above)."""
+        block_id, offset = divmod(pageid, self.pages_per_block)
+        home = self.manager.constituent_entry(self.data, block_id)
+        home_page = self.manager.read_page_of(home, offset)
+        if home is not None and base == home.file_id:
+            return _xor(delta, home_page)
+        return home_page
 
     def _encoded(self, pageids: list[int], pages: list[bytes]) -> bytes:
         """The body of a log block of `pages`, listed as `pageids`: each
@@ -599,7 +605,7 @@ class DfsTransactionStore:
         block_id, file_id, window = self._append(
             self.log, pageids, pages, window, mark_commit)
         self._changed_alone(block_id)
-        self._bodies[file_id] = b"".join(pages)
+        self._bodies[file_id] = pages
         # an append is one NameNode mutation of the generation
         self._window = (file_id, window, (self.log, version + 1))
         self._log_bytes += self._raw_bytes(len(pageids), 1)
@@ -621,9 +627,8 @@ class DfsTransactionStore:
         footer. Returns the block_id, the file_id of its constituent and
         the window that follows it."""
         encoded = self._encoded(pageids, pages)
-        block_id = self.manager.append_block(
+        block_id, file_id = self.manager.append_block(
             log, _log_block(pageids, encoded, window, commit_complete))
-        file_id = self.manager.constituent_entry(log, block_id).file_id
         return block_id, file_id, _next_window(window, encoded)
 
     def _append_window(self, version: int) -> bytes:
@@ -772,14 +777,14 @@ class DfsTransactionStore:
         return len(remade)
 
     def _carry(self, successor: str, pageids: list[int]
-               ) -> tuple[dict[int, tuple[int, int]], dict[int, bytes],
-                          tuple[int, bytes]]:
+               ) -> tuple[dict[int, tuple[int, int]],
+                          dict[int, list[bytes]], tuple[int, bytes]]:
         """Append the log copies of `pageids` to generation `successor` in
         commit-marked blocks of up to a buffer's pages; returns their
         index, their bodies by constituent file_id, and the file_id of
         the last with the window that follows it."""
         index: dict[int, tuple[int, int]] = {}
-        bodies: dict[int, bytes] = {}
+        bodies: dict[int, list[bytes]] = {}
         file_id, window = 0, b""
         for first in range(0, len(pageids), self._capacity):
             chunk = pageids[first:first + self._capacity]
@@ -787,7 +792,7 @@ class DfsTransactionStore:
             self.faults.hit("dfs.batch.before_carry_append")
             block_id, file_id, window = self._append(
                 successor, chunk, copies, window, True)
-            bodies[file_id] = b"".join(copies)
+            bodies[file_id] = copies
             _fold(index, ((block_id, chunk),))
             self.faults.hit("dfs.batch.after_carry_append")
         return index, bodies, (file_id, window)

@@ -463,33 +463,30 @@ def big_db():
 
 @criterion(7, "secondary index benefit")
 def test_criterion_7_index_benefit(big_db):
-    indexed = bench.run_workload(
-        big_db, bench.WorkloadSpec(kind="select", use_index=True))
-    scanned = bench.run_workload(
-        big_db, bench.WorkloadSpec(kind="select", use_index=False))
-    assert indexed.records_returned == 70
-    assert scanned.records_returned == 70
+    indexed = bench.run_workload(big_db, "select", use_index=True)
+    scanned = bench.run_workload(big_db, "select", use_index=False)
+    assert indexed["records_returned"] == 70
+    assert scanned["records_returned"] == 70
     session = big_db.session()
     session.begin("read")
     a = session.select_by_key(bench.DEFAULT_PROBE_KEY, True)
     b = session.select_by_key(bench.DEFAULT_PROBE_KEY, False)
     session.commit()
     assert sorted(map(str, a)) == sorted(map(str, b))
-    ratio = indexed.page_reads / scanned.page_reads
+    ratio = indexed["page_reads"] / scanned["page_reads"]
     assert ratio < 0.01, f"indexed/scan page reads = {ratio:.4%}"
 
 
 def test_scan_workload_at_paper_scale(big_db):
     """Not a numbered criterion: the 100K-row scan returns the full limit
     and touches every heap page up to it."""
-    scan = bench.run_workload(big_db, bench.WorkloadSpec(kind="scan",
-                                                         limit=100_000))
-    assert scan.records_returned == 100_000
+    scan = bench.run_workload(big_db, "scan", limit=100_000)
+    assert scan["records_returned"] == 100_000
     session = big_db.session()
     session.begin("read")
     heap_pages = session.catalog.heap_used
     session.commit()
-    assert scan.page_reads >= heap_pages  # all data pages plus the catalog
+    assert scan["page_reads"] >= heap_pages  # all data pages plus the catalog
 
 
 @criterion(8, "replica fault tolerance")
@@ -502,30 +499,28 @@ def test_criterion_8_fault_tolerance():
     # any 2 replica holders of every block dead: workloads still pass
     cluster.set_node_alive(0, False)
     cluster.set_node_alive(1, False)
-    scan = bench.run_workload(db, bench.WorkloadSpec(kind="scan", limit=2000))
-    assert scan.records_returned == 2000
-    sel = bench.run_workload(db, bench.WorkloadSpec(kind="select"))
-    assert sel.records_returned == 12
-    upd = bench.run_workload(db, bench.WorkloadSpec(kind="update"))
-    assert upd.records_returned == 12
-    ins = bench.run_workload(db, bench.WorkloadSpec(kind="insert", repeat=50))
-    assert ins.records_returned == 50
+    scan = bench.run_workload(db, "scan", limit=2000)
+    assert scan["records_returned"] == 2000
+    sel = bench.run_workload(db, "select")
+    assert sel["records_returned"] == 12
+    upd = bench.run_workload(db, "update")
+    assert upd["records_returned"] == 12
+    ins = bench.run_workload(db, "insert", repeat=50)
+    assert ins["records_returned"] == 50
     cluster.set_node_alive(0, True)
     cluster.set_node_alive(1, True)
 
     # all three holders of a touched block dead: surfaced, not corrupted
-    reference = bench.run_workload(
-        db, bench.WorkloadSpec(kind="scan", limit=10 ** 6))
+    reference = bench.run_workload(db, "scan", limit=10 ** 6)
     entry = cluster.file_entry(f"{db.data_name}/00000000")
     for node_id in entry.holders:
         cluster.set_node_alive(node_id, False)
     with pytest.raises(AllReplicasDead):
-        bench.run_workload(db, bench.WorkloadSpec(kind="scan", limit=2000))
+        bench.run_workload(db, "scan", limit=2000)
     for node_id in entry.holders:
         cluster.set_node_alive(node_id, True)
-    again = bench.run_workload(
-        db, bench.WorkloadSpec(kind="scan", limit=10 ** 6))
-    assert again.records_returned == reference.records_returned
+    again = bench.run_workload(db, "scan", limit=10 ** 6)
+    assert again["records_returned"] == reference["records_returned"]
 
 
 @criterion(9, "page mapping exhaustive")

@@ -825,6 +825,37 @@ def test_soak_command(small_root, capsys):
         report["baseline"] + report["committed_inserts"]
 
 
+def test_soak_reports_a_short_read_as_an_error(monkeypatch):
+    """A worker's read that sees fewer rows than were committed before
+    it is an error message of its own, so the soak is not ok, while the
+    final count still matches."""
+    cluster = DfsCluster(DfsConfig(8192, 2), 4)
+    db = Database.create(cluster, "db", 1024, 512, 16, True,
+                         LockService(), FaultInjector())
+    bench.generate(db, 20, seed=3, probe_count=0)
+    scan = engine.Session.scan
+
+    def short_for_workers(session, limit):
+        rows = scan(session, limit)
+        return rows[:1] if session.owner.split("-")[-1].isdigit() else rows
+
+    monkeypatch.setattr(engine.Session, "scan", short_for_workers)
+    result = bench.soak(db, sessions=2, events=40, seed=1)
+    assert result["ok"] is False
+    assert result["final_count"] == \
+        result["baseline"] + result["committed_inserts"]
+    assert result["errors"] and all(
+        "fewer than baseline 20" in error for error in result["errors"])
+
+
+def test_run_workload_refuses_an_unknown_kind():
+    cluster = DfsCluster(DfsConfig(8192, 2), 4)
+    db = Database.create(cluster, "db", 64, 512, 16, True,
+                         LockService(), FaultInjector())
+    with pytest.raises(ValueError, match="unknown workload kind: delete"):
+        bench.run_workload(db, "delete")
+
+
 def test_counter_determinism_across_generations(tmp_path):
     reports = []
     for run in range(2):
@@ -832,8 +863,7 @@ def test_counter_determinism_across_generations(tmp_path):
         db = Database.create(cluster, "db", 1024, 512, 16, True,
                              LockService(), FaultInjector())
         bench.generate(db, 300, seed=9, probe_count=3)
-        spec = bench.WorkloadSpec(kind="scan", limit=300)
-        report = bench.run_workload(db, spec).as_dict()
+        report = bench.run_workload(db, "scan", limit=300)
         report.pop("elapsed")
         reports.append(report)
     assert reports[0] == reports[1]
@@ -844,12 +874,11 @@ def test_failed_workload_releases_its_lock():
     db = Database.create(cluster, "db", 64, 512, 16, True,
                          LockService(), FaultInjector())
     with pytest.raises(DatabaseFull):
-        bench.run_workload(db, bench.WorkloadSpec(kind="insert",
-                                                  repeat=5000))
+        bench.run_workload(db, "insert", repeat=5000)
     assert db.locks.snapshot(db.data_name) == []
-    bench.run_workload(db, bench.WorkloadSpec(kind="insert", repeat=10))
-    scan = bench.run_workload(db, bench.WorkloadSpec(kind="scan"))
-    assert scan.records_returned == 10
+    bench.run_workload(db, "insert", repeat=10)
+    scan = bench.run_workload(db, "scan")
+    assert scan["records_returned"] == 10
 
 
 def test_generate_zero_tuples():

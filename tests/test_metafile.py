@@ -54,9 +54,11 @@ def test_append_naming_matches_ordinal_scheme(mgr):
     f = "path/data"
     mgr.create_meta(f)
     for i in range(4):
-        assert mgr.append_block(f, block_of(i)) == i
+        block_id, file_id = mgr.append_block(f, block_of(i))
         name = constituent_name("path/data", i)
-        assert cached_ids(mgr)[name] == mgr.cluster.file_entry(name).file_id
+        assert block_id == i
+        assert cached_ids(mgr)[name] == file_id == \
+            mgr.cluster.file_entry(name).file_id
     names = mgr.cluster.list_files("path/data/")
     assert names == [f"path/data/{i:08d}" for i in range(4)]
     assert constituent_name("path/data", 3) == "path/data/00000003"
@@ -300,7 +302,8 @@ def test_a_failed_append_changes_neither_table_nor_cache(disk_mgr,
     failed_save(mgr, monkeypatch, lambda: mgr.append_block(f, block_of(2)))
     assert calls == [("create_file", constituent_name("m", 1), block_of(2),
                       "m")]
-    assert mgr.append_block(f, block_of(3)) == 1
+    assert mgr.append_block(f, block_of(3)) == \
+        (1, mgr.cluster.file_entry(constituent_name("m", 1)).file_id)
     assert mgr.cluster.meta_block_count(f) == 2
     assert mgr.read_block(f, 1) == block_of(3)
     assert mgr.read_page(f, N) == block_of(3)[:PAGE]
@@ -324,7 +327,8 @@ def test_append_after_overwrite_keeps_order(mgr):
     mgr.create_meta(f)
     mgr.append_block(f, block_of(0))
     mgr.overwrite_block(f, 0, block_of(5))
-    assert mgr.append_block(f, block_of(1)) == 1
+    assert mgr.append_block(f, block_of(1)) == \
+        (1, mgr.cluster.file_entry(constituent_name("m", 1)).file_id)
     assert mgr.read_block(f, 0) == block_of(5)
     assert mgr.read_block(f, 1) == block_of(1)
 

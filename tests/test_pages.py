@@ -153,22 +153,6 @@ def test_slotted_page_matches_list_model(items):
     assert page.records() == model
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.binary(min_size=0, max_size=40), max_size=30),
-       st.binary(min_size=0, max_size=4))
-def test_slots_with_prefix_match_the_copied_records(items, prefix):
-    """Tested in the buffer at each slot's offset, a prefix matches
-    exactly the records whose copies begin with it; a prefix longer than
-    a record never matches it, though the bytes after the record do."""
-    page = SlottedPage(bytearray(PAGE))
-    for item in items:
-        if page.try_insert(item) is None:
-            break
-    assert page.slots_with_prefix(prefix) == [
-        slot for slot in range(page.count)
-        if page.record(slot).startswith(prefix)]
-
-
 def _built_by_inserts(records):
     buf = bytearray(PAGE)
     for record in records:

@@ -99,7 +99,7 @@ BLOCK = 8192
 REPLICATION = 2
 TOTAL_PAGES = 2048
 
-# name, WorkloadSpec arguments, (page_reads, page_writes, dfs_remakes,
+# name, run_workload arguments, (page_reads, page_writes, dfs_remakes,
 # records_returned), network_bytes before the page cache
 WORKLOADS = [
     ("scan", dict(kind="scan", limit=10 ** 6), (751, 0, 0, 1500), 384512),
@@ -157,10 +157,11 @@ def test_paper_counters_are_pinned(monkeypatch):
     monkeypatch.setattr(DfsTransactionStore, "batch_post_commit", batch)
     monkeypatch.setattr(MetaDfsManager, "overwrite_block", overwrite)
     for name, spec, counts, network_bytes in WORKLOADS:
-        report = bench.run_workload(db, bench.WorkloadSpec(**spec))
-        assert (report.page_reads, report.page_writes, report.dfs_remakes,
-                report.records_returned) == counts, name
-        assert report.network_bytes <= network_bytes, name
+        report = bench.run_workload(db, **spec)
+        assert (report["page_reads"], report["page_writes"],
+                report["dfs_remakes"], report["records_returned"]) == \
+            counts, name
+        assert report["network_bytes"] <= network_bytes, name
     assert batches and all(len(set(remade)) == len(remade)
                            for remade in batches)
     # every page reads as its newest committed copy, which a batch that
@@ -234,8 +235,7 @@ def test_log_and_data_write_pages_not_blocks(monkeypatch):
     page_writes = 0
     for _, spec, _, _ in WORKLOADS:
         if spec["kind"] in ("update", "insert"):
-            page_writes += bench.run_workload(
-                db, bench.WorkloadSpec(**spec)).page_writes
+            page_writes += bench.run_workload(db, **spec)["page_writes"]
     batches = db.store.generation - generation_before
     remakes = manager.remakes_total - remakes_before
     fills = manager.fills_total - fills_before
