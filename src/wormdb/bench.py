@@ -205,8 +205,8 @@ def soak(db: Database, sessions: int, events: int, seed: int) -> dict:
                     seen = len(session.scan(10 ** 9))
                     if seen < baseline + floor:
                         errors.append(f"{name}: read {seen} rows, fewer "
-                                      f"than baseline {baseline} + "
-                                      f"committed {floor}")
+                                      f"than baseline {baseline} + {floor} "
+                                      f"committed before this read")
                     session.commit()
             except Exception as exc:  # noqa: BLE001 - soak reports, not raises
                 errors.append(f"{name}: {exc!r}")

@@ -525,10 +525,11 @@ class DfsTransactionStore:
             size = self.page_size
             bases = struct.unpack_from(
                 f"<{len(pageids)}Q", encoded, len(pageids) * size)
-            pages = self._bodies[entry.file_id] = []
-            for slot, base in enumerate(bases):
-                page = encoded[slot * size:(slot + 1) * size]
-                pages.append((page, base) if base else page)
+            # stored whole, once built: readers share the memo unlocked
+            pages = [(encoded[slot * size:(slot + 1) * size], base) if base
+                     else encoded[slot * size:(slot + 1) * size]
+                     for slot, base in enumerate(bases)]
+            self._bodies[entry.file_id] = pages
         return pages
 
     def _window_of(self, entries: list[DfsFileEntry | None],

@@ -2092,3 +2092,35 @@ def test_a_delta_reads_only_while_its_home_is_readable():
     for node_id in dead:
         cluster.set_node_alive(node_id, True)
     assert {b: peer.read_page(b * N) for b in blocks} == logged
+
+
+def test_a_cold_body_is_stored_whole():
+    """Readers share the body memo without a lock, so a body enters it
+    only whole: a second reader that reads the block's pages the moment
+    the first stores its body reads every page, each delta decoded."""
+    store = make_store()
+    rng = random.Random(40)
+    blocks = range(1, TOTAL // N)
+    for block in blocks:
+        store.write_page(block * N, page_with(rng))
+    store.commit_transaction()
+    _drain(store)
+    for block in blocks:
+        page = bytearray(store.read_page(block * N))
+        page[PAGE_HEADER_SIZE] ^= 1
+        store.write_page(block * N, bytes(page))
+    store.commit_transaction()
+    assert all(log_bases(store, 0))
+    logged = {b * N: store.read_page(b * N) for b in blocks}
+    reader = _peer(store)
+    reader.begin_transaction(write=False)
+    seen = []
+
+    class Memo(dict):
+        def __setitem__(self, file_id, pages):
+            super().__setitem__(file_id, pages)
+            seen.append({pid: reader.read_page(pid) for pid in logged})
+
+    reader._bodies = Memo()
+    assert reader.read_page(N) == logged[N]
+    assert seen == [logged]
