@@ -25,7 +25,6 @@ from .dfs import DfsCluster
 from .engine import Database, EngineConfig
 from .errors import ConfigError, StorageError
 from .faults import SPDU_DFS_FAULT_POINTS, FaultInjector
-from .locks import LockService
 from .metafile import pages_per_block
 from .spdu_dfs import check_log_geometry
 
@@ -102,7 +101,7 @@ def _open_existing(root: str, faults: FaultInjector,
     cluster = DfsCluster(cfg.dfs_config(), cfg.num_nodes, root)
     return Database.open(cluster, DB_NAME, cfg.page_size,
                          cfg.post_commit_threshold, cfg.deferred,
-                         LockService(), faults, recover=recover)
+                         faults, recover=recover)
 
 
 def emit(report: dict, out: str) -> None:
@@ -127,7 +126,7 @@ def cmd_gen(args, faults: FaultInjector) -> int:
     Database.discard(cluster, DB_NAME, cfg.page_size)
     db = Database.create(cluster, DB_NAME, cfg.total_pages,
                          cfg.page_size, cfg.post_commit_threshold,
-                         cfg.deferred, LockService(), faults)
+                         cfg.deferred, faults)
     # the database exists from here on: a failed load leaves a root that
     # `recover` and `run` open and that a second `gen` refuses
     with open(cfg_path, "w", encoding="utf-8") as fh:

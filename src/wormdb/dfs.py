@@ -56,6 +56,13 @@ on each of its holders before the table names it.
 A save that fails with an OSError reads the table on disk back into
 memory: if the save failed before its rename, the call raises and
 changes nothing but, at worst, such a block.
+
+A cluster also holds the one lock queue, `locks`, of every database
+over it, as GFS and Bigtable clients share one lock service cell
+(Burrows, OSDI 2006): each `Database` takes its database lock from it,
+so writers of any number of instances over the cluster are serialised.
+It is in-process state, like the NameNode table in memory, so two
+cluster objects over one root hold one queue each.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ from .errors import (
     UnknownNode,
     WrongBlockSize,
 )
+from .locks import LockService
 
 NAMENODE_TABLE = "namenode.tbl"
 SUFFIX_WIDTH = 8  # lexicographic order == numeric order up to 10^8 blocks
@@ -205,6 +213,8 @@ class DfsCluster:
         self.config = config
         self.root = root
         self._lock = threading.RLock()
+        # the one lock queue of every database over this cluster
+        self.locks = LockService()
         self.counters = DfsCounters()
         node_root = None
         self._nodes: dict[int, DataNode] = {}

@@ -20,11 +20,12 @@ catalog's `total_pages` bounds the heap and the index extents
 count, which `create` sizes from it, is the store's own bound, so the
 engine never addresses a page the store would refuse.
 
-Sessions acquire the database lock, bring the database's one log table
-index to the log's committed prefix (rebuilding it from the footers only
-after a failed commit or another process's change to the log), and then
-run tuple operations; all page mutations flow through the database's one
-transaction store.
+Sessions acquire the database lock from the cluster's one lock queue
+(`DfsCluster.locks`, shared by every `Database` over the cluster), bring
+the database's one log table index to the log's committed prefix
+(rebuilding it from the footers only after a failed commit or another
+process's change to the log), and then run tuple operations; all page
+mutations flow through the database's one transaction store.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import struct
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import count, islice, starmap
 
 from .dfs import DfsCluster, DfsConfig
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     RecoveryError,
 )
 from .faults import NULL_INJECTOR, FaultInjector
-from .locks import LockService, WRITE
+from .locks import WRITE
 from .metafile import MetaDfsManager
 from .pagefmt import PAGE_HEADER_SIZE
 from .pages import SLOT_SIZE, SlottedPage, empty_free_space
@@ -66,6 +67,10 @@ from .spdu_dfs import (
 )
 
 HEAP_START = 1  # page 0 is the catalog
+# Default session owners are numbered once per process, not per
+# Database: the instances over a cluster share its lock queue, where a
+# granted read lets a later write of the same owner through.
+_SESSION_IDS = count(1)
 # An index segment of e entries, n to a page, is in tier
 # floor(log_FANOUT(e / n)) (`_tier`): above a page that is floor(log_FANOUT)
 # of its pages, near enough, and below a page it is negative, so a ten-row
@@ -226,13 +231,12 @@ class Database:
 
     def __init__(self, manager: MetaDfsManager, name: str,
                  post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
-                 deferred: bool = True, locks: LockService | None = None,
-                 faults: FaultInjector = NULL_INJECTOR):
+                 deferred: bool = True, faults: FaultInjector = NULL_INJECTOR):
         self.manager = manager
         self.name = name
         self.data_name, self.log_name = self.meta_names(name)
-        self.locks = locks if locks is not None else LockService()
-        self._session_seq = 0
+        # the cluster's one lock queue, which every Database over it shares
+        self.locks = manager.cluster.locks
         # the sessions, recovery and maintenance share one store, so one
         # log table index; without deferral every commit runs the batch
         self.store = DfsTransactionStore(
@@ -261,7 +265,7 @@ class Database:
     def create(cls, cluster: DfsCluster, name: str, total_pages: int,
                page_size: int,
                post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
-               deferred: bool = True, locks: LockService | None = None,
+               deferred: bool = True,
                faults: FaultInjector = NULL_INJECTOR) -> "Database":
         """Create database `name` and open it. A page size or block size
         the store cannot log (`check_log_geometry`) raises ValueError
@@ -274,14 +278,12 @@ class Database:
         create_data_meta(manager, data_name, total_pages,
                          pack_catalog(catalog, page_size))
         create_log_meta(manager, log_name)
-        return cls(manager, name, post_commit_threshold, deferred, locks,
-                   faults)
+        return cls(manager, name, post_commit_threshold, deferred, faults)
 
     @classmethod
     def open(cls, cluster: DfsCluster, name: str, page_size: int,
              post_commit_threshold: int = DEFAULT_POST_COMMIT_THRESHOLD,
              deferred: bool = True,
-             locks: LockService | None = None,
              faults: FaultInjector = NULL_INJECTOR,
              recover: bool = True) -> "Database":
         manager = MetaDfsManager(cluster, page_size)
@@ -290,8 +292,7 @@ class Database:
             raise NotFound(f"no database: {name}")
         # parsed only so that a catalog of another version fails here
         parse_catalog(manager.read_page(data_name, 0))
-        db = cls(manager, name, post_commit_threshold, deferred, locks,
-                 faults)
+        db = cls(manager, name, post_commit_threshold, deferred, faults)
         if recover:
             db.recover()
         return db
@@ -299,12 +300,26 @@ class Database:
     def recover(self) -> str:
         """Run restart processing; returns "rollback" or "clean". Restart
         drops every log generation but the lowest, the live one, and
-        truncates its uncommitted tail: it writes no page."""
-        return self.store.restart_system()
+        truncates its uncommitted tail: it writes no page.
+
+        It runs under the database's write lock, taken for owner
+        "recovery" straight from the cluster's lock queue, not through a
+        session, whose write `begin` would truncate the tail first and
+        so make every restart "clean". So no commit or batch of any
+        `Database` over the cluster is in flight while restart drops
+        generations and truncates; a batch's g+1 is never taken for an
+        abandoned one. A thread that holds a lock on this database and
+        opens a second instance with recovery therefore waits for
+        itself, for good.
+        """
+        lockid = self.locks.request_lock(self.data_name, WRITE, "recovery")
+        try:
+            return self.store.restart_system()
+        finally:
+            self.locks.release_lock(self.data_name, lockid)
 
     def session(self, owner: str | None = None) -> "Session":
-        self._session_seq += 1
-        return Session(self, owner or f"session-{self._session_seq}")
+        return Session(self, owner or f"session-{next(_SESSION_IDS)}")
 
     def run_maintenance(self) -> int:
         """Deferred post-commit outside any commit (the periodic trigger).

@@ -141,9 +141,11 @@ page and files being write-once:
   commit_complete block) plus the blocks the store's own open
   transaction has flushed.
   `begin_transaction`, which restart also runs, restores it from
-  footers only. Writers are serialised by the database lock, so at a
-  write begin any block past the committed prefix is garbage a failed
-  commit left, and one truncate drops it.
+  footers only. Writers are serialised by the database lock, which
+  every database over the cluster shares (`DfsCluster.locks`) and
+  which restart holds too, so at a write begin any block past the
+  committed prefix is garbage a failed commit left, and one truncate
+  drops it.
   A begin reads the live generation's NameNode version
   (`MetaDfsManager.version`), which dropping the generation moves too.
   Only if it moved since the index last matched it and the generation

@@ -24,7 +24,6 @@ from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database
 from wormdb.errors import AllReplicasDead
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
-from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.spdu_dfs import (
     DfsTransactionStore,
@@ -455,8 +454,7 @@ def test_criterion_6_visibility():
 @pytest.fixture(scope="module")
 def big_db():
     cluster = DfsCluster(DfsConfig(16 * 1024, 3), 5)
-    db = Database.create(cluster, "db", 28672, 1024, 64, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 28672, 1024, 64, True, FaultInjector())
     bench.generate(db, 100_000, seed=42)
     return db
 
@@ -492,8 +490,7 @@ def test_scan_workload_at_paper_scale(big_db):
 @criterion(8, "replica fault tolerance")
 def test_criterion_8_fault_tolerance():
     cluster = DfsCluster(DfsConfig(BLOCK, 3), 5)
-    db = Database.create(cluster, "db", 2048, PAGE, 16, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 2048, PAGE, 16, True, FaultInjector())
     bench.generate(db, 2000, seed=8, probe_count=12)
 
     # any 2 replica holders of every block dead: workloads still pass

@@ -16,7 +16,6 @@ from wormdb.engine import HEAP_START, Database, EngineConfig, parse_catalog
 from wormdb.errors import ConfigError, DatabaseFull, RecoveryError
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
 from wormdb import bench, engine
-from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.pagefmt import PAGE_HEADER_SIZE, stamp_page
 from wormdb.pages import SlottedPage
@@ -301,6 +300,8 @@ def test_core_crash_point_rejected(small_root, capsys):
     assert "invalid choice" in capsys.readouterr().err
     with pytest.raises(ValueError):
         FaultInjector().arm("core.commit.after_log_sync")
+    with pytest.raises(ValueError, match="unknown fault action: hang"):
+        FaultInjector().arm("dfs.commit.before_marker", action="hang")
 
 
 def test_crash_points_a_run_cannot_reach_are_refused(small_root, capsys):
@@ -830,8 +831,7 @@ def test_soak_reports_a_short_read_as_an_error(monkeypatch):
     it is an error message of its own, so the soak is not ok, while the
     final count still matches."""
     cluster = DfsCluster(DfsConfig(8192, 2), 4)
-    db = Database.create(cluster, "db", 1024, 512, 16, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 1024, 512, 16, True, FaultInjector())
     bench.generate(db, 20, seed=3, probe_count=0)
     scan = engine.Session.scan
 
@@ -848,10 +848,41 @@ def test_soak_reports_a_short_read_as_an_error(monkeypatch):
         "fewer than baseline 20" in error for error in result["errors"])
 
 
+def test_soak_reports_a_workers_exception_and_a_final_count_mismatch(
+        monkeypatch):
+    """An exception a worker's transaction raises is aborted and becomes
+    an error message naming the worker, and so does a final count that
+    is not the baseline plus the committed inserts."""
+    cluster = DfsCluster(DfsConfig(8192, 2), 4)
+    db = Database.create(cluster, "db", 1024, 512, 16, True, FaultInjector())
+    bench.generate(db, 20, seed=3, probe_count=0)
+    insert, scan = engine.Session.insert_record, engine.Session.scan
+
+    def failing_for_worker_0(session, record):
+        if session.owner == "soak-0":
+            raise RuntimeError("insert refused")
+        return insert(session, record)
+
+    def one_more_for_the_check(session, limit):
+        rows = scan(session, limit)
+        return rows + rows[:1] if session.owner == "soak-check" else rows
+
+    monkeypatch.setattr(engine.Session, "insert_record", failing_for_worker_0)
+    monkeypatch.setattr(engine.Session, "scan", one_more_for_the_check)
+    result = bench.soak(db, sessions=2, events=40, seed=1)
+    assert result["ok"] is False
+    assert result["final_count"] == \
+        result["baseline"] + result["committed_inserts"] + 1
+    assert "soak-0: RuntimeError('insert refused')" in result["errors"]
+    assert result["errors"][-1] == (
+        f"final count {result['final_count']} != baseline 20 "
+        f"+ committed {result['committed_inserts']}")
+    assert db.locks.snapshot(db.data_name) == []
+
+
 def test_run_workload_refuses_an_unknown_kind():
     cluster = DfsCluster(DfsConfig(8192, 2), 4)
-    db = Database.create(cluster, "db", 64, 512, 16, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 64, 512, 16, True, FaultInjector())
     with pytest.raises(ValueError, match="unknown workload kind: delete"):
         bench.run_workload(db, "delete")
 
@@ -861,7 +892,7 @@ def test_counter_determinism_across_generations(tmp_path):
     for run in range(2):
         cluster = DfsCluster(DfsConfig(8192, 2), 4)
         db = Database.create(cluster, "db", 1024, 512, 16, True,
-                             LockService(), FaultInjector())
+                             FaultInjector())
         bench.generate(db, 300, seed=9, probe_count=3)
         report = bench.run_workload(db, "scan", limit=300)
         report.pop("elapsed")
@@ -871,8 +902,7 @@ def test_counter_determinism_across_generations(tmp_path):
 
 def test_failed_workload_releases_its_lock():
     cluster = DfsCluster(DfsConfig(8192, 2), 4)
-    db = Database.create(cluster, "db", 64, 512, 16, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 64, 512, 16, True, FaultInjector())
     with pytest.raises(DatabaseFull):
         bench.run_workload(db, "insert", repeat=5000)
     assert db.locks.snapshot(db.data_name) == []
@@ -883,8 +913,9 @@ def test_failed_workload_releases_its_lock():
 
 def test_generate_zero_tuples():
     cluster = DfsCluster(DfsConfig(8192, 2), 4)
-    db = Database.create(cluster, "db", 256, 512, 16, True,
-                         LockService(), FaultInjector())
+    db = Database.create(cluster, "db", 256, 512, 16, True, FaultInjector())
+    with pytest.raises(ValueError, match="cannot plant 1 probe rows in 0"):
+        bench.generate(db, 0, seed=1, probe_count=1)
     bench.generate(db, 0, seed=1, probe_count=0)
     s = db.session()
     s.begin("read")
@@ -897,7 +928,7 @@ def test_generation_deterministic_data_bytes():
     for run in range(2):
         cluster = DfsCluster(DfsConfig(8192, 2), 4)
         db = Database.create(cluster, "db", 1024, 512, 16, True,
-                             LockService(), FaultInjector())
+                             FaultInjector())
         bench.generate(db, 250, seed=11, probe_count=3)
         states.append(data_blocks(db.store))
     assert states[0] == states[1]

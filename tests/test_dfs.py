@@ -80,6 +80,8 @@ def test_create_twice_is_write_once_violation():
 
 
 def test_create_needs_enough_alive_nodes():
+    with pytest.raises(ValueError, match="at least one DataNode"):
+        make_cluster(nodes=0)
     cluster = make_cluster(nodes=3)
     cluster.set_node_alive(0, False)
     with pytest.raises(InsufficientReplicaNodes):

@@ -52,7 +52,6 @@ from wormdb.errors import (
     ValueTooLong,
 )
 from wormdb.faults import SPDU_DFS_FAULT_POINTS, CrashPoint, FaultInjector
-from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager, constituent_name
 from wormdb.pagefmt import PAGE_HEADER_SIZE
 from wormdb.pages import SlottedPage, empty_free_space
@@ -68,7 +67,7 @@ def make_db(total=TOTAL, threshold=64, deferred=True, faults=None,
             root=None, nodes=4, replication=2, page=PAGE, block=BLOCK):
     cluster = DfsCluster(DfsConfig(block, replication), nodes, root)
     return Database.create(cluster, "db", total, page, threshold, deferred,
-                           LockService(), faults or FaultInjector())
+                           faults or FaultInjector())
 
 
 GEN1 = spdu_dfs.generation_name("db/log", 1)  # a new log's generation
@@ -832,9 +831,13 @@ def test_lock_required_for_operations():
     s.begin("read")
     with pytest.raises(LockError):
         s.insert_record(rec(0))
+    with pytest.raises(LockError, match="already holds a lock"):
+        s.begin("write")
     s.commit()
-    with pytest.raises(LockError):
-        s.commit()
+    for end in (s.commit, s.abort):
+        with pytest.raises(LockError, match="no transaction"):
+            end()
+    assert db.locks.snapshot(db.data_name) == []
 
 
 def test_commit_releases_lock():
@@ -1099,9 +1102,9 @@ def test_failed_maintenance_batch_raises_its_own_error(monkeypatch):
 def test_serializability_matches_grant_order_replay():
     """Interleaved writers are equivalent to the serial order of their
     write-lock grants: replay in grant order on a fresh database."""
-    locks = RecordingLockService()
     cluster = DfsCluster(DfsConfig(BLOCK, 2), 4)
-    db = Database.create(cluster, "db", TOTAL, PAGE, 64, True, locks)
+    cluster.locks = locks = RecordingLockService()
+    db = Database.create(cluster, "db", TOTAL, PAGE, 64, True)
     rng = random.Random(1)
     ops_by_owner = {
         f"w{i}": [(rng.randrange(10 ** 6), rng.randrange(3) == 0)
@@ -1512,7 +1515,7 @@ def test_two_databases_over_one_cluster_see_each_others_commits():
     other."""
     db1 = make_db(threshold=2)
     db2 = Database.open(db1.manager.cluster, "db", PAGE, 2, True,
-                        db1.locks, FaultInjector(), recover=False)
+                        FaultInjector(), recover=False)
     assert db2.manager is not db1.manager
     s1, s2 = db1.session("one"), db2.session("two")
     expected = []
@@ -1530,6 +1533,97 @@ def test_two_databases_over_one_cluster_see_each_others_commits():
         assert read_all(reader) == expected
         assert read_all(writer) == expected
     assert db1.manager.remakes_total + db2.manager.remakes_total > 0
+
+
+def run_to_end(*targets):
+    """Run each target on a thread of its own and wait for all of them;
+    returns the exceptions they raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # noqa: BLE001 - the test asserts on them
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(target,))
+               for target in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+        assert not t.is_alive()
+    return errors
+
+
+def test_writers_of_two_databases_over_one_cluster_are_serialised():
+    """Every Database over a cluster takes its lock from the cluster's
+    one queue, so the writers of two instances never append to or
+    truncate the log under each other: every commit lands, and the
+    database opens again."""
+    db1 = make_db(total=2048, threshold=8)
+    cluster = db1.manager.cluster
+    db2 = Database.open(cluster, "db", PAGE, 8, recover=False)
+    assert db1.locks is cluster.locks and db2.locks is cluster.locks
+
+    def writer(db, base):
+        session = db.session()
+        for txn in range(150):
+            commit_rows(session, range(base + 3 * txn, base + 3 * txn + 3))
+
+    assert run_to_end(lambda: writer(db1, 0),
+                      lambda: writer(db2, 10 ** 5)) == []
+    rows = read_all(Database.open(cluster, "db", PAGE).session())
+    assert sorted(r.duration for r in rows) == \
+        [*range(450), *range(10 ** 5, 10 ** 5 + 450)]
+
+
+def test_a_read_of_one_instance_blocks_a_write_of_another():
+    """Default session owners differ across the instances over a
+    cluster, so the lock queue's upgrade rule, which lets a write of the
+    owner of a granted read through, never joins two instances'
+    sessions."""
+    db1 = make_db()
+    db2 = Database.open(db1.manager.cluster, "db", PAGE, recover=False)
+    reader, writer = db1.session(), db2.session()
+    assert reader.owner != writer.owner
+    reader.begin("read")
+    granted = threading.Event()
+    t = threading.Thread(
+        target=lambda: (writer.begin("write"), granted.set()))
+    t.start()
+    assert not granted.wait(0.2)
+    reader.commit()
+    t.join(timeout=60)
+    assert granted.is_set()
+    writer.abort()
+
+
+def test_restart_holds_the_database_write_lock():
+    """`recover` takes the write lock, so a restart of one instance never
+    runs inside another's commit: it cannot take the g+1 a batch is
+    writing for one an abandoned batch left, and drop it under the
+    batch."""
+    db = make_db(total=2048, threshold=2)
+    cluster = db.manager.cluster
+    done = threading.Event()
+
+    def write():
+        try:
+            session = db.session()
+            for txn in range(400):
+                commit_rows(session, range(3 * txn, 3 * txn + 3))
+        finally:
+            done.set()
+
+    def restart():
+        while not done.is_set():
+            Database.open(cluster, "db", PAGE, 2, recover=True)
+
+    assert run_to_end(write, restart) == []
+    assert db.locks.snapshot(db.data_name) == []
+    rows = read_all(Database.open(cluster, "db", PAGE, recover=True).session())
+    assert sorted(r.duration for r in rows) == list(range(1200))
 
 
 def test_cache_holds_no_truncated_log_block_or_dead_id():

@@ -54,6 +54,12 @@ the package only ``Database.__init__`` constructs a
 ``DfsTransactionStore``, and its sessions, recovery and maintenance use
 that one.
 
+A cluster has one lock queue: inside the package only
+``DfsCluster.__init__`` constructs a ``LockService``, so every database
+over the cluster, and every instance of one database, takes its lock
+from ``cluster.locks``, and no caller can hand an instance a private
+queue that lets its writers run beside another instance's.
+
 The DFS block size has one home: inside the package only dfs.py and
 ``MetaDfsManager.__init__`` mention ``block_size_bytes``, and every other
 reader takes the manager's ``block_size``/``pages_per_block``. No module
@@ -334,6 +340,52 @@ def test_a_database_constructs_the_only_store():
             for _, scope in constructions(path.read_text("utf-8"),
                                           "DfsTransactionStore")] == \
         [("engine.py", "Database.__init__")]
+
+
+LOCK_QUEUE_HOME = ("dfs.py", "DfsCluster.__init__")
+
+
+def lock_queue_constructions(sources: dict[str, str]) -> list[tuple]:
+    """(module, scope) of each `LockService` construction in `sources`,
+    a map of module file name to source, but the cluster's own."""
+    return [(module, scope) for module, source in sorted(sources.items())
+            for _, scope in constructions(source, "LockService")
+            if (module, scope) != LOCK_QUEUE_HOME]
+
+
+def test_detector_flags_lock_queues_made_outside_the_cluster():
+    sources = {
+        "dfs.py": (
+            "class DfsCluster:\n"
+            "    def __init__(self):\n"
+            "        self.locks = LockService()\n"
+        ),
+        "engine.py": (
+            "from .locks import LockService\n"
+            "class Database:\n"
+            "    def __init__(self, manager, locks=None):\n"
+            "        self.locks = locks or LockService()\n"
+        ),
+        "cli.py": (
+            "from . import locks\n"
+            "def open_db(cluster):\n"
+            "    return Database(cluster, locks.LockService())\n"
+        ),
+    }
+    assert lock_queue_constructions(sources) == [
+        ("cli.py", "open_db"), ("engine.py", "Database.__init__")]
+
+
+def test_only_the_cluster_makes_a_lock_queue():
+    """Every `Database` takes the lock queue of its cluster, so the
+    writers of every instance over the cluster are serialised, and
+    restart holds the same lock as they do."""
+    sources = {path.name: path.read_text("utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert lock_queue_constructions(sources) == []
+    assert [scope for _, scope in constructions(sources["dfs.py"],
+                                                "LockService")] == \
+        [LOCK_QUEUE_HOME[1]]
 
 
 def test_only_the_store_stamps_a_page():

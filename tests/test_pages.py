@@ -140,6 +140,15 @@ def test_replace_overflow_raises():
         page.replace(0, b"b" * 1100)
 
 
+def test_extend_overflow_raises_and_leaves_the_page():
+    page = SlottedPage(bytearray(PAGE))
+    page.try_insert(b"a" * 900)
+    before = bytes(page.buf)
+    with pytest.raises(RecordTooLarge, match="2 records of 240 bytes"):
+        page.extend([b"b" * 40, b"c" * 200])
+    assert (page.buf, page.count, page.records()) == (before, 1, [b"a" * 900])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.binary(min_size=0, max_size=120), max_size=30))
 def test_slotted_page_matches_list_model(items):

@@ -81,7 +81,6 @@ from wormdb import bench, spdu_dfs
 from wormdb.dfs import DfsCluster, DfsConfig
 from wormdb.engine import Database
 from wormdb.faults import FaultInjector
-from wormdb.locks import LockService
 from wormdb.metafile import MetaDfsManager
 from wormdb.spdu_dfs import (
     FOOTER_FIXED_SIZE,
@@ -128,7 +127,7 @@ def make_loaded_db() -> Database:
     cluster = DfsCluster(DfsConfig(BLOCK, REPLICATION), 4)
     # threshold 1: most write transactions end in a batch post-commit
     db = Database.create(cluster, "db", TOTAL_PAGES, PAGE, 1, True,
-                         LockService(), FaultInjector())
+                         FaultInjector())
     bench.generate(db, 1500, seed=4, probe_key=KEY, probe_count=9,
                    commit_every=500)
     return db

@@ -121,6 +121,8 @@ def test_buffer_write_and_read_paths():
     rng = random.Random(0)
     content = page_with(rng)
     store.write_page(5, content)
+    with pytest.raises(ValueError, match="exactly page_size"):
+        store.write_page(5, content[:-1])
     # page only in buffer
     assert payload(store.read_page(5)) == payload(content)
     assert log_blocks(store) == 0  # nothing flushed yet
